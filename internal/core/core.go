@@ -219,6 +219,8 @@ type Endpoint struct {
 	// running; posts issued inside the handler (replies, forwarded
 	// requests) join that trace as child spans.
 	curTrace uint64
+	// idle is the proc parked in IdlePoll, if any (idle.go).
+	idle idler
 
 	handlers [NumHandlers]Handler
 	onReturn ReturnHandler
@@ -260,6 +262,7 @@ func (b *Bundle) NewEndpoint(key Key, tableSize int) (*Endpoint, error) {
 	// Communication events funnel to the bundle condition so one thread
 	// can wait on many endpoints.
 	seg.OnEvent = func() { b.cond.Broadcast() }
+	ep.hookIdle()
 	b.eps = append(b.eps, ep)
 	return ep, nil
 }
@@ -295,7 +298,10 @@ func (ep *Endpoint) Segment() *hostos.Segment { return ep.seg }
 func (ep *Endpoint) Bundle() *Bundle { return ep.b }
 
 // SetMode marks the endpoint shared or exclusive.
-func (ep *Endpoint) SetMode(m Mode) { ep.mode = m }
+func (ep *Endpoint) SetMode(m Mode) {
+	ep.mode = m
+	ep.rephase()
+}
 
 // SetHandler installs h at handler table index i.
 func (ep *Endpoint) SetHandler(i int, h Handler) error {
@@ -645,13 +651,23 @@ func (ep *Endpoint) pollOnce(p *sim.Proc) int {
 		// this stale handle must not steal its messages.
 		return 0
 	}
-	cfg := &ep.b.cfg
 	ep.lock(p)
+	ep.pollCharge(p)
+	return ep.drain(p)
+}
+
+// pollCharge charges the host CPU cost of reading the endpoint's queue
+// heads, which depends on where the endpoint resides right now.
+func (ep *Endpoint) pollCharge(p *sim.Proc) {
 	if ep.seg.Resident() {
-		p.Sleep(cfg.PollResident)
+		p.Sleep(ep.b.cfg.PollResident)
 	} else {
-		p.Sleep(cfg.PollHost)
+		p.Sleep(ep.b.cfg.PollHost)
 	}
+}
+
+// drain pops and dispatches every message visible now, returning how many.
+func (ep *Endpoint) drain(p *sim.Proc) int {
 	n := 0
 	for !ep.moved {
 		// Stop popping the moment a freeze lands mid-loop: unconsumed
@@ -791,6 +807,12 @@ func (ep *Endpoint) redirect(p *sim.Proc, m *nic.RecvMsg) bool {
 // Poll processes pending messages on the endpoint once.
 func (ep *Endpoint) Poll(p *sim.Proc) int { return ep.pollOnce(p) }
 
+// MaxPollCost bounds the virtual time a Poll that finds nothing can take,
+// wherever the endpoint resides and whichever mode it is in.
+func (ep *Endpoint) MaxPollCost() sim.Duration {
+	return sharedLockCost + max(ep.b.cfg.PollResident, ep.b.cfg.PollHost)
+}
+
 // Poll processes pending messages on every endpoint in the bundle.
 func (b *Bundle) Poll(p *sim.Proc) int {
 	n := 0
@@ -895,6 +917,7 @@ func (s *MigrationState) Bytes(frameBytes int) int {
 func (ep *Endpoint) Freeze(p *sim.Proc) {
 	ep.moved = true
 	ep.seg.OnEvent = nil
+	ep.rephase()
 	ep.b.cond.Broadcast()
 	ep.seg.Cond.Broadcast()
 	for ep.dispatching > 0 {
@@ -946,6 +969,7 @@ func (b *Bundle) Install(state *MigrationState) (*Endpoint, error) {
 		Stats:    state.stats,
 	}
 	seg.OnEvent = func() { b.cond.Broadcast() }
+	ep.hookIdle()
 	b.eps = append(b.eps, ep)
 	return ep, nil
 }

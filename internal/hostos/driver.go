@@ -63,6 +63,12 @@ type Segment struct {
 	// kernel notify cost); the core library points it at the bundle's
 	// event condition so one thread can wait on many endpoints.
 	OnEvent func()
+	// OnResidency, when set, runs whenever Resident() changes (a load
+	// completed or the endpoint was evicted). Polling an endpoint costs
+	// PollResident or PollHost depending on where it lives, so a thread that
+	// has worked out its poll schedule in advance re-derives it here. Runs in
+	// the remap thread's context; it must not block.
+	OnResidency func()
 
 	remapQueued bool
 	// remapping is set while the background thread is actively working on
@@ -80,6 +86,15 @@ type Segment struct {
 
 // Resident reports whether the segment is bound to an NI frame.
 func (s *Segment) Resident() bool { return s.State == OnNIC }
+
+// setState moves the segment to st, reporting a residency change.
+func (s *Segment) setState(st SegState) {
+	was := s.Resident()
+	s.State = st
+	if s.OnResidency != nil && s.Resident() != was {
+		s.OnResidency()
+	}
+}
 
 // Driver is the per-node endpoint segment driver plus its background remap
 // kernel thread.
@@ -590,7 +605,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 		}
 		p.Sleep(d.cfg.UnloadCost)
 		d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpUnload, EP: victim.EP})
-		victim.State = OnHostRO
+		victim.setState(OnHostRO)
 		victim.Cond.Broadcast()
 		d.C.Inc("remap.evict")
 		// §4.2: the background thread activates non-empty endpoints. An
@@ -617,7 +632,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 		fmt.Printf("[%v] drv%d remapOne load ep%d epstate=%d segstate=%v\n", sim.Duration(d.e.Now()), d.node, seg.EP.ID, seg.EP.State, seg.State)
 	}
 	d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpLoad, EP: seg.EP, Frame: frame})
-	seg.State = OnNIC
+	seg.setState(OnNIC)
 	d.C.Inc("remap.load")
 }
 

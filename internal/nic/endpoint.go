@@ -155,9 +155,10 @@ type EndpointImage struct {
 	Serviced      int64
 	ServicedBytes int64
 
-	// OnDeliver, when set, runs in NI context after a message is deposited.
-	// The core library uses it for bookkeeping that the NI performs as part
-	// of the deposit (e.g. statistics); it must not block.
+	// OnDeliver, when set, runs in NI context after a message is deposited
+	// (wire arrivals and return-to-sender alike): the deposit doorbell. The
+	// core library rings a host thread parked in Endpoint.IdlePoll with it;
+	// it must not block.
 	OnDeliver func(*RecvMsg)
 
 	// LastActive is the last time the NI serviced this endpoint (send or
@@ -283,6 +284,22 @@ func (ep *EndpointImage) sendQueueFor(d *SendDesc) *ring[*SendDesc] {
 // PendingRecvs reports queued incoming requests plus replies.
 func (ep *EndpointImage) PendingRecvs() int {
 	return ep.RecvQ.Len() + ep.RepQ.Len() + len(ep.retOverflow)
+}
+
+// NextVisible reports the earliest time at which PopRecv would return a
+// message: the smallest Visible among the queue heads it examines. ok is
+// false when every queue is empty.
+func (ep *EndpointImage) NextVisible() (t sim.Time, ok bool) {
+	if m, has := ep.RepQ.Peek(); has {
+		t, ok = m.Visible, true
+	}
+	if len(ep.retOverflow) > 0 && (!ok || ep.retOverflow[0].Visible < t) {
+		t, ok = ep.retOverflow[0].Visible, true
+	}
+	if m, has := ep.RecvQ.Peek(); has && (!ok || m.Visible < t) {
+		t, ok = m.Visible, true
+	}
+	return t, ok
 }
 
 // PopRecv dequeues the next received message visible at time now,

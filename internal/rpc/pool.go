@@ -159,52 +159,17 @@ func (pl *Pool) BreakerState(tgt int) reliab.BreakerState {
 }
 
 func (pl *Pool) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-	id := args[0]
-	total := int(args[1])
-	off := int(args[2])
-	status := args[3]
-	defer tok.Reply(p, hCallOK, [4]uint64{id})
-	rb, ok := pl.results[id]
-	if !ok {
-		return // stale result for an abandoned call
-	}
-	if rb.data == nil {
-		rb.data = make([]byte, total)
-		rb.total = total
-	}
-	copy(rb.data[off:], payload)
-	rb.got += len(payload)
-	rb.status = status
-	if rb.got >= rb.total {
-		rb.done = true
+	defer tok.Reply(p, hCallOK, [4]uint64{args[0]})
+	if rb, ok := pl.results[args[0]]; ok { // else: stale result for an abandoned call
+		rb.add(args, payload)
 	}
 }
 
 // pump flushes deferred re-issues whose backoff has elapsed.
 func (pl *Pool) pump(p *sim.Proc) {
-	if len(pl.deferred) == 0 {
-		return
+	if len(pl.deferred) > 0 {
+		pl.deferred = flushDue(p, pl.ep, pl.deferred, func(id uint64) bool { return pl.results[id] != nil })
 	}
-	now := p.Now()
-	kept := pl.deferred[:0]
-	for _, d := range pl.deferred {
-		if d.due > now {
-			kept = append(kept, d)
-			continue
-		}
-		if _, live := pl.results[d.args[0]]; !live {
-			d.fl.Drop(obs.StageBackoff, "abandoned", now)
-			continue
-		}
-		d.fl.Mark(obs.StageBackoff, now)
-		d.fl.Finish(now)
-		if len(d.payload) == 0 {
-			_ = pl.ep.Request(p, d.dstIdx, d.h, d.args)
-		} else {
-			_ = pl.ep.RequestBulk(p, d.dstIdx, d.h, d.payload, d.args)
-		}
-	}
-	pl.deferred = kept
 }
 
 // Poll services the pool's endpoint and flushes due re-issues.
@@ -212,6 +177,13 @@ func (pl *Pool) Poll(p *sim.Proc) int {
 	n := pl.ep.Poll(p)
 	pl.pump(p)
 	return n
+}
+
+// IdlePoll is Client.IdlePoll for the pool's shared endpoint.
+func (pl *Pool) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
+	n, start := idlePoll(p, pl.ep, pl.deferred, tick, until)
+	pl.pump(p)
+	return n, start
 }
 
 // Outstanding reports in-flight calls plus retry bookkeeping sizes, for
@@ -356,9 +328,7 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 		if deadline != 0 && p.Now() >= deadline {
 			return nil, pl.fail(p, pc.rb.tgt, ErrTimeout)
 		}
-		if pl.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
+		waitTurn(p, pl.IdlePoll, pl.ep, deadline)
 	}
 	return pl.finish(p, pc.rb)
 }

@@ -111,10 +111,10 @@ type CtxProc func(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error)
 // in the poll/wait paths flushes due entries (return handlers run inside
 // Poll and must not sleep).
 type deferredSend struct {
-	due    sim.Time
-	dstIdx int
-	h      int
-	args   [4]uint64
+	due     sim.Time
+	dstIdx  int
+	h       int
+	args    [4]uint64
 	payload []byte
 	// fl is the open backoff span of the traced call this fragment belongs
 	// to (nil for untraced calls): marked StageBackoff and finished when the
@@ -288,23 +288,35 @@ func (s *Server) RegisterCtx(proc int, fn CtxProc) { s.procs[proc] = fn }
 // pump flushes deferred re-issues whose backoff has elapsed. It runs from
 // the poll/wait paths — proc context, where a blocking send is legal.
 func (s *Server) pump(p *sim.Proc) {
-	if len(s.deferred) == 0 {
-		return
+	if len(s.deferred) > 0 {
+		s.deferred = flushDue(p, s.ep, s.deferred, func(uint64) bool { return true })
 	}
+}
+
+// flushDue re-issues the deferred sends whose backoff has elapsed and
+// returns the ones still waiting. live reports whether the call a fragment
+// belongs to is still awaited; fragments of abandoned calls are dropped.
+func flushDue(p *sim.Proc, ep *core.Endpoint, deferred []deferredSend, live func(callID uint64) bool) []deferredSend {
 	now := p.Now()
-	kept := s.deferred[:0]
-	for _, d := range s.deferred {
+	kept := deferred[:0]
+	for _, d := range deferred {
 		if d.due > now {
 			kept = append(kept, d)
 			continue
 		}
+		if !live(d.args[0]) {
+			d.fl.Drop(obs.StageBackoff, "abandoned", now)
+			continue
+		}
+		d.fl.Mark(obs.StageBackoff, now)
+		d.fl.Finish(now)
 		if len(d.payload) == 0 {
-			_ = s.ep.Request(p, d.dstIdx, d.h, d.args)
+			_ = ep.Request(p, d.dstIdx, d.h, d.args)
 		} else {
-			_ = s.ep.RequestBulk(p, d.dstIdx, d.h, d.payload, d.args)
+			_ = ep.RequestBulk(p, d.dstIdx, d.h, d.payload, d.args)
 		}
 	}
-	s.deferred = kept
+	return kept
 }
 
 // sweepEvery paces the stale-state sweep relative to StaleAfter.
@@ -695,24 +707,24 @@ func NewClientOpts(node *hostos.Node, server core.EndpointName, serverKey core.K
 }
 
 func (c *Client) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-	id := args[0]
-	total := int(args[1])
-	off := int(args[2])
-	status := args[3]
 	// Acknowledge even stale results: the ack is what lets the server
 	// retire its reissue bookkeeping for this call.
-	defer tok.Reply(p, hCallOK, [4]uint64{id})
-	rb, ok := c.results[id]
-	if !ok {
-		return // stale result for an abandoned call
+	defer tok.Reply(p, hCallOK, [4]uint64{args[0]})
+	if rb, ok := c.results[args[0]]; ok { // else: stale result for an abandoned call
+		rb.add(args, payload)
 	}
+}
+
+// add assembles one result fragment: args carry (call id, total, offset,
+// status).
+func (rb *resultBuf) add(args [4]uint64, payload []byte) {
 	if rb.data == nil {
-		rb.data = make([]byte, total)
-		rb.total = total
+		rb.total = int(args[1])
+		rb.data = make([]byte, rb.total)
 	}
-	copy(rb.data[off:], payload)
+	copy(rb.data[args[2]:], payload)
 	rb.got += len(payload)
-	rb.status = status
+	rb.status = args[3]
 	if rb.got >= rb.total {
 		rb.done = true
 	}
@@ -721,29 +733,9 @@ func (c *Client) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload 
 // pump flushes deferred re-issues whose backoff has elapsed, dropping ones
 // whose call was abandoned meanwhile.
 func (c *Client) pump(p *sim.Proc) {
-	if len(c.deferred) == 0 {
-		return
+	if len(c.deferred) > 0 {
+		c.deferred = flushDue(p, c.ep, c.deferred, func(id uint64) bool { return c.results[id] != nil })
 	}
-	now := p.Now()
-	kept := c.deferred[:0]
-	for _, d := range c.deferred {
-		if d.due > now {
-			kept = append(kept, d)
-			continue
-		}
-		if _, live := c.results[d.args[0]]; !live {
-			d.fl.Drop(obs.StageBackoff, "abandoned", now)
-			continue
-		}
-		d.fl.Mark(obs.StageBackoff, now)
-		d.fl.Finish(now)
-		if len(d.payload) == 0 {
-			_ = c.ep.Request(p, d.dstIdx, d.h, d.args)
-		} else {
-			_ = c.ep.RequestBulk(p, d.dstIdx, d.h, d.payload, d.args)
-		}
-	}
-	c.deferred = kept
 }
 
 // Poll services the client's endpoint and flushes due re-issues; open-loop
@@ -752,6 +744,46 @@ func (c *Client) Poll(p *sim.Proc) int {
 	n := c.ep.Poll(p)
 	c.pump(p)
 	return n
+}
+
+// IdlePoll repeats Poll every tick until one dispatches something or starts
+// at or after until, and returns that poll's count and start time — with the
+// polls that provably find nothing elided (core.Endpoint.IdlePoll). It also
+// returns, with 0, at the poll where a deferred re-issue falls due.
+func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
+	n, start := idlePoll(p, c.ep, c.deferred, tick, until)
+	c.pump(p)
+	return n, start
+}
+
+// idlePoll runs ep.IdlePoll no further than the poll after which the
+// caller's pump has something to flush. The pump runs once the poll has been
+// charged, so a poll starting more than MaxPollCost before the earliest due
+// time cannot reach it.
+func idlePoll(p *sim.Proc, ep *core.Endpoint, deferred []deferredSend, tick sim.Duration, until sim.Time) (int, sim.Time) {
+	lead := ep.MaxPollCost()
+	for i := range deferred {
+		until = min(until, deferred[i].due.Add(-lead))
+	}
+	return ep.IdlePoll(p, tick, until)
+}
+
+// waitTick is how often a blocked call polls for its result.
+const waitTick = 5 * sim.Microsecond
+
+// waitTurn is one turn of a blocking wait — poll, flush due re-issues, sleep
+// a waitTick if nothing arrived — run on through every turn that would find
+// nothing and end before deadline (0 = none). poll is the Client's or Pool's
+// IdlePoll; it returns before the tick that follows its last poll, so that
+// tick is paid here.
+func waitTurn(p *sim.Proc, poll func(*sim.Proc, sim.Duration, sim.Time) (int, sim.Time), ep *core.Endpoint, deadline sim.Time) {
+	until := sim.Never
+	if deadline != 0 {
+		until = deadline.Add(-waitTick - ep.MaxPollCost())
+	}
+	if n, _ := poll(p, waitTick, until); n == 0 {
+		p.Sleep(waitTick)
+	}
 }
 
 // Outstanding reports in-flight calls plus retry bookkeeping sizes, for
@@ -877,20 +909,8 @@ func (c *Client) CallCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) ([]
 	if err != nil {
 		return nil, err
 	}
-	defer delete(c.results, id)
-	defer delete(c.reissues, id)
-	for !rb.done {
-		if c.dead || rb.failed {
-			return nil, c.fail(p, ErrUnreachable)
-		}
-		if ctx.Deadline != 0 && p.Now() >= ctx.Deadline {
-			return nil, c.fail(p, ErrTimeout)
-		}
-		if c.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
-	}
-	return c.finish(p, rb)
+	pc := Pending{c: c, id: id, rb: rb, ctx: ctx}
+	return pc.WaitTimeout(p, 0)
 }
 
 // Pending is an in-flight asynchronous call.
@@ -940,9 +960,7 @@ func (pc *Pending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, error
 		if deadline != 0 && p.Now() >= deadline {
 			return nil, c.fail(p, ErrTimeout)
 		}
-		if c.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
+		waitTurn(p, c.IdlePoll, c.ep, deadline)
 	}
 	return c.finish(p, pc.rb)
 }

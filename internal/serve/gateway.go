@@ -284,7 +284,7 @@ func (g *Gateway) noteHedge(trace uint64, what string, now sim.Time) {
 // GatewayWorkload is the client side: one request per arrival to a
 // gateway chosen round-robin from the client's pool.
 type GatewayWorkload struct {
-	pool    *rpc.Pool
+	pooled
 	reqSize int
 	next    int
 }
@@ -300,14 +300,8 @@ func NewGatewayWorkload(node *hostos.Node, gateways []Addr, reqSize int, opts rp
 			return nil, err
 		}
 	}
-	return &GatewayWorkload{pool: pl, reqSize: reqSize}, nil
+	return &GatewayWorkload{pooled: pooled{pl}, reqSize: reqSize}, nil
 }
-
-// Poll services the workload's pool.
-func (w *GatewayWorkload) Poll(p *sim.Proc) { w.pool.Poll(p) }
-
-// Pool exposes the transport for invariant checks.
-func (w *GatewayWorkload) Pool() *rpc.Pool { return w.pool }
 
 // Issue sends one inference request to the next gateway.
 func (w *GatewayWorkload) Issue(p *sim.Proc, seq uint64, ctx reliab.Ctx) (Req, error) {

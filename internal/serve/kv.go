@@ -145,13 +145,13 @@ type KVWorkloadConfig struct {
 
 // KVWorkload issues get/put traffic over one pool spanning all shards.
 type KVWorkload struct {
-	pool *rpc.Pool
-	cfg  KVWorkloadConfig
-	rng  *rand.Rand // op-type stream (derived, not engine)
-	val  []byte
-	big  []byte
-	seq  uint64
-	ops  uint64
+	pooled
+	cfg KVWorkloadConfig
+	rng *rand.Rand // op-type stream (derived, not engine)
+	val []byte
+	big []byte
+	seq uint64
+	ops uint64
 }
 
 // NewKVWorkload builds the client workload on node against the given
@@ -173,7 +173,7 @@ func NewKVWorkload(node *hostos.Node, servers []Addr, cfg KVWorkloadConfig, opts
 	for i := range val {
 		val[i] = byte(i * 31)
 	}
-	w := &KVWorkload{pool: pl, cfg: cfg, rng: rng, val: val}
+	w := &KVWorkload{pooled: pooled{pl}, cfg: cfg, rng: rng, val: val}
 	if cfg.BigEvery > 0 && cfg.BigSize > 0 {
 		w.big = make([]byte, cfg.BigSize)
 		for i := range w.big {
@@ -182,12 +182,6 @@ func NewKVWorkload(node *hostos.Node, servers []Addr, cfg KVWorkloadConfig, opts
 	}
 	return w, nil
 }
-
-// Poll services the workload's pool.
-func (w *KVWorkload) Poll(p *sim.Proc) { w.pool.Poll(p) }
-
-// Pool exposes the transport for invariant checks.
-func (w *KVWorkload) Pool() *rpc.Pool { return w.pool }
 
 // Issue starts one op: a get to the key's primary (or a FanReads-way
 // scatter-gather), or a put fanned out to the key's full replica set

@@ -28,6 +28,27 @@ type Workload interface {
 	Poll(p *sim.Proc)
 }
 
+// IdlePoller is implemented by workloads whose transport can stand in for
+// RunClient's harvest polls while nothing arrives (rpc.Pool.IdlePoll): it
+// polls every tick until a poll dispatches something or starts at or after
+// until, and returns that poll's start time. RunClient polls a workload
+// without it once per sweep.
+type IdlePoller interface {
+	IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time)
+}
+
+// pooled is a workload's transport when that is one rpc.Pool: the KV,
+// parameter-server and gateway workloads embed it.
+type pooled struct{ pool *rpc.Pool }
+
+// Poll and IdlePoll service the pool (Workload, IdlePoller); Pool exposes it
+// for invariant checks.
+func (w pooled) Poll(p *sim.Proc) { w.pool.Poll(p) }
+func (w pooled) Pool() *rpc.Pool  { return w.pool }
+func (w pooled) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
+	return w.pool.IdlePoll(p, tick, until)
+}
+
 // ClientConfig shapes one open-loop client.
 type ClientConfig struct {
 	Arr      Arrival
@@ -85,23 +106,21 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 	next := cfg.Start.Add(cfg.Arr.Gap(cfg.Start))
 
 	classify := func(r *inflightReq, now sim.Time, err error) {
+		cls := "failed"
+		switch {
+		case err == nil && (r.deadline == 0 || now <= r.deadline):
+			cls = obs.ClassGood
+		case err == nil:
+			cls = obs.ClassMissed // answered, but too late to serve
+		case errors.Is(err, rpc.ErrOverload):
+			cls = obs.ClassShed
+		case errors.Is(err, rpc.ErrDeadlineExceeded) || errors.Is(err, rpc.ErrTimeout):
+			cls = obs.ClassMissed
+		}
 		if r.fl != nil {
 			// Close the root: whatever end-to-end time is not yet covered by
 			// a fan-in mark is client-side waiting, and the SLO class rides a
 			// note so the tail-attribution pass can split by outcome.
-			var cls string
-			switch {
-			case err == nil && (r.deadline == 0 || now <= r.deadline):
-				cls = obs.ClassGood
-			case err == nil:
-				cls = obs.ClassMissed
-			case errors.Is(err, rpc.ErrOverload):
-				cls = obs.ClassShed
-			case errors.Is(err, rpc.ErrDeadlineExceeded) || errors.Is(err, rpc.ErrTimeout):
-				cls = obs.ClassMissed
-			default:
-				cls = "failed"
-			}
 			r.fl.Note("class:"+cls, now)
 			r.fl.Mark(obs.StageRPCWait, now)
 			r.fl.Finish(now)
@@ -109,22 +128,19 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 		if !r.measured {
 			return
 		}
-		switch {
-		case err == nil && (r.deadline == 0 || now <= r.deadline):
+		switch cls {
+		case obs.ClassGood:
 			slo.RecordGood(now.Sub(r.issued))
-		case err == nil:
-			slo.Missed++ // answered, but too late to serve
-		case errors.Is(err, rpc.ErrOverload):
-			slo.Shed++
-		case errors.Is(err, rpc.ErrDeadlineExceeded) || errors.Is(err, rpc.ErrTimeout):
+		case obs.ClassMissed:
 			slo.Missed++
+		case obs.ClassShed:
+			slo.Shed++
 		default:
 			slo.Failed++
 		}
 	}
 
 	harvest := func(now sim.Time) {
-		w.Poll(p)
 		kept := inflight[:0]
 		for i := range inflight {
 			r := &inflight[i]
@@ -144,9 +160,21 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 		inflight = kept
 	}
 
+	// until is how far the sweep's poll may run on alone (0: one poll). The
+	// sweeps it may stand in for are those that would leave this loop's state
+	// as it is: nothing to harvest or expire, no arrival due, a whole
+	// pollTick to sleep.
+	idle, _ := w.(IdlePoller)
+	var until sim.Time
 	for {
 		now := p.Now()
+		if idle != nil {
+			_, now = idle.IdlePoll(p, pollTick, until)
+		} else {
+			w.Poll(p)
+		}
 		harvest(now)
+		issued := false
 		// Fire every arrival that is due. The schedule advances by drawn
 		// gaps even when the client is saturated — queueing happens in the
 		// system or not at all, never silently in the generator.
@@ -177,6 +205,7 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 				ctx.Trace = root.TraceID
 			}
 			req, err := w.Issue(p, seq, ctx)
+			issued = true
 			seq++
 			if err != nil {
 				r := inflightReq{issued: at, deadline: deadline, measured: measured, fl: root}
@@ -208,15 +237,27 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 		}
 		// Sleep to the next interesting instant: the next arrival, or a
 		// poll tick if responses may land meanwhile.
-		sleep := next.Sub(now)
+		horizon := next
 		if next >= cfg.Stop {
-			sleep = cfg.Stop.Add(drain).Sub(now)
+			horizon = cfg.Stop.Add(drain)
 		}
+		sleep := horizon.Sub(now)
 		if len(inflight) > 0 && sleep > pollTick {
 			sleep = pollTick
 		}
 		if sleep <= 0 {
 			sleep = 1
+		}
+		until = 0
+		// Issue may poll while it waits for credits, completing requests this
+		// loop has yet to harvest: the next sweep must look.
+		if len(inflight) > 0 && !issued {
+			until = horizon.Add(-pollTick)
+			for i := range inflight {
+				if d := inflight[i].deadline; d != 0 && d < until {
+					until = d
+				}
+			}
 		}
 		p.Sleep(sleep)
 	}

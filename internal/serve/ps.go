@@ -114,7 +114,7 @@ type PSWorkloadConfig struct {
 // traffic, and the experiment's offered-load sweep shows where that knee
 // sits.
 type PSWorkload struct {
-	pool    *rpc.Pool
+	pooled
 	cfg     PSWorkloadConfig
 	rng     *rand.Rand
 	servers int
@@ -139,14 +139,8 @@ func NewPSWorkload(node *hostos.Node, servers []Addr, cfg PSWorkloadConfig, opts
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 1
 	}
-	return &PSWorkload{pool: pl, cfg: cfg, rng: rng, servers: len(servers)}, nil
+	return &PSWorkload{pooled: pooled{pl}, cfg: cfg, rng: rng, servers: len(servers)}, nil
 }
-
-// Poll services the workload's pool.
-func (w *PSWorkload) Poll(p *sim.Proc) { w.pool.Poll(p) }
-
-// Pool exposes the transport for invariant checks.
-func (w *PSWorkload) Pool() *rpc.Pool { return w.pool }
 
 // Issue models one training step: accumulate this step's deltas, then
 // either flush the batch (every PushEvery-th step) or pull fresh params.

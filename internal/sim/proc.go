@@ -159,8 +159,27 @@ func (p *Proc) Sleep(d Duration) {
 // Yield lets other events and procs scheduled at the current time run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
+// Park suspends the proc until its wakeup fires. Whoever owns the wait arms
+// the wakeup with WakeAt — before parking or at any point while the proc is
+// parked, from event context or another proc — and may move it as often as
+// it likes; with nothing armed the proc stays parked. Parking and re-arming
+// reuse the proc's wakeup timer, so neither allocates.
+func (p *Proc) Park() { p.yield() }
+
+// WakeAt arms (or moves) the wakeup of a proc that is in, or about to
+// enter, Park so that it resumes at absolute time t (>= Now()). It must not
+// be called on a proc suspended any other way: Sleep and Cond waits own the
+// same timer.
+func (p *Proc) WakeAt(t Time) { p.resumeT.ResetAt(t) }
+
+// Unwake disarms a wakeup set by WakeAt, leaving the proc parked until the
+// next WakeAt.
+func (p *Proc) Unwake() { p.resumeT.Stop() }
+
 // Cond is a condition-variable analogue for simulated threads. Waiters are
-// woken in FIFO order. A zero Cond bound with NewCond is ready to use.
+// woken in FIFO order. A zero Cond bound with NewCond is ready to use. The
+// waiter list keeps its backing array across wakes, so a wait → wake cycle
+// allocates nothing once the list has reached its working size.
 type Cond struct {
 	e       *Engine
 	waiters []*Proc
@@ -224,7 +243,9 @@ func (c *Cond) Signal() bool {
 		return false
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	p.waiting = nil
 	p.resumeT.Reset(0)
 	return true
@@ -237,7 +258,8 @@ func (c *Cond) Broadcast() int {
 		p.waiting = nil
 		p.resumeT.Reset(0)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 	return n
 }
 

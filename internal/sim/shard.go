@@ -27,7 +27,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -150,13 +149,13 @@ func (c *Coordinator) ensureWorkers() {
 // extends to that bound plus one lookahead — idle stretches cost one
 // barrier instead of thousands.
 func (c *Coordinator) nextBound(deadline Time) Time {
-	min := Time(math.MaxInt64)
+	min := Never
 	for _, e := range c.engines {
 		if nb, ok := e.NextEventBound(); ok && nb < min {
 			min = nb
 		}
 	}
-	if min == math.MaxInt64 {
+	if min == Never {
 		return deadline
 	}
 	b := min.Add(c.window)
@@ -253,7 +252,7 @@ func (c *Coordinator) Run() {
 		if !pending {
 			return
 		}
-		b := c.nextBound(Time(math.MaxInt64))
+		b := c.nextBound(Never)
 		c.runWindow(b)
 		c.flush(b)
 		c.now = b
@@ -272,6 +271,8 @@ func (c *Coordinator) Stats() Stats {
 		out.PoolHits += s.PoolHits
 		out.PoolMisses += s.PoolMisses
 		out.MaxPending += s.MaxPending
+		out.Handoffs += s.Handoffs
+		out.SelfResumes += s.SelfResumes
 	}
 	return out
 }

@@ -57,6 +57,9 @@ func (d Duration) String() string {
 	return fmt.Sprintf("%dns", int64(d))
 }
 
+// Never is a time no clock reaches: the "no bound" value for deadlines.
+const Never = Time(math.MaxInt64)
+
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -190,14 +193,19 @@ func (t *Timer) ResetAt(at Time) bool {
 
 // Stats describes engine activity since creation: events fired, scheduled
 // and cancelled, event-pool reuse (hit rate = PoolHits/(PoolHits+PoolMisses))
-// and the high-water mark of live queued events.
+// and the high-water mark of live queued events. Handoffs counts proc
+// resumes that switched goroutines (the resumed proc was not the one already
+// stepping the event loop); SelfResumes counts the ones run-loop migration
+// turned into a plain return.
 type Stats struct {
-	Fired      uint64
-	Scheduled  uint64
-	Cancelled  uint64
-	PoolHits   uint64
-	PoolMisses uint64
-	MaxPending int
+	Fired       uint64
+	Scheduled   uint64
+	Cancelled   uint64
+	PoolHits    uint64
+	PoolMisses  uint64
+	MaxPending  int
+	Handoffs    uint64
+	SelfResumes uint64
 }
 
 // Engine is a discrete-event simulation engine.
@@ -553,7 +561,7 @@ func (e *Engine) stepBounded(bound Time) bool {
 // Run processes events until none remain. Procs blocked with no pending
 // wakeup are left parked (use Shutdown to release their goroutines).
 func (e *Engine) Run() {
-	e.bound = Time(math.MaxInt64)
+	e.bound = Never
 	for e.stepBounded(e.bound) {
 	}
 }
@@ -617,8 +625,10 @@ func (e *Engine) runProc(p *Proc) {
 	p.resumed = true
 	e.cur = p
 	if r == p {
+		e.stats.SelfResumes++
 		return
 	}
+	e.stats.Handoffs++
 	e.runner = p
 	p.token <- struct{}{}
 	if r == nil {

@@ -480,3 +480,114 @@ func TestProcNameAndDone(t *testing.T) {
 		t.Fatal("not done after run")
 	}
 }
+
+// A wait → wake cycle must not re-allocate the cond's waiter list: Broadcast
+// and Signal keep the backing array.
+func TestCondWakeCycleAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wake func(c *Cond)
+	}{
+		{"broadcast", func(c *Cond) { c.Broadcast() }},
+		{"signal", func(c *Cond) {
+			for c.Signal() {
+			}
+		}},
+	} {
+		e := NewEngine(1)
+		c := NewCond(e)
+		woken := 0
+		for i := 0; i < 3; i++ {
+			e.Spawn("w", func(p *Proc) {
+				for {
+					c.Wait(p)
+					woken++
+				}
+			})
+		}
+		e.Run()
+		cycle := func() {
+			tc.wake(c)
+			e.Run()
+		}
+		cycle()
+		woken = 0
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("%s: wait → wake cycle allocates %.2f times, want 0", tc.name, avg)
+		}
+		if woken != 3*101 || c.Waiters() != 3 {
+			t.Errorf("%s: woken %d, %d waiting", tc.name, woken, c.Waiters())
+		}
+		e.Shutdown()
+	}
+}
+
+// Park leaves the proc suspended until WakeAt arms its wakeup; the wakeup can
+// be moved earlier or later, or withdrawn, while the proc is parked, and none
+// of it allocates.
+func TestParkWakeAt(t *testing.T) {
+	e := NewEngine(1)
+	var woke []Time
+	p := e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Park()
+			woke = append(woke, p.Now())
+		}
+	})
+	e.RunUntil(100)
+	if len(woke) != 0 {
+		t.Fatalf("parked proc woke unarmed at %v", woke)
+	}
+	p.WakeAt(500)
+	e.ScheduleAt(200, func() { p.WakeAt(300) })   // earlier
+	e.ScheduleAt(250, func() { p.WakeAt(400) })   // later again
+	e.ScheduleAt(700, func() { p.WakeAt(900) })   // next park
+	e.ScheduleAt(750, func() { p.Unwake() })      // withdrawn
+	e.ScheduleAt(1000, func() { p.WakeAt(1000) }) // now
+	e.RunUntil(2000)
+	if len(woke) != 2 || woke[0] != 400 || woke[1] != 1000 {
+		t.Fatalf("woke at %v, want [400 1000]", woke)
+	}
+	woke = woke[:0]
+	cycle := func() {
+		p.WakeAt(e.Now().Add(10))
+		e.RunFor(20)
+		woke = woke[:0]
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("park → wake cycle allocates %.2f times, want 0", avg)
+	}
+	e.Shutdown()
+}
+
+// Handoffs counts resumes that switch goroutines, SelfResumes the ones the
+// migrating run loop turned into a plain return.
+func TestStatsCountHandoffs(t *testing.T) {
+	// One proc alone: the driver hands it the loop once; from then on it
+	// fires its own wakeups.
+	e := NewEngine(1)
+	e.Spawn("solo", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(5)
+		}
+	})
+	e.Run()
+	if s := e.Stats(); s.Handoffs != 1 || s.SelfResumes != 10 {
+		t.Fatalf("solo proc: %d hand-offs, %d self-resumes; want 1, 10", s.Handoffs, s.SelfResumes)
+	}
+	// Two procs alternating: every resume crosses goroutines.
+	e = NewEngine(1)
+	for i := 0; i < 2; i++ {
+		d := Duration(10 + i)
+		e.Spawn("pair", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(d)
+			}
+		})
+	}
+	e.Run()
+	if s := e.Stats(); s.Handoffs < 20 || s.Handoffs+s.SelfResumes != 22 {
+		t.Fatalf("two procs: %d hand-offs, %d self-resumes of 22 resumes", s.Handoffs, s.SelfResumes)
+	}
+}

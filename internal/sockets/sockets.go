@@ -107,9 +107,7 @@ func (l *Listener) onConnect(p *sim.Proc, tok *core.Token, args [4]uint64, paylo
 // listening endpoint) until one arrives.
 func (l *Listener) Accept(p *sim.Proc) *Conn {
 	for len(l.backlog) == 0 {
-		if l.ep.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
+		l.ep.IdlePoll(p, 5*sim.Microsecond, sim.Never)
 	}
 	c := l.backlog[0]
 	l.backlog = l.backlog[1:]
@@ -438,9 +436,7 @@ func Dial(p *sim.Proc, node *hostos.Node, server core.EndpointName, serverKey co
 		return nil, err
 	}
 	for reply == nil && !refused {
-		if dialEP.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
+		dialEP.IdlePoll(p, 5*sim.Microsecond, sim.Never)
 	}
 	b.Close(p)
 	if refused || reply[1] != 0 {
