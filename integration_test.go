@@ -94,6 +94,9 @@ func TestGeneralPurposeColocation(t *testing.T) {
 		}
 		conn.Write(p, buf)
 		conn.Drain(p)
+		if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
+			t.Errorf("socket retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
+		}
 	})
 
 	// --- Striped file system on nodes 4-5, client on node 6. ---
@@ -310,6 +313,9 @@ func TestOvercommitColocation(t *testing.T) {
 		}
 		conn.Write(p, buf)
 		conn.Drain(p)
+		if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
+			t.Errorf("socket retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
+		}
 	})
 
 	for step := 0; step < 10000 && !done; step++ {

@@ -55,6 +55,16 @@ func (r NackReason) transient() bool {
 	return r == NackNotResident || r == NackOverrun
 }
 
+// Permanent reports whether re-sending a message the fabric handed back to
+// its sender (§3.2) is pointless: the destination endpoint is gone, its key
+// was revoked, or — dstIdx < 0, as the return handler reports it — the
+// destination is not in the sender's translation table, so there is no slot
+// to re-send through. Every other return is a transport condition a later
+// attempt may outlive.
+func (r NackReason) Permanent(dstIdx int) bool {
+	return dstIdx < 0 || r == NackNoEndpoint || r == NackBadKey
+}
+
 // wirePkt is what travels through netsim between NIs.
 type wirePkt struct {
 	Kind   pktKind

@@ -69,3 +69,8 @@ func (b *Budget) Tokens(now sim.Time) int {
 	b.refill(now)
 	return b.tokens
 }
+
+// Full reports whether the bucket is back at capacity at virtual time now.
+// A full bucket is indistinguishable from a new one, so an owner keeping one
+// per peer may drop it.
+func (b *Budget) Full(now sim.Time) bool { return b.Tokens(now) >= b.cfg.Capacity }

@@ -10,12 +10,14 @@ package rpc
 //
 // Reliability state is per target — retry budget, circuit breaker, dead
 // marker — so one crashed shard fails fast without poisoning calls to its
-// neighbors, while the transport bookkeeping (result assembly, deferred
+// neighbors, while the transport bookkeeping (result assembly, parked
 // re-issues) is shared.
+//
+// Pool is the only client implementation: Client is a Pool with exactly one
+// target.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -33,11 +35,31 @@ type poolTarget struct {
 	dead   bool // permanent nack: endpoint gone or key revoked
 }
 
-// poolResult extends resultBuf with the target it came from, so completion
-// feeds the right breaker.
-type poolResult struct {
-	resultBuf
-	tgt int
+// resultBuf assembles one call's result fragments.
+type resultBuf struct {
+	data   []byte
+	got    int
+	total  int
+	status uint64
+	done   bool
+	failed bool   // call fragments kept bouncing: server unreachable
+	trace  uint64 // trace id of the sampled request (0 = untraced)
+	tgt    int    // the target called, so completion feeds the right breaker
+}
+
+// add assembles one result fragment: args carry (call id, total, offset,
+// status).
+func (rb *resultBuf) add(args [4]uint64, payload []byte) {
+	if rb.data == nil {
+		rb.total = int(args[1])
+		rb.data = make([]byte, rb.total)
+	}
+	copy(rb.data[args[2]:], payload)
+	rb.got += len(payload)
+	rb.status = args[3]
+	if rb.got >= rb.total {
+		rb.done = true
+	}
 }
 
 // Pool issues calls to a set of servers over one shared endpoint.
@@ -47,15 +69,15 @@ type Pool struct {
 	ep     *core.Endpoint
 	opts   Options
 	m      *reliab.Metrics
-	rng    *rand.Rand
 	tr     *obs.Tracer
 
 	targets []poolTarget
 
-	nextID   uint64
-	results  map[uint64]*poolResult
-	reissues map[uint64]*reissueState
-	deferred []deferredSend
+	nextID  uint64
+	results map[uint64]*resultBuf
+	// retry re-issues bounced call fragments, capped per call and paced by
+	// the called target's budget.
+	retry *reliab.Retrier[uint64]
 }
 
 // NewPool creates a pool client on node with room for maxTargets servers.
@@ -70,60 +92,45 @@ func NewPool(node *hostos.Node, maxTargets int, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Pool{node: node, bundle: b, ep: ep, opts: opts, m: opts.Metrics,
-		rng: node.E.Rand(), tr: b.Tracer(),
-		results: make(map[uint64]*poolResult), reissues: make(map[uint64]*reissueState)}
+	pl := &Pool{node: node, bundle: b, ep: ep, opts: opts, m: opts.Metrics, tr: b.Tracer(),
+		results: make(map[uint64]*resultBuf),
+		retry:   reliab.NewRetrier[uint64](opts.Backoff, opts.maxAttempts(), node.E.Rand())}
+	pl.retry.Metrics, pl.retry.Tracer, pl.retry.Node = opts.Metrics, pl.tr, int(node.ID)
 	ep.SetHandler(hResult, pl.onResult)
 	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		delete(pl.reissues, args[0])
+		pl.retry.Forget(args[0])
 	})
-	// Same re-issue policy as Client, but budgets and dead markers are per
-	// target: the bounced fragment's translation slot identifies which.
-	ep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
-		callID := args[0]
-		if dstIdx < 0 {
-			return
-		}
-		if reason == nic.NackNoEndpoint || reason == nic.NackBadKey {
-			if dstIdx < len(pl.targets) {
-				pl.targets[dstIdx].dead = true
-			}
-			return
-		}
-		rb, live := pl.results[callID]
-		if !live {
-			delete(pl.reissues, callID)
-			return
-		}
-		now := p.Now()
-		st := pl.reissues[callID]
-		if st == nil {
-			st = &reissueState{}
-			pl.reissues[callID] = st
-		}
-		if st.n >= pl.opts.maxAttempts() || !pl.targets[dstIdx].budget.Allow(now) {
-			pl.m.Inc("retry_denied")
-			delete(pl.reissues, callID)
-			rb.failed = true
-			return
-		}
-		d := pl.opts.Backoff.Delay(st.n, pl.rng)
-		st.n++
-		st.at = now
-		pl.m.Inc("retries")
-		pl.m.ObserveBackoff(d)
-		// The backoff wait becomes a child span of the call's trace, so a
-		// request that missed its SLO because its fragments kept bouncing
-		// attributes that time to backoff, not generic rpc-wait.
-		var fl *obs.Flight
-		if rb.trace != 0 {
-			nid := int(pl.node.ID)
-			fl = pl.tr.Child(rb.trace, nid, nid, obs.KindOp, now)
-		}
-		pl.deferred = append(pl.deferred, deferredSend{due: now.Add(d), dstIdx: dstIdx, h: h,
-			args: args, payload: append([]byte(nil), payload...), fl: fl})
-	})
+	ep.SetReturnHandler(pl.onReturn)
 	return pl, nil
+}
+
+// onReturn re-issues call fragments bounced by transient transport
+// conditions, paced by the target's retry budget and deterministic backoff.
+// A permanent failure (no such endpoint / bad key) marks the target dead;
+// an exhausted cap or budget fails just that call with ErrUnreachable — a
+// typed error the caller can retry against a replica, not a hang.
+func (pl *Pool) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
+	if reason.Permanent(dstIdx) {
+		// A bounced reply (the hCallOK ack of a result) names no slot: which
+		// target it was for is unambiguous only with exactly one target.
+		if dstIdx < 0 && len(pl.targets) == 1 {
+			dstIdx = 0
+		}
+		if dstIdx >= 0 && dstIdx < len(pl.targets) {
+			pl.targets[dstIdx].dead = true
+		}
+		return
+	}
+	id := args[0]
+	rb := pl.results[id]
+	if rb == nil {
+		pl.retry.Forget(id) // bounced fragment of an abandoned call
+		return
+	}
+	send := reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload, Trace: rb.trace}
+	if pl.retry.Bounce(p.Now(), id, reason, pl.targets[dstIdx].budget, send) == reliab.Denied {
+		rb.failed = true
+	}
 }
 
 // Add maps one more server into the pool and returns its target index.
@@ -159,78 +166,95 @@ func (pl *Pool) BreakerState(tgt int) reliab.BreakerState {
 }
 
 func (pl *Pool) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
+	// Acknowledge even stale results: the ack is what lets the server
+	// retire its reissue bookkeeping for this call.
 	defer tok.Reply(p, hCallOK, [4]uint64{args[0]})
 	if rb, ok := pl.results[args[0]]; ok { // else: stale result for an abandoned call
 		rb.add(args, payload)
 	}
 }
 
-// pump flushes deferred re-issues whose backoff has elapsed.
-func (pl *Pool) pump(p *sim.Proc) {
-	if len(pl.deferred) > 0 {
-		pl.deferred = flushDue(p, pl.ep, pl.deferred, func(id uint64) bool { return pl.results[id] != nil })
-	}
-}
+// live reports whether a parked fragment's call is still awaited; the
+// fragments of abandoned calls are dropped, not re-sent.
+func (pl *Pool) live(s reliab.Send) bool { return pl.results[s.Args[0]] != nil }
 
-// Poll services the pool's endpoint and flushes due re-issues.
+// Poll services the pool's endpoint and flushes due re-issues; open-loop
+// callers (many pending calls per pool) drive it from their main loop.
 func (pl *Pool) Poll(p *sim.Proc) int {
 	n := pl.ep.Poll(p)
-	pl.pump(p)
+	pl.retry.Flush(p, pl.ep, pl.live)
 	return n
 }
 
-// IdlePoll is Client.IdlePoll for the pool's shared endpoint.
+// IdlePoll repeats Poll every tick until one dispatches something or starts
+// at or after until, and returns that poll's count and start time — with the
+// polls that provably find nothing elided (core.Endpoint.IdlePoll). It also
+// returns, with 0, at the poll where a parked re-issue falls due: the flush
+// runs once the poll has been charged, so a poll starting more than
+// MaxPollCost before the earliest due time cannot reach it.
 func (pl *Pool) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
-	n, start := idlePoll(p, pl.ep, pl.deferred, tick, until)
-	pl.pump(p)
+	if due := pl.retry.NextDue(); due != sim.Never {
+		until = min(until, due.Add(-pl.ep.MaxPollCost()))
+	}
+	n, start := pl.ep.IdlePoll(p, tick, until)
+	pl.retry.Flush(p, pl.ep, pl.live)
 	return n, start
 }
 
 // Outstanding reports in-flight calls plus retry bookkeeping sizes, for
 // leak invariants.
 func (pl *Pool) Outstanding() (results, reissues, deferred int) {
-	return len(pl.results), len(pl.reissues), len(pl.deferred)
+	reissues, deferred = pl.retry.Outstanding()
+	return len(pl.results), reissues, deferred
 }
 
-// send mirrors Client.send against target tgt.
-func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (uint64, *poolResult, error) {
+// send runs the client-side reliability gauntlet (deadline check, breaker)
+// and puts the call to target tgt on the wire: a 16-byte reliab header plus
+// args, fragmented at the MTU.
+func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (PoolPending, error) {
 	if tgt < 0 || tgt >= len(pl.targets) {
-		return 0, nil, fmt.Errorf("rpc: pool target %d out of range", tgt)
+		return PoolPending{}, fmt.Errorf("rpc: pool target %d out of range", tgt)
 	}
 	if len(args)+reliab.HeaderLen >= 1<<20 {
-		return 0, nil, fmt.Errorf("rpc: argument size %d exceeds 1 MB framing limit", len(args))
+		return PoolPending{}, fmt.Errorf("rpc: argument size %d exceeds 1 MB framing limit", len(args))
 	}
 	t := &pl.targets[tgt]
 	now := p.Now()
-	// Like Client.send: an explicit Ctx trace wins, else the endpoint's
-	// ambient trace. Zero disables every span call below.
+	// Resolve the call's trace: an explicit Ctx trace (nested tier) wins,
+	// else inherit the endpoint's ambient trace (set while a traced handler
+	// or a root request is running). Zero means untraced — every span call
+	// below becomes a no-op.
 	trace := ctx.Trace
 	if trace == 0 {
 		trace = pl.ep.Trace()
 	}
 	nid := int(pl.node.ID)
 	if ctx.Expired(now) {
+		// Shed before issue: the budget is already spent, so the call never
+		// touches the wire — this is what keeps an expired deadline at a
+		// middle tier from fanning out to backends.
 		pl.m.Inc("deadline_exceeded")
 		pl.tr.Child(trace, nid, nid, obs.KindOp, now).Drop(obs.StageDeadlineShed, "expired-before-send", now)
-		return 0, nil, ErrDeadlineExceeded
+		return PoolPending{}, ErrDeadlineExceeded
 	}
 	if t.brk != nil && !t.brk.Allow(now) {
 		pl.m.Inc("breaker_fastfail")
 		pl.tr.Child(trace, nid, nid, obs.KindOp, now).Drop(obs.StageBreakerOpen, "breaker-open", now)
-		return 0, nil, ErrCircuitOpen
+		return PoolPending{}, ErrCircuitOpen
 	}
 	wire := make([]byte, reliab.HeaderLen+len(args))
 	ctx.Encode(wire)
 	copy(wire[reliab.HeaderLen:], args)
 	id := pl.nextID
 	pl.nextID++
-	rb := &poolResult{tgt: tgt}
-	rb.trace = trace
+	rb := &resultBuf{trace: trace, tgt: tgt}
 	pl.results[id] = rb
 	mtu := pl.node.NIC.Config().MTU
 	meta := uint64(proc)<<40 | uint64(pl.ep.Key())&(1<<40-1)
 	self := uint64(pl.ep.Name().Raw())
 	total := len(wire)
+	// Fragments posted under the ambient trace become wire spans of the
+	// call's trace tree (the tracer samples at the endpoint post path).
 	prev := pl.ep.SetTrace(trace)
 	for off := 0; off < total; off += mtu {
 		end := off + mtu
@@ -241,16 +265,17 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (u
 		if err := pl.ep.RequestBulk(p, tgt, hCall, wire[off:end], [4]uint64{id, ol, meta, self}); err != nil {
 			pl.ep.SetTrace(prev)
 			delete(pl.results, id)
-			return 0, nil, err
+			return PoolPending{}, err
 		}
 	}
 	pl.ep.SetTrace(prev)
-	return id, rb, nil
+	return PoolPending{pl: pl, id: id, rb: rb, ctx: ctx}, nil
 }
 
-// finish translates a completed call's wire status and feeds the target's
-// breaker: any response proves that server alive.
-func (pl *Pool) finish(p *sim.Proc, rb *poolResult) ([]byte, error) {
+// finish translates a completed call's wire status into the caller-facing
+// result and feeds the target's breaker: any response proves that server
+// alive.
+func (pl *Pool) finish(p *sim.Proc, rb *resultBuf) ([]byte, error) {
 	if brk := pl.targets[rb.tgt].brk; brk != nil {
 		brk.Success(p.Now())
 	}
@@ -276,30 +301,33 @@ func (pl *Pool) fail(p *sim.Proc, tgt int, err error) error {
 	return err
 }
 
-// PoolPending is an in-flight asynchronous pool call.
+// PoolPending is an in-flight asynchronous call.
 type PoolPending struct {
 	pl  *Pool
 	id  uint64
-	rb  *poolResult
+	rb  *resultBuf
 	ctx reliab.Ctx
 }
 
 // GoCtx starts an asynchronous call to target tgt with an explicit
-// reliability context; harvest with TryWait/WaitTimeout or drop with
-// Abandon. Pending calls to different targets pipeline on the one shared
-// endpoint — this is the fan-out primitive the inference gateway and the
-// KV replication writes are built on.
+// reliability context (deadline and idempotency key travel to the server);
+// harvest with Wait/WaitTimeout/TryWait or drop with Abandon. Pending calls
+// — to one target or to several — pipeline on the one shared endpoint: this
+// is the fan-out primitive the inference gateway and the KV replication
+// writes are built on, and how a single client overlaps stripe transfers to
+// many storage servers.
 func (pl *Pool) GoCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (*PoolPending, error) {
-	id, rb, err := pl.send(p, tgt, proc, args, ctx)
+	pc, err := pl.send(p, tgt, proc, args, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &PoolPending{pl: pl, id: id, rb: rb, ctx: ctx}, nil
+	return &pc, nil
 }
 
-// CallCtx is a blocking convenience over GoCtx + WaitTimeout.
+// CallCtx is the blocking form: send, then wait out the context deadline.
+// Its pending call lives on the stack.
 func (pl *Pool) CallCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) ([]byte, error) {
-	pc, err := pl.GoCtx(p, tgt, proc, args, ctx)
+	pc, err := pl.send(p, tgt, proc, args, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -312,8 +340,22 @@ func (pc *PoolPending) Target() int { return pc.rb.tgt }
 // Deadline reports the pending call's absolute deadline (0 = none).
 func (pc *PoolPending) Deadline() sim.Time { return pc.ctx.Deadline }
 
-// WaitTimeout blocks until the call completes or deadline/timeout passes
-// (0 = use the context deadline; both 0 = no timeout).
+// unreachable reports whether the transport has given up on the call: its
+// target is dead, or its fragments ran out of retries.
+func (pc *PoolPending) unreachable() bool {
+	return pc.pl.targets[pc.rb.tgt].dead || pc.rb.failed
+}
+
+// waitTick is how often a blocked call polls for its result.
+const waitTick = 5 * sim.Microsecond
+
+// Wait blocks until the pending call completes and returns its result.
+func (pc *PoolPending) Wait(p *sim.Proc) ([]byte, error) { return pc.WaitTimeout(p, 0) }
+
+// WaitTimeout blocks until the call completes, the transport declares the
+// server unreachable, or the deadline passes: timeout from now if non-zero,
+// else the context deadline (both 0 = none). On ErrTimeout the call is
+// abandoned: a result arriving later is dropped as stale.
 func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, error) {
 	pl := pc.pl
 	defer pc.Abandon()
@@ -321,30 +363,40 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 	if timeout > 0 {
 		deadline = p.Now().Add(timeout)
 	}
+	// Every turn is poll, flush due re-issues, sleep a waitTick if nothing
+	// arrived; IdlePoll runs on through the turns that would find nothing and
+	// end before the deadline, and returns before the tick that follows its
+	// last poll, so that tick is paid here.
+	until := sim.Never
+	if deadline != 0 {
+		until = deadline.Add(-waitTick - pl.ep.MaxPollCost())
+	}
 	for !pc.rb.done {
-		if pl.targets[pc.rb.tgt].dead || pc.rb.failed {
+		if pc.unreachable() {
 			return nil, pl.fail(p, pc.rb.tgt, ErrUnreachable)
 		}
 		if deadline != 0 && p.Now() >= deadline {
 			return nil, pl.fail(p, pc.rb.tgt, ErrTimeout)
 		}
-		waitTurn(p, pl.IdlePoll, pl.ep, deadline)
+		if n, _ := pl.IdlePoll(p, waitTick, until); n == 0 {
+			p.Sleep(waitTick)
+		}
 	}
 	return pl.finish(p, pc.rb)
 }
 
 // TryWait harvests the call without blocking: done reports whether it
-// finished (successfully or not).
+// finished (successfully or not). Open-loop generators drive many pending
+// calls through one Poll loop and TryWait each.
 func (pc *PoolPending) TryWait(p *sim.Proc) (result []byte, done bool, err error) {
-	pl := pc.pl
-	if pl.targets[pc.rb.tgt].dead || pc.rb.failed {
-		pc.Abandon()
-		return nil, true, pl.fail(p, pc.rb.tgt, ErrUnreachable)
-	}
-	if !pc.rb.done {
+	switch {
+	case pc.unreachable():
+		err = pc.pl.fail(p, pc.rb.tgt, ErrUnreachable)
+	case pc.rb.done:
+		result, err = pc.pl.finish(p, pc.rb)
+	default:
 		return nil, false, nil
 	}
-	result, err = pl.finish(p, pc.rb)
 	pc.Abandon()
 	return result, true, err
 }
@@ -354,8 +406,76 @@ func (pc *PoolPending) TryWait(p *sim.Proc) (result []byte, done bool, err error
 // Idempotent.
 func (pc *PoolPending) Abandon() {
 	delete(pc.pl.results, pc.id)
-	delete(pc.pl.reissues, pc.id)
+	pc.pl.retry.Forget(pc.id)
 }
 
 // Close releases the pool's endpoint.
 func (pl *Pool) Close(p *sim.Proc) { pl.bundle.Close(p) }
+
+// Client issues calls to one server: a Pool with exactly one target, and so
+// the one kind of pool for which a bounced reply is a verdict on the server
+// (see Pool.onReturn).
+type Client struct{ pl *Pool }
+
+// Pending is an in-flight asynchronous call.
+type Pending = PoolPending
+
+// NewClient builds a client on node bound to the server's endpoint, with
+// default reliability options.
+func NewClient(node *hostos.Node, server core.EndpointName, serverKey core.Key) (*Client, error) {
+	return NewClientOpts(node, server, serverKey, Options{})
+}
+
+// NewClientOpts builds a client with explicit reliability options.
+func NewClientOpts(node *hostos.Node, server core.EndpointName, serverKey core.Key, opts Options) (*Client, error) {
+	pl, err := NewPool(node, 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pl.Add(server, serverKey); err != nil {
+		return nil, err
+	}
+	return &Client{pl}, nil
+}
+
+// Call invokes procedure proc with args and returns its result, blocking
+// until it completes, the transport declares the server unreachable, or
+// timeout elapses (0 = no timeout). A non-zero timeout propagates to the
+// server as an absolute deadline: work the server cannot start in time is
+// shed there instead of executed into the void.
+func (c *Client) Call(p *sim.Proc, proc int, args []byte, timeout sim.Duration) ([]byte, error) {
+	ctx := reliab.Ctx{}
+	if timeout > 0 {
+		ctx.Deadline = p.Now().Add(timeout)
+	}
+	return c.pl.CallCtx(p, 0, proc, args, ctx)
+}
+
+// CallCtx is Call with an explicit reliability context — the form nested
+// tiers use to inherit the caller's remaining deadline budget.
+func (c *Client) CallCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) ([]byte, error) {
+	return c.pl.CallCtx(p, 0, proc, args, ctx)
+}
+
+// Go starts an asynchronous call; harvest it with Wait, WaitTimeout or
+// TryWait.
+func (c *Client) Go(p *sim.Proc, proc int, args []byte) (*Pending, error) {
+	return c.pl.GoCtx(p, 0, proc, args, reliab.Ctx{})
+}
+
+// GoCtx is Go with an explicit reliability context.
+func (c *Client) GoCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (*Pending, error) {
+	return c.pl.GoCtx(p, 0, proc, args, ctx)
+}
+
+// Poll, IdlePoll, Outstanding and Close are the pool's.
+func (c *Client) Poll(p *sim.Proc) int { return c.pl.Poll(p) }
+func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
+	return c.pl.IdlePoll(p, tick, until)
+}
+func (c *Client) Outstanding() (results, reissues, deferred int) { return c.pl.Outstanding() }
+func (c *Client) Close(p *sim.Proc)                              { c.pl.Close(p) }
+
+// BreakerState reports the client's circuit-breaker state (Closed when no
+// breaker is configured).
+func (c *Client) BreakerState() reliab.BreakerState { return c.pl.BreakerState(0) }

@@ -19,7 +19,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -107,27 +106,6 @@ type Proc func(p *sim.Proc, args []byte) ([]byte, error)
 // context, so nested calls can inherit the remaining deadline budget.
 type CtxProc func(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error)
 
-// deferredSend is a bounced fragment awaiting its backoff delay; the pump
-// in the poll/wait paths flushes due entries (return handlers run inside
-// Poll and must not sleep).
-type deferredSend struct {
-	due     sim.Time
-	dstIdx  int
-	h       int
-	args    [4]uint64
-	payload []byte
-	// fl is the open backoff span of the traced call this fragment belongs
-	// to (nil for untraced calls): marked StageBackoff and finished when the
-	// fragment flushes, dropped if the call is abandoned first.
-	fl *obs.Flight
-}
-
-// reissueState tracks re-issue rounds for one call's fragments.
-type reissueState struct {
-	n  int
-	at sim.Time
-}
-
 // Server serves registered procedures on one endpoint.
 type Server struct {
 	node   *hostos.Node
@@ -136,15 +114,14 @@ type Server struct {
 	procs  map[int]CtxProc
 	opts   Options
 	m      *reliab.Metrics
-	rng    *rand.Rand
 	tr     *obs.Tracer
 
 	calls map[callKey]*callBuf
-	// reissues tracks return-to-sender re-sends per outstanding call's
-	// results; retries are paced by per-client budgets and backoff.
-	reissues map[uint64]*reissueState
-	budgets  map[core.EndpointName]*reliab.Budget
-	deferred []deferredSend
+	// retry re-issues bounced result fragments, capped per (client, call) —
+	// call ids are per-client counters, so the id alone would let two clients
+	// share one attempt count — and paced by a token budget per client.
+	retry   *reliab.Retrier[callKey]
+	budgets map[core.EndpointName]*reliab.Budget
 
 	queue    *reliab.AdmitQueue
 	idem     *reliab.IdemCache
@@ -204,10 +181,11 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 		opts.StaleAfter = sim.Second
 	}
 	s := &Server{node: node, bundle: b, ep: ep, procs: make(map[int]CtxProc),
-		opts: opts, m: opts.Metrics, rng: node.E.Rand(), tr: b.Tracer(),
-		calls:    make(map[callKey]*callBuf),
-		reissues: make(map[uint64]*reissueState),
-		budgets:  make(map[core.EndpointName]*reliab.Budget)}
+		opts: opts, m: opts.Metrics, tr: b.Tracer(),
+		calls:   make(map[callKey]*callBuf),
+		retry:   reliab.NewRetrier[callKey](opts.Backoff, opts.maxAttempts(), node.E.Rand()),
+		budgets: make(map[core.EndpointName]*reliab.Budget)}
+	s.retry.Metrics = opts.Metrics
 	if opts.Queue > 0 {
 		s.queue = reliab.NewAdmitQueue(opts.Queue, opts.Metrics)
 	}
@@ -216,39 +194,22 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 		s.inflight = make(map[reliab.IdemKey]bool)
 	}
 	ep.SetHandler(hCall, s.onCall)
-	// Result-fragment acknowledgments retire the reissue bookkeeping.
+	// Result-fragment acknowledgments retire the retry bookkeeping. The
+	// acknowledging endpoint is the one the call named as its client (an
+	// endpoint that migrated since answers from elsewhere; Sweep reclaims
+	// its record).
 	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		delete(s.reissues, args[0])
+		s.retry.Forget(callKey{client: tok.Source(), id: args[0]})
 	})
 	// Result fragments bounced by a transient transport condition are
 	// re-issued under the per-client retry budget with backoff; permanently
 	// undeliverable ones (client gone, key revoked) and budget-exhausted
-	// ones are dropped — the client owns call recovery, the server must not
-	// hang on a dead peer.
+	// ones are dropped, so no verdict needs acting on — the client owns call
+	// recovery, the server must not hang on a dead peer.
 	ep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
-		callID := args[0]
-		if dstIdx < 0 || reason == nic.NackNoEndpoint || reason == nic.NackBadKey {
-			delete(s.reissues, callID)
-			return
-		}
-		now := p.Now()
-		st := s.reissues[callID]
-		if st == nil {
-			st = &reissueState{}
-			s.reissues[callID] = st
-		}
-		if st.n >= s.opts.maxAttempts() || !s.budgetFor(s.ep.TranslationName(dstIdx)).Allow(now) {
-			s.m.Inc("retry_denied")
-			delete(s.reissues, callID)
-			return
-		}
-		d := s.opts.Backoff.Delay(st.n, s.rng)
-		st.n++
-		st.at = now
-		s.m.Inc("retries")
-		s.m.ObserveBackoff(d)
-		s.deferred = append(s.deferred, deferredSend{due: now.Add(d), dstIdx: dstIdx, h: h,
-			args: args, payload: append([]byte(nil), payload...)})
+		client := s.ep.TranslationName(dstIdx)
+		s.retry.Bounce(p.Now(), callKey{client: client, id: args[0]}, reason, s.budgetFor(client),
+			reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload})
 	})
 	return s, nil
 }
@@ -285,47 +246,16 @@ func (s *Server) Register(proc int, fn Proc) {
 // nested calls so the remaining budget is inherited end to end.
 func (s *Server) RegisterCtx(proc int, fn CtxProc) { s.procs[proc] = fn }
 
-// pump flushes deferred re-issues whose backoff has elapsed. It runs from
-// the poll/wait paths — proc context, where a blocking send is legal.
-func (s *Server) pump(p *sim.Proc) {
-	if len(s.deferred) > 0 {
-		s.deferred = flushDue(p, s.ep, s.deferred, func(uint64) bool { return true })
-	}
-}
-
-// flushDue re-issues the deferred sends whose backoff has elapsed and
-// returns the ones still waiting. live reports whether the call a fragment
-// belongs to is still awaited; fragments of abandoned calls are dropped.
-func flushDue(p *sim.Proc, ep *core.Endpoint, deferred []deferredSend, live func(callID uint64) bool) []deferredSend {
-	now := p.Now()
-	kept := deferred[:0]
-	for _, d := range deferred {
-		if d.due > now {
-			kept = append(kept, d)
-			continue
-		}
-		if !live(d.args[0]) {
-			d.fl.Drop(obs.StageBackoff, "abandoned", now)
-			continue
-		}
-		d.fl.Mark(obs.StageBackoff, now)
-		d.fl.Finish(now)
-		if len(d.payload) == 0 {
-			_ = ep.Request(p, d.dstIdx, d.h, d.args)
-		} else {
-			_ = ep.RequestBulk(p, d.dstIdx, d.h, d.payload, d.args)
-		}
-	}
-	return kept
-}
-
 // sweepEvery paces the stale-state sweep relative to StaleAfter.
 const sweepDivisor = 4
 
 // Sweep reclaims server-side state for calls whose client went silent:
 // partially assembled callBufs that stopped receiving fragments and
 // reissue entries whose acknowledgment never arrived. Returns how many
-// entries were dropped.
+// entries were dropped. It also lets go of the retry budgets that have
+// refilled — a full bucket is what the next bounce would create anyway —
+// so the budget map tracks the peers that bounced lately, not all that ever
+// did.
 func (s *Server) Sweep(now sim.Time) int {
 	dropped := 0
 	for k, cb := range s.calls {
@@ -334,14 +264,14 @@ func (s *Server) Sweep(now sim.Time) int {
 			dropped++
 		}
 	}
-	for id, st := range s.reissues {
-		if now.Sub(st.at) > s.opts.StaleAfter {
-			delete(s.reissues, id)
-			dropped++
-		}
-	}
+	dropped += s.retry.Expire(now, s.opts.StaleAfter)
 	if dropped > 0 {
 		s.m.Add("stale_reclaimed", int64(dropped))
+	}
+	for peer, bg := range s.budgets {
+		if bg.Full(now) {
+			delete(s.budgets, peer)
+		}
 	}
 	return dropped
 }
@@ -352,7 +282,7 @@ func (s *Server) Sweep(now sim.Time) int {
 // completed calls only queue up here — Step executes them.
 func (s *Server) Poll(p *sim.Proc) int {
 	n := s.ep.Poll(p)
-	s.pump(p)
+	s.retry.Flush(p, s.ep, nil)
 	now := p.Now()
 	if now.Sub(s.lastSweep) >= s.opts.StaleAfter/sweepDivisor {
 		s.lastSweep = now
@@ -393,7 +323,7 @@ func (s *Server) Step(p *sim.Proc) bool {
 func (s *Server) Serve(p *sim.Proc, stop func() bool) {
 	s.ep.SetEventMask(true)
 	for !stop() {
-		s.pump(p)
+		s.retry.Flush(p, s.ep, nil)
 		if s.Step(p) {
 			s.ep.Poll(p)
 			continue
@@ -417,11 +347,11 @@ func (s *Server) Serve(p *sim.Proc, stop func() bool) {
 // unacknowledged result re-issues, queued calls, deferred sends — for the
 // leak invariants of the chaos soak and the regression tests.
 func (s *Server) Outstanding() (calls, reissues, queued, deferred int) {
-	q := 0
 	if s.queue != nil {
-		q = s.queue.Len()
+		queued = s.queue.Len()
 	}
-	return len(s.calls), len(s.reissues), q, len(s.deferred)
+	reissues, deferred = s.retry.Outstanding()
+	return len(s.calls), reissues, queued, deferred
 }
 
 // nextSlot finds or creates a translation slot for a client endpoint.
@@ -600,398 +530,3 @@ func (s *Server) sendResult(p *sim.Proc, idx int, callID, status uint64, result 
 			[4]uint64{callID, uint64(total), uint64(off), status})
 	}
 }
-
-// Client issues calls to one server.
-type Client struct {
-	node   *hostos.Node
-	bundle *core.Bundle
-	ep     *core.Endpoint
-	opts   Options
-	m      *reliab.Metrics
-	rng    *rand.Rand
-	tr     *obs.Tracer
-
-	nextID   uint64
-	results  map[uint64]*resultBuf
-	reissues map[uint64]*reissueState
-	budget   *reliab.Budget
-	brk      *reliab.Breaker
-	deferred []deferredSend
-	dead     bool // the server endpoint itself is gone (permanent nack)
-}
-
-type resultBuf struct {
-	data   []byte
-	got    int
-	total  int
-	status uint64
-	done   bool
-	failed bool   // call fragments kept bouncing: server unreachable
-	trace  uint64 // trace id of the sampled request (0 = untraced)
-}
-
-// NewClient builds a client on node bound to the server's endpoint, with
-// default reliability options.
-func NewClient(node *hostos.Node, server core.EndpointName, serverKey core.Key) (*Client, error) {
-	return NewClientOpts(node, server, serverKey, Options{})
-}
-
-// NewClientOpts builds a client with explicit reliability options.
-func NewClientOpts(node *hostos.Node, server core.EndpointName, serverKey core.Key, opts Options) (*Client, error) {
-	b := core.Attach(node)
-	ep, err := b.NewEndpoint(core.Key(uint64(node.ID)<<20|uint64(node.E.Rand().Int63n(1<<20))), 4)
-	if err != nil {
-		return nil, err
-	}
-	if err := ep.Map(0, server, serverKey); err != nil {
-		return nil, err
-	}
-	c := &Client{node: node, bundle: b, ep: ep, opts: opts, m: opts.Metrics,
-		rng: node.E.Rand(), tr: b.Tracer(),
-		results: make(map[uint64]*resultBuf), reissues: make(map[uint64]*reissueState),
-		budget: reliab.NewBudget(opts.Budget)}
-	if !opts.NoBreaker {
-		c.brk = reliab.NewBreaker(opts.Breaker, opts.Metrics)
-		if opts.Health != nil {
-			c.brk.SetHealth(opts.Health)
-		}
-	}
-	ep.SetHandler(hResult, c.onResult)
-	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		delete(c.reissues, args[0])
-	})
-	// Re-issue call fragments bounced by transient transport conditions,
-	// paced by the per-server retry budget and deterministic backoff. A
-	// permanent failure (no such endpoint / bad key) marks the whole client
-	// dead; an exhausted budget fails just that call with ErrUnreachable —
-	// a typed error the caller can retry against a replica, not a hang.
-	ep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
-		callID := args[0]
-		if dstIdx < 0 || reason == nic.NackNoEndpoint || reason == nic.NackBadKey {
-			c.dead = true
-			return
-		}
-		rb, live := c.results[callID]
-		if !live {
-			delete(c.reissues, callID) // bounced fragment of an abandoned call
-			return
-		}
-		now := p.Now()
-		st := c.reissues[callID]
-		if st == nil {
-			st = &reissueState{}
-			c.reissues[callID] = st
-		}
-		if st.n >= c.opts.maxAttempts() || !c.budget.Allow(now) {
-			c.m.Inc("retry_denied")
-			delete(c.reissues, callID)
-			rb.failed = true
-			return
-		}
-		d := c.opts.Backoff.Delay(st.n, c.rng)
-		st.n++
-		st.at = now
-		c.m.Inc("retries")
-		c.m.ObserveBackoff(d)
-		// A traced call's backoff wait is its own child span, so retry storms
-		// show up as backoff time in the tail attribution, not as opaque wait.
-		var fl *obs.Flight
-		if rb.trace != 0 {
-			nid := int(c.node.ID)
-			fl = c.tr.Child(rb.trace, nid, nid, obs.KindOp, now)
-		}
-		c.deferred = append(c.deferred, deferredSend{due: now.Add(d), dstIdx: dstIdx, h: h,
-			args: args, payload: append([]byte(nil), payload...), fl: fl})
-	})
-	return c, nil
-}
-
-func (c *Client) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-	// Acknowledge even stale results: the ack is what lets the server
-	// retire its reissue bookkeeping for this call.
-	defer tok.Reply(p, hCallOK, [4]uint64{args[0]})
-	if rb, ok := c.results[args[0]]; ok { // else: stale result for an abandoned call
-		rb.add(args, payload)
-	}
-}
-
-// add assembles one result fragment: args carry (call id, total, offset,
-// status).
-func (rb *resultBuf) add(args [4]uint64, payload []byte) {
-	if rb.data == nil {
-		rb.total = int(args[1])
-		rb.data = make([]byte, rb.total)
-	}
-	copy(rb.data[args[2]:], payload)
-	rb.got += len(payload)
-	rb.status = args[3]
-	if rb.got >= rb.total {
-		rb.done = true
-	}
-}
-
-// pump flushes deferred re-issues whose backoff has elapsed, dropping ones
-// whose call was abandoned meanwhile.
-func (c *Client) pump(p *sim.Proc) {
-	if len(c.deferred) > 0 {
-		c.deferred = flushDue(p, c.ep, c.deferred, func(id uint64) bool { return c.results[id] != nil })
-	}
-}
-
-// Poll services the client's endpoint and flushes due re-issues; open-loop
-// callers (many pending calls per client) drive it from their main loop.
-func (c *Client) Poll(p *sim.Proc) int {
-	n := c.ep.Poll(p)
-	c.pump(p)
-	return n
-}
-
-// IdlePoll repeats Poll every tick until one dispatches something or starts
-// at or after until, and returns that poll's count and start time — with the
-// polls that provably find nothing elided (core.Endpoint.IdlePoll). It also
-// returns, with 0, at the poll where a deferred re-issue falls due.
-func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
-	n, start := idlePoll(p, c.ep, c.deferred, tick, until)
-	c.pump(p)
-	return n, start
-}
-
-// idlePoll runs ep.IdlePoll no further than the poll after which the
-// caller's pump has something to flush. The pump runs once the poll has been
-// charged, so a poll starting more than MaxPollCost before the earliest due
-// time cannot reach it.
-func idlePoll(p *sim.Proc, ep *core.Endpoint, deferred []deferredSend, tick sim.Duration, until sim.Time) (int, sim.Time) {
-	lead := ep.MaxPollCost()
-	for i := range deferred {
-		until = min(until, deferred[i].due.Add(-lead))
-	}
-	return ep.IdlePoll(p, tick, until)
-}
-
-// waitTick is how often a blocked call polls for its result.
-const waitTick = 5 * sim.Microsecond
-
-// waitTurn is one turn of a blocking wait — poll, flush due re-issues, sleep
-// a waitTick if nothing arrived — run on through every turn that would find
-// nothing and end before deadline (0 = none). poll is the Client's or Pool's
-// IdlePoll; it returns before the tick that follows its last poll, so that
-// tick is paid here.
-func waitTurn(p *sim.Proc, poll func(*sim.Proc, sim.Duration, sim.Time) (int, sim.Time), ep *core.Endpoint, deadline sim.Time) {
-	until := sim.Never
-	if deadline != 0 {
-		until = deadline.Add(-waitTick - ep.MaxPollCost())
-	}
-	if n, _ := poll(p, waitTick, until); n == 0 {
-		p.Sleep(waitTick)
-	}
-}
-
-// Outstanding reports in-flight calls plus retry bookkeeping sizes, for
-// leak invariants.
-func (c *Client) Outstanding() (results, reissues, deferred int) {
-	return len(c.results), len(c.reissues), len(c.deferred)
-}
-
-// BreakerState reports the client's circuit-breaker state (Closed when no
-// breaker is configured).
-func (c *Client) BreakerState() reliab.BreakerState {
-	if c.brk == nil {
-		return reliab.Closed
-	}
-	return c.brk.State()
-}
-
-// send runs the client-side reliability gauntlet (deadline check, breaker)
-// and puts the call on the wire: a 16-byte reliab header plus args,
-// fragmented at the MTU.
-func (c *Client) send(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (uint64, *resultBuf, error) {
-	if len(args)+reliab.HeaderLen >= 1<<20 {
-		return 0, nil, fmt.Errorf("rpc: argument size %d exceeds 1 MB framing limit", len(args))
-	}
-	now := p.Now()
-	// Resolve the call's trace: an explicit Ctx trace (nested tier) wins,
-	// else inherit the endpoint's ambient trace (set while a traced handler
-	// or a root request is running). Zero means untraced — every span call
-	// below becomes a no-op.
-	trace := ctx.Trace
-	if trace == 0 {
-		trace = c.ep.Trace()
-	}
-	nid := int(c.node.ID)
-	if ctx.Expired(now) {
-		// Shed before issue: the budget is already spent, so the call never
-		// touches the wire — this is what keeps an expired deadline at a
-		// middle tier from fanning out to backends.
-		c.m.Inc("deadline_exceeded")
-		c.tr.Child(trace, nid, nid, obs.KindOp, now).Drop(obs.StageDeadlineShed, "expired-before-send", now)
-		return 0, nil, ErrDeadlineExceeded
-	}
-	if c.brk != nil && !c.brk.Allow(now) {
-		c.m.Inc("breaker_fastfail")
-		c.tr.Child(trace, nid, nid, obs.KindOp, now).Drop(obs.StageBreakerOpen, "breaker-open", now)
-		return 0, nil, ErrCircuitOpen
-	}
-	wire := make([]byte, reliab.HeaderLen+len(args))
-	ctx.Encode(wire)
-	copy(wire[reliab.HeaderLen:], args)
-	id := c.nextID
-	c.nextID++
-	rb := &resultBuf{trace: trace}
-	c.results[id] = rb
-	mtu := c.node.NIC.Config().MTU
-	meta := uint64(proc)<<40 | uint64(c.ep.Key())&(1<<40-1)
-	self := uint64(c.ep.Name().Raw())
-	total := len(wire)
-	// Fragments posted under the ambient trace become wire spans of the
-	// call's trace tree (the tracer samples at the endpoint post path).
-	prev := c.ep.SetTrace(trace)
-	for off := 0; off < total; off += mtu {
-		end := off + mtu
-		if end > total {
-			end = total
-		}
-		ol := uint64(off)<<20 | uint64(total)
-		if err := c.ep.RequestBulk(p, 0, hCall, wire[off:end], [4]uint64{id, ol, meta, self}); err != nil {
-			c.ep.SetTrace(prev)
-			delete(c.results, id)
-			return 0, nil, err
-		}
-	}
-	c.ep.SetTrace(prev)
-	return id, rb, nil
-}
-
-// finish translates a completed call's wire status into the caller-facing
-// result, and feeds the breaker: any response proves the server alive.
-func (c *Client) finish(p *sim.Proc, rb *resultBuf) ([]byte, error) {
-	if c.brk != nil {
-		c.brk.Success(p.Now())
-	}
-	switch rb.status {
-	case stNoProc:
-		return nil, ErrNoProc
-	case stErr:
-		return nil, fmt.Errorf("rpc: remote error: %s", rb.data)
-	case stDeadline:
-		c.m.Inc("deadline_exceeded")
-		return nil, ErrDeadlineExceeded
-	case stOverload:
-		return nil, ErrOverload
-	}
-	return rb.data, nil
-}
-
-// fail records a transport-level failure with the breaker.
-func (c *Client) fail(p *sim.Proc, err error) error {
-	if c.brk != nil {
-		c.brk.Failure(p.Now())
-	}
-	return err
-}
-
-// Call invokes procedure proc with args and returns its result, blocking
-// until it completes, the transport declares the server unreachable, or
-// timeout elapses (0 = no timeout). A non-zero timeout propagates to the
-// server as an absolute deadline: work the server cannot start in time is
-// shed there instead of executed into the void.
-func (c *Client) Call(p *sim.Proc, proc int, args []byte, timeout sim.Duration) ([]byte, error) {
-	ctx := reliab.Ctx{}
-	if timeout > 0 {
-		ctx.Deadline = p.Now().Add(timeout)
-	}
-	return c.CallCtx(p, proc, args, ctx)
-}
-
-// CallCtx is Call with an explicit reliability context — the form nested
-// tiers use to inherit the caller's remaining deadline budget.
-func (c *Client) CallCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) ([]byte, error) {
-	id, rb, err := c.send(p, proc, args, ctx)
-	if err != nil {
-		return nil, err
-	}
-	pc := Pending{c: c, id: id, rb: rb, ctx: ctx}
-	return pc.WaitTimeout(p, 0)
-}
-
-// Pending is an in-flight asynchronous call.
-type Pending struct {
-	c   *Client
-	id  uint64
-	rb  *resultBuf
-	ctx reliab.Ctx
-}
-
-// Go starts an asynchronous call; harvest it with Wait, WaitTimeout or
-// TryWait. Concurrent pending calls to the same server pipeline on the
-// wire, which is how a single client overlaps stripe transfers to many
-// storage servers.
-func (c *Client) Go(p *sim.Proc, proc int, args []byte) (*Pending, error) {
-	return c.GoCtx(p, proc, args, reliab.Ctx{})
-}
-
-// GoCtx is Go with an explicit reliability context (deadline and
-// idempotency key travel to the server).
-func (c *Client) GoCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (*Pending, error) {
-	id, rb, err := c.send(p, proc, args, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{c: c, id: id, rb: rb, ctx: ctx}, nil
-}
-
-// Wait blocks until the pending call completes and returns its result.
-func (pc *Pending) Wait(p *sim.Proc) ([]byte, error) {
-	return pc.WaitTimeout(p, 0)
-}
-
-// WaitTimeout is Wait with a deadline (0 = none). On ErrTimeout the call is
-// abandoned: a result arriving later is dropped as stale.
-func (pc *Pending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, error) {
-	c := pc.c
-	defer pc.Abandon()
-	deadline := pc.ctx.Deadline
-	if timeout > 0 {
-		deadline = p.Now().Add(timeout)
-	}
-	for !pc.rb.done {
-		if c.dead || pc.rb.failed {
-			return nil, c.fail(p, ErrUnreachable)
-		}
-		if deadline != 0 && p.Now() >= deadline {
-			return nil, c.fail(p, ErrTimeout)
-		}
-		waitTurn(p, c.IdlePoll, c.ep, deadline)
-	}
-	return c.finish(p, pc.rb)
-}
-
-// TryWait harvests the call without blocking: done reports whether it
-// finished (successfully or not). Open-loop generators drive many pending
-// calls through one Poll loop and TryWait each.
-func (pc *Pending) TryWait(p *sim.Proc) (result []byte, done bool, err error) {
-	c := pc.c
-	if c.dead || pc.rb.failed {
-		pc.Abandon()
-		return nil, true, c.fail(p, ErrUnreachable)
-	}
-	if !pc.rb.done {
-		return nil, false, nil
-	}
-	result, err = c.finish(p, pc.rb)
-	pc.Abandon()
-	return result, true, err
-}
-
-// Abandon drops the pending call's client-side bookkeeping; a result
-// arriving later is dropped as stale (and still acknowledged, so the
-// server cleans up too). Idempotent.
-func (pc *Pending) Abandon() {
-	delete(pc.c.results, pc.id)
-	delete(pc.c.reissues, pc.id)
-}
-
-// Deadline reports the pending call's absolute deadline (0 = none).
-func (pc *Pending) Deadline() sim.Time { return pc.ctx.Deadline }
-
-// Close releases the client's endpoint.
-func (c *Client) Close(p *sim.Proc) { c.bundle.Close(p) }

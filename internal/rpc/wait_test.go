@@ -10,30 +10,12 @@ import (
 	"virtnet/internal/sim"
 )
 
-// The blocking waits as they were before they became clients of
+// The blocking wait as it was before it became a client of
 // core.Endpoint.IdlePoll: poll, flush, sleep 5 µs, every turn. Kept here as
-// the reference the converted waits must match to the nanosecond. tops logs
-// the virtual time of every loop-top check.
-
-func literalClientWait(p *sim.Proc, c *Client, id uint64, rb *resultBuf, deadline sim.Time, tops *[]sim.Time) ([]byte, error) {
-	defer delete(c.results, id)
-	defer delete(c.reissues, id)
-	for !rb.done {
-		*tops = append(*tops, p.Now())
-		if c.dead || rb.failed {
-			return nil, c.fail(p, ErrUnreachable)
-		}
-		if deadline != 0 && p.Now() >= deadline {
-			return nil, c.fail(p, ErrTimeout)
-		}
-		if c.Poll(p) == 0 {
-			p.Sleep(5 * sim.Microsecond)
-		}
-	}
-	return c.finish(p, rb)
-}
-
-func literalPoolWait(p *sim.Proc, pc *PoolPending, deadline sim.Time, tops *[]sim.Time) ([]byte, error) {
+// the reference the converted wait must match to the nanosecond, through
+// every entry point (Client is a one-target Pool, so one reference serves
+// all three). tops logs the virtual time of every loop-top check.
+func literalWait(p *sim.Proc, pc *PoolPending, deadline sim.Time, tops *[]sim.Time) ([]byte, error) {
 	pl := pc.pl
 	defer pc.Abandon()
 	for !pc.rb.done {
@@ -142,7 +124,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 				return
 			}
 			if literal {
-				res, err = literalPoolWait(p, pc, ctx.Deadline, &out.tops)
+				res, err = literalWait(p, pc, ctx.Deadline, &out.tops)
 			} else {
 				res, err = pc.WaitTimeout(p, 0)
 			}
@@ -165,12 +147,12 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 				if timeout > 0 {
 					ctx.Deadline = p.Now().Add(timeout)
 				}
-				id, rb, e := cl.send(p, 1, args, ctx)
+				pc, e := cl.pl.send(p, 0, 1, args, ctx)
 				if e != nil {
 					t.Error(e)
 					return
 				}
-				res, err = literalClientWait(p, cl, id, rb, ctx.Deadline, &out.tops)
+				res, err = literalWait(p, &pc, ctx.Deadline, &out.tops)
 			default:
 				// Pending.WaitTimeout measures its timeout from the wait, not
 				// from the send.
@@ -185,7 +167,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 					if timeout > 0 {
 						deadline = p.Now().Add(timeout)
 					}
-					res, err = literalClientWait(p, cl, pc.id, pc.rb, deadline, &out.tops)
+					res, err = literalWait(p, pc, deadline, &out.tops)
 				} else {
 					res, err = pc.WaitTimeout(p, timeout)
 				}

@@ -23,9 +23,11 @@ func TestCrashedPeerBreaksStream(t *testing.T) {
 		}
 	})
 	var writeErr, readErr, closeErr error
+	var conn *Conn
 	done := false
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
-		conn, err := Dial(p, c.Nodes[0], l.Name(), 100)
+		var err error
+		conn, err = Dial(p, c.Nodes[0], l.Name(), 100)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -59,6 +61,9 @@ func TestCrashedPeerBreaksStream(t *testing.T) {
 	if closeErr != ErrPeerUnreachable {
 		t.Fatalf("close error = %v, want ErrPeerUnreachable", closeErr)
 	}
+	if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
+		t.Fatalf("retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
+	}
 }
 
 // Transient outages shorter than the reissue budget must NOT break the
@@ -83,9 +88,11 @@ func TestStreamSurvivesFirmwareReboot(t *testing.T) {
 		}
 	})
 	var clientErr error
+	var conn *Conn
 	done := false
 	c.Nodes[1].Spawn("client", func(p *sim.Proc) {
-		conn, err := Dial(p, c.Nodes[1], l.Name(), 100)
+		var err error
+		conn, err = Dial(p, c.Nodes[1], l.Name(), 100)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -107,5 +114,8 @@ func TestStreamSurvivesFirmwareReboot(t *testing.T) {
 	}
 	if got != total {
 		t.Fatalf("server received %d/%d bytes", got, total)
+	}
+	if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
+		t.Fatalf("retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
 	}
 }

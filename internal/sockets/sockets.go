@@ -14,7 +14,6 @@ package sockets
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -140,26 +139,13 @@ type Conn struct {
 	// err latches the first transport-level failure (peer unreachable);
 	// every blocking operation surfaces it instead of spinning forever.
 	err error
-	// reissues counts return-to-sender re-sends per unacked segment.
-	reissues map[uint64]int
 
-	// Retry shaping: bounced segments are re-sent on a deterministic
-	// exponential-backoff schedule, gated by a per-connection token budget.
-	// Return handlers run inside Poll and must not sleep, so retries are
-	// parked here and flushed by pump() from the blocking loops.
-	budget   *reliab.Budget
-	backoff  reliab.BackoffConfig
-	rng      *rand.Rand
-	deferred []deferredSeg
-	m        *reliab.Metrics
-}
-
-// deferredSeg is one backoff-delayed segment re-send.
-type deferredSeg struct {
-	due     sim.Time
-	seq     uint64
-	payload []byte
-	args    [4]uint64
+	// Retry shaping: bounced segments are re-sent, at most maxSegReissues
+	// times per unacked segment, on a deterministic exponential-backoff
+	// schedule gated by a per-connection token budget. poll flushes the
+	// parked ones from the blocking loops.
+	retry  *reliab.Retrier[uint64]
+	budget *reliab.Budget
 }
 
 func newConn(node *hostos.Node, key core.Key) (*Conn, error) {
@@ -168,9 +154,9 @@ func newConn(node *hostos.Node, key core.Key) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{node: node, bundle: b, ep: ep,
-		oos: make(map[uint64][]byte), reissues: make(map[uint64]int),
-		budget: reliab.NewBudget(reliab.BudgetConfig{}), rng: node.E.Rand()}
+	c := &Conn{node: node, bundle: b, ep: ep, oos: make(map[uint64][]byte),
+		retry:  reliab.NewRetrier[uint64](reliab.BackoffConfig{}, maxSegReissues, node.E.Rand()),
+		budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	ep.SetHandler(hData, c.onData)
 	ep.SetHandler(hDataAck, c.onDataAck)
 	ep.SetHandler(hFin, c.onFin)
@@ -181,24 +167,10 @@ func newConn(node *hostos.Node, key core.Key) (*Conn, error) {
 	ep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
 		switch h {
 		case hData:
-			seq := args[0]
-			if dstIdx >= 0 && reason != nic.NackNoEndpoint && reason != nic.NackBadKey &&
-				c.reissues[seq] < maxSegReissues && c.budget.Allow(p.Now()) {
-				n := c.reissues[seq]
-				c.reissues[seq] = n + 1
-				d := c.backoff.Delay(n, c.rng)
-				c.m.Inc("retries")
-				c.m.ObserveBackoff(d)
-				c.deferred = append(c.deferred, deferredSeg{
-					due: p.Now().Add(d), seq: seq,
-					payload: append([]byte(nil), payload...), args: args,
-				})
-				return
+			send := reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload}
+			if c.retry.Bounce(p.Now(), args[0], reason, c.budget, send) != reliab.Parked {
+				c.fail()
 			}
-			if dstIdx >= 0 && reason != nic.NackNoEndpoint && reason != nic.NackBadKey {
-				c.m.Inc("retry_denied")
-			}
-			c.fail()
 		case hFin, hFinAck:
 			// The peer is gone; an orderly shutdown is moot. Unblock Close.
 			c.finAcked = true
@@ -219,39 +191,24 @@ func (c *Conn) fail() {
 
 // SetMetrics points the connection at a shared reliability metrics set
 // (nil is fine and records nothing).
-func (c *Conn) SetMetrics(m *reliab.Metrics) { c.m = m }
+func (c *Conn) SetMetrics(m *reliab.Metrics) { c.retry.Metrics = m }
 
-// pump re-sends deferred segments whose backoff has elapsed; it returns
-// the number flushed. A segment acknowledged while it waited (its reissue
-// record is gone) is dropped instead of re-sent.
-func (c *Conn) pump(p *sim.Proc) int {
-	if len(c.deferred) == 0 {
-		return 0
-	}
-	now := p.Now()
-	sent := 0
-	kept := c.deferred[:0]
-	for _, d := range c.deferred {
-		switch {
-		case d.due > now:
-			kept = append(kept, d)
-		case c.err != nil || c.closed:
-			// Stream already broken or gone: drop silently.
-		default:
-			if _, pending := c.reissues[d.seq]; pending {
-				_ = c.ep.RequestBulk(p, 0, hData, d.payload, d.args)
-				sent++
-			}
-		}
-	}
-	c.deferred = kept
-	return sent
+// Outstanding reports the retry bookkeeping held — attempt records of
+// unacked segments, parked re-sends — for leak invariants: both are zero
+// once every segment was acknowledged or the stream was given up.
+func (c *Conn) Outstanding() (attempts, parked int) { return c.retry.Outstanding() }
+
+// live reports whether a parked segment is still worth re-sending: the
+// stream is neither broken nor closed, and the segment was not acknowledged
+// while it waited (its attempt record would be gone).
+func (c *Conn) live(s reliab.Send) bool {
+	return c.err == nil && !c.closed && c.retry.Attempts(s.Args[0]) > 0
 }
 
-// poll services the endpoint and the deferred-retry queue; every blocking
-// loop in the connection spins on it.
+// poll services the endpoint and re-sends the parked segments that are due;
+// every blocking loop in the connection spins on it.
 func (c *Conn) poll(p *sim.Proc) int {
-	return c.ep.Poll(p) + c.pump(p)
+	return c.ep.Poll(p) + c.retry.Flush(p, c.ep, c.live)
 }
 
 // Err returns the latched transport failure, if any.
@@ -283,7 +240,7 @@ func (c *Conn) onDataAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte)
 	if args[0] >= c.acked {
 		c.acked = args[0] + 1
 	}
-	delete(c.reissues, args[0])
+	c.retry.Forget(args[0])
 }
 
 func (c *Conn) onFin(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {

@@ -16,7 +16,6 @@ package via
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -119,25 +118,14 @@ type VI struct {
 	// Bounced sends (§3.2 return-to-sender) are retried on a budget-gated
 	// exponential-backoff schedule; once it is exhausted the descriptor
 	// completes in error (Length == -1) on the send CQ, matching the VIA's
-	// stance that reliability problems surface to the application. Return
-	// handlers cannot sleep, so retries park in deferred until Poll.
-	budget   *reliab.Budget
-	backoff  reliab.BackoffConfig
-	rng      *rand.Rand
-	reissues map[MemHandle]int
-	deferred []deferredSend
-	m        *reliab.Metrics
+	// stance that reliability problems surface to the application. Poll
+	// re-sends the parked ones.
+	retry  *reliab.Retrier[MemHandle]
+	budget *reliab.Budget
 }
 
 // maxSendReissues bounds re-sends of one bounced descriptor.
 const maxSendReissues = 3
-
-// deferredSend is one backoff-delayed descriptor re-send.
-type deferredSend struct {
-	due     sim.Time
-	payload []byte
-	args    [4]uint64
-}
 
 // CreateVI builds a VI whose completions go to the given queues (which may
 // be shared with other VIs).
@@ -149,9 +137,8 @@ func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
 		return nil, err
 	}
 	vi := &VI{nic: n, ep: ep, bundle: b, sendCQ: sendCQ, recvCQ: recvCQ,
-		budget:   reliab.NewBudget(reliab.BudgetConfig{}),
-		rng:      n.node.E.Rand(),
-		reissues: make(map[MemHandle]int)}
+		retry:  reliab.NewRetrier[MemHandle](reliab.BackoffConfig{}, maxSendReissues, n.node.E.Rand()),
+		budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	ep.SetHandler(hSend, vi.onRecv)
 	ep.SetHandler(hAck, vi.onAck)
 	ep.SetReturnHandler(vi.onReturn)
@@ -168,22 +155,10 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 		return
 	}
 	mh := MemHandle(args[0])
-	if dstIdx >= 0 && reason != nic.NackNoEndpoint && reason != nic.NackBadKey &&
-		vi.reissues[mh] < maxSendReissues && vi.budget.Allow(p.Now()) {
-		n := vi.reissues[mh]
-		vi.reissues[mh] = n + 1
-		d := vi.backoff.Delay(n, vi.rng)
-		vi.m.Inc("retries")
-		vi.m.ObserveBackoff(d)
-		vi.deferred = append(vi.deferred, deferredSend{
-			due: p.Now().Add(d), payload: append([]byte(nil), payload...), args: args,
-		})
+	send := reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload}
+	if vi.retry.Bounce(p.Now(), mh, reason, vi.budget, send) == reliab.Parked {
 		return
 	}
-	if dstIdx >= 0 && reason != nic.NackNoEndpoint && reason != nic.NackBadKey {
-		vi.m.Inc("retry_denied")
-	}
-	delete(vi.reissues, mh)
 	vi.sends--
 	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{
 		VI: vi, IsRecv: false, Handle: mh, Length: -1,
@@ -191,27 +166,12 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 }
 
 // SetMetrics points the VI at a shared reliability metrics set (nil-safe).
-func (vi *VI) SetMetrics(m *reliab.Metrics) { vi.m = m }
+func (vi *VI) SetMetrics(m *reliab.Metrics) { vi.retry.Metrics = m }
 
-// pump flushes deferred re-sends whose backoff has elapsed.
-func (vi *VI) pump(p *sim.Proc) int {
-	if len(vi.deferred) == 0 {
-		return 0
-	}
-	now := p.Now()
-	sent := 0
-	kept := vi.deferred[:0]
-	for _, d := range vi.deferred {
-		if d.due > now {
-			kept = append(kept, d)
-			continue
-		}
-		_ = vi.ep.RequestBulk(p, 0, hSend, d.payload, d.args)
-		sent++
-	}
-	vi.deferred = kept
-	return sent
-}
+// Outstanding reports the retry bookkeeping held — attempt records of
+// bounced descriptors, parked re-sends — for leak invariants: both are zero
+// once every send has completed.
+func (vi *VI) Outstanding() (attempts, parked int) { return vi.retry.Outstanding() }
 
 // Addr returns the VI's connection address.
 func (vi *VI) Addr() (core.EndpointName, core.Key) { return vi.ep.Name(), vi.ep.Key() }
@@ -274,7 +234,7 @@ func (vi *VI) onRecv(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byt
 
 func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 	vi.sends--
-	delete(vi.reissues, MemHandle(args[0]))
+	vi.retry.Forget(MemHandle(args[0]))
 	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{
 		VI: vi, IsRecv: false, Handle: MemHandle(args[0]),
 	})
@@ -282,7 +242,7 @@ func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 
 // Poll services the VI's backing endpoint so handlers (and therefore
 // completions) run, and flushes any backoff-deferred re-sends that are due.
-func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.pump(p) }
+func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.retry.Flush(p, vi.ep, nil) }
 
 // Pending reports outstanding (unacknowledged) sends.
 func (vi *VI) Pending() int { return vi.sends }

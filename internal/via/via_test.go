@@ -294,4 +294,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	if va.Pending() != 0 {
 		t.Fatalf("pending leaked: %d", va.Pending())
 	}
+	if attempts, parked := va.Outstanding(); attempts != 0 || parked != 0 {
+		t.Fatalf("retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
+	}
 }
