@@ -695,10 +695,10 @@ func printSimPerf(cfg bench.SimPerfConfig, res bench.SimPerfResult) {
 		s.Fired, float64(s.Fired)/msgs, s.MaxPending, hitRate)
 	ev := float64(res.EventsRun)
 	fmt.Fprintf(os.Stderr,
-		"wall-clock (machine-dependent, not golden): %.3fs, %.2fM events/s, %.0f ns/event, %.1f allocs/msg, %.1f hand-offs/msg (%d self-resumes)\n",
+		"wall-clock (machine-dependent, not golden): %.3fs, %.2fM events/s, %.0f ns/event, %.1f allocs/msg, %.1f hand-offs/msg\n",
 		res.Wall.Seconds(), ev/res.Wall.Seconds()/1e6,
 		float64(res.Wall.Nanoseconds())/ev, float64(res.Mallocs)/msgs,
-		float64(s.Handoffs)/msgs, s.SelfResumes)
+		float64(s.Handoffs)/msgs)
 }
 
 // runSimPerf is the event-engine self-benchmark (tentpole of the engine

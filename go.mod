@@ -1,3 +1,3 @@
 module virtnet
 
-go 1.22
+go 1.23

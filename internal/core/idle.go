@@ -7,7 +7,7 @@ import (
 
 // Idle-poll elision. A thread waiting for a message polls its endpoint every
 // tick; while the receive queues are empty each of those polls is an engine
-// event and a goroutine hand-off that changes nothing. IdlePoll keeps the
+// event and a proc hand-off that changes nothing. IdlePoll keeps the
 // polling cost model — every virtual timestamp is the one the literal loop
 // would have produced — and removes the work: the proc parks, and whatever
 // could change what a poll sees (a deposit, a residency transition, a freeze,

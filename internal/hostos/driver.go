@@ -82,6 +82,20 @@ type Segment struct {
 	migrating bool
 	freeStamp uint64
 	owner     *Driver
+	// notified is what Driver.Notify schedules, built once per segment so a
+	// communication event allocates nothing.
+	notified func()
+}
+
+func (d *Driver) newSegment(ep *nic.EndpointImage, st SegState) *Segment {
+	seg := &Segment{EP: ep, State: st, Cond: sim.NewCond(d.e), owner: d}
+	seg.notified = func() {
+		seg.Cond.Broadcast()
+		if seg.OnEvent != nil {
+			seg.OnEvent()
+		}
+	}
+	return seg
 }
 
 // Resident reports whether the segment is bound to an NI frame.
@@ -221,7 +235,7 @@ func (d *Driver) CreateEndpoint(key uint64) *Segment {
 	ep := nic.NewEndpointImage(d.nextID, d.node, cfg.SendQDepth, cfg.RecvQDepth)
 	ep.Key = key
 	d.nic.Register(ep)
-	seg := &Segment{EP: ep, State: OnHostRO, Cond: sim.NewCond(d.e), owner: d}
+	seg := d.newSegment(ep, OnHostRO)
 	d.segs[ep.ID] = seg
 	d.C.Inc("ep.create")
 	return seg
@@ -342,7 +356,7 @@ func (d *Driver) InstallSegment(img *nic.EndpointImage) *Segment {
 	img.Node = d.node
 	img.State = nic.EPHost
 	img.Frame = -1
-	seg := &Segment{EP: img, State: OnHostRW, Cond: sim.NewCond(d.e), owner: d}
+	seg := d.newSegment(img, OnHostRW)
 	d.segs[img.ID] = seg
 	d.nic.Register(img)
 	d.queueRemap(seg)
@@ -475,12 +489,7 @@ func (d *Driver) Notify(ep *nic.EndpointImage) {
 		return
 	}
 	d.C.Inc("event.notify")
-	d.e.Schedule(d.cfg.NotifyCost, func() {
-		seg.Cond.Broadcast()
-		if seg.OnEvent != nil {
-			seg.OnEvent()
-		}
-	})
+	d.e.AfterFunc(d.cfg.NotifyCost, seg.notified)
 }
 
 // submitAndWait issues a driver/NI command and blocks the proc until the NI

@@ -252,6 +252,34 @@ func TestNotifyWakesBlockedThread(t *testing.T) {
 	}
 }
 
+// A communication event — Notify, the kernel path's delay, the broadcast that
+// wakes the blocked thread and the bundle hook — allocates nothing: the
+// scheduled callback is built once per segment.
+func TestNotifyAllocFree(t *testing.T) {
+	c := newTestCluster(t, 1, nil)
+	drv := c.Nodes[0].Driver
+	seg := drv.CreateEndpoint(1)
+	woke, hooked := 0, 0
+	seg.OnEvent = func() { hooked++ }
+	c.Nodes[0].Spawn("server", func(p *sim.Proc) {
+		for {
+			seg.Cond.Wait(p)
+			woke++
+		}
+	})
+	cycle := func() {
+		drv.Notify(seg.EP)
+		c.E.RunFor(2 * DefaultConfig().NotifyCost)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("notify → fire → broadcast allocates %.2f times, want 0", avg)
+	}
+	if woke != 102 || hooked != 102 {
+		t.Errorf("%d wakes, %d hook calls in 102 events", woke, hooked)
+	}
+}
+
 func TestComputeTimeSlicing(t *testing.T) {
 	c := newTestCluster(t, 1, func(cc *ClusterConfig) { cc.OS.Quantum = 1 * sim.Millisecond })
 	node := c.Nodes[0]

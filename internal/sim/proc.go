@@ -1,19 +1,24 @@
 package sim
 
-// Proc is a cooperative simulated thread: a goroutine that runs only while
-// it holds the engine's run token. Procs model application processes, POSIX
-// threads, OS kernel threads, and NI firmware loops. A Proc may touch
-// simulated state freely while running; it relinquishes control by sleeping
-// or blocking on a Cond.
+import "iter"
+
+// Proc is a cooperative simulated thread: a coroutine the engine switches
+// into when the proc's wakeup fires and that switches back when it sleeps or
+// blocks on a Cond. Procs model application processes, POSIX threads, OS
+// kernel threads, and NI firmware loops. A Proc may touch simulated state
+// freely while running.
 type Proc struct {
 	e    *Engine
 	name string
-	// token wakes the goroutine: a resume (runProc set resumed and made it
-	// the loop runner) or a kill. endAck reports a killed goroutine's unwind
-	// back to the synchronous killer.
-	token   chan struct{}
-	endAck  chan struct{}
-	resumed bool
+	// The coroutine (iter.Pull over the body): next switches into the proc
+	// until it suspends or its body returns (ok false), suspend switches back
+	// and reports false when the proc has been stopped instead of resumed,
+	// stop unwinds a suspended proc — or retires one that never started —
+	// before it returns.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
+	idx     int // position in e.procs while live
 	done    bool
 	killed  bool
 	// waiting and waitGen track the Cond the proc is parked on so a
@@ -34,27 +39,17 @@ type Proc struct {
 type procKilled struct{}
 
 // Spawn creates a simulated thread that begins executing fn at the current
-// virtual time (after already-queued events at this time).
+// virtual time (after already-queued events at this time). The coroutine is
+// created here but first entered by that event: entering it from Spawn would
+// move every proc's first-run stack setup into cluster construction.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, token: make(chan struct{}), endAck: make(chan struct{})}
+	p := &Proc{e: e, name: name, idx: len(e.procs)}
 	p.resumeT = e.NewTimer(func() { e.runProc(p) })
+	p.next, p.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		runBody(p, fn)
+	})
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.token
-		if !p.killed {
-			runBody(p, fn)
-		}
-		p.done = true
-		if p.killed && e.runner != p {
-			// Killed while parked: the killer is active and waiting for the
-			// unwind to finish.
-			p.endAck <- struct{}{}
-			return
-		}
-		// The body finished (or was killed) while this goroutine held the
-		// run token: hand the loop to the driver and exit.
-		e.driverCh <- struct{}{}
-	}()
 	p.resumeT.Reset(0)
 	return p
 }
@@ -71,18 +66,24 @@ func runBody(p *Proc, fn func(p *Proc)) {
 	fn(p)
 }
 
-// Kill terminates a parked proc immediately: the next time it would resume
-// it unwinds instead, running no further simulated work (crash semantics —
-// no cleanup executes in the victim). Any Cond registration is removed so
-// signals are not wasted on the corpse. Killing the currently running proc
-// is not allowed; crashes are driven from event context or from another
-// proc, where the victim is parked.
-//
-// With run-loop migration the victim's goroutine may currently be stepping
-// the event loop on behalf of the engine (its body parked in yield). In that
-// case the kill is asynchronous by necessity: the flag is set and the victim
-// unwinds as soon as the event that invoked Kill completes — still before
-// any further simulated work runs in it.
+// retire marks a proc whose coroutine has ended and drops it from the
+// engine's list of live procs.
+func (p *Proc) retire() {
+	p.done = true
+	live := p.e.procs
+	last := live[len(live)-1]
+	live[p.idx], last.idx = last, p.idx
+	live[len(live)-1] = nil
+	p.e.procs = live[:len(live)-1]
+}
+
+// Kill terminates a parked proc immediately: it unwinds (deferred functions
+// run, in the killer's context) before Kill returns and runs no further
+// simulated work (crash semantics — no cleanup executes in the victim). A
+// proc that has not started yet never runs at all. Any Cond registration is
+// removed so signals are not wasted on the corpse. Killing the currently
+// running proc is not allowed; crashes are driven from event context or
+// from another proc, where the victim is parked.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return
@@ -94,15 +95,15 @@ func (p *Proc) Kill() {
 		p.waiting.remove(p)
 		p.waiting = nil
 	}
+	p.unwind()
+}
+
+// unwind stops a live, suspended proc's coroutine: its pending suspend
+// returns false and the body panics out through runBody.
+func (p *Proc) unwind() {
 	p.killed = true
-	if p.e.runner == p {
-		// The victim's goroutine is executing this very Kill (an event fired
-		// from its yield loop). Its loop notices the flag when the current
-		// event returns and unwinds, handing the loop to the driver.
-		return
-	}
-	p.token <- struct{}{}
-	<-p.endAck
+	p.stop()
+	p.retire()
 }
 
 // Killed reports whether the proc was terminated by Kill or Shutdown.
@@ -120,34 +121,13 @@ func (p *Proc) Done() bool { return p.done }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.Now() }
 
-// yield parks the proc's body and turns its goroutine into the engine's
-// loop runner: it steps events — handing the loop off whenever one resumes
-// another proc — until one resumes this proc, at which point it returns to
-// the body with no goroutine switch at all. If the driver's bound is
-// exhausted first, the loop is handed back to the driver and the goroutine
-// parks until a later event resumes (or kills) it.
+// yield suspends the proc: a direct switch back to whoever resumed it — the
+// event loop inside runProc — returning when a later event resumes the proc,
+// or unwinding the body if the proc was killed instead.
 func (p *Proc) yield() {
-	e := p.e
-	p.resumed = false
-	e.cur = nil
-	for !p.resumed {
-		if p.killed {
-			// Killed by an event this loop just fired: unwind, running no
-			// further events; the spawn wrapper hands the loop back.
-			panic(procKilled{})
-		}
-		if e.stepBounded(e.bound) {
-			continue
-		}
-		// Nothing left within the driver's bound: hand the loop back and
-		// park until resumed.
-		e.driverCh <- struct{}{}
-		<-p.token
-		if p.killed {
-			panic(procKilled{})
-		}
+	if !p.suspend(struct{}{}) {
+		panic(procKilled{})
 	}
-	e.cur = p
 }
 
 // Sleep suspends the proc for d of virtual time.

@@ -1,8 +1,8 @@
 // Conservative-lookahead sharding: a Coordinator owns N engines, one per
 // shard of the simulated cluster, and synchronizes them with barrier
 // windows. All shards run the window [B, B+W) in parallel (one worker
-// goroutine per shard drives its engine; the engine's own run-loop
-// migration handles its procs), then meet at a barrier where cross-shard
+// goroutine per shard drives its engine: it alone fires the shard's events
+// and resumes the shard's procs), then meet at a barrier where cross-shard
 // events staged during the window are flushed into their destination
 // engines and the next window begins.
 //
@@ -26,8 +26,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // xev is one staged cross-shard event: fn runs on the destination shard's
@@ -38,6 +39,18 @@ type xev struct {
 	dst int32
 	seq uint64
 	fn  func()
+}
+
+// xevOrder is the exchange order (time, srcShard, seq). The key is unique —
+// seq counts one source's posts — so an unstable sort yields one order.
+func xevOrder(a, z xev) int {
+	if c := cmp.Compare(a.at, z.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, z.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, z.seq)
 }
 
 // Coordinator synchronizes a set of per-shard engines with conservative
@@ -192,16 +205,7 @@ func (c *Coordinator) flush(b Time) {
 	if len(c.merged) == 0 {
 		return
 	}
-	sort.Slice(c.merged, func(i, j int) bool {
-		a, z := c.merged[i], c.merged[j]
-		if a.at != z.at {
-			return a.at < z.at
-		}
-		if a.src != z.src {
-			return a.src < z.src
-		}
-		return a.seq < z.seq
-	})
+	slices.SortFunc(c.merged, xevOrder)
 	for i := range c.merged {
 		x := &c.merged[i]
 		if x.at < b {
@@ -272,7 +276,6 @@ func (c *Coordinator) Stats() Stats {
 		out.PoolMisses += s.PoolMisses
 		out.MaxPending += s.MaxPending
 		out.Handoffs += s.Handoffs
-		out.SelfResumes += s.SelfResumes
 	}
 	return out
 }

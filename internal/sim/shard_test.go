@@ -189,3 +189,67 @@ func TestShardSeedsDiffer(t *testing.T) {
 		t.Fatalf("shards 1 and 2 share a stream")
 	}
 }
+
+// TestCoordinatorProcsAcrossShards runs procs on two shards that wake each
+// other only through cross-shard posts: each shard's procs are resumed by
+// that shard's worker alone, spawned from the test goroutine and shut down
+// from it. Its value is under -race.
+func TestCoordinatorProcsAcrossShards(t *testing.T) {
+	const W = 100
+	c := NewCoordinator(3, 2, W)
+	conds := []*Cond{NewCond(c.Engine(0)), NewCond(c.Engine(1))}
+	rounds := [2]int{}
+	for s := 0; s < 2; s++ {
+		e, peer := c.Engine(s), 1-s
+		for i := 0; i < 4; i++ {
+			e.Spawn("pinger", func(p *Proc) {
+				for {
+					p.Sleep(Duration(10 + e.Rand().Intn(20)))
+					e.PostRemote(peer, p.Now().Add(W), func() { conds[peer].Signal() })
+					conds[s].Wait(p)
+					rounds[s]++
+				}
+			})
+		}
+	}
+	c.RunUntil(20000)
+	c.Shutdown()
+	if rounds[0] < 100 || rounds[1] < 100 {
+		t.Fatalf("rounds = %v, want ≥ 100 on each shard", rounds)
+	}
+	if _, x := c.ExchangeStats(); x == 0 {
+		t.Fatal("nothing crossed the exchange")
+	}
+	if h := c.Stats().Handoffs; h < 400 {
+		t.Fatalf("%d hand-offs", h)
+	}
+}
+
+// Once the barrier scratch has grown, staging, sorting and flushing
+// cross-shard events allocates nothing.
+func TestCoordinatorFlushAllocFree(t *testing.T) {
+	const W = 100
+	c := NewCoordinator(1, 2, W)
+	defer c.Shutdown()
+	fired := 0
+	fn := func() { fired++ }
+	cycle := func() {
+		b := c.now.Add(W)
+		for i := 0; i < 16; i++ {
+			// Interleaved sources, descending times: the sort has work to do.
+			c.post(i%2, 1-i%2, b.Add(Duration(16-i)), fn)
+		}
+		c.flush(b)
+		for _, e := range c.engines {
+			e.RunUntil(b.Add(W))
+		}
+		c.now = b.Add(W)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("stage → flush → fire cycle allocates %.2f times, want 0", avg)
+	}
+	if fired != 16*102 {
+		t.Fatalf("fired %d of %d exchanged events", fired, 16*102)
+	}
+}

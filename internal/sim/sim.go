@@ -4,7 +4,8 @@
 //
 // All simulated code — NI firmware loops, OS kernel threads, application
 // processes — runs under a single engine. Exactly one simulated activity
-// executes at a time (the engine hands a run token to at most one Proc), so
+// executes at a time: events fire only on the goroutine inside Run/RunUntil,
+// and a Proc is a coroutine that goroutine switches into and out of, so
 // simulated state needs no locking and every run is bit-reproducible for a
 // given seed.
 //
@@ -194,18 +195,16 @@ func (t *Timer) ResetAt(at Time) bool {
 // Stats describes engine activity since creation: events fired, scheduled
 // and cancelled, event-pool reuse (hit rate = PoolHits/(PoolHits+PoolMisses))
 // and the high-water mark of live queued events. Handoffs counts proc
-// resumes that switched goroutines (the resumed proc was not the one already
-// stepping the event loop); SelfResumes counts the ones run-loop migration
-// turned into a plain return.
+// resumes, each one coroutine round trip: a switch into the proc and, when
+// it next suspends or exits, a switch back.
 type Stats struct {
-	Fired       uint64
-	Scheduled   uint64
-	Cancelled   uint64
-	PoolHits    uint64
-	PoolMisses  uint64
-	MaxPending  int
-	Handoffs    uint64
-	SelfResumes uint64
+	Fired      uint64
+	Scheduled  uint64
+	Cancelled  uint64
+	PoolHits   uint64
+	PoolMisses uint64
+	MaxPending int
+	Handoffs   uint64
 }
 
 // Engine is a discrete-event simulation engine.
@@ -214,17 +213,7 @@ type Engine struct {
 	seq   uint64
 	rng   *rand.Rand
 	cur   *Proc
-	procs []*Proc
-
-	// Run-loop migration state. Exactly one goroutine steps the event loop
-	// at a time: the driver (the goroutine inside Run/RunUntil) or a proc
-	// goroutine whose body is parked in yield. bound is the driver's current
-	// time limit, runner the proc whose goroutine holds the loop (nil when
-	// the driver does), and driverCh the rendezvous used to hand the loop
-	// back to the driver.
-	bound    Time
-	runner   *Proc
-	driverCh chan struct{}
+	procs []*Proc // live procs: spawned, body not yet returned, not killed
 
 	wheel     [wheelLevels][wheelSlots]slotList
 	occ       [wheelLevels][wheelSlots / 64]uint64 // slot occupancy bitmaps
@@ -242,7 +231,7 @@ type Engine struct {
 
 // NewEngine returns an engine with virtual time 0 and a PRNG seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), driverCh: make(chan struct{})}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -559,10 +548,9 @@ func (e *Engine) stepBounded(bound Time) bool {
 }
 
 // Run processes events until none remain. Procs blocked with no pending
-// wakeup are left parked (use Shutdown to release their goroutines).
+// wakeup are left parked (use Shutdown to release their coroutines).
 func (e *Engine) Run() {
-	e.bound = Never
-	for e.stepBounded(e.bound) {
+	for e.stepBounded(Never) {
 	}
 }
 
@@ -602,7 +590,6 @@ func (e *Engine) advanceTo(t Time) {
 
 // RunUntil processes events with time <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	e.bound = t
 	for e.stepBounded(t) {
 	}
 	e.advanceTo(t)
@@ -611,55 +598,28 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor processes events for d of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
-// runProc transfers control to p until it yields or exits. The event loop
-// migrates with the control transfer: the calling goroutine — the current
-// loop runner — wakes p (which takes over stepping events when it next
-// yields) and parks until its own proc is resumed. When the runner fires its
-// own resume event, the transfer is a plain return with no goroutine switch:
-// the runner unwinds out of its yield loop back into its body.
+// runProc transfers control to p until it suspends or exits: one coroutine
+// switch in and one back, on the goroutine that is firing events. A panic in
+// p's body surfaces here, and so from Run/RunUntil.
 func (e *Engine) runProc(p *Proc) {
 	if p.done {
 		return
 	}
-	r := e.runner
-	p.resumed = true
-	e.cur = p
-	if r == p {
-		e.stats.SelfResumes++
-		return
-	}
 	e.stats.Handoffs++
-	e.runner = p
-	p.token <- struct{}{}
-	if r == nil {
-		// Driver goroutine: park until a runner hands the loop back (bound
-		// exhausted, or a proc exited while holding it), then keep stepping.
-		<-e.driverCh
-		e.runner = nil
-		e.cur = nil
-	} else {
-		// Proc goroutine: park until r itself is resumed — or killed, in
-		// which case unwind without touching engine state (the killer is
-		// the active goroutine).
-		<-r.token
-		if r.killed {
-			panic(procKilled{})
-		}
+	e.cur = p
+	if _, live := p.next(); !live {
+		p.retire()
 	}
+	e.cur = nil
 }
 
 // Cur returns the currently running Proc, or nil when in plain event context.
 func (e *Engine) Cur() *Proc { return e.cur }
 
-// Shutdown kills all live procs so their goroutines exit. The engine remains
+// Shutdown kills all live procs so their coroutines exit. The engine remains
 // usable for inspection but no further events should be scheduled.
 func (e *Engine) Shutdown() {
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
-		p.token <- struct{}{}
-		<-p.endAck
+	for len(e.procs) > 0 {
+		e.procs[len(e.procs)-1].unwind()
 	}
 }

@@ -561,33 +561,22 @@ func TestParkWakeAt(t *testing.T) {
 	e.Shutdown()
 }
 
-// Handoffs counts resumes that switch goroutines, SelfResumes the ones the
-// migrating run loop turned into a plain return.
+// Handoffs counts proc resumes: the spawn kick plus one per wakeup, whether
+// or not another proc ran in between.
 func TestStatsCountHandoffs(t *testing.T) {
-	// One proc alone: the driver hands it the loop once; from then on it
-	// fires its own wakeups.
-	e := NewEngine(1)
-	e.Spawn("solo", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(5)
+	for procs, want := range map[int]uint64{1: 11, 2: 22} {
+		e := NewEngine(1)
+		for i := 0; i < procs; i++ {
+			d := Duration(10 + i) // two procs alternate
+			e.Spawn("sleeper", func(p *Proc) {
+				for i := 0; i < 10; i++ {
+					p.Sleep(d)
+				}
+			})
 		}
-	})
-	e.Run()
-	if s := e.Stats(); s.Handoffs != 1 || s.SelfResumes != 10 {
-		t.Fatalf("solo proc: %d hand-offs, %d self-resumes; want 1, 10", s.Handoffs, s.SelfResumes)
-	}
-	// Two procs alternating: every resume crosses goroutines.
-	e = NewEngine(1)
-	for i := 0; i < 2; i++ {
-		d := Duration(10 + i)
-		e.Spawn("pair", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.Sleep(d)
-			}
-		})
-	}
-	e.Run()
-	if s := e.Stats(); s.Handoffs < 20 || s.Handoffs+s.SelfResumes != 22 {
-		t.Fatalf("two procs: %d hand-offs, %d self-resumes of 22 resumes", s.Handoffs, s.SelfResumes)
+		e.Run()
+		if got := e.Stats().Handoffs; got != want {
+			t.Errorf("%d procs sleeping 10 times each: %d hand-offs, want %d", procs, got, want)
+		}
 	}
 }
