@@ -152,17 +152,17 @@ func runFaults() {
 	// sweep duplicate-free).
 	tl := trace.NewTimeline(0, window)
 	type fclient struct {
-		idx     int
-		replica int
-		ep      *core.Endpoint
-		gen     int
-		next    uint64
-		replies map[uint64]int
-		pending map[uint64]sim.Time // unanswered serials and their last send time
-		retry   []uint64
-		inRetry map[uint64]bool
+		idx                             int
+		replica                         int
+		ep                              *core.Endpoint
+		gen                             int
+		next                            uint64
+		replies                         map[uint64]int
+		pending                         map[uint64]sim.Time // unanswered serials and their last send time
+		retry                           []uint64
+		inRetry                         map[uint64]bool
 		answered, dup, returns, resends int
-		done    bool
+		done                            bool
 	}
 	clients := make([]*fclient, len(clientNodes))
 	for i, node := range clientNodes {

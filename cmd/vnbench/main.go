@@ -62,7 +62,7 @@ var (
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceout   = flag.String("traceout", "", "write a Perfetto-compatible trace of the breakdown short-AM phase to this file")
 	metrics    = flag.Bool("metrics", false, "print metrics-registry dashboards after instrumented experiments")
-	shards     = flag.Int("shards", 1, "simperf/serve: engine shards (1 = classic single engine; serve defaults to 4 when unset)")
+	shards     = flag.Int("shards", 1, "simperf/serve: engine shards (1 = one shard, no barriers; serve defaults to 4 when unset)")
 	hosts      = flag.Int("hosts", 0, "simperf/serve: cluster size override (0 = the golden sections)")
 	sweep      = flag.Bool("sweep", false, "simperf: shard-scaling sweep on the 1,024-host workload (stderr, machine-dependent)")
 	scenario   = flag.String("scenario", "golden", "serve: scenario to sweep ('golden' = the committed set, 'list' prints all)")

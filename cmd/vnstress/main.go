@@ -51,8 +51,8 @@ import (
 	"virtnet/internal/migrate"
 	"virtnet/internal/mpi"
 	"virtnet/internal/netsim"
-	"virtnet/internal/obs"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
 )
 
@@ -70,7 +70,7 @@ var (
 	serveSoak  = flag.Bool("serve", false, "run the serving soak: open-loop KV clients at 1.3x capacity + fault churn with exactly-once/no-hang/zero-leak invariants")
 	dash       = flag.Bool("dash", false, "print the unified metrics dashboard every 100 ms of simulated time")
 	shardsoak  = flag.Bool("shardsoak", false, "run the sharded-engine soak: mixed local/cross-shard traffic + node-scoped fault churn on a sharded cluster")
-	shards     = flag.Int("shards", 2, "engine shards for -shardsoak and -serve (1 = classic single engine; -serve defaults to 1 when unset)")
+	shards     = flag.Int("shards", 2, "engine shards for -shardsoak and -serve (1 = one shard, no barriers; -serve defaults to 1 when unset)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )

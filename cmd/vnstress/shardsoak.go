@@ -158,7 +158,7 @@ func runShardSoak() {
 	sent, delivered, dropped, corrupted := cl.NetTotals()
 	fmt.Printf("net: sent=%d delivered=%d dropped=%d corrupted=%d\n",
 		sent, delivered, dropped, corrupted)
-	if cl.Coord != nil {
+	if cl.Shards() > 1 {
 		barriers, exchanged := cl.Coord.ExchangeStats()
 		fmt.Printf("exchange: barriers=%d cross-shard=%d\n", barriers, exchanged)
 	}

@@ -19,13 +19,13 @@ import (
 // requests per second — big enough for real tail statistics, small enough
 // that a full offered-load sweep stays CI-friendly.
 const (
-	serveService  = sim.Millisecond         // per-op server compute
-	serveDeadline = 20 * sim.Millisecond    // end-to-end SLO deadline
-	serveQueue    = 16                      // bounded admission: 16×1ms < deadline
-	serveMaxOut   = 48                      // per-client inflight cap
-	serveKeys     = 100_000                 // key space
-	serveIdemCap  = 1 << 14                 // server idempotency cache
-	serveDrain    = 2 * serveDeadline       // post-Stop harvest window
+	serveService  = sim.Millisecond      // per-op server compute
+	serveDeadline = 20 * sim.Millisecond // end-to-end SLO deadline
+	serveQueue    = 16                   // bounded admission: 16×1ms < deadline
+	serveMaxOut   = 48                   // per-client inflight cap
+	serveKeys     = 100_000              // key space
+	serveIdemCap  = 1 << 14              // server idempotency cache
+	serveDrain    = 2 * serveDeadline    // post-Stop harvest window
 )
 
 // ServeConfig parameterizes one point of the serving-workload experiment:
@@ -36,7 +36,7 @@ type ServeConfig struct {
 	Hosts    int     // cluster size (default 256)
 	Servers  int     // serving nodes (default 32); gateway adds its tier on top
 	Clients  int     // open-loop client procs (default 64)
-	Shards   int     // engine shards (0/1 = classic single engine)
+	Shards   int     // engine shards (0/1 = one shard)
 	Seed     int64
 	Warmup   sim.Duration // steady-state ramp before measurement (default 50ms)
 	Window   sim.Duration // measurement window (default 150ms)
@@ -285,7 +285,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 			kcfg.PerByte = 20 * sim.Nanosecond
 		}
 		// Work per offered op, in units of one service time.
-		workPerOp := (1-wcfg.PutFrac) + wcfg.PutFrac*float64(wcfg.Replicas)
+		workPerOp := (1 - wcfg.PutFrac) + wcfg.PutFrac*float64(wcfg.Replicas)
 		if wcfg.FanReads > 1 {
 			workPerOp = float64(wcfg.FanReads)
 		}

@@ -32,7 +32,7 @@ type SimPerfConfig struct {
 	// fat tree (8 hosts/leaf, 4 pod spines, 16 leaves/pod, 8 cores).
 	// 0 keeps the classic 2*Pairs layout on the default 100-node topology.
 	Hosts int
-	// Shards partitions the engine; 0 or 1 is the classic single engine.
+	// Shards is the number of engine shards; 0 or 1 is one shard.
 	Shards int
 }
 

@@ -119,6 +119,10 @@ const (
 // endpoint.
 const sharedLockCost = 400 * sim.Nanosecond
 
+// stallPollCap caps the backed-off probe interval of a thread stalled on
+// credits or a full send queue, so long waits stay cheap.
+const stallPollCap = 100 * sim.Microsecond
+
 // Bundle is a per-process collection of endpoints with a shared event wait
 // (the AM-II bundle). Threads sleep on the bundle and wake when any armed
 // endpoint receives a message.
@@ -456,7 +460,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	if ep.trans[idx].credits == 0 && ep.b.C != nil {
 		ep.b.C.Inc("credit_stall")
 	}
-	wait := sim.Duration(cfg.PollHost)
+	wait := Backoff{Base: cfg.PollHost, Cap: stallPollCap}
 	for ep.trans[idx].credits == 0 {
 		if ep.moved {
 			// Frozen for migration while waiting; outstanding credits are
@@ -468,14 +472,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 				return err
 			}
 		}
-		if ep.pollOnce(p) == 0 {
-			p.Sleep(wait)
-			if wait < 100*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Duration(cfg.PollHost)
-		}
+		ep.PollBackoff(p, &wait)
 	}
 	ep.trans[idx].credits--
 	t := &ep.trans[idx]
@@ -561,7 +558,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	if sq.Full() && ep.b.C != nil {
 		ep.b.C.Inc("sendq_stall")
 	}
-	wait := sim.Duration(cfg.PollHost)
+	wait := Backoff{Base: cfg.PollHost, Cap: stallPollCap}
 	for sq.Full() {
 		if ep.moved && !isReply {
 			fl.Drop(obs.StageHostPost, "abort:moved", p.Now())
@@ -574,14 +571,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 			}
 		}
 		// The NI drains the queue; polling meanwhile keeps replies moving.
-		if ep.pollOnce(p) == 0 {
-			p.Sleep(wait)
-			if wait < 100*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Duration(cfg.PollHost)
-		}
+		ep.PollBackoff(p, &wait)
 	}
 	d := &nic.SendDesc{
 		DstNI:    dstNode,

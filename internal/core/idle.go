@@ -96,6 +96,50 @@ func (ep *Endpoint) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (n 
 	}
 }
 
+// Backoff is the tick of a backed-off wait: Base to begin with and again
+// after every turn that dispatched something, doubled after a turn that did
+// not while it is still below Cap. Each wait starts from its own copy.
+type Backoff struct {
+	Base, Cap sim.Duration
+	tick      sim.Duration // 0: not begun, stands for Base
+}
+
+// PollBackoff is one turn of a backed-off wait — the caller loops on its own
+// exit test, with whatever abort checks it needs between turns — and returns
+// the turn's dispatch count. It is literally
+//
+//	n := ep.Poll(p)
+//	if n == 0 {
+//		p.Sleep(tick)
+//		if tick < b.Cap {
+//			tick *= 2
+//		}
+//	} else {
+//		tick = b.Base
+//	}
+//	return n
+//
+// with tick starting at b.Base. The tick is compared before it is doubled,
+// so it may overshoot the cap: 300 ns doubles to 153.6 µs against 100 µs.
+// This is the one place the backed-off waits (credit and send-queue stalls,
+// mpi.Recv, the splitc one-sided operations) can be taught to park on the
+// doorbell the way IdlePoll does.
+func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) int {
+	if b.tick == 0 {
+		b.tick = b.Base
+	}
+	n := ep.pollOnce(p)
+	if n == 0 {
+		p.Sleep(b.tick)
+		if b.tick < b.Cap {
+			b.tick *= 2
+		}
+	} else {
+		b.tick = b.Base
+	}
+	return n
+}
+
 // park stands in for the literal loop's p.Sleep(tick) after an empty poll. It
 // returns at the first instant the literal loop could observe something — the
 // phase tells the caller where in the iteration that is, start when the

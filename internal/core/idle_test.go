@@ -638,3 +638,85 @@ func TestIdlePollAllocFree(t *testing.T) {
 		t.Fatalf("dispatched %d messages in 201 cycles", got-before)
 	}
 }
+
+// PollBackoff's definition, executed literally. Kept only here.
+func literalPollBackoff(ep *Endpoint, p *sim.Proc, base, cap sim.Duration, tick *sim.Duration) int {
+	n := ep.Poll(p)
+	if n == 0 {
+		p.Sleep(*tick)
+		if *tick < cap {
+			*tick *= 2
+		}
+	} else {
+		*tick = base
+	}
+	return n
+}
+
+// backoffTurns runs a waiter through a fixed number of backed-off turns while
+// a peer sends it four messages (the first waits out the waiter's first
+// remap), and logs when each turn started and ended and what it dispatched.
+func backoffTurns(t *testing.T, literal bool) []idleIter {
+	const base, cap = 300 * sim.Nanosecond, 100 * sim.Microsecond
+	c := newCluster(t, 2, nil)
+	e0, e1 := pair(t, c)
+	e0.SetHandler(1, func(p *sim.Proc, tok *Token, args [4]uint64, _ []byte) {})
+	c.Nodes[1].Spawn("peer", func(p *sim.Proc) {
+		for _, at := range []sim.Time{50_000, 2_500_000, 2_520_000, 4_000_000} {
+			p.Sleep(at.Sub(p.Now()))
+			if err := e1.Request(p, 0, 1, [4]uint64{}); err != nil {
+				t.Errorf("request: %v", err)
+			}
+		}
+	})
+	var turns []idleIter
+	c.Nodes[0].Spawn("waiter", func(p *sim.Proc) {
+		wait, tick := Backoff{Base: base, Cap: cap}, sim.Duration(base)
+		for i := 0; i < 70; i++ {
+			start, n := p.Now(), 0
+			if literal {
+				n = literalPollBackoff(e0, p, base, cap, &tick)
+			} else {
+				n = e0.PollBackoff(p, &wait)
+			}
+			turns = append(turns, idleIter{start, p.Now(), n})
+		}
+	})
+	c.RunFor(10 * sim.Millisecond)
+	return turns
+}
+
+// PollBackoff is its literal loop, quirks included: the tick is tested
+// against the cap before it doubles, so 300 ns backs off to 153.6 µs under a
+// 100 µs cap and stays there, and a turn that dispatches starts it over.
+func TestPollBackoffIsItsLiteralLoop(t *testing.T) {
+	lit, got := backoffTurns(t, true), backoffTurns(t, false)
+	if len(lit) != 70 || !reflect.DeepEqual(lit, got) {
+		t.Fatalf("turns differ:\nliteral %v\nbackoff %v", lit, got)
+	}
+	// An empty turn lasts its poll plus its sleep. The poll costs the same on
+	// consecutive turns (residency changes only around a dispatch), so it
+	// cancels out of the difference between two of them.
+	last := func(i int) sim.Duration { return got[i].End.Sub(got[i].Start) }
+	dispatched, overshot := 0, false
+	for i := 0; i+2 < len(got); i++ {
+		dispatched += got[i].N
+		if got[i+1].N > 0 || got[i+2].N > 0 {
+			continue
+		}
+		grew, held := last(i+2)-last(i+1), last(i+2) == last(i+1)
+		switch {
+		case got[i].N > 0 && grew != 300*sim.Nanosecond:
+			t.Errorf("turns after a dispatch last %v then %v: the tick did not restart at Base", last(i+1), last(i+2))
+		case got[i].N == 0 && last(i+1)-last(i) == 76800*sim.Nanosecond:
+			// 76.8 µs is below the cap, so it doubled once more; 153.6 µs is not.
+			overshot = held
+		}
+	}
+	if dispatched != 4 {
+		t.Fatalf("dispatched %d of 4 messages", dispatched)
+	}
+	if !overshot {
+		t.Fatalf("the tick never backed off to 153.6µs and stayed: %v", got)
+	}
+}

@@ -103,11 +103,11 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 		return nil, fmt.Errorf("glunix: bad monitor config %+v", cfg)
 	}
 	m := &Monitor{
-		c:        c,
-		sched:    sched,
-		names:    names,
-		cfg:      cfg,
-		home:     home,
+		c:          c,
+		sched:      sched,
+		names:      names,
+		cfg:        cfg,
+		home:       home,
 		lastBeat:   make([]sim.Time, len(c.Nodes)),
 		deadN:      make([]bool, len(c.Nodes)),
 		beatGen:    make([]int, len(c.Nodes)),

@@ -126,23 +126,22 @@ func (n *Node) Compute(p *sim.Proc, d sim.Duration) {
 // Contended reports whether more than one proc wants the CPU right now.
 func (n *Node) Contended() bool { return n.runnable > 1 }
 
-// Cluster is a collection of nodes on one network — the simulated NOW.
-// A classic cluster runs on one engine (E); a sharded cluster (Coord
-// non-nil) runs one engine per shard, synchronized by conservative
-// lookahead, with E aliasing shard 0 and Net aliasing its fabric replica.
-// Code driving a cluster should use the Run*/Now/EngineStats methods,
-// which dispatch either way.
+// Cluster is a collection of nodes on one network — the simulated NOW. It
+// runs one engine per shard under Coord, synchronized by conservative
+// lookahead, over the per-shard replicas of Fab; E and Net alias shard 0's.
+// A one-shard cluster is the N=1 case of the same object, not a different
+// one: sim.Coordinator calls its single engine directly, and that is the only
+// place that knows. Drive a cluster through the Run*/Now/EngineStats methods.
 type Cluster struct {
 	E     *sim.Engine
 	Net   *netsim.Network
 	Nodes []*Node
 
-	// Coord and Fab are set only by NewShardedCluster with shards > 1.
+	// Coord and Fab are never nil.
 	Coord *sim.Coordinator
 	Fab   *netsim.Fabric
 
-	// shardObs holds one observability layer per shard (EnableObs fills it;
-	// length 1 on a classic cluster).
+	// shardObs holds one observability layer per shard (EnableObs fills it).
 	shardObs []*obs.Obs
 }
 
@@ -162,27 +161,18 @@ func DefaultClusterConfig() ClusterConfig {
 	}
 }
 
-// NewCluster builds n workstations on a fresh engine.
+// NewCluster builds n workstations on one shard.
 func NewCluster(seed int64, n int, cfg ClusterConfig) *Cluster {
-	e := sim.NewEngine(seed)
-	net := netsim.New(e, cfg.Net, n)
-	c := &Cluster{E: e, Net: net}
-	for i := 0; i < n; i++ {
-		c.Nodes = append(c.Nodes, NewNode(e, net, netsim.NodeID(i), cfg.NIC, cfg.OS))
-	}
-	return c
+	return NewShardedCluster(seed, n, 1, cfg)
 }
 
 // NewShardedCluster builds n workstations across shards engines
 // synchronized by conservative lookahead: each shard owns the hosts of a
 // contiguous block of leaves (its NIs, drivers, and procs all run on that
 // shard's engine) and cross-shard packets travel through the coordinator's
-// exchange. shards <= 1 returns the classic single-engine cluster, which
-// reproduces unsharded runs byte-identically.
+// exchange. Shard 0 keeps the master seed, so one shard draws the PRNG
+// stream sim.NewEngine(seed) would.
 func NewShardedCluster(seed int64, n, shards int, cfg ClusterConfig) *Cluster {
-	if shards <= 1 {
-		return NewCluster(seed, n, cfg)
-	}
 	coord := sim.NewCoordinator(seed, shards, netsim.Lookahead(cfg.Net))
 	fab := netsim.NewFabric(coord, cfg.Net, n)
 	c := &Cluster{E: coord.Engine(0), Net: fab.Shard(0), Coord: coord, Fab: fab}
@@ -193,92 +183,43 @@ func NewShardedCluster(seed int64, n, shards int, cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// Shards returns the number of engine shards (1 for a classic cluster).
-func (c *Cluster) Shards() int {
-	if c.Coord == nil {
-		return 1
-	}
-	return c.Coord.Shards()
-}
+// Shards returns the number of engine shards.
+func (c *Cluster) Shards() int { return c.Coord.Shards() }
 
-// ShardEngine returns shard s's engine (the cluster engine for a classic
-// cluster).
-func (c *Cluster) ShardEngine(s int) *sim.Engine {
-	if c.Coord == nil {
-		return c.E
-	}
-	return c.Coord.Engine(s)
-}
+// ShardEngine returns shard s's engine.
+func (c *Cluster) ShardEngine(s int) *sim.Engine { return c.Coord.Engine(s) }
 
-// ShardNet returns shard s's network replica (the cluster network for a
-// classic cluster).
-func (c *Cluster) ShardNet(s int) *netsim.Network {
-	if c.Fab == nil {
-		return c.Net
-	}
-	return c.Fab.Shard(s)
-}
+// ShardNet returns shard s's network replica.
+func (c *Cluster) ShardNet(s int) *netsim.Network { return c.Fab.Shard(s) }
 
 // EngineFor returns the engine that owns node id — where events touching
 // that node's state must be scheduled.
 func (c *Cluster) EngineFor(id netsim.NodeID) *sim.Engine { return c.Nodes[id].E }
 
-// NetFor returns the network replica that owns node id's access links (the
-// cluster network for a classic cluster).
+// NetFor returns the network replica that owns node id's access links.
 func (c *Cluster) NetFor(id netsim.NodeID) *netsim.Network {
-	return c.ShardNet(c.shardIdxOf(id))
+	return c.Fab.Shard(c.Fab.ShardOf(id))
 }
 
 // RunFor advances the cluster d of virtual time.
-func (c *Cluster) RunFor(d sim.Duration) {
-	if c.Coord != nil {
-		c.Coord.RunFor(d)
-		return
-	}
-	c.E.RunFor(d)
-}
+func (c *Cluster) RunFor(d sim.Duration) { c.Coord.RunFor(d) }
 
 // RunUntil advances the cluster to virtual time t.
-func (c *Cluster) RunUntil(t sim.Time) {
-	if c.Coord != nil {
-		c.Coord.RunUntil(t)
-		return
-	}
-	c.E.RunUntil(t)
-}
+func (c *Cluster) RunUntil(t sim.Time) { c.Coord.RunUntil(t) }
 
 // Run processes events until no shard has any pending.
-func (c *Cluster) Run() {
-	if c.Coord != nil {
-		c.Coord.Run()
-		return
-	}
-	c.E.Run()
-}
+func (c *Cluster) Run() { c.Coord.Run() }
 
-// Now returns the cluster's virtual time (the last barrier for a sharded
-// cluster).
-func (c *Cluster) Now() sim.Time {
-	if c.Coord != nil {
-		return c.Coord.Now()
-	}
-	return c.E.Now()
-}
+// Now returns the cluster's virtual time (the last barrier when there is
+// more than one shard).
+func (c *Cluster) Now() sim.Time { return c.Coord.Now() }
 
 // EngineStats returns engine activity counters summed across shards.
-func (c *Cluster) EngineStats() sim.Stats {
-	if c.Coord != nil {
-		return c.Coord.Stats()
-	}
-	return c.E.Stats()
-}
+func (c *Cluster) EngineStats() sim.Stats { return c.Coord.Stats() }
 
 // NetTotals returns fabric-wide sent/delivered/dropped/corrupted counts.
 func (c *Cluster) NetTotals() (sent, delivered, dropped, corrupted int64) {
-	if c.Fab != nil {
-		return c.Fab.Totals()
-	}
-	return c.Net.Sent, c.Net.Delivered, c.Net.Dropped, c.Net.Corrupted
+	return c.Fab.Totals()
 }
 
 // Shutdown stops all simulated threads.
@@ -287,9 +228,5 @@ func (c *Cluster) Shutdown() {
 		n.NIC.Stop()
 		n.Driver.Stop()
 	}
-	if c.Coord != nil {
-		c.Coord.Shutdown()
-		return
-	}
-	c.E.Shutdown()
+	c.Coord.Shutdown()
 }

@@ -19,14 +19,15 @@ import (
 // against each other but take a different random stream than untraced runs.
 // Metrics-only (SampleEvery == 0) draws nothing and perturbs nothing.
 //
-// On a sharded cluster each shard gets its own observability layer on its
-// own engine — a node's counters register with its shard's registry and a
-// node's sampled flights finalize into its shard's tracer arena, so neither
-// is ever touched from two shards. A traced packet that crosses the fabric
-// hands its flight off at the boundary: the source shard finalizes its
-// segment, only the 64-bit trace identity rides the exchange, and the
-// destination shard's replica opens a continuation from its own arena (the
-// tracer installed here via SetTracer). MergedSnapshot and MergedFlights
+// Each shard gets its own observability layer on its own engine (one layer
+// when there is one shard) — a node's counters register with its shard's
+// registry and a node's sampled flights finalize into its shard's tracer
+// arena, so neither is ever touched from two shards. A traced packet that
+// crosses the fabric between shards hands its flight off at the boundary:
+// the source shard finalizes its segment, only the 64-bit trace identity
+// rides the exchange, and the destination shard's replica opens a
+// continuation from its own arena (the tracer installed here via
+// SetTracer). MergedSnapshot and MergedFlights
 // stitch the per-shard streams back into one deterministic timeline — span
 // ids carry the shard in their high bits, so the merge order is exactly
 // (time, shard, seq). The fabric aggregate gauges (net.sent and friends)
@@ -41,7 +42,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 		c.ShardNet(s).SetTracer(o.T)
 	}
 	for _, n := range c.Nodes {
-		sh := c.shardIdxOf(n.ID)
+		sh := c.Fab.ShardOf(n.ID)
 		o := c.shardObs[sh]
 		n.Obs = o
 		o.R.AddCounters(fmt.Sprintf("nic.n%d", int(n.ID)), n.NIC.C)
@@ -67,7 +68,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 	o0.R.AddGauge("net.corrupted", func() float64 { _, _, _, x := c.NetTotals(); return float64(x) })
 	o0.R.AddFunc("link", func() []obs.KV {
 		var out []obs.KV
-		for _, lc := range c.linkCounters() {
+		for _, lc := range c.Fab.PerLinkCounters() {
 			if lc.Sent == 0 && lc.Dropped == 0 {
 				continue
 			}
@@ -81,35 +82,9 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 	return o0
 }
 
-// shardIdxOf returns the shard owning host id (0 for a classic cluster).
-func (c *Cluster) shardIdxOf(id netsim.NodeID) int {
-	if c.Fab == nil {
-		return 0
-	}
-	return c.Fab.ShardOf(id)
-}
-
-// linkCounters returns fabric-wide per-link counters: the single network's
-// for a classic cluster, merged across replicas for a sharded one.
-func (c *Cluster) linkCounters() []netsim.LinkCounters {
-	if c.Fab != nil {
-		return c.Fab.PerLinkCounters()
-	}
-	return c.Net.PerLinkCounters()
-}
-
-// Obs returns the cluster's observability layer, nil before EnableObs.
-// For a sharded cluster this is shard 0's layer, which carries the
-// fabric-wide aggregates.
-func (c *Cluster) Obs() *obs.Obs {
-	if len(c.shardObs) > 0 {
-		return c.shardObs[0]
-	}
-	if len(c.Nodes) == 0 {
-		return nil
-	}
-	return c.Nodes[0].Obs
-}
+// Obs returns the cluster's observability layer, nil before EnableObs: shard
+// 0's, which carries the fabric-wide aggregates.
+func (c *Cluster) Obs() *obs.Obs { return c.ShardObs(0) }
 
 // ShardObs returns shard s's observability layer (nil before EnableObs).
 func (c *Cluster) ShardObs(s int) *obs.Obs {
@@ -120,8 +95,8 @@ func (c *Cluster) ShardObs(s int) *obs.Obs {
 }
 
 // MergedSnapshot snapshots every shard's registry and merges them in shard
-// order — one deterministic metrics stream for the whole sharded cluster.
-// Call it only while the cluster is paused between runs.
+// order — one deterministic metrics stream for the whole cluster. Call it
+// only while the cluster is paused between runs.
 func (c *Cluster) MergedSnapshot() obs.Snap {
 	snaps := make([]obs.Snap, 0, len(c.shardObs))
 	for _, o := range c.shardObs {
@@ -130,11 +105,9 @@ func (c *Cluster) MergedSnapshot() obs.Snap {
 	return obs.MergeSnaps(snaps)
 }
 
-// ShardOfNode maps a host id to the shard that owns it (always 0 on a
-// classic cluster) — the track-labeling callback trace exporters want.
-func (c *Cluster) ShardOfNode(id int) int {
-	return c.shardIdxOf(netsim.NodeID(id))
-}
+// ShardOfNode maps a host id to the shard that owns it — the track-labeling
+// callback trace exporters want.
+func (c *Cluster) ShardOfNode(id int) int { return c.Fab.ShardOf(netsim.NodeID(id)) }
 
 // Tracers returns every shard's flight-recorder arena in shard order (nil
 // entries when tracing is off). Like MergedSnapshot, touch it only while

@@ -1,11 +1,14 @@
 package hostos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"virtnet/internal/netsim"
+	"virtnet/internal/nic"
 	"virtnet/internal/obs"
+	"virtnet/internal/sim"
 )
 
 func TestShardedClusterWiring(t *testing.T) {
@@ -41,14 +44,84 @@ func TestShardedClusterWiring(t *testing.T) {
 	}
 }
 
-func TestShardedClusterFallsBackToClassic(t *testing.T) {
-	c := NewShardedCluster(1, 10, 1, DefaultClusterConfig())
-	defer c.Shutdown()
-	if c.Coord != nil || c.Fab != nil || c.Shards() != 1 {
-		t.Fatalf("1-shard cluster should be classic")
+// pingPong runs eight seeded ping-pong pairs (node i with node i+8) over raw
+// send descriptors for 5 ms, advancing the cluster through drive, and returns
+// everything a driver can observe of where the run ended.
+func pingPong(t *testing.T, c *Cluster, drive func(sim.Duration)) string {
+	t.Helper()
+	segs := make([]*Segment, 16)
+	for i := range segs {
+		segs[i] = c.Nodes[i].Driver.CreateEndpoint(uint64(100 + i))
 	}
-	if c.ShardEngine(0) != c.E || c.ShardNet(0) != c.Net {
-		t.Fatalf("classic shard accessors must alias E/Net")
+	rounds := 0
+	for i := 0; i < 16; i++ {
+		peer := (i + 8) % 16
+		c.Nodes[i].Spawn("pingpong", func(p *sim.Proc) {
+			for id := uint64(1); ; id++ {
+				if i < 8 { // the ping side sends first
+					sendVia(c, p, i, segs[i], &nic.SendDesc{DstNI: netsim.NodeID(peer), DstEP: segs[peer].EP.ID, Key: uint64(100 + peer), Handler: 1, MsgID: id})
+				}
+				for {
+					if m, ok := segs[i].EP.PopRecv(p.Now()); ok {
+						m.Free()
+						break
+					}
+					p.Sleep(sim.Microsecond + sim.Duration(c.Nodes[i].E.Rand().Intn(2000)))
+				}
+				if i >= 8 {
+					sendVia(c, p, i, segs[i], &nic.SendDesc{DstNI: netsim.NodeID(peer), DstEP: segs[peer].EP.ID, Key: uint64(100 + peer), Handler: 1, MsgID: id})
+				} else {
+					rounds++
+				}
+			}
+		})
+	}
+	for k := 0; k < 5; k++ {
+		drive(sim.Millisecond)
+	}
+	sent, delivered, dropped, corrupted := c.NetTotals()
+	return fmt.Sprintf("rounds=%d now=%d stats=%+v net=%d/%d/%d/%d",
+		rounds, c.Now(), c.EngineStats(), sent, delivered, dropped, corrupted)
+}
+
+// One shard is the N=1 case of the sharded cluster, whichever constructor
+// built it: the coordinator and fabric are there, shard 0 is E and Net, and
+// driving the cluster through its own Run methods is the same run as driving
+// its one engine directly.
+func TestOneShardClusterIsTheSameObject(t *testing.T) {
+	build := []struct {
+		name string
+		mk   func() *Cluster
+	}{
+		{"NewCluster", func() *Cluster { return NewCluster(7, 16, DefaultClusterConfig()) }},
+		{"NewShardedCluster", func() *Cluster { return NewShardedCluster(7, 16, 1, DefaultClusterConfig()) }},
+	}
+	var ends []string
+	for _, b := range build {
+		name := b.name
+		for _, direct := range []bool{false, true} {
+			c := b.mk()
+			if c.Coord == nil || c.Fab == nil || c.Shards() != 1 {
+				t.Fatalf("%s: Coord=%v Fab=%v Shards=%d", name, c.Coord, c.Fab, c.Shards())
+			}
+			if c.ShardEngine(0) != c.E || c.ShardNet(0) != c.Net || c.NetFor(15) != c.Net {
+				t.Fatalf("%s: shard 0 must be E and Net", name)
+			}
+			drive := c.RunFor
+			if direct {
+				drive = c.E.RunFor
+			}
+			ends = append(ends, pingPong(t, c, drive))
+			c.Shutdown()
+		}
+	}
+	if strings.HasPrefix(ends[0], "rounds=0 ") {
+		t.Fatalf("no ping-pong traffic: %s", ends[0])
+	}
+	for _, e := range ends[1:] {
+		if e != ends[0] {
+			t.Fatalf("one-shard runs differ:\n  %s\n  %s", ends[0], e)
+		}
 	}
 }
 

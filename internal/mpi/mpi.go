@@ -338,7 +338,7 @@ func (c *Comm) probe(p *sim.Proc, src int) {
 func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 	t0 := p.Now()
 	defer func() { c.CommTime += p.Now().Sub(t0) }()
-	wait := sim.Microsecond
+	wait := core.Backoff{Base: sim.Microsecond, Cap: 100 * sim.Microsecond}
 	nextProbe := p.Now().Add(probeAfter)
 	for {
 		for i, m := range c.complete {
@@ -366,14 +366,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 			c.probe(p, src)
 			nextProbe = p.Now().Add(probeAfter)
 		}
-		if c.ep.Poll(p) == 0 {
-			p.Sleep(wait)
-			if wait < 100*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Microsecond
-		}
+		c.ep.PollBackoff(p, &wait)
 	}
 }
 

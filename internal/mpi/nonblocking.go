@@ -61,7 +61,9 @@ func (r *Request) Test(p *sim.Proc) bool {
 }
 
 // Wait blocks until the request completes and returns the received data
-// (nil for sends).
+// (nil for sends). Its loop is not core.PollBackoff: it sleeps after a turn
+// that dispatched something other than its own message, and its tick never
+// resets, so the sleeps differ.
 func (r *Request) Wait(p *sim.Proc) ([]byte, error) {
 	wait := sim.Microsecond
 	for !r.done {

@@ -8,13 +8,14 @@
 // arrays; a replica only ever touches links on paths whose source or
 // destination host it owns, so no link state is shared between engines.
 //
-// Intra-shard packets take the classic single-engine path untouched. A
-// cross-shard packet splits its cut-through reservation at the path
-// midpoint: the source shard charges the first half (host uplink, leaf
-// uplink, and the core climb for cross-pod paths) against its replica,
-// estimates the second half on its own copies (serializing its own traffic
-// toward that receiver), and posts the packet through the exchange stamped
-// with its optimistic delivery time. The destination shard re-runs the
+// Intra-shard packets charge their whole path on their own replica (inject),
+// which is every packet when the fabric has one shard. A cross-shard packet
+// splits its cut-through reservation at the path midpoint, through the same
+// path-charge helpers: the source shard charges the first half (host
+// uplink, leaf uplink, and the core climb for cross-pod paths) against its
+// replica, estimates the second half on its own copies (serializing its own
+// traffic toward that receiver), and posts the packet through the exchange
+// stamped with its optimistic delivery time. The destination shard re-runs the
 // second half against its authoritative replica at apply time — receiver
 // admission gating, down links, burst loss, and last-hop contention all
 // happen where every packet for that host converges, so incast serializes
@@ -111,22 +112,20 @@ func (f *Fabric) Totals() (sent, delivered, dropped, corrupted int64) {
 	return
 }
 
-// PerLinkCounters merges every replica's per-link counters by link name,
-// in the fixed eachLink order. A physical link charged by two replicas (a
-// spine link split by a cross-shard reservation) reports the sum.
+// PerLinkCounters merges every replica's per-link counters by position:
+// every replica enumerates eachLink in the same fixed order. A physical link
+// charged by two replicas (a spine link split by a cross-shard reservation)
+// reports the sum.
 func (f *Fabric) PerLinkCounters() []LinkCounters {
 	base := f.nets[0].PerLinkCounters()
-	idx := make(map[string]int, len(base))
-	for i := range base {
-		idx[base[i].Name] = i
-	}
 	for _, n := range f.nets[1:] {
-		for _, lc := range n.PerLinkCounters() {
-			b := &base[idx[lc.Name]]
-			b.Sent += lc.Sent
-			b.Delivered += lc.Delivered
-			b.Dropped += lc.Dropped
-		}
+		i := 0
+		n.eachLink(func(L *link) {
+			base[i].Sent += L.sent
+			base[i].Delivered += L.delivered
+			base[i].Dropped += L.dropped
+			i++
+		})
 	}
 	return base
 }
@@ -155,100 +154,39 @@ type xfer struct {
 
 // sendCross injects a packet whose destination lives on another shard: the
 // source half of the path for real, the destination half as a local
-// estimate, then the exchange. The caller keeps its packet reference; no
-// transit reference is taken on this side.
+// estimate, then the exchange. The caller keeps its packet reference and no
+// transit reference is taken on this side, so a loss here releases nothing;
+// the pooled *Packet stays the sending NI's handle and a bit flip rides the
+// xfer by value.
 func (n *Network) sendCross(pkt *Packet, route int, dstShard int) {
 	n.Sent++
-	if n.cfg.DropProb > 0 && n.e.Rand().Float64() < n.cfg.DropProb {
-		n.Dropped++
-		n.hostUp[pkt.Src].dropped++
-		if pkt.Flight != nil {
-			pkt.Flight.Note("loss:fabric", n.e.Now())
-		}
+	if n.lostInFabric(pkt) {
 		return
 	}
 	links := n.path(pkt.Src, pkt.Dst, route)
 	half := len(links) / 2
-	for _, L := range links[:half] {
-		L.sent++
-		if L.down {
-			L.dropped++
-			n.Dropped++
-			if pkt.Flight != nil {
-				pkt.Flight.Note("loss:"+L.name, n.e.Now())
-			}
-			return
-		}
-		if g := L.ge; g != nil {
-			pl := g.lossGood
-			if g.bad {
-				pl = g.lossBad
-			}
-			if pl > 0 && n.e.Rand().Float64() < pl {
-				L.dropped++
-				n.Dropped++
-				if pkt.Flight != nil {
-					pkt.Flight.Note("burst-loss:"+L.name, n.e.Now())
-				}
-				return
-			}
-		}
+	if L, kind := n.cross(links[:half]); L != nil {
+		pkt.Flight.Note(kind+L.name, n.e.Now())
+		return
 	}
-	corrupt := pkt.Corrupt
-	if n.corrupt > 0 && !corrupt && n.e.Rand().Float64() < n.corrupt {
-		corrupt = true
-		n.Corrupted++
-		if pkt.Flight != nil {
-			pkt.Flight.Note("corrupt", n.e.Now())
-		}
-	}
-	for _, L := range links[:half] {
-		L.delivered++
-	}
-	tx := sim.Duration(float64(pkt.Size) * n.nsPerByte)
-	hop := n.cfg.SwitchLatency
+	corrupt := pkt.Corrupt || n.flips(pkt)
 	// Full-path cut-through reservation on this replica: authoritative for
 	// the source half, an estimate for the destination half that serializes
 	// this shard's own stream toward the receiver.
-	t0 := n.e.Now()
-	for {
-		shifted := false
-		for i, L := range links {
-			arr := t0.Add(sim.Duration(i) * hop)
-			if L.freeAt > arr {
-				t0 = t0.Add(L.freeAt.Sub(arr))
-				shifted = true
-				break
-			}
-		}
-		if !shifted {
-			break
-		}
-	}
-	for i, L := range links {
-		start := t0.Add(sim.Duration(i) * hop)
-		if i < half {
-			L.busy += tx
-		}
-		L.freeAt = start.Add(tx)
-	}
-	done := t0.Add(sim.Duration(len(links))*hop + tx)
+	t0 := n.reserve(links, n.e.Now())
+	done := n.occupy(links, half, t0, pkt)
 	x := xfer{
 		src: pkt.Src, dst: pkt.Dst, size: pkt.Size, payload: pkt.Payload,
 		control: pkt.Control, corrupt: corrupt, route: route,
-		headAt: t0.Add(sim.Duration(half) * hop),
+		headAt: t0.Add(sim.Duration(half) * n.cfg.SwitchLatency),
 	}
 	if fl := pkt.Flight; fl != nil && !fl.Done() {
-		// Record the source half of the cut-through schedule, then finalize
-		// this shard's segment at the instant the head crosses the midpoint.
-		// The destination opens a continuation at the same instant, so the
-		// two segments tile the packet's life. A retransmitted copy finds
-		// the flight already finalized and crosses untraced — one crossing,
-		// one continuation.
-		for i, L := range links[:half] {
-			start := t0.Add(sim.Duration(i) * hop)
-			fl.AddHop(L.name, start, start.Add(tx))
-		}
+		// occupy recorded the source half of the cut-through schedule; now
+		// finalize this shard's segment at the instant the head crosses the
+		// midpoint. The destination opens a continuation at the same instant,
+		// so the two segments tile the packet's life. A retransmitted copy
+		// finds the flight already finalized and crosses untraced — one
+		// crossing, one continuation.
 		x.traceID, x.srcSpan, x.kind = fl.TraceID, fl.Span, fl.Kind
 		fl.Handoff(x.headAt)
 	}
@@ -290,64 +228,15 @@ func (n *Network) applyCross(x xfer) {
 func (n *Network) injectTail(pkt *Packet, route int, headAt sim.Time) {
 	links := n.path(pkt.Src, pkt.Dst, route)
 	tail := links[len(links)/2:]
-	for _, L := range tail {
-		L.sent++
-		if L.down {
-			L.dropped++
-			n.Dropped++
-			// The source segment is already finalized, so a continuation
-			// lost on the destination half ends here: the retransmission
-			// that masks the loss crosses as a fresh untraced packet.
-			pkt.Flight.Drop(obs.StageWire, "loss:"+L.name, n.e.Now())
-			pkt.Release()
-			return
-		}
-		if g := L.ge; g != nil {
-			pl := g.lossGood
-			if g.bad {
-				pl = g.lossBad
-			}
-			if pl > 0 && n.e.Rand().Float64() < pl {
-				L.dropped++
-				n.Dropped++
-				pkt.Flight.Drop(obs.StageWire, "burst-loss:"+L.name, n.e.Now())
-				pkt.Release()
-				return
-			}
-		}
+	if L, kind := n.cross(tail); L != nil {
+		// The source segment is already finalized, so a continuation lost on
+		// the destination half ends here: the retransmission that masks the
+		// loss crosses as a fresh untraced packet.
+		pkt.Flight.Drop(obs.StageWire, kind+L.name, n.e.Now())
+		pkt.Release()
+		return
 	}
-	for _, L := range tail {
-		L.delivered++
-	}
-	tx := sim.Duration(float64(pkt.Size) * n.nsPerByte)
-	hop := n.cfg.SwitchLatency
-	s := headAt
-	for {
-		shifted := false
-		for i, L := range tail {
-			arr := s.Add(sim.Duration(i) * hop)
-			if L.freeAt > arr {
-				s = s.Add(L.freeAt.Sub(arr))
-				shifted = true
-				break
-			}
-		}
-		if !shifted {
-			break
-		}
-	}
-	for i, L := range tail {
-		start := s.Add(sim.Duration(i) * hop)
-		L.busy += tx
-		L.freeAt = start.Add(tx)
-	}
-	if pkt.Flight != nil {
-		for i, L := range tail {
-			start := s.Add(sim.Duration(i) * hop)
-			pkt.Flight.AddHop(L.name, start, start.Add(tx))
-		}
-	}
-	done := s.Add(sim.Duration(len(tail))*hop + tx)
+	done := n.occupy(tail, len(tail), n.reserve(tail, headAt), pkt)
 	if done < n.e.Now() {
 		// Re-admitted long after its computed schedule (parked behind the
 		// receiver's gate): deliver as soon as the clock allows.

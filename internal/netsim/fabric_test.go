@@ -16,6 +16,15 @@ import (
 // the time the classic single-engine path would, so the logs must be
 // identical at every shard count.
 func fabricLog(t testing.TB, seed int64, shards, hosts, sends int) []string {
+	log, _ := fabricRun(t, seed, shards, hosts, sends)
+	return log
+}
+
+// fabricRun is fabricLog plus what the schedule charged to every link, in
+// eachLink order: the merged sent/delivered/dropped counters and the busy
+// time summed over replicas. A cross-shard packet is charged half by each of
+// two replicas, so the sums must not depend on where the boundary falls.
+func fabricRun(t testing.TB, seed int64, shards, hosts, sends int) (log, links []string) {
 	cfg := DefaultConfig()
 	coord := sim.NewCoordinator(seed, shards, Lookahead(cfg))
 	defer coord.Shutdown()
@@ -49,12 +58,26 @@ func fabricLog(t testing.TB, seed int64, shards, hosts, sends int) []string {
 		})
 	}
 	coord.Run()
-	var out []string
 	for h := 0; h < hosts; h++ {
-		out = append(out, logs[h]...)
+		log = append(log, logs[h]...)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(log)
+	busy := make([]sim.Duration, 0, 4*hosts)
+	for s := 0; s < shards; s++ {
+		i := 0
+		fab.Shard(s).eachLink(func(L *link) {
+			if s == 0 {
+				busy = append(busy, 0)
+			}
+			busy[i] += L.busy
+			i++
+		})
+	}
+	for i, lc := range fab.PerLinkCounters() {
+		links = append(links, fmt.Sprintf("%s sent=%d delivered=%d dropped=%d busy=%d",
+			lc.Name, lc.Sent, lc.Delivered, lc.Dropped, busy[i]))
+	}
+	return log, links
 }
 
 // TestShardCountInvariance is the shard-determinism property: the same
@@ -62,12 +85,21 @@ func fabricLog(t testing.TB, seed int64, shards, hosts, sends int) []string {
 // 1, 2, 4, and 8 shards.
 func TestShardCountInvariance(t *testing.T) {
 	const hosts, sends = 60, 120
-	base := fabricLog(t, 3, 1, hosts, sends)
+	base, baseLinks := fabricRun(t, 3, 1, hosts, sends)
 	if len(base) != sends {
 		t.Fatalf("baseline delivered %d of %d", len(base), sends)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		got := fabricLog(t, 3, shards, hosts, sends)
+		got, links := fabricRun(t, 3, shards, hosts, sends)
+		// Delivery times alone do not see a midpoint link charged twice or
+		// not at all by the two halves of a split path; the per-link
+		// charges do.
+		for i := range baseLinks {
+			if links[i] != baseLinks[i] {
+				t.Fatalf("shards=%d charges a link differently:\n  1 shard: %s\n  %d shards: %s",
+					shards, baseLinks[i], shards, links[i])
+			}
+		}
 		if fmt.Sprint(got) != fmt.Sprint(base) {
 			for i := range base {
 				if i >= len(got) || got[i] != base[i] {
@@ -137,6 +169,99 @@ func TestCrossShardCountersConserve(t *testing.T) {
 	for s := 0; s < fab.Shards(); s++ {
 		if err := fab.Shard(s).VerifyPoolLocality(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// poolFree counts the packets on a replica's free list.
+func poolFree(n *Network) int {
+	k := 0
+	for p := n.freePkt; p != nil; p = p.fnext {
+		k++
+	}
+	return k
+}
+
+// TestCrossShardLossChargedOnce sends one pooled packet from host 0 to host
+// 15 — leaves 0 and 3, so the path h0->leaf, leaf0->spine0, spine0->leaf3,
+// leaf->h15 splits between shards 0 and 1 when there are two — into a fabric
+// that loses it in the source half, in the destination half, or uniformly.
+// Wherever the boundary falls the loss is counted once, on the same link,
+// and every packet reference goes back to the pool of the replica it came
+// from exactly once (an over-release panics).
+func TestCrossShardLossChargedOnce(t *testing.T) {
+	cases := []struct {
+		name   string
+		drop   float64
+		breakL func(n *Network)
+		lostOn string
+		// crossed: the loss is on the destination half, so with two shards
+		// the packet goes through the exchange and dies on the far replica.
+		crossed bool
+	}{
+		{"source half down", 0, func(n *Network) { n.SetUplinkDown(0, 0, true) }, "leaf0->spine0", false},
+		{"destination half down", 0, func(n *Network) { n.SetUplinkDown(3, 0, true) }, "spine0->leaf3", true},
+		{"DropProb 1", 1, func(n *Network) {}, "h0->leaf", false},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.DropProb = tc.drop
+			coord := sim.NewCoordinator(1, shards, Lookahead(cfg))
+			fab := NewFabric(coord, cfg, 20)
+			for s := 0; s < shards; s++ {
+				tc.breakL(fab.Shard(s))
+				for h := 0; h < 20; h++ {
+					fab.Shard(s).Attach(NodeID(h), func(*Packet) { t.Errorf("%s: lost packet delivered", tc.name) })
+				}
+			}
+			if fab.ShardOf(0) != 0 || fab.ShardOf(15) != shards-1 {
+				t.Fatalf("host 0 on shard %d, host 15 on shard %d", fab.ShardOf(0), fab.ShardOf(15))
+			}
+			src, dst := fab.Shard(0), fab.Shard(shards-1)
+			coord.Engine(0).AfterFunc(10, func() {
+				pkt := src.AllocPacket()
+				pkt.Src, pkt.Dst, pkt.Size = 0, 15, 150
+				src.Send(pkt, 0)
+				pkt.Release() // the sender's handle; the transit reference is the fabric's
+			})
+			coord.Run()
+			coord.Shutdown()
+			where := fmt.Sprintf("%s, %d shards", tc.name, shards)
+			if sent, del, drop, _ := fab.Totals(); sent != 1 || del != 0 || drop != 1 {
+				t.Fatalf("%s: sent=%d delivered=%d dropped=%d, want 1/0/1", where, sent, del, drop)
+			}
+			lossReplica := src
+			if tc.crossed {
+				lossReplica = dst
+			}
+			if lossReplica.Dropped != 1 {
+				t.Fatalf("%s: the drop was not counted by the replica that owns %s", where, tc.lostOn)
+			}
+			for _, lc := range fab.PerLinkCounters() {
+				if want := lc.Name == tc.lostOn; (lc.Dropped == 1) != want || lc.Dropped > 1 {
+					t.Fatalf("%s: %s dropped=%d, want the one drop on %s", where, lc.Name, lc.Dropped, tc.lostOn)
+				}
+			}
+			_, exchanged := coord.ExchangeStats()
+			if want := tc.crossed && shards == 2; (exchanged == 1) != want {
+				t.Fatalf("%s: %d packets crossed the exchange", where, exchanged)
+			}
+			// One packet came out of the source pool; a crossing takes a
+			// second from the destination's. Each is back where it came from.
+			wantFree := map[*Network]int{src: 1}
+			if exchanged == 1 {
+				wantFree[dst] = 1
+			}
+			for s := 0; s < shards; s++ {
+				n := fab.Shard(s)
+				if err := n.VerifyPoolLocality(); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if got := poolFree(n); got != wantFree[n] {
+					t.Fatalf("%s: shard %d pool holds %d free packets, want %d", where, s, got, wantFree[n])
+				}
+			}
 		}
 	}
 }

@@ -174,7 +174,7 @@ func DefaultBurstParams() BurstParams {
 
 // LinkCounters is one link's traffic totals.
 type LinkCounters struct {
-	Name                   string
+	Name                     string
 	Sent, Delivered, Dropped int64
 }
 
@@ -197,10 +197,12 @@ type Network struct {
 	coreUp   [][][]*link
 	coreDown [][][]*link
 	deliver  []func(*Packet)
-	// Shard identity when this Network is one replica of a sharded Fabric
-	// (fab nil for a classic standalone network). Each shard owns the hosts
-	// of a contiguous block of leaves; packets for hosts on other shards
-	// leave through the coordinator's exchange in sendCross.
+	// Shard identity: this Network is replica shard of fab. Each shard owns
+	// the hosts of a contiguous block of leaves; packets for hosts on other
+	// shards leave through the coordinator's exchange in sendCross. fab is
+	// nil only for a network built by New on its own, with no coordinator
+	// (the GAM baseline and unit tests); every cluster has a Fabric, of one
+	// replica when it has one shard.
 	fab   *Fabric
 	shard int
 	// admission gates model hop-by-hop back pressure: when a receiver's
@@ -400,8 +402,8 @@ func (n *Network) Routes(src, dst NodeID) int {
 // path returns the ordered directed links from src to dst using the given
 // route index (spine selector for inter-leaf traffic). The returned slice
 // aliases a Network-owned scratch buffer: it is valid only until the next
-// call, which is fine for inject (the sole caller), which walks it
-// synchronously.
+// call, which is fine for its callers (inject, sendCross, injectTail), which
+// walk it synchronously.
 func (n *Network) path(src, dst NodeID, route int) []*link {
 	if src == dst {
 		return nil
@@ -491,6 +493,10 @@ func (n *Network) Blocked(id NodeID) int { return len(n.waitq[id]) }
 // Data packets for a receiver whose admission gate is closed wait in the
 // fabric and are released by Admit.
 func (n *Network) Send(pkt *Packet, route int) {
+	// The only place netsim asks whether it has a Fabric at all, and the
+	// sanctioned one: a Network that New built on its own, with no
+	// coordinator, owns every host. A one-shard Fabric takes the same branch
+	// as any other and simply never finds a foreign destination.
 	if n.fab != nil {
 		if d := int(n.fab.shardOfHost[pkt.Dst]); d != n.shard {
 			n.sendCross(pkt, route, d)
@@ -512,17 +518,12 @@ func (n *Network) Send(pkt *Packet, route int) {
 	n.inject(pkt, route)
 }
 
+// inject charges the whole path on this network: a same-shard (or
+// standalone) packet. It holds the transit reference Send took, so a lost
+// packet is released here.
 func (n *Network) inject(pkt *Packet, route int) {
 	n.Sent++
-	if n.cfg.DropProb > 0 && n.e.Rand().Float64() < n.cfg.DropProb {
-		n.Dropped++
-		if pkt.Src != pkt.Dst {
-			// Attribute the uniform fabric loss to the sender's access link.
-			n.hostUp[pkt.Src].dropped++
-		}
-		if pkt.Flight != nil {
-			pkt.Flight.Note("loss:fabric", n.e.Now())
-		}
+	if n.lostInFabric(pkt) {
 		pkt.Release()
 		return
 	}
@@ -531,20 +532,55 @@ func (n *Network) inject(pkt *Packet, route int) {
 		return
 	}
 	links := n.path(pkt.Src, pkt.Dst, route)
+	if L, kind := n.cross(links); L != nil {
+		// The NI transport masks the loss by retransmitting, and after
+		// bounded retries rebinds the message to a channel with a different
+		// route (§5.1) — reconfiguration is transparent. The retransmission
+		// continues the same flight, so the loss is only a note on it.
+		pkt.Flight.Note(kind+L.name, n.e.Now())
+		pkt.Release()
+		return
+	}
+	pkt.Corrupt = pkt.Corrupt || n.flips(pkt)
+	t0 := n.reserve(links, n.e.Now())
+	n.newTransit(pkt).timer.ResetAt(n.occupy(links, len(links), t0, pkt))
+}
+
+// The path charge. Every packet pays the same rule — reserve each link of
+// the path in a pipelined cut-through schedule, stall where a link is busy,
+// die where a link is down — and the five helpers below are its only
+// spelling. inject passes them the whole path; a cross-shard packet passes
+// the source half from sendCross and the destination half from injectTail.
+// The PRNG draw order per packet is fixed: DropProb, each link's burst loss
+// in path order, corruption.
+
+// lostInFabric draws the uniform Config.DropProb loss and accounts a hit,
+// attributed to the sender's access link.
+func (n *Network) lostInFabric(pkt *Packet) bool {
+	if n.cfg.DropProb <= 0 || n.e.Rand().Float64() >= n.cfg.DropProb {
+		return false
+	}
+	n.Dropped++
+	if pkt.Src != pkt.Dst {
+		n.hostUp[pkt.Src].dropped++
+	}
+	pkt.Flight.Note("loss:fabric", n.e.Now())
+	return true
+}
+
+// cross counts a packet onto each of links in path order. It stops at the
+// first link that loses it — swapped out (§3.2), or a draw against the
+// link's Gilbert–Elliott state — and returns that link with the flight
+// annotation prefix naming the cause; the caller owns the packet reference
+// and the flight, so it decides what a loss does to them. A nil link means
+// the packet crossed every link and is counted delivered on each.
+func (n *Network) cross(links []*link) (lostOn *link, kind string) {
 	for _, L := range links {
 		L.sent++
 		if L.down {
-			// The route crosses a swapped-out link or switch: the packet
-			// is lost. The NI transport masks this by retransmitting, and
-			// after bounded retries rebinds the message to a channel with
-			// a different route (§5.1) — reconfiguration is transparent.
 			L.dropped++
 			n.Dropped++
-			if pkt.Flight != nil {
-				pkt.Flight.Note("loss:"+L.name, n.e.Now())
-			}
-			pkt.Release()
-			return
+			return L, "loss:"
 		}
 		if g := L.ge; g != nil {
 			pl := g.lossGood
@@ -554,59 +590,59 @@ func (n *Network) inject(pkt *Packet, route int) {
 			if pl > 0 && n.e.Rand().Float64() < pl {
 				L.dropped++
 				n.Dropped++
-				if pkt.Flight != nil {
-					pkt.Flight.Note("burst-loss:"+L.name, n.e.Now())
-				}
-				pkt.Release()
-				return
+				return L, "burst-loss:"
 			}
-		}
-	}
-	if n.corrupt > 0 && !pkt.Corrupt && n.e.Rand().Float64() < n.corrupt {
-		pkt.Corrupt = true
-		n.Corrupted++
-		if pkt.Flight != nil {
-			pkt.Flight.Note("corrupt", n.e.Now())
 		}
 	}
 	for _, L := range links {
 		L.delivered++
 	}
-	tx := sim.Duration(float64(pkt.Size) * n.nsPerByte)
-	hop := n.cfg.SwitchLatency
+	return nil, ""
+}
 
-	// Pipelined cut-through reservation with stall propagation: find the
-	// earliest t0 such that every link i is free at t0 + i*hop.
-	t0 := n.e.Now()
-	for {
-		shifted := false
-		for i, L := range links {
-			arr := t0.Add(sim.Duration(i) * hop)
-			if L.freeAt > arr {
-				t0 = t0.Add(L.freeAt.Sub(arr))
-				shifted = true
-				break
-			}
-		}
-		if !shifted {
-			break
+// flips draws the fault-injection bit flip for a packet that has crossed its
+// links, and accounts a hit. A packet already flipped draws nothing: callers
+// test that first.
+func (n *Network) flips(pkt *Packet) bool {
+	if n.corrupt <= 0 || n.e.Rand().Float64() >= n.corrupt {
+		return false
+	}
+	n.Corrupted++
+	pkt.Flight.Note("corrupt", n.e.Now())
+	return true
+}
+
+// reserve finds the pipelined cut-through slot with stall propagation: the
+// earliest t0 >= from such that every link i is free at t0 + i*hop. One pass
+// finds it — a stall at link i only moves later the instants at which the
+// links before it, already free, are needed.
+func (n *Network) reserve(links []*link, from sim.Time) sim.Time {
+	for i, L := range links {
+		if arr := from.Add(sim.Duration(i) * n.cfg.SwitchLatency); L.freeAt > arr {
+			from = from.Add(L.freeAt.Sub(arr))
 		}
 	}
+	return from
+}
+
+// occupy commits the schedule reserve found: link i is held for the packet's
+// transmission time from t0 + i*hop. The first own links are charged for
+// real — cumulative busy time, and the interval on a traced packet's flight,
+// in path order; the rest are only held, as the sender's estimate of a half
+// of the path another shard charges. Returns when the tail clears the last
+// link.
+func (n *Network) occupy(links []*link, own int, t0 sim.Time, pkt *Packet) sim.Time {
+	tx := n.TxTime(pkt.Size)
+	hop := n.cfg.SwitchLatency
 	for i, L := range links {
 		start := t0.Add(sim.Duration(i) * hop)
-		L.busy += tx
 		L.freeAt = start.Add(tx)
-	}
-	if pkt.Flight != nil {
-		// Record the cut-through schedule: the interval each link is
-		// occupied by this packet, in path order.
-		for i, L := range links {
-			start := t0.Add(sim.Duration(i) * hop)
-			pkt.Flight.AddHop(L.name, start, start.Add(tx))
+		if i < own {
+			L.busy += tx
+			pkt.Flight.AddHop(L.name, start, L.freeAt)
 		}
 	}
-	done := t0.Add(sim.Duration(len(links))*hop + tx)
-	n.newTransit(pkt).timer.ResetAt(done)
+	return t0.Add(sim.Duration(len(links))*hop + tx)
 }
 
 func (n *Network) handoff(pkt *Packet) {

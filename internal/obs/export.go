@@ -199,7 +199,7 @@ func writeChromeTrace(w io.Writer, nodes int, flights []*Flight, shardOfNode fun
 			pid, tid := trackFor(f, f.DropStage)
 			events = append(events, instantEvent{
 				Name: fmt.Sprintf("drop@%s: %s", f.DropStage, f.DropReason),
-				Ph: "i", Ts: usec(f.End), Pid: pid, Tid: tid, S: "t", Args: args,
+				Ph:   "i", Ts: usec(f.End), Pid: pid, Tid: tid, S: "t", Args: args,
 			})
 		}
 	}

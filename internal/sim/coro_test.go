@@ -4,7 +4,28 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
+
+// settledGoroutines reads runtime.NumGoroutine once it holds still. A
+// goroutine that has run its last statement — a finished test's runner, a
+// coordinator worker past its WaitGroup.Done — stays counted until the
+// runtime retires it a few instructions later, possibly on another thread;
+// nothing in this package announces that, so give it a millisecond at a time
+// while the count is still moving. A leaked goroutine holds the count up, and
+// the exact comparisons below fail on it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
 
 // Kill unwinds the victim before it returns, wherever the victim is parked
 // and whoever the killer is: nothing after the park runs, deferred functions
@@ -104,7 +125,7 @@ func TestKillRunningProcPanics(t *testing.T) {
 // Shutdown is synchronous whatever state a proc is in: when it returns every
 // coroutine has exited.
 func TestShutdownReleasesEveryCoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEngine(1)
 	c := NewCond(e)
 	deferred := 0
@@ -121,9 +142,7 @@ func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 		t.Fatal("live procs hold no goroutines: the test measures nothing")
 	}
 	e.Shutdown()
-	// Not !=: an earlier test's coordinator workers may still have been
-	// exiting when before was read.
-	if got := runtime.NumGoroutine(); got > before {
+	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("%d goroutines after Shutdown, %d before the first Spawn", got, before)
 	}
 	if deferred != 16 || len(e.procs) != 0 {

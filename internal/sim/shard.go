@@ -29,6 +29,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // xev is one staged cross-shard event: fn runs on the destination shard's
@@ -56,7 +57,10 @@ func xevOrder(a, z xev) int {
 // Coordinator synchronizes a set of per-shard engines with conservative
 // lookahead barriers. A coordinator with one shard degenerates to direct
 // calls on the single engine — no workers, no barriers, no exchange — so a
-// 1-shard run is byte-identical to an unsharded one.
+// 1-shard run is byte-identical to a bare engine's. Those direct calls (in
+// Now, RunUntil and Run) are the sanctioned N=1 special case: every cluster
+// is built on a Coordinator whatever its shard count, so that nothing above
+// this file has to ask.
 type Coordinator struct {
 	engines []*Engine
 	window  Duration
@@ -70,9 +74,10 @@ type Coordinator struct {
 	seqs   []uint64
 	merged []xev // barrier scratch
 
-	runCh  []chan Time
-	doneCh []chan struct{}
-	live   bool
+	runCh   []chan Time
+	doneCh  []chan struct{}
+	live    bool
+	workers sync.WaitGroup // the live worker goroutines; Shutdown waits on it
 
 	// Barrier-protocol counters, surfaced by ExchangeStats.
 	barriers  uint64
@@ -148,7 +153,9 @@ func (c *Coordinator) ensureWorkers() {
 	}
 	c.live = true
 	for i := range c.engines {
+		c.workers.Add(1)
 		go func(i int) {
+			defer c.workers.Done()
 			for b := range c.runCh[i] {
 				c.engines[i].RunUntil(b)
 				c.doneCh[i] <- struct{}{}
@@ -286,13 +293,15 @@ func (c *Coordinator) ExchangeStats() (barriers, exchanged uint64) {
 	return c.barriers, c.exchanged
 }
 
-// Shutdown stops the worker goroutines and kills every shard's procs.
+// Shutdown stops the worker goroutines, waits for them to exit, and kills
+// every shard's procs. A second call finds nothing left to stop.
 func (c *Coordinator) Shutdown() {
 	if c.live {
 		c.live = false
 		for i := range c.runCh {
 			close(c.runCh[i])
 		}
+		c.workers.Wait()
 	}
 	for _, e := range c.engines {
 		e.Shutdown()

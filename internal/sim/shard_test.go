@@ -2,14 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestCoordinatorSingleShardBypass pins that a 1-shard coordinator drives
-// its engine directly (no workers, no barriers) — the path that keeps
-// unsharded goldens byte-identical.
+// its engine directly (no workers, no barriers) — the one sanctioned N=1
+// special case, which keeps one-shard goldens byte-identical to a bare
+// engine's.
 func TestCoordinatorSingleShardBypass(t *testing.T) {
+	before := settledGoroutines()
 	c := NewCoordinator(1, 1, 0) // lookahead unused at 1 shard
 	defer c.Shutdown()
 	var fired []Time
@@ -25,6 +28,45 @@ func TestCoordinatorSingleShardBypass(t *testing.T) {
 	}
 	if c.Now() != 100 {
 		t.Fatalf("Now = %d", c.Now())
+	}
+	c.Run()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("1-shard coordinator started a worker: %d goroutines, %d before", got, before)
+	}
+}
+
+// Shutdown returns only once every worker goroutine has exited, and has
+// nothing left to do the second time.
+func TestCoordinatorShutdownWaitsForWorkers(t *testing.T) {
+	const W = 100
+	// On one processor a worker gives way to the test goroutine only by
+	// blocking or exiting, which makes the count after Shutdown exact both
+	// ways: with the wait every worker has gone, not merely run its last
+	// statement; without it none of them has even been scheduled yet.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := settledGoroutines()
+	c := NewCoordinator(1, 4, W)
+	var landed [4]int // landed[s] is written by shard s's worker alone
+	for s := 0; s < 4; s++ {
+		e, peer := c.Engine(s), (s+1)%4
+		e.AfterFunc(10, func() {
+			e.PostRemote(peer, e.Now().Add(W), func() { landed[peer]++ })
+		})
+	}
+	c.RunFor(10 * W)
+	if landed != [4]int{1, 1, 1, 1} {
+		t.Fatalf("cross-shard posts landed %v, want one on each shard", landed)
+	}
+	if got := runtime.NumGoroutine(); got != before+4 {
+		t.Fatalf("%d goroutines mid-run, want %d (4 workers): the test measures nothing", got, before+4)
+	}
+	c.Shutdown()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Shutdown, %d before NewCoordinator", got, before)
+	}
+	c.Shutdown()
+	if c.live || runtime.NumGoroutine() != before {
+		t.Fatal("a second Shutdown is not a no-op")
 	}
 }
 

@@ -25,6 +25,10 @@ const (
 	hBarrier  = 6
 )
 
+// pollWait is the backed-off tick every blocking operation starts its wait
+// from (each takes a copy).
+var pollWait = core.Backoff{Base: sim.Microsecond, Cap: 50 * sim.Microsecond}
+
 // Rank is one participant: an endpoint plus its exposed heap.
 type Rank struct {
 	w    *World
@@ -211,16 +215,9 @@ func (r *Rank) Get(p *sim.Proc, dst, off, n int) ([]byte, error) {
 	if err := r.ep.Request(p, dst, hGet, [4]uint64{uint64(off), uint64(n), req}); err != nil {
 		return nil, err
 	}
-	wait := sim.Microsecond
+	wait := pollWait
 	for !slot.done {
-		if r.ep.Poll(p) == 0 {
-			p.Sleep(wait)
-			if wait < 50*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Microsecond
-		}
+		r.ep.PollBackoff(p, &wait)
 	}
 	delete(r.getSlots, req)
 	return slot.data, nil
@@ -234,16 +231,9 @@ func (r *Rank) Put(p *sim.Proc, dst, off int, data []byte) error {
 	if err := r.store(p, dst, off, data); err != nil {
 		return err
 	}
-	wait := sim.Microsecond
+	wait := pollWait
 	for r.storesDone == start && r.storesOut > start {
-		if r.ep.Poll(p) == 0 {
-			p.Sleep(wait)
-			if wait < 50*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Microsecond
-		}
+		r.ep.PollBackoff(p, &wait)
 	}
 	return nil
 }
@@ -268,16 +258,9 @@ func (r *Rank) store(p *sim.Proc, dst, off int, data []byte) error {
 func (r *Rank) StoreSync(p *sim.Proc) {
 	t0 := p.Now()
 	defer func() { r.CommTime += p.Now().Sub(t0) }()
-	wait := sim.Microsecond
+	wait := pollWait
 	for r.storesDone < r.storesOut {
-		if r.ep.Poll(p) == 0 {
-			p.Sleep(wait)
-			if wait < 50*sim.Microsecond {
-				wait *= 2
-			}
-		} else {
-			wait = sim.Microsecond
-		}
+		r.ep.PollBackoff(p, &wait)
 	}
 }
 
@@ -296,16 +279,9 @@ func (r *Rank) Barrier(p *sim.Proc) error {
 		if err := r.ep.Request(p, dst, hBarrier, [4]uint64{uint64(ep), uint64(round)}); err != nil {
 			return err
 		}
-		wait := sim.Microsecond
+		wait := pollWait
 		for !r.barrierSeen[[2]int{ep, round}] {
-			if r.ep.Poll(p) == 0 {
-				p.Sleep(wait)
-				if wait < 50*sim.Microsecond {
-					wait *= 2
-				}
-			} else {
-				wait = sim.Microsecond
-			}
+			r.ep.PollBackoff(p, &wait)
 		}
 		delete(r.barrierSeen, [2]int{ep, round})
 		round++

@@ -290,10 +290,10 @@ func TestQuantileInterpolation(t *testing.T) {
 	}{
 		{0, 100},
 		{1, 400},
-		{0.5, 250},        // position 1.5: midpoint of 200 and 300
-		{0.25, 175},       // position 0.75: 100 + 0.75*(200-100)
-		{1.0 / 3.0, 200},  // position 1.0: exact order statistic
-		{0.99, 397},       // position 2.97: 300 + 0.97*(400-300)
+		{0.5, 250},       // position 1.5: midpoint of 200 and 300
+		{0.25, 175},      // position 0.75: 100 + 0.75*(200-100)
+		{1.0 / 3.0, 200}, // position 1.0: exact order statistic
+		{0.99, 397},      // position 2.97: 300 + 0.97*(400-300)
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
@@ -317,7 +317,7 @@ func TestReservoirTailExactP999At1e6(t *testing.T) {
 	res := NewHistReservoir(4096, rand.New(rand.NewSource(7)))
 	for i := 0; i < n; i++ {
 		// Heavy-tailed stream: mostly ~1ms with a 1-in-500 tail up to ~1s.
-		d := sim.Duration(1+gen.Int63n(int64(sim.Millisecond))) //nolint
+		d := sim.Duration(1 + gen.Int63n(int64(sim.Millisecond))) //nolint
 		if gen.Intn(500) == 0 {
 			d += sim.Duration(gen.Int63n(int64(sim.Second)))
 		}
