@@ -9,40 +9,20 @@ import (
 
 	"virtnet/internal/bench"
 	"virtnet/internal/core"
-	"virtnet/internal/gam"
 	"virtnet/internal/hostos"
 	"virtnet/internal/logp"
-	"virtnet/internal/netsim"
 	"virtnet/internal/npb"
 	"virtnet/internal/sim"
 )
-
-func amPair(seed int64) (*hostos.Cluster, logp.Station, logp.Station) {
-	c := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
-	b0 := core.Attach(c.Nodes[0])
-	b1 := core.Attach(c.Nodes[1])
-	e0, _ := b0.NewEndpoint(1, 4)
-	e1, _ := b1.NewEndpoint(2, 4)
-	e0.Map(0, e1.Name(), 2)
-	e1.Map(0, e0.Name(), 1)
-	return c, logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}
-}
-
-func gamPair(seed int64) (*sim.Engine, *gam.World, logp.Station, logp.Station) {
-	e := sim.NewEngine(seed)
-	net := netsim.New(e, netsim.DefaultConfig(), 2)
-	w := gam.New(e, net, gam.DefaultConfig())
-	return e, w, logp.GAMStation{N: w.Node(0), Dst: 1}, logp.GAMStation{N: w.Node(1), Dst: 0}
-}
 
 // Fig. 3: LogP parameters for virtual networks (AM).
 func BenchmarkFig3LogPAM(b *testing.B) {
 	b.ReportAllocs()
 	var r logp.Result
 	for i := 0; i < b.N; i++ {
-		c, cl, sv := amPair(int64(i + 1))
-		r = logp.Measure(c.E, cl, sv, 50)
-		c.Shutdown()
+		e, cl, sv, shutdown := bench.AMPair(int64(i + 1))
+		r = logp.Measure(e, cl, sv, 50)
+		shutdown()
 	}
 	b.ReportMetric(r.Os.Micros(), "Os_us")
 	b.ReportMetric(r.G.Micros(), "gap_us")
@@ -54,10 +34,9 @@ func BenchmarkFig3LogPGAM(b *testing.B) {
 	b.ReportAllocs()
 	var r logp.Result
 	for i := 0; i < b.N; i++ {
-		e, w, cl, sv := gamPair(int64(i + 1))
+		e, cl, sv, shutdown := bench.GAMPair(int64(i + 1))
 		r = logp.Measure(e, cl, sv, 50)
-		w.Stop()
-		e.Shutdown()
+		shutdown()
 	}
 	b.ReportMetric(r.Os.Micros(), "Os_us")
 	b.ReportMetric(r.G.Micros(), "gap_us")
@@ -69,9 +48,9 @@ func BenchmarkFig4BandwidthAM(b *testing.B) {
 	b.ReportAllocs()
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		c, cl, sv := amPair(int64(i + 1))
-		mbps = logp.Bandwidth(c.E, cl, sv, 8192, 100)
-		c.Shutdown()
+		e, cl, sv, shutdown := bench.AMPair(int64(i + 1))
+		mbps = logp.Bandwidth(e, cl, sv, 8192, 100)
+		shutdown()
 	}
 	b.ReportMetric(mbps, "MB/s")
 }
@@ -81,10 +60,9 @@ func BenchmarkFig4BandwidthGAM(b *testing.B) {
 	b.ReportAllocs()
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		e, w, cl, sv := gamPair(int64(i + 1))
+		e, cl, sv, shutdown := bench.GAMPair(int64(i + 1))
 		mbps = logp.Bandwidth(e, cl, sv, 8192, 100)
-		w.Stop()
-		e.Shutdown()
+		shutdown()
 	}
 	b.ReportMetric(mbps, "MB/s")
 }

@@ -1,0 +1,125 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"virtnet/internal/bench"
+)
+
+// soakRuns are the soak invocations tier-1 holds to a committed transcript
+// (testdata/<name>.txt: what the run printed at the last commit that meant
+// to change it). After a change that moves one on purpose, regenerate it
+// with `go run ./cmd/vnstress <args> > cmd/vnstress/testdata/<name>.txt`.
+// The rows marked twice run a second time in the same process, which must
+// print the same bytes: one single-shard soak and one 4-shard soak.
+var soakRuns = []struct {
+	name  string
+	twice bool
+	args  string
+}{
+	{"mesh", false, "-seed 7 -duration 0.5"},
+	{"mesh_faultplan", false, "-seed 7 -duration 0.5 -faultplan spine:0@0.1s+0.2s,burst:all@0.15s+0.3s:0.2,crash:node9@0.3s"},
+	{"mesh_coll_crash", false, "-seed 7 -duration 0.5 -coll -faultplan crash:node9@0.3s"},
+	{"chaos", true, "-chaos -seed 7 -duration 0.5"},
+	{"serve", false, "-serve -seed 1 -duration 0.3"},
+	{"serve_4shard", false, "-serve -shards 4 -nodes 32 -seed 1 -duration 0.2"},
+	{"shardsoak_4shard", true, "-shardsoak -shards 4 -seed 5 -duration 0.2"},
+	{"shardsoak_1shard", false, "-shardsoak -shards 1 -seed 5 -duration 0.2"},
+}
+
+// runSoak runs `vnstress args` in this process and returns its stdout. It
+// requires exit 0 — every invariant held — and that the run left the
+// goroutine count where it found it.
+func runSoak(t *testing.T, args string) []byte {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+		t.Fatalf("vnstress %s: exit %d\n%s", args, code, stderr.Bytes())
+	}
+	// Shutdown unwinds every proc before it returns, but a goroutine that
+	// has finished leaves the count a moment after.
+	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("vnstress %s leaked goroutines: %d before, %d after", args, before, after)
+	}
+	return stdout.Bytes()
+}
+
+// TestSoaks runs every soak at CI's settings, through the argument parser,
+// and compares what it prints with its transcript byte for byte. CI runs
+// this test under the race detector as well: procs of different shards run
+// on different goroutines, and the transcript cannot see what they share.
+func TestSoaks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight soaks (≈ 9 s)")
+	}
+	for _, r := range soakRuns {
+		t.Run(r.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", r.name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := 1
+			if r.twice {
+				runs = 2
+			}
+			for n := 1; n <= runs; n++ {
+				if got := runSoak(t, r.args); !bytes.Equal(got, want) {
+					t.Fatalf("run %d of vnstress %s departs from testdata/%s.txt:\n--- want\n%s--- got\n%s",
+						n, r.args, r.name, want, got)
+				}
+			}
+		})
+	}
+}
+
+func TestParseArgs(t *testing.T) {
+	def := bench.SoakParams{Seed: 1, Nodes: 12, Duration: 2.0, Drop: 0.02, Churn: true, Swap: true, Migrate: true}
+	with := func(edit func(*bench.SoakParams)) bench.SoakParams {
+		p := def
+		edit(&p)
+		return p
+	}
+	for _, c := range []struct {
+		args string
+		soak string // "" = a usage error
+		p    bench.SoakParams
+	}{
+		{"", "mesh", def},
+		{"-seed 2 -drop 0.05 -migrate=false", "mesh", with(func(p *bench.SoakParams) { p.Seed, p.Drop, p.Migrate = 2, 0.05, false })},
+		{"-chaos -duration 0.5", "chaos", with(func(p *bench.SoakParams) { p.Duration = 0.5 })},
+		{"-serve -shards 4 -nodes 32 -dash", "serve", with(func(p *bench.SoakParams) { p.Shards, p.Nodes, p.Dash = 4, 32, true })},
+		{"-shardsoak", "shardsoak", def},
+		// Used to run the shard soak and say nothing about -chaos: main took
+		// the first mode it tested for.
+		{"-chaos -shardsoak", "", def},
+		{"-serve -chaos", "", def},
+		{"chaos", "", def},
+		{"-nosuchflag", "", def},
+	} {
+		var stderr bytes.Buffer
+		o, err := parseArgs(strings.Fields(c.args), &stderr)
+		switch {
+		case c.soak == "" && err == nil:
+			t.Errorf("vnstress %s: accepted as the %s soak, want a usage error", c.args, o.soak.Name)
+		case c.soak == "" && stderr.Len() == 0:
+			t.Errorf("vnstress %s: rejected (%v) without a word on stderr", c.args, err)
+		case c.soak != "" && (err != nil || o.soak.Name != c.soak || !reflect.DeepEqual(o.p, c.p)):
+			t.Errorf("vnstress %s: parsed as %s %+v (err %v), want %s %+v", c.args, o.soak.Name, o.p, err, c.soak, c.p)
+		}
+	}
+	var stdout bytes.Buffer
+	if code := run([]string{"-chaos", "-shardsoak"}, &stdout, new(bytes.Buffer)); code != 2 || stdout.Len() != 0 {
+		t.Errorf("vnstress -chaos -shardsoak: exit %d and %d bytes of stdout, want 2 and none", code, stdout.Len())
+	}
+}

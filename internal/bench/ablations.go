@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
@@ -12,7 +15,6 @@ import (
 // Without the bound, the NI stays on the bulk endpoint while it has packets
 // to send, and the small endpoint's messages wait arbitrarily long.
 type LoiterResult struct {
-	NoLoiter  bool
 	BulkMBps  float64      // the hog's delivered bandwidth
 	PingP50   sim.Duration // the meek endpoint's median RTT
 	PingP99   sim.Duration
@@ -22,7 +24,7 @@ type LoiterResult struct {
 // RunLoiterAblation runs a bulk hog (streaming to three sinks, so its
 // logical channels never all exhaust) and a small-message ping endpoint on
 // the same node, with the loiter bound enabled or disabled.
-func RunLoiterAblation(noLoiter bool, seed int64) (LoiterResult, bool) {
+func RunLoiterAblation(noLoiter bool, seed int64) LoiterResult {
 	ccfg := hostos.DefaultClusterConfig()
 	if noLoiter {
 		ccfg.NIC.LoiterMsgs = 1 << 30
@@ -118,16 +120,61 @@ func RunLoiterAblation(noLoiter bool, seed int64) (LoiterResult, bool) {
 	cl.E.RunFor(window)
 	stop = true
 	res := LoiterResult{
-		NoLoiter:  noLoiter,
 		BulkMBps:  float64(bulkBytes) / window.Seconds() / 1e6,
 		PingCount: hist.Count(),
 	}
 	if hist.Count() == 0 {
 		// Total starvation: report the window as a censored latency.
 		res.PingP50, res.PingP99 = window, window
-		return res, true
+		return res
 	}
 	res.PingP50 = hist.Quantile(0.5)
 	res.PingP99 = hist.Quantile(0.99)
-	return res, true
+	return res
+}
+
+func ablationsRow(w io.Writer, p Params) error {
+	header(w, "§6.4.1 — design ablations")
+	warm, win := csWindow(p)
+	n := 24
+	if p.Quick {
+		n = 12
+	}
+
+	// A slower per-request server (40 us) lets receive queues back up, so
+	// endpoints are evicted with work pending — the §6.4.1 precondition for
+	// the single-threaded server writing replies into non-resident
+	// endpoints.
+	hw := 40 * sim.Microsecond
+	base := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw})
+	noRW := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw, DisableHostRW: true})
+	fmt.Fprintf(w, "on-host r/w state (ST, %d clients, 8 frames, 40us handler):\n", n)
+	fmt.Fprintf(w, "  with (paper design):    %8.0f msgs/s, %4.0f remaps/s\n", base.AggregateMsgs, base.RemapsPerSec)
+	fmt.Fprintf(w, "  without (orig. design): %8.0f msgs/s, %4.0f remaps/s  (paper: ST falls to a few %% of peak)\n",
+		noRW.AggregateMsgs, noRW.RemapsPerSec)
+
+	fmt.Fprintf(w, "replacement policy (ST, %d clients, 8 frames):\n", n)
+	for _, pol := range []hostos.ReplacementPolicy{hostos.ReplaceRandom, hostos.ReplaceLRU, hostos.ReplaceFIFO} {
+		r := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+			Warmup: warm, Window: win, Seed: p.Seed, Policy: pol})
+		fmt.Fprintf(w, "  %-7s %8.0f msgs/s, %4.0f remaps/s\n", pol, r.AggregateMsgs, r.RemapsPerSec)
+	}
+
+	fmt.Fprintf(w, "logical channels per NI pair (single-client 8 KB stream):\n")
+	for _, ch := range []int{1, 2, 4, 16} {
+		r := RunClientServer(CSConfig{Clients: 1, Mode: OneVN, Frames: 8,
+			MsgBytes: 8192, Warmup: warm, Window: win, Seed: p.Seed, Channels: ch})
+		fmt.Fprintf(w, "  %2d channels: %6.1f MB/s  (stop-and-wait masking of ack latency)\n", ch, r.AggregateMBps)
+	}
+
+	fmt.Fprintf(w, "loiter bound (bulk hog + ping endpoint sharing one NI):\n")
+	on := RunLoiterAblation(false, p.Seed)
+	off := RunLoiterAblation(true, p.Seed)
+	fmt.Fprintf(w, "  bounded (64 msgs/4 ms): hog %5.1f MB/s, %d pings, p50 %v p99 %v\n",
+		on.BulkMBps, on.PingCount, on.PingP50, on.PingP99)
+	fmt.Fprintf(w, "  unbounded:              hog %5.1f MB/s, %d pings, p50 %v p99 %v\n",
+		off.BulkMBps, off.PingCount, off.PingP50, off.PingP99)
+	return nil
 }

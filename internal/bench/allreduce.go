@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"io"
+
 	"virtnet/internal/coll"
 	"virtnet/internal/hostos"
 	"virtnet/internal/mpi"
@@ -239,4 +243,68 @@ func RunSGD(cfg SGDConfig) SGDResult {
 	res.Overlapped, res.CommOvl, okOvl = runSGDSchedule(cfg, true)
 	res.OK = okSeq && okOvl
 	return res
+}
+
+// allreduceRow sweeps the collective engine's algorithms over vector sizes
+// on the full 100-node cluster (Fig.-style table of virtual completion
+// times), then runs the data-parallel SGD loop that shows bucketed gradient
+// allreduce hiding behind gradient computation. Large vectors must show the
+// bandwidth-optimal schedules (ring, hierarchical) beating the binomial
+// reduce+bcast baseline; small vectors show the opposite, which is exactly
+// what the size-based selector exploits.
+func allreduceRow(w io.Writer, p Params) error {
+	nodes := 100
+	sizes := []int{1 << 10, 32 << 10, 1 << 20, 16 << 20}
+	if p.Quick {
+		nodes = 25
+		sizes = []int{1 << 10, 32 << 10, 1 << 20}
+	}
+	algs := []coll.Algorithm{coll.Binomial, coll.Ring, coll.RingFlat, coll.Rabenseifner, coll.Hierarchical}
+	header(w, fmt.Sprintf("allreduce — collective algorithm sweep (%d nodes)", nodes))
+	fmt.Fprintf(w, "virtual completion time (ms) by per-rank vector size:\n")
+	fmt.Fprintf(w, "%10s", "bytes")
+	for _, a := range algs {
+		fmt.Fprintf(w, " %12s", a)
+	}
+	fmt.Fprintf(w, " %12s %8s\n", "auto", "best")
+	verified := true
+	for _, szBytes := range sizes {
+		fmt.Fprintf(w, "%10d", szBytes)
+		best, bestAlg := 0.0, coll.Auto
+		for _, a := range algs {
+			cell := RunAllreduceCell(nodes, szBytes, a, p.Seed)
+			verified = verified && cell.OK
+			ms := cell.Time.Micros() / 1000
+			fmt.Fprintf(w, " %12.3f", ms)
+			if bestAlg == coll.Auto || ms < best {
+				best, bestAlg = ms, a
+			}
+		}
+		auto := RunAllreduceCell(nodes, szBytes, coll.Auto, p.Seed)
+		verified = verified && auto.OK
+		fmt.Fprintf(w, " %12.3f %8s\n", auto.Time.Micros()/1000, bestAlg)
+	}
+	fmt.Fprintf(w, "results verified elementwise on every rank: %v\n", verified)
+	fmt.Fprintf(w, "selector: n<=2 or <=4 KB binomial, <=256 KB rabenseifner, above ring (leaf-ordered)\n")
+
+	header(w, "SGD — data-parallel training, gradient allreduce overlap")
+	cfg := SGDConfig{Nodes: 16, Params: 1 << 18, Buckets: 8, Iters: 3,
+		Compute: 12 * sim.Millisecond, Seed: p.Seed}
+	if p.Quick {
+		cfg.Nodes, cfg.Params, cfg.Iters = 8, 1<<16, 2
+		cfg.Compute = 2 * sim.Millisecond
+	}
+	res := RunSGD(cfg)
+	if !res.OK {
+		return errors.New("sgd run failed")
+	}
+	fmt.Fprintf(w, "ranks=%d params=%d buckets=%d iters=%d compute=%v/bucket (ring allreduce per bucket)\n",
+		cfg.Nodes, cfg.Params, cfg.Buckets, cfg.Iters, cfg.Compute)
+	fmt.Fprintf(w, "sequential (compute, then reduce):     makespan %v (rank0 comm %v)\n",
+		res.Sequential, res.CommSeq)
+	fmt.Fprintf(w, "overlapped (reduce behind next bucket): makespan %v (rank0 comm %v)\n",
+		res.Overlapped, res.CommOvl)
+	saved := float64(res.Sequential-res.Overlapped) / float64(res.Sequential) * 100
+	fmt.Fprintf(w, "overlap shortens the step by %.1f%%\n", saved)
+	return nil
 }

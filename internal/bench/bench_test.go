@@ -187,9 +187,9 @@ func BenchmarkSimPerfTraceOn4Shard(b *testing.B) {
 func benchSimPerf(b *testing.B, traceSample int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 2000, Seed: 1, TraceSample: traceSample})
-		if res.Replied != 4*2000 {
-			b.Fatalf("replied %d, want %d", res.Replied, 4*2000)
+		res, err := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 2000, Seed: 1, TraceSample: traceSample})
+		if err != nil || res.Replied != 4*2000 {
+			b.Fatalf("replied %d, want %d (err %v)", res.Replied, 4*2000, err)
 		}
 		b.ReportMetric(float64(res.Mallocs)/float64(res.Replied), "mallocs/msg")
 	}
@@ -198,9 +198,9 @@ func benchSimPerf(b *testing.B, traceSample int) {
 func benchSimPerfSharded(b *testing.B, traceSample int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 2000, Seed: 1, Shards: 4, TraceSample: traceSample})
-		if res.Replied != 32*2000 {
-			b.Fatalf("replied %d, want %d", res.Replied, 32*2000)
+		res, err := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 2000, Seed: 1, Shards: 4, TraceSample: traceSample})
+		if err != nil || res.Replied != 32*2000 {
+			b.Fatalf("replied %d, want %d (err %v)", res.Replied, 32*2000, err)
 		}
 		b.ReportMetric(float64(res.Mallocs)/float64(res.Replied), "mallocs/msg")
 	}
@@ -217,18 +217,18 @@ func TestTracingDisabledAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simperf run is slow")
 	}
-	res := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 5000, Seed: 1})
-	if res.Replied != 4*5000 {
-		t.Fatalf("replied %d, want %d", res.Replied, 4*5000)
+	res, err := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 5000, Seed: 1})
+	if err != nil || res.Replied != 4*5000 {
+		t.Fatalf("replied %d, want %d (err %v)", res.Replied, 4*5000, err)
 	}
 	perMsg := float64(res.Mallocs) / float64(res.Replied)
 	if perMsg > 6.0 {
 		t.Fatalf("tracing-disabled path allocates %.2f mallocs/msg, budget 6.0", perMsg)
 	}
 
-	res = RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 5000, Seed: 1, Shards: 4})
-	if res.Replied != 32*5000 {
-		t.Fatalf("sharded replied %d, want %d", res.Replied, 32*5000)
+	res, err = RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 5000, Seed: 1, Shards: 4})
+	if err != nil || res.Replied != 32*5000 {
+		t.Fatalf("sharded replied %d, want %d (err %v)", res.Replied, 32*5000, err)
 	}
 	perMsg = float64(res.Mallocs) / float64(res.Replied)
 	if perMsg > 8.0 {

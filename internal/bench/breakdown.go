@@ -1,8 +1,9 @@
-package main
+package bench
 
 import (
 	"fmt"
-	"os"
+	"io"
+	"slices"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -10,7 +11,7 @@ import (
 	"virtnet/internal/sim"
 )
 
-// runBreakdown reproduces the paper's §4 accounting of where the microseconds
+// breakdownRow reproduces the paper's §4 accounting of where the microseconds
 // go, using the cross-layer flight recorder instead of hand-placed timers:
 // every message is sampled, each layer marks its stage boundary, and the
 // per-stage means decompose the end-to-end one-way latency exactly (stage
@@ -20,47 +21,57 @@ import (
 // the recorder's end-to-end number. The final table shows how the wrr-wait
 // stage inflates as one NI's weighted round-robin serves more and more
 // backlogged sender endpoints (§5/§6 endpoint overcommit).
-func runBreakdown() {
-	header("§4 — per-stage latency decomposition (cross-layer tracing)")
+func breakdownRow(w io.Writer, p Params) error {
+	header(w, "§4 — per-stage latency decomposition (cross-layer tracing)")
 	iters := 300
-	if *quick {
+	if p.Quick {
 		iters = 60
 	}
 
-	fmt.Printf("short AM request, %d serial ping-pongs node0 -> node1:\n", iters)
-	dec, appUs, o := breakdownPingPong(iters, 0)
-	fmt.Print(dec[obs.KindShort].Render())
-	fmt.Printf("  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
-	fmt.Printf("reply leg (node1 -> node0):\n")
-	fmt.Print(dec[obs.KindReply].Render())
-	emitObsArtifacts(o)
+	fmt.Fprintf(w, "short AM request, %d serial ping-pongs node0 -> node1:\n", iters)
+	dec, appUs, o := breakdownPingPong(p.Seed, iters, 0)
+	fmt.Fprint(w, dec[obs.KindShort].Render())
+	fmt.Fprintf(w, "  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
+	fmt.Fprintf(w, "reply leg (node1 -> node0):\n")
+	fmt.Fprint(w, dec[obs.KindReply].Render())
+	if p.TraceOut != "" {
+		// The Chrome trace-event JSON export of the short-AM phase (load it
+		// at https://ui.perfetto.dev).
+		if err := writeTrace(p.TraceOut, func(f io.Writer) error { return obs.WriteChromeTrace(f, o.T, o.R) }); err != nil {
+			return err
+		}
+	}
+	if p.Metrics {
+		fmt.Fprint(w, o.R.Dashboard())
+	}
 
-	fmt.Printf("\n8 KB bulk request, %d serial ping-pongs node0 -> node1:\n", iters)
-	dec, appUs, o = breakdownPingPong(iters, 8192)
-	fmt.Print(dec[obs.KindBulk].Render())
-	fmt.Printf("  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
-	if *metrics {
-		fmt.Print(o.R.Dashboard())
+	fmt.Fprintf(w, "\n8 KB bulk request, %d serial ping-pongs node0 -> node1:\n", iters)
+	dec, appUs, o = breakdownPingPong(p.Seed, iters, 8192)
+	fmt.Fprint(w, dec[obs.KindBulk].Render())
+	fmt.Fprintf(w, "  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
+	if p.Metrics {
+		fmt.Fprint(w, o.R.Dashboard())
 	}
 
 	perEP := 96
-	if *quick {
+	if p.Quick {
 		perEP = 24
 	}
 	frames := hostos.DefaultClusterConfig().NIC.Frames
-	fmt.Printf("\nwrr-wait inflation under endpoint overcommit (%d NI frames, %d msgs per endpoint):\n",
+	fmt.Fprintf(w, "\nwrr-wait inflation under endpoint overcommit (%d NI frames, %d msgs per endpoint):\n",
 		frames, perEP)
-	fmt.Printf("%6s %8s %14s %12s %10s\n", "K", "msgs", "wrr-wait(us)", "e2e(us)", "x vs K=1")
+	fmt.Fprintf(w, "%6s %8s %14s %12s %10s\n", "K", "msgs", "wrr-wait(us)", "e2e(us)", "x vs K=1")
 	var base float64
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		d := breakdownWRR(k, perEP)
+		d := breakdownWRR(p.Seed, k, perEP)
 		wrrUs := float64(d.Stage[obs.StageWRRWait]) / 1e3 / float64(d.N)
 		e2eUs := float64(d.Total) / 1e3 / float64(d.N)
 		if k == 1 {
 			base = wrrUs
 		}
-		fmt.Printf("%6d %8d %14.3f %12.3f %9.1fx\n", k, d.N, wrrUs, e2eUs, wrrUs/base)
+		fmt.Fprintf(w, "%6d %8d %14.3f %12.3f %9.1fx\n", k, d.N, wrrUs, e2eUs, wrrUs/base)
 	}
+	return nil
 }
 
 // breakdownPingPong runs iters serial request/reply exchanges between a
@@ -70,8 +81,8 @@ func runBreakdown() {
 // flight's opening mark (the library preamble is free when credits are
 // available), and the flight ends exactly when the handler body starts, so
 // the two measurement paths must agree to the nanosecond.
-func breakdownPingPong(iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *obs.Obs) {
-	cl := hostos.NewCluster(*seed, 2, hostos.DefaultClusterConfig())
+func breakdownPingPong(seed int64, iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *obs.Obs) {
+	cl := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 	o := cl.EnableObs(obs.Options{SampleEvery: 1, SnapshotEvery: 5 * sim.Millisecond})
 	b0 := core.Attach(cl.Nodes[0])
@@ -99,10 +110,7 @@ func breakdownPingPong(iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *
 			}
 		}
 	})
-	var data []byte
-	if payload > 0 {
-		data = make([]byte, payload)
-	}
+	data := make([]byte, payload)
 	cl.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		for i := 0; i < iters; i++ {
 			t0 := p.Now()
@@ -126,9 +134,7 @@ func breakdownPingPong(iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *
 	// Chunked run: stop soon after the workload completes so the snapshot
 	// ticker doesn't pad the registry timeline (and the trace export) with a
 	// long idle tail.
-	for i := 0; i < 200 && !stop; i++ {
-		cl.E.RunFor(10 * sim.Millisecond)
-	}
+	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
 	o.T.SweepOpen("end-of-run", cl.E.Now())
 	return obs.Decompose(o.T.Flights()), float64(oneWay) / 1e3 / float64(iters), o
 }
@@ -138,8 +144,8 @@ func breakdownPingPong(iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *
 // short-request decomposition. With K backlogged endpoints the NI's weighted
 // round-robin hands each endpoint 1/K of the send slots, so the wrr-wait
 // stage should scale roughly linearly in K while the other stages stay put.
-func breakdownWRR(k, perEP int) obs.Decomp {
-	cl := hostos.NewCluster(*seed, 2, hostos.DefaultClusterConfig())
+func breakdownWRR(seed int64, k, perEP int) obs.Decomp {
+	cl := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 	o := cl.EnableObs(obs.Options{SampleEvery: 1})
 	b0 := core.Attach(cl.Nodes[0])
@@ -155,7 +161,6 @@ func breakdownWRR(k, perEP int) obs.Decomp {
 		sink.SetHandler(1, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 			tok.Reply(p, 2, a)
 		})
-		i := i
 		snd.SetHandler(2, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 			got[i]++
 		})
@@ -171,7 +176,6 @@ func breakdownWRR(k, perEP int) obs.Decomp {
 		}
 	})
 	for i := 0; i < k; i++ {
-		i := i
 		snd := senders[i]
 		cl.Nodes[0].Spawn("sender", func(p *sim.Proc) {
 			for j := 0; j < perEP; j++ {
@@ -185,44 +189,12 @@ func breakdownWRR(k, perEP int) obs.Decomp {
 					p.Sleep(2 * sim.Microsecond)
 				}
 			}
-			if allDone(got, perEP) {
+			if !slices.ContainsFunc(got, func(g int) bool { return g < perEP }) {
 				stop = true
 			}
 		})
 	}
-	for i := 0; i < 200 && !stop; i++ {
-		cl.E.RunFor(10 * sim.Millisecond)
-	}
+	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
 	o.T.SweepOpen("end-of-run", cl.E.Now())
 	return obs.Decompose(o.T.Flights())[obs.KindShort]
-}
-
-func allDone(got []int, want int) bool {
-	for _, g := range got {
-		if g < want {
-			return false
-		}
-	}
-	return true
-}
-
-// emitObsArtifacts handles the -traceout and -metrics flags against the
-// short-AM phase's observability layer: the Chrome trace-event JSON export
-// (load it at https://ui.perfetto.dev) and the registry dashboard.
-func emitObsArtifacts(o *obs.Obs) {
-	if *traceout != "" {
-		f, err := os.Create(*traceout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceout: %v\n", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteChromeTrace(f, o.T, o.R); err != nil {
-			fmt.Fprintf(os.Stderr, "traceout: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-	if *metrics {
-		fmt.Print(o.R.Dashboard())
-	}
 }

@@ -8,6 +8,8 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -30,16 +32,6 @@ const (
 	// per endpoint.
 	MT
 )
-
-func (m ServerMode) String() string {
-	switch m {
-	case OneVN:
-		return "OneVN"
-	case ST:
-		return "ST"
-	}
-	return "MT"
-}
 
 // Handler indices for the workload.
 const (
@@ -71,20 +63,14 @@ type CSConfig struct {
 
 // CSResult is what Figs. 6 and 7 plot.
 type CSResult struct {
-	Cfg           CSConfig
 	PerClient     []float64 // requests served per second, per client
 	AggregateMsgs float64   // total requests/s at the server
 	AggregateMBps float64   // payload MB/s at the server (bulk runs)
 	RemapsPerSec  float64   // endpoint re-mappings per second at the server
-	Returns       int64     // messages returned to senders during the window
 	// RemapTimeline is the per-decile remap rate across the window,
 	// showing the steady state the paper reports (200-300/s sustained).
 	RemapTimeline []float64
 	RTT           *trace.Hist
-	// ServerCounters is a dump of the server NI protocol counters over the
-	// whole run (diagnostics); ClientCounters is client 0's.
-	ServerCounters string
-	ClientCounters string
 }
 
 // RunClientServer executes one §6.4 configuration and returns its steady
@@ -124,18 +110,11 @@ func RunClientServer(cfg CSConfig) CSResult {
 	// its thread sleeps and wakes independently.
 	srvEPs := make([]*core.Endpoint, nEPs)
 	var srvBundles []*core.Bundle
-	if cfg.Mode == MT {
-		for i := range srvEPs {
-			b := core.Attach(server)
-			srvEPs[i], _ = b.NewEndpoint(core.Key(1000+i), cfg.Clients+1)
-			srvBundles = append(srvBundles, b)
+	for i := range srvEPs {
+		if i == 0 || cfg.Mode == MT {
+			srvBundles = append(srvBundles, core.Attach(server))
 		}
-	} else {
-		b := core.Attach(server)
-		for i := range srvEPs {
-			srvEPs[i], _ = b.NewEndpoint(core.Key(1000+i), cfg.Clients+1)
-		}
-		srvBundles = append(srvBundles, b)
+		srvEPs[i], _ = srvBundles[len(srvBundles)-1].NewEndpoint(core.Key(1000+i), cfg.Clients+1)
 	}
 
 	// Client endpoints, one per client node.
@@ -148,16 +127,12 @@ func RunClientServer(cfg CSConfig) CSResult {
 	// Wire translations: client i talks to its server endpoint (or the
 	// shared one); the server endpoint maps each of its clients back.
 	for i, cep := range cliEPs {
-		s := srvEPs[0]
-		if cfg.Mode != OneVN {
-			s = srvEPs[i]
-		}
-		cep.Map(0, s.Name(), core.Key(1000+idxOf(cfg.Mode, i)))
+		si, slot := i, 0 // client i's server endpoint, and its slot in that endpoint's table
 		if cfg.Mode == OneVN {
-			s.Map(i, cep.Name(), core.Key(2000+i))
-		} else {
-			s.Map(0, cep.Name(), core.Key(2000+i))
+			si, slot = 0, i
 		}
+		cep.Map(0, srvEPs[si].Name(), core.Key(1000+si))
+		srvEPs[si].Map(slot, cep.Name(), core.Key(2000+i))
 	}
 
 	// Measurement state.
@@ -165,7 +140,6 @@ func RunClientServer(cfg CSConfig) CSResult {
 	endAt := startAt.Add(cfg.Window)
 	counts := make([]int64, cfg.Clients)
 	rtt := trace.NewHist()
-	var returns int64
 
 	// Server handlers: count the request (attributed to its client) and
 	// reply immediately.
@@ -174,7 +148,6 @@ func RunClientServer(cfg CSConfig) CSResult {
 		nameToClient[cep.Name()] = i
 	}
 	for _, sep := range srvEPs {
-		sep := sep
 		sep.SetHandler(hReq, func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 			now := p.Now()
 			if now >= startAt && now < endAt {
@@ -191,7 +164,6 @@ func RunClientServer(cfg CSConfig) CSResult {
 	switch cfg.Mode {
 	case MT:
 		for i, sep := range srvEPs {
-			sep := sep
 			b := srvBundles[i]
 			sep.SetEventMask(true)
 			server.Spawn(fmt.Sprintf("srv-mt%d", i), func(p *sim.Proc) {
@@ -218,8 +190,6 @@ func RunClientServer(cfg CSConfig) CSResult {
 	// the bimodal RTT distribution of §6.4.1.
 	payload := make([]byte, cfg.MsgBytes)
 	for i, cep := range cliEPs {
-		cep := cep
-		i := i
 		cep.SetHandler(hRep, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 			now := p.Now()
 			if now >= startAt && now < endAt {
@@ -257,19 +227,12 @@ func RunClientServer(cfg CSConfig) CSResult {
 		prev = cur
 	}
 	remaps := server.Driver.Remaps() - remapsBefore
-	for _, cep := range cliEPs {
-		returns += cep.Stats.Returns
-	}
 
 	res := CSResult{
-		Cfg:            cfg,
-		ServerCounters: server.NIC.C.String(),
-		ClientCounters: cl.Nodes[1].NIC.C.String(),
-		RemapTimeline:  tl.Rates(),
-		PerClient:      make([]float64, cfg.Clients),
-		RemapsPerSec:   float64(remaps) / cfg.Window.Seconds(),
-		Returns:        returns,
-		RTT:            rtt,
+		RemapTimeline: tl.Rates(),
+		PerClient:     make([]float64, cfg.Clients),
+		RemapsPerSec:  float64(remaps) / cfg.Window.Seconds(),
+		RTT:           rtt,
 	}
 	var total int64
 	for i, c := range counts {
@@ -281,9 +244,100 @@ func RunClientServer(cfg CSConfig) CSResult {
 	return res
 }
 
-func idxOf(m ServerMode, i int) int {
-	if m == OneVN {
-		return 0
+func csWindow(p Params) (warmup, window sim.Duration) {
+	if p.Quick {
+		return 150 * sim.Millisecond, 300 * sim.Millisecond
 	}
-	return i
+	return 200 * sim.Millisecond, 500 * sim.Millisecond
+}
+
+// contentionRow is Fig. 6 (msgBytes 0) and Fig. 7 (msgBytes 8192).
+func contentionRow(w io.Writer, p Params, msgBytes int) error {
+	fig, what := "6", "small messages (msgs/s)"
+	if msgBytes > 0 {
+		fig, what = "7", fmt.Sprintf("%d-byte bulk (MB/s)", msgBytes)
+	}
+	header(w, fmt.Sprintf("Fig. %s — %s under contention", fig, what))
+	clients := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+	if p.Quick {
+		clients = []int{1, 2, 3, 4, 8, 12}
+	}
+	warm, win := csWindow(p)
+	rows := []struct {
+		name   string
+		mode   ServerMode
+		frames int
+	}{
+		{"OneVN", OneVN, 8},
+		{"ST-8", ST, 8},
+		{"ST-96", ST, 96},
+		{"MT-8", MT, 8},
+		{"MT-96", MT, 96},
+	}
+	fmt.Fprintf(w, "aggregate server throughput:\n%-8s", "clients")
+	for _, r := range rows {
+		fmt.Fprintf(w, " %9s", r.name)
+	}
+	fmt.Fprintf(w, "   (remaps/s on 8-frame configs)\n")
+	perClient := map[string][]float64{}
+	for _, n := range clients {
+		fmt.Fprintf(w, "%-8d", n)
+		remapNote := ""
+		for _, r := range rows {
+			res := RunClientServer(CSConfig{
+				Clients: n, Mode: r.mode, Frames: r.frames, MsgBytes: msgBytes,
+				Warmup: warm, Window: win, Seed: p.Seed,
+			})
+			v := res.AggregateMsgs
+			if msgBytes > 0 {
+				v = res.AggregateMBps
+			}
+			fmt.Fprintf(w, " %9.0f", v)
+			perClient[r.name] = append(perClient[r.name], res.PerClient[0])
+			if r.frames == 8 && res.RemapsPerSec > 0 {
+				remapNote += fmt.Sprintf(" %s:%.0f", r.name, res.RemapsPerSec)
+			}
+		}
+		fmt.Fprintf(w, "  %s\n", remapNote)
+	}
+	fmt.Fprintf(w, "\nper-client (client 0) throughput:\n%-8s", "clients")
+	for _, r := range rows {
+		fmt.Fprintf(w, " %9s", r.name)
+	}
+	fmt.Fprintln(w)
+	for i, n := range clients {
+		fmt.Fprintf(w, "%-8d", n)
+		for _, r := range rows {
+			fmt.Fprintf(w, " %9.0f", perClient[r.name][i])
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func overcommitRow(w io.Writer, p Params) error {
+	header(w, "§6.4.1 — overcommitting NI resources (32 clients, 8 frames)")
+	clients := 32
+	if p.Quick {
+		clients = 16
+	}
+	warm, win := csWindow(p)
+	res := RunClientServer(CSConfig{
+		Clients: clients, Mode: MT, Frames: 8,
+		Warmup: warm, Window: win, Seed: p.Seed,
+	})
+	peak := RunClientServer(CSConfig{
+		Clients: 1, Mode: OneVN, Frames: 8,
+		Warmup: warm, Window: win, Seed: p.Seed,
+	})
+	frac := res.AggregateMsgs / peak.AggregateMsgs * 100
+	fmt.Fprintf(w, "overcommit %d:8 — aggregate %.0f msgs/s = %.0f%% of peak (paper: 50-75%%)\n",
+		clients, res.AggregateMsgs, frac)
+	fmt.Fprintf(w, "endpoint re-mappings: %.0f/s (paper: 200-300/s)\n", res.RemapsPerSec)
+	fmt.Fprintf(w, "remap rate per window decile: %v (sustained, not a transient)\n", res.RemapTimeline)
+	fast, fm, sm := res.RTT.BimodalSplit(2 * sim.Millisecond)
+	fmt.Fprintf(w, "client RTTs are bimodal: %.0f%% fast (mean %v), %.0f%% slow (mean %v)\n",
+		fast*100, fm, (1-fast)*100, sm)
+	fmt.Fprintln(w, strings.TrimRight(res.RTT.Buckets(12), "\n"))
+	return nil
 }

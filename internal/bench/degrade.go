@@ -1,7 +1,8 @@
-package main
+package bench
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"virtnet/internal/fault"
@@ -11,7 +12,7 @@ import (
 	"virtnet/internal/sim"
 )
 
-// runDegrade is the graceful-degradation experiment (DESIGN.md §10): an
+// degradeRow is the graceful-degradation experiment (DESIGN.md §10): an
 // open-loop Poisson request stream sweeps offered load from well under to
 // 3x the service capacity of a two-server pool, with a 5 ms end-to-end
 // deadline on every request. With the reliability layer on (bounded
@@ -23,8 +24,8 @@ import (
 // collapses even though the servers stay 100% busy. A third variant re-runs
 // the reliability layer under fault churn (loss bursts, a client cut off,
 // a firmware reboot) to show the plateau survives an unreliable fabric.
-func runDegrade() {
-	header("graceful degradation under overload — goodput vs offered load")
+func degradeRow(w io.Writer, p Params) error {
+	header(w, "graceful degradation under overload — goodput vs offered load")
 	const (
 		nodes     = 8
 		nServers  = 2
@@ -40,23 +41,23 @@ func runDegrade() {
 	capacity := float64(nServers) * float64(sim.Second) / float64(service) // rps
 	measure := 400 * sim.Millisecond
 	factors := []float64{0.25, 0.5, 1.0, 1.5, 2.0, 3.0}
-	if *quick {
+	if p.Quick {
 		measure = 150 * sim.Millisecond
 		factors = []float64{0.5, 1.0, 2.0}
 	}
-	fmt.Printf("capacity ~ %.0f rps (%d servers x %v service), deadline %v, %d open-loop clients\n",
+	fmt.Fprintf(w, "capacity ~ %.0f rps (%d servers x %v service), deadline %v, %d open-loop clients\n",
 		capacity, nServers, sim.Time(0).Add(service).Sub(0), sim.Time(0).Add(deadline).Sub(0), nClients)
 
 	type row struct {
-		factor                        float64
 		offered, good, failed, capped int
 		shed, overload                int64
 		p99                           sim.Duration
 	}
 
-	run := func(factor float64, reliabOn bool, churn string) row {
-		c := hostos.NewCluster(*seed, nodes, hostos.DefaultClusterConfig())
+	run := func(factor float64, reliabOn bool, churn string) (row, error) {
+		c := hostos.NewCluster(p.Seed, nodes, hostos.DefaultClusterConfig())
 		defer c.Shutdown()
+		var fail failure
 		m := reliab.NewMetrics()
 		stop := false
 
@@ -69,34 +70,21 @@ func runDegrade() {
 			}
 			s, err := rpc.NewServerOpts(c.Nodes[si], key, opts)
 			if err != nil {
-				fmt.Printf("server: %v\n", err)
-				return row{}
+				return row{}, fmt.Errorf("server: %w", err)
 			}
 			node := c.Nodes[si]
 			s.Register(1, func(p *sim.Proc, args []byte) ([]byte, error) {
 				node.Compute(p, service)
 				return args, nil
 			})
-			srv := s
-			node.Spawn("degrade-server", func(p *sim.Proc) {
-				for !stop {
-					worked := srv.Poll(p) > 0
-					if srv.Step(p) {
-						worked = true
-					}
-					if !worked {
-						p.Sleep(5 * sim.Microsecond)
-					}
-				}
-			})
+			node.Spawn("degrade-server", func(p *sim.Proc) { pollServe(p, s, &stop) })
 			servers = append(servers, s)
 		}
 
 		if churn != "" {
 			pl, err := fault.Parse(churn)
 			if err != nil {
-				fmt.Printf("churn plan: %v\n", err)
-				return row{}
+				return row{}, fmt.Errorf("churn plan: %w", err)
 			}
 			pl.Apply(c)
 		}
@@ -125,7 +113,7 @@ func runDegrade() {
 				}
 				cl, err := rpc.NewClientOpts(node, target.Name(), key, opts)
 				if err != nil {
-					fmt.Printf("client: %v\n", err)
+					fail.failf("client: %w", err)
 					return
 				}
 				rng := c.E.Rand()
@@ -209,13 +197,13 @@ func runDegrade() {
 		c.E.RunFor(measure + 50*sim.Millisecond)
 		stop = true
 		c.E.RunFor(sim.Millisecond)
-		r := row{factor: factor, offered: offered, good: good, failed: failed, capped: capped,
+		r := row{offered: offered, good: good, failed: failed, capped: capped,
 			shed: m.Get("shed"), overload: m.Get("overload_nacks")}
 		if len(lats) > 0 {
 			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 			r.p99 = lats[len(lats)*99/100]
 		}
-		return r
+		return r, fail.err
 	}
 
 	secs := float64(measure) / float64(sim.Second)
@@ -231,17 +219,20 @@ func runDegrade() {
 	peak := map[int]float64{}
 	at2x := map[int]float64{}
 	for vi, v := range variants {
-		fmt.Printf("\n-- %s --\n", v.title)
-		fmt.Printf("%-9s %12s %12s %10s %9s %8s %9s %8s\n",
+		fmt.Fprintf(w, "\n-- %s --\n", v.title)
+		fmt.Fprintf(w, "%-9s %12s %12s %10s %9s %8s %9s %8s\n",
 			"load", "offered/s", "goodput/s", "goodfrac", "p99_ms", "shed", "overload", "capped")
 		for _, f := range factors {
-			r := run(f, v.reliabs, v.churn)
+			r, err := run(f, v.reliabs, v.churn)
+			if err != nil {
+				return err
+			}
 			goodput := float64(r.good) / secs
 			frac := 0.0
 			if r.offered > 0 {
 				frac = float64(r.good) / float64(r.offered)
 			}
-			fmt.Printf("%-9s %12.0f %12.0f %10.3f %9.2f %8d %9d %8d\n",
+			fmt.Fprintf(w, "%-9s %12.0f %12.0f %10.3f %9.2f %8d %9d %8d\n",
 				fmt.Sprintf("%.2fx", f), float64(r.offered)/secs, goodput, frac,
 				float64(r.p99)/float64(sim.Millisecond), r.shed, r.overload, r.capped)
 			if goodput > peak[vi] {
@@ -252,14 +243,15 @@ func runDegrade() {
 			}
 		}
 	}
-	if !*quick {
-		fmt.Println()
+	if !p.Quick {
+		fmt.Fprintln(w)
 		for vi, v := range variants {
 			pct := 0.0
 			if peak[vi] > 0 {
 				pct = 100 * at2x[vi] / peak[vi]
 			}
-			fmt.Printf("goodput at 2.0x offered: %3.0f%% of peak — %s\n", pct, v.title)
+			fmt.Fprintf(w, "goodput at 2.0x offered: %3.0f%% of peak — %s\n", pct, v.title)
 		}
 	}
+	return nil
 }

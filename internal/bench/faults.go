@@ -1,8 +1,11 @@
-package main
+package bench
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"virtnet/internal/core"
 	"virtnet/internal/fault"
@@ -15,7 +18,7 @@ import (
 	"virtnet/internal/trace"
 )
 
-// runFaults is the cluster-wide fault-injection and automated-recovery
+// faultsRow is the cluster-wide fault-injection and automated-recovery
 // experiment (DESIGN.md S21): 16 clients stream small requests at two server
 // replicas on a 20-node cluster while a scripted fault plan runs — a spine
 // switch goes dark and is repaired, then a whole node (hosting one replica
@@ -27,14 +30,12 @@ import (
 // recovery. Reported: per-window aggregate throughput (the dip-and-recover
 // curve), recovery ratio vs the pre-fault baseline, and exactly-once
 // accounting — zero lost, zero duplicated user-level messages.
-func runFaults() {
-	header("fault injection and automated recovery — dip and recover")
+func faultsRow(w io.Writer, p Params) error {
+	header(w, "fault injection and automated recovery — dip and recover")
 	const (
 		nodes    = 20
 		keyA     = core.Key(77)
 		keyB     = core.Key(78)
-		hReq     = 1
-		hRep     = 2
 		homeNode = 0  // health-monitor master (outside the fault domain)
 		nodeA    = 3  // replica A: survives, live-migrates mid-run
 		nodeB    = 14 // replica B: crashes with its node
@@ -58,23 +59,22 @@ func runFaults() {
 	sendUntil := sim.Time(0).Add(1 * sim.Second)
 	gap := sendGap
 	clientNodes := []int{1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 18, 19}
-	if *quick {
+	if p.Quick {
 		clientNodes = clientNodes[:8]
 		gap = 500 * sim.Microsecond
 	}
 
-	c := hostos.NewCluster(*seed, nodes, hostos.DefaultClusterConfig())
+	c := hostos.NewCluster(p.Seed, nodes, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
+	var fail failure
 	sched := glunix.NewScheduler(c)
 	svc, err := migrate.NewService(c)
 	if err != nil {
-		fmt.Printf("migration service: %v\n", err)
-		return
+		return fmt.Errorf("migration service: %w", err)
 	}
 	mon, err := glunix.NewMonitor(c, sched, svc.Dir, homeNode, glunix.DefaultMonitorConfig())
 	if err != nil {
-		fmt.Printf("health monitor: %v\n", err)
-		return
+		return fmt.Errorf("health monitor: %w", err)
 	}
 
 	// Replica servers: an echo service with two replicas. Clients pin to one
@@ -89,42 +89,18 @@ func runFaults() {
 	served := make([]int, 3) // A, B, B-replacement
 	lostReplies := 0         // server replies returned by the fabric
 
-	startReplica := func(node int, key core.Key, slot int, servedIdx int, manage bool) *core.Endpoint {
-		b := core.Attach(c.Nodes[node])
-		b.SetResolver(svc.Dir)
-		ep, err := b.NewEndpoint(key, 8)
+	startReplica := func(node int, key core.Key, slot int, servedIdx int, manage bool) (*core.Endpoint, error) {
+		ep, err := spawnEchoServer(c, svc, manage, node, key, &served[servedIdx], &lostReplies)
 		if err != nil {
-			fmt.Printf("replica endpoint: %v\n", err)
-			return nil
+			return nil, err
 		}
-		ep.SetHandler(hReq, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-			served[servedIdx]++
-			tok.Reply(p, hRep, args)
-		})
-		// A reply that bounces (e.g. its spine died before the ack) comes
-		// back here; the server has no route back to the client beyond the
-		// reply token, so recovery is the client's job (§3.2's end-to-end
-		// argument). Count them: each must be healed by a client re-issue.
-		ep.SetReturnHandler(func(p *sim.Proc, _ nic.NackReason, _, _ int, _ [4]uint64, _ []byte) {
-			lostReplies++
-		})
-		cur := ep
-		if manage {
-			svc.Manage(ep, func(n *core.Endpoint) { cur = n })
-		}
-		c.Nodes[node].Spawn("replica", func(p *sim.Proc) {
-			for {
-				cur.Poll(p)
-				p.Sleep(10 * sim.Microsecond)
-			}
-		})
 		registry[slot] = replicaInfo{name: ep.Name(), key: key, gen: registry[slot].gen + 1}
-		return ep
+		return ep, nil
 	}
-	repA := startReplica(nodeA, keyA, 0, 0, true)
-	repB := startReplica(nodeB, keyB, 1, 1, false)
-	if repA == nil || repB == nil {
-		return
+	repA, errA := startReplica(nodeA, keyA, 0, 0, true)
+	repB, errB := startReplica(nodeB, keyB, 1, 1, false)
+	if err := errors.Join(errA, errB); err != nil {
+		return err
 	}
 	epIDA := repA.Segment().EP.ID
 	// Publish replica B in the name service so the monitor's DropNode has a
@@ -137,10 +113,12 @@ func runFaults() {
 		if node != nodeB {
 			return
 		}
-		if ep := startReplica(spareN, keyB, 1, 2, false); ep != nil {
-			fmt.Printf("t=%-7v recovery hook: replica B respawned on node %d (gen %d)\n",
-				c.E.Now(), spareN, registry[1].gen)
+		if _, err := startReplica(spareN, keyB, 1, 2, false); err != nil {
+			fail.failf("recovery hook: %w", err)
+			return
 		}
+		fmt.Fprintf(w, "t=%-7v recovery hook: replica B respawned on node %d (gen %d)\n",
+			c.E.Now(), spareN, registry[1].gen)
 	})
 
 	// Clients: a fixed serial stream to their replica. Returned serials are
@@ -152,17 +130,17 @@ func runFaults() {
 	// sweep duplicate-free).
 	tl := trace.NewTimeline(0, window)
 	type fclient struct {
-		idx                             int
-		replica                         int
-		ep                              *core.Endpoint
-		gen                             int
-		next                            uint64
-		replies                         map[uint64]int
-		pending                         map[uint64]sim.Time // unanswered serials and their last send time
-		retry                           []uint64
-		inRetry                         map[uint64]bool
-		answered, dup, returns, resends int
-		done                            bool
+		idx                        int
+		replica                    int
+		ep                         *core.Endpoint
+		gen                        int
+		next                       uint64
+		replies                    map[uint64]int
+		pending                    map[uint64]sim.Time // unanswered serials and their last send time
+		retry                      []uint64
+		inRetry                    map[uint64]bool
+		answered, returns, resends int
+		done                       bool
 	}
 	clients := make([]*fclient, len(clientNodes))
 	for i, node := range clientNodes {
@@ -174,8 +152,7 @@ func runFaults() {
 		b.SetResolver(svc.Dir)
 		ep, err := b.NewEndpoint(core.Key(1000+node), 8)
 		if err != nil {
-			fmt.Printf("client endpoint: %v\n", err)
-			return
+			return fmt.Errorf("client endpoint: %w", err)
 		}
 		cs.ep = ep
 		ep.SetHandler(hRep, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
@@ -185,8 +162,6 @@ func runFaults() {
 			if cs.replies[s] == 1 {
 				cs.answered++
 				tl.Add(p.Now(), 1)
-			} else {
-				cs.dup++
 			}
 		})
 		ep.SetReturnHandler(func(p *sim.Proc, _ nic.NackReason, _, _ int, args [4]uint64, _ []byte) {
@@ -200,8 +175,7 @@ func runFaults() {
 		ri := registry[cs.replica]
 		cs.gen = ri.gen
 		if err := ep.Map(0, ri.name, ri.key); err != nil {
-			fmt.Printf("client map: %v\n", err)
-			return
+			return fmt.Errorf("client map: %w", err)
 		}
 		c.Nodes[node].Spawn("client", func(p *sim.Proc) {
 			for {
@@ -281,7 +255,7 @@ func runFaults() {
 		}
 		s, err := svc.Move(p, h, netsim.NodeID(moveDst))
 		if err != nil {
-			fmt.Printf("move: %v\n", err)
+			fail.failf("move: %w", err)
 			return
 		}
 		moveStats = s
@@ -290,24 +264,22 @@ func runFaults() {
 	// The scripted faults.
 	pl, err := fault.Parse(plan)
 	if err != nil {
-		fmt.Printf("fault plan: %v\n", err)
-		return
+		return fmt.Errorf("fault plan: %w", err)
 	}
 	pl.Apply(c)
-	fmt.Printf("plan: %s\n", pl)
-	fmt.Printf("%d clients x 2 replicas (A on node %d, B on node %d), monitor home node %d\n",
+	fmt.Fprintf(w, "plan: %s\n", pl)
+	fmt.Fprintf(w, "%d clients x 2 replicas (A on node %d, B on node %d), monitor home node %d\n",
 		len(clients), nodeA, nodeB, homeNode)
 
-	deadline := sim.Time(0).Add(8 * sim.Second)
-	for c.E.Now() < deadline {
-		c.E.RunFor(50 * sim.Millisecond)
+	runUntil(c, 50*sim.Millisecond, sim.Time(0).Add(8*sim.Second), func() bool {
 		alldone := true
 		for _, cs := range clients {
 			alldone = alldone && cs.done
 		}
-		if alldone {
-			break
-		}
+		return alldone || fail.err != nil
+	})
+	if fail.err != nil {
+		return fail.err
 	}
 
 	// Throughput series: replies per 20 ms window across all clients.
@@ -315,17 +287,17 @@ func runFaults() {
 	if len(series) > 50 {
 		series = series[:50] // the send phase; the drain tail is quiet
 	}
-	fmt.Println("replies per 20 ms window (faults at 200 ms and 500 ms):")
+	fmt.Fprintln(w, "replies per 20 ms window (faults at 200 ms and 500 ms):")
 	for i := 0; i < len(series); i += 10 {
 		end := i + 10
 		if end > len(series) {
 			end = len(series)
 		}
-		fmt.Printf("  %4dms:", i*20)
+		fmt.Fprintf(w, "  %4dms:", i*20)
 		for _, v := range series[i:end] {
-			fmt.Printf(" %5.0f", v)
+			fmt.Fprintf(w, " %5.0f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	mean := func(lo, hi int) float64 {
 		sum := 0.0
@@ -340,69 +312,45 @@ func runFaults() {
 	if pre > 0 {
 		ratio = post / pre
 	}
-	verdict := "PASS"
-	if ratio < 0.9 {
-		verdict = "FAIL"
-	}
-	fmt.Printf("throughput: pre-fault %.0f replies/window, post-recovery %.0f (%.0f%% — need >= 90%%): %s\n",
-		pre, post, 100*ratio, verdict)
+	verdict := map[bool]string{true: "PASS", false: "FAIL"}
+	recovered := ratio >= 0.9
+	fmt.Fprintf(w, "throughput: pre-fault %.0f replies/window, post-recovery %.0f (%.0f%% — need >= 90%%): %s\n",
+		pre, post, 100*ratio, verdict[recovered])
 
 	// Exactly-once accounting.
 	sent, answered, lost, dup, returns, resends := 0, 0, 0, 0, 0, 0
 	for _, cs := range clients {
+		keys, surplus := tally(cs.replies)
 		sent += int(cs.next - 1)
-		answered += cs.answered
-		dup += cs.dup
+		answered += keys
+		lost += int(cs.next-1) - keys
+		dup += surplus
 		returns += cs.returns
 		resends += cs.resends
-		for s := uint64(1); s < cs.next; s++ {
-			if cs.replies[s] == 0 {
-				lost++
-			}
-		}
 	}
-	verdict = "PASS"
-	if lost != 0 || dup != 0 {
-		verdict = "FAIL"
-	}
-	fmt.Printf("exactly-once: %d sent, %d answered — lost %d, duplicates %d (both must be 0): %s\n",
-		sent, answered, lost, dup, verdict)
-	fmt.Printf("recovery path: %d returns absorbed, %d server replies bounced, %d re-issues, served A/B/B' = %d/%d/%d\n",
+	once := lost == 0 && dup == 0
+	fmt.Fprintf(w, "exactly-once: %d sent, %d answered — lost %d, duplicates %d (both must be 0): %s\n",
+		sent, answered, lost, dup, verdict[once])
+	fmt.Fprintf(w, "recovery path: %d returns absorbed, %d server replies bounced, %d re-issues, served A/B/B' = %d/%d/%d\n",
 		returns, lostReplies, resends, served[0], served[1], served[2])
-	fmt.Printf("monitor: %d death(s) declared, %d heartbeats; scheduler: %d jobs done, %d requeued\n",
+	fmt.Fprintf(w, "monitor: %d death(s) declared, %d heartbeats; scheduler: %d jobs done, %d requeued\n",
 		mon.Deaths, mon.Beats, sched.Completed, sched.Requeued)
-	fmt.Printf("name service: %d binding(s) dropped for the dead node\n",
+	fmt.Fprintf(w, "name service: %d binding(s) dropped for the dead node\n",
 		svc.Dir.C.Get("dir.drop_node"))
 	if moveStats != nil {
-		fmt.Printf("live migration under recovery load: %d -> %d, blackout %v, %d bytes\n",
+		fmt.Fprintf(w, "live migration under recovery load: %d -> %d, blackout %v, %d bytes\n",
 			nodeA, moveDst, moveStats.Blackout, moveStats.Bytes)
 	}
 	// Per-link loss attribution for the faulted elements, from the
 	// structured per-link counters.
-	fmt.Printf("lossy links:\n%s", indent(netsim.RenderLinkCounters(c.Net.PerLinkCounters(), true)))
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
+	fmt.Fprintf(w, "lossy links:\n")
+	for _, line := range strings.Split(netsim.RenderLinkCounters(c.Net.PerLinkCounters(), true), "\n") {
 		if line != "" {
-			out += "  " + line + "\n"
+			fmt.Fprintf(w, "  %s\n", line)
 		}
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
+	if !recovered || !once {
+		return errors.New("recovery or exactly-once verdict is FAIL")
 	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
+	return nil
 }

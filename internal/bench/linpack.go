@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"math"
 
 	"virtnet/internal/hostos"
@@ -34,7 +37,6 @@ func DefaultLinpackConfig() LinpackConfig {
 
 // LinpackResult reports the achieved rate.
 type LinpackResult struct {
-	Cfg        LinpackConfig
 	Time       sim.Duration
 	GFlops     float64
 	Efficiency float64 // fraction of Nodes*RateFlops
@@ -163,9 +165,26 @@ func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
 	total := 2.0 / 3.0 * float64(cfg.N) * float64(cfg.N) * float64(cfg.N)
 	gf := total / elapsed.Seconds() / 1e9
 	return LinpackResult{
-		Cfg:        cfg,
 		Time:       elapsed,
 		GFlops:     gf,
 		Efficiency: gf * 1e9 / (float64(cfg.Nodes) * cfg.RateFlops),
 	}, true
+}
+
+func linpackRow(w io.Writer, p Params) error {
+	header(w, "§6.2 — Linpack on the dedicated cluster")
+	cfg := DefaultLinpackConfig()
+	cfg.Seed = p.Seed
+	if p.Quick {
+		cfg.Nodes, cfg.N = 25, 2048
+	}
+	res, ok := RunLinpack(cfg)
+	if !ok {
+		return errors.New("linpack did not complete")
+	}
+	fmt.Fprintf(w, "nodes=%d n=%d nb=%d: %.2f GFLOPS in %v (%.0f%% of %0.1f GF peak)\n",
+		cfg.Nodes, cfg.N, cfg.NB, res.GFlops, res.Time,
+		res.Efficiency*100, float64(cfg.Nodes)*cfg.RateFlops/1e9)
+	fmt.Fprintf(w, "(paper: 10.14 GFLOPS on 100 nodes, Top-500 #315 in June 1997)\n")
+	return nil
 }

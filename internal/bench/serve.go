@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"virtnet/internal/core"
-	"virtnet/internal/fault"
 	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
 	"virtnet/internal/reliab"
@@ -33,13 +32,13 @@ const (
 type ServeConfig struct {
 	Scenario string  // see ServeScenarios
 	Factor   float64 // offered load as a multiple of estimated capacity
-	Hosts    int     // cluster size (default 256)
-	Servers  int     // serving nodes (default 32); gateway adds its tier on top
-	Clients  int     // open-loop client procs (default 64)
+	Hosts    int     // cluster size
+	Servers  int     // serving nodes; gateway adds its tier on top
+	Clients  int     // open-loop client procs
 	Shards   int     // engine shards (0/1 = one shard)
 	Seed     int64
-	Warmup   sim.Duration // steady-state ramp before measurement (default 50ms)
-	Window   sim.Duration // measurement window (default 150ms)
+	Warmup   sim.Duration // steady-state ramp before measurement
+	Window   sim.Duration // measurement window
 	// Ablate turns the reliability layer off: unbounded FIFO admission, no
 	// shedding, no breakers. Past saturation the queues only grow and every
 	// reply is stale — the collapse the golden curves contrast against.
@@ -54,7 +53,6 @@ type ServeConfig struct {
 // ServeResult is one row of the offered-load sweep: the merged SLO across
 // all clients plus the reliability-layer and app counters that explain it.
 type ServeResult struct {
-	Cfg      ServeConfig
 	Capacity float64 // estimated req/s at the configured service times
 	SLO      *serve.SLO
 
@@ -99,13 +97,15 @@ func ServeScenarios() []ServeScenario {
 	}
 }
 
-func validServeScenario(name string) bool {
+// scenarioDesc returns the description of the named scenario, "" when
+// RunServePoint does not accept the name.
+func scenarioDesc(name string) string {
 	for _, s := range ServeScenarios() {
 		if s.Name == name {
-			return true
+			return s.Desc
 		}
 	}
-	return false
+	return ""
 }
 
 // RunServePoint runs one scenario at one offered-load factor and returns
@@ -113,35 +113,16 @@ func validServeScenario(name string) bool {
 // schedules and key picks come from derived PRNG streams, per-client SLOs
 // merge in client order, and per-server metrics sum in server order.
 func RunServePoint(cfg ServeConfig) (ServeResult, error) {
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 256
+	if scenarioDesc(cfg.Scenario) == "" {
+		return ServeResult{}, fmt.Errorf("unknown scenario %q (-scenario list prints them)", cfg.Scenario)
 	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 32
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 64
-	}
-	if cfg.Factor <= 0 {
-		cfg.Factor = 1
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 50 * sim.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 150 * sim.Millisecond
-	}
-	if !validServeScenario(cfg.Scenario) {
-		return ServeResult{}, fmt.Errorf("serve: unknown scenario %q", cfg.Scenario)
+	if cfg.Hosts <= 0 || cfg.Servers <= 0 || cfg.Clients <= 0 || cfg.Factor <= 0 || cfg.Warmup <= 0 || cfg.Window <= 0 {
+		return ServeResult{}, fmt.Errorf("serve config %+v: sizes, factor and windows must all be positive", cfg)
 	}
 
 	ccfg := hostos.DefaultClusterConfig()
 	if cfg.Hosts >= 128 {
-		// Three-level fat tree, leaf-aligned with engine sharding.
-		ccfg.Net.HostsPerLeaf = 8
-		ccfg.Net.Spines = 4
-		ccfg.Net.LeavesPerPod = 16
-		ccfg.Net.Cores = 8
+		threeLevelFatTree(&ccfg)
 	}
 	c := hostos.NewShardedCluster(cfg.Seed, cfg.Hosts, cfg.Shards, ccfg)
 	defer c.Shutdown()
@@ -150,7 +131,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 		c.EnableObs(obs.Options{SampleEvery: cfg.TraceSample, RingCap: 1 << 14})
 	}
 
-	res := ServeResult{Cfg: cfg}
+	var res ServeResult
 	stop := false
 	stopFn := func() bool { return stop }
 
@@ -335,17 +316,9 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 	// Scenario environment: fault churn and NI-frame interference ride on
 	// top of the baseline workload.
 	if cfg.Scenario == "faultchurn" {
-		pl := fault.RandomPlan(serve.DeriveRNG(cfg.Seed, 0xFA177), fault.ChaosConfig{
-			Events:       24,
-			Horizon:      cfg.Warmup + cfg.Window + serveDrain,
-			MaxOutage:    15 * sim.Millisecond,
-			Nodes:        cfg.Hosts,
-			Leaves:       c.Net.Leaves(),
-			Spines:       c.Net.TotalSpines(),
-			Crash:        true,
-			NoCrashBelow: clientBase, // the serving tier survives; clients churn
-		})
-		pl.Apply(c)
+		// The serving tier survives; clients churn.
+		applyChaosPlan(c, serve.DeriveRNG(cfg.Seed, 0xFA177), 24,
+			cfg.Warmup+cfg.Window+serveDrain, 15*sim.Millisecond, clientBase)
 	}
 	if cfg.Scenario == "interference" {
 		if err := serveNoiseTenant(c, cfg, stopFn); err != nil {
@@ -359,7 +332,6 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 	measureTo := measureFrom.Add(cfg.Window)
 	slos := make([]*serve.SLO, cfg.Clients)
 	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
 		node := c.Nodes[clientBase+(ci*(cfg.Hosts-clientBase))/cfg.Clients]
 		slo := serve.NewSLO()
 		slos[ci] = slo

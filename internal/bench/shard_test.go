@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
-	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
 )
@@ -18,9 +16,9 @@ func TestShardedSimPerfCompletes(t *testing.T) {
 		msgs = 15
 	}
 	for _, shards := range []int{1, 2, 4} {
-		res := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: msgs, Seed: 2, Shards: shards})
-		if want := int64(32 * msgs); res.Replied != want {
-			t.Fatalf("shards=%d: replied=%d, want %d", shards, res.Replied, want)
+		res, err := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: msgs, Seed: 2, Shards: shards})
+		if want := int64(32 * msgs); err != nil || res.Replied != want {
+			t.Fatalf("shards=%d: replied=%d, want %d (err %v)", shards, res.Replied, want, err)
 		}
 	}
 }
@@ -41,79 +39,21 @@ func TestShardPoolLocalityHammer(t *testing.T) {
 	cl := hostos.NewShardedCluster(11, nodes, 4, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 
-	done := make([]bool, pairs)
-	for i := 0; i < pairs; i++ {
-		i := i
-		// Cross-cluster pairing: almost every pair straddles a shard
-		// boundary, so acks constantly release foreign-allocated control
-		// headers into local pools.
-		srvNode, cliNode := cl.Nodes[i], cl.Nodes[pairs+i]
-		sb := core.Attach(srvNode)
-		sep, err := sb.NewEndpoint(core.Key(300+i), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb := core.Attach(cliNode)
-		cep, err := cb.NewEndpoint(core.Key(400+i), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sep.Map(0, cep.Name(), core.Key(400+i))
-		cep.Map(0, sep.Name(), core.Key(300+i))
-		sep.SetHandler(1, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-			tok.Reply(p, 2, args)
-		})
-		got := 0
-		cep.SetHandler(2, func(p *sim.Proc, tok *core.Token, _ [4]uint64, _ []byte) {
-			got++
-		})
-		srvNode.Spawn(fmt.Sprintf("hm-srv%d", i), func(p *sim.Proc) {
-			for {
-				if sep.Poll(p) == 0 {
-					p.Sleep(sim.Microsecond)
-				}
-			}
-		})
-		cliNode.Spawn(fmt.Sprintf("hm-cli%d", i), func(p *sim.Proc) {
-			for s := 0; s < msgs; s++ {
-				if cep.Request(p, 0, 1, [4]uint64{uint64(s)}) != nil {
-					return
-				}
-				cep.Poll(p)
-			}
-			for got < msgs {
-				cep.Poll(p)
-				p.Sleep(sim.Microsecond)
-			}
-			done[i] = true
-		})
+	// Cross-cluster pairing: almost every pair straddles a shard boundary,
+	// so acks constantly release foreign-allocated control headers into
+	// local pools.
+	states, err := spawnEchoPairs(cl, pairs, msgs, func(i int) (srv, cli int) { return i, pairs + i })
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	deadline := sim.Time(0).Add(30 * sim.Second)
-	for cl.Now() < deadline {
-		cl.RunFor(5 * sim.Millisecond)
-		all := true
-		for _, d := range done {
-			all = all && d
-		}
-		if all {
-			break
-		}
-	}
-	for i, d := range done {
-		if !d {
+	runUntil(cl, 5*sim.Millisecond, sim.Time(0).Add(30*sim.Second), echoPairsDone(states))
+	for i, ps := range states {
+		if !ps.done {
 			t.Fatalf("pair %d did not finish", i)
 		}
 	}
-	for _, n := range cl.Nodes {
-		if err := n.NIC.VerifyPoolLocality(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 0; s < cl.Shards(); s++ {
-		if err := cl.ShardNet(s).VerifyPoolLocality(); err != nil {
-			t.Fatal(err)
-		}
+	if err := poolLocality(cl); err != nil {
+		t.Fatal(err)
 	}
 	if _, exchanged := cl.Coord.ExchangeStats(); exchanged == 0 {
 		t.Fatalf("hammer never crossed a shard boundary")

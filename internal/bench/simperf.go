@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
-	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
@@ -39,7 +39,6 @@ type SimPerfConfig struct {
 // SimPerfResult separates deterministic virtual-time metrics (safe to golden)
 // from wall-clock metrics (machine-dependent, never golden).
 type SimPerfResult struct {
-	Cfg     SimPerfConfig
 	Replied int64        // requests that completed with a reply
 	Virtual sim.Duration // virtual time at which the last client drained
 	Engine  sim.Stats    // engine counters at completion
@@ -54,7 +53,7 @@ type SimPerfResult struct {
 
 // RunSimPerf builds the cluster, streams Pairs*Msgs request/reply exchanges
 // to completion, and reports both metric sets.
-func RunSimPerf(cfg SimPerfConfig) SimPerfResult {
+func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 	if cfg.Pairs == 0 {
 		if cfg.Hosts > 0 {
 			cfg.Pairs = cfg.Hosts / 2
@@ -73,10 +72,7 @@ func RunSimPerf(cfg SimPerfConfig) SimPerfResult {
 			cfg.Pairs = nhosts / 2
 		}
 		if nhosts >= 512 {
-			ccfg.Net.HostsPerLeaf = 8
-			ccfg.Net.Spines = 4
-			ccfg.Net.LeavesPerPod = 16
-			ccfg.Net.Cores = 8
+			threeLevelFatTree(&ccfg)
 		}
 	}
 	// place maps pair i to its (server, client) hosts. The classic layout
@@ -102,90 +98,28 @@ func RunSimPerf(cfg SimPerfConfig) SimPerfResult {
 	if cfg.TraceSample > 0 {
 		cl.EnableObs(obs.Options{SampleEvery: cfg.TraceSample})
 	}
-
-	type pairState struct {
-		got    int
-		done   bool
-		doneAt sim.Time
-	}
-	states := make([]*pairState, cfg.Pairs)
-	for i := 0; i < cfg.Pairs; i++ {
-		ps := &pairState{}
-		states[i] = ps
-		srvHost, cliHost := place(i)
-		srvNode := cl.Nodes[srvHost]
-		cliNode := cl.Nodes[cliHost]
-
-		sb := core.Attach(srvNode)
-		sep, err := sb.NewEndpoint(core.Key(100+i), 8)
-		if err != nil {
-			panic(err)
-		}
-		cb := core.Attach(cliNode)
-		cep, err := cb.NewEndpoint(core.Key(200+i), 8)
-		if err != nil {
-			panic(err)
-		}
-		sep.Map(0, cep.Name(), core.Key(200+i))
-		cep.Map(0, sep.Name(), core.Key(100+i))
-
-		sep.SetHandler(hReq, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-			tok.Reply(p, hRep, args)
-		})
-		cep.SetHandler(hRep, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-			ps.got++
-		})
-		srvNode.Spawn(fmt.Sprintf("sp-srv%d", i), func(p *sim.Proc) {
-			for {
-				if sep.Poll(p) == 0 {
-					p.Sleep(sim.Microsecond)
-				}
-			}
-		})
-		cliNode.Spawn(fmt.Sprintf("sp-cli%d", i), func(p *sim.Proc) {
-			for s := 0; s < cfg.Msgs; s++ {
-				if cep.Request(p, 0, hReq, [4]uint64{uint64(s)}) != nil {
-					return
-				}
-				cep.Poll(p)
-			}
-			for ps.got < cfg.Msgs {
-				cep.Poll(p)
-				p.Sleep(sim.Microsecond)
-			}
-			ps.done = true
-			ps.doneAt = p.Now()
-		})
+	pairs, err := spawnEchoPairs(cl, cfg.Pairs, cfg.Msgs, place)
+	if err != nil {
+		return SimPerfResult{}, err
 	}
 
 	before := cl.EngineStats()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
-	deadline := sim.Time(0).Add(300 * sim.Second)
-	for cl.Now() < deadline {
-		cl.RunFor(10 * sim.Millisecond)
-		all := true
-		for _, ps := range states {
-			all = all && ps.done
-		}
-		if all {
-			break
-		}
-	}
+	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(300*sim.Second), echoPairsDone(pairs))
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
 	after := cl.EngineStats()
 
 	res := SimPerfResult{
-		Cfg:       cfg,
 		Engine:    after,
 		Wall:      wall,
 		Mallocs:   ms1.Mallocs - ms0.Mallocs,
 		EventsRun: after.Fired - before.Fired,
 	}
-	for _, ps := range states {
-		res.Replied += int64(ps.got)
+	for _, ps := range pairs {
+		res.Replied += ps.got
 		if ps.doneAt > sim.Time(res.Virtual) {
 			res.Virtual = sim.Duration(ps.doneAt)
 		}
@@ -193,5 +127,99 @@ func RunSimPerf(cfg SimPerfConfig) SimPerfResult {
 	if res.Virtual > 0 {
 		res.MsgsPerSec = float64(res.Replied) / res.Virtual.Seconds()
 	}
-	return res
+	return res, nil
+}
+
+// bigSimPerf is the 1,024-host scaling workload: 512 pairs on the
+// three-level fat tree, ~25% of the streams crossing leaves (and shards).
+func bigSimPerf(p Params, shards int) SimPerfConfig {
+	cfg := SimPerfConfig{Hosts: 1024, Pairs: 512, Msgs: 60, Seed: p.Seed, Shards: shards}
+	if p.Quick {
+		cfg.Msgs = 15
+	}
+	return cfg
+}
+
+// simPerfSection runs one simperf section and prints it: deterministic
+// virtual-time metrics to w (golden), wall-clock rates to p.Diag.
+func simPerfSection(w io.Writer, p Params, cfg SimPerfConfig) error {
+	res, err := RunSimPerf(cfg)
+	if err != nil {
+		return err
+	}
+	msgs := float64(res.Replied)
+	fmt.Fprintf(w, "pairs=%d nodes=%d msgs/client=%d\n", cfg.Pairs, max(cfg.Hosts, 2*cfg.Pairs), cfg.Msgs)
+	fmt.Fprintf(w, "virtual: replied=%d time=%v rate=%.0f msgs/s\n",
+		res.Replied, res.Virtual, res.MsgsPerSec)
+	s := res.Engine
+	hitRate := 0.0
+	if s.PoolHits+s.PoolMisses > 0 {
+		hitRate = float64(s.PoolHits) / float64(s.PoolHits+s.PoolMisses)
+	}
+	fmt.Fprintf(w, "events: fired=%d (%.1f/msg), max pending=%d, pool hit rate=%.3f\n",
+		s.Fired, float64(s.Fired)/msgs, s.MaxPending, hitRate)
+	ev := float64(res.EventsRun)
+	fmt.Fprintf(p.diag(),
+		"wall-clock (machine-dependent, not golden): %.3fs, %.2fM events/s, %.0f ns/event, %.1f allocs/msg, %.1f hand-offs/msg\n",
+		res.Wall.Seconds(), ev/res.Wall.Seconds()/1e6,
+		float64(res.Wall.Nanoseconds())/ev, float64(res.Mallocs)/msgs,
+		float64(s.Handoffs)/msgs)
+	return nil
+}
+
+// simPerfRow is the event-engine self-benchmark: client/server pairs stream
+// small requests to completion. With default flags it prints the two golden
+// sections — the original 16-node stream and the 1,024-host single-shard
+// baseline — both captured in results_simperf.txt. -hosts/-shards run one
+// custom section instead; -sweep appends a shard-scaling sweep (1/2/4/8
+// shards on the 1,024-host workload) whose wall-clock speedups go to
+// p.Diag only.
+func simPerfRow(w io.Writer, p Params) error {
+	if p.Hosts != 0 || p.Shards > 1 {
+		shards := max(p.Shards, 1)
+		cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed, Shards: shards}
+		if p.Hosts != 0 {
+			cfg = bigSimPerf(p, shards)
+			cfg.Hosts = p.Hosts
+			cfg.Pairs = p.Hosts / 2
+		}
+		if p.Quick {
+			cfg.Msgs /= 4
+		}
+		header(w, fmt.Sprintf("simperf — event-engine self-benchmark (%d hosts, %d shards)",
+			max(cfg.Hosts, 2*cfg.Pairs), shards))
+		if err := simPerfSection(w, p, cfg); err != nil {
+			return err
+		}
+	} else {
+		header(w, "simperf — event-engine self-benchmark (16-node stream)")
+		cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
+		if p.Quick {
+			cfg.Msgs = 2000
+		}
+		if err := simPerfSection(w, p, cfg); err != nil {
+			return err
+		}
+		header(w, "simperf — 1,024-host cluster baseline (1 shard)")
+		if err := simPerfSection(w, p, bigSimPerf(p, 1)); err != nil {
+			return err
+		}
+	}
+	if p.Sweep {
+		fmt.Fprintf(p.diag(), "shard-scaling sweep (1,024 hosts; wall-clock, machine-dependent):\n")
+		base := 0.0
+		for _, n := range []int{1, 2, 4, 8} {
+			res, err := RunSimPerf(bigSimPerf(p, n))
+			if err != nil {
+				return err
+			}
+			evs := float64(res.EventsRun) / res.Wall.Seconds()
+			if n == 1 {
+				base = evs
+			}
+			fmt.Fprintf(p.diag(), "  shards=%d  events/s=%.2fM  speedup=%.2fx  replied=%d\n",
+				n, evs/1e6, evs/base, res.Replied)
+		}
+	}
+	return nil
 }

@@ -1,11 +1,11 @@
-package main
+package bench
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 
-	"virtnet/internal/fault"
 	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
 	"virtnet/internal/reliab"
@@ -13,8 +13,8 @@ import (
 	"virtnet/internal/sim"
 )
 
-// runChaos is the chaos-soak harness (-chaos): a seeded random fault
-// schedule (internal/fault.RandomPlan) torments the fabric while an
+// chaosSoak is the chaos-soak harness (-chaos): a seeded random fault
+// schedule (applyChaosPlan) torments the fabric while an
 // idempotent-keyed RPC population hammers two protected server nodes
 // through the reliability layer. At the end it checks the robustness
 // invariants:
@@ -31,8 +31,9 @@ import (
 //
 // All randomness comes from the engine PRNG plus one dedicated plan
 // generator seeded with -seed, so two runs at the same seed are
-// byte-identical — CI diffs them.
-func runChaos() {
+// byte-identical — TestSoaks compares them with a committed transcript.
+func chaosSoak(w io.Writer, p SoakParams) error {
+	nodes := p.Nodes
 	const (
 		nServers   = 2
 		key        = 95
@@ -40,38 +41,24 @@ func runChaos() {
 		attempts   = 3
 		staleAfter = 500 * sim.Millisecond
 	)
-	if *nodes < nServers+2 {
-		fatal("chaos soak needs at least %d nodes", nServers+2)
+	if nodes < nServers+2 {
+		return fmt.Errorf("chaos soak needs at least %d nodes", nServers+2)
 	}
 	cfg := hostos.DefaultClusterConfig()
-	cfg.Net.DropProb = *drop
-	cl := hostos.NewCluster(*seed, *nodes, cfg)
+	cfg.Net.DropProb = p.Drop
+	cl := hostos.NewCluster(p.Seed, nodes, cfg)
 	defer cl.Shutdown()
+	var fail failure
 	o := cl.EnableObs(obs.Options{SampleEvery: 8, RingCap: 512})
 	m := reliab.NewMetrics()
 	m.Register(o.R)
 
-	leaves := (*nodes + cfg.Net.HostsPerLeaf - 1) / cfg.Net.HostsPerLeaf
-	plan := fault.RandomPlan(rand.New(rand.NewSource(*seed)), fault.ChaosConfig{
-		Events:       24,
-		Horizon:      sim.Duration(*duration * float64(sim.Second)),
-		MaxOutage:    50 * sim.Millisecond,
-		Nodes:        *nodes,
-		Leaves:       leaves,
-		Spines:       cfg.Net.Spines,
-		Crash:        true,
-		NoCrashBelow: nServers, // servers hold the invariant state
-	})
-	fmt.Printf("chaos plan: %s\n", plan)
-	plan.Apply(cl)
-	// Chaos crashes always restart, so Crashed() alone can't tell us which
-	// client procs died with their node; the plan can.
-	everCrashed := make(map[int]bool)
-	for _, n := range plan.CrashTargets() {
-		everCrashed[n] = true
-	}
+	stopAt := sim.Time(sim.Duration(p.Duration * float64(sim.Second)))
+	// The servers hold the invariant state, so the plan spares them.
+	plan := applyChaosPlan(cl, rand.New(rand.NewSource(p.Seed)), 24, sim.Duration(stopAt), 50*sim.Millisecond, nServers)
+	fmt.Fprintf(w, "chaos plan: %s\n", plan)
+	crashed := plan.CrashTargets()
 
-	stopAt := sim.Time(sim.Duration(*duration * float64(sim.Second)))
 	stop := false
 
 	// Protected servers: bounded admission, idempotency cache, shared
@@ -83,42 +70,31 @@ func runChaos() {
 			Queue: 64, IdemCap: 1 << 16, Metrics: m, StaleAfter: staleAfter,
 		})
 		if err != nil {
-			fatal("server: %v", err)
+			return fmt.Errorf("server: %w", err)
 		}
 		s.RegisterCtx(1, func(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error) {
 			effects[ctx.IdemKey]++
 			return args, nil
 		})
-		srv := s
-		cl.Nodes[si].Spawn("chaos-server", func(p *sim.Proc) {
-			for !stop {
-				worked := srv.Poll(p) > 0
-				if srv.Step(p) {
-					worked = true
-				}
-				if !worked {
-					p.Sleep(5 * sim.Microsecond)
-				}
-			}
-		})
+		cl.Nodes[si].Spawn("chaos-server", func(p *sim.Proc) { pollServe(p, s, &stop) })
 		servers = append(servers, s)
 	}
 
 	// Client population on the crashable nodes: unique idempotency key per
 	// logical operation, bounded deadline, up to `attempts` re-attempts
 	// carrying the SAME key — the retry that must not double-execute.
-	nClients := *nodes - nServers
+	nClients := nodes - nServers
 	clients := make([]*rpc.Client, nClients)
 	clientDone := make([]bool, nClients)
 	succKeys := make(map[uint64]bool)
 	var calls, succ, failed int64
 	for ci := 0; ci < nClients; ci++ {
-		ci := ci
 		node := cl.Nodes[nServers+ci]
 		node.Spawn(fmt.Sprintf("chaos-client%d", ci), func(p *sim.Proc) {
 			c, err := rpc.NewClientOpts(node, servers[ci%nServers].Name(), key, rpc.Options{Metrics: m})
 			if err != nil {
-				fatal("client %d: %v", ci, err)
+				fail.failf("client %d: %w", ci, err)
+				return
 			}
 			clients[ci] = c
 			rng := node.E.Rand()
@@ -163,96 +139,59 @@ func runChaos() {
 
 	// No-hang invariant: everything must settle within a bounded window
 	// after the load stops (transport retry schedules + stale sweeps).
-	limit := stopAt.Add(10 * sim.Second)
-	for cl.E.Now() < limit {
-		cl.E.RunFor(50 * sim.Millisecond)
-		if cl.E.Now() < stopAt.Add(2*staleAfter) {
-			continue
-		}
-		settled := true
-		for ci := range clientDone {
-			if !clientDone[ci] && !everCrashed[nServers+ci] {
-				settled = false
-			}
-		}
-		if settled {
-			break
-		}
+	runUntil(cl, 50*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
+		return fail.err != nil || cl.Now() >= stopAt.Add(2*staleAfter) && hungClient(clientDone, nServers, crashed) < 0
+	})
+	if fail.err != nil {
+		return fail.err
 	}
-	for ci := range clientDone {
-		if !clientDone[ci] && !everCrashed[nServers+ci] {
-			fatal("INVARIANT VIOLATION: client %d hung (no-hang)", ci)
-		}
+	if ci := hungClient(clientDone, nServers, crashed); ci >= 0 {
+		return fmt.Errorf("INVARIANT VIOLATION: client %d hung (no-hang)", ci)
 	}
 	// Run past the sweep horizon so servers reclaim partial calls from
 	// crashed clients, then stop the server loops.
-	cl.E.RunFor(2 * staleAfter)
+	cl.RunFor(2 * staleAfter)
 	stop = true
-	cl.E.RunFor(10 * sim.Millisecond)
+	cl.RunFor(10 * sim.Millisecond)
 
-	crashed := 0
-	for ci := range clientDone {
-		if !clientDone[ci] {
-			crashed++
+	lost := 0
+	for _, done := range clientDone {
+		if !done {
+			lost++
 		}
 	}
-	fmt.Printf("chaos traffic: %d ops, %d ok, %d gave up, %d clients lost to crashes\n",
-		calls, succ, failed, crashed)
+	fmt.Fprintf(w, "chaos traffic: %d ops, %d ok, %d gave up, %d clients lost to crashes\n",
+		calls, succ, failed, lost)
 
 	// Exactly-once effects: no key may execute twice, and every key the
 	// client observed as a success must have executed.
-	dups, total := 0, 0
-	for _, n := range effects {
-		total++
-		if n > 1 {
-			dups++
-		}
-	}
+	total, dups := tally(effects)
 	for k := range succKeys {
 		if effects[k] == 0 {
-			fatal("INVARIANT VIOLATION: op %d succeeded at the client but never executed", k)
+			return fmt.Errorf("INVARIANT VIOLATION: op %d succeeded at the client but never executed", k)
 		}
 	}
 	if dups > 0 {
-		fatal("INVARIANT VIOLATION: %d of %d idempotency keys executed more than once", dups, total)
+		return fmt.Errorf("INVARIANT VIOLATION: %d duplicate executions across %d idempotency keys", dups, total)
 	}
-	fmt.Printf("exactly-once holds: %d keys executed, 0 duplicates, %d client-confirmed\n",
+	fmt.Fprintf(w, "exactly-once holds: %d keys executed, 0 duplicates, %d client-confirmed\n",
 		total, len(succKeys))
 
 	// Zero leaks: every surviving party's reliability bookkeeping is empty.
-	for si, s := range servers {
-		if calls, reissues, queued, deferred := s.Outstanding(); calls+reissues+queued+deferred != 0 {
-			fatal("INVARIANT VIOLATION: server %d leaked state: calls=%d reissues=%d queued=%d deferred=%d",
-				si, calls, reissues, queued, deferred)
-		}
+	if err := errors.Join(serversDrained(servers), clientsDrained(clients, clientDone)); err != nil {
+		return err
 	}
-	for ci, c := range clients {
-		if c == nil || !clientDone[ci] {
-			continue
-		}
-		if results, reissues, deferred := c.Outstanding(); results+reissues+deferred != 0 {
-			fatal("INVARIANT VIOLATION: client %d leaked state: results=%d reissues=%d deferred=%d",
-				ci, results, reissues, deferred)
-		}
-	}
-	fmt.Println("zero leaks: all call buffers, re-issue records, and deferred retries drained")
+	fmt.Fprintln(w, "zero leaks: all call buffers, re-issue records, and deferred retries drained")
 
 	// Trace integrity: per-stage durations of every finalized flight sum
 	// exactly to its total.
-	checked := 0
-	for _, f := range o.T.Flights() {
-		var sum sim.Duration
-		for _, d := range f.StageTotals() {
-			sum += d
-		}
-		if sum != f.Total() {
-			fatal("INVARIANT VIOLATION: flight %d/%d stage sum %v != total %v",
-				f.TraceID, f.Span, sum, f.Total())
-		}
-		checked++
+	flights := o.T.Flights()
+	if err := stageSums(flights); err != nil {
+		return err
 	}
-	fmt.Printf("trace integrity: %d sampled flights, stage sums exact\n", checked)
+	fmt.Fprintf(w, "trace integrity: %d sampled flights, stage sums exact\n", len(flights))
 
-	fmt.Print(o.R.DashboardSection("reliab"))
-	fmt.Printf("final sim time %v\n", sim.Duration(cl.E.Now()))
+	fmt.Fprint(w, o.R.DashboardSection("reliab"))
+	fmt.Fprintf(w, "final sim time %v\n", sim.Duration(cl.Now()))
+	return nil
 }

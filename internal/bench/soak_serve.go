@@ -1,12 +1,13 @@
-package main
+package bench
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 
 	"virtnet/internal/core"
-	"virtnet/internal/fault"
 	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
 	"virtnet/internal/reliab"
@@ -15,7 +16,7 @@ import (
 	"virtnet/internal/sim"
 )
 
-// runServeSoak is the serving soak (-serve): open-loop KV clients drive a
+// serveSoak is the serving soak (-serve): open-loop KV clients drive a
 // small protected serving tier at ~1.3× capacity through the reliability
 // layer while a seeded random fault plan churns links and crashes client
 // nodes. With -shards N the same soak runs on a sharded cluster, with the
@@ -35,7 +36,8 @@ import (
 // quantiles) and a compact tail-attribution panel (per SLO class: count,
 // dominant stage) print every 100 ms of simulated time; the full
 // attribution report prints at the end either way.
-func runServeSoak() {
+func serveSoak(w io.Writer, p SoakParams) error {
+	nodes, seed := p.Nodes, p.Seed
 	const (
 		nServers   = 4
 		deadline   = 20 * sim.Millisecond
@@ -44,17 +46,14 @@ func runServeSoak() {
 		replicas   = 2
 		staleAfter = 500 * sim.Millisecond
 	)
-	if *nodes < nServers+2 {
-		fatal("serve soak needs at least %d nodes", nServers+2)
-	}
-	sh := 1
-	if flagSet("shards") {
-		sh = *shards
+	if nodes < nServers+2 {
+		return fmt.Errorf("serve soak needs at least %d nodes", nServers+2)
 	}
 	cfg := hostos.DefaultClusterConfig()
-	cfg.Net.DropProb = *drop
-	cl := hostos.NewShardedCluster(*seed, *nodes, sh, cfg)
+	cfg.Net.DropProb = p.Drop
+	cl := hostos.NewShardedCluster(seed, nodes, max(p.Shards, 1), cfg) // one shard unless -shards says otherwise
 	defer cl.Shutdown()
+	var fail failure
 	o := cl.EnableObs(obs.Options{SampleEvery: 8, RingCap: 1 << 12})
 
 	// One reliab metrics set per shard: every actor on a shard shares its
@@ -69,28 +68,17 @@ func runServeSoak() {
 		return ms[cl.ShardOfNode(int(node.ID))]
 	}
 
-	dur := sim.Duration(*duration * float64(sim.Second))
-	leaves := (*nodes + cfg.Net.HostsPerLeaf - 1) / cfg.Net.HostsPerLeaf
-	plan := fault.RandomPlan(rand.New(rand.NewSource(*seed+0xF00)), fault.ChaosConfig{
-		Events:       16,
-		Horizon:      dur,
-		MaxOutage:    30 * sim.Millisecond,
-		Nodes:        *nodes,
-		Leaves:       leaves,
-		Spines:       cfg.Net.Spines,
-		Crash:        true,
-		NoCrashBelow: nServers, // the serving tier holds the invariant state
-	})
-	fmt.Printf("serve soak plan: %s\n", plan)
-	plan.Apply(cl)
-	everCrashed := make(map[int]bool)
-	for _, n := range plan.CrashTargets() {
-		everCrashed[n] = true
-	}
+	dur := sim.Duration(p.Duration * float64(sim.Second))
+	stopAt := sim.Time(dur)
+	// The serving tier holds the invariant state, so the plan spares it.
+	plan := applyChaosPlan(cl, rand.New(rand.NewSource(seed+0xF00)), 16, dur, 30*sim.Millisecond, nServers)
+	fmt.Fprintf(w, "serve soak plan: %s\n", plan)
+	crashed := plan.CrashTargets()
 
 	stop := false
 	ring := serve.NewRing(nServers, 32)
 	servers := make([]*serve.KVServer, nServers)
+	rpcServers := make([]*rpc.Server, nServers)
 	addrs := make([]serve.Addr, nServers)
 	for i := 0; i < nServers; i++ {
 		kv, err := serve.NewKVServer(cl.Nodes[i], core.Key(5000+i), serve.KVServerConfig{
@@ -98,9 +86,9 @@ func runServeSoak() {
 			Opts: rpc.Options{Queue: 32, IdemCap: 1 << 16, Metrics: mfor(cl.Nodes[i]), StaleAfter: staleAfter},
 		})
 		if err != nil {
-			fatal("kv server: %v", err)
+			return fmt.Errorf("kv server: %w", err)
 		}
-		servers[i] = kv
+		servers[i], rpcServers[i] = kv, kv.S
 		addrs[i] = kv.Addr()
 		cl.Nodes[i].Spawn(fmt.Sprintf("kv-serve%d", i), func(p *sim.Proc) {
 			kv.Serve(p, func() bool { return stop })
@@ -113,7 +101,7 @@ func runServeSoak() {
 	// are parked between RunFor rounds.
 	workPerOp := (1 - putFrac) + putFrac*replicas
 	capacity := float64(nServers) * float64(sim.Second) / float64(service) / workPerOp
-	nClients := *nodes - nServers
+	nClients := nodes - nServers
 	perClient := 1.3 * capacity / float64(nClients)
 	slos := make([]*serve.SLO, nClients)
 	for ci := range slos {
@@ -131,40 +119,40 @@ func runServeSoak() {
 	clientDone := make([]bool, nClients)
 	pools := make([]*rpc.Pool, nClients)
 	for ci := 0; ci < nClients; ci++ {
-		ci := ci
 		node := cl.Nodes[nServers+ci]
 		node.Spawn(fmt.Sprintf("serve-client%d", ci), func(p *sim.Proc) {
-			w, err := serve.NewKVWorkload(node, addrs, serve.KVWorkloadConfig{
+			wl, err := serve.NewKVWorkload(node, addrs, serve.KVWorkloadConfig{
 				Ring:     ring,
-				Keys:     serve.NewHotKeys(10000, 4, 0.3, serve.DeriveRNG(*seed, uint64(0x20000+ci))),
+				Keys:     serve.NewHotKeys(10000, 4, 0.3, serve.DeriveRNG(seed, uint64(0x20000+ci))),
 				PutFrac:  putFrac,
 				Replicas: replicas,
 				ValSize:  64,
 				IdemPuts: true,
 				ClientID: uint64(ci + 1),
-			}, rpc.Options{Metrics: mfor(node)}, serve.DeriveRNG(*seed, uint64(0x30000+ci)))
+			}, rpc.Options{Metrics: mfor(node)}, serve.DeriveRNG(seed, uint64(0x30000+ci)))
 			if err != nil {
-				fatal("workload %d: %v", ci, err)
+				fail.failf("workload %d: %w", ci, err)
+				return
 			}
-			pools[ci] = w.Pool()
+			pools[ci] = wl.Pool()
 			ccfg := serve.ClientConfig{
-				Arr:       serve.NewPoisson(perClient, serve.DeriveRNG(*seed, uint64(0x10000+ci))),
+				Arr:       serve.NewPoisson(perClient, serve.DeriveRNG(seed, uint64(0x10000+ci))),
 				Deadline:  deadline,
 				MaxOut:    64,
-				Stop:      sim.Time(dur),
-				MeasureTo: sim.Time(dur),
+				Stop:      stopAt,
+				MeasureTo: stopAt,
 			}
 			if node.Obs != nil {
 				ccfg.Tracer = node.Obs.T
 				ccfg.TraceNode = int(node.ID)
 			}
-			serve.RunClient(p, w, ccfg, slos[ci])
+			serve.RunClient(p, wl, ccfg, slos[ci])
 			// Poll the pool until its re-issue bookkeeping drains (late
 			// returns from fault outages can still be in flight).
 			until := p.Now().Add(2 * staleAfter)
 			for p.Now() < until {
-				w.Poll(p)
-				if r, ri, d := w.Pool().Outstanding(); r+ri+d == 0 {
+				wl.Poll(p)
+				if r, ri, d := wl.Pool().Outstanding(); r+ri+d == 0 {
 					break
 				}
 				p.Sleep(100 * sim.Microsecond)
@@ -174,120 +162,82 @@ func runServeSoak() {
 	}
 
 	// No-hang invariant: surviving clients settle within a bounded window.
-	stopAt := sim.Time(dur)
-	limit := stopAt.Add(10 * sim.Second)
 	lastDash := cl.Now()
-	for cl.Now() < limit {
-		cl.RunFor(10 * sim.Millisecond)
-		if *dash && cl.Now().Sub(lastDash) >= 100*sim.Millisecond {
-			fmt.Print(o.R.DashboardSection("serve"))
-			fmt.Print(attrPanel(obs.Attribute(cl.MergedFlights(), 1)))
+	runUntil(cl, 10*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
+		if p.Dash && cl.Now().Sub(lastDash) >= 100*sim.Millisecond {
+			fmt.Fprint(w, o.R.DashboardSection("serve"))
+			fmt.Fprint(w, attrPanel(obs.Attribute(cl.MergedFlights(), 1)))
 			lastDash = cl.Now()
 		}
-		settled := cl.Now() >= stopAt.Add(2*deadline)
-		for ci := range clientDone {
-			if !clientDone[ci] && !everCrashed[nServers+ci] {
-				settled = false
-			}
-		}
-		if settled {
-			break
-		}
+		return fail.err != nil || cl.Now() >= stopAt.Add(2*deadline) && hungClient(clientDone, nServers, crashed) < 0
+	})
+	if fail.err != nil {
+		return fail.err
 	}
-	for ci := range clientDone {
-		if !clientDone[ci] && !everCrashed[nServers+ci] {
-			fatal("INVARIANT VIOLATION: serve client %d hung (no-hang)", ci)
-		}
+	if ci := hungClient(clientDone, nServers, crashed); ci >= 0 {
+		return fmt.Errorf("INVARIANT VIOLATION: serve client %d hung (no-hang)", ci)
 	}
 	// Run past the stale-sweep horizon so servers reclaim partial calls
 	// from crashed clients. A reply bouncing off a crashed client re-arms
 	// its reissue record's stale clock on every return-to-sender cycle, so
 	// the last record can still be inside its stale window when the first
 	// horizon passes — keep serving until every server drains (bounded).
-	drainUntil := cl.Now().Add(6 * staleAfter)
-	for {
-		cl.RunFor(2 * staleAfter)
-		clear := true
-		for _, kv := range servers {
-			if calls, reissues, queued, deferred := kv.S.Outstanding(); calls+reissues+queued+deferred != 0 {
-				clear = false
-				break
-			}
-		}
-		if clear || cl.Now() >= drainUntil {
-			break
-		}
-	}
+	runUntil(cl, 2*staleAfter, cl.Now().Add(6*staleAfter), func() bool { return serversDrained(rpcServers) == nil })
 	stop = true
 	cl.RunFor(10 * sim.Millisecond)
 
-	crashed := 0
-	for ci := range clientDone {
-		if !clientDone[ci] {
-			crashed++
+	lost := 0
+	for _, done := range clientDone {
+		if !done {
+			lost++
 		}
 	}
 	slo := merged()
-	fmt.Printf("serve traffic: %s\n", slo.Line(dur))
-	fmt.Printf("clients: %d total, %d lost to crashes; capacity %.0f req/s offered at 1.3x across %d shards\n",
-		nClients, crashed, capacity, cl.Shards())
+	fmt.Fprintf(w, "serve traffic: %s\n", slo.Line(dur))
+	fmt.Fprintf(w, "clients: %d total, %d lost to crashes; capacity %.0f req/s offered at 1.3x across %d shards\n",
+		nClients, lost, capacity, cl.Shards())
 
 	// SLO sanity: the open loop must have offered load, and the protected
 	// tier must have served a real fraction of it despite the overload.
 	if slo.Offered == 0 || slo.Good == 0 {
-		fatal("INVARIANT VIOLATION: no load served (offered=%d good=%d)", slo.Offered, slo.Good)
+		return fmt.Errorf("INVARIANT VIOLATION: no load served (offered=%d good=%d)", slo.Offered, slo.Good)
 	}
 
 	// Exactly-once effects: across retries, duplicate deliveries, and fault
 	// churn, no idempotency key may reach a put handler twice.
-	var applied, keys int64
-	dups := 0
+	var applied int64
+	keys, dups := 0, 0
 	for _, kv := range servers {
 		applied += kv.Applied
-		for k, n := range kv.Ledger {
-			keys++
-			if n > 1 {
-				dups++
-				fmt.Printf("  key %x executed %d times\n", k, n)
-			}
-		}
+		k, d := tally(kv.Ledger)
+		keys, dups = keys+k, dups+d
 	}
 	if dups > 0 {
-		fatal("INVARIANT VIOLATION: %d of %d idempotency keys executed more than once", dups, keys)
+		return fmt.Errorf("INVARIANT VIOLATION: %d duplicate executions across %d idempotency keys", dups, keys)
 	}
 	var absorbed int64
 	for _, m := range ms {
 		absorbed += m.Get("idem_hits") + m.Get("idem_dup")
 	}
-	fmt.Printf("exactly-once holds: %d puts applied across %d replicas, 0 duplicate executions (%d duplicates absorbed by the idem cache)\n",
+	fmt.Fprintf(w, "exactly-once holds: %d puts applied across %d replicas, 0 duplicate executions (%d duplicates absorbed by the idem cache)\n",
 		applied, nServers, absorbed)
 
 	// Zero leaks: surviving clients' pools and every server drain to zero.
-	for ci, pl := range pools {
-		if pl == nil || !clientDone[ci] {
-			continue
-		}
-		if r, ri, d := pl.Outstanding(); r+ri+d != 0 {
-			fatal("INVARIANT VIOLATION: client %d leaked pool state: results=%d reissues=%d deferred=%d", ci, r, ri, d)
-		}
+	if err := errors.Join(serversDrained(rpcServers), clientsDrained(pools, clientDone)); err != nil {
+		return err
 	}
-	for si, kv := range servers {
-		if calls, reissues, queued, deferred := kv.S.Outstanding(); calls+reissues+queued+deferred != 0 {
-			fatal("INVARIANT VIOLATION: server %d leaked state: calls=%d reissues=%d queued=%d deferred=%d",
-				si, calls, reissues, queued, deferred)
-		}
-	}
-	fmt.Println("zero leaks: all pool slots, re-issue records, and admission queues drained")
+	fmt.Fprintln(w, "zero leaks: all pool slots, re-issue records, and admission queues drained")
 
 	// Tail attribution over the soak's sampled request trees — the merged
 	// cross-shard timeline folded per SLO class.
 	cl.SweepOpenFlights("run-end")
 	flights := cl.MergedFlights()
-	fmt.Printf("tail attribution over %d merged flights:\n", len(flights))
-	fmt.Print(obs.Attribute(flights, 2).Render())
+	fmt.Fprintf(w, "tail attribution over %d merged flights:\n", len(flights))
+	fmt.Fprint(w, obs.Attribute(flights, 2).Render())
 
-	fmt.Print(o.R.DashboardSection("serve"))
-	fmt.Printf("final sim time %v\n", sim.Duration(cl.Now()))
+	fmt.Fprint(w, o.R.DashboardSection("serve"))
+	fmt.Fprintf(w, "final sim time %v\n", sim.Duration(cl.Now()))
+	return nil
 }
 
 // attrPanel renders the compact one-line tail-attribution panel the -dash

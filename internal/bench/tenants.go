@@ -1,7 +1,9 @@
-package main
+package bench
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
 	"virtnet/internal/ctlplane"
 	"virtnet/internal/hostos"
@@ -10,7 +12,7 @@ import (
 	"virtnet/internal/vnet"
 )
 
-// runTenants retells the paper's §5 overcommit story as multi-tenant
+// tenantsRow retells the paper's §5 overcommit story as multi-tenant
 // interference under metered WRR shares: three tenants (shares 4:2:1) place
 // more client endpoints on one node than its NI has frames, stream echo
 // traffic to per-tenant server nodes, and the NI's weighted loiter budget
@@ -19,8 +21,8 @@ import (
 // API — the same surface cmd/vnproxyd serves — across two full
 // create→traffic→fault→delete cycles, so the run doubles as a tenant-churn
 // soak of the control plane.
-func runTenants() {
-	header("multi-tenant control plane — §5 overcommit as metered WRR shares (3 tenants on one NI)")
+func tenantsRow(w io.Writer, p Params) error {
+	header(w, "multi-tenant control plane — §5 overcommit as metered WRR shares (3 tenants on one NI)")
 
 	cc := hostos.DefaultClusterConfig()
 	// Meter aggressively: with the stock parameters the flows are
@@ -32,17 +34,22 @@ func runTenants() {
 	cc.NIC.RecvQDepth = 256
 	cc.NIC.LoiterMsgs = 8
 	cc.NIC.LoiterTime = 250 * sim.Microsecond
-	c := hostos.NewCluster(*seed, 8, cc)
+	c := hostos.NewCluster(p.Seed, 8, cc)
+	defer c.Shutdown()
 	c.EnableObs(obs.Options{})
 	cfg := vnet.DefaultConfig()
 	cfg.Overcommit = 2 // node cap = 8 frames × 2 = 16 endpoints
 	m := vnet.NewManager(c, cfg)
 	srv := ctlplane.NewServer(m)
 
+	// A control-plane op that fails fails the row; the ops after it still
+	// run so the transcript shows what the failure did.
+	var opErr error
 	ok := func(req ctlplane.Request) ctlplane.Response {
 		resp := srv.Handle(req)
 		if !resp.OK {
-			fmt.Printf("FAIL op %s: %s\n", req.Op, resp.Err)
+			fmt.Fprintf(w, "FAIL op %s: %s\n", req.Op, resp.Err)
+			opErr = errors.Join(opErr, fmt.Errorf("op %s: %s", req.Op, resp.Err))
 		}
 		return resp
 	}
@@ -59,17 +66,17 @@ func runTenants() {
 	const clients = 4 // per tenant, all on node 0: 12 clients on 8 frames
 	window := 100 * sim.Millisecond
 	msgs := 20000
-	if *quick {
+	if p.Quick {
 		window = 50 * sim.Millisecond
 		msgs = 8000
 	}
 	frames := c.Nodes[0].NIC.Config().Frames
-	fmt.Printf("node0 NI: %d frames, admission cap %d; %d tenants × %d clients = %d endpoints (%.1f:1 overcommit)\n",
+	fmt.Fprintf(w, "node0 NI: %d frames, admission cap %d; %d tenants × %d clients = %d endpoints (%.1f:1 overcommit)\n",
 		frames, m.NodeCap(), len(tenants), clients, len(tenants)*clients,
 		float64(len(tenants)*clients)/float64(frames))
 
 	for cycle := 1; cycle <= 2; cycle++ {
-		fmt.Printf("\n-- cycle %d --\n", cycle)
+		fmt.Fprintf(w, "\n-- cycle %d --\n", cycle)
 
 		// Create: tenant, NIC grants, network, client/server endpoint pairs.
 		for _, tn := range tenants {
@@ -92,7 +99,7 @@ func runTenants() {
 			gold, _ := m.Tenant("gold")
 			gnw, _ := gold.Network("prod")
 			if _, err := gnw.CreateEndpoint("extra", 0); err != nil {
-				fmt.Printf("quota:     %v\n", err)
+				fmt.Fprintf(w, "quota:     %v\n", err)
 			}
 			filler, _ := m.CreateTenant("filler", 100, 1)
 			filler.AddNIC(0)
@@ -101,14 +108,14 @@ func runTenants() {
 				fnw.CreateEndpoint(fmt.Sprintf("f%d", m.NodeLoad(0)), 0)
 			}
 			if _, err := fnw.CreateEndpoint("over", 0); err != nil {
-				fmt.Printf("admission: %v\n", err)
+				fmt.Fprintf(w, "admission: %v\n", err)
 			}
 			silver, _ := m.Tenant("silver")
 			snw, _ := silver.Network("prod")
 			gc, _ := gnw.Endpoint("c0")
 			ss, _ := snw.Endpoint("s0")
 			if _, err := gc.MapPeer(ss); err != nil {
-				fmt.Printf("isolation: %v\n", err)
+				fmt.Fprintf(w, "isolation: %v\n", err)
 			}
 			ok(ctlplane.Request{Op: "delete-tenant", Tenant: "filler"})
 		}
@@ -142,44 +149,45 @@ func runTenants() {
 			rows = append(rows, r)
 			totalSvc += r.svc
 		}
-		fmt.Printf("%-8s %5s %6s %10s %10s %8s %10s\n",
+		fmt.Fprintf(w, "%-8s %5s %6s %10s %10s %8s %10s\n",
 			"tenant", "share", "eps", "svc_msgs", "delivered", "svc_pct", "pct/share")
 		for _, r := range rows {
 			t, _ := m.Tenant(r.name)
 			pct := 100 * float64(r.svc) / float64(totalSvc)
-			fmt.Printf("%-8s %5d %6d %10d %10d %7.1f%% %9.2f%%\n",
+			fmt.Fprintf(w, "%-8s %5d %6d %10d %10d %7.1f%% %9.2f%%\n",
 				r.name, r.share, t.EndpointsInUse(), r.svc, r.del, pct, pct/float64(r.share))
 		}
-		fmt.Printf("wrr rounds on node0: %d, loiter expiries: %d\n",
+		fmt.Fprintf(w, "wrr rounds on node0: %d, loiter expiries: %d\n",
 			c.Nodes[0].NIC.C.Get("wrr.rounds"), c.Nodes[0].NIC.C.Get("wrr.loiter_expiry"))
 
 		// Fault: gold reboots its own server node (index 1 of its NIC grants
 		// — tenant-scoped, it cannot name anyone else's nodes). Gold's
 		// delivery stalls through the outage; the others keep their shares.
 		resp := ok(ctlplane.Request{Op: "inject-fault", Tenant: "gold", Plan: "reboot:node1@1ms+5ms"})
-		fmt.Printf("fault (scoped to gold): %s\n", resp.Result)
+		fmt.Fprintf(w, "fault (scoped to gold): %s\n", resp.Result)
 		for _, tn := range tenants {
 			t, _ := m.Tenant(tn.name)
 			_, _, del := t.Serviced()
 			bases[tn.name] = base{0, del}
 		}
 		ok(ctlplane.Request{Op: "advance", Dur: (20 * sim.Millisecond).String()})
-		fmt.Printf("delivered through gold's 5ms server outage (20ms window): ")
+		fmt.Fprintf(w, "delivered through gold's 5ms server outage (20ms window): ")
 		for i, tn := range tenants {
 			t, _ := m.Tenant(tn.name)
 			_, _, del := t.Serviced()
 			if i > 0 {
-				fmt.Printf(", ")
+				fmt.Fprintf(w, ", ")
 			}
-			fmt.Printf("%s %d", tn.name, del-bases[tn.name].del)
+			fmt.Fprintf(w, "%s %d", tn.name, del-bases[tn.name].del)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 
 		// Delete: full teardown returns every frame and name binding.
 		for _, tn := range tenants {
 			ok(ctlplane.Request{Op: "delete-tenant", Tenant: tn.name})
 		}
-		fmt.Printf("after teardown: node0 load %d/%d, tenants %d, ops so far %d\n",
+		fmt.Fprintf(w, "after teardown: node0 load %d/%d, tenants %d, ops so far %d\n",
 			m.NodeLoad(0), m.NodeCap(), len(m.Tenants()), srv.NextSeq()-1)
 	}
+	return opErr
 }

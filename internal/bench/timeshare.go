@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"io"
+
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
 	"virtnet/internal/splitc"
@@ -28,7 +32,6 @@ type TimeshareConfig struct {
 // TimeshareResult compares running the applications concurrently
 // (time-shared) against running them in sequence.
 type TimeshareResult struct {
-	Cfg             TimeshareConfig
 	SharedMakespan  sim.Duration
 	SequentialTotal sim.Duration
 	// Ratio = SharedMakespan / SequentialTotal; the paper reports <= 1.15
@@ -88,23 +91,16 @@ func runApps(cl *hostos.Cluster, cfg TimeshareConfig, k int, sequential bool) (s
 		for _, w := range worlds {
 			w.Launch(body)
 		}
-		deadline := cl.E.Now().Add(maxT)
-		for cl.E.Now() < deadline {
-			done := true
+		idle := func() bool {
 			for _, w := range worlds {
 				if w.Running() > 0 {
-					done = false
+					return false
 				}
 			}
-			if done {
-				break
-			}
-			cl.E.RunFor(sim.Millisecond)
+			return true
 		}
-		for _, w := range worlds {
-			if w.Running() > 0 {
-				return 0, 0, 0, false
-			}
+		if !runUntil(cl, sim.Millisecond, cl.Now().Add(maxT), idle) {
+			return 0, 0, 0, false
 		}
 	}
 	makespan := cl.E.Now().Sub(start)
@@ -139,7 +135,6 @@ func RunTimeshare(cfg TimeshareConfig) (TimeshareResult, bool) {
 	}
 
 	return TimeshareResult{
-		Cfg:             cfg,
 		SharedMakespan:  shT,
 		SequentialTotal: seqT,
 		Ratio:           float64(shT) / float64(seqT),
@@ -148,4 +143,31 @@ func RunTimeshare(cfg TimeshareConfig) (TimeshareResult, bool) {
 		SharedSyncMean:  shSync,
 		SeqSyncMean:     seqSync,
 	}, true
+}
+
+func timeshareRow(w io.Writer, p Params) error {
+	header(w, "§6.3 — time-shared parallel applications")
+	nodes, iters := 16, 40
+	if p.Quick {
+		nodes, iters = 8, 20
+	}
+	for _, imb := range []float64{0, 1.0} {
+		res, ok := RunTimeshare(TimeshareConfig{
+			Nodes: nodes, Apps: 2, Iters: iters,
+			Compute: 2 * sim.Millisecond, MsgBytes: 2048,
+			Imbalance: imb, Seed: p.Seed,
+		})
+		if !ok {
+			return errors.New("timeshare run failed")
+		}
+		kind := "balanced"
+		if imb > 0 {
+			kind = "imbalanced"
+		}
+		fmt.Fprintf(w, "%-11s shared=%v sequential=%v ratio=%.3f (paper: <= 1.15; gains with imbalance)\n",
+			kind, res.SharedMakespan, res.SequentialTotal, res.Ratio)
+		fmt.Fprintf(w, "            comm/rank: shared=%v seq=%v; barrier wait: shared=%v seq=%v\n",
+			res.SharedCommMean, res.SeqCommMean, res.SharedSyncMean, res.SeqSyncMean)
+	}
+	return nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
@@ -23,7 +21,6 @@ type VIAPressureConfig struct {
 
 // VIAPressureResult compares the two provisioning models.
 type VIAPressureResult struct {
-	Cfg VIAPressureConfig
 	// Endpoints consumed per node under each model.
 	VNEndpointsPerNode  int
 	VIAEndpointsPerNode int
@@ -41,7 +38,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 	if cfg.Window == 0 {
 		cfg.Window = 100 * sim.Second
 	}
-	res := VIAPressureResult{Cfg: cfg,
+	res := VIAPressureResult{
 		VNEndpointsPerNode:  1,
 		VIAEndpointsPerNode: cfg.Nodes - 1,
 	}
@@ -90,11 +87,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		deadline := cl.E.Now().Add(cfg.Window)
-		for running > 0 && cl.E.Now() < deadline {
-			cl.E.RunFor(sim.Millisecond)
-		}
-		if running > 0 {
+		if !runUntil(cl, sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}
@@ -159,11 +152,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		deadline := cl.E.Now().Add(cfg.Window)
-		for running > 0 && cl.E.Now() < deadline {
-			cl.E.RunFor(sim.Millisecond)
-		}
-		if running > 0 {
+		if !runUntil(cl, sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}
@@ -187,13 +176,4 @@ func drainCQ(p *sim.Proc, row []*via.VI, cq *via.CQ) int {
 			n++
 		}
 	}
-}
-
-// String renders the comparison the way EXPERIMENTS.md reports it.
-func (r VIAPressureResult) String() string {
-	return fmt.Sprintf(
-		"nodes=%d rounds=%d: VN 1 ep/node, %v, %d remaps | VIA %d eps/node, %v, %d remaps (%.2fx slower)",
-		r.Cfg.Nodes, r.Cfg.Rounds, r.VNTime, r.VNRemaps,
-		r.VIAEndpointsPerNode, r.VIATime, r.VIARemaps,
-		float64(r.VIATime)/float64(r.VNTime))
 }

@@ -1,12 +1,11 @@
 // Package trace provides lightweight instrumentation for the simulated
 // cluster: named counters, duration histograms (used to show the bimodal
-// client latencies of §6.4.1), and windowed rate meters.
+// client latencies of §6.4.1), and per-interval timelines.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -85,39 +84,14 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
-// Hist is a histogram over sim.Duration samples. By default it keeps every
-// raw sample (the experiments record at most a few hundred thousand) so
-// exact quantiles and modality analysis are available; NewHistReservoir
-// bounds memory for long soak and migration-churn runs by keeping a uniform
-// random sample instead. Count, Mean, Min, and Max are exact in both modes;
-// quantiles and bucket renderings are computed over whatever is retained.
-//
-// Reservoir mode additionally retains the exact top TailCap samples of the
-// stream (a classic top-K min-heap), so extreme upper quantiles — the p999
-// the serving-workload SLOs report — stay exact long after the uniform
-// reservoir has diluted the tail: Quantile(q) answers from the exact tail
-// whenever the order statistics it needs fall within the retained top
-// samples (q >= 1 - TailCap/n, roughly n <= 2M observations for p999 at the
-// default TailCap of 2048), and falls back to the reservoir estimate below
-// that.
+// Hist is a histogram over sim.Duration samples. It keeps every raw sample
+// (the experiments record at most a few hundred thousand), so quantiles are
+// exact and modality analysis is available.
 type Hist struct {
 	samples []sim.Duration
 	sorted  bool
 
-	// Reservoir mode (capacity > 0): samples is a uniform random subset of
-	// the stream, maintained with Vitter's Algorithm R.
-	capacity int
-	rng      *rand.Rand
-
-	// Exact tail (reservoir mode): tail is a min-heap of the largest
-	// tailCap stream samples. tailSorted marks that it is currently fully
-	// sorted ascending (a sorted slice is still a valid min-heap).
-	tailCap    int
-	tail       []sim.Duration
-	tailSorted bool
-
-	// Exact stream aggregates, maintained in both modes.
-	n        int64
+	// Aggregates over samples.
 	sum      int64
 	min, max sim.Duration
 
@@ -127,118 +101,28 @@ type Hist struct {
 	nearestRank bool
 }
 
-// DefaultTailCap is the exact-tail retention of a reservoir histogram:
-// 2048 samples keeps the top ~0.2% of a million-observation stream exactly.
-const DefaultTailCap = 2048
-
 // NewHist returns an empty histogram that retains every sample.
 func NewHist() *Hist { return &Hist{} }
 
-// NewHistReservoir returns a histogram that retains at most capacity
-// samples, chosen uniformly at random from the observed stream, plus the
-// exact top DefaultTailCap samples for tail quantiles. rng must be
-// the simulation engine's PRNG (sim.Engine.Rand) so runs stay
-// bit-reproducible per seed.
-func NewHistReservoir(capacity int, rng *rand.Rand) *Hist {
-	if capacity <= 0 {
-		panic("trace: reservoir capacity must be positive")
-	}
-	if rng == nil {
-		panic("trace: reservoir needs the engine PRNG")
-	}
-	return &Hist{capacity: capacity, rng: rng, tailCap: DefaultTailCap,
-		samples: make([]sim.Duration, 0, capacity)}
-}
-
-// SetTailCap resizes the exact-tail retention of a reservoir histogram
-// (0 disables it). Must be called before the first Observe.
-func (h *Hist) SetTailCap(k int) {
-	if h.n > 0 {
-		panic("trace: SetTailCap after Observe")
-	}
-	h.tailCap = k
-}
-
 // Observe records one sample.
 func (h *Hist) Observe(d sim.Duration) {
-	h.n++
 	h.sum += int64(d)
-	if h.n == 1 || d < h.min {
+	if len(h.samples) == 0 || d < h.min {
 		h.min = d
 	}
-	if h.n == 1 || d > h.max {
+	if len(h.samples) == 0 || d > h.max {
 		h.max = d
-	}
-	if h.capacity > 0 {
-		h.observeTail(d)
-		if len(h.samples) == h.capacity {
-			// Algorithm R: the i-th sample replaces a random slot with
-			// probability capacity/i, keeping the reservoir uniform.
-			if j := h.rng.Int63n(h.n); j < int64(h.capacity) {
-				h.samples[j] = d
-				h.sorted = false
-			}
-			return
-		}
 	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
 
-// observeTail folds d into the top-K min-heap. With fewer than tailCap
-// retained the sample is always kept; after that it displaces the heap
-// minimum only if larger, so tail always holds exactly the K largest
-// stream samples.
-func (h *Hist) observeTail(d sim.Duration) {
-	if h.tailCap <= 0 {
-		return
-	}
-	if len(h.tail) < h.tailCap {
-		h.tail = append(h.tail, d)
-		h.tailSorted = false
-		// Sift up.
-		for i := len(h.tail) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if h.tail[parent] <= h.tail[i] {
-				break
-			}
-			h.tail[parent], h.tail[i] = h.tail[i], h.tail[parent]
-			i = parent
-		}
-		return
-	}
-	if d <= h.tail[0] {
-		return
-	}
-	// Replace the minimum and sift down.
-	h.tail[0] = d
-	h.tailSorted = false
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.tail) && h.tail[l] < h.tail[small] {
-			small = l
-		}
-		if r < len(h.tail) && h.tail[r] < h.tail[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.tail[i], h.tail[small] = h.tail[small], h.tail[i]
-		i = small
-	}
-}
+// Count returns the number of observed samples.
+func (h *Hist) Count() int { return len(h.samples) }
 
-// Count returns the number of observed samples (exact in reservoir mode).
-func (h *Hist) Count() int { return int(h.n) }
-
-// Retained returns how many samples are held in memory.
-func (h *Hist) Retained() int { return len(h.samples) }
-
-// Samples returns the retained samples (every sample in full-retention
-// mode) — callers merging per-client histograms re-observe these into the
-// combined histogram. The returned slice is shared; do not mutate.
+// Samples returns every observed sample — callers merging per-client
+// histograms re-observe these into the combined histogram. The returned
+// slice is shared; do not mutate.
 func (h *Hist) Samples() []sim.Duration { return h.samples }
 
 func (h *Hist) sortSamples() {
@@ -248,23 +132,14 @@ func (h *Hist) sortSamples() {
 	}
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of the retained samples
-// using linear interpolation between adjacent order statistics: the quantile
+// Quantile returns the q-th quantile (0 <= q <= 1) of the samples using
+// linear interpolation between adjacent order statistics: the quantile
 // position is q·(n−1), and a fractional position blends the two neighboring
 // samples proportionally (the "linear" definition used by numpy and R type
 // 7). The previous implementation truncated the position to the lower order
 // statistic, which biased every non-integer quantile low — visibly so for
 // p99 over small sample counts.
-//
-// In reservoir mode, quantiles whose order statistics fall within the exact
-// top-K tail (q high enough that q·(n−1) lands in the stream's largest
-// tailCap samples) are computed from the tail and are exact over the full
-// stream, not an estimate — this is what keeps p999 trustworthy at millions
-// of observations when the uniform reservoir holds only a few thousand.
 func (h *Hist) Quantile(q float64) sim.Duration {
-	if d, ok := h.tailQuantile(q); ok {
-		return d
-	}
 	if len(h.samples) == 0 {
 		return 0
 	}
@@ -288,55 +163,19 @@ func (h *Hist) Quantile(q float64) sim.Duration {
 	return lo + sim.Duration(frac*float64(hi-lo)+0.5)
 }
 
-// tailQuantile answers Quantile(q) exactly from the top-K tail when the
-// needed order statistics of the full stream are retained there. It only
-// engages once the reservoir is lossy (n > retained samples); before that
-// the reservoir itself is exact and cheaper to reuse.
-func (h *Hist) tailQuantile(q float64) (sim.Duration, bool) {
-	if len(h.tail) == 0 || h.n <= int64(len(h.samples)) {
-		return 0, false
-	}
-	if q >= 1 {
-		return h.max, true
-	}
-	n := h.n
-	pos := q * float64(n-1)
-	i := int64(pos)
-	first := n - int64(len(h.tail)) // global index of tail[0] once sorted
-	if i < first {
-		return 0, false
-	}
-	// A sorted ascending slice satisfies the min-heap invariant, so sorting
-	// in place keeps observeTail correct.
-	if !h.tailSorted {
-		sort.Slice(h.tail, func(a, b int) bool { return h.tail[a] < h.tail[b] })
-		h.tailSorted = true
-	}
-	j := int(i - first)
-	if h.nearestRank {
-		return h.tail[j], true
-	}
-	frac := pos - float64(i)
-	if frac == 0 || j+1 >= len(h.tail) {
-		return h.tail[j], true
-	}
-	lo, hi := h.tail[j], h.tail[j+1]
-	return lo + sim.Duration(frac*float64(hi-lo)+0.5), true
-}
-
 // SetNearestRank switches Quantile between linear interpolation (default)
 // and the legacy lower-order-statistic definition.
 func (h *Hist) SetNearestRank(on bool) { h.nearestRank = on }
 
-// Mean returns the mean sample value (exact in reservoir mode).
+// Mean returns the mean sample value.
 func (h *Hist) Mean() sim.Duration {
-	if h.n == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return sim.Duration(h.sum / h.n)
+	return sim.Duration(h.sum / int64(len(h.samples)))
 }
 
-// Min and Max return stream extremes (exact in reservoir mode).
+// Min and Max return the extreme samples.
 func (h *Hist) Min() sim.Duration { return h.min }
 func (h *Hist) Max() sim.Duration { return h.max }
 
@@ -345,11 +184,11 @@ func (h *Hist) Max() sim.Duration { return h.max }
 // emitting zero-division garbage — fault experiments legitimately produce
 // empty histograms (e.g. "latency of requests answered during the outage").
 func (h *Hist) Summary() string {
-	if h.n == 0 {
+	if len(h.samples) == 0 {
 		return "n=0 (no samples)"
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v min=%v max=%v",
-		h.n, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.min, h.max)
+		len(h.samples), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.min, h.max)
 }
 
 // BimodalSplit splits samples around threshold and returns the fraction and
@@ -478,56 +317,3 @@ func (tl *Timeline) String() string {
 	}
 	return b.String()
 }
-
-// Meter measures an event rate over the whole observation window.
-type Meter struct {
-	n     int64
-	bytes int64
-	start sim.Time
-	end   sim.Time
-	open  bool
-}
-
-// NewMeter returns a meter with its window opening at t.
-func NewMeter(t sim.Time) *Meter { return &Meter{start: t, end: t, open: true} }
-
-// Tick records one event of size bytes at time t.
-func (m *Meter) Tick(t sim.Time, bytes int) {
-	m.n++
-	m.bytes += int64(bytes)
-	if t > m.end {
-		m.end = t
-	}
-}
-
-// Close fixes the window end at t.
-func (m *Meter) Close(t sim.Time) {
-	if t > m.end {
-		m.end = t
-	}
-	m.open = false
-}
-
-// Count returns the number of recorded events.
-func (m *Meter) Count() int64 { return m.n }
-
-// Rate returns events per simulated second.
-func (m *Meter) Rate() float64 {
-	w := m.end.Sub(m.start).Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(m.n) / w
-}
-
-// Throughput returns bytes per simulated second.
-func (m *Meter) Throughput() float64 {
-	w := m.end.Sub(m.start).Seconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(m.bytes) / w
-}
-
-// MBps returns throughput in MB/s (1 MB = 1e6 bytes, as the paper reports).
-func (m *Meter) MBps() float64 { return m.Throughput() / 1e6 }

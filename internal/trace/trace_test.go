@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,30 +97,6 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter(0)
-	for i := 1; i <= 10; i++ {
-		m.Tick(sim.Time(i)*sim.Time(sim.Millisecond), 1000)
-	}
-	m.Close(sim.Time(10 * sim.Millisecond))
-	if m.Count() != 10 {
-		t.Fatalf("count = %d", m.Count())
-	}
-	if r := m.Rate(); r < 999 || r > 1001 {
-		t.Fatalf("rate = %f, want 1000/s", r)
-	}
-	if mb := m.MBps(); mb < 0.99 || mb > 1.01 {
-		t.Fatalf("MBps = %f, want 1.0", mb)
-	}
-}
-
-func TestMeterEmptyWindow(t *testing.T) {
-	m := NewMeter(5)
-	if m.Rate() != 0 || m.Throughput() != 0 {
-		t.Fatal("empty meter should report zero rates")
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by min/max.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(vals []uint32) bool {
@@ -190,62 +164,13 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
-func TestHistReservoirBoundsMemoryExactAggregates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewHistReservoir(64, rng)
-	const n = 10_000
-	var sum int64
-	for i := 1; i <= n; i++ {
-		h.Observe(sim.Duration(i))
-		sum += int64(i)
-	}
-	if h.Retained() != 64 {
-		t.Fatalf("retained = %d, want capacity 64", h.Retained())
-	}
-	if h.Count() != n {
-		t.Fatalf("count = %d, want %d (exact despite reservoir)", h.Count(), n)
-	}
-	if h.Mean() != sim.Duration(sum/int64(n)) {
-		t.Fatalf("mean = %v, want exact %v", h.Mean(), sim.Duration(sum/int64(n)))
-	}
-	if h.Min() != 1 || h.Max() != sim.Duration(n) {
-		t.Fatalf("min/max = %v/%v, want exact 1/%d", h.Min(), h.Max(), n)
-	}
-	// The reservoir is a uniform subset: its median should land in the
-	// middle half of a uniform stream (loose sanity bound, deterministic
-	// for this seed).
-	med := h.Quantile(0.5)
-	if med < n/4 || med > 3*n/4 {
-		t.Fatalf("reservoir median %v implausible for uniform stream of %d", med, n)
-	}
-	if h.Buckets(10) == "(no samples)\n" {
-		t.Fatal("buckets empty")
-	}
-}
-
-func TestHistReservoirDeterministicPerSeed(t *testing.T) {
-	run := func() []sim.Duration {
-		h := NewHistReservoir(16, rand.New(rand.NewSource(42)))
-		for i := 0; i < 1000; i++ {
-			h.Observe(sim.Duration(i * 3))
-		}
-		return append([]sim.Duration(nil), h.samples...)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reservoir diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestHistUnboundedStillExact(t *testing.T) {
 	h := NewHist()
 	for _, v := range []sim.Duration{5, 1, 9, 3} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Retained() != 4 {
-		t.Fatalf("count/retained = %d/%d", h.Count(), h.Retained())
+	if h.Count() != 4 || len(h.Samples()) != 4 {
+		t.Fatalf("count/retained = %d/%d", h.Count(), len(h.Samples()))
 	}
 	if h.Min() != 1 || h.Max() != 9 || h.Mean() != 4 {
 		t.Fatalf("min/max/mean = %v/%v/%v", h.Min(), h.Max(), h.Mean())
@@ -298,69 +223,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-// Regression: at 1e6 observations a 4096-sample reservoir has diluted the
-// tail to ~4 samples above p999 — before exact tail retention Quantile(0.999)
-// was off by orders of magnitude on skewed streams. The top-K tail keeps the
-// largest DefaultTailCap (2048 = top ~0.2%) samples exactly, so p999 must
-// now match a full-retention reference bit-for-bit.
-func TestReservoirTailExactP999At1e6(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1e6-observation regression test")
-	}
-	const n = 1_000_000
-	gen := rand.New(rand.NewSource(99))
-	ref := NewHist()
-	res := NewHistReservoir(4096, rand.New(rand.NewSource(7)))
-	for i := 0; i < n; i++ {
-		// Heavy-tailed stream: mostly ~1ms with a 1-in-500 tail up to ~1s.
-		d := sim.Duration(1 + gen.Int63n(int64(sim.Millisecond))) //nolint
-		if gen.Intn(500) == 0 {
-			d += sim.Duration(gen.Int63n(int64(sim.Second)))
-		}
-		ref.Observe(d)
-		res.Observe(d)
-	}
-	for _, q := range []float64{0.999, 0.9995, 0.9999, 1.0} {
-		want, got := ref.Quantile(q), res.Quantile(q)
-		if got != want {
-			t.Errorf("Quantile(%v) = %v, want exact %v", q, got, want)
-		}
-	}
-	// The reservoir estimate for mid quantiles must still come from the
-	// uniform sample, not the tail (p50 of this stream is ~0.5ms; the tail
-	// minimum is far above it).
-	if med := res.Quantile(0.5); med > 2*sim.Millisecond {
-		t.Errorf("median %v looks tail-contaminated", med)
-	}
-	if !strings.Contains(res.Summary(), "p999=") {
-		t.Errorf("Summary missing p999: %q", res.Summary())
-	}
-	if want := fmt.Sprintf("p999=%v", ref.Quantile(0.999)); !strings.Contains(res.Summary(), want) {
-		t.Errorf("Summary p999 not exact: %q missing %q", res.Summary(), want)
-	}
-}
-
-// The exact tail must survive interleaved Quantile calls (which sort the
-// heap in place) and continue absorbing later, larger samples.
-func TestReservoirTailSurvivesInterleavedQueries(t *testing.T) {
-	h := NewHistReservoir(32, rand.New(rand.NewSource(3)))
-	h.SetTailCap(8)
-	for i := 1; i <= 100; i++ {
-		h.Observe(sim.Duration(i))
-		if i%10 == 0 {
-			h.Quantile(0.99) // sorts the tail mid-stream
-		}
-	}
-	// Largest 8 of 1..100 are 93..100; p((n-1-k)/(n-1)) hits them exactly.
-	for k := 0; k < 8; k++ {
-		q := float64(99-k) / 99
-		want := sim.Duration(100 - k)
-		if got := h.Quantile(q); got != want {
-			t.Errorf("Quantile(%v) = %v, want exact %v", q, got, want)
 		}
 	}
 }
