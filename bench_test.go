@@ -234,7 +234,7 @@ func BenchmarkExtensionAdaptiveTimeout(b *testing.B) {
 		e1, _ := b1.NewEndpoint(2, 4)
 		e0.Map(0, e1.Name(), 2)
 		e1.Map(0, e0.Name(), 1)
-		mbps := logp.Bandwidth(cl.E, logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, 8192, 150)
+		mbps := logp.Bandwidth(cl.ShardEngine(0), logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, 8192, 150)
 		return mbps
 	}
 	var fixed, adaptive float64
@@ -261,7 +261,7 @@ func BenchmarkExtensionPiggybackAcks(b *testing.B) {
 		e1, _ := b1.NewEndpoint(2, 4)
 		e0.Map(0, e1.Name(), 2)
 		e1.Map(0, e0.Name(), 1)
-		r := logp.Measure(cl.E, logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, 60)
+		r := logp.Measure(cl.ShardEngine(0), logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, 60)
 		return r.G.Micros()
 	}
 	var off, on float64

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -124,5 +126,33 @@ func TestDaemonSurvivesTenantChurn(t *testing.T) {
 	}
 	if len(ms) != 1 || ms[0].Value != 2 {
 		t.Fatalf("tenant.delete metric = %v, want 2 deletes visible across connections", ms)
+	}
+}
+
+// TestScriptedSession replays testdata/session.ctl on a daemon built with the
+// flag defaults (what `vnproxyd -script` does) and compares the response
+// stream with testdata/session.txt byte for byte, twice: the stream is a pure
+// function of the seed and the requests. Regenerate the transcript on purpose
+// with `go run ./cmd/vnproxyd -script cmd/vnproxyd/testdata/session.ctl`.
+func TestScriptedSession(t *testing.T) {
+	script, err := os.ReadFile(filepath.Join("testdata", "session.ctl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "session.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		srv := newDaemon(1, 8, 4)
+		var got bytes.Buffer
+		err := srv.RunScript(bytes.NewReader(script), &got)
+		srv.M.Cluster.Shutdown()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("run %d departs from testdata/session.txt:\n--- want\n%s--- got\n%s", run, want, got.Bytes())
+		}
 	}
 }

@@ -66,7 +66,7 @@ func main() {
 	}
 
 	const window = 500 * sim.Millisecond
-	cluster.E.RunFor(window)
+	cluster.RunFor(window)
 
 	total := 0
 	for i, s := range served {

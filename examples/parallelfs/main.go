@@ -67,8 +67,8 @@ func run(servers int) float64 {
 			}
 		})
 	}
-	for done < writers {
-		cluster.E.RunFor(10 * sim.Millisecond)
+	if !cluster.RunUntilDone(10*sim.Millisecond, sim.Time(60*sim.Second), func() bool { return done == writers }) {
+		panic("parallelfs demo did not converge")
 	}
 	total := float64(writers * perWriter)
 	mbps := total / end.Sub(start).Seconds() / 1e6

@@ -70,7 +70,7 @@ func main() {
 		})
 	}
 
-	cluster.E.RunFor(sim.Second)
+	cluster.RunFor(sim.Second)
 	fmt.Printf("done at t=%v; all %d nodes completed 3 ring round trips\n",
-		sim.Duration(cluster.E.Now()), nodes)
+		sim.Duration(cluster.Now()), nodes)
 }

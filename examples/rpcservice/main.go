@@ -87,7 +87,7 @@ func main() {
 			}
 		})
 	}
-	cluster.E.RunFor(5 * sim.Second)
+	cluster.RunFor(5 * sim.Second)
 	if finished != 3 {
 		panic("clients did not finish")
 	}

@@ -42,11 +42,8 @@ func main() {
 	a := mkApp("app-A (2ms/iter)", 2*sim.Millisecond)
 	b := mkApp("app-B (3ms/iter)", 3*sim.Millisecond)
 
-	for a.Running() > 0 || b.Running() > 0 {
-		cluster.E.RunFor(sim.Millisecond)
-		if cluster.E.Now() > sim.Time(60*sim.Second) {
-			panic("timeshare demo did not converge")
-		}
+	if !cluster.RunUntilDone(sim.Millisecond, sim.Time(60*sim.Second), func() bool { return a.Running() == 0 && b.Running() == 0 }) {
+		panic("timeshare demo did not converge")
 	}
 
 	report := func(name string, w *splitc.World) {
@@ -61,5 +58,5 @@ func main() {
 	report("app-A", a)
 	report("app-B", b)
 	fmt.Printf("both applications shared %d nodes; sequential lower bound %v, actual %v\n",
-		nodes, iters*(2+3)*sim.Millisecond, sim.Duration(cluster.E.Now()))
+		nodes, iters*(2+3)*sim.Millisecond, sim.Duration(cluster.Now()))
 }

@@ -6,16 +6,19 @@ package virtnet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"virtnet/internal/core"
 	"virtnet/internal/glunix"
 	"virtnet/internal/hostos"
+	"virtnet/internal/migrate"
 	"virtnet/internal/mpi"
 	"virtnet/internal/pfs"
 	"virtnet/internal/rpc"
 	"virtnet/internal/sim"
 	"virtnet/internal/sockets"
+	"virtnet/internal/splitc"
 )
 
 // TestGeneralPurposeColocation runs, simultaneously, on a 12-node cluster:
@@ -166,7 +169,7 @@ func TestGeneralPurposeColocation(t *testing.T) {
 	}
 
 	for step := 0; step < 3000; step++ {
-		cl.E.RunFor(sim.Millisecond)
+		cl.RunFor(sim.Millisecond)
 		if rpcOK && sockOK && pfsOK && jobOK {
 			break
 		}
@@ -219,16 +222,16 @@ func TestServicesSurviveSpineHotSwap(t *testing.T) {
 		stop = true
 	})
 	// Swap spines out and in underneath the conversation.
-	cl.E.Spawn("swapper", func(p *sim.Proc) {
+	cl.ShardEngine(0).Spawn("swapper", func(p *sim.Proc) {
 		for s := 0; !stop && s < 10; s++ {
 			p.Sleep(8 * sim.Millisecond)
-			cl.Net.SetSpineDown(s%5, true)
+			cl.ShardNet(0).SetSpineDown(s%5, true)
 			p.Sleep(5 * sim.Millisecond)
-			cl.Net.SetSpineDown(s%5, false)
+			cl.ShardNet(0).SetSpineDown(s%5, false)
 		}
 	})
 	for step := 0; step < 5000 && !stop; step++ {
-		cl.E.RunFor(sim.Millisecond)
+		cl.RunFor(sim.Millisecond)
 	}
 	if calls != 40 {
 		t.Fatalf("only %d/40 calls survived the hot swaps", calls)
@@ -319,7 +322,7 @@ func TestOvercommitColocation(t *testing.T) {
 	})
 
 	for step := 0; step < 10000 && !done; step++ {
-		cl.E.RunFor(sim.Millisecond)
+		cl.RunFor(sim.Millisecond)
 	}
 	stop = true
 	if !done {
@@ -327,5 +330,32 @@ func TestOvercommitColocation(t *testing.T) {
 	}
 	if cl.Nodes[0].Driver.Remaps() == 0 {
 		t.Fatal("node 0 never remapped; overcommit not exercised")
+	}
+}
+
+// TestOneShardLayersRefuseAShardedCluster: the layers whose state is shared
+// by procs on every node say so from their constructor on a two-shard
+// cluster, at once and with one typed error, instead of racing or hanging.
+func TestOneShardLayersRefuseAShardedCluster(t *testing.T) {
+	cl := hostos.NewShardedCluster(1, 16, 2, hostos.DefaultClusterConfig())
+	defer cl.Shutdown()
+	for _, tc := range []struct {
+		name string
+		mk   func() error
+	}{
+		{"mpi.NewWorld", func() error { _, err := mpi.NewWorld(cl, 16, nil); return err }},
+		{"splitc.NewWorld", func() error { _, err := splitc.NewWorld(cl, 16, 1024, nil); return err }},
+		{"migrate.NewService", func() error { _, err := migrate.NewService(cl); return err }},
+		{"glunix.NewMonitor", func() error {
+			_, err := glunix.NewMonitor(cl, glunix.NewScheduler(cl), nil, 0, glunix.DefaultMonitorConfig())
+			return err
+		}},
+	} {
+		if err := tc.mk(); !errors.Is(err, hostos.ErrSharded) {
+			t.Errorf("%s on 2 shards: err = %v, want hostos.ErrSharded", tc.name, err)
+		}
+	}
+	if cl.Now() != 0 || cl.EngineStats().Fired != 0 {
+		t.Errorf("a refused constructor ran the cluster: now=%v fired=%d", cl.Now(), cl.EngineStats().Fired)
 	}
 }

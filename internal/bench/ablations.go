@@ -63,9 +63,6 @@ func RunLoiterAblation(noLoiter bool, seed int64) LoiterResult {
 		tok.Reply(p, 2, a)
 	})
 	hist := trace.NewHist()
-	// The committed golden predates the quantile-interpolation fix; keep
-	// this experiment on the legacy definition so its output stands.
-	hist.SetNearestRank(true)
 	pong := 0
 	ping.SetHandler(2, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 		hist.Observe(p.Now().Sub(sim.Time(a[0])))
@@ -117,7 +114,7 @@ func RunLoiterAblation(noLoiter bool, seed int64) LoiterResult {
 		}
 	})
 
-	cl.E.RunFor(window)
+	cl.RunFor(window)
 	stop = true
 	res := LoiterResult{
 		BulkMBps:  float64(bulkBytes) / window.Seconds() / 1e6,

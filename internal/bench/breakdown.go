@@ -134,8 +134,8 @@ func breakdownPingPong(seed int64, iters, payload int) ([obs.NumKinds]obs.Decomp
 	// Chunked run: stop soon after the workload completes so the snapshot
 	// ticker doesn't pad the registry timeline (and the trace export) with a
 	// long idle tail.
-	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
-	o.T.SweepOpen("end-of-run", cl.E.Now())
+	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
+	o.T.SweepOpen("end-of-run", cl.Now())
 	return obs.Decompose(o.T.Flights()), float64(oneWay) / 1e3 / float64(iters), o
 }
 
@@ -194,7 +194,7 @@ func breakdownWRR(seed int64, k, perEP int) obs.Decomp {
 			}
 		})
 	}
-	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
-	o.T.SweepOpen("end-of-run", cl.E.Now())
+	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
+	o.T.SweepOpen("end-of-run", cl.Now())
 	return obs.Decompose(o.T.Flights())[obs.KindShort]
 }

@@ -216,14 +216,14 @@ func RunClientServer(cfg CSConfig) CSResult {
 
 	// Run warm-up + window (sampling the remap rate per decile).
 	remapsBefore := int64(0)
-	cl.E.RunUntil(startAt)
+	cl.RunUntil(startAt)
 	remapsBefore = server.Driver.Remaps()
 	tl := trace.NewTimeline(startAt, cfg.Window/10)
 	prev := remapsBefore
 	for i := 0; i < 10; i++ {
-		cl.E.RunUntil(startAt.Add(cfg.Window * sim.Duration(i+1) / 10))
+		cl.RunUntil(startAt.Add(cfg.Window * sim.Duration(i+1) / 10))
 		cur := server.Driver.Remaps()
-		tl.Add(cl.E.Now()-1, float64(cur-prev))
+		tl.Add(cl.Now()-1, float64(cur-prev))
 		prev = cur
 	}
 	remaps := server.Driver.Remaps() - remapsBefore

@@ -116,7 +116,7 @@ func degradeRow(w io.Writer, p Params) error {
 					fail.failf("client: %w", err)
 					return
 				}
-				rng := c.E.Rand()
+				rng := node.E.Rand()
 				var inflight []*callRec
 				next := sim.Time(0).Add(sim.Duration(rng.ExpFloat64() * meanGap))
 				issue := func(rec *callRec, dl sim.Time) {
@@ -194,9 +194,9 @@ func degradeRow(w io.Writer, p Params) error {
 			})
 		}
 
-		c.E.RunFor(measure + 50*sim.Millisecond)
+		c.RunFor(measure + 50*sim.Millisecond)
 		stop = true
-		c.E.RunFor(sim.Millisecond)
+		c.RunFor(sim.Millisecond)
 		r := row{offered: offered, good: good, failed: failed, capped: capped,
 			shed: m.Get("shed"), overload: m.Get("overload_nacks")}
 		if len(lats) > 0 {

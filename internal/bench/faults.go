@@ -118,7 +118,7 @@ func faultsRow(w io.Writer, p Params) error {
 			return
 		}
 		fmt.Fprintf(w, "t=%-7v recovery hook: replica B respawned on node %d (gen %d)\n",
-			c.E.Now(), spareN, registry[1].gen)
+			p.Now(), spareN, registry[1].gen)
 	})
 
 	// Clients: a fixed serial stream to their replica. Returned serials are
@@ -242,7 +242,7 @@ func faultsRow(w io.Writer, p Params) error {
 		}
 	}
 	submitWave()
-	c.E.Schedule(350*sim.Millisecond, submitWave)
+	c.Nodes[homeNode].E.Schedule(350*sim.Millisecond, submitWave)
 
 	// Planned movement mid-recovery: replica A live-migrates while the
 	// cluster is still absorbing the crash.
@@ -271,7 +271,7 @@ func faultsRow(w io.Writer, p Params) error {
 	fmt.Fprintf(w, "%d clients x 2 replicas (A on node %d, B on node %d), monitor home node %d\n",
 		len(clients), nodeA, nodeB, homeNode)
 
-	runUntil(c, 50*sim.Millisecond, sim.Time(0).Add(8*sim.Second), func() bool {
+	c.RunUntilDone(50*sim.Millisecond, sim.Time(0).Add(8*sim.Second), func() bool {
 		alldone := true
 		for _, cs := range clients {
 			alldone = alldone && cs.done
@@ -344,7 +344,7 @@ func faultsRow(w io.Writer, p Params) error {
 	// Per-link loss attribution for the faulted elements, from the
 	// structured per-link counters.
 	fmt.Fprintf(w, "lossy links:\n")
-	for _, line := range strings.Split(netsim.RenderLinkCounters(c.Net.PerLinkCounters(), true), "\n") {
+	for _, line := range strings.Split(netsim.RenderLinkCounters(c.Fab.PerLinkCounters(), true), "\n") {
 		if line != "" {
 			fmt.Fprintf(w, "  %s\n", line)
 		}

@@ -35,7 +35,7 @@ func AMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown fu
 	e1, _ := b1.NewEndpoint(2, 4)
 	e0.Map(0, e1.Name(), 2)
 	e1.Map(0, e0.Name(), 1)
-	return c.E, logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, c.Shutdown
+	return c.ShardEngine(0), logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, c.Shutdown
 }
 
 // GAMPair builds the same two stations on the GAM baseline.
@@ -71,25 +71,11 @@ func threeLevelFatTree(cfg *hostos.ClusterConfig) {
 	cfg.Net.Cores = 8
 }
 
-// runUntil is the one drive loop: it advances cl a step at a time until done
-// reports true after a step (true) or the virtual clock reaches deadline
-// (false). done runs between steps, while every engine is parked, so it may
-// read what the procs wrote.
-func runUntil(cl *hostos.Cluster, step sim.Duration, deadline sim.Time, done func() bool) bool {
-	for cl.Now() < deadline {
-		cl.RunFor(step)
-		if done() {
-			return true
-		}
-	}
-	return false
-}
-
 // failure holds the first error raised inside simulated procs. On a sharded
 // cluster a proc body runs on a coordinator worker goroutine — a panic
 // there kills the process, and procs of different shards run concurrently —
 // so a proc that finds a violation records it here and returns. The row
-// reads err between steps (runUntil's done func), while the engines are
+// reads err between steps (RunUntilDone's done func), while the engines are
 // parked, and returns it.
 type failure struct {
 	once sync.Once
@@ -112,7 +98,7 @@ type echoPair struct {
 // hosts place(i) names — and starts their procs: each client streams msgs
 // small requests as fast as its credit window allows, polls until every
 // reply is back, and marks its pair done. Drive it with
-// runUntil(…, echoPairsDone(pairs)).
+// cl.RunUntilDone(…, echoPairsDone(pairs)).
 func spawnEchoPairs(cl *hostos.Cluster, n, msgs int, place func(i int) (srv, cli int)) ([]*echoPair, error) {
 	pairs := make([]*echoPair, n)
 	for i := range pairs {
@@ -322,8 +308,8 @@ func applyChaosPlan(cl *hostos.Cluster, rng *rand.Rand, events int, horizon, max
 		Horizon:      horizon,
 		MaxOutage:    maxOutage,
 		Nodes:        len(cl.Nodes),
-		Leaves:       cl.Net.Leaves(),
-		Spines:       cl.Net.TotalSpines(),
+		Leaves:       cl.ShardNet(0).Leaves(),
+		Spines:       cl.ShardNet(0).TotalSpines(),
 		Crash:        true,
 		NoCrashBelow: noCrashBelow,
 	})

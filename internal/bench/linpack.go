@@ -61,7 +61,7 @@ func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
 	}
 	R, C := grid(cfg.Nodes)
 
-	start := cl.E.Now()
+	start := cl.Now()
 	ok := w.Run(func(p *sim.Proc, c *mpi.Comm) {
 		nsPerFlop := 1e9 / cfg.RateFlops
 		me := c.Rank()
@@ -161,7 +161,7 @@ func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
 	if !ok {
 		return LinpackResult{}, false
 	}
-	elapsed := cl.E.Now().Sub(start)
+	elapsed := cl.Now().Sub(start)
 	total := 2.0 / 3.0 * float64(cfg.N) * float64(cfg.N) * float64(cfg.N)
 	gf := total / elapsed.Seconds() / 1e9
 	return LinpackResult{

@@ -118,7 +118,7 @@ func migrateRow(w io.Writer, p Params) error {
 		}
 	})
 
-	runUntil(c, 50*sim.Millisecond, sim.Time(0).Add(60*sim.Second), func() bool {
+	c.RunUntilDone(50*sim.Millisecond, sim.Time(0).Add(60*sim.Second), func() bool {
 		alldone := len(moves) >= len(hops)
 		for _, cs := range clients {
 			alldone = alldone && cs.done

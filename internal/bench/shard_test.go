@@ -46,7 +46,7 @@ func TestShardPoolLocalityHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runUntil(cl, 5*sim.Millisecond, sim.Time(0).Add(30*sim.Second), echoPairsDone(states))
+	cl.RunUntilDone(5*sim.Millisecond, sim.Time(0).Add(30*sim.Second), echoPairsDone(states))
 	for i, ps := range states {
 		if !ps.done {
 			t.Fatalf("pair %d did not finish", i)

@@ -107,7 +107,7 @@ func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
-	runUntil(cl, 10*sim.Millisecond, sim.Time(0).Add(300*sim.Second), echoPairsDone(pairs))
+	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(300*sim.Second), echoPairsDone(pairs))
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
 	after := cl.EngineStats()

@@ -139,7 +139,7 @@ func chaosSoak(w io.Writer, p SoakParams) error {
 
 	// No-hang invariant: everything must settle within a bounded window
 	// after the load stops (transport retry schedules + stale sweeps).
-	runUntil(cl, 50*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
+	cl.RunUntilDone(50*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
 		return fail.err != nil || cl.Now() >= stopAt.Add(2*staleAfter) && hungClient(clientDone, nServers, crashed) < 0
 	})
 	if fail.err != nil {

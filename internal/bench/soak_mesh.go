@@ -249,8 +249,9 @@ func meshSoak(w io.Writer, p SoakParams) error {
 	// serving across its own relocations.
 	moves := 0
 	if svc != nil {
-		cl.E.Spawn("migrator", func(p *sim.Proc) {
-			rng := cl.E.Rand()
+		// The operator's thread belongs to no workstation: no crash kills it.
+		cl.ShardEngine(0).Spawn("migrator", func(p *sim.Proc) {
+			rng := p.Engine().Rand()
 			for i := 0; p.Now() < stopAt; i++ {
 				p.Sleep(40 * sim.Millisecond)
 				cur := peers[i%len(peers)].ep
@@ -279,18 +280,16 @@ func meshSoak(w io.Writer, p SoakParams) error {
 		})
 	}
 
-	// Periodic spine hot-swap.
+	// Periodic spine hot-swap: every 120 ms the next spine is out for the
+	// last 20 ms, as a fault plan so that every fabric replica sees it.
 	if p.Swap {
-		cl.E.Spawn("swapper", func(p *sim.Proc) {
-			s := 0
-			for p.Now() < stopAt {
-				p.Sleep(100 * sim.Millisecond)
-				cl.Net.SetSpineDown(s%5, true)
-				p.Sleep(20 * sim.Millisecond)
-				cl.Net.SetSpineDown(s%5, false)
-				s++
-			}
-		})
+		var swaps fault.Plan
+		for s, t := 0, sim.Duration(0); sim.Time(t) < stopAt; s, t = s+1, t+120*sim.Millisecond {
+			swaps.Events = append(swaps.Events, fault.Event{
+				Kind: fault.SpineDown, A: s % 5, At: t + 100*sim.Millisecond, Dur: 20 * sim.Millisecond,
+			})
+		}
+		swaps.Apply(cl)
 	}
 
 	// A crashed workstation loses whatever sat in its bounded NI state at the
@@ -355,7 +354,7 @@ func meshSoak(w io.Writer, p SoakParams) error {
 	// and the break is immediate, as before.
 	settle := cfg.NIC.ReturnToSenderAfter + 200*sim.Millisecond
 	lastSig, lastChange, lastDash := totals(), cl.Now(), cl.Now()
-	runUntil(cl, 10*sim.Millisecond, limit, func() bool {
+	cl.RunUntilDone(10*sim.Millisecond, limit, func() bool {
 		now := cl.Now()
 		if dashObs != nil && now.Sub(lastDash) >= 100*sim.Millisecond {
 			fmt.Fprint(w, dashObs.R.Dashboard())
@@ -474,9 +473,7 @@ func meshSoak(w io.Writer, p SoakParams) error {
 			}
 			return -1
 		}
-		if hung() >= 0 {
-			runUntil(cl, sim.Millisecond, cl.Now().Add(5*sim.Second), func() bool { return hung() < 0 })
-		}
+		cl.RunUntilDone(sim.Millisecond, cl.Now().Add(5*sim.Second), func() bool { return hung() < 0 })
 		if r := hung(); r >= 0 {
 			return fmt.Errorf("INVARIANT VIOLATION: coll rank %d hung in allreduce", r)
 		}

@@ -163,7 +163,7 @@ func serveSoak(w io.Writer, p SoakParams) error {
 
 	// No-hang invariant: surviving clients settle within a bounded window.
 	lastDash := cl.Now()
-	runUntil(cl, 10*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
+	cl.RunUntilDone(10*sim.Millisecond, stopAt.Add(10*sim.Second), func() bool {
 		if p.Dash && cl.Now().Sub(lastDash) >= 100*sim.Millisecond {
 			fmt.Fprint(w, o.R.DashboardSection("serve"))
 			fmt.Fprint(w, attrPanel(obs.Attribute(cl.MergedFlights(), 1)))
@@ -182,7 +182,8 @@ func serveSoak(w io.Writer, p SoakParams) error {
 	// its reissue record's stale clock on every return-to-sender cycle, so
 	// the last record can still be inside its stale window when the first
 	// horizon passes — keep serving until every server drains (bounded).
-	runUntil(cl, 2*staleAfter, cl.Now().Add(6*staleAfter), func() bool { return serversDrained(rpcServers) == nil })
+	cl.RunFor(2 * staleAfter)
+	cl.RunUntilDone(2*staleAfter, cl.Now().Add(4*staleAfter), func() bool { return serversDrained(rpcServers) == nil })
 	stop = true
 	cl.RunFor(10 * sim.Millisecond)
 

@@ -62,7 +62,7 @@ func shardSoak(w io.Writer, p SoakParams) error {
 	if err != nil {
 		return err
 	}
-	runUntil(cl, 5*sim.Millisecond, sim.Time(0).Add(60*sim.Second), echoPairsDone(states))
+	cl.RunUntilDone(5*sim.Millisecond, sim.Time(0).Add(60*sim.Second), echoPairsDone(states))
 	// Settle: let retransmit timers and reboot recoveries drain.
 	cl.RunFor(50 * sim.Millisecond)
 

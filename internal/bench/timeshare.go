@@ -70,7 +70,7 @@ func appBody(cfg TimeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
 // same nodes) with the given start offsets, and returns the makespan and
 // mean comm time per app.
 func runApps(cl *hostos.Cluster, cfg TimeshareConfig, k int, sequential bool) (sim.Duration, sim.Duration, sim.Duration, bool) {
-	start := cl.E.Now()
+	start := cl.Now()
 	var worlds []*splitc.World
 	for a := 0; a < k; a++ {
 		w, err := splitc.NewWorld(cl, cfg.Nodes, cfg.MsgBytes+64, nil)
@@ -99,11 +99,11 @@ func runApps(cl *hostos.Cluster, cfg TimeshareConfig, k int, sequential bool) (s
 			}
 			return true
 		}
-		if !runUntil(cl, sim.Millisecond, cl.Now().Add(maxT), idle) {
+		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(maxT), idle) {
 			return 0, 0, 0, false
 		}
 	}
-	makespan := cl.E.Now().Sub(start)
+	makespan := cl.Now().Sub(start)
 	var comm, sync sim.Duration
 	var ranks int
 	for _, w := range worlds {

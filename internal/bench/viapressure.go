@@ -65,7 +65,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 			eps[i].SetHandler(2, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {})
 		}
 		running := cfg.Nodes
-		start := cl.E.Now()
+		start := cl.Now()
 		for i := 0; i < cfg.Nodes; i++ {
 			i := i
 			cl.Nodes[i].Spawn("vn", func(p *sim.Proc) {
@@ -87,11 +87,11 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		if !runUntil(cl, sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
+		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}
-		res.VNTime = cl.E.Now().Sub(start)
+		res.VNTime = cl.Now().Sub(start)
 		for _, n := range cl.Nodes {
 			res.VNRemaps += n.Driver.Remaps()
 		}
@@ -111,7 +111,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 			return res, false
 		}
 		running := cfg.Nodes
-		start := cl.E.Now()
+		start := cl.Now()
 		for i := 0; i < cfg.Nodes; i++ {
 			i := i
 			cl.Nodes[i].Spawn("via", func(p *sim.Proc) {
@@ -152,11 +152,11 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		if !runUntil(cl, sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
+		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}
-		res.VIATime = cl.E.Now().Sub(start)
+		res.VIATime = cl.Now().Sub(start)
 		for _, n := range cl.Nodes {
 			res.VIARemaps += n.Driver.Remaps()
 		}

@@ -107,16 +107,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("alg(%d)", int(a))
 }
 
-// ParseAlgorithm maps a name (as printed by String) back to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range []Algorithm{Auto, Binomial, Ring, RingFlat, Rabenseifner, Hierarchical} {
-		if a.String() == s {
-			return a, nil
-		}
-	}
-	return Auto, fmt.Errorf("coll: unknown algorithm %q", s)
-}
-
 // ChunkBytes is the pipelining granularity of the ring algorithms: each
 // ring step's segment is cut into chunks of this many bytes and up to
 // PipelineDepth chunks are kept in flight, overlapping the wire time of one
@@ -269,6 +259,12 @@ func Bcast(p *sim.Proc, t Transport, root int, data []byte, alg Algorithm) ([]by
 	return treeBcast(p, t, root, data, tagTree)
 }
 
+// Reduce combines every rank's vec elementwise with op onto root over a
+// binomial tree. Non-root ranks return nil.
+func Reduce(p *sim.Proc, t Transport, root int, vec []float64, op Op) ([]float64, error) {
+	return treeReduce(p, t, root, vec, op, tagTree)
+}
+
 // Barrier synchronizes all ranks (dissemination, ceil(log2 n) rounds).
 func Barrier(p *sim.Proc, t Transport) error {
 	n := t.Size()
@@ -386,8 +382,8 @@ func reduceInto(dst, src []float64, op Op) {
 	}
 }
 
-// ---- Binomial tree (baseline; mirrors the schedule internal/mpi shipped
-// with so that small-message delegation is timing-identical) ----
+// ---- Binomial tree (the baseline schedule; internal/mpi's Bcast and Reduce
+// are these) ----
 
 func log2floor(k int) int {
 	l := 0

@@ -268,7 +268,7 @@ func TestAllreduceFaultAbort(t *testing.T) {
 			// World.Run.
 			const bound = 5 * sim.Second
 			for i := 0; i < int(bound/sim.Millisecond); i++ {
-				c.E.RunFor(sim.Millisecond)
+				c.RunFor(sim.Millisecond)
 				alive := 0
 				for r := 0; r < n; r++ {
 					if r != 9 && !done[r] {

@@ -71,7 +71,7 @@ func TestRequestReplyPingPong(t *testing.T) {
 			p.Sleep(sim.Microsecond)
 		}
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if got != 42 {
 		t.Fatalf("reply arg = %d, want 42", got)
 	}
@@ -115,7 +115,7 @@ func TestBulkRoundTrip(t *testing.T) {
 			p.Sleep(sim.Microsecond)
 		}
 	})
-	c.E.RunFor(200 * sim.Millisecond)
+	c.RunFor(200 * sim.Millisecond)
 	if !done {
 		t.Fatal("bulk round trip never completed")
 	}
@@ -131,7 +131,7 @@ func TestPayloadTooLarge(t *testing.T) {
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		err = e0.RequestBulk(p, 0, 1, make([]byte, 9000), [4]uint64{})
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if err != ErrPayloadSize {
 		t.Fatalf("err = %v, want ErrPayloadSize", err)
 	}
@@ -145,7 +145,7 @@ func TestBadTranslationIndex(t *testing.T) {
 		errUnset = e0.Request(p, 3, 1, [4]uint64{}) // slot never mapped
 		errRange = e0.Request(p, 99, 1, [4]uint64{})
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if errUnset != ErrBadIndex || errRange != ErrBadIndex {
 		t.Fatalf("errs = %v, %v; want ErrBadIndex", errUnset, errRange)
 	}
@@ -180,7 +180,7 @@ func TestCreditWindowBlocks(t *testing.T) {
 			sent++
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if sent != window+10 {
 		t.Fatalf("sent = %d, want %d (deadlocked on credits?)", sent, window+10)
 	}
@@ -208,7 +208,7 @@ func TestReturnToSenderRestoresCreditAndRunsHandler(t *testing.T) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(500 * sim.Millisecond)
+	c.RunFor(500 * sim.Millisecond)
 	if returned != nic.NackBadKey || retHandler != 7 {
 		t.Fatalf("return handler got (%v, %d), want (bad-key, 7)", returned, retHandler)
 	}
@@ -239,7 +239,7 @@ func TestEventDrivenWait(t *testing.T) {
 		p.Sleep(10 * sim.Millisecond)
 		e0.Request(p, 0, 1, [4]uint64{5})
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !served {
 		t.Fatal("server never served the request")
 	}
@@ -258,7 +258,7 @@ func TestWaitTimeout(t *testing.T) {
 		got = e1.Bundle().WaitTimeout(p, 5*sim.Millisecond)
 		at = p.Now()
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if got {
 		t.Fatal("WaitTimeout reported an event on an idle bundle")
 	}
@@ -278,7 +278,7 @@ func TestUnarmedEndpointDoesNotWake(t *testing.T) {
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		e0.Request(p, 0, 1, [4]uint64{1})
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if woke {
 		t.Fatal("Wait woke for an unarmed endpoint")
 	}
@@ -331,7 +331,7 @@ func TestVirtualNetworkVNNAddressing(t *testing.T) {
 			doneCount++
 		})
 	}
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	for i := 0; i < N; i++ {
 		if recvCount[i] != N-1 {
 			t.Fatalf("node %d received %d requests, want %d", i, recvCount[i], N-1)
@@ -349,7 +349,7 @@ func TestCloseFreesEndpoints(t *testing.T) {
 		b.Close(p)
 		errAfter = e0.Request(p, 0, 1, [4]uint64{2})
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if errAfter != ErrClosed {
 		t.Fatalf("request after close = %v, want ErrClosed", errAfter)
 	}
@@ -377,7 +377,7 @@ func TestSharedModeCostsMore(t *testing.T) {
 			e0.Request(p, 0, 1, [4]uint64{})
 			done = p.Now()
 		})
-		c.E.RunFor(sim.Second)
+		c.RunFor(sim.Second)
 		return done
 	}
 	excl := run(Exclusive)
@@ -398,7 +398,7 @@ func TestUnmap(t *testing.T) {
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		err = e0.Request(p, 0, 1, [4]uint64{})
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if err != ErrBadIndex {
 		t.Fatalf("request on unmapped slot = %v", err)
 	}
@@ -446,7 +446,7 @@ func TestCreditConservationProperty(t *testing.T) {
 			}
 			serverDone = true
 		})
-		c.E.RunFor(5 * sim.Second)
+		c.RunFor(5 * sim.Second)
 		return replies == n && e0.Credits(0) == window
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

@@ -615,7 +615,7 @@ func TestIdlePollAllocFree(t *testing.T) {
 	// the park, the doorbell and the resume, not the NI's descriptor pool.
 	msg := &nic.RecvMsg{SrcNI: netsim.NodeID(1), SrcEP: e1.Segment().EP.ID, Handler: 1}
 	ring := func() {
-		msg.Visible = c.E.Now().Add(2400)
+		msg.Visible = c.Now().Add(2400)
 		img.RecvQ.Push(msg)
 		img.OnDeliver(msg)
 	}
@@ -624,10 +624,10 @@ func TestIdlePollAllocFree(t *testing.T) {
 			e0.IdlePoll(p, 5*sim.Microsecond, sim.Never)
 		}
 	})
-	c.E.RunFor(sim.Millisecond) // warm: the proc is parked, pools are filled
+	c.RunFor(sim.Millisecond) // warm: the proc is parked, pools are filled
 	cycle := func() {
 		ring()
-		c.E.RunFor(100 * sim.Microsecond)
+		c.RunFor(100 * sim.Microsecond)
 	}
 	cycle()
 	before := got

@@ -110,7 +110,7 @@ func TestReturnToSenderUnderChurnExactlyOnce(t *testing.T) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 
 	if !serverClosed || len(sent) != 60 {
 		t.Fatalf("setup: closed=%v sent=%d", serverClosed, len(sent))

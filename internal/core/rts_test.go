@@ -47,7 +47,7 @@ func TestBoundedRetryReturnsOriginalPayload(t *testing.T) {
 
 	// The destination's link dies before the message is sent: every
 	// retransmission is lost in the fabric, never NACKed.
-	c.Net.SetHostLinkDown(c.Nodes[1].ID, true)
+	c.ShardNet(0).SetHostLinkDown(c.Nodes[1].ID, true)
 
 	var sentAt sim.Time
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
@@ -61,7 +61,7 @@ func TestBoundedRetryReturnsOriginalPayload(t *testing.T) {
 			p.Sleep(20 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 
 	if e0.Stats.Returns != 1 {
 		t.Fatalf("returns = %d, want 1", e0.Stats.Returns)

@@ -52,7 +52,7 @@ func TestOneThreadManyEndpoints(t *testing.T) {
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if gotA != 5 || gotB != 5 {
 		t.Fatalf("gotA=%d gotB=%d, want 5/5", gotA, gotB)
 	}
@@ -96,7 +96,7 @@ func TestManyThreadsOneSharedEndpoint(t *testing.T) {
 		}
 		done = true
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if finished != threads || replies != threads*per {
 		t.Fatalf("finished=%d replies=%d", finished, replies)
 	}
@@ -145,7 +145,7 @@ func TestMultipleProcessesPerNode(t *testing.T) {
 			}
 		})
 	}
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !done[0] || !done[1] {
 		t.Fatalf("done = %v", done)
 	}
@@ -175,7 +175,7 @@ func TestDoubleReplyRejected(t *testing.T) {
 	c.Nodes[0].Spawn("cli", func(p *sim.Proc) {
 		e0.Request(p, 0, 1, [4]uint64{})
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if second == nil {
 		t.Fatal("double reply succeeded")
 	}
@@ -207,7 +207,7 @@ func TestReplyToReplyRejected(t *testing.T) {
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !got {
 		t.Fatal("reply never arrived")
 	}
@@ -228,7 +228,7 @@ func TestEventMaskDisarmStopsWakeups(t *testing.T) {
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		e0.Request(p, 0, 1, [4]uint64{})
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if woke {
 		t.Fatal("disarmed endpoint woke the bundle")
 	}
@@ -259,7 +259,7 @@ func TestReturnedBulkPayloadIntact(t *testing.T) {
 			p.Sleep(20 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if len(back) != len(payload) || back[100] != payload[100] {
 		t.Fatalf("returned payload corrupted: len=%d", len(back))
 	}
@@ -288,7 +288,7 @@ func TestBundlePollAcrossEndpoints(t *testing.T) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if gotA != 1 || gotB != 1 {
 		t.Fatalf("gotA=%d gotB=%d", gotA, gotB)
 	}
@@ -300,7 +300,7 @@ func TestNewEndpointAfterCloseFails(t *testing.T) {
 	c.Nodes[0].Spawn("app", func(p *sim.Proc) {
 		b.Close(p)
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if _, err := b.NewEndpoint(1, 2); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}

@@ -131,7 +131,7 @@ func (s *Server) fail(resp Response, err error) Response {
 }
 
 func (s *Server) now() string {
-	return s.M.Cluster.E.Now().Sub(0).String()
+	return s.M.Cluster.Now().Sub(0).String()
 }
 
 func (s *Server) dispatch(req Request) (any, error) {
@@ -218,7 +218,7 @@ func (s *Server) dispatch(req Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.M.Cluster.E.RunFor(d)
+		s.M.Cluster.RunFor(d)
 		return nil, nil
 
 	case "query-metrics":
@@ -315,23 +315,19 @@ func (s *Server) queryMetrics(prefix string) (any, error) {
 	return out, nil
 }
 
-// runOp executes fn inside a spawned proc and drives the engine until it
+// runOp executes fn inside a spawned proc and drives the cluster until it
 // returns (bounded by MaxOpTime of virtual time).
 func (s *Server) runOp(fn func(p *sim.Proc) error) error {
 	var (
-		done   bool
-		opErr  error
-		engine = s.M.Cluster.E
+		done  bool
+		opErr error
+		c     = s.M.Cluster
 	)
-	s.M.Cluster.Nodes[0].Spawn("ctl:op", func(p *sim.Proc) {
+	c.Nodes[0].Spawn("ctl:op", func(p *sim.Proc) {
 		opErr = fn(p)
 		done = true
 	})
-	deadline := engine.Now().Add(s.MaxOpTime)
-	for !done && engine.Now() < deadline {
-		engine.RunFor(sim.Millisecond)
-	}
-	if !done {
+	if !c.RunUntilDone(sim.Millisecond, c.Now().Add(s.MaxOpTime), func() bool { return done }) {
 		return fmt.Errorf("ctlplane: op did not complete within %v of virtual time", s.MaxOpTime)
 	}
 	return opErr

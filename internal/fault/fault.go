@@ -294,7 +294,8 @@ func mod(i, n int) int {
 // are scheduled once, on the owning node's engine. With one shard both
 // cases degenerate to exactly the classic event sequence.
 func (pl *Plan) Apply(c *hostos.Cluster) {
-	cfg := c.Net.Config()
+	topo := c.ShardNet(0) // every replica has the same shape
+	cfg := topo.Config()
 	// fabric replicates a mutation onto every shard's replica; owned
 	// schedules it only on host h's shard. Apply runs while the shards are
 	// parked at a common barrier, so same-offset schedules land at the same
@@ -313,26 +314,26 @@ func (pl *Plan) Apply(c *hostos.Cluster) {
 		ev := ev
 		switch ev.Kind {
 		case SpineDown:
-			s := mod(ev.A, c.Net.TotalSpines())
+			s := mod(ev.A, topo.TotalSpines())
 			fabric(ev.At, func(net *netsim.Network) { net.SetSpineDown(s, true) })
 			if ev.Dur > 0 {
 				fabric(ev.At+ev.Dur, func(net *netsim.Network) { net.SetSpineDown(s, false) })
 			}
 		case UplinkDown:
-			l := mod(ev.A, c.Net.Leaves())
+			l := mod(ev.A, topo.Leaves())
 			s := mod(ev.B, cfg.Spines)
 			fabric(ev.At, func(net *netsim.Network) { net.SetUplinkDown(l, s, true) })
 			if ev.Dur > 0 {
 				fabric(ev.At+ev.Dur, func(net *netsim.Network) { net.SetUplinkDown(l, s, false) })
 			}
 		case HostLinkDown:
-			h := netsim.NodeID(mod(ev.A, c.Net.NumHosts()))
+			h := netsim.NodeID(mod(ev.A, topo.NumHosts()))
 			owned(h, ev.At, func(net *netsim.Network) { net.SetHostLinkDown(h, true) })
 			if ev.Dur > 0 {
 				owned(h, ev.At+ev.Dur, func(net *netsim.Network) { net.SetHostLinkDown(h, false) })
 			}
 		case LeafDown:
-			l := mod(ev.A, c.Net.Leaves())
+			l := mod(ev.A, topo.Leaves())
 			fabric(ev.At, func(net *netsim.Network) { net.SetLeafDown(l, true) })
 			if ev.Dur > 0 {
 				fabric(ev.At+ev.Dur, func(net *netsim.Network) { net.SetLeafDown(l, false) })
@@ -348,7 +349,7 @@ func (pl *Plan) Apply(c *hostos.Cluster) {
 					fabric(ev.At+ev.Dur, func(net *netsim.Network) { net.SetAllBurstLoss(bp, false) })
 				}
 			} else {
-				h := netsim.NodeID(mod(ev.A, c.Net.NumHosts()))
+				h := netsim.NodeID(mod(ev.A, topo.NumHosts()))
 				owned(h, ev.At, func(net *netsim.Network) { net.SetHostBurstLoss(h, bp, true) })
 				if ev.Dur > 0 {
 					owned(h, ev.At+ev.Dur, func(net *netsim.Network) { net.SetHostBurstLoss(h, bp, false) })

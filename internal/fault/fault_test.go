@@ -131,8 +131,8 @@ func (h *harness) drive(n int, gap sim.Duration) {
 // fingerprint captures everything observable about a run.
 func (h *harness) fingerprint() string {
 	return fmt.Sprintf("sent=%d replies=%v returns=%d t=%d\nnet drops=%d corrupt=%d\n%s",
-		h.sent, h.replies, h.returns, int64(h.c.E.Now()),
-		h.c.Net.Dropped, h.c.Net.Corrupted, h.c.Net.LinkStats(false))
+		h.sent, h.replies, h.returns, int64(h.c.Now()),
+		h.c.ShardNet(0).Dropped, h.c.ShardNet(0).Corrupted, h.c.ShardNet(0).LinkStats(false))
 }
 
 // The full fault matrix (burst loss, corruption, a spine flap, an uplink
@@ -150,7 +150,7 @@ func TestFaultMatrixDeterministicAndExactlyOnce(t *testing.T) {
 		}
 		pl.Apply(h.c)
 		h.drive(n, 40*sim.Microsecond)
-		h.c.E.RunFor(2 * sim.Second)
+		h.c.RunFor(2 * sim.Second)
 		return h, h.fingerprint()
 	}
 	h1, fp1 := run()
@@ -169,7 +169,7 @@ func TestFaultMatrixDeterministicAndExactlyOnce(t *testing.T) {
 	if h1.returns != 0 {
 		t.Fatalf("transient faults must not surface returns, got %d", h1.returns)
 	}
-	if h1.c.Net.Corrupted == 0 {
+	if h1.c.ShardNet(0).Corrupted == 0 {
 		t.Fatal("corruption fault never fired")
 	}
 	if h1.c.Nodes[1].NIC.C.Get("nic.reboot") != 1 {
@@ -192,7 +192,7 @@ func TestNodeCrashReturnsUnansweredToSender(t *testing.T) {
 	pl.Apply(h.c)
 	const n = 100
 	h.drive(n, 50*sim.Microsecond)
-	h.c.E.RunFor(2 * sim.Second)
+	h.c.RunFor(2 * sim.Second)
 
 	if !h.c.Nodes[1].Crashed() {
 		t.Fatal("crash fault never fired")
@@ -241,7 +241,7 @@ func TestCrashRestartBringsLinkBack(t *testing.T) {
 	}
 	pl.Apply(h.c)
 	h.drive(50, 30*sim.Microsecond)
-	h.c.E.RunFor(1 * sim.Second)
+	h.c.RunFor(1 * sim.Second)
 	if h.c.Nodes[2].Crashed() {
 		t.Fatal("node 2 never restarted")
 	}

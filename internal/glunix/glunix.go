@@ -82,9 +82,12 @@ type Evacuator interface {
 	Evacuate(p *sim.Proc, node int, targets []int) (moved int, err error)
 }
 
-// Scheduler is the cluster-wide job manager.
+// Scheduler is the cluster-wide job manager. Its queue and free list are one
+// master's state, touched by every rank that finishes: it is for a one-shard
+// cluster (NewMonitor says so with hostos.ErrSharded).
 type Scheduler struct {
 	cluster *hostos.Cluster
+	e       *sim.Engine // the master's clock and job wake-ups
 	free    map[int]bool
 	queue   []*Job
 	nextID  int
@@ -122,6 +125,7 @@ var ErrTooWide = errors.New("glunix: job wider than the cluster")
 func NewScheduler(c *hostos.Cluster) *Scheduler {
 	s := &Scheduler{
 		cluster: c,
+		e:       c.ShardEngine(0),
 		free:    make(map[int]bool),
 		busy:    make(map[int]bool),
 		drained: make(map[int]bool),
@@ -191,7 +195,7 @@ func (s *Scheduler) Queued() int { return len(s.queue) }
 
 // Utilization returns mean allocated-node fraction over [0, now].
 func (s *Scheduler) Utilization() float64 {
-	now := s.cluster.E.Now()
+	now := s.e.Now()
 	if now == 0 {
 		return 0
 	}
@@ -200,7 +204,7 @@ func (s *Scheduler) Utilization() float64 {
 }
 
 func (s *Scheduler) account() {
-	now := s.cluster.E.Now()
+	now := s.e.Now()
 	s.busyTime += sim.Duration(s.allocated) * now.Sub(s.lastChange)
 	s.lastChange = now
 }
@@ -219,8 +223,8 @@ func (s *Scheduler) Submit(width int, fn JobFn) (*Job, error) {
 		Width:     width,
 		State:     Queued,
 		fn:        fn,
-		submitted: s.cluster.E.Now(),
-		cond:      sim.NewCond(s.cluster.E),
+		submitted: s.e.Now(),
+		cond:      sim.NewCond(s.e),
 	}
 	s.queue = append(s.queue, j)
 	s.dispatch()
@@ -258,7 +262,7 @@ func (s *Scheduler) launch(j *Job) {
 
 	j.partition = ids
 	j.State = Running
-	j.started = s.cluster.E.Now()
+	j.started = s.e.Now()
 	j.remaining = j.Width
 
 	nodes := make([]*hostos.Node, j.Width)
@@ -285,7 +289,7 @@ func (s *Scheduler) launch(j *Job) {
 // finish releases the partition and dispatches waiting jobs.
 func (s *Scheduler) finish(j *Job) {
 	j.State = Done
-	j.finished = s.cluster.E.Now()
+	j.finished = s.e.Now()
 	j.procs = nil
 	s.account()
 	s.allocated -= j.Width
@@ -363,15 +367,10 @@ func (s *Scheduler) Wait(p *sim.Proc, j *Job) {
 	}
 }
 
-// Drain advances the engine until all submitted jobs finish or maxTime
+// Drain advances the cluster until all submitted jobs finish or maxTime
 // passes; it reports whether everything completed.
 func (s *Scheduler) Drain(maxTime sim.Duration) bool {
-	deadline := s.cluster.E.Now().Add(maxTime)
-	for s.cluster.E.Now() < deadline {
-		if len(s.queue) == 0 && s.allocated == 0 {
-			return true
-		}
-		s.cluster.E.RunFor(sim.Millisecond)
-	}
-	return len(s.queue) == 0 && s.allocated == 0
+	return s.cluster.RunUntilDone(sim.Millisecond, s.cluster.Now().Add(maxTime), func() bool {
+		return len(s.queue) == 0 && s.allocated == 0
+	})
 }

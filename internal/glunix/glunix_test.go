@@ -102,7 +102,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	s := NewScheduler(c)
 	// Half the cluster busy for the whole interval -> utilization ~0.5.
 	s.Submit(2, sleepJob(100*sim.Millisecond))
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	u := s.Utilization()
 	if u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization = %.2f, want ~0.5", u)

@@ -70,6 +70,7 @@ func DefaultMonitorConfig() MonitorConfig {
 // respawn or rebalance replicas.
 type Monitor struct {
 	c     *hostos.Cluster
+	e     *sim.Engine // the home node's: the master's clock and timers
 	sched *Scheduler
 	names NameService
 	cfg   MonitorConfig
@@ -97,13 +98,19 @@ type Monitor struct {
 
 // NewMonitor starts the health service with its master on node home. sched
 // and names may each be nil (detection only). Beaters start on every node
-// except home; the master scan thread runs on home.
+// except home; the master scan thread runs on home. The master's tables (and
+// the scheduler's free list behind them) are written from every node's
+// threads, so a cluster of more than one shard gets hostos.ErrSharded.
 func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int, cfg MonitorConfig) (*Monitor, error) {
+	if err := c.OneShard("glunix: monitor"); err != nil {
+		return nil, err
+	}
 	if cfg.Interval <= 0 || cfg.Misses <= 0 {
 		return nil, fmt.Errorf("glunix: bad monitor config %+v", cfg)
 	}
 	m := &Monitor{
 		c:          c,
+		e:          c.Nodes[home].E,
 		sched:      sched,
 		names:      names,
 		cfg:        cfg,
@@ -116,7 +123,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 		reinstGen:  make([]int, len(c.Nodes)),
 		pending:    make([]bool, len(c.Nodes)),
 	}
-	now := c.E.Now()
+	now := m.e.Now()
 	for i := range m.lastBeat {
 		m.lastBeat[i] = now
 	}
@@ -209,7 +216,7 @@ func (m *Monitor) declareDead(n int) {
 	m.Deaths++
 	m.reinstGen[n]++ // cancel any pending delayed reinstate
 	m.pending[n] = false
-	now := m.c.E.Now()
+	now := m.e.Now()
 	if m.cfg.FlapWindow > 0 && m.lastReinst[n] > 0 && now.Sub(m.lastReinst[n]) <= m.cfg.FlapWindow {
 		// Died again right after coming back: flapping. Double the probation
 		// its next reinstatement must wait out.
@@ -265,7 +272,7 @@ func (m *Monitor) Reinstate(n int) error {
 		m.Probations++
 		m.pending[n] = true
 		gen := m.reinstGen[n]
-		m.c.E.Schedule(prob, func() {
+		m.e.Schedule(prob, func() {
 			if m.reinstGen[n] != gen || !m.pending[n] {
 				return // superseded by a re-death
 			}
@@ -280,7 +287,7 @@ func (m *Monitor) Reinstate(n int) error {
 // reinstateNow performs the actual republish.
 func (m *Monitor) reinstateNow(n int) error {
 	m.deadN[n] = false
-	now := m.c.E.Now()
+	now := m.e.Now()
 	m.lastBeat[n] = now
 	m.lastReinst[n] = now
 	if m.sched != nil {

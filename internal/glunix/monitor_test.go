@@ -41,7 +41,7 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	c.E.Schedule(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
+	c.Nodes[2].E.Schedule(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
 
 	if !s.Drain(2 * sim.Second) {
 		t.Fatalf("jobs did not drain: queued=%d allocated=%d", s.Queued(), s.allocated)
@@ -85,8 +85,8 @@ func TestMonitorToleratesFirmwareReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.E.Schedule(30*sim.Millisecond, func() { c.Nodes[1].NIC.Reboot(2 * sim.Millisecond) })
-	c.E.RunFor(300 * sim.Millisecond)
+	c.Nodes[1].E.Schedule(30*sim.Millisecond, func() { c.Nodes[1].NIC.Reboot(2 * sim.Millisecond) })
+	c.RunFor(300 * sim.Millisecond)
 	if mon.Deaths != 0 {
 		t.Fatalf("monitor declared %d deaths across a 2 ms reboot", mon.Deaths)
 	}
@@ -102,8 +102,8 @@ func TestReinstateAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.E.Schedule(10*sim.Millisecond, func() { c.Nodes[2].Crash() })
-	c.E.RunFor(200 * sim.Millisecond)
+	c.Nodes[2].E.Schedule(10*sim.Millisecond, func() { c.Nodes[2].Crash() })
+	c.RunFor(200 * sim.Millisecond)
 	if !mon.Dead(2) {
 		t.Fatal("node 2 not declared dead")
 	}
@@ -112,7 +112,7 @@ func TestReinstateAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	beatsAt := mon.Beats
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if mon.Dead(2) {
 		t.Fatal("reinstated node re-declared dead")
 	}
@@ -143,25 +143,25 @@ func TestReinstateRedeathAfterPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.E.RunFor(20 * sim.Millisecond)
+	c.RunFor(20 * sim.Millisecond)
 	epsSteady := c.Nodes[2].Driver.NumEndpoints()
 
 	// Partition node 2 past the silence threshold: declared dead, but the
 	// beater proc is still alive behind the downed link.
-	c.Net.SetHostLinkDown(2, true)
-	c.E.RunFor(100 * sim.Millisecond)
+	c.ShardNet(0).SetHostLinkDown(2, true)
+	c.RunFor(100 * sim.Millisecond)
 	if !mon.Dead(2) || mon.Deaths != 1 {
 		t.Fatalf("after partition: dead=%v deaths=%d, want dead once", mon.Dead(2), mon.Deaths)
 	}
 
 	// Heal and reinstate: beats resume, and the superseded beater must
 	// retire — the node's endpoint count returns to steady state.
-	c.Net.SetHostLinkDown(2, false)
+	c.ShardNet(0).SetHostLinkDown(2, false)
 	if err := mon.Reinstate(2); err != nil {
 		t.Fatal(err)
 	}
 	beatsAt := mon.Beats
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if mon.Dead(2) {
 		t.Fatal("reinstated node re-declared dead while beating")
 	}
@@ -173,8 +173,8 @@ func TestReinstateRedeathAfterPartition(t *testing.T) {
 	}
 
 	// Silence it again: the monitor must re-declare the same node dead.
-	c.Net.SetHostLinkDown(2, true)
-	c.E.RunFor(100 * sim.Millisecond)
+	c.ShardNet(0).SetHostLinkDown(2, true)
+	c.RunFor(100 * sim.Millisecond)
 	if !mon.Dead(2) || mon.Deaths != 2 {
 		t.Fatalf("after second partition: dead=%v deaths=%d, want re-death", mon.Dead(2), mon.Deaths)
 	}
@@ -182,11 +182,11 @@ func TestReinstateRedeathAfterPartition(t *testing.T) {
 	// And a second reinstate works just the same — except that dying twice
 	// in quick succession looks like a flap, so this one sits out the base
 	// probation before the node is republished.
-	c.Net.SetHostLinkDown(2, false)
+	c.ShardNet(0).SetHostLinkDown(2, false)
 	if err := mon.Reinstate(2); err != nil {
 		t.Fatal(err)
 	}
-	c.E.RunFor(100*sim.Millisecond + DefaultMonitorConfig().ProbationBase)
+	c.RunFor(100*sim.Millisecond + DefaultMonitorConfig().ProbationBase)
 	if mon.Dead(2) {
 		t.Fatal("second reinstate did not stick")
 	}
@@ -220,11 +220,11 @@ func runFlapper(t *testing.T, seed int64, cfg MonitorConfig, span sim.Duration) 
 	}
 	c.Nodes[0].Spawn("flapper", func(p *sim.Proc) {
 		for {
-			c.Net.SetHostLinkDown(2, true)
+			c.ShardNet(0).SetHostLinkDown(2, true)
 			for !mon.Dead(2) {
 				p.Sleep(5 * sim.Millisecond)
 			}
-			c.Net.SetHostLinkDown(2, false)
+			c.ShardNet(0).SetHostLinkDown(2, false)
 			if err := mon.Reinstate(2); err != nil {
 				t.Errorf("reinstate: %v", err)
 				return
@@ -235,7 +235,7 @@ func runFlapper(t *testing.T, seed int64, cfg MonitorConfig, span sim.Duration) 
 			p.Sleep(10 * sim.Millisecond)
 		}
 	})
-	c.E.RunFor(span)
+	c.RunFor(span)
 	return mon, s
 }
 

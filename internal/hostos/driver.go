@@ -160,12 +160,6 @@ func (d *Driver) NIC() *nic.NIC { return d.nic }
 // Config returns the driver's cost model.
 func (d *Driver) Config() Config { return d.cfg }
 
-// debugRemap turns on remap tracing (debug builds only).
-var debugRemap = false
-
-// SetDebugRemap toggles remap tracing (diagnostics).
-func SetDebugRemap(v bool) { debugRemap = v }
-
 // Stop halts the background thread (tests).
 func (d *Driver) Stop() {
 	d.stopped = true
@@ -446,9 +440,6 @@ func (d *Driver) queueRemap(seg *Segment) {
 		return
 	}
 	seg.remapQueued = true
-	if debugRemap {
-		fmt.Printf("[%v] drv%d queueRemap ep%d epstate=%d segstate=%v\n", sim.Duration(d.e.Now()), d.node, seg.EP.ID, seg.EP.State, seg.State)
-	}
 	d.remapQ = append(d.remapQ, seg)
 	d.remapCond.Signal()
 }
@@ -636,9 +627,6 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 	p.Sleep(d.cfg.LoadCost)
 	if seg.freed || seg.migrating {
 		return
-	}
-	if debugRemap {
-		fmt.Printf("[%v] drv%d remapOne load ep%d epstate=%d segstate=%v\n", sim.Duration(d.e.Now()), d.node, seg.EP.ID, seg.EP.State, seg.State)
 	}
 	d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpLoad, EP: seg.EP, Frame: frame})
 	seg.setState(OnNIC)

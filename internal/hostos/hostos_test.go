@@ -47,7 +47,7 @@ func TestWriteFaultTriggersAsyncRemap(t *testing.T) {
 		}
 		becameResident = p.Now()
 	})
-	c.E.RunFor(50 * sim.Millisecond)
+	c.RunFor(50 * sim.Millisecond)
 	if seg.State != OnNIC {
 		t.Fatalf("state = %v, want on-nic", seg.State)
 	}
@@ -69,7 +69,7 @@ func TestDisableHostRWBlocksFault(t *testing.T) {
 		c.Nodes[0].Driver.WriteFault(p, seg)
 		faultReturned = p.Now()
 	})
-	c.E.RunFor(50 * sim.Millisecond)
+	c.RunFor(50 * sim.Millisecond)
 	if !seg.Resident() {
 		t.Fatal("endpoint never became resident")
 	}
@@ -88,7 +88,7 @@ func TestArrivalMakesEndpointResident(t *testing.T) {
 	c.Nodes[0].Spawn("sender", func(p *sim.Proc) {
 		sendVia(c, p, 0, src, &nic.SendDesc{DstNI: 1, DstEP: dst.EP.ID, Key: 2, Handler: 1})
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if dst.State != OnNIC {
 		t.Fatalf("receiver endpoint state = %v, want on-nic (proxy fault)", dst.State)
 	}
@@ -116,7 +116,7 @@ func TestReplacementEvictsWhenFramesFull(t *testing.T) {
 			}
 		}
 	})
-	c.E.RunFor(500 * sim.Millisecond)
+	c.RunFor(500 * sim.Millisecond)
 	resident := 0
 	for _, s := range segs {
 		if s.Resident() {
@@ -152,7 +152,7 @@ func TestPageOutAndPageIn(t *testing.T) {
 		drv.WriteFault(p, seg)
 		faultDone = p.Now()
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if seg.State != OnNIC {
 		t.Fatalf("state = %v, want on-nic after fault+remap", seg.State)
 	}
@@ -167,7 +167,7 @@ func TestPageOutResidentFails(t *testing.T) {
 	drv := c.Nodes[0].Driver
 	seg := drv.CreateEndpoint(1)
 	c.Nodes[0].Spawn("app", func(p *sim.Proc) { drv.WriteFault(p, seg) })
-	c.E.RunFor(50 * sim.Millisecond)
+	c.RunFor(50 * sim.Millisecond)
 	if !seg.Resident() {
 		t.Fatal("setup: endpoint not resident")
 	}
@@ -189,7 +189,7 @@ func TestFreeSynchronizesWithNIC(t *testing.T) {
 		c.Nodes[0].Driver.Free(p, src)
 		freed = true
 	})
-	c.E.RunFor(200 * sim.Millisecond)
+	c.RunFor(200 * sim.Millisecond)
 	if !freed {
 		t.Fatal("Free never completed")
 	}
@@ -213,11 +213,11 @@ func TestStaleRequestAfterFreeIgnored(t *testing.T) {
 	c.Nodes[1].Spawn("freeer", func(p *sim.Proc) {
 		c.Nodes[1].Driver.Free(p, dst)
 	})
-	c.E.RunFor(10 * sim.Millisecond)
+	c.RunFor(10 * sim.Millisecond)
 	c.Nodes[0].Spawn("sender", func(p *sim.Proc) {
 		sendVia(c, p, 0, src, &nic.SendDesc{DstNI: 1, DstEP: dstID, Key: 2, Handler: 1})
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if src.EP.RepQ.Len() != 1 {
 		t.Fatalf("message to freed endpoint not returned to sender")
 	}
@@ -243,7 +243,7 @@ func TestNotifyWakesBlockedThread(t *testing.T) {
 		p.Sleep(5 * sim.Millisecond)
 		sendVia(c, p, 0, src, &nic.SendDesc{DstNI: 1, DstEP: dst.EP.ID, Key: 2, Handler: 1})
 	})
-	c.E.RunFor(200 * sim.Millisecond)
+	c.RunFor(200 * sim.Millisecond)
 	if woke == 0 {
 		t.Fatal("server thread never woke")
 	}
@@ -269,7 +269,7 @@ func TestNotifyAllocFree(t *testing.T) {
 	})
 	cycle := func() {
 		drv.Notify(seg.EP)
-		c.E.RunFor(2 * DefaultConfig().NotifyCost)
+		c.RunFor(2 * DefaultConfig().NotifyCost)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
@@ -292,7 +292,7 @@ func TestComputeTimeSlicing(t *testing.T) {
 		node.Compute(p, 10*sim.Millisecond)
 		doneB = p.Now()
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if doneA == 0 || doneB == 0 {
 		t.Fatal("compute never finished")
 	}
@@ -322,7 +322,7 @@ func TestComputeUncontendedFastPath(t *testing.T) {
 		node.Compute(p, 100*sim.Millisecond)
 		done = p.Now()
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if done != sim.Time(100*sim.Millisecond) {
 		t.Fatalf("solo compute took %v, want exactly 100ms", done)
 	}
@@ -348,7 +348,7 @@ func TestReplacementPolicies(t *testing.T) {
 					p.Sleep(sim.Millisecond)
 				}
 			})
-			c.E.RunFor(sim.Second)
+			c.RunFor(sim.Second)
 			resident := 0
 			for _, s := range segs {
 				if s.Resident() {
@@ -397,7 +397,7 @@ func TestResidencyInvariantProperty(t *testing.T) {
 				}
 			}
 		})
-		c.E.RunFor(2 * sim.Second)
+		c.RunFor(2 * sim.Second)
 		for _, l := range loaded {
 			if !l {
 				return false
@@ -415,8 +415,8 @@ func TestClusterConstruction(t *testing.T) {
 	if len(c.Nodes) != 100 {
 		t.Fatalf("nodes = %d", len(c.Nodes))
 	}
-	if c.Net.NumHosts() != 100 {
-		t.Fatalf("network hosts = %d", c.Net.NumHosts())
+	if c.ShardNet(0).NumHosts() != 100 {
+		t.Fatalf("network hosts = %d", c.ShardNet(0).NumHosts())
 	}
 	for i, n := range c.Nodes {
 		if n.ID != netsim.NodeID(i) {
@@ -437,7 +437,7 @@ func TestArrivalForPagedOutEndpoint(t *testing.T) {
 	c.Nodes[0].Spawn("sender", func(p *sim.Proc) {
 		sendVia(c, p, 0, src, &nic.SendDesc{DstNI: 1, DstEP: dst.EP.ID, Key: 2, Handler: 1})
 	})
-	c.E.RunFor(500 * sim.Millisecond)
+	c.RunFor(500 * sim.Millisecond)
 	if dst.State != OnNIC {
 		t.Fatalf("state = %v, want on-nic", dst.State)
 	}
@@ -469,7 +469,7 @@ func TestFreeUnblocksDisabledHostRWFaulter(t *testing.T) {
 		p.Sleep(500 * sim.Microsecond) // while the faulter blocks
 		drv.Free(p, seg)
 	})
-	c.E.RunFor(200 * sim.Millisecond)
+	c.RunFor(200 * sim.Millisecond)
 	if !faultReturned {
 		t.Fatal("blocked faulter never released after free")
 	}
@@ -512,7 +512,7 @@ func TestFaultRevalidationSkipsCompletedBinding(t *testing.T) {
 			t.Errorf("second fault reset state to %v", seg.State)
 		}
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if drv.C.Get("fault.write") != 1 {
 		t.Fatalf("fault.write = %d, want exactly 1", drv.C.Get("fault.write"))
 	}
@@ -545,7 +545,7 @@ func TestDuplicateSegment(t *testing.T) {
 		}
 		done = true
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if !done {
 		t.Fatal("child unusable after parent freed")
 	}

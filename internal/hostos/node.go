@@ -13,6 +13,12 @@ import (
 // ErrCrashed is returned by driver operations interrupted by a node crash.
 var ErrCrashed = errors.New("hostos: node crashed")
 
+// ErrSharded is returned by the constructors of layers that keep state shared
+// across nodes (an mpi or splitc world, the migration directory, the glunix
+// monitor) when the cluster runs more than one shard: their procs would run
+// on different shard goroutines and race on it.
+var ErrSharded = errors.New("hostos: layer needs a one-shard cluster")
+
 // Node is one workstation: a host CPU with a local time-slicing scheduler,
 // an NI, and the endpoint segment driver.
 type Node struct {
@@ -123,18 +129,15 @@ func (n *Node) Compute(p *sim.Proc, d sim.Duration) {
 	}
 }
 
-// Contended reports whether more than one proc wants the CPU right now.
-func (n *Node) Contended() bool { return n.runnable > 1 }
-
 // Cluster is a collection of nodes on one network — the simulated NOW. It
 // runs one engine per shard under Coord, synchronized by conservative
-// lookahead, over the per-shard replicas of Fab; E and Net alias shard 0's.
-// A one-shard cluster is the N=1 case of the same object, not a different
-// one: sim.Coordinator calls its single engine directly, and that is the only
-// place that knows. Drive a cluster through the Run*/Now/EngineStats methods.
+// lookahead, over the per-shard replicas of Fab. It has no engine or network
+// of its own: a one-shard cluster is the N=1 case of the same object, not a
+// different one (sim.Coordinator calls its single engine directly, and that
+// is the only place that knows). Drive a cluster through the
+// Run*/Now/EngineStats methods; inside a proc or an event, time, the PRNG and
+// Schedule belong to the owning Node's engine.
 type Cluster struct {
-	E     *sim.Engine
-	Net   *netsim.Network
 	Nodes []*Node
 
 	// Coord and Fab are never nil.
@@ -175,7 +178,7 @@ func NewCluster(seed int64, n int, cfg ClusterConfig) *Cluster {
 func NewShardedCluster(seed int64, n, shards int, cfg ClusterConfig) *Cluster {
 	coord := sim.NewCoordinator(seed, shards, netsim.Lookahead(cfg.Net))
 	fab := netsim.NewFabric(coord, cfg.Net, n)
-	c := &Cluster{E: coord.Engine(0), Net: fab.Shard(0), Coord: coord, Fab: fab}
+	c := &Cluster{Coord: coord, Fab: fab}
 	for i := 0; i < n; i++ {
 		sh := fab.ShardOf(netsim.NodeID(i))
 		c.Nodes = append(c.Nodes, NewNode(coord.Engine(sh), fab.Shard(sh), netsim.NodeID(i), cfg.NIC, cfg.OS))
@@ -185,6 +188,15 @@ func NewShardedCluster(seed int64, n, shards int, cfg ClusterConfig) *Cluster {
 
 // Shards returns the number of engine shards.
 func (c *Cluster) Shards() int { return c.Coord.Shards() }
+
+// OneShard returns nil on a one-shard cluster and an error matching
+// ErrSharded, naming layer, otherwise.
+func (c *Cluster) OneShard(layer string) error {
+	if c.Shards() > 1 {
+		return fmt.Errorf("%s on %d shards: %w", layer, c.Shards(), ErrSharded)
+	}
+	return nil
+}
 
 // ShardEngine returns shard s's engine.
 func (c *Cluster) ShardEngine(s int) *sim.Engine { return c.Coord.Engine(s) }
@@ -209,6 +221,21 @@ func (c *Cluster) RunUntil(t sim.Time) { c.Coord.RunUntil(t) }
 
 // Run processes events until no shard has any pending.
 func (c *Cluster) Run() { c.Coord.Run() }
+
+// RunUntilDone is the one drive loop: it advances the cluster a step at a
+// time until done reports true (true) or the virtual clock reaches deadline
+// with done still false (false). done is asked before every step, so a
+// condition that already holds advances nothing; it runs between steps, while
+// every engine is parked, so it may read what the procs wrote.
+func (c *Cluster) RunUntilDone(step sim.Duration, deadline sim.Time, done func() bool) bool {
+	for !done() {
+		if c.Now() >= deadline {
+			return false
+		}
+		c.RunFor(step)
+	}
+	return true
+}
 
 // Now returns the cluster's virtual time (the last barrier when there is
 // more than one shard).

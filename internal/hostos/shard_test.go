@@ -18,9 +18,6 @@ func TestShardedClusterWiring(t *testing.T) {
 	if c.Shards() != 4 || c.Coord == nil || c.Fab == nil {
 		t.Fatalf("sharded cluster not sharded: shards=%d", c.Shards())
 	}
-	if c.E != c.Coord.Engine(0) || c.Net != c.Fab.Shard(0) {
-		t.Fatalf("E/Net must alias shard 0")
-	}
 	for i, n := range c.Nodes {
 		sh := c.Fab.ShardOf(netsim.NodeID(i))
 		if n.E != c.Coord.Engine(sh) {
@@ -36,7 +33,7 @@ func TestShardedClusterWiring(t *testing.T) {
 	// Same-leaf hosts always share a shard (leaf-aligned assignment).
 	for i := 0; i < 40; i++ {
 		for j := i + 1; j < 40; j++ {
-			if c.Net.SameLeaf(netsim.NodeID(i), netsim.NodeID(j)) &&
+			if c.ShardNet(0).SameLeaf(netsim.NodeID(i), netsim.NodeID(j)) &&
 				c.Fab.ShardOf(netsim.NodeID(i)) != c.Fab.ShardOf(netsim.NodeID(j)) {
 				t.Fatalf("same-leaf hosts %d,%d on different shards", i, j)
 			}
@@ -104,12 +101,12 @@ func TestOneShardClusterIsTheSameObject(t *testing.T) {
 			if c.Coord == nil || c.Fab == nil || c.Shards() != 1 {
 				t.Fatalf("%s: Coord=%v Fab=%v Shards=%d", name, c.Coord, c.Fab, c.Shards())
 			}
-			if c.ShardEngine(0) != c.E || c.ShardNet(0) != c.Net || c.NetFor(15) != c.Net {
-				t.Fatalf("%s: shard 0 must be E and Net", name)
+			if c.EngineFor(15) != c.ShardEngine(0) || c.NetFor(15) != c.ShardNet(0) {
+				t.Fatalf("%s: shard 0 must own every node", name)
 			}
 			drive := c.RunFor
 			if direct {
-				drive = c.E.RunFor
+				drive = c.ShardEngine(0).RunFor
 			}
 			ends = append(ends, pingPong(t, c, drive))
 			c.Shutdown()
@@ -173,4 +170,49 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[n:])
+}
+
+// TestRunUntilDone pins the one drive loop: a condition that already holds
+// advances nothing, one that holds after k steps leaves the clock at k·step,
+// and a deadline reached with the condition still false reports false — the
+// same at one shard and at two, where every step is a run of barrier windows.
+func TestRunUntilDone(t *testing.T) {
+	const step = 250 * sim.Microsecond
+	for _, shards := range []int{1, 2} {
+		c := NewShardedCluster(3, 20, shards, DefaultClusterConfig())
+		if c.RunUntilDone(step, sim.Time(sim.Second), func() bool { return true }) != true || c.Now() != 0 {
+			t.Fatalf("%d shards: done before the first step: now=%v, want 0", shards, c.Now())
+		}
+		// One proc per shard counts its wake-ups; done reads the counts
+		// between steps, while the engines are parked.
+		ticks := make([]int, shards)
+		for s := range ticks {
+			c.ShardEngine(s).Spawn("tick", func(p *sim.Proc) {
+				for {
+					p.Sleep(step)
+					ticks[s]++
+				}
+			})
+		}
+		const k = 7
+		calls := 0
+		ok := c.RunUntilDone(step, sim.Time(sim.Second), func() bool {
+			calls++
+			for _, n := range ticks {
+				if n < k {
+					return false
+				}
+			}
+			return true
+		})
+		if !ok || c.Now() != sim.Time(k*step) || calls != k+1 {
+			t.Fatalf("%d shards: done after %d steps: ok=%v now=%v calls=%d, want true %v %d",
+				shards, k, ok, c.Now(), calls, sim.Time(k*step), k+1)
+		}
+		deadline := c.Now().Add(3 * step)
+		if c.RunUntilDone(step, deadline, func() bool { return false }) || c.Now() != deadline {
+			t.Fatalf("%d shards: deadline: now=%v, want false at %v", shards, c.Now(), deadline)
+		}
+		c.Shutdown()
+	}
 }

@@ -34,7 +34,7 @@ func gamPair(t testing.TB) (*sim.Engine, Station, Station) {
 
 func TestMeasureAM(t *testing.T) {
 	c, cl, sv := amPair(t)
-	r := Measure(c.E, cl, sv, 50)
+	r := Measure(c.ShardEngine(0), cl, sv, 50)
 	t.Logf("AM: Os=%.2fus Or=%.2fus L=%.2fus g=%.2fus RTT=%.2fus",
 		r.Os.Micros(), r.Or.Micros(), r.L.Micros(), r.G.Micros(), r.RTT.Micros())
 	if r.Os <= 0 || r.Or <= 0 || r.L <= 0 || r.G <= 0 {
@@ -61,7 +61,7 @@ func TestMeasureGAM(t *testing.T) {
 
 func TestFig3Ratios(t *testing.T) {
 	c, amc, ams := amPair(t)
-	am := Measure(c.E, amc, ams, 50)
+	am := Measure(c.ShardEngine(0), amc, ams, 50)
 	e, gmc, gms := gamPair(t)
 	g := Measure(e, gmc, gms, 50)
 
@@ -86,7 +86,7 @@ func TestFig3Ratios(t *testing.T) {
 
 func TestBandwidthAM(t *testing.T) {
 	c, cl, sv := amPair(t)
-	mbps := Bandwidth(c.E, cl, sv, 8192, 60)
+	mbps := Bandwidth(c.ShardEngine(0), cl, sv, 8192, 60)
 	t.Logf("AM 8KB bandwidth = %.1f MB/s (paper: 43.9)", mbps)
 	if mbps < 38 || mbps > 47 {
 		t.Errorf("AM bandwidth %.1f MB/s out of range (paper: 43.9, HW limit 46.8)", mbps)
@@ -106,7 +106,7 @@ func TestBandwidthMonotonicInSize(t *testing.T) {
 	var prev float64
 	for _, size := range []int{128, 512, 2048, 8192} {
 		c, cl, sv := amPair(t)
-		mbps := Bandwidth(c.E, cl, sv, size, 40)
+		mbps := Bandwidth(c.ShardEngine(0), cl, sv, size, 40)
 		t.Logf("AM %5dB: %.1f MB/s", size, mbps)
 		if mbps <= prev {
 			t.Errorf("bandwidth not increasing with size: %d B -> %.1f MB/s (prev %.1f)", size, mbps, prev)
@@ -117,9 +117,9 @@ func TestBandwidthMonotonicInSize(t *testing.T) {
 
 func TestRTTBulkLinearInSize(t *testing.T) {
 	c, cl, sv := amPair(t)
-	r1 := RTTBulk(c.E, cl, sv, 1024, 10)
+	r1 := RTTBulk(c.ShardEngine(0), cl, sv, 1024, 10)
 	c2, cl2, sv2 := amPair(t)
-	r8 := RTTBulk(c2.E, cl2, sv2, 8192, 10)
+	r8 := RTTBulk(c2.ShardEngine(0), cl2, sv2, 8192, 10)
 	t.Logf("bulk RTT: 1KB=%.1fus 8KB=%.1fus", r1.Micros(), r8.Micros())
 	if r8 <= r1 {
 		t.Fatal("bulk RTT not increasing with size")

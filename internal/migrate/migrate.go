@@ -193,8 +193,13 @@ type Manager struct {
 
 // NewService creates the migration service for every node of the cluster:
 // per-node agent endpoints joined into a virtual network, daemons waiting
-// on their event masks (§3.3), and an empty name service.
+// on their event masks (§3.3), and an empty name service. Every node's agent
+// shares the directory and the transfer table, so a cluster of more than one
+// shard gets hostos.ErrSharded.
 func NewService(c *hostos.Cluster) (*Service, error) {
+	if err := c.OneShard("migrate: service"); err != nil {
+		return nil, err
+	}
 	s := &Service{
 		c:       c,
 		Dir:     NewDirectory(),
@@ -203,7 +208,7 @@ func NewService(c *hostos.Cluster) (*Service, error) {
 	}
 	agents := make([]*core.Endpoint, len(c.Nodes))
 	for i, node := range c.Nodes {
-		m := &Manager{s: s, node: node, cond: sim.NewCond(c.E)}
+		m := &Manager{s: s, node: node, cond: sim.NewCond(node.E)}
 		m.bun = core.Attach(node)
 		m.bun.SetResolver(s.Dir)
 		m.install = core.Attach(node)
@@ -240,10 +245,6 @@ func NewService(c *hostos.Cluster) (*Service, error) {
 
 // Manager returns node id's migration agent.
 func (s *Service) Manager(id netsim.NodeID) *Manager { return s.mgrs[id] }
-
-// InstallBundle returns the bundle migrated endpoints are installed into on
-// node id (the application polls endpoints it adopts from there).
-func (m *Manager) InstallBundle() *core.Bundle { return m.install }
 
 // Manage registers ep with the service's registry so node-level evacuation
 // can find it; onSwap, when non-nil, is invoked with the reincarnated
@@ -294,7 +295,7 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 	// Phase 1+2: freeze the library handle, then drain and unload the NI
 	// side. From here until install, arrivals for the endpoint are NACKed
 	// transiently (not-resident) and retried by their senders.
-	freezeAt := s.c.E.Now()
+	freezeAt := p.Now()
 	ep.Freeze(p)
 	if err := src.Driver.BeginMigration(p, seg); err != nil {
 		return nil, err
@@ -328,10 +329,10 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 	// Phase 4 happens at the destination (install + publish); wait for the
 	// commit acknowledgment — bounded, in case the destination dies between
 	// accepting the last chunk and committing.
-	deadline := s.c.E.Now().Add(commitTimeout)
+	deadline := p.Now().Add(commitTimeout)
 	for !x.committed {
 		srcMgr.cond.WaitTimeout(p, 50*sim.Millisecond)
-		if !x.committed && s.c.E.Now() >= deadline {
+		if !x.committed && p.Now() >= deadline {
 			return s.abortMove(p, srcMgr, seg, x, id)
 		}
 	}

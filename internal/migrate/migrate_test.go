@@ -123,7 +123,7 @@ func TestLiveMigrationUnderLoadExactlyOnce(t *testing.T) {
 		}
 		stats = s
 	})
-	c.E.RunFor(3 * sim.Second)
+	c.RunFor(3 * sim.Second)
 
 	if !cl.done {
 		t.Fatalf("client incomplete: %d/%d ids replied", len(cl.replies), n)
@@ -159,7 +159,7 @@ func TestLiveMigrationUnderLoadExactlyOnce(t *testing.T) {
 	c.Nodes[0].Spawn("stale", func(p *sim.Proc) {
 		errMoved = server.Request(p, 0, 1, [4]uint64{})
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if errMoved != core.ErrMoved {
 		t.Fatalf("stale handle request = %v, want ErrMoved", errMoved)
 	}
@@ -202,7 +202,7 @@ func TestPendingMessagesTravelWithTheEndpoint(t *testing.T) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if !cl.done {
 		t.Fatalf("client incomplete: %d/%d", len(cl.replies), n)
 	}
@@ -240,7 +240,7 @@ func TestMoveBackAndForth(t *testing.T) {
 			return
 		}
 	})
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if !cl.done {
 		t.Fatalf("client incomplete: %d/%d", len(cl.replies), n)
 	}
@@ -290,7 +290,7 @@ func TestGlunixDrainEvacuatesEndpoints(t *testing.T) {
 		}
 		moved = m
 	})
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if moved != 2 {
 		t.Fatalf("drain moved %d endpoints, want 2", moved)
 	}
@@ -390,7 +390,7 @@ func TestDirectoryVersionConflictUnderConcurrentMoves(t *testing.T) {
 		}
 	})
 
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 
 	if moves != len(dsts) {
 		t.Fatalf("completed %d moves, want %d", moves, len(dsts))
@@ -468,7 +468,7 @@ func TestMigrationChurnUnderLoss(t *testing.T) {
 				moves++
 			}
 		})
-		c.E.RunFor(10 * sim.Second)
+		c.RunFor(10 * sim.Second)
 		if !cl.done {
 			t.Fatalf("seed %d: client incomplete: %d/%d (moves=%d)", seed, len(cl.replies), n, moves)
 		}

@@ -60,7 +60,7 @@ func (c *Comm) endColl()   { c.inColl-- }
 // netsim's locality API surfaced per rank, which is what lets the collective
 // engine lay rings out leaf-by-leaf. It implements coll.Topology.
 func (c *Comm) LeafOfRank(r int) int {
-	return c.w.Cluster.Net.LeafOf(c.w.comms[r].node.ID)
+	return c.w.Cluster.ShardNet(0).LeafOf(c.w.comms[r].node.ID)
 }
 
 // Statically assert Comm satisfies the collective engine's contracts.

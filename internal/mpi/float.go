@@ -2,9 +2,6 @@ package mpi
 
 import "math"
 
-func f64bits(f float64) uint64     { return math.Float64bits(f) }
-func f64frombits(u uint64) float64 { return math.Float64frombits(u) }
-
 // Common reduction operators.
 var (
 	// OpSum adds.

@@ -96,8 +96,13 @@ type World struct {
 
 // NewWorld creates an n-rank world with rank i on cluster node nodes[i]
 // (pass nil to place rank i on node i). Endpoint keys are derived from the
-// world; all endpoints are wired into one virtual network.
+// world; all endpoints are wired into one virtual network. The ranks share
+// the world's running count and dead set, so a cluster of more than one shard
+// gets hostos.ErrSharded.
 func NewWorld(c *hostos.Cluster, n int, nodes []int) (*World, error) {
+	if err := c.OneShard("mpi: world"); err != nil {
+		return nil, err
+	}
 	if nodes == nil {
 		nodes = make([]int, n)
 		for i := range nodes {
@@ -160,15 +165,11 @@ func (w *World) Launch(fn func(p *sim.Proc, c *Comm)) {
 	}
 }
 
-// Run spawns fn on every rank and advances the engine until all ranks
+// Run spawns fn on every rank and advances the cluster until all ranks
 // return (or maxTime elapses). It reports whether all ranks completed.
 func (w *World) Run(fn func(p *sim.Proc, c *Comm), maxTime sim.Duration) bool {
 	w.Launch(fn)
-	deadline := w.Cluster.E.Now().Add(maxTime)
-	for w.running > 0 && w.Cluster.E.Now() < deadline {
-		w.Cluster.E.RunFor(sim.Millisecond)
-	}
-	return w.running == 0
+	return w.Cluster.RunUntilDone(sim.Millisecond, w.Cluster.Now().Add(maxTime), func() bool { return w.running == 0 })
 }
 
 // Rank returns this communicator's rank.
@@ -381,93 +382,28 @@ func (c *Comm) SendRecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag
 
 // Collective tags live above 1<<20 to stay clear of user tags.
 const (
-	tagBarrier = 1 << 20
-	tagBcast   = 1<<20 + 64
-	tagReduce  = 1<<20 + 128
-	tagGather  = 1<<20 + 192
-	tagA2A     = 1<<20 + 256
+	tagGather = 1<<20 + 192
+	tagA2A    = 1<<20 + 256
 )
 
-// Barrier synchronizes all ranks (dissemination algorithm, O(log n) rounds).
-func (c *Comm) Barrier(p *sim.Proc) error {
-	n := c.Size()
-	for k := 1; k < n; k <<= 1 {
-		dst := (c.rank + k) % n
-		src := (c.rank - k + n) % n
-		if err := c.Send(p, dst, tagBarrier+log2(k), nil); err != nil {
-			return err
-		}
-		if _, err := c.Recv(p, src, tagBarrier+log2(k)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Barrier, Bcast and Reduce are the collective engine's textbook schedules
+// (dissemination barrier, binomial trees). Unlike the delegated collectives
+// in coll.go they are not bracketed by beginColl: a dead rank aborts them
+// only when it is the one being waited for.
 
-func log2(k int) int {
-	l := 0
-	for k > 1 {
-		k >>= 1
-		l++
-	}
-	return l
-}
+// Barrier synchronizes all ranks (dissemination algorithm, O(log n) rounds).
+func (c *Comm) Barrier(p *sim.Proc) error { return coll.Barrier(p, c) }
 
 // Bcast distributes root's buffer to all ranks over a binomial tree and
 // returns each rank's copy.
 func (c *Comm) Bcast(p *sim.Proc, root int, data []byte) ([]byte, error) {
-	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	// Standard binomial tree: vrank receives from vrank-mask where mask is
-	// its lowest set bit, then forwards to vrank+m for every m below mask.
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			src := (vrank - mask + root) % n
-			got, err := c.Recv(p, src, tagBcast)
-			if err != nil {
-				return nil, err
-			}
-			data = got
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < n {
-			dst := (vrank + mask + root) % n
-			if err := c.Send(p, dst, tagBcast, data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return data, nil
+	return coll.Bcast(p, c, root, data, coll.Binomial)
 }
 
 // Reduce combines per-rank float64 vectors with op at root (binomial tree).
 // Non-root ranks return nil.
 func (c *Comm) Reduce(p *sim.Proc, root int, vec []float64, op func(a, b float64) float64) ([]float64, error) {
-	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	acc := append([]float64(nil), vec...)
-	for k := 1; k < n; k <<= 1 {
-		if vrank&k != 0 {
-			dst := ((vrank - k) + root) % n
-			return nil, c.Send(p, dst, tagReduce+log2(k), encodeF64(acc))
-		}
-		if vrank+k < n {
-			src := (vrank + k + root) % n
-			raw, err := c.Recv(p, src, tagReduce+log2(k))
-			if err != nil {
-				return nil, err
-			}
-			other := decodeF64(raw)
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
-		}
-	}
-	return acc, nil
+	return coll.Reduce(p, c, root, vec, coll.Op(op))
 }
 
 // Allreduce combines per-rank vectors elementwise on every rank. It
@@ -522,27 +458,4 @@ func (c *Comm) Gather(p *sim.Proc, root int, data []byte) ([][]byte, error) {
 		out[i] = got
 	}
 	return out, nil
-}
-
-func encodeF64(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		u := f64bits(x)
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(u >> (8 * j))
-		}
-	}
-	return b
-}
-
-func decodeF64(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		var u uint64
-		for j := 0; j < 8; j++ {
-			u |= uint64(b[i*8+j]) << (8 * j)
-		}
-		v[i] = f64frombits(u)
-	}
-	return v
 }

@@ -297,21 +297,3 @@ func TestOrderAndContentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDecodeEncodeF64(t *testing.T) {
-	f := func(v []float64) bool {
-		out := decodeF64(encodeF64(v))
-		if len(out) != len(v) {
-			return false
-		}
-		for i := range v {
-			if f64bits(out[i]) != f64bits(v[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -808,18 +808,6 @@ func (n *Network) SetHostBurstLoss(h NodeID, bp BurstParams, on bool) {
 	}
 }
 
-// SetUplinkBurstLoss enables (or disables) correlated burst loss on the
-// leaf l <-> spine s uplink pair.
-func (n *Network) SetUplinkBurstLoss(l, s int, bp BurstParams, on bool) {
-	for _, L := range [2]*link{n.up[l][s], n.down[n.podOf(l)*n.cfg.Spines+s][l]} {
-		if on {
-			n.startGE(L, bp)
-		} else {
-			L.ge = nil
-		}
-	}
-}
-
 // SetAllBurstLoss enables (or disables) correlated burst loss on every link
 // in the fabric. Each link runs an independent GE process.
 func (n *Network) SetAllBurstLoss(bp BurstParams, on bool) {

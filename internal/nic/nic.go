@@ -15,7 +15,6 @@ package nic
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"virtnet/internal/netsim"
 	"virtnet/internal/obs"
@@ -322,29 +321,6 @@ func (n *NIC) wake() { n.idle.Signal() }
 // QueueLens reports the dispatch loop's queue depths (diagnostics).
 func (n *NIC) QueueLens() (inbound, ctl, work, cmds int) {
 	return n.inbound.Len(), n.inboundCtl.Len(), n.work.Len(), n.cmds.Len()
-}
-
-// DumpEndpoints renders every registered endpoint's state (diagnostics).
-func (n *NIC) DumpEndpoints() string {
-	var b strings.Builder
-	for id, ep := range n.eps {
-		fmt.Fprintf(&b, "ep%d state=%d frame=%d sendq=%d repq_out=%d recvq=%d repq=%d inflight=%d\n",
-			id, ep.State, ep.Frame, ep.SendQ.Len(), ep.RepSendQ.Len(),
-			ep.RecvQ.Len(), ep.RepQ.Len(), ep.inflight)
-	}
-	// Channel occupancy.
-	for dst, chs := range n.chans {
-		busy := 0
-		for _, ch := range chs {
-			if ch.inflight != nil {
-				busy++
-			}
-		}
-		if busy > 0 {
-			fmt.Fprintf(&b, "chans->%d busy=%d/%d\n", dst, busy, len(chs))
-		}
-	}
-	return b.String()
 }
 
 // fromNetwork is the netsim delivery callback (the network receive DMA

@@ -143,12 +143,12 @@ func (m *NOW) Time(k Kernel, procs int) (sim.Duration, bool) {
 	if err != nil {
 		return 0, false
 	}
-	start := cl.E.Now()
+	start := cl.Now()
 	ok := w.Run(func(p *sim.Proc, c *mpi.Comm) { m.body(p, c, k) }, 100000*sim.Second)
 	if !ok {
 		return 0, false
 	}
-	return cl.E.Now().Sub(start), true
+	return cl.Now().Sub(start), true
 }
 
 func (m *NOW) body(p *sim.Proc, c *mpi.Comm, k Kernel) {

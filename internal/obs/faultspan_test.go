@@ -92,7 +92,7 @@ func TestCrashedPeerFlightsDropAsReturned(t *testing.T) {
 			}
 		}
 	})
-	cl.E.RunFor(2 * sim.Second) // >> ReturnToSenderAfter
+	cl.RunFor(2 * sim.Second) // >> ReturnToSenderAfter
 
 	if got := o.T.OpenCount(); got != 0 {
 		t.Fatalf("open flights = %d after return-to-sender, want 0", got)
@@ -115,7 +115,7 @@ func TestCrashedPeerFlightsDropAsReturned(t *testing.T) {
 func TestCorruptionStormFlightsStayAccounted(t *testing.T) {
 	cl, o, client, server := tracedPair(t, 12)
 	defer cl.Shutdown()
-	cl.Net.SetCorruptProb(0.2)
+	cl.ShardNet(0).SetCorruptProb(0.2)
 
 	server.SetHandler(1, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 		tok.Reply(p, 2, a)
@@ -144,7 +144,7 @@ func TestCorruptionStormFlightsStayAccounted(t *testing.T) {
 		}
 		stop = true
 	})
-	cl.E.RunFor(5 * sim.Second)
+	cl.RunFor(5 * sim.Second)
 	if done != iters {
 		t.Fatalf("completed %d of %d exchanges under corruption", done, iters)
 	}
@@ -189,18 +189,18 @@ func TestNIRebootSweepLeavesNoOpenSpans(t *testing.T) {
 			p.Sleep(50 * sim.Microsecond)
 		}
 	})
-	cl.E.RunFor(20 * sim.Millisecond)
+	cl.RunFor(20 * sim.Millisecond)
 	// Reboot the server's workstation mid-traffic: resident endpoints and
 	// in-flight state are lost; the client's posted messages either come
 	// back as returns or stay open forever (their acks died with the NI).
 	cl.Nodes[1].Crash()
-	cl.E.RunFor(50 * sim.Millisecond)
+	cl.RunFor(50 * sim.Millisecond)
 	cl.Nodes[1].Restart()
-	cl.E.RunFor(1 * sim.Second)
+	cl.RunFor(1 * sim.Second)
 
 	// Whatever the transport could not resolve, the export-time sweep must:
 	// after it, every span ever opened is finalized and accounted.
-	swept := o.T.SweepOpen("test-end", cl.E.Now())
+	swept := o.T.SweepOpen("test-end", cl.Now())
 	if got := o.T.OpenCount(); got != 0 {
 		t.Fatalf("open flights = %d after sweep (swept %d), want 0", got, swept)
 	}
@@ -222,7 +222,7 @@ func TestClusterTraceExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		cl, o, client, server := tracedPair(t, 21)
 		defer cl.Shutdown()
-		cl.Net.SetCorruptProb(0.1)
+		cl.ShardNet(0).SetCorruptProb(0.1)
 		server.SetHandler(1, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 			tok.Reply(p, 2, a)
 		})
@@ -249,8 +249,8 @@ func TestClusterTraceExportDeterministic(t *testing.T) {
 			}
 			stop = true
 		})
-		cl.E.RunFor(2 * sim.Second)
-		o.T.SweepOpen("end", cl.E.Now())
+		cl.RunFor(2 * sim.Second)
+		o.T.SweepOpen("end", cl.Now())
 		var buf bytes.Buffer
 		if err := obs.WriteChromeTrace(&buf, o.T, o.R); err != nil {
 			t.Fatal(err)

@@ -9,12 +9,9 @@ import (
 	"virtnet/internal/sim"
 )
 
-// runUntil advances the engine until *done or the simulated deadline.
+// runUntil advances the cluster until *done or the simulated deadline.
 func runUntil(c *hostos.Cluster, done *bool, max sim.Duration) {
-	deadline := c.E.Now().Add(max)
-	for !*done && c.E.Now() < deadline {
-		c.E.RunFor(10 * sim.Millisecond)
-	}
+	c.RunUntilDone(10*sim.Millisecond, c.Now().Add(max), func() bool { return *done })
 }
 
 // rig deploys servers on the first k nodes and returns the cluster + fs.
@@ -152,7 +149,7 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	})
 	for step := 0; finished < writers && step < 1000; step++ {
-		c.E.RunFor(10 * sim.Millisecond)
+		c.RunFor(10 * sim.Millisecond)
 	}
 	if finished != writers {
 		t.Fatalf("finished = %d", finished)
@@ -213,9 +210,9 @@ func TestStripeRoundTripProperty(t *testing.T) {
 			}
 			okResult = bytes.Equal(got, data)
 		})
-		deadline := c.E.Now().Add(20 * sim.Second)
-		for !okResult && c.E.Now() < deadline {
-			c.E.RunFor(10 * sim.Millisecond)
+		deadline := c.Now().Add(20 * sim.Second)
+		for !okResult && c.Now() < deadline {
+			c.RunFor(10 * sim.Millisecond)
 		}
 		return okResult
 	}

@@ -27,8 +27,8 @@ func TestCallAgainstCrashedServerReturnsUnreachable(t *testing.T) {
 		_, second = cl.Call(p, 1, []byte{4, 5, 6}, 0)
 		done = true
 	})
-	c.E.Schedule(5*sim.Millisecond, func() { c.Nodes[1].Crash() })
-	c.E.RunFor(10 * sim.Second)
+	c.Nodes[1].E.Schedule(5*sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.RunFor(10 * sim.Second)
 	if !done {
 		t.Fatal("client hung on the crashed server")
 	}
@@ -62,7 +62,7 @@ func TestWaitTimeout(t *testing.T) {
 		_, err = pc.WaitTimeout(p, 20*sim.Millisecond)
 		done = true
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !done {
 		t.Fatal("WaitTimeout never returned")
 	}

@@ -59,7 +59,7 @@ func TestPoolFanOut(t *testing.T) {
 			*s = true
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	for i := 0; i < nServers; i++ {
 		if errs[i] != nil {
 			t.Fatalf("target %d: %v", i, errs[i])
@@ -102,7 +102,7 @@ func TestPoolTargetIsolation(t *testing.T) {
 		*stop0 = true
 		*stop1 = true
 	})
-	c.E.RunFor(3 * sim.Second)
+	c.RunFor(3 * sim.Second)
 	if deadErr == nil {
 		t.Fatal("call to crashed target succeeded")
 	}
@@ -134,7 +134,7 @@ func TestPoolDeadlineShedAtIssue(t *testing.T) {
 		_, err = pl.CallCtx(p, 0, 1, []byte{1}, reliab.Ctx{Deadline: p.Now().Add(-sim.Millisecond)})
 		*stop = true
 	})
-	c.E.RunFor(time1s)
+	c.RunFor(time1s)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}

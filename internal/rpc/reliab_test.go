@@ -61,9 +61,9 @@ func TestAbandonedCallsReclaimMaps(t *testing.T) {
 			}
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	stop = true
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	if timeouts != 30 {
 		t.Fatalf("timeouts = %d, want 30", timeouts)
 	}
@@ -121,11 +121,11 @@ func TestPartialCallBufSweep(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 		}
 	})
-	c.E.RunFor(20 * sim.Millisecond)
+	c.RunFor(20 * sim.Millisecond)
 	if calls, _, _, _ := s.Outstanding(); calls != 1 {
 		t.Fatalf("partial call not buffered: calls=%d", calls)
 	}
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	stop = true
 	if calls, _, _, _ := s.Outstanding(); calls != 0 {
 		t.Fatalf("stale partial call not swept: calls=%d", calls)
@@ -196,9 +196,9 @@ func TestNestedDeadlinePropagation(t *testing.T) {
 		phase2 = p.Now()
 		okOut, okErr = cl.CallCtx(p, 1, []byte("fresh"), reliab.Ctx{Deadline: p.Now().Add(100 * sim.Millisecond)})
 	})
-	c.E.RunFor(200 * sim.Millisecond)
+	c.RunFor(200 * sim.Millisecond)
 	stop = true
-	c.E.RunFor(10 * sim.Millisecond)
+	c.RunFor(10 * sim.Millisecond)
 
 	if lateErr != ErrTimeout && lateErr != ErrDeadlineExceeded {
 		t.Fatalf("expired call = %v, want timeout/deadline", lateErr)
@@ -274,7 +274,7 @@ func TestAdmissionOverloadNack(t *testing.T) {
 			errs = append(errs, e)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	stop = true
 	overloads, oks := 0, 0
 	for _, e := range errs {
@@ -327,7 +327,7 @@ func TestIdempotentRetryExactlyOnce(t *testing.T) {
 		out1, _ = cl.CallCtx(p, 1, []byte("x"), ctx)
 		out2, _ = cl.CallCtx(p, 1, []byte("x"), ctx) // the "retry"
 	})
-	c.E.RunFor(100 * sim.Millisecond)
+	c.RunFor(100 * sim.Millisecond)
 	stop = true
 	if effects != 1 {
 		t.Fatalf("handler ran %d times, want exactly once", effects)
@@ -368,8 +368,8 @@ func TestCircuitBreakerFastFail(t *testing.T) {
 			}
 		}
 	})
-	c.E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
-	c.E.RunFor(10 * sim.Second)
+	c.Nodes[1].E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.RunFor(10 * sim.Second)
 	if len(errs) != 3 {
 		t.Fatalf("got %d call results, want 3", len(errs))
 	}

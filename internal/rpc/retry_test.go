@@ -39,7 +39,7 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 	}
 	w.s = s
 	s.Register(1, func(p *sim.Proc, args []byte) ([]byte, error) {
-		w.c.Net.SetHostLinkDown(w.c.Nodes[args[0]+1].ID, true)
+		w.c.ShardNet(0).SetHostLinkDown(w.c.Nodes[args[0]+1].ID, true)
 		return args, nil
 	})
 	w.c.Nodes[0].Spawn("server", func(p *sim.Proc) {
@@ -76,7 +76,7 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 func (w *bounceWorld) runUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for i := 0; i < 2000 && !cond(); i++ {
-		w.c.E.RunFor(10 * sim.Microsecond)
+		w.c.RunFor(10 * sim.Microsecond)
 	}
 	if !cond() {
 		t.Fatalf("never happened: %s", what)
@@ -98,15 +98,15 @@ func TestServerRetryStateIsPerClient(t *testing.T) {
 	dark := callKey{client: w.names[1], id: 0}
 	before := w.s.retry.Attempts(dark)
 	// Client 0 comes back: its result is delivered and acknowledged.
-	w.c.Net.SetHostLinkDown(w.c.Nodes[1].ID, false)
+	w.c.ShardNet(0).SetHostLinkDown(w.c.Nodes[1].ID, false)
 	w.runUntil(t, "client 0's result", func() bool { return w.res[0] != nil })
 	w.runUntil(t, "client 0's record retired", func() bool { return records() == 1 })
 	if after := w.s.retry.Attempts(dark); after < before || after == 0 {
 		t.Fatalf("client 1's attempts went %d -> %d across client 0's acknowledgment", before, after)
 	}
-	w.c.Net.SetHostLinkDown(w.c.Nodes[2].ID, false)
+	w.c.ShardNet(0).SetHostLinkDown(w.c.Nodes[2].ID, false)
 	w.runUntil(t, "client 1's result", func() bool { return w.res[1] != nil })
-	w.c.E.RunFor(30 * sim.Millisecond) // the longest backoff still parked
+	w.c.RunFor(30 * sim.Millisecond) // the longest backoff still parked
 	if calls, reissues, queued, deferred := w.s.Outstanding(); calls+reissues+queued+deferred != 0 {
 		t.Fatalf("server leaked: calls=%d reissues=%d queued=%d deferred=%d", calls, reissues, queued, deferred)
 	}
@@ -125,7 +125,7 @@ func TestServerBudgetsAreReclaimed(t *testing.T) {
 	}
 	// The clients give up after 10 ms, three tokens refill in 6 ms, and the
 	// sweep runs every StaleAfter/4.
-	w.c.E.RunFor(60 * sim.Millisecond)
+	w.c.RunFor(60 * sim.Millisecond)
 	if len(w.s.budgets) != 0 {
 		t.Fatalf("budgets after the peers went silent = %d, want 0", len(w.s.budgets))
 	}
@@ -170,7 +170,7 @@ func TestReplyBounceRule(t *testing.T) {
 			}
 			ran = true
 		})
-		c.E.RunFor(50 * sim.Millisecond)
+		c.RunFor(50 * sim.Millisecond)
 		if !ran {
 			t.Fatalf("%d targets: client did not finish", targets)
 		}

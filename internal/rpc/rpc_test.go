@@ -57,7 +57,7 @@ func TestCallSmall(t *testing.T) {
 		out, err = cl.Call(p, 1, []byte{1, 2, 3}, 0)
 		*stop = true
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCallLargeFragmented(t *testing.T) {
 		out, err = cl.Call(p, 1, args, 0)
 		*stop = true
 	})
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRemoteError(t *testing.T) {
 		_, err = cl.Call(p, 2, []byte{1}, 0)
 		*stop = true
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if err == nil || err.Error() != "rpc: remote error: boom" {
 		t.Fatalf("err = %v", err)
 	}
@@ -121,7 +121,7 @@ func TestNoSuchProcedure(t *testing.T) {
 		_, err = cl.Call(p, 99, []byte{1}, 0)
 		*stop = true
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if err != ErrNoProc {
 		t.Fatalf("err = %v, want ErrNoProc", err)
 	}
@@ -138,7 +138,7 @@ func TestUnreachableServer(t *testing.T) {
 		_, err = cl.Call(p, 1, []byte{1}, 0)
 		*stop = true
 	})
-	c.E.RunFor(3 * sim.Second)
+	c.RunFor(3 * sim.Second)
 	if err != ErrUnreachable {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -157,7 +157,7 @@ func TestCallTimeout(t *testing.T) {
 		cl, _ := NewClient(c.Nodes[1], s.Name(), 78)
 		_, err = cl.Call(p, 1, []byte{1}, 50*sim.Millisecond)
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -186,7 +186,7 @@ func TestManyClients(t *testing.T) {
 			}
 		})
 	}
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if done != 4 {
 		t.Fatalf("done = %d", done)
 	}
@@ -217,7 +217,7 @@ func TestEventDrivenServe(t *testing.T) {
 		out, _ = cl.Call(p, 1, []byte("evt"), 0)
 		stop = true
 	})
-	c.E.RunFor(3 * sim.Second)
+	c.RunFor(3 * sim.Second)
 	if string(out) != "evt" {
 		t.Fatalf("out = %q", out)
 	}

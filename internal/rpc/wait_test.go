@@ -92,7 +92,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 		}
 	})
 	if w.linkDown {
-		c.Net.SetHostLinkDown(0, true)
+		c.ShardNet(0).SetHostLinkDown(0, true)
 	}
 	key := s.Key()
 	if w.badKey {
@@ -179,7 +179,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 		out.Out, out.At = res, p.Now()
 		out.Err = fmt.Sprint(err)
 	})
-	c.E.RunFor(20 * sim.Millisecond)
+	c.RunFor(20 * sim.Millisecond)
 	out.Served = s.Served
 	out.Retries, out.Denied = m.Get("retries"), m.Get("retry_denied")
 	out.fired = c.EngineStats().Fired

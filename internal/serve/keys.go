@@ -46,16 +46,3 @@ func (k *HotKeys) Pick() uint64 {
 	}
 	return uint64(k.rng.Int63n(int64(k.n)))
 }
-
-// ZipfKeys draws keys Zipf-distributed with parameter s > 1 over [0, N) —
-// smooth popularity skew, versus HotKeys' step function.
-type ZipfKeys struct {
-	z *rand.Zipf
-}
-
-// NewZipfKeys builds a Zipf distribution over n keys with skew s.
-func NewZipfKeys(n uint64, s float64, rng *rand.Rand) *ZipfKeys {
-	return &ZipfKeys{z: rand.NewZipf(rng, s, 1, n-1)}
-}
-
-func (k *ZipfKeys) Pick() uint64 { return k.z.Uint64() }

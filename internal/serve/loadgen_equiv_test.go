@@ -230,7 +230,7 @@ func runEquiv(t *testing.T, seed int64, faults, elephants bool, run func(*sim.Pr
 	if faults {
 		fault.RandomPlan(DeriveRNG(seed, 0xFA177), fault.ChaosConfig{
 			Events: 10, Horizon: warmup + window, MaxOutage: 4 * sim.Millisecond,
-			Nodes: 10, Leaves: c.Net.Leaves(), Spines: c.Net.TotalSpines(),
+			Nodes: 10, Leaves: c.ShardNet(0).Leaves(), Spines: c.ShardNet(0).TotalSpines(),
 			Crash: true, NoCrashBelow: nServers,
 		}).Apply(c)
 	}

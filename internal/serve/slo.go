@@ -58,15 +58,6 @@ func (s *SLO) GoodputFrac() float64 {
 	return float64(s.Good) / float64(s.Offered)
 }
 
-// MissFrac is the deadline-miss fraction of offered load (missed + failed
-// + capped + shed — everything that was offered and not answered in time).
-func (s *SLO) MissFrac() float64 {
-	if s.Offered == 0 {
-		return 0
-	}
-	return float64(s.Offered-s.Good) / float64(s.Offered)
-}
-
 // Line renders the SLO on one golden-friendly line for a measurement
 // window of the given length.
 func (s *SLO) Line(window sim.Duration) string {

@@ -265,15 +265,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.n--
 }
 
-// TryAcquire takes a permit without blocking; it reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.n == 0 {
-		return false
-	}
-	s.n--
-	return true
-}
-
 // Release returns a permit and wakes one waiter.
 func (s *Semaphore) Release() {
 	s.n++

@@ -416,10 +416,6 @@ func (e *Engine) AfterFuncAt(t Time, fn func()) {
 // unlinked at Stop time and never counted.
 func (e *Engine) Pending() int { return e.wheelLive + len(e.over) }
 
-// ShardIndex returns this engine's shard number under a Coordinator
-// (0 for a standalone engine).
-func (e *Engine) ShardIndex() int { return e.shard }
-
 // PostRemote schedules fn at absolute time at on shard dst's engine. On a
 // standalone engine (or when dst is this shard) it is AfterFuncAt; across
 // shards the event is staged in the coordinator's exchange and inserted at

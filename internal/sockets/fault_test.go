@@ -47,8 +47,8 @@ func TestCrashedPeerBreaksStream(t *testing.T) {
 		closeErr = conn.Close(p)
 		done = true
 	})
-	c.E.Schedule(2*sim.Millisecond, func() { c.Nodes[1].Crash() })
-	c.E.RunFor(10 * sim.Second)
+	c.Nodes[1].E.Schedule(2*sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.RunFor(10 * sim.Second)
 	if !done {
 		t.Fatal("client hung on the crashed peer")
 	}
@@ -107,8 +107,8 @@ func TestStreamSurvivesFirmwareReboot(t *testing.T) {
 		clientErr = conn.Err()
 		done = true
 	})
-	c.E.Schedule(sim.Millisecond, func() { c.Nodes[0].NIC.Reboot(2 * sim.Millisecond) })
-	c.E.RunFor(10 * sim.Second)
+	c.Nodes[0].E.Schedule(sim.Millisecond, func() { c.Nodes[0].NIC.Reboot(2 * sim.Millisecond) })
+	c.RunFor(10 * sim.Second)
 	if !done || clientErr != nil {
 		t.Fatalf("stream broke across a benign reboot: done=%v err=%v", done, clientErr)
 	}

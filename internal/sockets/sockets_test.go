@@ -46,7 +46,7 @@ func TestConnectSendReceive(t *testing.T) {
 		reply, _ = conn.ReadFull(p, 4)
 		conn.Close(p)
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if string(got) != "hello world" || string(reply) != "pong" {
 		t.Fatalf("got %q reply %q", got, reply)
 	}
@@ -83,7 +83,7 @@ func TestLargeStreamIntegrity(t *testing.T) {
 		}
 		conn.Drain(p)
 	})
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if !bytes.Equal(got, src) {
 		t.Fatalf("stream corrupted: got %d bytes", len(got))
 	}
@@ -123,7 +123,7 @@ func TestMultipleConnectionsOneListener(t *testing.T) {
 			conn.Close(p)
 		})
 	}
-	c.E.RunFor(3 * sim.Second)
+	c.RunFor(3 * sim.Second)
 	for i := 0; i < clients; i++ {
 		if results[i] != byte(10*(i+1)+1) {
 			t.Fatalf("client %d got %d", i, results[i])
@@ -154,7 +154,7 @@ func TestCloseSignalsPeer(t *testing.T) {
 		conn.Write(p, []byte("bye"))
 		conn.Close(p)
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if !done {
 		t.Fatal("server read never returned")
 	}
@@ -178,7 +178,7 @@ func TestDialWrongKeyRefused(t *testing.T) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if !done {
 		t.Fatal("dial hung")
 	}
@@ -220,7 +220,7 @@ func TestWindowLimitsInflightSegments(t *testing.T) {
 		n, _ := conn.Write(p, make([]byte, 64*8192)) // blocks at the window
 		wrote = n
 	})
-	c.E.RunFor(2 * sim.Second)
+	c.RunFor(2 * sim.Second)
 	if !accepted || cc == nil {
 		t.Fatal("setup failed")
 	}
@@ -283,7 +283,7 @@ func TestInterleavedBidirectionalStreams(t *testing.T) {
 		}
 		okC = true
 	})
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if !okS || !okC {
 		t.Fatalf("server=%v client=%v", okS, okC)
 	}

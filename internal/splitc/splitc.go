@@ -71,8 +71,12 @@ type World struct {
 }
 
 // NewWorld creates n ranks with heapSize-byte heaps; rank i runs on node
-// nodes[i] (nil places rank i on node i).
+// nodes[i] (nil places rank i on node i). The ranks share the world's running
+// count, so a cluster of more than one shard gets hostos.ErrSharded.
 func NewWorld(c *hostos.Cluster, n, heapSize int, nodes []int) (*World, error) {
+	if err := c.OneShard("splitc: world"); err != nil {
+		return nil, err
+	}
 	if nodes == nil {
 		nodes = make([]int, n)
 		for i := range nodes {
@@ -128,15 +132,11 @@ func (w *World) Launch(fn func(p *sim.Proc, r *Rank)) {
 	}
 }
 
-// Run spawns fn on every rank and advances the engine until all return or
+// Run spawns fn on every rank and advances the cluster until all return or
 // maxTime passes; it reports completion.
 func (w *World) Run(fn func(p *sim.Proc, r *Rank), maxTime sim.Duration) bool {
 	w.Launch(fn)
-	deadline := w.Cluster.E.Now().Add(maxTime)
-	for w.running > 0 && w.Cluster.E.Now() < deadline {
-		w.Cluster.E.RunFor(sim.Millisecond)
-	}
-	return w.running == 0
+	return w.Cluster.RunUntilDone(sim.Millisecond, w.Cluster.Now().Add(maxTime), func() bool { return w.running == 0 })
 }
 
 // ID returns the rank number.

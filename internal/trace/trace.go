@@ -94,11 +94,6 @@ type Hist struct {
 	// Aggregates over samples.
 	sum      int64
 	min, max sim.Duration
-
-	// nearestRank pins Quantile to the legacy truncate-to-lower-order-
-	// statistic definition. Interpolation is the default; experiments whose
-	// committed golden outputs predate the fix opt back in per histogram.
-	nearestRank bool
 }
 
 // NewHist returns an empty histogram that retains every sample.
@@ -136,9 +131,7 @@ func (h *Hist) sortSamples() {
 // linear interpolation between adjacent order statistics: the quantile
 // position is q·(n−1), and a fractional position blends the two neighboring
 // samples proportionally (the "linear" definition used by numpy and R type
-// 7). The previous implementation truncated the position to the lower order
-// statistic, which biased every non-integer quantile low — visibly so for
-// p99 over small sample counts.
+// 7).
 func (h *Hist) Quantile(q float64) sim.Duration {
 	if len(h.samples) == 0 {
 		return 0
@@ -152,9 +145,6 @@ func (h *Hist) Quantile(q float64) sim.Duration {
 	}
 	pos := q * float64(len(h.samples)-1)
 	i := int(pos)
-	if h.nearestRank {
-		return h.samples[i]
-	}
 	frac := pos - float64(i)
 	if frac == 0 || i+1 >= len(h.samples) {
 		return h.samples[i]
@@ -162,10 +152,6 @@ func (h *Hist) Quantile(q float64) sim.Duration {
 	lo, hi := h.samples[i], h.samples[i+1]
 	return lo + sim.Duration(frac*float64(hi-lo)+0.5)
 }
-
-// SetNearestRank switches Quantile between linear interpolation (default)
-// and the legacy lower-order-statistic definition.
-func (h *Hist) SetNearestRank(on bool) { h.nearestRank = on }
 
 // Mean returns the mean sample value.
 func (h *Hist) Mean() sim.Duration {
@@ -246,26 +232,17 @@ func (h *Hist) Buckets(n int) string {
 		}
 		counts[i]++
 	}
-	max := 0
+	peak := 1
 	for _, c := range counts {
-		if c > max {
-			max = c
-		}
+		peak = max(peak, c)
 	}
 	var b strings.Builder
 	for i, c := range counts {
 		lower := sim.Duration(math.Exp(logLo + (logHi-logLo)*float64(i)/float64(n)))
-		bar := strings.Repeat("#", c*50/maxInt(max, 1))
+		bar := strings.Repeat("#", c*50/peak)
 		fmt.Fprintf(&b, "%12v %6d %s\n", lower, c, bar)
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Timeline accumulates samples into fixed time intervals, for reporting how

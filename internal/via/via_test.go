@@ -54,7 +54,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 			p.Sleep(5 * sim.Microsecond)
 		}
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !done {
 		t.Fatal("receive never completed")
 	}
@@ -74,7 +74,7 @@ func TestUnregisteredBufferRejected(t *testing.T) {
 	c.Nodes[0].Spawn("s", func(p *sim.Proc) {
 		sendErr = vi.PostSend(p, MemHandle(99), 8)
 	})
-	c.E.RunFor(sim.Millisecond)
+	c.RunFor(sim.Millisecond)
 	if sendErr != ErrNotConnected && sendErr != ErrNotReg {
 		t.Fatalf("PostSend err = %v", sendErr)
 	}
@@ -107,7 +107,7 @@ func TestRecvWithoutDescriptorIsErrorCompletion(t *testing.T) {
 	c.Nodes[0].Spawn("send", func(p *sim.Proc) {
 		va.PostSend(p, src, 16)
 	})
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if !got {
 		t.Fatal("no completion")
 	}
@@ -167,7 +167,7 @@ func TestSharedCompletionQueue(t *testing.T) {
 			}
 		})
 	}
-	c.E.RunFor(sim.Second)
+	c.RunFor(sim.Second)
 	if got != 2 {
 		t.Fatalf("shared CQ collected %d completions, want 2", got)
 	}
@@ -240,7 +240,7 @@ func TestFullMeshConnectivity(t *testing.T) {
 			finished++
 		})
 	}
-	c.E.RunFor(5 * sim.Second)
+	c.RunFor(5 * sim.Second)
 	if finished != n {
 		t.Fatalf("finished = %d/%d", finished, n)
 	}
@@ -264,7 +264,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	vb.Connect(an, ak)
 	src := na.RegisterMemory([]byte("doomed"))
 
-	c.E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.Nodes[1].E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
 	var comp Completion
 	got := false
 	c.Nodes[0].Spawn("send", func(p *sim.Proc) {
@@ -284,7 +284,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	})
 	// Each bounce costs the NI retry schedule + return-to-sender delay, and
 	// the descriptor is re-sent maxSendReissues times before giving up.
-	c.E.RunFor(10 * sim.Second)
+	c.RunFor(10 * sim.Second)
 	if !got {
 		t.Fatal("no send completion arrived")
 	}

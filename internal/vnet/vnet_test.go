@@ -28,7 +28,7 @@ func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
 		fn(p)
 		done = true
 	})
-	h.c.E.RunFor(5 * sim.Second)
+	h.c.RunFor(5 * sim.Second)
 	if !done {
 		t.Fatal("test proc did not finish within 5s of virtual time")
 	}
@@ -62,7 +62,7 @@ func TestEchoWithinNetwork(t *testing.T) {
 			t.Errorf("echo: %v", err)
 		}
 	})
-	h.c.E.RunFor(100 * sim.Millisecond)
+	h.c.RunFor(100 * sim.Millisecond)
 	if a.EchoReplies() != 50 {
 		t.Fatalf("echo replies = %d, want 50", a.EchoReplies())
 	}
@@ -120,7 +120,7 @@ func TestIsolationTypedError(t *testing.T) {
 			t.Errorf("forged request: %v", err)
 		}
 	})
-	h.c.E.RunFor(200 * sim.Millisecond)
+	h.c.RunFor(200 * sim.Millisecond)
 	if n1.IsolationDenied() <= before {
 		t.Fatalf("forged cross-network post was not classified as isolation denial (denied=%d)", n1.IsolationDenied())
 	}
@@ -202,7 +202,7 @@ func TestFaultScoping(t *testing.T) {
 	if ten.FaultsInjected() != 1 {
 		t.Fatalf("faults injected = %d, want 1", ten.FaultsInjected())
 	}
-	h.c.E.RunFor(50 * sim.Millisecond)
+	h.c.RunFor(50 * sim.Millisecond)
 }
 
 func TestNameServiceIntegration(t *testing.T) {
