@@ -207,12 +207,13 @@ func benchSimPerfSharded(b *testing.B, traceSample int) {
 }
 
 // TestTracingDisabledAllocBudget pins the disabled-path allocation cost:
-// with no obs layer the whole stack must stay within the historical
-// per-message malloc budget (~4 with pooling; headroom to 6 covers runtime
-// noise). The 4-shard variant adds the cross-shard exchange (envelope per
-// boundary crossing, goroutine parking): ~6.2 steady-state, budget 8. A
-// regression here means an instrumentation site allocates even when
-// tracing is off.
+// with no obs layer the message path allocates nothing in steady state
+// (headers, send and receive descriptors and fabric packets are all pooled),
+// so what is left is bring-up spread over the run — 0.027 mallocs/msg
+// measured, budget that plus 25 %. The 4-shard variant adds the cross-shard
+// exchange (the sendCross closure per boundary crossing, goroutine parking):
+// 1.28 measured, budget 1.6. A regression here means a free was dropped, or
+// an instrumentation site allocates even when tracing is off.
 func TestTracingDisabledAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simperf run is slow")
@@ -222,8 +223,8 @@ func TestTracingDisabledAllocBudget(t *testing.T) {
 		t.Fatalf("replied %d, want %d (err %v)", res.Replied, 4*5000, err)
 	}
 	perMsg := float64(res.Mallocs) / float64(res.Replied)
-	if perMsg > 6.0 {
-		t.Fatalf("tracing-disabled path allocates %.2f mallocs/msg, budget 6.0", perMsg)
+	if perMsg > 0.035 {
+		t.Fatalf("tracing-disabled path allocates %.3f mallocs/msg, budget 0.035", perMsg)
 	}
 
 	res, err = RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 5000, Seed: 1, Shards: 4})
@@ -231,8 +232,8 @@ func TestTracingDisabledAllocBudget(t *testing.T) {
 		t.Fatalf("sharded replied %d, want %d (err %v)", res.Replied, 32*5000, err)
 	}
 	perMsg = float64(res.Mallocs) / float64(res.Replied)
-	if perMsg > 8.0 {
-		t.Fatalf("tracing-disabled 4-shard path allocates %.2f mallocs/msg, budget 8.0", perMsg)
+	if perMsg > 1.6 {
+		t.Fatalf("tracing-disabled 4-shard path allocates %.2f mallocs/msg, budget 1.6", perMsg)
 	}
 }
 

@@ -573,20 +573,21 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 		// The NI drains the queue; polling meanwhile keeps replies moving.
 		ep.PollBackoff(p, &wait)
 	}
-	d := &nic.SendDesc{
-		DstNI:    dstNode,
-		DstEP:    dstEP,
-		MsgID:    msgID,
-		Key:      key,
-		SrcEP:    ep.seg.EP.ID,
-		Handler:  h,
-		IsReply:  isReply,
-		Args:     args,
-		Payload:  payload,
-		ReplyKey: ep.seg.EP.Key,
-		Enq:      p.Now(),
-		Flight:   fl,
-	}
+	// The NI recycles the descriptor when the message is acknowledged or
+	// returned; nothing here may keep d past the Push.
+	d := ep.b.Node.NIC.AllocDesc()
+	d.DstNI = dstNode
+	d.DstEP = dstEP
+	d.MsgID = msgID
+	d.Key = key
+	d.SrcEP = ep.seg.EP.ID
+	d.Handler = h
+	d.IsReply = isReply
+	d.Args = args
+	d.Payload = payload
+	d.ReplyKey = ep.seg.EP.Key
+	d.Enq = p.Now()
+	d.Flight = fl
 	sq.Push(d)
 	fl.Mark(obs.StageHostPost, p.Now())
 	ep.b.Node.NIC.PostSend(ep.seg.EP)

@@ -57,6 +57,39 @@ type SendDesc struct {
 	// nacks counts transient NACKs for this message, driving the
 	// descriptor-level exponential backoff.
 	nacks int
+
+	// owner points at the NI whose free list holds this descriptor (nil for
+	// descriptors tests build directly, which are never recycled); fnext
+	// links the free list. A descriptor is dead once its message is
+	// acknowledged or returned to its sender: the NI that resolves it frees
+	// it, after the last read. The payload slice is not owned and is never
+	// recycled.
+	owner *NIC
+	fnext *SendDesc
+}
+
+// AllocDesc returns a zeroed send descriptor from the NI's free list, or a
+// new one. The library fills it and pushes it on an endpoint's send queue;
+// the NI recycles it when the message resolves.
+func (n *NIC) AllocDesc() *SendDesc {
+	if d := n.descFree; d != nil {
+		n.descFree = d.fnext
+		d.fnext = nil
+		return d
+	}
+	n.descMade++
+	return &SendDesc{owner: n}
+}
+
+// freeDesc returns a dead pooled descriptor to this NI's free list — the NI
+// that resolved it, which after a migration need not be the one it came
+// from. Callers must not touch the descriptor afterwards.
+func (n *NIC) freeDesc(d *SendDesc) {
+	if d.owner == nil {
+		return
+	}
+	*d = SendDesc{owner: n, fnext: n.descFree}
+	n.descFree = d
 }
 
 // RecvMsg is one entry in an endpoint's receive queue.
@@ -197,14 +230,7 @@ type msgWindow struct {
 // SeenMsg reports whether id from srcEP was already delivered.
 func (ep *EndpointImage) SeenMsg(srcEP int, id uint64) bool {
 	w, ok := ep.seen[srcEP]
-	if !ok {
-		return false
-	}
-	if id <= w.contig {
-		return true
-	}
-	_, dup := w.sparse[id]
-	return dup
+	return ok && w.has(id)
 }
 
 // MarkMsg records a delivered id from srcEP.
@@ -214,11 +240,32 @@ func (ep *EndpointImage) MarkMsg(srcEP int, id uint64) {
 	}
 	w, ok := ep.seen[srcEP]
 	if !ok {
-		w = &msgWindow{sparse: make(map[uint64]struct{})}
+		w = &msgWindow{}
 		ep.seen[srcEP] = w
 	}
+	w.mark(id)
+}
+
+func (w *msgWindow) has(id uint64) bool {
+	if id <= w.contig {
+		return true
+	}
+	_, dup := w.sparse[id]
+	return dup
+}
+
+func (w *msgWindow) mark(id uint64) {
 	if id <= w.contig {
 		return
+	}
+	if id == w.contig+1 && len(w.sparse) == 0 {
+		// In order with no gap open: what the general path below does with
+		// an insert, a lookup and a delete.
+		w.contig++
+		return
+	}
+	if w.sparse == nil {
+		w.sparse = make(map[uint64]struct{})
 	}
 	w.sparse[id] = struct{}{}
 	for {

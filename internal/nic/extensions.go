@@ -121,7 +121,7 @@ func (n *NIC) queueAck(p *sim.Proc, data *wirePkt) {
 	n.pendingAcks[peer] = append(n.pendingAcks[peer], piggyAck{
 		Chan: data.Chan, Seq: data.Seq, Epoch: data.Epoch, Stamp: data.Stamp,
 	})
-	n.C.Inc("tx.ack.queued")
+	n.ctr[ctrTxAckQueued].Inc()
 	if len(n.pendingAcks[peer]) == 1 {
 		// First pending ack for this peer: bound its wait.
 		peer := peer
@@ -160,13 +160,13 @@ func (n *NIC) flushAcks(p *sim.Proc, peer netsim.NodeID) {
 		return
 	}
 	p.Sleep(n.cfg.AckSend)
-	n.C.Inc("tx.ack.flush")
-	ctl := n.allocCtl()
+	n.ctr[ctrTxAckFlush].Inc()
+	ctl := n.allocHdr()
 	ctl.Kind = pktAck
 	ctl.SrcNI = n.id
 	ctl.DstNI = peer
 	ctl.Piggy = acks
-	n.inject(ctl, acks[0].Chan)
+	n.injectControl(ctl, acks[0].Chan)
 }
 
 // processPiggy resolves acknowledgments carried in pkt (data or batched
@@ -174,15 +174,15 @@ func (n *NIC) flushAcks(p *sim.Proc, peer netsim.NodeID) {
 func (n *NIC) processPiggy(p *sim.Proc, pkt *wirePkt) {
 	for _, a := range pkt.Piggy {
 		p.Sleep(n.cfg.PiggyAckCost)
-		n.C.Inc("rx.ack.piggy")
+		n.ctr[ctrRxAckPiggy].Inc()
 		ch := n.chanFor(pkt.SrcNI, a.Chan)
 		if ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq {
-			n.C.Inc("rx.ack.stale")
+			n.ctr[ctrRxAckStale].Inc()
 			continue
 		}
 		n.scratch.SrcNI, n.scratch.Stamp = pkt.SrcNI, a.Stamp
 		n.observeRTT(&n.scratch, ch.retries)
-		n.resolveChannel(ch)
+		n.freeDesc(n.resolveChannel(ch))
 	}
 	if len(pkt.Piggy) > 0 {
 		n.wake()

@@ -68,9 +68,13 @@ type DriverCmd struct {
 // Each channel is statically bound to a network route (its index), giving
 // FIFO delivery per channel and path diversity across channels.
 type channel struct {
-	dst      netsim.NodeID
-	idx      int
-	seq      uint64
+	dst netsim.NodeID
+	idx int
+	seq uint64
+	// inflight is the master header of the unresolved attempt (nil when the
+	// channel is free): taken from the NI's header list in sendOne, released
+	// in resolveChannel, and never put on the wire itself — every
+	// transmission carries a copy (injectData).
 	inflight *wirePkt
 	retries  int
 	backoff  sim.Duration
@@ -149,22 +153,25 @@ type NIC struct {
 	// wakeFn is the pre-bound wake method value, so scheduling a wakeup does
 	// not allocate a fresh bound-method closure each time.
 	wakeFn func()
-	// ctlFree recycles outbound control-packet headers (acks/nacks): the
-	// receiver releases them after processing, so steady-state control
-	// traffic allocates no headers. Data headers are not pooled — a sender
-	// may hold a reference across retransmissions.
-	ctlFree *wirePkt
-	// msgFree recycles receive descriptors: the host poller frees each one
-	// after dispatching it (RecvMsg.Free), so steady-state delivery
-	// allocates no descriptors.
-	msgFree *RecvMsg
+	// hdrFree recycles wire headers of every kind — channel masters, the
+	// data copies and ACK/NACKs this NI consumed (releaseTo) — msgFree
+	// receive descriptors (RecvMsg.Free, called by the host poller after
+	// dispatch) and descFree send descriptors (freeDesc, when a message
+	// resolves), so the steady-state message path allocates nothing. hdrMade
+	// and descMade count the pool misses, which is every header and
+	// descriptor this NI ever made. DESIGN.md §6 has the ownership table.
+	hdrFree  *wirePkt
+	msgFree  *RecvMsg
+	descFree *SendDesc
+	hdrMade  int
+	descMade int
 	// scratch is an NI-owned header used to re-materialize piggybacked acks
 	// for the RTT estimator without allocating a header per ack.
 	scratch wirePkt
 
 	frames []*EndpointImage
 	eps    map[int]*EndpointImage
-	chans  map[netsim.NodeID][]*channel
+	chans  map[netsim.NodeID][]channel
 	rx     map[chanKey]*rxState
 
 	wrr         int
@@ -208,8 +215,11 @@ type NIC struct {
 	stopped bool
 
 	// C exposes protocol counters: data/ack/nack packets, retransmissions,
-	// returns to sender, loads/unloads.
-	C *trace.Counters
+	// returns to sender, loads/unloads. ctr holds the same counters as
+	// handles, indexed by the ctr* constants, for the firmware's own
+	// increments.
+	C   *trace.Counters
+	ctr [numCtrs]trace.Counter
 }
 
 // New creates an NI for host id attached to net.
@@ -222,12 +232,12 @@ func New(e *sim.Engine, net *netsim.Network, id netsim.NodeID, cfg Config) *NIC 
 		epoch:     uint32(e.Rand().Int63()) | 1,
 		frames:    make([]*EndpointImage, cfg.Frames),
 		eps:       make(map[int]*EndpointImage),
-		chans:     make(map[netsim.NodeID][]*channel),
+		chans:     make(map[netsim.NodeID][]channel),
 		rx:        make(map[chanKey]*rxState),
 		requested: make(map[int]bool),
 		moved:     make(map[int]bool),
-		C:         trace.NewCounters(),
 	}
+	n.C = trace.NewCountersOver(ctrNames[:], n.ctr[:])
 	n.idle = sim.NewCond(e)
 	n.wakeFn = n.wake
 	net.Attach(id, n.fromNetwork)
@@ -329,13 +339,12 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 	if n.crashed || n.e.Now() < n.rebootUntil {
 		// The interface is dark (crashed host or rebooting firmware):
 		// arrivals die here and the senders' transport masks the loss.
-		n.C.Inc("rx.dark_drop")
+		n.ctr[ctrRxDarkDrop].Inc()
 		if w, ok := p.Payload.(*wirePkt); ok {
 			if w.Kind == pktData {
 				n.noteRxLoss(p.Flight, "rx-dark-drop")
-			} else {
-				w.releaseTo(n)
 			}
+			w.releaseTo(n)
 		}
 		return
 	}
@@ -344,12 +353,11 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		// The CRC computed over the DMA'd packet fails. A corrupted header
 		// cannot be trusted to NACK, so the packet is discarded silently and
 		// the sender's retransmission recovers (§5.1).
-		n.C.Inc("rx.crc_drop")
-		if pkt.Kind != pktData {
-			pkt.releaseTo(n)
-		} else {
+		n.ctr[ctrRxCRCDrop].Inc()
+		if pkt.Kind == pktData {
 			n.noteRxLoss(p.Flight, "rx-crc-drop")
 		}
+		pkt.releaseTo(n)
 		return
 	}
 	if pkt.Kind != pktData {
@@ -357,15 +365,11 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		n.wake()
 		return
 	}
-	if p.Flight != nil {
-		// Take the flight from the network packet, not the wire header: on
-		// an intra-shard path it is the sender's flight (same pointer the
-		// header carries), but on a cross-shard path it is the continuation
-		// this shard's fabric replica opened — the sender's flight must not
-		// be touched from here. Recorded even when this copy is refused
-		// below, so a retransmitted copy completes the same flight.
-		pkt.rxFlight = p.Flight
-	}
+	// The flight comes with the network packet: on an intra-shard path it is
+	// the sender's flight, which every copy of the message carries, but on a
+	// cross-shard path it is the continuation this shard's fabric replica
+	// opened — the sender's flight must not be touched from here.
+	pkt.rxFlight = p.Flight
 	if n.cfg.InboundPool > 0 && n.inbound.Len() >= n.cfg.InboundPool {
 		// Staging pool exhausted: refuse the packet at arrival and let the
 		// sender's flow control retransmit it later. The answer must be
@@ -373,7 +377,7 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		// repeat the recorded response for processed attempts, and record
 		// the rejection for in-progress ones.
 		st := n.rxFor(pkt)
-		n.C.Inc("rx.pool_overrun")
+		n.ctr[ctrRxPoolOverrun].Inc()
 		switch {
 		case pkt.Seq == st.lastSeen:
 			n.work.Push(workItem{kind: workSendControl, pkt: pkt, res: st.lastResult, reason: st.lastReason})
@@ -386,9 +390,7 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		n.wake()
 		return
 	}
-	if pkt.rxFlight != nil {
-		pkt.arrived = n.e.Now()
-	}
+	pkt.arrived = n.e.Now()
 	n.inbound.Push(pkt)
 	n.wake()
 }
@@ -429,6 +431,7 @@ func (n *NIC) loop(p *sim.Proc) {
 		if pkt, ok := n.inbound.Pop(); ok {
 			n.net.Admit(n.id) // back pressure: a staging slot freed
 			n.handlePkt(p, pkt)
+			pkt.releaseTo(n)
 			did = true
 		}
 		if cmd, ok := n.cmds.Pop(); ok {
@@ -451,6 +454,7 @@ func (n *NIC) runWork(p *sim.Proc, w workItem) {
 	switch w.kind {
 	case workSendControl:
 		n.sendControl(p, w.pkt, w.res, w.reason)
+		w.pkt.releaseTo(n)
 	case workRetransmit:
 		n.retransmit(p, w.ch, w.seq)
 	case workCompleteUnload:
@@ -467,15 +471,17 @@ func (n *NIC) runWork(p *sim.Proc, w workItem) {
 func (n *NIC) freeChannel(dst netsim.NodeID) *channel {
 	chs, ok := n.chans[dst]
 	if !ok {
-		chs = make([]*channel, n.cfg.Channels)
+		// One slab per peer, never resliced: a *channel into it stays valid
+		// for as long as the map entry does.
+		chs = make([]channel, n.cfg.Channels)
 		for i := range chs {
-			chs[i] = &channel{dst: dst, idx: i}
+			chs[i] = channel{dst: dst, idx: i}
 		}
 		n.chans[dst] = chs
 	}
-	for _, ch := range chs {
-		if ch.inflight == nil {
-			return ch
+	for i := range chs {
+		if chs[i].inflight == nil {
+			return &chs[i]
 		}
 	}
 	return nil
@@ -528,7 +534,7 @@ func (n *NIC) serveEndpoints(p *sim.Proc) bool {
 					n.e.Now().Sub(n.loiterStart) >= n.cfg.LoiterTime*sim.Duration(w) {
 					// Loiter budget exhausted with traffic still pending:
 					// the fairness mechanism (not idleness) forced the move.
-					n.C.Inc("wrr.loiter_expiry")
+					n.ctr[ctrWRRLoiterExpiry].Inc()
 					n.advanceWRR()
 				} else if n.sendable(ep) == nil {
 					n.advanceWRR()
@@ -545,7 +551,7 @@ func (n *NIC) advanceWRR() {
 	n.wrr = (n.wrr + 1) % len(n.frames)
 	n.loiterCount = 0
 	if n.wrr == 0 {
-		n.C.Inc("wrr.rounds")
+		n.ctr[ctrWRRRounds].Inc()
 	}
 }
 
@@ -566,26 +572,25 @@ func (n *NIC) sendOne(p *sim.Proc, ep *EndpointImage, q *ring[*SendDesc]) {
 	p.Sleep(n.cfg.SendCritical + n.cfg.CheckOverhead)
 
 	ch.seq++
-	pkt := &wirePkt{
-		Kind:     pktData,
-		SrcNI:    n.id,
-		DstNI:    d.DstNI,
-		Chan:     ch.idx,
-		Seq:      ch.seq,
-		Epoch:    n.epoch,
-		Stamp:    n.e.Now(),
-		DstEP:    d.DstEP,
-		SrcEP:    d.SrcEP,
-		MsgID:    d.MsgID,
-		Key:      d.Key,
-		ReplyKey: d.ReplyKey,
-		Handler:  d.Handler,
-		IsReply:  d.IsReply,
-		Args:     d.Args,
-		Payload:  d.Payload,
-		desc:     d,
-		flight:   d.Flight,
-	}
+	pkt := n.allocHdr()
+	pkt.Kind = pktData
+	pkt.SrcNI = n.id
+	pkt.DstNI = d.DstNI
+	pkt.Chan = ch.idx
+	pkt.Seq = ch.seq
+	pkt.Epoch = n.epoch
+	pkt.Stamp = n.e.Now()
+	pkt.DstEP = d.DstEP
+	pkt.SrcEP = d.SrcEP
+	pkt.MsgID = d.MsgID
+	pkt.Key = d.Key
+	pkt.ReplyKey = d.ReplyKey
+	pkt.Handler = d.Handler
+	pkt.IsReply = d.IsReply
+	pkt.Args = d.Args
+	pkt.Payload = d.Payload
+	pkt.desc = d
+	pkt.flight = d.Flight
 	if d.FirstSend == 0 {
 		d.FirstSend = n.e.Now()
 	}
@@ -598,35 +603,44 @@ func (n *NIC) sendOne(p *sim.Proc, ep *EndpointImage, q *ring[*SendDesc]) {
 		pkt.Piggy = n.takeAcks(d.DstNI, 4)
 	}
 	d.Flight.Mark(obs.StageNISend, n.e.Now())
-	n.inject(pkt, ch.idx)
+	n.injectData(ch)
 	n.armTimer(ch)
-	n.C.Inc("tx.data")
-	n.C.Add("tx.bytes", int64(len(d.Payload)))
+	n.ctr[ctrTxData].Inc()
+	n.ctr[ctrTxBytes].Add(int64(len(d.Payload)))
 	p.Sleep(n.cfg.SendPost)
 }
 
-func (n *NIC) inject(pkt *wirePkt, route int) {
-	size := n.cfg.AckBytes
-	if pkt.Kind == pktData {
-		size = n.cfg.HeaderBytes + len(pkt.Payload)
-	}
-	size += 8 * len(pkt.Piggy)
+// injectData puts one transmission of ch's unresolved attempt on the wire:
+// a copy of the master header without the sender's own state, owned from
+// here on by the wire and released by the NI it reaches.
+func (n *NIC) injectData(ch *channel) {
+	m := ch.inflight
+	w := n.allocHdr()
+	*w = *m
+	w.desc, w.flight, w.netPkt = nil, nil, nil
 	np := n.net.AllocPacket()
-	np.Src, np.Dst, np.Size, np.Payload = n.id, pkt.DstNI, size, pkt
-	np.Control = pkt.Kind != pktData
-	np.Flight = pkt.flight
-	n.net.Send(np, route)
-	if pkt.Kind == pktData {
-		// Keep a handle on the transmission so the retransmit path can see
-		// whether this copy is parked behind back pressure; the handle is
-		// released when the attempt resolves (or on the next retransmission).
-		if old := pkt.netPkt; old != nil {
-			old.Release()
-		}
-		pkt.netPkt = np
-	} else {
-		np.Release()
+	np.Src, np.Dst, np.Payload = n.id, m.DstNI, w
+	np.Size = n.cfg.HeaderBytes + len(m.Payload) + 8*len(m.Piggy)
+	np.Flight = m.flight
+	n.net.Send(np, ch.idx)
+	// Keep a handle on the transmission so the retransmit path can see
+	// whether this copy is parked behind back pressure; the handle is
+	// released when the attempt resolves (or on the next retransmission).
+	if old := m.netPkt; old != nil {
+		old.Release()
 	}
+	m.netPkt = np
+}
+
+// injectControl puts an ACK or NACK on the wire. Control packets are sent
+// once, so the header itself goes.
+func (n *NIC) injectControl(ctl *wirePkt, route int) {
+	np := n.net.AllocPacket()
+	np.Src, np.Dst, np.Payload = n.id, ctl.DstNI, ctl
+	np.Size = n.cfg.AckBytes + 8*len(ctl.Piggy)
+	np.Control = true
+	n.net.Send(np, route)
+	np.Release()
 }
 
 func (n *NIC) dmaTime(bytes int, bps float64) sim.Duration {
@@ -659,10 +673,9 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 		// injection path is blocked, so no duplicate can be created. Hold
 		// the timer instead (and do not count unreachability — the network
 		// is exerting flow control, not failing).
-		d := pkt.desc
-		d.FirstSend = 0
+		pkt.desc.FirstSend = 0
 		n.armTimer(ch)
-		n.C.Inc("tx.retrans_held")
+		n.ctr[ctrTxRetransHeld].Inc()
 		return
 	}
 	d := pkt.desc
@@ -672,7 +685,7 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 		// condition; return the message to its sender (§3.2, §5.1).
 		n.resolveChannel(ch)
 		n.returnToSender(d, NackNone)
-		n.C.Inc("tx.timeout_return")
+		n.ctr[ctrTxTimeoutReturn].Inc()
 		return
 	}
 	if ch.retries >= n.cfg.MaxRetries {
@@ -684,7 +697,7 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 		if !n.requeue(d) {
 			n.returnToSender(d, NackOverrun)
 		}
-		n.C.Inc("tx.unbind")
+		n.ctr[ctrTxUnbind].Inc()
 		return
 	}
 	ch.retries++
@@ -694,27 +707,30 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 	}
 	d.Flight.Note("retransmit", now)
 	p.Sleep(n.cfg.SendCritical)
-	n.inject(pkt, ch.idx)
+	n.injectData(ch)
 	n.armTimer(ch)
-	n.C.Inc("tx.retrans")
+	n.ctr[ctrTxRetrans].Inc()
 }
 
-// resolveChannel frees ch and performs quiesce accounting for the source
-// endpoint of the in-flight message.
-func (n *NIC) resolveChannel(ch *channel) {
+// resolveChannel frees ch, performs quiesce accounting for the source
+// endpoint of the in-flight message and returns the message's descriptor
+// (nil if the channel was free) for the caller to free, requeue or return to
+// its sender.
+func (n *NIC) resolveChannel(ch *channel) *SendDesc {
 	pkt := ch.inflight
 	ch.inflight = nil
 	if ch.timer != nil {
 		ch.timer.Stop()
 	}
 	if pkt == nil {
-		return
+		return nil
 	}
 	if pkt.netPkt != nil {
 		pkt.netPkt.Release()
-		pkt.netPkt = nil
 	}
-	if ep, ok := n.eps[pkt.desc.SrcEP]; ok {
+	d := pkt.desc
+	pkt.releaseTo(n)
+	if ep, ok := n.eps[d.SrcEP]; ok {
 		ep.inflight--
 		if ep.State == EPQuiescing && ep.inflight == 0 && ep.unloadWait != nil {
 			// unloadWait stays set until completeUnload finishes, so a
@@ -725,6 +741,7 @@ func (n *NIC) resolveChannel(ch *channel) {
 			n.wake()
 		}
 	}
+	return d
 }
 
 // requeue puts a NACKed or unbound descriptor back at the head of its
@@ -737,7 +754,7 @@ func (n *NIC) requeue(d *SendDesc) bool {
 		return false
 	}
 	if d.NextTry > n.e.Now() {
-		n.e.ScheduleAt(d.NextTry, n.wake)
+		n.e.AfterFuncAt(d.NextTry, n.wakeFn)
 	}
 	if !ep.sendQueueFor(d).PushFront(d) {
 		return false
@@ -751,12 +768,14 @@ func (n *NIC) requeue(d *SendDesc) bool {
 }
 
 // returnToSender deposits an undeliverable-message event into the source
-// endpoint so the application's handler can decide what to do (§3.2).
+// endpoint so the application's handler can decide what to do (§3.2). The
+// descriptor dies here.
 func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
-	d.Flight.Drop(obs.StageWire, "returned:"+reason.String(), n.e.Now())
+	d.Flight.Drop(obs.StageWire, returnedNote[reason], n.e.Now())
 	ep, ok := n.eps[d.SrcEP]
 	if !ok {
-		n.C.Inc("rts.dropped")
+		n.ctr[ctrRtsDropped].Inc()
+		n.freeDesc(d)
 		return
 	}
 	msg := n.allocMsg()
@@ -777,15 +796,16 @@ func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
 		// endpoint is frozen for migration). Spill to the host-memory
 		// overflow list rather than dropping the undeliverable event.
 		ep.retOverflow = append(ep.retOverflow, msg)
-		n.C.Inc("rts.overflow")
+		n.ctr[ctrRtsOverflow].Inc()
 	}
-	n.C.Inc("rts.delivered")
+	n.ctr[ctrRtsDelivered].Inc()
 	if ep.OnDeliver != nil {
 		ep.OnDeliver(msg)
 	}
 	if ep.EventArmed && n.driver != nil {
 		n.driver.Notify(ep)
 	}
+	n.freeDesc(d)
 }
 
 // ---- Receive path ----
@@ -814,11 +834,11 @@ func (n *NIC) rxFor(pkt *wirePkt) *rxState {
 func (n *NIC) handleData(p *sim.Proc, pkt *wirePkt) {
 	n.processPiggy(p, pkt) // acks riding on the data packet
 	p.Sleep(n.cfg.RecvCritical + n.cfg.CheckOverhead)
-	n.C.Inc("rx.data")
+	n.ctr[ctrRxData].Inc()
 	st := n.rxFor(pkt)
 	if pkt.Seq <= st.lastSeen {
 		// Duplicate of an attempt we already answered: repeat the answer.
-		n.C.Inc("rx.dup")
+		n.ctr[ctrRxDup].Inc()
 		if pkt.Seq == st.lastSeen {
 			n.sendControl(p, pkt, st.lastResult, st.lastReason)
 		} else {
@@ -829,7 +849,7 @@ func (n *NIC) handleData(p *sim.Proc, pkt *wirePkt) {
 	if pkt.Seq == st.rejectedSeq {
 		// A copy of this attempt was already refused at arrival; answer
 		// identically so the sender's single resolution stands.
-		n.C.Inc("rx.rejected_dup")
+		n.ctr[ctrRxRejectedDup].Inc()
 		n.sendControl(p, pkt, pktNack, NackOverrun)
 		return
 	}
@@ -849,7 +869,7 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 	ep, ok := n.eps[pkt.DstEP]
 	if !ok {
 		if n.moved[pkt.DstEP] {
-			n.C.Inc("rx.moved")
+			n.ctr[ctrRxMoved].Inc()
 			return pktNack, NackMoved
 		}
 		return pktNack, NackNoEndpoint
@@ -860,7 +880,7 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 		// yet. The new location is published before adoption, so bouncing
 		// with NackMoved (rather than depositing into a queue another NI now
 		// services) resolves to a fresher binding.
-		n.C.Inc("rx.moved")
+		n.ctr[ctrRxMoved].Inc()
 		return pktNack, NackMoved
 	}
 	if ep.Key != pkt.Key {
@@ -880,7 +900,7 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 		// End-to-end duplicate: an earlier attempt (possibly on another
 		// channel, after an unbind/rebind) was already delivered.
 		// Acknowledge so the sender resolves, but do not redeposit.
-		n.C.Inc("rx.e2e_dup")
+		n.ctr[ctrRxE2EDup].Inc()
 		return pktAck, NackNone
 	}
 	q := ep.RecvQ
@@ -916,8 +936,8 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 		ep.MarkMsg(pkt.SrcEP, pkt.MsgID)
 	}
 	ep.LastActive = n.e.Now()
-	n.C.Inc("rx.delivered")
-	n.C.Add("rx.bytes", int64(len(pkt.Payload)))
+	n.ctr[ctrRxDelivered].Inc()
+	n.ctr[ctrRxBytes].Add(int64(len(pkt.Payload)))
 	if ep.OnDeliver != nil {
 		ep.OnDeliver(msg)
 	}
@@ -932,12 +952,12 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 func (n *NIC) sendControl(p *sim.Proc, data *wirePkt, kind pktKind, reason NackReason) {
 	if kind == pktAck {
 		p.Sleep(n.cfg.AckSend)
-		n.C.Inc("tx.ack")
+		n.ctr[ctrTxAck].Inc()
 	} else {
 		p.Sleep(n.cfg.NackSend)
-		n.C.Inc("tx.nack." + reason.String())
+		n.ctr[ctrTxNack+int(reason)].Inc()
 	}
-	ctl := n.allocCtl()
+	ctl := n.allocHdr()
 	ctl.Kind = kind
 	ctl.SrcNI = n.id
 	ctl.DstNI = data.SrcNI
@@ -946,7 +966,7 @@ func (n *NIC) sendControl(p *sim.Proc, data *wirePkt, kind pktKind, reason NackR
 	ctl.Epoch = data.Epoch
 	ctl.Stamp = data.Stamp
 	ctl.Reason = reason
-	n.inject(ctl, data.Chan)
+	n.injectControl(ctl, data.Chan)
 }
 
 // chanFor finds our channel to peer with the given index.
@@ -955,12 +975,12 @@ func (n *NIC) chanFor(peer netsim.NodeID, idx int) *channel {
 	if !ok || idx >= len(chs) {
 		return nil
 	}
-	return chs[idx]
+	return &chs[idx]
 }
 
 func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
 	p.Sleep(n.cfg.AckRecv)
-	n.C.Inc("rx.ack")
+	n.ctr[ctrRxAck].Inc()
 	if len(pkt.Piggy) > 0 {
 		// Batched acknowledgments (piggyback extension flush path).
 		n.processPiggy(p, pkt)
@@ -968,25 +988,24 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
 	}
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
-		n.C.Inc("rx.ack.stale")
+		n.ctr[ctrRxAckStale].Inc()
 		return
 	}
 	n.observeRTT(pkt, ch.retries)
-	n.resolveChannel(ch)
-	n.wake() // a channel freed; blocked endpoints may proceed
+	n.freeDesc(n.resolveChannel(ch)) // acknowledged: the descriptor dies here
+	n.wake()                         // a channel freed; blocked endpoints may proceed
 }
 
 func (n *NIC) handleNack(p *sim.Proc, pkt *wirePkt) {
 	p.Sleep(n.cfg.NackRecv)
-	n.C.Inc("rx.nack." + pkt.Reason.String())
+	n.ctr[ctrRxNack+int(pkt.Reason)].Inc()
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
-		n.C.Inc("rx.nack.stale")
+		n.ctr[ctrRxNackStale].Inc()
 		return
 	}
-	d := ch.inflight.desc
-	n.resolveChannel(ch)
-	d.Flight.Note("nack:"+pkt.Reason.String(), n.e.Now())
+	d := n.resolveChannel(ch)
+	d.Flight.Note(nackNote[pkt.Reason], n.e.Now())
 	if !pkt.Reason.transient() {
 		n.returnToSender(d, pkt.Reason)
 		return
@@ -1049,7 +1068,7 @@ func (n *NIC) handleLoad(p *sim.Proc, cmd *DriverCmd) {
 	ep.State = EPResident
 	ep.LoadedAt = n.e.Now()
 	delete(n.requested, ep.ID)
-	n.C.Inc("drv.load")
+	n.ctr[ctrDrvLoad].Inc()
 	if cmd.Done != nil {
 		cmd.Done()
 	}
@@ -1069,7 +1088,7 @@ func (n *NIC) handleUnload(p *sim.Proc, cmd *DriverCmd) {
 		// Transient state: stop new sends, keep retransmitting in-flight
 		// packets until all copies are accounted for (§5.3).
 		ep.State = EPQuiescing
-		n.C.Inc("drv.quiesce")
+		n.ctr[ctrDrvQuiesce].Inc()
 		return
 	}
 	n.completeUnload(p, cmd)
@@ -1095,7 +1114,7 @@ func (n *NIC) completeUnload(p *sim.Proc, cmd *DriverCmd) {
 	// resident, §4.3's ordering race); clear the dedup flag so the next
 	// arrival re-requests residency.
 	delete(n.requested, ep.ID)
-	n.C.Inc("drv.unload")
+	n.ctr[ctrDrvUnload].Inc()
 	if cmd.Done != nil {
 		cmd.Done()
 	}
@@ -1145,7 +1164,7 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	if n.crashed || n.stopped {
 		return
 	}
-	n.C.Inc("nic.reboot")
+	n.ctr[ctrNICReboot].Inc()
 	n.incarnation++
 	n.rebootUntil = n.e.Now().Add(outage)
 	n.proc.Kill()
@@ -1175,13 +1194,14 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	// under the new epoch. The outage is local, not the destination's
 	// failure, so the unreachability clock restarts.
 	for _, dst := range n.sortedChanDsts() {
-		for _, ch := range n.chans[dst] {
+		chs := n.chans[dst]
+		for i := range chs {
+			ch := &chs[i]
 			if ch.timer != nil {
 				ch.timer.Stop()
 			}
 			if ch.inflight != nil {
-				d := ch.inflight.desc
-				n.resolveChannel(ch)
+				d := n.resolveChannel(ch)
 				d.FirstSend = 0
 				if !n.requeue(d) {
 					n.returnToSender(d, NackNone)
@@ -1223,21 +1243,25 @@ func (n *NIC) Crash() {
 	}
 	n.crashed = true
 	n.incarnation++
-	n.C.Inc("nic.crash")
+	n.ctr[ctrNICCrash].Inc()
 	n.proc.Kill()
 	n.net.SetHostLinkDown(n.id, true)
 	// Stop channel timers so no stale retransmission closure survives into
 	// a later incarnation.
 	for _, dst := range n.sortedChanDsts() {
-		for _, ch := range n.chans[dst] {
+		chs := n.chans[dst]
+		for i := range chs {
+			ch := &chs[i]
 			if ch.timer != nil {
 				ch.timer.Stop()
 			}
-			if ch.inflight != nil && ch.inflight.netPkt != nil {
-				ch.inflight.netPkt.Release()
-				ch.inflight.netPkt = nil
+			if m := ch.inflight; m != nil {
+				if m.netPkt != nil {
+					m.netPkt.Release()
+				}
+				m.releaseTo(n)
+				ch.inflight = nil
 			}
-			ch.inflight = nil
 		}
 	}
 	n.inbound.Reset()
@@ -1245,7 +1269,7 @@ func (n *NIC) Crash() {
 	n.work.Reset()
 	n.cmds.Reset()
 	n.curCmd, n.staging = nil, nil
-	n.chans = make(map[netsim.NodeID][]*channel)
+	n.chans = make(map[netsim.NodeID][]channel)
 	n.rx = make(map[chanKey]*rxState)
 	n.eps = make(map[int]*EndpointImage)
 	n.frames = make([]*EndpointImage, n.cfg.Frames)
@@ -1269,7 +1293,7 @@ func (n *NIC) Restart() {
 	n.epoch = uint32(n.e.Rand().Int63()) | 1
 	n.net.SetHostLinkDown(n.id, false)
 	n.proc = n.e.Spawn(fmt.Sprintf("nic%d", n.id), n.loop)
-	n.C.Inc("nic.restart")
+	n.ctr[ctrNICRestart].Inc()
 }
 
 // Crashed reports whether the NI is currently crashed.

@@ -34,20 +34,27 @@ const (
 	NackMoved
 )
 
-func (r NackReason) String() string {
-	switch r {
-	case NackNotResident:
-		return "not-resident"
-	case NackOverrun:
-		return "overrun"
-	case NackNoEndpoint:
-		return "no-endpoint"
-	case NackBadKey:
-		return "bad-key"
-	case NackMoved:
-		return "moved"
+// numNackReasons sizes the per-reason tables below.
+const numNackReasons = int(NackMoved) + 1
+
+var nackNames = [numNackReasons]string{"none", "not-resident", "overrun", "no-endpoint", "bad-key", "moved"}
+
+// nackNote and returnedNote are the flight annotations for a NACK received
+// and a message returned to its sender, built once: the call sites run
+// whether or not the message is traced, and must not build a string to hand
+// to a nil flight.
+var nackNote, returnedNote = func() (nack, ret [numNackReasons]string) {
+	for r, name := range nackNames {
+		nack[r], ret[r] = "nack:"+name, "returned:"+name
 	}
-	return "none"
+	return
+}()
+
+func (r NackReason) String() string {
+	if r < 0 || int(r) >= numNackReasons {
+		return "none"
+	}
+	return nackNames[r]
 }
 
 // transient reports whether the failure should be retried (vs returned).
@@ -92,73 +99,94 @@ type wirePkt struct {
 	// both may carry them.
 	Piggy []piggyAck
 
-	// Sender-side reference to the originating descriptor; never
-	// "serialized" (acks identify messages by channel+seq).
-	desc *SendDesc
-	// flight is the trace context copied from the descriptor at send time —
-	// owned by the sending shard, which retransmission paths consult.
-	// rxFlight and arrived are written only by the receiving NI: rxFlight is
-	// the flight the delivery callback handed over (the sender's flight on
-	// an intra-shard path, the destination shard's continuation on a
-	// cross-shard one), and arrived stamps the accepted inbound arrival so a
-	// later deliver can split wire transit from NI receive processing. The
-	// sender never touches rxFlight/arrived and the receiver never touches
-	// flight, so the split is race-free when the two NIs live on different
-	// engine shards.
-	flight   *obs.Flight
+	// desc, flight and netPkt are the sender's state for the attempt, set
+	// only on a channel's master header and cleared on every copy that goes
+	// on the wire (acks identify messages by channel+seq). flight is the
+	// trace context copied from the descriptor at send time, which
+	// retransmission paths consult; netPkt is the handle to the last
+	// transmission's network packet, consulted to suppress retransmission
+	// while it is parked behind back pressure.
+	desc   *SendDesc
+	flight *obs.Flight
+	netPkt *netsim.Packet
+	// rxFlight and arrived are written only by the NI a copy arrives at:
+	// rxFlight is the flight the delivery callback handed over with this
+	// copy (the sender's flight on an intra-shard path, the destination
+	// shard's continuation on a cross-shard one), and arrived stamps the
+	// copy's acceptance into the staging queue so deliver can split wire
+	// transit from NI receive processing.
 	rxFlight *obs.Flight
 	arrived  sim.Time
-	// netPkt is the sender-side handle to the last transmission's network
-	// packet, consulted to suppress retransmission while it is parked
-	// behind back pressure.
-	netPkt *netsim.Packet
 
-	// pool marks a pooled control header and points at the NI whose free
-	// list currently holds it (nil for data headers and directly built test
-	// packets); pnext links the free list.
+	// pool points at the NI that holds the header — the one that took it
+	// from its free list, then the one it was delivered to (nil for headers
+	// tests build directly, which are never recycled); pnext links the free
+	// list.
 	pool  *NIC
 	pnext *wirePkt
 }
 
-// releaseTo returns a pooled control header to NI n's free list — the NI
-// that finished processing it, not the NI that allocated it. Acks flow
-// back against data, so releasing into the allocator's list would push
-// onto a pool owned by another node — and, under a sharded engine, mutate
-// another shard's arena from this one (a data race). Releasing locally
-// keeps every free list touched only by its own node; headers migrate
-// between pools as control traffic flows, totals conserved. A no-op on
-// unpooled headers.
+// releaseTo returns a pooled header to NI n's free list; a no-op on unpooled
+// headers. A header on the wire is owned by the wire: every transmission — a
+// data copy made from a channel's master header, an ACK, a NACK — takes a
+// header from the sending NI's list, and the NI that consumes it releases it
+// into its own list, never the allocator's (another node's pool and, under a
+// sharded engine, another shard's memory). Each data copy is answered by one
+// ACK or NACK, so an NI releases a header for each it allocates and the lists
+// balance with nothing moving across a shard. A copy the fabric drops, or
+// that a Reboot or Crash wipes from a staging queue, falls to the garbage
+// collector and costs one allocation later. DESIGN.md §6 has the table.
 func (w *wirePkt) releaseTo(n *NIC) {
 	if w.pool == nil {
 		return
 	}
-	*w = wirePkt{pool: n, pnext: n.ctlFree}
-	n.ctlFree = w
+	*w = wirePkt{pool: n, pnext: n.hdrFree}
+	n.hdrFree = w
 }
 
-// allocCtl takes a control header from the NI's free list, or makes one.
-func (n *NIC) allocCtl() *wirePkt {
-	if w := n.ctlFree; w != nil {
-		n.ctlFree = w.pnext
+// allocHdr takes a zeroed header from the NI's free list, or makes one.
+func (n *NIC) allocHdr() *wirePkt {
+	if w := n.hdrFree; w != nil {
+		n.hdrFree = w.pnext
 		w.pnext = nil
-		w.pool = n
 		return w
 	}
+	n.hdrMade++
 	return &wirePkt{pool: n}
+}
+
+// PoolStats reports, for wire headers and for send descriptors, how many
+// this NI ever made (its pool misses) and how many sit in its free lists now
+// (diagnostics). Cluster-wide and after a drain, made minus free is what
+// the named loss paths took: packets the fabric dropped, queues a Reboot or
+// Crash wiped.
+func (n *NIC) PoolStats() (hdrMade, hdrFree, descMade, descFree int) {
+	for w := n.hdrFree; w != nil; w = w.pnext {
+		hdrFree++
+	}
+	for d := n.descFree; d != nil; d = d.fnext {
+		descFree++
+	}
+	return n.hdrMade, hdrFree, n.descMade, descFree
 }
 
 // VerifyPoolLocality walks this NI's free lists and checks that every
 // pooled object records this NI as its holder — the invariant that keeps
 // arenas shard-local under a sharded engine. Returns nil when clean.
 func (n *NIC) VerifyPoolLocality() error {
-	for w := n.ctlFree; w != nil; w = w.pnext {
+	for w := n.hdrFree; w != nil; w = w.pnext {
 		if w.pool != n {
-			return fmt.Errorf("nic %d: foreign control header in free list", int(n.id))
+			return fmt.Errorf("nic %d: foreign wire header in free list", int(n.id))
 		}
 	}
 	for m := n.msgFree; m != nil; m = m.fnext {
 		if m.owner != n {
 			return fmt.Errorf("nic %d: foreign receive descriptor in free list", int(n.id))
+		}
+	}
+	for d := n.descFree; d != nil; d = d.fnext {
+		if d.owner != n {
+			return fmt.Errorf("nic %d: foreign send descriptor in free list", int(n.id))
 		}
 	}
 	return nil

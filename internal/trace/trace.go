@@ -16,24 +16,107 @@ import (
 // Counters is a set of named monotonic counters. The simulation itself is
 // single-threaded, but observers (metric snapshots, daemon status queries)
 // may read from other goroutines, so access is mutex-guarded.
+//
+// A counter's value lives in its handle, and the set has one store: a map
+// from name to handle, plus (for NewCountersOver) a block of handles the
+// caller laid out itself. Inc/Add by name resolve the handle and go through
+// it, so a name and a handle never count apart.
 type Counters struct {
-	mu    sync.Mutex
-	m     map[string]int64
-	order []string
+	mu sync.Mutex
+	// m holds the handles made by name; order lists every touched handle,
+	// from m or from fixed, in first-touch order.
+	m     map[string]*Counter
+	order []*Counter
+	// fixed is caller-owned storage for handles that never enter m.
+	fixed []Counter
+}
+
+// Counter is a handle on one counter of a set: a hot path resolves it once
+// and increments without hashing the name. A handle enters Names, Snapshot
+// and String at its first Inc or Add (of any amount, zero included), exactly
+// as a name does, so resolving handles up front adds no keys.
+type Counter struct {
+	set  *Counters
+	name string
+	n    int64
+	live bool
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
+	return &Counters{m: make(map[string]*Counter)}
 }
+
+// NewCountersOver returns a counter set whose counters names[i] are the
+// handles[i] — storage the caller owns, typically an array inside the struct
+// that increments them, so a thousand such structs resolve their handles
+// without one allocation each. Any other name is made on demand as in
+// NewCounters.
+func NewCountersOver(names []string, handles []Counter) *Counters {
+	if len(names) != len(handles) {
+		panic("trace: NewCountersOver with mismatched names and handles")
+	}
+	c := NewCounters()
+	c.fixed = handles
+	for i := range handles {
+		handles[i] = Counter{set: c, name: names[i]}
+	}
+	return c
+}
+
+// find returns the handle for name, or nil if none exists. Caller holds mu.
+func (c *Counters) find(name string) *Counter {
+	if h := c.m[name]; h != nil {
+		return h
+	}
+	for i := range c.fixed {
+		if c.fixed[i].name == name {
+			return &c.fixed[i]
+		}
+	}
+	return nil
+}
+
+// resolve is find, making the handle if needed. Caller holds mu.
+func (c *Counters) resolve(name string) *Counter {
+	h := c.find(name)
+	if h == nil {
+		h = &Counter{set: c, name: name}
+		c.m[name] = h
+	}
+	return h
+}
+
+// Counter returns the handle for name, creating it untouched if needed.
+func (c *Counters) Counter(name string) *Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resolve(name)
+}
+
+// add is Add with the set's lock held.
+func (h *Counter) add(n int64) {
+	if !h.live {
+		h.live = true
+		h.set.order = append(h.set.order, h)
+	}
+	h.n += n
+}
+
+// Add increments the counter by n.
+func (h *Counter) Add(n int64) {
+	h.set.mu.Lock()
+	h.add(n)
+	h.set.mu.Unlock()
+}
+
+// Inc increments the counter by one.
+func (h *Counter) Inc() { h.Add(1) }
 
 // Add increments counter name by n.
 func (c *Counters) Add(name string, n int64) {
 	c.mu.Lock()
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += n
+	c.resolve(name).add(n)
 	c.mu.Unlock()
 }
 
@@ -44,14 +127,21 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m[name]
+	if h := c.find(name); h != nil {
+		return h.n
+	}
+	return 0
 }
 
 // Names returns counter names in first-touch order.
 func (c *Counters) Names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
+	out := make([]string, len(c.order))
+	for i, h := range c.order {
+		out[i] = h.name
+	}
+	return out
 }
 
 // CounterKV is one counter's name and value, as returned by Snapshot.
@@ -67,8 +157,8 @@ func (c *Counters) Snapshot() []CounterKV {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]CounterKV, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, CounterKV{Name: n, Value: c.m[n]})
+	for _, h := range c.order {
+		out = append(out, CounterKV{Name: h.name, Value: h.n})
 	}
 	return out
 }
@@ -78,8 +168,8 @@ func (c *Counters) String() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b strings.Builder
-	for _, n := range c.order {
-		fmt.Fprintf(&b, "%-32s %12d\n", n, c.m[n])
+	for _, h := range c.order {
+		fmt.Fprintf(&b, "%-32s %12d\n", h.name, h.n)
 	}
 	return b.String()
 }

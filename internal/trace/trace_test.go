@@ -29,6 +29,58 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestCounterHandles: a handle and its name are one counter. The same
+// increments in the same order, made through handles in one set and by name
+// in another, leave equal snapshots; a handle that was resolved but never
+// touched appears in neither; and caller-owned handles (NewCountersOver)
+// behave exactly like the ones the set makes.
+func TestCounterHandles(t *testing.T) {
+	byName := NewCounters()
+	byHandle := NewCounters()
+	var block [3]Counter
+	over := NewCountersOver([]string{"tx", "rx", "idle"}, block[:])
+
+	tx, rx, idle, bytes := byHandle.Counter("tx"), byHandle.Counter("rx"), byHandle.Counter("idle"), byHandle.Counter("bytes")
+	_ = idle
+	_ = over.Counter("bytes") // resolved in the third set too, touched below
+	for i := 0; i < 3; i++ {
+		byName.Inc("rx")
+		rx.Inc()
+		block[1].Inc()
+	}
+	byName.Add("bytes", 0) // a zero Add creates the key
+	bytes.Add(0)
+	over.Counter("bytes").Add(0)
+	byName.Add("tx", 40)
+	tx.Add(40)
+	block[0].Add(40)
+	byName.Inc("rx")
+	byHandle.Inc("rx") // by name into a set driven by handles: same counter
+	over.Inc("rx")     // by name into caller-owned storage: same counter
+
+	want := []CounterKV{{"rx", 4}, {"bytes", 0}, {"tx", 40}}
+	for name, c := range map[string]*Counters{"by name": byName, "by handle": byHandle, "over": over} {
+		got := c.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("%s: snapshot %v, want %v (an untouched handle must be absent)", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: snapshot %v, want %v", name, got, want)
+			}
+		}
+		if c.Get("idle") != 0 || c.Get("rx") != 4 || c.String() != byName.String() {
+			t.Fatalf("%s: idle=%d rx=%d\n%s", name, c.Get("idle"), c.Get("rx"), c.String())
+		}
+	}
+	if block[1].n != 4 || byHandle.Counter("rx") != rx || over.Counter("rx") != &block[1] {
+		t.Fatal("a name resolved to a second store")
+	}
+	if avg := testing.AllocsPerRun(100, func() { rx.Inc(); block[0].Add(2) }); avg != 0 {
+		t.Fatalf("a handle increment allocates %.1f times", avg)
+	}
+}
+
 func TestHistQuantiles(t *testing.T) {
 	h := NewHist()
 	for i := 1; i <= 100; i++ {
