@@ -14,25 +14,27 @@ import (
 	"virtnet/internal/bench"
 )
 
-// tier1Goldens are the experiments cheap enough (0–7 s each, ≈ 22 s together
-// on a 2-core box) to regenerate on every `go test ./...`. The other seven
-// (allreduce, serve, tailat, contention-small, contention-bulk, linpack, npb)
-// take up to a minute apiece and are diffed by one loop step in CI.
+// tier1Goldens are the experiments cheap enough (0–9 s each, ≈ 34 s together
+// on a 2-core box) to regenerate on every `go test ./...`. The other five
+// (allreduce, serve, contention-small, contention-bulk, linpack) take up to a
+// minute apiece and are diffed by one loop step in CI.
 var tier1Goldens = map[string]bool{
 	"logp": true, "bandwidth": true, "breakdown": true, "faults": true,
 	"tenants": true, "migrate": true, "overcommit": true, "sensitivity": true,
 	"timeshare": true, "simperf": true, "ablations": true, "degrade": true,
+	"tailat": true, "npb": true,
 }
 
 // runRow runs `vnbench args...` in this process and returns its stdout. It
-// requires exit 0, and that the run left the goroutine count where it found
-// it: every cluster a row builds must be shut down, or a process that runs
-// the table (vnbench all, these tests) accumulates parked proc coroutines.
+// requires exit 0 with nothing on stderr, and that the run left the goroutine
+// count where it found it: every cluster a row builds must be shut down, or a
+// process that runs the table (vnbench all, these tests) accumulates parked
+// proc coroutines.
 func runRow(t *testing.T, args ...string) []byte {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
+	if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
 		t.Fatalf("vnbench %s: exit %d\n%s", strings.Join(args, " "), code, stderr.Bytes())
 	}
 	// Shutdown unwinds every proc before it returns, but a goroutine that
@@ -67,7 +69,7 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // stdout to be the committed results_<name>.txt byte for byte.
 func TestGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates twelve goldens (≈ 22 s)")
+		t.Skip("regenerates fourteen goldens (≈ 34 s)")
 	}
 	found := 0
 	for _, ex := range bench.Experiments {
@@ -136,15 +138,15 @@ func TestRepeatRuns(t *testing.T) {
 // TestRepeatRuns hold every row they run to runRow's goroutine balance, and
 // this runs the rows neither of them reaches, at -quick, to the same
 // standard. The exceptions take 4–18 s even at -quick, which tier-1 cannot
-// afford for them: npb, and contention-small and contention-bulk (one body,
-// contentionRow). The clusters they build belong to npb.Machine.Time and
-// bench.RunClientServer, which shut them down under defer and have tests of
-// their own; CI's slow-golden loop runs all three at full size.
+// afford for them: contention-small and contention-bulk (one body,
+// contentionRow). The clusters they build belong to bench.RunClientServer,
+// which shuts them down under defer and has tests of its own; CI's
+// slow-golden loop runs both at full size.
 func TestRowsLeaveNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments at -quick (≈ 3 s)")
 	}
-	elsewhere := map[string]bool{"npb": true, "contention-small": true, "contention-bulk": true}
+	elsewhere := map[string]bool{"contention-small": true, "contention-bulk": true}
 	for _, r := range repeats {
 		elsewhere[r.args[len(r.args)-1]] = true // the row is the last argument
 	}
@@ -175,7 +177,9 @@ func TestParseArgs(t *testing.T) {
 		{"", "all", def},
 		{"-quick migrate", "migrate", with(func(p *bench.Params) { p.Quick = true })},
 		{"serve -scenario hotkey -shards 4", "serve", with(func(p *bench.Params) { p.Scenario, p.Shards = "hotkey", 4 })},
-		{"-seed 7 simperf -hosts 64 -sweep", "simperf", with(func(p *bench.Params) { p.Seed, p.Hosts, p.Sweep = 7, 64, true })},
+		{"-seed 7 simperf -hosts 64", "simperf", with(func(p *bench.Params) { p.Seed, p.Hosts = 7, 64 })},
+		// No -sweep: no row measures host time (vnperf does).
+		{"-seed 7 simperf -hosts 64 -sweep", "", def},
 		// Used to run logp alone and exit 0: the re-parse dropped whatever
 		// positional arguments followed the first.
 		{"-quick logp bandwidth", "", def},

@@ -8,10 +8,11 @@
 // -shards 4`); everything after the first positional argument is re-parsed
 // into the same flag set.
 //
-// Use -quick for smaller client sweeps and shorter windows. The golden
-// results_*.txt files capture stdout only; simperf's machine-dependent
-// wall-clock section goes to stderr. -cpuprofile/-memprofile write pprof
-// profiles for diagnosing simulator-performance regressions. -traceout
+// Use -quick for smaller client sweeps and shorter windows. Every row prints
+// virtual-time results only, so stdout is the golden results_<row>.txt and
+// stderr stays empty unless a row fails; host time is measured by vnperf
+// (benchmarks/). -cpuprofile/-memprofile write pprof profiles for diagnosing
+// simulator-performance regressions. -traceout
 // exports the breakdown experiment's short-AM phase (or tailat's last
 // scenario) as Chrome trace-event JSON (load it at https://ui.perfetto.dev);
 // -metrics prints the unified registry's dashboard after instrumented
@@ -60,7 +61,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.BoolVar(&o.p.Metrics, "metrics", false, "print metrics-registry dashboards after instrumented experiments")
 	fs.IntVar(&o.p.Shards, "shards", 0, "simperf/serve/tailat: engine shards (unset: simperf runs one shard, no barriers; serve and tailat run 4)")
 	fs.IntVar(&o.p.Hosts, "hosts", 0, "simperf/serve/tailat: cluster size override (0 = the golden sections)")
-	fs.BoolVar(&o.p.Sweep, "sweep", false, "simperf: shard-scaling sweep on the 1,024-host workload (stderr, machine-dependent)")
 	fs.StringVar(&o.p.Scenario, "scenario", "golden", "serve: scenario to sweep ('golden' = the committed set, 'list' prints all)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: vnbench [flags] [experiment|all] [flags]\n\nexperiments, in the order \"all\" (the default) runs them:\n")
@@ -105,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return 2
 	}
-	o.p.Diag = stderr
 	err = bench.Profiled(o.cpuprofile, o.memprofile, func() error {
 		for _, ex := range bench.Experiments {
 			if o.cmd != "all" && o.cmd != ex.Name {

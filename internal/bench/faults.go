@@ -242,7 +242,7 @@ func faultsRow(w io.Writer, p Params) error {
 		}
 	}
 	submitWave()
-	c.Nodes[homeNode].E.Schedule(350*sim.Millisecond, submitWave)
+	c.Nodes[homeNode].E.AfterFunc(350*sim.Millisecond, submitWave)
 
 	// Planned movement mid-recovery: replica A live-migrates while the
 	// cluster is still absorbing the crash.

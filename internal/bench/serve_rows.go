@@ -183,13 +183,9 @@ func tailatRow(w io.Writer, p Params) error {
 		fmt.Fprint(w, res.Attr.Render())
 
 		if p.TraceOut != "" && scn == scenarios[len(scenarios)-1] {
-			err := writeTrace(p.TraceOut, func(f io.Writer) error {
+			return writeTrace(p.TraceOut, func(f io.Writer) error {
 				return obs.WriteChromeTraceMerged(f, res.Tracers, res.ShardOf, nil)
 			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(p.diag(), "tailat: wrote merged Perfetto trace (%s scenario) to %s\n", scn, p.TraceOut)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
@@ -36,19 +35,15 @@ type SimPerfConfig struct {
 	Shards int
 }
 
-// SimPerfResult separates deterministic virtual-time metrics (safe to golden)
-// from wall-clock metrics (machine-dependent, never golden).
+// SimPerfResult holds the deterministic virtual-time metrics (safe to
+// golden) and the host heap allocations over the measured run, setup
+// excluded, which only the alloc-budget test reads.
 type SimPerfResult struct {
-	Replied int64        // requests that completed with a reply
-	Virtual sim.Duration // virtual time at which the last client drained
-	Engine  sim.Stats    // engine counters at completion
-
-	// Wall-clock section: host time and heap allocations over the measured
-	// run (setup excluded), and the events fired within it.
-	Wall       time.Duration
+	Replied    int64        // requests that completed with a reply
+	Virtual    sim.Duration // virtual time at which the last client drained
+	Engine     sim.Stats    // engine counters at completion
+	MsgsPerSec float64      // virtual-time message rate
 	Mallocs    uint64
-	EventsRun  uint64
-	MsgsPerSec float64 // virtual-time message rate
 }
 
 // RunSimPerf builds the cluster, streams Pairs*Msgs request/reply exchanges
@@ -103,21 +98,12 @@ func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 		return SimPerfResult{}, err
 	}
 
-	before := cl.EngineStats()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	t0 := time.Now()
 	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(300*sim.Second), echoPairsDone(pairs))
-	wall := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
-	after := cl.EngineStats()
 
-	res := SimPerfResult{
-		Engine:    after,
-		Wall:      wall,
-		Mallocs:   ms1.Mallocs - ms0.Mallocs,
-		EventsRun: after.Fired - before.Fired,
-	}
+	res := SimPerfResult{Engine: cl.EngineStats(), Mallocs: ms1.Mallocs - ms0.Mallocs}
 	for _, ps := range pairs {
 		res.Replied += ps.got
 		if ps.doneAt > sim.Time(res.Virtual) {
@@ -140,9 +126,9 @@ func bigSimPerf(p Params, shards int) SimPerfConfig {
 	return cfg
 }
 
-// simPerfSection runs one simperf section and prints it: deterministic
-// virtual-time metrics to w (golden), wall-clock rates to p.Diag.
-func simPerfSection(w io.Writer, p Params, cfg SimPerfConfig) error {
+// simPerfSection runs one simperf section and prints its virtual-time
+// metrics to w.
+func simPerfSection(w io.Writer, cfg SimPerfConfig) error {
 	res, err := RunSimPerf(cfg)
 	if err != nil {
 		return err
@@ -158,12 +144,6 @@ func simPerfSection(w io.Writer, p Params, cfg SimPerfConfig) error {
 	}
 	fmt.Fprintf(w, "events: fired=%d (%.1f/msg), max pending=%d, pool hit rate=%.3f\n",
 		s.Fired, float64(s.Fired)/msgs, s.MaxPending, hitRate)
-	ev := float64(res.EventsRun)
-	fmt.Fprintf(p.diag(),
-		"wall-clock (machine-dependent, not golden): %.3fs, %.2fM events/s, %.0f ns/event, %.1f allocs/msg, %.1f hand-offs/msg\n",
-		res.Wall.Seconds(), ev/res.Wall.Seconds()/1e6,
-		float64(res.Wall.Nanoseconds())/ev, float64(res.Mallocs)/msgs,
-		float64(s.Handoffs)/msgs)
 	return nil
 }
 
@@ -171,9 +151,8 @@ func simPerfSection(w io.Writer, p Params, cfg SimPerfConfig) error {
 // small requests to completion. With default flags it prints the two golden
 // sections — the original 16-node stream and the 1,024-host single-shard
 // baseline — both captured in results_simperf.txt. -hosts/-shards run one
-// custom section instead; -sweep appends a shard-scaling sweep (1/2/4/8
-// shards on the 1,024-host workload) whose wall-clock speedups go to
-// p.Diag only.
+// custom section instead. It prints nothing measured in host time: vnperf
+// (benchmarks/) is the wall-clock yardstick.
 func simPerfRow(w io.Writer, p Params) error {
 	if p.Hosts != 0 || p.Shards > 1 {
 		shards := max(p.Shards, 1)
@@ -188,38 +167,16 @@ func simPerfRow(w io.Writer, p Params) error {
 		}
 		header(w, fmt.Sprintf("simperf — event-engine self-benchmark (%d hosts, %d shards)",
 			max(cfg.Hosts, 2*cfg.Pairs), shards))
-		if err := simPerfSection(w, p, cfg); err != nil {
-			return err
-		}
-	} else {
-		header(w, "simperf — event-engine self-benchmark (16-node stream)")
-		cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
-		if p.Quick {
-			cfg.Msgs = 2000
-		}
-		if err := simPerfSection(w, p, cfg); err != nil {
-			return err
-		}
-		header(w, "simperf — 1,024-host cluster baseline (1 shard)")
-		if err := simPerfSection(w, p, bigSimPerf(p, 1)); err != nil {
-			return err
-		}
+		return simPerfSection(w, cfg)
 	}
-	if p.Sweep {
-		fmt.Fprintf(p.diag(), "shard-scaling sweep (1,024 hosts; wall-clock, machine-dependent):\n")
-		base := 0.0
-		for _, n := range []int{1, 2, 4, 8} {
-			res, err := RunSimPerf(bigSimPerf(p, n))
-			if err != nil {
-				return err
-			}
-			evs := float64(res.EventsRun) / res.Wall.Seconds()
-			if n == 1 {
-				base = evs
-			}
-			fmt.Fprintf(p.diag(), "  shards=%d  events/s=%.2fM  speedup=%.2fx  replied=%d\n",
-				n, evs/1e6, evs/base, res.Replied)
-		}
+	header(w, "simperf — event-engine self-benchmark (16-node stream)")
+	cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
+	if p.Quick {
+		cfg.Msgs = 2000
 	}
-	return nil
+	if err := simPerfSection(w, cfg); err != nil {
+		return err
+	}
+	header(w, "simperf — 1,024-host cluster baseline (1 shard)")
+	return simPerfSection(w, bigSimPerf(p, 1))
 }

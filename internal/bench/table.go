@@ -24,21 +24,9 @@ type Params struct {
 	Seed     int64  // simulation seed
 	Shards   int    // engine shards; 0 = unset: simperf runs one, serve and tailat four
 	Hosts    int    // simperf/serve/tailat cluster size; 0 = the golden sizes
-	Sweep    bool   // simperf: append the shard-scaling sweep (Diag only)
 	Scenario string // serve: "golden", "list", or one scenario name
 	TraceOut string // breakdown/tailat: write a Perfetto trace to this file
 	Metrics  bool   // breakdown: print the metrics-registry dashboards
-	// Diag receives what must stay out of the goldens: simperf's
-	// machine-dependent wall-clock lines and trace-export notes. Nil
-	// discards them.
-	Diag io.Writer
-}
-
-func (p Params) diag() io.Writer {
-	if p.Diag == nil {
-		return io.Discard
-	}
-	return p.Diag
 }
 
 // SoakParams are cmd/vnstress's flags as the soak rows read them.

@@ -396,14 +396,6 @@ func (ep *Endpoint) SetWeight(w int) {
 	ep.seg.EP.Weight = w
 }
 
-// Weight returns the endpoint's NI service share weight.
-func (ep *Endpoint) Weight() int {
-	if w := ep.seg.EP.Weight; w > 1 {
-		return w
-	}
-	return 1
-}
-
 // Serviced reports the messages and payload bytes the NI has transmitted
 // from this endpoint — the metered quantity behind share weights.
 func (ep *Endpoint) Serviced() (msgs, bytes int64) {

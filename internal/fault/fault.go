@@ -303,12 +303,12 @@ func (pl *Plan) Apply(c *hostos.Cluster) {
 	fabric := func(at sim.Duration, fn func(net *netsim.Network)) {
 		for s := 0; s < c.Shards(); s++ {
 			net := c.ShardNet(s)
-			c.ShardEngine(s).Schedule(at, func() { fn(net) })
+			c.ShardEngine(s).AfterFunc(at, func() { fn(net) })
 		}
 	}
 	owned := func(h netsim.NodeID, at sim.Duration, fn func(net *netsim.Network)) {
 		net := c.NetFor(h)
-		c.EngineFor(h).Schedule(at, func() { fn(net) })
+		c.EngineFor(h).AfterFunc(at, func() { fn(net) })
 	}
 	for _, ev := range pl.Events {
 		ev := ev
@@ -367,12 +367,12 @@ func (pl *Plan) Apply(c *hostos.Cluster) {
 			if outage <= 0 {
 				outage = DefaultRebootOutage
 			}
-			n.E.Schedule(ev.At, func() { n.NIC.Reboot(outage) })
+			n.E.AfterFunc(ev.At, func() { n.NIC.Reboot(outage) })
 		case NodeCrash:
 			n := c.Nodes[mod(ev.A, len(c.Nodes))]
-			n.E.Schedule(ev.At, func() { n.Crash() })
+			n.E.AfterFunc(ev.At, func() { n.Crash() })
 			if ev.Dur > 0 {
-				n.E.Schedule(ev.At+ev.Dur, func() { n.Restart() })
+				n.E.AfterFunc(ev.At+ev.Dur, func() { n.Restart() })
 			}
 		}
 	}

@@ -3,10 +3,12 @@ package fault
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
+	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
 	"virtnet/internal/sim"
 )
@@ -60,8 +62,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// harness is a 2-node request/reply pair: a server echoing handler 1 on
-// node 1, a client on node 0 recording per-id replies and returns.
+// harness is a 2-node request/reply pair: a server echoing handler 1 (on
+// node 1 unless harnessOn says otherwise), a client on node 0 recording
+// per-id replies and returns.
 type harness struct {
 	c       *hostos.Cluster
 	client  *core.Endpoint
@@ -72,11 +75,16 @@ type harness struct {
 
 func newHarness(t *testing.T, nodes int, seed int64) *harness {
 	t.Helper()
-	c := hostos.NewCluster(seed, nodes, hostos.DefaultClusterConfig())
+	return harnessOn(t, hostos.NewCluster(seed, nodes, hostos.DefaultClusterConfig()), 1)
+}
+
+// harnessOn builds the pair on c with the server on node srv.
+func harnessOn(t *testing.T, c *hostos.Cluster, srv int) *harness {
+	t.Helper()
 	t.Cleanup(c.Shutdown)
 	h := &harness{c: c, replies: make(map[uint64]int)}
 
-	sb := core.Attach(c.Nodes[1])
+	sb := core.Attach(c.Nodes[srv])
 	server, err := sb.NewEndpoint(77, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +94,7 @@ func newHarness(t *testing.T, nodes int, seed int64) *harness {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Nodes[1].Spawn("server", func(p *sim.Proc) {
+	c.Nodes[srv].Spawn("server", func(p *sim.Proc) {
 		for {
 			server.Poll(p)
 			p.Sleep(10 * sim.Microsecond)
@@ -253,5 +261,81 @@ func TestCrashRestartBringsLinkBack(t *testing.T) {
 	}
 	if h.c.Nodes[2].NIC.C.Get("nic.restart") != 1 {
 		t.Fatal("restart never counted")
+	}
+}
+
+// A leaf outage (the one fault kind RandomPlan never draws) isolates every
+// host on the leaf until repair, on every shard's network replica: the
+// leaf's links — and only they — drop traffic while it is down, each replica
+// drops a probe sent through it mid-outage, and a request stream across the
+// leaf completes exactly once after repair with nothing returned.
+func TestLeafOutageDropsThenHeals(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// 10 hosts: leaf 0 holds hosts 0-4 (the client), leaf 1 hosts
+			// 5-9 (the server), and with two shards each leaf is a shard.
+			c := hostos.NewShardedCluster(3, 10, shards, hostos.DefaultClusterConfig())
+			h := harnessOn(t, c, 7)
+			pl, err := Parse("leaf:0@1ms+2ms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Apply(c)
+			// Each replica probes the leaf mid-outage from idle host 4 toward
+			// an idle host it owns, so the probe's whole path is charged on
+			// that replica; a drop on host 4's access link is the probe's.
+			// The targets are crashed, which takes their own access links
+			// down: a probe the fault missed dies there, visibly off leaf 0,
+			// instead of reaching a live NI.
+			for s, dst := range []netsim.NodeID{3, 8}[:c.Shards()] {
+				c.Nodes[dst].Crash()
+				net, probe := c.ShardNet(s), &netsim.Packet{Src: 4, Dst: dst, Size: 64, Control: true}
+				c.ShardEngine(s).AfterFunc(2*sim.Millisecond, func() { net.Send(probe, 0) })
+			}
+			const n = 150
+			h.drive(n, 40*sim.Microsecond)
+
+			onLeaf0 := func(name string) bool {
+				for i := 0; i < 5; i++ {
+					if name == fmt.Sprintf("h%d->leaf", i) || name == fmt.Sprintf("leaf->h%d", i) {
+						return true
+					}
+				}
+				return strings.HasPrefix(name, "leaf0->") || strings.HasSuffix(name, "->leaf0")
+			}
+			dropped := func() (leaf0 int64) {
+				for _, lc := range c.Fab.PerLinkCounters() {
+					if lc.Dropped > 0 && !onLeaf0(lc.Name) {
+						t.Fatalf("link %s dropped %d packets; only leaf 0 was down", lc.Name, lc.Dropped)
+					}
+					leaf0 += lc.Dropped
+				}
+				return leaf0
+			}
+			c.RunUntil(sim.Time(0).Add(3 * sim.Millisecond))
+			during := dropped()
+			if during <= int64(c.Shards()) {
+				t.Fatalf("leaf 0's links dropped %d packets during the outage (%d of them probes)", during, c.Shards())
+			}
+			for s := 0; s < c.Shards(); s++ {
+				for _, lc := range c.ShardNet(s).PerLinkCounters() {
+					if lc.Name == "h4->leaf" && lc.Dropped != 1 {
+						t.Fatalf("shard %d's replica dropped %d probes on %s, want 1: the leaf fault did not reach it", s, lc.Dropped, lc.Name)
+					}
+				}
+			}
+			c.RunFor(2 * sim.Second)
+			if after := dropped(); after != during {
+				t.Fatalf("%d drops after the repair", after-during)
+			}
+			if h.sent != n || h.returns != 0 {
+				t.Fatalf("sent %d/%d, %d returned; a repaired outage must be masked", h.sent, n, h.returns)
+			}
+			for id := uint64(1); id <= n; id++ {
+				if h.replies[id] != 1 {
+					t.Fatalf("id %d got %d replies, want exactly 1", id, h.replies[id])
+				}
+			}
+		})
 	}
 }

@@ -145,9 +145,6 @@ func New(e *sim.Engine, net *netsim.Network, cfg Config) *World {
 // Node returns node i's endpoint.
 func (w *World) Node(i int) *Node { return w.nodes[i] }
 
-// N returns the number of nodes.
-func (w *World) N() int { return len(w.nodes) }
-
 // Config returns the layer's cost model.
 func (w *World) Config() Config { return w.cfg }
 
@@ -281,7 +278,7 @@ func (n *Node) loop(p *sim.Proc) {
 			}
 			if len(n.recvq)+n.pendingDeposit < cfg.QueueDepth {
 				n.pendingDeposit++
-				n.w.e.Schedule(cfg.DeliverLatency, func() {
+				n.w.e.AfterFunc(cfg.DeliverLatency, func() {
 					n.pendingDeposit--
 					n.recvq = append(n.recvq, m)
 				})

@@ -272,7 +272,7 @@ func (m *Monitor) Reinstate(n int) error {
 		m.Probations++
 		m.pending[n] = true
 		gen := m.reinstGen[n]
-		m.e.Schedule(prob, func() {
+		m.e.AfterFunc(prob, func() {
 			if m.reinstGen[n] != gen || !m.pending[n] {
 				return // superseded by a re-death
 			}

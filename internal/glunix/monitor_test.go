@@ -41,7 +41,7 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	c.Nodes[2].E.Schedule(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
+	c.Nodes[2].E.AfterFunc(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
 
 	if !s.Drain(2 * sim.Second) {
 		t.Fatalf("jobs did not drain: queued=%d allocated=%d", s.Queued(), s.allocated)
@@ -85,7 +85,7 @@ func TestMonitorToleratesFirmwareReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Nodes[1].E.Schedule(30*sim.Millisecond, func() { c.Nodes[1].NIC.Reboot(2 * sim.Millisecond) })
+	c.Nodes[1].E.AfterFunc(30*sim.Millisecond, func() { c.Nodes[1].NIC.Reboot(2 * sim.Millisecond) })
 	c.RunFor(300 * sim.Millisecond)
 	if mon.Deaths != 0 {
 		t.Fatalf("monitor declared %d deaths across a 2 ms reboot", mon.Deaths)
@@ -102,7 +102,7 @@ func TestReinstateAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Nodes[2].E.Schedule(10*sim.Millisecond, func() { c.Nodes[2].Crash() })
+	c.Nodes[2].E.AfterFunc(10*sim.Millisecond, func() { c.Nodes[2].Crash() })
 	c.RunFor(200 * sim.Millisecond)
 	if !mon.Dead(2) {
 		t.Fatal("node 2 not declared dead")

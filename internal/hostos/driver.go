@@ -154,9 +154,6 @@ func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver 
 	return d
 }
 
-// NIC returns the network interface this driver manages.
-func (d *Driver) NIC() *nic.NIC { return d.nic }
-
 // Config returns the driver's cost model.
 func (d *Driver) Config() Config { return d.cfg }
 
@@ -636,7 +633,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 // queueRemapLater re-queues a remap after a short delay (frames were all
 // quiescing).
 func (d *Driver) queueRemapLater(seg *Segment) {
-	d.e.Schedule(200*sim.Microsecond, func() { d.queueRemap(seg) })
+	d.e.AfterFunc(200*sim.Microsecond, func() { d.queueRemap(seg) })
 }
 
 // Remaps reports completed endpoint loads (the §6.4.1 "re-mappings per

@@ -136,7 +136,7 @@ func (n *Node) Compute(p *sim.Proc, d sim.Duration) {
 // different one (sim.Coordinator calls its single engine directly, and that
 // is the only place that knows). Drive a cluster through the
 // Run*/Now/EngineStats methods; inside a proc or an event, time, the PRNG and
-// Schedule belong to the owning Node's engine.
+// AfterFunc belong to the owning Node's engine.
 type Cluster struct {
 	Nodes []*Node
 

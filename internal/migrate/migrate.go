@@ -243,9 +243,6 @@ func NewService(c *hostos.Cluster) (*Service, error) {
 	return s, nil
 }
 
-// Manager returns node id's migration agent.
-func (s *Service) Manager(id netsim.NodeID) *Manager { return s.mgrs[id] }
-
 // Manage registers ep with the service's registry so node-level evacuation
 // can find it; onSwap, when non-nil, is invoked with the reincarnated
 // handle after each move so the application can retarget its threads.

@@ -73,10 +73,6 @@ type Comm struct {
 	// the abort-on-dead-peer checks in Recv and in core's blocking waits.
 	inColl int
 
-	// CollAlg selects the algorithm delegated collectives use (coll.Auto —
-	// the size heuristic — unless overridden).
-	CollAlg coll.Algorithm
-
 	// Bytes counts payload bytes sent (for workload accounting).
 	BytesSent int64
 	// Reissues counts fragments re-sent after being returned undeliverable.
@@ -143,9 +139,6 @@ func NewWorld(c *hostos.Cluster, n int, nodes []int) (*World, error) {
 	}
 	return w, nil
 }
-
-// Comm returns rank i's communicator.
-func (w *World) Comm(i int) *Comm { return w.comms[i] }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.comms) }
@@ -410,9 +403,9 @@ func (c *Comm) Reduce(p *sim.Proc, root int, vec []float64, op func(a, b float64
 // delegates to the collective engine (internal/coll): small vectors keep the
 // historical binomial reduce+bcast schedule, large ones switch to
 // bandwidth-optimal pipelined algorithms (Rabenseifner, topology-aware
-// ring). Set CollAlg (or call AllreduceAlg) to pin an algorithm.
+// ring). Call AllreduceAlg to pin an algorithm.
 func (c *Comm) Allreduce(p *sim.Proc, vec []float64, op func(a, b float64) float64) ([]float64, error) {
-	return c.AllreduceAlg(p, vec, op, c.CollAlg)
+	return c.AllreduceAlg(p, vec, op, coll.Auto)
 }
 
 // Alltoall exchanges bufs[i] with every rank i and returns the received

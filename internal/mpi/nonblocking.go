@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"virtnet/internal/coll"
 	"virtnet/internal/sim"
 )
 
@@ -154,7 +155,7 @@ func (c *Comm) Allgather(p *sim.Proc, data []byte) ([][]byte, error) {
 // It delegates to the collective engine's ring reduce-scatter, so each rank
 // moves O(len/n) per step instead of materializing the full Allreduce.
 func (c *Comm) ReduceScatter(p *sim.Proc, vec []float64, op func(a, b float64) float64) ([]float64, error) {
-	return c.ReduceScatterAlg(p, vec, op, c.CollAlg)
+	return c.ReduceScatterAlg(p, vec, op, coll.Auto)
 }
 
 const (

@@ -784,7 +784,7 @@ func (n *Network) startGE(L *link, bp BurstParams) {
 			mean = bp.MeanBad
 		}
 		d := sim.Duration(n.e.Rand().ExpFloat64() * float64(mean))
-		n.e.Schedule(d, flip)
+		n.e.AfterFunc(d, flip)
 	}
 	flip = func() {
 		if L.ge != g {

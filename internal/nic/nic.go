@@ -1127,7 +1127,7 @@ func (n *NIC) completeUnload(p *sim.Proc, cmd *DriverCmd) {
 // incarnation changed in the meantime (a crash, restart, or second reboot).
 func (n *NIC) respawn(d sim.Duration) {
 	gen := n.incarnation
-	n.e.Schedule(d, func() {
+	n.e.AfterFunc(d, func() {
 		if gen != n.incarnation || n.crashed || n.stopped {
 			return
 		}

@@ -89,7 +89,7 @@ func TestProtocolAgainstModel(t *testing.T) {
 				h := int(op) % 8
 				nics[h].SubmitCmd(&DriverCmd{Op: OpUnload, EP: eps[h]})
 				hh := h
-				e.Schedule(2*sim.Millisecond, func() {
+				e.AfterFunc(2*sim.Millisecond, func() {
 					if eps[hh].State == EPHost {
 						nics[hh].SubmitCmd(&DriverCmd{Op: OpLoad, EP: eps[hh], Frame: 0})
 					}
@@ -98,7 +98,7 @@ func TestProtocolAgainstModel(t *testing.T) {
 				s := int(op) % 5
 				net.SetSpineDown(s, true)
 				ss := s
-				e.Schedule(3*sim.Millisecond, func() { net.SetSpineDown(ss, false) })
+				e.AfterFunc(3*sim.Millisecond, func() { net.SetSpineDown(ss, false) })
 			case 6, 7: // advance time and drain receivers
 				e.RunFor(sim.Duration(op%5+1) * sim.Millisecond)
 				drain()

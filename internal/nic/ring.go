@@ -14,7 +14,6 @@ func newRing[T any](capacity int) *ring[T] {
 }
 
 func (r *ring[T]) Len() int    { return r.n }
-func (r *ring[T]) Cap() int    { return len(r.buf) }
 func (r *ring[T]) Full() bool  { return r.n == len(r.buf) }
 func (r *ring[T]) Empty() bool { return r.n == 0 }
 

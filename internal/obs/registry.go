@@ -178,9 +178,9 @@ func (r *Registry) StartSampling(every sim.Duration) {
 		if full {
 			return
 		}
-		r.e.Schedule(every, tick)
+		r.e.AfterFunc(every, tick)
 	}
-	r.e.Schedule(every, tick)
+	r.e.AfterFunc(every, tick)
 }
 
 // Snaps returns the periodic snapshot timeline.

@@ -62,7 +62,6 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 				_ = c.Names()
 				if i%50 == 0 {
 					_ = r.Dashboard()
-					_ = c.String()
 				}
 			}
 		}()

@@ -91,9 +91,6 @@ func (fs *FS) Stop() {
 	}
 }
 
-// Servers reports the stripe width.
-func (fs *FS) Servers() int { return len(fs.servers) }
-
 func (s *server) register() {
 	s.rpc.Register(pCreate, func(p *sim.Proc, args []byte) ([]byte, error) {
 		name := string(args)

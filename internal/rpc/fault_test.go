@@ -27,7 +27,7 @@ func TestCallAgainstCrashedServerReturnsUnreachable(t *testing.T) {
 		_, second = cl.Call(p, 1, []byte{4, 5, 6}, 0)
 		done = true
 	})
-	c.Nodes[1].E.Schedule(5*sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.Nodes[1].E.AfterFunc(5*sim.Millisecond, func() { c.Nodes[1].Crash() })
 	c.RunFor(10 * sim.Second)
 	if !done {
 		t.Fatal("client hung on the crashed server")

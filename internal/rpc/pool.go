@@ -334,12 +334,6 @@ func (pl *Pool) CallCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx)
 	return pc.WaitTimeout(p, 0)
 }
 
-// Target reports which pool target the call was issued to.
-func (pc *PoolPending) Target() int { return pc.rb.tgt }
-
-// Deadline reports the pending call's absolute deadline (0 = none).
-func (pc *PoolPending) Deadline() sim.Time { return pc.ctx.Deadline }
-
 // unreachable reports whether the transport has given up on the call: its
 // target is dead, or its fragments ran out of retries.
 func (pc *PoolPending) unreachable() bool {

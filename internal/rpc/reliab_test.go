@@ -368,7 +368,7 @@ func TestCircuitBreakerFastFail(t *testing.T) {
 			}
 		}
 	})
-	c.Nodes[1].E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.Nodes[1].E.AfterFunc(sim.Millisecond, func() { c.Nodes[1].Crash() })
 	c.RunFor(10 * sim.Second)
 	if len(errs) != 3 {
 		t.Fatalf("got %d call results, want 3", len(errs))

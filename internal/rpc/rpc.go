@@ -246,8 +246,16 @@ func (s *Server) Register(proc int, fn Proc) {
 // nested calls so the remaining budget is inherited end to end.
 func (s *Server) RegisterCtx(proc int, fn CtxProc) { s.procs[proc] = fn }
 
-// sweepEvery paces the stale-state sweep relative to StaleAfter.
+// sweepDivisor paces the stale-state sweep relative to StaleAfter.
 const sweepDivisor = 4
+
+// maybeSweep runs Sweep when a sweep period has passed since the last one.
+func (s *Server) maybeSweep(now sim.Time) {
+	if now.Sub(s.lastSweep) >= s.opts.StaleAfter/sweepDivisor {
+		s.lastSweep = now
+		s.Sweep(now)
+	}
+}
 
 // Sweep reclaims server-side state for calls whose client went silent:
 // partially assembled callBufs that stopped receiving fragments and
@@ -283,11 +291,7 @@ func (s *Server) Sweep(now sim.Time) int {
 func (s *Server) Poll(p *sim.Proc) int {
 	n := s.ep.Poll(p)
 	s.retry.Flush(p, s.ep, nil)
-	now := p.Now()
-	if now.Sub(s.lastSweep) >= s.opts.StaleAfter/sweepDivisor {
-		s.lastSweep = now
-		s.Sweep(now)
-	}
+	s.maybeSweep(p.Now())
 	return n
 }
 
@@ -332,11 +336,7 @@ func (s *Server) Serve(p *sim.Proc, stop func() bool) {
 			// Idle tick: no event arrived, but the stale sweep must still
 			// run — a crashed client's final reply bounce otherwise parks
 			// a reissue record forever on a server nobody talks to.
-			now := p.Now()
-			if now.Sub(s.lastSweep) >= s.opts.StaleAfter/sweepDivisor {
-				s.lastSweep = now
-				s.Sweep(now)
-			}
+			s.maybeSweep(p.Now())
 			continue
 		}
 		s.Poll(p)

@@ -8,7 +8,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Microsecond, func() {})
+		e.AfterFunc(Microsecond, func() {})
 		e.Run()
 	}
 }
@@ -21,7 +21,7 @@ func BenchmarkScheduleFireFanout(b *testing.B) {
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
-			e.Schedule(Duration(j%17)*Microsecond, fn)
+			e.AfterFunc(Duration(j%17)*Microsecond, fn)
 		}
 		e.Run()
 	}
@@ -33,10 +33,11 @@ func BenchmarkTimerStopChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
 	fn := func() {}
+	t := e.NewTimer(fn)
 	for i := 0; i < b.N; i++ {
-		t := e.Schedule(100*Microsecond, fn)
+		t.Reset(100 * Microsecond)
 		t.Stop()
-		e.Schedule(Microsecond, fn)
+		e.AfterFunc(Microsecond, fn)
 		e.Run()
 	}
 }

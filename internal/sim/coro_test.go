@@ -45,7 +45,7 @@ func TestKillParkedProc(t *testing.T) {
 		kill func(e *Engine, victim *Proc, then func())
 	}{
 		{"event", func(e *Engine, victim *Proc, then func()) {
-			e.ScheduleAt(50, func() { victim.Kill(); then() })
+			e.AfterFuncAt(50, func() { victim.Kill(); then() })
 		}},
 		{"proc", func(e *Engine, victim *Proc, then func()) {
 			e.Spawn("killer", func(p *Proc) { p.Sleep(50); victim.Kill(); then() })

@@ -6,12 +6,12 @@ import (
 
 // The property test drives the timer wheel and a straightforward
 // (time, seq) min-queue reference implementation with an identical random
-// sequence of Schedule / ScheduleAt / Stop / Reset operations — including
-// timers that re-arm themselves from inside their own callback — and
-// asserts that both fire the same callbacks at the same virtual times in
-// the same order. The reference model is the engine's ordering contract in
-// its plainest form: events fire in ascending (time, seq), where seq is a
-// global counter incremented on every arm.
+// sequence of Reset / ResetAt / Stop operations — including timers that
+// re-arm themselves from inside their own callback — and asserts that both
+// fire the same callbacks at the same virtual times in the same order, with
+// the same activity counters. The reference model is the engine's ordering
+// contract in its plainest form: events fire in ascending (time, seq), where
+// seq is a global counter incremented on every arm.
 
 type refEvent struct {
 	t   Time
@@ -20,17 +20,34 @@ type refEvent struct {
 }
 
 // refModel is the reference scheduler: an unsorted list popped by linear
-// minimum scan (populations stay small enough that O(n²) is irrelevant).
+// minimum scan (populations stay small enough that O(n²) is irrelevant). Its
+// counters are what Engine.Stats must report: arms, successful stops, fires
+// and the most events ever queued at once.
 type refModel struct {
-	now Time
-	seq uint64
-	evs []refEvent
+	now   Time
+	seq   uint64
+	evs   []refEvent
+	stats Stats
 }
 
 func (m *refModel) arm(at Time, id int) uint64 {
 	m.seq++
 	m.evs = append(m.evs, refEvent{t: at, seq: m.seq, id: id})
+	m.stats.Scheduled++
+	m.stats.MaxPending = max(m.stats.MaxPending, len(m.evs))
 	return m.seq
+}
+
+// head returns the earliest queued time.
+func (m *refModel) head() (Time, bool) {
+	if len(m.evs) == 0 {
+		return 0, false
+	}
+	t := m.evs[0].t
+	for _, ev := range m.evs[1:] {
+		t = min(t, ev.t)
+	}
+	return t, true
 }
 
 // stop removes the entry armed with the given seq, reporting whether it was
@@ -40,6 +57,7 @@ func (m *refModel) stop(seq uint64) bool {
 		if m.evs[i].seq == seq {
 			m.evs[i] = m.evs[len(m.evs)-1]
 			m.evs = m.evs[:len(m.evs)-1]
+			m.stats.Cancelled++
 			return true
 		}
 	}
@@ -65,6 +83,7 @@ func (m *refModel) popMin(bound Time) (refEvent, bool) {
 	ev := m.evs[best]
 	m.evs[best] = m.evs[len(m.evs)-1]
 	m.evs = m.evs[:len(m.evs)-1]
+	m.stats.Fired++
 	return ev, true
 }
 
@@ -87,7 +106,10 @@ type propHandle struct {
 
 // driveProperty feeds one operation stream (arbitrary bytes) to both
 // schedulers and compares every observable: fire order, fire times, Stop and
-// Reset return values, and Pending counts after each run step.
+// Reset return values, and after each run step the Pending count, the
+// Scheduled/Cancelled/Fired/MaxPending counters, and NextEventBound — never
+// before the clock or after the earliest queued event, and exactly that
+// event's time when it sits in wheel level 0 or the overflow heap.
 func driveProperty(t *testing.T, data []byte) {
 	t.Helper()
 	e := NewEngine(0)
@@ -152,12 +174,27 @@ func driveProperty(t *testing.T, data []byte) {
 		if got, want := e.Pending(), len(model.evs); got != want {
 			t.Fatalf("after run to %d: Pending() = %d, reference has %d live events", bound, got, want)
 		}
+		got := e.Stats()
+		if want := model.stats; got.Scheduled != want.Scheduled || got.Cancelled != want.Cancelled ||
+			got.Fired != want.Fired || got.MaxPending != want.MaxPending {
+			t.Fatalf("after run to %d: Stats %+v, reference scheduled %d cancelled %d fired %d max pending %d",
+				bound, got, want.Scheduled, want.Cancelled, want.Fired, want.MaxPending)
+		}
+		nb, ok := e.NextEventBound()
+		head, live := model.head()
+		exact := e.lowestSlot(0) >= 0 || e.wheelLive == 0
+		switch {
+		case ok != live:
+			t.Fatalf("after run to %d: NextEventBound ok=%v, reference has %d live events", bound, ok, len(model.evs))
+		case ok && (nb < e.Now() || nb > head || exact && nb != head):
+			t.Fatalf("after run to %d: NextEventBound %d, clock %d, earliest event %d (exact=%v)", bound, nb, e.Now(), head, exact)
+		}
 	}
 
 	steps := 0
 	for pos < len(data) {
 		switch next() % 8 {
-		case 0, 1: // one-shot Schedule
+		case 0, 1: // one-shot Reset
 			d := dur()
 			h := &propHandle{id: nextID}
 			nextID++
@@ -166,7 +203,7 @@ func driveProperty(t *testing.T, data []byte) {
 			h.modSeq = model.arm(model.now.Add(d), h.id)
 			handles = append(handles, h)
 			byID[h.id] = h
-		case 2: // one-shot ScheduleAt
+		case 2: // one-shot ResetAt
 			d := dur()
 			h := &propHandle{id: nextID}
 			nextID++

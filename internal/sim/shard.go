@@ -125,9 +125,6 @@ func (c *Coordinator) Shards() int { return len(c.engines) }
 // Engine returns shard i's engine.
 func (c *Coordinator) Engine(i int) *Engine { return c.engines[i] }
 
-// Window returns the lookahead window.
-func (c *Coordinator) Window() Duration { return c.window }
-
 // Now returns the coordinator's virtual time: the last barrier reached.
 // Individual engines share this clock at every barrier.
 func (c *Coordinator) Now() Time {

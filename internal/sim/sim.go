@@ -138,10 +138,10 @@ func (h *overHeap) Pop() any {
 	return ev
 }
 
-// Timer is a handle to a scheduled callback. Timers returned by Schedule and
-// ScheduleAt are armed one-shots; NewTimer returns an unarmed reusable timer
-// whose Reset re-arms without allocating, which is what retransmit,
-// heartbeat, and timeout paths want.
+// Timer is a reusable, cancellable callback: NewTimer returns it unarmed and
+// Reset/ResetAt arm it without allocating, which is what retransmit,
+// heartbeat, and timeout paths want. (Fire-and-forget callbacks use
+// AfterFunc/AfterFuncAt; those are the only two ways to arm an event.)
 type Timer struct {
 	e   *Engine
 	fn  func()
@@ -169,7 +169,7 @@ func (t *Timer) Stop() bool {
 
 // Reset arms the timer to fire at Now()+d, cancelling any pending arm first.
 // The new arm takes a fresh position in the (time, seq) order, exactly as if
-// it had been freshly Scheduled. It reports whether the timer was armed.
+// it had been freshly armed. It reports whether the timer was armed.
 func (t *Timer) Reset(d Duration) bool {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: timer reset with negative delay %v", d))
@@ -372,31 +372,9 @@ func (e *Engine) lowestSlot(level int) int {
 	return -1
 }
 
-// Schedule arranges for fn to run at Now()+d. It returns a Timer that can
-// cancel the callback. Scheduling in the past panics.
-func (e *Engine) Schedule(d Duration, fn func()) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: schedule with negative delay %v", d))
-	}
-	t := &Timer{e: e, fn: fn}
-	t.ev = e.armEvent(e.now.Add(d), fn)
-	t.gen = t.ev.gen
-	return t
-}
-
-// ScheduleAt arranges for fn to run at absolute time t (>= Now()).
-func (e *Engine) ScheduleAt(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at past time %d (now %d)", t, e.now))
-	}
-	tm := &Timer{e: e, fn: fn}
-	tm.ev = e.armEvent(t, fn)
-	tm.gen = tm.ev.gen
-	return tm
-}
-
-// AfterFunc arranges for fn to run at Now()+d with no cancellation handle —
-// the allocation-free choice for fire-and-forget callbacks.
+// AfterFunc arranges for fn to run at Now()+d with no cancellation handle;
+// a callback that may need cancelling or re-arming takes a Timer instead.
+// Scheduling in the past panics.
 func (e *Engine) AfterFunc(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: schedule with negative delay %v", d))
@@ -485,10 +463,7 @@ func (e *Engine) stepBounded(bound Time) bool {
 			if fs := top.t &^ (1<<(4*wheelBits) - 1); fs > e.now {
 				e.now = fs
 			}
-			for len(e.over) > 0 && e.over[0].t>>(4*wheelBits) == e.now>>(4*wheelBits) {
-				ev := heap.Pop(&e.over).(*event)
-				e.insert(ev)
-			}
+			e.pullOverflow()
 			continue
 		}
 		if s := e.lowestSlot(0); s >= 0 {
@@ -528,18 +503,33 @@ func (e *Engine) stepBounded(bound Time) bool {
 			if fs := min.t &^ (1<<shift - 1); fs > e.now {
 				e.now = fs
 			}
-			head := l.head
-			l.head, l.tail = nil, nil
-			e.occ[level][s>>6] &^= 1 << (uint(s) & 63)
-			for ev := head; ev != nil; {
-				next := ev.next
-				ev.prev, ev.next = nil, nil
-				e.wheelLive--
-				e.insert(ev)
-				ev = next
-			}
+			e.relevel(level, uint8(s))
 			break
 		}
+	}
+}
+
+// relevel empties wheel slot s of level and reinserts each of its events
+// relative to the current clock, in list order.
+func (e *Engine) relevel(level int, s uint8) {
+	l := &e.wheel[level][s]
+	head := l.head
+	l.head, l.tail = nil, nil
+	e.occ[level][s>>6] &^= 1 << (s & 63)
+	for ev := head; ev != nil; {
+		next := ev.next
+		ev.prev, ev.next = nil, nil
+		e.wheelLive--
+		e.insert(ev)
+		ev = next
+	}
+}
+
+// pullOverflow moves every overflow event whose top-level frame the clock
+// has entered into the wheel, earliest first.
+func (e *Engine) pullOverflow() {
+	for len(e.over) > 0 && e.over[0].t>>(4*wheelBits) == e.now>>(4*wheelBits) {
+		e.insert(heap.Pop(&e.over).(*event))
 	}
 }
 
@@ -564,24 +554,11 @@ func (e *Engine) advanceTo(t Time) {
 	for level := wheelLevels - 1; level >= 1; level-- {
 		shift := uint(level) * wheelBits
 		s := uint8((t >> shift) & wheelMask)
-		l := &e.wheel[level][s]
-		if l.head == nil || l.head.t>>shift != t>>shift {
-			continue
-		}
-		head := l.head
-		l.head, l.tail = nil, nil
-		e.occ[level][s>>6] &^= 1 << (s & 63)
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.prev, ev.next = nil, nil
-			e.wheelLive--
-			e.insert(ev)
-			ev = next
+		if l := &e.wheel[level][s]; l.head != nil && l.head.t>>shift == t>>shift {
+			e.relevel(level, s)
 		}
 	}
-	for len(e.over) > 0 && e.over[0].t>>(4*wheelBits) == t>>(4*wheelBits) {
-		e.insert(heap.Pop(&e.over).(*event))
-	}
+	e.pullOverflow()
 }
 
 // RunUntil processes events with time <= t, then advances the clock to t.

@@ -8,9 +8,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.AfterFunc(30, func() { got = append(got, 3) })
+	e.AfterFunc(10, func() { got = append(got, 1) })
+	e.AfterFunc(20, func() { got = append(got, 2) })
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -25,7 +25,7 @@ func TestTieBreakBySequence(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.AfterFunc(5, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -38,7 +38,8 @@ func TestTieBreakBySequence(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	tm := e.Schedule(10, func() { fired = true })
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(10)
 	if !tm.Stop() {
 		t.Fatal("Stop returned false on pending timer")
 	}
@@ -56,7 +57,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Duration{5, 15, 25} {
 		d := d
-		e.Schedule(d, func() { fired = append(fired, e.Now()) })
+		e.AfterFunc(d, func() { fired = append(fired, e.Now()) })
 	}
 	e.RunUntil(15)
 	if len(fired) != 2 {
@@ -80,7 +81,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("no panic on negative delay")
 		}
 	}()
-	NewEngine(1).Schedule(-1, func() {})
+	NewEngine(1).AfterFunc(-1, func() {})
 }
 
 func TestProcSleep(t *testing.T) {
@@ -307,7 +308,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []Time
 		var max Time
 		for _, d := range delays {
-			e.Schedule(Duration(d), func() { fired = append(fired, e.Now()) })
+			e.AfterFunc(Duration(d), func() { fired = append(fired, e.Now()) })
 			if Time(d) > max {
 				max = Time(d)
 			}
@@ -377,8 +378,8 @@ func TestDurationString(t *testing.T) {
 func TestScheduleAt(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.Schedule(10, func() {
-		e.ScheduleAt(25, func() { at = e.Now() })
+	e.AfterFunc(10, func() {
+		e.AfterFuncAt(25, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 25 {
@@ -388,20 +389,21 @@ func TestScheduleAt(t *testing.T) {
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(10, func() {
+	e.AfterFunc(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("no panic scheduling in the past")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		e.AfterFuncAt(5, func() {})
 	})
 	e.Run()
 }
 
 func TestTimerStopAfterFire(t *testing.T) {
 	e := NewEngine(1)
-	tm := e.Schedule(5, func() {})
+	tm := e.NewTimer(func() {})
+	tm.Reset(5)
 	e.Run()
 	if tm.Stop() {
 		t.Fatal("Stop after fire returned true")
@@ -411,7 +413,8 @@ func TestTimerStopAfterFire(t *testing.T) {
 func TestRunForSkipsCancelled(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	tm := e.Schedule(5, func() { fired = true })
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(5)
 	tm.Stop()
 	e.RunFor(10)
 	if fired {
@@ -456,7 +459,7 @@ func TestEngineCurDuringProc(t *testing.T) {
 	p := e.Spawn("me", func(p *Proc) {
 		inside = e.Cur()
 	})
-	e.Schedule(1, func() { outside = e.Cur() })
+	e.AfterFunc(1, func() { outside = e.Cur() })
 	e.Run()
 	if inside != p {
 		t.Fatal("Cur() inside proc != the proc")
@@ -522,6 +525,25 @@ func TestCondWakeCycleAllocFree(t *testing.T) {
 	}
 }
 
+// A fire-and-forget arm → fire cycle takes its event from the pool and
+// returns it: no handle, no allocation.
+func TestAfterFuncArmFireAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	fn := func() { fired++ }
+	cycle := func() {
+		e.AfterFunc(Microsecond, fn)
+		e.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("AfterFunc arm → fire allocates %.2f times, want 0", avg)
+	}
+	if fired != 102 {
+		t.Fatalf("fired %d times, want 102", fired)
+	}
+}
+
 // Park leaves the proc suspended until WakeAt arms its wakeup; the wakeup can
 // be moved earlier or later, or withdrawn, while the proc is parked, and none
 // of it allocates.
@@ -539,11 +561,11 @@ func TestParkWakeAt(t *testing.T) {
 		t.Fatalf("parked proc woke unarmed at %v", woke)
 	}
 	p.WakeAt(500)
-	e.ScheduleAt(200, func() { p.WakeAt(300) })   // earlier
-	e.ScheduleAt(250, func() { p.WakeAt(400) })   // later again
-	e.ScheduleAt(700, func() { p.WakeAt(900) })   // next park
-	e.ScheduleAt(750, func() { p.Unwake() })      // withdrawn
-	e.ScheduleAt(1000, func() { p.WakeAt(1000) }) // now
+	e.AfterFuncAt(200, func() { p.WakeAt(300) })   // earlier
+	e.AfterFuncAt(250, func() { p.WakeAt(400) })   // later again
+	e.AfterFuncAt(700, func() { p.WakeAt(900) })   // next park
+	e.AfterFuncAt(750, func() { p.Unwake() })      // withdrawn
+	e.AfterFuncAt(1000, func() { p.WakeAt(1000) }) // now
 	e.RunUntil(2000)
 	if len(woke) != 2 || woke[0] != 400 || woke[1] != 1000 {
 		t.Fatalf("woke at %v, want [400 1000]", woke)

@@ -47,7 +47,7 @@ func TestCrashedPeerBreaksStream(t *testing.T) {
 		closeErr = conn.Close(p)
 		done = true
 	})
-	c.Nodes[1].E.Schedule(2*sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.Nodes[1].E.AfterFunc(2*sim.Millisecond, func() { c.Nodes[1].Crash() })
 	c.RunFor(10 * sim.Second)
 	if !done {
 		t.Fatal("client hung on the crashed peer")
@@ -107,7 +107,7 @@ func TestStreamSurvivesFirmwareReboot(t *testing.T) {
 		clientErr = conn.Err()
 		done = true
 	})
-	c.Nodes[0].E.Schedule(sim.Millisecond, func() { c.Nodes[0].NIC.Reboot(2 * sim.Millisecond) })
+	c.Nodes[0].E.AfterFunc(sim.Millisecond, func() { c.Nodes[0].NIC.Reboot(2 * sim.Millisecond) })
 	c.RunFor(10 * sim.Second)
 	if !done || clientErr != nil {
 		t.Fatalf("stream broke across a benign reboot: done=%v err=%v", done, clientErr)

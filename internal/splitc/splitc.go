@@ -142,9 +142,6 @@ func (w *World) Run(fn func(p *sim.Proc, r *Rank), maxTime sim.Duration) bool {
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.rank }
 
-// World returns the world this rank belongs to.
-func (r *Rank) World() *World { return r.w }
-
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.Size() }
 

@@ -32,8 +32,8 @@ type Counters struct {
 }
 
 // Counter is a handle on one counter of a set: a hot path resolves it once
-// and increments without hashing the name. A handle enters Names, Snapshot
-// and String at its first Inc or Add (of any amount, zero included), exactly
+// and increments without hashing the name. A handle enters Names and
+// Snapshot at its first Inc or Add (of any amount, zero included), exactly
 // as a name does, so resolving handles up front adds no keys.
 type Counter struct {
 	set  *Counters
@@ -163,17 +163,6 @@ func (c *Counters) Snapshot() []CounterKV {
 	return out
 }
 
-// String renders all counters, one per line, in first-touch order.
-func (c *Counters) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var b strings.Builder
-	for _, h := range c.order {
-		fmt.Fprintf(&b, "%-32s %12d\n", h.name, h.n)
-	}
-	return b.String()
-}
-
 // Hist is a histogram over sim.Duration samples. It keeps every raw sample
 // (the experiments record at most a few hundred thousand), so quantiles are
 // exact and modality analysis is available.
@@ -254,18 +243,6 @@ func (h *Hist) Mean() sim.Duration {
 // Min and Max return the extreme samples.
 func (h *Hist) Min() sim.Duration { return h.min }
 func (h *Hist) Max() sim.Duration { return h.max }
-
-// Summary renders the histogram on one line: sample count, mean, median,
-// p99, p999, and stream extremes. With no samples it says so instead of
-// emitting zero-division garbage — fault experiments legitimately produce
-// empty histograms (e.g. "latency of requests answered during the outage").
-func (h *Hist) Summary() string {
-	if len(h.samples) == 0 {
-		return "n=0 (no samples)"
-	}
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v min=%v max=%v",
-		len(h.samples), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.min, h.max)
-}
 
 // BimodalSplit splits samples around threshold and returns the fraction and
 // mean of each mode. The §6.4.1 analysis uses this to show that requests
@@ -371,16 +348,4 @@ func (tl *Timeline) Rates() []float64 {
 		out[i] = v / w
 	}
 	return out
-}
-
-// String renders the per-bucket rates on one line.
-func (tl *Timeline) String() string {
-	var b strings.Builder
-	for i, r := range tl.Rates() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%.0f", r)
-	}
-	return b.String()
 }

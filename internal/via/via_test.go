@@ -264,7 +264,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	vb.Connect(an, ak)
 	src := na.RegisterMemory([]byte("doomed"))
 
-	c.Nodes[1].E.Schedule(sim.Millisecond, func() { c.Nodes[1].Crash() })
+	c.Nodes[1].E.AfterFunc(sim.Millisecond, func() { c.Nodes[1].Crash() })
 	var comp Completion
 	got := false
 	c.Nodes[0].Spawn("send", func(p *sim.Proc) {
