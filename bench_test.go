@@ -211,11 +211,16 @@ func BenchmarkAblationChannels1(b *testing.B) {
 	b.ReportMetric(r.AggregateMsgs, "msgs/s")
 }
 
-// Ablation: disable the WRR loiter bound.
+// Ablation: disable the WRR loiter bound, so a bulk hog starves a pinging
+// endpoint on the same NI.
 func BenchmarkAblationLoiterOff(b *testing.B) {
 	b.ReportAllocs()
-	r := csRun(b, bench.CSConfig{Clients: 8, Mode: bench.ST, Frames: 96, NoLoiter: true})
-	b.ReportMetric(r.AggregateMsgs, "msgs/s")
+	var r bench.LoiterResult
+	for i := 0; i < b.N; i++ {
+		r = bench.RunLoiterAblation(true, int64(i+1))
+	}
+	b.ReportMetric(r.BulkMBps, "hog_MB/s")
+	b.ReportMetric(float64(r.PingCount), "pings")
 }
 
 // §8 extension: adaptive RTT-based retransmission timers vs the fixed base,

@@ -91,9 +91,7 @@ func main() {
 func newDaemon(seed int64, nodes, overcommit int) *ctlplane.Server {
 	c := hostos.NewCluster(seed, nodes, hostos.DefaultClusterConfig())
 	c.EnableObs(obs.Options{})
-	cfg := vnet.DefaultConfig()
-	cfg.Overcommit = overcommit
-	return ctlplane.NewServer(vnet.NewManager(c, cfg))
+	return ctlplane.NewServer(vnet.NewManager(c, overcommit))
 }
 
 // call is one request line awaiting execution; reply receives the response.

@@ -347,7 +347,7 @@ func TestOneShardLayersRefuseAShardedCluster(t *testing.T) {
 		{"splitc.NewWorld", func() error { _, err := splitc.NewWorld(cl, 16, 1024, nil); return err }},
 		{"migrate.NewService", func() error { _, err := migrate.NewService(cl); return err }},
 		{"glunix.NewMonitor", func() error {
-			_, err := glunix.NewMonitor(cl, glunix.NewScheduler(cl), nil, 0, glunix.DefaultMonitorConfig())
+			_, err := glunix.NewMonitor(cl, glunix.NewScheduler(cl), nil, 0)
 			return err
 		}},
 	} {

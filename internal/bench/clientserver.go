@@ -54,8 +54,6 @@ type CSConfig struct {
 	Policy hostos.ReplacementPolicy
 	// Channels overrides the logical channel count (ablation; 0 = default).
 	Channels int
-	// NoLoiter disables the loiter bound (ablation).
-	NoLoiter bool
 	// HandlerWork is the server's per-request processing time (the paper's
 	// server "processes requests"; default 6 us).
 	HandlerWork sim.Duration
@@ -90,10 +88,6 @@ func RunClientServer(cfg CSConfig) CSResult {
 	ccfg.NIC.Frames = cfg.Frames
 	if cfg.Channels > 0 {
 		ccfg.NIC.Channels = cfg.Channels
-	}
-	if cfg.NoLoiter {
-		ccfg.NIC.LoiterMsgs = 1 << 30
-		ccfg.NIC.LoiterTime = 1 << 40
 	}
 	ccfg.OS.DisableHostRW = cfg.DisableHostRW
 	ccfg.OS.Policy = cfg.Policy

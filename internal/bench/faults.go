@@ -72,7 +72,7 @@ func faultsRow(w io.Writer, p Params) error {
 	if err != nil {
 		return fmt.Errorf("migration service: %w", err)
 	}
-	mon, err := glunix.NewMonitor(c, sched, svc.Dir, homeNode, glunix.DefaultMonitorConfig())
+	mon, err := glunix.NewMonitor(c, sched, svc.Dir, homeNode)
 	if err != nil {
 		return fmt.Errorf("health monitor: %w", err)
 	}

@@ -410,9 +410,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 // latency on a co-resident tenant.
 func serveNoiseTenant(c *hostos.Cluster, cfg ServeConfig, stop func() bool) error {
 	const perNode = 6 // noise endpoints per serving node (8 frames/NI)
-	ncfg := vnet.DefaultConfig()
-	ncfg.Overcommit = 2
-	mgr := vnet.NewManager(c, ncfg)
+	mgr := vnet.NewManager(c, 2)
 	tn, err := mgr.CreateTenant("noise", 2*perNode*cfg.Servers, 1)
 	if err != nil {
 		return err

@@ -37,9 +37,7 @@ func tenantsRow(w io.Writer, p Params) error {
 	c := hostos.NewCluster(p.Seed, 8, cc)
 	defer c.Shutdown()
 	c.EnableObs(obs.Options{})
-	cfg := vnet.DefaultConfig()
-	cfg.Overcommit = 2 // node cap = 8 frames × 2 = 16 endpoints
-	m := vnet.NewManager(c, cfg)
+	m := vnet.NewManager(c, 2) // node cap = 8 frames × 2 = 16 endpoints
 	srv := ctlplane.NewServer(m)
 
 	// A control-plane op that fails fails the row; the ops after it still

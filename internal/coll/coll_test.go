@@ -229,6 +229,34 @@ func TestSelectHeuristic(t *testing.T) {
 	}
 }
 
+// TestAutoRunsTheSelectedAlgorithm: Auto is a name for whichever algorithm
+// Select picks, not a schedule of its own, so it completes at the same
+// virtual instant. vnbench allreduce prints the selected column's time in
+// its auto column on the strength of this.
+func TestAutoRunsTheSelectedAlgorithm(t *testing.T) {
+	const n = 8
+	finish := func(bytes int, alg coll.Algorithm) sim.Time {
+		w := newWorld(t, n)
+		var last sim.Time
+		ok := w.Run(func(p *sim.Proc, c *mpi.Comm) {
+			if _, err := c.AllreduceAlg(p, testVec(c.Rank(), bytes/8), mpi.OpSum, alg); err != nil {
+				t.Errorf("rank %d %v: %v", c.Rank(), alg, err)
+			}
+			last = max(last, p.Now())
+		}, 30*sim.Second)
+		if !ok {
+			t.Fatalf("%v at %d bytes: ranks did not complete", alg, bytes)
+		}
+		return last
+	}
+	for _, bytes := range []int{1 << 10, 64 << 10, 512 << 10} {
+		sel := coll.Select(n, bytes, true)
+		if auto, want := finish(bytes, coll.Auto), finish(bytes, sel); auto != want {
+			t.Errorf("%d bytes: auto finished at %v, %v (selected) at %v", bytes, auto, sel, want)
+		}
+	}
+}
+
 // TestAllreduceFaultAbort is the no-hang guarantee: a 16-rank allreduce
 // with a fault.Plan crashing one node mid-operation must surface
 // mpi.ErrUnreachable on every surviving rank within bounded virtual time.

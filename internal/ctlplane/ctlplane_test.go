@@ -12,7 +12,7 @@ import (
 
 func newServer(seed int64) *Server {
 	c := hostos.NewCluster(seed, 4, hostos.DefaultClusterConfig())
-	return NewServer(vnet.NewManager(c, vnet.DefaultConfig()))
+	return NewServer(vnet.NewManager(c, 4))
 }
 
 // session is a full tenant lifecycle: create → endpoints → traffic → fault →

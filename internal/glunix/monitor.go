@@ -1,8 +1,6 @@
 package glunix
 
 import (
-	"fmt"
-
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/netsim"
@@ -24,41 +22,27 @@ type NameService interface {
 	DropNode(node netsim.NodeID) int
 }
 
-// MonitorConfig tunes failure detection.
-type MonitorConfig struct {
-	// Interval is the heartbeat period.
-	Interval sim.Duration
-	// Misses is how many consecutive missed beats declare a node dead. The
-	// silence threshold Interval×Misses must exceed benign outages (an NI
-	// firmware reboot) or the monitor false-positives.
-	Misses int
-	// Key protects the heartbeat endpoints' virtual network.
-	Key core.Key
+// Failure detection. Every beatInterval each node beats; beatMisses missed
+// beats in a row (50 ms of silence, an order of magnitude past the default
+// firmware-reboot outage) declare it dead. The silence threshold must exceed
+// benign outages or the monitor false-positives. beatKey protects the
+// heartbeat endpoints' virtual network.
+//
+// Flap damping. A node that dies again within flapWindow of its last
+// reinstatement is flapping; each such death doubles the probation its next
+// Reinstate must sit out (probationBase growing to probationMax) before the
+// node is republished to the scheduler and name service. Without damping a
+// flapping node makes the whole cluster churn: every death requeues its gang
+// jobs and every reinstate re-places them, at the flap frequency.
+const (
+	beatInterval          = 10 * sim.Millisecond
+	beatMisses            = 5
+	beatKey      core.Key = 0x68656274 // "hebt"
 
-	// Flap damping. A node that dies again within FlapWindow of its last
-	// reinstatement is flapping; each such death doubles the probation its
-	// next Reinstate must sit out (ProbationBase growing to ProbationMax)
-	// before the node is republished to the scheduler and name service.
-	// Without damping a flapping node makes the whole cluster churn: every
-	// death requeues its gang jobs and every reinstate re-places them, at
-	// the flap frequency. FlapWindow == 0 disables damping.
-	FlapWindow    sim.Duration
-	ProbationBase sim.Duration
-	ProbationMax  sim.Duration
-}
-
-// DefaultMonitorConfig: 10 ms beats, dead after 5 missed (50 ms of silence —
-// an order of magnitude past the default firmware-reboot outage). Flap
-// damping on: a re-death within 500 ms of reinstatement starts probation at
-// 100 ms, doubling to a 5 s ceiling.
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		Interval: 10 * sim.Millisecond, Misses: 5, Key: 0x68656274, // "hebt"
-		FlapWindow:    500 * sim.Millisecond,
-		ProbationBase: 100 * sim.Millisecond,
-		ProbationMax:  5 * sim.Second,
-	}
-}
+	flapWindow    = 500 * sim.Millisecond
+	probationBase = 100 * sim.Millisecond
+	probationMax  = 5 * sim.Second
+)
 
 // Monitor is the GLUnix health service: every node runs a beater thread
 // that sends an Active Message heartbeat to the master each interval; the
@@ -73,7 +57,6 @@ type Monitor struct {
 	e     *sim.Engine // the home node's: the master's clock and timers
 	sched *Scheduler
 	names NameService
-	cfg   MonitorConfig
 	home  int
 
 	master   *core.Endpoint
@@ -82,7 +65,7 @@ type Monitor struct {
 	beatGen  []int // per-node beater generation; stale beaters retire themselves
 	onDead   []func(p *sim.Proc, node int)
 
-	// Flap damping state (see MonitorConfig).
+	// Flap damping state (see flapWindow).
 	lastReinst []sim.Time     // when each node was last reinstated (0: never)
 	probation  []sim.Duration // current probation before the next reinstate
 	reinstGen  []int          // cancels a pending delayed reinstate on re-death
@@ -101,19 +84,15 @@ type Monitor struct {
 // except home; the master scan thread runs on home. The master's tables (and
 // the scheduler's free list behind them) are written from every node's
 // threads, so a cluster of more than one shard gets hostos.ErrSharded.
-func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int, cfg MonitorConfig) (*Monitor, error) {
+func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int) (*Monitor, error) {
 	if err := c.OneShard("glunix: monitor"); err != nil {
 		return nil, err
-	}
-	if cfg.Interval <= 0 || cfg.Misses <= 0 {
-		return nil, fmt.Errorf("glunix: bad monitor config %+v", cfg)
 	}
 	m := &Monitor{
 		c:          c,
 		e:          c.Nodes[home].E,
 		sched:      sched,
 		names:      names,
-		cfg:        cfg,
 		home:       home,
 		lastBeat:   make([]sim.Time, len(c.Nodes)),
 		deadN:      make([]bool, len(c.Nodes)),
@@ -128,7 +107,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 		m.lastBeat[i] = now
 	}
 	bun := core.Attach(c.Nodes[home])
-	master, err := bun.NewEndpoint(cfg.Key, 4)
+	master, err := bun.NewEndpoint(beatKey, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +131,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 		}
 	}
 	c.Nodes[home].Spawn("healthmon", func(p *sim.Proc) {
-		silence := m.cfg.Interval * sim.Duration(m.cfg.Misses)
+		const silence = beatInterval * beatMisses
 		for {
 			m.master.Poll(p)
 			now := p.Now()
@@ -164,7 +143,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 					m.declareDead(n)
 				}
 			}
-			p.Sleep(m.cfg.Interval / 2)
+			p.Sleep(beatInterval / 2)
 		}
 	})
 	return m, nil
@@ -175,7 +154,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 func (m *Monitor) startBeater(i int) error {
 	node := m.c.Nodes[i]
 	bun := core.Attach(node)
-	ep, err := bun.NewEndpoint(m.cfg.Key, 4)
+	ep, err := bun.NewEndpoint(beatKey, 4)
 	if err != nil {
 		return err
 	}
@@ -186,7 +165,7 @@ func (m *Monitor) startBeater(i int) error {
 		// The master is unreachable from here; keep beating — the fabric may
 		// recover, and the master judges us, not the reverse.
 	})
-	if err := ep.Map(0, m.master.Name(), m.cfg.Key); err != nil {
+	if err := ep.Map(0, m.master.Name(), beatKey); err != nil {
 		return err
 	}
 	// Generation guard: a node declared dead across a network partition (as
@@ -199,10 +178,10 @@ func (m *Monitor) startBeater(i int) error {
 	node.Spawn("beater", func(p *sim.Proc) {
 		for m.beatGen[i] == gen {
 			_ = ep.Request(p, 0, hBeat, [4]uint64{uint64(i)})
-			next := p.Now().Add(m.cfg.Interval)
+			next := p.Now().Add(beatInterval)
 			for p.Now() < next && m.beatGen[i] == gen {
 				ep.Poll(p)
-				p.Sleep(m.cfg.Interval / 4)
+				p.Sleep(beatInterval / 4)
 			}
 		}
 		bun.Close(p)
@@ -217,15 +196,15 @@ func (m *Monitor) declareDead(n int) {
 	m.reinstGen[n]++ // cancel any pending delayed reinstate
 	m.pending[n] = false
 	now := m.e.Now()
-	if m.cfg.FlapWindow > 0 && m.lastReinst[n] > 0 && now.Sub(m.lastReinst[n]) <= m.cfg.FlapWindow {
+	if m.lastReinst[n] > 0 && now.Sub(m.lastReinst[n]) <= flapWindow {
 		// Died again right after coming back: flapping. Double the probation
 		// its next reinstatement must wait out.
-		if m.probation[n] < m.cfg.ProbationBase {
-			m.probation[n] = m.cfg.ProbationBase
-		} else if m.probation[n] < m.cfg.ProbationMax {
+		if m.probation[n] < probationBase {
+			m.probation[n] = probationBase
+		} else if m.probation[n] < probationMax {
 			m.probation[n] *= 2
-			if m.probation[n] > m.cfg.ProbationMax {
-				m.probation[n] = m.cfg.ProbationMax
+			if m.probation[n] > probationMax {
+				m.probation[n] = probationMax
 			}
 		}
 	} else {

@@ -24,7 +24,7 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 	defer c.Shutdown()
 	s := NewScheduler(c)
 	names := &fakeNames{}
-	mon, err := NewMonitor(c, s, names, 0, DefaultMonitorConfig())
+	mon, err := NewMonitor(c, s, names, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 func TestMonitorToleratesFirmwareReboot(t *testing.T) {
 	c := hostos.NewCluster(5, 4, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
-	mon, err := NewMonitor(c, nil, nil, 0, DefaultMonitorConfig())
+	mon, err := NewMonitor(c, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestReinstateAfterRestart(t *testing.T) {
 	c := hostos.NewCluster(11, 3, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
 	s := NewScheduler(c)
-	mon, err := NewMonitor(c, s, nil, 0, DefaultMonitorConfig())
+	mon, err := NewMonitor(c, s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReinstateAfterRestart(t *testing.T) {
 func TestReinstateRedeathAfterPartition(t *testing.T) {
 	c := hostos.NewCluster(13, 3, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
-	mon, err := NewMonitor(c, nil, nil, 0, DefaultMonitorConfig())
+	mon, err := NewMonitor(c, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReinstateRedeathAfterPartition(t *testing.T) {
 	if err := mon.Reinstate(2); err != nil {
 		t.Fatal(err)
 	}
-	c.RunFor(100*sim.Millisecond + DefaultMonitorConfig().ProbationBase)
+	c.RunFor(100*sim.Millisecond + probationBase)
 	if mon.Dead(2) {
 		t.Fatal("second reinstate did not stick")
 	}
@@ -200,12 +200,12 @@ const time500ms = 500 * sim.Millisecond
 // runFlapper drives a hostile flap loop against node 2 for the given span:
 // partition until declared dead, heal and reinstate, wait for republish,
 // flap again after a token uptime. Returns the monitor for inspection.
-func runFlapper(t *testing.T, seed int64, cfg MonitorConfig, span sim.Duration) (*Monitor, *Scheduler) {
+func runFlapper(t *testing.T, seed int64, span sim.Duration) (*Monitor, *Scheduler) {
 	t.Helper()
 	c := hostos.NewCluster(seed, 3, hostos.DefaultClusterConfig())
 	t.Cleanup(c.Shutdown)
 	s := NewScheduler(c)
-	mon, err := NewMonitor(c, s, nil, 0, cfg)
+	mon, err := NewMonitor(c, s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,33 +239,23 @@ func runFlapper(t *testing.T, seed int64, cfg MonitorConfig, span sim.Duration) 
 	return mon, s
 }
 
-// TestFlapDampingBoundsRequeueChurn: a flapping node with damping disabled
-// churns the scheduler at the flap frequency; with the default exponential
-// probation the same hostile flapper causes a small, bounded number of
-// death/requeue cycles over the same span.
-func TestFlapDampingBoundsRequeueChurn(t *testing.T) {
-	span := 3 * sim.Second
-	undampedCfg := DefaultMonitorConfig()
-	undampedCfg.FlapWindow = 0
-	undamped, us := runFlapper(t, 21, undampedCfg, span)
-	damped, ds := runFlapper(t, 21, DefaultMonitorConfig(), span)
-
-	if undamped.Deaths < 10 {
-		t.Fatalf("flapper too tame: undamped deaths = %d", undamped.Deaths)
+// TestFlapProbationBoundsRequeueChurn: a hostile flapper re-partitions node
+// 2 10 ms after every reinstatement. Undamped, that is a death and a gang
+// requeue every ~80 ms. With probation doubling from probationBase, the
+// probations alone (0, 100, 200, 400, 800, 1600 ms) outlast the 3 s span by
+// the seventh death, so at most six fit, each requeueing the gang once.
+func TestFlapProbationBoundsRequeueChurn(t *testing.T) {
+	mon, s := runFlapper(t, 21, 3*sim.Second)
+	if mon.Deaths < 2 || mon.Deaths > 6 {
+		t.Fatalf("deaths = %d, want 2-6: the flapper must flap, and probation must hold it down", mon.Deaths)
 	}
-	if damped.Deaths*2 > undamped.Deaths {
-		t.Fatalf("damping ineffective: %d deaths vs %d undamped", damped.Deaths, undamped.Deaths)
+	if s.Requeued > mon.Deaths {
+		t.Fatalf("requeues = %d for %d deaths", s.Requeued, mon.Deaths)
 	}
-	if ds.Requeued*2 > us.Requeued {
-		t.Fatalf("requeue churn not bounded: %d vs %d undamped", ds.Requeued, us.Requeued)
-	}
-	if damped.Probations == 0 {
+	if mon.Probations == 0 {
 		t.Fatal("no reinstatement was ever put on probation")
 	}
-	if damped.Probation(2) < 2*DefaultMonitorConfig().ProbationBase {
-		t.Fatalf("probation did not grow: %v", damped.Probation(2))
-	}
-	if undamped.Probations != 0 {
-		t.Fatalf("undamped monitor took probations: %d", undamped.Probations)
+	if mon.Probation(2) < 2*probationBase {
+		t.Fatalf("probation did not grow: %v", mon.Probation(2))
 	}
 }

@@ -6,37 +6,25 @@ import (
 	"virtnet/internal/sim"
 )
 
-// BackoffConfig shapes deterministic exponential backoff.
-type BackoffConfig struct {
-	// Base is the nominal delay before the first retry (default 100 µs).
-	Base sim.Duration
-	// Cap bounds the exponential growth (default 20 ms).
-	Cap sim.Duration
-}
-
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.Base <= 0 {
-		c.Base = 100 * sim.Microsecond
-	}
-	if c.Cap <= 0 {
-		c.Cap = 20 * sim.Millisecond
-	}
-	return c
-}
+// The re-send backoff: 100 µs before the first retry, doubling per attempt
+// up to a 20 ms cap.
+const (
+	backoffBase = 100 * sim.Microsecond
+	backoffCap  = 20 * sim.Millisecond
+)
 
 // Delay returns the backoff before retry number attempt (0-based):
 // exponential growth with equal jitter — half the nominal delay fixed,
 // half uniform — so concurrent retriers desynchronize without any delay
 // ever collapsing to zero. rng must be the engine's seeded PRNG so replays
 // stay byte-identical; a nil rng yields the un-jittered midpoint.
-func (c BackoffConfig) Delay(attempt int, rng *rand.Rand) sim.Duration {
-	c = c.withDefaults()
-	d := c.Base
-	for i := 0; i < attempt && d < c.Cap; i++ {
+func Delay(attempt int, rng *rand.Rand) sim.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > c.Cap {
-		d = c.Cap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	half := int64(d) / 2
 	j := half / 2

@@ -26,55 +26,29 @@ func (s BreakerState) String() string {
 	return "?"
 }
 
-// BreakerConfig tunes a per-peer circuit breaker.
-type BreakerConfig struct {
-	// Threshold consecutive failures open the breaker (default 4).
-	Threshold int
-	// Cooldown before the first half-open probe (default 25 ms); it
-	// doubles on every probe failure up to MaxCooldown (default 1 s).
-	Cooldown    sim.Duration
-	MaxCooldown sim.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 4
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 25 * sim.Millisecond
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = sim.Second
-	}
-	return c
-}
+// The breaker opens on the breakerThreshold-th consecutive failure. The
+// first half-open probe waits breakerCooldown; every failed probe doubles
+// the wait, up to breakerMaxCooldown.
+const (
+	breakerThreshold   = 4
+	breakerCooldown    = 25 * sim.Millisecond
+	breakerMaxCooldown = sim.Second
+)
 
 // Breaker is a per-peer circuit breaker over ErrUnreachable/timeout
 // failures: enough consecutive failures open it, open calls fail fast
-// without touching the wire, and recovery is probed — either after an
-// exponentially growing cooldown or early when an external health source
-// (the glunix monitor) reports the peer alive again.
+// without touching the wire, and recovery is probed after an exponentially
+// growing cooldown.
 type Breaker struct {
-	cfg       BreakerConfig
-	state     BreakerState
-	fails     int
-	openedAt  sim.Time
-	cool      sim.Duration
-	lastProbe sim.Time
-	health    func() bool
-	m         *Metrics
+	state    BreakerState
+	fails    int
+	openedAt sim.Time
+	cool     sim.Duration
+	m        *Metrics
 }
 
 // NewBreaker returns a closed breaker. m may be nil.
-func NewBreaker(cfg BreakerConfig, m *Metrics) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), m: m}
-}
-
-// SetHealth installs an external liveness source. While the breaker is
-// open, a healthy verdict admits a half-open probe ahead of the cooldown —
-// rate-limited to half a cooldown between probes, so a wrong monitor
-// cannot turn the breaker into a hot retry loop.
-func (b *Breaker) SetHealth(alive func() bool) { b.health = alive }
+func NewBreaker(m *Metrics) *Breaker { return &Breaker{m: m} }
 
 // State reports the current breaker state.
 func (b *Breaker) State() BreakerState { return b.state }
@@ -89,15 +63,10 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case HalfOpen:
 		return false // the probe is already in flight
 	}
-	due := now.Sub(b.openedAt) >= b.cool
-	if !due && b.health != nil && b.health() && now.Sub(b.lastProbe) >= b.cool/2 {
-		due = true
-	}
-	if !due {
+	if now.Sub(b.openedAt) < b.cool {
 		return false
 	}
 	b.state = HalfOpen
-	b.lastProbe = now
 	b.m.Inc("breaker_halfopen")
 	return true
 }
@@ -120,7 +89,7 @@ func (b *Breaker) Failure(now sim.Time) {
 		b.reopen(now)
 	case Closed:
 		b.fails++
-		if b.fails >= b.cfg.Threshold {
+		if b.fails >= breakerThreshold {
 			b.reopen(now)
 		}
 	}
@@ -130,11 +99,11 @@ func (b *Breaker) Failure(now sim.Time) {
 
 func (b *Breaker) reopen(now sim.Time) {
 	if b.cool == 0 {
-		b.cool = b.cfg.Cooldown
+		b.cool = breakerCooldown
 	} else {
 		b.cool *= 2
-		if b.cool > b.cfg.MaxCooldown {
-			b.cool = b.cfg.MaxCooldown
+		if b.cool > breakerMaxCooldown {
+			b.cool = breakerMaxCooldown
 		}
 	}
 	b.state = Open

@@ -57,17 +57,16 @@ func TestBudgetRefill(t *testing.T) {
 }
 
 func TestBackoffGrowsAndStaysBounded(t *testing.T) {
-	cfg := BackoffConfig{Base: 100 * sim.Microsecond, Cap: 1 * sim.Millisecond}
 	rng := rand.New(rand.NewSource(7))
 	prev := sim.Duration(0)
 	for attempt := 0; attempt < 10; attempt++ {
-		d := cfg.Delay(attempt, rng)
-		nominal := cfg.Base
-		for i := 0; i < attempt && nominal < cfg.Cap; i++ {
+		d := Delay(attempt, rng)
+		nominal := backoffBase
+		for i := 0; i < attempt && nominal < backoffCap; i++ {
 			nominal *= 2
 		}
-		if nominal > cfg.Cap {
-			nominal = cfg.Cap
+		if nominal > backoffCap {
+			nominal = backoffCap
 		}
 		if d < nominal/2 || d > nominal {
 			t.Fatalf("attempt %d: delay %v outside [%v,%v]", attempt, d, nominal/2, nominal)
@@ -81,7 +80,7 @@ func TestBackoffGrowsAndStaysBounded(t *testing.T) {
 	a := rand.New(rand.NewSource(42))
 	b := rand.New(rand.NewSource(42))
 	for i := 0; i < 20; i++ {
-		if cfg.Delay(i, a) != cfg.Delay(i, b) {
+		if Delay(i, a) != Delay(i, b) {
 			t.Fatal("backoff not deterministic per seed")
 		}
 	}
@@ -89,9 +88,9 @@ func TestBackoffGrowsAndStaysBounded(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	m := NewMetrics()
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 10 * sim.Millisecond, MaxCooldown: 40 * sim.Millisecond}, m)
+	b := NewBreaker(m)
 	now := sim.Time(0)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if !b.Allow(now) {
 			t.Fatal("closed breaker denied a call")
 		}
@@ -100,10 +99,10 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state after threshold failures = %v", b.State())
 	}
-	if b.Allow(now.Add(5 * sim.Millisecond)) {
+	if b.Allow(now.Add(breakerCooldown / 2)) {
 		t.Fatal("open breaker allowed a call before cooldown")
 	}
-	now = now.Add(10 * sim.Millisecond)
+	now = now.Add(breakerCooldown)
 	if !b.Allow(now) {
 		t.Fatal("cooldown elapsed but no probe")
 	}
@@ -114,10 +113,10 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != Open {
 		t.Fatal("failed probe did not reopen")
 	}
-	if b.Allow(now.Add(15 * sim.Millisecond)) {
+	if b.Allow(now.Add(3 * breakerCooldown / 2)) {
 		t.Fatal("cooldown did not double after failed probe")
 	}
-	now = now.Add(20 * sim.Millisecond)
+	now = now.Add(2 * breakerCooldown)
 	if !b.Allow(now) {
 		t.Fatal("second probe not admitted")
 	}
@@ -127,27 +126,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	if m.Get("breaker_open") != 2 || m.Get("breaker_close") != 1 {
 		t.Fatalf("counters: open=%d close=%d", m.Get("breaker_open"), m.Get("breaker_close"))
-	}
-}
-
-func TestBreakerHealthProbeRidesMonitor(t *testing.T) {
-	alive := false
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: sim.Second}, nil)
-	b.SetHealth(func() bool { return alive })
-	b.Failure(0)
-	if b.State() != Open {
-		t.Fatal("breaker did not open")
-	}
-	if b.Allow(10 * 1000 * 1000) { // 10ms: cooldown far away, peer still dead
-		t.Fatal("probe admitted while monitor says dead")
-	}
-	alive = true
-	now := sim.Time(600 * sim.Millisecond) // past cool/2 since lastProbe, before cooldown
-	if !b.Allow(now) {
-		t.Fatal("healthy verdict did not admit an early probe")
-	}
-	if b.State() != HalfOpen {
-		t.Fatal("early probe did not half-open")
 	}
 }
 

@@ -72,18 +72,22 @@ type Retrier[K comparable] struct {
 	Tracer *obs.Tracer
 	Node   int
 
-	backoff     BackoffConfig
-	maxAttempts int
-	rng         *rand.Rand
-	attempts    map[K]attempt
-	parked      []Send
+	rng      *rand.Rand
+	attempts map[K]attempt
+	parked   []Send
 }
+
+// maxAttempts is how many times a Retrier parks one key: a fourth bounce of
+// a call, segment or descriptor is denied. Each re-send already spans the
+// NI's full retry schedule plus the return-to-sender delay, so three cover
+// link flaps and firmware reboots; a peer dark beyond that is down.
+const maxAttempts = 3
 
 // NewRetrier returns a Retrier that parks a key at most maxAttempts times
 // and draws its backoff jitter from rng — the engine's seeded PRNG, so
 // replays stay byte-identical.
-func NewRetrier[K comparable](backoff BackoffConfig, maxAttempts int, rng *rand.Rand) *Retrier[K] {
-	return &Retrier[K]{backoff: backoff, maxAttempts: maxAttempts, rng: rng, attempts: make(map[K]attempt)}
+func NewRetrier[K comparable](rng *rand.Rand) *Retrier[K] {
+	return &Retrier[K]{rng: rng, attempts: make(map[K]attempt)}
 }
 
 // Bounce decides what becomes of a returned send. budget is the token bucket
@@ -96,12 +100,12 @@ func (r *Retrier[K]) Bounce(now sim.Time, key K, reason nic.NackReason, budget *
 		return Permanent
 	}
 	n := r.attempts[key].n
-	if n >= r.maxAttempts || !budget.Allow(now) {
+	if n >= maxAttempts || !budget.Allow(now) {
 		r.Metrics.Inc("retry_denied")
 		delete(r.attempts, key)
 		return Denied
 	}
-	d := r.backoff.Delay(n, r.rng)
+	d := Delay(n, r.rng)
 	r.attempts[key] = attempt{n: n + 1, at: now}
 	r.Metrics.Inc("retries")
 	r.Metrics.ObserveBackoff(d)

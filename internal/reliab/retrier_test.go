@@ -38,8 +38,6 @@ type retrierRig struct {
 	onSend func(key uint64)
 }
 
-var retrierBackoff = BackoffConfig{Base: 100 * sim.Microsecond, Cap: sim.Millisecond}
-
 func (g *retrierRig) RequestBulk(p *sim.Proc, idx, h int, payload []byte, args [4]uint64) error {
 	if idx != 0 || h != 7 || len(payload) != 2 || uint64(payload[0]) != args[0] || payload[1] != 0xAB {
 		g.t.Errorf("re-send of key %d mangled: idx=%d h=%d payload=%v", args[0], idx, h, payload)
@@ -64,7 +62,7 @@ func (g *retrierRig) transient(key uint64) Verdict { return g.bounce(key, nic.Na
 
 // nextDelay predicts the delay the next park of a key parked n times so far
 // will draw.
-func (g *retrierRig) nextDelay(n int) sim.Duration { return retrierBackoff.Delay(n, g.twin) }
+func (g *retrierRig) nextDelay(n int) sim.Duration { return Delay(n, g.twin) }
 
 func (g *retrierRig) flush(live func(Send) bool) []uint64 {
 	g.sent = nil
@@ -95,23 +93,22 @@ func (g *retrierRig) outstanding() [2]int {
 
 func TestRetrier(t *testing.T) {
 	cases := []struct {
-		name        string
-		maxAttempts int
-		capacity    int
-		run         func(g *retrierRig)
+		name     string
+		capacity int
+		run      func(g *retrierRig)
 	}{
-		{"attempt cap is per key and denial draws nothing", 2, 10, func(g *retrierRig) {
-			for i, want := range []Verdict{Parked, Parked, Denied} {
+		{"attempt cap is per key and denial draws nothing", 10, func(g *retrierRig) {
+			for i, want := range []Verdict{Parked, Parked, Parked, Denied} {
 				g.want(fmt.Sprint("bounce ", i), g.transient(1), want)
 			}
 			g.want("attempts after denial", g.r.Attempts(1), 0)
-			g.wantCounts(2, 2, 1)
-			g.want("tokens: the capped bounce is not charged", g.budget.Tokens(g.p.Now()), 8)
+			g.wantCounts(3, 3, 1)
+			g.want("tokens: the capped bounce is not charged", g.budget.Tokens(g.p.Now()), 7)
 			g.want("another key", g.transient(2), Parked)
 			g.want("attempts", g.r.Attempts(2), 1)
-			g.wantCounts(3, 3, 1)
+			g.wantCounts(4, 4, 1)
 		}},
-		{"an empty budget denies, a refilled one allows", 5, 2, func(g *retrierRig) {
+		{"an empty budget denies, a refilled one allows", 2, func(g *retrierRig) {
 			for key, want := range []Verdict{Parked, Parked, Denied} {
 				g.want(fmt.Sprint("key ", key), g.transient(uint64(key)), want)
 			}
@@ -121,7 +118,7 @@ func TestRetrier(t *testing.T) {
 			g.want("after a refill", g.transient(2), Parked)
 			g.wantCounts(3, 3, 1)
 		}},
-		{"a permanent nack charges, draws and counts nothing", 3, 3, func(g *retrierRig) {
+		{"a permanent nack charges, draws and counts nothing", 3, func(g *retrierRig) {
 			g.want("transient first", g.transient(1), Parked)
 			g.want("no endpoint", g.bounce(1, nic.NackNoEndpoint, 0, 0), Permanent)
 			g.want("record retired", g.r.Attempts(1), 0)
@@ -131,7 +128,7 @@ func TestRetrier(t *testing.T) {
 			g.want("tokens", g.budget.Tokens(g.p.Now()), 2)
 			g.want("outstanding", g.outstanding(), [2]int{0, 1})
 		}},
-		{"due sends flush in park order, NextDue is the earliest", 3, 10, func(g *retrierRig) {
+		{"due sends flush in park order, NextDue is the earliest", 10, func(g *retrierRig) {
 			g.want("NextDue with nothing parked", g.r.NextDue(), sim.Never)
 			// Key 1 is parked for the third time, so it waits the longest.
 			g.transient(1)
@@ -169,7 +166,7 @@ func TestRetrier(t *testing.T) {
 			g.r.Forget(3)
 			g.want("all acknowledged", g.outstanding(), [2]int{0, 0})
 		}},
-		{"a send abandoned while parked is dropped, span and all", 3, 10, func(g *retrierRig) {
+		{"a send abandoned while parked is dropped, span and all", 10, func(g *retrierRig) {
 			root := g.tr.Sample(0, 0, obs.KindReq, g.p.Now())
 			g.want("traced, abandoned", g.bounce(1, nic.NackOverrun, 0, root.TraceID), Parked)
 			g.want("traced, awaited", g.bounce(2, nic.NackOverrun, 0, root.TraceID), Parked)
@@ -191,7 +188,7 @@ func TestRetrier(t *testing.T) {
 			}
 			g.want("span outcomes", reasons, []string{"abandoned", ""})
 		}},
-		{"a bounce parked while Flush is sending stays parked", 3, 10, func(g *retrierRig) {
+		{"a bounce parked while Flush is sending stays parked", 10, func(g *retrierRig) {
 			g.transient(1)
 			g.transient(2)
 			g.p.Sleep(sim.Millisecond)
@@ -213,7 +210,7 @@ func TestRetrier(t *testing.T) {
 			g := &retrierRig{t: t, src: &countingSource{Source: rand.NewSource(42)}, twin: rand.New(rand.NewSource(42)),
 				m: NewMetrics(), tr: obs.NewTracer(e, 1, 1, 64),
 				budget: NewBudget(BudgetConfig{Capacity: tc.capacity})}
-			g.r = NewRetrier[uint64](retrierBackoff, tc.maxAttempts, rand.New(g.src))
+			g.r = NewRetrier[uint64](rand.New(g.src))
 			g.r.Metrics, g.r.Tracer = g.m, g.tr
 			ran := false
 			e.Spawn("retrier", func(p *sim.Proc) {
@@ -230,18 +227,20 @@ func TestRetrier(t *testing.T) {
 }
 
 // A Retrier with no metrics and no tracer — how sockets and via hold theirs
-// until SetMetrics — parks and flushes all the same.
+// — parks and flushes all the same.
 func TestRetrierWithoutObservers(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()
 	g := &retrierRig{t: t, budget: NewBudget(BudgetConfig{})}
-	g.r = NewRetrier[uint64](retrierBackoff, 1, e.Rand())
+	g.r = NewRetrier[uint64](e.Rand())
 	e.Spawn("retrier", func(p *sim.Proc) {
 		g.p = p
 		g.want("parked", g.bounce(1, nic.NackNotResident, 0, 77), Parked)
+		g.want("parked again", g.transient(1), Parked)
+		g.want("and again", g.transient(1), Parked)
 		g.want("capped", g.transient(1), Denied)
 		p.Sleep(sim.Millisecond)
-		g.want("flush", g.flush(nil), []uint64{1})
+		g.want("flush", g.flush(nil), []uint64{1, 1, 1})
 	})
 	e.Run()
 }

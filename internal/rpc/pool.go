@@ -94,7 +94,7 @@ func NewPool(node *hostos.Node, maxTargets int, opts Options) (*Pool, error) {
 	}
 	pl := &Pool{node: node, bundle: b, ep: ep, opts: opts, m: opts.Metrics, tr: b.Tracer(),
 		results: make(map[uint64]*resultBuf),
-		retry:   reliab.NewRetrier[uint64](opts.Backoff, opts.maxAttempts(), node.E.Rand())}
+		retry:   reliab.NewRetrier[uint64](node.E.Rand())}
 	pl.retry.Metrics, pl.retry.Tracer, pl.retry.Node = opts.Metrics, pl.tr, int(node.ID)
 	ep.SetHandler(hResult, pl.onResult)
 	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
@@ -139,12 +139,9 @@ func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) (int, error) {
 	if err := pl.ep.Map(idx, server, serverKey); err != nil {
 		return 0, err
 	}
-	t := poolTarget{name: server, budget: reliab.NewBudget(pl.opts.Budget)}
+	t := poolTarget{name: server, budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	if !pl.opts.NoBreaker {
-		t.brk = reliab.NewBreaker(pl.opts.Breaker, pl.opts.Metrics)
-		if pl.opts.Health != nil {
-			t.brk.SetHealth(pl.opts.Health)
-		}
+		t.brk = reliab.NewBreaker(pl.opts.Metrics)
 	}
 	pl.targets = append(pl.targets, t)
 	return idx, nil

@@ -355,29 +355,28 @@ func TestCircuitBreakerFastFail(t *testing.T) {
 	var errs []error
 	var fastFailTook sim.Duration = -1
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
-		cl, _ = NewClientOpts(c.Nodes[0], s.Name(), 77, Options{
-			Metrics: m,
-			Breaker: reliab.BreakerConfig{Threshold: 2, Cooldown: 500 * sim.Millisecond},
-		})
-		for i := 0; i < 3; i++ {
+		cl, _ = NewClientOpts(c.Nodes[0], s.Name(), 77, Options{Metrics: m})
+		for i := 0; i < 5; i++ {
 			start := p.Now()
 			_, e := cl.Call(p, 1, []byte{1}, 0)
 			errs = append(errs, e)
-			if i == 2 {
+			if i == 4 {
 				fastFailTook = p.Now().Sub(start)
 			}
 		}
 	})
 	c.Nodes[1].E.AfterFunc(sim.Millisecond, func() { c.Nodes[1].Crash() })
 	c.RunFor(10 * sim.Second)
-	if len(errs) != 3 {
-		t.Fatalf("got %d call results, want 3", len(errs))
+	if len(errs) != 5 {
+		t.Fatalf("got %d call results, want 5", len(errs))
 	}
-	if errs[0] != ErrUnreachable || errs[1] != ErrUnreachable {
-		t.Fatalf("first failures = %v, %v, want ErrUnreachable", errs[0], errs[1])
+	for i, e := range errs[:4] {
+		if e != ErrUnreachable {
+			t.Fatalf("failure %d = %v, want ErrUnreachable", i+1, e)
+		}
 	}
-	if !errors.Is(errs[2], ErrCircuitOpen) {
-		t.Fatalf("post-open call = %v, want ErrCircuitOpen", errs[2])
+	if !errors.Is(errs[4], ErrCircuitOpen) {
+		t.Fatalf("post-open call = %v, want ErrCircuitOpen", errs[4])
 	}
 	if fastFailTook != 0 {
 		t.Fatalf("fast-fail took %v of virtual time, want 0", fastFailTook)

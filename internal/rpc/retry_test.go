@@ -88,8 +88,7 @@ func (w *bounceWorld) runUntil(t *testing.T, what string, cond func() bool) {
 // acknowledgment must not retire the other's record. (They did both when
 // the server keyed its records by bare call id.)
 func TestServerRetryStateIsPerClient(t *testing.T) {
-	// Caps out of the way: nothing is denied while the test looks.
-	w := newBounceWorld(t, 2, Options{MaxAttempts: 50, Budget: reliab.BudgetConfig{Capacity: 100}})
+	w := newBounceWorld(t, 2, Options{})
 	records := func() int {
 		_, reissues, _, _ := w.s.Outstanding()
 		return reissues
@@ -117,15 +116,14 @@ func TestServerRetryStateIsPerClient(t *testing.T) {
 // must let go of it, or the map grows with every client that ever bounced.
 func TestServerBudgetsAreReclaimed(t *testing.T) {
 	const n = 5
-	w := newBounceWorld(t, n, Options{StaleAfter: 20 * sim.Millisecond,
-		Budget: reliab.BudgetConfig{Capacity: 3, Refill: 2 * sim.Millisecond}})
+	w := newBounceWorld(t, n, Options{StaleAfter: 20 * sim.Millisecond})
 	w.runUntil(t, "every client's result given up", func() bool { return w.m.Get("retry_denied") >= n })
 	if len(w.s.budgets) != n {
 		t.Fatalf("budgets while the peers bounce = %d, want %d", len(w.s.budgets), n)
 	}
-	// The clients give up after 10 ms, three tokens refill in 6 ms, and the
-	// sweep runs every StaleAfter/4.
-	w.c.RunFor(60 * sim.Millisecond)
+	// The clients give up after 10 ms, three tokens refill in 750 ms, and
+	// the sweep runs every StaleAfter/4.
+	w.c.RunFor(800 * sim.Millisecond)
 	if len(w.s.budgets) != 0 {
 		t.Fatalf("budgets after the peers went silent = %d, want 0", len(w.s.budgets))
 	}

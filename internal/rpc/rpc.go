@@ -73,30 +73,9 @@ type Options struct {
 	NoBreaker bool
 	// IdemCap sizes the server's idempotency result cache (0 = off).
 	IdemCap int
-	// Budget is the per-peer transport retry budget.
-	Budget reliab.BudgetConfig
-	// MaxAttempts bounds re-issue rounds per call (default 3): the budget
-	// caps the peer-wide retry rate, this caps how long any one call keeps
-	// trying before it is declared undeliverable.
-	MaxAttempts int
-	// Backoff shapes the deterministic re-issue backoff.
-	Backoff reliab.BackoffConfig
-	// Breaker tunes the client's per-server circuit breaker.
-	Breaker reliab.BreakerConfig
-	// Health lets the breaker's half-open probes ride an external liveness
-	// signal (the glunix health monitor) instead of waiting out the
-	// cooldown.
-	Health func() bool
 	// StaleAfter bounds how long the server keeps assembly/reissue state
 	// for a call whose client went silent (default 1 s).
 	StaleAfter sim.Duration
-}
-
-func (o Options) maxAttempts() int {
-	if o.MaxAttempts <= 0 {
-		return 3
-	}
-	return o.MaxAttempts
 }
 
 // Proc is a registered procedure: input bytes to output bytes.
@@ -183,7 +162,7 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 	s := &Server{node: node, bundle: b, ep: ep, procs: make(map[int]CtxProc),
 		opts: opts, m: opts.Metrics, tr: b.Tracer(),
 		calls:   make(map[callKey]*callBuf),
-		retry:   reliab.NewRetrier[callKey](opts.Backoff, opts.maxAttempts(), node.E.Rand()),
+		retry:   reliab.NewRetrier[callKey](node.E.Rand()),
 		budgets: make(map[core.EndpointName]*reliab.Budget)}
 	s.retry.Metrics = opts.Metrics
 	if opts.Queue > 0 {
@@ -217,7 +196,7 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 func (s *Server) budgetFor(peer core.EndpointName) *reliab.Budget {
 	bg := s.budgets[peer]
 	if bg == nil {
-		bg = reliab.NewBudget(s.opts.Budget)
+		bg = reliab.NewBudget(reliab.BudgetConfig{})
 		s.budgets[peer] = bg
 	}
 	return bg

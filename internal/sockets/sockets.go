@@ -39,15 +39,6 @@ var (
 	ErrPeerUnreachable = errors.New("sockets: peer unreachable")
 )
 
-// maxSegReissues bounds how often a returned stream segment is re-sent
-// before the connection is declared broken. Each re-issue already spans the
-// NI's full retry schedule plus the return-to-sender delay, so this covers
-// link flaps and firmware reboots; a peer dark beyond that is down. The
-// per-connection retry budget (reliab.Budget) additionally bounds the
-// aggregate re-send rate so a flapping fabric cannot amplify a window of
-// in-flight segments into a retry storm.
-const maxSegReissues = 3
-
 // segment size: one MTU-sized bulk message minus headroom.
 const segSize = 8192
 
@@ -140,10 +131,11 @@ type Conn struct {
 	// every blocking operation surfaces it instead of spinning forever.
 	err error
 
-	// Retry shaping: bounced segments are re-sent, at most maxSegReissues
-	// times per unacked segment, on a deterministic exponential-backoff
-	// schedule gated by a per-connection token budget. poll flushes the
-	// parked ones from the blocking loops.
+	// Retry shaping: bounced segments are re-sent, up to the Retrier's
+	// attempt cap per unacked segment, on a deterministic exponential-backoff
+	// schedule gated by a per-connection token budget, so a flapping fabric
+	// cannot amplify a window of in-flight segments into a retry storm. poll
+	// flushes the parked ones from the blocking loops.
 	retry  *reliab.Retrier[uint64]
 	budget *reliab.Budget
 }
@@ -155,7 +147,7 @@ func newConn(node *hostos.Node, key core.Key) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{node: node, bundle: b, ep: ep, oos: make(map[uint64][]byte),
-		retry:  reliab.NewRetrier[uint64](reliab.BackoffConfig{}, maxSegReissues, node.E.Rand()),
+		retry:  reliab.NewRetrier[uint64](node.E.Rand()),
 		budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	ep.SetHandler(hData, c.onData)
 	ep.SetHandler(hDataAck, c.onDataAck)
@@ -188,10 +180,6 @@ func (c *Conn) fail() {
 		c.err = ErrPeerUnreachable
 	}
 }
-
-// SetMetrics points the connection at a shared reliability metrics set
-// (nil is fine and records nothing).
-func (c *Conn) SetMetrics(m *reliab.Metrics) { c.retry.Metrics = m }
 
 // Outstanding reports the retry bookkeeping held — attempt records of
 // unacked segments, parked re-sends — for leak invariants: both are zero

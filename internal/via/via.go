@@ -124,9 +124,6 @@ type VI struct {
 	budget *reliab.Budget
 }
 
-// maxSendReissues bounds re-sends of one bounced descriptor.
-const maxSendReissues = 3
-
 // CreateVI builds a VI whose completions go to the given queues (which may
 // be shared with other VIs).
 func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
@@ -137,7 +134,7 @@ func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
 		return nil, err
 	}
 	vi := &VI{nic: n, ep: ep, bundle: b, sendCQ: sendCQ, recvCQ: recvCQ,
-		retry:  reliab.NewRetrier[MemHandle](reliab.BackoffConfig{}, maxSendReissues, n.node.E.Rand()),
+		retry:  reliab.NewRetrier[MemHandle](n.node.E.Rand()),
 		budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	ep.SetHandler(hSend, vi.onRecv)
 	ep.SetHandler(hAck, vi.onAck)
@@ -164,9 +161,6 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 		VI: vi, IsRecv: false, Handle: mh, Length: -1,
 	})
 }
-
-// SetMetrics points the VI at a shared reliability metrics set (nil-safe).
-func (vi *VI) SetMetrics(m *reliab.Metrics) { vi.retry.Metrics = m }
 
 // Outstanding reports the retry bookkeeping held — attempt records of
 // bounced descriptors, parked re-sends — for leak invariants: both are zero

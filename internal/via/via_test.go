@@ -283,7 +283,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 		comp, got = cqA.Poll()
 	})
 	// Each bounce costs the NI retry schedule + return-to-sender delay, and
-	// the descriptor is re-sent maxSendReissues times before giving up.
+	// the descriptor is re-sent up to the Retrier's attempt cap before giving up.
 	c.RunFor(10 * sim.Second)
 	if !got {
 		t.Fatal("no send completion arrived")

@@ -84,22 +84,14 @@ const (
 	HUser = 3
 )
 
-// Config shapes the tenancy layer's policy knobs.
-type Config struct {
-	// Overcommit bounds endpoints admitted per node at Frames×Overcommit.
-	Overcommit int
-	// DefaultQuota is the endpoint quota for tenants created without one.
-	DefaultQuota int
-	// DefaultShare is the WRR share weight for tenants created without one.
-	DefaultShare int
-	// TableSize is the translation-table size of every vnet endpoint.
-	TableSize int
-}
-
-// DefaultConfig returns the default policy knobs.
-func DefaultConfig() Config {
-	return Config{Overcommit: 4, DefaultQuota: 16, DefaultShare: 1, TableSize: 64}
-}
+// Tenancy defaults: the endpoint quota and WRR share weight of a tenant
+// created without them, and the translation-table size of every vnet
+// endpoint.
+const (
+	defaultQuota = 16
+	defaultShare = 1
+	tableSize    = 64
+)
 
 // Manager is the tenancy layer over one cluster. All mutating calls must be
 // made from the simulation's controlling goroutine (between engine runs) or
@@ -109,7 +101,8 @@ type Manager struct {
 	// Dir is the cluster name service; every vnet endpoint is published in
 	// it, and every vnet bundle resolves through it.
 	Dir *migrate.Directory
-	cfg Config
+	// overcommit bounds endpoints admitted per node at Frames×overcommit.
+	overcommit int
 
 	tenants map[string]*Tenant
 	order   []string
@@ -120,30 +113,20 @@ type Manager struct {
 	C *trace.Counters
 }
 
-// NewManager builds the tenancy layer over c. If the cluster's observability
-// layer is enabled (Cluster.EnableObs before this call), the manager
-// registers its counters and a per-tenant metering section with it.
-func NewManager(c *hostos.Cluster, cfg Config) *Manager {
-	if cfg.Overcommit < 1 {
-		cfg.Overcommit = 1
-	}
-	if cfg.DefaultQuota < 1 {
-		cfg.DefaultQuota = DefaultConfig().DefaultQuota
-	}
-	if cfg.DefaultShare < 1 {
-		cfg.DefaultShare = 1
-	}
-	if cfg.TableSize < 1 {
-		cfg.TableSize = DefaultConfig().TableSize
-	}
+// NewManager builds the tenancy layer over c, admitting at most
+// Frames×overcommit endpoints per node (overcommit < 1 counts as 1). If the
+// cluster's observability layer is enabled (Cluster.EnableObs before this
+// call), the manager registers its counters and a per-tenant metering
+// section with it.
+func NewManager(c *hostos.Cluster, overcommit int) *Manager {
 	m := &Manager{
-		Cluster: c,
-		Dir:     migrate.NewDirectory(),
-		cfg:     cfg,
-		tenants: make(map[string]*Tenant),
-		perNode: make([]int, len(c.Nodes)),
-		nextKey: 0x766e6574 << 16, // "vnet" tag; low bits count networks
-		C:       trace.NewCounters(),
+		Cluster:    c,
+		Dir:        migrate.NewDirectory(),
+		overcommit: max(overcommit, 1),
+		tenants:    make(map[string]*Tenant),
+		perNode:    make([]int, len(c.Nodes)),
+		nextKey:    0x766e6574 << 16, // "vnet" tag; low bits count networks
+		C:          trace.NewCounters(),
 	}
 	if o := c.Obs(); o != nil {
 		o.R.AddCounters("vnet", m.C)
@@ -152,18 +135,16 @@ func NewManager(c *hostos.Cluster, cfg Config) *Manager {
 	return m
 }
 
-// Config returns the manager's policy knobs.
-func (m *Manager) Config() Config { return m.cfg }
-
 // NodeCap is the per-node endpoint admission bound (frames × overcommit).
 func (m *Manager) NodeCap() int {
-	return m.Cluster.Nodes[0].NIC.Config().Frames * m.cfg.Overcommit
+	return m.Cluster.Nodes[0].NIC.Config().Frames * m.overcommit
 }
 
 // NodeLoad reports endpoints admitted on node across all tenants.
 func (m *Manager) NodeLoad(node int) int { return m.perNode[node] }
 
-// CreateTenant registers a tenant. quota ≤ 0 or share ≤ 0 take defaults.
+// CreateTenant registers a tenant. quota ≤ 0 or share ≤ 0 take the
+// defaults, 16 endpoints and share 1.
 func (m *Manager) CreateTenant(name string, quota, share int) (*Tenant, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty tenant name", ErrNotFound)
@@ -172,10 +153,10 @@ func (m *Manager) CreateTenant(name string, quota, share int) (*Tenant, error) {
 		return nil, fmt.Errorf("%w: tenant %q", ErrExists, name)
 	}
 	if quota <= 0 {
-		quota = m.cfg.DefaultQuota
+		quota = defaultQuota
 	}
 	if share <= 0 {
-		share = m.cfg.DefaultShare
+		share = defaultShare
 	}
 	t := &Tenant{
 		m:     m,
@@ -484,7 +465,7 @@ func (nw *Network) CreateEndpoint(name string, node int) (*Endpoint, error) {
 	host := m.Cluster.Nodes[node]
 	b := core.Attach(host)
 	b.SetResolver(m.Dir)
-	cep, err := b.NewEndpoint(nw.key, m.cfg.TableSize)
+	cep, err := b.NewEndpoint(nw.key, tableSize)
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +613,7 @@ func (e *Endpoint) MapPeer(peer *Endpoint) (int, error) {
 		return idx, nil
 	}
 	idx := e.nextIdx
-	if idx >= e.nw.t.m.cfg.TableSize {
+	if idx >= tableSize {
 		return -1, fmt.Errorf("vnet: translation table full on %s", e.Path())
 	}
 	if err := e.ep.Map(idx, peer.ep.Name(), e.nw.key); err != nil {

@@ -15,10 +15,10 @@ type harness struct {
 	m *Manager
 }
 
-func newHarness(t *testing.T, nodes int, cfg Config) *harness {
+func newHarness(t *testing.T, nodes, overcommit int) *harness {
 	t.Helper()
 	c := hostos.NewCluster(1, nodes, hostos.DefaultClusterConfig())
-	return &harness{c: c, m: NewManager(c, cfg)}
+	return &harness{c: c, m: NewManager(c, overcommit)}
 }
 
 func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
@@ -35,7 +35,7 @@ func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
 }
 
 func TestEchoWithinNetwork(t *testing.T) {
-	h := newHarness(t, 4, DefaultConfig())
+	h := newHarness(t, 4, 4)
 	ten, err := h.m.CreateTenant("acme", 8, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestEchoWithinNetwork(t *testing.T) {
 }
 
 func TestIsolationTypedError(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig())
+	h := newHarness(t, 2, 4)
 	t1, _ := h.m.CreateTenant("red", 4, 1)
 	t2, _ := h.m.CreateTenant("blue", 4, 1)
 	t1.AddNIC(0)
@@ -130,9 +130,7 @@ func TestIsolationTypedError(t *testing.T) {
 }
 
 func TestQuotaAndAdmission(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Overcommit = 2 // node cap = 8 frames × 2 = 16
-	h := newHarness(t, 2, cfg)
+	h := newHarness(t, 2, 2) // node cap = 8 frames × 2 = 16
 	ten, _ := h.m.CreateTenant("small", 3, 1)
 	ten.AddNIC(0)
 	nw, _ := ten.CreateNetwork("net")
@@ -180,7 +178,7 @@ func TestQuotaAndAdmission(t *testing.T) {
 }
 
 func TestFaultScoping(t *testing.T) {
-	h := newHarness(t, 4, DefaultConfig())
+	h := newHarness(t, 4, 4)
 	ten, _ := h.m.CreateTenant("acme", 8, 1)
 	ten.AddNIC(2)
 	ten.AddNIC(3)
@@ -206,7 +204,7 @@ func TestFaultScoping(t *testing.T) {
 }
 
 func TestNameServiceIntegration(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig())
+	h := newHarness(t, 2, 4)
 	ten, _ := h.m.CreateTenant("acme", 8, 1)
 	ten.AddNIC(0)
 	ten.AddNIC(1)
