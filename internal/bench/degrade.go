@@ -66,7 +66,7 @@ func degradeRow(w io.Writer, p Params) error {
 			opts := rpc.Options{Queue: queue, Metrics: m}
 			if !reliabOn {
 				// Ablation: effectively unbounded FIFO, deadlines ignored.
-				opts = rpc.Options{Queue: 1 << 20, NoShed: true, NoBreaker: true, Metrics: m}
+				opts = rpc.Options{Queue: 1 << 20, NoShed: true, Metrics: m}
 			}
 			s, err := rpc.NewServerOpts(c.Nodes[si], key, opts)
 			if err != nil {

@@ -41,7 +41,7 @@ func AMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown fu
 // GAMPair builds the same two stations on the GAM baseline.
 func GAMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown func()) {
 	e = sim.NewEngine(seed)
-	w := gam.New(e, netsim.New(e, netsim.DefaultConfig(), 2), gam.DefaultConfig())
+	w := gam.New(e, netsim.New(e, netsim.DefaultConfig(), 2))
 	return e, logp.GAMStation{N: w.Node(0), Dst: 1}, logp.GAMStation{N: w.Node(1), Dst: 0}, func() {
 		w.Stop()
 		e.Shutdown()

@@ -137,7 +137,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 
 	srvOpts := rpc.Options{Queue: serveQueue, IdemCap: serveIdemCap}
 	if cfg.Ablate {
-		srvOpts = rpc.Options{Queue: 1 << 20, NoShed: true, NoBreaker: true, IdemCap: serveIdemCap}
+		srvOpts = rpc.Options{Queue: 1 << 20, NoShed: true, IdemCap: serveIdemCap}
 	}
 
 	// Per-server and per-client reliab metrics: procs on different shards

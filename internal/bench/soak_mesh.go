@@ -310,7 +310,7 @@ func meshSoak(w io.Writer, p SoakParams) error {
 		return n
 	}
 	allowance := func() int64 {
-		return deadPeers() * int64(cfg.NIC.SendQDepth*2+cfg.NIC.Channels*2+cfg.NIC.RecvQDepth*2)
+		return deadPeers() * int64(nic.SendQDepth*2+cfg.NIC.Channels*2+cfg.NIC.RecvQDepth*2)
 	}
 
 	// Drive to completion: every request must be served or returned, and

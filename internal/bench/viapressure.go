@@ -16,8 +16,10 @@ type VIAPressureConfig struct {
 	Nodes  int
 	Rounds int // each process messages every peer once per round
 	Seed   int64
-	Window sim.Duration
 }
+
+// viaPressureWindow bounds each half of the comparison in virtual time.
+const viaPressureWindow = 100 * sim.Second
 
 // VIAPressureResult compares the two provisioning models.
 type VIAPressureResult struct {
@@ -35,9 +37,6 @@ type VIAPressureResult struct {
 // RunVIAPressure executes the same all-pairs exchange over virtual networks
 // and over a VIA full mesh, on identical clusters (8 NI frames each).
 func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
-	if cfg.Window == 0 {
-		cfg.Window = 100 * sim.Second
-	}
 	res := VIAPressureResult{
 		VNEndpointsPerNode:  1,
 		VIAEndpointsPerNode: cfg.Nodes - 1,
@@ -87,7 +86,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
+		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(viaPressureWindow), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}
@@ -152,7 +151,7 @@ func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
 				}
 			})
 		}
-		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(cfg.Window), func() bool { return running == 0 }) {
+		if !cl.RunUntilDone(sim.Millisecond, cl.Now().Add(viaPressureWindow), func() bool { return running == 0 }) {
 			cl.Shutdown()
 			return res, false
 		}

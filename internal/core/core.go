@@ -441,8 +441,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	if idx < 0 || idx >= len(ep.trans) || !ep.trans[idx].valid {
 		return ErrBadIndex
 	}
-	cfg := &ep.b.cfg
-	if len(payload) > cfg.MTU {
+	if len(payload) > nic.MTU {
 		return ErrPayloadSize
 	}
 	ep.lock(p)
@@ -452,7 +451,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	if ep.trans[idx].credits == 0 && ep.b.C != nil {
 		ep.b.C.Inc("credit_stall")
 	}
-	wait := Backoff{Base: cfg.PollHost, Cap: stallPollCap}
+	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for ep.trans[idx].credits == 0 {
 		if ep.moved {
 			// Frozen for migration while waiting; outstanding credits are
@@ -536,7 +535,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	cfg := &ep.b.cfg
 	os := cfg.OsShort
 	if isReply {
-		os = cfg.OsReply
+		os = nic.OsReply
 	}
 	if len(payload) > 0 {
 		os = cfg.OsBulk
@@ -550,7 +549,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	if sq.Full() && ep.b.C != nil {
 		ep.b.C.Inc("sendq_stall")
 	}
-	wait := Backoff{Base: cfg.PollHost, Cap: stallPollCap}
+	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for sq.Full() {
 		if ep.moved && !isReply {
 			fl.Drop(obs.StageHostPost, "abort:moved", p.Now())
@@ -616,7 +615,7 @@ func (t *Token) reply(p *sim.Proc, h int, args [4]uint64, payload []byte) error 
 	if t.replied {
 		return errors.New("core: handler replied twice")
 	}
-	if len(payload) > t.ep.b.cfg.MTU {
+	if len(payload) > nic.MTU {
 		return ErrPayloadSize
 	}
 	t.replied = true
@@ -643,9 +642,9 @@ func (ep *Endpoint) pollOnce(p *sim.Proc) int {
 // heads, which depends on where the endpoint resides right now.
 func (ep *Endpoint) pollCharge(p *sim.Proc) {
 	if ep.seg.Resident() {
-		p.Sleep(ep.b.cfg.PollResident)
+		p.Sleep(nic.PollResident)
 	} else {
-		p.Sleep(ep.b.cfg.PollHost)
+		p.Sleep(nic.PollHost)
 	}
 }
 
@@ -684,7 +683,7 @@ func (ep *Endpoint) dispatch(p *sim.Proc, m *nic.RecvMsg) {
 	cfg := &ep.b.cfg
 	or := cfg.OrShort
 	if m.IsReply && !m.IsReturn {
-		or = cfg.OrReply
+		or = nic.OrReply
 	}
 	if len(m.Payload) > 0 {
 		or = cfg.OrBulk
@@ -793,7 +792,7 @@ func (ep *Endpoint) Poll(p *sim.Proc) int { return ep.pollOnce(p) }
 // MaxPollCost bounds the virtual time a Poll that finds nothing can take,
 // wherever the endpoint resides and whichever mode it is in.
 func (ep *Endpoint) MaxPollCost() sim.Duration {
-	return sharedLockCost + max(ep.b.cfg.PollResident, ep.b.cfg.PollHost)
+	return sharedLockCost + max(nic.PollResident, nic.PollHost)
 }
 
 // Poll processes pending messages on every endpoint in the bundle.
@@ -882,8 +881,8 @@ type MigrationState struct {
 // Bytes estimates the serialized size of the state for the bulk transfer:
 // the endpoint frame image (which contains the queued messages) plus the
 // library tables above it.
-func (s *MigrationState) Bytes(frameBytes int) int {
-	n := frameBytes
+func (s *MigrationState) Bytes() int {
+	n := nic.FrameBytes
 	n += 24 * len(s.trans)   // (name, key, credits, node, ver) slots
 	n += 16 * len(s.msgSeq)  // per-peer sequence counters
 	n += 16 * len(s.reverse) // reverse index

@@ -180,15 +180,14 @@ func (ep *Endpoint) rephase() {
 	}
 	w.advance(ep.b.Node.E.Now())
 
-	cfg := &ep.b.cfg
 	w.moved = ep.moved
 	w.lock = 0
 	if ep.mode == Shared {
 		w.lock = sharedLockCost
 	}
-	w.cost = cfg.PollHost
+	w.cost = nic.PollHost
 	if ep.seg.Resident() {
-		w.cost = cfg.PollResident
+		w.cost = nic.PollResident
 	}
 
 	// top is the next iteration start and pend the pop instant of the

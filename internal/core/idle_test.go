@@ -184,7 +184,7 @@ func genIdlePlan(seed int64, shards int) idlePlan {
 	case 2:
 		// On the lattice an undisturbed non-resident exclusive waiter walks.
 		k := sim.Duration(1 + r.Intn(40))
-		pl.until = pl.t0.Add(k * (pl.tick + nic.DefaultConfig().PollHost))
+		pl.until = pl.t0.Add(k * (pl.tick + nic.PollHost))
 	default:
 		pl.until = pl.t0.Add(span + sim.Duration(r.Intn(100000)))
 	}

@@ -23,28 +23,32 @@ func (r ReplacementPolicy) String() string {
 	return "random"
 }
 
-// Config models the host OS costs around endpoint segment management.
-// Values reflect a Solaris 2.6 kernel on a 167 MHz UltraSPARC: page faults,
-// segment driver work, and kernel thread wakeups are each tens to hundreds
-// of microseconds.
-type Config struct {
-	// FaultCost is the trap plus segment-driver fault handling charged to
+// The host OS costs around endpoint segment management. Values reflect a
+// Solaris 2.6 kernel on a 167 MHz UltraSPARC: page faults, segment driver
+// work, and kernel thread wakeups are each tens to hundreds of microseconds.
+// No experiment varies them; Config holds the settings that are varied.
+const (
+	// faultCost is the trap plus segment-driver fault handling charged to
 	// a thread that writes a non-resident endpoint.
-	FaultCost sim.Duration
-	// LoadCost / UnloadCost are the driver-side CPU costs of a residency
+	faultCost = 25 * sim.Microsecond
+	// loadCost / unloadCost are the driver-side CPU costs of a residency
 	// transition (translation updates, driver/NI protocol), charged on the
 	// background remap thread in addition to the NI's SBUS DMA time.
-	LoadCost   sim.Duration
-	UnloadCost sim.Duration
+	loadCost   = 450 * sim.Microsecond
+	unloadCost = 450 * sim.Microsecond
+	// notifyCost is the kernel path that posts a communication event and
+	// wakes a blocked thread (§3.3).
+	notifyCost = 30 * sim.Microsecond
+	// pageInCost is charged when a pageout'd endpoint (on-disk, Fig. 2) is
+	// touched again.
+	pageInCost = 6 * sim.Millisecond
+)
+
+// Config holds the host OS settings that experiments and tests vary.
+type Config struct {
 	// RemapScanDelay models the background thread servicing requests
 	// periodically rather than instantly.
 	RemapScanDelay sim.Duration
-	// NotifyCost is the kernel path that posts a communication event and
-	// wakes a blocked thread (§3.3).
-	NotifyCost sim.Duration
-	// PageInCost is charged when a pageout'd endpoint (on-disk, Fig. 2) is
-	// touched again.
-	PageInCost sim.Duration
 	// Quantum is the local scheduler's time slice for Compute.
 	Quantum sim.Duration
 	// Policy selects the frame replacement policy.
@@ -58,12 +62,7 @@ type Config struct {
 // DefaultConfig returns the calibrated host OS model.
 func DefaultConfig() Config {
 	return Config{
-		FaultCost:      25 * sim.Microsecond,
-		LoadCost:       450 * sim.Microsecond,
-		UnloadCost:     450 * sim.Microsecond,
 		RemapScanDelay: 150 * sim.Microsecond,
-		NotifyCost:     30 * sim.Microsecond,
-		PageInCost:     6 * sim.Millisecond,
 		Quantum:        10 * sim.Millisecond,
 		Policy:         ReplaceRandom,
 	}

@@ -223,7 +223,7 @@ func (d *Driver) tick(remote uint64) uint64 {
 func (d *Driver) CreateEndpoint(key uint64) *Segment {
 	d.nextID++
 	cfg := d.nic.Config()
-	ep := nic.NewEndpointImage(d.nextID, d.node, cfg.SendQDepth, cfg.RecvQDepth)
+	ep := nic.NewEndpointImage(d.nextID, d.node, nic.SendQDepth, cfg.RecvQDepth)
 	ep.Key = key
 	d.nic.Register(ep)
 	seg := d.newSegment(ep, OnHostRO)
@@ -384,7 +384,7 @@ func (d *Driver) WriteFault(p *sim.Proc, seg *Segment) {
 	if seg.Resident() || seg.freed {
 		return
 	}
-	p.Sleep(d.cfg.FaultCost)
+	p.Sleep(faultCost)
 	// Re-validate after the trap: the background thread may have completed
 	// the binding while this fault was being handled (the handler finds the
 	// translation already valid and simply returns).
@@ -393,7 +393,7 @@ func (d *Driver) WriteFault(p *sim.Proc, seg *Segment) {
 	}
 	d.C.Inc("fault.write")
 	if seg.State == OnDisk {
-		p.Sleep(d.cfg.PageInCost)
+		p.Sleep(pageInCost)
 		d.C.Inc("fault.pagein")
 	}
 	seg.State = OnHostRW
@@ -469,7 +469,7 @@ func (d *Driver) RequestResident(ep *nic.EndpointImage, stamp uint64) {
 }
 
 // Notify implements nic.DriverPort: a communication event arrived for an
-// endpoint with an armed event mask. The kernel path costs NotifyCost
+// endpoint with an armed event mask. The kernel path costs notifyCost
 // before the blocked thread actually wakes.
 func (d *Driver) Notify(ep *nic.EndpointImage) {
 	seg, ok := d.segs[ep.ID]
@@ -477,7 +477,7 @@ func (d *Driver) Notify(ep *nic.EndpointImage) {
 		return
 	}
 	d.C.Inc("event.notify")
-	d.e.AfterFunc(d.cfg.NotifyCost, seg.notified)
+	d.e.AfterFunc(notifyCost, seg.notified)
 }
 
 // submitAndWait issues a driver/NI command and blocks the proc until the NI
@@ -589,7 +589,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 		return
 	}
 	if seg.State == OnDisk {
-		p.Sleep(d.cfg.PageInCost)
+		p.Sleep(pageInCost)
 		seg.State = OnHostRW
 	}
 	frame := d.freeFrame()
@@ -600,7 +600,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 			d.queueRemapLater(seg)
 			return
 		}
-		p.Sleep(d.cfg.UnloadCost)
+		p.Sleep(unloadCost)
 		d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpUnload, EP: victim.EP})
 		victim.setState(OnHostRO)
 		victim.Cond.Broadcast()
@@ -621,7 +621,7 @@ func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
 	if seg.freed || seg.migrating {
 		return
 	}
-	p.Sleep(d.cfg.LoadCost)
+	p.Sleep(loadCost)
 	if seg.freed || seg.migrating {
 		return
 	}

@@ -157,7 +157,7 @@ func TestPageOutAndPageIn(t *testing.T) {
 		t.Fatalf("state = %v, want on-nic after fault+remap", seg.State)
 	}
 	// Page-in cost must have been charged synchronously.
-	if faultDone < sim.Time(DefaultConfig().PageInCost) {
+	if faultDone < sim.Time(pageInCost) {
 		t.Fatalf("fault returned at %v, before page-in completed", faultDone)
 	}
 }
@@ -269,7 +269,7 @@ func TestNotifyAllocFree(t *testing.T) {
 	})
 	cycle := func() {
 		drv.Notify(seg.EP)
-		c.RunFor(2 * DefaultConfig().NotifyCost)
+		c.RunFor(2 * notifyCost)
 	}
 	cycle()
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
@@ -551,5 +551,30 @@ func TestDuplicateSegment(t *testing.T) {
 	}
 	if _, err := drv.Duplicate(parent); err == nil {
 		t.Fatal("duplicate of freed segment succeeded")
+	}
+}
+
+// TestWriteFaultCharges pins the trap a write to a non-resident endpoint
+// costs its thread: 25 us from host memory, plus a 6 ms page-in when VM
+// pressure had paged the endpoint out to disk. No experiment pages an
+// endpoint out, so this is the only place the page-in cost shows.
+func TestWriteFaultCharges(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	drv := c.Nodes[0].Driver
+	onHost, onDisk := drv.CreateEndpoint(1), drv.CreateEndpoint(2)
+	if err := drv.PageOut(onDisk); err != nil {
+		t.Fatal(err)
+	}
+	var took [2]sim.Duration
+	c.Nodes[0].Spawn("app", func(p *sim.Proc) {
+		for i, seg := range []*Segment{onHost, onDisk} {
+			start := p.Now()
+			drv.WriteFault(p, seg)
+			took[i] = p.Now().Sub(start)
+		}
+	})
+	c.RunFor(100 * sim.Millisecond)
+	if took[0] != 25*sim.Microsecond || took[1] != 6025*sim.Microsecond {
+		t.Fatalf("write faults took %v (on host) and %v (paged out), want 25us and 6.025ms", took[0], took[1])
 	}
 }

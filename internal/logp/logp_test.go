@@ -27,7 +27,7 @@ func gamPair(t testing.TB) (*sim.Engine, Station, Station) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	net := netsim.New(e, netsim.DefaultConfig(), 2)
-	w := gam.New(e, net, gam.DefaultConfig())
+	w := gam.New(e, net)
 	t.Cleanup(func() { w.Stop(); e.Shutdown() })
 	return e, GAMStation{N: w.Node(0), Dst: 1}, GAMStation{N: w.Node(1), Dst: 0}
 }

@@ -44,6 +44,7 @@ import (
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/netsim"
+	"virtnet/internal/nic"
 	"virtnet/internal/sim"
 	"virtnet/internal/trace"
 )
@@ -302,17 +303,16 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 	// Phase 3: ship the state to the destination agent as bulk AM traffic.
 	// The simulation passes the state object out-of-band and models the
 	// transfer cost with real payload bytes on the wire.
-	cfg := src.NIC.Config()
-	bytes := state.Bytes(cfg.FrameBytes)
-	chunks := (bytes + cfg.MTU - 1) / cfg.MTU
+	bytes := state.Bytes()
+	chunks := (bytes + nic.MTU - 1) / nic.MTU
 	s.nextXfer++
 	id := s.nextXfer
 	x := &xfer{state: state, epID: epID, chunks: chunks}
 	s.xfers[id] = x
 	for i := 0; i < chunks; i++ {
-		sz := cfg.MTU
+		sz := nic.MTU
 		if i == chunks-1 {
-			sz = bytes - (chunks-1)*cfg.MTU
+			sz = bytes - (chunks-1)*nic.MTU
 		}
 		err := srcMgr.agent.RequestBulk(p, int(dst), hChunk, make([]byte, sz),
 			[4]uint64{id, uint64(i), uint64(chunks), uint64(epID)})

@@ -282,7 +282,6 @@ func (c *Comm) Send(p *sim.Proc, dst, tag int, data []byte) error {
 	}
 	t0 := p.Now()
 	defer func() { c.CommTime += p.Now().Sub(t0) }()
-	mtu := c.node.NIC.Config().MTU
 	msgid := c.nextID[dst]
 	c.nextID[dst]++
 	meta := uint64(c.rank)<<32 | uint64(uint32(tag))
@@ -291,8 +290,8 @@ func (c *Comm) Send(p *sim.Proc, dst, tag int, data []byte) error {
 	if total == 0 {
 		return c.ep.Request(p, dst, hFrag, [4]uint64{msgid, 0, 0, meta})
 	}
-	for off := 0; off < total; off += mtu {
-		end := off + mtu
+	for off := 0; off < total; off += nic.MTU {
+		end := off + nic.MTU
 		if end > total {
 			end = total
 		}

@@ -85,11 +85,15 @@ func (p *Packet) Release() {
 	n.freePkt = p
 }
 
+// linkBytesPerSec is the bandwidth of every link: 1.2 Gb/s, as in the
+// paper's Myrinet. nsPerByte is its inverse, one link's serial time per byte.
+const (
+	linkBytesPerSec = 150e6
+	nsPerByte       = 1e9 / linkBytesPerSec
+)
+
 // Config describes the physical network.
 type Config struct {
-	// LinkBytesPerSec is the bandwidth of every link (default 150e6,
-	// i.e. 1.2 Gb/s as in the paper's Myrinet).
-	LinkBytesPerSec float64
 	// SwitchLatency is the cut-through latency per switch hop
 	// (default 300 ns).
 	SwitchLatency sim.Duration
@@ -117,10 +121,9 @@ type Config struct {
 // DefaultConfig returns the paper's cluster network parameters.
 func DefaultConfig() Config {
 	return Config{
-		LinkBytesPerSec: 150e6,
-		SwitchLatency:   300, // ns
-		HostsPerLeaf:    5,
-		Spines:          5,
+		SwitchLatency: 300, // ns
+		HostsPerLeaf:  5,
+		Spines:        5,
 	}
 }
 
@@ -211,7 +214,6 @@ type Network struct {
 	// blocking flow control §2 ascribes to Myrinet.
 	admission []func() bool
 	waitq     [][]waiting
-	nsPerByte float64
 	// corrupt is the per-packet probability that a delivered packet's bits
 	// are flipped in flight (fault injection; see SetCorruptProb).
 	corrupt float64
@@ -235,9 +237,6 @@ type Network struct {
 
 // New builds a network for nhosts hosts on engine e.
 func New(e *sim.Engine, cfg Config, nhosts int) *Network {
-	if cfg.LinkBytesPerSec <= 0 {
-		cfg.LinkBytesPerSec = 150e6
-	}
 	if cfg.HostsPerLeaf <= 0 {
 		cfg.HostsPerLeaf = 5
 	}
@@ -269,7 +268,6 @@ func New(e *sim.Engine, cfg Config, nhosts int) *Network {
 		deliver:   make([]func(*Packet), nhosts),
 		admission: make([]func() bool, nhosts),
 		waitq:     make([][]waiting, nhosts),
-		nsPerByte: 1e9 / cfg.LinkBytesPerSec,
 	}
 	n.hostUp = make([]*link, nhosts)
 	n.hostDown = make([]*link, nhosts)
@@ -682,7 +680,7 @@ func (n *Network) Utilization() float64 {
 
 // TxTime returns the serial transmission time for size bytes on one link.
 func (n *Network) TxTime(size int) sim.Duration {
-	return sim.Duration(float64(size) * n.nsPerByte)
+	return sim.Duration(float64(size) * nsPerByte)
 }
 
 // SetSpineDown hot-swaps spine switch s (a global index across pods) out

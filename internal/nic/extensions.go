@@ -173,7 +173,7 @@ func (n *NIC) flushAcks(p *sim.Proc, peer netsim.NodeID) {
 // control) against our channels to the packet's sender.
 func (n *NIC) processPiggy(p *sim.Proc, pkt *wirePkt) {
 	for _, a := range pkt.Piggy {
-		p.Sleep(n.cfg.PiggyAckCost)
+		p.Sleep(piggyAckCost)
 		n.ctr[ctrRxAckPiggy].Inc()
 		ch := n.chanFor(pkt.SrcNI, a.Chan)
 		if ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq {

@@ -567,9 +567,9 @@ func (n *NIC) sendOne(p *sim.Proc, ep *EndpointImage, q *ring[*SendDesc]) {
 
 	// Stage bulk payload from host memory into NI memory over the SBUS.
 	if len(d.Payload) > 0 {
-		p.Sleep(n.cfg.DMASetup + n.dmaTime(len(d.Payload), n.cfg.SBusReadBps))
+		p.Sleep(dmaSetup + n.dmaTime(len(d.Payload), sbusReadBps))
 	}
-	p.Sleep(n.cfg.SendCritical + n.cfg.CheckOverhead)
+	p.Sleep(sendCritical + checkOverhead)
 
 	ch.seq++
 	pkt := n.allocHdr()
@@ -620,7 +620,7 @@ func (n *NIC) injectData(ch *channel) {
 	w.desc, w.flight, w.netPkt = nil, nil, nil
 	np := n.net.AllocPacket()
 	np.Src, np.Dst, np.Payload = n.id, m.DstNI, w
-	np.Size = n.cfg.HeaderBytes + len(m.Payload) + 8*len(m.Piggy)
+	np.Size = headerBytes + len(m.Payload) + 8*len(m.Piggy)
 	np.Flight = m.flight
 	n.net.Send(np, ch.idx)
 	// Keep a handle on the transmission so the retransmit path can see
@@ -637,7 +637,7 @@ func (n *NIC) injectData(ch *channel) {
 func (n *NIC) injectControl(ctl *wirePkt, route int) {
 	np := n.net.AllocPacket()
 	np.Src, np.Dst, np.Payload = n.id, ctl.DstNI, ctl
-	np.Size = n.cfg.AckBytes + 8*len(ctl.Piggy)
+	np.Size = ackBytes + 8*len(ctl.Piggy)
 	np.Control = true
 	n.net.Send(np, route)
 	np.Release()
@@ -706,7 +706,7 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 		ch.backoff = n.cfg.RetransMax
 	}
 	d.Flight.Note("retransmit", now)
-	p.Sleep(n.cfg.SendCritical)
+	p.Sleep(sendCritical)
 	n.injectData(ch)
 	n.armTimer(ch)
 	n.ctr[ctrTxRetrans].Inc()
@@ -833,7 +833,7 @@ func (n *NIC) rxFor(pkt *wirePkt) *rxState {
 
 func (n *NIC) handleData(p *sim.Proc, pkt *wirePkt) {
 	n.processPiggy(p, pkt) // acks riding on the data packet
-	p.Sleep(n.cfg.RecvCritical + n.cfg.CheckOverhead)
+	p.Sleep(recvCritical + checkOverhead)
 	n.ctr[ctrRxData].Inc()
 	st := n.rxFor(pkt)
 	if pkt.Seq <= st.lastSeen {
@@ -912,7 +912,7 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 	}
 	if len(pkt.Payload) > 0 {
 		// Stage payload from NI memory to the host buffer over the SBUS.
-		p.Sleep(n.cfg.DMASetup + n.dmaTime(len(pkt.Payload), n.cfg.SBusWriteBps))
+		p.Sleep(dmaSetup + n.dmaTime(len(pkt.Payload), sbusWriteBps))
 	}
 	msg := n.allocMsg()
 	msg.SrcNI = pkt.SrcNI
@@ -923,7 +923,7 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 	msg.Payload = pkt.Payload
 	msg.ReplyKey = pkt.ReplyKey
 	msg.Arrive = n.e.Now()
-	msg.Visible = n.e.Now().Add(n.cfg.DepositLatency)
+	msg.Visible = n.e.Now().Add(depositLatency)
 	if fl := pkt.rxFlight; fl != nil {
 		// Close the wire interval at the copy's recorded arrival, then the
 		// NI receive interval (critical path + deposit DMA) at now.
@@ -954,7 +954,7 @@ func (n *NIC) sendControl(p *sim.Proc, data *wirePkt, kind pktKind, reason NackR
 		p.Sleep(n.cfg.AckSend)
 		n.ctr[ctrTxAck].Inc()
 	} else {
-		p.Sleep(n.cfg.NackSend)
+		p.Sleep(nackSend)
 		n.ctr[ctrTxNack+int(reason)].Inc()
 	}
 	ctl := n.allocHdr()
@@ -979,7 +979,7 @@ func (n *NIC) chanFor(peer netsim.NodeID, idx int) *channel {
 }
 
 func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
-	p.Sleep(n.cfg.AckRecv)
+	p.Sleep(ackRecv)
 	n.ctr[ctrRxAck].Inc()
 	if len(pkt.Piggy) > 0 {
 		// Batched acknowledgments (piggyback extension flush path).
@@ -997,7 +997,7 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
 }
 
 func (n *NIC) handleNack(p *sim.Proc, pkt *wirePkt) {
-	p.Sleep(n.cfg.NackRecv)
+	p.Sleep(nackRecv)
 	n.ctr[ctrRxNack+int(pkt.Reason)].Inc()
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
@@ -1025,7 +1025,7 @@ func (n *NIC) handleNack(p *sim.Proc, pkt *wirePkt) {
 // NACKed (distinct from channel-level timeout backoff).
 func (d *SendDesc) nackBackoff(n *NIC) {
 	d.nacks++
-	b := n.cfg.NackBackoffBase << uint(d.nacks-1)
+	b := nackBackoffBase << uint(d.nacks-1)
 	if b > n.cfg.RetransMax {
 		b = n.cfg.RetransMax
 	}
@@ -1040,7 +1040,7 @@ func (n *NIC) handleCmd(p *sim.Proc, cmd *DriverCmd) {
 		n.clock = cmd.Stamp
 	}
 	n.clock++
-	p.Sleep(n.cfg.DriverOpCost)
+	p.Sleep(driverOpCost)
 	switch cmd.Op {
 	case OpLoad:
 		n.handleLoad(p, cmd)
@@ -1062,7 +1062,7 @@ func (n *NIC) handleLoad(p *sim.Proc, cmd *DriverCmd) {
 		panic(fmt.Sprintf("nic%d: load %d into occupied/invalid frame %d", n.id, ep.ID, cmd.Frame))
 	}
 	// Stage the endpoint image from host memory into the frame.
-	p.Sleep(n.cfg.DMASetup + n.dmaTime(n.cfg.FrameBytes, n.cfg.SBusReadBps))
+	p.Sleep(dmaSetup + n.dmaTime(FrameBytes, sbusReadBps))
 	n.frames[cmd.Frame] = ep
 	ep.Frame = cmd.Frame
 	ep.State = EPResident
@@ -1099,7 +1099,7 @@ func (n *NIC) completeUnload(p *sim.Proc, cmd *DriverCmd) {
 	if ep.unloadWait != cmd {
 		return // duplicate completion (reboot-recovery requeue)
 	}
-	p.Sleep(n.cfg.DMASetup + n.dmaTime(n.cfg.FrameBytes, n.cfg.SBusWriteBps))
+	p.Sleep(dmaSetup + n.dmaTime(FrameBytes, sbusWriteBps))
 	if ep.unloadWait != cmd {
 		return
 	}

@@ -62,7 +62,7 @@ func newRig(t *testing.T, hosts int, seed int64, mod func(*Config), nmod func(*n
 func (r *rig) newEP(t *testing.T, host, id int, key uint64, frame int) *EndpointImage {
 	t.Helper()
 	n := r.nics[host]
-	ep := NewEndpointImage(id, netsim.NodeID(host), n.cfg.SendQDepth, n.cfg.RecvQDepth)
+	ep := NewEndpointImage(id, netsim.NodeID(host), SendQDepth, n.cfg.RecvQDepth)
 	ep.Key = key
 	n.Register(ep)
 	if frame >= 0 {
@@ -421,7 +421,7 @@ func TestEpochResyncAfterSenderRestart(t *testing.T) {
 	n0 := New(r.e, r.net, 0, DefaultConfig())
 	d0 := &fakeDriver{n: n0}
 	n0.SetDriver(d0)
-	src2 := NewEndpointImage(100, 0, n0.cfg.SendQDepth, n0.cfg.RecvQDepth)
+	src2 := NewEndpointImage(100, 0, SendQDepth, n0.cfg.RecvQDepth)
 	src2.Key = 7
 	n0.Register(src2)
 	done := false
@@ -481,10 +481,10 @@ func TestExactlyOnceProperty(t *testing.T) {
 		n1 := New(e, net, 1, cfg)
 		n0.SetDriver(&fakeDriver{n: n0})
 		n1.SetDriver(&fakeDriver{n: n1})
-		src := NewEndpointImage(1, 0, cfg.SendQDepth, cfg.RecvQDepth)
+		src := NewEndpointImage(1, 0, SendQDepth, cfg.RecvQDepth)
 		src.Key = 1
 		n0.Register(src)
-		dst := NewEndpointImage(2, 1, cfg.SendQDepth, cfg.RecvQDepth)
+		dst := NewEndpointImage(2, 1, SendQDepth, cfg.RecvQDepth)
 		dst.Key = 2
 		n1.Register(dst)
 		n0.SubmitCmd(&DriverCmd{Op: OpLoad, EP: src, Frame: 0})

@@ -182,7 +182,7 @@ func TestExactlyOnceUnderPoolPressureProperty(t *testing.T) {
 		}
 		mk := func(host, id int, key uint64) *EndpointImage {
 			n := r.nics[host]
-			ep := NewEndpointImage(id, netsim.NodeID(host), n.cfg.SendQDepth, n.cfg.RecvQDepth)
+			ep := NewEndpointImage(id, netsim.NodeID(host), SendQDepth, n.cfg.RecvQDepth)
 			ep.Key = key
 			n.Register(ep)
 			n.SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: 0})

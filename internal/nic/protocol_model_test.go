@@ -38,7 +38,7 @@ func TestProtocolAgainstModel(t *testing.T) {
 		// One endpoint per node; dedup-capable messages via MsgID.
 		var eps []*EndpointImage
 		for h := 0; h < 8; h++ {
-			ep := NewEndpointImage(h+1, netsim.NodeID(h), cfg.SendQDepth, cfg.RecvQDepth)
+			ep := NewEndpointImage(h+1, netsim.NodeID(h), SendQDepth, cfg.RecvQDepth)
 			ep.Key = uint64(h + 1)
 			nics[h].Register(ep)
 			nics[h].SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: 0})

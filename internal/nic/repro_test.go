@@ -24,10 +24,10 @@ func TestExactlyOnceAfterReturn(t *testing.T) {
 	n1 := New(e, net, 1, cfg)
 	n0.SetDriver(&fakeDriver{n: n0})
 	n1.SetDriver(&fakeDriver{n: n1})
-	src := NewEndpointImage(1, 0, cfg.SendQDepth, cfg.RecvQDepth)
+	src := NewEndpointImage(1, 0, SendQDepth, cfg.RecvQDepth)
 	src.Key = 1
 	n0.Register(src)
-	dst := NewEndpointImage(2, 1, cfg.SendQDepth, cfg.RecvQDepth)
+	dst := NewEndpointImage(2, 1, SendQDepth, cfg.RecvQDepth)
 	dst.Key = 2
 	n1.Register(dst)
 	n0.SubmitCmd(&DriverCmd{Op: OpLoad, EP: src, Frame: 0})

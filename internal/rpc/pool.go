@@ -246,15 +246,14 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (P
 	pl.nextID++
 	rb := &resultBuf{trace: trace, tgt: tgt}
 	pl.results[id] = rb
-	mtu := pl.node.NIC.Config().MTU
 	meta := uint64(proc)<<40 | uint64(pl.ep.Key())&(1<<40-1)
 	self := uint64(pl.ep.Name().Raw())
 	total := len(wire)
 	// Fragments posted under the ambient trace become wire spans of the
 	// call's trace tree (the tracer samples at the endpoint post path).
 	prev := pl.ep.SetTrace(trace)
-	for off := 0; off < total; off += mtu {
-		end := off + mtu
+	for off := 0; off < total; off += nic.MTU {
+		end := off + nic.MTU
 		if end > total {
 			end = total
 		}

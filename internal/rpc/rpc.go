@@ -69,7 +69,8 @@ type Options struct {
 	Queue int
 	// NoShed disables server-side deadline shedding (ablation knob).
 	NoShed bool
-	// NoBreaker disables the client-side circuit breaker (ablation knob).
+	// NoBreaker disables the circuit breaker a client keeps per server
+	// (ablation knob). It applies to clients only: a server has no breaker.
 	NoBreaker bool
 	// IdemCap sizes the server's idempotency result cache (0 = off).
 	IdemCap int
@@ -494,14 +495,13 @@ func (s *Server) execute(p *sim.Proc, cb *callBuf) {
 
 // sendResult streams the result back as fragments.
 func (s *Server) sendResult(p *sim.Proc, idx int, callID, status uint64, result []byte) {
-	mtu := s.node.NIC.Config().MTU
 	total := len(result)
 	if total == 0 {
 		s.ep.Request(p, idx, hResult, [4]uint64{callID, uint64(total), 0, status})
 		return
 	}
-	for off := 0; off < total; off += mtu {
-		end := off + mtu
+	for off := 0; off < total; off += nic.MTU {
+		end := off + nic.MTU
 		if end > total {
 			end = total
 		}

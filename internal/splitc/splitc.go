@@ -200,7 +200,7 @@ func (r *Rank) Poll(p *sim.Proc) int { return r.ep.Poll(p) }
 // Get reads n bytes at offset off of rank dst's heap, blocking (and
 // servicing incoming requests) until the data arrives.
 func (r *Rank) Get(p *sim.Proc, dst, off, n int) ([]byte, error) {
-	if n > r.node.NIC.Config().MTU {
+	if n > nic.MTU {
 		return nil, fmt.Errorf("splitc: get of %d bytes exceeds MTU", n)
 	}
 	t0 := p.Now()
@@ -243,7 +243,7 @@ func (r *Rank) Store(p *sim.Proc, dst, off int, data []byte) error {
 }
 
 func (r *Rank) store(p *sim.Proc, dst, off int, data []byte) error {
-	if len(data) > r.node.NIC.Config().MTU {
+	if len(data) > nic.MTU {
 		return fmt.Errorf("splitc: store of %d bytes exceeds MTU", len(data))
 	}
 	r.storesOut++
