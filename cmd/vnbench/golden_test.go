@@ -22,7 +22,7 @@ var tier1Goldens = map[string]bool{
 	"logp": true, "bandwidth": true, "breakdown": true, "faults": true,
 	"tenants": true, "migrate": true, "overcommit": true, "sensitivity": true,
 	"timeshare": true, "simperf": true, "ablations": true, "degrade": true,
-	"tailat": true, "npb": true,
+	"tailat": true, "npb": true, "via": true, "extensions": true,
 }
 
 // runRow runs `vnbench args...` in this process and returns its stdout. It
@@ -69,7 +69,7 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // stdout to be the committed results_<name>.txt byte for byte.
 func TestGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates fourteen goldens (≈ 34 s)")
+		t.Skip("regenerates sixteen goldens (≈ 34 s)")
 	}
 	found := 0
 	for _, ex := range bench.Experiments {
@@ -139,7 +139,7 @@ func TestRepeatRuns(t *testing.T) {
 // this runs the rows neither of them reaches, at -quick, to the same
 // standard. The exceptions take 4–18 s even at -quick, which tier-1 cannot
 // afford for them: contention-small and contention-bulk (one body,
-// contentionRow). The clusters they build belong to bench.RunClientServer,
+// contentionRow). The clusters they build belong to the contention harness,
 // which shuts them down under defer and has tests of its own; CI's
 // slow-golden loop runs both at full size.
 func TestRowsLeaveNoGoroutines(t *testing.T) {

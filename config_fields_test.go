@@ -52,7 +52,9 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 }
 
 // moduleCensus is the module type-checked file by file: the config fields
-// declared under internal/ and cmd/, and where each field is set.
+// and exported functions declared under internal/ and cmd/, where each field
+// is set, which functions anything refers to, and the interfaces the module
+// declares.
 type moduleCensus struct {
 	fset    *token.FileSet
 	std     types.Importer
@@ -61,6 +63,9 @@ type moduleCensus struct {
 	fields  []configField
 	tracked map[*types.Var]bool
 	setters map[*types.Var][]token.Position
+	funcs   []*types.Func
+	called  map[*types.Func]bool
+	ifaces  []*types.Interface
 }
 
 type configField struct {
@@ -82,6 +87,7 @@ func loadModule(t *testing.T) *moduleCensus {
 		pkgs:    map[string]*types.Package{},
 		tracked: map[*types.Var]bool{},
 		setters: map[*types.Var][]token.Position{},
+		called:  map[*types.Func]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -160,8 +166,9 @@ func (m *moduleCensus) Import(path string) (*types.Package, error) {
 	return p, err
 }
 
-// check type-checks one package, records the config fields its first decl
-// files declare, and records every field setter in all its files.
+// check type-checks one package, records the config fields and exported
+// functions its first decl files declare, and records every field setter and
+// function use in all its files.
 func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types.Package, error) {
 	var files []*ast.File
 	for _, n := range names {
@@ -183,10 +190,12 @@ func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types
 	}
 	for _, f := range files[:decl] {
 		m.declare(pkg, f, info)
+		m.declareFuncs(f, info)
 	}
 	for _, f := range files {
 		m.collect(pkg, f, info)
 	}
+	m.collectUses(pkg, info)
 	return pkg, nil
 }
 

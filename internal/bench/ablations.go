@@ -10,21 +10,21 @@ import (
 	"virtnet/internal/trace"
 )
 
-// LoiterResult measures what the WRR loiter bound (§5.2) protects: a
+// loiterResult measures what the WRR loiter bound (§5.2) protects: a
 // latency-sensitive endpoint sharing an NI with a bulk-streaming endpoint.
 // Without the bound, the NI stays on the bulk endpoint while it has packets
 // to send, and the small endpoint's messages wait arbitrarily long.
-type LoiterResult struct {
+type loiterResult struct {
 	BulkMBps  float64      // the hog's delivered bandwidth
 	PingP50   sim.Duration // the meek endpoint's median RTT
 	PingP99   sim.Duration
 	PingCount int
 }
 
-// RunLoiterAblation runs a bulk hog (streaming to three sinks, so its
+// runLoiterAblation runs a bulk hog (streaming to three sinks, so its
 // logical channels never all exhaust) and a small-message ping endpoint on
 // the same node, with the loiter bound enabled or disabled.
-func RunLoiterAblation(noLoiter bool, seed int64) LoiterResult {
+func runLoiterAblation(noLoiter bool, seed int64) loiterResult {
 	ccfg := hostos.DefaultClusterConfig()
 	if noLoiter {
 		ccfg.NIC.LoiterMsgs = 1 << 30
@@ -116,7 +116,7 @@ func RunLoiterAblation(noLoiter bool, seed int64) LoiterResult {
 
 	cl.RunFor(window)
 	stop = true
-	res := LoiterResult{
+	res := loiterResult{
 		BulkMBps:  float64(bulkBytes) / window.Seconds() / 1e6,
 		PingCount: hist.Count(),
 	}
@@ -143,9 +143,9 @@ func ablationsRow(w io.Writer, p Params) error {
 	// the single-threaded server writing replies into non-resident
 	// endpoints.
 	hw := 40 * sim.Microsecond
-	base := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+	base := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
 		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw})
-	noRW := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+	noRW := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
 		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw, DisableHostRW: true})
 	fmt.Fprintf(w, "on-host r/w state (ST, %d clients, 8 frames, 40us handler):\n", n)
 	fmt.Fprintf(w, "  with (paper design):    %8.0f msgs/s, %4.0f remaps/s\n", base.AggregateMsgs, base.RemapsPerSec)
@@ -154,21 +154,21 @@ func ablationsRow(w io.Writer, p Params) error {
 
 	fmt.Fprintf(w, "replacement policy (ST, %d clients, 8 frames):\n", n)
 	for _, pol := range []hostos.ReplacementPolicy{hostos.ReplaceRandom, hostos.ReplaceLRU, hostos.ReplaceFIFO} {
-		r := RunClientServer(CSConfig{Clients: n, Mode: ST, Frames: 8,
+		r := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
 			Warmup: warm, Window: win, Seed: p.Seed, Policy: pol})
 		fmt.Fprintf(w, "  %-7s %8.0f msgs/s, %4.0f remaps/s\n", pol, r.AggregateMsgs, r.RemapsPerSec)
 	}
 
 	fmt.Fprintf(w, "logical channels per NI pair (single-client 8 KB stream):\n")
 	for _, ch := range []int{1, 2, 4, 16} {
-		r := RunClientServer(CSConfig{Clients: 1, Mode: OneVN, Frames: 8,
+		r := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8,
 			MsgBytes: 8192, Warmup: warm, Window: win, Seed: p.Seed, Channels: ch})
 		fmt.Fprintf(w, "  %2d channels: %6.1f MB/s  (stop-and-wait masking of ack latency)\n", ch, r.AggregateMBps)
 	}
 
 	fmt.Fprintf(w, "loiter bound (bulk hog + ping endpoint sharing one NI):\n")
-	on := RunLoiterAblation(false, p.Seed)
-	off := RunLoiterAblation(true, p.Seed)
+	on := runLoiterAblation(false, p.Seed)
+	off := runLoiterAblation(true, p.Seed)
 	fmt.Fprintf(w, "  bounded (64 msgs/4 ms): hog %5.1f MB/s, %d pings, p50 %v p99 %v\n",
 		on.BulkMBps, on.PingCount, on.PingP50, on.PingP99)
 	fmt.Fprintf(w, "  unbounded:              hog %5.1f MB/s, %d pings, p50 %v p99 %v\n",

@@ -17,8 +17,8 @@ import (
 // is virtual completion time of the slowest rank — the collective is done
 // when everyone holds the result.
 
-// AllreduceCell is one (size, algorithm) measurement.
-type AllreduceCell struct {
+// allreduceCell is one (size, algorithm) measurement.
+type allreduceCell struct {
 	Bytes int
 	Alg   coll.Algorithm
 	Time  sim.Duration // slowest rank's completion, virtual time
@@ -60,9 +60,9 @@ func gcd(a, b int) int {
 	return a
 }
 
-// RunAllreduceCell measures one cell of the sweep.
-func RunAllreduceCell(nodes, bytes int, alg coll.Algorithm, seed int64) AllreduceCell {
-	cell := AllreduceCell{Bytes: bytes, Alg: alg}
+// runAllreduceCell measures one cell of the sweep.
+func runAllreduceCell(nodes, bytes int, alg coll.Algorithm, seed int64) allreduceCell {
+	cell := allreduceCell{Bytes: bytes, Alg: alg}
 	length := bytes / 8
 	c := hostos.NewCluster(seed, nodes, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
@@ -274,7 +274,7 @@ func allreduceRow(w io.Writer, p Params) error {
 		// Auto runs the algorithm Select names, so its cell is one of these.
 		sel, auto := coll.Select(nodes, szBytes, true), 0.0
 		for _, a := range algs {
-			cell := RunAllreduceCell(nodes, szBytes, a, p.Seed)
+			cell := runAllreduceCell(nodes, szBytes, a, p.Seed)
 			verified = verified && cell.OK
 			ms := cell.Time.Micros() / 1000
 			fmt.Fprintf(w, " %12.3f", ms)

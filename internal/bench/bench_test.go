@@ -12,12 +12,12 @@ func TestClientServerOneVNShapes(t *testing.T) {
 	}
 	// Single client saturates the server at roughly the small-message gap
 	// (paper: ~78K msgs/s); per-client shares are proportional.
-	r1 := RunClientServer(CSConfig{Clients: 1, Mode: OneVN, Frames: 8,
+	r1 := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8,
 		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
 	if r1.AggregateMsgs < 60000 || r1.AggregateMsgs > 100000 {
 		t.Fatalf("1-client aggregate = %.0f msgs/s, expected ~80K", r1.AggregateMsgs)
 	}
-	r4 := RunClientServer(CSConfig{Clients: 4, Mode: OneVN, Frames: 8,
+	r4 := runClientServer(csConfig{Clients: 4, Mode: modeOneVN, Frames: 8,
 		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
 	for i, pc := range r4.PerClient {
 		share := r4.AggregateMsgs / 4
@@ -26,7 +26,7 @@ func TestClientServerOneVNShapes(t *testing.T) {
 		}
 	}
 	// Overruns at 3+ clients drop aggregate below the 2-client level.
-	r2 := RunClientServer(CSConfig{Clients: 2, Mode: OneVN, Frames: 8,
+	r2 := runClientServer(csConfig{Clients: 2, Mode: modeOneVN, Frames: 8,
 		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
 	if r4.AggregateMsgs >= r2.AggregateMsgs {
 		t.Fatalf("no overrun-driven drop: 2 clients %.0f, 4 clients %.0f",
@@ -38,7 +38,7 @@ func TestClientServerOvercommitRemaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention run is slow")
 	}
-	r := RunClientServer(CSConfig{Clients: 24, Mode: ST, Frames: 8,
+	r := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 8,
 		Warmup: 150 * sim.Millisecond, Window: 300 * sim.Millisecond})
 	if r.RemapsPerSec < 50 {
 		t.Fatalf("overcommitted server only remapped %.0f/s", r.RemapsPerSec)
@@ -48,7 +48,7 @@ func TestClientServerOvercommitRemaps(t *testing.T) {
 		t.Fatalf("aggregate %.0f under overcommit below 40%% of peak", r.AggregateMsgs)
 	}
 	// 96 frames: no remapping for 24 clients.
-	r96 := RunClientServer(CSConfig{Clients: 24, Mode: ST, Frames: 96,
+	r96 := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 96,
 		Warmup: 150 * sim.Millisecond, Window: 300 * sim.Millisecond})
 	if r96.RemapsPerSec != 0 {
 		t.Fatalf("96-frame server remapped %.0f/s", r96.RemapsPerSec)
@@ -63,7 +63,7 @@ func TestTimeshareWithinBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timeshare run is slow")
 	}
-	res, ok := RunTimeshare(TimeshareConfig{
+	res, ok := runTimeshare(timeshareConfig{
 		Nodes: 4, Apps: 2, Iters: 20,
 		Compute:  2 * sim.Millisecond,
 		MsgBytes: 2048,
@@ -91,11 +91,11 @@ func TestTimeshareImbalanceGains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timeshare run is slow")
 	}
-	bal, ok1 := RunTimeshare(TimeshareConfig{
+	bal, ok1 := runTimeshare(timeshareConfig{
 		Nodes: 4, Apps: 2, Iters: 15,
 		Compute: 2 * sim.Millisecond, MsgBytes: 1024,
 	})
-	imb, ok2 := RunTimeshare(TimeshareConfig{
+	imb, ok2 := runTimeshare(timeshareConfig{
 		Nodes: 4, Apps: 2, Iters: 15,
 		Compute: 2 * sim.Millisecond, MsgBytes: 1024,
 		Imbalance: 1.0,
@@ -114,7 +114,7 @@ func TestLinpackSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("linpack run is slow")
 	}
-	res, ok := RunLinpack(LinpackConfig{Nodes: 8, N: 1024, NB: 128, RateFlops: 135e6})
+	res, ok := runLinpack(linpackConfig{Nodes: 8, N: 1024, NB: 128, RateFlops: 135e6})
 	if !ok {
 		t.Fatal("linpack did not complete")
 	}
@@ -137,7 +137,7 @@ func TestVIAPressure(t *testing.T) {
 	}
 	// 12 nodes: VIA needs 11 endpoints per node against 8 frames
 	// (overcommitted); virtual networks need 1 (never remapped).
-	res, ok := RunVIAPressure(VIAPressureConfig{Nodes: 12, Rounds: 10})
+	res, ok := runVIAPressure(viaPressureConfig{Nodes: 12, Rounds: 10})
 	if !ok {
 		t.Fatal("via pressure run did not complete")
 	}
@@ -155,57 +155,6 @@ func TestVIAPressure(t *testing.T) {
 	}
 }
 
-// BenchmarkSimPerfTraceOff is the observability overhead guard's baseline:
-// the full request/reply hot path with no obs layer installed. Every
-// instrumentation site must degenerate to a nil check here, so ns/op and
-// allocs/op (CI records both via ReportAllocs) must stay at the
-// pre-observability level.
-func BenchmarkSimPerfTraceOff(b *testing.B) {
-	benchSimPerf(b, 0)
-}
-
-// BenchmarkSimPerfTraceOn runs the same workload with the flight recorder
-// sampling every message — the worst-case tracing cost, for comparison
-// against the TraceOff baseline.
-func BenchmarkSimPerfTraceOn(b *testing.B) {
-	benchSimPerf(b, 1)
-}
-
-// BenchmarkSimPerfTraceOff4Shard / TraceOn4Shard are the sharded overhead
-// guards: the scaled workload on a 4-shard cluster, tracing off and on.
-// The off variant pins the cost of the cross-shard exchange alone (handoff
-// instrumentation must still degenerate to nil checks); the on variant adds
-// the per-shard arenas plus boundary handoff records.
-func BenchmarkSimPerfTraceOff4Shard(b *testing.B) {
-	benchSimPerfSharded(b, 0)
-}
-
-func BenchmarkSimPerfTraceOn4Shard(b *testing.B) {
-	benchSimPerfSharded(b, 1)
-}
-
-func benchSimPerf(b *testing.B, traceSample int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 2000, Seed: 1, TraceSample: traceSample})
-		if err != nil || res.Replied != 4*2000 {
-			b.Fatalf("replied %d, want %d (err %v)", res.Replied, 4*2000, err)
-		}
-		b.ReportMetric(float64(res.Mallocs)/float64(res.Replied), "mallocs/msg")
-	}
-}
-
-func benchSimPerfSharded(b *testing.B, traceSample int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 2000, Seed: 1, Shards: 4, TraceSample: traceSample})
-		if err != nil || res.Replied != 32*2000 {
-			b.Fatalf("replied %d, want %d (err %v)", res.Replied, 32*2000, err)
-		}
-		b.ReportMetric(float64(res.Mallocs)/float64(res.Replied), "mallocs/msg")
-	}
-}
-
 // TestTracingDisabledAllocBudget pins the disabled-path allocation cost:
 // with no obs layer the message path allocates nothing in steady state
 // (headers, send and receive descriptors and fabric packets are all pooled),
@@ -218,7 +167,7 @@ func TestTracingDisabledAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simperf run is slow")
 	}
-	res, err := RunSimPerf(SimPerfConfig{Pairs: 4, Msgs: 5000, Seed: 1})
+	res, err := runSimPerf(simPerfConfig{Pairs: 4, Msgs: 5000, Seed: 1})
 	if err != nil || res.Replied != 4*5000 {
 		t.Fatalf("replied %d, want %d (err %v)", res.Replied, 4*5000, err)
 	}
@@ -227,7 +176,7 @@ func TestTracingDisabledAllocBudget(t *testing.T) {
 		t.Fatalf("tracing-disabled path allocates %.3f mallocs/msg, budget 0.035", perMsg)
 	}
 
-	res, err = RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: 5000, Seed: 1, Shards: 4})
+	res, err = runSimPerf(simPerfConfig{Hosts: 64, Msgs: 5000, Seed: 1, Shards: 4})
 	if err != nil || res.Replied != 32*5000 {
 		t.Fatalf("sharded replied %d, want %d (err %v)", res.Replied, 32*5000, err)
 	}
@@ -243,10 +192,10 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	// Identical seeds must produce bit-identical experiment results — the
 	// property that makes every figure reproducible.
-	cfg := CSConfig{Clients: 6, Mode: ST, Frames: 8, Seed: 42,
+	cfg := csConfig{Clients: 6, Mode: modeST, Frames: 8, Seed: 42,
 		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond}
-	a := RunClientServer(cfg)
-	b := RunClientServer(cfg)
+	a := runClientServer(cfg)
+	b := runClientServer(cfg)
 	if a.AggregateMsgs != b.AggregateMsgs || a.RemapsPerSec != b.RemapsPerSec {
 		t.Fatalf("nondeterministic: %v/%v vs %v/%v",
 			a.AggregateMsgs, a.RemapsPerSec, b.AggregateMsgs, b.RemapsPerSec)
@@ -258,7 +207,7 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	// A different seed must (almost surely) differ somewhere.
 	cfg.Seed = 43
-	c := RunClientServer(cfg)
+	c := runClientServer(cfg)
 	if c.AggregateMsgs == a.AggregateMsgs && c.RemapsPerSec == a.RemapsPerSec {
 		same := true
 		for i := range a.PerClient {

@@ -18,19 +18,19 @@ import (
 	"virtnet/internal/trace"
 )
 
-// ServerMode is the §6.4 server configuration.
-type ServerMode int
+// serverMode is the §6.4 server configuration.
+type serverMode int
 
 const (
-	// OneVN: every client maps to one shared server endpoint (a single
+	// modeOneVN: every client maps to one shared server endpoint (a single
 	// virtual network).
-	OneVN ServerMode = iota
-	// ST: one server endpoint per client, a single server thread polling
+	modeOneVN serverMode = iota
+	// modeST: one server endpoint per client, a single server thread polling
 	// all of them.
-	ST
-	// MT: one server endpoint per client, one event-driven server thread
+	modeST
+	// modeMT: one server endpoint per client, one event-driven server thread
 	// per endpoint.
-	MT
+	modeMT
 )
 
 // Handler indices for the workload.
@@ -39,10 +39,10 @@ const (
 	hRep = 2
 )
 
-// CSConfig parameterizes one contention run.
-type CSConfig struct {
+// csConfig parameterizes one contention run.
+type csConfig struct {
 	Clients  int
-	Mode     ServerMode
+	Mode     serverMode
 	Frames   int          // server NI endpoint frames (8 or 96)
 	MsgBytes int          // 0 = small request; 8192 = bulk (Fig. 7)
 	Warmup   sim.Duration // excluded from measurement
@@ -59,8 +59,8 @@ type CSConfig struct {
 	HandlerWork sim.Duration
 }
 
-// CSResult is what Figs. 6 and 7 plot.
-type CSResult struct {
+// csResult is what Figs. 6 and 7 plot.
+type csResult struct {
 	PerClient     []float64 // requests served per second, per client
 	AggregateMsgs float64   // total requests/s at the server
 	AggregateMBps float64   // payload MB/s at the server (bulk runs)
@@ -71,10 +71,10 @@ type CSResult struct {
 	RTT           *trace.Hist
 }
 
-// RunClientServer executes one §6.4 configuration and returns its steady
+// runClientServer executes one §6.4 configuration and returns its steady
 // state measurements. The server runs on node 0; client i runs dedicated on
 // node i+1 (as in the paper, every process has its own node).
-func RunClientServer(cfg CSConfig) CSResult {
+func runClientServer(cfg csConfig) csResult {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 200 * sim.Millisecond
 	}
@@ -96,7 +96,7 @@ func RunClientServer(cfg CSConfig) CSResult {
 
 	server := cl.Nodes[0]
 	nEPs := cfg.Clients
-	if cfg.Mode == OneVN {
+	if cfg.Mode == modeOneVN {
 		nEPs = 1
 	}
 
@@ -105,7 +105,7 @@ func RunClientServer(cfg CSConfig) CSResult {
 	srvEPs := make([]*core.Endpoint, nEPs)
 	var srvBundles []*core.Bundle
 	for i := range srvEPs {
-		if i == 0 || cfg.Mode == MT {
+		if i == 0 || cfg.Mode == modeMT {
 			srvBundles = append(srvBundles, core.Attach(server))
 		}
 		srvEPs[i], _ = srvBundles[len(srvBundles)-1].NewEndpoint(core.Key(1000+i), cfg.Clients+1)
@@ -122,7 +122,7 @@ func RunClientServer(cfg CSConfig) CSResult {
 	// shared one); the server endpoint maps each of its clients back.
 	for i, cep := range cliEPs {
 		si, slot := i, 0 // client i's server endpoint, and its slot in that endpoint's table
-		if cfg.Mode == OneVN {
+		if cfg.Mode == modeOneVN {
 			si, slot = 0, i
 		}
 		cep.Map(0, srvEPs[si].Name(), core.Key(1000+si))
@@ -156,7 +156,7 @@ func RunClientServer(cfg CSConfig) CSResult {
 
 	// Server threads.
 	switch cfg.Mode {
-	case MT:
+	case modeMT:
 		for i, sep := range srvEPs {
 			b := srvBundles[i]
 			sep.SetEventMask(true)
@@ -222,7 +222,7 @@ func RunClientServer(cfg CSConfig) CSResult {
 	}
 	remaps := server.Driver.Remaps() - remapsBefore
 
-	res := CSResult{
+	res := csResult{
 		RemapTimeline: tl.Rates(),
 		PerClient:     make([]float64, cfg.Clients),
 		RemapsPerSec:  float64(remaps) / cfg.Window.Seconds(),
@@ -259,14 +259,14 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 	warm, win := csWindow(p)
 	rows := []struct {
 		name   string
-		mode   ServerMode
+		mode   serverMode
 		frames int
 	}{
-		{"OneVN", OneVN, 8},
-		{"ST-8", ST, 8},
-		{"ST-96", ST, 96},
-		{"MT-8", MT, 8},
-		{"MT-96", MT, 96},
+		{"OneVN", modeOneVN, 8},
+		{"ST-8", modeST, 8},
+		{"ST-96", modeST, 96},
+		{"MT-8", modeMT, 8},
+		{"MT-96", modeMT, 96},
 	}
 	fmt.Fprintf(w, "aggregate server throughput:\n%-8s", "clients")
 	for _, r := range rows {
@@ -278,7 +278,7 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 		fmt.Fprintf(w, "%-8d", n)
 		remapNote := ""
 		for _, r := range rows {
-			res := RunClientServer(CSConfig{
+			res := runClientServer(csConfig{
 				Clients: n, Mode: r.mode, Frames: r.frames, MsgBytes: msgBytes,
 				Warmup: warm, Window: win, Seed: p.Seed,
 			})
@@ -316,12 +316,12 @@ func overcommitRow(w io.Writer, p Params) error {
 		clients = 16
 	}
 	warm, win := csWindow(p)
-	res := RunClientServer(CSConfig{
-		Clients: clients, Mode: MT, Frames: 8,
+	res := runClientServer(csConfig{
+		Clients: clients, Mode: modeMT, Frames: 8,
 		Warmup: warm, Window: win, Seed: p.Seed,
 	})
-	peak := RunClientServer(CSConfig{
-		Clients: 1, Mode: OneVN, Frames: 8,
+	peak := runClientServer(csConfig{
+		Clients: 1, Mode: modeOneVN, Frames: 8,
 		Warmup: warm, Window: win, Seed: p.Seed,
 	})
 	frac := res.AggregateMsgs / peak.AggregateMsgs * 100

@@ -25,10 +25,10 @@ import (
 // This file holds what the rows share: the harness pieces and the soak
 // invariants, each written once as a plain function.
 
-// AMPair builds a dedicated two-node virtual network for microbenchmarks:
-// its engine, the two stations, and what shuts it down.
-func AMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown func()) {
-	c := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
+// amPair builds a dedicated two-node virtual network on a cluster of cfg for
+// microbenchmarks: its engine, the two stations, and what shuts it down.
+func amPair(seed int64, cfg hostos.ClusterConfig) (e *sim.Engine, client, server logp.Station, shutdown func()) {
+	c := hostos.NewCluster(seed, 2, cfg)
 	b0 := core.Attach(c.Nodes[0])
 	b1 := core.Attach(c.Nodes[1])
 	e0, _ := b0.NewEndpoint(1, 4)
@@ -38,8 +38,8 @@ func AMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown fu
 	return c.ShardEngine(0), logp.AMStation{EP: e0, Idx: 0}, logp.AMStation{EP: e1, Idx: 0}, c.Shutdown
 }
 
-// GAMPair builds the same two stations on the GAM baseline.
-func GAMPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown func()) {
+// gamPair builds the same two stations on the GAM baseline.
+func gamPair(seed int64) (e *sim.Engine, client, server logp.Station, shutdown func()) {
 	e = sim.NewEngine(seed)
 	w := gam.New(e, netsim.New(e, netsim.DefaultConfig(), 2))
 	return e, logp.GAMStation{N: w.Node(0), Dst: 1}, logp.GAMStation{N: w.Node(1), Dst: 0}, func() {

@@ -11,7 +11,7 @@ import (
 	"virtnet/internal/sim"
 )
 
-// LinpackConfig parameterizes the §6.2 dedicated-application result: the
+// linpackConfig parameterizes the §6.2 dedicated-application result: the
 // massively-parallel Linpack run that put the 100-node NOW on the Top-500
 // list at 10.14 GFLOPS. We model HPL's right-looking LU on a 2-D
 // block-cyclic process grid (R x C): each step the owner column factors the
@@ -19,7 +19,7 @@ import (
 // row blocks are broadcast along columns, and everyone updates its trailing
 // blocks. Compute is charged from a per-node DGEMM rate; broadcasts move
 // real bytes through the simulated stack.
-type LinpackConfig struct {
+type linpackConfig struct {
 	Nodes int
 	N     int // matrix dimension (scaled down from the Top-500 run)
 	NB    int // block size
@@ -29,14 +29,8 @@ type LinpackConfig struct {
 	Seed      int64
 }
 
-// DefaultLinpackConfig returns a scaled configuration that keeps the
-// compute:communication balance of the Top-500 run.
-func DefaultLinpackConfig() LinpackConfig {
-	return LinpackConfig{Nodes: 100, N: 8192, NB: 64, RateFlops: 135e6}
-}
-
-// LinpackResult reports the achieved rate.
-type LinpackResult struct {
+// linpackResult reports the achieved rate.
+type linpackResult struct {
 	Time       sim.Duration
 	GFlops     float64
 	Efficiency float64 // fraction of Nodes*RateFlops
@@ -51,13 +45,13 @@ func grid(p int) (int, int) {
 	return r, p / r
 }
 
-// RunLinpack executes the blocked-LU model on a fresh cluster.
-func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
+// runLinpack executes the blocked-LU model on a fresh cluster.
+func runLinpack(cfg linpackConfig) (linpackResult, bool) {
 	cl := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 	w, err := mpi.NewWorld(cl, cfg.Nodes, nil)
 	if err != nil {
-		return LinpackResult{}, false
+		return linpackResult{}, false
 	}
 	R, C := grid(cfg.Nodes)
 
@@ -159,12 +153,12 @@ func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
 		c.Barrier(p)
 	}, 100000*sim.Second)
 	if !ok {
-		return LinpackResult{}, false
+		return linpackResult{}, false
 	}
 	elapsed := cl.Now().Sub(start)
 	total := 2.0 / 3.0 * float64(cfg.N) * float64(cfg.N) * float64(cfg.N)
 	gf := total / elapsed.Seconds() / 1e9
-	return LinpackResult{
+	return linpackResult{
 		Time:       elapsed,
 		GFlops:     gf,
 		Efficiency: gf * 1e9 / (float64(cfg.Nodes) * cfg.RateFlops),
@@ -173,12 +167,12 @@ func RunLinpack(cfg LinpackConfig) (LinpackResult, bool) {
 
 func linpackRow(w io.Writer, p Params) error {
 	header(w, "§6.2 — Linpack on the dedicated cluster")
-	cfg := DefaultLinpackConfig()
-	cfg.Seed = p.Seed
+	// Scaled to keep the compute:communication balance of the Top-500 run.
+	cfg := linpackConfig{Nodes: 100, N: 8192, NB: 64, RateFlops: 135e6, Seed: p.Seed}
 	if p.Quick {
 		cfg.Nodes, cfg.N = 25, 2048
 	}
-	res, ok := RunLinpack(cfg)
+	res, ok := runLinpack(cfg)
 	if !ok {
 		return errors.New("linpack did not complete")
 	}

@@ -10,9 +10,9 @@ import (
 	"virtnet/internal/sim"
 )
 
-// The rows whose harness lives in another package: the LogP and bandwidth
-// microbenchmarks (internal/logp) and the NPB speedup and sensitivity
-// tables (internal/npb).
+// The rows whose harness lives in another package: the LogP, bandwidth and
+// §8-extension microbenchmarks (internal/logp) and the NPB speedup and
+// sensitivity tables (internal/npb).
 
 func logpRow(w io.Writer, p Params) error {
 	header(w, "Fig. 3 — LogP characterization (us)")
@@ -20,10 +20,10 @@ func logpRow(w io.Writer, p Params) error {
 	if p.Quick {
 		iters = 50
 	}
-	e, cl, sv, shutdown := AMPair(p.Seed)
+	e, cl, sv, shutdown := amPair(p.Seed, hostos.DefaultClusterConfig())
 	am := logp.Measure(e, cl, sv, iters)
 	shutdown()
-	e, cl, sv, shutdown = GAMPair(p.Seed)
+	e, cl, sv, shutdown = gamPair(p.Seed)
 	gm := logp.Measure(e, cl, sv, iters)
 	shutdown()
 
@@ -46,10 +46,10 @@ func bandwidthRow(w io.Writer, p Params) error {
 	sizes := []int{128, 256, 512, 1024, 2048, 4096, 8192}
 	fmt.Fprintf(w, "%8s %10s %10s\n", "bytes", "AM", "GAM")
 	for _, sz := range sizes {
-		e, cl, sv, shutdown := AMPair(p.Seed)
+		e, cl, sv, shutdown := amPair(p.Seed, hostos.DefaultClusterConfig())
 		amBW := logp.Bandwidth(e, cl, sv, sz, count)
 		shutdown()
-		e, cl, sv, shutdown = GAMPair(p.Seed)
+		e, cl, sv, shutdown = gamPair(p.Seed)
 		gBW := logp.Bandwidth(e, cl, sv, sz, count)
 		shutdown()
 		fmt.Fprintf(w, "%8d %10.1f %10.1f\n", sz, amBW, gBW)
@@ -59,7 +59,7 @@ func bandwidthRow(w io.Writer, p Params) error {
 	fmt.Fprintf(w, "\nround-trip time for n-byte echo (paper fit: 0.1112*n + 61.02 us):\n")
 	var pts [][2]float64
 	for _, sz := range []int{128, 1024, 4096, 8192} {
-		e, cl, sv, shutdown := AMPair(p.Seed)
+		e, cl, sv, shutdown := amPair(p.Seed, hostos.DefaultClusterConfig())
 		rtt := logp.RTTBulk(e, cl, sv, sz, 10)
 		shutdown()
 		fmt.Fprintf(w, "%8d %10.1f us\n", sz, rtt.Micros())
@@ -82,6 +82,34 @@ func fitLine(pts [][2]float64) (slope, intercept float64) {
 	slope = (n*sxy - sx*sy) / (n*sxx - sx*sx)
 	intercept = (sy - slope*sx) / n
 	return
+}
+
+// extensionsRow measures two of §8's future-work items on the AM pair:
+// retransmission timers set from a per-channel RTT estimate rather than a
+// fixed base, and acknowledgments piggybacked on reverse traffic rather than
+// sent as packets of their own.
+func extensionsRow(w io.Writer, p Params) error {
+	header(w, "§8 — future-work extensions: adaptive timeouts, piggybacked acks")
+	bandwidth := func(adaptive bool) float64 {
+		cfg := hostos.DefaultClusterConfig()
+		cfg.NIC.RetransBase = 500 * sim.Microsecond // below bulk staging delays
+		cfg.NIC.AdaptiveTimeout = adaptive
+		e, cl, sv, shutdown := amPair(p.Seed, cfg)
+		defer shutdown()
+		return logp.Bandwidth(e, cl, sv, 8192, 150)
+	}
+	gap := func(piggyback bool) sim.Duration {
+		cfg := hostos.DefaultClusterConfig()
+		cfg.NIC.PiggybackAcks = piggyback
+		e, cl, sv, shutdown := amPair(p.Seed, cfg)
+		defer shutdown()
+		return logp.Measure(e, cl, sv, 60).G
+	}
+	fmt.Fprintf(w, "8 KB bandwidth, 500 us retransmission base (MB/s): fixed %.2f, adaptive %.2f\n",
+		bandwidth(false), bandwidth(true))
+	fmt.Fprintf(w, "small-message gap (us): standalone acks %.4g, piggybacked %.4g\n",
+		gap(false).Micros(), gap(true).Micros())
+	return nil
 }
 
 func npbRow(w io.Writer, p Params) error {

@@ -27,10 +27,10 @@ const (
 	serveDrain    = 2 * serveDeadline    // post-Stop harvest window
 )
 
-// ServeConfig parameterizes one point of the serving-workload experiment:
+// serveConfig parameterizes one point of the serving-workload experiment:
 // one scenario at one offered-load factor.
-type ServeConfig struct {
-	Scenario string  // see ServeScenarios
+type serveConfig struct {
+	Scenario string  // see serveScenarios
 	Factor   float64 // offered load as a multiple of estimated capacity
 	Hosts    int     // cluster size
 	Servers  int     // serving nodes; gateway adds its tier on top
@@ -50,9 +50,9 @@ type ServeConfig struct {
 	TraceSample int
 }
 
-// ServeResult is one row of the offered-load sweep: the merged SLO across
+// serveResult is one row of the offered-load sweep: the merged SLO across
 // all clients plus the reliability-layer and app counters that explain it.
-type ServeResult struct {
+type serveResult struct {
 	Capacity float64 // estimated req/s at the configured service times
 	SLO      *serve.SLO
 
@@ -73,16 +73,16 @@ type ServeResult struct {
 	ShardOf func(node int) int
 }
 
-// ServeScenario names one scenario axis of the serving experiment.
-type ServeScenario struct {
+// serveScenario names one scenario axis of the serving experiment.
+type serveScenario struct {
 	Name string
 	Desc string
 }
 
-// ServeScenarios lists every scenario RunServePoint accepts, in display
+// serveScenarios lists every scenario runServePoint accepts, in display
 // order. The first four plus the ablation form the golden sweep.
-func ServeScenarios() []ServeScenario {
-	return []ServeScenario{
+func serveScenarios() []serveScenario {
+	return []serveScenario{
 		{"baseline", "sharded KV, uniform keys, 20% puts ×2 replicas, Poisson arrivals"},
 		{"hotkey", "baseline with 50% of ops on one hot key (one shard saturates first)"},
 		{"incast", "read-only 8-way scatter-gather gets with 4KiB padded responses"},
@@ -98,9 +98,9 @@ func ServeScenarios() []ServeScenario {
 }
 
 // scenarioDesc returns the description of the named scenario, "" when
-// RunServePoint does not accept the name.
+// runServePoint does not accept the name.
 func scenarioDesc(name string) string {
-	for _, s := range ServeScenarios() {
+	for _, s := range serveScenarios() {
 		if s.Name == name {
 			return s.Desc
 		}
@@ -108,16 +108,16 @@ func scenarioDesc(name string) string {
 	return ""
 }
 
-// RunServePoint runs one scenario at one offered-load factor and returns
+// runServePoint runs one scenario at one offered-load factor and returns
 // the merged SLO. Everything is deterministic per (Seed, Shards): arrival
 // schedules and key picks come from derived PRNG streams, per-client SLOs
 // merge in client order, and per-server metrics sum in server order.
-func RunServePoint(cfg ServeConfig) (ServeResult, error) {
+func runServePoint(cfg serveConfig) (serveResult, error) {
 	if scenarioDesc(cfg.Scenario) == "" {
-		return ServeResult{}, fmt.Errorf("unknown scenario %q (-scenario list prints them)", cfg.Scenario)
+		return serveResult{}, fmt.Errorf("unknown scenario %q (-scenario list prints them)", cfg.Scenario)
 	}
 	if cfg.Hosts <= 0 || cfg.Servers <= 0 || cfg.Clients <= 0 || cfg.Factor <= 0 || cfg.Warmup <= 0 || cfg.Window <= 0 {
-		return ServeResult{}, fmt.Errorf("serve config %+v: sizes, factor and windows must all be positive", cfg)
+		return serveResult{}, fmt.Errorf("serve config %+v: sizes, factor and windows must all be positive", cfg)
 	}
 
 	ccfg := hostos.DefaultClusterConfig()
@@ -131,7 +131,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 		c.EnableObs(obs.Options{SampleEvery: cfg.TraceSample, RingCap: 1 << 14})
 	}
 
-	var res ServeResult
+	var res serveResult
 	stop := false
 	stopFn := func() bool { return stop }
 
@@ -408,7 +408,7 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 // frames, echoing in bursts so the segment driver keeps churning the
 // serving endpoint out of its frame — §5 overcommit turned into tail
 // latency on a co-resident tenant.
-func serveNoiseTenant(c *hostos.Cluster, cfg ServeConfig, stop func() bool) error {
+func serveNoiseTenant(c *hostos.Cluster, cfg serveConfig, stop func() bool) error {
 	const perNode = 6 // noise endpoints per serving node (8 frames/NI)
 	mgr := vnet.NewManager(c, 2)
 	tn, err := mgr.CreateTenant("noise", 2*perNode*cfg.Servers, 1)

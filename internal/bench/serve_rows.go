@@ -11,8 +11,8 @@ import (
 // servePoint is the sizing the serve and tailat rows share: the cluster,
 // tier sizes, shard count, and windows every point of a sweep runs at.
 // Callers set Scenario, Factor and what else their point needs on a copy.
-func servePoint(p Params) ServeConfig {
-	cfg := ServeConfig{
+func servePoint(p Params) serveConfig {
+	cfg := serveConfig{
 		Hosts: 256, Servers: 32, Clients: 64,
 		Shards: 4, // the golden curves run sharded unless -shards says otherwise
 		Seed:   p.Seed,
@@ -44,7 +44,7 @@ func servePoint(p Params) ServeConfig {
 // -scenario list shows them all.
 func serveRow(w io.Writer, p Params) error {
 	if p.Scenario == "list" {
-		for _, s := range ServeScenarios() {
+		for _, s := range serveScenarios() {
 			fmt.Fprintf(w, "  %-13s %s\n", s.Name, s.Desc)
 		}
 		return nil
@@ -75,7 +75,7 @@ func serveRow(w io.Writer, p Params) error {
 		for _, f := range fs {
 			cfg := base
 			cfg.Scenario, cfg.Factor, cfg.Ablate = scn, f, ablate
-			res, err := RunServePoint(cfg)
+			res, err := runServePoint(cfg)
 			if err != nil {
 				return st, err
 			}
@@ -168,7 +168,7 @@ func tailatRow(w io.Writer, p Params) error {
 	for _, scn := range scenarios {
 		cfg := base
 		cfg.Scenario = scn
-		res, err := RunServePoint(cfg)
+		res, err := runServePoint(cfg)
 		if err != nil {
 			return err
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // tinyServe runs one small serving point (64 hosts, 2 shards) quickly.
-func tinyServe(t *testing.T, scenario string, factor float64, ablate bool) ServeResult {
+func tinyServe(t *testing.T, scenario string, factor float64, ablate bool) serveResult {
 	t.Helper()
-	res, err := RunServePoint(ServeConfig{
+	res, err := runServePoint(serveConfig{
 		Scenario: scenario, Factor: factor,
 		Hosts: 64, Servers: 8, Clients: 16, Shards: 2, Seed: 11,
 		Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,
@@ -52,7 +52,7 @@ func TestServeHotKeySheddingBoundsTail(t *testing.T) {
 }
 
 func TestServePointUnknownScenario(t *testing.T) {
-	_, err := RunServePoint(ServeConfig{Scenario: "nope", Factor: 1})
+	_, err := runServePoint(serveConfig{Scenario: "nope", Factor: 1})
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}

@@ -16,7 +16,7 @@ func TestShardedSimPerfCompletes(t *testing.T) {
 		msgs = 15
 	}
 	for _, shards := range []int{1, 2, 4} {
-		res, err := RunSimPerf(SimPerfConfig{Hosts: 64, Msgs: msgs, Seed: 2, Shards: shards})
+		res, err := runSimPerf(simPerfConfig{Hosts: 64, Msgs: msgs, Seed: 2, Shards: shards})
 		if want := int64(32 * msgs); err != nil || res.Replied != want {
 			t.Fatalf("shards=%d: replied=%d, want %d (err %v)", shards, res.Replied, want, err)
 		}

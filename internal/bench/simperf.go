@@ -6,22 +6,17 @@ import (
 	"runtime"
 
 	"virtnet/internal/hostos"
-	"virtnet/internal/obs"
 	"virtnet/internal/sim"
 )
 
-// SimPerfConfig parameterizes the event-engine self-benchmark: a 2*Pairs-node
+// simPerfConfig parameterizes the event-engine self-benchmark: a 2*Pairs-node
 // cluster where each client streams small requests at its server as fast as
 // the credit window allows. The workload exercises the full event hot path —
 // NI firmware loops, retransmit timers, network transit events, proc wakeups.
-type SimPerfConfig struct {
+type simPerfConfig struct {
 	Pairs int // client/server pairs; the cluster has 2*Pairs nodes
 	Msgs  int // requests per client
 	Seed  int64
-	// TraceSample, when > 0, enables the obs flight recorder at 1-in-N
-	// sampling over the same workload. 0 leaves observability entirely off —
-	// the baseline hot path the overhead-guard benchmarks compare against.
-	TraceSample int
 
 	// Hosts, when > 0, sizes the cluster explicitly (Pairs defaults to
 	// Hosts/2) and switches to the scaled placement: pair i is hosts
@@ -35,10 +30,10 @@ type SimPerfConfig struct {
 	Shards int
 }
 
-// SimPerfResult holds the deterministic virtual-time metrics (safe to
+// simPerfResult holds the deterministic virtual-time metrics (safe to
 // golden) and the host heap allocations over the measured run, setup
 // excluded, which only the alloc-budget test reads.
-type SimPerfResult struct {
+type simPerfResult struct {
 	Replied    int64        // requests that completed with a reply
 	Virtual    sim.Duration // virtual time at which the last client drained
 	Engine     sim.Stats    // engine counters at completion
@@ -46,9 +41,9 @@ type SimPerfResult struct {
 	Mallocs    uint64
 }
 
-// RunSimPerf builds the cluster, streams Pairs*Msgs request/reply exchanges
+// runSimPerf builds the cluster, streams Pairs*Msgs request/reply exchanges
 // to completion, and reports both metric sets.
-func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
+func runSimPerf(cfg simPerfConfig) (simPerfResult, error) {
 	if cfg.Pairs == 0 {
 		if cfg.Hosts > 0 {
 			cfg.Pairs = cfg.Hosts / 2
@@ -90,12 +85,9 @@ func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 	}
 	cl := hostos.NewShardedCluster(cfg.Seed, nhosts, cfg.Shards, ccfg)
 	defer cl.Shutdown()
-	if cfg.TraceSample > 0 {
-		cl.EnableObs(obs.Options{SampleEvery: cfg.TraceSample})
-	}
 	pairs, err := spawnEchoPairs(cl, cfg.Pairs, cfg.Msgs, place)
 	if err != nil {
-		return SimPerfResult{}, err
+		return simPerfResult{}, err
 	}
 
 	var ms0, ms1 runtime.MemStats
@@ -103,7 +95,7 @@ func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(300*sim.Second), echoPairsDone(pairs))
 	runtime.ReadMemStats(&ms1)
 
-	res := SimPerfResult{Engine: cl.EngineStats(), Mallocs: ms1.Mallocs - ms0.Mallocs}
+	res := simPerfResult{Engine: cl.EngineStats(), Mallocs: ms1.Mallocs - ms0.Mallocs}
 	for _, ps := range pairs {
 		res.Replied += ps.got
 		if ps.doneAt > sim.Time(res.Virtual) {
@@ -118,8 +110,8 @@ func RunSimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 
 // bigSimPerf is the 1,024-host scaling workload: 512 pairs on the
 // three-level fat tree, ~25% of the streams crossing leaves (and shards).
-func bigSimPerf(p Params, shards int) SimPerfConfig {
-	cfg := SimPerfConfig{Hosts: 1024, Pairs: 512, Msgs: 60, Seed: p.Seed, Shards: shards}
+func bigSimPerf(p Params, shards int) simPerfConfig {
+	cfg := simPerfConfig{Hosts: 1024, Pairs: 512, Msgs: 60, Seed: p.Seed, Shards: shards}
 	if p.Quick {
 		cfg.Msgs = 15
 	}
@@ -128,8 +120,8 @@ func bigSimPerf(p Params, shards int) SimPerfConfig {
 
 // simPerfSection runs one simperf section and prints its virtual-time
 // metrics to w.
-func simPerfSection(w io.Writer, cfg SimPerfConfig) error {
-	res, err := RunSimPerf(cfg)
+func simPerfSection(w io.Writer, cfg simPerfConfig) error {
+	res, err := runSimPerf(cfg)
 	if err != nil {
 		return err
 	}
@@ -156,7 +148,7 @@ func simPerfSection(w io.Writer, cfg SimPerfConfig) error {
 func simPerfRow(w io.Writer, p Params) error {
 	if p.Hosts != 0 || p.Shards > 1 {
 		shards := max(p.Shards, 1)
-		cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed, Shards: shards}
+		cfg := simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed, Shards: shards}
 		if p.Hosts != 0 {
 			cfg = bigSimPerf(p, shards)
 			cfg.Hosts = p.Hosts
@@ -170,7 +162,7 @@ func simPerfRow(w io.Writer, p Params) error {
 		return simPerfSection(w, cfg)
 	}
 	header(w, "simperf — event-engine self-benchmark (16-node stream)")
-	cfg := SimPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
+	cfg := simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
 	if p.Quick {
 		cfg.Msgs = 2000
 	}

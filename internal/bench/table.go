@@ -61,6 +61,8 @@ var Experiments = []Row[Params]{
 	{"overcommit", "§6.4.1  8:1 overcommit: remap rate, bimodal RTTs", overcommitRow},
 	{"ablations", "§6.4.1  design-choice ablations", ablationsRow},
 	{"sensitivity", "§6.1    LogP sensitivity: overhead vs gap", sensitivityRow},
+	{"via", "§7      VIA per-pair VIs vs pooled endpoints on 8 NI frames", viaRow},
+	{"extensions", "§8      adaptive retransmission timeouts, piggybacked acks", extensionsRow},
 	{"migrate", "ext.    live endpoint migration: blackout, loss=0", migrateRow},
 	{"faults", "ext.    fault injection + automated recovery", faultsRow},
 	{"simperf", "ext.    event-engine self-benchmark", simPerfRow},

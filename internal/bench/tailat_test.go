@@ -21,7 +21,7 @@ func TestTraceTreeStageSumExact(t *testing.T) {
 		t.Skip("traced serve points are slow")
 	}
 	for _, sh := range []int{1, 2, 4, 8} {
-		res, err := RunServePoint(ServeConfig{
+		res, err := runServePoint(serveConfig{
 			Scenario: "baseline", Factor: 1.0,
 			Hosts: 64, Servers: 8, Clients: 16, Shards: sh, Seed: 7,
 			Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,
@@ -71,7 +71,7 @@ func TestTailAttributionDeterministic(t *testing.T) {
 		t.Skip("traced serve points are slow")
 	}
 	run := func() string {
-		res, err := RunServePoint(ServeConfig{
+		res, err := runServePoint(serveConfig{
 			Scenario: "incast", Factor: 1.0,
 			Hosts: 64, Servers: 8, Clients: 16, Shards: 4, Seed: 11,
 			Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,

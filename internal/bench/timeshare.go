@@ -10,11 +10,11 @@ import (
 	"virtnet/internal/splitc"
 )
 
-// TimeshareConfig parameterizes the §6.3 experiment: several Split-C-style
+// timeshareConfig parameterizes the §6.3 experiment: several Split-C-style
 // parallel applications time-share one partition of the cluster, relying on
 // implicit co-scheduling (conventional local schedulers; the virtual network
 // subsystem adapts the resident set to the active endpoints).
-type TimeshareConfig struct {
+type timeshareConfig struct {
 	Nodes int // partition size (paper: 16)
 	Apps  int // concurrently running applications
 	Iters int // bulk-synchronous iterations per application
@@ -29,9 +29,9 @@ type TimeshareConfig struct {
 	Seed      int64
 }
 
-// TimeshareResult compares running the applications concurrently
+// timeshareResult compares running the applications concurrently
 // (time-shared) against running them in sequence.
-type TimeshareResult struct {
+type timeshareResult struct {
 	SharedMakespan  sim.Duration
 	SequentialTotal sim.Duration
 	// Ratio = SharedMakespan / SequentialTotal; the paper reports <= 1.15
@@ -48,7 +48,7 @@ type TimeshareResult struct {
 }
 
 // appBody returns the bulk-synchronous program body.
-func appBody(cfg TimeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
+func appBody(cfg timeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
 	return func(p *sim.Proc, r *splitc.Rank) {
 		n := r.Size()
 		buf := make([]byte, cfg.MsgBytes)
@@ -69,7 +69,7 @@ func appBody(cfg TimeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
 // runApps launches k applications (each its own virtual network over the
 // same nodes) with the given start offsets, and returns the makespan and
 // mean comm time per app.
-func runApps(cl *hostos.Cluster, cfg TimeshareConfig, k int, sequential bool) (sim.Duration, sim.Duration, sim.Duration, bool) {
+func runApps(cl *hostos.Cluster, cfg timeshareConfig, k int, sequential bool) (sim.Duration, sim.Duration, sim.Duration, bool) {
 	start := cl.Now()
 	var worlds []*splitc.World
 	for a := 0; a < k; a++ {
@@ -116,25 +116,25 @@ func runApps(cl *hostos.Cluster, cfg TimeshareConfig, k int, sequential bool) (s
 	return makespan, comm / sim.Duration(ranks), sync / sim.Duration(ranks), true
 }
 
-// RunTimeshare executes the §6.3 comparison on fresh clusters.
-func RunTimeshare(cfg TimeshareConfig) (TimeshareResult, bool) {
+// runTimeshare executes the §6.3 comparison on fresh clusters.
+func runTimeshare(cfg timeshareConfig) (timeshareResult, bool) {
 	ccfg := hostos.DefaultClusterConfig()
 
 	clSeq := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, ccfg)
 	seqT, seqComm, seqSync, ok := runApps(clSeq, cfg, cfg.Apps, true)
 	clSeq.Shutdown()
 	if !ok {
-		return TimeshareResult{}, false
+		return timeshareResult{}, false
 	}
 
 	clShared := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, ccfg)
 	shT, shComm, shSync, ok := runApps(clShared, cfg, cfg.Apps, false)
 	clShared.Shutdown()
 	if !ok {
-		return TimeshareResult{}, false
+		return timeshareResult{}, false
 	}
 
-	return TimeshareResult{
+	return timeshareResult{
 		SharedMakespan:  shT,
 		SequentialTotal: seqT,
 		Ratio:           float64(shT) / float64(seqT),
@@ -152,7 +152,7 @@ func timeshareRow(w io.Writer, p Params) error {
 		nodes, iters = 8, 20
 	}
 	for _, imb := range []float64{0, 1.0} {
-		res, ok := RunTimeshare(TimeshareConfig{
+		res, ok := runTimeshare(timeshareConfig{
 			Nodes: nodes, Apps: 2, Iters: iters,
 			Compute: 2 * sim.Millisecond, MsgBytes: 2048,
 			Imbalance: imb, Seed: p.Seed,

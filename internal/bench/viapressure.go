@@ -1,18 +1,22 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"io"
+
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
 	"virtnet/internal/via"
 )
 
-// VIAPressureConfig parameterizes the §7 comparison: a parallel program on
+// viaPressureConfig parameterizes the §7 comparison: a parallel program on
 // n nodes needs n^2 VIs for full connectivity under the Virtual Interface
 // Architecture, where virtual networks need a single endpoint per process.
 // Because each VI occupies an endpoint frame when active, VI-per-pair
 // provisioning overcommits the NI long before endpoint pooling does.
-type VIAPressureConfig struct {
+type viaPressureConfig struct {
 	Nodes  int
 	Rounds int // each process messages every peer once per round
 	Seed   int64
@@ -21,8 +25,8 @@ type VIAPressureConfig struct {
 // viaPressureWindow bounds each half of the comparison in virtual time.
 const viaPressureWindow = 100 * sim.Second
 
-// VIAPressureResult compares the two provisioning models.
-type VIAPressureResult struct {
+// viaPressureResult compares the two provisioning models.
+type viaPressureResult struct {
 	// Endpoints consumed per node under each model.
 	VNEndpointsPerNode  int
 	VIAEndpointsPerNode int
@@ -34,10 +38,10 @@ type VIAPressureResult struct {
 	VIARemaps int64
 }
 
-// RunVIAPressure executes the same all-pairs exchange over virtual networks
+// runVIAPressure executes the same all-pairs exchange over virtual networks
 // and over a VIA full mesh, on identical clusters (8 NI frames each).
-func RunVIAPressure(cfg VIAPressureConfig) (VIAPressureResult, bool) {
-	res := VIAPressureResult{
+func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
+	res := viaPressureResult{
 		VNEndpointsPerNode:  1,
 		VIAEndpointsPerNode: cfg.Nodes - 1,
 	}
@@ -175,4 +179,20 @@ func drainCQ(p *sim.Proc, row []*via.VI, cq *via.CQ) int {
 			n++
 		}
 	}
+}
+
+// viaRow is the §7 comparison at 10 nodes: the VIA mesh needs 9 VIs per node
+// against the NI's 8 frames, virtual networks one endpoint.
+func viaRow(w io.Writer, p Params) error {
+	header(w, "§7 — VIA per-pair VIs vs pooled endpoints (10 nodes, 5 rounds, 8 NI frames)")
+	res, ok := runVIAPressure(viaPressureConfig{Nodes: 10, Rounds: 5, Seed: p.Seed})
+	if !ok {
+		return errors.New("via pressure run did not complete")
+	}
+	fmt.Fprintf(w, "%-6s %15s %16s %7s\n", "model", "endpoints/node", "completion (us)", "remaps")
+	fmt.Fprintf(w, "%-6s %15d %16.0f %7d\n", "VN", res.VNEndpointsPerNode, res.VNTime.Micros(), res.VNRemaps)
+	fmt.Fprintf(w, "%-6s %15d %16.0f %7d\n", "VIA", res.VIAEndpointsPerNode, res.VIATime.Micros(), res.VIARemaps)
+	fmt.Fprintf(w, "slowdown: VIA x%.2f (per-pair VIs overcommit the frames; one pooled endpoint fits)\n",
+		float64(res.VIATime)/float64(res.VNTime))
+	return nil
 }

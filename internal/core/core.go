@@ -154,9 +154,6 @@ func Attach(node *hostos.Node) *Bundle {
 	return b
 }
 
-// Endpoints returns the bundle's endpoints.
-func (b *Bundle) Endpoints() []*Endpoint { return b.eps }
-
 // Tracer exposes the flight recorder this bundle's node is wired to (nil
 // when tracing is off). Higher layers use it to open request-level spans
 // that share a trace id with the message flights beneath them.

@@ -131,9 +131,6 @@ func (w *World) Stop() {
 // SetHandler installs h at index i.
 func (n *Node) SetHandler(i int, h Handler) { n.handlers[i] = h }
 
-// ID returns the node's rank.
-func (n *Node) ID() int { return n.id }
-
 // Request sends a short request to node dst, handler h. It blocks (polling)
 // while out of credits.
 func (n *Node) Request(p *sim.Proc, dst, h int, args [4]uint64) error {
@@ -177,9 +174,6 @@ type Token struct {
 	src     int
 	replied bool
 }
-
-// Source returns the requesting node's rank.
-func (t *Token) Source() int { return t.src }
 
 // Reply sends a short reply.
 func (t *Token) Reply(p *sim.Proc, h int, args [4]uint64) error {

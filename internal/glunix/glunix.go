@@ -360,13 +360,6 @@ func (s *Scheduler) NodeRecovered(id int) {
 // Dead reports whether node id is declared failed.
 func (s *Scheduler) Dead(id int) bool { return s.dead[id] }
 
-// Wait blocks the proc until the job finishes.
-func (s *Scheduler) Wait(p *sim.Proc, j *Job) {
-	for j.State != Done {
-		j.cond.Wait(p)
-	}
-}
-
 // Drain advances the cluster until all submitted jobs finish or maxTime
 // passes; it reports whether everything completed.
 func (s *Scheduler) Drain(maxTime sim.Duration) bool {

@@ -154,9 +154,6 @@ func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver 
 	return d
 }
 
-// Config returns the driver's cost model.
-func (d *Driver) Config() Config { return d.cfg }
-
 // Stop halts the background thread (tests).
 func (d *Driver) Stop() {
 	d.stopped = true
@@ -200,9 +197,6 @@ func (d *Driver) Restart() {
 	d.proc = d.e.Spawn(fmt.Sprintf("segdrv%d", d.node), d.remapLoop)
 	d.C.Inc("node.restart")
 }
-
-// Crashed reports whether the driver's host is down.
-func (d *Driver) Crashed() bool { return d.crashed }
 
 // NumEndpoints reports the endpoint segments currently allocated on this
 // node. Admission-control layers compare it against the NI's frame capacity
@@ -367,12 +361,6 @@ func (d *Driver) Duplicate(seg *Segment) (*Segment, error) {
 	child := d.CreateEndpoint(seg.EP.Key)
 	d.C.Inc("ep.duplicate")
 	return child, nil
-}
-
-// Segment looks up a segment by endpoint id.
-func (d *Driver) Segment(epID int) (*Segment, bool) {
-	s, ok := d.segs[epID]
-	return s, ok
 }
 
 // WriteFault is invoked when an application thread writes into a

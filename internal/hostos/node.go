@@ -219,9 +219,6 @@ func (c *Cluster) RunFor(d sim.Duration) { c.Coord.RunFor(d) }
 // RunUntil advances the cluster to virtual time t.
 func (c *Cluster) RunUntil(t sim.Time) { c.Coord.RunUntil(t) }
 
-// Run processes events until no shard has any pending.
-func (c *Cluster) Run() { c.Coord.Run() }
-
 // RunUntilDone is the one drive loop: it advances the cluster a step at a
 // time until done reports true (true) or the virtual clock reaches deadline
 // with done still false (false). done is asked before every step, so a

@@ -140,9 +140,6 @@ func NewWorld(c *hostos.Cluster, n int, nodes []int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.comms) }
-
 // Running reports how many launched ranks have not yet finished.
 func (w *World) Running() int { return w.running }
 
@@ -173,9 +170,6 @@ func (c *Comm) Size() int { return len(c.w.comms) }
 
 // Node returns the workstation this rank runs on.
 func (c *Comm) Node() *hostos.Node { return c.node }
-
-// Endpoint exposes the rank's virtual-network endpoint.
-func (c *Comm) Endpoint() *core.Endpoint { return c.ep }
 
 // install registers the fragment handlers.
 func (c *Comm) install() {

@@ -92,12 +92,6 @@ func (f *Fabric) Shard(i int) *Network { return f.nets[i] }
 // ShardOf returns the shard that owns host h.
 func (f *Fabric) ShardOf(h NodeID) int { return int(f.shardOfHost[h]) }
 
-// NumHosts returns the number of host ports.
-func (f *Fabric) NumHosts() int { return f.nhosts }
-
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Totals returns fabric-wide packet counters summed across replicas.
 // Cross-shard packets count Sent at the source replica and Delivered at
 // the destination replica, so the sums have the same meaning as a

@@ -248,9 +248,6 @@ func New(e *sim.Engine, net *netsim.Network, id netsim.NodeID, cfg Config) *NIC 
 	return n
 }
 
-// ID returns the host this NI serves.
-func (n *NIC) ID() netsim.NodeID { return n.id }
-
 // Config returns the NI's cost model.
 func (n *NIC) Config() Config { return n.cfg }
 
@@ -1295,6 +1292,3 @@ func (n *NIC) Restart() {
 	n.proc = n.e.Spawn(fmt.Sprintf("nic%d", n.id), n.loop)
 	n.ctr[ctrNICRestart].Inc()
 }
-
-// Crashed reports whether the NI is currently crashed.
-func (n *NIC) Crashed() bool { return n.crashed }

@@ -320,7 +320,6 @@ func (r *ring) chronological() []*Flight {
 // run produces the same ids as before sharding existed.
 type Tracer struct {
 	sampleEvery int
-	shard       int
 	idBase      uint64
 	ringCap     int
 	rng         *rand.Rand
@@ -368,21 +367,12 @@ func NewTracerShard(e *sim.Engine, nodes, sampleEvery, ringCap, shard int) *Trac
 	}
 	return &Tracer{
 		sampleEvery: sampleEvery,
-		shard:       shard,
 		idBase:      uint64(shard) << shardIDShift,
 		ringCap:     ringCap,
 		rng:         rand.New(rand.NewSource(e.Rand().Int63())),
 		open:        make(map[uint64]*Flight),
 		rings:       make([]ring, nodes),
 	}
-}
-
-// Shard reports the shard index this tracer's arena belongs to.
-func (t *Tracer) Shard() int {
-	if t == nil {
-		return 0
-	}
-	return t.shard
 }
 
 // Sample makes the 1-in-N sampling decision for a new message from src to

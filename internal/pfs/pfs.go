@@ -336,10 +336,3 @@ func (c *Client) Size(p *sim.Proc, name string) (int, error) {
 	}
 	return max, nil
 }
-
-// Close releases the client's connections.
-func (c *Client) Close(p *sim.Proc) {
-	for _, cl := range c.clients {
-		cl.Close(p)
-	}
-}

@@ -64,12 +64,11 @@ func (rb *resultBuf) add(args [4]uint64, payload []byte) {
 
 // Pool issues calls to a set of servers over one shared endpoint.
 type Pool struct {
-	node   *hostos.Node
-	bundle *core.Bundle
-	ep     *core.Endpoint
-	opts   Options
-	m      *reliab.Metrics
-	tr     *obs.Tracer
+	node *hostos.Node
+	ep   *core.Endpoint
+	opts Options
+	m    *reliab.Metrics
+	tr   *obs.Tracer
 
 	targets []poolTarget
 
@@ -92,7 +91,7 @@ func NewPool(node *hostos.Node, maxTargets int, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Pool{node: node, bundle: b, ep: ep, opts: opts, m: opts.Metrics, tr: b.Tracer(),
+	pl := &Pool{node: node, ep: ep, opts: opts, m: opts.Metrics, tr: b.Tracer(),
 		results: make(map[uint64]*resultBuf),
 		retry:   reliab.NewRetrier[uint64](node.E.Rand())}
 	pl.retry.Metrics, pl.retry.Tracer, pl.retry.Node = opts.Metrics, pl.tr, int(node.ID)
@@ -399,9 +398,6 @@ func (pc *PoolPending) Abandon() {
 	pc.pl.retry.Forget(pc.id)
 }
 
-// Close releases the pool's endpoint.
-func (pl *Pool) Close(p *sim.Proc) { pl.bundle.Close(p) }
-
 // Client issues calls to one server: a Pool with exactly one target, and so
 // the one kind of pool for which a bounced reply is a verdict on the server
 // (see Pool.onReturn).
@@ -458,13 +454,12 @@ func (c *Client) GoCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (*Pen
 	return c.pl.GoCtx(p, 0, proc, args, ctx)
 }
 
-// Poll, IdlePoll, Outstanding and Close are the pool's.
+// Poll, IdlePoll and Outstanding are the pool's.
 func (c *Client) Poll(p *sim.Proc) int { return c.pl.Poll(p) }
 func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
 	return c.pl.IdlePoll(p, tick, until)
 }
 func (c *Client) Outstanding() (results, reissues, deferred int) { return c.pl.Outstanding() }
-func (c *Client) Close(p *sim.Proc)                              { c.pl.Close(p) }
 
 // BreakerState reports the client's circuit-breaker state (Closed when no
 // breaker is configured).

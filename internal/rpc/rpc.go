@@ -210,10 +210,6 @@ func (s *Server) Name() core.EndpointName { return s.ep.Name() }
 // server into their translation tables).
 func (s *Server) Key() core.Key { return s.ep.Key() }
 
-// Endpoint exposes the server's endpoint for QoS control — the tenant-
-// interference experiments set WRR weights on it via the vnet manager.
-func (s *Server) Endpoint() *core.Endpoint { return s.ep }
-
 // Register installs procedure number proc.
 func (s *Server) Register(proc int, fn Proc) {
 	s.procs[proc] = func(p *sim.Proc, _ reliab.Ctx, args []byte) ([]byte, error) {

@@ -107,9 +107,6 @@ func (a *MMPP2) Gap(now sim.Time) sim.Duration {
 	return expGap(a.rng, a.mean[a.state])
 }
 
-// State reports the current MMPP state (0 = calm, 1 = burst).
-func (a *MMPP2) State() int { return a.state }
-
 // Diurnal is a Poisson process whose rate ramps piecewise-linearly from
 // base to peak and back over each period — a compressed day. The rate at
 // the arrival epoch drives the next gap (a lazy approximation of a

@@ -344,9 +344,6 @@ func (c *Conn) Close(p *sim.Proc) error {
 	return c.err
 }
 
-// Pending reports buffered receive bytes.
-func (c *Conn) Pending() int { return len(c.rbuf) }
-
 // Dial connects to a listener's endpoint name and returns the established
 // connection.
 func Dial(p *sim.Proc, node *hostos.Node, server core.EndpointName, serverKey core.Key) (*Conn, error) {

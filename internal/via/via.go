@@ -64,9 +64,6 @@ func (n *NIC) RegisterMemory(buf []byte) MemHandle {
 	return n.nextReg
 }
 
-// DeregisterMemory releases a registration.
-func (n *NIC) DeregisterMemory(h MemHandle) { delete(n.regions, h) }
-
 // CQ is a completion queue; several VIs may direct completions to one CQ,
 // giving a central place to poll (§7).
 type CQ struct {
@@ -108,7 +105,6 @@ type recvDesc struct {
 type VI struct {
 	nic       *NIC
 	ep        *core.Endpoint
-	bundle    *core.Bundle
 	connected bool
 	sendCQ    *CQ
 	recvCQ    *CQ
@@ -133,7 +129,7 @@ func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
 	if err != nil {
 		return nil, err
 	}
-	vi := &VI{nic: n, ep: ep, bundle: b, sendCQ: sendCQ, recvCQ: recvCQ,
+	vi := &VI{nic: n, ep: ep, sendCQ: sendCQ, recvCQ: recvCQ,
 		retry:  reliab.NewRetrier[MemHandle](n.node.E.Rand()),
 		budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	ep.SetHandler(hSend, vi.onRecv)
@@ -240,12 +236,6 @@ func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.retry.Flush(p, v
 
 // Pending reports outstanding (unacknowledged) sends.
 func (vi *VI) Pending() int { return vi.sends }
-
-// Close disconnects and frees the VI's endpoint.
-func (vi *VI) Close(p *sim.Proc) { vi.bundle.Close(p) }
-
-// Endpoint exposes the backing endpoint (resource-pressure instrumentation).
-func (vi *VI) Endpoint() *core.Endpoint { return vi.ep }
 
 // FullMesh connects a VI between every pair of the given providers
 // (the n^2 provisioning §7 criticizes) and returns vis[i][j] = the VI at

@@ -420,10 +420,9 @@ type Network struct {
 	isolationDenied int64
 }
 
-// Name returns the network's name; Tenant its owner; Key its protection key.
-func (nw *Network) Name() string    { return nw.name }
-func (nw *Network) Tenant() *Tenant { return nw.t }
-func (nw *Network) Key() core.Key   { return nw.key }
+// Name returns the network's name; Key its protection key.
+func (nw *Network) Name() string  { return nw.name }
+func (nw *Network) Key() core.Key { return nw.key }
 
 // Path renders "tenant/network".
 func (nw *Network) Path() string { return nw.t.name + "/" + nw.name }
@@ -587,11 +586,9 @@ type Endpoint struct {
 	stopped     bool
 }
 
-// Name, Node, Core, Network expose endpoint state.
-func (e *Endpoint) Name() string         { return e.name }
+// Node and Core expose endpoint state.
 func (e *Endpoint) Node() int            { return e.node }
 func (e *Endpoint) Core() *core.Endpoint { return e.ep }
-func (e *Endpoint) Network() *Network    { return e.nw }
 
 // Path renders "tenant/network/endpoint".
 func (e *Endpoint) Path() string { return e.nw.Path() + "/" + e.name }
