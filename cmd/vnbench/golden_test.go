@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,11 +80,8 @@ func TestGoldens(t *testing.T) {
 		}
 		found++
 		t.Run(ex.Name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("..", "..", "results_"+ex.Name+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBytes(t, "results_"+ex.Name+".txt", runRow(t, ex.Name), want)
+			name := "results_" + ex.Name + ".txt"
+			sameBytes(t, name, runRow(t, ex.Name), golden(t, name))
 		})
 	}
 	if found != len(tier1Goldens) {
@@ -90,56 +89,168 @@ func TestGoldens(t *testing.T) {
 	}
 }
 
+// runIn runs `vnbench args...` through runRow with every argument that
+// starts with "DIR/" moved into a fresh temporary directory, and returns
+// its stdout and, by name, the files it wrote there, none of them empty.
+func runIn(t *testing.T, args []string) (stdout []byte, files map[string][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	args = slices.Clone(args)
+	for i, a := range args {
+		if name, ok := strings.CutPrefix(a, "DIR/"); ok {
+			args[i] = filepath.Join(dir, name)
+		}
+	}
+	stdout = runRow(t, args...)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil || len(b) == 0 {
+			t.Fatalf("vnbench %s: %s has %d bytes, %v", strings.Join(args, " "), e.Name(), len(b), err)
+		}
+		files[e.Name()] = b
+	}
+	return stdout, files
+}
+
 // repeats are the runs whose determinism has no golden to lean on: the
-// sharded engine at scale, the -quick serving sweeps, and (traced) the two
-// -traceout exports.
+// sharded engine at scale, the -quick serving sweeps (one of them at a
+// custom size), and the two -traceout exports.
 var repeats = []struct {
-	name   string
-	traced bool
-	args   []string
+	name string
+	args []string
 }{
-	{"simperf-1024-hosts-4-shards", false, []string{"-quick", "-shards", "4", "-hosts", "1024", "simperf"}},
-	{"serve", false, []string{"-quick", "serve"}},
-	{"tailat", true, []string{"-quick", "tailat"}},
-	{"breakdown", true, []string{"breakdown"}},
+	{"simperf-1024-hosts-4-shards", []string{"-shards", "4", "-hosts", "1024", "simperf"}},
+	{"serve", []string{"-quick", "serve"}},
+	{"serve-hotkey", []string{"-quick", "-scenario", "hotkey", "-hosts", "32", "-shards", "2", "serve"}},
+	{"tailat", []string{"-quick", "-seed", "7", "-hosts", "32", "-shards", "2", "-traceout", "DIR/trace.json", "tailat"}},
+	{"breakdown", []string{"-traceout", "DIR/trace.json", "breakdown"}},
 }
 
 // TestRepeatRuns runs each of repeats twice in this process and requires
-// the same stdout and the same exported trace, byte for byte.
+// the same stdout and the same exported files, byte for byte.
 func TestRepeatRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four experiments twice (≈ 23 s)")
+		t.Skip("runs five experiments twice (≈ 25 s)")
 	}
 	for _, r := range repeats {
 		t.Run(r.name, func(t *testing.T) {
-			once := func() (stdout, trace []byte) {
-				if !r.traced {
-					return runRow(t, r.args...), nil
-				}
-				file := filepath.Join(t.TempDir(), "trace.json")
-				stdout = runRow(t, append([]string{"-traceout", file}, r.args...)...)
-				trace, err := os.ReadFile(file)
-				if err != nil || len(trace) == 0 {
-					t.Fatalf("trace export: %d bytes, %v", len(trace), err)
-				}
-				return stdout, trace
-			}
-			out1, trace1 := once()
-			out2, trace2 := once()
+			out1, files1 := runIn(t, r.args)
+			out2, files2 := runIn(t, r.args)
 			sameBytes(t, "the first run's stdout", out2, out1)
-			if !bytes.Equal(trace1, trace2) {
-				t.Fatalf("trace exports differ between two runs (%d and %d bytes)", len(trace1), len(trace2))
+			if !reflect.DeepEqual(files1, files2) {
+				t.Fatalf("the files the two runs wrote differ")
 			}
 		})
 	}
 }
 
+// flagRuns give each flag that no golden or repeat needs a run of its own,
+// with a check of what the flag adds to the row it runs.
+var flagRuns = []struct {
+	name  string
+	args  []string
+	check func(t *testing.T, stdout []byte, files map[string][]byte)
+}{
+	{"scenario-list", []string{"-scenario", "list", "serve"}, func(t *testing.T, stdout []byte, _ map[string][]byte) {
+		var names []string
+		for _, line := range strings.Split(strings.TrimSpace(string(stdout)), "\n") {
+			names = append(names, strings.Fields(line)[0])
+		}
+		want := "baseline hotkey incast faultchurn elephant straggler mmpp diurnal interference gateway ps"
+		if got := strings.Join(names, " "); got != want {
+			t.Fatalf("scenarios %q, want %q", got, want)
+		}
+	}},
+	{"metrics", []string{"-metrics", "breakdown"}, func(t *testing.T, stdout []byte, _ map[string][]byte) {
+		linesWithin(t, "results_breakdown.txt", stdout)
+		if n := strings.Count(string(stdout), "== metrics @"); n != 2 {
+			t.Fatalf("%d metrics dashboards, want one per ping-pong phase (2)", n)
+		}
+	}},
+	{"profiles", []string{"-cpuprofile", "DIR/cpu.prof", "-memprofile", "DIR/mem.prof", "logp"}, func(t *testing.T, stdout []byte, files map[string][]byte) {
+		sameBytes(t, "results_logp.txt", stdout, golden(t, "results_logp.txt"))
+		if len(files) != 2 {
+			t.Fatalf("wrote %d profiles, want 2", len(files))
+		}
+	}},
+}
+
+// TestFlagRuns runs each of flagRuns and applies its check.
+func TestFlagRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments (≈ 3 s)")
+	}
+	for _, r := range flagRuns {
+		t.Run(r.name, func(t *testing.T) {
+			stdout, files := runIn(t, r.args)
+			r.check(t, stdout, files)
+		})
+	}
+}
+
+// linesWithin fails t unless the lines of the committed golden appear in got
+// in order, whatever got prints between them.
+func linesWithin(t *testing.T, name string, got []byte) {
+	t.Helper()
+	rest := strings.Split(string(got), "\n")
+	for i, line := range strings.Split(string(golden(t, name)), "\n") {
+		at := slices.Index(rest, line)
+		if at < 0 {
+			t.Fatalf("line %d of %s is missing, or out of order: %s", i+1, name, line)
+		}
+		rest = rest[at+1:]
+	}
+}
+
+// golden returns the committed file name at the repository root.
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEveryFlagIsRun holds every flag of vnbench to a tier-1 run: each must
+// be set by some entry of repeats or flagRuns (the goldens set none, and
+// TestParseArgs only parses). A flag that no run sets is an option nothing
+// exercises, and goes.
+func TestEveryFlagIsRun(t *testing.T) {
+	var runs [][]string
+	for _, r := range repeats {
+		runs = append(runs, r.args)
+	}
+	for _, r := range flagRuns {
+		runs = append(runs, r.args)
+	}
+	set := map[string]bool{}
+	for _, args := range runs {
+		for _, a := range args {
+			if name, ok := strings.CutPrefix(a, "-"); ok {
+				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+				set[name] = true
+			}
+		}
+	}
+	flagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) {
+		if !set[f.Name] {
+			t.Errorf("no tier-1 run sets -%s: give it one in repeats or flagRuns, or delete it", f.Name)
+		}
+	})
+}
+
 // TestRowsLeaveNoGoroutines covers the rest of the table: TestGoldens and
 // TestRepeatRuns hold every row they run to runRow's goroutine balance, and
 // this runs the rows neither of them reaches, at -quick, to the same
-// standard. The exceptions take 4–18 s even at -quick, which tier-1 cannot
-// afford for them: contention-small and contention-bulk (one body,
-// contentionRow). The clusters they build belong to the contention harness,
+// standard. The exceptions have no -quick and take up to a minute each,
+// which tier-1 cannot afford for them: contention-small and contention-bulk
+// (one body, contentionRow). The clusters they build belong to the contention harness,
 // which shuts them down under defer and has tests of its own; CI's
 // slow-golden loop runs both at full size.
 func TestRowsLeaveNoGoroutines(t *testing.T) {
@@ -175,7 +286,7 @@ func TestParseArgs(t *testing.T) {
 		p    bench.Params
 	}{
 		{"", "all", def},
-		{"-quick migrate", "migrate", with(func(p *bench.Params) { p.Quick = true })},
+		{"-quick linpack", "linpack", with(func(p *bench.Params) { p.Quick = true })},
 		{"serve -scenario hotkey -shards 4", "serve", with(func(p *bench.Params) { p.Scenario, p.Shards = "hotkey", 4 })},
 		{"-seed 7 simperf -hosts 64", "simperf", with(func(p *bench.Params) { p.Seed, p.Hosts = 7, 64 })},
 		// No -sweep: no row measures host time (vnperf does).

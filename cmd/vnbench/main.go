@@ -8,15 +8,15 @@
 // -shards 4`); everything after the first positional argument is re-parsed
 // into the same flag set.
 //
-// Use -quick for smaller client sweeps and shorter windows. Every row prints
+// -quick shrinks the four slow rows (allreduce, linpack, serve, tailat) to a
+// few seconds each; every other row has one configuration. Every row prints
 // virtual-time results only, so stdout is the golden results_<row>.txt and
 // stderr stays empty unless a row fails; host time is measured by vnperf
 // (benchmarks/). -cpuprofile/-memprofile write pprof profiles for diagnosing
-// simulator-performance regressions. -traceout
-// exports the breakdown experiment's short-AM phase (or tailat's last
-// scenario) as Chrome trace-event JSON (load it at https://ui.perfetto.dev);
-// -metrics prints the unified registry's dashboard after instrumented
-// experiments.
+// simulator-performance regressions. -traceout exports the breakdown
+// experiment's short-AM phase (or tailat's last scenario) as Chrome
+// trace-event JSON (load it at https://ui.perfetto.dev); -metrics prints the
+// unified registry's dashboard after each of breakdown's ping-pong phases.
 //
 // This file is flag parsing, table lookup and the exit code; every
 // experiment body lives in internal/bench.
@@ -46,19 +46,16 @@ func listExperiments(w io.Writer) {
 	}
 }
 
-// parseArgs turns the arguments after the program name into options. What it
-// rejects it reports on stderr, with the usage text, before returning the
-// error.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	var o options
+// flagSet is vnbench's command line: every flag, parsed into o.
+func flagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("vnbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.BoolVar(&o.p.Quick, "quick", false, "smaller sweeps and shorter windows")
+	fs.BoolVar(&o.p.Quick, "quick", false, "allreduce/linpack/serve/tailat: smaller sweeps and shorter windows")
 	fs.Int64Var(&o.p.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.p.TraceOut, "traceout", "", "breakdown/tailat: write a Perfetto-compatible trace (breakdown's short-AM phase, tailat's last scenario) to this file")
-	fs.BoolVar(&o.p.Metrics, "metrics", false, "print metrics-registry dashboards after instrumented experiments")
+	fs.BoolVar(&o.p.Metrics, "metrics", false, "breakdown: print the metrics-registry dashboard after each ping-pong phase")
 	fs.IntVar(&o.p.Shards, "shards", 0, "simperf/serve/tailat: engine shards (unset: simperf runs one shard, no barriers; serve and tailat run 4)")
 	fs.IntVar(&o.p.Hosts, "hosts", 0, "simperf/serve/tailat: cluster size override (0 = the golden sections)")
 	fs.StringVar(&o.p.Scenario, "scenario", "golden", "serve: scenario to sweep ('golden' = the committed set, 'list' prints all)")
@@ -68,6 +65,15 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		fmt.Fprintf(stderr, "\nflags:\n")
 		fs.PrintDefaults()
 	}
+	return fs
+}
+
+// parseArgs turns the arguments after the program name into options. What it
+// rejects it reports on stderr, with the usage text, before returning the
+// error.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flagSet(&o, stderr)
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}

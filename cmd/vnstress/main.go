@@ -35,20 +35,15 @@ type options struct {
 	cpuprofile, memprofile string
 }
 
-// parseArgs turns the arguments after the program name into options. What it
-// rejects it reports on stderr, with the usage text, before returning the
-// error.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	o := options{soak: bench.Soaks[0]}
+// flagSet is vnstress's command line: every flag, parsed into o, and in
+// selected[i] whether the flag of Soaks[i] (i > 0) was given.
+func flagSet(o *options, selected []bool, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("vnstress", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Int64Var(&o.p.Seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.p.Nodes, "nodes", 12, "cluster size")
 	fs.Float64Var(&o.p.Duration, "duration", 2.0, "simulated seconds of load")
 	fs.Float64Var(&o.p.Drop, "drop", 0.02, "packet loss probability")
-	fs.BoolVar(&o.p.Churn, "churn", true, "create/free endpoints during the run")
-	fs.BoolVar(&o.p.Swap, "swap", true, "hot-swap a spine switch during the run")
-	fs.BoolVar(&o.p.Migrate, "migrate", true, "live-migrate peer endpoints during the run")
 	fs.StringVar(&o.p.FaultPlan, "faultplan", "", "scripted fault schedule (internal/fault syntax), e.g. link:3-7@0.2s+0.5s,crash:node9@1s")
 	fs.BoolVar(&o.p.Coll, "coll", false, "soak the collective engine with continuous allreduce rounds")
 	fs.BoolVar(&o.p.Dash, "dash", false, "print the unified metrics dashboard every 100 ms of simulated time")
@@ -56,10 +51,19 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	// Every soak but the default is selected by the flag of its name.
-	selected := make([]bool, len(bench.Soaks))
 	for i, s := range bench.Soaks[1:] {
 		fs.BoolVar(&selected[i+1], s.Name, false, "run "+s.Doc)
 	}
+	return fs
+}
+
+// parseArgs turns the arguments after the program name into options. What it
+// rejects it reports on stderr, with the usage text, before returning the
+// error.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
+	o := options{soak: bench.Soaks[0]}
+	selected := make([]bool, len(bench.Soaks))
+	fs := flagSet(&o, selected, stderr)
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +28,7 @@ var soakRuns = []struct {
 	args  string
 }{
 	{"mesh", false, "-seed 7 -duration 0.5"},
+	{"mesh_lossless", false, "-seed 7 -duration 0.3 -drop 0"},
 	{"mesh_faultplan", false, "-seed 7 -duration 0.5 -faultplan spine:0@0.1s+0.2s,burst:all@0.15s+0.3s:0.2,crash:node9@0.3s"},
 	{"mesh_coll_crash", false, "-seed 7 -duration 0.5 -coll -faultplan crash:node9@0.3s"},
 	{"chaos", true, "-chaos -seed 7 -duration 0.5"},
@@ -34,15 +38,43 @@ var soakRuns = []struct {
 	{"shardsoak_1shard", false, "-shardsoak -shards 1 -seed 5 -duration 0.2"},
 }
 
-// runSoak runs `vnstress args` in this process and returns its stdout. It
-// requires exit 0 — every invariant held — and that the run left the
-// goroutine count where it found it.
+// flagRuns give -dash and the profile flags a tier-1 run each. The
+// transcript must be a line subsequence of what the run prints, with at
+// least one panel between its lines: the dashboard is observability-only and
+// moves nothing the soak reports. With no panel the run must print the
+// transcript exactly.
+var flagRuns = []struct {
+	name, args, transcript, panel string
+}{
+	{"mesh_dash", "-seed 7 -duration 0.5 -dash", "mesh", "== metrics @"},
+	{"serve_dash", "-serve -seed 1 -duration 0.3 -dash", "serve", "[serve.tailat]"},
+	{"profiles", "-seed 7 -duration 0.3 -drop 0 -cpuprofile DIR/cpu.prof -memprofile DIR/mem.prof", "mesh_lossless", ""},
+}
+
+// runSoak runs `vnstress args` in this process and returns its stdout. An
+// argument that starts with "DIR/" names a file in a fresh temporary
+// directory, which the run must leave non-empty. It requires exit 0 — every
+// invariant held — and that the run left the goroutine count where it found
+// it.
 func runSoak(t *testing.T, args string) []byte {
 	t.Helper()
+	argv := strings.Fields(args)
+	var written []string
+	for i, a := range argv {
+		if name, ok := strings.CutPrefix(a, "DIR/"); ok {
+			argv[i] = filepath.Join(t.TempDir(), name)
+			written = append(written, argv[i])
+		}
+	}
 	before := runtime.NumGoroutine()
 	var stdout, stderr bytes.Buffer
-	if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("vnstress %s: exit %d\n%s", args, code, stderr.Bytes())
+	}
+	for _, f := range written {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("vnstress %s: %s is missing or empty (%v)", args, filepath.Base(f), err)
+		}
 	}
 	// Shutdown unwinds every proc before it returns, but a goroutine that
 	// has finished leaves the count a moment after.
@@ -61,7 +93,7 @@ func runSoak(t *testing.T, args string) []byte {
 // on different goroutines, and the transcript cannot see what they share.
 func TestSoaks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eight soaks (≈ 9 s)")
+		t.Skip("runs nine soaks (≈ 10 s)")
 	}
 	for _, r := range soakRuns {
 		t.Run(r.name, func(t *testing.T) {
@@ -83,8 +115,69 @@ func TestSoaks(t *testing.T) {
 	}
 }
 
+// TestFlagRuns runs each of flagRuns and checks its output against its
+// transcript.
+func TestFlagRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three soaks (≈ 3 s)")
+	}
+	for _, r := range flagRuns {
+		t.Run(r.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", r.transcript+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runSoak(t, r.args)
+			if r.panel == "" {
+				if !bytes.Equal(got, want) {
+					t.Fatalf("vnstress %s departs from testdata/%s.txt:\n--- want\n%s--- got\n%s", r.args, r.transcript, want, got)
+				}
+				return
+			}
+			if !bytes.Contains(got, []byte(r.panel)) {
+				t.Fatalf("vnstress %s printed no %q panel", r.args, r.panel)
+			}
+			rest := strings.Split(string(got), "\n")
+			for i, line := range strings.Split(string(want), "\n") {
+				at := slices.Index(rest, line)
+				if at < 0 {
+					t.Fatalf("vnstress %s: line %d of testdata/%s.txt is missing, or out of order: %s", r.args, i+1, r.transcript, line)
+				}
+				rest = rest[at+1:]
+			}
+		})
+	}
+}
+
+// TestEveryFlagIsRun holds every flag of vnstress to a tier-1 run: each must
+// be set by some entry of soakRuns or flagRuns (TestParseArgs only parses).
+// A flag that no run sets is an option nothing exercises, and goes.
+func TestEveryFlagIsRun(t *testing.T) {
+	var runs []string
+	for _, r := range soakRuns {
+		runs = append(runs, r.args)
+	}
+	for _, r := range flagRuns {
+		runs = append(runs, r.args)
+	}
+	set := map[string]bool{}
+	for _, args := range runs {
+		for _, a := range strings.Fields(args) {
+			if name, ok := strings.CutPrefix(a, "-"); ok {
+				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+				set[name] = true
+			}
+		}
+	}
+	flagSet(new(options), make([]bool, len(bench.Soaks)), io.Discard).VisitAll(func(f *flag.Flag) {
+		if !set[f.Name] {
+			t.Errorf("no tier-1 run sets -%s: give it one in soakRuns or flagRuns, or delete it", f.Name)
+		}
+	})
+}
+
 func TestParseArgs(t *testing.T) {
-	def := bench.SoakParams{Seed: 1, Nodes: 12, Duration: 2.0, Drop: 0.02, Churn: true, Swap: true, Migrate: true}
+	def := bench.SoakParams{Seed: 1, Nodes: 12, Duration: 2.0, Drop: 0.02}
 	with := func(edit func(*bench.SoakParams)) bench.SoakParams {
 		p := def
 		edit(&p)
@@ -96,7 +189,7 @@ func TestParseArgs(t *testing.T) {
 		p    bench.SoakParams
 	}{
 		{"", "mesh", def},
-		{"-seed 2 -drop 0.05 -migrate=false", "mesh", with(func(p *bench.SoakParams) { p.Seed, p.Drop, p.Migrate = 2, 0.05, false })},
+		{"-seed 2 -drop 0.05", "mesh", with(func(p *bench.SoakParams) { p.Seed, p.Drop = 2, 0.05 })},
 		{"-chaos -duration 0.5", "chaos", with(func(p *bench.SoakParams) { p.Duration = 0.5 })},
 		{"-serve -shards 4 -nodes 32 -dash", "serve", with(func(p *bench.SoakParams) { p.Shards, p.Nodes, p.Dash = 4, 32, true })},
 		{"-shardsoak", "shardsoak", def},
@@ -106,6 +199,8 @@ func TestParseArgs(t *testing.T) {
 		{"-serve -chaos", "", def},
 		{"chaos", "", def},
 		{"-nosuchflag", "", def},
+		// The mesh soak always churns, swaps and migrates.
+		{"-churn=false", "", def},
 	} {
 		var stderr bytes.Buffer
 		o, err := parseArgs(strings.Fields(c.args), &stderr)
@@ -119,7 +214,10 @@ func TestParseArgs(t *testing.T) {
 		}
 	}
 	var stdout bytes.Buffer
-	if code := run([]string{"-chaos", "-shardsoak"}, &stdout, new(bytes.Buffer)); code != 2 || stdout.Len() != 0 {
-		t.Errorf("vnstress -chaos -shardsoak: exit %d and %d bytes of stdout, want 2 and none", code, stdout.Len())
+	for _, args := range [][]string{{"-chaos", "-shardsoak"}, {"-churn=false"}} {
+		stdout.Reset()
+		if code := run(args, &stdout, io.Discard); code != 2 || stdout.Len() != 0 {
+			t.Errorf("vnstress %s: exit %d and %d bytes of stdout, want 2 and none", strings.Join(args, " "), code, stdout.Len())
+		}
 	}
 }

@@ -132,11 +132,7 @@ func runLoiterAblation(noLoiter bool, seed int64) loiterResult {
 
 func ablationsRow(w io.Writer, p Params) error {
 	header(w, "§6.4.1 — design ablations")
-	warm, win := csWindow(p)
-	n := 24
-	if p.Quick {
-		n = 12
-	}
+	const n = 24
 
 	// A slower per-request server (40 us) lets receive queues back up, so
 	// endpoints are evicted with work pending — the §6.4.1 precondition for
@@ -144,9 +140,9 @@ func ablationsRow(w io.Writer, p Params) error {
 	// endpoints.
 	hw := 40 * sim.Microsecond
 	base := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
-		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw})
+		Seed: p.Seed, HandlerWork: hw})
 	noRW := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
-		Warmup: warm, Window: win, Seed: p.Seed, HandlerWork: hw, DisableHostRW: true})
+		Seed: p.Seed, HandlerWork: hw, DisableHostRW: true})
 	fmt.Fprintf(w, "on-host r/w state (ST, %d clients, 8 frames, 40us handler):\n", n)
 	fmt.Fprintf(w, "  with (paper design):    %8.0f msgs/s, %4.0f remaps/s\n", base.AggregateMsgs, base.RemapsPerSec)
 	fmt.Fprintf(w, "  without (orig. design): %8.0f msgs/s, %4.0f remaps/s  (paper: ST falls to a few %% of peak)\n",
@@ -155,14 +151,14 @@ func ablationsRow(w io.Writer, p Params) error {
 	fmt.Fprintf(w, "replacement policy (ST, %d clients, 8 frames):\n", n)
 	for _, pol := range []hostos.ReplacementPolicy{hostos.ReplaceRandom, hostos.ReplaceLRU, hostos.ReplaceFIFO} {
 		r := runClientServer(csConfig{Clients: n, Mode: modeST, Frames: 8,
-			Warmup: warm, Window: win, Seed: p.Seed, Policy: pol})
+			Seed: p.Seed, Policy: pol})
 		fmt.Fprintf(w, "  %-7s %8.0f msgs/s, %4.0f remaps/s\n", pol, r.AggregateMsgs, r.RemapsPerSec)
 	}
 
 	fmt.Fprintf(w, "logical channels per NI pair (single-client 8 KB stream):\n")
 	for _, ch := range []int{1, 2, 4, 16} {
 		r := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8,
-			MsgBytes: 8192, Warmup: warm, Window: win, Seed: p.Seed, Channels: ch})
+			MsgBytes: 8192, Seed: p.Seed, Channels: ch})
 		fmt.Fprintf(w, "  %2d channels: %6.1f MB/s  (stop-and-wait masking of ack latency)\n", ch, r.AggregateMBps)
 	}
 

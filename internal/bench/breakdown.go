@@ -23,10 +23,7 @@ import (
 // backlogged sender endpoints (§5/§6 endpoint overcommit).
 func breakdownRow(w io.Writer, p Params) error {
 	header(w, "§4 — per-stage latency decomposition (cross-layer tracing)")
-	iters := 300
-	if p.Quick {
-		iters = 60
-	}
+	const iters = 300
 
 	fmt.Fprintf(w, "short AM request, %d serial ping-pongs node0 -> node1:\n", iters)
 	dec, appUs, o := breakdownPingPong(p.Seed, iters, 0)
@@ -53,10 +50,7 @@ func breakdownRow(w io.Writer, p Params) error {
 		fmt.Fprint(w, o.R.Dashboard())
 	}
 
-	perEP := 96
-	if p.Quick {
-		perEP = 24
-	}
+	const perEP = 96
 	frames := hostos.DefaultClusterConfig().NIC.Frames
 	fmt.Fprintf(w, "\nwrr-wait inflation under endpoint overcommit (%d NI frames, %d msgs per endpoint):\n",
 		frames, perEP)

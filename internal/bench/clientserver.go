@@ -45,8 +45,8 @@ type csConfig struct {
 	Mode     serverMode
 	Frames   int          // server NI endpoint frames (8 or 96)
 	MsgBytes int          // 0 = small request; 8192 = bulk (Fig. 7)
-	Warmup   sim.Duration // excluded from measurement
-	Window   sim.Duration // steady-state measurement window
+	Warmup   sim.Duration // excluded from measurement; 0 = 200 ms
+	Window   sim.Duration // steady-state measurement window; 0 = 500 ms
 	Seed     int64
 	// DisableHostRW reproduces the paper's original design (§6.4.1).
 	DisableHostRW bool
@@ -82,7 +82,7 @@ func runClientServer(cfg csConfig) csResult {
 		cfg.HandlerWork = 6 * sim.Microsecond
 	}
 	if cfg.Window == 0 {
-		cfg.Window = sim.Second
+		cfg.Window = 500 * sim.Millisecond
 	}
 	ccfg := hostos.DefaultClusterConfig()
 	ccfg.NIC.Frames = cfg.Frames
@@ -238,13 +238,6 @@ func runClientServer(cfg csConfig) csResult {
 	return res
 }
 
-func csWindow(p Params) (warmup, window sim.Duration) {
-	if p.Quick {
-		return 150 * sim.Millisecond, 300 * sim.Millisecond
-	}
-	return 200 * sim.Millisecond, 500 * sim.Millisecond
-}
-
 // contentionRow is Fig. 6 (msgBytes 0) and Fig. 7 (msgBytes 8192).
 func contentionRow(w io.Writer, p Params, msgBytes int) error {
 	fig, what := "6", "small messages (msgs/s)"
@@ -253,10 +246,6 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 	}
 	header(w, fmt.Sprintf("Fig. %s — %s under contention", fig, what))
 	clients := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-	if p.Quick {
-		clients = []int{1, 2, 3, 4, 8, 12}
-	}
-	warm, win := csWindow(p)
 	rows := []struct {
 		name   string
 		mode   serverMode
@@ -279,8 +268,7 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 		remapNote := ""
 		for _, r := range rows {
 			res := runClientServer(csConfig{
-				Clients: n, Mode: r.mode, Frames: r.frames, MsgBytes: msgBytes,
-				Warmup: warm, Window: win, Seed: p.Seed,
+				Clients: n, Mode: r.mode, Frames: r.frames, MsgBytes: msgBytes, Seed: p.Seed,
 			})
 			v := res.AggregateMsgs
 			if msgBytes > 0 {
@@ -311,19 +299,9 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 
 func overcommitRow(w io.Writer, p Params) error {
 	header(w, "§6.4.1 — overcommitting NI resources (32 clients, 8 frames)")
-	clients := 32
-	if p.Quick {
-		clients = 16
-	}
-	warm, win := csWindow(p)
-	res := runClientServer(csConfig{
-		Clients: clients, Mode: modeMT, Frames: 8,
-		Warmup: warm, Window: win, Seed: p.Seed,
-	})
-	peak := runClientServer(csConfig{
-		Clients: 1, Mode: modeOneVN, Frames: 8,
-		Warmup: warm, Window: win, Seed: p.Seed,
-	})
+	const clients = 32
+	res := runClientServer(csConfig{Clients: clients, Mode: modeMT, Frames: 8, Seed: p.Seed})
+	peak := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8, Seed: p.Seed})
 	frac := res.AggregateMsgs / peak.AggregateMsgs * 100
 	fmt.Fprintf(w, "overcommit %d:8 — aggregate %.0f msgs/s = %.0f%% of peak (paper: 50-75%%)\n",
 		clients, res.AggregateMsgs, frac)

@@ -3,13 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"virtnet/internal/fault"
 	"virtnet/internal/hostos"
 	"virtnet/internal/reliab"
 	"virtnet/internal/rpc"
 	"virtnet/internal/sim"
+	"virtnet/internal/trace"
 )
 
 // degradeRow is the graceful-degradation experiment (DESIGN.md §10): an
@@ -39,12 +39,8 @@ func degradeRow(w io.Writer, p Params) error {
 	)
 	nClients := nodes - nServers
 	capacity := float64(nServers) * float64(sim.Second) / float64(service) // rps
-	measure := 400 * sim.Millisecond
+	const measure = 400 * sim.Millisecond
 	factors := []float64{0.25, 0.5, 1.0, 1.5, 2.0, 3.0}
-	if p.Quick {
-		measure = 150 * sim.Millisecond
-		factors = []float64{0.5, 1.0, 2.0}
-	}
 	fmt.Fprintf(w, "capacity ~ %.0f rps (%d servers x %v service), deadline %v, %d open-loop clients\n",
 		capacity, nServers, sim.Time(0).Add(service).Sub(0), sim.Time(0).Add(deadline).Sub(0), nClients)
 
@@ -93,7 +89,7 @@ func degradeRow(w io.Writer, p Params) error {
 		perClient := capacity * factor / float64(nClients)
 		meanGap := float64(sim.Second) / perClient
 		var offered, good, failed, capped int
-		var lats []sim.Duration
+		lats := trace.NewHist()
 
 		type callRec struct {
 			pc       *rpc.Pending
@@ -152,7 +148,7 @@ func degradeRow(w io.Writer, p Params) error {
 						case done && err == nil:
 							if now <= rec.deadline {
 								good++
-								lats = append(lats, now.Sub(rec.issued))
+								lats.Observe(now.Sub(rec.issued))
 							} else {
 								failed++
 							}
@@ -197,13 +193,8 @@ func degradeRow(w io.Writer, p Params) error {
 		c.RunFor(measure + 50*sim.Millisecond)
 		stop = true
 		c.RunFor(sim.Millisecond)
-		r := row{offered: offered, good: good, failed: failed, capped: capped,
-			shed: m.Get("shed"), overload: m.Get("overload_nacks")}
-		if len(lats) > 0 {
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			r.p99 = lats[len(lats)*99/100]
-		}
-		return r, fail.err
+		return row{offered: offered, good: good, failed: failed, capped: capped,
+			shed: m.Get("shed"), overload: m.Get("overload_nacks"), p99: lats.Quantile(0.99)}, fail.err
 	}
 
 	secs := float64(measure) / float64(sim.Second)
@@ -243,15 +234,13 @@ func degradeRow(w io.Writer, p Params) error {
 			}
 		}
 	}
-	if !p.Quick {
-		fmt.Fprintln(w)
-		for vi, v := range variants {
-			pct := 0.0
-			if peak[vi] > 0 {
-				pct = 100 * at2x[vi] / peak[vi]
-			}
-			fmt.Fprintf(w, "goodput at 2.0x offered: %3.0f%% of peak — %s\n", pct, v.title)
+	fmt.Fprintln(w)
+	for vi, v := range variants {
+		pct := 0.0
+		if peak[vi] > 0 {
+			pct = 100 * at2x[vi] / peak[vi]
 		}
+		fmt.Fprintf(w, "goodput at 2.0x offered: %3.0f%% of peak — %s\n", pct, v.title)
 	}
 	return nil
 }

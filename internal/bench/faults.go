@@ -57,12 +57,7 @@ func faultsRow(w io.Writer, p Params) error {
 		plan = "spine:0@200ms+150ms,crash:node14@500ms"
 	)
 	sendUntil := sim.Time(0).Add(1 * sim.Second)
-	gap := sendGap
 	clientNodes := []int{1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 18, 19}
-	if p.Quick {
-		clientNodes = clientNodes[:8]
-		gap = 500 * sim.Microsecond
-	}
 
 	c := hostos.NewCluster(p.Seed, nodes, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
@@ -227,7 +222,7 @@ func faultsRow(w io.Writer, p Params) error {
 					}
 				}
 				cs.ep.Poll(p)
-				p.Sleep(gap)
+				p.Sleep(sendGap)
 			}
 		})
 	}

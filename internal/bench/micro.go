@@ -16,10 +16,7 @@ import (
 
 func logpRow(w io.Writer, p Params) error {
 	header(w, "Fig. 3 — LogP characterization (us)")
-	iters := 200
-	if p.Quick {
-		iters = 50
-	}
+	const iters = 200
 	e, cl, sv, shutdown := amPair(p.Seed, hostos.DefaultClusterConfig())
 	am := logp.Measure(e, cl, sv, iters)
 	shutdown()
@@ -39,10 +36,7 @@ func logpRow(w io.Writer, p Params) error {
 
 func bandwidthRow(w io.Writer, p Params) error {
 	header(w, "Fig. 4 — transfer bandwidth (MB/s) and bulk round-trip time")
-	count := 200
-	if p.Quick {
-		count = 60
-	}
+	const count = 200
 	sizes := []int{128, 256, 512, 1024, 2048, 4096, 8192}
 	fmt.Fprintf(w, "%8s %10s %10s\n", "bytes", "AM", "GAM")
 	for _, sz := range sizes {
@@ -115,9 +109,6 @@ func extensionsRow(w io.Writer, p Params) error {
 func npbRow(w io.Writer, p Params) error {
 	header(w, "Fig. 5 — NPB speedups (constant problem size)")
 	ps := []int{1, 2, 4, 8, 16, 32}
-	if p.Quick {
-		ps = []int{1, 2, 4, 8}
-	}
 	machines := []npb.Machine{npb.SP2(), npb.NewNOW(p.Seed), npb.Origin2000()}
 	for _, m := range machines {
 		fmt.Fprintf(w, "\n%s:\n%-6s", m.Name(), "kernel")
@@ -126,9 +117,6 @@ func npbRow(w io.Writer, p Params) error {
 		}
 		fmt.Fprintln(w)
 		for _, k := range npb.Kernels() {
-			if p.Quick && (k.Name == "BT" || k.Name == "SP") {
-				continue
-			}
 			s, ok := npb.Speedup(m, k, ps)
 			if !ok {
 				return fmt.Errorf("npb %s on %s did not complete", k.Name, m.Name())

@@ -22,12 +22,8 @@ import (
 func migrateRow(w io.Writer, p Params) error {
 	header(w, "live endpoint migration — blackout under continuous 16 B request load")
 	const serverKey = core.Key(77)
-	nPer := 2000
+	const nPer = 2000
 	hops := []int{1, 2, 3, 0}
-	if p.Quick {
-		nPer = 600
-		hops = []int{1, 0}
-	}
 	c := hostos.NewCluster(p.Seed, 4, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
 	svc, err := migrate.NewService(c)

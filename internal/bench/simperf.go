@@ -108,14 +108,11 @@ func runSimPerf(cfg simPerfConfig) (simPerfResult, error) {
 	return res, nil
 }
 
-// bigSimPerf is the 1,024-host scaling workload: 512 pairs on the
-// three-level fat tree, ~25% of the streams crossing leaves (and shards).
-func bigSimPerf(p Params, shards int) simPerfConfig {
-	cfg := simPerfConfig{Hosts: 1024, Pairs: 512, Msgs: 60, Seed: p.Seed, Shards: shards}
-	if p.Quick {
-		cfg.Msgs = 15
-	}
-	return cfg
+// bigSimPerf is the scaling workload: hosts/2 pairs of 60 requests each,
+// ~25% of the streams crossing leaves (and shards); from 512 hosts up it runs
+// on the three-level fat tree.
+func bigSimPerf(seed int64, hosts, shards int) simPerfConfig {
+	return simPerfConfig{Hosts: hosts, Pairs: hosts / 2, Msgs: 60, Seed: seed, Shards: shards}
 }
 
 // simPerfSection runs one simperf section and prints its virtual-time
@@ -150,25 +147,16 @@ func simPerfRow(w io.Writer, p Params) error {
 		shards := max(p.Shards, 1)
 		cfg := simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed, Shards: shards}
 		if p.Hosts != 0 {
-			cfg = bigSimPerf(p, shards)
-			cfg.Hosts = p.Hosts
-			cfg.Pairs = p.Hosts / 2
-		}
-		if p.Quick {
-			cfg.Msgs /= 4
+			cfg = bigSimPerf(p.Seed, p.Hosts, shards)
 		}
 		header(w, fmt.Sprintf("simperf — event-engine self-benchmark (%d hosts, %d shards)",
 			max(cfg.Hosts, 2*cfg.Pairs), shards))
 		return simPerfSection(w, cfg)
 	}
 	header(w, "simperf — event-engine self-benchmark (16-node stream)")
-	cfg := simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}
-	if p.Quick {
-		cfg.Msgs = 2000
-	}
-	if err := simPerfSection(w, cfg); err != nil {
+	if err := simPerfSection(w, simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed}); err != nil {
 		return err
 	}
 	header(w, "simperf — 1,024-host cluster baseline (1 shard)")
-	return simPerfSection(w, bigSimPerf(p, 1))
+	return simPerfSection(w, bigSimPerf(p.Seed, 1024, 1))
 }

@@ -41,9 +41,9 @@ type meshPeer struct {
 //   - no leaked endpoint frames,
 //   - the cluster remains live (no deadlock) throughout.
 //
-// With Migrate a migrator live-moves the peer endpoints round-robin between
-// nodes while the traffic runs, so every invariant must also hold across
-// repeated relocations under loss and frame overcommit. With FaultPlan a
+// A migrator live-moves the peer endpoints round-robin between nodes while
+// the traffic runs, so every invariant must also hold across repeated
+// relocations under loss and frame overcommit. With FaultPlan a
 // scripted fault schedule runs against the mesh; crashed nodes are allowed
 // to lose their bounded in-flight window, and the invariants are re-checked
 // with exactly that allowance — anything beyond it is still a violation.
@@ -79,12 +79,9 @@ func meshSoak(w io.Writer, p SoakParams) error {
 		fmt.Fprintf(w, "fault plan: %s\n", pl)
 	}
 
-	var svc *migrate.Service
-	if p.Migrate {
-		var err error
-		if svc, err = migrate.NewService(cl); err != nil {
-			return fmt.Errorf("migration service: %w", err)
-		}
+	svc, err := migrate.NewService(cl)
+	if err != nil {
+		return fmt.Errorf("migration service: %w", err)
 	}
 
 	// Two endpoints per node, all meshed: 2*nodes endpoints against
@@ -94,9 +91,7 @@ func meshSoak(w io.Writer, p SoakParams) error {
 	for n := 0; n < nodes; n++ {
 		for k := 0; k < 2; k++ {
 			b := core.Attach(cl.Nodes[n])
-			if svc != nil {
-				b.SetResolver(svc.Dir)
-			}
+			b.SetResolver(svc.Dir)
 			ep, err := b.NewEndpoint(core.Key(5000+len(peers)), 2*nodes+4)
 			if err != nil {
 				return fmt.Errorf("endpoint: %w", err)
@@ -126,11 +121,9 @@ func meshSoak(w io.Writer, p SoakParams) error {
 				pr.retRep++
 			}
 		})
-		if svc != nil {
-			// Handlers, counters, and translations travel with the image; the
-			// swap retargets this peer's send/poll loop at the new handle.
-			svc.Manage(pr.ep, func(n *core.Endpoint) { pr.ep = n })
-		}
+		// Handlers, counters, and translations travel with the image; the
+		// swap retargets this peer's send/poll loop at the new handle.
+		svc.Manage(pr.ep, func(n *core.Endpoint) { pr.ep = n })
 		pr.node.Spawn(fmt.Sprintf("peer%d", pr.id), func(p *sim.Proc) {
 			rng := pr.node.E.Rand()
 			for p.Now() < stopAt {
@@ -221,76 +214,70 @@ func meshSoak(w io.Writer, p SoakParams) error {
 
 	// Churn: an extra endpoint per node is created, exercised, and freed in
 	// a loop, forcing continual remapping against the static mesh.
-	if p.Churn {
-		for n := 0; n < nodes; n++ {
-			node := cl.Nodes[n]
-			node.Spawn("churn", func(p *sim.Proc) {
-				i := 0
-				for p.Now() < stopAt {
-					b := core.Attach(node)
-					ep, err := b.NewEndpoint(core.Key(9000+int(node.ID)*100+i%50), 4)
-					if err != nil {
-						fail.failf("churn endpoint: %w", err)
-						return
-					}
-					// Touch it so it faults resident, then free it.
-					ep.SetEventMask(true)
-					ep.Bundle().WaitTimeout(p, sim.Duration(200+i%300)*sim.Microsecond)
-					b.Close(p)
-					i++
-					p.Sleep(500 * sim.Microsecond)
+	for n := 0; n < nodes; n++ {
+		node := cl.Nodes[n]
+		node.Spawn("churn", func(p *sim.Proc) {
+			i := 0
+			for p.Now() < stopAt {
+				b := core.Attach(node)
+				ep, err := b.NewEndpoint(core.Key(9000+int(node.ID)*100+i%50), 4)
+				if err != nil {
+					fail.failf("churn endpoint: %w", err)
+					return
 				}
-			})
-		}
+				// Touch it so it faults resident, then free it.
+				ep.SetEventMask(true)
+				ep.Bundle().WaitTimeout(p, sim.Duration(200+i%300)*sim.Microsecond)
+				b.Close(p)
+				i++
+				p.Sleep(500 * sim.Microsecond)
+			}
+		})
 	}
 
 	// Migration churn: live-move peer endpoints round-robin onto random
 	// other nodes while the traffic runs. Every peer keeps sending and
 	// serving across its own relocations.
 	moves := 0
-	if svc != nil {
-		// The operator's thread belongs to no workstation: no crash kills it.
-		cl.ShardEngine(0).Spawn("migrator", func(p *sim.Proc) {
-			rng := p.Engine().Rand()
-			for i := 0; p.Now() < stopAt; i++ {
-				p.Sleep(40 * sim.Millisecond)
-				cur := peers[i%len(peers)].ep
-				if cur.Moved() || cur.Bundle().Node.Crashed() {
-					continue
-				}
-				dst := netsim.NodeID(rng.Intn(nodes))
-				if dst == cur.Bundle().Node.ID {
-					dst = netsim.NodeID((int(dst) + 1) % nodes)
-				}
-				if cl.Nodes[dst].Crashed() {
-					continue
-				}
-				if _, err := svc.Move(p, cur, dst); err != nil {
-					// A fault-plan crash can land on either end mid-move;
-					// skipping the move is the correct planned-movement
-					// response to an unplanned failure.
-					if errors.Is(err, migrate.ErrDestUnreachable) || errors.Is(err, hostos.ErrCrashed) {
-						continue
-					}
-					fail.failf("migrate peer %d: %w", i%len(peers), err)
-					return
-				}
-				moves++
+	// The operator's thread belongs to no workstation: no crash kills it.
+	cl.ShardEngine(0).Spawn("migrator", func(p *sim.Proc) {
+		rng := p.Engine().Rand()
+		for i := 0; p.Now() < stopAt; i++ {
+			p.Sleep(40 * sim.Millisecond)
+			cur := peers[i%len(peers)].ep
+			if cur.Moved() || cur.Bundle().Node.Crashed() {
+				continue
 			}
-		})
-	}
+			dst := netsim.NodeID(rng.Intn(nodes))
+			if dst == cur.Bundle().Node.ID {
+				dst = netsim.NodeID((int(dst) + 1) % nodes)
+			}
+			if cl.Nodes[dst].Crashed() {
+				continue
+			}
+			if _, err := svc.Move(p, cur, dst); err != nil {
+				// A fault-plan crash can land on either end mid-move;
+				// skipping the move is the correct planned-movement
+				// response to an unplanned failure.
+				if errors.Is(err, migrate.ErrDestUnreachable) || errors.Is(err, hostos.ErrCrashed) {
+					continue
+				}
+				fail.failf("migrate peer %d: %w", i%len(peers), err)
+				return
+			}
+			moves++
+		}
+	})
 
 	// Periodic spine hot-swap: every 120 ms the next spine is out for the
 	// last 20 ms, as a fault plan so that every fabric replica sees it.
-	if p.Swap {
-		var swaps fault.Plan
-		for s, t := 0, sim.Duration(0); sim.Time(t) < stopAt; s, t = s+1, t+120*sim.Millisecond {
-			swaps.Events = append(swaps.Events, fault.Event{
-				Kind: fault.SpineDown, A: s % 5, At: t + 100*sim.Millisecond, Dur: 20 * sim.Millisecond,
-			})
-		}
-		swaps.Apply(cl)
+	var swaps fault.Plan
+	for s, t := 0, sim.Duration(0); sim.Time(t) < stopAt; s, t = s+1, t+120*sim.Millisecond {
+		swaps.Events = append(swaps.Events, fault.Event{
+			Kind: fault.SpineDown, A: s % 5, At: t + 100*sim.Millisecond, Dur: 20 * sim.Millisecond,
+		})
 	}
+	swaps.Apply(cl)
 
 	// A crashed workstation loses whatever sat in its bounded NI state at the
 	// instant of failure — queued sends, per-channel frames in flight, and
@@ -452,15 +439,13 @@ func meshSoak(w io.Writer, p SoakParams) error {
 	for _, n := range cl.Nodes {
 		remaps += n.Driver.Remaps()
 	}
-	if svc != nil {
-		var redirects, refreshes int64
-		for _, pr := range peers {
-			redirects += pr.ep.Stats.Redirects
-			refreshes += pr.ep.Stats.Refreshes
-		}
-		fmt.Fprintf(w, "migrations: %d live moves; %d redirects absorbed, %d translation refreshes\n",
-			moves, redirects, refreshes)
+	var redirects, refreshes int64
+	for _, pr := range peers {
+		redirects += pr.ep.Stats.Redirects
+		refreshes += pr.ep.Stats.Refreshes
 	}
+	fmt.Fprintf(w, "migrations: %d live moves; %d redirects absorbed, %d translation refreshes\n",
+		moves, redirects, refreshes)
 	if collW != nil {
 		// No-hang invariant: give any in-flight round bounded time to land,
 		// then every rank must have exited — completed or aborted — unless

@@ -20,7 +20,7 @@ type Row[P any] struct {
 
 // Params are cmd/vnbench's flags as the experiment rows read them.
 type Params struct {
-	Quick    bool   // smaller sweeps and shorter windows
+	Quick    bool   // allreduce/linpack/serve/tailat: smaller sweeps and shorter windows
 	Seed     int64  // simulation seed
 	Shards   int    // engine shards; 0 = unset: simperf runs one, serve and tailat four
 	Hosts    int    // simperf/serve/tailat cluster size; 0 = the golden sizes
@@ -35,9 +35,6 @@ type SoakParams struct {
 	Nodes     int     // cluster size (shardsoak is fixed at 64 hosts)
 	Duration  float64 // simulated seconds of load
 	Drop      float64 // packet loss probability
-	Churn     bool    // mesh: create/free endpoints during the run
-	Swap      bool    // mesh: hot-swap a spine switch during the run
-	Migrate   bool    // mesh: live-migrate peer endpoints during the run
 	FaultPlan string  // mesh: scripted fault schedule (internal/fault syntax)
 	Coll      bool    // mesh: soak the collective engine alongside
 	Dash      bool    // mesh/serve: print the metrics dashboard every 100 ms

@@ -62,12 +62,10 @@ func tenantsRow(w io.Writer, p Params) error {
 		{"bronze", 1, 3},
 	}
 	const clients = 4 // per tenant, all on node 0: 12 clients on 8 frames
-	window := 100 * sim.Millisecond
-	msgs := 20000
-	if p.Quick {
-		window = 50 * sim.Millisecond
-		msgs = 8000
-	}
+	const (
+		window = 100 * sim.Millisecond
+		msgs   = 20000
+	)
 	frames := c.Nodes[0].NIC.Config().Frames
 	fmt.Fprintf(w, "node0 NI: %d frames, admission cap %d; %d tenants × %d clients = %d endpoints (%.1f:1 overcommit)\n",
 		frames, m.NodeCap(), len(tenants), clients, len(tenants)*clients,

@@ -147,13 +147,9 @@ func runTimeshare(cfg timeshareConfig) (timeshareResult, bool) {
 
 func timeshareRow(w io.Writer, p Params) error {
 	header(w, "§6.3 — time-shared parallel applications")
-	nodes, iters := 16, 40
-	if p.Quick {
-		nodes, iters = 8, 20
-	}
 	for _, imb := range []float64{0, 1.0} {
 		res, ok := runTimeshare(timeshareConfig{
-			Nodes: nodes, Apps: 2, Iters: iters,
+			Nodes: 16, Apps: 2, Iters: 40,
 			Compute: 2 * sim.Millisecond, MsgBytes: 2048,
 			Imbalance: imb, Seed: p.Seed,
 		})

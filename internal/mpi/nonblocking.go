@@ -129,27 +129,6 @@ func (c *Comm) Scatter(p *sim.Proc, root int, bufs [][]byte) ([]byte, error) {
 	return c.Recv(p, root, tagScatter)
 }
 
-// Allgather collects every rank's buffer at every rank: out[i] is rank i's
-// contribution (ring algorithm, n-1 steps).
-func (c *Comm) Allgather(p *sim.Proc, data []byte) ([][]byte, error) {
-	n := c.Size()
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), data...)
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := out[c.rank]
-	for step := 0; step < n-1; step++ {
-		got, err := c.SendRecv(p, right, tagAllgather+step, cur, left, tagAllgather+step)
-		if err != nil {
-			return nil, err
-		}
-		srcRank := (c.rank - step - 1 + n) % n
-		out[srcRank] = got
-		cur = got
-	}
-	return out, nil
-}
-
 // ReduceScatter combines per-rank vectors elementwise with op, then leaves
 // rank i with block i of the result (blocks split as evenly as possible).
 // It delegates to the collective engine's ring reduce-scatter, so each rank
@@ -158,7 +137,4 @@ func (c *Comm) ReduceScatter(p *sim.Proc, vec []float64, op func(a, b float64) f
 	return c.ReduceScatterAlg(p, vec, op, coll.Auto)
 }
 
-const (
-	tagScatter   = 1<<20 + 320
-	tagAllgather = 1<<20 + 384
-)
+const tagScatter = 1<<20 + 320

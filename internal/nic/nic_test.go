@@ -438,6 +438,42 @@ func TestEpochResyncAfterSenderRestart(t *testing.T) {
 	}
 }
 
+// A firmware reboot during handleCmd's driverOpCost sleep interrupts the
+// driver command in progress. The command queue lives in host memory, so the
+// new incarnation re-reads the interrupted command from the front: it
+// completes exactly once, ahead of the command queued behind it.
+func TestRebootRequeuesInterruptedCommand(t *testing.T) {
+	r := newRig(t, 1, 1, nil, nil)
+	defer r.shutdown()
+	n := r.nics[0]
+	var done []int
+	load := func(id, frame int) *EndpointImage {
+		ep := NewEndpointImage(id, 0, SendQDepth, n.cfg.RecvQDepth)
+		n.Register(ep)
+		n.SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: frame, Done: func() { done = append(done, id) }})
+		return ep
+	}
+	first, second := load(100, 0), load(101, 1)
+	var interrupted *DriverCmd
+	r.e.AfterFunc(driverOpCost/2, func() {
+		interrupted = n.curCmd
+		n.Reboot(sim.Millisecond)
+	})
+	r.e.RunFor(5 * sim.Millisecond)
+
+	if interrupted == nil || interrupted.EP != first {
+		t.Fatalf("the reboot interrupted %+v, want the first load", interrupted)
+	}
+	if len(done) != 2 || done[0] != first.ID || done[1] != second.ID {
+		t.Fatalf("Done fired for %v, want [%d %d]", done, first.ID, second.ID)
+	}
+	for frame, ep := range []*EndpointImage{first, second} {
+		if ep.State != EPResident || ep.Frame != frame || n.frames[frame] != ep {
+			t.Errorf("endpoint %d: state %v in frame %d, want resident in frame %d", ep.ID, ep.State, ep.Frame, frame)
+		}
+	}
+}
+
 func TestNotifyOnArmedEndpoint(t *testing.T) {
 	r := newRig(t, 2, 1, nil, nil)
 	defer r.shutdown()
