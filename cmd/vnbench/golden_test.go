@@ -16,15 +16,16 @@ import (
 	"virtnet/internal/bench"
 )
 
-// tier1Goldens are the experiments cheap enough (0–9 s each, ≈ 34 s together
-// on a 2-core box) to regenerate on every `go test ./...`. The other five
-// (allreduce, serve, contention-small, contention-bulk, linpack) take up to a
-// minute apiece and are diffed by one loop step in CI.
+// tier1Goldens are the experiments cheap enough (0–11 s each, ≈ 40 s together
+// on a 2-core box) to regenerate on every `go test ./...`. The other four
+// (allreduce, serve, contention-small, linpack) take up to a minute apiece
+// and are diffed by one loop step in CI.
 var tier1Goldens = map[string]bool{
 	"logp": true, "bandwidth": true, "breakdown": true, "faults": true,
 	"tenants": true, "migrate": true, "overcommit": true, "sensitivity": true,
 	"timeshare": true, "simperf": true, "ablations": true, "degrade": true,
 	"tailat": true, "npb": true, "via": true, "extensions": true,
+	"contention-bulk": true,
 }
 
 // runRow runs `vnbench args...` in this process and returns its stdout. It
@@ -71,7 +72,7 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // stdout to be the committed results_<name>.txt byte for byte.
 func TestGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates sixteen goldens (≈ 34 s)")
+		t.Skip("regenerates seventeen goldens (≈ 40 s)")
 	}
 	found := 0
 	for _, ex := range bench.Experiments {
@@ -248,16 +249,15 @@ func TestEveryFlagIsRun(t *testing.T) {
 // TestRowsLeaveNoGoroutines covers the rest of the table: TestGoldens and
 // TestRepeatRuns hold every row they run to runRow's goroutine balance, and
 // this runs the rows neither of them reaches, at -quick, to the same
-// standard. The exceptions have no -quick and take up to a minute each,
-// which tier-1 cannot afford for them: contention-small and contention-bulk
-// (one body, contentionRow). The clusters they build belong to the contention harness,
-// which shuts them down under defer and has tests of its own; CI's
-// slow-golden loop runs both at full size.
+// standard. The exception is contention-small: it has no -quick and takes
+// up to a minute, which tier-1 cannot afford. Its body, contentionRow, is
+// held to the standard through contention-bulk's golden, and CI's
+// slow-golden loop runs contention-small at full size.
 func TestRowsLeaveNoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments at -quick (≈ 3 s)")
 	}
-	elsewhere := map[string]bool{"contention-small": true, "contention-bulk": true}
+	elsewhere := map[string]bool{"contention-small": true}
 	for _, r := range repeats {
 		elsewhere[r.args[len(r.args)-1]] = true // the row is the last argument
 	}

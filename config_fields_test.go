@@ -64,7 +64,7 @@ type moduleCensus struct {
 	tracked map[*types.Var]bool
 	setters map[*types.Var][]token.Position
 	funcs   []*types.Func
-	called  map[*types.Func]bool
+	called  map[*types.Func]bool // referred to; true once a non-test file does
 	ifaces  []*types.Interface
 }
 

@@ -18,6 +18,9 @@ import (
 // A method callers reach only through an interface counts as called when its
 // type satisfies fmt.Stringer, error (Is and Unwrap included) or an interface
 // the module declares with that method.
+//
+// Run with -v for the functions only _test.go files refer to: each is API
+// that no program, example or benchmark uses, kept alive by its own tests.
 func TestEveryExportedFuncIsCalled(t *testing.T) {
 	m := loadModule(t)
 	fmtPkg, err := m.Import("fmt")
@@ -29,14 +32,19 @@ func TestEveryExportedFuncIsCalled(t *testing.T) {
 	var uncalled []string
 	for _, fn := range m.funcs {
 		recv := recvType(fn)
-		if m.called[fn] || recv != nil && satisfies(ifaces, recv, fn.Name()) {
+		if recv != nil && satisfies(ifaces, recv, fn.Name()) {
 			continue
 		}
 		name := fn.Pkg().Name() + "." + fn.Name()
 		if recv != nil {
 			name = fn.Pkg().Name() + "." + recv.Obj().Name() + "." + fn.Name()
 		}
-		uncalled = append(uncalled, name)
+		switch outsideTests, ok := m.called[fn]; {
+		case !ok:
+			uncalled = append(uncalled, name)
+		case !outsideTests && testing.Verbose():
+			t.Logf("test-only: %s", name)
+		}
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {
@@ -85,11 +93,12 @@ func (m *moduleCensus) declareFuncs(f *ast.File, info *types.Info) {
 }
 
 // collectUses records every function and method the package refers to, and
-// the interfaces it declares.
+// whether a non-test file does, and the interfaces it declares.
 func (m *moduleCensus) collectUses(pkg *types.Package, info *types.Info) {
-	for _, obj := range info.Uses {
+	for id, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
-			m.called[fn.Origin()] = true
+			fn = fn.Origin()
+			m.called[fn] = m.called[fn] || !strings.HasSuffix(m.fset.File(id.Pos()).Name(), "_test.go")
 		}
 	}
 	for _, name := range pkg.Scope().Names() {

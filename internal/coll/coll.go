@@ -4,7 +4,10 @@
 // layered on any tagged point-to-point transport (internal/mpi's Comm in
 // practice).
 //
-// Three algorithm families are provided beyond the textbook binomial tree:
+// It exports four operations: Allreduce, which takes an Algorithm, and
+// Bcast, Reduce and Barrier, which always run their textbook schedule
+// (binomial trees, dissemination rounds). Allreduce has three algorithm
+// families beyond the binomial reduce+bcast:
 //
 //   - Ring: the bandwidth-optimal reduce-scatter + allgather ring. Each rank
 //     moves 2·(n-1)/n of the vector regardless of cluster size, with chunked
@@ -144,10 +147,8 @@ const (
 	tagTree    = 1<<21 + 2<<14 // binomial reduce/bcast rounds
 	tagRab     = 1<<21 + 3<<14 // rabenseifner rounds
 	tagHierUp  = 1<<21 + 4<<14 // hierarchical intra-leaf reduce
-	tagHierX   = 1<<21 + 5<<14 // hierarchical cross-leaf phase
 	tagHierDn  = 1<<21 + 6<<14 // hierarchical intra-leaf bcast
 	tagBarrier = 1<<21 + 7<<14 // dissemination barrier rounds
-	tagGatherB = 1<<21 + 8<<14 // byte-slice allgather ring
 )
 
 // ---- Public operations ----
@@ -177,84 +178,10 @@ func Allreduce(p *sim.Proc, t Transport, vec []float64, op Op, alg Algorithm) ([
 	return nil, fmt.Errorf("coll: allreduce: bad algorithm %v", alg)
 }
 
-// ReduceScatter combines every rank's vec elementwise with op and leaves
-// rank i with block i of the result. Blocks are ceil(len/n)-sized, the last
-// ones possibly short or empty (the split internal/mpi has always used).
-func ReduceScatter(p *sim.Proc, t Transport, vec []float64, op Op, alg Algorithm) ([]float64, error) {
-	n := t.Size()
-	if n <= 1 {
-		lo, hi := blockBounds(0, 1, len(vec))
-		return append([]float64(nil), vec[lo:hi]...), nil
-	}
-	if alg == Auto {
-		alg = Ring // each rank moves O(len/n) per step; no reason to do more
-	}
-	switch alg {
-	case Ring, RingFlat, Hierarchical, Rabenseifner:
-		perm := ringOrder(t, alg != RingFlat)
-		res := append([]float64(nil), vec...)
-		if err := ringReduceScatter(p, t, res, op, perm, tagRingRS); err != nil {
-			return nil, err
-		}
-		lo, hi := blockBounds(t.Rank(), n, len(vec))
-		return append([]float64(nil), res[lo:hi]...), nil
-	case Binomial:
-		full, err := treeAllreduce(p, t, vec, op)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := blockBounds(t.Rank(), n, len(vec))
-		return full[lo:hi], nil
-	}
-	return nil, fmt.Errorf("coll: reducescatter: bad algorithm %v", alg)
-}
-
-// Allgather collects every rank's byte slice on every rank (out[i] is rank
-// i's contribution), over a ring laid out by topology when available.
-func Allgather(p *sim.Proc, t Transport, data []byte) ([][]byte, error) {
-	n := t.Size()
-	out := make([][]byte, n)
-	out[t.Rank()] = append([]byte(nil), data...)
-	if n <= 1 {
-		return out, nil
-	}
-	perm := ringOrder(t, true)
-	pos := permIndex(perm, t.Rank())
-	right := perm[(pos+1)%n]
-	left := perm[(pos-1+n)%n]
-	cur := out[t.Rank()]
-	for step := 0; step < n-1; step++ {
-		if err := t.Send(p, right, tagGatherB+step, cur); err != nil {
-			return nil, err
-		}
-		got, err := t.Recv(p, left, tagGatherB+step)
-		if err != nil {
-			return nil, err
-		}
-		// The slice arriving at step s originated s+1 ring positions back.
-		src := perm[(pos-step-1+n)%n]
-		out[src] = got
-		cur = got
-	}
-	return out, nil
-}
-
-// Bcast distributes root's buffer to every rank. The hierarchical variant
-// forwards once to each leaf's leader and fans out leaf-locally.
-func Bcast(p *sim.Proc, t Transport, root int, data []byte, alg Algorithm) ([]byte, error) {
-	n := t.Size()
-	if n <= 1 {
+// Bcast distributes root's buffer to every rank over a binomial tree.
+func Bcast(p *sim.Proc, t Transport, root int, data []byte) ([]byte, error) {
+	if t.Size() <= 1 {
 		return append([]byte(nil), data...), nil
-	}
-	if alg == Auto {
-		if hasTopology(t) && len(data) > 4096 && spansLeaves(t) {
-			alg = Hierarchical
-		} else {
-			alg = Binomial
-		}
-	}
-	if alg == Hierarchical && hasTopology(t) && spansLeaves(t) {
-		return hierBcast(p, t, root, data)
 	}
 	return treeBcast(p, t, root, data, tagTree)
 }
@@ -288,7 +215,7 @@ func Barrier(p *sim.Proc, t Transport) error {
 
 // blockBounds returns the [lo, hi) element range of block i when length
 // elements are split into n ceil-sized blocks (trailing blocks clamp to
-// short or empty) — the split mpi.ReduceScatter has always used.
+// short or empty).
 func blockBounds(i, n, length int) (lo, hi int) {
 	per := (length + n - 1) / n
 	lo = i * per

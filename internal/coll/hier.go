@@ -132,63 +132,3 @@ func hierAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, e
 	}
 	return decode(raw), nil
 }
-
-// hierBcast forwards root's buffer once to every leaf leader (binomial over
-// the leaders, with root's own leaf led by root itself), then fans out
-// leaf-locally.
-func hierBcast(p *sim.Proc, t Transport, root int, data []byte) ([]byte, error) {
-	groups := leafGroups(t)
-	topo := t.(Topology)
-	rootLeaf := topo.LeafOfRank(root)
-
-	// Leaders list, with root standing in as its own leaf's leader so the
-	// cross-leaf phase starts at root without an extra hop.
-	leaders := make([]int, len(groups))
-	var group []int
-	for i, g := range groups {
-		leaders[i] = g[0]
-		if topo.LeafOfRank(g[0]) == rootLeaf {
-			leaders[i] = root
-		}
-		for _, r := range g {
-			if r == t.Rank() {
-				group = g
-			}
-		}
-	}
-
-	isLeader := false
-	for _, l := range leaders {
-		if l == t.Rank() {
-			isLeader = true
-		}
-	}
-	if isLeader {
-		lt := newSubTransport(t, sortedCopy(leaders))
-		rootIdx := permIndex(lt.members, root)
-		got, err := treeBcast(p, lt, rootIdx, data, tagHierX)
-		if err != nil {
-			return nil, fmt.Errorf("coll: hier cross-leaf bcast: %w", err)
-		}
-		data = got
-	}
-
-	// Intra-leaf fan-out from this leaf's leader position. Root may not be
-	// group[0] in its own leaf, so locate the leader within the group.
-	leaderRank := group[0]
-	if topo.LeafOfRank(t.Rank()) == rootLeaf {
-		leaderRank = root
-	}
-	leaf := newSubTransport(t, group)
-	got, err := treeBcast(p, leaf, permIndex(group, leaderRank), data, tagHierDn)
-	if err != nil {
-		return nil, fmt.Errorf("coll: hier intra-leaf bcast: %w", err)
-	}
-	return got, nil
-}
-
-func sortedCopy(v []int) []int {
-	out := append([]int(nil), v...)
-	sort.Ints(out)
-	return out
-}

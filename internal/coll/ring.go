@@ -17,7 +17,7 @@ import (
 // Logical segment ℓ (a position-space index circulated by the schedule)
 // maps to vector block perm[(ℓ+n-1) mod n], chosen so that the segment a
 // position finishes owning after the reduce-scatter pass is its own rank's
-// block — which is exactly what ReduceScatter must leave behind.
+// block.
 
 // segBounds maps logical segment ℓ to its vector block's element range.
 func segBounds(perm []int, ell, length int) (lo, hi int) {

@@ -122,10 +122,7 @@ func Measure(e *sim.Engine, client, server Station, iters int) Result {
 		}
 	})
 
-	done := false
-	e.Spawn("logp-client", func(p *sim.Proc) {
-		defer func() { done = true; serverStop = true }()
-
+	runClient(e, "logp-client", &serverStop, func(p *sim.Proc) {
 		// Warm-up: fault the endpoints resident and fill caches.
 		for w := 0; w < 3; w++ {
 			target := replies + 1
@@ -145,11 +142,7 @@ func Measure(e *sim.Engine, client, server Station, iters int) Result {
 			client.Request(p, hEcho, [4]uint64{uint64(i)})
 			t1 := p.Now()
 			osSum += t1.Sub(t0)
-			for replies < target {
-				if client.Poll(p) == 0 {
-					p.Sleep(200 * sim.Nanosecond)
-				}
-			}
+			awaitCount(p, client, &replies, target)
 			rttSum += p.Now().Sub(t0)
 		}
 		res.Os = osSum / sim.Duration(iters)
@@ -168,17 +161,9 @@ func Measure(e *sim.Engine, client, server Station, iters int) Result {
 		for i := 0; i < burst; i++ {
 			client.Request(p, hEcho, [4]uint64{uint64(i)})
 		}
-		for replies < target {
-			if client.Poll(p) == 0 {
-				p.Sleep(200 * sim.Nanosecond)
-			}
-		}
+		awaitCount(p, client, &replies, target)
 		res.G = p.Now().Sub(start) / sim.Duration(burst)
 	})
-
-	for !done {
-		e.RunFor(10 * sim.Millisecond)
-	}
 	return res
 }
 
@@ -193,17 +178,9 @@ func Bandwidth(e *sim.Engine, client, server Station, size, count int) float64 {
 		acks++
 	})
 	serverStop := false
-	e.Spawn("bw-server", func(p *sim.Proc) {
-		for !serverStop {
-			if server.Poll(p) == 0 {
-				p.Sleep(200 * sim.Nanosecond)
-			}
-		}
-	})
+	spinServer(e, "bw-server", server, &serverStop)
 	var mbps float64
-	done := false
-	e.Spawn("bw-client", func(p *sim.Proc) {
-		defer func() { done = true; serverStop = true }()
+	runClient(e, "bw-client", &serverStop, func(p *sim.Proc) {
 		payload := make([]byte, size)
 		// Warm-up.
 		client.RequestBulk(p, hSink, payload, [4]uint64{})
@@ -216,17 +193,10 @@ func Bandwidth(e *sim.Engine, client, server Station, size, count int) float64 {
 		for i := 0; i < count; i++ {
 			client.RequestBulk(p, hSink, payload, [4]uint64{})
 		}
-		for acks < target {
-			if client.Poll(p) == 0 {
-				p.Sleep(200 * sim.Nanosecond)
-			}
-		}
+		awaitCount(p, client, &acks, target)
 		elapsed := p.Now().Sub(start).Seconds()
 		mbps = float64(size) * float64(count) / elapsed / 1e6
 	})
-	for !done {
-		e.RunFor(10 * sim.Millisecond)
-	}
 	return mbps
 }
 
@@ -242,36 +212,56 @@ func RTTBulk(e *sim.Engine, client, server Station, size, iters int) sim.Duratio
 		replies++
 	})
 	serverStop := false
-	e.Spawn("rtt-server", func(p *sim.Proc) {
-		for !serverStop {
-			if server.Poll(p) == 0 {
-				p.Sleep(200 * sim.Nanosecond)
-			}
-		}
-	})
+	spinServer(e, "rtt-server", server, &serverStop)
 	var rtt sim.Duration
-	done := false
-	e.Spawn("rtt-client", func(p *sim.Proc) {
-		defer func() { done = true; serverStop = true }()
+	runClient(e, "rtt-client", &serverStop, func(p *sim.Proc) {
 		payload := make([]byte, size)
 		var sum sim.Duration
 		for i := 0; i < iters+1; i++ {
 			target := replies + 1
 			t0 := p.Now()
 			client.RequestBulk(p, hEcho, payload, [4]uint64{})
-			for replies < target {
-				if client.Poll(p) == 0 {
-					p.Sleep(200 * sim.Nanosecond)
-				}
-			}
+			awaitCount(p, client, &replies, target)
 			if i > 0 { // skip warm-up iteration
 				sum += p.Now().Sub(t0)
 			}
 		}
 		rtt = sum / sim.Duration(iters)
 	})
+	return rtt
+}
+
+// spinServer spawns a server proc that polls until *stop, sleeping 200 ns
+// after each poll that found nothing.
+func spinServer(e *sim.Engine, name string, server Station, stop *bool) {
+	e.Spawn(name, func(p *sim.Proc) {
+		for !*stop {
+			if server.Poll(p) == 0 {
+				p.Sleep(200 * sim.Nanosecond)
+			}
+		}
+	})
+}
+
+// runClient spawns body as the client proc and advances e in 10 ms steps
+// until it returns; its return also sets *serverStop.
+func runClient(e *sim.Engine, name string, serverStop *bool, body func(p *sim.Proc)) {
+	done := false
+	e.Spawn(name, func(p *sim.Proc) {
+		defer func() { done = true; *serverStop = true }()
+		body(p)
+	})
 	for !done {
 		e.RunFor(10 * sim.Millisecond)
 	}
-	return rtt
+}
+
+// awaitCount polls the client until the counter its reply handler bumps
+// reaches target, sleeping 200 ns after each poll that found nothing.
+func awaitCount(p *sim.Proc, client Station, n *int, target int) {
+	for *n < target {
+		if client.Poll(p) == 0 {
+			p.Sleep(200 * sim.Nanosecond)
+		}
+	}
 }

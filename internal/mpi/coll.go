@@ -76,10 +76,3 @@ func (c *Comm) AllreduceAlg(p *sim.Proc, vec []float64, op func(a, b float64) fl
 	defer c.endColl()
 	return coll.Allreduce(p, c, vec, coll.Op(op), alg)
 }
-
-// ReduceScatterAlg is ReduceScatter with an explicit algorithm choice.
-func (c *Comm) ReduceScatterAlg(p *sim.Proc, vec []float64, op func(a, b float64) float64, alg coll.Algorithm) ([]float64, error) {
-	c.beginColl()
-	defer c.endColl()
-	return coll.ReduceScatter(p, c, vec, coll.Op(op), alg)
-}

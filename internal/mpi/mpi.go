@@ -372,10 +372,10 @@ const (
 	tagA2A    = 1<<20 + 256
 )
 
-// Barrier, Bcast, Reduce and Allgather are the collective engine's textbook
-// schedules (dissemination barrier, binomial trees, ring). Unlike the
-// delegated collectives in coll.go they are not bracketed by beginColl: a
-// dead rank aborts them only when it is the one being waited for.
+// Barrier, Bcast and Reduce are the collective engine's textbook schedules
+// (dissemination barrier, binomial trees). Unlike the delegated Allreduce in
+// coll.go they are not bracketed by beginColl: a dead rank aborts them only
+// when it is the one being waited for.
 
 // Barrier synchronizes all ranks (dissemination algorithm, O(log n) rounds).
 func (c *Comm) Barrier(p *sim.Proc) error { return coll.Barrier(p, c) }
@@ -383,19 +383,13 @@ func (c *Comm) Barrier(p *sim.Proc) error { return coll.Barrier(p, c) }
 // Bcast distributes root's buffer to all ranks over a binomial tree and
 // returns each rank's copy.
 func (c *Comm) Bcast(p *sim.Proc, root int, data []byte) ([]byte, error) {
-	return coll.Bcast(p, c, root, data, coll.Binomial)
+	return coll.Bcast(p, c, root, data)
 }
 
 // Reduce combines per-rank float64 vectors with op at root (binomial tree).
 // Non-root ranks return nil.
 func (c *Comm) Reduce(p *sim.Proc, root int, vec []float64, op func(a, b float64) float64) ([]float64, error) {
 	return coll.Reduce(p, c, root, vec, coll.Op(op))
-}
-
-// Allgather collects every rank's buffer at every rank: out[i] is rank i's
-// contribution (ring algorithm, n-1 steps).
-func (c *Comm) Allgather(p *sim.Proc, data []byte) ([][]byte, error) {
-	return coll.Allgather(p, c, data)
 }
 
 // Allreduce combines per-rank vectors elementwise on every rank. It

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,50 @@ func TestGather(t *testing.T) {
 		if len(out[i]) != 1 || out[i][0] != byte(i*3) {
 			t.Fatalf("slot %d = %v", i, out[i])
 		}
+	}
+}
+
+// TestRecvFromClosedRank: outside any collective, a send to a rank whose
+// endpoint is gone comes back NackNoEndpoint, which declares the rank dead,
+// and a plain Recv from it then fails with ErrUnreachable instead of waiting
+// forever.
+func TestRecvFromClosedRank(t *testing.T) {
+	w := newWorld(t, 2)
+	var recvErr error
+	ok := w.Run(func(p *sim.Proc, c *Comm) {
+		if c.Rank() == 1 {
+			_, err := c.Recv(p, 0, 1)
+			if err == nil {
+				err = c.Send(p, 0, 1, []byte("pong"))
+			}
+			if err != nil {
+				t.Errorf("rank 1 exchange: %v", err)
+			}
+			p.Sleep(sim.Millisecond) // let the pong's acknowledgement land
+			c.ep.Bundle().Close(p)
+			return
+		}
+		err := c.Send(p, 1, 1, []byte("ping"))
+		if err == nil {
+			_, err = c.Recv(p, 1, 1)
+		}
+		if err != nil {
+			t.Errorf("rank 0 exchange: %v", err)
+		}
+		p.Sleep(2 * sim.Millisecond) // rank 1 has closed by now
+		if err := c.Send(p, 1, 2, []byte("gone")); err != nil {
+			t.Errorf("rank 0 send to the closed rank: %v", err)
+		}
+		_, recvErr = c.Recv(p, 1, 3)
+	}, sim.Second)
+	if !ok {
+		t.Fatal("ranks did not complete: Recv from the closed rank hung")
+	}
+	if !errors.Is(recvErr, ErrUnreachable) {
+		t.Fatalf("Recv from the closed rank: err = %v, want ErrUnreachable", recvErr)
+	}
+	if got := w.DeadRanks(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("DeadRanks() = %v, want [1]", got)
 	}
 }
 
