@@ -83,24 +83,11 @@ func loadModule(t *testing.T) *moduleCensus {
 	m := &moduleCensus{
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
-		dirs:    map[string]string{},
+		dirs:    moduleDirs(t),
 		pkgs:    map[string]*types.Package{},
 		tracked: map[*types.Var]bool{},
 		setters: map[*types.Var][]token.Position{},
 		called:  map[*types.Func]bool{},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		m.dirs[importPath(path)] = path
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	paths := make([]string, 0, len(m.dirs))
 	for p := range m.dirs {
@@ -125,6 +112,28 @@ func loadModule(t *testing.T) *moduleCensus {
 	}
 	sort.Slice(m.fields, func(i, j int) bool { return m.fields[i].name < m.fields[j].name })
 	return m
+}
+
+// moduleDirs maps the import path of every directory of the module, the
+// go tool's testdata and hidden or underscore directories aside, to the
+// directory.
+func moduleDirs(t *testing.T) map[string]string {
+	t.Helper()
+	dirs := map[string]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		dirs[importPath(path)] = path
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 func importPath(dir string) string {

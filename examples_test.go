@@ -15,7 +15,6 @@ import (
 var exampleClosings = map[string]string{
 	"batch":        "5 jobs completed; cluster utilization 90%",
 	"clientserver": "endpoint re-mappings performed by the OS: 131",
-	"parallelfs":   "striping across 4 servers raised aggregate bandwidth 2.6x",
 	"parallelsort": "globally sorted 32768 keys across 8 ranks",
 	"quickstart":   "done at t=1.000s; all 4 nodes completed 3 ring round trips",
 	"rpcservice":   "kv service handled 6 calls over virtual networks",
@@ -24,7 +23,8 @@ var exampleClosings = map[string]string{
 }
 
 // TestExamples builds every example program and runs it to exit 0 and its
-// pinned closing line.
+// pinned closing line. An exampleClosings key with no examples/<name>
+// directory fails too: the pin outlived its program.
 func TestExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the example programs (≈ 5 s)")
@@ -36,6 +36,11 @@ func TestExamples(t *testing.T) {
 	dirs, err := os.ReadDir("examples")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name := range exampleClosings {
+		if _, err := os.Stat(filepath.Join("examples", name)); err != nil {
+			t.Errorf("exampleClosings has %q but there is no examples/%s: %v", name, name, err)
+		}
 	}
 	bin := t.TempDir()
 	if out, err := exec.Command(goBin, "build", "-o", bin+string(filepath.Separator), "./examples/...").CombinedOutput(); err != nil {

@@ -1,7 +1,7 @@
 // Cross-layer integration tests: the Fig. 1 usage model exercised
-// end-to-end — multiple subsystems (batch jobs, RPC services, stream
-// sockets, parallel I/O) coexisting on one cluster over the virtual
-// network layer, including under faults.
+// end-to-end — batch jobs and RPC services coexisting on one cluster over
+// the virtual network layer, including under spine hot swaps and endpoint
+// overcommit.
 package virtnet
 
 import (
@@ -14,17 +14,14 @@ import (
 	"virtnet/internal/hostos"
 	"virtnet/internal/migrate"
 	"virtnet/internal/mpi"
-	"virtnet/internal/pfs"
 	"virtnet/internal/rpc"
 	"virtnet/internal/sim"
-	"virtnet/internal/sockets"
 	"virtnet/internal/splitc"
 )
 
 // TestGeneralPurposeColocation runs, simultaneously, on a 12-node cluster:
-// an RPC key/value service, a stream-socket transfer, a striped file write,
-// and a batch MPI job — the paper's thesis that fast communication should
-// be available to all components at once.
+// an RPC key/value service and a batch MPI job — the paper's thesis that
+// fast communication should be available to all components at once.
 func TestGeneralPurposeColocation(t *testing.T) {
 	cl := hostos.NewCluster(3, 12, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
@@ -64,78 +61,12 @@ func TestGeneralPurposeColocation(t *testing.T) {
 		rpcOK = true
 	})
 
-	// --- Stream socket between nodes 2 and 3. ---
-	lst, err := sockets.Listen(cl.Nodes[2], 0xBB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sockOK := false
-	cl.Nodes[2].Spawn("sock-server", func(p *sim.Proc) {
-		conn := lst.Accept(p)
-		data, err := conn.ReadFull(p, 100000)
-		if err != nil {
-			t.Errorf("sock read: %v", err)
-			return
-		}
-		for i := range data {
-			if data[i] != byte(i) {
-				t.Errorf("sock byte %d corrupt", i)
-				return
-			}
-		}
-		sockOK = true
-	})
-	cl.Nodes[3].Spawn("sock-client", func(p *sim.Proc) {
-		conn, err := sockets.Dial(p, cl.Nodes[3], lst.Name(), 0xBB)
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		buf := make([]byte, 100000)
-		for i := range buf {
-			buf[i] = byte(i)
-		}
-		conn.Write(p, buf)
-		conn.Drain(p)
-		if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
-			t.Errorf("socket retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
-		}
-	})
-
-	// --- Striped file system on nodes 4-5, client on node 6. ---
-	fs, err := pfs.New([]*hostos.Node{cl.Nodes[4], cl.Nodes[5]}, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Stop()
-	pfsOK := false
-	cl.Nodes[6].Spawn("io", func(p *sim.Proc) {
-		c, err := fs.NewClient(cl.Nodes[6])
-		if err != nil {
-			t.Errorf("pfs client: %v", err)
-			return
-		}
-		c.Create(p, "data")
-		blob := bytes.Repeat([]byte{0xAB}, 50000)
-		if err := c.WriteAt(p, "data", 0, blob); err != nil {
-			t.Errorf("pfs write: %v", err)
-			return
-		}
-		back, err := c.ReadAt(p, "data", 0, len(blob))
-		if err != nil || !bytes.Equal(back, blob) {
-			t.Errorf("pfs read: err=%v", err)
-			return
-		}
-		pfsOK = true
-	})
-
-	// --- Batch MPI job on nodes 7-10 via the scheduler. ---
+	// --- Batch MPI job via the scheduler. ---
 	sched := glunix.NewScheduler(cl)
 	jobOK := false
-	// Reserve 8-11 so the scheduler picks from the remaining free set; the
-	// scheduler considers all nodes free, so just submit width 4 and let it
-	// take the lowest free ids — which are in use by services above. That
-	// is the point: jobs and services share nodes.
+	// The scheduler considers all nodes free, so the width-4 job takes the
+	// lowest ids, 0-3 — two of which run the service above. That is the
+	// point: jobs and services share nodes.
 	_, err = sched.Submit(4, func(p *sim.Proc, rank int, part []*hostos.Node) {
 		if rank != 0 {
 			return
@@ -170,13 +101,13 @@ func TestGeneralPurposeColocation(t *testing.T) {
 
 	for step := 0; step < 3000; step++ {
 		cl.RunFor(sim.Millisecond)
-		if rpcOK && sockOK && pfsOK && jobOK {
+		if rpcOK && jobOK {
 			break
 		}
 	}
 	rpcStop = true
-	if !rpcOK || !sockOK || !pfsOK || !jobOK {
-		t.Fatalf("colocation failed: rpc=%v sock=%v pfs=%v job=%v", rpcOK, sockOK, pfsOK, jobOK)
+	if !rpcOK || !jobOK {
+		t.Fatalf("colocation failed: rpc=%v job=%v", rpcOK, jobOK)
 	}
 }
 
@@ -238,8 +169,8 @@ func TestServicesSurviveSpineHotSwap(t *testing.T) {
 	}
 }
 
-// TestOvercommitColocation puts a socket stream across a node whose NI is
-// overcommitted by many endpoints: the stream still completes, just slower
+// TestOvercommitColocation moves a bulk rpc transfer into a node whose NI is
+// overcommitted by many endpoints: the transfer still completes, just slower
 // (graceful degradation).
 func TestOvercommitColocation(t *testing.T) {
 	cl := hostos.NewCluster(11, 4, hostos.DefaultClusterConfig())
@@ -283,42 +214,40 @@ func TestOvercommitColocation(t *testing.T) {
 		})
 	}
 
-	// Socket stream node 2 -> node 0 (the overcommitted node).
-	lst, err := sockets.Listen(cl.Nodes[0], 0xDD)
+	// 200,000 patterned bytes from node 2 into node 0 (the overcommitted
+	// node), as rpc calls of 10,000 bytes each.
+	const total, chunk = 200000, 10000
+	srv, err := rpc.NewServer(cl.Nodes[0], 0xDD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	cl.Nodes[0].Spawn("sock-srv", func(p *sim.Proc) {
-		conn := lst.Accept(p)
-		data, err := conn.ReadFull(p, 200000)
-		if err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		for i := 0; i < len(data); i += 997 {
-			if data[i] != byte(i*31) {
-				t.Errorf("corrupt at %d", i)
-				return
-			}
-		}
-		done = true
+	var got []byte
+	srv.Register(1, func(p *sim.Proc, args []byte) ([]byte, error) {
+		got = append(got, args...)
+		return nil, nil
 	})
-	cl.Nodes[2].Spawn("sock-cli", func(p *sim.Proc) {
-		conn, err := sockets.Dial(p, cl.Nodes[2], lst.Name(), 0xDD)
+	cl.Nodes[0].Spawn("rpc-srv", func(p *sim.Proc) { srv.Serve(p, func() bool { return stop }) })
+	done := false
+	cl.Nodes[2].Spawn("rpc-cli", func(p *sim.Proc) {
+		c, err := rpc.NewClient(cl.Nodes[2], srv.Name(), 0xDD)
 		if err != nil {
-			t.Errorf("dial: %v", err)
+			t.Errorf("client: %v", err)
 			return
 		}
-		buf := make([]byte, 200000)
+		buf := make([]byte, total)
 		for i := range buf {
 			buf[i] = byte(i * 31)
 		}
-		conn.Write(p, buf)
-		conn.Drain(p)
-		if attempts, parked := conn.Outstanding(); attempts != 0 || parked != 0 {
-			t.Errorf("socket retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
+		for off := 0; off < total; off += chunk {
+			if _, err := c.Call(p, 1, buf[off:off+chunk], 0); err != nil {
+				t.Errorf("call at byte %d: %v", off, err)
+				return
+			}
 		}
+		if results, reissues, deferred := c.Outstanding(); results != 0 || reissues != 0 || deferred != 0 {
+			t.Errorf("rpc retry bookkeeping leaked: results=%d reissues=%d deferred=%d", results, reissues, deferred)
+		}
+		done = true
 	})
 
 	for step := 0; step < 10000 && !done; step++ {
@@ -326,7 +255,15 @@ func TestOvercommitColocation(t *testing.T) {
 	}
 	stop = true
 	if !done {
-		t.Fatal("stream did not complete under endpoint overcommit")
+		t.Fatal("transfer did not complete under endpoint overcommit")
+	}
+	if len(got) != total {
+		t.Fatalf("server received %d bytes, want %d", len(got), total)
+	}
+	for i := range got {
+		if got[i] != byte(i*31) {
+			t.Fatalf("corrupt at byte %d", i)
+		}
 	}
 	if cl.Nodes[0].Driver.Remaps() == 0 {
 		t.Fatal("node 0 never remapped; overcommit not exercised")

@@ -272,7 +272,7 @@ func allreduceRow(w io.Writer, p Params) error {
 		fmt.Fprintf(w, "%10d", szBytes)
 		best, bestAlg := 0.0, coll.Auto
 		// Auto runs the algorithm Select names, so its cell is one of these.
-		sel, auto := coll.Select(nodes, szBytes, true), 0.0
+		sel, auto := coll.Select(nodes, szBytes), 0.0
 		for _, a := range algs {
 			cell := runAllreduceCell(nodes, szBytes, a, p.Seed)
 			verified = verified && cell.OK

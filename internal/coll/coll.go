@@ -122,9 +122,9 @@ const PipelineDepth = 2
 
 // Select is the default algorithm heuristic: latency-optimal trees for
 // small vectors, Rabenseifner's log-step schedule in the middle, and the
-// bandwidth-optimal ring (hierarchical when the cluster spans several
-// leaves) for large vectors. bytes is the per-rank vector size in bytes.
-func Select(n, bytes int, hasTopo bool) Algorithm {
+// bandwidth-optimal ring for large vectors. bytes is the per-rank vector
+// size in bytes.
+func Select(n, bytes int) Algorithm {
 	switch {
 	case n <= 2:
 		return Binomial
@@ -161,7 +161,7 @@ func Allreduce(p *sim.Proc, t Transport, vec []float64, op Op, alg Algorithm) ([
 		return append([]float64(nil), vec...), nil
 	}
 	if alg == Auto {
-		alg = Select(n, 8*len(vec), hasTopology(t))
+		alg = Select(n, 8*len(vec))
 	}
 	switch alg {
 	case Binomial:

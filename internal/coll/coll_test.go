@@ -211,7 +211,7 @@ func TestSelectHeuristic(t *testing.T) {
 		{100, 1 << 20, coll.Ring},          // large: bandwidth bound
 	}
 	for _, tc := range cases {
-		if got := coll.Select(tc.n, tc.bytes, true); got != tc.want {
+		if got := coll.Select(tc.n, tc.bytes); got != tc.want {
 			t.Errorf("Select(%d, %d) = %v, want %v", tc.n, tc.bytes, got, tc.want)
 		}
 	}
@@ -238,7 +238,7 @@ func TestAutoRunsTheSelectedAlgorithm(t *testing.T) {
 		return last
 	}
 	for _, bytes := range []int{1 << 10, 64 << 10, 512 << 10} {
-		sel := coll.Select(n, bytes, true)
+		sel := coll.Select(n, bytes)
 		if auto, want := finish(bytes, coll.Auto), finish(bytes, sel); auto != want {
 			t.Errorf("%d bytes: auto finished at %v, %v (selected) at %v", bytes, auto, sel, want)
 		}

@@ -74,14 +74,6 @@ func (j *Job) RunTime() sim.Duration {
 	return j.finished.Sub(j.started)
 }
 
-// Evacuator relocates the communication endpoints living on a node onto
-// other nodes, preserving live traffic; the live-migration subsystem
-// (internal/migrate) implements it. targets lists candidate destination
-// nodes in preference order.
-type Evacuator interface {
-	Evacuate(p *sim.Proc, node int, targets []int) (moved int, err error)
-}
-
 // Scheduler is the cluster-wide job manager. Its queue and free list are one
 // master's state, touched by every rank that finishes: it is for a one-shard
 // cluster (NewMonitor says so with hostos.ErrSharded).
@@ -94,15 +86,9 @@ type Scheduler struct {
 
 	// busy marks nodes currently allocated to a running job.
 	busy map[int]bool
-	// drained marks nodes withdrawn from scheduling (DrainNode); they are
-	// never allocated and are not returned to the free pool by job
-	// completion until restored.
-	drained map[int]bool
-	evac    Evacuator
-
-	// dead marks nodes the health monitor declared failed; like drained
-	// they are unschedulable, but their death also aborts and requeues any
-	// job running there.
+	// dead marks nodes the health monitor declared failed: they are
+	// unschedulable, and their death aborts and requeues any job running
+	// there.
 	dead map[int]bool
 	// jobsOn maps an allocated node to the running job occupying it.
 	jobsOn map[int]*Job
@@ -128,7 +114,6 @@ func NewScheduler(c *hostos.Cluster) *Scheduler {
 		e:       c.ShardEngine(0),
 		free:    make(map[int]bool),
 		busy:    make(map[int]bool),
-		drained: make(map[int]bool),
 		dead:    make(map[int]bool),
 		jobsOn:  make(map[int]*Job),
 	}
@@ -137,58 +122,6 @@ func NewScheduler(c *hostos.Cluster) *Scheduler {
 	}
 	return s
 }
-
-// SetEvacuator attaches the migration subsystem used by DrainNode.
-func (s *Scheduler) SetEvacuator(ev Evacuator) { s.evac = ev }
-
-// DrainNode withdraws node id from the schedulable pool and, when an
-// evacuator is attached, live-migrates the endpoints residing there onto
-// the remaining schedulable nodes — the "migrate node N's endpoints away"
-// policy for hot-spot drains and rolling node replacement. It returns the
-// number of endpoints moved.
-func (s *Scheduler) DrainNode(p *sim.Proc, id int) (int, error) {
-	if id < 0 || id >= len(s.cluster.Nodes) {
-		return 0, fmt.Errorf("glunix: no node %d", id)
-	}
-	if s.drained[id] {
-		return 0, fmt.Errorf("glunix: node %d already drained", id)
-	}
-	s.drained[id] = true
-	delete(s.free, id)
-	if s.evac == nil {
-		return 0, nil
-	}
-	var targets []int
-	for t := range s.cluster.Nodes {
-		if t != id && !s.drained[t] && !s.dead[t] {
-			targets = append(targets, t)
-		}
-	}
-	sort.Ints(targets)
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("glunix: no target nodes to evacuate node %d onto", id)
-	}
-	return s.evac.Evacuate(p, id, targets)
-}
-
-// RestoreNode returns a drained node to the schedulable pool (e.g. after
-// maintenance) and dispatches any jobs that were waiting for capacity.
-func (s *Scheduler) RestoreNode(id int) {
-	if !s.drained[id] {
-		return
-	}
-	delete(s.drained, id)
-	if !s.busy[id] && !s.dead[id] {
-		s.free[id] = true
-	}
-	s.dispatch()
-}
-
-// Drained reports whether node id is withdrawn from scheduling.
-func (s *Scheduler) Drained(id int) bool { return s.drained[id] }
-
-// FreeNodes reports currently unallocated nodes.
-func (s *Scheduler) FreeNodes() int { return len(s.free) }
 
 // Queued reports jobs waiting for nodes.
 func (s *Scheduler) Queued() int { return len(s.queue) }
@@ -296,7 +229,7 @@ func (s *Scheduler) finish(j *Job) {
 	for _, id := range j.partition {
 		delete(s.busy, id)
 		delete(s.jobsOn, id)
-		if !s.drained[id] && !s.dead[id] {
+		if !s.dead[id] {
 			s.free[id] = true
 		}
 	}
@@ -333,7 +266,7 @@ func (s *Scheduler) requeue(j *Job) {
 	for _, id := range j.partition {
 		delete(s.busy, id)
 		delete(s.jobsOn, id)
-		if !s.drained[id] && !s.dead[id] {
+		if !s.dead[id] {
 			s.free[id] = true
 		}
 	}
@@ -351,7 +284,7 @@ func (s *Scheduler) NodeRecovered(id int) {
 		return
 	}
 	delete(s.dead, id)
-	if !s.busy[id] && !s.drained[id] {
+	if !s.busy[id] {
 		s.free[id] = true
 	}
 	s.dispatch()

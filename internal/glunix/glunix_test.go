@@ -41,8 +41,8 @@ func TestSpaceSharingDisjointPartitions(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if s.FreeNodes() != 8 {
-		t.Fatalf("free = %d after drain", s.FreeNodes())
+	if len(s.free) != 8 {
+		t.Fatalf("free = %d after drain", len(s.free))
 	}
 }
 
@@ -171,8 +171,8 @@ func TestManyJobsThroughput(t *testing.T) {
 	if s.Completed != 20 {
 		t.Fatalf("completed = %d", s.Completed)
 	}
-	if s.FreeNodes() != 10 {
-		t.Fatalf("free = %d", s.FreeNodes())
+	if len(s.free) != 10 {
+		t.Fatalf("free = %d", len(s.free))
 	}
 }
 

@@ -244,8 +244,8 @@ func NewService(c *hostos.Cluster) (*Service, error) {
 	return s, nil
 }
 
-// Manage registers ep with the service's registry so node-level evacuation
-// can find it; onSwap, when non-nil, is invoked with the reincarnated
+// Manage registers ep with the service's registry so Endpoint follows it
+// across moves; onSwap, when non-nil, is invoked with the reincarnated
 // handle after each move so the application can retarget its threads.
 func (s *Service) Manage(ep *core.Endpoint, onSwap func(*core.Endpoint)) {
 	s.managed[ep.Segment().EP.ID] = &managedEP{handle: ep, onSwap: onSwap}
@@ -413,26 +413,4 @@ func (m *Manager) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 	if args[1] == 1 {
 		m.cond.Broadcast()
 	}
-}
-
-// Evacuate implements glunix.Evacuator: it live-migrates every managed
-// endpoint residing on node onto the target nodes, round-robin. It must run
-// in a proc on the drained node (the source of every move).
-func (s *Service) Evacuate(p *sim.Proc, node int, targets []int) (int, error) {
-	var ids []int
-	for id, m := range s.managed {
-		if !m.handle.Moved() && int(m.handle.Bundle().Node.ID) == node {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids) // deterministic order regardless of map iteration
-	moved := 0
-	for i, id := range ids {
-		dst := netsim.NodeID(targets[i%len(targets)])
-		if _, err := s.Move(p, s.managed[id].handle, dst); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
 }

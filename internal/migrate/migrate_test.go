@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"virtnet/internal/core"
-	"virtnet/internal/glunix"
 	"virtnet/internal/hostos"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
@@ -258,63 +257,6 @@ func TestMoveBackAndForth(t *testing.T) {
 	}
 	if cur.Name() != server.Name() {
 		t.Fatal("opaque name changed across migrations")
-	}
-}
-
-// Node-level drain through the glunix policy hook: every managed endpoint
-// on the drained node is live-migrated to the remaining nodes and the node
-// leaves the schedulable pool.
-func TestGlunixDrainEvacuatesEndpoints(t *testing.T) {
-	c := newCluster(t, 3, nil)
-	svc, err := NewService(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := glunix.NewScheduler(c)
-	sched.SetEvacuator(svc)
-
-	s1 := echoServer(t, c, svc, 0, 21)
-	s2 := echoServer(t, c, svc, 0, 22)
-	cl1 := newClient(t, c, svc, 1, s1, 21)
-	cl2 := newClient(t, c, svc, 2, s2, 22)
-	const n = 150
-	cl1.run(c, 1, n, 40*sim.Microsecond)
-	cl2.run(c, 2, n, 40*sim.Microsecond)
-
-	var moved int
-	c.Nodes[0].Spawn("drainer", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Millisecond)
-		m, err := sched.DrainNode(p, 0)
-		if err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		moved = m
-	})
-	c.RunFor(5 * sim.Second)
-	if moved != 2 {
-		t.Fatalf("drain moved %d endpoints, want 2", moved)
-	}
-	if !sched.Drained(0) {
-		t.Fatal("node 0 not marked drained")
-	}
-	if sched.FreeNodes() != 2 {
-		t.Fatalf("free nodes = %d, want 2 (drained node withdrawn)", sched.FreeNodes())
-	}
-	for i, cl := range []*client{cl1, cl2} {
-		if !cl.done {
-			t.Fatalf("client %d incomplete: %d/%d", i+1, len(cl.replies), n)
-		}
-	}
-	for _, id := range []int{s1.Segment().EP.ID, s2.Segment().EP.ID} {
-		cur, ok := svc.Endpoint(id)
-		if !ok || cur.Bundle().Node.ID == 0 {
-			t.Fatalf("endpoint %d still on the drained node", id)
-		}
-	}
-	// Restoration returns the node to the pool.
-	sched.RestoreNode(0)
-	if sched.FreeNodes() != 3 {
-		t.Fatalf("free nodes = %d after restore, want 3", sched.FreeNodes())
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // TestCollectiveInstants pins when Barrier, Bcast and Reduce complete — the
 // instant the last rank returns and the sum over ranks — at awkward world
 // sizes, captured from the schedules mpi shipped before it delegated them to
-// internal/coll. 13 ranks span three leaves and 20,000 bytes is past the
-// size at which coll's Auto would go hierarchical, so the rows also pin that
-// Bcast asks for the binomial tree.
+// internal/coll. 13 ranks span three leaves and 20,000 bytes is a large
+// message, so the rows also pin that Bcast is the binomial tree whatever the
+// size or leaf span.
 func TestCollectiveInstants(t *testing.T) {
 	want := []struct {
 		n         int

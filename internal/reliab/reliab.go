@@ -1,5 +1,5 @@
-// Package reliab is the reliability layer threaded through the RPC, VIA
-// and sockets stacks: deadline propagation with deadline-aware load
+// Package reliab is the reliability layer threaded through the RPC and
+// VIA stacks: deadline propagation with deadline-aware load
 // shedding, per-peer token-bucket retry budgets with deterministic
 // exponential backoff, per-peer circuit breakers, bounded admission
 // queues, and an idempotency cache for exactly-once effects under retry.

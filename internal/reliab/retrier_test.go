@@ -226,8 +226,8 @@ func TestRetrier(t *testing.T) {
 	}
 }
 
-// A Retrier with no metrics and no tracer — how sockets and via hold theirs
-// — parks and flushes all the same.
+// A Retrier with no metrics and no tracer — how via holds its — parks and
+// flushes all the same.
 func TestRetrierWithoutObservers(t *testing.T) {
 	e := sim.NewEngine(1)
 	defer e.Shutdown()

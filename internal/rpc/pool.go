@@ -309,8 +309,8 @@ type PoolPending struct {
 // harvest with Wait/WaitTimeout/TryWait or drop with Abandon. Pending calls
 // — to one target or to several — pipeline on the one shared endpoint: this
 // is the fan-out primitive the inference gateway and the KV replication
-// writes are built on, and how a single client overlaps stripe transfers to
-// many storage servers.
+// writes are built on, and how a single client overlaps transfers to many
+// servers.
 func (pl *Pool) GoCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (*PoolPending, error) {
 	pc, err := pl.send(p, tgt, proc, args, ctx)
 	if err != nil {
