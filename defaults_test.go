@@ -127,7 +127,7 @@ func pinRPCBudget(t *testing.T) {
 		// After 300 ms one token has come back, and one more call gets it.
 		for _, calls := range []int{4, 1} {
 			for i := 0; i < calls; i++ {
-				if _, err := cl.Go(p, 1, []byte{byte(i)}); err != nil {
+				if _, err := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -109,9 +109,9 @@ type piggyAck struct {
 // queueAck records a positive acknowledgment for peer. With piggybacking
 // disabled it is sent immediately as a standalone control packet; otherwise
 // it waits (briefly) for a data packet headed to peer.
-func (n *NIC) queueAck(p *sim.Proc, data *wirePkt) {
+func (n *NIC) queueAck(data *wirePkt) {
 	if !n.cfg.PiggybackAcks {
-		n.sendControl(p, data, pktAck, NackNone)
+		n.sendControl(data, pktAck, NackNone)
 		return
 	}
 	peer := data.SrcNI
@@ -153,13 +153,20 @@ func (n *NIC) takeAcks(peer netsim.NodeID, max int) []piggyAck {
 }
 
 // flushAcks sends any still-pending acks for peer as one batched control
-// packet (the AckDelay expired with no data packet to carry them).
-func (n *NIC) flushAcks(p *sim.Proc, peer netsim.NodeID) {
-	acks := n.takeAcks(peer, 1<<30)
-	if len(acks) == 0 {
+// packet (the AckDelay expired with no data packet to carry them), once the
+// cost of generating it is paid (emitAcks).
+func (n *NIC) flushAcks(peer netsim.NodeID) {
+	if len(n.pendingAcks[peer]) == 0 {
 		return
 	}
-	p.Sleep(n.cfg.AckSend)
+	n.charge(n.cfg.AckSend, stageFlush)
+}
+
+// emitAcks is flushAcks past its charge. Only the firmware queues and takes
+// pending acks, so the ones it takes now are the ones it found.
+func (n *NIC) emitAcks() {
+	peer := n.cur.peer
+	acks := n.takeAcks(peer, 1<<30)
 	n.ctr[ctrTxAckFlush].Inc()
 	ctl := n.allocHdr()
 	ctl.Kind = pktAck
@@ -169,22 +176,31 @@ func (n *NIC) flushAcks(p *sim.Proc, peer netsim.NodeID) {
 	n.injectControl(ctl, acks[0].Chan)
 }
 
-// processPiggy resolves acknowledgments carried in pkt (data or batched
-// control) against our channels to the packet's sender.
-func (n *NIC) processPiggy(p *sim.Proc, pkt *wirePkt) {
-	for _, a := range pkt.Piggy {
-		p.Sleep(piggyAckCost)
-		n.ctr[ctrRxAckPiggy].Inc()
-		ch := n.chanFor(pkt.SrcNI, a.Chan)
-		if ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq {
-			n.ctr[ctrRxAckStale].Inc()
-			continue
-		}
+// nextPiggy charges for the next ack riding on the packet in hand (data or
+// a batched control packet). With none left, a data packet goes on to its
+// receive critical path and a batch is done.
+func (n *NIC) nextPiggy() {
+	switch {
+	case n.piggy < len(n.pkt.Piggy):
+		n.charge(piggyAckCost, stagePiggy)
+	case n.pkt.Kind == pktData:
+		n.charge(recvCritical+checkOverhead, stageRecv)
+	}
+}
+
+// takePiggy resolves the ack just paid for against our channel to the
+// packet's sender, then moves on to the next.
+func (n *NIC) takePiggy() {
+	pkt := n.pkt
+	a := pkt.Piggy[n.piggy]
+	n.piggy++
+	n.ctr[ctrRxAckPiggy].Inc()
+	if ch := n.chanFor(pkt.SrcNI, a.Chan); ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq {
+		n.ctr[ctrRxAckStale].Inc()
+	} else {
 		n.scratch.SrcNI, n.scratch.Stamp = pkt.SrcNI, a.Stamp
 		n.observeRTT(&n.scratch, ch.retries)
 		n.freeDesc(n.resolveChannel(ch))
 	}
-	if len(pkt.Piggy) > 0 {
-		n.wake()
-	}
+	n.nextPiggy()
 }

@@ -7,9 +7,11 @@
 // driver/NI command protocol with quiescing for endpoints that have
 // unacknowledged messages in flight (§5 of the paper).
 //
-// The firmware is one simulated thread per NI; every protocol action charges
-// the NI's embedded CPU, so the interface itself is a contended resource —
-// which is precisely what virtualization must manage.
+// The firmware is a stage machine driven by one timer per NI: every protocol
+// action charges the NI's embedded CPU by arming that step timer, whose
+// callback runs the rest of the action and then the dispatch loop. The
+// interface itself is therefore a contended resource — which is precisely
+// what virtualization must manage.
 package nic
 
 import (
@@ -130,6 +132,42 @@ type workItem struct {
 	peer   netsim.NodeID // workFlushAcks
 }
 
+// stage names what is left of the firmware action in hand once the NI CPU
+// time it charged is paid: the continuation onStep runs.
+type stage int8
+
+const (
+	stageNone       stage = iota // no action in hand: run the dispatch loop
+	stageControl                 // sendControl: emit the ACK or NACK
+	stageRetransmit              // retransmit: put the attempt on the wire again
+	stageUnload                  // completeUnload: the image is in host memory
+	stageFlush                   // flushAcks: emit the batched acks
+	stageAck                     // handleAck
+	stageNack                    // handleNack
+	stagePiggy                   // takePiggy: one ack riding on the packet in hand
+	stageRecv                    // handleData
+	stageDeposit                 // deposit: the payload is in host memory
+	stageCmd                     // runCmd
+	stageLoad                    // finishLoad: the image is in its frame
+	stageSendDMA                 // sendOne: the payload is in NI memory
+	stageSendBuild               // injectSend
+	stageSent                    // sendOne's last charge: the send is done
+)
+
+// phase is where the dispatch loop stands in its current pass.
+type phase int8
+
+const (
+	phaseTop      phase = iota // start a pass: deferred work, or a control packet, or a data packet
+	phaseWorkDone              // the deferred work item is done
+	phaseCtlDone               // the control packet is handled
+	phaseDataDone              // the data packet is handled
+	phaseCmd                   // take a driver command
+	phaseCmdDone               // the driver command is done
+	phaseServe                 // one step of WRR endpoint service
+	phaseSent                  // that step's send is done
+)
+
 // NIC is one simulated network interface.
 type NIC struct {
 	e      *sim.Engine
@@ -139,8 +177,31 @@ type NIC struct {
 	driver DriverPort
 	epoch  uint32
 
-	proc *sim.Proc
-	idle *sim.Cond
+	// step is the firmware's one timer: charge arms it for the NI CPU time
+	// an action costs, and its callback (onStep) runs the rest of the action
+	// from stage, then the dispatch loop from phase. did records whether the
+	// loop's current pass has done anything; a pass that has not parks the
+	// loop until wake re-arms step.
+	step   *sim.Timer
+	stage  stage
+	phase  phase
+	did    bool
+	parked bool
+	// The operands of the action in hand, which outlive its charges: the
+	// deferred work item; the inbound packet, and for data its channel's
+	// receive state, the endpoint it deposits into and its next piggybacked
+	// ack; the ACK or NACK being sent (a workSendControl item); the unload
+	// being completed; the endpoint and channel of the send being staged.
+	cur    workItem
+	pkt    *wirePkt
+	rxSt   *rxState
+	rxEP   *EndpointImage
+	piggy  int
+	ctl    workItem
+	unload *DriverCmd
+	sendEP *EndpointImage
+	sendCh *channel
+
 	// inboundCtl holds arriving ACK/NACK packets; they are tiny, carry no
 	// payload, and are processed ahead of data so a deep data backlog
 	// cannot delay channel turnaround past the retransmission timers.
@@ -238,13 +299,13 @@ func New(e *sim.Engine, net *netsim.Network, id netsim.NodeID, cfg Config) *NIC 
 		moved:     make(map[int]bool),
 	}
 	n.C = trace.NewCountersOver(ctrNames[:], n.ctr[:])
-	n.idle = sim.NewCond(e)
 	n.wakeFn = n.wake
 	net.Attach(id, n.fromNetwork)
 	if cfg.InboundPool > 0 {
 		net.SetAdmission(id, func() bool { return n.inbound.Len() < cfg.InboundPool })
 	}
-	n.proc = e.Spawn(fmt.Sprintf("nic%d", id), n.loop)
+	n.newStep()
+	n.step.Reset(0)
 	return n
 }
 
@@ -322,8 +383,13 @@ func (n *NIC) SubmitCmd(cmd *DriverCmd) {
 	n.wake()
 }
 
-// wake unblocks the dispatch loop if it is idle.
-func (n *NIC) wake() { n.idle.Signal() }
+// wake re-arms the dispatch loop if it is parked waiting for work.
+func (n *NIC) wake() {
+	if n.parked {
+		n.parked = false
+		n.step.Reset(0)
+	}
+}
 
 // QueueLens reports the dispatch loop's queue depths (diagnostics).
 func (n *NIC) QueueLens() (inbound, ctl, work, cmds int) {
@@ -372,7 +438,8 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		// sender's flow control retransmit it later. The answer must be
 		// consistent with what other copies of the same attempt received:
 		// repeat the recorded response for processed attempts, and record
-		// the rejection for in-progress ones.
+		// the rejection for in-progress ones. No wake: with data staged the
+		// loop is not parked.
 		st := n.rxFor(pkt)
 		n.ctr[ctrRxPoolOverrun].Inc()
 		switch {
@@ -384,7 +451,6 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 			st.rejectedSeq = pkt.Seq
 			n.work.Push(workItem{kind: workSendControl, pkt: pkt, res: pktNack, reason: NackOverrun})
 		}
-		n.wake()
 		return
 	}
 	pkt.arrived = n.e.Now()
@@ -407,57 +473,141 @@ func (n *NIC) noteRxLoss(fl *obs.Flight, what string) {
 	fl.Note(what, n.e.Now())
 }
 
-// loop is the firmware dispatch loop. Deferred work (timer-driven
-// retransmissions, completed quiesces) runs first; then each cycle
+// ---- The dispatch loop ----
+
+// newStep gives the firmware a fresh step timer. The timer it replaces may
+// still hold a charge of the firmware Reboot or Crash just killed: that
+// charge fires when it was due, finds its timer replaced, and does nothing.
+func (n *NIC) newStep() {
+	var t *sim.Timer
+	t = n.e.NewTimer(func() {
+		if n.step == t {
+			n.onStep()
+		}
+	})
+	n.step = t
+}
+
+// charge occupies the NI CPU for d, the cost of the action in hand; once it
+// is paid, the step timer runs the action on from s.
+func (n *NIC) charge(d sim.Duration, s stage) {
+	n.stage = s
+	n.step.Reset(d)
+}
+
+// onStep runs when a charge is paid, or when the loop is kicked with no
+// action in hand: the rest of the charged action, then the dispatch loop,
+// which returns at once if the action charged again.
+func (n *NIC) onStep() {
+	s := n.stage
+	n.stage = stageNone
+	switch s {
+	case stageControl:
+		n.emitControl()
+	case stageRetransmit:
+		n.reinject()
+	case stageUnload:
+		n.finishUnload()
+	case stageFlush:
+		n.emitAcks()
+	case stageAck:
+		n.handleAck()
+	case stageNack:
+		n.handleNack()
+	case stagePiggy:
+		n.takePiggy()
+	case stageRecv:
+		n.handleData()
+	case stageDeposit:
+		n.deposit()
+	case stageCmd:
+		n.runCmd()
+	case stageLoad:
+		n.finishLoad()
+	case stageSendDMA:
+		n.charge(sendCritical+checkOverhead, stageSendBuild)
+	case stageSendBuild:
+		n.injectSend()
+	}
+	n.dispatch()
+}
+
+// dispatch is the firmware dispatch loop. Deferred work (timer-driven
+// retransmissions, completed quiesces) runs first; then each pass
 // interleaves one inbound packet, one driver command, and one step of the
 // WRR endpoint service, so a saturating receive stream cannot starve
 // outgoing traffic (the paper's NI interleaves driver and user servicing
-// the same way, §5.3).
-func (n *NIC) loop(p *sim.Proc) {
-	for !n.stopped {
-		did := false
-		if w, ok := n.work.Pop(); ok {
-			n.runWork(p, w)
-			continue
-		}
-		if pkt, ok := n.inboundCtl.Pop(); ok {
-			n.handlePkt(p, pkt)
-			pkt.releaseTo(n)
-			continue
-		}
-		if pkt, ok := n.inbound.Pop(); ok {
-			n.net.Admit(n.id) // back pressure: a staging slot freed
-			n.handlePkt(p, pkt)
-			pkt.releaseTo(n)
-			did = true
-		}
-		if cmd, ok := n.cmds.Pop(); ok {
-			n.curCmd = cmd
-			n.handleCmd(p, cmd)
+// the same way, §5.3). It runs until an action charges NI time, and onStep
+// re-enters it where it stood, or until a pass finds nothing to do and the
+// loop parks.
+func (n *NIC) dispatch() {
+	for n.stage == stageNone {
+		switch n.phase {
+		case phaseTop:
+			if n.stopped {
+				return
+			}
+			n.did = false
+			if w, ok := n.work.Pop(); ok {
+				n.cur, n.phase = w, phaseWorkDone
+				n.runWork(w)
+			} else if pkt, ok := n.inboundCtl.Pop(); ok {
+				n.pkt, n.phase = pkt, phaseCtlDone
+				n.handlePkt(pkt)
+			} else if pkt, ok := n.inbound.Pop(); ok {
+				n.net.Admit(n.id) // back pressure: a staging slot freed
+				n.pkt, n.phase = pkt, phaseDataDone
+				n.handlePkt(pkt)
+			} else {
+				n.phase = phaseCmd
+			}
+		case phaseWorkDone:
+			if n.cur.kind == workSendControl {
+				n.cur.pkt.releaseTo(n)
+			}
+			n.cur, n.phase = workItem{}, phaseTop
+		case phaseCtlDone:
+			n.pkt.releaseTo(n)
+			n.pkt, n.phase = nil, phaseTop
+		case phaseDataDone:
+			n.pkt.releaseTo(n)
+			n.pkt, n.rxSt, n.rxEP = nil, nil, nil
+			n.did, n.phase = true, phaseCmd
+		case phaseCmd:
+			n.phase = phaseServe
+			if cmd, ok := n.cmds.Pop(); ok {
+				n.curCmd, n.phase = cmd, phaseCmdDone
+				n.handleCmd(cmd)
+			}
+		case phaseCmdDone:
 			n.curCmd = nil
-			did = true
-		}
-		if n.serveEndpoints(p) {
-			did = true
-		}
-		if !did {
-			n.idle.Wait(p)
+			n.did, n.phase = true, phaseServe
+		case phaseServe:
+			n.phase = phaseTop
+			if n.serveEndpoints() {
+				n.phase = phaseSent
+			} else if !n.did {
+				n.parked = true
+				return
+			}
+		case phaseSent:
+			n.loiter()
+			n.phase = phaseTop
 		}
 	}
 }
 
-// runWork dispatches one deferred work item.
-func (n *NIC) runWork(p *sim.Proc, w workItem) {
+// runWork starts one deferred work item.
+func (n *NIC) runWork(w workItem) {
 	switch w.kind {
 	case workSendControl:
-		n.sendControl(p, w.pkt, w.res, w.reason)
-		w.pkt.releaseTo(n)
+		n.sendControl(w.pkt, w.res, w.reason)
 	case workRetransmit:
-		n.retransmit(p, w.ch, w.seq)
+		n.retransmit(w.ch, w.seq)
 	case workCompleteUnload:
-		n.completeUnload(p, w.cmd)
+		n.completeUnload(w.cmd)
 	case workFlushAcks:
-		n.flushAcks(p, w.peer)
+		n.flushAcks(w.peer)
 	}
 }
 
@@ -508,11 +658,10 @@ func (n *NIC) sendable(ep *EndpointImage) *ring[*SendDesc] {
 }
 
 // serveEndpoints performs one step of the weighted round-robin service
-// discipline: it loiters on the current endpoint until the loiter budget
-// (LoiterMsgs messages or LoiterTime, both scaled by the endpoint's share
-// weight) is exhausted or the endpoint has nothing sendable, then advances.
-// It reports whether any work was done.
-func (n *NIC) serveEndpoints(p *sim.Proc) bool {
+// discipline: it starts a send from the current endpoint, or from the next
+// one with something sendable, and reports whether it found one. loiter
+// finishes the step once the send is done.
+func (n *NIC) serveEndpoints() bool {
 	nf := len(n.frames)
 	for scan := 0; scan < nf; scan++ {
 		ep := n.frames[n.wrr]
@@ -521,27 +670,36 @@ func (n *NIC) serveEndpoints(p *sim.Proc) bool {
 				if n.loiterCount == 0 {
 					n.loiterStart = n.e.Now()
 				}
-				n.sendOne(p, ep, q)
-				n.loiterCount++
-				w := ep.Weight
-				if w < 1 {
-					w = 1
-				}
-				if n.loiterCount >= n.cfg.LoiterMsgs*w ||
-					n.e.Now().Sub(n.loiterStart) >= n.cfg.LoiterTime*sim.Duration(w) {
-					// Loiter budget exhausted with traffic still pending:
-					// the fairness mechanism (not idleness) forced the move.
-					n.ctr[ctrWRRLoiterExpiry].Inc()
-					n.advanceWRR()
-				} else if n.sendable(ep) == nil {
-					n.advanceWRR()
-				}
+				n.sendOne(ep, q)
 				return true
 			}
 		}
 		n.advanceWRR()
 	}
 	return false
+}
+
+// loiter ends a WRR step whose send is done: the discipline stays on the
+// endpoint until its loiter budget (LoiterMsgs messages or LoiterTime, both
+// scaled by the endpoint's share weight) is exhausted or it has nothing
+// sendable, then advances.
+func (n *NIC) loiter() {
+	ep := n.sendEP
+	n.sendEP, n.sendCh = nil, nil
+	n.loiterCount++
+	w := ep.Weight
+	if w < 1 {
+		w = 1
+	}
+	if n.loiterCount >= n.cfg.LoiterMsgs*w ||
+		n.e.Now().Sub(n.loiterStart) >= n.cfg.LoiterTime*sim.Duration(w) {
+		// Loiter budget exhausted with traffic still pending:
+		// the fairness mechanism (not idleness) forced the move.
+		n.ctr[ctrWRRLoiterExpiry].Inc()
+		n.advanceWRR()
+	} else if n.sendable(ep) == nil {
+		n.advanceWRR()
+	}
 }
 
 func (n *NIC) advanceWRR() {
@@ -552,22 +710,29 @@ func (n *NIC) advanceWRR() {
 	}
 }
 
-// sendOne transmits the head descriptor of queue q on a free channel.
-func (n *NIC) sendOne(p *sim.Proc, ep *EndpointImage, q *ring[*SendDesc]) {
+// sendOne starts transmitting the head descriptor of queue q on a free
+// channel: the descriptor is staging until injectSend puts it on the wire.
+func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc]) {
 	d, _ := q.Pop()
 	d.Flight.Mark(obs.StageWRRWait, n.e.Now())
 	n.staging = d
-	ch := n.freeChannel(d.DstNI)
+	n.sendEP, n.sendCh = ep, n.freeChannel(d.DstNI)
 	ep.LastActive = n.e.Now()
 	ep.Serviced++
 	ep.ServicedBytes += int64(len(d.Payload))
 
 	// Stage bulk payload from host memory into NI memory over the SBUS.
 	if len(d.Payload) > 0 {
-		p.Sleep(dmaSetup + n.dmaTime(len(d.Payload), sbusReadBps))
+		n.charge(dmaSetup+n.dmaTime(len(d.Payload), sbusReadBps), stageSendDMA)
+		return
 	}
-	p.Sleep(sendCritical + checkOverhead)
+	n.charge(sendCritical+checkOverhead, stageSendBuild)
+}
 
+// injectSend is sendOne past its critical path: the staged descriptor goes
+// on the wire as its channel's next attempt.
+func (n *NIC) injectSend() {
+	d, ep, ch := n.staging, n.sendEP, n.sendCh
 	ch.seq++
 	pkt := n.allocHdr()
 	pkt.Kind = pktData
@@ -604,7 +769,7 @@ func (n *NIC) sendOne(p *sim.Proc, ep *EndpointImage, q *ring[*SendDesc]) {
 	n.armTimer(ch)
 	n.ctr[ctrTxData].Inc()
 	n.ctr[ctrTxBytes].Add(int64(len(d.Payload)))
-	p.Sleep(n.cfg.SendPost)
+	n.charge(n.cfg.SendPost, stageSent)
 }
 
 // injectData puts one transmission of ch's unresolved attempt on the wire:
@@ -660,7 +825,7 @@ func (n *NIC) armTimer(ch *channel) {
 }
 
 // retransmit handles a retransmission timeout on ch for the given attempt.
-func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
+func (n *NIC) retransmit(ch *channel, seq uint64) {
 	pkt := ch.inflight
 	if pkt == nil || pkt.Seq != seq {
 		return // stale timer: the attempt already resolved
@@ -703,7 +868,13 @@ func (n *NIC) retransmit(p *sim.Proc, ch *channel, seq uint64) {
 		ch.backoff = n.cfg.RetransMax
 	}
 	d.Flight.Note("retransmit", now)
-	p.Sleep(sendCritical)
+	n.charge(sendCritical, stageRetransmit)
+}
+
+// reinject is retransmit past its critical path: the attempt on the work
+// item's channel goes on the wire again.
+func (n *NIC) reinject() {
+	ch := n.cur.ch
 	n.injectData(ch)
 	n.armTimer(ch)
 	n.ctr[ctrTxRetrans].Inc()
@@ -733,9 +904,7 @@ func (n *NIC) resolveChannel(ch *channel) *SendDesc {
 			// unloadWait stays set until completeUnload finishes, so a
 			// firmware reboot that wipes the deferred-work queue can requeue
 			// the completion (completeUnload is idempotent under that guard).
-			cmd := ep.unloadWait
-			n.work.Push(workItem{kind: workCompleteUnload, cmd: cmd})
-			n.wake()
+			n.work.Push(workItem{kind: workCompleteUnload, cmd: ep.unloadWait})
 		}
 	}
 	return d
@@ -807,14 +976,17 @@ func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
 
 // ---- Receive path ----
 
-func (n *NIC) handlePkt(p *sim.Proc, pkt *wirePkt) {
+// handlePkt starts handling an inbound packet by charging its receive cost;
+// a data packet pays for the acks riding on it first.
+func (n *NIC) handlePkt(pkt *wirePkt) {
 	switch pkt.Kind {
 	case pktData:
-		n.handleData(p, pkt)
+		n.piggy = 0
+		n.nextPiggy()
 	case pktAck:
-		n.handleAck(p, pkt)
+		n.charge(ackRecv, stageAck)
 	case pktNack:
-		n.handleNack(p, pkt)
+		n.charge(nackRecv, stageNack)
 	}
 }
 
@@ -828,18 +1000,20 @@ func (n *NIC) rxFor(pkt *wirePkt) *rxState {
 	return st
 }
 
-func (n *NIC) handleData(p *sim.Proc, pkt *wirePkt) {
-	n.processPiggy(p, pkt) // acks riding on the data packet
-	p.Sleep(recvCritical + checkOverhead)
+// handleData is a data packet past its receive critical path: answer a
+// duplicate as before, or deposit the packet and acknowledge it, or refuse
+// it with a NACK.
+func (n *NIC) handleData() {
+	pkt := n.pkt
 	n.ctr[ctrRxData].Inc()
 	st := n.rxFor(pkt)
 	if pkt.Seq <= st.lastSeen {
 		// Duplicate of an attempt we already answered: repeat the answer.
 		n.ctr[ctrRxDup].Inc()
 		if pkt.Seq == st.lastSeen {
-			n.sendControl(p, pkt, st.lastResult, st.lastReason)
+			n.sendControl(pkt, st.lastResult, st.lastReason)
 		} else {
-			n.sendControl(p, pkt, pktAck, NackNone)
+			n.sendControl(pkt, pktAck, NackNone)
 		}
 		return
 	}
@@ -847,29 +1021,34 @@ func (n *NIC) handleData(p *sim.Proc, pkt *wirePkt) {
 		// A copy of this attempt was already refused at arrival; answer
 		// identically so the sender's single resolution stands.
 		n.ctr[ctrRxRejectedDup].Inc()
-		n.sendControl(p, pkt, pktNack, NackOverrun)
+		n.sendControl(pkt, pktNack, NackOverrun)
 		return
 	}
-	result, reason := n.deliver(p, pkt)
-	st.lastSeen = pkt.Seq
-	st.lastResult = result
-	st.lastReason = reason
-	if result == pktAck {
-		n.queueAck(p, pkt)
-	} else {
-		n.sendControl(p, pkt, result, reason)
+	n.rxSt = st
+	ep, result, reason := n.accept(pkt)
+	if ep == nil {
+		n.answer(result, reason)
+		return
 	}
+	n.rxEP = ep
+	if len(pkt.Payload) > 0 {
+		// Stage payload from NI memory to the host buffer over the SBUS.
+		n.charge(dmaSetup+n.dmaTime(len(pkt.Payload), sbusWriteBps), stageDeposit)
+		return
+	}
+	n.deposit()
 }
 
-// deliver attempts to deposit a data packet into its destination endpoint.
-func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
+// accept decides whether a data packet can be deposited: it returns the
+// destination endpoint, or nil and the answer to send instead.
+func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 	ep, ok := n.eps[pkt.DstEP]
 	if !ok {
 		if n.moved[pkt.DstEP] {
 			n.ctr[ctrRxMoved].Inc()
-			return pktNack, NackMoved
+			return nil, pktNack, NackMoved
 		}
-		return pktNack, NackNoEndpoint
+		return nil, pktNack, NackNoEndpoint
 	}
 	if ep.Node != n.id {
 		// Migration transfer window: the image was already adopted by the
@@ -878,10 +1057,10 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 		// with NackMoved (rather than depositing into a queue another NI now
 		// services) resolves to a fresher binding.
 		n.ctr[ctrRxMoved].Inc()
-		return pktNack, NackMoved
+		return nil, pktNack, NackMoved
 	}
 	if ep.Key != pkt.Key {
-		return pktNack, NackBadKey
+		return nil, pktNack, NackBadKey
 	}
 	if ep.State != EPResident {
 		// Proxy fault: ask the driver to make the endpoint resident, then
@@ -891,25 +1070,32 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 			n.clock++
 			n.driver.RequestResident(ep, n.clock)
 		}
-		return pktNack, NackNotResident
+		return nil, pktNack, NackNotResident
 	}
 	if pkt.MsgID != 0 && ep.SeenMsg(pkt.SrcEP, pkt.MsgID) {
 		// End-to-end duplicate: an earlier attempt (possibly on another
 		// channel, after an unbind/rebind) was already delivered.
 		// Acknowledge so the sender resolves, but do not redeposit.
 		n.ctr[ctrRxE2EDup].Inc()
-		return pktAck, NackNone
+		return nil, pktAck, NackNone
 	}
 	q := ep.RecvQ
 	if pkt.IsReply {
 		q = ep.RepQ
 	}
 	if q.Full() {
-		return pktNack, NackOverrun
+		return nil, pktNack, NackOverrun
 	}
-	if len(pkt.Payload) > 0 {
-		// Stage payload from NI memory to the host buffer over the SBUS.
-		p.Sleep(dmaSetup + n.dmaTime(len(pkt.Payload), sbusWriteBps))
+	return ep, pktAck, NackNone
+}
+
+// deposit puts the data packet in hand into its endpoint's receive queue
+// and acknowledges it.
+func (n *NIC) deposit() {
+	pkt, ep := n.pkt, n.rxEP
+	q := ep.RecvQ
+	if pkt.IsReply {
+		q = ep.RepQ
 	}
 	msg := n.allocMsg()
 	msg.SrcNI = pkt.SrcNI
@@ -941,28 +1127,53 @@ func (n *NIC) deliver(p *sim.Proc, pkt *wirePkt) (pktKind, NackReason) {
 	if ep.EventArmed && n.driver != nil {
 		n.driver.Notify(ep)
 	}
-	return pktAck, NackNone
+	n.answer(pktAck, NackNone)
+}
+
+// answer records the verdict on the data packet in hand in its channel's
+// receive state and sends it: an ACK through queueAck, a NACK at once.
+func (n *NIC) answer(result pktKind, reason NackReason) {
+	pkt, st := n.pkt, n.rxSt
+	st.lastSeen = pkt.Seq
+	st.lastResult = result
+	st.lastReason = reason
+	if result == pktAck {
+		n.queueAck(pkt)
+	} else {
+		n.sendControl(pkt, result, reason)
+	}
 }
 
 // sendControl emits an ACK or NACK for a data packet, reflecting its
-// timestamp (§5.1).
-func (n *NIC) sendControl(p *sim.Proc, data *wirePkt, kind pktKind, reason NackReason) {
+// timestamp (§5.1), once the cost of generating it is paid (emitControl).
+func (n *NIC) sendControl(data *wirePkt, kind pktKind, reason NackReason) {
+	n.ctl = workItem{kind: workSendControl, pkt: data, res: kind, reason: reason}
 	if kind == pktAck {
-		p.Sleep(n.cfg.AckSend)
+		n.charge(n.cfg.AckSend, stageControl)
+	} else {
+		n.charge(nackSend, stageControl)
+	}
+}
+
+// emitControl is sendControl past its charge.
+func (n *NIC) emitControl() {
+	c := n.ctl
+	n.ctl = workItem{}
+	if c.res == pktAck {
 		n.ctr[ctrTxAck].Inc()
 	} else {
-		p.Sleep(nackSend)
-		n.ctr[ctrTxNack+int(reason)].Inc()
+		n.ctr[ctrTxNack+int(c.reason)].Inc()
 	}
+	data := c.pkt
 	ctl := n.allocHdr()
-	ctl.Kind = kind
+	ctl.Kind = c.res
 	ctl.SrcNI = n.id
 	ctl.DstNI = data.SrcNI
 	ctl.Chan = data.Chan
 	ctl.Seq = data.Seq
 	ctl.Epoch = data.Epoch
 	ctl.Stamp = data.Stamp
-	ctl.Reason = reason
+	ctl.Reason = c.reason
 	n.injectControl(ctl, data.Chan)
 }
 
@@ -975,12 +1186,15 @@ func (n *NIC) chanFor(peer netsim.NodeID, idx int) *channel {
 	return &chs[idx]
 }
 
-func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
-	p.Sleep(ackRecv)
+// handleAck is an ACK past ackRecv: it resolves the acknowledged attempt,
+// or, for a batch of flushed acks, each of them in turn.
+func (n *NIC) handleAck() {
+	pkt := n.pkt
 	n.ctr[ctrRxAck].Inc()
 	if len(pkt.Piggy) > 0 {
 		// Batched acknowledgments (piggyback extension flush path).
-		n.processPiggy(p, pkt)
+		n.piggy = 0
+		n.nextPiggy()
 		return
 	}
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
@@ -990,11 +1204,11 @@ func (n *NIC) handleAck(p *sim.Proc, pkt *wirePkt) {
 	}
 	n.observeRTT(pkt, ch.retries)
 	n.freeDesc(n.resolveChannel(ch)) // acknowledged: the descriptor dies here
-	n.wake()                         // a channel freed; blocked endpoints may proceed
 }
 
-func (n *NIC) handleNack(p *sim.Proc, pkt *wirePkt) {
-	p.Sleep(nackRecv)
+// handleNack is a NACK past nackRecv.
+func (n *NIC) handleNack() {
+	pkt := n.pkt
 	n.ctr[ctrRxNack+int(pkt.Reason)].Inc()
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
@@ -1032,21 +1246,27 @@ func (d *SendDesc) nackBackoff(n *NIC) {
 
 // ---- Driver command processing ----
 
-func (n *NIC) handleCmd(p *sim.Proc, cmd *DriverCmd) {
+// handleCmd starts a driver command: the NI's Lamport clock moves past the
+// driver's stamp, and the command costs driverOpCost before runCmd.
+func (n *NIC) handleCmd(cmd *DriverCmd) {
 	if cmd.Stamp > n.clock {
 		n.clock = cmd.Stamp
 	}
 	n.clock++
-	p.Sleep(driverOpCost)
-	switch cmd.Op {
+	n.charge(driverOpCost, stageCmd)
+}
+
+// runCmd carries out the command in hand past driverOpCost.
+func (n *NIC) runCmd() {
+	switch cmd := n.curCmd; cmd.Op {
 	case OpLoad:
-		n.handleLoad(p, cmd)
+		n.handleLoad(cmd)
 	case OpUnload:
-		n.handleUnload(p, cmd)
+		n.handleUnload(cmd)
 	}
 }
 
-func (n *NIC) handleLoad(p *sim.Proc, cmd *DriverCmd) {
+func (n *NIC) handleLoad(cmd *DriverCmd) {
 	ep := cmd.EP
 	if ep.State == EPResident {
 		delete(n.requested, ep.ID)
@@ -1059,7 +1279,13 @@ func (n *NIC) handleLoad(p *sim.Proc, cmd *DriverCmd) {
 		panic(fmt.Sprintf("nic%d: load %d into occupied/invalid frame %d", n.id, ep.ID, cmd.Frame))
 	}
 	// Stage the endpoint image from host memory into the frame.
-	p.Sleep(dmaSetup + n.dmaTime(FrameBytes, sbusReadBps))
+	n.charge(dmaSetup+n.dmaTime(FrameBytes, sbusReadBps), stageLoad)
+}
+
+// finishLoad is handleLoad past the image DMA: the endpoint is resident.
+func (n *NIC) finishLoad() {
+	cmd := n.curCmd
+	ep := cmd.EP
 	n.frames[cmd.Frame] = ep
 	ep.Frame = cmd.Frame
 	ep.State = EPResident
@@ -1069,10 +1295,9 @@ func (n *NIC) handleLoad(p *sim.Proc, cmd *DriverCmd) {
 	if cmd.Done != nil {
 		cmd.Done()
 	}
-	n.wake()
 }
 
-func (n *NIC) handleUnload(p *sim.Proc, cmd *DriverCmd) {
+func (n *NIC) handleUnload(cmd *DriverCmd) {
 	ep := cmd.EP
 	if ep.State == EPHost {
 		if cmd.Done != nil {
@@ -1088,15 +1313,24 @@ func (n *NIC) handleUnload(p *sim.Proc, cmd *DriverCmd) {
 		n.ctr[ctrDrvQuiesce].Inc()
 		return
 	}
-	n.completeUnload(p, cmd)
+	n.completeUnload(cmd)
 }
 
-func (n *NIC) completeUnload(p *sim.Proc, cmd *DriverCmd) {
-	ep := cmd.EP
-	if ep.unloadWait != cmd {
+// completeUnload evicts the endpoint of an unload with nothing (left) in
+// flight: the image goes to host memory, then finishUnload frees its frame.
+func (n *NIC) completeUnload(cmd *DriverCmd) {
+	if cmd.EP.unloadWait != cmd {
 		return // duplicate completion (reboot-recovery requeue)
 	}
-	p.Sleep(dmaSetup + n.dmaTime(FrameBytes, sbusWriteBps))
+	n.unload = cmd
+	n.charge(dmaSetup+n.dmaTime(FrameBytes, sbusWriteBps), stageUnload)
+}
+
+// finishUnload is completeUnload past the image DMA.
+func (n *NIC) finishUnload() {
+	cmd := n.unload
+	n.unload = nil
+	ep := cmd.EP
 	if ep.unloadWait != cmd {
 		return
 	}
@@ -1115,10 +1349,21 @@ func (n *NIC) completeUnload(p *sim.Proc, cmd *DriverCmd) {
 	if cmd.Done != nil {
 		cmd.Done()
 	}
-	n.wake()
 }
 
 // ---- Fault injection: firmware reboot and host crash ----
+
+// halt kills the firmware mid-action, as a reboot or a crash does: the
+// action in hand stops where it stands, and the loop stays dead until
+// respawn or Restart kicks it from the top. What host memory still holds of
+// the action (curCmd, staging) is the caller's to recover.
+func (n *NIC) halt() {
+	n.newStep()
+	n.stage, n.phase, n.did, n.parked = stageNone, phaseTop, false, false
+	n.cur, n.ctl = workItem{}, workItem{}
+	n.pkt, n.rxSt, n.rxEP, n.piggy = nil, nil, nil, 0
+	n.unload, n.sendEP, n.sendCh = nil, nil, nil
+}
 
 // respawn restarts the dispatch loop after d of outage, unless the firmware
 // incarnation changed in the meantime (a crash, restart, or second reboot).
@@ -1128,7 +1373,7 @@ func (n *NIC) respawn(d sim.Duration) {
 		if gen != n.incarnation || n.crashed || n.stopped {
 			return
 		}
-		n.proc = n.e.Spawn(fmt.Sprintf("nic%d", n.id), n.loop)
+		n.step.Reset(0)
 	})
 }
 
@@ -1156,7 +1401,8 @@ func (n *NIC) sortedChanDsts() []netsim.NodeID {
 // receiver reset its per-channel sequence window — the channel-reset
 // handshake of §5.1. End-to-end MsgID suppression keeps user-level delivery
 // exactly-once across the reset. Must be called from event context or from a
-// proc other than this NI's dispatch loop.
+// proc, not from a callback the firmware itself makes (DriverCmd.Done,
+// OnDeliver, a DriverPort upcall).
 func (n *NIC) Reboot(outage sim.Duration) {
 	if n.crashed || n.stopped {
 		return
@@ -1164,7 +1410,7 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	n.ctr[ctrNICReboot].Inc()
 	n.incarnation++
 	n.rebootUntil = n.e.Now().Add(outage)
-	n.proc.Kill()
+	n.halt()
 	// NI SRAM is gone: arrival staging, deferred work, receive-side
 	// sequence windows, pending piggyback acks, RTT estimates.
 	n.inbound.Reset()
@@ -1232,8 +1478,8 @@ func (n *NIC) Reboot(outage sim.Duration) {
 // side must recreate and re-register its endpoints. The host's access link
 // is marked down so in-fabric packets toward the dead host drop at the leaf
 // switch; senders see silence, exhaust their retries, and return messages to
-// sender (§3.2). Must be called from event context or from a proc other than
-// this NI's dispatch loop.
+// sender (§3.2). Must be called from event context or from a proc, not from
+// a callback the firmware itself makes.
 func (n *NIC) Crash() {
 	if n.crashed {
 		return
@@ -1241,7 +1487,7 @@ func (n *NIC) Crash() {
 	n.crashed = true
 	n.incarnation++
 	n.ctr[ctrNICCrash].Inc()
-	n.proc.Kill()
+	n.halt()
 	n.net.SetHostLinkDown(n.id, true)
 	// Stop channel timers so no stale retransmission closure survives into
 	// a later incarnation.
@@ -1289,6 +1535,6 @@ func (n *NIC) Restart() {
 	n.rebootUntil = 0
 	n.epoch = uint32(n.e.Rand().Int63()) | 1
 	n.net.SetHostLinkDown(n.id, false)
-	n.proc = n.e.Spawn(fmt.Sprintf("nic%d", n.id), n.loop)
+	n.step.Reset(0)
 	n.ctr[ctrNICRestart].Inc()
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"testing"
 
+	"virtnet/internal/reliab"
 	"virtnet/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func TestWaitTimeout(t *testing.T) {
 			t.Errorf("client: %v", e)
 			return
 		}
-		pc, e := cl.Go(p, 1, []byte{9})
+		pc, e := cl.GoCtx(p, 1, []byte{9}, reliab.Ctx{})
 		if e != nil {
 			t.Errorf("go: %v", e)
 			return

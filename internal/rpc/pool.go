@@ -306,7 +306,7 @@ type PoolPending struct {
 
 // GoCtx starts an asynchronous call to target tgt with an explicit
 // reliability context (deadline and idempotency key travel to the server);
-// harvest with Wait/WaitTimeout/TryWait or drop with Abandon. Pending calls
+// harvest with WaitTimeout/TryWait or drop with Abandon. Pending calls
 // — to one target or to several — pipeline on the one shared endpoint: this
 // is the fan-out primitive the inference gateway and the KV replication
 // writes are built on, and how a single client overlaps transfers to many
@@ -337,9 +337,6 @@ func (pc *PoolPending) unreachable() bool {
 
 // waitTick is how often a blocked call polls for its result.
 const waitTick = 5 * sim.Microsecond
-
-// Wait blocks until the pending call completes and returns its result.
-func (pc *PoolPending) Wait(p *sim.Proc) ([]byte, error) { return pc.WaitTimeout(p, 0) }
 
 // WaitTimeout blocks until the call completes, the transport declares the
 // server unreachable, or the deadline passes: timeout from now if non-zero,
@@ -443,13 +440,8 @@ func (c *Client) CallCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) ([]
 	return c.pl.CallCtx(p, 0, proc, args, ctx)
 }
 
-// Go starts an asynchronous call; harvest it with Wait, WaitTimeout or
-// TryWait.
-func (c *Client) Go(p *sim.Proc, proc int, args []byte) (*Pending, error) {
-	return c.pl.GoCtx(p, 0, proc, args, reliab.Ctx{})
-}
-
-// GoCtx is Go with an explicit reliability context.
+// GoCtx starts an asynchronous call with an explicit reliability context;
+// harvest it with WaitTimeout or TryWait.
 func (c *Client) GoCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (*Pending, error) {
 	return c.pl.GoCtx(p, 0, proc, args, ctx)
 }

@@ -50,7 +50,7 @@ func TestPoolFanOut(t *testing.T) {
 			pending[i] = pc
 		}
 		for i, pc := range pending {
-			outs[i], errs[i] = pc.Wait(p)
+			outs[i], errs[i] = pc.WaitTimeout(p, 0)
 		}
 		if r, ri, d := pl.Outstanding(); r != 0 || ri != 0 || d != 0 {
 			t.Errorf("pool leaked state: %d/%d/%d", r, ri, d)

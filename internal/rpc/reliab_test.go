@@ -39,7 +39,7 @@ func TestAbandonedCallsReclaimMaps(t *testing.T) {
 		// wants every one of the 30 calls issued.
 		cl, _ = NewClientOpts(c.Nodes[1], s.Name(), 77, Options{NoBreaker: true})
 		for i := 0; i < 30; i++ {
-			pc, e := cl.Go(p, 1, []byte{byte(i)})
+			pc, e := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{})
 			if e != nil {
 				t.Errorf("go %d: %v", i, e)
 				return

@@ -58,7 +58,7 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 				return
 			}
 			w.names[i] = cl.pl.ep.Name()
-			pc, err := cl.Go(p, 1, []byte{byte(i)})
+			pc, err := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{})
 			if err != nil || pc.id != 0 {
 				t.Errorf("client %d: go: id %d, err %v", i, pc.id, err)
 				return

@@ -156,7 +156,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 			default:
 				// Pending.WaitTimeout measures its timeout from the wait, not
 				// from the send.
-				pc, e := cl.Go(p, 1, args)
+				pc, e := cl.GoCtx(p, 1, args, reliab.Ctx{})
 				if e != nil {
 					t.Error(e)
 					return

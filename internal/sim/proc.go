@@ -4,9 +4,8 @@ import "iter"
 
 // Proc is a cooperative simulated thread: a coroutine the engine switches
 // into when the proc's wakeup fires and that switches back when it sleeps or
-// blocks on a Cond. Procs model application processes, POSIX threads, OS
-// kernel threads, and NI firmware loops. A Proc may touch simulated state
-// freely while running.
+// blocks on a Cond. Procs model application processes, POSIX threads and OS
+// kernel threads. A Proc may touch simulated state freely while running.
 type Proc struct {
 	e    *Engine
 	name string
