@@ -141,6 +141,8 @@ type Bundle struct {
 	// keeps every per-message hook a plain nil check.
 	tracer *obs.Tracer
 	C      *trace.Counters
+	// creditStall and sendqStall are C's stall counters, resolved once.
+	creditStall, sendqStall *trace.Counter
 }
 
 // Attach opens a bundle on node.
@@ -149,6 +151,7 @@ func Attach(node *hostos.Node) *Bundle {
 	if o := node.Obs; o != nil {
 		b.tracer = o.T
 		b.C = trace.NewCounters()
+		b.creditStall, b.sendqStall = b.C.Counter("credit_stall"), b.C.Counter("sendq_stall")
 		o.R.AddCounters(fmt.Sprintf("core.n%d", int(node.ID)), b.C)
 	}
 	return b
@@ -220,8 +223,12 @@ type Endpoint struct {
 	// running; posts issued inside the handler (replies, forwarded
 	// requests) join that trace as child spans.
 	curTrace uint64
-	// idle is the proc parked in IdlePoll, if any (idle.go).
-	idle idler
+	// idle is the proc parked in IdlePoll or PollBackoff, if any; shadowT
+	// fires in a parked PollBackoff's stead, and stirs counts what may have
+	// changed a backed-off waiter's exit test (idle.go).
+	idle    idler
+	shadowT *sim.Timer
+	stirs   uint64
 
 	handlers [NumHandlers]Handler
 	onReturn ReturnHandler
@@ -345,6 +352,7 @@ func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
 		node:    node, ver: ver,
 	}
 	ep.reverse[name.ep] = idx
+	ep.stirs++
 	return nil
 }
 
@@ -445,8 +453,8 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	// Credit-based flow control: block while the window is closed,
 	// polling so replies (which restore credits) are consumed. The probe
 	// interval backs off while nothing arrives so long waits stay cheap.
-	if ep.trans[idx].credits == 0 && ep.b.C != nil {
-		ep.b.C.Inc("credit_stall")
+	if ep.trans[idx].credits == 0 && ep.b.creditStall != nil {
+		ep.b.creditStall.Inc()
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for ep.trans[idx].credits == 0 {
@@ -473,6 +481,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 		// the message id is not reused (gaps are fine for the receiver's
 		// duplicate filter, which tolerates them for returns already).
 		t.credits++
+		ep.stirs++
 	}
 	return err
 }
@@ -543,8 +552,8 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	if isReply {
 		sq = ep.seg.EP.RepSendQ
 	}
-	if sq.Full() && ep.b.C != nil {
-		ep.b.C.Inc("sendq_stall")
+	if sq.Full() && ep.b.sendqStall != nil {
+		ep.b.sendqStall.Inc()
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for sq.Full() {
@@ -659,6 +668,7 @@ func (ep *Endpoint) drain(p *sim.Proc) int {
 		ep.dispatching++
 		ep.dispatch(p, m)
 		ep.dispatching--
+		ep.stirs++
 		// The descriptor is dead: handlers receive the args and payload,
 		// never the RecvMsg itself.
 		m.Free()

@@ -12,7 +12,8 @@ import (
 // would have produced — and removes the work: the proc parks, and whatever
 // could change what a poll sees (a deposit, a residency transition, a freeze,
 // the caller's bound) moves its wakeup to the exact instant at which the
-// literal loop would first have noticed.
+// literal loop would first have noticed. PollBackoff, whose tick backs off,
+// keeps even the events and removes only the hand-offs (see its comment).
 //
 // While nothing changes the literal loop sits on a lattice. An iteration that
 // starts at t charges the shared-endpoint lock, then the poll cost for where
@@ -28,8 +29,8 @@ const (
 	phPop                     // the poll charge is paid: pop, dispatch, decide
 )
 
-// idler is the proc parked in IdlePoll on an endpoint, and where the literal
-// loop it stands for would be.
+// idler is the proc parked in IdlePoll or PollBackoff on an endpoint, and
+// where the literal loop it stands for would be.
 type idler struct {
 	p     *sim.Proc
 	tick  sim.Duration
@@ -48,6 +49,19 @@ type idler struct {
 	moved      bool
 	// wake is the armed wakeup (sim.Never: none).
 	wake sim.Time
+	// backoff marks a PollBackoff wait, whose shadow timer stands in for the
+	// loop's sleeps: phase is where the shadow fires next, b holds the
+	// loop's tick, and mark the endpoint's stir count when the caller last
+	// tested its exit condition.
+	backoff bool
+	b       Backoff
+	mark    uint64
+}
+
+// taken reports whether another proc is parked on the endpoint — or was
+// killed parked in PollBackoff, whose shadow timer has an event left to fire.
+func (w *idler) taken() bool {
+	return w.p != nil && (!w.p.Done() || w.backoff)
 }
 
 // IdlePoll polls the endpoint every tick until a poll dispatches something
@@ -76,7 +90,7 @@ func (ep *Endpoint) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (n 
 			if n > 0 || start >= until {
 				return n, start
 			}
-			if tick <= 0 || (w.p != nil && !w.p.Done()) {
+			if tick <= 0 || w.taken() {
 				// No lattice to skip along, or another thread already parked
 				// here: tick literally.
 				p.Sleep(tick)
@@ -98,46 +112,131 @@ func (ep *Endpoint) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (n 
 
 // Backoff is the tick of a backed-off wait: Base to begin with and again
 // after every turn that dispatched something, doubled after a turn that did
-// not while it is still below Cap. Each wait starts from its own copy.
+// not while it is still below Cap. The tick is compared before it is
+// doubled, so it may overshoot the cap: 300 ns doubles to 153.6 µs against
+// 100 µs, and stays there. Each wait starts from its own copy.
 type Backoff struct {
 	Base, Cap sim.Duration
 	tick      sim.Duration // 0: not begun, stands for Base
 }
 
-// PollBackoff is one turn of a backed-off wait — the caller loops on its own
-// exit test, with whatever abort checks it needs between turns — and returns
-// the turn's dispatch count. It is literally
+// grow is the tick after a turn that found nothing.
+func (b *Backoff) grow() {
+	if b.tick < b.Cap {
+		b.tick *= 2
+	}
+}
+
+// PollBackoff runs a backed-off wait until its caller has something new to
+// test. The caller loops on its own exit test, with whatever abort checks it
+// needs, around each call; b carries the tick from call to call. Together
+// they are in every observable respect — every engine event at its (time,
+// seq), pop times, handler order, the instant the loop ends — exactly
 //
-//	n := ep.Poll(p)
-//	if n == 0 {
-//		p.Sleep(tick)
-//		if tick < b.Cap {
-//			tick *= 2
+//	tick := b.Base
+//	for !exit() {
+//		n := ep.Poll(p)
+//		if n == 0 {
+//			p.Sleep(tick)
+//			if tick < b.Cap {
+//				tick *= 2
+//			}
+//		} else {
+//			tick = b.Base
 //		}
-//	} else {
-//		tick = b.Base
 //	}
-//	return n
 //
-// with tick starting at b.Base. The tick is compared before it is doubled,
-// so it may overshoot the cap: 300 ns doubles to 153.6 µs against 100 µs.
-// This is the one place the backed-off waits (credit and send-queue stalls,
-// mpi.Recv, the splitc one-sided operations) can be taught to park on the
-// doorbell the way IdlePoll does.
+// A call parks the proc and hands the loop's sleeps, from the turn that
+// starts now on, to the endpoint's shadow timer: it fires where each of them
+// would have ended, charges the shared lock and the poll as the loop does,
+// and resumes the proc in that event's place only where the loop has work —
+// at a pop that finds a message, which the call dispatches and returns the
+// count of, or at the top of a turn at which exit() could read something
+// new, where the call returns 0 for the caller to test. That is the case
+// once another thread has dispatched on the endpoint or is dispatching
+// there, once the NI has taken a send queue from full to not full
+// (EndpointImage.OnSendSpace) or a translation was mapped or handed a credit
+// back, once the endpoint is frozen, and at every top while the endpoint has
+// a SetWaitAbort predicate, which nothing rings when it flips. The proc is
+// handed control once per wait, not twice per turn; the events stay, so
+// nothing else can tell.
 func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) int {
 	if b.tick == 0 {
 		b.tick = b.Base
 	}
-	n := ep.pollOnce(p)
-	if n == 0 {
-		p.Sleep(b.tick)
-		if b.tick < b.Cap {
-			b.tick *= 2
+	w := &ep.idle
+	if b.tick <= 0 || ep.moved || w.taken() {
+		// No tick to wait out, a frozen endpoint's free poll, or another
+		// thread already parked here: a literal turn.
+		n := ep.pollOnce(p)
+		if n > 0 {
+			b.tick = b.Base
+			return n
 		}
-	} else {
-		b.tick = b.Base
+		p.Sleep(b.tick)
+		b.grow()
+		return 0
 	}
+	*w = idler{p: p, backoff: true, b: *b, mark: ep.stirs}
+	ep.shadowPoll()
+	p.Park()
+	w.p = nil
+	b.tick = w.b.tick
+	if w.phase == phTop {
+		return 0
+	}
+	n := ep.drain(p)
+	b.tick = b.Base
 	return n
+}
+
+// shadow fires where a sleep of a parked PollBackoff wait's literal loop
+// would end and does what the loop does there (see PollBackoff).
+func (ep *Endpoint) shadow() {
+	w := &ep.idle
+	if w.p.Done() {
+		w.p = nil // killed while parked
+		return
+	}
+	switch w.phase {
+	case phTop:
+		if ep.stirs != w.mark || ep.dispatching > 0 || ep.moved || ep.waitAbort != nil {
+			w.p.Resume()
+			return
+		}
+		ep.shadowPoll()
+	case phCharge:
+		ep.shadowCharge()
+	case phPop:
+		if vis, ok := ep.seg.EP.NextVisible(); ok && vis <= ep.b.Node.E.Now() && !ep.moved {
+			w.p.Resume()
+			return
+		}
+		w.phase = phTop
+		ep.shadowT.Reset(w.b.tick)
+		w.b.grow()
+	}
+}
+
+// shadowPoll starts a turn's poll on the shadow timer: the shared lock, then
+// the poll charge.
+func (ep *Endpoint) shadowPoll() {
+	if ep.mode == Shared {
+		ep.idle.phase = phCharge
+		ep.shadowT.Reset(sharedLockCost)
+		return
+	}
+	ep.shadowCharge()
+}
+
+// shadowCharge arms the poll charge for where the endpoint resides now.
+func (ep *Endpoint) shadowCharge() {
+	ep.idle.phase = phPop
+	if ep.seg.Resident() {
+		ep.shadowT.Reset(nic.PollResident)
+	} else {
+		ep.shadowT.Reset(nic.PollHost)
+	}
 }
 
 // park stands in for the literal loop's p.Sleep(tick) after an empty poll. It
@@ -158,11 +257,14 @@ func (ep *Endpoint) park(p *sim.Proc, tick sim.Duration, until sim.Time) (idlePh
 	return w.phase, w.start
 }
 
-// hookIdle points the NI's deposit doorbell and the segment driver's
-// residency notification at this endpoint.
+// hookIdle points the NI's deposit and send-space doorbells and the segment
+// driver's residency notification at this endpoint, and makes its shadow
+// timer.
 func (ep *Endpoint) hookIdle() {
 	ep.seg.EP.OnDeliver = func(*nic.RecvMsg) { ep.rephase() }
+	ep.seg.EP.OnSendSpace = func() { ep.stirs++ }
 	ep.seg.OnResidency = ep.rephase
+	ep.shadowT = ep.b.Node.E.NewTimer(ep.shadow)
 }
 
 // rephase re-derives the parked proc's wakeup after anything a poll could
@@ -171,7 +273,7 @@ func (ep *Endpoint) hookIdle() {
 // itself is not resumed until the instant worked out here.
 func (ep *Endpoint) rephase() {
 	w := &ep.idle
-	if w.p == nil {
+	if w.p == nil || w.backoff {
 		return
 	}
 	if w.p.Done() {

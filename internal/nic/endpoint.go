@@ -193,6 +193,11 @@ type EndpointImage struct {
 	// core library rings a host thread parked in Endpoint.IdlePoll with it;
 	// it must not block.
 	OnDeliver func(*RecvMsg)
+	// OnSendSpace, when set, runs in NI context when the firmware takes a
+	// send queue from full to not full: the send-space doorbell, which ends
+	// a backed-off wait for queue space parked in Endpoint.PollBackoff. It
+	// must not block.
+	OnSendSpace func()
 
 	// LastActive is the last time the NI serviced this endpoint (send or
 	// deliver); the LRU replacement ablation uses it.

@@ -713,7 +713,11 @@ func (n *NIC) advanceWRR() {
 // sendOne starts transmitting the head descriptor of queue q on a free
 // channel: the descriptor is staging until injectSend puts it on the wire.
 func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc]) {
+	full := q.Full()
 	d, _ := q.Pop()
+	if full && ep.OnSendSpace != nil {
+		ep.OnSendSpace()
+	}
 	d.Flight.Mark(obs.StageWRRWait, n.e.Now())
 	n.staging = d
 	n.sendEP, n.sendCh = ep, n.freeChannel(d.DstNI)

@@ -155,6 +155,19 @@ func (p *Proc) WakeAt(t Time) { p.resumeT.ResetAt(t) }
 // next WakeAt.
 func (p *Proc) Unwake() { p.resumeT.Stop() }
 
+// Resume switches into a parked proc from event context and runs it until it
+// next suspends, inside the event that calls it — in that event's place in
+// the (time, seq) order, exactly as if the event were the proc's own wakeup.
+// It lets whoever owns a wait fire the wait's timers in the proc's stead and
+// hand over only when the proc has work. A proc that has finished is not
+// resumed.
+func (p *Proc) Resume() {
+	if p.e.cur != nil {
+		panic("sim: Resume from inside a proc")
+	}
+	p.e.runProc(p)
+}
+
 // Cond is a condition-variable analogue for simulated threads. Waiters are
 // woken in FIFO order. A zero Cond bound with NewCond is ready to use. The
 // waiter list keeps its backing array across wakes, so a wait → wake cycle

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -581,6 +582,40 @@ func TestParkWakeAt(t *testing.T) {
 		t.Fatalf("park → wake cycle allocates %.2f times, want 0", avg)
 	}
 	e.Shutdown()
+}
+
+// Resume runs a parked proc inside the event that calls it: the proc's
+// actions take that event's place among the events of the same instant, it
+// counts as a hand-off, and a finished proc is left alone.
+func TestResumeRunsInTheCallersPlace(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	p := e.Spawn("parker", func(p *Proc) {
+		p.Park()
+		log = append(log, "proc")
+		e.AfterFunc(0, func() { log = append(log, "armed by proc") })
+	})
+	e.RunUntil(10)
+	e.AfterFuncAt(20, func() { log = append(log, "first") })
+	e.AfterFuncAt(20, func() { p.Resume() })
+	e.AfterFuncAt(20, func() { log = append(log, "third") })
+	before := e.Stats().Handoffs
+	e.RunUntil(30)
+	want := []string{"first", "proc", "third", "armed by proc"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("order %v, want %v", log, want)
+	}
+	if h := e.Stats().Handoffs - before; h != 1 {
+		t.Fatalf("Resume counted %d hand-offs, want 1", h)
+	}
+	if !p.Done() {
+		t.Fatal("the resumed proc did not run to its end")
+	}
+	e.AfterFunc(0, p.Resume) // finished: nothing to run
+	e.RunFor(1)
+	if h := e.Stats().Handoffs - before; h != 1 {
+		t.Fatalf("Resume of a finished proc counted a hand-off")
+	}
 }
 
 // Handoffs counts proc resumes: the spawn kick plus one per wakeup, whether
