@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,8 +19,11 @@ import (
 
 // tier1Goldens are the experiments cheap enough (0–11 s each, ≈ 40 s together
 // on a 2-core box) to regenerate on every `go test ./...`. The other four
-// (allreduce, serve, contention-small, linpack) take up to a minute apiece
-// and are diffed by one loop step in CI.
+// (allreduce, serve, contention-small, linpack) take up to a minute apiece.
+// The first three are sweeps of independent cells, and TestGoldenCells in
+// internal/bench checks a sample of their cells against these goldens;
+// linpack is one cell, which TestRowsLeaveNoGoroutines runs whole. CI's
+// slow-golden step diffs all four whole.
 var tier1Goldens = map[string]bool{
 	"logp": true, "bandwidth": true, "breakdown": true, "faults": true,
 	"tenants": true, "migrate": true, "overcommit": true, "sensitivity": true,
@@ -119,16 +123,15 @@ func runIn(t *testing.T, args []string) (stdout []byte, files map[string][]byte)
 }
 
 // repeats are the runs whose determinism has no golden to lean on: the
-// sharded engine at scale, the -quick serving sweeps (one of them at a
-// custom size), and the two -traceout exports.
+// sharded engine at scale, a serving sweep and the tail attribution at a
+// custom size, and the two -traceout exports.
 var repeats = []struct {
 	name string
 	args []string
 }{
 	{"simperf-1024-hosts-4-shards", []string{"-shards", "4", "-hosts", "1024", "simperf"}},
-	{"serve", []string{"-quick", "serve"}},
-	{"serve-hotkey", []string{"-quick", "-scenario", "hotkey", "-hosts", "32", "-shards", "2", "serve"}},
-	{"tailat", []string{"-quick", "-seed", "7", "-hosts", "32", "-shards", "2", "-traceout", "DIR/trace.json", "tailat"}},
+	{"serve-hotkey", []string{"-scenario", "hotkey", "-hosts", "32", "-shards", "2", "serve"}},
+	{"tailat", []string{"-seed", "7", "-hosts", "32", "-shards", "2", "-traceout", "DIR/trace.json", "tailat"}},
 	{"breakdown", []string{"-traceout", "DIR/trace.json", "breakdown"}},
 }
 
@@ -136,7 +139,7 @@ var repeats = []struct {
 // the same stdout and the same exported files, byte for byte.
 func TestRepeatRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs five experiments twice (≈ 25 s)")
+		t.Skip("runs four experiments twice (≈ 20 s)")
 	}
 	for _, r := range repeats {
 		t.Run(r.name, func(t *testing.T) {
@@ -246,18 +249,20 @@ func TestEveryFlagIsRun(t *testing.T) {
 	})
 }
 
-// TestRowsLeaveNoGoroutines covers the rest of the table: TestGoldens and
-// TestRepeatRuns hold every row they run to runRow's goroutine balance, and
-// this runs the rows neither of them reaches, at -quick, to the same
-// standard. The exception is contention-small: it has no -quick and takes
-// up to a minute, which tier-1 cannot afford. Its body, contentionRow, is
-// held to the standard through contention-bulk's golden, and CI's
-// slow-golden loop runs contention-small at full size.
+// sampledGoldens are the slow rows whose goldens TestGoldenCells in
+// internal/bench checks by a sample of their cells, each held to runRow's
+// goroutine balance.
+var sampledGoldens = map[string]bool{"allreduce": true, "contention-small": true, "serve": true}
+
+// TestRowsLeaveNoGoroutines covers the rest of the table: every row that
+// neither TestGoldens, TestRepeatRuns nor TestGoldenCells reaches runs whole
+// here, through runRow, and must print its committed golden byte for byte.
+// That is linpack alone, one cell of about 20 s on a 2-core box.
 func TestRowsLeaveNoGoroutines(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two experiments at -quick (≈ 3 s)")
+		t.Skip("runs linpack whole (≈ 20 s)")
 	}
-	elsewhere := map[string]bool{"contention-small": true}
+	elsewhere := maps.Clone(sampledGoldens)
 	for _, r := range repeats {
 		elsewhere[r.args[len(r.args)-1]] = true // the row is the last argument
 	}
@@ -266,9 +271,8 @@ func TestRowsLeaveNoGoroutines(t *testing.T) {
 			continue
 		}
 		t.Run(ex.Name, func(t *testing.T) {
-			if out := runRow(t, "-quick", ex.Name); len(out) == 0 {
-				t.Fatal("no output")
-			}
+			name := "results_" + ex.Name + ".txt"
+			sameBytes(t, name, runRow(t, ex.Name), golden(t, name))
 		})
 	}
 }
@@ -286,17 +290,21 @@ func TestParseArgs(t *testing.T) {
 		p    bench.Params
 	}{
 		{"", "all", def},
-		{"-quick linpack", "linpack", with(func(p *bench.Params) { p.Quick = true })},
+		{"-metrics breakdown", "breakdown", with(func(p *bench.Params) { p.Metrics = true })},
 		{"serve -scenario hotkey -shards 4", "serve", with(func(p *bench.Params) { p.Scenario, p.Shards = "hotkey", 4 })},
 		{"-seed 7 simperf -hosts 64", "simperf", with(func(p *bench.Params) { p.Seed, p.Hosts = 7, 64 })},
 		// No -sweep: no row measures host time (vnperf does).
 		{"-seed 7 simperf -hosts 64 -sweep", "", def},
 		// Used to run logp alone and exit 0: the re-parse dropped whatever
 		// positional arguments followed the first.
-		{"-quick logp bandwidth", "", def},
-		{"logp -quick bandwidth", "", def},
+		{"-metrics logp bandwidth", "", def},
+		{"logp -metrics bandwidth", "", def},
 		{"nosuch", "", def},
 		{"logp -nosuchflag", "", def},
+		// Used to panic in makeslice.
+		{"-hosts -8 simperf", "", def},
+		{"simperf -shards -1", "", def},
+		{"-hosts 0 -shards 0 simperf", "simperf", def},
 	} {
 		var stderr bytes.Buffer
 		o, err := parseArgs(strings.Fields(c.args), &stderr)
@@ -309,7 +317,9 @@ func TestParseArgs(t *testing.T) {
 			t.Errorf("vnbench %s: parsed as %q %+v (err %v), want %q %+v", c.args, o.cmd, o.p, err, c.cmd, c.p)
 		}
 	}
-	if code := run([]string{"-quick", "logp", "bandwidth"}, io.Discard, io.Discard); code != 2 {
-		t.Errorf("vnbench -quick logp bandwidth: exit %d, want 2", code)
+	for _, args := range [][]string{{"-metrics", "logp", "bandwidth"}, {"-hosts", "-8", "simperf"}} {
+		if code := run(args, io.Discard, io.Discard); code != 2 {
+			t.Errorf("vnbench %s: exit %d, want 2", strings.Join(args, " "), code)
+		}
 	}
 }

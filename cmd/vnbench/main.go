@@ -8,15 +8,15 @@
 // -shards 4`); everything after the first positional argument is re-parsed
 // into the same flag set.
 //
-// -quick shrinks the four slow rows (allreduce, linpack, serve, tailat) to a
-// few seconds each; every other row has one configuration. Every row prints
-// virtual-time results only, so stdout is the golden results_<row>.txt and
-// stderr stays empty unless a row fails; host time is measured by vnperf
-// (benchmarks/). -cpuprofile/-memprofile write pprof profiles for diagnosing
+// Every row prints virtual-time results only, so with the default flags
+// stdout is the golden results_<row>.txt and stderr stays empty unless a row
+// fails; host time is measured by vnperf (benchmarks/).
+// -cpuprofile/-memprofile write pprof profiles for diagnosing
 // simulator-performance regressions. -traceout exports the breakdown
 // experiment's short-AM phase (or tailat's last scenario) as Chrome
 // trace-event JSON (load it at https://ui.perfetto.dev); -metrics prints the
 // unified registry's dashboard after each of breakdown's ping-pong phases.
+// -hosts and -shards below 0 are usage errors.
 //
 // This file is flag parsing, table lookup and the exit code; every
 // experiment body lives in internal/bench.
@@ -50,7 +50,6 @@ func listExperiments(w io.Writer) {
 func flagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("vnbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.BoolVar(&o.p.Quick, "quick", false, "allreduce/linpack/serve/tailat: smaller sweeps and shorter windows")
 	fs.Int64Var(&o.p.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -92,6 +91,12 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 			fs.Usage()
 			return o, err
 		}
+	}
+	if o.p.Hosts < 0 || o.p.Shards < 0 {
+		err := fmt.Errorf("-hosts %d, -shards %d: neither may be negative", o.p.Hosts, o.p.Shards)
+		fmt.Fprintf(stderr, "vnbench: %v\n", err)
+		fs.Usage()
+		return o, err
 	}
 	known := func(ex bench.Row[bench.Params]) bool { return ex.Name == o.cmd }
 	if o.cmd != "all" && !slices.ContainsFunc(bench.Experiments, known) {

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"virtnet/internal/bench"
@@ -74,6 +75,16 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	}
 	if fs.NArg() > 0 {
 		return reject(fmt.Errorf("unexpected argument %q: vnstress takes flags only", fs.Arg(0)))
+	}
+	switch p := o.p; {
+	case p.Nodes < 2:
+		return reject(fmt.Errorf("-nodes %d: a soak needs at least 2 nodes", p.Nodes))
+	case !(p.Drop >= 0 && p.Drop < 1):
+		return reject(fmt.Errorf("-drop %g: a loss probability is in [0, 1)", p.Drop))
+	case !(p.Duration > 0 && p.Duration <= math.MaxFloat64):
+		return reject(fmt.Errorf("-duration %g: simulated seconds must be finite and > 0", p.Duration))
+	case p.Shards < 0:
+		return reject(fmt.Errorf("-shards %d: must not be negative", p.Shards))
 	}
 	chosen := ""
 	for i, s := range bench.Soaks {

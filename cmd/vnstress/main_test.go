@@ -201,6 +201,20 @@ func TestParseArgs(t *testing.T) {
 		{"-nosuchflag", "", def},
 		// The mesh soak always churns, swaps and migrates.
 		{"-churn=false", "", def},
+		{"-nodes 2 -drop 0 -duration 1e-3 -shards 0", "mesh", with(func(p *bench.SoakParams) { p.Nodes, p.Drop, p.Duration = 2, 0, 1e-3 })},
+		// -nodes -4 used to panic in makeslice; -duration -1, -duration NaN
+		// and -drop 1.5 printed "invariants hold" over no requests at all.
+		{"-nodes 1", "", def},
+		{"-nodes -4", "", def},
+		{"-drop 1", "", def},
+		{"-drop 1.5", "", def},
+		{"-drop -0.1", "", def},
+		{"-drop NaN", "", def},
+		{"-duration 0", "", def},
+		{"-duration -1", "", def},
+		{"-duration NaN", "", def},
+		{"-duration +Inf", "", def},
+		{"-shards -1", "", def},
 	} {
 		var stderr bytes.Buffer
 		o, err := parseArgs(strings.Fields(c.args), &stderr)
@@ -214,7 +228,7 @@ func TestParseArgs(t *testing.T) {
 		}
 	}
 	var stdout bytes.Buffer
-	for _, args := range [][]string{{"-chaos", "-shardsoak"}, {"-churn=false"}} {
+	for _, args := range [][]string{{"-chaos", "-shardsoak"}, {"-churn=false"}, {"-nodes", "-4"}, {"-duration", "NaN"}} {
 		stdout.Reset()
 		if code := run(args, &stdout, io.Discard); code != 2 || stdout.Len() != 0 {
 			t.Errorf("vnstress %s: exit %d and %d bytes of stdout, want 2 and none", strings.Join(args, " "), code, stdout.Len())

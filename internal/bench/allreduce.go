@@ -17,13 +17,11 @@ import (
 // is virtual completion time of the slowest rank — the collective is done
 // when everyone holds the result.
 
-// allreduceCell is one (size, algorithm) measurement.
-type allreduceCell struct {
-	Bytes int
-	Alg   coll.Algorithm
-	Time  sim.Duration // slowest rank's completion, virtual time
-	OK    bool         // every rank finished and results verified
-}
+// allreduceNodes is the cluster size of the sweep, and allreduceAlgs its
+// columns.
+const allreduceNodes = 100
+
+var allreduceAlgs = []coll.Algorithm{coll.Binomial, coll.Ring, coll.RingFlat, coll.Rabenseifner, coll.Hierarchical}
 
 // allreduceVec is rank r's integer-valued input (exact under any reduction
 // order, so every algorithm must produce identical bits).
@@ -60,15 +58,16 @@ func gcd(a, b int) int {
 	return a
 }
 
-// runAllreduceCell measures one cell of the sweep.
-func runAllreduceCell(nodes, bytes int, alg coll.Algorithm, seed int64) allreduceCell {
-	cell := allreduceCell{Bytes: bytes, Alg: alg}
+// runAllreduceCell measures one (size, algorithm) cell of the sweep: the
+// slowest rank's virtual completion time, and whether every rank finished
+// with verified results.
+func runAllreduceCell(bytes int, alg coll.Algorithm, seed int64) (sim.Duration, bool) {
 	length := bytes / 8
-	c := hostos.NewCluster(seed, nodes, hostos.DefaultClusterConfig())
+	c := hostos.NewCluster(seed, allreduceNodes, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
-	w, err := mpi.NewWorld(c, nodes, stridePlacement(nodes))
+	w, err := mpi.NewWorld(c, allreduceNodes, stridePlacement(allreduceNodes))
 	if err != nil {
-		return cell
+		return 0, false
 	}
 	// Expected value at a handful of probe indices, for verification.
 	probes := []int{0, length / 3, length - 1}
@@ -78,7 +77,7 @@ func runAllreduceCell(nodes, bytes int, alg coll.Algorithm, seed int64) allreduc
 	want := map[int]float64{}
 	for _, i := range probes {
 		s := 0.0
-		for r := 0; r < nodes; r++ {
+		for r := 0; r < allreduceNodes; r++ {
 			s += float64((r+1)*(i%577+11)%127 - 50)
 		}
 		want[i] = s
@@ -101,9 +100,7 @@ func runAllreduceCell(nodes, bytes int, alg coll.Algorithm, seed int64) allreduc
 			worst = d
 		}
 	}, 120*sim.Second)
-	cell.Time = worst
-	cell.OK = ok && !bad
-	return cell
+	return worst, ok && !bad
 }
 
 // ---- Data-parallel SGD with gradient-allreduce overlap ----
@@ -251,52 +248,63 @@ func RunSGD(cfg SGDConfig) SGDResult {
 // allreduce hiding behind gradient computation. Large vectors must show the
 // bandwidth-optimal schedules (ring, hierarchical) beating the binomial
 // reduce+bcast baseline; small vectors show the opposite, which is exactly
-// what the size-based selector exploits.
+// what the size-based selector exploits. Each size line and the SGD block is
+// a cell of its own, on fresh clusters built from the seed.
 func allreduceRow(w io.Writer, p Params) error {
-	nodes := 100
-	sizes := []int{1 << 10, 32 << 10, 1 << 20, 16 << 20}
-	if p.Quick {
-		nodes = 25
-		sizes = []int{1 << 10, 32 << 10, 1 << 20}
+	allreduceHeader(w)
+	for _, bytes := range []int{1 << 10, 32 << 10, 1 << 20, 16 << 20} {
+		if err := allreduceSizeLine(w, bytes, p.Seed); err != nil {
+			return err
+		}
 	}
-	algs := []coll.Algorithm{coll.Binomial, coll.Ring, coll.RingFlat, coll.Rabenseifner, coll.Hierarchical}
-	header(w, fmt.Sprintf("allreduce — collective algorithm sweep (%d nodes)", nodes))
+	fmt.Fprintf(w, "results verified elementwise on every rank: true\n")
+	fmt.Fprintf(w, "selector: n<=2 or <=4 KB binomial, <=256 KB rabenseifner, above ring (leaf-ordered)\n")
+	return allreduceSGD(w, p.Seed)
+}
+
+// allreduceHeader prints the sweep's title and column header.
+func allreduceHeader(w io.Writer) {
+	header(w, fmt.Sprintf("allreduce — collective algorithm sweep (%d nodes)", allreduceNodes))
 	fmt.Fprintf(w, "virtual completion time (ms) by per-rank vector size:\n")
 	fmt.Fprintf(w, "%10s", "bytes")
-	for _, a := range algs {
+	for _, a := range allreduceAlgs {
 		fmt.Fprintf(w, " %12s", a)
 	}
 	fmt.Fprintf(w, " %12s %8s\n", "auto", "best")
-	verified := true
-	for _, szBytes := range sizes {
-		fmt.Fprintf(w, "%10d", szBytes)
-		best, bestAlg := 0.0, coll.Auto
-		// Auto runs the algorithm Select names, so its cell is one of these.
-		sel, auto := coll.Select(nodes, szBytes), 0.0
-		for _, a := range algs {
-			cell := runAllreduceCell(nodes, szBytes, a, p.Seed)
-			verified = verified && cell.OK
-			ms := cell.Time.Micros() / 1000
-			fmt.Fprintf(w, " %12.3f", ms)
-			if bestAlg == coll.Auto || ms < best {
-				best, bestAlg = ms, a
-			}
-			if a == sel {
-				auto = ms
-			}
-		}
-		fmt.Fprintf(w, " %12.3f %8s\n", auto, bestAlg)
-	}
-	fmt.Fprintf(w, "results verified elementwise on every rank: %v\n", verified)
-	fmt.Fprintf(w, "selector: n<=2 or <=4 KB binomial, <=256 KB rabenseifner, above ring (leaf-ordered)\n")
+}
 
+// allreduceSizeLine prints the sweep's line for one per-rank vector size:
+// every algorithm's completion time, the selector's and the best. A cell
+// whose results fail elementwise verification is an error.
+func allreduceSizeLine(w io.Writer, bytes int, seed int64) error {
+	line := fmt.Sprintf("%10d", bytes)
+	best, bestAlg := 0.0, coll.Auto
+	// Auto runs the algorithm Select names, so its cell is one of these.
+	sel, auto := coll.Select(allreduceNodes, bytes), 0.0
+	for _, a := range allreduceAlgs {
+		t, ok := runAllreduceCell(bytes, a, seed)
+		if !ok {
+			return fmt.Errorf("%s allreduce of %d bytes: results not verified on every rank", a, bytes)
+		}
+		ms := t.Micros() / 1000
+		line += fmt.Sprintf(" %12.3f", ms)
+		if bestAlg == coll.Auto || ms < best {
+			best, bestAlg = ms, a
+		}
+		if a == sel {
+			auto = ms
+		}
+	}
+	fmt.Fprintf(w, "%s %12.3f %8s\n", line, auto, bestAlg)
+	return nil
+}
+
+// allreduceSGD prints the SGD block: both schedules of the bucketed
+// training loop and how much the overlap saves.
+func allreduceSGD(w io.Writer, seed int64) error {
 	header(w, "SGD — data-parallel training, gradient allreduce overlap")
 	cfg := SGDConfig{Nodes: 16, Params: 1 << 18, Buckets: 8, Iters: 3,
-		Compute: 12 * sim.Millisecond, Seed: p.Seed}
-	if p.Quick {
-		cfg.Nodes, cfg.Params, cfg.Iters = 8, 1<<16, 2
-		cfg.Compute = 2 * sim.Millisecond
-	}
+		Compute: 12 * sim.Millisecond, Seed: seed}
 	res := RunSGD(cfg)
 	if !res.OK {
 		return errors.New("sgd run failed")

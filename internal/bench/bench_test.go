@@ -110,11 +110,18 @@ func TestTimeshareImbalanceGains(t *testing.T) {
 	}
 }
 
+// TestLinpackSmall also holds runLinpack to the goroutine balance
+// TestGoldenCells holds the other slow rows' cells to, at a size that runs
+// in seconds.
 func TestLinpackSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("linpack run is slow")
 	}
-	res, ok := runLinpack(linpackConfig{Nodes: 8, N: 1024, NB: 128, RateFlops: 135e6})
+	var res linpackResult
+	var ok bool
+	leavesNoGoroutines(t, func() {
+		res, ok = runLinpack(linpackConfig{Nodes: 8, N: 1024, NB: 128, RateFlops: 135e6})
+	})
 	if !ok {
 		t.Fatal("linpack did not complete")
 	}

@@ -245,56 +245,61 @@ func contentionRow(w io.Writer, p Params, msgBytes int) error {
 		fig, what = "7", fmt.Sprintf("%d-byte bulk (MB/s)", msgBytes)
 	}
 	header(w, fmt.Sprintf("Fig. %s — %s under contention", fig, what))
-	clients := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-	rows := []struct {
-		name   string
-		mode   serverMode
-		frames int
-	}{
-		{"OneVN", modeOneVN, 8},
-		{"ST-8", modeST, 8},
-		{"ST-96", modeST, 96},
-		{"MT-8", modeMT, 8},
-		{"MT-96", modeMT, 96},
-	}
 	fmt.Fprintf(w, "aggregate server throughput:\n%-8s", "clients")
-	for _, r := range rows {
-		fmt.Fprintf(w, " %9s", r.name)
+	for _, c := range contentionConfigs {
+		fmt.Fprintf(w, " %9s", c.name)
 	}
 	fmt.Fprintf(w, "   (remaps/s on 8-frame configs)\n")
-	perClient := map[string][]float64{}
-	for _, n := range clients {
-		fmt.Fprintf(w, "%-8d", n)
-		remapNote := ""
-		for _, r := range rows {
-			res := runClientServer(csConfig{
-				Clients: n, Mode: r.mode, Frames: r.frames, MsgBytes: msgBytes, Seed: p.Seed,
-			})
-			v := res.AggregateMsgs
-			if msgBytes > 0 {
-				v = res.AggregateMBps
-			}
-			fmt.Fprintf(w, " %9.0f", v)
-			perClient[r.name] = append(perClient[r.name], res.PerClient[0])
-			if r.frames == 8 && res.RemapsPerSec > 0 {
-				remapNote += fmt.Sprintf(" %s:%.0f", r.name, res.RemapsPerSec)
-			}
-		}
-		fmt.Fprintf(w, "  %s\n", remapNote)
+	var perClient []string
+	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32} {
+		agg, per := contentionLines(n, msgBytes, p.Seed)
+		fmt.Fprint(w, agg)
+		perClient = append(perClient, per)
 	}
 	fmt.Fprintf(w, "\nper-client (client 0) throughput:\n%-8s", "clients")
-	for _, r := range rows {
-		fmt.Fprintf(w, " %9s", r.name)
+	for _, c := range contentionConfigs {
+		fmt.Fprintf(w, " %9s", c.name)
 	}
-	fmt.Fprintln(w)
-	for i, n := range clients {
-		fmt.Fprintf(w, "%-8d", n)
-		for _, r := range rows {
-			fmt.Fprintf(w, " %9.0f", perClient[r.name][i])
-		}
-		fmt.Fprintln(w)
-	}
+	fmt.Fprintf(w, "\n%s", strings.Join(perClient, ""))
 	return nil
+}
+
+// contentionConfigs are the server configurations of Figs. 6 and 7, one
+// column each.
+var contentionConfigs = []struct {
+	name   string
+	mode   serverMode
+	frames int
+}{
+	{"OneVN", modeOneVN, 8},
+	{"ST-8", modeST, 8},
+	{"ST-96", modeST, 96},
+	{"MT-8", modeMT, 8},
+	{"MT-96", modeMT, 96},
+}
+
+// contentionLines runs every server configuration against n clients, each
+// on a fresh cluster, and returns that client count's line of the aggregate
+// table (with the remap rates of the 8-frame configurations) and its line
+// of the per-client table.
+func contentionLines(n, msgBytes int, seed int64) (agg, per string) {
+	agg, per = fmt.Sprintf("%-8d", n), fmt.Sprintf("%-8d", n)
+	remapNote := ""
+	for _, c := range contentionConfigs {
+		res := runClientServer(csConfig{
+			Clients: n, Mode: c.mode, Frames: c.frames, MsgBytes: msgBytes, Seed: seed,
+		})
+		v := res.AggregateMsgs
+		if msgBytes > 0 {
+			v = res.AggregateMBps
+		}
+		agg += fmt.Sprintf(" %9.0f", v)
+		per += fmt.Sprintf(" %9.0f", res.PerClient[0])
+		if c.frames == 8 && res.RemapsPerSec > 0 {
+			remapNote += fmt.Sprintf(" %s:%.0f", c.name, res.RemapsPerSec)
+		}
+	}
+	return agg + "  " + remapNote + "\n", per + "\n"
 }
 
 func overcommitRow(w io.Writer, p Params) error {

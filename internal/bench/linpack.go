@@ -169,9 +169,6 @@ func linpackRow(w io.Writer, p Params) error {
 	header(w, "§6.2 — Linpack on the dedicated cluster")
 	// Scaled to keep the compute:communication balance of the Top-500 run.
 	cfg := linpackConfig{Nodes: 100, N: 8192, NB: 64, RateFlops: 135e6, Seed: p.Seed}
-	if p.Quick {
-		cfg.Nodes, cfg.N = 25, 2048
-	}
 	res, ok := runLinpack(cfg)
 	if !ok {
 		return errors.New("linpack did not complete")

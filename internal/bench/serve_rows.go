@@ -18,10 +18,6 @@ func servePoint(p Params) serveConfig {
 		Seed:   p.Seed,
 		Warmup: 50 * sim.Millisecond, Window: 150 * sim.Millisecond,
 	}
-	if p.Quick {
-		cfg.Hosts, cfg.Servers, cfg.Clients = 64, 8, 16
-		cfg.Warmup, cfg.Window = 20*sim.Millisecond, 60*sim.Millisecond
-	}
 	if p.Hosts != 0 {
 		cfg.Hosts = p.Hosts
 		cfg.Servers = p.Hosts / 8
@@ -50,96 +46,118 @@ func serveRow(w io.Writer, p Params) error {
 		return nil
 	}
 	base := servePoint(p)
-	factors := []float64{0.25, 0.5, 1.0, 1.5, 2.0, 3.0}
-	extraFactors := []float64{1.0, 2.0}
-	if p.Quick {
-		factors = []float64{0.5, 1.0, 2.0}
-		extraFactors = []float64{1.0}
-	}
 	header(w, fmt.Sprintf("serve — open-loop serving SLO curves (%d hosts, %d shards, %d servers, %d clients)",
 		base.Hosts, base.Shards, base.Servers, base.Clients))
 	fmt.Fprintf(w, "deadline 20ms end-to-end; %v measurement window after %v warmup; load in multiples of capacity\n",
 		base.Window, base.Warmup)
 
-	type sweepStat struct {
-		peak, last float64 // best and highest-factor goodput (req/s)
-		lastP99    sim.Duration
-	}
-	runSweep := func(title, scn string, ablate bool, fs []float64) (sweepStat, error) {
-		fmt.Fprintf(w, "\n-- %s --\n", title)
-		fmt.Fprintf(w, "%-7s %10s %10s %7s %8s %8s %8s %7s %7s %7s %8s\n",
-			"load", "offered/s", "good/s", "good%", "p50_ms", "p99_ms", "p999_ms", "miss", "shed", "capped", "srvshed")
-		var st sweepStat
-		var capacity float64
-		var hedges, hedgeWins int64
-		for _, f := range fs {
-			cfg := base
-			cfg.Scenario, cfg.Factor, cfg.Ablate = scn, f, ablate
-			res, err := runServePoint(cfg)
-			if err != nil {
-				return st, err
-			}
-			capacity = res.Capacity
-			hedges, hedgeWins = res.Hedges, res.HedgeWins
-			slo := res.SLO
-			secs := base.Window.Seconds()
-			good := float64(slo.Good) / secs
-			ms := func(q float64) float64 {
-				return float64(slo.Lat.Quantile(q)) / float64(sim.Millisecond)
-			}
-			fmt.Fprintf(w, "%-7s %10.0f %10.0f %6.1f%% %8.2f %8.2f %8.2f %7d %7d %7d %8d\n",
-				fmt.Sprintf("%.2fx", f), float64(slo.Offered)/secs, good,
-				100*slo.GoodputFrac(), ms(0.5), ms(0.99), ms(0.999),
-				slo.Missed+slo.Failed, slo.Shed, slo.Capped, res.SrvShed)
-			if good > st.peak {
-				st.peak = good
-			}
-			st.last, st.lastP99 = good, slo.Lat.Quantile(0.99)
-		}
-		fmt.Fprintf(w, "capacity estimate: %.0f req/s\n", capacity)
-		if hedges > 0 {
-			fmt.Fprintf(w, "hedged requests: %d issued, %d won\n", hedges, hedgeWins)
-		}
-		return st, nil
-	}
-
+	sweeps := serveSweeps()
 	if p.Scenario != "golden" {
-		_, err := runSweep(p.Scenario, p.Scenario, false, factors)
-		return err
+		sweeps = []serveSweep{{title: p.Scenario, scn: p.Scenario, loads: serveLoads}}
 	}
-
-	golden := []string{"baseline", "hotkey", "incast", "faultchurn"}
-	stats := map[string]sweepStat{}
-	var err error
-	for _, scn := range golden {
-		if stats[scn], err = runSweep(scn+": "+scenarioDesc(scn), scn, false, factors); err != nil {
+	plateaus := ""
+	for _, sw := range sweeps {
+		plateau, err := runServeSweep(w, base, sw)
+		if err != nil {
 			return err
 		}
+		plateaus += plateau
 	}
-	if stats["ablate"], err = runSweep("baseline, reliability layer OFF (ablation)", "baseline", true, factors); err != nil {
-		return err
-	}
-	for _, scn := range []string{"elephant", "straggler", "mmpp", "diurnal", "interference", "gateway", "ps"} {
-		if _, err = runSweep(scn+": "+scenarioDesc(scn), scn, false, extraFactors); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintln(w)
-	for _, scn := range append(golden, "ablate") {
-		st := stats[scn]
-		pct := 0.0
-		if st.peak > 0 {
-			pct = 100 * st.last / st.peak
-		}
-		note := "plateau holds, p99 bounded"
-		if pct < 50 {
-			note = "collapse"
-		}
-		fmt.Fprintf(w, "goodput at %.1fx offered: %3.0f%% of peak, p99 %6.2fms — %s (%s)\n",
-			factors[len(factors)-1], pct, float64(st.lastP99)/float64(sim.Millisecond), scn, note)
+	if plateaus != "" {
+		fmt.Fprintf(w, "\n%s", plateaus)
 	}
 	return nil
+}
+
+// serveLoads are the offered loads, in multiples of capacity, of the golden
+// scenarios' curves and of a -scenario sweep.
+var serveLoads = []float64{0.25, 0.5, 1.0, 1.5, 2.0, 3.0}
+
+// serveSweep is one offered-load curve of the serve row: one scenario, with
+// the reliability layer on or ablated, at each of loads. A named sweep adds
+// a plateau line to the end of the row.
+type serveSweep struct {
+	name, title, scn string
+	ablate           bool
+	loads            []float64
+}
+
+// serveSweeps are the golden's sweeps in print order: the four golden
+// scenarios and the ablation over serveLoads, then the other scenarios at
+// 1x and 2x.
+func serveSweeps() []serveSweep {
+	var sws []serveSweep
+	for _, scn := range []string{"baseline", "hotkey", "incast", "faultchurn"} {
+		sws = append(sws, serveSweep{scn, scn + ": " + scenarioDesc(scn), scn, false, serveLoads})
+	}
+	sws = append(sws, serveSweep{"ablate", "baseline, reliability layer OFF (ablation)", "baseline", true, serveLoads})
+	for _, scn := range []string{"elephant", "straggler", "mmpp", "diurnal", "interference", "gateway", "ps"} {
+		sws = append(sws, serveSweep{"", scn + ": " + scenarioDesc(scn), scn, false, []float64{1.0, 2.0}})
+	}
+	return sws
+}
+
+// runServeSweep prints one sweep: its head, a line per load (each on a
+// cluster of its own) and the capacity estimate, which the config fixes
+// and every load shares. It returns a named sweep's plateau line: the last
+// load's goodput against the best load's, and the last load's p99.
+func runServeSweep(w io.Writer, base serveConfig, sw serveSweep) (string, error) {
+	serveSweepHead(w, sw.title)
+	var res serveResult
+	var peak, last float64 // goodput, req/s
+	for _, f := range sw.loads {
+		var err error
+		if res, err = serveLoadLine(w, base, sw, f); err != nil {
+			return "", err
+		}
+		last = float64(res.SLO.Good) / base.Window.Seconds()
+		peak = max(peak, last)
+	}
+	fmt.Fprintf(w, "capacity estimate: %.0f req/s\n", res.Capacity)
+	if res.Hedges > 0 {
+		fmt.Fprintf(w, "hedged requests: %d issued, %d won\n", res.Hedges, res.HedgeWins)
+	}
+	if sw.name == "" {
+		return "", nil
+	}
+	pct := 0.0
+	if peak > 0 {
+		pct = 100 * last / peak
+	}
+	note := "plateau holds, p99 bounded"
+	if pct < 50 {
+		note = "collapse"
+	}
+	return fmt.Sprintf("goodput at %.1fx offered: %3.0f%% of peak, p99 %6.2fms — %s (%s)\n", sw.loads[len(sw.loads)-1],
+		pct, float64(res.SLO.Lat.Quantile(0.99))/float64(sim.Millisecond), sw.name, note), nil
+}
+
+// serveSweepHead prints a sweep's title and column header.
+func serveSweepHead(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n-- %s --\n", title)
+	fmt.Fprintf(w, "%-7s %10s %10s %7s %8s %8s %8s %7s %7s %7s %8s\n",
+		"load", "offered/s", "good/s", "good%", "p50_ms", "p99_ms", "p999_ms", "miss", "shed", "capped", "srvshed")
+}
+
+// serveLoadLine runs sweep sw's point at load f on a fresh cluster sized by
+// base, and prints its line.
+func serveLoadLine(w io.Writer, base serveConfig, sw serveSweep, f float64) (serveResult, error) {
+	cfg := base
+	cfg.Scenario, cfg.Factor, cfg.Ablate = sw.scn, f, sw.ablate
+	res, err := runServePoint(cfg)
+	if err != nil {
+		return res, err
+	}
+	slo := res.SLO
+	secs := cfg.Window.Seconds()
+	ms := func(q float64) float64 {
+		return float64(slo.Lat.Quantile(q)) / float64(sim.Millisecond)
+	}
+	fmt.Fprintf(w, "%-7s %10.0f %10.0f %6.1f%% %8.2f %8.2f %8.2f %7d %7d %7d %8d\n",
+		fmt.Sprintf("%.2fx", f), float64(slo.Offered)/secs, float64(slo.Good)/secs,
+		100*slo.GoodputFrac(), ms(0.5), ms(0.99), ms(0.999),
+		slo.Missed+slo.Failed, slo.Shed, slo.Capped, res.SrvShed)
+	return res, nil
 }
 
 // tailatRow is the tail-latency attribution experiment: the four golden

@@ -20,7 +20,6 @@ type Row[P any] struct {
 
 // Params are cmd/vnbench's flags as the experiment rows read them.
 type Params struct {
-	Quick    bool   // allreduce/linpack/serve/tailat: smaller sweeps and shorter windows
 	Seed     int64  // simulation seed
 	Shards   int    // engine shards; 0 = unset: simperf runs one, serve and tailat four
 	Hosts    int    // simperf/serve/tailat cluster size; 0 = the golden sizes

@@ -128,6 +128,15 @@ func TestErrorsSurfaceTyped(t *testing.T) {
 		t.Fatalf("spine fault: ok=%v err=%s", resp.OK, resp.Err)
 	}
 
+	// An advance past sim.Duration's range used to wrap to a negative
+	// duration.
+	for _, dur := range []string{"1e10s", "NaNs"} {
+		resp = s.Handle(Request{Op: "advance", Dur: dur})
+		if resp.OK || !strings.Contains(resp.Err, "bad duration") {
+			t.Fatalf("advance %s: ok=%v err=%s", dur, resp.OK, resp.Err)
+		}
+	}
+
 	resp = s.Handle(Request{Op: "bogus"})
 	if resp.OK || !strings.Contains(resp.Err, "unknown op") {
 		t.Fatalf("bogus op: ok=%v err=%s", resp.OK, resp.Err)

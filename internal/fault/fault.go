@@ -154,7 +154,13 @@ func (pl *Plan) CrashTargets() []int {
 // scripts and fault schedules share one duration syntax.
 func ParseDur(s string) (sim.Duration, error) { return parseDur(s) }
 
-// parseDur parses a duration like "0.2s", "150ms", "50us", "300ns".
+// maxDur is the longest duration a plan may name, about 127 years of
+// virtual time: an item's At+Dur stays inside sim.Duration's range, and so
+// does every duration String prints for a parsed plan.
+const maxDur = 4e9 * sim.Second
+
+// parseDur parses a duration like "0.2s", "150ms", "50us", "300ns". NaN,
+// infinities and durations past maxDur are errors.
 func parseDur(s string) (sim.Duration, error) {
 	unit := sim.Duration(0)
 	num := s
@@ -171,10 +177,11 @@ func parseDur(s string) (sim.Duration, error) {
 		return 0, fmt.Errorf("fault: duration %q needs a unit (s/ms/us/ns)", s)
 	}
 	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("fault: bad duration %q", s)
+	d := f * float64(unit)
+	if err != nil || !(d >= 0 && d <= float64(maxDur)) {
+		return 0, fmt.Errorf("fault: bad duration %q (want 0 to %v)", s, maxDur)
 	}
-	return sim.Duration(f * float64(unit)), nil
+	return sim.Duration(d), nil
 }
 
 // Parse builds a Plan from a compact schedule string (see the package
@@ -239,7 +246,7 @@ func Parse(s string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: bad spine index %q", sStr)
 			}
 		case Corrupt:
-			if ev.P, err = strconv.ParseFloat(target, 64); err != nil || ev.P < 0 || ev.P > 1 {
+			if ev.P, err = strconv.ParseFloat(target, 64); err != nil || !(ev.P >= 0 && ev.P <= 1) {
 				return nil, fmt.Errorf("fault: bad corruption probability %q", target)
 			}
 		case NICReboot, NodeCrash:
@@ -250,11 +257,11 @@ func Parse(s string) (*Plan, error) {
 		case BurstLoss:
 			if target == "all" {
 				ev.A = -1
-			} else if ev.A, err = strconv.Atoi(target); err != nil {
+			} else if ev.A, err = strconv.Atoi(target); err != nil || ev.A < 0 {
 				return nil, fmt.Errorf("fault: bad burst target %q", target)
 			}
 			if extra != "" {
-				if ev.P, err = strconv.ParseFloat(extra, 64); err != nil || ev.P <= 0 || ev.P > 1 {
+				if ev.P, err = strconv.ParseFloat(extra, 64); err != nil || !(ev.P > 0 && ev.P <= 1) {
 					return nil, fmt.Errorf("fault: bad burst loss probability %q", extra)
 				}
 			}

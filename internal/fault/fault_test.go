@@ -52,6 +52,18 @@ func TestParseErrors(t *testing.T) {
 		"corrupt:1.5@1s",      // probability out of range
 		"crash:host9@1s",      // bad node syntax
 		"burst:all@1s+1s:2.0", // burst prob out of range
+		// These used to parse to a negative At or Dur, which panicked
+		// Apply.
+		"spine:0@1e10s",       // past sim.Duration's range
+		"spine:0@NaNs",        // not a number
+		"spine:0@Infs",        // infinite
+		"spine:0@1s+1e300us",  // overflowing repair delay
+		"spine:0@-Infms",      // negative
+		"spine:0@4000000001s", // past maxDur, inside sim.Duration
+		// These used to parse, and String printed them as another plan.
+		"corrupt:NaN@1s",      // NaN corruption probability
+		"burst:all@1s+1s:NaN", // NaN burst loss probability
+		"burst:-3@1s",         // negative burst index, printed as "all"
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
@@ -60,6 +72,74 @@ func TestParseErrors(t *testing.T) {
 	if pl, err := Parse("  "); err != nil || len(pl.Events) != 0 {
 		t.Fatalf("empty plan: %v, %v", pl, err)
 	}
+	if pl, err := Parse("spine:0@4000000000s+4000000000s"); err != nil || pl.Events[0].At+pl.Events[0].Dur != 2*maxDur {
+		t.Fatalf("the longest plan: %v, %v", pl, err)
+	}
+}
+
+// FuzzParse holds Parse to its contract on any input: it never panics,
+// every event it accepts is schedulable (At, Dur ≥ 0) with a probability in
+// [0, 1], and the plan's String parses back to the same kinds and targets,
+// with times within String's three-decimal rounding.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		// The soaks' plans (cmd/vnstress) and the faults row's.
+		"spine:0@0.1s+0.2s,burst:all@0.15s+0.3s:0.2,crash:node9@0.3s",
+		"crash:node9@0.3s",
+		"reboot:node0@5ms+1ms,reboot:node33@9ms+1ms,hostlink:2@14ms+2ms",
+		"spine:0@200ms+150ms,crash:node14@500ms",
+		"burst:all@120ms+80ms:0.05,hostlink:6@220ms+30ms,reboot:node7@300ms",
+		"link:3-7@0.2s+0.5s,leaf:2@300ms+100ms,corrupt:0.001@0.2s+0.3s,crash:node9@1s+2s",
+		// The edges: the longest times, String's rounding, the probability bounds.
+		"spine:0@4e9s+4e9s,corrupt:1@999.9995us+0ns,burst:all@1.0005ms:1,corrupt:0@0.5ns",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pl, err := Parse(s)
+		if err != nil {
+			return
+		}
+		for _, ev := range pl.Events {
+			if ev.At < 0 || ev.Dur < 0 || !(ev.P >= 0 && ev.P <= 1) {
+				t.Fatalf("Parse(%q) accepted %+v", s, ev)
+			}
+		}
+		again, err := Parse(pl.String())
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", s, pl.String(), err)
+		}
+		if len(again.Events) != len(pl.Events) {
+			t.Fatalf("%q: %d events, its String %q has %d", s, len(pl.Events), pl.String(), len(again.Events))
+		}
+		for i, ev := range pl.Events {
+			ag := again.Events[i]
+			if ag.Kind != ev.Kind || ag.A != ev.A || ag.B != ev.B || ag.P != ev.P ||
+				!nearPrinted(ev.At, ag.At) || !nearPrinted(ev.Dur, ag.Dur) {
+				t.Fatalf("%q: event %d is %+v, after String %q it is %+v", s, i, ev, pl.String(), ag)
+			}
+		}
+	})
+}
+
+// nearPrinted reports whether got is d after d.String() and a re-parse:
+// equal up to half a unit of String's third decimal, plus the nanosecond a
+// float conversion may drop and the float64 rounding of very long times.
+func nearPrinted(d, got sim.Duration) bool {
+	unit := sim.Duration(0) // below a microsecond String prints whole nanoseconds
+	switch {
+	case d >= sim.Second:
+		unit = sim.Second
+	case d >= sim.Millisecond:
+		unit = sim.Millisecond
+	case d >= sim.Microsecond:
+		unit = sim.Microsecond
+	}
+	diff := got - d
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff <= unit/2000+1+d>>48
 }
 
 // harness is a 2-node request/reply pair: a server echoing handler 1 (on
