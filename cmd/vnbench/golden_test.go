@@ -322,4 +322,16 @@ func TestParseArgs(t *testing.T) {
 			t.Errorf("vnbench %s: exit %d, want 2", strings.Join(args, " "), code)
 		}
 	}
+	// A row that cannot size its run fails before it prints: each of these
+	// used to print part of a table first, and the last exited 0 after
+	// printing fired=0 (NaN/msg).
+	for _, args := range [][]string{
+		{"-hosts", "4", "serve"}, {"-scenario", "nosuch", "serve"}, {"-hosts", "1", "tailat"}, {"-hosts", "1", "simperf"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 || stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("vnbench %s: exit %d, %d bytes on stdout, stderr %q; want exit 1, stdout empty and the error on stderr",
+				strings.Join(args, " "), code, stdout.Len(), stderr.String())
+		}
+	}
 }

@@ -52,8 +52,8 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 }
 
 // moduleCensus is the module type-checked file by file: the config fields
-// and exported functions declared under internal/ and cmd/, where each field
-// is set, which functions anything refers to, and the interfaces the module
+// and exported names declared under internal/ and cmd/, where each field is
+// set, which names anything refers to, and the interfaces the module
 // declares.
 type moduleCensus struct {
 	fset    *token.FileSet
@@ -63,9 +63,11 @@ type moduleCensus struct {
 	fields  []configField
 	tracked map[*types.Var]bool
 	setters map[*types.Var][]token.Position
-	funcs   []*types.Func
-	called  map[*types.Func]bool // referred to; true once a non-test file does
-	ifaces  []*types.Interface
+	names   []types.Object
+	used    map[types.Object]bool // referred to; true once a non-test file does
+	// crossTest marks the names a test file of another package refers to.
+	crossTest map[types.Object]bool
+	ifaces    []*types.Interface
 }
 
 type configField struct {
@@ -81,13 +83,14 @@ func loadModule(t *testing.T) *moduleCensus {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	m := &moduleCensus{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		dirs:    moduleDirs(t),
-		pkgs:    map[string]*types.Package{},
-		tracked: map[*types.Var]bool{},
-		setters: map[*types.Var][]token.Position{},
-		called:  map[*types.Func]bool{},
+		fset:      fset,
+		std:       importer.ForCompiler(fset, "source", nil),
+		dirs:      moduleDirs(t),
+		pkgs:      map[string]*types.Package{},
+		tracked:   map[*types.Var]bool{},
+		setters:   map[*types.Var][]token.Position{},
+		used:      map[types.Object]bool{},
+		crossTest: map[types.Object]bool{},
 	}
 	paths := make([]string, 0, len(m.dirs))
 	for p := range m.dirs {
@@ -176,8 +179,8 @@ func (m *moduleCensus) Import(path string) (*types.Package, error) {
 }
 
 // check type-checks one package, records the config fields and exported
-// functions its first decl files declare, and records every field setter and
-// function use in all its files.
+// names its first decl files declare, and records every field setter and
+// name use in all its files.
 func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types.Package, error) {
 	var files []*ast.File
 	for _, n := range names {
@@ -199,7 +202,7 @@ func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types
 	}
 	for _, f := range files[:decl] {
 		m.declare(pkg, f, info)
-		m.declareFuncs(f, info)
+		m.declareNames(f, info)
 	}
 	for _, f := range files {
 		m.collect(pkg, f, info)

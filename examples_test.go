@@ -18,7 +18,6 @@ var exampleClosings = map[string]string{
 	"parallelsort": "globally sorted 32768 keys across 8 ranks",
 	"quickstart":   "done at t=1.000s; all 4 nodes completed 3 ring round trips",
 	"rpcservice":   "kv service handled 6 calls over virtual networks",
-	"sgd":          "bucketed allreduce behind compute hides 25.3% of the step",
 	"timeshare":    "both applications shared 4 nodes; sequential lower bound 125.000ms, actual 134.000ms",
 }
 

@@ -105,11 +105,11 @@ func runAllreduceCell(bytes int, alg coll.Algorithm, seed int64) (sim.Duration, 
 
 // ---- Data-parallel SGD with gradient-allreduce overlap ----
 
-// SGDConfig describes the bucketed data-parallel training loop: a model of
+// sgdConfig describes the bucketed data-parallel training loop: a model of
 // Params weights split into Buckets gradient buckets, trained for Iters
 // steps with Compute of simulated gradient work per bucket per step, ring
 // allreduce of each bucket across Nodes ranks.
-type SGDConfig struct {
+type sgdConfig struct {
 	Nodes   int
 	Params  int
 	Buckets int
@@ -118,22 +118,13 @@ type SGDConfig struct {
 	Seed    int64
 }
 
-// SGDResult compares the two schedules.
-type SGDResult struct {
-	Sequential sim.Duration // compute all buckets, then reduce them in order
-	Overlapped sim.Duration // reduce bucket b while computing bucket b+1
-	CommSeq    sim.Duration // rank 0 time inside Send/Recv, sequential run
-	CommOvl    sim.Duration // ... overlapped run
-	OK         bool
-}
-
 // runSGDSchedule runs the training loop on a fresh cluster. overlap selects
 // the schedule: false serializes compute and communication; true hands
 // finished buckets to a per-rank communication thread so the allreduce of
 // bucket b rides under the gradient computation of bucket b+1 (and the
 // next iteration's early buckets), the way data-parallel training frameworks
 // hide gradient exchange behind backprop.
-func runSGDSchedule(cfg SGDConfig, overlap bool) (makespan, comm sim.Duration, ok bool) {
+func runSGDSchedule(cfg sgdConfig, overlap bool) (makespan, comm sim.Duration, ok bool) {
 	ccfg := hostos.DefaultClusterConfig()
 	// The default 10 ms scheduler quantum would let each gradient compute
 	// slice monopolize the CPU, starving the communication thread's
@@ -232,16 +223,6 @@ func runSGDSchedule(cfg SGDConfig, overlap bool) (makespan, comm sim.Duration, o
 	return worst, comm, ok && !bad
 }
 
-// RunSGD runs both schedules and reports the comparison.
-func RunSGD(cfg SGDConfig) SGDResult {
-	var res SGDResult
-	var okSeq, okOvl bool
-	res.Sequential, res.CommSeq, okSeq = runSGDSchedule(cfg, false)
-	res.Overlapped, res.CommOvl, okOvl = runSGDSchedule(cfg, true)
-	res.OK = okSeq && okOvl
-	return res
-}
-
 // allreduceRow sweeps the collective engine's algorithms over vector sizes
 // on the full 100-node cluster (Fig.-style table of virtual completion
 // times), then runs the data-parallel SGD loop that shows bucketed gradient
@@ -303,19 +284,18 @@ func allreduceSizeLine(w io.Writer, bytes int, seed int64) error {
 // training loop and how much the overlap saves.
 func allreduceSGD(w io.Writer, seed int64) error {
 	header(w, "SGD — data-parallel training, gradient allreduce overlap")
-	cfg := SGDConfig{Nodes: 16, Params: 1 << 18, Buckets: 8, Iters: 3,
+	cfg := sgdConfig{Nodes: 16, Params: 1 << 18, Buckets: 8, Iters: 3,
 		Compute: 12 * sim.Millisecond, Seed: seed}
-	res := RunSGD(cfg)
-	if !res.OK {
+	seq, commSeq, okSeq := runSGDSchedule(cfg, false)
+	ovl, commOvl, okOvl := runSGDSchedule(cfg, true)
+	if !okSeq || !okOvl {
 		return errors.New("sgd run failed")
 	}
 	fmt.Fprintf(w, "ranks=%d params=%d buckets=%d iters=%d compute=%v/bucket (ring allreduce per bucket)\n",
 		cfg.Nodes, cfg.Params, cfg.Buckets, cfg.Iters, cfg.Compute)
-	fmt.Fprintf(w, "sequential (compute, then reduce):     makespan %v (rank0 comm %v)\n",
-		res.Sequential, res.CommSeq)
-	fmt.Fprintf(w, "overlapped (reduce behind next bucket): makespan %v (rank0 comm %v)\n",
-		res.Overlapped, res.CommOvl)
-	saved := float64(res.Sequential-res.Overlapped) / float64(res.Sequential) * 100
+	fmt.Fprintf(w, "sequential (compute, then reduce):     makespan %v (rank0 comm %v)\n", seq, commSeq)
+	fmt.Fprintf(w, "overlapped (reduce behind next bucket): makespan %v (rank0 comm %v)\n", ovl, commOvl)
+	saved := float64(seq-ovl) / float64(seq) * 100
 	fmt.Fprintf(w, "overlap shortens the step by %.1f%%\n", saved)
 	return nil
 }

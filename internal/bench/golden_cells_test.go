@@ -38,11 +38,15 @@ var goldenCells = []struct {
 	// Every sweep's head, and four loads. No part of the gateway sweep: its
 	// hedged-requests line comes from its last load.
 	{"serve", func(w io.Writer, p Params) error {
+		base, err := servePoint(p)
+		if err != nil {
+			return err
+		}
 		loads := map[string][]float64{"baseline": {0.25, 1.0}, "ablate": {3.0}, "ps": {1.0}}
 		for _, sw := range serveSweeps() {
 			serveSweepHead(w, sw.title)
 			for _, f := range loads[cmp.Or(sw.name, sw.scn)] {
-				if _, err := serveLoadLine(w, servePoint(p), sw, f); err != nil {
+				if _, err := serveLoadLine(w, base, sw, f); err != nil {
 					return err
 				}
 			}

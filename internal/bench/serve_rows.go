@@ -11,7 +11,8 @@ import (
 // servePoint is the sizing the serve and tailat rows share: the cluster,
 // tier sizes, shard count, and windows every point of a sweep runs at.
 // Callers set Scenario, Factor and what else their point needs on a copy.
-func servePoint(p Params) serveConfig {
+// A -hosts too small for one server is an error, before the row prints.
+func servePoint(p Params) (serveConfig, error) {
 	cfg := serveConfig{
 		Hosts: 256, Servers: 32, Clients: 64,
 		Shards: 4, // the golden curves run sharded unless -shards says otherwise
@@ -19,6 +20,9 @@ func servePoint(p Params) serveConfig {
 		Warmup: 50 * sim.Millisecond, Window: 150 * sim.Millisecond,
 	}
 	if p.Hosts != 0 {
+		if p.Hosts < 8 {
+			return cfg, fmt.Errorf("-hosts %d: a serving cluster needs at least 8 hosts, for one server", p.Hosts)
+		}
 		cfg.Hosts = p.Hosts
 		cfg.Servers = p.Hosts / 8
 		cfg.Clients = p.Hosts / 4
@@ -26,7 +30,7 @@ func servePoint(p Params) serveConfig {
 	if p.Shards != 0 {
 		cfg.Shards = p.Shards
 	}
-	return cfg
+	return cfg, nil
 }
 
 // serveRow is the serving-scale workload experiment: open-loop clients
@@ -45,7 +49,13 @@ func serveRow(w io.Writer, p Params) error {
 		}
 		return nil
 	}
-	base := servePoint(p)
+	if p.Scenario != "golden" && scenarioDesc(p.Scenario) == "" {
+		return fmt.Errorf("unknown scenario %q (-scenario list prints them)", p.Scenario)
+	}
+	base, err := servePoint(p)
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("serve — open-loop serving SLO curves (%d hosts, %d shards, %d servers, %d clients)",
 		base.Hosts, base.Shards, base.Servers, base.Clients))
 	fmt.Fprintf(w, "deadline 20ms end-to-end; %v measurement window after %v warmup; load in multiples of capacity\n",
@@ -173,9 +183,12 @@ func serveLoadLine(w io.Writer, base serveConfig, sw serveSweep, f float64) (ser
 // scenario's merged timeline (per-shard tracks, traceID-linked flow
 // arrows) as Perfetto-compatible JSON.
 func tailatRow(w io.Writer, p Params) error {
-	base := servePoint(p) // sharded by default: attribution is only interesting when the merge is real
-	base.Factor = 1.0     // at the knee: tails form but each scenario keeps its own mechanism
-	base.TraceSample = 8  // 1-in-8 measured arrivals become trace trees
+	base, err := servePoint(p) // sharded by default: attribution is only interesting when the merge is real
+	if err != nil {
+		return err
+	}
+	base.Factor = 1.0    // at the knee: tails form but each scenario keeps its own mechanism
+	base.TraceSample = 8 // 1-in-8 measured arrivals become trace trees
 
 	header(w, fmt.Sprintf("tailat — tail-latency attribution over request trace trees (%d hosts, %d shards, %d servers, %d clients)",
 		base.Hosts, base.Shards, base.Servers, base.Clients))

@@ -143,6 +143,9 @@ func simPerfSection(w io.Writer, cfg simPerfConfig) error {
 // custom section instead. It prints nothing measured in host time: vnperf
 // (benchmarks/) is the wall-clock yardstick.
 func simPerfRow(w io.Writer, p Params) error {
+	if p.Hosts == 1 {
+		return fmt.Errorf("-hosts 1: simperf needs at least 2 hosts, for one pair")
+	}
 	if p.Hosts != 0 || p.Shards > 1 {
 		shards := max(p.Shards, 1)
 		cfg := simPerfConfig{Pairs: 8, Msgs: 10000, Seed: p.Seed, Shards: shards}

@@ -138,7 +138,7 @@ func TestAlgorithmsBitwiseIdentical(t *testing.T) {
 	for _, op := range []struct {
 		name string
 		fn   func(a, b float64) float64
-	}{{"sum", mpi.OpSum}, {"max", mpi.OpMax}} {
+	}{{"sum", mpi.OpSum}, {"max", math.Max}} {
 		op := op
 		t.Run(op.name, func(t *testing.T) {
 			var ref [][]uint64 // ref[alg] = rank 0's result bits

@@ -109,8 +109,9 @@ type Resolver interface {
 type Mode int
 
 const (
-	// Exclusive endpoints skip synchronization overheads (§3.3).
-	Exclusive Mode = iota
+	// exclusive endpoints skip synchronization overheads (§3.3); it is the
+	// zero Mode, so only tests name it.
+	exclusive Mode = iota
 	// Shared endpoints charge a lock cost per operation.
 	Shared
 )
@@ -353,16 +354,6 @@ func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
 	}
 	ep.reverse[name.ep] = idx
 	ep.stirs++
-	return nil
-}
-
-// Unmap invalidates translation idx.
-func (ep *Endpoint) Unmap(idx int) error {
-	if idx < 0 || idx >= len(ep.trans) || !ep.trans[idx].valid {
-		return ErrBadIndex
-	}
-	delete(ep.reverse, ep.trans[idx].name.ep)
-	ep.trans[idx] = translation{}
 	return nil
 }
 

@@ -380,30 +380,11 @@ func TestSharedModeCostsMore(t *testing.T) {
 		c.RunFor(sim.Second)
 		return done
 	}
-	excl := run(Exclusive)
+	excl := run(exclusive)
 	shared := run(Shared)
 	if shared.Sub(excl) != sharedLockCost {
 		t.Fatalf("shared-exclusive = %v, want exactly the lock cost %v",
 			shared.Sub(excl), sharedLockCost)
-	}
-}
-
-func TestUnmap(t *testing.T) {
-	c := newCluster(t, 2, nil)
-	e0, _ := pair(t, c)
-	if err := e0.Unmap(0); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
-		err = e0.Request(p, 0, 1, [4]uint64{})
-	})
-	c.RunFor(sim.Millisecond)
-	if err != ErrBadIndex {
-		t.Fatalf("request on unmapped slot = %v", err)
-	}
-	if e0.Unmap(0) != ErrBadIndex {
-		t.Fatal("double unmap succeeded")
 	}
 }
 

@@ -220,7 +220,7 @@ func (h *harness) drive(n int, gap sim.Duration) {
 func (h *harness) fingerprint() string {
 	return fmt.Sprintf("sent=%d replies=%v returns=%d t=%d\nnet drops=%d corrupt=%d\n%s",
 		h.sent, h.replies, h.returns, int64(h.c.Now()),
-		h.c.ShardNet(0).Dropped, h.c.ShardNet(0).Corrupted, h.c.ShardNet(0).LinkStats(false))
+		h.c.ShardNet(0).Dropped, h.c.ShardNet(0).Corrupted, netsim.RenderLinkCounters(h.c.ShardNet(0).PerLinkCounters(), false))
 }
 
 // The full fault matrix (burst loss, corruption, a spine flap, an uplink

@@ -221,9 +221,6 @@ func (n *Node) Poll(p *sim.Proc) int {
 	return k
 }
 
-// Pending reports messages awaiting Poll.
-func (n *Node) Pending() int { return len(n.recvq) }
-
 func (n *Node) fromNetwork(pkt *netsim.Packet) {
 	n.inbound = append(n.inbound, pkt.Payload.(*msg))
 	n.idle.Signal()

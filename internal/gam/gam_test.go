@@ -197,7 +197,7 @@ func TestGAMManyNodes(t *testing.T) {
 					w.Node(i).Request(p, j, 1, [4]uint64{})
 				}
 			}
-			for w.Node(i).Pending() > 0 || served[i] < 7 {
+			for len(w.Node(i).recvq) > 0 || served[i] < 7 {
 				w.Node(i).Poll(p)
 				p.Sleep(2 * sim.Microsecond)
 			}
@@ -250,7 +250,7 @@ func TestGAMShortReplyPostIsFree(t *testing.T) {
 // visibleAt spins in 1 ns steps until node n holds more than k undelivered
 // messages and returns that instant: when the k+1-th message became visible.
 func visibleAt(p *sim.Proc, n *Node, k int) sim.Time {
-	for n.Pending() <= k {
+	for len(n.recvq) <= k {
 		p.Sleep(1)
 	}
 	return p.Now()
@@ -352,7 +352,7 @@ func TestGAMCreditsAndQueueDepth(t *testing.T) {
 		})
 	}
 	e.RunFor(10 * sim.Millisecond)
-	queued, dropped := w.Node(0).Pending(), w.Node(0).C.Get("rx.overflow_drop")
+	queued, dropped := len(w.Node(0).recvq), w.Node(0).C.Get("rx.overflow_drop")
 	if queued != 64 || dropped != 16 {
 		t.Fatalf("queued %d, dropped %d; want 64 and 16", queued, dropped)
 	}

@@ -60,20 +60,6 @@ type Job struct {
 	procs []*sim.Proc
 }
 
-// Partition returns the node indices the job ran on (nil while queued).
-func (j *Job) Partition() []int { return append([]int(nil), j.partition...) }
-
-// QueueWait returns how long the job waited for nodes.
-func (j *Job) QueueWait() sim.Duration { return j.started.Sub(j.submitted) }
-
-// RunTime returns the job's execution time (zero until done).
-func (j *Job) RunTime() sim.Duration {
-	if j.State != Done {
-		return 0
-	}
-	return j.finished.Sub(j.started)
-}
-
 // Scheduler is the cluster-wide job manager. Its queue and free list are one
 // master's state, touched by every rank that finishes: it is for a one-shard
 // cluster (NewMonitor says so with hostos.ErrSharded).
@@ -122,9 +108,6 @@ func NewScheduler(c *hostos.Cluster) *Scheduler {
 	}
 	return s
 }
-
-// Queued reports jobs waiting for nodes.
-func (s *Scheduler) Queued() int { return len(s.queue) }
 
 // Utilization returns mean allocated-node fraction over [0, now].
 func (s *Scheduler) Utilization() float64 {
@@ -289,9 +272,6 @@ func (s *Scheduler) NodeRecovered(id int) {
 	}
 	s.dispatch()
 }
-
-// Dead reports whether node id is declared failed.
-func (s *Scheduler) Dead(id int) bool { return s.dead[id] }
 
 // Drain advances the cluster until all submitted jobs finish or maxTime
 // passes; it reports whether everything completed.

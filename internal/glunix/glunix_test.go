@@ -31,11 +31,11 @@ func TestSpaceSharingDisjointPartitions(t *testing.T) {
 		t.Fatal("jobs did not drain")
 	}
 	// Both ran concurrently on disjoint nodes.
-	if j1.QueueWait() != 0 || j2.QueueWait() != 0 {
-		t.Fatalf("queue waits: %v %v, want both 0 (space-shared)", j1.QueueWait(), j2.QueueWait())
+	if j1.started.Sub(j1.submitted) != 0 || j2.started.Sub(j2.submitted) != 0 {
+		t.Fatalf("queue waits: %v %v, want both 0 (space-shared)", j1.started.Sub(j1.submitted), j2.started.Sub(j2.submitted))
 	}
 	seen := map[int]bool{}
-	for _, id := range append(j1.Partition(), j2.Partition()...) {
+	for _, id := range append(j1.partition, j2.partition...) {
 		if seen[id] {
 			t.Fatalf("node %d allocated to both jobs", id)
 		}
@@ -59,11 +59,11 @@ func TestFIFOQueueingWhenFull(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	// j2 and j3 start only after j1 finishes.
-	if j2.QueueWait() < 20*sim.Millisecond {
-		t.Fatalf("j2 waited %v, want >= j1's runtime", j2.QueueWait())
+	if j2.started.Sub(j2.submitted) < 20*sim.Millisecond {
+		t.Fatalf("j2 waited %v, want >= j1's runtime", j2.started.Sub(j2.submitted))
 	}
-	if j1.RunTime() < 20*sim.Millisecond {
-		t.Fatalf("j1 runtime %v", j1.RunTime())
+	if j1.finished.Sub(j1.started) < 20*sim.Millisecond {
+		t.Fatalf("j1 runtime %v", j1.finished.Sub(j1.started))
 	}
 	_ = j3
 }

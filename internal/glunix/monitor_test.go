@@ -44,9 +44,9 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 	c.Nodes[2].E.AfterFunc(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
 
 	if !s.Drain(2 * sim.Second) {
-		t.Fatalf("jobs did not drain: queued=%d allocated=%d", s.Queued(), s.allocated)
+		t.Fatalf("jobs did not drain: queued=%d allocated=%d", len(s.queue), s.allocated)
 	}
-	if !mon.Dead(2) || !s.Dead(2) {
+	if !mon.Dead(2) || !s.dead[2] {
 		t.Fatal("node 2 not declared dead")
 	}
 	if mon.Deaths != 1 {
@@ -65,9 +65,9 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 		if j.State != Done {
 			t.Fatalf("job %d is %v, want done", j.ID, j.State)
 		}
-		for _, id := range j.Partition() {
+		for _, id := range j.partition {
 			if id == 2 {
-				t.Fatalf("job %d finished on dead node 2 (partition %v)", j.ID, j.Partition())
+				t.Fatalf("job %d finished on dead node 2 (partition %v)", j.ID, j.partition)
 			}
 		}
 	}

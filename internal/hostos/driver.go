@@ -349,20 +349,6 @@ func (d *Driver) InstallSegment(img *nic.EndpointImage) *Segment {
 	return seg
 }
 
-// Duplicate clones an endpoint segment for a forked process (Solaris
-// segments export a duplicate method, §4.2). The child receives its own
-// endpoint with a fresh identity and empty queues — translations and
-// message state belong to the parent's communication context — but
-// inherits the protection key.
-func (d *Driver) Duplicate(seg *Segment) (*Segment, error) {
-	if seg.freed {
-		return nil, fmt.Errorf("hostos: duplicate of freed endpoint %d", seg.EP.ID)
-	}
-	child := d.CreateEndpoint(seg.EP.Key)
-	d.C.Inc("ep.duplicate")
-	return child, nil
-}
-
 // WriteFault is invoked when an application thread writes into a
 // non-resident endpoint. On the paper's design it marks the segment
 // writable, schedules an asynchronous remap, and returns immediately. With

@@ -518,42 +518,6 @@ func TestFaultRevalidationSkipsCompletedBinding(t *testing.T) {
 	}
 }
 
-func TestDuplicateSegment(t *testing.T) {
-	c := newTestCluster(t, 2, nil)
-	drv := c.Nodes[0].Driver
-	parent := drv.CreateEndpoint(42)
-	child, err := drv.Duplicate(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if child.EP.ID == parent.EP.ID {
-		t.Fatal("child shares the parent's endpoint id")
-	}
-	if child.EP.Key != 42 {
-		t.Fatalf("child key = %d, want inherited 42", child.EP.Key)
-	}
-	if child.State != OnHostRO {
-		t.Fatalf("child state = %v, want on-host r/o", child.State)
-	}
-	// Freeing the parent must not disturb the child.
-	done := false
-	c.Nodes[0].Spawn("app", func(p *sim.Proc) {
-		drv.Free(p, parent)
-		drv.WriteFault(p, child)
-		for !child.Resident() {
-			child.Cond.Wait(p)
-		}
-		done = true
-	})
-	c.RunFor(100 * sim.Millisecond)
-	if !done {
-		t.Fatal("child unusable after parent freed")
-	}
-	if _, err := drv.Duplicate(parent); err == nil {
-		t.Fatal("duplicate of freed segment succeeded")
-	}
-}
-
 // TestWriteFaultCharges pins the trap a write to a non-resident endpoint
 // costs its thread: 25 us from host memory, plus a 6 ms page-in when VM
 // pressure had paged the endpoint out to disk. No experiment pages an

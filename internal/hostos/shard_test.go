@@ -33,7 +33,7 @@ func TestShardedClusterWiring(t *testing.T) {
 	// Same-leaf hosts always share a shard (leaf-aligned assignment).
 	for i := 0; i < 40; i++ {
 		for j := i + 1; j < 40; j++ {
-			if c.ShardNet(0).SameLeaf(netsim.NodeID(i), netsim.NodeID(j)) &&
+			if c.ShardNet(0).LeafOf(netsim.NodeID(i)) == c.ShardNet(0).LeafOf(netsim.NodeID(j)) &&
 				c.Fab.ShardOf(netsim.NodeID(i)) != c.Fab.ShardOf(netsim.NodeID(j)) {
 				t.Fatalf("same-leaf hosts %d,%d on different shards", i, j)
 			}

@@ -82,9 +82,6 @@ func NewFabric(coord *sim.Coordinator, cfg Config, nhosts int) *Fabric {
 	return f
 }
 
-// Shards returns the number of replicas.
-func (f *Fabric) Shards() int { return len(f.nets) }
-
 // Shard returns shard i's Network replica. NICs and drivers of hosts owned
 // by shard i must attach to this replica.
 func (f *Fabric) Shard(i int) *Network { return f.nets[i] }

@@ -131,8 +131,7 @@ func DefaultConfig() Config {
 type link struct {
 	name   string
 	freeAt sim.Time
-	busy   sim.Duration // cumulative occupancy, for utilization reporting
-	down   bool         // hot-swapped out (§3.2): packets on it are lost
+	down   bool // hot-swapped out (§3.2): packets on it are lost
 	// ge, when non-nil, is the link's Gilbert–Elliott correlated-loss
 	// process; replacing the pointer atomically retargets or disables it.
 	ge *geState
@@ -383,20 +382,6 @@ func (n *Network) Attach(id NodeID, fn func(*Packet)) {
 
 func (n *Network) leafOf(h NodeID) int { return int(h) / n.cfg.HostsPerLeaf }
 
-// Routes returns the number of distinct paths between distinct hosts:
-// one for same-leaf pairs, one per spine for same-pod pairs, and one per
-// (spine, core) combination across pods.
-func (n *Network) Routes(src, dst NodeID) int {
-	ls, ld := n.leafOf(src), n.leafOf(dst)
-	if ls == ld {
-		return 1
-	}
-	if n.podOf(ls) == n.podOf(ld) {
-		return n.cfg.Spines
-	}
-	return n.cfg.Spines * n.ncores
-}
-
 // path returns the ordered directed links from src to dst using the given
 // route index (spine selector for inter-leaf traffic). The returned slice
 // aliases a Network-owned scratch buffer: it is valid only until the next
@@ -431,21 +416,6 @@ func (n *Network) path(src, dst NodeID, route int) []*link {
 	n.pathBuf[0], n.pathBuf[1], n.pathBuf[2] = n.hostUp[src], n.up[ls][s], n.coreUp[ps][s][c]
 	n.pathBuf[3], n.pathBuf[4], n.pathBuf[5] = n.coreDown[c][pd][s], n.down[pd*n.cfg.Spines+s][ld], n.hostDown[dst]
 	return n.pathBuf[:6]
-}
-
-// PathHops returns the number of switch hops between two hosts.
-func (n *Network) PathHops(src, dst NodeID) int {
-	if src == dst {
-		return 0
-	}
-	ls, ld := n.leafOf(src), n.leafOf(dst)
-	if ls == ld {
-		return 1
-	}
-	if n.podOf(ls) == n.podOf(ld) {
-		return 3
-	}
-	return 5
 }
 
 // waiting is a packet held by back pressure short of its destination.
@@ -624,11 +594,10 @@ func (n *Network) reserve(links []*link, from sim.Time) sim.Time {
 }
 
 // occupy commits the schedule reserve found: link i is held for the packet's
-// transmission time from t0 + i*hop. The first own links are charged for
-// real — cumulative busy time, and the interval on a traced packet's flight,
-// in path order; the rest are only held, as the sender's estimate of a half
-// of the path another shard charges. Returns when the tail clears the last
-// link.
+// transmission time from t0 + i*hop. The first own links also record the
+// interval on a traced packet's flight, in path order; the rest are only
+// held, as the sender's estimate of a half of the path another shard
+// charges. Returns when the tail clears the last link.
 func (n *Network) occupy(links []*link, own int, t0 sim.Time, pkt *Packet) sim.Time {
 	tx := n.TxTime(pkt.Size)
 	hop := n.cfg.SwitchLatency
@@ -636,7 +605,6 @@ func (n *Network) occupy(links []*link, own int, t0 sim.Time, pkt *Packet) sim.T
 		start := t0.Add(sim.Duration(i) * hop)
 		L.freeAt = start.Add(tx)
 		if i < own {
-			L.busy += tx
 			pkt.Flight.AddHop(L.name, start, L.freeAt)
 		}
 	}
@@ -649,33 +617,6 @@ func (n *Network) handoff(pkt *Packet) {
 		fn(pkt)
 	}
 	pkt.Release()
-}
-
-// Utilization returns the busy fraction of the most-utilized inter-switch
-// link over the interval [0, now]. Useful for confirming bisection limits.
-func (n *Network) Utilization() float64 {
-	now := n.e.Now()
-	if now == 0 {
-		return 0
-	}
-	var max sim.Duration
-	for l := 0; l < n.nleaves; l++ {
-		p := n.podOf(l)
-		for s := 0; s < n.cfg.Spines; s++ {
-			if n.up[l][s].busy > max {
-				max = n.up[l][s].busy
-			}
-			if n.down[p*n.cfg.Spines+s][l].busy > max {
-				max = n.down[p*n.cfg.Spines+s][l].busy
-			}
-		}
-	}
-	n.eachCoreLink(func(L *link) {
-		if L.busy > max {
-			max = L.busy
-		}
-	})
-	return float64(max) / float64(now)
 }
 
 // TxTime returns the serial transmission time for size bytes on one link.
@@ -746,28 +687,11 @@ func (n *Network) SetLeafDown(l int, down bool) {
 // LeafOf returns the index of the leaf switch host h hangs from.
 func (n *Network) LeafOf(h NodeID) int { return n.leafOf(h) }
 
-// SameLeaf reports whether hosts a and b share a leaf switch (their traffic
-// never crosses a spine).
-func (n *Network) SameLeaf(a, b NodeID) bool { return n.leafOf(a) == n.leafOf(b) }
-
 // Leaves reports the number of leaf switches.
 func (n *Network) Leaves() int { return n.nleaves }
 
-// Pods reports the number of pods (1 for a two-level tree).
-func (n *Network) Pods() int { return n.npods }
-
-// Cores reports the number of core switches (0 for a two-level tree).
-func (n *Network) Cores() int { return n.ncores }
-
 // TotalSpines reports the number of spine switches across all pods.
 func (n *Network) TotalSpines() int { return n.npods * n.cfg.Spines }
-
-// PodOf returns the index of the pod host h's leaf belongs to.
-func (n *Network) PodOf(h NodeID) int { return n.podOf(n.leafOf(h)) }
-
-// SamePod reports whether hosts a and b are in the same pod (their
-// traffic never crosses a core switch).
-func (n *Network) SamePod(a, b NodeID) bool { return n.PodOf(a) == n.PodOf(b) }
 
 // startGE attaches a fresh Gilbert–Elliott process to L and schedules its
 // state transitions as engine events (exponentially distributed sojourns
@@ -844,15 +768,7 @@ func (n *Network) eachLink(fn func(*link)) {
 			}
 		}
 	}
-	n.eachCoreLink(fn)
-}
-
-// eachCoreLink visits the core-stage links of a multi-pod tree in a fixed
-// order (no-op for single-pod).
-func (n *Network) eachCoreLink(fn func(*link)) {
-	if n.npods <= 1 {
-		return
-	}
+	// The core stage: ncores is 0 on a two-level tree.
 	for p := 0; p < n.npods; p++ {
 		for s := 0; s < n.cfg.Spines; s++ {
 			for c := 0; c < n.ncores; c++ {
@@ -896,10 +812,4 @@ func RenderLinkCounters(links []LinkCounters, lossyOnly bool) string {
 			lc.Name, lc.Sent, lc.Delivered, lc.Dropped)
 	}
 	return b.String()
-}
-
-// LinkStats is PerLinkCounters rendered by RenderLinkCounters: callers that
-// want the data rather than the text should use those directly.
-func (n *Network) LinkStats(lossyOnly bool) string {
-	return RenderLinkCounters(n.PerLinkCounters(), lossyOnly)
 }

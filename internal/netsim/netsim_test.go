@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,26 @@ func build(t *testing.T, nhosts int) (*sim.Engine, *Network) {
 	e := sim.NewEngine(1)
 	n := New(e, DefaultConfig(), nhosts)
 	return e, n
+}
+
+// switchHops is the number of switches the route-0 path from src to dst
+// crosses: one fewer than its links.
+func switchHops(n *Network, src, dst NodeID) int {
+	return max(len(n.path(src, dst, 0))-1, 0)
+}
+
+// distinctPaths counts the distinct link sequences path() returns from src
+// to dst over route indices 0..limit-1.
+func distinctPaths(n *Network, src, dst NodeID, limit int) int {
+	seen := map[string]bool{}
+	for r := 0; r < limit; r++ {
+		var names []string
+		for _, L := range n.path(src, dst, r) {
+			names = append(names, L.name)
+		}
+		seen[strings.Join(names, " ")] = true
+	}
+	return len(seen)
 }
 
 // topoCases parameterize the generator tests over the three cluster scales
@@ -64,11 +85,11 @@ func TestTopologyShape(t *testing.T) {
 			if n.Leaves() != tc.leaves {
 				t.Fatalf("leaves = %d, want %d", n.Leaves(), tc.leaves)
 			}
-			if n.Pods() != tc.pods {
-				t.Fatalf("pods = %d, want %d", n.Pods(), tc.pods)
+			if n.npods != tc.pods {
+				t.Fatalf("pods = %d, want %d", n.npods, tc.pods)
 			}
-			if n.Cores() != tc.cores {
-				t.Fatalf("cores = %d, want %d", n.Cores(), tc.cores)
+			if n.ncores != tc.cores {
+				t.Fatalf("cores = %d, want %d", n.ncores, tc.cores)
 			}
 			spinesTotal := tc.pods * tc.cfg.Spines
 			if tc.pods == 1 {
@@ -93,42 +114,44 @@ func TestMultiLevelPathHopsAndRoutes(t *testing.T) {
 			sameLeaf := NodeID(1)        // host 0's leaf-mate
 			crossLeaf := NodeID(hpl)     // first host of leaf 1 (same pod)
 			last := NodeID(tc.hosts - 1) // last host (last pod when podded)
-			if got := n.PathHops(0, 0); got != 0 {
-				t.Fatalf("loopback hops = %d", got)
+			// Route indices past the distinct ones wrap onto them.
+			limit := 2 * tc.cfg.Spines * max(tc.cores, 1)
+			if got := len(n.path(0, 0, 0)); got != 0 {
+				t.Fatalf("loopback path has %d links", got)
 			}
-			if got := n.PathHops(0, sameLeaf); got != 1 {
+			if got := switchHops(n, 0, sameLeaf); got != 1 {
 				t.Fatalf("same-leaf hops = %d, want 1", got)
 			}
-			if got := n.PathHops(0, crossLeaf); got != 3 {
+			if got := switchHops(n, 0, crossLeaf); got != 3 {
 				t.Fatalf("same-pod cross-leaf hops = %d, want 3", got)
 			}
-			if got := n.Routes(0, sameLeaf); got != 1 {
+			if got := distinctPaths(n, 0, sameLeaf, limit); got != 1 {
 				t.Fatalf("same-leaf routes = %d, want 1", got)
 			}
-			if got := n.Routes(0, crossLeaf); got != tc.cfg.Spines {
+			if got := distinctPaths(n, 0, crossLeaf, limit); got != tc.cfg.Spines {
 				t.Fatalf("same-pod routes = %d, want %d", got, tc.cfg.Spines)
 			}
 			if tc.pods > 1 {
-				if n.SamePod(0, last) {
+				if n.podOf(n.leafOf(0)) == n.podOf(n.leafOf(last)) {
 					t.Fatalf("hosts 0 and %d should be in different pods", last)
 				}
-				if got := n.PathHops(0, last); got != tc.crossPodHops {
+				if got := switchHops(n, 0, last); got != tc.crossPodHops {
 					t.Fatalf("cross-pod hops = %d, want %d", got, tc.crossPodHops)
 				}
-				if got := n.Routes(0, last); got != tc.cfg.Spines*tc.cores {
-					t.Fatalf("cross-pod routes = %d, want %d", got, tc.cfg.Spines*tc.cores)
+				routes := tc.cfg.Spines * tc.cores
+				if got := distinctPaths(n, 0, last, limit); got != routes {
+					t.Fatalf("cross-pod routes = %d, want %d", got, routes)
 				}
 				// Every cross-pod route must deliver (each route picks a
 				// distinct spine/core combination; all must be wired up).
 				delivered := 0
 				n.Attach(last, func(p *Packet) { delivered++ })
-				for r := 0; r < n.Routes(0, last); r++ {
+				for r := 0; r < routes; r++ {
 					n.Send(&Packet{Src: 0, Dst: last, Size: 64}, r)
 				}
 				e.Run()
-				if delivered != n.Routes(0, last) {
-					t.Fatalf("cross-pod delivery: %d of %d routes delivered",
-						delivered, n.Routes(0, last))
+				if delivered != routes {
+					t.Fatalf("cross-pod delivery: %d of %d routes delivered", delivered, routes)
 				}
 			}
 		})
@@ -137,13 +160,13 @@ func TestMultiLevelPathHopsAndRoutes(t *testing.T) {
 
 func TestPathHops(t *testing.T) {
 	_, n := build(t, 100)
-	if got := n.PathHops(0, 0); got != 0 {
-		t.Fatalf("loopback hops = %d", got)
+	if got := len(n.path(0, 0, 0)); got != 0 {
+		t.Fatalf("loopback path has %d links", got)
 	}
-	if got := n.PathHops(0, 4); got != 1 {
+	if got := switchHops(n, 0, 4); got != 1 {
 		t.Fatalf("same-leaf hops = %d, want 1", got)
 	}
-	if got := n.PathHops(0, 99); got != 3 {
+	if got := switchHops(n, 0, 99); got != 3 {
 		t.Fatalf("cross-leaf hops = %d, want 3", got)
 	}
 }
@@ -209,10 +232,10 @@ func TestReceiverContentionSpreads(t *testing.T) {
 
 func TestMultiPathUsesDistinctSpines(t *testing.T) {
 	_, n := build(t, 100)
-	if r := n.Routes(0, 99); r != 5 {
+	if r := distinctPaths(n, 0, 99, 10); r != 5 {
 		t.Fatalf("routes = %d, want 5", r)
 	}
-	if r := n.Routes(0, 3); r != 1 {
+	if r := distinctPaths(n, 0, 3, 10); r != 1 {
 		t.Fatalf("same-leaf routes = %d, want 1", r)
 	}
 	// path() reuses a scratch buffer, so copy the spine hop out between calls.
@@ -314,18 +337,6 @@ func TestLinkRateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUtilizationReporting(t *testing.T) {
-	e, n := build(t, 100)
-	n.Attach(99, func(p *Packet) {})
-	for i := 0; i < 100; i++ {
-		n.Send(&Packet{Src: 0, Dst: 99, Size: 8192}, 0)
-	}
-	e.Run()
-	if u := n.Utilization(); u <= 0.5 {
-		t.Fatalf("utilization = %f, want high (saturated single route)", u)
 	}
 }
 
@@ -446,25 +457,25 @@ func TestLocalityAPI(t *testing.T) {
 				if tc.pods > 1 {
 					wantPod = (h / hpl) / lpp
 				}
-				if got := n.PodOf(NodeID(h)); got != wantPod {
-					t.Fatalf("PodOf(%d) = %d, want %d", h, got, wantPod)
+				if got := n.podOf(n.leafOf(NodeID(h))); got != wantPod {
+					t.Fatalf("pod of %d = %d, want %d", h, got, wantPod)
 				}
 			}
 			// Boundary pairs derived from the config, not hardcoded.
 			la, lb := NodeID(hpl-1), NodeID(hpl) // straddle the first leaf edge
-			if n.SameLeaf(0, la) != true || n.SameLeaf(la, lb) != false {
+			if n.LeafOf(0) != n.LeafOf(la) || n.LeafOf(la) == n.LeafOf(lb) {
 				t.Fatalf("leaf boundary wrong at hosts %d|%d", la, lb)
 			}
 			lastLeafFirst := NodeID((tc.leaves - 1) * hpl)
-			if !n.SameLeaf(lastLeafFirst, NodeID(tc.hosts-1)) {
+			if n.LeafOf(lastLeafFirst) != n.LeafOf(NodeID(tc.hosts-1)) {
 				t.Fatalf("last leaf should span %d..%d", lastLeafFirst, tc.hosts-1)
 			}
-			if n.SameLeaf(NodeID(tc.hosts-1), 0) {
+			if n.LeafOf(NodeID(tc.hosts-1)) == n.LeafOf(0) {
 				t.Fatalf("extremes should differ")
 			}
 			if tc.pods > 1 {
 				pa, pb := NodeID(hpl*lpp-1), NodeID(hpl*lpp) // first pod edge
-				if !n.SamePod(0, pa) || n.SamePod(pa, pb) {
+				if n.podOf(n.leafOf(0)) != n.podOf(n.leafOf(pa)) || n.podOf(n.leafOf(pa)) == n.podOf(n.leafOf(pb)) {
 					t.Fatalf("pod boundary wrong at hosts %d|%d", pa, pb)
 				}
 			}
@@ -475,7 +486,7 @@ func TestLocalityAPI(t *testing.T) {
 	if odd.Leaves() != 3 {
 		t.Fatalf("13 hosts: Leaves() = %d, want 3", odd.Leaves())
 	}
-	if odd.LeafOf(12) != 2 || !odd.SameLeaf(10, 12) || odd.SameLeaf(9, 10) {
+	if odd.LeafOf(12) != 2 || odd.LeafOf(10) != 2 || odd.LeafOf(9) != 1 {
 		t.Fatalf("partial leaf mapping wrong: LeafOf(12)=%d", odd.LeafOf(12))
 	}
 }

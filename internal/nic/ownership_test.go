@@ -121,8 +121,8 @@ func TestCounterHandlesAreTheNamedCounters(t *testing.T) {
 	r := newRig(t, 2, 1, nil, nil)
 	defer r.shutdown()
 	n := r.nics[0]
-	if names := n.C.Names(); len(names) != 0 {
-		t.Fatalf("an idle NI already reports %v", names)
+	if kv := n.C.Snapshot(); len(kv) != 0 {
+		t.Fatalf("an idle NI already reports %v", kv)
 	}
 	n.ctr[ctrTxData].Inc()
 	n.C.Inc("tx.data")
@@ -133,12 +133,12 @@ func TestCounterHandlesAreTheNamedCounters(t *testing.T) {
 		t.Fatalf("tx.data=%d rx.nack.moved=%d", n.C.Get("tx.data"), n.C.Get("rx.nack.moved"))
 	}
 	want := []string{"tx.data", "tx.bytes", "test.other", "rx.nack.moved"}
-	got := n.C.Names()
+	got := n.C.Snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("names %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].Name != want[i] {
 			t.Fatalf("names %v, want %v (first-touch order, a zero Add included)", got, want)
 		}
 	}

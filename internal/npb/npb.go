@@ -71,16 +71,6 @@ func Kernels() []Kernel {
 	}
 }
 
-// KernelByName finds a kernel model.
-func KernelByName(name string) (Kernel, bool) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Kernel{}, false
-}
-
 // cacheFactor is the compute-rate multiplier at P processes.
 func cacheFactor(boost, scale float64, p int) float64 {
 	return 1 + boost*scale*(1-math.Pow(float64(p), -2.0/3.0))

@@ -18,10 +18,20 @@ func TestKernelsComplete(t *testing.T) {
 		names[k.Name] = true
 	}
 	for _, want := range []string{"EP", "IS", "FT", "MG", "CG", "LU", "BT", "SP"} {
-		if _, ok := KernelByName(want); !ok {
+		if !names[want] {
 			t.Fatalf("missing kernel %s", want)
 		}
 	}
+}
+
+// kernel is the model Kernels() names name.
+func kernel(name string) Kernel {
+	for _, k := range Kernels() {
+		if k.Name == name {
+			return k
+		}
+	}
+	panic("npb: no kernel " + name)
 }
 
 func TestCacheFactorMonotone(t *testing.T) {
@@ -42,8 +52,8 @@ func TestCacheFactorMonotone(t *testing.T) {
 }
 
 func TestAnalyticMachinesScale(t *testing.T) {
-	ep, _ := KernelByName("EP")
-	ft, _ := KernelByName("FT")
+	ep := kernel("EP")
+	ft := kernel("FT")
 	for _, m := range []Machine{SP2(), Origin2000()} {
 		sEP, ok := Speedup(m, ep, []int{2, 8, 32})
 		if !ok {
@@ -56,7 +66,7 @@ func TestAnalyticMachinesScale(t *testing.T) {
 		// IS (all-to-all, little cache benefit) must scale worse than EP;
 		// FT's cache term may compensate (the paper's observation) but the
 		// speedup stays bounded.
-		is, _ := KernelByName("IS")
+		is := kernel("IS")
 		sIS, _ := Speedup(m, is, []int{2, 8, 32})
 		if sIS[2] >= 0.85*sEP[2] {
 			t.Errorf("%s IS (%.1f) should scale worse than EP (%.1f)", m.Name(), sIS[2], sEP[2])
@@ -70,7 +80,7 @@ func TestAnalyticMachinesScale(t *testing.T) {
 
 func TestSP2ScalesWorseThanOrigin(t *testing.T) {
 	// The SP-2's high message overheads hurt latency-bound kernels.
-	lu, _ := KernelByName("LU")
+	lu := kernel("LU")
 	sSP2, _ := Speedup(SP2(), lu, []int{32})
 	sOri, _ := Speedup(Origin2000(), lu, []int{32})
 	if sSP2[0] >= sOri[0] {
@@ -83,7 +93,7 @@ func TestNOWSmallRun(t *testing.T) {
 		t.Skip("NOW simulation is slow")
 	}
 	now := NewNOW(1)
-	cg, _ := KernelByName("CG")
+	cg := kernel("CG")
 	// Shrink the kernel so the test is fast but still exercises the
 	// simulated communication path.
 	cg.Iters = 3
@@ -127,7 +137,7 @@ func TestNOWBisectionLimitsAlltoall(t *testing.T) {
 
 func TestAnalyticTimeMonotoneInP(t *testing.T) {
 	// Execution time must not increase with P for compute-dominated kernels.
-	bt, _ := KernelByName("BT")
+	bt := kernel("BT")
 	m := Origin2000()
 	var prev sim.Duration
 	for i, p := range []int{1, 2, 4, 8, 16, 32} {

@@ -59,7 +59,6 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 				_ = r.Snaps()
 				_ = c.Snapshot()
 				_ = c.Get("bytes")
-				_ = c.Names()
 				if i%50 == 0 {
 					_ = r.Dashboard()
 				}

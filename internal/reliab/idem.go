@@ -49,6 +49,3 @@ func (c *IdemCache) Put(k IdemKey, v interface{}) {
 	c.vals[k] = v
 	c.fifo = append(c.fifo, k)
 }
-
-// Len reports the number of cached results.
-func (c *IdemCache) Len() int { return len(c.vals) }

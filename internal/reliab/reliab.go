@@ -83,15 +83,3 @@ func DecodeCtx(wire []byte) (Ctx, []byte) {
 func (c Ctx) Expired(now sim.Time) bool {
 	return c.Deadline != 0 && now >= c.Deadline
 }
-
-// Remaining returns the budget left before the deadline: zero when
-// expired, effectively unbounded when no deadline is set.
-func (c Ctx) Remaining(now sim.Time) sim.Duration {
-	if c.Deadline == 0 {
-		return sim.Duration(1 << 62)
-	}
-	if now >= c.Deadline {
-		return 0
-	}
-	return c.Deadline.Sub(now)
-}

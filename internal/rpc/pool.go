@@ -149,18 +149,6 @@ func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) (int, error) {
 // Targets returns how many servers are mapped.
 func (pl *Pool) Targets() int { return len(pl.targets) }
 
-// Dead reports whether target tgt hit a permanent transport failure
-// (endpoint gone / key revoked).
-func (pl *Pool) Dead(tgt int) bool { return pl.targets[tgt].dead }
-
-// BreakerState reports target tgt's circuit-breaker state.
-func (pl *Pool) BreakerState(tgt int) reliab.BreakerState {
-	if pl.targets[tgt].brk == nil {
-		return reliab.Closed
-	}
-	return pl.targets[tgt].brk.State()
-}
-
 func (pl *Pool) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 	// Acknowledge even stale results: the ack is what lets the server
 	// retire its reissue bookkeeping for this call.
@@ -452,7 +440,3 @@ func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, 
 	return c.pl.IdlePoll(p, tick, until)
 }
 func (c *Client) Outstanding() (results, reissues, deferred int) { return c.pl.Outstanding() }
-
-// BreakerState reports the client's circuit-breaker state (Closed when no
-// breaker is configured).
-func (c *Client) BreakerState() reliab.BreakerState { return c.pl.BreakerState(0) }

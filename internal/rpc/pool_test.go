@@ -96,7 +96,7 @@ func TestPoolTargetIsolation(t *testing.T) {
 		c.Nodes[0].Crash()
 		_, deadErr = pl.CallCtx(p, 0, 1, []byte{2}, reliab.Ctx{Deadline: p.Now().Add(200 * sim.Millisecond)})
 		aliveOut, aliveErr = pl.CallCtx(p, 1, 1, []byte{2}, reliab.Ctx{})
-		if !pl.Dead(0) && deadErr == nil {
+		if !pl.targets[0].dead && deadErr == nil {
 			t.Error("dead target neither marked dead nor errored")
 		}
 		*stop0 = true

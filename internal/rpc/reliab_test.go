@@ -381,8 +381,8 @@ func TestCircuitBreakerFastFail(t *testing.T) {
 	if fastFailTook != 0 {
 		t.Fatalf("fast-fail took %v of virtual time, want 0", fastFailTook)
 	}
-	if cl.BreakerState() != reliab.Open {
-		t.Fatalf("breaker state = %v, want open", cl.BreakerState())
+	if cl.pl.targets[0].brk.State() != reliab.Open {
+		t.Fatalf("breaker state = %v, want open", cl.pl.targets[0].brk.State())
 	}
 	if m.Get("breaker_open") != 1 || m.Get("breaker_fastfail") != 1 {
 		t.Fatalf("breaker counters: open=%d fastfail=%d", m.Get("breaker_open"), m.Get("breaker_fastfail"))

@@ -160,11 +160,11 @@ func TestReplyBounceRule(t *testing.T) {
 			pl.onReturn(p, nic.NackNotResident, -1, hCallOK, [4]uint64{0}, nil)
 			_, err = pl.CallCtx(p, 0, 1, []byte{1}, reliab.Ctx{})
 			if targets == 1 {
-				if !pl.Dead(0) || err != ErrUnreachable {
-					t.Errorf("one target: dead=%v err=%v, want the target dead", pl.Dead(0), err)
+				if !pl.targets[0].dead || err != ErrUnreachable {
+					t.Errorf("one target: dead=%v err=%v, want the target dead", pl.targets[0].dead, err)
 				}
-			} else if pl.Dead(0) || pl.Dead(1) || err != nil {
-				t.Errorf("two targets: dead=%v,%v err=%v, want the bounce ignored", pl.Dead(0), pl.Dead(1), err)
+			} else if pl.targets[0].dead || pl.targets[1].dead || err != nil {
+				t.Errorf("two targets: dead=%v,%v err=%v, want the bounce ignored", pl.targets[0].dead, pl.targets[1].dead, err)
 			}
 			ran = true
 		})

@@ -128,7 +128,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 			} else {
 				res, err = pc.WaitTimeout(p, 0)
 			}
-			out.Breaker = pl.BreakerState(0)
+			out.Breaker = pl.targets[0].brk.State()
 			r, ri, d := pl.Outstanding()
 			out.Leftover = [3]int{r, ri, d}
 		} else {
@@ -172,7 +172,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 					res, err = pc.WaitTimeout(p, timeout)
 				}
 			}
-			out.Breaker = cl.BreakerState()
+			out.Breaker = cl.pl.targets[0].brk.State()
 			r, ri, d := cl.Outstanding()
 			out.Leftover = [3]int{r, ri, d}
 		}

@@ -54,10 +54,6 @@ func (b *Backend) Addr() Addr { return Addr{Name: b.S.Name(), Key: b.S.Key()} }
 // Serve runs the backend's poll/execute loop until stop returns true.
 func (b *Backend) Serve(p *sim.Proc, stop func() bool) { b.S.Serve(p, stop) }
 
-// SetService changes the backend's per-eval compute — the straggler and
-// fault scenarios use it to degrade one backend mid-run.
-func (b *Backend) SetService(d sim.Duration) { b.cfg.Service = d }
-
 func (b *Backend) eval(p *sim.Proc, args []byte) ([]byte, error) {
 	b.node.Compute(p, b.cfg.Service)
 	b.Evals++

@@ -179,18 +179,18 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	defer c.Shutdown()
 	stop := false
 	bcfg := BackendConfig{Service: 100 * sim.Microsecond, RespSize: 256, Opts: rpc.Options{Queue: 64}}
-	var backs []*Backend
 	var baddrs []Addr
 	for i := 0; i < 3; i++ {
+		if i == 2 {
+			bcfg.Service = 2500 * sim.Microsecond // the straggler
+		}
 		b, err := NewBackend(c.Nodes[i], core100+coreKey(i), bcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		backs = append(backs, b)
 		baddrs = append(baddrs, b.Addr())
 		b.node.Spawn("backend", func(p *sim.Proc) { b.Serve(p, func() bool { return stop }) })
 	}
-	backs[2].SetService(2500 * sim.Microsecond) // the straggler
 	gw, err := NewGateway(c.Nodes[3], 200, baddrs, GatewayConfig{
 		FanOut:      2,
 		Workers:     8,

@@ -67,11 +67,11 @@ func TestKillParkedProc(t *testing.T) {
 				k.kill(e, victim, func() {
 					// Synchronous: the unwind is over when Kill returns.
 					checked = true
-					if deferred != 1 || !victim.Done() || !victim.Killed() {
+					if deferred != 1 || !victim.Done() || !victim.killed {
 						t.Errorf("on return from Kill: deferred ran %d times, done=%v killed=%v",
-							deferred, victim.Done(), victim.Killed())
+							deferred, victim.Done(), victim.killed)
 					}
-					if c.Waiters() != 0 {
+					if len(c.waiters) != 0 {
 						t.Errorf("corpse still registered on the cond")
 					}
 				})
@@ -100,8 +100,8 @@ func TestKillNeverStartedProc(t *testing.T) {
 		ran = true
 	})
 	p.Kill()
-	if !p.Done() || !p.Killed() || len(e.procs) != 0 {
-		t.Fatalf("done=%v killed=%v listed=%d", p.Done(), p.Killed(), len(e.procs))
+	if !p.Done() || !p.killed || len(e.procs) != 0 {
+		t.Fatalf("done=%v killed=%v listed=%d", p.Done(), p.killed, len(e.procs))
 	}
 	e.Run() // the spawn kick still fires, on a finished proc
 	if ran {

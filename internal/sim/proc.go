@@ -105,14 +105,8 @@ func (p *Proc) unwind() {
 	p.retire()
 }
 
-// Killed reports whether the proc was terminated by Kill or Shutdown.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
-
-// Name returns the proc's debug name.
-func (p *Proc) Name() string { return p.name }
 
 // Done reports whether the proc has finished.
 func (p *Proc) Done() bool { return p.done }
@@ -255,9 +249,6 @@ func (c *Cond) Broadcast() int {
 	return n
 }
 
-// Waiters reports the number of procs currently parked on the cond.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // Semaphore is a counting semaphore for simulated threads.
 type Semaphore struct {
 	n    int
@@ -282,6 +273,3 @@ func (s *Semaphore) Release() {
 	s.n++
 	s.cond.Signal()
 }
-
-// Available reports the current number of permits.
-func (s *Semaphore) Available() int { return s.n }

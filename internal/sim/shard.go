@@ -241,32 +241,6 @@ func (c *Coordinator) RunUntil(t Time) {
 // RunFor advances every shard d of virtual time past the last barrier.
 func (c *Coordinator) RunFor(d Duration) { c.RunUntil(c.Now().Add(d)) }
 
-// Run processes windows until no shard has a pending event and no exchange
-// is staged. Procs blocked with no wakeup are left parked, as Engine.Run.
-func (c *Coordinator) Run() {
-	if len(c.engines) == 1 {
-		c.engines[0].Run()
-		return
-	}
-	c.ensureWorkers()
-	for {
-		pending := false
-		for _, e := range c.engines {
-			if e.Pending() > 0 {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			return
-		}
-		b := c.nextBound(Never)
-		c.runWindow(b)
-		c.flush(b)
-		c.now = b
-	}
-}
-
 // Stats returns the sum of every shard engine's activity counters
 // (MaxPending sums the per-shard high-water marks).
 func (c *Coordinator) Stats() Stats {

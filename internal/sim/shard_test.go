@@ -29,7 +29,6 @@ func TestCoordinatorSingleShardBypass(t *testing.T) {
 	if c.Now() != 100 {
 		t.Fatalf("Now = %d", c.Now())
 	}
-	c.Run()
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("1-shard coordinator started a worker: %d goroutines, %d before", got, before)
 	}
@@ -128,7 +127,7 @@ func TestCoordinatorLookaheadViolationPanics(t *testing.T) {
 // on. The determinism contract is per shard: shards in the same window run
 // concurrently, so a globally interleaved log would be schedule-dependent.
 // Each shard's log is single-writer (its worker goroutine) and the barrier
-// handshake orders those writes before Run returns.
+// handshake orders those writes before RunUntil returns.
 func TestCoordinatorDeterminism(t *testing.T) {
 	run := func() []string {
 		const W = 50
@@ -149,7 +148,7 @@ func TestCoordinatorDeterminism(t *testing.T) {
 			e := c.Engine(s)
 			e.AfterFunc(Duration(5+s), func() { ping(s, s, 0) })
 		}
-		c.Run()
+		c.RunUntil(10 * W * 13) // past the last of each chain's 13 hops
 		var log []string
 		for _, l := range logs {
 			log = append(log, l...)
@@ -160,8 +159,8 @@ func TestCoordinatorDeterminism(t *testing.T) {
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("double run diverged:\n%v\n%v", a, b)
 	}
-	if len(a) == 0 {
-		t.Fatalf("no events logged")
+	if len(a) != 4*13 {
+		t.Fatalf("%d events logged, want every chain's 13", len(a))
 	}
 }
 

@@ -390,10 +390,6 @@ func (e *Engine) AfterFuncAt(t Time, fn func()) {
 	e.armEvent(t, fn)
 }
 
-// Pending reports the number of live events queued. Cancelled timers are
-// unlinked at Stop time and never counted.
-func (e *Engine) Pending() int { return e.wheelLive + len(e.over) }
-
 // PostRemote schedules fn at absolute time at on shard dst's engine. On a
 // standalone engine (or when dst is this shard) it is AfterFuncAt; across
 // shards the event is staged in the coordinator's exchange and inserted at
@@ -585,9 +581,6 @@ func (e *Engine) runProc(p *Proc) {
 	}
 	e.cur = nil
 }
-
-// Cur returns the currently running Proc, or nil when in plain event context.
-func (e *Engine) Cur() *Proc { return e.cur }
 
 // Shutdown kills all live procs so their coroutines exit. The engine remains
 // usable for inspection but no further events should be scheduled.

@@ -195,7 +195,7 @@ func TestWaitTimeoutTimesOut(t *testing.T) {
 	if at != 50 {
 		t.Fatalf("woke at %d, want 50", at)
 	}
-	if c.Waiters() != 0 {
+	if len(c.waiters) != 0 {
 		t.Fatalf("stale waiter left on cond")
 	}
 }
@@ -261,8 +261,8 @@ func TestSemaphore(t *testing.T) {
 	if maxInside != 2 {
 		t.Fatalf("max concurrent holders = %d, want 2", maxInside)
 	}
-	if s.Available() != 2 {
-		t.Fatalf("available = %d, want 2", s.Available())
+	if s.n != 2 {
+		t.Fatalf("available = %d, want 2", s.n)
 	}
 }
 
@@ -352,7 +352,7 @@ func TestSemaphoreProperty(t *testing.T) {
 			})
 		}
 		e.Run()
-		return ok && s.Available() == permits
+		return ok && s.n == permits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -458,9 +458,9 @@ func TestEngineCurDuringProc(t *testing.T) {
 	e := NewEngine(1)
 	var inside, outside *Proc
 	p := e.Spawn("me", func(p *Proc) {
-		inside = e.Cur()
+		inside = e.cur
 	})
-	e.AfterFunc(1, func() { outside = e.Cur() })
+	e.AfterFunc(1, func() { outside = e.cur })
 	e.Run()
 	if inside != p {
 		t.Fatal("Cur() inside proc != the proc")
@@ -473,8 +473,8 @@ func TestEngineCurDuringProc(t *testing.T) {
 func TestProcNameAndDone(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Spawn("worker", func(p *Proc) { p.Sleep(5) })
-	if p.Name() != "worker" {
-		t.Fatalf("name = %q", p.Name())
+	if p.name != "worker" {
+		t.Fatalf("name = %q", p.name)
 	}
 	if p.Done() {
 		t.Fatal("done before running")
@@ -519,8 +519,8 @@ func TestCondWakeCycleAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 			t.Errorf("%s: wait → wake cycle allocates %.2f times, want 0", tc.name, avg)
 		}
-		if woken != 3*101 || c.Waiters() != 3 {
-			t.Errorf("%s: woken %d, %d waiting", tc.name, woken, c.Waiters())
+		if woken != 3*101 || len(c.waiters) != 3 {
+			t.Errorf("%s: woken %d, %d waiting", tc.name, woken, len(c.waiters))
 		}
 		e.Shutdown()
 	}

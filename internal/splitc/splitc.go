@@ -194,9 +194,6 @@ func (r *Rank) install() {
 	})
 }
 
-// Poll services incoming one-sided requests.
-func (r *Rank) Poll(p *sim.Proc) int { return r.ep.Poll(p) }
-
 // Get reads n bytes at offset off of rank dst's heap, blocking (and
 // servicing incoming requests) until the data arrives.
 func (r *Rank) Get(p *sim.Proc, dst, off, n int) ([]byte, error) {

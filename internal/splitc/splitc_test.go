@@ -37,7 +37,7 @@ func TestGetPut(t *testing.T) {
 			stop = true
 		} else {
 			for !stop {
-				r.Poll(p)
+				r.ep.Poll(p)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		}
@@ -69,7 +69,7 @@ func TestStoreAndSync(t *testing.T) {
 			stop = true
 		} else {
 			for !stop {
-				r.Poll(p)
+				r.ep.Poll(p)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		}
@@ -94,7 +94,7 @@ func TestGetOutOfRange(t *testing.T) {
 			stop = true
 		} else {
 			for !stop {
-				r.Poll(p)
+				r.ep.Poll(p)
 				p.Sleep(2 * sim.Microsecond)
 			}
 		}

@@ -133,17 +133,6 @@ func (c *Counters) Get(name string) int64 {
 	return 0
 }
 
-// Names returns counter names in first-touch order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.order))
-	for i, h := range c.order {
-		out[i] = h.name
-	}
-	return out
-}
-
 // CounterKV is one counter's name and value, as returned by Snapshot.
 type CounterKV struct {
 	Name  string
@@ -170,9 +159,7 @@ type Hist struct {
 	samples []sim.Duration
 	sorted  bool
 
-	// Aggregates over samples.
-	sum      int64
-	min, max sim.Duration
+	sum int64 // of samples
 }
 
 // NewHist returns an empty histogram that retains every sample.
@@ -181,12 +168,6 @@ func NewHist() *Hist { return &Hist{} }
 // Observe records one sample.
 func (h *Hist) Observe(d sim.Duration) {
 	h.sum += int64(d)
-	if len(h.samples) == 0 || d < h.min {
-		h.min = d
-	}
-	if len(h.samples) == 0 || d > h.max {
-		h.max = d
-	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
@@ -239,10 +220,6 @@ func (h *Hist) Mean() sim.Duration {
 	}
 	return sim.Duration(h.sum / int64(len(h.samples)))
 }
-
-// Min and Max return the extreme samples.
-func (h *Hist) Min() sim.Duration { return h.min }
-func (h *Hist) Max() sim.Duration { return h.max }
 
 // BimodalSplit splits samples around threshold and returns the fraction and
 // mean of each mode. The §6.4.1 analysis uses this to show that requests

@@ -34,7 +34,6 @@ const (
 var (
 	ErrNotConnected = errors.New("via: VI not connected")
 	ErrNotReg       = errors.New("via: buffer not registered")
-	ErrQueueEmpty   = errors.New("via: no posted receive descriptor")
 )
 
 // MemHandle names a registered memory region.
@@ -91,9 +90,6 @@ func (cq *CQ) Poll() (Completion, bool) {
 	cq.entries = cq.entries[1:]
 	return c, true
 }
-
-// Len reports pending completions.
-func (cq *CQ) Len() int { return len(cq.entries) }
 
 // recvDesc is a posted receive descriptor.
 type recvDesc struct {
@@ -157,11 +153,6 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 		VI: vi, IsRecv: false, Handle: mh, Length: -1,
 	})
 }
-
-// Outstanding reports the retry bookkeeping held — attempt records of
-// bounced descriptors, parked re-sends — for leak invariants: both are zero
-// once every send has completed.
-func (vi *VI) Outstanding() (attempts, parked int) { return vi.retry.Outstanding() }
 
 // Addr returns the VI's connection address.
 func (vi *VI) Addr() (core.EndpointName, core.Key) { return vi.ep.Name(), vi.ep.Key() }
@@ -233,9 +224,6 @@ func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 // Poll services the VI's backing endpoint so handlers (and therefore
 // completions) run, and flushes any backoff-deferred re-sends that are due.
 func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.retry.Flush(p, vi.ep, nil) }
-
-// Pending reports outstanding (unacknowledged) sends.
-func (vi *VI) Pending() int { return vi.sends }
 
 // FullMesh connects a VI between every pair of the given providers
 // (the n^2 provisioning §7 criticizes) and returns vis[i][j] = the VI at

@@ -35,7 +35,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 	done := false
 	c.Nodes[1].Spawn("recv", func(p *sim.Proc) {
 		vb.PostRecv(dst)
-		for cqBr.Len() == 0 {
+		for len(cqBr.entries) == 0 {
 			vb.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -49,7 +49,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 		if err := va.PostSend(p, src, 12); err != nil {
 			t.Errorf("send: %v", err)
 		}
-		for cqA.Len() == 0 {
+		for len(cqA.entries) == 0 {
 			va.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -97,7 +97,7 @@ func TestRecvWithoutDescriptorIsErrorCompletion(t *testing.T) {
 	var comp Completion
 	got := false
 	c.Nodes[1].Spawn("recv", func(p *sim.Proc) {
-		for cqBr.Len() == 0 {
+		for len(cqBr.entries) == 0 {
 			vb.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -161,7 +161,7 @@ func TestSharedCompletionQueue(t *testing.T) {
 		c.Nodes[i+1].Spawn("peer", func(p *sim.Proc) {
 			h := prov.RegisterMemory([]byte("hello-from-peer"))
 			v.PostSend(p, h, 15)
-			for v.Pending() > 0 {
+			for v.sends > 0 {
 				v.Poll(p)
 				p.Sleep(5 * sim.Microsecond)
 			}
@@ -273,10 +273,10 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 			t.Errorf("send: %v", err)
 			return
 		}
-		if va.Pending() != 1 {
-			t.Errorf("pending = %d after post", va.Pending())
+		if va.sends != 1 {
+			t.Errorf("pending = %d after post", va.sends)
 		}
-		for cqA.Len() == 0 {
+		for len(cqA.entries) == 0 {
 			va.Poll(p)
 			p.Sleep(50 * sim.Microsecond)
 		}
@@ -291,10 +291,10 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	if comp.IsRecv || comp.Handle != src || comp.Length != -1 {
 		t.Fatalf("bad error completion: %+v", comp)
 	}
-	if va.Pending() != 0 {
-		t.Fatalf("pending leaked: %d", va.Pending())
+	if va.sends != 0 {
+		t.Fatalf("pending leaked: %d", va.sends)
 	}
-	if attempts, parked := va.Outstanding(); attempts != 0 || parked != 0 {
+	if attempts, parked := va.retry.Outstanding(); attempts != 0 || parked != 0 {
 		t.Fatalf("retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)
 	}
 }

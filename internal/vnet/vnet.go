@@ -74,14 +74,12 @@ func (e *IsolationError) Is(target error) bool { return target == ErrIsolation }
 var ErrIsolation = errors.New("vnet: cross-network communication denied")
 
 // Well-known handler indices installed on every vnet endpoint. Indices
-// HUser and above are free for applications.
+// above them are free for applications.
 const (
 	// HEcho is the echo request handler: it replies with the same args.
 	HEcho = 1
 	// HEchoReply receives echo replies (bookkeeping only).
 	HEchoReply = 2
-	// HUser is the first handler index vnet does not reserve.
-	HUser = 3
 )
 
 // Tenancy defaults: the endpoint quota and WRR share weight of a tenant
@@ -375,9 +373,6 @@ func (t *Tenant) InjectFault(spec string) (*fault.Plan, error) {
 	return pl, nil
 }
 
-// FaultsInjected reports how many plans the tenant has injected.
-func (t *Tenant) FaultsInjected() int { return t.faults }
-
 // modIdx reduces i into [0, n) (negative i picks from the end like fault's
 // own index clamping).
 func modIdx(i, n int) int {
@@ -420,9 +415,8 @@ type Network struct {
 	isolationDenied int64
 }
 
-// Name returns the network's name; Key its protection key.
-func (nw *Network) Name() string  { return nw.name }
-func (nw *Network) Key() core.Key { return nw.key }
+// Name returns the network's name.
+func (nw *Network) Name() string { return nw.name }
 
 // Path renders "tenant/network".
 func (nw *Network) Path() string { return nw.t.name + "/" + nw.name }
@@ -586,15 +580,11 @@ type Endpoint struct {
 	stopped     bool
 }
 
-// Node and Core expose endpoint state.
-func (e *Endpoint) Node() int            { return e.node }
-func (e *Endpoint) Core() *core.Endpoint { return e.ep }
+// Node reports the index of the node the endpoint lives on.
+func (e *Endpoint) Node() int { return e.node }
 
 // Path renders "tenant/network/endpoint".
 func (e *Endpoint) Path() string { return e.nw.Path() + "/" + e.name }
-
-// EchoReplies reports completed echo round trips observed at this endpoint.
-func (e *Endpoint) EchoReplies() int64 { return e.echoReplies }
 
 // MapPeer binds peer into this endpoint's translation table and returns the
 // slot index (cached — mapping twice is free). Peers outside this virtual

@@ -63,14 +63,14 @@ func TestEchoWithinNetwork(t *testing.T) {
 		}
 	})
 	h.c.RunFor(100 * sim.Millisecond)
-	if a.EchoReplies() != 50 {
-		t.Fatalf("echo replies = %d, want 50", a.EchoReplies())
+	if a.echoReplies != 50 {
+		t.Fatalf("echo replies = %d, want 50", a.echoReplies)
 	}
 	if msgs, _, _ := ten.Serviced(); msgs == 0 {
 		t.Fatal("tenant serviced meter did not move")
 	}
-	if b.Core().Stats.Delivered < 50 {
-		t.Fatalf("server delivered = %d, want >= 50", b.Core().Stats.Delivered)
+	if b.ep.Stats.Delivered < 50 {
+		t.Fatalf("server delivered = %d, want >= 50", b.ep.Stats.Delivered)
 	}
 }
 
@@ -112,11 +112,11 @@ func TestIsolationTypedError(t *testing.T) {
 	// key check and classified as an isolation denial on return.
 	before := n1.IsolationDenied()
 	h.run(t, func(p *sim.Proc) {
-		if err := a.Core().Map(10, b.Core().Name(), n1.Key()); err != nil {
+		if err := a.ep.Map(10, b.ep.Name(), n1.key); err != nil {
 			t.Errorf("forged map: %v", err)
 			return
 		}
-		if err := a.Core().Request(p, 10, HEcho, [4]uint64{}); err != nil {
+		if err := a.ep.Request(p, 10, HEcho, [4]uint64{}); err != nil {
 			t.Errorf("forged request: %v", err)
 		}
 	})
@@ -124,8 +124,8 @@ func TestIsolationTypedError(t *testing.T) {
 	if n1.IsolationDenied() <= before {
 		t.Fatalf("forged cross-network post was not classified as isolation denial (denied=%d)", n1.IsolationDenied())
 	}
-	if b.Core().Stats.Delivered != 0 {
-		t.Fatalf("foreign endpoint delivered %d messages across the boundary", b.Core().Stats.Delivered)
+	if b.ep.Stats.Delivered != 0 {
+		t.Fatalf("foreign endpoint delivered %d messages across the boundary", b.ep.Stats.Delivered)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestFaultScoping(t *testing.T) {
 	if pl.Events[0].A != 2 {
 		t.Fatalf("scoped reboot target = %d, want 2", pl.Events[0].A)
 	}
-	if ten.FaultsInjected() != 1 {
-		t.Fatalf("faults injected = %d, want 1", ten.FaultsInjected())
+	if ten.faults != 1 {
+		t.Fatalf("faults injected = %d, want 1", ten.faults)
 	}
 	h.c.RunFor(50 * sim.Millisecond)
 }
@@ -210,7 +210,7 @@ func TestNameServiceIntegration(t *testing.T) {
 	ten.AddNIC(1)
 	nw, _ := ten.CreateNetwork("net")
 	a, _ := nw.CreateEndpoint("a", 0)
-	id := a.Core().Segment().EP.ID
+	id := a.ep.Segment().EP.ID
 	if node, _, ok := h.m.Dir.Resolve(id); !ok || int(node) != 0 {
 		t.Fatalf("directory resolve = (%v,%v), want node 0", node, ok)
 	}
