@@ -27,7 +27,7 @@ import (
 var tier1Goldens = map[string]bool{
 	"logp": true, "bandwidth": true, "breakdown": true, "faults": true,
 	"tenants": true, "migrate": true, "overcommit": true, "sensitivity": true,
-	"timeshare": true, "simperf": true, "ablations": true, "degrade": true,
+	"timeshare": true, "simperf": true, "ablations": true,
 	"tailat": true, "npb": true, "via": true, "extensions": true,
 	"contention-bulk": true,
 }
@@ -76,7 +76,7 @@ func sameBytes(t *testing.T, what string, got, want []byte) {
 // stdout to be the committed results_<name>.txt byte for byte.
 func TestGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates seventeen goldens (≈ 40 s)")
+		t.Skip("regenerates sixteen goldens (≈ 40 s)")
 	}
 	found := 0
 	for _, ex := range bench.Experiments {

@@ -118,7 +118,11 @@ func pinRPCBudget(t *testing.T) {
 	m := reliab.NewMetrics()
 	var retries []int64
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
-		cl, err := rpc.NewClientOpts(c.Nodes[0], s.Name(), 77, rpc.Options{Metrics: m, NoBreaker: true})
+		// A one-target pool: an rpc.Client without the wrapper.
+		cl, err := rpc.NewPool(c.Nodes[0], 1, rpc.Options{Metrics: m, NoBreaker: true})
+		if err == nil {
+			_, err = cl.Add(s.Name(), 77)
+		}
 		if err != nil {
 			t.Error(err)
 			return
@@ -127,13 +131,17 @@ func pinRPCBudget(t *testing.T) {
 		// After 300 ms one token has come back, and one more call gets it.
 		for _, calls := range []int{4, 1} {
 			for i := 0; i < calls; i++ {
-				if _, err := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{}); err != nil {
+				if _, err := cl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{}); err != nil {
 					t.Error(err)
 					return
 				}
 			}
+			// The loop rpc.Pool.IdlePoll is documented to equal: poll, and
+			// sleep a tick after a poll that finds nothing.
 			for end := p.Now().Add(20 * sim.Millisecond); p.Now() < end; {
-				cl.IdlePoll(p, 5*sim.Microsecond, end)
+				if cl.Poll(p) == 0 {
+					p.Sleep(5 * sim.Microsecond)
+				}
 			}
 			retries = append(retries, m.Get("retries"))
 			p.Sleep(280 * sim.Millisecond)

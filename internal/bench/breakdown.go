@@ -34,7 +34,7 @@ func breakdownRow(w io.Writer, p Params) error {
 	if p.TraceOut != "" {
 		// The Chrome trace-event JSON export of the short-AM phase (load it
 		// at https://ui.perfetto.dev).
-		if err := writeTrace(p.TraceOut, func(f io.Writer) error { return obs.WriteChromeTrace(f, o.T, o.R) }); err != nil {
+		if err := writeTrace(p.TraceOut, func(f io.Writer) error { return obs.WriteChromeTrace(f, []*obs.Tracer{o.T}, nil, o.R) }); err != nil {
 			return err
 		}
 	}

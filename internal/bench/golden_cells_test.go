@@ -59,7 +59,7 @@ var goldenCells = []struct {
 // be a line of results_<row>.txt at the repository root, in the golden's
 // order, and every cluster it builds to be shut down. With TestGoldens and
 // TestRowsLeaveNoGoroutines in cmd/vnbench, which runs linpack's one 20 s
-// cell whole, this checks all 21 goldens in tier-1.
+// cell whole, this checks all 20 goldens in tier-1.
 func TestGoldenCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a sample of three slow goldens' cells (≈ 11 s)")

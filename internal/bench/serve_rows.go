@@ -215,7 +215,7 @@ func tailatRow(w io.Writer, p Params) error {
 
 		if p.TraceOut != "" && scn == scenarios[len(scenarios)-1] {
 			return writeTrace(p.TraceOut, func(f io.Writer) error {
-				return obs.WriteChromeTraceMerged(f, res.Tracers, res.ShardOf, nil)
+				return obs.WriteChromeTrace(f, res.Tracers, res.ShardOf, nil)
 			})
 		}
 	}

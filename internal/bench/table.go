@@ -65,7 +65,6 @@ var Experiments = []Row[Params]{
 	{"allreduce", "ext.    collective algorithm sweep + SGD overlap", allreduceRow},
 	{"breakdown", "§4      per-stage latency decomposition via tracing", breakdownRow},
 	{"tenants", "ext.    multi-tenant metered WRR shares under overcommit", tenantsRow},
-	{"degrade", "ext.    graceful degradation: goodput vs offered load", degradeRow},
 	{"serve", "ext.    serving-scale workloads: open-loop SLO curves", serveRow},
 	{"tailat", "ext.    tail-latency attribution over request trace trees", tailatRow},
 }

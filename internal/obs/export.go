@@ -110,20 +110,16 @@ func lastStageTrack(f *Flight) (int, int) {
 	return trackFor(f, f.Stages[len(f.Stages)-1].Stage)
 }
 
-// WriteChromeTrace emits the tracer's retained flights (and, when r is
-// non-nil, the registry's snapshot timeline) as Chrome trace-event JSON.
-// Output is byte-deterministic: flights iterate in ring order, link tracks
-// are numbered by first appearance, and args maps marshal with sorted keys.
-func WriteChromeTrace(w io.Writer, t *Tracer, r *Registry) error {
-	return writeChromeTrace(w, t.Nodes(), t.Flights(), nil, r)
-}
-
-// WriteChromeTraceMerged emits the merged flights of per-shard tracer
-// arenas. Node process tracks are labeled with their owning shard, and
-// handed-off flights get traceID-linked flow arrows stitching the source
-// segment to its destination-shard continuation. shardOfNode maps a node id
-// to its shard (nil renders unsharded track names).
-func WriteChromeTraceMerged(w io.Writer, ts []*Tracer, shardOfNode func(int) int, r *Registry) error {
+// WriteChromeTrace emits the merged flights of one tracer, or of per-shard
+// tracer arenas (and, when r is non-nil, the registry's snapshot timeline)
+// as Chrome trace-event JSON. Node process tracks are labeled with their
+// owning shard, and handed-off flights get traceID-linked flow arrows
+// stitching the source segment to its destination-shard continuation.
+// shardOfNode maps a node id to its shard (nil renders unsharded track
+// names). Output is byte-deterministic: flights iterate in MergeFlights'
+// (Begin, Span) order, link tracks are numbered by first appearance, and
+// args maps marshal with sorted keys.
+func WriteChromeTrace(w io.Writer, ts []*Tracer, shardOfNode func(int) int, r *Registry) error {
 	nodes := 0
 	for _, t := range ts {
 		if t != nil && t.Nodes() > nodes {

@@ -49,7 +49,7 @@ func buildExportFixture() (*Tracer, *Registry) {
 func TestChromeTraceSchema(t *testing.T) {
 	tr, r := buildExportFixture()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr, r); err != nil {
+	if err := WriteChromeTrace(&buf, []*Tracer{tr}, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -131,7 +131,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	write := func() []byte {
 		tr, r := buildExportFixture()
 		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, tr, r); err != nil {
+		if err := WriteChromeTrace(&buf, []*Tracer{tr}, nil, r); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

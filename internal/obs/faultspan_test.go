@@ -252,7 +252,7 @@ func TestClusterTraceExportDeterministic(t *testing.T) {
 		cl.RunFor(2 * sim.Second)
 		o.T.SweepOpen("end", cl.Now())
 		var buf bytes.Buffer
-		if err := obs.WriteChromeTrace(&buf, o.T, o.R); err != nil {
+		if err := obs.WriteChromeTrace(&buf, []*obs.Tracer{o.T}, nil, o.R); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -55,7 +55,7 @@ func TestWaitTimeout(t *testing.T) {
 			t.Errorf("client: %v", e)
 			return
 		}
-		pc, e := cl.GoCtx(p, 1, []byte{9}, reliab.Ctx{})
+		pc, e := cl.pl.GoCtx(p, 0, 1, []byte{9}, reliab.Ctx{})
 		if e != nil {
 			t.Errorf("go: %v", e)
 			return

@@ -388,9 +388,6 @@ func (pc *PoolPending) Abandon() {
 // (see Pool.onReturn).
 type Client struct{ pl *Pool }
 
-// Pending is an in-flight asynchronous call.
-type Pending = PoolPending
-
 // NewClient builds a client on node bound to the server's endpoint, with
 // default reliability options.
 func NewClient(node *hostos.Node, server core.EndpointName, serverKey core.Key) (*Client, error) {
@@ -428,15 +425,6 @@ func (c *Client) CallCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) ([]
 	return c.pl.CallCtx(p, 0, proc, args, ctx)
 }
 
-// GoCtx starts an asynchronous call with an explicit reliability context;
-// harvest it with WaitTimeout or TryWait.
-func (c *Client) GoCtx(p *sim.Proc, proc int, args []byte, ctx reliab.Ctx) (*Pending, error) {
-	return c.pl.GoCtx(p, 0, proc, args, ctx)
-}
-
-// Poll, IdlePoll and Outstanding are the pool's.
-func (c *Client) Poll(p *sim.Proc) int { return c.pl.Poll(p) }
-func (c *Client) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
-	return c.pl.IdlePoll(p, tick, until)
-}
+// Poll and Outstanding are the pool's.
+func (c *Client) Poll(p *sim.Proc) int                           { return c.pl.Poll(p) }
 func (c *Client) Outstanding() (results, reissues, deferred int) { return c.pl.Outstanding() }

@@ -39,7 +39,7 @@ func TestAbandonedCallsReclaimMaps(t *testing.T) {
 		// wants every one of the 30 calls issued.
 		cl, _ = NewClientOpts(c.Nodes[1], s.Name(), 77, Options{NoBreaker: true})
 		for i := 0; i < 30; i++ {
-			pc, e := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{})
+			pc, e := cl.pl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{})
 			if e != nil {
 				t.Errorf("go %d: %v", i, e)
 				return
@@ -254,12 +254,12 @@ func TestAdmissionOverloadNack(t *testing.T) {
 		}
 	})
 	var errs []error
-	var pend []*Pending
+	var pend []*PoolPending
 	c.Nodes[1].Spawn("client", func(p *sim.Proc) {
 		cl, _ := NewClient(c.Nodes[1], s.Name(), 77)
 		deadline := p.Now().Add(100 * sim.Millisecond)
 		for i := 0; i < 5; i++ {
-			pc, e := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{Deadline: deadline})
+			pc, e := cl.pl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{Deadline: deadline})
 			if e != nil {
 				t.Errorf("go: %v", e)
 				return

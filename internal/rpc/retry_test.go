@@ -58,14 +58,14 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 				return
 			}
 			w.names[i] = cl.pl.ep.Name()
-			pc, err := cl.GoCtx(p, 1, []byte{byte(i)}, reliab.Ctx{})
+			pc, err := cl.pl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{})
 			if err != nil || pc.id != 0 {
 				t.Errorf("client %d: go: id %d, err %v", i, pc.id, err)
 				return
 			}
 			w.res[i], _ = pc.WaitTimeout(p, 10*sim.Millisecond)
 			for { // keep acknowledging whatever still arrives
-				cl.IdlePoll(p, 5*sim.Microsecond, sim.Never)
+				cl.pl.IdlePoll(p, 5*sim.Microsecond, sim.Never)
 			}
 		})
 	}

@@ -154,9 +154,9 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 				}
 				res, err = literalWait(p, &pc, ctx.Deadline, &out.tops)
 			default:
-				// Pending.WaitTimeout measures its timeout from the wait, not
+				// PoolPending.WaitTimeout measures its timeout from the wait, not
 				// from the send.
-				pc, e := cl.GoCtx(p, 1, args, reliab.Ctx{})
+				pc, e := cl.pl.GoCtx(p, 0, 1, args, reliab.Ctx{})
 				if e != nil {
 					t.Error(e)
 					return
@@ -186,7 +186,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 	return out
 }
 
-// TestWaitsMatchLiteralLoops: Call, Pending.WaitTimeout and
+// TestWaitsMatchLiteralLoops: Call, PoolPending.WaitTimeout and
 // PoolPending.WaitTimeout return the same result or error at the same
 // virtual nanosecond as the poll-every-5-µs loops they replaced — for
 // deadlines exactly on a loop-top instant, one ns either side and well off
