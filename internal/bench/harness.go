@@ -266,7 +266,9 @@ func clientsDrained[C interface{ Outstanding() (int, int, int) }](clients []C, f
 }
 
 // poolLocality is the shard-arena invariant: every NI's free lists and every
-// shard replica's packet arena hold only objects they allocated themselves.
+// shard replica's packet arena hold only objects they allocated themselves,
+// and every crossing record the replicas made is in a list, in flight, or
+// was let go past a list's cap.
 func poolLocality(cl *hostos.Cluster) error {
 	var errs []error
 	for _, n := range cl.Nodes {
@@ -278,6 +280,9 @@ func poolLocality(cl *hostos.Cluster) error {
 		if err := cl.ShardNet(s).VerifyPoolLocality(); err != nil {
 			errs = append(errs, err)
 		}
+	}
+	if made, free, dropped, inFlight := cl.Fab.Crossings(); made-free-dropped != inFlight {
+		errs = append(errs, fmt.Errorf("netsim: %d crossings made, %d free, %d let go, %d in flight", made, free, dropped, inFlight))
 	}
 	return errors.Join(errs...)
 }

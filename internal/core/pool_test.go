@@ -60,9 +60,11 @@ func TestRequestReplyAllocFree(t *testing.T) {
 // (and, at 2 and 4 shards, engine shards) on a loss-free and on a lossy
 // fabric, drains, and accounts for every pooled object: each send descriptor
 // any NI made is back in a free list, each wire header is in a free list or
-// went down with a packet the fabric dropped — no other path loses one — and
-// every free list holds only objects that name its NI as their holder. Run
-// under -race it is also the check that no pool is touched from two shards.
+// went down with a packet the fabric dropped — no other path loses one —,
+// each crossing a shard replica made is in a replica's list, in flight, or
+// let go past a list's cap, and every free list holds only objects that name
+// its NI as their holder. Run under -race it is also the check that no pool
+// is touched from two shards without the exchange between.
 func TestPoolsConserveAndStayLocal(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, drop := range []float64{0, 0.03} {
@@ -153,5 +155,14 @@ func poolsConserve(t *testing.T, shards int, drop float64) {
 	}
 	if hdrMade == 0 || int64(hdrMade-hdrFree) != dropped {
 		t.Errorf("wire headers: %d made, %d free, %d packets dropped by the fabric", hdrMade, hdrFree, dropped)
+	}
+	for s := 0; s < shards; s++ {
+		if err := c.ShardNet(s).VerifyPoolLocality(); err != nil {
+			t.Error(err)
+		}
+	}
+	made, free, letGo, inFlight := c.Fab.Crossings()
+	if (shards > 1) != (made > 0) || made-free != inFlight+letGo {
+		t.Errorf("crossings at %d shards: %d made, %d free, %d in flight, %d let go past the cap", shards, made, free, inFlight, letGo)
 	}
 }

@@ -124,7 +124,7 @@ func (f *Fabric) PerLinkCounters() []LinkCounters {
 // xfer is a cross-shard packet in the exchange: a by-value copy of the
 // packet's wire identity. The source shard's *Packet handle never crosses
 // the boundary — the destination allocates a fresh packet from its own
-// arena — so pooled objects stay shard-local (and the Parked flag a
+// arena — so pooled packets stay shard-local (and the Parked flag a
 // destination sets can never be observed by a source-shard NI).
 type xfer struct {
 	src, dst NodeID
@@ -143,12 +143,73 @@ type xfer struct {
 	kind    obs.Kind
 }
 
+// crossing carries one xfer through the exchange: a pooled record whose
+// landing callback is bound once, when the record is made, as transit's
+// timer is — so a cross-shard packet posts no closure of its own. The
+// source replica takes it from its own list in sendCross; the destination
+// releases it into *its* list once applyCross has read it. Ownership rides
+// the post, as a wire header's data copy does, and every cross-shard data
+// copy is answered by a cross-shard ACK or NACK, so the lists balance.
+type crossing struct {
+	x    xfer
+	to   *Network // the destination replica, while posted
+	fn   func()   // c.land, bound once
+	next *crossing
+}
+
+// crossCap bounds a replica's crossing list: under one-way traffic one
+// side only releases, and a crossing past the cap falls to the collector.
+const crossCap = 1024
+
+func (n *Network) newCrossing(to *Network) *crossing {
+	c := n.freeCross
+	if c != nil {
+		n.freeCross, c.next = c.next, nil
+		n.nfreeCross--
+	} else {
+		c = &crossing{}
+		c.fn = c.land
+		n.crossMade++
+	}
+	c.to = to
+	n.crossLive++
+	return c
+}
+
+// land runs on the destination shard at the posted instant.
+func (c *crossing) land() {
+	n := c.to
+	n.crossLive--
+	n.applyCross(&c.x)
+	c.x, c.to = xfer{}, nil
+	if n.nfreeCross >= crossCap {
+		n.crossDropped++
+		return
+	}
+	c.next, n.freeCross = n.freeCross, c
+	n.nfreeCross++
+}
+
+// Crossings accounts for the fabric's crossing records: how many the
+// replicas made, how many sit in their lists, how many the cap let go, and
+// how many are posted and not yet landed. made − free − dropped = inFlight
+// holds at every barrier.
+func (f *Fabric) Crossings() (made, free, dropped, inFlight int) {
+	for _, n := range f.nets {
+		made += n.crossMade
+		free += n.nfreeCross
+		dropped += n.crossDropped
+		inFlight += n.crossLive
+	}
+	return
+}
+
 // sendCross injects a packet whose destination lives on another shard: the
 // source half of the path for real, the destination half as a local
 // estimate, then the exchange. The caller keeps its packet reference and no
 // transit reference is taken on this side, so a loss here releases nothing;
 // the pooled *Packet stays the sending NI's handle and a bit flip rides the
-// xfer by value.
+// xfer by value, in a crossing from this replica's list.
 func (n *Network) sendCross(pkt *Packet, route int, dstShard int) {
 	n.Sent++
 	if n.lostInFabric(pkt) {
@@ -166,7 +227,9 @@ func (n *Network) sendCross(pkt *Packet, route int, dstShard int) {
 	// this shard's own stream toward the receiver.
 	t0 := n.reserve(links, n.e.Now())
 	done := n.occupy(links, half, t0, pkt)
-	x := xfer{
+	c := n.newCrossing(n.fab.nets[dstShard])
+	x := &c.x
+	*x = xfer{
 		src: pkt.Src, dst: pkt.Dst, size: pkt.Size, payload: pkt.Payload,
 		control: pkt.Control, corrupt: corrupt, route: route,
 		headAt: t0.Add(sim.Duration(half) * n.cfg.SwitchLatency),
@@ -181,14 +244,13 @@ func (n *Network) sendCross(pkt *Packet, route int, dstShard int) {
 		x.traceID, x.srcSpan, x.kind = fl.TraceID, fl.Span, fl.Kind
 		fl.Handoff(x.headAt)
 	}
-	peer := n.fab.nets[dstShard]
-	n.e.PostRemote(dstShard, done, func() { peer.applyCross(x) })
+	n.e.PostRemote(dstShard, done, c.fn)
 }
 
 // applyCross lands an exchanged packet on the destination shard: allocate
 // from this shard's arena, run the receiver's admission gate, and finish
 // the path through injectTail.
-func (n *Network) applyCross(x xfer) {
+func (n *Network) applyCross(x *xfer) {
 	pkt := n.AllocPacket() // the transit reference, released at handoff/loss
 	pkt.Src, pkt.Dst, pkt.Size, pkt.Payload = x.src, x.dst, x.size, x.payload
 	pkt.Control, pkt.Corrupt = x.control, x.corrupt
@@ -238,12 +300,24 @@ func (n *Network) injectTail(pkt *Packet, route int, headAt sim.Time) {
 
 // VerifyPoolLocality walks this replica's packet free list and checks that
 // every pooled packet is owned by this Network — i.e. no pooled object was
-// handed across a shard boundary. Returns nil when the arena is clean.
+// handed across a shard boundary — and its crossing list, whose records do
+// change shards but must come back emptied and stay within the cap. Returns
+// nil when the arena is clean.
 func (n *Network) VerifyPoolLocality() error {
 	for p := n.freePkt; p != nil; p = p.fnext {
 		if p.owner != n {
 			return fmt.Errorf("netsim: foreign packet in shard %d arena", n.shard)
 		}
+	}
+	free := 0
+	for c := n.freeCross; c != nil; c = c.next {
+		if c.to != nil || c.x != (xfer{}) {
+			return fmt.Errorf("netsim: live crossing in shard %d list", n.shard)
+		}
+		free++
+	}
+	if free != n.nfreeCross || free > crossCap {
+		return fmt.Errorf("netsim: shard %d crossing list holds %d, counted %d, cap %d", n.shard, free, n.nfreeCross, crossCap)
 	}
 	return nil
 }

@@ -232,6 +232,12 @@ type Network struct {
 	Sent, Delivered, Dropped int64
 	// Corrupted counts packets delivered with flipped bits.
 	Corrupted int64
+	// freeCross recycles cross-shard crossings (fabric.go). Its length, the
+	// records this replica made and the ones the cap let go, and the
+	// crossings posted from here minus those landed here, are Crossings'
+	// books.
+	freeCross                                      *crossing
+	nfreeCross, crossMade, crossDropped, crossLive int
 }
 
 // New builds a network for nhosts hosts on engine e.

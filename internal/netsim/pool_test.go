@@ -83,3 +83,67 @@ func TestPacketPoolNoAliasing(t *testing.T) {
 		t.Fatalf("unpooled packet acquired an owner")
 	}
 }
+
+// TestCrossingsRecycleUnderACap sends one-way cross-shard traffic, then a
+// stream back. One way, the source makes a crossing per packet and the
+// destination's list fills to its cap, the rest falling to the collector;
+// at every barrier made − free − dropped is the number in flight, and every
+// list is emptied records within the cap. The stream back makes nothing: it
+// rides the records the first stream left on the far side.
+func TestCrossingsRecycleUnderACap(t *testing.T) {
+	cfg := DefaultConfig()
+	coord := sim.NewCoordinator(1, 2, Lookahead(cfg))
+	defer coord.Shutdown()
+	fab := NewFabric(coord, cfg, 20)
+	delivered := make([]int, 20)
+	for h := 0; h < 20; h++ {
+		fab.Shard(fab.ShardOf(NodeID(h))).Attach(NodeID(h), func(*Packet) { delivered[h]++ })
+	}
+	if fab.ShardOf(0) != 0 || fab.ShardOf(15) != 1 {
+		t.Fatal("hosts 0 and 15 must sit on shards 0 and 1")
+	}
+	stream := func(from, to NodeID, n int, start sim.Time) sim.Time {
+		s := fab.ShardOf(from)
+		net := fab.Shard(s)
+		for k := 0; k < n; k++ {
+			at := start.Add(sim.Duration(k) * 2 * sim.Microsecond)
+			coord.Engine(s).AfterFuncAt(at, func() { net.Send(&Packet{Src: from, Dst: to, Size: 150}, k) })
+		}
+		end := start.Add(sim.Duration(n) * 2 * sim.Microsecond).Add(sim.Millisecond)
+		for now := start; now < end; now = now.Add(100 * sim.Microsecond) {
+			coord.RunUntil(now)
+			books(t, fab)
+		}
+		coord.RunUntil(end)
+		books(t, fab)
+		return end
+	}
+
+	const sends = 3 * crossCap
+	end := stream(0, 15, sends, 0)
+	made, free, dropped, inFlight := fab.Crossings()
+	if delivered[15] != sends || made != sends || free != crossCap || dropped != sends-crossCap || inFlight != 0 {
+		t.Fatalf("one way: delivered %d; made %d, free %d, dropped %d, in flight %d; want %d, %d, %d, %d, 0",
+			delivered[15], made, free, dropped, inFlight, sends, sends, crossCap, sends-crossCap)
+	}
+	stream(15, 0, crossCap, end)
+	made2, _, _, _ := fab.Crossings()
+	if delivered[0] != crossCap || made2 != made {
+		t.Fatalf("stream back: delivered %d of %d, made %d more crossings", delivered[0], crossCap, made2-made)
+	}
+	if fab.Shard(0).nfreeCross != crossCap || fab.Shard(1).nfreeCross != 0 {
+		t.Fatalf("lists hold %d and %d, want %d and 0", fab.Shard(0).nfreeCross, fab.Shard(1).nfreeCross, crossCap)
+	}
+}
+
+func books(t *testing.T, fab *Fabric) {
+	t.Helper()
+	if made, free, dropped, inFlight := fab.Crossings(); made-free-dropped != inFlight {
+		t.Fatalf("crossings: %d made, %d free, %d dropped, %d in flight", made, free, dropped, inFlight)
+	}
+	for s := range fab.nets {
+		if err := fab.Shard(s).VerifyPoolLocality(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

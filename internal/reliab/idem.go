@@ -10,24 +10,27 @@ type IdemKey struct {
 // IdemCache remembers the results of recently served idempotency-keyed
 // calls, so a retry of an already-executed call returns the recorded
 // result instead of running the handler again — the exactly-once story
-// for effects under at-least-once delivery. Bounded, FIFO-evicted.
-type IdemCache struct {
+// for effects under at-least-once delivery. Bounded, FIFO-evicted; values
+// are held as V, unboxed, and the eviction order is a ring that grows to
+// max once and is overwritten in place after that.
+type IdemCache[V any] struct {
 	max  int
-	vals map[IdemKey]interface{}
-	fifo []IdemKey
+	vals map[IdemKey]V
+	fifo []IdemKey // insertion order; once full, fifo[head] is the oldest
+	head int
 	m    *Metrics
 }
 
 // NewIdemCache returns a cache holding at most max results. m may be nil.
-func NewIdemCache(max int, m *Metrics) *IdemCache {
+func NewIdemCache[V any](max int, m *Metrics) *IdemCache[V] {
 	if max <= 0 {
 		max = 1
 	}
-	return &IdemCache{max: max, vals: make(map[IdemKey]interface{}), m: m}
+	return &IdemCache[V]{max: max, vals: make(map[IdemKey]V), m: m}
 }
 
 // Get returns the cached result for k, if present.
-func (c *IdemCache) Get(k IdemKey) (interface{}, bool) {
+func (c *IdemCache[V]) Get(k IdemKey) (V, bool) {
 	v, ok := c.vals[k]
 	if ok {
 		c.m.Inc("idem_hits")
@@ -37,15 +40,19 @@ func (c *IdemCache) Get(k IdemKey) (interface{}, bool) {
 
 // Put records the result of an executed call, evicting the oldest entry
 // when full.
-func (c *IdemCache) Put(k IdemKey, v interface{}) {
+func (c *IdemCache[V]) Put(k IdemKey, v V) {
 	if _, ok := c.vals[k]; ok {
 		c.vals[k] = v
 		return
 	}
-	if len(c.fifo) >= c.max {
-		delete(c.vals, c.fifo[0])
-		c.fifo = c.fifo[1:]
+	if len(c.fifo) < c.max {
+		c.fifo = append(c.fifo, k)
+	} else {
+		delete(c.vals, c.fifo[c.head])
+		c.fifo[c.head] = k
+		if c.head++; c.head == c.max {
+			c.head = 0
+		}
 	}
 	c.vals[k] = v
-	c.fifo = append(c.fifo, k)
 }

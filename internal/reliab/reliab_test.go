@@ -161,14 +161,14 @@ func TestAdmitQueueShedsExpiredFirst(t *testing.T) {
 
 func TestIdemCacheBoundedFIFO(t *testing.T) {
 	m := NewMetrics()
-	c := NewIdemCache(2, m)
+	c := NewIdemCache[string](2, m)
 	c.Put(IdemKey{1, 1}, "one")
 	c.Put(IdemKey{1, 2}, "two")
 	c.Put(IdemKey{1, 3}, "three") // evicts {1,1}
 	if _, ok := c.Get(IdemKey{1, 1}); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if v, ok := c.Get(IdemKey{1, 2}); !ok || v.(string) != "two" {
+	if v, ok := c.Get(IdemKey{1, 2}); !ok || v != "two" {
 		t.Fatal("retained entry lost")
 	}
 	if len(c.vals) != 2 {
@@ -176,6 +176,38 @@ func TestIdemCacheBoundedFIFO(t *testing.T) {
 	}
 	if m.Get("idem_hits") != 1 {
 		t.Fatalf("idem_hits = %d", m.Get("idem_hits"))
+	}
+	// The ring wraps: re-putting a held key refreshes its value but not its
+	// place, and eviction keeps going oldest first.
+	c.Put(IdemKey{1, 2}, "two'")
+	c.Put(IdemKey{1, 4}, "four") // evicts {1,2}
+	c.Put(IdemKey{1, 5}, "five") // evicts {1,3}
+	for k, want := range map[uint64]string{2: "", 3: "", 4: "four", 5: "five"} {
+		if v, ok := c.Get(IdemKey{1, k}); ok != (want != "") || v != want {
+			t.Fatalf("key %d: got %q, %v; want %q", k, v, ok, want)
+		}
+	}
+}
+
+// TestIdemCacheSteadyStateAllocFree: once the ring is full, a put that
+// evicts allocates nothing — no boxing of the value, no FIFO reslice.
+func TestIdemCacheSteadyStateAllocFree(t *testing.T) {
+	type result struct {
+		status uint64
+		data   []byte
+	}
+	c := NewIdemCache[result](64, nil)
+	data := []byte("ok")
+	k := uint64(0)
+	put := func() {
+		k++
+		c.Put(IdemKey{Client: 1, Key: k}, result{status: k, data: data})
+	}
+	for i := 0; i < 1024; i++ {
+		put()
+	}
+	if avg := testing.AllocsPerRun(1000, put); avg != 0 {
+		t.Fatalf("a full cache allocates %.2f times per put, want 0", avg)
 	}
 }
 

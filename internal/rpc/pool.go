@@ -17,6 +17,7 @@ package rpc
 // target.
 
 import (
+	"errors"
 	"fmt"
 
 	"virtnet/internal/core"
@@ -35,9 +36,14 @@ type poolTarget struct {
 	dead   bool // permanent nack: endpoint gone or key revoked
 }
 
-// resultBuf assembles one call's result fragments.
+// resultBuf is one call's record: the wire image of its call, and the
+// assembly of its result fragments. Records recycle through the pool's free
+// list once the result is harvested; id names the call that holds one, so a
+// PoolPending can tell its own call from the next one to reuse the record.
 type resultBuf struct {
-	data   []byte
+	id     uint64 // the call holding the record; noCall once released
+	wire   []byte // header + args as sent; its backing array recycles too
+	data   []byte // the result, handed to the caller: never recycled
 	got    int
 	total  int
 	status uint64
@@ -45,7 +51,12 @@ type resultBuf struct {
 	failed bool   // call fragments kept bouncing: server unreachable
 	trace  uint64 // trace id of the sampled request (0 = untraced)
 	tgt    int    // the target called, so completion feeds the right breaker
+	next   *resultBuf
 }
+
+// noCall is the id of a released record: call ids count up from 0 and never
+// reach it.
+const noCall = ^uint64(0)
 
 // add assembles one result fragment: args carry (call id, total, offset,
 // status).
@@ -74,6 +85,7 @@ type Pool struct {
 
 	nextID  uint64
 	results map[uint64]*resultBuf
+	free    *resultBuf // harvested records, LIFO
 	// retry re-issues bounced call fragments, capped per call and paced by
 	// the called target's budget.
 	retry *reliab.Retrier[uint64]
@@ -226,12 +238,12 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (P
 		pl.tr.Child(trace, nid, nid, obs.KindOp, now).Drop(obs.StageBreakerOpen, "breaker-open", now)
 		return PoolPending{}, ErrCircuitOpen
 	}
-	wire := make([]byte, reliab.HeaderLen+len(args))
-	ctx.Encode(wire)
-	copy(wire[reliab.HeaderLen:], args)
 	id := pl.nextID
 	pl.nextID++
-	rb := &resultBuf{trace: trace, tgt: tgt}
+	rb := pl.record(id, trace, tgt, reliab.HeaderLen+len(args))
+	wire := rb.wire
+	ctx.Encode(wire)
+	copy(wire[reliab.HeaderLen:], args)
 	pl.results[id] = rb
 	meta := uint64(proc)<<40 | uint64(pl.ep.Key())&(1<<40-1)
 	self := uint64(pl.ep.Name().Raw())
@@ -247,12 +259,31 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (P
 		ol := uint64(off)<<20 | uint64(total)
 		if err := pl.ep.RequestBulk(p, tgt, hCall, wire[off:end], [4]uint64{id, ol, meta, self}); err != nil {
 			pl.ep.SetTrace(prev)
+			// Fragments already posted alias rb.wire: the record is left to
+			// the collector, not recycled.
 			delete(pl.results, id)
 			return PoolPending{}, err
 		}
 	}
 	pl.ep.SetTrace(prev)
 	return PoolPending{pl: pl, id: id, rb: rb, ctx: ctx}, nil
+}
+
+// record takes a call record from the free list, or makes one, with a
+// wire buffer of n bytes.
+func (pl *Pool) record(id, trace uint64, tgt, n int) *resultBuf {
+	rb := pl.free
+	if rb == nil {
+		rb = &resultBuf{}
+	} else {
+		pl.free = rb.next
+	}
+	wire := rb.wire
+	if cap(wire) < n {
+		wire = make([]byte, n)
+	}
+	*rb = resultBuf{id: id, wire: wire[:n], trace: trace, tgt: tgt}
+	return rb
 }
 
 // finish translates a completed call's wire status into the caller-facing
@@ -284,7 +315,9 @@ func (pl *Pool) fail(p *sim.Proc, tgt int, err error) error {
 	return err
 }
 
-// PoolPending is an in-flight asynchronous call.
+// PoolPending is an in-flight asynchronous call. It is a value: copies
+// name the same call, and once one of them harvests or abandons it, every
+// copy is inert — the record it points at may already carry a newer call.
 type PoolPending struct {
 	pl  *Pool
 	id  uint64
@@ -292,19 +325,18 @@ type PoolPending struct {
 	ctx reliab.Ctx
 }
 
+// errSpent answers a handle whose call was already harvested or abandoned.
+var errSpent = errors.New("rpc: call already harvested or abandoned")
+
 // GoCtx starts an asynchronous call to target tgt with an explicit
 // reliability context (deadline and idempotency key travel to the server);
 // harvest with WaitTimeout/TryWait or drop with Abandon. Pending calls
 // — to one target or to several — pipeline on the one shared endpoint: this
 // is the fan-out primitive the inference gateway and the KV replication
 // writes are built on, and how a single client overlaps transfers to many
-// servers.
-func (pl *Pool) GoCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (*PoolPending, error) {
-	pc, err := pl.send(p, tgt, proc, args, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &pc, nil
+// servers. args are copied before GoCtx returns.
+func (pl *Pool) GoCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (PoolPending, error) {
+	return pl.send(p, tgt, proc, args, ctx)
 }
 
 // CallCtx is the blocking form: send, then wait out the context deadline.
@@ -316,6 +348,9 @@ func (pl *Pool) CallCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx)
 	}
 	return pc.WaitTimeout(p, 0)
 }
+
+// live reports whether the handle still names its call.
+func (pc *PoolPending) live() bool { return pc.rb != nil && pc.rb.id == pc.id }
 
 // unreachable reports whether the transport has given up on the call: its
 // target is dead, or its fragments ran out of retries.
@@ -331,6 +366,9 @@ const waitTick = 5 * sim.Microsecond
 // else the context deadline (both 0 = none). On ErrTimeout the call is
 // abandoned: a result arriving later is dropped as stale.
 func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, error) {
+	if !pc.live() {
+		return nil, errSpent
+	}
 	pl := pc.pl
 	defer pc.Abandon()
 	deadline := pc.ctx.Deadline
@@ -356,7 +394,7 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 			p.Sleep(waitTick)
 		}
 	}
-	return pl.finish(p, pc.rb)
+	return pc.harvest(p)
 }
 
 // TryWait harvests the call without blocking: done reports whether it
@@ -364,23 +402,45 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 // calls through one Poll loop and TryWait each.
 func (pc *PoolPending) TryWait(p *sim.Proc) (result []byte, done bool, err error) {
 	switch {
+	case !pc.live():
+		return nil, true, errSpent
 	case pc.unreachable():
 		err = pc.pl.fail(p, pc.rb.tgt, ErrUnreachable)
+		pc.Abandon()
 	case pc.rb.done:
-		result, err = pc.pl.finish(p, pc.rb)
+		result, err = pc.harvest(p)
 	default:
 		return nil, false, nil
 	}
-	pc.Abandon()
 	return result, true, err
+}
+
+// harvest returns a completed call's result and recycles its record. By
+// now the server has assembled every call fragment — it answers only a
+// whole call — so nothing will read rb.wire again; rb.data goes to the
+// caller.
+func (pc *PoolPending) harvest(p *sim.Proc) ([]byte, error) {
+	pl, rb := pc.pl, pc.rb
+	result, err := pl.finish(p, rb)
+	delete(pl.results, pc.id)
+	pl.retry.Forget(pc.id)
+	*rb = resultBuf{id: noCall, wire: rb.wire, next: pl.free}
+	pl.free = rb
+	return result, err
 }
 
 // Abandon drops the pending call's bookkeeping; a result arriving later is
 // dropped as stale (and still acknowledged, so the server cleans up too).
-// Idempotent.
+// The record is not recycled: a call fragment may still be unassembled at
+// the server, reading rb.wire. Idempotent, and inert on a handle whose call
+// was harvested.
 func (pc *PoolPending) Abandon() {
+	if !pc.live() {
+		return
+	}
 	delete(pc.pl.results, pc.id)
 	pc.pl.retry.Forget(pc.id)
+	pc.rb.id = noCall
 }
 
 // Client issues calls to one server: a Pool with exactly one target, and so

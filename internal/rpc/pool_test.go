@@ -40,7 +40,7 @@ func TestPoolFanOut(t *testing.T) {
 				return
 			}
 		}
-		pending := make([]*PoolPending, nServers)
+		pending := make([]PoolPending, nServers)
 		for i := 0; i < nServers; i++ {
 			pc, err := pl.GoCtx(p, i, 9, []byte{0xaa}, reliab.Ctx{})
 			if err != nil {
@@ -49,8 +49,8 @@ func TestPoolFanOut(t *testing.T) {
 			}
 			pending[i] = pc
 		}
-		for i, pc := range pending {
-			outs[i], errs[i] = pc.WaitTimeout(p, 0)
+		for i := range pending {
+			outs[i], errs[i] = pending[i].WaitTimeout(p, 0)
 		}
 		if r, ri, d := pl.Outstanding(); r != 0 || ri != 0 || d != 0 {
 			t.Errorf("pool leaked state: %d/%d/%d", r, ri, d)

@@ -254,7 +254,7 @@ func TestAdmissionOverloadNack(t *testing.T) {
 		}
 	})
 	var errs []error
-	var pend []*PoolPending
+	var pend []PoolPending
 	c.Nodes[1].Spawn("client", func(p *sim.Proc) {
 		cl, _ := NewClient(c.Nodes[1], s.Name(), 77)
 		deadline := p.Now().Add(100 * sim.Millisecond)

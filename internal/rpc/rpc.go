@@ -14,11 +14,37 @@
 // bound), bounced fragments are re-issued under a per-peer token-bucket
 // retry budget with deterministic exponential backoff, and clients carry a
 // per-server circuit breaker that fails fast once the peer looks dead.
+//
+// # Payload ownership
+//
+// Bulk Active Messages move slices, not copies: the receiver's
+// RecvMsg.Payload aliases the sender's bytes. The NI deposits a message at
+// most once (its SeenMsg check) and every send ends in exactly one deposit
+// or one return, so payload bytes are read once, by the handler of that
+// deposit; a later retransmission of the same message is answered from the
+// NI's receive state and never read. On that rest the rules of this
+// package, which let a steady-state call allocate nothing but its result:
+//
+//   - GoCtx and CallCtx copy args into the call's wire buffer before they
+//     return; the caller may reuse args at once.
+//   - A procedure's args are valid only until it returns. A procedure that
+//     keeps them copies them; it may return them, or part of them, as its
+//     result.
+//   - A result belongs to the caller and is never recycled.
+//   - A client's call record and wire buffer recycle when its result is
+//     harvested: a server answers only a whole call, so by then every call
+//     fragment has been copied out. An abandoned or failed call leaves them
+//     to the garbage collector — losing one is safe, releasing early is not.
+//   - A server's call record and assembly buffer recycle once the result is
+//     sent, or, for a result inside the buffer, once the client has
+//     acknowledged every result fragment. A result the idempotency cache
+//     keeps pins its buffer.
 package rpc
 
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -79,7 +105,8 @@ type Options struct {
 	StaleAfter sim.Duration
 }
 
-// Proc is a registered procedure: input bytes to output bytes.
+// Proc is a registered procedure: input bytes to output bytes. args are
+// valid only until it returns (see Payload ownership in the package doc).
 type Proc func(p *sim.Proc, args []byte) ([]byte, error)
 
 // CtxProc is a procedure that also receives the call's reliability
@@ -104,8 +131,13 @@ type Server struct {
 	budgets map[core.EndpointName]*reliab.Budget
 
 	queue    *reliab.AdmitQueue
-	idem     *reliab.IdemCache
+	idem     *reliab.IdemCache[idemResult]
 	inflight map[reliab.IdemKey]bool
+
+	// free holds retired call records, LIFO. acking lists the records whose
+	// result lives in their own assembly buffer, until the client has
+	// acknowledged every result fragment; both are linked through next.
+	free, acking *callBuf
 
 	lastSweep sim.Time
 
@@ -136,6 +168,10 @@ type callBuf struct {
 	// admit-wait then service time, or records why the call died instead.
 	trace uint64
 	fl    *obs.Flight
+	// acks counts the result fragments still unacknowledged while the record
+	// sits in acking; at then is when the result went out.
+	acks int
+	next *callBuf
 }
 
 // idemResult is a cached idempotent call outcome.
@@ -170,16 +206,19 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 		s.queue = reliab.NewAdmitQueue(opts.Queue, opts.Metrics)
 	}
 	if opts.IdemCap > 0 {
-		s.idem = reliab.NewIdemCache(opts.IdemCap, opts.Metrics)
+		s.idem = reliab.NewIdemCache[idemResult](opts.IdemCap, opts.Metrics)
 		s.inflight = make(map[reliab.IdemKey]bool)
 	}
 	ep.SetHandler(hCall, s.onCall)
-	// Result-fragment acknowledgments retire the retry bookkeeping. The
+	// Result-fragment acknowledgments retire the retry bookkeeping, and the
+	// last one a call record whose result lives in its buffer. The
 	// acknowledging endpoint is the one the call named as its client (an
 	// endpoint that migrated since answers from elsewhere; Sweep reclaims
-	// its record).
+	// its records).
 	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		s.retry.Forget(callKey{client: tok.Source(), id: args[0]})
+		k := callKey{client: tok.Source(), id: args[0]}
+		s.retry.Forget(k)
+		s.acked(k)
 	})
 	// Result fragments bounced by a transient transport condition are
 	// re-issued under the per-client retry budget with backoff; permanently
@@ -248,6 +287,15 @@ func (s *Server) Sweep(now sim.Time) int {
 			dropped++
 		}
 	}
+	// A result whose acknowledgment was lost pins its record: let the
+	// collector have it (it is not call state, so it is not counted).
+	for link := &s.acking; *link != nil; {
+		if cb := *link; now.Sub(cb.at) > s.opts.StaleAfter {
+			*link, cb.next = cb.next, nil
+		} else {
+			link = &cb.next
+		}
+	}
 	dropped += s.retry.Expire(now, s.opts.StaleAfter)
 	if dropped > 0 {
 		s.m.Add("stale_reclaimed", int64(dropped))
@@ -289,7 +337,7 @@ func (s *Server) Step(p *sim.Proc) bool {
 			cb.fl.Drop(obs.StageDeadlineShed, "queued-expired", p.Now())
 			s.clearInflight(cb)
 			prev := s.ep.SetTrace(cb.trace)
-			s.sendResult(p, cb.idx, cb.id, stDeadline, nil)
+			s.reply(p, cb, stDeadline, nil, false)
 			s.ep.SetTrace(prev)
 			continue
 		}
@@ -363,8 +411,9 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 			tok.Reply(p, hCallOK, [4]uint64{callID, 1})
 			return
 		}
-		cb = &callBuf{id: callID, proc: proc, data: make([]byte, total), total: total,
-			clientEP: client, key: clientKey, idx: idx, at: p.Now()}
+		cb = s.record(total)
+		cb.id, cb.proc, cb.total = callID, proc, total
+		cb.clientEP, cb.key, cb.idx, cb.at = client, clientKey, idx, p.Now()
 		s.calls[k] = cb
 	}
 	copy(cb.data[offset:], payload)
@@ -385,8 +434,7 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 	cb.ctx.Trace = cb.trace
 	if ik, ok := s.idemKeyOf(cb); ok {
 		if v, hit := s.idem.Get(ik); hit {
-			cached := v.(idemResult)
-			s.sendResult(p, cb.idx, cb.id, cached.status, cached.result)
+			s.reply(p, cb, v.status, v.result, false)
 			return
 		}
 		if s.inflight[ik] {
@@ -394,7 +442,7 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 			// the client back off and retry into the cache instead of
 			// running the handler twice.
 			s.m.Inc("idem_dup")
-			s.sendResult(p, cb.idx, cb.id, stOverload, nil)
+			s.reply(p, cb, stOverload, nil, false)
 			return
 		}
 	}
@@ -402,7 +450,7 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 		s.m.Inc("shed")
 		s.m.Inc("deadline_exceeded")
 		s.opSpan(cb, now).Drop(obs.StageDeadlineShed, "shed-on-arrival", now)
-		s.sendResult(p, cb.idx, cb.id, stDeadline, nil)
+		s.reply(p, cb, stDeadline, nil, false)
 		return
 	}
 	if ik, ok := s.idemKeyOf(cb); ok {
@@ -418,14 +466,14 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 			// Result fragments for the evicted call belong to its trace, not
 			// the arriving call's.
 			prev := s.ep.SetTrace(ecb.trace)
-			s.sendResult(p, ecb.idx, ecb.id, stDeadline, nil)
+			s.reply(p, ecb, stDeadline, nil, false)
 			s.ep.SetTrace(prev)
 		}
 		if !admitted {
 			s.m.Inc("overload_nacks")
 			s.opSpan(cb, now).Drop(obs.StageAdmitWait, "overload-nack", now)
 			s.clearInflight(cb)
-			s.sendResult(p, cb.idx, cb.id, stOverload, nil)
+			s.reply(p, cb, stOverload, nil, false)
 			return
 		}
 		cb.fl = s.opSpan(cb, now)
@@ -481,12 +529,81 @@ func (s *Server) execute(p *sim.Proc, cb *callBuf) {
 	cb.fl.Mark(obs.StageService, p.Now())
 	cb.fl.Finish(p.Now())
 	s.Served++
-	if ik, ok := s.idemKeyOf(cb); ok {
+	ik, cached := s.idemKeyOf(cb)
+	if cached {
 		s.idem.Put(ik, idemResult{status: status, result: result})
 		delete(s.inflight, ik)
 	}
-	s.sendResult(p, cb.idx, cb.id, status, result)
+	s.reply(p, cb, status, result, cached)
 	s.ep.SetTrace(prev)
+}
+
+// record takes a call record from the free list, or makes one, with an
+// assembly buffer of n bytes. Every byte of the buffer is written by the
+// call's fragments before the call runs.
+func (s *Server) record(n int) *callBuf {
+	cb := s.free
+	if cb == nil {
+		cb = &callBuf{}
+	} else {
+		s.free = cb.next
+	}
+	data := cb.data
+	if cap(data) < n {
+		data = make([]byte, n)
+	}
+	*cb = callBuf{data: data[:n]}
+	return cb
+}
+
+// release returns a record nothing reads any more to the free list.
+func (s *Server) release(cb *callBuf) {
+	*cb = callBuf{data: cb.data[:0], next: s.free}
+	s.free = cb
+}
+
+// reply sends cb's result and retires cb. A result outside cb's buffers
+// (none, the procedure's own, a cached one) frees it at once. A result
+// inside them — an echo of its args — is read by the result fragments and
+// any re-issue of them until the client has acknowledged each one, so the
+// record waits in acking for that, entered before the first fragment goes
+// out; and one the idempotency cache keeps pins it for good.
+func (s *Server) reply(p *sim.Proc, cb *callBuf, status uint64, result []byte, cached bool) {
+	pinned := aliases(cb.data, result)
+	if pinned && !cached {
+		cb.acks, cb.at = (len(result)+nic.MTU-1)/nic.MTU, p.Now()
+		cb.next, s.acking = s.acking, cb
+	}
+	s.sendResult(p, cb.idx, cb.id, status, result)
+	if !pinned {
+		s.release(cb)
+	}
+}
+
+// acked counts one acknowledged result fragment of call k against the
+// record in acking that holds its result, and frees the record at the
+// last. The list holds the results still travelling, a few at most.
+func (s *Server) acked(k callKey) {
+	for link := &s.acking; *link != nil; link = &(*link).next {
+		if cb := *link; cb.id == k.id && cb.clientEP == k.client {
+			if cb.acks--; cb.acks == 0 {
+				*link = cb.next
+				s.release(cb)
+			}
+			return
+		}
+	}
+}
+
+// aliases reports whether b, non-empty, starts inside buf's backing array.
+// It compares addresses only: nothing is read through them.
+func aliases(buf, b []byte) bool {
+	if len(b) == 0 || cap(buf) == 0 {
+		return false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return at >= lo && at < lo+uintptr(cap(buf))
 }
 
 // sendResult streams the result back as fragments.

@@ -124,7 +124,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 				return
 			}
 			if literal {
-				res, err = literalWait(p, pc, ctx.Deadline, &out.tops)
+				res, err = literalWait(p, &pc, ctx.Deadline, &out.tops)
 			} else {
 				res, err = pc.WaitTimeout(p, 0)
 			}
@@ -167,7 +167,7 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 					if timeout > 0 {
 						deadline = p.Now().Add(timeout)
 					}
-					res, err = literalWait(p, pc, deadline, &out.tops)
+					res, err = literalWait(p, &pc, deadline, &out.tops)
 				} else {
 					res, err = pc.WaitTimeout(p, timeout)
 				}

@@ -155,8 +155,9 @@ func (g *Gateway) Start(stop func() bool) {
 
 // branch tracks one fan-out leg and its optional hedge.
 type branch struct {
-	primary *rpc.PoolPending
-	hedge   *rpc.PoolPending
+	primary rpc.PoolPending
+	hedge   rpc.PoolPending
+	hedged  bool // hedge is in flight
 	done    bool
 }
 
@@ -190,7 +191,7 @@ func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error
 			for i := range branches {
 				if !branches[i].done {
 					branches[i].primary.Abandon()
-					if branches[i].hedge != nil {
+					if branches[i].hedged {
 						branches[i].hedge.Abandon()
 					}
 				}
@@ -209,26 +210,25 @@ func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error
 					remaining--
 					total += len(out)
 					progress = true
-					if b.hedge != nil {
+					if b.hedged {
 						b.hedge.Abandon()
-						b.hedge = nil
+						b.hedged = false
 					}
 					continue
 				}
 				// Primary failed: the hedge (if any) is the only hope.
-				if b.hedge == nil {
+				if !b.hedged {
 					for j := range branches {
-						if !branches[j].done && branches[j].hedge != nil {
+						if !branches[j].done && branches[j].hedged {
 							branches[j].hedge.Abandon()
 						}
 					}
 					return nil, err
 				}
-				b.primary = b.hedge
-				b.hedge = nil
+				b.primary, b.hedged = b.hedge, false
 				continue
 			}
-			if b.hedge != nil {
+			if b.hedged {
 				if out, done, err := b.hedge.TryWait(p); done {
 					if err == nil {
 						b.primary.Abandon()
@@ -240,13 +240,13 @@ func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error
 						g.noteHedge(ctx.Trace, "hedge-win", p.Now())
 						continue
 					}
-					b.hedge = nil
+					b.hedged = false
 				}
 			} else if g.cfg.HedgeAfter > 0 && now.Sub(issued) >= g.cfg.HedgeAfter && g.hb.Allow(now) {
 				// Straggling branch: duplicate it to the next backend over.
 				alt := (start + i + n) % g.pool.Targets()
 				if pc, err := g.pool.GoCtx(p, alt, ProcBackend, args, ctx); err == nil {
-					b.hedge = pc
+					b.hedge, b.hedged = pc, true
 					g.Hedges++
 					g.noteHedge(ctx.Trace, "hedge-launch", now)
 				}

@@ -152,6 +152,9 @@ type KVWorkload struct {
 	big []byte
 	seq uint64
 	ops uint64
+	// Per-request scratch: a put's encoded args and the replica set.
+	args []byte
+	tgts []int
 }
 
 // NewKVWorkload builds the client workload on node against the given
@@ -197,8 +200,9 @@ func (w *KVWorkload) Issue(p *sim.Proc, seq uint64, ctx reliab.Ctx) (Req, error)
 		var kb [8]byte
 		binary.LittleEndian.PutUint64(kb[:], key)
 		if w.cfg.FanReads > 1 {
-			m := &multiReq{}
-			for _, tgt := range w.cfg.Ring.Replicas(key, w.cfg.FanReads) {
+			w.tgts = w.cfg.Ring.Replicas(key, w.cfg.FanReads, w.tgts)
+			m := &multiReq{pcs: make([]rpc.PoolPending, 0, len(w.tgts))}
+			for _, tgt := range w.tgts {
 				pc, err := w.pool.GoCtx(p, tgt, ProcKVGet, kb[:], ctx)
 				if err != nil {
 					m.AbandonAll()
@@ -223,11 +227,14 @@ func (w *KVWorkload) putReq(p *sim.Proc, key uint64, val []byte, ctx reliab.Ctx)
 		w.seq++
 		ctx.IdemKey = splitmix64(w.cfg.ClientID<<32 | w.seq)
 	}
-	args := make([]byte, 8+len(val))
-	binary.LittleEndian.PutUint64(args, key)
-	copy(args[8:], val)
-	m := &multiReq{}
-	for _, tgt := range w.cfg.Ring.Replicas(key, w.cfg.Replicas) {
+	// One scratch buffer serves every put: GoCtx copies args before it
+	// returns.
+	args := binary.LittleEndian.AppendUint64(w.args[:0], key)
+	args = append(args, val...)
+	w.args = args
+	w.tgts = w.cfg.Ring.Replicas(key, w.cfg.Replicas, w.tgts)
+	m := &multiReq{pcs: make([]rpc.PoolPending, 0, len(w.tgts))}
+	for _, tgt := range w.tgts {
 		pc, err := w.pool.GoCtx(p, tgt, ProcKVPut, args, ctx)
 		if err != nil {
 			m.AbandonAll()
@@ -239,7 +246,7 @@ func (w *KVWorkload) putReq(p *sim.Proc, key uint64, val []byte, ctx reliab.Ctx)
 }
 
 // poolReq adapts one PoolPending to the Req interface.
-type poolReq struct{ pc *rpc.PoolPending }
+type poolReq struct{ pc rpc.PoolPending }
 
 func (r poolReq) TryWait(p *sim.Proc) (bool, error) {
 	_, done, err := r.pc.TryWait(p)
@@ -251,7 +258,7 @@ func (r poolReq) Abandon() { r.pc.Abandon() }
 // multiReq is a fan-out request: done when every branch finished, failing
 // with the first branch error.
 type multiReq struct {
-	pcs []*rpc.PoolPending
+	pcs []rpc.PoolPending
 	err error
 	fl  *obs.Flight // root flight for fan-in attribution (nil = untraced)
 	any bool        // a branch has completed: rpc-wait already marked
@@ -296,8 +303,8 @@ func (m *multiReq) TryWait(p *sim.Proc) (bool, error) {
 func (m *multiReq) Abandon() { m.AbandonAll() }
 
 func (m *multiReq) AbandonAll() {
-	for _, pc := range m.pcs {
-		pc.Abandon()
+	for i := range m.pcs {
+		m.pcs[i].Abandon()
 	}
 	m.pcs = nil
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Ring is a consistent-hash ring over numbered shard servers: each server
 // owns vnodes points on a 64-bit circle, a key maps to the first point at
@@ -46,18 +49,15 @@ func (r *Ring) Primary(key uint64) int {
 }
 
 // Replicas returns the n distinct servers for key, primary first, walking
-// clockwise. n is clamped to the server count.
-func (r *Ring) Replicas(key uint64, n int) []int {
+// clockwise, appended to out[:0]. n is clamped to the server count.
+func (r *Ring) Replicas(key uint64, n int, out []int) []int {
 	if n > r.servers {
 		n = r.servers
 	}
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
+	out = out[:0]
 	i := r.search(HashKey(key))
 	for len(out) < n {
-		s := r.points[i].server
-		if !seen[s] {
-			seen[s] = true
+		if s := r.points[i].server; !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 		i++
