@@ -51,10 +51,10 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 }
 
-// moduleCensus is the module type-checked file by file: the config fields
-// and exported names declared under internal/ and cmd/, where each field is
-// set, which names anything refers to, and the interfaces the module
-// declares.
+// moduleCensus is the module type-checked file by file: the config fields,
+// exported names and struct fields declared under internal/ and cmd/, where
+// each config field is set, which names anything refers to, which fields
+// anything reads, and the interfaces the module declares.
 type moduleCensus struct {
 	fset    *token.FileSet
 	std     types.Importer
@@ -68,6 +68,10 @@ type moduleCensus struct {
 	// crossTest marks the names a test file of another package refers to.
 	crossTest map[types.Object]bool
 	ifaces    []*types.Interface
+	// structFields are the fields the state census checks; read marks the
+	// fields something reads, true once a non-test file does.
+	structFields []structField
+	read         map[*types.Var]bool
 }
 
 type configField struct {
@@ -75,7 +79,19 @@ type configField struct {
 	name string // pkg.Type.Field
 }
 
+// loaded is the module census, type-checked once per test binary: the
+// censuses share it.
+var loaded *moduleCensus
+
 func loadModule(t *testing.T) *moduleCensus {
+	t.Helper()
+	if loaded == nil {
+		loaded = typeCheckModule(t)
+	}
+	return loaded
+}
+
+func typeCheckModule(t *testing.T) *moduleCensus {
 	t.Helper()
 	// Check the pure-Go standard library: with cgo on, the source importer
 	// runs cgo and a C compiler for packages such as net.
@@ -91,6 +107,7 @@ func loadModule(t *testing.T) *moduleCensus {
 		setters:   map[*types.Var][]token.Position{},
 		used:      map[types.Object]bool{},
 		crossTest: map[types.Object]bool{},
+		read:      map[*types.Var]bool{},
 	}
 	paths := make([]string, 0, len(m.dirs))
 	for p := range m.dirs {
@@ -203,11 +220,13 @@ func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types
 	for _, f := range files[:decl] {
 		m.declare(pkg, f, info)
 		m.declareNames(f, info)
+		m.declareFields(pkg, f, info)
 	}
 	for _, f := range files {
 		m.collect(pkg, f, info)
 	}
 	m.collectUses(pkg, info)
+	m.collectReads(info, files)
 	return pkg, nil
 }
 

@@ -57,8 +57,6 @@ type serveResult struct {
 	SLO      *serve.SLO
 
 	SrvShed   int64 // server-side admission rejections (summed, server order)
-	Retries   int64 // client-side budgeted retries (summed, client order)
-	ServerOps int64 // operations executed by the serving tier
 	Hedges    int64 // gateway scenario: hedges issued / won
 	HedgeWins int64
 
@@ -140,11 +138,10 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		srvOpts = rpc.Options{Queue: 1 << 20, NoShed: true, IdemCap: serveIdemCap}
 	}
 
-	// Per-server and per-client reliab metrics: procs on different shards
-	// run concurrently, so nothing is shared; sums happen after the run in
-	// a fixed order.
+	// Per-server reliab metrics: procs on different shards run
+	// concurrently, so nothing is shared; sums happen after the run in a
+	// fixed order.
 	var srvMetrics []*reliab.Metrics
-	var cliMetrics []*reliab.Metrics
 	newSrvOpts := func() rpc.Options {
 		m := reliab.NewMetrics()
 		srvMetrics = append(srvMetrics, m)
@@ -153,10 +150,10 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		return o
 	}
 
-	// App wiring. Each branch fills capacity, the per-client workload
-	// factory, and the server-op harvest.
+	// App wiring. Each branch fills capacity and the per-client workload
+	// factory; the gateway scenario also its gateways.
 	var makeWorkload func(ci int, node *hostos.Node, copts rpc.Options) (serve.Workload, error)
-	var harvestOps func()
+	var gws []*serve.Gateway
 	clientBase := cfg.Servers // first client node index
 
 	switch cfg.Scenario {
@@ -170,18 +167,16 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		const fanOut = 4
 		res.Capacity = float64(nBack) * (float64(sim.Second) / float64(serveService)) / fanOut
 		baddrs := make([]serve.Addr, nBack)
-		backs := make([]*serve.Backend, nBack)
 		for i := 0; i < nBack; i++ {
 			b, err := serve.NewBackend(c.Nodes[i], core.Key(5000+i),
 				serve.BackendConfig{Service: serveService, RespSize: 1024, Opts: newSrvOpts()})
 			if err != nil {
 				return res, err
 			}
-			backs[i] = b
 			baddrs[i] = b.Addr()
 			c.Nodes[i].Spawn("serve-backend", func(p *sim.Proc) { b.Serve(p, stopFn) })
 		}
-		gws := make([]*serve.Gateway, nGW)
+		gws = make([]*serve.Gateway, nGW)
 		gaddrs := make([]serve.Addr, nGW)
 		for g := 0; g < nGW; g++ {
 			node := c.Nodes[nBack+g]
@@ -192,7 +187,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 				HedgeBudget: reliab.BudgetConfig{Capacity: 64, Refill: sim.Millisecond},
 				Service:     20 * sim.Microsecond,
 				Opts:        newSrvOpts(),
-			}, serve.DeriveRNG(cfg.Seed, 0x6000+uint64(g)))
+			})
 			if err != nil {
 				return res, err
 			}
@@ -203,15 +198,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		makeWorkload = func(ci int, node *hostos.Node, copts rpc.Options) (serve.Workload, error) {
 			return serve.NewGatewayWorkload(node, gaddrs, 128, copts)
 		}
-		harvestOps = func() {
-			for _, b := range backs {
-				res.ServerOps += b.Evals
-			}
-			for _, gw := range gws {
-				res.Hedges += gw.Hedges
-				res.HedgeWins += gw.HedgeWins
-			}
-		}
 
 	case "ps":
 		const dim, pullWindow, pushEvery, batch = 4096, 32, 4, 8
@@ -219,7 +205,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		opCost := 500*sim.Microsecond + pullWindow*10*sim.Microsecond
 		res.Capacity = float64(cfg.Servers) * float64(sim.Second) / float64(opCost)
 		addrs := make([]serve.Addr, cfg.Servers)
-		pss := make([]*serve.PSServer, cfg.Servers)
 		for i := 0; i < cfg.Servers; i++ {
 			ps, err := serve.NewPSServer(c.Nodes[i], core.Key(5000+i), serve.PSServerConfig{
 				Dim: dim, Service: 500 * sim.Microsecond, PerValue: 10 * sim.Microsecond,
@@ -228,7 +213,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			if err != nil {
 				return res, err
 			}
-			pss[i] = ps
 			addrs[i] = ps.Addr()
 			c.Nodes[i].Spawn("serve-ps", func(p *sim.Proc) { ps.Serve(p, stopFn) })
 		}
@@ -236,11 +220,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			return serve.NewPSWorkload(node, addrs, serve.PSWorkloadConfig{
 				Dim: dim, PullWindow: pullWindow, PushEvery: pushEvery, BatchSize: batch,
 			}, copts, serve.DeriveRNG(cfg.Seed, 0x30000+uint64(ci)))
-		}
-		harvestOps = func() {
-			for _, ps := range pss {
-				res.ServerOps += ps.Pulls + ps.Pushes
-			}
 		}
 
 	default: // the KV family
@@ -279,7 +258,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		ring := serve.NewRing(cfg.Servers, 64)
 		wcfg.Ring = ring
 		addrs := make([]serve.Addr, cfg.Servers)
-		kvs := make([]*serve.KVServer, cfg.Servers)
 		for i := 0; i < cfg.Servers; i++ {
 			kc := kcfg
 			kc.Opts = newSrvOpts()
@@ -290,7 +268,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			if cfg.Scenario == "straggler" && i == 0 {
 				kv.SetService(8 * serveService)
 			}
-			kvs[i] = kv
 			addrs[i] = kv.Addr()
 			c.Nodes[i].Spawn("serve-kv", func(p *sim.Proc) { kv.Serve(p, stopFn) })
 		}
@@ -305,11 +282,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			}
 			return serve.NewKVWorkload(node, addrs, wc, copts,
 				serve.DeriveRNG(cfg.Seed, 0x30000+uint64(ci)))
-		}
-		harvestOps = func() {
-			for _, kv := range kvs {
-				res.ServerOps += kv.Gets + kv.Puts
-			}
 		}
 	}
 
@@ -335,8 +307,6 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		node := c.Nodes[clientBase+(ci*(cfg.Hosts-clientBase))/cfg.Clients]
 		slo := serve.NewSLO()
 		slos[ci] = slo
-		m := reliab.NewMetrics()
-		cliMetrics = append(cliMetrics, m)
 		var arr serve.Arrival
 		arng := serve.DeriveRNG(cfg.Seed, 0x10000+uint64(ci))
 		switch cfg.Scenario {
@@ -348,10 +318,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			arr = serve.NewPoisson(perClient, arng)
 		}
 		node.Spawn("serve-client", func(p *sim.Proc) {
-			copts := rpc.Options{Metrics: m}
-			if cfg.Ablate {
-				copts.NoBreaker = true
-			}
+			copts := rpc.Options{NoBreaker: cfg.Ablate}
 			w, err := makeWorkload(ci, node, copts)
 			if err != nil {
 				return
@@ -387,10 +354,10 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		// everything a server refused rather than served.
 		res.SrvShed += m.Get("overload_nacks") + m.Get("shed")
 	}
-	for _, m := range cliMetrics {
-		res.Retries += m.Get("retries")
+	for _, gw := range gws {
+		res.Hedges += gw.Hedges
+		res.HedgeWins += gw.HedgeWins
 	}
-	harvestOps()
 	if cfg.TraceSample > 0 {
 		// Account for every started flight (a crash can strand one open),
 		// then stitch the per-shard arenas into one deterministic timeline.

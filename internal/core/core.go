@@ -102,7 +102,7 @@ var (
 // no resolver falls back to the location bound into each name, which is
 // correct exactly as long as endpoints never move.
 type Resolver interface {
-	Resolve(ep int) (node netsim.NodeID, ver uint64, ok bool)
+	Resolve(ep int) (node netsim.NodeID, ok bool)
 }
 
 // Mode marks an endpoint shared (operations take a lock) or exclusive.
@@ -148,7 +148,7 @@ type Bundle struct {
 
 // Attach opens a bundle on node.
 func Attach(node *hostos.Node) *Bundle {
-	b := &Bundle{Node: node, cond: sim.NewCond(node.E), cfg: node.NIC.Config()}
+	b := &Bundle{Node: node, cond: new(sim.Cond), cfg: node.NIC.Config()}
 	if o := node.Obs; o != nil {
 		b.tracer = o.T
 		b.C = trace.NewCounters()
@@ -170,25 +170,20 @@ func (b *Bundle) Tracer() *obs.Tracer { return b.tracer }
 func (b *Bundle) SetResolver(r Resolver) { b.resolver = r }
 
 // translation is one slot of an endpoint's translation table. Beyond the
-// paper's (name, key) pair it caches the name's current location binding —
-// node is where messages are physically routed, ver the name-service version
-// the binding came from. Both refresh when a send bounces off a migrated
-// endpoint's forwarding entry (NackMoved).
+// paper's (name, key) pair it caches the name's current location binding:
+// node is where messages are physically routed. It refreshes when a send
+// bounces off a migrated endpoint's forwarding entry (NackMoved).
 type translation struct {
 	valid   bool
 	name    EndpointName
 	key     Key
 	credits int
 	node    netsim.NodeID
-	ver     uint64
 }
 
 // Stats counts per-endpoint API activity.
 type Stats struct {
-	Requests  int64
-	Replies   int64
 	Delivered int64 // handlers invoked for incoming messages
-	Returns   int64 // undeliverable messages returned to this endpoint
 	// Redirects counts messages bounced off a migrated endpoint's forwarding
 	// entry and transparently re-issued toward its new location.
 	Redirects int64
@@ -341,16 +336,16 @@ func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
 	// The initial location binding comes from the name service when one is
 	// attached (the endpoint may already have migrated away from its birth
 	// node), else from the location hint baked into the name.
-	node, ver := name.node, uint64(0)
+	node := name.node
 	if r := ep.b.resolver; r != nil {
-		if n2, v2, ok := r.Resolve(name.ep); ok {
-			node, ver = n2, v2
+		if n2, ok := r.Resolve(name.ep); ok {
+			node = n2
 		}
 	}
 	ep.trans[idx] = translation{
 		valid: true, name: name, key: key,
 		credits: ep.b.cfg.RecvQDepth,
-		node:    node, ver: ver,
+		node:    node,
 	}
 	ep.reverse[name.ep] = idx
 	ep.stirs++
@@ -481,7 +476,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 // service's answer when one is attached, else the location hint in the name.
 func (ep *Endpoint) locate(dst EndpointName) netsim.NodeID {
 	if r := ep.b.resolver; r != nil {
-		if node, _, ok := r.Resolve(dst.ep); ok {
+		if node, ok := r.Resolve(dst.ep); ok {
 			return node
 		}
 	}
@@ -574,16 +569,10 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	d.Args = args
 	d.Payload = payload
 	d.ReplyKey = ep.seg.EP.Key
-	d.Enq = p.Now()
 	d.Flight = fl
 	sq.Push(d)
 	fl.Mark(obs.StageHostPost, p.Now())
 	ep.b.Node.NIC.PostSend(ep.seg.EP)
-	if isReply {
-		ep.Stats.Replies++
-	} else {
-		ep.Stats.Requests++
-	}
 	return nil
 }
 
@@ -697,7 +686,6 @@ func (ep *Endpoint) dispatch(p *sim.Proc, m *nic.RecvMsg) {
 		}
 		// Undeliverable message returned to sender: restore the credit it
 		// consumed (requests only) and run the return handler.
-		ep.Stats.Returns++
 		dstIdx := -1
 		if idx, ok := ep.reverse[src.ep]; ok {
 			dstIdx = idx
@@ -764,7 +752,7 @@ func (ep *Endpoint) redirect(p *sim.Proc, m *nic.RecvMsg) bool {
 	if r == nil {
 		return false
 	}
-	node, ver, ok := r.Resolve(m.SrcEP)
+	node, ok := r.Resolve(m.SrcEP)
 	if !ok {
 		return false
 	}
@@ -773,7 +761,7 @@ func (ep *Endpoint) redirect(p *sim.Proc, m *nic.RecvMsg) bool {
 		if t.node != node {
 			ep.Stats.Refreshes++
 		}
-		t.node, t.ver = node, ver
+		t.node = node
 	}
 	if node == m.SrcNI {
 		// The name service still names the node that bounced the message —

@@ -46,13 +46,16 @@ func TestRequestReplyPingPong(t *testing.T) {
 	c := newCluster(t, 2, nil)
 	e0, e1 := pair(t, c)
 
+	served, replies := 0, 0
 	e1.SetHandler(1, func(p *sim.Proc, tok *Token, args [4]uint64, _ []byte) {
+		served++
 		if err := tok.Reply(p, 2, [4]uint64{args[0] + 1}); err != nil {
 			t.Errorf("reply: %v", err)
 		}
 	})
 	var got uint64
 	e0.SetHandler(2, func(p *sim.Proc, tok *Token, args [4]uint64, _ []byte) {
+		replies++
 		got = args[0]
 	})
 
@@ -75,8 +78,8 @@ func TestRequestReplyPingPong(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("reply arg = %d, want 42", got)
 	}
-	if e0.Stats.Requests != 1 || e1.Stats.Replies != 1 {
-		t.Fatalf("stats: %+v %+v", e0.Stats, e1.Stats)
+	if served != 1 || replies != 1 {
+		t.Fatalf("served %d requests and %d replies, want 1 each", served, replies)
 	}
 	// Credit restored by the reply.
 	if e0.Credits(0) != c.Nodes[0].NIC.Config().RecvQDepth {
@@ -203,7 +206,7 @@ func TestReturnToSenderRestoresCreditAndRunsHandler(t *testing.T) {
 	})
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		e0.Request(p, 0, 7, [4]uint64{1})
-		for e0.Stats.Returns == 0 {
+		for retHandler == 0 {
 			e0.Poll(p)
 			p.Sleep(10 * sim.Microsecond)
 		}

@@ -103,7 +103,7 @@ func New(e *sim.Engine, net *netsim.Network) *World {
 			w:       w,
 			id:      i,
 			credits: make([]int, n),
-			idle:    sim.NewCond(e),
+			idle:    new(sim.Cond),
 			C:       trace.NewCounters(),
 		}
 		for j := range nd.credits {

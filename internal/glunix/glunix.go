@@ -51,9 +51,6 @@ type Job struct {
 	fn        JobFn
 	partition []int
 	remaining int
-	submitted sim.Time
-	started   sim.Time
-	finished  sim.Time
 	cond      *sim.Cond
 	// procs are the gang's rank threads, tracked so a node death can kill
 	// the whole gang and requeue the job.
@@ -135,12 +132,11 @@ func (s *Scheduler) Submit(width int, fn JobFn) (*Job, error) {
 	}
 	s.nextID++
 	j := &Job{
-		ID:        s.nextID,
-		Width:     width,
-		State:     Queued,
-		fn:        fn,
-		submitted: s.e.Now(),
-		cond:      sim.NewCond(s.e),
+		ID:    s.nextID,
+		Width: width,
+		State: Queued,
+		fn:    fn,
+		cond:  new(sim.Cond),
 	}
 	s.queue = append(s.queue, j)
 	s.dispatch()
@@ -178,7 +174,6 @@ func (s *Scheduler) launch(j *Job) {
 
 	j.partition = ids
 	j.State = Running
-	j.started = s.e.Now()
 	j.remaining = j.Width
 
 	nodes := make([]*hostos.Node, j.Width)
@@ -205,7 +200,6 @@ func (s *Scheduler) launch(j *Job) {
 // finish releases the partition and dispatches waiting jobs.
 func (s *Scheduler) finish(j *Job) {
 	j.State = Done
-	j.finished = s.e.Now()
 	j.procs = nil
 	s.account()
 	s.allocated -= j.Width

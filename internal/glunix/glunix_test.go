@@ -22,17 +22,29 @@ func sleepJob(d sim.Duration) JobFn {
 	}
 }
 
+// timedJob is sleepJob that records when its gang started and when its last
+// rank finished.
+func timedJob(d sim.Duration, start, end *sim.Time) JobFn {
+	return func(p *sim.Proc, rank int, nodes []*hostos.Node) {
+		*start = p.Now()
+		nodes[rank].Compute(p, d)
+		*end = max(*end, p.Now())
+	}
+}
+
 func TestSpaceSharingDisjointPartitions(t *testing.T) {
 	c := newCluster(t, 8)
 	s := NewScheduler(c)
-	j1, _ := s.Submit(4, sleepJob(10*sim.Millisecond))
-	j2, _ := s.Submit(4, sleepJob(10*sim.Millisecond))
+	var s1, s2, end sim.Time
+	submitted := c.Now()
+	j1, _ := s.Submit(4, timedJob(10*sim.Millisecond, &s1, &end))
+	j2, _ := s.Submit(4, timedJob(10*sim.Millisecond, &s2, &end))
 	if !s.Drain(sim.Second) {
 		t.Fatal("jobs did not drain")
 	}
 	// Both ran concurrently on disjoint nodes.
-	if j1.started.Sub(j1.submitted) != 0 || j2.started.Sub(j2.submitted) != 0 {
-		t.Fatalf("queue waits: %v %v, want both 0 (space-shared)", j1.started.Sub(j1.submitted), j2.started.Sub(j2.submitted))
+	if s1.Sub(submitted) != 0 || s2.Sub(submitted) != 0 {
+		t.Fatalf("queue waits: %v %v, want both 0 (space-shared)", s1.Sub(submitted), s2.Sub(submitted))
 	}
 	seen := map[int]bool{}
 	for _, id := range append(j1.partition, j2.partition...) {
@@ -49,8 +61,12 @@ func TestSpaceSharingDisjointPartitions(t *testing.T) {
 func TestFIFOQueueingWhenFull(t *testing.T) {
 	c := newCluster(t, 4)
 	s := NewScheduler(c)
-	j1, _ := s.Submit(4, sleepJob(20*sim.Millisecond))
-	j2, _ := s.Submit(2, sleepJob(5*sim.Millisecond))
+	var s1, e1, s2, e2 sim.Time
+	submitted := c.Now()
+	if _, err := s.Submit(4, timedJob(20*sim.Millisecond, &s1, &e1)); err != nil {
+		t.Fatal(err)
+	}
+	j2, _ := s.Submit(2, timedJob(5*sim.Millisecond, &s2, &e2))
 	j3, _ := s.Submit(2, sleepJob(5*sim.Millisecond))
 	if j2.State != Queued || j3.State != Queued {
 		t.Fatal("jobs not queued while cluster is full")
@@ -59,13 +75,12 @@ func TestFIFOQueueingWhenFull(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	// j2 and j3 start only after j1 finishes.
-	if j2.started.Sub(j2.submitted) < 20*sim.Millisecond {
-		t.Fatalf("j2 waited %v, want >= j1's runtime", j2.started.Sub(j2.submitted))
+	if s2.Sub(submitted) < 20*sim.Millisecond {
+		t.Fatalf("j2 waited %v, want >= j1's runtime", s2.Sub(submitted))
 	}
-	if j1.finished.Sub(j1.started) < 20*sim.Millisecond {
-		t.Fatalf("j1 runtime %v", j1.finished.Sub(j1.started))
+	if e1.Sub(s1) < 20*sim.Millisecond {
+		t.Fatalf("j1 runtime %v", e1.Sub(s1))
 	}
-	_ = j3
 }
 
 func TestGangLaunchSameInstant(t *testing.T) {

@@ -75,8 +75,6 @@ type Monitor struct {
 	Deaths int
 	// Beats counts heartbeats received by the master.
 	Beats int64
-	// Probations counts reinstatements delayed by flap damping.
-	Probations int
 }
 
 // NewMonitor starts the health service with its master on node home. sched
@@ -248,7 +246,6 @@ func (m *Monitor) Reinstate(n int) error {
 		return nil
 	}
 	if prob := m.probation[n]; prob > 0 {
-		m.Probations++
 		m.pending[n] = true
 		gen := m.reinstGen[n]
 		m.e.AfterFunc(prob, func() {

@@ -81,14 +81,13 @@ type Segment struct {
 	// forwarding entry takes over).
 	migrating bool
 	freeStamp uint64
-	owner     *Driver
 	// notified is what Driver.Notify schedules, built once per segment so a
 	// communication event allocates nothing.
 	notified func()
 }
 
 func (d *Driver) newSegment(ep *nic.EndpointImage, st SegState) *Segment {
-	seg := &Segment{EP: ep, State: st, Cond: sim.NewCond(d.e), owner: d}
+	seg := &Segment{EP: ep, State: st, Cond: new(sim.Cond)}
 	seg.notified = func() {
 		seg.Cond.Broadcast()
 		if seg.OnEvent != nil {
@@ -143,7 +142,7 @@ func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver 
 		nic:       n,
 		cfg:       cfg,
 		segs:      make(map[int]*Segment),
-		remapCond: sim.NewCond(e),
+		remapCond: new(sim.Cond),
 		C:         trace.NewCounters(),
 	}
 	// Endpoint IDs are globally unique across the cluster so a wire packet's
@@ -463,7 +462,7 @@ func (d *Driver) submitAndWait(p *sim.Proc, cmd *nic.DriverCmd) {
 		return
 	}
 	done := false
-	c := sim.NewCond(d.e)
+	c := new(sim.Cond)
 	cmd.Done = func() {
 		done = true
 		c.Broadcast()

@@ -33,9 +33,6 @@ type Node struct {
 
 	cfg Config
 	cpu *sim.Semaphore
-	// runnable counts procs that currently want the CPU; the fast path in
-	// Compute skips slicing when the node is uncontended.
-	runnable int
 
 	// procs tracks threads spawned on this node so a whole-node crash can
 	// kill them; finished entries are compacted lazily.
@@ -47,7 +44,7 @@ type Node struct {
 func NewNode(e *sim.Engine, net *netsim.Network, id netsim.NodeID, ncfg nic.Config, ocfg Config) *Node {
 	n := nic.New(e, net, id, ncfg)
 	d := NewDriver(e, id, n, ocfg)
-	return &Node{E: e, ID: id, NIC: n, Driver: d, cfg: ocfg, cpu: sim.NewSemaphore(e, 1)}
+	return &Node{E: e, ID: id, NIC: n, Driver: d, cfg: ocfg, cpu: sim.NewSemaphore(1)}
 }
 
 // Spawn starts an application process/thread on this node.
@@ -61,7 +58,7 @@ func (n *Node) Spawn(name string, fn func(p *sim.Proc)) *sim.Proc {
 		}
 		n.procs = live
 	}
-	p := n.E.Spawn(fmt.Sprintf("n%d/%s", n.ID, name), fn)
+	p := n.E.Spawn(name, fn)
 	n.procs = append(n.procs, p)
 	return p
 }
@@ -84,8 +81,7 @@ func (n *Node) Crash() {
 	n.Driver.Crash()
 	n.NIC.Crash()
 	// Local scheduler state (run queue, held quanta) dies with the host.
-	n.cpu = sim.NewSemaphore(n.E, 1)
-	n.runnable = 0
+	n.cpu = sim.NewSemaphore(1)
 }
 
 // Restart boots the workstation back up with a cold NI and an empty segment
@@ -111,8 +107,6 @@ func (n *Node) Compute(p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	n.runnable++
-	defer func() { n.runnable-- }()
 	for d > 0 {
 		n.cpu.Acquire(p)
 		q := d

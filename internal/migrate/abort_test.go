@@ -137,7 +137,7 @@ func TestMoveAbortsWhenDestinationCrashes(t *testing.T) {
 			if got := c.Nodes[0].Driver.C.Get("migrate.abort"); got != 1 {
 				t.Fatalf("source driver migrate.abort = %d, want 1", got)
 			}
-			if node, _, ok := svc.Dir.Resolve(epID); !ok || node != 0 {
+			if node, ok := svc.Dir.Resolve(epID); !ok || node != 0 {
 				t.Fatalf("directory resolves endpoint %d to node %d (ok=%v), want the source, node 0", epID, node, ok)
 			}
 			h, ok := svc.Endpoint(epID)

@@ -79,13 +79,13 @@ func NewDirectory() *Directory {
 }
 
 // Resolve implements core.Resolver.
-func (d *Directory) Resolve(ep int) (netsim.NodeID, uint64, bool) {
+func (d *Directory) Resolve(ep int) (netsim.NodeID, bool) {
 	d.C.Inc("dir.resolve")
 	e, ok := d.entries[ep]
 	if !ok {
-		return 0, 0, false
+		return 0, false
 	}
-	return e.node, e.ver, true
+	return e.node, true
 }
 
 // Publish records that endpoint ep now lives on node, bumping the name's
@@ -134,8 +134,6 @@ func (d *Directory) Version(ep int) uint64 {
 
 // MoveStats reports one completed migration.
 type MoveStats struct {
-	// Endpoint is the reincarnated handle at the destination.
-	Endpoint *core.Endpoint
 	// Blackout is how long the endpoint was unable to accept traffic: from
 	// freeze at the source to installation at the destination. (Messages
 	// arriving during the blackout are not lost — they are NACKed and
@@ -174,9 +172,6 @@ type Service struct {
 	nextXfer uint64
 	xfers    map[uint64]*xfer
 	managed  map[int]*managedEP
-
-	// Moves counts completed migrations.
-	Moves int
 }
 
 // Manager is the per-node migration agent: an endpoint that receives state
@@ -209,7 +204,7 @@ func NewService(c *hostos.Cluster) (*Service, error) {
 	}
 	agents := make([]*core.Endpoint, len(c.Nodes))
 	for i, node := range c.Nodes {
-		m := &Manager{s: s, node: node, cond: sim.NewCond(node.E)}
+		m := &Manager{s: s, node: node, cond: new(sim.Cond)}
 		m.bun = core.Attach(node)
 		m.bun.SetResolver(s.Dir)
 		m.install = core.Attach(node)
@@ -345,9 +340,7 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 		}
 	}
 	delete(s.xfers, id)
-	s.Moves++
 	return &MoveStats{
-		Endpoint: x.installed,
 		Blackout: x.installAt.Sub(freezeAt),
 		Bytes:    bytes,
 		Chunks:   chunks,

@@ -141,10 +141,10 @@ func TestLiveMigrationUnderLoadExactlyOnce(t *testing.T) {
 	if stats.Blackout <= 0 {
 		t.Fatalf("blackout = %v, want > 0", stats.Blackout)
 	}
-	if stats.Endpoint.Bundle().Node.ID != 2 {
-		t.Fatalf("endpoint landed on node %d, want 2", stats.Endpoint.Bundle().Node.ID)
+	if h, ok := svc.Endpoint(epID); !ok || h.Bundle().Node.ID != 2 {
+		t.Fatalf("the managed handle is not on node 2 (managed %v)", ok)
 	}
-	if got, _, ok := svc.Dir.Resolve(epID); !ok || got != 2 {
+	if got, ok := svc.Dir.Resolve(epID); !ok || got != 2 {
 		t.Fatalf("directory resolves to %v (ok=%v), want node 2", got, ok)
 	}
 	if v := svc.Dir.Version(epID); v != 1 {
@@ -312,8 +312,8 @@ func TestDirectoryVersionConflictUnderConcurrentMoves(t *testing.T) {
 	var seen []binding
 	c.Nodes[3].Spawn("lookup", func(p *sim.Proc) {
 		for {
-			if node, ver, ok := svc.Dir.Resolve(epID); ok {
-				seen = append(seen, binding{ver, node})
+			if node, ok := svc.Dir.Resolve(epID); ok {
+				seen = append(seen, binding{svc.Dir.Version(epID), node})
 			}
 			p.Sleep(100 * sim.Microsecond)
 		}
@@ -371,8 +371,8 @@ func TestDirectoryVersionConflictUnderConcurrentMoves(t *testing.T) {
 		t.Fatalf("final version = %d, want %d (one bump per move)", v, len(dsts))
 	}
 	final := dsts[len(dsts)-1]
-	if node, ver, ok := svc.Dir.Resolve(epID); !ok || node != final || ver != uint64(len(dsts)) {
-		t.Fatalf("final resolve = (%d,%d,%v), want (%d,%d,true)", node, ver, ok, final, len(dsts))
+	if node, ok := svc.Dir.Resolve(epID); !ok || node != final {
+		t.Fatalf("final resolve = (%d,%v), want (%d,true)", node, ok, final)
 	}
 	if node, ok := byVer[uint64(len(dsts))]; ok && node != final {
 		t.Fatalf("observer saw final version at node %d, want %d", node, final)

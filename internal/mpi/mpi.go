@@ -75,9 +75,7 @@ type Comm struct {
 
 	// Bytes counts payload bytes sent (for workload accounting).
 	BytesSent int64
-	// Reissues counts fragments re-sent after being returned undeliverable.
-	Reissues int64
-	CommTime sim.Duration // time spent inside Send/Recv/collectives
+	CommTime  sim.Duration // time spent inside Send/Recv/collectives
 }
 
 // World is a set of ranks spanning cluster nodes.
@@ -233,7 +231,6 @@ func (c *Comm) install() {
 		if h == hProbe {
 			return // probes are not re-issued; the receive loop sends more
 		}
-		c.Reissues++
 		if len(payload) == 0 {
 			c.ep.Request(p, dstIdx, hFrag, args)
 			return

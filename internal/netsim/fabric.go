@@ -46,8 +46,6 @@ func Lookahead(cfg Config) sim.Duration {
 
 // Fabric is a set of per-shard Network replicas over one topology.
 type Fabric struct {
-	cfg         Config
-	nhosts      int
 	nets        []*Network
 	shardOfHost []int32
 	leafLo      []int // shard s owns leaves [leafLo[s], leafLo[s+1])
@@ -58,13 +56,12 @@ type Fabric struct {
 // contiguous leaf blocks.
 func NewFabric(coord *sim.Coordinator, cfg Config, nhosts int) *Fabric {
 	shards := coord.Shards()
-	f := &Fabric{nhosts: nhosts}
+	f := &Fabric{}
 	for i := 0; i < shards; i++ {
 		n := New(coord.Engine(i), cfg, nhosts)
 		n.fab, n.shard = f, i
 		f.nets = append(f.nets, n)
 	}
-	f.cfg = f.nets[0].cfg
 	nleaves := f.nets[0].nleaves
 	f.leafLo = make([]int, shards+1)
 	for s := 0; s <= shards; s++ {

@@ -47,8 +47,6 @@ type SendDesc struct {
 	// FirstSend is when the first transmission attempt happened; used for
 	// the prolonged-absence return-to-sender bound.
 	FirstSend sim.Time
-	// Enq is when the host posted the descriptor.
-	Enq sim.Time
 	// Flight is the observability trace context for a sampled message
 	// (nil otherwise). The NI marks stage boundaries on it as the
 	// descriptor moves through WRR service and injection.

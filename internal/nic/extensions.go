@@ -195,7 +195,7 @@ func (n *NIC) takePiggy() {
 	a := pkt.Piggy[n.piggy]
 	n.piggy++
 	n.ctr[ctrRxAckPiggy].Inc()
-	if ch := n.chanFor(pkt.SrcNI, a.Chan); ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq {
+	if ch := n.chanFor(pkt.SrcNI, a.Chan); ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq || a.Epoch != n.epoch {
 		n.ctr[ctrRxAckStale].Inc()
 	} else {
 		n.scratch.SrcNI, n.scratch.Stamp = pkt.SrcNI, a.Stamp

@@ -1191,7 +1191,10 @@ func (n *NIC) chanFor(peer netsim.NodeID, idx int) *channel {
 }
 
 // handleAck is an ACK past ackRecv: it resolves the acknowledged attempt,
-// or, for a batch of flushed acks, each of them in turn.
+// or, for a batch of flushed acks, each of them in turn. An answer that
+// names an earlier epoch is stale even when its (channel, seq) matches:
+// Reboot and Restart start every channel's seq over under a new epoch, so
+// the match is a new attempt that the answer does not acknowledge.
 func (n *NIC) handleAck() {
 	pkt := n.pkt
 	n.ctr[ctrRxAck].Inc()
@@ -1202,7 +1205,7 @@ func (n *NIC) handleAck() {
 		return
 	}
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
-	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
+	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq || pkt.Epoch != n.epoch {
 		n.ctr[ctrRxAckStale].Inc()
 		return
 	}
@@ -1210,12 +1213,13 @@ func (n *NIC) handleAck() {
 	n.freeDesc(n.resolveChannel(ch)) // acknowledged: the descriptor dies here
 }
 
-// handleNack is a NACK past nackRecv.
+// handleNack is a NACK past nackRecv; as with an ACK, one from an earlier
+// epoch is stale.
 func (n *NIC) handleNack() {
 	pkt := n.pkt
 	n.ctr[ctrRxNack+int(pkt.Reason)].Inc()
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
-	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq {
+	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq || pkt.Epoch != n.epoch {
 		n.ctr[ctrRxNackStale].Inc()
 		return
 	}

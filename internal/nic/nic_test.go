@@ -78,7 +78,6 @@ func (r *rig) newEP(t *testing.T, host, id int, key uint64, frame int) *Endpoint
 
 func (r *rig) send(host int, ep *EndpointImage, d *SendDesc) {
 	d.SrcEP = ep.ID
-	d.Enq = r.e.Now()
 	if !ep.SendQ.Push(d) {
 		panic("send queue full in test")
 	}
@@ -435,6 +434,56 @@ func TestEpochResyncAfterSenderRestart(t *testing.T) {
 	r.e.RunFor(20 * sim.Millisecond)
 	if dst.RecvQ.Len() != 1 {
 		t.Fatalf("post-reboot message not delivered (dup=%d)", r.nics[1].C.Get("rx.dup"))
+	}
+}
+
+// After a Reboot the sender reuses (channel, seq) under its new epoch, so an
+// answer the old incarnation's attempt drew, arriving late, names the new
+// attempt's channel and sequence number; only its epoch tells them apart. A
+// standalone ACK, a batched ACK and a permanent NACK from the old epoch must
+// each count as stale and leave the new attempt in flight: not freed, not
+// returned to its sender.
+func TestStaleEpochAnswersIgnored(t *testing.T) {
+	r := newRig(t, 2, 1, nil, nil)
+	defer r.shutdown()
+	src := r.newEP(t, 0, 100, 7, 0)
+	r.newEP(t, 1, 200, 9, 0)
+	n := r.nics[0]
+	// The receiver's link is down, so every attempt stays in flight.
+	r.net.SetHostLinkDown(1, true)
+	r.send(0, src, &SendDesc{DstNI: 1, DstEP: 200, Key: 9, Handler: 3})
+	r.e.RunFor(100 * sim.Microsecond)
+	ch := &n.chans[1][0]
+	if ch.inflight == nil {
+		t.Fatal("the first attempt is not in flight on channel 0")
+	}
+	old, seq := n.epoch, ch.inflight.Seq
+	n.Reboot(sim.Millisecond)
+	r.e.RunFor(2 * sim.Millisecond)
+	if ch.inflight == nil || ch.inflight.Seq != seq || n.epoch == old {
+		t.Fatalf("after the reboot: in flight %v, epoch changed %v; want the same (channel, seq) under a new epoch",
+			ch.inflight != nil, n.epoch != old)
+	}
+	answer := func(kind pktKind, reason NackReason, piggy []piggyAck) {
+		w := n.allocHdr()
+		w.Kind, w.SrcNI, w.DstNI, w.Reason, w.Piggy = kind, 1, 0, reason, piggy
+		if piggy == nil {
+			w.Chan, w.Seq, w.Epoch = ch.idx, seq, old
+		}
+		n.fromNetwork(&netsim.Packet{Payload: w})
+		r.e.RunFor(10 * sim.Microsecond)
+	}
+	answer(pktAck, NackNone, nil)
+	answer(pktAck, NackNone, []piggyAck{{Chan: ch.idx, Seq: seq, Epoch: old}})
+	answer(pktNack, NackBadKey, nil)
+	if ch.inflight == nil {
+		t.Fatal("an answer from the old epoch resolved the new attempt")
+	}
+	if src.RepQ.Len() != 0 {
+		t.Fatal("a NACK from the old epoch returned the new attempt to its sender")
+	}
+	if a, k := n.C.Get("rx.ack.stale"), n.C.Get("rx.nack.stale"); a != 2 || k != 1 {
+		t.Fatalf("rx.ack.stale = %d, rx.nack.stale = %d; want 2 and 1", a, k)
 	}
 }
 

@@ -128,7 +128,6 @@ func (tl *timeline) post(host int, src, dst *EndpointImage, a uint64, size int, 
 
 func (tl *timeline) postDesc(host int, src *EndpointImage, d *SendDesc) {
 	d.SrcEP = src.ID
-	d.Enq = tl.e.Now()
 	if !src.sendQueueFor(d).Push(d) {
 		panic("send queue full in timeline")
 	}

@@ -34,7 +34,6 @@ type TraceCost struct {
 	Stage    [NumStages]sim.Duration
 	Dominant Stage
 	Total    sim.Duration
-	Ops      int // op children folded into the vector
 }
 
 // ClassAttr aggregates folded trees of one SLO class.
@@ -67,7 +66,7 @@ type Attribution struct {
 // proportionally to fit, so the folded vector always sums to the root's
 // end-to-end time (up to integer rounding left in rpc-wait).
 func foldTree(root *Flight, ops []*Flight, retrans []sim.Duration) *TraceCost {
-	tc := &TraceCost{Root: root, Class: classOther, Total: root.Total(), Ops: len(ops)}
+	tc := &TraceCost{Root: root, Class: classOther, Total: root.Total()}
 	tc.Stage = root.StageTotals()
 	for _, n := range root.Notes {
 		if strings.HasPrefix(n.What, classNote) {

@@ -5,7 +5,6 @@ import "virtnet/internal/sim"
 // AdmitItem is one queued unit of work awaiting execution.
 type AdmitItem struct {
 	Ctx Ctx
-	At  sim.Time // enqueue time
 	V   interface{}
 }
 
@@ -49,7 +48,7 @@ func (q *AdmitQueue) Admit(now sim.Time, ctx Ctx, v interface{}) (evicted []Admi
 	if len(q.items) >= q.max {
 		return evicted, false
 	}
-	q.items = append(q.items, AdmitItem{Ctx: ctx, At: now, V: v})
+	q.items = append(q.items, AdmitItem{Ctx: ctx, V: v})
 	return evicted, true
 }
 

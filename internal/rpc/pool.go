@@ -30,7 +30,6 @@ import (
 
 // poolTarget is one server reachable through the pool.
 type poolTarget struct {
-	name   core.EndpointName
 	budget *reliab.Budget
 	brk    *reliab.Breaker
 	dead   bool // permanent nack: endpoint gone or key revoked
@@ -150,7 +149,7 @@ func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) (int, error) {
 	if err := pl.ep.Map(idx, server, serverKey); err != nil {
 		return 0, err
 	}
-	t := poolTarget{name: server, budget: reliab.NewBudget(reliab.BudgetConfig{})}
+	t := poolTarget{budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	if !pl.opts.NoBreaker {
 		t.brk = reliab.NewBreaker(pl.opts.Metrics)
 	}

@@ -157,7 +157,6 @@ type callBuf struct {
 	got      int
 	total    int
 	clientEP core.EndpointName
-	key      core.Key
 	idx      int // translation slot for this client
 	at       sim.Time
 	ctx      reliab.Ctx
@@ -413,7 +412,7 @@ func (s *Server) onCall(p *sim.Proc, tok *core.Token, args [4]uint64, payload []
 		}
 		cb = s.record(total)
 		cb.id, cb.proc, cb.total = callID, proc, total
-		cb.clientEP, cb.key, cb.idx, cb.at = client, clientKey, idx, p.Now()
+		cb.clientEP, cb.idx, cb.at = client, idx, p.Now()
 		s.calls[k] = cb
 	}
 	copy(cb.data[offset:], payload)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/binary"
-	"math/rand"
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
@@ -31,10 +30,9 @@ type BackendConfig struct {
 // Backend is one model shard: an rpc.Server evaluating requests with a
 // fixed compute cost.
 type Backend struct {
-	S     *rpc.Server
-	node  *hostos.Node
-	cfg   BackendConfig
-	Evals int64
+	S    *rpc.Server
+	node *hostos.Node
+	cfg  BackendConfig
 }
 
 // NewBackend builds one inference backend on node.
@@ -56,7 +54,6 @@ func (b *Backend) Serve(p *sim.Proc, stop func() bool) { b.S.Serve(p, stop) }
 
 func (b *Backend) eval(p *sim.Proc, args []byte) ([]byte, error) {
 	b.node.Compute(p, b.cfg.Service)
-	b.Evals++
 	out := make([]byte, b.cfg.RespSize)
 	for i := range out {
 		out[i] = byte(i * 17)
@@ -94,16 +91,15 @@ type Gateway struct {
 	pool *rpc.Pool
 	rr   int // round-robin fan-out start
 	hb   *reliab.Budget
-	rng  *rand.Rand
 	tr   *obs.Tracer
 
-	Requests, Hedges, HedgeWins int64
+	Hedges, HedgeWins int64
 }
 
 // NewGateway builds the gateway on node over the given backends. The
 // gateway's rpc.Server should be configured with an admission queue
 // (cfg.Opts.Queue) — Workers procs drain it.
-func NewGateway(node *hostos.Node, key core.Key, backends []Addr, cfg GatewayConfig, rng *rand.Rand) (*Gateway, error) {
+func NewGateway(node *hostos.Node, key core.Key, backends []Addr, cfg GatewayConfig) (*Gateway, error) {
 	s, err := rpc.NewServerOpts(node, key, cfg.Opts)
 	if err != nil {
 		return nil, err
@@ -126,7 +122,7 @@ func NewGateway(node *hostos.Node, key core.Key, backends []Addr, cfg GatewayCon
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	g := &Gateway{S: s, node: node, cfg: cfg, pool: pl, rng: rng,
+	g := &Gateway{S: s, node: node, cfg: cfg, pool: pl,
 		hb: reliab.NewBudget(cfg.HedgeBudget)}
 	if node.Obs != nil {
 		g.tr = node.Obs.T
@@ -167,7 +163,6 @@ type branch struct {
 // branches shed server-side and the fan-in aborts.
 func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error) {
 	g.node.Compute(p, g.cfg.Service)
-	g.Requests++
 	n := g.cfg.FanOut
 	branches := make([]branch, n)
 	start := g.rr

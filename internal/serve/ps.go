@@ -37,8 +37,6 @@ type PSServer struct {
 	node   *hostos.Node
 	cfg    PSServerConfig
 	params []float64
-
-	Pulls, Pushes, Updates int64
 }
 
 // NewPSServer builds one parameter shard on node.
@@ -67,7 +65,6 @@ func (ps *PSServer) pull(p *sim.Proc, args []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ps: pull [%d,%d) outside dim %d", start, start+count, len(ps.params))
 	}
 	ps.node.Compute(p, ps.cfg.Service+sim.Duration(count)*ps.cfg.PerValue)
-	ps.Pulls++
 	out := make([]byte, count*8)
 	for i := 0; i < count; i++ {
 		binary.LittleEndian.PutUint64(out[i*8:], uint64(int64(ps.params[start+i]*1e6)))
@@ -81,13 +78,11 @@ func (ps *PSServer) pull(p *sim.Proc, args []byte) ([]byte, error) {
 func (ps *PSServer) push(p *sim.Proc, args []byte) ([]byte, error) {
 	n := len(args) / 8
 	ps.node.Compute(p, ps.cfg.Service+sim.Duration(n)*ps.cfg.PerValue)
-	ps.Pushes++
 	for i := 0; i < n; i++ {
 		idx := int(binary.LittleEndian.Uint32(args[i*8 : i*8+4]))
 		delta := int32(binary.LittleEndian.Uint32(args[i*8+4 : i*8+8]))
 		if idx < len(ps.params) {
 			ps.params[idx] += float64(delta) / 1e6
-			ps.Updates++
 		}
 	}
 	return nil, nil

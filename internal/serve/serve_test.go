@@ -119,14 +119,24 @@ func TestParameterServerPushPull(t *testing.T) {
 	stop := false
 	cfg := PSServerConfig{Dim: 1024, Service: 20 * sim.Microsecond, PerValue: 50 * sim.Nanosecond,
 		Opts: rpc.Options{Queue: 64}}
-	var pss []*PSServer
 	var addrs []Addr
+	// The shards' calls, counted as they arrive: pushes carry updates,
+	// (index, delta) pairs.
+	var pulls, pushes, updates int64
 	for i := 0; i < 2; i++ {
 		ps, err := NewPSServer(c.Nodes[i], core100+coreKey(i), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pss = append(pss, ps)
+		ps.S.Register(ProcPSPull, func(p *sim.Proc, args []byte) ([]byte, error) {
+			pulls++
+			return ps.pull(p, args)
+		})
+		ps.S.Register(ProcPSPush, func(p *sim.Proc, args []byte) ([]byte, error) {
+			pushes++
+			updates += int64(len(args) / 8)
+			return ps.push(p, args)
+		})
 		addrs = append(addrs, ps.Addr())
 		ps.node.Spawn("ps-serve", func(p *sim.Proc) { ps.Serve(p, func() bool { return stop }) })
 	}
@@ -150,12 +160,6 @@ func TestParameterServerPushPull(t *testing.T) {
 	c.RunFor(400 * sim.Millisecond)
 	stop = true
 	c.RunFor(50 * sim.Millisecond)
-	var pulls, pushes, updates int64
-	for _, ps := range pss {
-		pulls += ps.Pulls
-		pushes += ps.Pushes
-		updates += ps.Updates
-	}
 	if pulls == 0 || pushes == 0 {
 		t.Fatalf("pulls=%d pushes=%d, want both nonzero", pulls, pushes)
 	}
@@ -198,7 +202,7 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 		HedgeBudget: reliab.BudgetConfig{Capacity: 50, Refill: sim.Millisecond},
 		Service:     10 * sim.Microsecond,
 		Opts:        rpc.Options{Queue: 256},
-	}, DeriveRNG(seed, 50))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +225,6 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	c.RunFor(500 * sim.Millisecond)
 	stop = true
 	c.RunFor(50 * sim.Millisecond)
-	if gw.Requests == 0 {
-		t.Fatal("gateway served nothing")
-	}
 	if gw.Hedges == 0 || gw.HedgeWins == 0 {
 		t.Fatalf("hedges=%d wins=%d: straggler at 25× service should trigger hedging", gw.Hedges, gw.HedgeWins)
 	}

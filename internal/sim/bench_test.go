@@ -61,7 +61,7 @@ func BenchmarkProcSleep(b *testing.B) {
 func BenchmarkCondSignalWait(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	e.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Wait(p)
@@ -84,7 +84,7 @@ func BenchmarkCondSignalWait(b *testing.B) {
 func BenchmarkWaitTimeout(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	e.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.WaitTimeout(p, Microsecond)

@@ -55,7 +55,7 @@ func TestKillParkedProc(t *testing.T) {
 		for _, k := range killers {
 			t.Run(pk.name+"/"+k.name, func(t *testing.T) {
 				e := NewEngine(1)
-				c := NewCond(e)
+				c := new(Cond)
 				entered, deferred, after := 0, 0, 0
 				victim := e.Spawn("victim", func(p *Proc) {
 					defer func() { deferred++ }()
@@ -127,7 +127,7 @@ func TestKillRunningProcPanics(t *testing.T) {
 func TestShutdownReleasesEveryCoroutine(t *testing.T) {
 	before := settledGoroutines()
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	deferred := 0
 	for i := 0; i < 8; i++ {
 		e.Spawn("finished", func(p *Proc) { p.Sleep(5) })

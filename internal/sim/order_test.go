@@ -25,7 +25,7 @@ func orderOracleLog() string {
 	note := func(who int, what string) {
 		fmt.Fprintf(&log, "%d %d %d %s\n", e.now, e.seq, who, what)
 	}
-	conds := []*Cond{NewCond(e), NewCond(e), NewCond(e), NewCond(e)}
+	conds := []*Cond{new(Cond), new(Cond), new(Cond), new(Cond)}
 	const n = 64
 	procs := make([]*Proc, n)
 	children := 0

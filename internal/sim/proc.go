@@ -163,16 +163,12 @@ func (p *Proc) Resume() {
 }
 
 // Cond is a condition-variable analogue for simulated threads. Waiters are
-// woken in FIFO order. A zero Cond bound with NewCond is ready to use. The
-// waiter list keeps its backing array across wakes, so a wait → wake cycle
-// allocates nothing once the list has reached its working size.
+// woken in FIFO order. The zero Cond is ready to use. The waiter list keeps
+// its backing array across wakes, so a wait → wake cycle allocates nothing
+// once the list has reached its working size.
 type Cond struct {
-	e       *Engine
 	waiters []*Proc
 }
-
-// NewCond returns a condition variable on engine e.
-func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 
 // Wait parks p until another activity calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
@@ -252,12 +248,12 @@ func (c *Cond) Broadcast() int {
 // Semaphore is a counting semaphore for simulated threads.
 type Semaphore struct {
 	n    int
-	cond *Cond
+	cond Cond
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	return &Semaphore{n: n, cond: NewCond(e)}
+func NewSemaphore(n int) *Semaphore {
+	return &Semaphore{n: n}
 }
 
 // Acquire takes a permit, blocking the proc until one is available.

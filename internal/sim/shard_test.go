@@ -238,7 +238,7 @@ func TestShardSeedsDiffer(t *testing.T) {
 func TestCoordinatorProcsAcrossShards(t *testing.T) {
 	const W = 100
 	c := NewCoordinator(3, 2, W)
-	conds := []*Cond{NewCond(c.Engine(0)), NewCond(c.Engine(1))}
+	conds := []*Cond{new(Cond), new(Cond)}
 	rounds := [2]int{}
 	for s := 0; s < 2; s++ {
 		e, peer := c.Engine(s), 1-s

@@ -135,7 +135,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	var order []string
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
@@ -159,7 +159,7 @@ func TestCondSignalFIFO(t *testing.T) {
 
 func TestCondBroadcast(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	woken := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn("w", func(p *Proc) {
@@ -181,7 +181,7 @@ func TestCondBroadcast(t *testing.T) {
 
 func TestWaitTimeoutTimesOut(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	var signalled bool
 	var at Time
 	e.Spawn("w", func(p *Proc) {
@@ -202,7 +202,7 @@ func TestWaitTimeoutTimesOut(t *testing.T) {
 
 func TestWaitTimeoutSignalled(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	var signalled bool
 	e.Spawn("w", func(p *Proc) {
 		signalled = c.WaitTimeout(p, 50)
@@ -219,7 +219,7 @@ func TestWaitTimeoutSignalled(t *testing.T) {
 
 func TestWaitTimeoutStaleTimerDoesNotCancelNewWait(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	results := []bool{}
 	e.Spawn("w", func(p *Proc) {
 		// First wait: signalled just before its timeout fires.
@@ -242,7 +242,7 @@ func TestWaitTimeoutStaleTimerDoesNotCancelNewWait(t *testing.T) {
 
 func TestSemaphore(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSemaphore(e, 2)
+	s := NewSemaphore(2)
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 6; i++ {
@@ -268,7 +268,7 @@ func TestSemaphore(t *testing.T) {
 
 func TestShutdownReleasesBlockedProcs(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	cleanup := false
 	e.Spawn("stuck", func(p *Proc) {
 		defer func() { cleanup = true }()
@@ -337,7 +337,7 @@ func TestSemaphoreProperty(t *testing.T) {
 		permits := int(permits8%4) + 1
 		procs := int(procs8%16) + 1
 		e := NewEngine(3)
-		s := NewSemaphore(e, permits)
+		s := NewSemaphore(permits)
 		inside, ok := 0, true
 		for i := 0; i < procs; i++ {
 			e.Spawn("u", func(p *Proc) {
@@ -428,7 +428,7 @@ func TestRunForSkipsCancelled(t *testing.T) {
 
 func TestCondMixedTimeoutAndSignalOrder(t *testing.T) {
 	e := NewEngine(1)
-	c := NewCond(e)
+	c := new(Cond)
 	var events []string
 	e.Spawn("w1", func(p *Proc) {
 		if c.WaitTimeout(p, 100) {
@@ -499,7 +499,7 @@ func TestCondWakeCycleAllocFree(t *testing.T) {
 		}},
 	} {
 		e := NewEngine(1)
-		c := NewCond(e)
+		c := new(Cond)
 		woken := 0
 		for i := 0; i < 3; i++ {
 			e.Spawn("w", func(p *Proc) {

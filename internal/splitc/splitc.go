@@ -19,7 +19,6 @@ import (
 const (
 	hGet      = 1
 	hGetReply = 2
-	hPut      = 3
 	hAck      = 4
 	hStore    = 5
 	hBarrier  = 6
@@ -163,15 +162,14 @@ func (r *Rank) install() {
 			slot.done = true
 		}
 	})
-	write := func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
+	// Put and Store both write with hStore; Put waits for the ack.
+	r.ep.SetHandler(hStore, func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 		off := int(args[0])
 		if off >= 0 && off+len(payload) <= len(r.Heap) {
 			copy(r.Heap[off:], payload)
 		}
 		tok.Reply(p, hAck, [4]uint64{})
-	}
-	r.ep.SetHandler(hPut, write)
-	r.ep.SetHandler(hStore, write)
+	})
 	r.ep.SetHandler(hAck, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 		r.storesDone++
 	})
@@ -188,7 +186,7 @@ func (r *Rank) install() {
 		switch h {
 		case hGet, hBarrier:
 			r.ep.Request(p, dstIdx, h, args)
-		case hPut, hStore:
+		case hStore:
 			r.ep.RequestBulk(p, dstIdx, h, payload, args)
 		}
 	})

@@ -157,3 +157,69 @@ func TestBidirectionalTraffic(t *testing.T) {
 		t.Fatalf("results: %q %q", results[0], results[1])
 	}
 }
+
+// An operation the NI returns to sender (§3.2) is re-issued by the rank's
+// return handler. Rank 1's host link goes down for longer than the
+// return-to-sender bound, once while rank 0 runs a Put and again while it
+// runs a Get: each bounces, is re-issued until the link is back, and then
+// completes exactly once with the right bytes.
+func TestBouncedOneSidedOpsReissue(t *testing.T) {
+	const rts, cut = 2 * sim.Millisecond, 5 * sim.Millisecond
+	cfg := hostos.DefaultClusterConfig()
+	cfg.NIC.ReturnToSenderAfter = rts
+	c := hostos.NewCluster(1, 2, cfg)
+	t.Cleanup(c.Shutdown)
+	w, err := NewWorld(c, 2, 4096, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, target := c.ShardNet(0), c.Nodes[1].ID
+	returns := func() int64 { return c.Nodes[0].NIC.C.Get("tx.timeout_return") }
+	// outage cuts rank 1's link now and mends it cut later; the op it
+	// brackets must outlast it.
+	outage := func(p *sim.Proc, op string, run func()) {
+		net.SetHostLinkDown(target, true)
+		c.Nodes[0].E.AfterFunc(cut, func() { net.SetHostLinkDown(target, false) })
+		start, before := p.Now(), returns()
+		run()
+		if took := p.Now().Sub(start); took < cut {
+			t.Errorf("%s completed after %v, inside the %v outage", op, took, cut)
+		}
+		if returns() == before {
+			t.Errorf("%s never bounced", op)
+		}
+	}
+	want := []byte("bounced-put")
+	var got []byte
+	stop := false
+	ok := w.Run(func(p *sim.Proc, r *Rank) {
+		if r.ID() != 0 {
+			for !stop {
+				r.ep.Poll(p)
+				p.Sleep(2 * sim.Microsecond)
+			}
+			return
+		}
+		defer func() { stop = true }()
+		outage(p, "put", func() {
+			if err := r.Put(p, 1, 200, want); err != nil {
+				t.Errorf("put: %v", err)
+			}
+		})
+		outage(p, "get", func() {
+			if got, err = r.Get(p, 1, 200, len(want)); err != nil {
+				t.Errorf("get: %v", err)
+			}
+		})
+	}, 5*sim.Second)
+	if !ok {
+		t.Fatal("did not complete")
+	}
+	if !bytes.Equal(w.Rank(1).Heap[200:200+len(want)], want) || !bytes.Equal(got, want) {
+		t.Fatalf("heap holds %q and the get returned %q, want %q", w.Rank(1).Heap[200:200+len(want)], got, want)
+	}
+	// One put and one get reached rank 1; one ack and one get reply came back.
+	if d0, d1 := w.Rank(0).ep.Stats.Delivered, w.Rank(1).ep.Stats.Delivered; d0 != 2 || d1 != 2 {
+		t.Fatalf("handlers run: %d at rank 0, %d at rank 1; want 2 each (every op completes once)", d0, d1)
+	}
+}

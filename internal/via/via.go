@@ -71,11 +71,8 @@ type CQ struct {
 
 // Completion describes one finished descriptor.
 type Completion struct {
-	VI      *VI
-	IsRecv  bool
-	Handle  MemHandle
-	Length  int
-	SrcAddr core.EndpointName
+	IsRecv bool
+	Length int
 }
 
 // NewCQ creates a completion queue.
@@ -91,12 +88,6 @@ func (cq *CQ) Poll() (Completion, bool) {
 	return c, true
 }
 
-// recvDesc is a posted receive descriptor.
-type recvDesc struct {
-	h   MemHandle
-	buf []byte
-}
-
 // VI is one endpoint of a point-to-point virtual interface.
 type VI struct {
 	nic       *NIC
@@ -104,8 +95,7 @@ type VI struct {
 	connected bool
 	sendCQ    *CQ
 	recvCQ    *CQ
-	recvQ     []recvDesc
-	sends     int // outstanding sends awaiting the user-level ack
+	recvQ     [][]byte // posted receive buffers, oldest first
 
 	// Bounced sends (§3.2 return-to-sender) are retried on a budget-gated
 	// exponential-backoff schedule; once it is exhausted the descriptor
@@ -148,10 +138,7 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 	if vi.retry.Bounce(p.Now(), mh, reason, vi.budget, send) == reliab.Parked {
 		return
 	}
-	vi.sends--
-	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{
-		VI: vi, IsRecv: false, Handle: mh, Length: -1,
-	})
+	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{Length: -1})
 }
 
 // Addr returns the VI's connection address.
@@ -174,7 +161,7 @@ func (vi *VI) PostRecv(h MemHandle) error {
 	if !ok {
 		return ErrNotReg
 	}
-	vi.recvQ = append(vi.recvQ, recvDesc{h: h, buf: buf})
+	vi.recvQ = append(vi.recvQ, buf)
 	return nil
 }
 
@@ -191,7 +178,6 @@ func (vi *VI) PostSend(p *sim.Proc, h MemHandle, length int) error {
 	if length > len(buf) {
 		return fmt.Errorf("via: length %d beyond registration %d", length, len(buf))
 	}
-	vi.sends++
 	return vi.ep.RequestBulk(p, 0, hSend, buf[:length], [4]uint64{uint64(h)})
 }
 
@@ -200,25 +186,19 @@ func (vi *VI) PostSend(p *sim.Proc, h MemHandle, length int) error {
 // specifies (its reliability classes push that problem to the application).
 func (vi *VI) onRecv(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 	if len(vi.recvQ) == 0 {
-		vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{VI: vi, IsRecv: true, Length: -1})
+		vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{IsRecv: true, Length: -1})
 		tok.Reply(p, hAck, [4]uint64{args[0]})
 		return
 	}
-	d := vi.recvQ[0]
+	n := copy(vi.recvQ[0], payload)
 	vi.recvQ = vi.recvQ[1:]
-	n := copy(d.buf, payload)
-	vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{
-		VI: vi, IsRecv: true, Handle: d.h, Length: n, SrcAddr: tok.Source(),
-	})
+	vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{IsRecv: true, Length: n})
 	tok.Reply(p, hAck, [4]uint64{args[0]})
 }
 
 func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-	vi.sends--
 	vi.retry.Forget(MemHandle(args[0]))
-	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{
-		VI: vi, IsRecv: false, Handle: MemHandle(args[0]),
-	})
+	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{})
 }
 
 // Poll services the VI's backing endpoint so handlers (and therefore

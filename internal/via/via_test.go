@@ -40,7 +40,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 			p.Sleep(5 * sim.Microsecond)
 		}
 		comp, _ := cqBr.Poll()
-		if !comp.IsRecv || comp.Length != 12 || comp.Handle != dst {
+		if !comp.IsRecv || comp.Length != 12 || string(dstBuf[:12]) != "via-payload!" {
 			t.Errorf("bad completion: %+v", comp)
 		}
 		done = true
@@ -161,7 +161,7 @@ func TestSharedCompletionQueue(t *testing.T) {
 		c.Nodes[i+1].Spawn("peer", func(p *sim.Proc) {
 			h := prov.RegisterMemory([]byte("hello-from-peer"))
 			v.PostSend(p, h, 15)
-			for v.sends > 0 {
+			for len(v.sendCQ.entries) == 0 {
 				v.Poll(p)
 				p.Sleep(5 * sim.Microsecond)
 			}
@@ -249,7 +249,7 @@ func TestFullMeshConnectivity(t *testing.T) {
 // TestBouncedSendCompletesInError: a send to a crashed peer used to vanish
 // silently, leaking Pending forever. Now it is retried on the backoff
 // schedule and, once retries are exhausted, completes in error
-// (Length == -1) on the send CQ with the outstanding-send count drained.
+// (Length == -1) on the send CQ with the retry bookkeeping drained.
 func TestBouncedSendCompletesInError(t *testing.T) {
 	c := newCluster(t, 2)
 	na := Open(c.Nodes[0])
@@ -273,9 +273,6 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 			t.Errorf("send: %v", err)
 			return
 		}
-		if va.sends != 1 {
-			t.Errorf("pending = %d after post", va.sends)
-		}
 		for len(cqA.entries) == 0 {
 			va.Poll(p)
 			p.Sleep(50 * sim.Microsecond)
@@ -288,11 +285,8 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 	if !got {
 		t.Fatal("no send completion arrived")
 	}
-	if comp.IsRecv || comp.Handle != src || comp.Length != -1 {
+	if comp.IsRecv || comp.Length != -1 {
 		t.Fatalf("bad error completion: %+v", comp)
-	}
-	if va.sends != 0 {
-		t.Fatalf("pending leaked: %d", va.sends)
 	}
 	if attempts, parked := va.retry.Outstanding(); attempts != 0 || parked != 0 {
 		t.Fatalf("retry bookkeeping leaked: attempts=%d parked=%d", attempts, parked)

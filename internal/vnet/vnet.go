@@ -78,7 +78,8 @@ var ErrIsolation = errors.New("vnet: cross-network communication denied")
 const (
 	// HEcho is the echo request handler: it replies with the same args.
 	HEcho = 1
-	// HEchoReply receives echo replies (bookkeeping only).
+	// HEchoReply is the index echo replies carry; no handler is installed
+	// on it, so a reply is delivered and counted, then dropped.
 	HEchoReply = 2
 )
 
@@ -245,8 +246,6 @@ type Tenant struct {
 	// baseServiced/baseBytes/baseDelivered accumulate totals of deleted
 	// endpoints so per-tenant meters survive churn.
 	baseServiced, baseBytes, baseDelivered int64
-	// faults counts plans this tenant injected.
-	faults int
 }
 
 // Name, Quota, Share, EndpointsInUse expose tenant state.
@@ -368,7 +367,6 @@ func (t *Tenant) InjectFault(spec string) (*fault.Plan, error) {
 		}
 	}
 	pl.Apply(t.m.Cluster)
-	t.faults++
 	t.m.C.Inc("fault.inject")
 	return pl, nil
 }
@@ -476,9 +474,6 @@ func (nw *Network) CreateEndpoint(name string, node int) (*Endpoint, error) {
 	cep.SetHandler(HEcho, func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 		tok.Reply(p, HEchoReply, args)
 	})
-	cep.SetHandler(HEchoReply, func(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-		ep.echoReplies++
-	})
 	// Classify undeliverable returns; a bad-key bounce is the fabric telling
 	// us a post crossed a protection boundary.
 	cep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, handler int, args [4]uint64, payload []byte) {
@@ -576,8 +571,7 @@ type Endpoint struct {
 	peers   map[string]int // peer path → translation index
 	nextIdx int
 
-	echoReplies int64
-	stopped     bool
+	stopped bool
 }
 
 // Node reports the index of the node the endpoint lives on.

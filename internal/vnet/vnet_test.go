@@ -63,8 +63,8 @@ func TestEchoWithinNetwork(t *testing.T) {
 		}
 	})
 	h.c.RunFor(100 * sim.Millisecond)
-	if a.echoReplies != 50 {
-		t.Fatalf("echo replies = %d, want 50", a.echoReplies)
+	if got := a.ep.Stats.Delivered; got != 50 {
+		t.Fatalf("echo replies delivered = %d, want 50", got)
 	}
 	if msgs, _, _ := ten.Serviced(); msgs == 0 {
 		t.Fatal("tenant serviced meter did not move")
@@ -197,8 +197,8 @@ func TestFaultScoping(t *testing.T) {
 	if pl.Events[0].A != 2 {
 		t.Fatalf("scoped reboot target = %d, want 2", pl.Events[0].A)
 	}
-	if ten.faults != 1 {
-		t.Fatalf("faults injected = %d, want 1", ten.faults)
+	if got := h.m.C.Get("fault.inject"); got != 1 {
+		t.Fatalf("faults injected = %d, want 1", got)
 	}
 	h.c.RunFor(50 * sim.Millisecond)
 }
@@ -211,7 +211,7 @@ func TestNameServiceIntegration(t *testing.T) {
 	nw, _ := ten.CreateNetwork("net")
 	a, _ := nw.CreateEndpoint("a", 0)
 	id := a.ep.Segment().EP.ID
-	if node, _, ok := h.m.Dir.Resolve(id); !ok || int(node) != 0 {
+	if node, ok := h.m.Dir.Resolve(id); !ok || int(node) != 0 {
 		t.Fatalf("directory resolve = (%v,%v), want node 0", node, ok)
 	}
 	h.run(t, func(p *sim.Proc) {
@@ -219,7 +219,7 @@ func TestNameServiceIntegration(t *testing.T) {
 			t.Errorf("delete: %v", err)
 		}
 	})
-	if _, _, ok := h.m.Dir.Resolve(id); ok {
+	if _, ok := h.m.Dir.Resolve(id); ok {
 		t.Fatal("directory still resolves deleted endpoint")
 	}
 }
