@@ -72,11 +72,11 @@ func threeLevelFatTree(cfg *hostos.ClusterConfig) {
 }
 
 // failure holds the first error raised inside simulated procs. On a sharded
-// cluster a proc body runs on a coordinator worker goroutine — a panic
-// there kills the process, and procs of different shards run concurrently —
-// so a proc that finds a violation records it here and returns. The row
-// reads err between steps (RunUntilDone's done func), while the engines are
-// parked, and returns it.
+// cluster procs of different shards run concurrently, and a panic in one
+// stops every shard mid-run (RunUntil re-panics it as the shard's) — so a
+// proc that finds a violation records it here and returns. The row reads err
+// between steps (RunUntilDone's done func), while the engines are parked,
+// and returns it.
 type failure struct {
 	once sync.Once
 	err  error

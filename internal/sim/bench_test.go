@@ -93,3 +93,36 @@ func BenchmarkWaitTimeout(b *testing.B) {
 	e.Run()
 	e.Shutdown()
 }
+
+// BenchmarkCoordinatorWindow measures one busy barrier window at 2 shards:
+// each shard fires a chain of 300 events, tens of µs of work, and posts one
+// event to the other. It shows the cost of handing a window to a worker
+// that has gone cold, which back-to-back empty windows hide. The chains
+// keep no state of their own, and eight cold events armed ahead of each
+// chain's first keep the two chains' pooled events apart in memory: shards
+// that shared a cache line would measure that instead.
+func BenchmarkCoordinatorWindow(b *testing.B) {
+	b.ReportAllocs()
+	const W, chain = 3000, 300
+	c := NewCoordinator(1, 2, W)
+	defer c.Shutdown()
+	for s := 0; s < 2; s++ {
+		e, peer := c.Engine(s), 1-s
+		for i := 0; i < 8; i++ {
+			e.AfterFunc(0, func() {})
+		}
+		var step func()
+		step = func() {
+			if e.Now()%W == 0 {
+				e.PostRemote(peer, e.Now().Add(W), func() {})
+			}
+			e.AfterFunc(W/chain, step)
+		}
+		e.AfterFunc(W/chain, step)
+	}
+	c.RunFor(W)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RunFor(W)
+	}
+}

@@ -1,10 +1,21 @@
 // Conservative-lookahead sharding: a Coordinator owns N engines, one per
 // shard of the simulated cluster, and synchronizes them with barrier
-// windows. All shards run the window [B, B+W) in parallel (one worker
-// goroutine per shard drives its engine: it alone fires the shard's events
-// and resumes the shard's procs), then meet at a barrier where cross-shard
-// events staged during the window are flushed into their destination
-// engines and the next window begins.
+// windows. All shards run the window [B, B+W) in parallel, then meet at a
+// barrier where cross-shard events staged during the window are flushed
+// into their destination engines and the next window begins. One goroutine
+// drives each engine — it alone fires the shard's events and resumes the
+// shard's procs: shard 0's is the goroutine that called RunUntil, and each
+// shard k > 0 has a worker goroutine of its own.
+//
+// Hand-off: the coordinator gives each worker its window bound over a
+// one-slot channel, runs shard 0's window itself, then takes each worker's
+// done from a one-slot channel of its own. When every shard can hold a
+// processor (shards <= GOMAXPROCS), a receiving side polls its channel for
+// up to pollBudget, yielding the processor every yieldEvery polls, before
+// it blocks: a window is tens to hundreds of µs, and the peer's value
+// usually arrives within that, without a scheduler wake. With fewer
+// processors than shards a poller would take a processor that a shard
+// needs, so every receive blocks at once.
 //
 // W is the lookahead: the caller guarantees that any event a shard posts to
 // another shard while executing at local time t carries a timestamp >= t+W
@@ -28,8 +39,11 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
+	"time"
 )
 
 // xev is one staged cross-shard event: fn runs on the destination shard's
@@ -67,16 +81,23 @@ type Coordinator struct {
 	now     Time
 
 	// staged[s] collects the events shard s posted during the current
-	// window. Only shard s's worker goroutine appends (during its window)
-	// and only the coordinator goroutine drains (at the barrier, after the
-	// worker parked) — the run/done channel handshake orders the two.
+	// window. Only shard s's goroutine appends (during its window) and only
+	// the coordinator goroutine drains (at the barrier). Shard 0's
+	// goroutine is the coordinator's, so its appends and the drain are in
+	// program order; for shard k > 0 the coordinator's receive of the
+	// worker's done orders the worker's appends before the drain.
 	staged [][]xev
 	seqs   []uint64
 	merged []xev // barrier scratch
 
+	// runCh[k] and doneCh[k] (k > 0; index 0 is unused) carry shard k's
+	// window bound to its worker and the worker's done back, one slot each;
+	// ensureWorkers makes them. A done is nil, or the panic the worker's
+	// window raised.
 	runCh   []chan Time
-	doneCh  []chan struct{}
+	doneCh  []chan *shardPanic
 	live    bool
+	spin    bool           // poll before blocking; fixed when the workers start
 	workers sync.WaitGroup // the live worker goroutines; Shutdown waits on it
 
 	// Barrier-protocol counters, surfaced by ExchangeStats.
@@ -113,8 +134,6 @@ func NewCoordinator(seed int64, shards int, lookahead Duration) *Coordinator {
 		c.engines = append(c.engines, e)
 		c.staged = append(c.staged, nil)
 		c.seqs = append(c.seqs, 0)
-		c.runCh = append(c.runCh, make(chan Time))
-		c.doneCh = append(c.doneCh, make(chan struct{}))
 	}
 	return c
 }
@@ -135,29 +154,90 @@ func (c *Coordinator) Now() Time {
 }
 
 // post stages a cross-shard event from the given source shard. Called (via
-// Engine.PostRemote) only from the source shard's worker while it holds its
-// window.
+// Engine.PostRemote) only from the source shard's goroutine while it holds
+// its window.
 func (c *Coordinator) post(src, dst int, at Time, fn func()) {
 	c.seqs[src]++
 	c.staged[src] = append(c.staged[src], xev{at: at, src: int32(src), dst: int32(dst), seq: c.seqs[src], fn: fn})
 }
 
-// ensureWorkers starts the per-shard worker goroutines (idempotent). Each
-// worker blocks for a window bound, runs its engine to it, and signals done.
+// Poll budget of a hand-off receive: how long a spinning receiver polls
+// before it blocks, and how many polls it makes between yields. The yield
+// lets a peer that shares this processor's run queue run instead of being
+// stranded behind the poller.
+const (
+	pollBudget = 50 * time.Microsecond
+	yieldEvery = 64
+)
+
+// recv takes the next value from ch, reporting false once ch is closed.
+// With spin set it polls first (see pollBudget); either way it ends in the
+// same blocking receive.
+func recv[T any](ch <-chan T, spin bool) (T, bool) {
+	if spin {
+		start := time.Now()
+		for i := 1; ; i++ {
+			select {
+			case v, ok := <-ch:
+				return v, ok
+			default:
+			}
+			if i%yieldEvery == 0 {
+				if time.Since(start) > pollBudget {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	v, ok := <-ch
+	return v, ok
+}
+
+// shardPanic is a panic raised on a worker's shard, carried back to the
+// coordinator with the worker's stack.
+type shardPanic struct {
+	val   any
+	stack []byte
+}
+
+// runShard runs e to bound b, returning the panic that stopped it, if any.
+func runShard(e *Engine, b Time) (p *shardPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = &shardPanic{val: r, stack: debug.Stack()}
+		}
+	}()
+	e.RunUntil(b)
+	return nil
+}
+
+// ensureWorkers starts the worker goroutines of shards 1…N−1 (idempotent)
+// and fixes the hand-off mode: spin only if every shard can hold a
+// processor. Each worker takes a window bound, runs its engine to it, and
+// hands back done.
 func (c *Coordinator) ensureWorkers() {
 	if c.live {
 		return
 	}
 	c.live = true
-	for i := range c.engines {
+	c.spin = len(c.engines) <= runtime.GOMAXPROCS(0)
+	c.runCh = make([]chan Time, len(c.engines))
+	c.doneCh = make([]chan *shardPanic, len(c.engines))
+	for i := 1; i < len(c.engines); i++ {
+		c.runCh[i] = make(chan Time, 1)
+		c.doneCh[i] = make(chan *shardPanic, 1)
 		c.workers.Add(1)
-		go func(i int) {
+		go func(e *Engine, run <-chan Time, done chan<- *shardPanic, spin bool) {
 			defer c.workers.Done()
-			for b := range c.runCh[i] {
-				c.engines[i].RunUntil(b)
-				c.doneCh[i] <- struct{}{}
+			for {
+				b, ok := recv(run, spin)
+				if !ok {
+					return
+				}
+				done <- runShard(e, b)
 			}
-		}(i)
+		}(c.engines[i], c.runCh[i], c.doneCh[i], c.spin)
 	}
 }
 
@@ -185,15 +265,33 @@ func (c *Coordinator) nextBound(deadline Time) Time {
 	return b
 }
 
-// runWindow runs every shard to bound b in parallel and waits for all.
+// runWindow runs every shard to bound b in parallel — shard 0 on this
+// goroutine — and waits for all. It takes every worker's done before it
+// returns or a panic leaves it, so no worker is mid-window once the caller
+// sees either. A panic on a worker's shard re-panics here as "sim: shard
+// k: value" with the worker's stack (the lowest such k); one on shard 0
+// alone goes on as it was raised.
 func (c *Coordinator) runWindow(b Time) {
-	for i := range c.engines {
+	for i := 1; i < len(c.engines); i++ {
 		c.runCh[i] <- b
 	}
-	for i := range c.engines {
-		<-c.doneCh[i]
-	}
+	defer c.collect()
+	c.engines[0].RunUntil(b)
 	c.barriers++
+}
+
+// collect takes every worker's done for the current window.
+func (c *Coordinator) collect() {
+	var first *shardPanic
+	shard := 0
+	for i := 1; i < len(c.engines); i++ {
+		if p, _ := recv(c.doneCh[i], c.spin); p != nil && first == nil {
+			first, shard = p, i
+		}
+	}
+	if first != nil {
+		panic(fmt.Sprintf("sim: shard %d: %v\n\n%s", shard, first.val, first.stack))
+	}
 }
 
 // flush drains all staged cross-shard events into their destination
@@ -269,7 +367,7 @@ func (c *Coordinator) ExchangeStats() (barriers, exchanged uint64) {
 func (c *Coordinator) Shutdown() {
 	if c.live {
 		c.live = false
-		for i := range c.runCh {
+		for i := 1; i < len(c.runCh); i++ {
 			close(c.runCh[i])
 		}
 		c.workers.Wait()

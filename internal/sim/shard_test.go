@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -35,17 +37,19 @@ func TestCoordinatorSingleShardBypass(t *testing.T) {
 }
 
 // Shutdown returns only once every worker goroutine has exited, and has
-// nothing left to do the second time.
+// nothing left to do the second time. Shard 0 runs on the caller's
+// goroutine, so 4 shards have 3 workers.
 func TestCoordinatorShutdownWaitsForWorkers(t *testing.T) {
 	const W = 100
 	// On one processor a worker gives way to the test goroutine only by
-	// blocking or exiting, which makes the count after Shutdown exact both
-	// ways: with the wait every worker has gone, not merely run its last
-	// statement; without it none of them has even been scheduled yet.
+	// blocking or exiting (4 shards on one processor never poll), which
+	// makes the count after Shutdown exact both ways: with the wait every
+	// worker has gone, not merely run its last statement; without it none
+	// of them has even been scheduled yet.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	before := settledGoroutines()
 	c := NewCoordinator(1, 4, W)
-	var landed [4]int // landed[s] is written by shard s's worker alone
+	var landed [4]int // landed[s] is written by shard s's goroutine alone
 	for s := 0; s < 4; s++ {
 		e, peer := c.Engine(s), (s+1)%4
 		e.AfterFunc(10, func() {
@@ -56,8 +60,8 @@ func TestCoordinatorShutdownWaitsForWorkers(t *testing.T) {
 	if landed != [4]int{1, 1, 1, 1} {
 		t.Fatalf("cross-shard posts landed %v, want one on each shard", landed)
 	}
-	if got := runtime.NumGoroutine(); got != before+4 {
-		t.Fatalf("%d goroutines mid-run, want %d (4 workers): the test measures nothing", got, before+4)
+	if got := runtime.NumGoroutine(); got != before+3 {
+		t.Fatalf("%d goroutines mid-run, want %d (3 workers): the test measures nothing", got, before+3)
 	}
 	c.Shutdown()
 	if got := runtime.NumGoroutine(); got != before {
@@ -122,14 +126,18 @@ func TestCoordinatorLookaheadViolationPanics(t *testing.T) {
 	c.RunUntil(400)
 }
 
-// TestCoordinatorDeterminism runs the same cross-shard ping-pong twice and
-// requires identical event traces — the double-run byte-identity CI leans
-// on. The determinism contract is per shard: shards in the same window run
-// concurrently, so a globally interleaved log would be schedule-dependent.
-// Each shard's log is single-writer (its worker goroutine) and the barrier
-// handshake orders those writes before RunUntil returns.
+// TestCoordinatorDeterminism runs the same cross-shard ping-pong twice in
+// each hand-off mode — on one processor, where every receive blocks, and on
+// four, where 4 shards poll before they block — and requires identical
+// event traces across all four runs: the double-run byte-identity CI leans
+// on, and the proof that the hand-off mode moves nothing. The determinism
+// contract is per shard: shards in the same window run concurrently, so a
+// globally interleaved log would be schedule-dependent. Each shard's log is
+// single-writer (its goroutine) and the barrier hand-off orders those
+// writes before RunUntil returns.
 func TestCoordinatorDeterminism(t *testing.T) {
-	run := func() []string {
+	run := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		const W = 50
 		c := NewCoordinator(7, 4, W)
 		defer c.Shutdown()
@@ -155,12 +163,48 @@ func TestCoordinatorDeterminism(t *testing.T) {
 		}
 		return log
 	}
-	a, b := run(), run()
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("double run diverged:\n%v\n%v", a, b)
-	}
+	a := run(1)
 	if len(a) != 4*13 {
 		t.Fatalf("%d events logged, want every chain's 13", len(a))
+	}
+	for _, procs := range []int{1, 4, 4} {
+		if b := run(procs); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("run at GOMAXPROCS(%d) diverged from GOMAXPROCS(1):\n%v\n%v", procs, a, b)
+		}
+	}
+}
+
+// A panic in a worker shard's event reaches RunUntil's caller, naming the
+// shard and carrying the value, and leaves no worker mid-window: Shutdown
+// still returns and takes every worker with it.
+func TestCoordinatorShardPanicSurfaces(t *testing.T) {
+	const W = 100
+	sentinel := errors.New("sentinel")
+	for _, shards := range []int{2, 4} {
+		before := settledGoroutines()
+		c := NewCoordinator(1, shards, W)
+		last := shards - 1
+		for s := 0; s < shards; s++ {
+			e, peer := c.Engine(s), (s+1)%shards
+			e.AfterFunc(10, func() { e.PostRemote(peer, e.Now().Add(W), func() {}) })
+		}
+		c.Engine(last).AfterFuncAt(5*W, func() { panic(sentinel) })
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			c.RunUntil(10 * W)
+			return nil
+		}()
+		msg, _ := got.(string)
+		if want := fmt.Sprintf("sim: shard %d: sentinel", last); !strings.HasPrefix(msg, want) {
+			t.Fatalf("%d shards: RunUntil panicked with %q, want it to start %q", shards, msg, want)
+		}
+		if !strings.Contains(msg, "TestCoordinatorShardPanicSurfaces") {
+			t.Fatalf("%d shards: the panic carries no stack of the worker:\n%s", shards, msg)
+		}
+		c.Shutdown()
+		if got := settledGoroutines(); got != before {
+			t.Fatalf("%d shards: %d goroutines after Shutdown, %d before NewCoordinator", shards, got, before)
+		}
 	}
 }
 
@@ -292,5 +336,32 @@ func TestCoordinatorFlushAllocFree(t *testing.T) {
 	}
 	if fired != 16*102 {
 		t.Fatalf("fired %d of %d exchanged events", fired, 16*102)
+	}
+}
+
+// A whole window at 2 shards — the hand-off to the worker, both shards'
+// events, cross-shard posts each way, the worker's done and the flush —
+// allocates nothing once the workers run and the exchange has grown.
+func TestCoordinatorWindowAllocFree(t *testing.T) {
+	const W = 100
+	c := NewCoordinator(1, 2, W)
+	defer c.Shutdown()
+	var landed [2]int
+	for s := 0; s < 2; s++ {
+		e, peer := c.Engine(s), 1-s
+		land := func() { landed[peer]++ }
+		var tick *Timer
+		tick = e.NewTimer(func() {
+			e.PostRemote(peer, e.Now().Add(W), land)
+			tick.Reset(W / 4)
+		})
+		tick.Reset(1)
+	}
+	c.RunFor(4 * W)
+	if avg := testing.AllocsPerRun(100, func() { c.RunFor(W) }); avg != 0 {
+		t.Fatalf("a 2-shard window allocates %.2f times, want 0", avg)
+	}
+	if landed[0] < 400 || landed[1] < 400 {
+		t.Fatalf("cross-shard posts landed %v, want ≥ 400 on each shard", landed)
 	}
 }
