@@ -219,7 +219,9 @@ type EndpointImage struct {
 	// seen tracks delivered MsgIDs per source endpoint for end-to-end
 	// duplicate suppression. It is part of the endpoint image (it moves
 	// with the endpoint across residency transitions).
-	seen map[int]*msgWindow
+	// The windows are held by value, so a new source endpoint costs a map
+	// slot and no allocation of its own.
+	seen map[int]msgWindow
 }
 
 // msgWindow is a compact delivered-set: ids <= contig are all delivered;
@@ -239,14 +241,11 @@ func (ep *EndpointImage) SeenMsg(srcEP int, id uint64) bool {
 // MarkMsg records a delivered id from srcEP.
 func (ep *EndpointImage) MarkMsg(srcEP int, id uint64) {
 	if ep.seen == nil {
-		ep.seen = make(map[int]*msgWindow)
+		ep.seen = make(map[int]msgWindow)
 	}
-	w, ok := ep.seen[srcEP]
-	if !ok {
-		w = &msgWindow{}
-		ep.seen[srcEP] = w
-	}
+	w := ep.seen[srcEP]
 	w.mark(id)
+	ep.seen[srcEP] = w
 }
 
 func (w *msgWindow) has(id uint64) bool {

@@ -14,7 +14,8 @@ import (
 // Both are off by default so the base system matches the paper; the
 // ablation benches turn them on.
 
-// rttEst is a Jacobson-style mean/deviation estimator per remote NI.
+// rttEst is a Jacobson-style mean/deviation estimator per remote NI, kept in
+// the peer record.
 type rttEst struct {
 	srtt   sim.Duration
 	rttvar sim.Duration
@@ -49,31 +50,18 @@ func (r *rttEst) rto(min sim.Duration) sim.Duration {
 	return v
 }
 
-// rttFor returns (allocating) the estimator for a peer.
-func (n *NIC) rttFor(peer netsim.NodeID) *rttEst {
-	if n.rtt == nil {
-		n.rtt = make(map[netsim.NodeID]*rttEst)
-	}
-	est, ok := n.rtt[peer]
-	if !ok {
-		est = &rttEst{}
-		n.rtt[peer] = est
-	}
-	return est
-}
-
-// observeRTT records an ack's reflected timestamp. For retransmitted
-// attempts the stamp still dates from the first transmission, so the
-// measurement is ambiguous (Karn) but is a valid *upper bound*: it is used
-// only when it would raise the estimate, which lets the estimator escape a
-// too-short initial timeout that retransmits every message.
-func (n *NIC) observeRTT(pkt *wirePkt, retries int) {
+// observeRTT records the timestamp reflected by an ack of ch's attempt. For
+// retransmitted attempts the stamp still dates from the first transmission,
+// so the measurement is ambiguous (Karn) but is a valid *upper bound*: it is
+// used only when it would raise the estimate, which lets the estimator
+// escape a too-short initial timeout that retransmits every message.
+func (n *NIC) observeRTT(ch *channel, stamp sim.Time) {
 	if !n.cfg.AdaptiveTimeout {
 		return
 	}
-	est := n.rttFor(pkt.SrcNI)
-	rtt := n.e.Now().Sub(pkt.Stamp)
-	if retries == 0 || !est.valid || rtt > est.srtt {
+	est := &ch.p.rtt
+	rtt := n.e.Now().Sub(stamp)
+	if ch.retries == 0 || !est.valid || rtt > est.srtt {
 		est.sample(rtt)
 	}
 }
@@ -81,7 +69,7 @@ func (n *NIC) observeRTT(pkt *wirePkt, retries int) {
 // retransDelay picks the base retransmission delay for a channel.
 func (n *NIC) retransDelay(ch *channel) sim.Duration {
 	if n.cfg.AdaptiveTimeout {
-		if rto := n.rttFor(ch.dst).rto(n.cfg.MinRTO); rto > 0 {
+		if rto := ch.p.rtt.rto(n.cfg.MinRTO); rto > 0 {
 			// Apply channel-level exponential backoff on top.
 			d := rto
 			for i := 0; i < ch.retries; i++ {
@@ -115,14 +103,12 @@ func (n *NIC) queueAck(data *wirePkt) {
 		return
 	}
 	peer := data.SrcNI
-	if n.pendingAcks == nil {
-		n.pendingAcks = make(map[netsim.NodeID][]piggyAck)
-	}
-	n.pendingAcks[peer] = append(n.pendingAcks[peer], piggyAck{
+	p := n.peerFor(peer)
+	p.acks = append(p.acks, piggyAck{
 		Chan: data.Chan, Seq: data.Seq, Epoch: data.Epoch, Stamp: data.Stamp,
 	})
 	n.ctr[ctrTxAckQueued].Inc()
-	if len(n.pendingAcks[peer]) == 1 {
+	if len(p.acks) == 1 {
 		// First pending ack for this peer: bound its wait.
 		peer := peer
 		n.e.AfterFunc(n.cfg.AckDelay, func() {
@@ -132,9 +118,9 @@ func (n *NIC) queueAck(data *wirePkt) {
 	}
 }
 
-// takeAcks removes up to max pending acks for peer.
-func (n *NIC) takeAcks(peer netsim.NodeID, max int) []piggyAck {
-	pend := n.pendingAcks[peer]
+// takeAcks removes up to max of p's pending acks.
+func (n *NIC) takeAcks(p *peer, max int) []piggyAck {
+	pend := p.acks
 	if len(pend) == 0 {
 		return nil
 	}
@@ -143,20 +129,20 @@ func (n *NIC) takeAcks(peer netsim.NodeID, max int) []piggyAck {
 		k = max
 	}
 	out := pend[:k:k]
-	rest := pend[k:]
-	if len(rest) == 0 {
-		delete(n.pendingAcks, peer)
+	if rest := pend[k:]; len(rest) == 0 {
+		p.acks = nil
 	} else {
-		n.pendingAcks[peer] = rest
+		p.acks = rest
 	}
 	return out
 }
 
 // flushAcks sends any still-pending acks for peer as one batched control
 // packet (the AckDelay expired with no data packet to carry them), once the
-// cost of generating it is paid (emitAcks).
+// cost of generating it is paid (emitAcks). A flush armed before a Crash
+// finds no record.
 func (n *NIC) flushAcks(peer netsim.NodeID) {
-	if len(n.pendingAcks[peer]) == 0 {
+	if p := n.peers[peer]; p == nil || len(p.acks) == 0 {
 		return
 	}
 	n.charge(n.cfg.AckSend, stageFlush)
@@ -166,7 +152,7 @@ func (n *NIC) flushAcks(peer netsim.NodeID) {
 // pending acks, so the ones it takes now are the ones it found.
 func (n *NIC) emitAcks() {
 	peer := n.cur.peer
-	acks := n.takeAcks(peer, 1<<30)
+	acks := n.takeAcks(n.peers[peer], 1<<30)
 	n.ctr[ctrTxAckFlush].Inc()
 	ctl := n.allocHdr()
 	ctl.Kind = pktAck
@@ -198,8 +184,7 @@ func (n *NIC) takePiggy() {
 	if ch := n.chanFor(pkt.SrcNI, a.Chan); ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq || a.Epoch != n.epoch {
 		n.ctr[ctrRxAckStale].Inc()
 	} else {
-		n.scratch.SrcNI, n.scratch.Stamp = pkt.SrcNI, a.Stamp
-		n.observeRTT(&n.scratch, ch.retries)
+		n.observeRTT(ch, a.Stamp)
 		n.freeDesc(n.resolveChannel(ch))
 	}
 	n.nextPiggy()

@@ -16,7 +16,8 @@ package nic
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"virtnet/internal/netsim"
 	"virtnet/internal/obs"
@@ -66,11 +67,13 @@ type DriverCmd struct {
 	Done  func()
 }
 
-// channel is one stop-and-wait logical channel to a particular remote NI.
-// Each channel is statically bound to a network route (its index), giving
-// FIFO delivery per channel and path diversity across channels.
+// channel is one stop-and-wait logical channel to a particular remote NI,
+// stored in that NI's peer record. Each channel is statically bound to a
+// network route (its index), giving FIFO delivery per channel and path
+// diversity across channels. p is nil until the channel is first handed out
+// (freeChannel, initChannel).
 type channel struct {
-	dst netsim.NodeID
+	p   *peer
 	idx int
 	seq uint64
 	// inflight is the master header of the unresolved attempt (nil when the
@@ -80,24 +83,21 @@ type channel struct {
 	inflight *wirePkt
 	retries  int
 	backoff  sim.Duration
-	// timer is the channel's reusable retransmission timer: created once on
-	// first arm, re-armed with Reset on every (re)transmission. timerSeq is
-	// the attempt the current arm belongs to, read when the timer fires.
-	timer    *sim.Timer
+	// timer is the channel's reusable retransmission timer: bound once when
+	// the channel is first handed out, re-armed with Reset on every
+	// (re)transmission. timerSeq is the attempt the current arm belongs to,
+	// read when the timer fires.
+	timer    sim.Timer
 	timerSeq uint64
-}
-
-type chanKey struct {
-	src netsim.NodeID
-	idx int
 }
 
 // rxState is per-(source NI, channel) receive state: the last sequence seen
 // and the result that was sent for it, so duplicated retransmissions elicit
 // the identical response. Epoch changes (peer reboot) reset it, which is how
-// channels self-synchronize (§5.1).
+// channels self-synchronize (§5.1); gen counts the resets.
 type rxState struct {
 	epoch      uint32
+	gen        uint32
 	lastSeen   uint64
 	lastResult pktKind
 	lastReason NackReason
@@ -189,12 +189,14 @@ type NIC struct {
 	parked bool
 	// The operands of the action in hand, which outlive its charges: the
 	// deferred work item; the inbound packet, and for data its channel's
-	// receive state, the endpoint it deposits into and its next piggybacked
-	// ack; the ACK or NACK being sent (a workSendControl item); the unload
-	// being completed; the endpoint and channel of the send being staged.
+	// receive state (and that state's gen when the packet was taken), the
+	// endpoint it deposits into and its next piggybacked ack; the ACK or NACK
+	// being sent (a workSendControl item); the unload being completed; the
+	// endpoint and channel of the send being staged.
 	cur    workItem
 	pkt    *wirePkt
 	rxSt   *rxState
+	rxGen  uint32
 	rxEP   *EndpointImage
 	piggy  int
 	ctl    workItem
@@ -226,14 +228,12 @@ type NIC struct {
 	descFree *SendDesc
 	hdrMade  int
 	descMade int
-	// scratch is an NI-owned header used to re-materialize piggybacked acks
-	// for the RTT estimator without allocating a header per ack.
-	scratch wirePkt
 
 	frames []*EndpointImage
 	eps    map[int]*EndpointImage
-	chans  map[netsim.NodeID][]channel
-	rx     map[chanKey]*rxState
+	// peers holds one record per remote NI this NI has sent to or heard
+	// from: channels, receive states, RTT estimate, pending acks.
+	peers map[netsim.NodeID]*peer
 
 	wrr         int
 	loiterCount int
@@ -245,11 +245,6 @@ type NIC struct {
 	// them are NACKed NackMoved so the sender's library re-resolves the name
 	// through the cluster name service and re-issues toward the new node.
 	moved map[int]bool
-
-	// rtt holds per-peer RTT estimators (AdaptiveTimeout extension).
-	rtt map[netsim.NodeID]*rttEst
-	// pendingAcks holds acks awaiting a carrier (PiggybackAcks extension).
-	pendingAcks map[netsim.NodeID][]piggyAck
 
 	// clock is the NI's Lamport logical clock for driver/NI protocol
 	// messages (§4.3: a variant of logical clocks resolves the ordering of
@@ -293,8 +288,7 @@ func New(e *sim.Engine, net *netsim.Network, id netsim.NodeID, cfg Config) *NIC 
 		epoch:     uint32(e.Rand().Int63()) | 1,
 		frames:    make([]*EndpointImage, cfg.Frames),
 		eps:       make(map[int]*EndpointImage),
-		chans:     make(map[netsim.NodeID][]channel),
-		rx:        make(map[chanKey]*rxState),
+		peers:     make(map[netsim.NodeID]*peer),
 		requested: make(map[int]bool),
 		moved:     make(map[int]bool),
 	}
@@ -613,33 +607,12 @@ func (n *NIC) runWork(w workItem) {
 
 // ---- Send path ----
 
-// freeChannel returns an unoccupied logical channel to dst, creating the
-// channel set lazily on first use.
-func (n *NIC) freeChannel(dst netsim.NodeID) *channel {
-	chs, ok := n.chans[dst]
-	if !ok {
-		// One slab per peer, never resliced: a *channel into it stays valid
-		// for as long as the map entry does.
-		chs = make([]channel, n.cfg.Channels)
-		for i := range chs {
-			chs[i] = channel{dst: dst, idx: i}
-		}
-		n.chans[dst] = chs
-	}
-	for i := range chs {
-		if chs[i].inflight == nil {
-			return &chs[i]
-		}
-	}
-	return nil
-}
-
 // sendable returns the queue whose head descriptor can be serviced now
-// (replies preferred), or nil. If a head is in backoff, a wakeup is
-// scheduled for when it becomes ready.
-func (n *NIC) sendable(ep *EndpointImage) *ring[*SendDesc] {
+// (replies preferred) and the free channel it would go on, or nil. If a head
+// is in backoff, a wakeup is scheduled for when it becomes ready.
+func (n *NIC) sendable(ep *EndpointImage) (*ring[*SendDesc], *channel) {
 	if ep.State != EPResident {
-		return nil
+		return nil, nil
 	}
 	for _, q := range [2]*ring[*SendDesc]{ep.RepSendQ, ep.SendQ} {
 		d, ok := q.Peek()
@@ -650,11 +623,11 @@ func (n *NIC) sendable(ep *EndpointImage) *ring[*SendDesc] {
 			n.e.AfterFuncAt(d.NextTry, n.wakeFn)
 			continue
 		}
-		if n.freeChannel(d.DstNI) != nil {
-			return q
+		if ch := n.freeChannel(d.DstNI); ch != nil {
+			return q, ch
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // serveEndpoints performs one step of the weighted round-robin service
@@ -666,11 +639,11 @@ func (n *NIC) serveEndpoints() bool {
 	for scan := 0; scan < nf; scan++ {
 		ep := n.frames[n.wrr]
 		if ep != nil {
-			if q := n.sendable(ep); q != nil {
+			if q, ch := n.sendable(ep); q != nil {
 				if n.loiterCount == 0 {
 					n.loiterStart = n.e.Now()
 				}
-				n.sendOne(ep, q)
+				n.sendOne(ep, q, ch)
 				return true
 			}
 		}
@@ -697,22 +670,26 @@ func (n *NIC) loiter() {
 		// the fairness mechanism (not idleness) forced the move.
 		n.ctr[ctrWRRLoiterExpiry].Inc()
 		n.advanceWRR()
-	} else if n.sendable(ep) == nil {
+	} else if q, _ := n.sendable(ep); q == nil {
 		n.advanceWRR()
 	}
 }
 
 func (n *NIC) advanceWRR() {
-	n.wrr = (n.wrr + 1) % len(n.frames)
+	if n.wrr++; n.wrr == len(n.frames) {
+		n.wrr = 0
+	}
 	n.loiterCount = 0
 	if n.wrr == 0 {
 		n.ctr[ctrWRRRounds].Inc()
 	}
 }
 
-// sendOne starts transmitting the head descriptor of queue q on a free
-// channel: the descriptor is staging until injectSend puts it on the wire.
-func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc]) {
+// sendOne starts transmitting the head descriptor of queue q on ch, the free
+// channel sendable found for it (nothing in between takes or frees a
+// channel: OnSendSpace runs no firmware): the descriptor is staging until
+// injectSend puts it on the wire.
+func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc], ch *channel) {
 	full := q.Full()
 	d, _ := q.Pop()
 	if full && ep.OnSendSpace != nil {
@@ -720,7 +697,7 @@ func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc]) {
 	}
 	d.Flight.Mark(obs.StageWRRWait, n.e.Now())
 	n.staging = d
-	n.sendEP, n.sendCh = ep, n.freeChannel(d.DstNI)
+	n.sendEP, n.sendCh = ep, ch
 	ep.LastActive = n.e.Now()
 	ep.Serviced++
 	ep.ServicedBytes += int64(len(d.Payload))
@@ -766,7 +743,7 @@ func (n *NIC) injectSend() {
 	ep.inflight++
 	n.staging = nil
 	if n.cfg.PiggybackAcks {
-		pkt.Piggy = n.takeAcks(d.DstNI, 4)
+		pkt.Piggy = n.takeAcks(ch.p, 4)
 	}
 	d.Flight.Mark(obs.StageNISend, n.e.Now())
 	n.injectData(ch)
@@ -813,17 +790,21 @@ func (n *NIC) dmaTime(bytes int, bps float64) sim.Duration {
 	return sim.Duration(float64(bytes) * 1e9 / bps)
 }
 
+// initChannel binds a channel to its record and route the first time it is
+// handed out, with the retransmission timer it keeps from then on.
+func (n *NIC) initChannel(ch *channel, p *peer, idx int) {
+	ch.p, ch.idx = p, idx
+	n.e.InitTimer(&ch.timer, func() {
+		n.work.Push(workItem{kind: workRetransmit, ch: ch, seq: ch.timerSeq})
+		n.wake()
+	})
+}
+
 // armTimer schedules a retransmission with randomized exponential backoff
 // (or the adaptive RTT-based timeout when the extension is enabled).
 func (n *NIC) armTimer(ch *channel) {
 	jitter := 1.0 + 0.5*n.e.Rand().Float64()
 	d := sim.Duration(float64(n.retransDelay(ch)) * jitter)
-	if ch.timer == nil {
-		ch.timer = n.e.NewTimer(func() {
-			n.work.Push(workItem{kind: workRetransmit, ch: ch, seq: ch.timerSeq})
-			n.wake()
-		})
-	}
 	ch.timerSeq = ch.inflight.Seq
 	ch.timer.Reset(d)
 }
@@ -891,9 +872,7 @@ func (n *NIC) reinject() {
 func (n *NIC) resolveChannel(ch *channel) *SendDesc {
 	pkt := ch.inflight
 	ch.inflight = nil
-	if ch.timer != nil {
-		ch.timer.Stop()
-	}
+	ch.timer.Stop()
 	if pkt == nil {
 		return nil
 	}
@@ -994,16 +973,6 @@ func (n *NIC) handlePkt(pkt *wirePkt) {
 	}
 }
 
-func (n *NIC) rxFor(pkt *wirePkt) *rxState {
-	k := chanKey{src: pkt.SrcNI, idx: pkt.Chan}
-	st, ok := n.rx[k]
-	if !ok || st.epoch != pkt.Epoch {
-		st = &rxState{epoch: pkt.Epoch}
-		n.rx[k] = st
-	}
-	return st
-}
-
 // handleData is a data packet past its receive critical path: answer a
 // duplicate as before, or deposit the packet and acknowledge it, or refuse
 // it with a NACK.
@@ -1028,7 +997,7 @@ func (n *NIC) handleData() {
 		n.sendControl(pkt, pktNack, NackOverrun)
 		return
 	}
-	n.rxSt = st
+	n.rxSt, n.rxGen = st, st.gen
 	ep, result, reason := n.accept(pkt)
 	if ep == nil {
 		n.answer(result, reason)
@@ -1135,12 +1104,17 @@ func (n *NIC) deposit() {
 }
 
 // answer records the verdict on the data packet in hand in its channel's
-// receive state and sends it: an ACK through queueAck, a NACK at once.
+// receive state and sends it: an ACK through queueAck, a NACK at once. A copy
+// from a new epoch refused at arrival (fromNetwork) while a deposit was paid
+// for resets that state in place; the verdict then belongs to the epoch the
+// reset ended and is sent but not recorded.
 func (n *NIC) answer(result pktKind, reason NackReason) {
 	pkt, st := n.pkt, n.rxSt
-	st.lastSeen = pkt.Seq
-	st.lastResult = result
-	st.lastReason = reason
+	if st.gen == n.rxGen {
+		st.lastSeen = pkt.Seq
+		st.lastResult = result
+		st.lastReason = reason
+	}
 	if result == pktAck {
 		n.queueAck(pkt)
 	} else {
@@ -1181,15 +1155,6 @@ func (n *NIC) emitControl() {
 	n.injectControl(ctl, data.Chan)
 }
 
-// chanFor finds our channel to peer with the given index.
-func (n *NIC) chanFor(peer netsim.NodeID, idx int) *channel {
-	chs, ok := n.chans[peer]
-	if !ok || idx >= len(chs) {
-		return nil
-	}
-	return &chs[idx]
-}
-
 // handleAck is an ACK past ackRecv: it resolves the acknowledged attempt,
 // or, for a batch of flushed acks, each of them in turn. An answer that
 // names an earlier epoch is stale even when its (channel, seq) matches:
@@ -1209,7 +1174,7 @@ func (n *NIC) handleAck() {
 		n.ctr[ctrRxAckStale].Inc()
 		return
 	}
-	n.observeRTT(pkt, ch.retries)
+	n.observeRTT(ch, pkt.Stamp)
 	n.freeDesc(n.resolveChannel(ch)) // acknowledged: the descriptor dies here
 }
 
@@ -1385,21 +1350,6 @@ func (n *NIC) respawn(d sim.Duration) {
 	})
 }
 
-// sortedChanDsts returns the peers with channel state in a fixed order, so
-// fault recovery is deterministic regardless of map iteration order.
-func (n *NIC) sortedChanDsts() []netsim.NodeID {
-	dsts := make([]int, 0, len(n.chans))
-	for dst := range n.chans {
-		dsts = append(dsts, int(dst))
-	}
-	sort.Ints(dsts)
-	out := make([]netsim.NodeID, len(dsts))
-	for i, d := range dsts {
-		out[i] = netsim.NodeID(d)
-	}
-	return out
-}
-
 // Reboot models an NI firmware reboot of the given outage: the dispatch loop
 // dies mid-instruction and NI SRAM is lost (staging pools, receive windows,
 // channel bindings), while host-memory state (the registered endpoint table,
@@ -1419,14 +1369,12 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	n.incarnation++
 	n.rebootUntil = n.e.Now().Add(outage)
 	n.halt()
-	// NI SRAM is gone: arrival staging, deferred work, receive-side
-	// sequence windows, pending piggyback acks, RTT estimates.
+	// NI SRAM is gone: arrival staging and deferred work here, the
+	// receive-side sequence windows, pending piggyback acks and RTT
+	// estimates in the peer records below.
 	n.inbound.Reset()
 	n.inboundCtl.Reset()
 	n.work.Reset()
-	n.rx = make(map[chanKey]*rxState)
-	n.pendingAcks = nil
-	n.rtt = nil
 	// The driver command queue lives in host memory; an interrupted command
 	// is re-read from the front after the reboot.
 	if cmd := n.curCmd; cmd != nil {
@@ -1442,15 +1390,20 @@ func (n *NIC) Reboot(outage sim.Duration) {
 		}
 	}
 	// Unbind every in-flight message and requeue it for a fresh channel
-	// under the new epoch. The outage is local, not the destination's
-	// failure, so the unreachability clock restarts.
-	for _, dst := range n.sortedChanDsts() {
-		chs := n.chans[dst]
-		for i := range chs {
-			ch := &chs[i]
-			if ch.timer != nil {
-				ch.timer.Stop()
+	// under the new epoch, peer by peer in NodeID order so recovery does not
+	// follow map order. The outage is local, not the destination's failure,
+	// so the unreachability clock restarts.
+	for _, id := range slices.Sorted(maps.Keys(n.peers)) {
+		p := n.peers[id]
+		p.rx0.reset(0)
+		for _, chunk := range p.rxs {
+			for i := range chunk {
+				chunk[i].reset(0)
 			}
+		}
+		p.rtt, p.acks = rttEst{}, nil
+		for ch := range p.channels {
+			ch.timer.Stop()
 			if ch.inflight != nil {
 				d := n.resolveChannel(ch)
 				d.FirstSend = 0
@@ -1464,12 +1417,7 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	// Quiesces whose deferred completion was wiped with the work queue (or
 	// completed just now while unbinding) are requeued; completeUnload's
 	// unloadWait guard makes duplicates harmless.
-	epIDs := make([]int, 0, len(n.eps))
-	for id := range n.eps {
-		epIDs = append(epIDs, id)
-	}
-	sort.Ints(epIDs)
-	for _, id := range epIDs {
+	for _, id := range slices.Sorted(maps.Keys(n.eps)) {
 		ep := n.eps[id]
 		if ep.State == EPQuiescing && ep.inflight == 0 && ep.unloadWait != nil {
 			cmd := ep.unloadWait
@@ -1499,13 +1447,9 @@ func (n *NIC) Crash() {
 	n.net.SetHostLinkDown(n.id, true)
 	// Stop channel timers so no stale retransmission closure survives into
 	// a later incarnation.
-	for _, dst := range n.sortedChanDsts() {
-		chs := n.chans[dst]
-		for i := range chs {
-			ch := &chs[i]
-			if ch.timer != nil {
-				ch.timer.Stop()
-			}
+	for _, id := range slices.Sorted(maps.Keys(n.peers)) {
+		for ch := range n.peers[id].channels {
+			ch.timer.Stop()
 			if m := ch.inflight; m != nil {
 				if m.netPkt != nil {
 					m.netPkt.Release()
@@ -1520,14 +1464,11 @@ func (n *NIC) Crash() {
 	n.work.Reset()
 	n.cmds.Reset()
 	n.curCmd, n.staging = nil, nil
-	n.chans = make(map[netsim.NodeID][]channel)
-	n.rx = make(map[chanKey]*rxState)
+	n.peers = make(map[netsim.NodeID]*peer)
 	n.eps = make(map[int]*EndpointImage)
 	n.frames = make([]*EndpointImage, n.cfg.Frames)
 	n.requested = make(map[int]bool)
 	n.moved = make(map[int]bool)
-	n.pendingAcks = nil
-	n.rtt = nil
 	n.wrr = 0
 	n.loiterCount = 0
 }

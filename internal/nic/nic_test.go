@@ -453,7 +453,7 @@ func TestStaleEpochAnswersIgnored(t *testing.T) {
 	r.net.SetHostLinkDown(1, true)
 	r.send(0, src, &SendDesc{DstNI: 1, DstEP: 200, Key: 9, Handler: 3})
 	r.e.RunFor(100 * sim.Microsecond)
-	ch := &n.chans[1][0]
+	ch := n.chanFor(1, 0)
 	if ch.inflight == nil {
 		t.Fatal("the first attempt is not in flight on channel 0")
 	}

@@ -38,7 +38,7 @@ func TestLateDuplicateKeepsItsOwnSeq(t *testing.T) {
 	src := r.newEP(t, 0, 1, 1, 0)
 	dst := r.newEP(t, 1, 2, 2, 0)
 
-	chanSeq := func() uint64 { return r.nics[0].chans[1][0].seq }
+	chanSeq := func() uint64 { return r.nics[0].chanFor(1, 0).seq }
 	late, copies := 0, 0
 	r.tap(1, func(_ *netsim.Packet, w *wirePkt) {
 		if w.Kind != pktData {

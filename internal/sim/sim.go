@@ -154,6 +154,11 @@ type Timer struct {
 // event from the engine's pool, so steady-state use allocates nothing.
 func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{e: e, fn: fn} }
 
+// InitTimer is NewTimer for a Timer that lives inside the caller's own
+// struct: it makes *t an unarmed timer that runs fn, and allocates no Timer.
+// t must not be armed.
+func (e *Engine) InitTimer(t *Timer, fn func()) { *t = Timer{e: e, fn: fn} }
+
 // Stop cancels the timer. It reports whether the timer was armed and had not
 // yet fired. The cancelled event is unlinked from the queue immediately
 // (Pending never sees it again) and released for reuse.

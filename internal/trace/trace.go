@@ -51,13 +51,15 @@ func NewCounters() *Counters {
 // handles[i] — storage the caller owns, typically an array inside the struct
 // that increments them, so a thousand such structs resolve their handles
 // without one allocation each. Any other name is made on demand as in
-// NewCounters.
+// NewCounters. order is reserved for every fixed handle, so first touching
+// them during a run grows no slice.
 func NewCountersOver(names []string, handles []Counter) *Counters {
 	if len(names) != len(handles) {
 		panic("trace: NewCountersOver with mismatched names and handles")
 	}
 	c := NewCounters()
 	c.fixed = handles
+	c.order = make([]*Counter, 0, len(handles))
 	for i := range handles {
 		handles[i] = Counter{set: c, name: names[i]}
 	}

@@ -77,6 +77,42 @@ func TestCounterHandles(t *testing.T) {
 	}
 }
 
+// TestCountersOverFirstTouchAllocates0: a set over caller-owned handles
+// reserves room for all of them, so first touching each one (as a NIC does,
+// counter by counter, during its run) allocates nothing, and Snapshot still
+// lists them in first-touch order.
+func TestCountersOverFirstTouchAllocates0(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	touch := []int{7, 2, 9, 0, 5, 1, 8, 3, 6, 4}
+	const runs = 20
+	blocks := make([][10]Counter, runs+1) // AllocsPerRun adds one warm-up run
+	sets := make([]*Counters, len(blocks))
+	for k := range blocks {
+		sets[k] = NewCountersOver(names, blocks[k][:])
+	}
+	k := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		for i, j := range touch {
+			blocks[k][j].Add(int64(i))
+		}
+		k++
+	})
+	if avg != 0 {
+		t.Fatalf("first touching %d fixed handles allocates %.2f times", len(touch), avg)
+	}
+	for k, c := range sets {
+		snap := c.Snapshot()
+		if len(snap) != len(touch) {
+			t.Fatalf("set %d: snapshot %v, want all %d counters", k, snap, len(touch))
+		}
+		for i, j := range touch {
+			if snap[i] != (CounterKV{names[j], int64(i)}) {
+				t.Fatalf("set %d: snapshot %v, want first-touch order %v", k, snap, touch)
+			}
+		}
+	}
+}
+
 func TestHistQuantiles(t *testing.T) {
 	h := NewHist()
 	for i := 1; i <= 100; i++ {
