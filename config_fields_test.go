@@ -72,6 +72,14 @@ type moduleCensus struct {
 	// fields something reads, true once a non-test file does.
 	structFields []structField
 	read         map[*types.Var]bool
+	// funcs are the functions with a body the signature census checks;
+	// calls summarises the direct calls of each function, valueRef marks
+	// the functions referred to other than as a callee, and benchCalls
+	// names the functions a file under benchmarks/ calls.
+	funcs      []*types.Func
+	calls      map[*types.Func]*callSites
+	valueRef   map[*types.Func]bool
+	benchCalls map[string]bool
 }
 
 type configField struct {
@@ -99,15 +107,18 @@ func typeCheckModule(t *testing.T) *moduleCensus {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	m := &moduleCensus{
-		fset:      fset,
-		std:       importer.ForCompiler(fset, "source", nil),
-		dirs:      moduleDirs(t),
-		pkgs:      map[string]*types.Package{},
-		tracked:   map[*types.Var]bool{},
-		setters:   map[*types.Var][]token.Position{},
-		used:      map[types.Object]bool{},
-		crossTest: map[types.Object]bool{},
-		read:      map[*types.Var]bool{},
+		fset:       fset,
+		std:        importer.ForCompiler(fset, "source", nil),
+		dirs:       moduleDirs(t),
+		pkgs:       map[string]*types.Package{},
+		tracked:    map[*types.Var]bool{},
+		setters:    map[*types.Var][]token.Position{},
+		used:       map[types.Object]bool{},
+		crossTest:  map[types.Object]bool{},
+		read:       map[*types.Var]bool{},
+		calls:      map[*types.Func]*callSites{},
+		valueRef:   map[*types.Func]bool{},
+		benchCalls: map[string]bool{},
 	}
 	paths := make([]string, 0, len(m.dirs))
 	for p := range m.dirs {
@@ -221,12 +232,14 @@ func (m *moduleCensus) check(path, dir string, names []string, decl int) (*types
 		m.declare(pkg, f, info)
 		m.declareNames(f, info)
 		m.declareFields(pkg, f, info)
+		m.declareFuncs(f, info)
 	}
 	for _, f := range files {
 		m.collect(pkg, f, info)
 	}
 	m.collectUses(pkg, info)
 	m.collectReads(info, files)
+	m.collectCalls(info, files)
 	return pkg, nil
 }
 

@@ -21,7 +21,7 @@ func defaultBackoff(attempt int) sim.Duration { return reliab.Delay(attempt, nil
 func defaultBreaker() *reliab.Breaker         { return reliab.NewBreaker(nil) }
 func defaultRetrier() *reliab.Retrier[int]    { return reliab.NewRetrier[int](nil) }
 func defaultMonitor(c *hostos.Cluster) (*glunix.Monitor, error) {
-	return glunix.NewMonitor(c, nil, nil, 0)
+	return glunix.NewMonitor(c, nil, nil)
 }
 func defaultManager(c *hostos.Cluster) *vnet.Manager { return vnet.NewManager(c, 4) }
 
@@ -121,7 +121,7 @@ func pinRPCBudget(t *testing.T) {
 		// A one-target pool: an rpc.Client without the wrapper.
 		cl, err := rpc.NewPool(c.Nodes[0], 1, rpc.Options{Metrics: m, NoBreaker: true})
 		if err == nil {
-			_, err = cl.Add(s.Name(), 77)
+			err = cl.Add(s.Name(), 77)
 		}
 		if err != nil {
 			t.Error(err)

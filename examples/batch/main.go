@@ -61,7 +61,7 @@ func main() {
 		{"small-E", 2, 5 * sim.Millisecond},
 	}
 	for _, j := range jobs {
-		if _, err := sched.Submit(j.width, mkJob(j.name, j.compute)); err != nil {
+		if err := sched.Submit(j.width, mkJob(j.name, j.compute)); err != nil {
 			panic(err)
 		}
 	}

@@ -56,12 +56,7 @@ var testSeams = map[string]seam{
 // the module declares with that method.
 func TestEveryExportedNameIsUsed(t *testing.T) {
 	m := loadModule(t)
-	fmtPkg, err := m.Import("fmt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	errorIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	ifaces := append([]*types.Interface{errorIface, fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface)}, m.ifaces...)
+	ifaces := m.interfaces(t)
 	table := substitutionTable(t)
 	var unused, testOnly, stale []string
 	declared := map[string]bool{}

@@ -67,7 +67,7 @@ func TestGeneralPurposeColocation(t *testing.T) {
 	// The scheduler considers all nodes free, so the width-4 job takes the
 	// lowest ids, 0-3 — two of which run the service above. That is the
 	// point: jobs and services share nodes.
-	_, err = sched.Submit(4, func(p *sim.Proc, rank int, part []*hostos.Node) {
+	err = sched.Submit(4, func(p *sim.Proc, rank int, part []*hostos.Node) {
 		if rank != 0 {
 			return
 		}
@@ -284,7 +284,7 @@ func TestOneShardLayersRefuseAShardedCluster(t *testing.T) {
 		{"splitc.NewWorld", func() error { _, err := splitc.NewWorld(cl, 16, 1024, nil); return err }},
 		{"migrate.NewService", func() error { _, err := migrate.NewService(cl); return err }},
 		{"glunix.NewMonitor", func() error {
-			_, err := glunix.NewMonitor(cl, glunix.NewScheduler(cl), nil, 0)
+			_, err := glunix.NewMonitor(cl, glunix.NewScheduler(cl), nil)
 			return err
 		}},
 	} {

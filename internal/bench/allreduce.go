@@ -34,28 +34,19 @@ func allreduceVec(r, length int) []float64 {
 }
 
 // stridePlacement scatters consecutive ranks across the cluster (rank i on
-// node i*stride mod n). Default rank-order placement is already leaf-sorted
-// on the fat tree, which would hide the difference between the
-// topology-aware and flat rings; a strided placement is the deployment
-// reality (schedulers hand out hosts in no particular order) that the
-// leaf-sorted ring layout has to undo.
-func stridePlacement(n int) []int {
-	stride := 37
-	for gcd(stride, n) != 1 {
-		stride++
-	}
-	pl := make([]int, n)
+// node 37i mod allreduceNodes; 37 is coprime to it, so every node gets one
+// rank). Default rank-order placement is already leaf-sorted on the fat
+// tree, which would hide the difference between the topology-aware and flat
+// rings; a strided placement is the deployment reality (schedulers hand out
+// hosts in no particular order) that the leaf-sorted ring layout has to
+// undo.
+func stridePlacement() []int {
+	const stride = 37
+	pl := make([]int, allreduceNodes)
 	for i := range pl {
-		pl[i] = i * stride % n
+		pl[i] = i * stride % allreduceNodes
 	}
 	return pl
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // runAllreduceCell measures one (size, algorithm) cell of the sweep: the
@@ -65,7 +56,7 @@ func runAllreduceCell(bytes int, alg coll.Algorithm, seed int64) (sim.Duration, 
 	length := bytes / 8
 	c := hostos.NewCluster(seed, allreduceNodes, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
-	w, err := mpi.NewWorld(c, allreduceNodes, stridePlacement(allreduceNodes))
+	w, err := mpi.NewWorld(c, allreduceNodes, stridePlacement())
 	if err != nil {
 		return 0, false
 	}

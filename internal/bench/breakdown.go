@@ -23,10 +23,8 @@ import (
 // backlogged sender endpoints (§5/§6 endpoint overcommit).
 func breakdownRow(w io.Writer, p Params) error {
 	header(w, "§4 — per-stage latency decomposition (cross-layer tracing)")
-	const iters = 300
-
-	fmt.Fprintf(w, "short AM request, %d serial ping-pongs node0 -> node1:\n", iters)
-	dec, appUs, o := breakdownPingPong(p.Seed, iters, 0)
+	fmt.Fprintf(w, "short AM request, %d serial ping-pongs node0 -> node1:\n", breakdownIters)
+	dec, appUs, o := breakdownPingPong(p.Seed, 0)
 	fmt.Fprint(w, dec[obs.KindShort].Render())
 	fmt.Fprintf(w, "  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
 	fmt.Fprintf(w, "reply leg (node1 -> node0):\n")
@@ -42,22 +40,21 @@ func breakdownRow(w io.Writer, p Params) error {
 		fmt.Fprint(w, o.R.Dashboard())
 	}
 
-	fmt.Fprintf(w, "\n8 KB bulk request, %d serial ping-pongs node0 -> node1:\n", iters)
-	dec, appUs, o = breakdownPingPong(p.Seed, iters, 8192)
+	fmt.Fprintf(w, "\n8 KB bulk request, %d serial ping-pongs node0 -> node1:\n", breakdownIters)
+	dec, appUs, o = breakdownPingPong(p.Seed, 8192)
 	fmt.Fprint(w, dec[obs.KindBulk].Render())
 	fmt.Fprintf(w, "  app-side one-way mean %.3f us (independent timestamps)\n", appUs)
 	if p.Metrics {
 		fmt.Fprint(w, o.R.Dashboard())
 	}
 
-	const perEP = 96
 	frames := hostos.DefaultClusterConfig().NIC.Frames
 	fmt.Fprintf(w, "\nwrr-wait inflation under endpoint overcommit (%d NI frames, %d msgs per endpoint):\n",
-		frames, perEP)
+		frames, breakdownPerEP)
 	fmt.Fprintf(w, "%6s %8s %14s %12s %10s\n", "K", "msgs", "wrr-wait(us)", "e2e(us)", "x vs K=1")
 	var base float64
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		d := breakdownWRR(p.Seed, k, perEP)
+		d := breakdownWRR(p.Seed, k)
 		wrrUs := float64(d.Stage[obs.StageWRRWait]) / 1e3 / float64(d.N)
 		e2eUs := float64(d.Total) / 1e3 / float64(d.N)
 		if k == 1 {
@@ -68,14 +65,21 @@ func breakdownRow(w io.Writer, p Params) error {
 	return nil
 }
 
-// breakdownPingPong runs iters serial request/reply exchanges between a
-// client on node 0 and a server on node 1, tracing every message, and
-// returns the per-kind decomposition plus the app-side one-way mean (µs).
+// Each ping-pong phase runs breakdownIters exchanges; the wrr-wait table
+// streams breakdownPerEP requests from every sender endpoint.
+const (
+	breakdownIters = 300
+	breakdownPerEP = 96
+)
+
+// breakdownPingPong runs breakdownIters serial request/reply exchanges
+// between a client on node 0 and a server on node 1, tracing every message,
+// and returns the per-kind decomposition plus the app-side one-way mean (µs).
 // The client's timestamp immediately before Request coincides with the
 // flight's opening mark (the library preamble is free when credits are
 // available), and the flight ends exactly when the handler body starts, so
 // the two measurement paths must agree to the nanosecond.
-func breakdownPingPong(seed int64, iters, payload int) ([obs.NumKinds]obs.Decomp, float64, *obs.Obs) {
+func breakdownPingPong(seed int64, payload int) ([obs.NumKinds]obs.Decomp, float64, *obs.Obs) {
 	cl := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 	o := cl.EnableObs(obs.Options{SampleEvery: 1, SnapshotEvery: 5 * sim.Millisecond})
@@ -106,7 +110,7 @@ func breakdownPingPong(seed int64, iters, payload int) ([obs.NumKinds]obs.Decomp
 	})
 	data := make([]byte, payload)
 	cl.Nodes[0].Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < iters; i++ {
+		for i := 0; i < breakdownIters; i++ {
 			t0 := p.Now()
 			var err error
 			if payload > 0 {
@@ -130,15 +134,16 @@ func breakdownPingPong(seed int64, iters, payload int) ([obs.NumKinds]obs.Decomp
 	// long idle tail.
 	cl.RunUntilDone(10*sim.Millisecond, sim.Time(0).Add(2*sim.Second), func() bool { return stop })
 	o.T.SweepOpen("end-of-run", cl.Now())
-	return obs.Decompose(o.T.Flights()), float64(oneWay) / 1e3 / float64(iters), o
+	return obs.Decompose(o.T.Flights()), float64(oneWay) / 1e3 / float64(breakdownIters), o
 }
 
-// breakdownWRR runs K sender endpoints on one node, each streaming perEP
-// short requests to its own sink endpoint on a second node, and returns the
-// short-request decomposition. With K backlogged endpoints the NI's weighted
-// round-robin hands each endpoint 1/K of the send slots, so the wrr-wait
-// stage should scale roughly linearly in K while the other stages stay put.
-func breakdownWRR(seed int64, k, perEP int) obs.Decomp {
+// breakdownWRR runs K sender endpoints on one node, each streaming
+// breakdownPerEP short requests to its own sink endpoint on a second node,
+// and returns the short-request decomposition. With K backlogged endpoints
+// the NI's weighted round-robin hands each endpoint 1/K of the send slots,
+// so the wrr-wait stage should scale roughly linearly in K while the other
+// stages stay put.
+func breakdownWRR(seed int64, k int) obs.Decomp {
 	cl := hostos.NewCluster(seed, 2, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
 	o := cl.EnableObs(obs.Options{SampleEvery: 1})
@@ -172,18 +177,18 @@ func breakdownWRR(seed int64, k, perEP int) obs.Decomp {
 	for i := 0; i < k; i++ {
 		snd := senders[i]
 		cl.Nodes[0].Spawn("sender", func(p *sim.Proc) {
-			for j := 0; j < perEP; j++ {
+			for j := 0; j < breakdownPerEP; j++ {
 				if snd.Request(p, 0, 1, [4]uint64{}) != nil {
 					return
 				}
 				snd.Poll(p)
 			}
-			for got[i] < perEP {
+			for got[i] < breakdownPerEP {
 				if snd.Poll(p) == 0 {
 					p.Sleep(2 * sim.Microsecond)
 				}
 			}
-			if !slices.ContainsFunc(got, func(g int) bool { return g < perEP }) {
+			if !slices.ContainsFunc(got, func(g int) bool { return g < breakdownPerEP }) {
 				stop = true
 			}
 		})

@@ -36,7 +36,7 @@ func faultsRow(w io.Writer, p Params) error {
 		nodes    = 20
 		keyA     = core.Key(77)
 		keyB     = core.Key(78)
-		homeNode = 0  // health-monitor master (outside the fault domain)
+		homeNode = 0  // glunix runs the health-monitor master here (outside the fault domain)
 		nodeA    = 3  // replica A: survives, live-migrates mid-run
 		nodeB    = 14 // replica B: crashes with its node
 		spareN   = 17 // recovery hook respawns replica B here
@@ -67,7 +67,7 @@ func faultsRow(w io.Writer, p Params) error {
 	if err != nil {
 		return fmt.Errorf("migration service: %w", err)
 	}
-	mon, err := glunix.NewMonitor(c, sched, svc.Dir, homeNode)
+	mon, err := glunix.NewMonitor(c, sched, svc.Dir)
 	if err != nil {
 		return fmt.Errorf("health monitor: %w", err)
 	}

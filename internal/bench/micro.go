@@ -54,7 +54,7 @@ func bandwidthRow(w io.Writer, p Params) error {
 	var pts [][2]float64
 	for _, sz := range []int{128, 1024, 4096, 8192} {
 		e, cl, sv, shutdown := amPair(p.Seed, hostos.DefaultClusterConfig())
-		rtt := logp.RTTBulk(e, cl, sv, sz, 10)
+		rtt := logp.RTTBulk(e, cl, sv, sz)
 		shutdown()
 		fmt.Fprintf(w, "%8d %10.1f us\n", sz, rtt.Micros())
 		pts = append(pts, [2]float64{float64(sz), rtt.Micros()})

@@ -196,7 +196,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			gw.Start(stopFn)
 		}
 		makeWorkload = func(ci int, node *hostos.Node, copts rpc.Options) (serve.Workload, error) {
-			return serve.NewGatewayWorkload(node, gaddrs, 128, copts)
+			return serve.NewGatewayWorkload(node, gaddrs, copts)
 		}
 
 	case "ps":

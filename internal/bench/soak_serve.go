@@ -114,7 +114,7 @@ func serveSoak(w io.Writer, p SoakParams) error {
 		}
 		return t
 	}
-	serve.RegisterMerged(o.R, "serve", merged)
+	serve.RegisterMerged(o.R, merged)
 
 	clientDone := make([]bool, nClients)
 	pools := make([]*rpc.Pool, nClients)

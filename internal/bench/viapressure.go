@@ -108,7 +108,7 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 		for i := range nics {
 			nics[i] = via.Open(cl.Nodes[i])
 		}
-		vis, _, recvCQs, err := via.FullMesh(nics)
+		vis, recvCQs, err := via.FullMesh(nics)
 		if err != nil {
 			cl.Shutdown()
 			return res, false
@@ -139,7 +139,7 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 						}
 						vis[i][j].PostSend(p, send, 16)
 					}
-					seen += drainCQ(p, vis[i], recvCQs[i])
+					seen += drainCQ(recvCQs[i])
 				}
 				for seen < want {
 					polled := 0
@@ -148,7 +148,7 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 							polled += vis[i][j].Poll(p)
 						}
 					}
-					seen += drainCQ(p, vis[i], recvCQs[i])
+					seen += drainCQ(recvCQs[i])
 					if polled == 0 {
 						p.Sleep(10 * sim.Microsecond)
 					}
@@ -168,7 +168,7 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 	return res, true
 }
 
-func drainCQ(p *sim.Proc, row []*via.VI, cq *via.CQ) int {
+func drainCQ(cq *via.CQ) int {
 	n := 0
 	for {
 		c, ok := cq.Poll()

@@ -7,7 +7,7 @@ import "virtnet/internal/sim"
 // pass must leave fully reduced.
 func RingReduceScatter(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, error) {
 	res := append([]float64(nil), vec...)
-	if err := ringReduceScatter(p, t, res, op, ringOrder(t, true), tagRingRS); err != nil {
+	if err := ringReduceScatter(p, t, res, op, ringOrder(t, true)); err != nil {
 		return nil, err
 	}
 	lo, hi := blockBounds(t.Rank(), t.Size(), len(vec))

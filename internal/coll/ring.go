@@ -28,7 +28,7 @@ func segBounds(perm []int, ell, length int) (lo, hi int) {
 // ringReduceScatter runs the reduce-scatter pass in place on res. On
 // return, rank perm[i]'s own block (block index perm[i]) holds the full
 // reduction; other blocks hold partials.
-func ringReduceScatter(p *sim.Proc, t Transport, res []float64, op Op, perm []int, tagBase int) error {
+func ringReduceScatter(p *sim.Proc, t Transport, res []float64, op Op, perm []int) error {
 	n := t.Size()
 	pos := permIndex(perm, t.Rank())
 	right := perm[(pos+1)%n]
@@ -36,7 +36,7 @@ func ringReduceScatter(p *sim.Proc, t Transport, res []float64, op Op, perm []in
 	for s := 0; s < n-1; s++ {
 		sendLo, sendHi := segBounds(perm, (pos-s+n)%n, len(res))
 		recvLo, recvHi := segBounds(perm, (pos-s-1+2*n)%n, len(res))
-		err := exchangeReduce(p, t, right, left, tagBase+s,
+		err := exchangeReduce(p, t, right, left, tagRingRS+s,
 			res[sendLo:sendHi], res[recvLo:recvHi], op)
 		if err != nil {
 			return fmt.Errorf("coll: ring reduce-scatter step %d: %w", s, err)
@@ -47,7 +47,7 @@ func ringReduceScatter(p *sim.Proc, t Transport, res []float64, op Op, perm []in
 
 // ringAllgather circulates the fully reduced segments so every rank ends
 // with the whole vector. res must be the post-reduce-scatter working copy.
-func ringAllgather(p *sim.Proc, t Transport, res []float64, perm []int, tagBase int) error {
+func ringAllgather(p *sim.Proc, t Transport, res []float64, perm []int) error {
 	n := t.Size()
 	pos := permIndex(perm, t.Rank())
 	right := perm[(pos+1)%n]
@@ -56,12 +56,12 @@ func ringAllgather(p *sim.Proc, t Transport, res []float64, perm []int, tagBase 
 		sendLo, sendHi := segBounds(perm, (pos+1-s+2*n)%n, len(res))
 		recvLo, recvHi := segBounds(perm, (pos-s+2*n)%n, len(res))
 		if sendHi > sendLo {
-			if err := t.Send(p, right, tagBase+s, encode(res[sendLo:sendHi])); err != nil {
+			if err := t.Send(p, right, tagRingAG+s, encode(res[sendLo:sendHi])); err != nil {
 				return fmt.Errorf("coll: ring allgather step %d: %w", s, err)
 			}
 		}
 		if recvHi > recvLo {
-			raw, err := t.Recv(p, left, tagBase+s)
+			raw, err := t.Recv(p, left, tagRingAG+s)
 			if err != nil {
 				return fmt.Errorf("coll: ring allgather step %d: %w", s, err)
 			}
@@ -73,10 +73,10 @@ func ringAllgather(p *sim.Proc, t Transport, res []float64, perm []int, tagBase 
 
 func ringAllreduce(p *sim.Proc, t Transport, vec []float64, op Op, perm []int) ([]float64, error) {
 	res := append([]float64(nil), vec...)
-	if err := ringReduceScatter(p, t, res, op, perm, tagRingRS); err != nil {
+	if err := ringReduceScatter(p, t, res, op, perm); err != nil {
 		return nil, err
 	}
-	if err := ringAllgather(p, t, res, perm, tagRingAG); err != nil {
+	if err := ringAllgather(p, t, res, perm); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -486,9 +486,9 @@ func (ep *Endpoint) locate(dst EndpointName) netsim.NodeID {
 // enqueue assigns the next end-to-end message id for dst, locates it, and
 // posts the descriptor (the reply path, which addresses endpoints outside
 // the translation table).
-func (ep *Endpoint) enqueue(p *sim.Proc, dst EndpointName, key Key, h int, args [4]uint64, payload []byte, isReply bool) error {
+func (ep *Endpoint) enqueue(p *sim.Proc, dst EndpointName, key Key, h int, args [4]uint64, payload []byte) error {
 	ep.msgSeq[dst.ep]++
-	return ep.post(p, ep.locate(dst), dst.ep, key, ep.msgSeq[dst.ep], h, args, payload, isReply)
+	return ep.post(p, ep.locate(dst), dst.ep, key, ep.msgSeq[dst.ep], h, args, payload, true)
 }
 
 // post charges Os, performs the write-fault protocol, and posts a descriptor
@@ -572,7 +572,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	d.Flight = fl
 	sq.Push(d)
 	fl.Mark(obs.StageHostPost, p.Now())
-	ep.b.Node.NIC.PostSend(ep.seg.EP)
+	ep.b.Node.NIC.PostSend()
 	return nil
 }
 
@@ -605,7 +605,7 @@ func (t *Token) reply(p *sim.Proc, h int, args [4]uint64, payload []byte) error 
 		return ErrPayloadSize
 	}
 	t.replied = true
-	return t.ep.enqueue(p, t.src, t.key, h, args, payload, true)
+	return t.ep.enqueue(p, t.src, t.key, h, args, payload)
 }
 
 // pollOnce drains pending messages from the endpoint, charging the poll

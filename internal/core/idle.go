@@ -150,9 +150,9 @@ func (b *Backoff) grow() {
 // starts now on, to the endpoint's shadow timer: it fires where each of them
 // would have ended, charges the shared lock and the poll as the loop does,
 // and resumes the proc in that event's place only where the loop has work —
-// at a pop that finds a message, which the call dispatches and returns the
-// count of, or at the top of a turn at which exit() could read something
-// new, where the call returns 0 for the caller to test. That is the case
+// at a pop that finds a message, which the call dispatches before it
+// returns, or at the top of a turn at which exit() could read something
+// new, where the call returns for the caller to test. That is the case
 // once another thread has dispatched on the endpoint or is dispatching
 // there, once the NI has taken a send queue from full to not full
 // (EndpointImage.OnSendSpace) or a translation was mapped or handed a credit
@@ -160,7 +160,7 @@ func (b *Backoff) grow() {
 // a SetWaitAbort predicate, which nothing rings when it flips. The proc is
 // handed control once per wait, not twice per turn; the events stay, so
 // nothing else can tell.
-func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) int {
+func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) {
 	if b.tick == 0 {
 		b.tick = b.Base
 	}
@@ -168,14 +168,13 @@ func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) int {
 	if b.tick <= 0 || ep.moved || w.taken() {
 		// No tick to wait out, a frozen endpoint's free poll, or another
 		// thread already parked here: a literal turn.
-		n := ep.pollOnce(p)
-		if n > 0 {
+		if ep.pollOnce(p) > 0 {
 			b.tick = b.Base
-			return n
+			return
 		}
 		p.Sleep(b.tick)
 		b.grow()
-		return 0
+		return
 	}
 	*w = idler{p: p, backoff: true, b: *b, mark: ep.stirs}
 	ep.shadowPoll()
@@ -183,11 +182,10 @@ func (ep *Endpoint) PollBackoff(p *sim.Proc, b *Backoff) int {
 	w.p = nil
 	b.tick = w.b.tick
 	if w.phase == phTop {
-		return 0
+		return
 	}
-	n := ep.drain(p)
+	ep.drain(p)
 	b.tick = b.Base
-	return n
 }
 
 // shadow fires where a sleep of a parked PollBackoff wait's literal loop

@@ -16,28 +16,6 @@ import (
 	"virtnet/internal/sim"
 )
 
-// JobState tracks a job through the queue.
-type JobState int
-
-const (
-	// Queued: waiting for enough free nodes.
-	Queued JobState = iota
-	// Running: gang-launched on a partition.
-	Running
-	// Done: every rank returned.
-	Done
-)
-
-func (s JobState) String() string {
-	switch s {
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	}
-	return "done"
-}
-
 // JobFn is a job's per-rank body. nodes lists the allocated partition;
 // rank r runs on nodes[r].
 type JobFn func(p *sim.Proc, rank int, nodes []*hostos.Node)
@@ -46,12 +24,10 @@ type JobFn func(p *sim.Proc, rank int, nodes []*hostos.Node)
 type Job struct {
 	ID    int
 	Width int // requested node count
-	State JobState
 
 	fn        JobFn
 	partition []int
 	remaining int
-	cond      *sim.Cond
 	// procs are the gang's rank threads, tracked so a node death can kill
 	// the whole gang and requeue the job.
 	procs []*sim.Proc
@@ -123,24 +99,22 @@ func (s *Scheduler) account() {
 }
 
 // Submit enqueues a parallel job of the given width and attempts dispatch.
-func (s *Scheduler) Submit(width int, fn JobFn) (*Job, error) {
+func (s *Scheduler) Submit(width int, fn JobFn) error {
 	if width > len(s.cluster.Nodes) {
-		return nil, ErrTooWide
+		return ErrTooWide
 	}
 	if width <= 0 {
-		return nil, errors.New("glunix: job width must be positive")
+		return errors.New("glunix: job width must be positive")
 	}
 	s.nextID++
 	j := &Job{
 		ID:    s.nextID,
 		Width: width,
-		State: Queued,
 		fn:    fn,
-		cond:  new(sim.Cond),
 	}
 	s.queue = append(s.queue, j)
 	s.dispatch()
-	return j, nil
+	return nil
 }
 
 // dispatch launches queued jobs in FIFO order while partitions fit. FIFO
@@ -173,7 +147,6 @@ func (s *Scheduler) launch(j *Job) {
 	s.allocated += j.Width
 
 	j.partition = ids
-	j.State = Running
 	j.remaining = j.Width
 
 	nodes := make([]*hostos.Node, j.Width)
@@ -199,7 +172,6 @@ func (s *Scheduler) launch(j *Job) {
 
 // finish releases the partition and dispatches waiting jobs.
 func (s *Scheduler) finish(j *Job) {
-	j.State = Done
 	j.procs = nil
 	s.account()
 	s.allocated -= j.Width
@@ -211,7 +183,6 @@ func (s *Scheduler) finish(j *Job) {
 		}
 	}
 	s.Completed++
-	j.cond.Broadcast()
 	s.dispatch()
 }
 
@@ -226,7 +197,7 @@ func (s *Scheduler) NodeDead(id int) {
 	}
 	s.dead[id] = true
 	delete(s.free, id)
-	if j := s.jobsOn[id]; j != nil && j.State == Running {
+	if j := s.jobsOn[id]; j != nil {
 		s.requeue(j)
 	}
 	s.dispatch()
@@ -248,7 +219,6 @@ func (s *Scheduler) requeue(j *Job) {
 		}
 	}
 	j.partition = nil
-	j.State = Queued
 	j.remaining = 0
 	s.Requeued++
 	s.queue = append([]*Job{j}, s.queue...)

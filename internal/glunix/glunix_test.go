@@ -6,6 +6,7 @@ import (
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/mpi"
+	"virtnet/internal/netsim"
 	"virtnet/internal/sim"
 )
 
@@ -36,9 +37,17 @@ func TestSpaceSharingDisjointPartitions(t *testing.T) {
 	c := newCluster(t, 8)
 	s := NewScheduler(c)
 	var s1, s2, end sim.Time
+	ranOn := map[netsim.NodeID]int{}
+	job := func(start *sim.Time) JobFn {
+		timed := timedJob(10*sim.Millisecond, start, &end)
+		return func(p *sim.Proc, rank int, nodes []*hostos.Node) {
+			ranOn[nodes[rank].ID]++
+			timed(p, rank, nodes)
+		}
+	}
 	submitted := c.Now()
-	j1, _ := s.Submit(4, timedJob(10*sim.Millisecond, &s1, &end))
-	j2, _ := s.Submit(4, timedJob(10*sim.Millisecond, &s2, &end))
+	s.Submit(4, job(&s1))
+	s.Submit(4, job(&s2))
 	if !s.Drain(sim.Second) {
 		t.Fatal("jobs did not drain")
 	}
@@ -46,12 +55,8 @@ func TestSpaceSharingDisjointPartitions(t *testing.T) {
 	if s1.Sub(submitted) != 0 || s2.Sub(submitted) != 0 {
 		t.Fatalf("queue waits: %v %v, want both 0 (space-shared)", s1.Sub(submitted), s2.Sub(submitted))
 	}
-	seen := map[int]bool{}
-	for _, id := range append(j1.partition, j2.partition...) {
-		if seen[id] {
-			t.Fatalf("node %d allocated to both jobs", id)
-		}
-		seen[id] = true
+	if len(ranOn) != 8 {
+		t.Fatalf("the two jobs' 8 ranks ran on %d nodes, want 8 (%v)", len(ranOn), ranOn)
 	}
 	if len(s.free) != 8 {
 		t.Fatalf("free = %d after drain", len(s.free))
@@ -63,12 +68,12 @@ func TestFIFOQueueingWhenFull(t *testing.T) {
 	s := NewScheduler(c)
 	var s1, e1, s2, e2 sim.Time
 	submitted := c.Now()
-	if _, err := s.Submit(4, timedJob(20*sim.Millisecond, &s1, &e1)); err != nil {
+	if err := s.Submit(4, timedJob(20*sim.Millisecond, &s1, &e1)); err != nil {
 		t.Fatal(err)
 	}
-	j2, _ := s.Submit(2, timedJob(5*sim.Millisecond, &s2, &e2))
-	j3, _ := s.Submit(2, sleepJob(5*sim.Millisecond))
-	if j2.State != Queued || j3.State != Queued {
+	s.Submit(2, timedJob(5*sim.Millisecond, &s2, &e2))
+	s.Submit(2, sleepJob(5*sim.Millisecond))
+	if len(s.queue) != 2 {
 		t.Fatal("jobs not queued while cluster is full")
 	}
 	if !s.Drain(sim.Second) {
@@ -87,11 +92,10 @@ func TestGangLaunchSameInstant(t *testing.T) {
 	c := newCluster(t, 4)
 	s := NewScheduler(c)
 	var starts []sim.Time
-	j, _ := s.Submit(4, func(p *sim.Proc, rank int, nodes []*hostos.Node) {
+	s.Submit(4, func(p *sim.Proc, rank int, nodes []*hostos.Node) {
 		starts = append(starts, p.Now())
 	})
-	s.Drain(sim.Second)
-	if j.State != Done {
+	if !s.Drain(sim.Second) || len(starts) != 4 {
 		t.Fatal("job not done")
 	}
 	for _, st := range starts {
@@ -104,10 +108,10 @@ func TestGangLaunchSameInstant(t *testing.T) {
 func TestTooWideRejected(t *testing.T) {
 	c := newCluster(t, 2)
 	s := NewScheduler(c)
-	if _, err := s.Submit(3, sleepJob(1)); err != ErrTooWide {
+	if err := s.Submit(3, sleepJob(1)); err != ErrTooWide {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.Submit(0, sleepJob(1)); err == nil {
+	if err := s.Submit(0, sleepJob(1)); err == nil {
 		t.Fatal("zero-width job accepted")
 	}
 }
@@ -131,7 +135,7 @@ func TestJobsCommunicateOverVirtualNetworks(t *testing.T) {
 	s := NewScheduler(c)
 	var sum float64
 	launched := false
-	j, err := s.Submit(4, func(p *sim.Proc, rank int, nodes []*hostos.Node) {
+	err := s.Submit(4, func(p *sim.Proc, rank int, nodes []*hostos.Node) {
 		if rank != 0 {
 			return // rank 0 drives the world construction + Launch
 		}
@@ -165,7 +169,7 @@ func TestJobsCommunicateOverVirtualNetworks(t *testing.T) {
 	if !s.Drain(10 * sim.Second) {
 		t.Fatal("did not drain")
 	}
-	if !launched || j.State != Done {
+	if !launched {
 		t.Fatal("job did not run")
 	}
 	if sum != 10 { // 1+2+3+4

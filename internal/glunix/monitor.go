@@ -42,6 +42,8 @@ const (
 	flapWindow    = 500 * sim.Millisecond
 	probationBase = 100 * sim.Millisecond
 	probationMax  = 5 * sim.Second
+
+	home = 0 // the master's node
 )
 
 // Monitor is the GLUnix health service: every node runs a beater thread
@@ -57,7 +59,6 @@ type Monitor struct {
 	e     *sim.Engine // the home node's: the master's clock and timers
 	sched *Scheduler
 	names NameService
-	home  int
 
 	master   *core.Endpoint
 	lastBeat []sim.Time
@@ -77,12 +78,12 @@ type Monitor struct {
 	Beats int64
 }
 
-// NewMonitor starts the health service with its master on node home. sched
+// NewMonitor starts the health service with its master on node 0. sched
 // and names may each be nil (detection only). Beaters start on every node
 // except home; the master scan thread runs on home. The master's tables (and
 // the scheduler's free list behind them) are written from every node's
 // threads, so a cluster of more than one shard gets hostos.ErrSharded.
-func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int) (*Monitor, error) {
+func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService) (*Monitor, error) {
 	if err := c.OneShard("glunix: monitor"); err != nil {
 		return nil, err
 	}
@@ -91,7 +92,6 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 		e:          c.Nodes[home].E,
 		sched:      sched,
 		names:      names,
-		home:       home,
 		lastBeat:   make([]sim.Time, len(c.Nodes)),
 		deadN:      make([]bool, len(c.Nodes)),
 		beatGen:    make([]int, len(c.Nodes)),
@@ -134,7 +134,7 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService, home int
 			m.master.Poll(p)
 			now := p.Now()
 			for n := range m.lastBeat {
-				if n == m.home || m.deadN[n] {
+				if n == home || m.deadN[n] {
 					continue
 				}
 				if now.Sub(m.lastBeat[n]) > silence {
@@ -217,7 +217,7 @@ func (m *Monitor) declareDead(n int) {
 	}
 	for _, h := range m.onDead {
 		h := h
-		m.c.Nodes[m.home].Spawn("ondead", func(p *sim.Proc) { h(p, n) })
+		m.c.Nodes[home].Spawn("ondead", func(p *sim.Proc) { h(p, n) })
 	}
 }
 

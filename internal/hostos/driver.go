@@ -216,7 +216,7 @@ func (d *Driver) tick(remote uint64) uint64 {
 func (d *Driver) CreateEndpoint(key uint64) *Segment {
 	d.nextID++
 	cfg := d.nic.Config()
-	ep := nic.NewEndpointImage(d.nextID, d.node, nic.SendQDepth, cfg.RecvQDepth)
+	ep := nic.NewEndpointImage(d.nextID, d.node, cfg.RecvQDepth)
 	ep.Key = key
 	d.nic.Register(ep)
 	seg := d.newSegment(ep, OnHostRO)

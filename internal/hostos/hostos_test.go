@@ -29,7 +29,7 @@ func sendVia(c *Cluster, p *sim.Proc, node int, seg *Segment, d *nic.SendDesc) {
 	}
 	d.SrcEP = seg.EP.ID
 	seg.EP.SendQ.Push(d)
-	c.Nodes[node].NIC.PostSend(seg.EP)
+	c.Nodes[node].NIC.PostSend()
 }
 
 func TestWriteFaultTriggersAsyncRemap(t *testing.T) {

@@ -54,8 +54,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 			return float64(nic.FreeFrames())
 		})
 		o.R.AddGauge(fmt.Sprintf("nic.n%d.inbound", int(n.ID)), func() float64 {
-			inb, _, _, _ := nic.QueueLens()
-			return float64(inb)
+			return float64(nic.InboundLen())
 		})
 		o.R.AddGauge(fmt.Sprintf("net.n%d.blocked", int(n.ID)), func() float64 {
 			return float64(net.Blocked(id))
@@ -129,11 +128,9 @@ func (c *Cluster) MergedFlights() []*obs.Flight {
 
 // SweepOpenFlights finalizes every shard's still-open flights as dropped
 // with the given reason, so an end-of-run analysis accounts for every
-// started flight. Returns the total swept. Call only between runs.
-func (c *Cluster) SweepOpenFlights(reason string) int {
-	n := 0
+// started flight. Call only between runs.
+func (c *Cluster) SweepOpenFlights(reason string) {
 	for s, o := range c.shardObs {
-		n += o.T.SweepOpen(reason, c.ShardEngine(s).Now())
+		o.T.SweepOpen(reason, c.ShardEngine(s).Now())
 	}
-	return n
 }

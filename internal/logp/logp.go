@@ -200,10 +200,11 @@ func Bandwidth(e *sim.Engine, client, server Station, size, count int) float64 {
 	return mbps
 }
 
-// RTTBulk measures the round-trip time for an n-byte request echoed with an
-// n-byte reply (the Fig. 4 latency line: time = 0.1112 n + 61.02 us on the
-// paper's hardware).
-func RTTBulk(e *sim.Engine, client, server Station, size, iters int) sim.Duration {
+// RTTBulk measures the mean round-trip time, over 10 exchanges after one
+// warm-up, for an n-byte request echoed with an n-byte reply (the Fig. 4
+// latency line: time = 0.1112 n + 61.02 us on the paper's hardware).
+func RTTBulk(e *sim.Engine, client, server Station, size int) sim.Duration {
+	const iters = 10
 	replies := 0
 	server.SetHandler(hEcho, func(p *sim.Proc, rep Replier, args [4]uint64, payload []byte) {
 		rep.ReplyBulk(p, hReply, payload, args)

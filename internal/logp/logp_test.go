@@ -117,9 +117,9 @@ func TestBandwidthMonotonicInSize(t *testing.T) {
 
 func TestRTTBulkLinearInSize(t *testing.T) {
 	c, cl, sv := amPair(t)
-	r1 := RTTBulk(c.ShardEngine(0), cl, sv, 1024, 10)
+	r1 := RTTBulk(c.ShardEngine(0), cl, sv, 1024)
 	c2, cl2, sv2 := amPair(t)
-	r8 := RTTBulk(c2.ShardEngine(0), cl2, sv2, 8192, 10)
+	r8 := RTTBulk(c2.ShardEngine(0), cl2, sv2, 8192)
 	t.Logf("bulk RTT: 1KB=%.1fus 8KB=%.1fus", r1.Micros(), r8.Micros())
 	if r8 <= r1 {
 		t.Fatal("bulk RTT not increasing with size")

@@ -89,8 +89,8 @@ func (d *Directory) Resolve(ep int) (netsim.NodeID, bool) {
 }
 
 // Publish records that endpoint ep now lives on node, bumping the name's
-// version, and returns the new version.
-func (d *Directory) Publish(ep int, node netsim.NodeID) uint64 {
+// version.
+func (d *Directory) Publish(ep int, node netsim.NodeID) {
 	d.C.Inc("dir.publish")
 	e, ok := d.entries[ep]
 	if !ok {
@@ -99,7 +99,6 @@ func (d *Directory) Publish(ep int, node netsim.NodeID) uint64 {
 	}
 	e.node = node
 	e.ver++
-	return e.ver
 }
 
 // Forget removes a name (endpoint freed for good).
@@ -314,7 +313,7 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 		if err != nil {
 			// The destination agent is unreachable (returned to sender):
 			// abandon the move and bring the endpoint back up locally.
-			return s.abortMove(p, srcMgr, seg, x, id)
+			return s.abortMove(srcMgr, seg, x, id)
 		}
 	}
 
@@ -325,7 +324,7 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 	for !x.committed {
 		srcMgr.cond.WaitTimeout(p, 50*sim.Millisecond)
 		if !x.committed && p.Now() >= deadline {
-			return s.abortMove(p, srcMgr, seg, x, id)
+			return s.abortMove(srcMgr, seg, x, id)
 		}
 	}
 
@@ -351,7 +350,7 @@ func (s *Service) Move(p *sim.Proc, ep *core.Endpoint, dst netsim.NodeID) (*Move
 // reincarnates the already-extracted endpoint back on the source node, so
 // the service's managed registry keeps pointing at a live handle. Callers
 // always get ErrDestUnreachable; recovered handles are found via Endpoint.
-func (s *Service) abortMove(p *sim.Proc, srcMgr *Manager, seg *hostos.Segment, x *xfer, id uint64) (*MoveStats, error) {
+func (s *Service) abortMove(srcMgr *Manager, seg *hostos.Segment, x *xfer, id uint64) (*MoveStats, error) {
 	delete(s.xfers, id)
 	src := srcMgr.node
 	if src.Crashed() {

@@ -354,13 +354,15 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 	}
 }
 
-// SendRecv performs a simultaneous exchange with two peers (sends to dst,
-// receives from src), the primitive behind pairwise collectives.
-func (c *Comm) SendRecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag int) ([]byte, error) {
+// SendRecv performs an exchange with two peers: it sends data to dst and
+// then receives one message from src, whose bytes its callers (halo
+// exchanges that model traffic) do not need.
+func (c *Comm) SendRecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag int) error {
 	if err := c.Send(p, dst, sendTag, data); err != nil {
-		return nil, err
+		return err
 	}
-	return c.Recv(p, src, recvTag)
+	_, err := c.Recv(p, src, recvTag)
+	return err
 }
 
 // Collective tags live above 1<<20 to stay clear of user tags.

@@ -299,14 +299,15 @@ func (w *msgWindow) mark(id uint64) {
 	}
 }
 
-// NewEndpointImage allocates an endpoint image with the given queue depths.
-func NewEndpointImage(id int, node netsim.NodeID, sendDepth, recvDepth int) *EndpointImage {
+// NewEndpointImage allocates an endpoint image with SendQDepth-deep send
+// queues and recvDepth-deep receive queues.
+func NewEndpointImage(id int, node netsim.NodeID, recvDepth int) *EndpointImage {
 	return &EndpointImage{
 		ID:       id,
 		Node:     node,
 		Frame:    -1,
-		SendQ:    newRing[*SendDesc](sendDepth),
-		RepSendQ: newRing[*SendDesc](sendDepth),
+		SendQ:    newRing[*SendDesc](SendQDepth),
+		RepSendQ: newRing[*SendDesc](SendQDepth),
 		RecvQ:    newRing[*RecvMsg](recvDepth),
 		RepQ:     newRing[*RecvMsg](recvDepth),
 	}

@@ -52,11 +52,11 @@ func TestAdaptiveTimeoutAvoidsSpuriousRetransmissions(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			r.e.RunFor(sim.Millisecond)
 			for {
-				if _, ok := dst.RecvQ.Pop(); !ok {
+				if dst.RecvQ.Pop() == nil {
 					break
 				}
 			}
-			if dst.RecvQ.Empty() && src.SendQ.Empty() && src.inflight == 0 {
+			if dst.RecvQ.Len() == 0 && src.SendQ.Len() == 0 && src.inflight == 0 {
 				break
 			}
 		}
@@ -88,17 +88,17 @@ func TestPiggybackAcksReduceControlPackets(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			r.e.RunFor(sim.Millisecond)
 			for {
-				m, ok := b.RecvQ.Pop()
-				if !ok {
+				m := b.RecvQ.Pop()
+				if m == nil {
 					break
 				}
 				_ = m
 				// Application-level echo back.
 				b.SendQ.Push(&SendDesc{SrcEP: 2, DstNI: 0, DstEP: 1, Key: 1, Handler: 2, IsReply: true})
-				r.nics[1].PostSend(b)
+				r.nics[1].PostSend()
 			}
 			for {
-				if _, ok := a.RepQ.Pop(); !ok {
+				if a.RepQ.Pop() == nil {
 					break
 				}
 				delivered++
@@ -157,10 +157,10 @@ func TestExtensionsExactlyOnceUnderDrops(t *testing.T) {
 	n1.SetDriver(&fakeDriver{n: n1})
 	defer e.Shutdown()
 
-	src := NewEndpointImage(1, 0, SendQDepth, cfg.RecvQDepth)
+	src := NewEndpointImage(1, 0, cfg.RecvQDepth)
 	src.Key = 1
 	n0.Register(src)
-	dst := NewEndpointImage(2, 1, SendQDepth, cfg.RecvQDepth)
+	dst := NewEndpointImage(2, 1, cfg.RecvQDepth)
 	dst.Key = 2
 	n1.Register(dst)
 	n0.SubmitCmd(&DriverCmd{Op: OpLoad, EP: src, Frame: 0})
@@ -171,13 +171,13 @@ func TestExtensionsExactlyOnceUnderDrops(t *testing.T) {
 	for i := 0; i < N; i++ {
 		src.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1, Args: [4]uint64{uint64(i)}})
 	}
-	n0.PostSend(src)
+	n0.PostSend()
 	got := map[uint64]int{}
 	for step := 0; step < 4000 && len(got) < N; step++ {
 		e.RunFor(sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -207,8 +207,8 @@ func TestPiggyAckCost(t *testing.T) {
 		sent := r.e.Now()
 		r.send(1, b, &SendDesc{DstNI: 0, DstEP: 1, Key: 1, Handler: 2, IsReply: true})
 		r.e.RunFor(sim.Millisecond)
-		m, ok := a.RepQ.Pop()
-		if !ok {
+		m := a.RepQ.Pop()
+		if m == nil {
 			t.Fatal("reply not delivered")
 		}
 		return m.Arrive.Sub(sent), r.nics[0].C.Get("rx.ack.piggy") - acks
@@ -217,7 +217,7 @@ func TestPiggyAckCost(t *testing.T) {
 	// posted within it carries the ack.
 	r.send(0, a, &SendDesc{DstNI: 1, DstEP: 2, Key: 2, Handler: 1})
 	r.e.RunFor(20 * sim.Microsecond)
-	if _, ok := b.RecvQ.Pop(); !ok {
+	if b.RecvQ.Pop() == nil {
 		t.Fatal("request not delivered within 20us")
 	}
 	carrying, n1 := reply()

@@ -366,10 +366,10 @@ func (n *NIC) FreeFrames() int {
 // FrameOccupant returns the endpoint in frame i, or nil.
 func (n *NIC) FrameOccupant(i int) *EndpointImage { return n.frames[i] }
 
-// PostSend tells the NI that new send descriptors were written into ep.
+// PostSend tells the NI that new send descriptors were written.
 // The host charges its own descriptor-write cost (Os); this only wakes the
 // dispatch loop.
-func (n *NIC) PostSend(ep *EndpointImage) { n.wake() }
+func (n *NIC) PostSend() { n.wake() }
 
 // SubmitCmd queues a driver command for the dispatch loop.
 func (n *NIC) SubmitCmd(cmd *DriverCmd) {
@@ -385,10 +385,9 @@ func (n *NIC) wake() {
 	}
 }
 
-// QueueLens reports the dispatch loop's queue depths (diagnostics).
-func (n *NIC) QueueLens() (inbound, ctl, work, cmds int) {
-	return n.inbound.Len(), n.inboundCtl.Len(), n.work.Len(), n.cmds.Len()
-}
+// InboundLen reports the depth of the dispatch loop's inbound data queue
+// (diagnostics).
+func (n *NIC) InboundLen() int { return n.inbound.Len() }
 
 // fromNetwork is the netsim delivery callback (the network receive DMA
 // engine depositing a packet into NI memory).
@@ -691,7 +690,7 @@ func (n *NIC) advanceWRR() {
 // injectSend puts it on the wire.
 func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc], ch *channel) {
 	full := q.Full()
-	d, _ := q.Pop()
+	d := q.Pop()
 	if full && ep.OnSendSpace != nil {
 		ep.OnSendSpace()
 	}

@@ -62,7 +62,7 @@ func newRig(t *testing.T, hosts int, seed int64, mod func(*Config), nmod func(*n
 func (r *rig) newEP(t *testing.T, host, id int, key uint64, frame int) *EndpointImage {
 	t.Helper()
 	n := r.nics[host]
-	ep := NewEndpointImage(id, netsim.NodeID(host), SendQDepth, n.cfg.RecvQDepth)
+	ep := NewEndpointImage(id, netsim.NodeID(host), n.cfg.RecvQDepth)
 	ep.Key = key
 	n.Register(ep)
 	if frame >= 0 {
@@ -81,7 +81,7 @@ func (r *rig) send(host int, ep *EndpointImage, d *SendDesc) {
 	if !ep.SendQ.Push(d) {
 		panic("send queue full in test")
 	}
-	r.nics[host].PostSend(ep)
+	r.nics[host].PostSend()
 }
 
 func (r *rig) shutdown() { r.e.Shutdown() }
@@ -98,7 +98,7 @@ func TestShortMessageDelivery(t *testing.T) {
 	if dst.RecvQ.Len() != 1 {
 		t.Fatalf("RecvQ len = %d, want 1", dst.RecvQ.Len())
 	}
-	m, _ := dst.RecvQ.Pop()
+	m := dst.RecvQ.Pop()
 	if m.Handler != 3 || m.Args[0] != 11 || m.Args[3] != 44 || m.SrcEP != 100 || m.SrcNI != 0 {
 		t.Fatalf("bad message: %+v", m)
 	}
@@ -136,7 +136,7 @@ func TestBadKeyReturnsToSender(t *testing.T) {
 	if src.RepQ.Len() != 1 {
 		t.Fatalf("no return-to-sender event, RepQ=%d", src.RepQ.Len())
 	}
-	m, _ := src.RepQ.Pop()
+	m := src.RepQ.Pop()
 	if !m.IsReturn || m.Reason != NackBadKey || m.Handler != 5 {
 		t.Fatalf("bad return msg: %+v", m)
 	}
@@ -151,7 +151,7 @@ func TestNoEndpointReturnsToSender(t *testing.T) {
 	if src.RepQ.Len() != 1 {
 		t.Fatal("no return-to-sender for missing endpoint")
 	}
-	m, _ := src.RepQ.Pop()
+	m := src.RepQ.Pop()
 	if m.Reason != NackNoEndpoint {
 		t.Fatalf("reason = %v, want no-endpoint", m.Reason)
 	}
@@ -199,10 +199,10 @@ func TestOverrunNackAndRecovery(t *testing.T) {
 	// Drain and let retransmissions complete.
 	got := map[uint64]int{}
 	for {
-		m, ok := dst.RecvQ.Pop()
-		if !ok {
+		m := dst.RecvQ.Pop()
+		if m == nil {
 			r.e.RunFor(50 * sim.Millisecond)
-			if dst.RecvQ.Empty() {
+			if dst.RecvQ.Len() == 0 {
 				break
 			}
 			continue
@@ -230,7 +230,7 @@ func TestBulkTransfer(t *testing.T) {
 	if dst.RecvQ.Len() != 1 {
 		t.Fatal("bulk message not delivered")
 	}
-	m, _ := dst.RecvQ.Pop()
+	m := dst.RecvQ.Pop()
 	if len(m.Payload) != 8192 || m.Payload[100] != byte(100) {
 		t.Fatal("bulk payload corrupted")
 	}
@@ -255,8 +255,8 @@ func TestExactlyOnceUnderDrops(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		r.e.RunFor(1 * sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -288,7 +288,7 @@ func TestProlongedAbsenceReturnsToSender(t *testing.T) {
 	if src.RepQ.Len() != 1 {
 		t.Fatalf("message never returned to sender; retrans=%d", r.nics[0].C.Get("tx.retrans"))
 	}
-	m, _ := src.RepQ.Pop()
+	m := src.RepQ.Pop()
 	if !m.IsReturn || m.Handler != 8 {
 		t.Fatalf("bad return: %+v", m)
 	}
@@ -345,7 +345,7 @@ func TestQuiesceUnloadWaitsForInflight(t *testing.T) {
 	}
 	// Remaining queued messages must NOT have been sent while quiescing or
 	// after unload (endpoint non-resident).
-	if src.SendQ.Empty() {
+	if src.SendQ.Len() == 0 {
 		t.Fatal("sends continued after unload")
 	}
 }
@@ -420,7 +420,7 @@ func TestEpochResyncAfterSenderRestart(t *testing.T) {
 	n0 := New(r.e, r.net, 0, DefaultConfig())
 	d0 := &fakeDriver{n: n0}
 	n0.SetDriver(d0)
-	src2 := NewEndpointImage(100, 0, SendQDepth, n0.cfg.RecvQDepth)
+	src2 := NewEndpointImage(100, 0, n0.cfg.RecvQDepth)
 	src2.Key = 7
 	n0.Register(src2)
 	done := false
@@ -430,7 +430,7 @@ func TestEpochResyncAfterSenderRestart(t *testing.T) {
 		t.Fatal("reload failed")
 	}
 	src2.SendQ.Push(&SendDesc{SrcEP: 100, DstNI: 1, DstEP: 200, Key: 9, Handler: 2})
-	n0.PostSend(src2)
+	n0.PostSend()
 	r.e.RunFor(20 * sim.Millisecond)
 	if dst.RecvQ.Len() != 1 {
 		t.Fatalf("post-reboot message not delivered (dup=%d)", r.nics[1].C.Get("rx.dup"))
@@ -497,7 +497,7 @@ func TestRebootRequeuesInterruptedCommand(t *testing.T) {
 	n := r.nics[0]
 	var done []int
 	load := func(id, frame int) *EndpointImage {
-		ep := NewEndpointImage(id, 0, SendQDepth, n.cfg.RecvQDepth)
+		ep := NewEndpointImage(id, 0, n.cfg.RecvQDepth)
 		n.Register(ep)
 		n.SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: frame, Done: func() { done = append(done, id) }})
 		return ep
@@ -566,10 +566,10 @@ func TestExactlyOnceProperty(t *testing.T) {
 		n1 := New(e, net, 1, cfg)
 		n0.SetDriver(&fakeDriver{n: n0})
 		n1.SetDriver(&fakeDriver{n: n1})
-		src := NewEndpointImage(1, 0, SendQDepth, cfg.RecvQDepth)
+		src := NewEndpointImage(1, 0, cfg.RecvQDepth)
 		src.Key = 1
 		n0.Register(src)
-		dst := NewEndpointImage(2, 1, SendQDepth, cfg.RecvQDepth)
+		dst := NewEndpointImage(2, 1, cfg.RecvQDepth)
 		dst.Key = 2
 		n1.Register(dst)
 		n0.SubmitCmd(&DriverCmd{Op: OpLoad, EP: src, Frame: 0})
@@ -578,13 +578,13 @@ func TestExactlyOnceProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			src.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1, Args: [4]uint64{uint64(i)}, MsgID: uint64(i + 1)})
 		}
-		n0.PostSend(src)
+		n0.PostSend()
 		got := map[uint64]int{}
 		for step := 0; step < 4000 && len(got) < n; step++ {
 			e.RunFor(sim.Millisecond)
 			for {
-				m, ok := dst.RecvQ.Pop()
-				if !ok {
+				m := dst.RecvQ.Pop()
+				if m == nil {
 					break
 				}
 				got[m.Args[0]]++
@@ -600,7 +600,7 @@ func TestExactlyOnceProperty(t *testing.T) {
 				}
 				if m.IsReturn {
 					src.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1, Args: m.Args, MsgID: m.MsgID})
-					n0.PostSend(src)
+					n0.PostSend()
 				}
 			}
 		}
@@ -622,7 +622,7 @@ func TestExactlyOnceProperty(t *testing.T) {
 
 func TestRingBasics(t *testing.T) {
 	r := newRing[int](3)
-	if !r.Empty() || r.Full() {
+	if r.Len() != 0 || r.Full() {
 		t.Fatal("bad initial state")
 	}
 	for i := 1; i <= 3; i++ {
@@ -636,8 +636,7 @@ func TestRingBasics(t *testing.T) {
 	if v, _ := r.Peek(); v != 1 {
 		t.Fatalf("peek = %d", v)
 	}
-	v, _ := r.Pop()
-	if v != 1 {
+	if v := r.Pop(); v != 1 {
 		t.Fatalf("pop = %d", v)
 	}
 	if !r.PushFront(0) {
@@ -645,13 +644,15 @@ func TestRingBasics(t *testing.T) {
 	}
 	want := []int{0, 2, 3}
 	for _, w := range want {
-		v, ok := r.Pop()
-		if !ok || v != w {
-			t.Fatalf("pop = %d,%v want %d", v, ok, w)
+		if v := r.Pop(); v != w {
+			t.Fatalf("pop = %d want %d", v, w)
 		}
 	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop from empty succeeded")
+	if r.Len() != 0 {
+		t.Fatal("ring not empty after popping every element")
+	}
+	if v := r.Pop(); v != 0 {
+		t.Fatalf("pop from empty = %d, want the zero value", v)
 	}
 }
 
@@ -674,11 +675,11 @@ func TestRingProperty(t *testing.T) {
 				}
 				next++
 			case 1:
-				v, ok := r.Pop()
-				if ok != (len(model) > 0) {
+				if r.Len() != len(model) {
 					return false
 				}
-				if ok {
+				v := r.Pop()
+				if len(model) > 0 {
 					if v != model[0] {
 						return false
 					}

@@ -37,9 +37,9 @@ func TestNackRequeueRedeliverAllocFree(t *testing.T) {
 	cycle := func() {
 		send()
 		r.e.RunFor(50 * sim.Microsecond)
-		m, ok := dst.RecvQ.Pop()
-		if !ok || m.Args[0] != popped+1 {
-			t.Fatalf("popped %+v ok=%v, want message %d", m, ok, popped+1)
+		m := dst.RecvQ.Pop()
+		if m == nil || m.Args[0] != popped+1 {
+			t.Fatalf("popped %+v, want message %d", m, popped+1)
 		}
 		popped++
 		m.Free()

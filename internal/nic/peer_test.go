@@ -32,8 +32,8 @@ func TestFirstContactAllocatesOneRecord(t *testing.T) {
 		r.e.RunFor(sim.Millisecond)
 	}
 	deliver := func(k int) {
-		m, ok := dsts[k].RecvQ.Pop()
-		if !ok {
+		m := dsts[k].RecvQ.Pop()
+		if m == nil {
 			t.Fatalf("NI %d: no delivery", k)
 		}
 		m.Free()

@@ -30,8 +30,8 @@ func TestInboundPoolOverrunNacks(t *testing.T) {
 	for step := 0; step < 3000 && len(got) < 3*per; step++ {
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -139,8 +139,8 @@ func TestReconfigurationMaskedByChannelRebind(t *testing.T) {
 		}
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -182,7 +182,7 @@ func TestExactlyOnceUnderPoolPressureProperty(t *testing.T) {
 		}
 		mk := func(host, id int, key uint64) *EndpointImage {
 			n := r.nics[host]
-			ep := NewEndpointImage(id, netsim.NodeID(host), SendQDepth, n.cfg.RecvQDepth)
+			ep := NewEndpointImage(id, netsim.NodeID(host), n.cfg.RecvQDepth)
 			ep.Key = key
 			n.Register(ep)
 			n.SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: 0})
@@ -197,14 +197,14 @@ func TestExactlyOnceUnderPoolPressureProperty(t *testing.T) {
 				s.SendQ.Push(&SendDesc{SrcEP: s.ID, DstNI: 0, DstEP: 10, Key: 5,
 					Handler: 1, Args: [4]uint64{uint64(i*1000 + j)}})
 			}
-			r.nics[i+1].PostSend(s)
+			r.nics[i+1].PostSend()
 		}
 		got := map[uint64]int{}
 		for step := 0; step < 4000 && len(got) < 4*per; step++ {
 			e.RunFor(sim.Millisecond)
 			for {
-				m, ok := dst.RecvQ.Pop()
-				if !ok {
+				m := dst.RecvQ.Pop()
+				if m == nil {
 					break
 				}
 				got[m.Args[0]]++
@@ -240,7 +240,7 @@ func TestReplySendQueueHasPriority(t *testing.T) {
 		ep.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1})
 	}
 	ep.RepSendQ.Push(&SendDesc{SrcEP: 1, DstNI: 2, DstEP: 3, Key: 3, Handler: 1, IsReply: true})
-	r.nics[0].PostSend(ep)
+	r.nics[0].PostSend()
 	// After a short time, the reply must already be delivered even though
 	// it was queued "after" the requests.
 	r.e.RunFor(30 * sim.Microsecond)
@@ -269,8 +269,8 @@ func TestPiggybackWithPoolOverrun(t *testing.T) {
 	for step := 0; step < 2000 && len(got) < 2*per; step++ {
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -312,7 +312,7 @@ func TestAdaptiveTimeoutSurvivesSpineFlap(t *testing.T) {
 		}
 		r.e.RunFor(sim.Millisecond)
 		for {
-			if _, ok := dst.RecvQ.Pop(); !ok {
+			if dst.RecvQ.Pop() == nil {
 				break
 			}
 			got++

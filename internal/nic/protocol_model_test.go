@@ -38,7 +38,7 @@ func TestProtocolAgainstModel(t *testing.T) {
 		// One endpoint per node; dedup-capable messages via MsgID.
 		var eps []*EndpointImage
 		for h := 0; h < 8; h++ {
-			ep := NewEndpointImage(h+1, netsim.NodeID(h), SendQDepth, cfg.RecvQDepth)
+			ep := NewEndpointImage(h+1, netsim.NodeID(h), cfg.RecvQDepth)
 			ep.Key = uint64(h + 1)
 			nics[h].Register(ep)
 			nics[h].SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: 0})
@@ -84,7 +84,7 @@ func TestProtocolAgainstModel(t *testing.T) {
 					Args: [4]uint64{uint64(id)},
 				})
 				sent[msgID{src: src, id: id}] = true
-				nics[src].PostSend(eps[src])
+				nics[src].PostSend()
 			case 4: // unload+reload an endpoint (residency churn)
 				h := int(op) % 8
 				nics[h].SubmitCmd(&DriverCmd{Op: OpUnload, EP: eps[h]})

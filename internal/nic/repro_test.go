@@ -24,10 +24,10 @@ func TestExactlyOnceAfterReturn(t *testing.T) {
 	n1 := New(e, net, 1, cfg)
 	n0.SetDriver(&fakeDriver{n: n0})
 	n1.SetDriver(&fakeDriver{n: n1})
-	src := NewEndpointImage(1, 0, SendQDepth, cfg.RecvQDepth)
+	src := NewEndpointImage(1, 0, cfg.RecvQDepth)
 	src.Key = 1
 	n0.Register(src)
-	dst := NewEndpointImage(2, 1, SendQDepth, cfg.RecvQDepth)
+	dst := NewEndpointImage(2, 1, cfg.RecvQDepth)
 	dst.Key = 2
 	n1.Register(dst)
 	n0.SubmitCmd(&DriverCmd{Op: OpLoad, EP: src, Frame: 0})
@@ -36,14 +36,14 @@ func TestExactlyOnceAfterReturn(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1, Args: [4]uint64{uint64(i)}, MsgID: uint64(i + 1)})
 	}
-	n0.PostSend(src)
+	n0.PostSend()
 	got := map[uint64]int{}
 	returns := 0
 	for step := 0; step < 4000 && len(got) < n; step++ {
 		e.RunFor(sim.Millisecond)
 		for {
-			m, ok := dst.RecvQ.Pop()
-			if !ok {
+			m := dst.RecvQ.Pop()
+			if m == nil {
 				break
 			}
 			got[m.Args[0]]++
@@ -56,7 +56,7 @@ func TestExactlyOnceAfterReturn(t *testing.T) {
 			if m.IsReturn {
 				returns++
 				src.SendQ.Push(&SendDesc{SrcEP: 1, DstNI: 1, DstEP: 2, Key: 2, Handler: 1, Args: m.Args, MsgID: m.MsgID})
-				n0.PostSend(src)
+				n0.PostSend()
 			}
 		}
 	}

@@ -13,9 +13,8 @@ func newRing[T any](capacity int) *ring[T] {
 	return &ring[T]{buf: make([]T, capacity)}
 }
 
-func (r *ring[T]) Len() int    { return r.n }
-func (r *ring[T]) Full() bool  { return r.n == len(r.buf) }
-func (r *ring[T]) Empty() bool { return r.n == 0 }
+func (r *ring[T]) Len() int   { return r.n }
+func (r *ring[T]) Full() bool { return r.n == len(r.buf) }
 
 // Push appends v; it reports false when the ring is full.
 func (r *ring[T]) Push(v T) bool {
@@ -48,17 +47,18 @@ func (r *ring[T]) Peek() (T, bool) {
 	return r.buf[r.head], true
 }
 
-// Pop removes and returns the head element.
-func (r *ring[T]) Pop() (T, bool) {
+// Pop removes and returns the head element, or the zero value when the
+// ring is empty.
+func (r *ring[T]) Pop() T {
 	var zero T
 	if r.n == 0 {
-		return zero, false
+		return zero
 	}
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return v, true
+	return v
 }
 
 // deque is a growable FIFO for the NI's unbounded software queues (arrival

@@ -92,7 +92,7 @@ func (tl *timeline) arrival(p *netsim.Packet) {
 // loads it into frame (frame < 0 leaves it non-resident).
 func (tl *timeline) endpoint(host, id int, key uint64, frame int) *EndpointImage {
 	n := tl.nics[host]
-	ep := NewEndpointImage(id, netsim.NodeID(host), SendQDepth, n.cfg.RecvQDepth)
+	ep := NewEndpointImage(id, netsim.NodeID(host), n.cfg.RecvQDepth)
 	ep.Key = key
 	ep.OnDeliver = func(m *RecvMsg) {
 		if m.IsReturn {
@@ -131,7 +131,7 @@ func (tl *timeline) postDesc(host int, src *EndpointImage, d *SendDesc) {
 	if !src.sendQueueFor(d).Push(d) {
 		panic("send queue full in timeline")
 	}
-	tl.nics[host].PostSend(src)
+	tl.nics[host].PostSend()
 }
 
 // run advances the engine by d in steps of step, draining every visible

@@ -70,9 +70,9 @@ func TestLateDuplicateKeepsItsOwnSeq(t *testing.T) {
 	r.e.RunFor(5 * sim.Millisecond)
 
 	for i := 1; i <= N; i++ {
-		m, ok := dst.RecvQ.Pop()
-		if !ok || m.Args[0] != uint64(i) {
-			t.Fatalf("message %d: got %+v ok=%v, want each once and in order", i, m, ok)
+		m := dst.RecvQ.Pop()
+		if m == nil || m.Args[0] != uint64(i) {
+			t.Fatalf("message %d: got %+v, want each once and in order", i, m)
 		}
 	}
 	if dst.RecvQ.Len() != 0 {
@@ -128,9 +128,9 @@ func TestDeliveryCompletesTheFlightOfItsOwnCopy(t *testing.T) {
 	if len(arrivals) != 2 || seqs[0] != seqs[1] {
 		t.Fatalf("arrivals %v seqs %v: want the corrupted copy and one retransmission of the same attempt", arrivals, seqs)
 	}
-	m, ok := dst.RecvQ.Pop()
-	if !ok || dst.RecvQ.Len() != 0 {
-		t.Fatalf("delivered ok=%v extra=%d, want exactly one", ok, dst.RecvQ.Len())
+	m := dst.RecvQ.Pop()
+	if m == nil || dst.RecvQ.Len() != 0 {
+		t.Fatalf("delivered %v extra=%d, want exactly one", m != nil, dst.RecvQ.Len())
 	}
 	if m.Flight != fl {
 		t.Fatalf("deposited message carries flight %p, want the message's own %p", m.Flight, fl)

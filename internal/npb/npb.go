@@ -166,14 +166,14 @@ func (m *NOW) body(p *sim.Proc, c *mpi.Comm, k Kernel) {
 			case PatNeighbor:
 				per := int(k.Bytes / float64(procs))
 				buf := make([]byte, per)
-				if _, err := c.SendRecv(p, right, 100+it%2, buf, left, 100+it%2); err != nil {
+				if err := c.SendRecv(p, right, 100+it%2, buf, left, 100+it%2); err != nil {
 					return
 				}
 			case PatPipeline:
 				per := int(k.Bytes / float64(procs) / float64(k.SmallMsgs))
 				buf := make([]byte, per)
 				for j := 0; j < k.SmallMsgs; j++ {
-					if _, err := c.SendRecv(p, right, 200+j, buf, left, 200+j); err != nil {
+					if err := c.SendRecv(p, right, 200+j, buf, left, 200+j); err != nil {
 						return
 					}
 				}

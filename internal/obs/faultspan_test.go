@@ -200,9 +200,9 @@ func TestNIRebootSweepLeavesNoOpenSpans(t *testing.T) {
 
 	// Whatever the transport could not resolve, the export-time sweep must:
 	// after it, every span ever opened is finalized and accounted.
-	swept := o.T.SweepOpen("test-end", cl.Now())
+	o.T.SweepOpen("test-end", cl.Now())
 	if got := o.T.OpenCount(); got != 0 {
-		t.Fatalf("open flights = %d after sweep (swept %d), want 0", got, swept)
+		t.Fatalf("open flights = %d after sweep, want 0", got)
 	}
 	if o.T.Finalized() == 0 {
 		t.Fatal("no flights finalized")

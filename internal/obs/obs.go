@@ -466,9 +466,9 @@ func (t *Tracer) Nodes() int { return len(t.rings) }
 // order. Crashed nodes strand flights whose messages will never resolve;
 // sweeping before export guarantees every started flight is accounted for
 // and no ring slot is leaked.
-func (t *Tracer) SweepOpen(reason string, now sim.Time) int {
+func (t *Tracer) SweepOpen(reason string, now sim.Time) {
 	if t == nil || len(t.open) == 0 {
-		return 0
+		return
 	}
 	spans := make([]uint64, 0, len(t.open))
 	for s := range t.open {
@@ -479,7 +479,6 @@ func (t *Tracer) SweepOpen(reason string, now sim.Time) int {
 		f := t.open[s]
 		f.Drop(f.lastStage(), reason, now)
 	}
-	return len(spans)
 }
 
 // Flights returns retained finalized flights in deterministic order: rings

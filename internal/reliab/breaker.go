@@ -73,7 +73,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 
 // Success records a completed call (any response from the peer counts —
 // even an overload NACK proves it is alive).
-func (b *Breaker) Success(now sim.Time) {
+func (b *Breaker) Success() {
 	if b.state != Closed {
 		b.m.Inc("breaker_close")
 	}

@@ -117,7 +117,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.Allow(now) {
 		t.Fatal("second probe not admitted")
 	}
-	b.Success(now)
+	b.Success()
 	if b.State() != Closed || !b.Allow(now) {
 		t.Fatal("successful probe did not close the breaker")
 	}

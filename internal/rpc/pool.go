@@ -143,18 +143,17 @@ func (pl *Pool) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args
 	}
 }
 
-// Add maps one more server into the pool and returns its target index.
-func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) (int, error) {
-	idx := len(pl.targets)
-	if err := pl.ep.Map(idx, server, serverKey); err != nil {
-		return 0, err
+// Add maps one more server into the pool as target Targets()-1.
+func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) error {
+	if err := pl.ep.Map(len(pl.targets), server, serverKey); err != nil {
+		return err
 	}
 	t := poolTarget{budget: reliab.NewBudget(reliab.BudgetConfig{})}
 	if !pl.opts.NoBreaker {
 		t.brk = reliab.NewBreaker(pl.opts.Metrics)
 	}
 	pl.targets = append(pl.targets, t)
-	return idx, nil
+	return nil
 }
 
 // Targets returns how many servers are mapped.
@@ -288,9 +287,9 @@ func (pl *Pool) record(id, trace uint64, tgt, n int) *resultBuf {
 // finish translates a completed call's wire status into the caller-facing
 // result and feeds the target's breaker: any response proves that server
 // alive.
-func (pl *Pool) finish(p *sim.Proc, rb *resultBuf) ([]byte, error) {
+func (pl *Pool) finish(rb *resultBuf) ([]byte, error) {
 	if brk := pl.targets[rb.tgt].brk; brk != nil {
-		brk.Success(p.Now())
+		brk.Success()
 	}
 	switch rb.status {
 	case stNoProc:
@@ -393,7 +392,7 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 			p.Sleep(waitTick)
 		}
 	}
-	return pc.harvest(p)
+	return pc.harvest()
 }
 
 // TryWait harvests the call without blocking: done reports whether it
@@ -407,7 +406,7 @@ func (pc *PoolPending) TryWait(p *sim.Proc) (result []byte, done bool, err error
 		err = pc.pl.fail(p, pc.rb.tgt, ErrUnreachable)
 		pc.Abandon()
 	case pc.rb.done:
-		result, err = pc.harvest(p)
+		result, err = pc.harvest()
 	default:
 		return nil, false, nil
 	}
@@ -418,9 +417,9 @@ func (pc *PoolPending) TryWait(p *sim.Proc) (result []byte, done bool, err error
 // now the server has assembled every call fragment — it answers only a
 // whole call — so nothing will read rb.wire again; rb.data goes to the
 // caller.
-func (pc *PoolPending) harvest(p *sim.Proc) ([]byte, error) {
+func (pc *PoolPending) harvest() ([]byte, error) {
 	pl, rb := pc.pl, pc.rb
-	result, err := pl.finish(p, rb)
+	result, err := pl.finish(rb)
 	delete(pl.results, pc.id)
 	pl.retry.Forget(pc.id)
 	*rb = resultBuf{id: noCall, wire: rb.wire, next: pl.free}
@@ -459,7 +458,7 @@ func NewClientOpts(node *hostos.Node, server core.EndpointName, serverKey core.K
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pl.Add(server, serverKey); err != nil {
+	if err := pl.Add(server, serverKey); err != nil {
 		return nil, err
 	}
 	return &Client{pl}, nil

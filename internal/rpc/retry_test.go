@@ -152,7 +152,7 @@ func TestReplyBounceRule(t *testing.T) {
 				return
 			}
 			for _, s := range servers {
-				if _, err := pl.Add(s.Name(), 77); err != nil {
+				if err := pl.Add(s.Name(), 77); err != nil {
 					t.Error(err)
 					return
 				}

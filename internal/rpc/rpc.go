@@ -273,12 +273,12 @@ func (s *Server) maybeSweep(now sim.Time) {
 
 // Sweep reclaims server-side state for calls whose client went silent:
 // partially assembled callBufs that stopped receiving fragments and
-// reissue entries whose acknowledgment never arrived. Returns how many
-// entries were dropped. It also lets go of the retry budgets that have
+// reissue entries whose acknowledgment never arrived, counting them as
+// stale_reclaimed. It also lets go of the retry budgets that have
 // refilled — a full bucket is what the next bounce would create anyway —
 // so the budget map tracks the peers that bounced lately, not all that ever
 // did.
-func (s *Server) Sweep(now sim.Time) int {
+func (s *Server) Sweep(now sim.Time) {
 	dropped := 0
 	for k, cb := range s.calls {
 		if now.Sub(cb.at) > s.opts.StaleAfter {
@@ -304,7 +304,6 @@ func (s *Server) Sweep(now sim.Time) int {
 			delete(s.budgets, peer)
 		}
 	}
-	return dropped
 }
 
 // Poll services incoming calls, flushes due re-issues, and periodically

@@ -30,7 +30,7 @@ func literalWait(p *sim.Proc, pc *PoolPending, deadline sim.Time, tops *[]sim.Ti
 			p.Sleep(5 * sim.Microsecond)
 		}
 	}
-	return pl.finish(p, pc.rb)
+	return pl.finish(pc.rb)
 }
 
 // waitWorld is what the server side of a wait scenario looks like.

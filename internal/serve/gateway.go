@@ -109,7 +109,7 @@ func NewGateway(node *hostos.Node, key core.Key, backends []Addr, cfg GatewayCon
 		return nil, err
 	}
 	for _, b := range backends {
-		if _, err := pl.Add(b.Name, b.Key); err != nil {
+		if err := pl.Add(b.Name, b.Key); err != nil {
 			return nil, err
 		}
 	}
@@ -276,27 +276,29 @@ func (g *Gateway) noteHedge(trace uint64, what string, now sim.Time) {
 // gateway chosen round-robin from the client's pool.
 type GatewayWorkload struct {
 	pooled
-	reqSize int
-	next    int
+	next int
 }
 
+// gatewayReqSize is the bytes of one inference request.
+const gatewayReqSize = 128
+
 // NewGatewayWorkload builds a client over the given gateways.
-func NewGatewayWorkload(node *hostos.Node, gateways []Addr, reqSize int, opts rpc.Options) (*GatewayWorkload, error) {
+func NewGatewayWorkload(node *hostos.Node, gateways []Addr, opts rpc.Options) (*GatewayWorkload, error) {
 	pl, err := rpc.NewPool(node, len(gateways), opts)
 	if err != nil {
 		return nil, err
 	}
 	for _, gw := range gateways {
-		if _, err := pl.Add(gw.Name, gw.Key); err != nil {
+		if err := pl.Add(gw.Name, gw.Key); err != nil {
 			return nil, err
 		}
 	}
-	return &GatewayWorkload{pooled: pooled{pl}, reqSize: reqSize}, nil
+	return &GatewayWorkload{pooled: pooled{pl}}, nil
 }
 
 // Issue sends one inference request to the next gateway.
 func (w *GatewayWorkload) Issue(p *sim.Proc, seq uint64, ctx reliab.Ctx) (Req, error) {
-	args := make([]byte, w.reqSize)
+	args := make([]byte, gatewayReqSize)
 	binary.LittleEndian.PutUint64(args, seq)
 	tgt := w.next
 	w.next = (w.next + 1) % w.pool.Targets()

@@ -165,7 +165,7 @@ func NewKVWorkload(node *hostos.Node, servers []Addr, cfg KVWorkloadConfig, opts
 		return nil, err
 	}
 	for _, sv := range servers {
-		if _, err := pl.Add(sv.Name, sv.Key); err != nil {
+		if err := pl.Add(sv.Name, sv.Key); err != nil {
 			return nil, err
 		}
 	}

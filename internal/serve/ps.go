@@ -124,7 +124,7 @@ func NewPSWorkload(node *hostos.Node, servers []Addr, cfg PSWorkloadConfig, opts
 		return nil, err
 	}
 	for _, sv := range servers {
-		if _, err := pl.Add(sv.Name, sv.Key); err != nil {
+		if err := pl.Add(sv.Name, sv.Key); err != nil {
 			return nil, err
 		}
 	}

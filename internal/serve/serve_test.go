@@ -209,7 +209,7 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	gw.Start(func() bool { return stop })
 	slo := NewSLO()
 	c.Nodes[4].Spawn("gw-client", func(p *sim.Proc) {
-		w, err := NewGatewayWorkload(c.Nodes[4], []Addr{gw.Addr()}, 128, rpc.Options{})
+		w, err := NewGatewayWorkload(c.Nodes[4], []Addr{gw.Addr()}, rpc.Options{})
 		if err != nil {
 			t.Errorf("workload: %v", err)
 			return

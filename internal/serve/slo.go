@@ -84,15 +84,15 @@ func (s *SLO) kvs() []obs.KV {
 }
 
 // RegisterMerged exposes a live merged view over per-client SLO
-// accumulators under prefix (e.g. "serve") in an obs registry:
+// accumulators under "serve" in an obs registry:
 // offered/good/missed/shed counters plus live p50/p99/p999 gauges — the
 // dashboard panel vnstress -dash renders. get runs at snapshot time;
 // registry snapshots must only be taken while the engines are parked
 // between RunFor rounds (the sharded-cluster dashboard contract), which is
 // exactly when reading the per-shard accumulators together is safe.
-func RegisterMerged(r *obs.Registry, prefix string, get func() *SLO) {
+func RegisterMerged(r *obs.Registry, get func() *SLO) {
 	if r == nil {
 		return
 	}
-	r.AddFunc(prefix, func() []obs.KV { return get().kvs() })
+	r.AddFunc("serve", func() []obs.KV { return get().kvs() })
 }

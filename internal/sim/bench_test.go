@@ -69,9 +69,10 @@ func BenchmarkCondSignalWait(b *testing.B) {
 	})
 	e.Spawn("signaller", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			for !c.Signal() {
+			for len(c.waiters) == 0 {
 				p.Yield()
 			}
+			c.Signal()
 			p.Yield()
 		}
 	})

@@ -55,9 +55,13 @@ func orderOracleLog() string {
 						note(i, "timed out")
 					}
 				case 12:
-					note(i, fmt.Sprint("signal ", c.Signal()))
+					woken := len(c.waiters) > 0
+					c.Signal()
+					note(i, fmt.Sprint("signal ", woken))
 				case 13:
-					note(i, fmt.Sprint("broadcast ", c.Broadcast()))
+					woken := len(c.waiters)
+					c.Broadcast()
+					note(i, fmt.Sprint("broadcast ", woken))
 				case 14:
 					child := n + children
 					children++

@@ -218,11 +218,11 @@ func (c *Cond) remove(p *Proc) {
 	}
 }
 
-// Signal wakes the oldest waiter, if any. It reports whether one was woken.
-// The waiter resumes via a zero-delay event, after the caller yields.
-func (c *Cond) Signal() bool {
+// Signal wakes the oldest waiter, if any. The waiter resumes via a
+// zero-delay event, after the caller yields.
+func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
-		return false
+		return
 	}
 	p := c.waiters[0]
 	n := copy(c.waiters, c.waiters[1:])
@@ -230,19 +230,16 @@ func (c *Cond) Signal() bool {
 	c.waiters = c.waiters[:n]
 	p.waiting = nil
 	p.resumeT.Reset(0)
-	return true
 }
 
-// Broadcast wakes all waiters and reports how many were woken.
-func (c *Cond) Broadcast() int {
-	n := len(c.waiters)
+// Broadcast wakes all waiters.
+func (c *Cond) Broadcast() {
 	for _, p := range c.waiters {
 		p.waiting = nil
 		p.resumeT.Reset(0)
 	}
 	clear(c.waiters)
 	c.waiters = c.waiters[:0]
-	return n
 }
 
 // Semaphore is a counting semaphore for simulated threads.

@@ -104,9 +104,13 @@ type propHandle struct {
 	stride   Duration
 }
 
+// armed reports whether tm has an arm that has not fired: what Stop and Reset
+// cancel.
+func armed(tm *Timer) bool { return tm.ev != nil && tm.ev.gen == tm.gen }
+
 // driveProperty feeds one operation stream (arbitrary bytes) to both
-// schedulers and compares every observable: fire order, fire times, Stop and
-// Reset return values, and after each run step the Pending count, the
+// schedulers and compares every observable: fire order, fire times, whether
+// Stop and Reset cancel an arm, and after each run step the Pending count, the
 // Scheduled/Cancelled/Fired/MaxPending counters, and NextEventBound — never
 // before the clock or after the earliest queued event, and exactly that
 // event's time when it sits in wheel level 0 or the overflow heap.
@@ -214,7 +218,8 @@ func driveProperty(t *testing.T, data []byte) {
 			byID[h.id] = h
 		case 3: // Stop a random handle
 			if h := pick(); h != nil {
-				got := h.tm.Stop()
+				got := armed(h.tm)
+				h.tm.Stop()
 				want := false
 				if h.modSeq != 0 {
 					want = model.stop(h.modSeq)
@@ -223,20 +228,21 @@ func driveProperty(t *testing.T, data []byte) {
 				// A pending chain re-arm is cancelled too.
 				h.engChain, h.modChain = 0, 0
 				if got != want {
-					t.Fatalf("op %d: Stop() = %v, reference says %v", pos, got, want)
+					t.Fatalf("op %d: Stop() cancelled %v, reference says %v", pos, got, want)
 				}
 			}
 		case 4, 5: // Reset a random handle
 			if h := pick(); h != nil {
 				d := dur()
-				got := h.tm.Reset(d)
+				got := armed(h.tm)
+				h.tm.Reset(d)
 				want := false
 				if h.modSeq != 0 {
 					want = model.stop(h.modSeq)
 				}
 				h.modSeq = model.arm(model.now.Add(d), h.id)
 				if got != want {
-					t.Fatalf("op %d: Reset() = %v, reference says %v", pos, got, want)
+					t.Fatalf("op %d: Reset() cancelled %v, reference says %v", pos, got, want)
 				}
 			}
 		case 6: // self-rescheduling chain timer

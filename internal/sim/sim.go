@@ -159,42 +159,39 @@ func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{e: e, fn: fn} }
 // t must not be armed.
 func (e *Engine) InitTimer(t *Timer, fn func()) { *t = Timer{e: e, fn: fn} }
 
-// Stop cancels the timer. It reports whether the timer was armed and had not
-// yet fired. The cancelled event is unlinked from the queue immediately
-// (Pending never sees it again) and released for reuse.
-func (t *Timer) Stop() bool {
+// Stop cancels the timer if it is armed and has not yet fired, counting it
+// in Stats.Cancelled. The cancelled event is unlinked from the queue
+// immediately (Pending never sees it again) and released for reuse.
+func (t *Timer) Stop() {
 	if t == nil || t.ev == nil || t.ev.gen != t.gen {
-		return false
+		return
 	}
 	t.e.remove(t.ev)
 	t.ev = nil
 	t.e.stats.Cancelled++
-	return true
 }
 
 // Reset arms the timer to fire at Now()+d, cancelling any pending arm first.
 // The new arm takes a fresh position in the (time, seq) order, exactly as if
-// it had been freshly armed. It reports whether the timer was armed.
-func (t *Timer) Reset(d Duration) bool {
+// it had been freshly armed.
+func (t *Timer) Reset(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: timer reset with negative delay %v", d))
 	}
-	was := t.Stop()
+	t.Stop()
 	t.ev = t.e.armEvent(t.e.now.Add(d), t.fn)
 	t.gen = t.ev.gen
-	return was
 }
 
 // ResetAt arms the timer to fire at absolute time at, cancelling any pending
-// arm first. It reports whether the timer was armed.
-func (t *Timer) ResetAt(at Time) bool {
+// arm first.
+func (t *Timer) ResetAt(at Time) {
 	if at < t.e.now {
 		panic(fmt.Sprintf("sim: timer reset at past time %v (now %v)", at, t.e.now))
 	}
-	was := t.Stop()
+	t.Stop()
 	t.ev = t.e.armEvent(at, t.fn)
 	t.gen = t.ev.gen
-	return was
 }
 
 // Stats describes engine activity since creation: events fired, scheduled

@@ -41,11 +41,13 @@ func TestTimerStop(t *testing.T) {
 	fired := false
 	tm := e.NewTimer(func() { fired = true })
 	tm.Reset(10)
-	if !tm.Stop() {
-		t.Fatal("Stop returned false on pending timer")
+	tm.Stop()
+	if e.Stats().Cancelled != 1 {
+		t.Fatal("Stop did not cancel the pending timer")
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
+	tm.Stop()
+	if e.Stats().Cancelled != 1 {
+		t.Fatal("second Stop cancelled again")
 	}
 	e.Run()
 	if fired {
@@ -169,9 +171,10 @@ func TestCondBroadcast(t *testing.T) {
 	}
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(5)
-		if n := c.Broadcast(); n != 5 {
-			t.Errorf("Broadcast woke %d, want 5", n)
+		if n := len(c.waiters); n != 5 {
+			t.Errorf("Broadcast wakes %d, want 5", n)
 		}
+		c.Broadcast()
 	})
 	e.Run()
 	if woken != 5 {
@@ -406,8 +409,9 @@ func TestTimerStopAfterFire(t *testing.T) {
 	tm := e.NewTimer(func() {})
 	tm.Reset(5)
 	e.Run()
-	if tm.Stop() {
-		t.Fatal("Stop after fire returned true")
+	tm.Stop()
+	if e.Stats().Cancelled != 0 {
+		t.Fatal("Stop after fire cancelled an event")
 	}
 }
 
@@ -494,7 +498,8 @@ func TestCondWakeCycleAllocFree(t *testing.T) {
 	}{
 		{"broadcast", func(c *Cond) { c.Broadcast() }},
 		{"signal", func(c *Cond) {
-			for c.Signal() {
+			for len(c.waiters) > 0 {
+				c.Signal()
 			}
 		}},
 	} {

@@ -207,24 +207,24 @@ func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.retry.Flush(p, v
 
 // FullMesh connects a VI between every pair of the given providers
 // (the n^2 provisioning §7 criticizes) and returns vis[i][j] = the VI at
-// provider i connected to provider j. All completions at provider i go to
-// one shared CQ pair, mirroring VIA's shared completion queues.
-func FullMesh(nics []*NIC) (vis [][]*VI, sendCQs, recvCQs []*CQ, err error) {
+// provider i connected to provider j, and recvCQs[i]. All completions at
+// provider i go to one shared CQ pair, mirroring VIA's shared completion
+// queues.
+func FullMesh(nics []*NIC) (vis [][]*VI, recvCQs []*CQ, err error) {
 	n := len(nics)
 	vis = make([][]*VI, n)
-	sendCQs = make([]*CQ, n)
 	recvCQs = make([]*CQ, n)
 	for i := range nics {
-		sendCQs[i] = NewCQ()
+		sendCQ := NewCQ()
 		recvCQs[i] = NewCQ()
 		vis[i] = make([]*VI, n)
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
 			}
-			vi, e := nics[i].CreateVI(sendCQs[i], recvCQs[i])
+			vi, e := nics[i].CreateVI(sendCQ, recvCQs[i])
 			if e != nil {
-				return nil, nil, nil, e
+				return nil, nil, e
 			}
 			vis[i][j] = vi
 		}
@@ -236,9 +236,9 @@ func FullMesh(nics []*NIC) (vis [][]*VI, sendCQs, recvCQs []*CQ, err error) {
 			}
 			name, key := vis[j][i].Addr()
 			if e := vis[i][j].Connect(name, key); e != nil {
-				return nil, nil, nil, e
+				return nil, nil, e
 			}
 		}
 	}
-	return vis, sendCQs, recvCQs, nil
+	return vis, recvCQs, nil
 }
