@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -16,20 +17,60 @@ import (
 	"testing"
 )
 
-// TestEveryConfigFieldIsSet enforces the house rule on settable values. Every
-// non-struct field of a *Config or *Options struct declared under internal/
-// or cmd/ must be set somewhere other than its own package's Default*
-// functions: a literal key, an assignment, an increment or an address taken,
-// in any Go file of the module (tests, examples and benchmarks included). A
-// field nothing else sets always holds its default, so it is a constant.
+// configSeam is a config field with one value in use that stays. It is one
+// of two kinds, and the census checks which:
+//   - vnperf: a file under benchmarks/ sets the field, so only a change to
+//     the benchmark may fold it into a constant;
+//   - reach: test names the _test.go declaration (pkg.Name, a test, its
+//     helper or its table) that sets a second value, to reach a protocol
+//     path in bounded virtual time or to match a value a committed
+//     transcript pins.
+type configSeam struct {
+	vnperf bool
+	test   string
+	why    string
+}
+
+// configSeams lists every config field the value census flags that stays.
+// Keep it at 8 entries or fewer.
+var configSeams = map[string]configSeam{
+	"nic.Config.InboundPool":          {test: "nic.TestInboundPoolOverrunNacks", why: "a 4-packet pool overruns under a 3-sender burst, so arrivals are NACKed; TestFirmwareTimeline's transcript pins 3"},
+	"nic.Config.MaxRetries":           {test: "nic.TestChannelUnbindAfterBoundedRetries", why: "2 retries unbind the channel within 20 ms on a dead fabric; TestFirmwareTimeline's transcript pins 3"},
+	"nic.Config.MinRTO":               {test: "nic.timelineSchedules", why: "TestFirmwareTimeline's transcript pins the adaptive timeout's clamp at 150 µs"},
+	"nic.Config.RetransMax":           {test: "rpc.newBounceWorld", why: "an 80 µs backoff cap lands each return to sender within a few hundred µs, so the retry tests reach their returns in bounded virtual time"},
+	"nic.Config.ReturnToSenderAfter":  {test: "nic.TestProlongedAbsenceReturnsToSender", why: "5 ms returns a message to its sender within 100 ms on a dead fabric; TestFirmwareTimeline's transcript pins 20 ms and 4 ms"},
+	"serve.ClientConfig.Deadline":     {vnperf: true, why: "benchmarks/vnperf's serve-kv sets its own kvDeadline, which today equals the serve row's 20 ms"},
+	"serve.KVWorkloadConfig.IdemPuts": {vnperf: true, why: "benchmarks/vnperf's serve-kv sets it true, as the serve row does"},
+}
+
+const maxConfigSeams = 8
+
+// TestEveryConfigFieldIsSet enforces the house rule on settable values: an
+// option needs two values in use outside tests, or it is a constant. It
+// holds every non-struct field of a *Config or *Options struct declared
+// under internal/ or cmd/ to two rules.
+//
+// The field must be set somewhere other than its own package's Default*
+// functions and zero-value fills (an assignment to the field directly under
+// an if whose condition reads it): a literal key, an assignment, an
+// increment or an address taken, in any Go file of the module, tests
+// included. A field nothing else sets always holds its default.
+//
+// The field must take two values in the module's non-test files (cmd/,
+// examples/ and benchmarks/ included). Its values are every constant
+// assigned to it, in Default* and fills too, and its zero value when a
+// literal of its struct leaves it out and no fill in its package replaces
+// the zero. An assignment of anything but a constant, an op=, ++ or -- or an
+// address taken makes the field vary, which passes. A field with one value
+// stays only as a configSeams entry; a stale entry fails.
 //
 // Fields are resolved by type with go/types, so a same-named field of
-// another struct never vouches for one that nothing sets. Run with -v for the
-// fields only tests set: each is a test seam, and it stays one only while no
-// non-test caller needs a second value.
+// another struct never vouches for one that nothing sets. Run with -v for
+// the seams and the fields only tests set.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	m := loadModule(t)
-	var unset []string
+	var unset, oneValue, stale []string
+	flagged := map[string]*types.Var{}
 	for _, f := range m.fields {
 		at := m.setters[f.v]
 		tests := 0
@@ -38,17 +79,142 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 				tests++
 			}
 		}
-		switch {
-		case len(at) == 0:
+		if len(at) == 0 {
 			unset = append(unset, f.name)
-		case tests == len(at) && testing.Verbose():
+			continue
+		}
+		if tests == len(at) && testing.Verbose() {
 			t.Logf("test-only: %s (%d setters)", f.name, tests)
 		}
+		vals := m.values[f.v]
+		if vals.varies {
+			continue
+		}
+		n := vals.count(f.v)
+		if n >= 2 {
+			continue
+		}
+		flagged[f.name] = f.v
+		if s, ok := configSeams[f.name]; ok {
+			if testing.Verbose() {
+				t.Logf("seam: %s (%d value): %s", f.name, n, s.why)
+			}
+			continue
+		}
+		oneValue = append(oneValue, fmt.Sprintf("%s: %d value outside tests (%s)", f.name, n, vals))
 	}
+	for name, s := range configSeams {
+		v, ok := flagged[name]
+		switch {
+		case !ok:
+			stale = append(stale, name+": not a one-value field")
+		case s.vnperf && !m.setUnder(v, "benchmarks/"):
+			stale = append(stale, name+": no file under benchmarks/ sets it")
+		case !s.vnperf && !m.testSetters[v][s.test]:
+			stale = append(stale, name+": no _test.go declaration "+s.test+" sets it")
+		}
+	}
+	if testing.Verbose() {
+		t.Logf("%d settable values, %d of them seams", len(m.fields), len(configSeams))
+	}
+	sort.Strings(stale)
 	if len(unset) > 0 {
 		t.Errorf("%d config fields are set nowhere but their package's Default* function; make each a constant:\n\t%s",
 			len(unset), strings.Join(unset, "\n\t"))
 	}
+	if len(oneValue) > 0 {
+		t.Errorf("%d config fields take one value outside tests; make each a constant, or list it in configSeams:\n\t%s",
+			len(oneValue), strings.Join(oneValue, "\n\t"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d configSeams entries are stale; delete each:\n\t%s", len(stale), strings.Join(stale, "\n\t"))
+	}
+	if len(configSeams) > maxConfigSeams {
+		t.Errorf("configSeams has %d entries; the cap is %d", len(configSeams), maxConfigSeams)
+	}
+}
+
+// fieldValues is what the module's non-test files assign one config field.
+type fieldValues struct {
+	consts  []constant.Value // distinct constants
+	isNil   bool             // nil assigned
+	varies  bool             // anything but a constant assigned
+	omitted bool             // a literal of its struct leaves it out
+	filled  bool             // a zero-value fill in its package replaces the zero
+}
+
+// add records one value assigned to the field; rhs nil means a value that is
+// not a constant.
+func (fv *fieldValues) add(info *types.Info, rhs ast.Expr) {
+	if rhs == nil {
+		fv.varies = true
+		return
+	}
+	switch tv := info.Types[rhs]; {
+	case tv.Value != nil:
+		fv.addConst(tv.Value)
+	case tv.IsNil():
+		fv.isNil = true
+	default:
+		fv.varies = true
+	}
+}
+
+func (fv *fieldValues) addConst(c constant.Value) {
+	for _, have := range fv.consts {
+		if sameConst(have, c) {
+			return
+		}
+	}
+	fv.consts = append(fv.consts, c)
+}
+
+// count is the number of distinct values v takes: its constants, nil, and
+// its zero value when a literal leaves it out unreplaced.
+func (fv fieldValues) count(v *types.Var) int {
+	if fv.omitted && !fv.filled {
+		if b, ok := v.Type().Underlying().(*types.Basic); ok {
+			switch {
+			case b.Info()&types.IsBoolean != 0:
+				fv.addConst(constant.MakeBool(false))
+			case b.Info()&types.IsString != 0:
+				fv.addConst(constant.MakeString(""))
+			default:
+				fv.addConst(constant.MakeInt64(0))
+			}
+		} else {
+			fv.isNil = true
+		}
+	}
+	n := len(fv.consts)
+	if fv.isNil {
+		n++
+	}
+	return n
+}
+
+func (fv fieldValues) String() string {
+	var s []string
+	for _, c := range fv.consts {
+		s = append(s, c.ExactString())
+	}
+	if fv.isNil {
+		s = append(s, "nil")
+	}
+	if fv.omitted && !fv.filled {
+		s = append(s, "zero")
+	}
+	return strings.Join(s, ", ")
+}
+
+// setUnder reports whether a file under dir sets v.
+func (m *moduleCensus) setUnder(v *types.Var, dir string) bool {
+	for _, p := range m.setters[v] {
+		if strings.HasPrefix(p.Filename, dir) {
+			return true
+		}
+	}
+	return false
 }
 
 // moduleCensus is the module type-checked file by file: the config fields,
@@ -61,10 +227,14 @@ type moduleCensus struct {
 	dirs    map[string]string // import path -> directory
 	pkgs    map[string]*types.Package
 	fields  []configField
-	tracked map[*types.Var]bool
 	setters map[*types.Var][]token.Position
-	names   []types.Object
-	used    map[types.Object]bool // referred to; true once a non-test file does
+	// values holds what non-test files assign each config field (it has a
+	// key for every config field), and testSetters the _test.go
+	// declarations (pkg.Name) that set it.
+	values      map[*types.Var]*fieldValues
+	testSetters map[*types.Var]map[string]bool
+	names       []types.Object
+	used        map[types.Object]bool // referred to; true once a non-test file does
 	// crossTest marks the names a test file of another package refers to.
 	crossTest map[types.Object]bool
 	ifaces    []*types.Interface
@@ -107,18 +277,19 @@ func typeCheckModule(t *testing.T) *moduleCensus {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	m := &moduleCensus{
-		fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
-		dirs:       moduleDirs(t),
-		pkgs:       map[string]*types.Package{},
-		tracked:    map[*types.Var]bool{},
-		setters:    map[*types.Var][]token.Position{},
-		used:       map[types.Object]bool{},
-		crossTest:  map[types.Object]bool{},
-		read:       map[*types.Var]bool{},
-		calls:      map[*types.Func]*callSites{},
-		valueRef:   map[*types.Func]bool{},
-		benchCalls: map[string]bool{},
+		fset:        fset,
+		std:         importer.ForCompiler(fset, "source", nil),
+		dirs:        moduleDirs(t),
+		pkgs:        map[string]*types.Package{},
+		setters:     map[*types.Var][]token.Position{},
+		values:      map[*types.Var]*fieldValues{},
+		testSetters: map[*types.Var]map[string]bool{},
+		used:        map[types.Object]bool{},
+		crossTest:   map[types.Object]bool{},
+		read:        map[*types.Var]bool{},
+		calls:       map[*types.Func]*callSites{},
+		valueRef:    map[*types.Func]bool{},
+		benchCalls:  map[string]bool{},
 	}
 	paths := make([]string, 0, len(m.dirs))
 	for p := range m.dirs {
@@ -264,24 +435,52 @@ func (m *moduleCensus) declare(pkg *types.Package, f *ast.File, info *types.Info
 				if _, isStruct := v.Type().Underlying().(*types.Struct); isStruct {
 					continue
 				}
-				m.tracked[v] = true
+				m.values[v] = &fieldValues{}
+				m.testSetters[v] = map[string]bool{}
 				m.fields = append(m.fields, configField{v, pkg.Name() + "." + name + "." + v.Name()})
 			}
 		}
 	}
 }
 
-// collect records the field setters in f. Two kinds of site in the package
-// that declares the field only restate its default, so they do not count: a
-// Default* function, and a zero-value fill (an assignment to the field
-// directly under an if whose condition reads it).
+// collect records the field setters in f, and what a non-test f assigns
+// each field. Two kinds of site in the package that declares the field only
+// restate its default, so they are not setters: a Default* function, and a
+// zero-value fill (an assignment to the field directly under an if whose
+// condition reads it). Both still assign values.
 func (m *moduleCensus) collect(pkg *types.Package, f *ast.File, info *types.Info) {
+	test := strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go")
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		inDefault := ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default")
+		// decls names what d declares, as a reach seam names it.
+		var decls []string
+		if ok {
+			decls = append(decls, fd.Name.Name)
+		} else {
+			for _, sp := range d.(*ast.GenDecl).Specs {
+				if vs, ok := sp.(*ast.ValueSpec); ok {
+					for _, id := range vs.Names {
+						decls = append(decls, id.Name)
+					}
+				}
+			}
+		}
 		fill := map[ast.Node]bool{}
-		set := func(v *types.Var, at ast.Node) {
-			if v == nil || !m.tracked[v] || (inDefault || fill[at]) && v.Pkg() == pkg {
+		// set records a setter of v at at; rhs is the value assigned, or
+		// nil for one that is not a single expression.
+		set := func(v *types.Var, at ast.Node, rhs ast.Expr) {
+			if m.values[v] == nil {
+				return
+			}
+			if test {
+				for _, name := range decls {
+					m.testSetters[v][pkg.Name()+"."+name] = true
+				}
+			} else {
+				m.values[v].add(info, rhs)
+			}
+			if (inDefault || fill[at]) && v.Pkg() == pkg {
 				return
 			}
 			m.setters[v] = append(m.setters[v], m.fset.Position(at.Pos()))
@@ -301,6 +500,9 @@ func (m *moduleCensus) collect(pkg *types.Package, f *ast.File, info *types.Info
 				for _, st := range n.Body.List {
 					if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && read[fieldOf(info, as.Lhs[0])] {
 						fill[as.Lhs[0]] = true
+						if v := fieldOf(info, as.Lhs[0]); m.values[v] != nil && v.Pkg() == pkg && !test {
+							m.values[v].filled = true
+						}
 					}
 				}
 			case *ast.CompositeLit:
@@ -308,27 +510,40 @@ func (m *moduleCensus) collect(pkg *types.Package, f *ast.File, info *types.Info
 				if tv, ok := info.Types[n]; ok {
 					st, _ = tv.Type.Underlying().(*types.Struct)
 				}
+				keyed := map[*types.Var]bool{}
 				for i, el := range n.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok {
 							v, _ := info.Uses[id].(*types.Var)
-							set(v, id)
+							keyed[v] = true
+							set(v, id, kv.Value)
 						}
 					} else if st != nil {
-						set(st.Field(i), el)
+						keyed[st.Field(i)] = true
+						set(st.Field(i), el, el)
+					}
+				}
+				for i := 0; st != nil && !test && i < st.NumFields(); i++ {
+					if v := st.Field(i); m.values[v] != nil && !keyed[v] {
+						m.values[v].omitted = true
 					}
 				}
 			case *ast.AssignStmt:
-				if n.Tok != token.DEFINE {
-					for _, l := range n.Lhs {
-						set(fieldOf(info, l), l)
+				if n.Tok == token.DEFINE {
+					break
+				}
+				for i, l := range n.Lhs {
+					var rhs ast.Expr
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						rhs = n.Rhs[i]
 					}
+					set(fieldOf(info, l), l, rhs)
 				}
 			case *ast.IncDecStmt:
-				set(fieldOf(info, n.X), n.X)
+				set(fieldOf(info, n.X), n.X, nil)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					set(fieldOf(info, n.X), n.X)
+					set(fieldOf(info, n.X), n.X, nil)
 				}
 			}
 			return true

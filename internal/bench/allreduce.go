@@ -96,18 +96,17 @@ func runAllreduceCell(bytes int, alg coll.Algorithm, seed int64) (sim.Duration, 
 
 // ---- Data-parallel SGD with gradient-allreduce overlap ----
 
-// sgdConfig describes the bucketed data-parallel training loop: a model of
-// Params weights split into Buckets gradient buckets, trained for Iters
-// steps with Compute of simulated gradient work per bucket per step, ring
-// allreduce of each bucket across Nodes ranks.
-type sgdConfig struct {
-	Nodes   int
-	Params  int
-	Buckets int
-	Iters   int
-	Compute sim.Duration // gradient compute per bucket per iteration
-	Seed    int64
-}
+// The bucketed data-parallel training loop: a model of sgdParams weights
+// split into sgdBuckets gradient buckets, trained for sgdIters steps with
+// sgdCompute of simulated gradient work per bucket per step, ring allreduce
+// of each bucket across sgdNodes ranks.
+const (
+	sgdNodes   = 16
+	sgdParams  = 1 << 18
+	sgdBuckets = 8
+	sgdIters   = 3
+	sgdCompute = 12 * sim.Millisecond // gradient compute per bucket per iteration
+)
 
 // runSGDSchedule runs the training loop on a fresh cluster. overlap selects
 // the schedule: false serializes compute and communication; true hands
@@ -115,35 +114,35 @@ type sgdConfig struct {
 // bucket b rides under the gradient computation of bucket b+1 (and the
 // next iteration's early buckets), the way data-parallel training frameworks
 // hide gradient exchange behind backprop.
-func runSGDSchedule(cfg sgdConfig, overlap bool) (makespan, comm sim.Duration, ok bool) {
+func runSGDSchedule(seed int64, overlap bool) (makespan, comm sim.Duration, ok bool) {
 	ccfg := hostos.DefaultClusterConfig()
 	// The default 10 ms scheduler quantum would let each gradient compute
 	// slice monopolize the CPU, starving the communication thread's
 	// per-fragment receive handling — overlap needs an interactive quantum
 	// (the progress-engine polling granularity of training runtimes).
 	ccfg.OS.Quantum = 200 * sim.Microsecond
-	c := hostos.NewCluster(cfg.Seed, cfg.Nodes, ccfg)
+	c := hostos.NewCluster(seed, sgdNodes, ccfg)
 	defer c.Shutdown()
-	w, err := mpi.NewWorld(c, cfg.Nodes, nil)
+	w, err := mpi.NewWorld(c, sgdNodes, nil)
 	if err != nil {
 		return 0, 0, false
 	}
-	per := (cfg.Params + cfg.Buckets - 1) / cfg.Buckets
+	per := (sgdParams + sgdBuckets - 1) / sgdBuckets
 	var worst sim.Duration
 	bad := false
 	ok = w.Run(func(p *sim.Proc, cm *mpi.Comm) {
 		// grads[b] is bucket b's local gradient; ready[i*B+b] marks it
 		// computed for iteration i, reduced[i*B+b] marks its allreduce done.
-		grads := make([][]float64, cfg.Buckets)
+		grads := make([][]float64, sgdBuckets)
 		for b := range grads {
 			lo := b * per
 			hi := lo + per
-			if hi > cfg.Params {
-				hi = cfg.Params
+			if hi > sgdParams {
+				hi = sgdParams
 			}
 			grads[b] = allreduceVec(cm.Rank(), hi-lo)
 		}
-		total := cfg.Iters * cfg.Buckets
+		total := sgdIters * sgdBuckets
 		ready := make([]bool, total)
 		reduced := make([]bool, total)
 
@@ -155,7 +154,7 @@ func runSGDSchedule(cfg sgdConfig, overlap bool) (makespan, comm sim.Duration, o
 			}
 			// Weight update: fold the averaged gradient back into the
 			// bucket (keeps values integer-free but deterministic).
-			inv := 1.0 / float64(cfg.Nodes)
+			inv := 1.0 / float64(sgdNodes)
 			for i := range out {
 				grads[b][i] -= 0.01 * out[i] * inv
 			}
@@ -170,34 +169,34 @@ func runSGDSchedule(cfg sgdConfig, overlap bool) (makespan, comm sim.Duration, o
 					for !ready[k] {
 						q.Sleep(20 * sim.Microsecond)
 					}
-					if !reduceBucket(q, k%cfg.Buckets) {
+					if !reduceBucket(q, k%sgdBuckets) {
 						return
 					}
 					reduced[k] = true
 				}
 			})
-			for it := 0; it < cfg.Iters; it++ {
-				for b := 0; b < cfg.Buckets; b++ {
+			for it := 0; it < sgdIters; it++ {
+				for b := 0; b < sgdBuckets; b++ {
 					// Computing bucket b of iteration it needs its weights,
 					// i.e. the previous iteration's allreduce of b.
 					if it > 0 {
-						for !reduced[(it-1)*cfg.Buckets+b] {
+						for !reduced[(it-1)*sgdBuckets+b] {
 							p.Sleep(20 * sim.Microsecond)
 						}
 					}
-					cm.Node().Compute(p, cfg.Compute)
-					ready[it*cfg.Buckets+b] = true
+					cm.Node().Compute(p, sgdCompute)
+					ready[it*sgdBuckets+b] = true
 				}
 			}
 			for !reduced[total-1] {
 				p.Sleep(20 * sim.Microsecond)
 			}
 		} else {
-			for it := 0; it < cfg.Iters; it++ {
-				for b := 0; b < cfg.Buckets; b++ {
-					cm.Node().Compute(p, cfg.Compute)
+			for it := 0; it < sgdIters; it++ {
+				for b := 0; b < sgdBuckets; b++ {
+					cm.Node().Compute(p, sgdCompute)
 				}
-				for b := 0; b < cfg.Buckets; b++ {
+				for b := 0; b < sgdBuckets; b++ {
 					if !reduceBucket(p, b) {
 						return
 					}
@@ -275,15 +274,13 @@ func allreduceSizeLine(w io.Writer, bytes int, seed int64) error {
 // training loop and how much the overlap saves.
 func allreduceSGD(w io.Writer, seed int64) error {
 	header(w, "SGD — data-parallel training, gradient allreduce overlap")
-	cfg := sgdConfig{Nodes: 16, Params: 1 << 18, Buckets: 8, Iters: 3,
-		Compute: 12 * sim.Millisecond, Seed: seed}
-	seq, commSeq, okSeq := runSGDSchedule(cfg, false)
-	ovl, commOvl, okOvl := runSGDSchedule(cfg, true)
+	seq, commSeq, okSeq := runSGDSchedule(seed, false)
+	ovl, commOvl, okOvl := runSGDSchedule(seed, true)
 	if !okSeq || !okOvl {
 		return errors.New("sgd run failed")
 	}
 	fmt.Fprintf(w, "ranks=%d params=%d buckets=%d iters=%d compute=%v/bucket (ring allreduce per bucket)\n",
-		cfg.Nodes, cfg.Params, cfg.Buckets, cfg.Iters, cfg.Compute)
+		sgdNodes, sgdParams, sgdBuckets, sgdIters, sgdCompute)
 	fmt.Fprintf(w, "sequential (compute, then reduce):     makespan %v (rank0 comm %v)\n", seq, commSeq)
 	fmt.Fprintf(w, "overlapped (reduce behind next bucket): makespan %v (rank0 comm %v)\n", ovl, commOvl)
 	saved := float64(seq-ovl) / float64(seq) * 100

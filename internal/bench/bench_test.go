@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"virtnet/internal/sim"
-)
+import "testing"
 
 func TestClientServerOneVNShapes(t *testing.T) {
 	if testing.Short() {
@@ -12,13 +8,11 @@ func TestClientServerOneVNShapes(t *testing.T) {
 	}
 	// Single client saturates the server at roughly the small-message gap
 	// (paper: ~78K msgs/s); per-client shares are proportional.
-	r1 := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8,
-		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
+	r1 := runClientServer(csConfig{Clients: 1, Mode: modeOneVN, Frames: 8})
 	if r1.AggregateMsgs < 60000 || r1.AggregateMsgs > 100000 {
 		t.Fatalf("1-client aggregate = %.0f msgs/s, expected ~80K", r1.AggregateMsgs)
 	}
-	r4 := runClientServer(csConfig{Clients: 4, Mode: modeOneVN, Frames: 8,
-		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
+	r4 := runClientServer(csConfig{Clients: 4, Mode: modeOneVN, Frames: 8})
 	for i, pc := range r4.PerClient {
 		share := r4.AggregateMsgs / 4
 		if pc < share*0.5 || pc > share*1.5 {
@@ -26,8 +20,7 @@ func TestClientServerOneVNShapes(t *testing.T) {
 		}
 	}
 	// Overruns at 3+ clients drop aggregate below the 2-client level.
-	r2 := runClientServer(csConfig{Clients: 2, Mode: modeOneVN, Frames: 8,
-		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond})
+	r2 := runClientServer(csConfig{Clients: 2, Mode: modeOneVN, Frames: 8})
 	if r4.AggregateMsgs >= r2.AggregateMsgs {
 		t.Fatalf("no overrun-driven drop: 2 clients %.0f, 4 clients %.0f",
 			r2.AggregateMsgs, r4.AggregateMsgs)
@@ -38,8 +31,7 @@ func TestClientServerOvercommitRemaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention run is slow")
 	}
-	r := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 8,
-		Warmup: 150 * sim.Millisecond, Window: 300 * sim.Millisecond})
+	r := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 8})
 	if r.RemapsPerSec < 50 {
 		t.Fatalf("overcommitted server only remapped %.0f/s", r.RemapsPerSec)
 	}
@@ -48,117 +40,13 @@ func TestClientServerOvercommitRemaps(t *testing.T) {
 		t.Fatalf("aggregate %.0f under overcommit below 40%% of peak", r.AggregateMsgs)
 	}
 	// 96 frames: no remapping for 24 clients.
-	r96 := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 96,
-		Warmup: 150 * sim.Millisecond, Window: 300 * sim.Millisecond})
+	r96 := runClientServer(csConfig{Clients: 24, Mode: modeST, Frames: 96})
 	if r96.RemapsPerSec != 0 {
 		t.Fatalf("96-frame server remapped %.0f/s", r96.RemapsPerSec)
 	}
 	if r96.AggregateMsgs <= r.AggregateMsgs {
 		t.Fatalf("96 frames (%.0f) not better than 8 (%.0f) under overcommit",
 			r96.AggregateMsgs, r.AggregateMsgs)
-	}
-}
-
-func TestTimeshareWithinBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timeshare run is slow")
-	}
-	res, ok := runTimeshare(timeshareConfig{
-		Nodes: 4, Apps: 2, Iters: 20,
-		Compute:  2 * sim.Millisecond,
-		MsgBytes: 2048,
-	})
-	if !ok {
-		t.Fatal("timeshare run did not complete")
-	}
-	// Paper: within 15% of run-in-sequence. Allow a modest band around it.
-	if res.Ratio > 1.25 {
-		t.Fatalf("shared/sequential = %.3f, want <= 1.25", res.Ratio)
-	}
-	if res.Ratio < 0.5 {
-		t.Fatalf("shared/sequential = %.3f suspiciously low", res.Ratio)
-	}
-	// Communication time inflates with scheduling phase skew (a store's
-	// user-level ack needs the peer to poll); the makespan bound above is
-	// the paper's headline claim. Guard against pathological inflation.
-	cr := float64(res.SharedCommMean) / float64(res.SeqCommMean)
-	if cr > 10.0 {
-		t.Fatalf("comm time inflated %.2fx under time-sharing", cr)
-	}
-}
-
-func TestTimeshareImbalanceGains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timeshare run is slow")
-	}
-	bal, ok1 := runTimeshare(timeshareConfig{
-		Nodes: 4, Apps: 2, Iters: 15,
-		Compute: 2 * sim.Millisecond, MsgBytes: 1024,
-	})
-	imb, ok2 := runTimeshare(timeshareConfig{
-		Nodes: 4, Apps: 2, Iters: 15,
-		Compute: 2 * sim.Millisecond, MsgBytes: 1024,
-		Imbalance: 1.0,
-	})
-	if !ok1 || !ok2 {
-		t.Fatal("runs did not complete")
-	}
-	// With load imbalance, time-sharing recovers idle CPU: its ratio must
-	// improve over the balanced case (paper: up to 20% throughput gain).
-	if imb.Ratio >= bal.Ratio+0.02 {
-		t.Fatalf("imbalanced ratio %.3f not better than balanced %.3f", imb.Ratio, bal.Ratio)
-	}
-}
-
-// TestLinpackSmall also holds runLinpack to the goroutine balance
-// TestGoldenCells holds the other slow rows' cells to, at a size that runs
-// in seconds.
-func TestLinpackSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("linpack run is slow")
-	}
-	var res linpackResult
-	var ok bool
-	leavesNoGoroutines(t, func() {
-		res, ok = runLinpack(linpackConfig{Nodes: 8, N: 1024, NB: 128, RateFlops: 135e6})
-	})
-	if !ok {
-		t.Fatal("linpack did not complete")
-	}
-	if res.GFlops <= 0 {
-		t.Fatal("non-positive GFLOPS")
-	}
-	// 8 nodes x 135 Mflops = 1.08 GF peak; blocked LU at modest n should
-	// reach a reasonable fraction but cannot exceed peak.
-	if res.Efficiency > 1.0 {
-		t.Fatalf("efficiency %.2f > 1 (accounting bug)", res.Efficiency)
-	}
-	if res.Efficiency < 0.2 {
-		t.Fatalf("efficiency %.2f implausibly low", res.Efficiency)
-	}
-}
-
-func TestVIAPressure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("via pressure run is slow")
-	}
-	// 12 nodes: VIA needs 11 endpoints per node against 8 frames
-	// (overcommitted); virtual networks need 1 (never remapped).
-	res, ok := runVIAPressure(viaPressureConfig{Nodes: 12, Rounds: 10})
-	if !ok {
-		t.Fatal("via pressure run did not complete")
-	}
-	// Remaps() counts every load including the initial binding: the VN
-	// model loads each endpoint exactly once, the VIA mesh keeps cycling.
-	if res.VNRemaps > 12 {
-		t.Fatalf("VN remaps = %d, want <= one initial load per node", res.VNRemaps)
-	}
-	if res.VIARemaps <= 12*11 {
-		t.Fatalf("VIA remaps = %d; expected thrash beyond the %d initial loads",
-			res.VIARemaps, 12*11)
-	}
-	if res.VIATime <= res.VNTime {
-		t.Fatalf("VIA (%v) not slower than VN (%v) under frame pressure", res.VIATime, res.VNTime)
 	}
 }
 
@@ -200,8 +88,7 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	// Identical seeds must produce bit-identical experiment results — the
 	// property that makes every figure reproducible.
-	cfg := csConfig{Clients: 6, Mode: modeST, Frames: 8, Seed: 42,
-		Warmup: 100 * sim.Millisecond, Window: 200 * sim.Millisecond}
+	cfg := csConfig{Clients: 6, Mode: modeST, Frames: 8, Seed: 42}
 	a := runClientServer(cfg)
 	b := runClientServer(cfg)
 	if a.AggregateMsgs != b.AggregateMsgs || a.RemapsPerSec != b.RemapsPerSec {

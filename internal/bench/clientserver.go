@@ -39,14 +39,18 @@ const (
 	hRep = 2
 )
 
+// A contention run measures csWindow of steady state after csWarmup.
+const (
+	csWarmup = 200 * sim.Millisecond
+	csWindow = 500 * sim.Millisecond
+)
+
 // csConfig parameterizes one contention run.
 type csConfig struct {
 	Clients  int
 	Mode     serverMode
-	Frames   int          // server NI endpoint frames (8 or 96)
-	MsgBytes int          // 0 = small request; 8192 = bulk (Fig. 7)
-	Warmup   sim.Duration // excluded from measurement; 0 = 200 ms
-	Window   sim.Duration // steady-state measurement window; 0 = 500 ms
+	Frames   int // server NI endpoint frames (8 or 96)
+	MsgBytes int // 0 = small request; 8192 = bulk (Fig. 7)
 	Seed     int64
 	// DisableHostRW reproduces the paper's original design (§6.4.1).
 	DisableHostRW bool
@@ -75,14 +79,8 @@ type csResult struct {
 // state measurements. The server runs on node 0; client i runs dedicated on
 // node i+1 (as in the paper, every process has its own node).
 func runClientServer(cfg csConfig) csResult {
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 200 * sim.Millisecond
-	}
 	if cfg.HandlerWork == 0 {
 		cfg.HandlerWork = 6 * sim.Microsecond
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 500 * sim.Millisecond
 	}
 	ccfg := hostos.DefaultClusterConfig()
 	ccfg.NIC.Frames = cfg.Frames
@@ -130,8 +128,8 @@ func runClientServer(cfg csConfig) csResult {
 	}
 
 	// Measurement state.
-	startAt := sim.Time(cfg.Warmup)
-	endAt := startAt.Add(cfg.Window)
+	startAt := sim.Time(csWarmup)
+	endAt := startAt.Add(csWindow)
 	counts := make([]int64, cfg.Clients)
 	rtt := trace.NewHist()
 
@@ -212,10 +210,10 @@ func runClientServer(cfg csConfig) csResult {
 	remapsBefore := int64(0)
 	cl.RunUntil(startAt)
 	remapsBefore = server.Driver.Remaps()
-	tl := trace.NewTimeline(startAt, cfg.Window/10)
+	tl := trace.NewTimeline(startAt, csWindow/10)
 	prev := remapsBefore
 	for i := 0; i < 10; i++ {
-		cl.RunUntil(startAt.Add(cfg.Window * sim.Duration(i+1) / 10))
+		cl.RunUntil(startAt.Add(csWindow * sim.Duration(i+1) / 10))
 		cur := server.Driver.Remaps()
 		tl.Add(cl.Now()-1, float64(cur-prev))
 		prev = cur
@@ -225,15 +223,15 @@ func runClientServer(cfg csConfig) csResult {
 	res := csResult{
 		RemapTimeline: tl.Rates(),
 		PerClient:     make([]float64, cfg.Clients),
-		RemapsPerSec:  float64(remaps) / cfg.Window.Seconds(),
+		RemapsPerSec:  float64(remaps) / csWindow.Seconds(),
 		RTT:           rtt,
 	}
 	var total int64
 	for i, c := range counts {
-		res.PerClient[i] = float64(c) / cfg.Window.Seconds()
+		res.PerClient[i] = float64(c) / csWindow.Seconds()
 		total += c
 	}
-	res.AggregateMsgs = float64(total) / cfg.Window.Seconds()
+	res.AggregateMsgs = float64(total) / csWindow.Seconds()
 	res.AggregateMBps = res.AggregateMsgs * float64(cfg.MsgBytes) / 1e6
 	return res
 }

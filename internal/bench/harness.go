@@ -315,7 +315,6 @@ func applyChaosPlan(cl *hostos.Cluster, rng *rand.Rand, events int, horizon, max
 		Nodes:        len(cl.Nodes),
 		Leaves:       cl.ShardNet(0).Leaves(),
 		Spines:       cl.ShardNet(0).TotalSpines(),
-		Crash:        true,
 		NoCrashBelow: noCrashBelow,
 	})
 	plan.Apply(cl)

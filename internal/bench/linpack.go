@@ -11,53 +11,53 @@ import (
 	"virtnet/internal/sim"
 )
 
-// linpackConfig parameterizes the §6.2 dedicated-application result: the
-// massively-parallel Linpack run that put the 100-node NOW on the Top-500
-// list at 10.14 GFLOPS. We model HPL's right-looking LU on a 2-D
-// block-cyclic process grid (R x C): each step the owner column factors the
-// panel in parallel, the panel is broadcast along process rows (binomial),
-// row blocks are broadcast along columns, and everyone updates its trailing
-// blocks. Compute is charged from a per-node DGEMM rate; broadcasts move
-// real bytes through the simulated stack.
-type linpackConfig struct {
-	Nodes int
-	N     int // matrix dimension (scaled down from the Top-500 run)
-	NB    int // block size
-	// RateFlops is the per-node DGEMM rate (flop/s). An UltraSPARC-1/167
+// The §6.2 dedicated-application result: the massively-parallel Linpack run
+// that put the 100-node NOW on the Top-500 list at 10.14 GFLOPS. We model
+// HPL's right-looking LU on a 2-D block-cyclic process grid (R x C): each
+// step the owner column factors the panel in parallel, the panel is
+// broadcast along process rows (binomial), row blocks are broadcast along
+// columns, and everyone updates its trailing blocks. Compute is charged from
+// a per-node DGEMM rate; broadcasts move real bytes through the simulated
+// stack. The matrix is scaled down from the Top-500 run to keep its
+// compute:communication balance.
+const (
+	linpackNodes = 100
+	linpackN     = 8192 // matrix dimension
+	linpackNB    = 64   // block size
+	// linpackRate is the per-node DGEMM rate (flop/s). An UltraSPARC-1/167
 	// with the Sun Performance Library sustains ~135 Mflop/s.
-	RateFlops float64
-	Seed      int64
-}
+	linpackRate = 135e6
+)
 
 // linpackResult reports the achieved rate.
 type linpackResult struct {
 	Time       sim.Duration
 	GFlops     float64
-	Efficiency float64 // fraction of Nodes*RateFlops
+	Efficiency float64 // fraction of linpackNodes*linpackRate
 }
 
-// grid returns the most square RxC factorization of p.
-func grid(p int) (int, int) {
-	r := int(math.Sqrt(float64(p)))
-	for p%r != 0 {
+// linpackGrid returns the most square RxC factorization of linpackNodes.
+func linpackGrid() (int, int) {
+	r := int(math.Sqrt(linpackNodes))
+	for linpackNodes%r != 0 {
 		r--
 	}
-	return r, p / r
+	return r, linpackNodes / r
 }
 
 // runLinpack executes the blocked-LU model on a fresh cluster.
-func runLinpack(cfg linpackConfig) (linpackResult, bool) {
-	cl := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, hostos.DefaultClusterConfig())
+func runLinpack(seed int64) (linpackResult, bool) {
+	cl := hostos.NewCluster(seed+1, linpackNodes, hostos.DefaultClusterConfig())
 	defer cl.Shutdown()
-	w, err := mpi.NewWorld(cl, cfg.Nodes, nil)
+	w, err := mpi.NewWorld(cl, linpackNodes, nil)
 	if err != nil {
 		return linpackResult{}, false
 	}
-	R, C := grid(cfg.Nodes)
+	R, C := linpackGrid()
 
 	start := cl.Now()
 	ok := w.Run(func(p *sim.Proc, c *mpi.Comm) {
-		nsPerFlop := 1e9 / cfg.RateFlops
+		nsPerFlop := 1e9 / linpackRate
 		me := c.Rank()
 		myRow, myCol := me/C, me%C
 
@@ -115,21 +115,21 @@ func runLinpack(cfg linpackConfig) (linpackResult, bool) {
 			return data
 		}
 
-		steps := cfg.N / cfg.NB
+		steps := linpackN / linpackNB
 		for k := 0; k < steps; k++ {
-			rem := cfg.N - k*cfg.NB
+			rem := linpackN - k*linpackNB
 			ownerCol := k % C
 			ownerRow := k % R
 
 			// Panel factorization: the owner column's R ranks factor the
 			// rem x NB panel cooperatively (~rem*NB^2 flops split R ways).
 			if myCol == ownerCol {
-				flops := float64(rem) * float64(cfg.NB) * float64(cfg.NB) / float64(R)
+				flops := float64(rem) * float64(linpackNB) * float64(linpackNB) / float64(R)
 				c.Node().Compute(p, sim.Duration(flops*nsPerFlop))
 			}
 			// Panel broadcast along each process row: each row moves its
 			// rem/R x NB slice.
-			panelBytes := rem / R * cfg.NB * 8
+			panelBytes := rem / R * linpackNB * 8
 			var panel []byte
 			if myCol == ownerCol {
 				panel = make([]byte, panelBytes)
@@ -138,7 +138,7 @@ func runLinpack(cfg linpackConfig) (linpackResult, bool) {
 				return
 			}
 			// Row-block broadcast along each process column: NB x rem/C.
-			rowBytes := cfg.NB * (rem / C) * 8
+			rowBytes := linpackNB * (rem / C) * 8
 			var rowBlk []byte
 			if myRow == ownerRow {
 				rowBlk = make([]byte, rowBytes)
@@ -147,7 +147,7 @@ func runLinpack(cfg linpackConfig) (linpackResult, bool) {
 				return
 			}
 			// Trailing update: 2*rem^2*NB flops over all P ranks.
-			flops := 2 * float64(rem) * float64(rem) * float64(cfg.NB) / float64(cfg.Nodes)
+			flops := 2 * float64(rem) * float64(rem) * float64(linpackNB) / float64(linpackNodes)
 			c.Node().Compute(p, sim.Duration(flops*nsPerFlop))
 		}
 		c.Barrier(p)
@@ -156,26 +156,24 @@ func runLinpack(cfg linpackConfig) (linpackResult, bool) {
 		return linpackResult{}, false
 	}
 	elapsed := cl.Now().Sub(start)
-	total := 2.0 / 3.0 * float64(cfg.N) * float64(cfg.N) * float64(cfg.N)
+	total := 2.0 / 3.0 * float64(linpackN) * float64(linpackN) * float64(linpackN)
 	gf := total / elapsed.Seconds() / 1e9
 	return linpackResult{
 		Time:       elapsed,
 		GFlops:     gf,
-		Efficiency: gf * 1e9 / (float64(cfg.Nodes) * cfg.RateFlops),
+		Efficiency: gf * 1e9 / (float64(linpackNodes) * linpackRate),
 	}, true
 }
 
 func linpackRow(w io.Writer, p Params) error {
 	header(w, "§6.2 — Linpack on the dedicated cluster")
-	// Scaled to keep the compute:communication balance of the Top-500 run.
-	cfg := linpackConfig{Nodes: 100, N: 8192, NB: 64, RateFlops: 135e6, Seed: p.Seed}
-	res, ok := runLinpack(cfg)
+	res, ok := runLinpack(p.Seed)
 	if !ok {
 		return errors.New("linpack did not complete")
 	}
 	fmt.Fprintf(w, "nodes=%d n=%d nb=%d: %.2f GFLOPS in %v (%.0f%% of %0.1f GF peak)\n",
-		cfg.Nodes, cfg.N, cfg.NB, res.GFlops, res.Time,
-		res.Efficiency*100, float64(cfg.Nodes)*cfg.RateFlops/1e9)
+		linpackNodes, linpackN, linpackNB, res.GFlops, res.Time,
+		res.Efficiency*100, float64(linpackNodes)*linpackRate/1e9)
 	fmt.Fprintf(w, "(paper: 10.14 GFLOPS on 100 nodes, Top-500 #315 in June 1997)\n")
 	return nil
 }

@@ -18,13 +18,15 @@ import (
 // requests per second — big enough for real tail statistics, small enough
 // that a full offered-load sweep stays CI-friendly.
 const (
-	serveService  = sim.Millisecond      // per-op server compute
-	serveDeadline = 20 * sim.Millisecond // end-to-end SLO deadline
-	serveQueue    = 16                   // bounded admission: 16×1ms < deadline
-	serveMaxOut   = 48                   // per-client inflight cap
-	serveKeys     = 100_000              // key space
-	serveIdemCap  = 1 << 14              // server idempotency cache
-	serveDrain    = 2 * serveDeadline    // post-Stop harvest window
+	serveService  = sim.Millisecond       // per-op server compute
+	serveDeadline = 20 * sim.Millisecond  // end-to-end SLO deadline
+	serveQueue    = 16                    // bounded admission: 16×1ms < deadline
+	serveMaxOut   = 48                    // per-client inflight cap
+	serveKeys     = 100_000               // key space
+	serveIdemCap  = 1 << 14               // server idempotency cache
+	serveDrain    = 2 * serveDeadline     // post-Stop harvest window
+	serveWarmup   = 50 * sim.Millisecond  // steady-state ramp before measurement
+	serveWindow   = 150 * sim.Millisecond // measurement window
 )
 
 // serveConfig parameterizes one point of the serving-workload experiment:
@@ -37,8 +39,6 @@ type serveConfig struct {
 	Clients  int     // open-loop client procs
 	Shards   int     // engine shards (0/1 = one shard)
 	Seed     int64
-	Warmup   sim.Duration // steady-state ramp before measurement
-	Window   sim.Duration // measurement window
 	// Ablate turns the reliability layer off: unbounded FIFO admission, no
 	// shedding, no breakers. Past saturation the queues only grow and every
 	// reply is stale — the collapse the golden curves contrast against.
@@ -114,8 +114,8 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 	if scenarioDesc(cfg.Scenario) == "" {
 		return serveResult{}, fmt.Errorf("unknown scenario %q (-scenario list prints them)", cfg.Scenario)
 	}
-	if cfg.Hosts <= 0 || cfg.Servers <= 0 || cfg.Clients <= 0 || cfg.Factor <= 0 || cfg.Warmup <= 0 || cfg.Window <= 0 {
-		return serveResult{}, fmt.Errorf("serve config %+v: sizes, factor and windows must all be positive", cfg)
+	if cfg.Hosts <= 0 || cfg.Servers <= 0 || cfg.Clients <= 0 || cfg.Factor <= 0 {
+		return serveResult{}, fmt.Errorf("serve config %+v: sizes and factor must all be positive", cfg)
 	}
 
 	ccfg := hostos.DefaultClusterConfig()
@@ -165,11 +165,10 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		}
 		clientBase = nBack + nGW
 		const fanOut = 4
-		res.Capacity = float64(nBack) * (float64(sim.Second) / float64(serveService)) / fanOut
+		res.Capacity = float64(nBack) * (float64(sim.Second) / float64(serve.BackendService)) / fanOut
 		baddrs := make([]serve.Addr, nBack)
 		for i := 0; i < nBack; i++ {
-			b, err := serve.NewBackend(c.Nodes[i], core.Key(5000+i),
-				serve.BackendConfig{Service: serveService, RespSize: 1024, Opts: newSrvOpts()})
+			b, err := serve.NewBackend(c.Nodes[i], core.Key(5000+i), newSrvOpts())
 			if err != nil {
 				return res, err
 			}
@@ -183,9 +182,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 			gw, err := serve.NewGateway(node, core.Key(6000+g), baddrs, serve.GatewayConfig{
 				FanOut:      fanOut,
 				Workers:     8,
-				HedgeAfter:  4 * sim.Millisecond,
 				HedgeBudget: reliab.BudgetConfig{Capacity: 64, Refill: sim.Millisecond},
-				Service:     20 * sim.Microsecond,
 				Opts:        newSrvOpts(),
 			})
 			if err != nil {
@@ -200,16 +197,13 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		}
 
 	case "ps":
-		const dim, pullWindow, pushEvery, batch = 4096, 32, 4, 8
-		// Pull and push cost the same by construction: Service + 32×PerValue.
-		opCost := 500*sim.Microsecond + pullWindow*10*sim.Microsecond
-		res.Capacity = float64(cfg.Servers) * float64(sim.Second) / float64(opCost)
+		// A push flushes pushEvery×batch = 32 values, the pull window, so
+		// pull and push cost the same by construction.
+		const pushEvery, batch = 4, 8
+		res.Capacity = float64(cfg.Servers) * float64(sim.Second) / float64(serve.PSPullCost)
 		addrs := make([]serve.Addr, cfg.Servers)
 		for i := 0; i < cfg.Servers; i++ {
-			ps, err := serve.NewPSServer(c.Nodes[i], core.Key(5000+i), serve.PSServerConfig{
-				Dim: dim, Service: 500 * sim.Microsecond, PerValue: 10 * sim.Microsecond,
-				Opts: newSrvOpts(),
-			})
+			ps, err := serve.NewPSServer(c.Nodes[i], core.Key(5000+i), newSrvOpts())
 			if err != nil {
 				return res, err
 			}
@@ -218,7 +212,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		}
 		makeWorkload = func(ci int, node *hostos.Node, copts rpc.Options) (serve.Workload, error) {
 			return serve.NewPSWorkload(node, addrs, serve.PSWorkloadConfig{
-				Dim: dim, PullWindow: pullWindow, PushEvery: pushEvery, BatchSize: batch,
+				PushEvery: pushEvery, BatchSize: batch,
 			}, copts, serve.DeriveRNG(cfg.Seed, 0x30000+uint64(ci)))
 		}
 
@@ -261,12 +255,12 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		for i := 0; i < cfg.Servers; i++ {
 			kc := kcfg
 			kc.Opts = newSrvOpts()
+			if cfg.Scenario == "straggler" && i == 0 {
+				kc.Service = 8 * serveService
+			}
 			kv, err := serve.NewKVServer(c.Nodes[i], core.Key(5000+i), kc)
 			if err != nil {
 				return res, err
-			}
-			if cfg.Scenario == "straggler" && i == 0 {
-				kv.SetService(8 * serveService)
 			}
 			addrs[i] = kv.Addr()
 			c.Nodes[i].Spawn("serve-kv", func(p *sim.Proc) { kv.Serve(p, stopFn) })
@@ -290,7 +284,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 	if cfg.Scenario == "faultchurn" {
 		// The serving tier survives; clients churn.
 		applyChaosPlan(c, serve.DeriveRNG(cfg.Seed, 0xFA177), 24,
-			cfg.Warmup+cfg.Window+serveDrain, 15*sim.Millisecond, clientBase)
+			serveWarmup+serveWindow+serveDrain, 15*sim.Millisecond, clientBase)
 	}
 	if cfg.Scenario == "interference" {
 		if err := serveNoiseTenant(c, cfg, stopFn); err != nil {
@@ -300,8 +294,8 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 
 	// Open-loop clients, spread across the non-serving hosts (and shards).
 	perClient := res.Capacity * cfg.Factor / float64(cfg.Clients)
-	measureFrom := sim.Time(0).Add(cfg.Warmup)
-	measureTo := measureFrom.Add(cfg.Window)
+	measureFrom := sim.Time(0).Add(serveWarmup)
+	measureTo := measureFrom.Add(serveWindow)
 	slos := make([]*serve.SLO, cfg.Clients)
 	for ci := 0; ci < cfg.Clients; ci++ {
 		node := c.Nodes[clientBase+(ci*(cfg.Hosts-clientBase))/cfg.Clients]
@@ -313,7 +307,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		case "mmpp":
 			arr = serve.NewMMPP2(perClient/2, 3*perClient, 20*sim.Millisecond, 5*sim.Millisecond, arng)
 		case "diurnal":
-			arr = serve.NewDiurnal(perClient/3, 5*perClient/3, (cfg.Warmup+cfg.Window)/2, arng)
+			arr = serve.NewDiurnal(perClient/3, 5*perClient/3, (serveWarmup+serveWindow)/2, arng)
 		default:
 			arr = serve.NewPoisson(perClient, arng)
 		}
@@ -340,7 +334,7 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		})
 	}
 
-	c.RunFor(cfg.Warmup + cfg.Window + serveDrain + 10*sim.Millisecond)
+	c.RunFor(serveWarmup + serveWindow + serveDrain + 10*sim.Millisecond)
 	stop = true
 	c.RunFor(20 * sim.Millisecond)
 

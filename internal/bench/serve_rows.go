@@ -17,7 +17,6 @@ func servePoint(p Params) (serveConfig, error) {
 		Hosts: 256, Servers: 32, Clients: 64,
 		Shards: 4, // the golden curves run sharded unless -shards says otherwise
 		Seed:   p.Seed,
-		Warmup: 50 * sim.Millisecond, Window: 150 * sim.Millisecond,
 	}
 	if p.Hosts != 0 {
 		if p.Hosts < 8 {
@@ -59,7 +58,7 @@ func serveRow(w io.Writer, p Params) error {
 	header(w, fmt.Sprintf("serve — open-loop serving SLO curves (%d hosts, %d shards, %d servers, %d clients)",
 		base.Hosts, base.Shards, base.Servers, base.Clients))
 	fmt.Fprintf(w, "deadline 20ms end-to-end; %v measurement window after %v warmup; load in multiples of capacity\n",
-		base.Window, base.Warmup)
+		serveWindow, serveWarmup)
 
 	sweeps := serveSweeps()
 	if p.Scenario != "golden" {
@@ -120,7 +119,7 @@ func runServeSweep(w io.Writer, base serveConfig, sw serveSweep) (string, error)
 		if res, err = serveLoadLine(w, base, sw, f); err != nil {
 			return "", err
 		}
-		last = float64(res.SLO.Good) / base.Window.Seconds()
+		last = float64(res.SLO.Good) / serveWindow.Seconds()
 		peak = max(peak, last)
 	}
 	fmt.Fprintf(w, "capacity estimate: %.0f req/s\n", res.Capacity)
@@ -159,7 +158,7 @@ func serveLoadLine(w io.Writer, base serveConfig, sw serveSweep, f float64) (ser
 		return res, err
 	}
 	slo := res.SLO
-	secs := cfg.Window.Seconds()
+	secs := serveWindow.Seconds()
 	ms := func(q float64) float64 {
 		return float64(slo.Lat.Quantile(q)) / float64(sim.Millisecond)
 	}
@@ -193,7 +192,7 @@ func tailatRow(w io.Writer, p Params) error {
 	header(w, fmt.Sprintf("tailat — tail-latency attribution over request trace trees (%d hosts, %d shards, %d servers, %d clients)",
 		base.Hosts, base.Shards, base.Servers, base.Clients))
 	fmt.Fprintf(w, "offered load %.1fx capacity; deadline 20ms; 1-in-%d measured arrivals traced; %v window after %v warmup\n",
-		base.Factor, base.TraceSample, base.Window, base.Warmup)
+		base.Factor, base.TraceSample, serveWindow, serveWarmup)
 
 	scenarios := []string{"baseline", "hotkey", "incast", "faultchurn"}
 	for _, scn := range scenarios {
@@ -204,7 +203,7 @@ func tailatRow(w io.Writer, p Params) error {
 			return err
 		}
 		slo := res.SLO
-		secs := base.Window.Seconds()
+		secs := serveWindow.Seconds()
 		fmt.Fprintf(w, "\n-- %s: %s --\n", scn, scenarioDesc(scn))
 		fmt.Fprintf(w, "  offered %.0f/s  good %.1f%%  p50 %.2fms  p99 %.2fms  flights %d\n",
 			float64(slo.Offered)/secs, 100*slo.GoodputFrac(),

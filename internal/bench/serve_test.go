@@ -12,7 +12,6 @@ func tinyServe(t *testing.T, scenario string, factor float64, ablate bool) serve
 	res, err := runServePoint(serveConfig{
 		Scenario: scenario, Factor: factor,
 		Hosts: 64, Servers: 8, Clients: 16, Shards: 2, Seed: 11,
-		Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,
 		Ablate: ablate,
 	})
 	if err != nil {
@@ -30,7 +29,7 @@ func TestServePointScenariosLightLoad(t *testing.T) {
 		}
 		if f := res.SLO.GoodputFrac(); f < 0.80 {
 			t.Errorf("%s: goodput %.1f%% at 0.5x capacity, want ≥80%% (%s)",
-				scn, 100*f, res.SLO.Line(60*sim.Millisecond))
+				scn, 100*f, res.SLO.Line(serveWindow))
 		}
 	}
 }
@@ -41,7 +40,7 @@ func TestServePointScenariosLightLoad(t *testing.T) {
 func TestServeHotKeySheddingBoundsTail(t *testing.T) {
 	res := tinyServe(t, "hotkey", 0.5, false)
 	if res.SLO.Shed == 0 {
-		t.Fatalf("hot shard never shed at 0.5x: %s", res.SLO.Line(60*sim.Millisecond))
+		t.Fatalf("hot shard never shed at 0.5x: %s", res.SLO.Line(serveWindow))
 	}
 	if f := res.SLO.GoodputFrac(); f < 0.30 {
 		t.Fatalf("hotkey goodput %.1f%%, want ≥30%%", 100*f)

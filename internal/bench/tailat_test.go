@@ -24,7 +24,6 @@ func TestTraceTreeStageSumExact(t *testing.T) {
 		res, err := runServePoint(serveConfig{
 			Scenario: "baseline", Factor: 1.0,
 			Hosts: 64, Servers: 8, Clients: 16, Shards: sh, Seed: 7,
-			Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,
 			TraceSample: 4,
 		})
 		if err != nil {
@@ -74,7 +73,6 @@ func TestTailAttributionDeterministic(t *testing.T) {
 		res, err := runServePoint(serveConfig{
 			Scenario: "incast", Factor: 1.0,
 			Hosts: 64, Servers: 8, Clients: 16, Shards: 4, Seed: 11,
-			Warmup: 20 * sim.Millisecond, Window: 60 * sim.Millisecond,
 			TraceSample: 4,
 		})
 		if err != nil {

@@ -10,24 +10,20 @@ import (
 	"virtnet/internal/splitc"
 )
 
-// timeshareConfig parameterizes the §6.3 experiment: several Split-C-style
-// parallel applications time-share one partition of the cluster, relying on
-// implicit co-scheduling (conventional local schedulers; the virtual network
-// subsystem adapts the resident set to the active endpoints).
-type timeshareConfig struct {
-	Nodes int // partition size (paper: 16)
-	Apps  int // concurrently running applications
-	Iters int // bulk-synchronous iterations per application
-	// Compute is the per-iteration computation per rank.
-	Compute sim.Duration
-	// MsgBytes is the neighbor-exchange volume per iteration per rank.
-	MsgBytes int
-	// Imbalance skews per-rank compute: rank r computes
-	// Compute * (1 + Imbalance*r/(Nodes-1)). The paper reports time-sharing
-	// improving throughput up to 20% for imbalanced workloads.
-	Imbalance float64
-	Seed      int64
-}
+// The §6.3 experiment: several Split-C-style parallel applications
+// time-share one partition of the cluster, relying on implicit co-scheduling
+// (conventional local schedulers; the virtual network subsystem adapts the
+// resident set to the active endpoints).
+const (
+	timeshareNodes = 16 // partition size, as in the paper
+	timeshareApps  = 2  // concurrently running applications
+	timeshareIters = 40 // bulk-synchronous iterations per application
+	// timeshareCompute is the per-iteration computation per rank.
+	timeshareCompute = 2 * sim.Millisecond
+	// timeshareMsgBytes is the neighbor-exchange volume per iteration per
+	// rank.
+	timeshareMsgBytes = 2048
+)
 
 // timeshareResult compares running the applications concurrently
 // (time-shared) against running them in sequence.
@@ -47,16 +43,19 @@ type timeshareResult struct {
 	SeqSyncMean    sim.Duration
 }
 
-// appBody returns the bulk-synchronous program body.
-func appBody(cfg timeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
+// appBody returns the bulk-synchronous program body. Imbalance skews
+// per-rank compute: rank r computes timeshareCompute * (1 +
+// imbalance*r/(n-1)). The paper reports time-sharing improving throughput
+// up to 20% for imbalanced workloads.
+func appBody(imbalance float64) func(p *sim.Proc, r *splitc.Rank) {
 	return func(p *sim.Proc, r *splitc.Rank) {
 		n := r.Size()
-		buf := make([]byte, cfg.MsgBytes)
-		work := float64(cfg.Compute)
-		if cfg.Imbalance > 0 && n > 1 {
-			work *= 1 + cfg.Imbalance*float64(r.ID())/float64(n-1)
+		buf := make([]byte, timeshareMsgBytes)
+		work := float64(timeshareCompute)
+		if imbalance > 0 && n > 1 {
+			work *= 1 + imbalance*float64(r.ID())/float64(n-1)
 		}
-		for it := 0; it < cfg.Iters; it++ {
+		for it := 0; it < timeshareIters; it++ {
 			r.Node().Compute(p, sim.Duration(work))
 			next := (r.ID() + 1) % n
 			r.Store(p, next, 0, buf)
@@ -66,20 +65,20 @@ func appBody(cfg timeshareConfig) func(p *sim.Proc, r *splitc.Rank) {
 	}
 }
 
-// runApps launches k applications (each its own virtual network over the
-// same nodes) with the given start offsets, and returns the makespan and
+// runApps launches timeshareApps applications (each its own virtual network
+// over the same nodes), in sequence or at once, and returns the makespan and
 // mean comm time per app.
-func runApps(cl *hostos.Cluster, cfg timeshareConfig, k int, sequential bool) (sim.Duration, sim.Duration, sim.Duration, bool) {
+func runApps(cl *hostos.Cluster, imbalance float64, sequential bool) (sim.Duration, sim.Duration, sim.Duration, bool) {
 	start := cl.Now()
 	var worlds []*splitc.World
-	for a := 0; a < k; a++ {
-		w, err := splitc.NewWorld(cl, cfg.Nodes, cfg.MsgBytes+64, nil)
+	for a := 0; a < timeshareApps; a++ {
+		w, err := splitc.NewWorld(cl, timeshareNodes, timeshareMsgBytes+64, nil)
 		if err != nil {
 			return 0, 0, 0, false
 		}
 		worlds = append(worlds, w)
 	}
-	body := appBody(cfg)
+	body := appBody(imbalance)
 	maxT := 1000 * sim.Second
 	if sequential {
 		for _, w := range worlds {
@@ -117,18 +116,18 @@ func runApps(cl *hostos.Cluster, cfg timeshareConfig, k int, sequential bool) (s
 }
 
 // runTimeshare executes the §6.3 comparison on fresh clusters.
-func runTimeshare(cfg timeshareConfig) (timeshareResult, bool) {
+func runTimeshare(imbalance float64, seed int64) (timeshareResult, bool) {
 	ccfg := hostos.DefaultClusterConfig()
 
-	clSeq := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, ccfg)
-	seqT, seqComm, seqSync, ok := runApps(clSeq, cfg, cfg.Apps, true)
+	clSeq := hostos.NewCluster(seed+1, timeshareNodes, ccfg)
+	seqT, seqComm, seqSync, ok := runApps(clSeq, imbalance, true)
 	clSeq.Shutdown()
 	if !ok {
 		return timeshareResult{}, false
 	}
 
-	clShared := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, ccfg)
-	shT, shComm, shSync, ok := runApps(clShared, cfg, cfg.Apps, false)
+	clShared := hostos.NewCluster(seed+1, timeshareNodes, ccfg)
+	shT, shComm, shSync, ok := runApps(clShared, imbalance, false)
 	clShared.Shutdown()
 	if !ok {
 		return timeshareResult{}, false
@@ -148,11 +147,7 @@ func runTimeshare(cfg timeshareConfig) (timeshareResult, bool) {
 func timeshareRow(w io.Writer, p Params) error {
 	header(w, "§6.3 — time-shared parallel applications")
 	for _, imb := range []float64{0, 1.0} {
-		res, ok := runTimeshare(timeshareConfig{
-			Nodes: 16, Apps: 2, Iters: 40,
-			Compute: 2 * sim.Millisecond, MsgBytes: 2048,
-			Imbalance: imb, Seed: p.Seed,
-		})
+		res, ok := runTimeshare(imb, p.Seed)
 		if !ok {
 			return errors.New("timeshare run failed")
 		}

@@ -11,16 +11,16 @@ import (
 	"virtnet/internal/via"
 )
 
-// viaPressureConfig parameterizes the §7 comparison: a parallel program on
-// n nodes needs n^2 VIs for full connectivity under the Virtual Interface
-// Architecture, where virtual networks need a single endpoint per process.
-// Because each VI occupies an endpoint frame when active, VI-per-pair
-// provisioning overcommits the NI long before endpoint pooling does.
-type viaPressureConfig struct {
-	Nodes  int
-	Rounds int // each process messages every peer once per round
-	Seed   int64
-}
+// The §7 comparison: a parallel program on n nodes needs n^2 VIs for full
+// connectivity under the Virtual Interface Architecture, where virtual
+// networks need a single endpoint per process. Because each VI occupies an
+// endpoint frame when active, VI-per-pair provisioning overcommits the NI
+// long before endpoint pooling does. At viaNodes nodes the VIA mesh needs 9
+// VIs per node against the NI's 8 frames.
+const (
+	viaNodes  = 10
+	viaRounds = 5 // each process messages every peer once per round
+)
 
 // viaPressureWindow bounds each half of the comparison in virtual time.
 const viaPressureWindow = 100 * sim.Second
@@ -40,25 +40,25 @@ type viaPressureResult struct {
 
 // runVIAPressure executes the same all-pairs exchange over virtual networks
 // and over a VIA full mesh, on identical clusters (8 NI frames each).
-func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
+func runVIAPressure(seed int64) (viaPressureResult, bool) {
 	res := viaPressureResult{
 		VNEndpointsPerNode:  1,
-		VIAEndpointsPerNode: cfg.Nodes - 1,
+		VIAEndpointsPerNode: viaNodes - 1,
 	}
 
 	// ---- Virtual networks: one endpoint per process. ----
 	{
-		cl := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, hostos.DefaultClusterConfig())
-		eps := make([]*core.Endpoint, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
+		cl := hostos.NewCluster(seed+1, viaNodes, hostos.DefaultClusterConfig())
+		eps := make([]*core.Endpoint, viaNodes)
+		for i := 0; i < viaNodes; i++ {
 			b := core.Attach(cl.Nodes[i])
-			eps[i], _ = b.NewEndpoint(core.Key(100+i), cfg.Nodes)
+			eps[i], _ = b.NewEndpoint(core.Key(100+i), viaNodes)
 		}
 		if err := core.MakeVirtualNetwork(eps); err != nil {
 			cl.Shutdown()
 			return res, false
 		}
-		got := make([]int, cfg.Nodes)
+		got := make([]int, viaNodes)
 		for i := range eps {
 			i := i
 			eps[i].SetHandler(1, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
@@ -67,15 +67,15 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 			})
 			eps[i].SetHandler(2, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {})
 		}
-		running := cfg.Nodes
+		running := viaNodes
 		start := cl.Now()
-		for i := 0; i < cfg.Nodes; i++ {
+		for i := 0; i < viaNodes; i++ {
 			i := i
 			cl.Nodes[i].Spawn("vn", func(p *sim.Proc) {
 				defer func() { running-- }()
-				want := cfg.Rounds * (cfg.Nodes - 1)
-				for r := 0; r < cfg.Rounds; r++ {
-					for j := 0; j < cfg.Nodes; j++ {
+				want := viaRounds * (viaNodes - 1)
+				for r := 0; r < viaRounds; r++ {
+					for j := 0; j < viaNodes; j++ {
 						if j == i {
 							continue
 						}
@@ -103,8 +103,8 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 
 	// ---- VIA: a VI (endpoint) per pair, n^2 total. ----
 	{
-		cl := hostos.NewCluster(cfg.Seed+1, cfg.Nodes, hostos.DefaultClusterConfig())
-		nics := make([]*via.NIC, cfg.Nodes)
+		cl := hostos.NewCluster(seed+1, viaNodes, hostos.DefaultClusterConfig())
+		nics := make([]*via.NIC, viaNodes)
 		for i := range nics {
 			nics[i] = via.Open(cl.Nodes[i])
 		}
@@ -113,27 +113,27 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 			cl.Shutdown()
 			return res, false
 		}
-		running := cfg.Nodes
+		running := viaNodes
 		start := cl.Now()
-		for i := 0; i < cfg.Nodes; i++ {
+		for i := 0; i < viaNodes; i++ {
 			i := i
 			cl.Nodes[i].Spawn("via", func(p *sim.Proc) {
 				defer func() { running-- }()
 				// Post receives for everything we expect.
-				for j := 0; j < cfg.Nodes; j++ {
+				for j := 0; j < viaNodes; j++ {
 					if j == i {
 						continue
 					}
-					for r := 0; r < cfg.Rounds; r++ {
+					for r := 0; r < viaRounds; r++ {
 						h := nics[i].RegisterMemory(make([]byte, 16))
 						vis[i][j].PostRecv(h)
 					}
 				}
 				send := nics[i].RegisterMemory(make([]byte, 16))
-				want := cfg.Rounds * (cfg.Nodes - 1)
+				want := viaRounds * (viaNodes - 1)
 				seen := 0
-				for r := 0; r < cfg.Rounds; r++ {
-					for j := 0; j < cfg.Nodes; j++ {
+				for r := 0; r < viaRounds; r++ {
+					for j := 0; j < viaNodes; j++ {
 						if j == i {
 							continue
 						}
@@ -143,7 +143,7 @@ func runVIAPressure(cfg viaPressureConfig) (viaPressureResult, bool) {
 				}
 				for seen < want {
 					polled := 0
-					for j := 0; j < cfg.Nodes; j++ {
+					for j := 0; j < viaNodes; j++ {
 						if j != i {
 							polled += vis[i][j].Poll(p)
 						}
@@ -181,11 +181,11 @@ func drainCQ(cq *via.CQ) int {
 	}
 }
 
-// viaRow is the §7 comparison at 10 nodes: the VIA mesh needs 9 VIs per node
-// against the NI's 8 frames, virtual networks one endpoint.
+// viaRow is the §7 comparison: the VIA mesh needs viaNodes-1 VIs per node,
+// virtual networks one endpoint.
 func viaRow(w io.Writer, p Params) error {
-	header(w, "§7 — VIA per-pair VIs vs pooled endpoints (10 nodes, 5 rounds, 8 NI frames)")
-	res, ok := runVIAPressure(viaPressureConfig{Nodes: 10, Rounds: 5, Seed: p.Seed})
+	header(w, fmt.Sprintf("§7 — VIA per-pair VIs vs pooled endpoints (%d nodes, %d rounds, 8 NI frames)", viaNodes, viaRounds))
+	res, ok := runVIAPressure(p.Seed)
 	if !ok {
 		return errors.New("via pressure run did not complete")
 	}

@@ -17,9 +17,6 @@ type ChaosConfig struct {
 	MaxOutage sim.Duration
 	// Nodes, Leaves, Spines describe the topology being tormented.
 	Nodes, Leaves, Spines int
-	// Crash enables NodeCrash/NICReboot events in the mix. Crashed nodes
-	// always restart (Dur > 0): chaos soaks want churn, not attrition.
-	Crash bool
 	// NoCrashBelow protects nodes [0, NoCrashBelow) from crashes and
 	// reboots — the home node and any server nodes whose state the soak's
 	// invariant checks depend on.
@@ -53,7 +50,8 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 // yields one byte-identical plan (its String() round-trips through Parse),
 // and events come out sorted by start time. The mix leans toward transient
 // fabric faults (downed links and switches, loss and corruption bursts)
-// with crashes and firmware reboots mixed in when cfg.Crash allows.
+// with crashes and firmware reboots mixed in. Crashed nodes always restart
+// (Dur > 0): chaos soaks want churn, not attrition.
 func RandomPlan(rng *rand.Rand, cfg ChaosConfig) *Plan {
 	cfg = cfg.withDefaults()
 	dur := func() sim.Duration {
@@ -94,7 +92,7 @@ func RandomPlan(rng *rand.Rand, cfg ChaosConfig) *Plan {
 			ev.Kind = UplinkDown
 			ev.A = rng.Intn(cfg.Leaves)
 			ev.B = rng.Intn(cfg.Spines)
-		case pick < 8 && cfg.Crash:
+		case pick < 8:
 			a, ok := crashable()
 			if !ok {
 				continue
@@ -102,7 +100,7 @@ func RandomPlan(rng *rand.Rand, cfg ChaosConfig) *Plan {
 			ev.Kind = NICReboot
 			ev.A = a
 			ev.Dur = DefaultRebootOutage
-		case pick < 9 && cfg.Crash:
+		case pick < 9:
 			a, ok := crashable()
 			if !ok {
 				continue

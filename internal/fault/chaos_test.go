@@ -11,7 +11,7 @@ import (
 // round-trip through the schedule-string grammar.
 func TestRandomPlanDeterministicAndBounded(t *testing.T) {
 	cfg := ChaosConfig{Events: 40, Horizon: 2 * sim.Second, MaxOutage: 100 * sim.Millisecond,
-		Nodes: 8, Leaves: 2, Spines: 2, Crash: true, NoCrashBelow: 2}
+		Nodes: 8, Leaves: 2, Spines: 2, NoCrashBelow: 2}
 	a := RandomPlan(rand.New(rand.NewSource(99)), cfg)
 	b := RandomPlan(rand.New(rand.NewSource(99)), cfg)
 	if a.String() != b.String() {
@@ -48,13 +48,14 @@ func TestRandomPlanDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// Crash-free configs must never emit crash or reboot events.
+// A config that protects every node must never emit crash or reboot
+// events.
 func TestRandomPlanNoCrashMode(t *testing.T) {
-	cfg := ChaosConfig{Events: 60, Nodes: 4, Crash: false}
+	cfg := ChaosConfig{Events: 60, Nodes: 4, NoCrashBelow: 4}
 	pl := RandomPlan(rand.New(rand.NewSource(7)), cfg)
 	for _, ev := range pl.Events {
 		if ev.Kind == NodeCrash || ev.Kind == NICReboot {
-			t.Fatalf("crash event in no-crash mode: %v", ev)
+			t.Fatalf("crash event with every node protected: %v", ev)
 		}
 	}
 	if got := pl.CrashTargets(); len(got) != 0 {

@@ -149,19 +149,16 @@ func (pl *Plan) CrashTargets() []int {
 	return out
 }
 
-// ParseDur parses a duration in the schedule-string grammar ("0.2s",
-// "150ms", "50us", "300ns"). The control plane reuses it for advance ops so
-// scripts and fault schedules share one duration syntax.
-func ParseDur(s string) (sim.Duration, error) { return parseDur(s) }
-
 // maxDur is the longest duration a plan may name, about 127 years of
 // virtual time: an item's At+Dur stays inside sim.Duration's range, and so
 // does every duration String prints for a parsed plan.
 const maxDur = 4e9 * sim.Second
 
-// parseDur parses a duration like "0.2s", "150ms", "50us", "300ns". NaN,
-// infinities and durations past maxDur are errors.
-func parseDur(s string) (sim.Duration, error) {
+// ParseDur parses a duration in the schedule-string grammar ("0.2s",
+// "150ms", "50us", "300ns"). NaN, infinities and durations past maxDur are
+// errors. The control plane reuses it for advance ops so scripts and fault
+// schedules share one duration syntax.
+func ParseDur(s string) (sim.Duration, error) {
 	unit := sim.Duration(0)
 	num := s
 	switch {
@@ -220,13 +217,13 @@ func Parse(s string) (*Plan, error) {
 			when, extra, _ = strings.Cut(when, ":")
 		}
 		atStr, durStr, hasDur := strings.Cut(when, "+")
-		at, err := parseDur(atStr)
+		at, err := ParseDur(atStr)
 		if err != nil {
 			return nil, err
 		}
 		ev.At = at
 		if hasDur {
-			d, err := parseDur(durStr)
+			d, err := ParseDur(durStr)
 			if err != nil {
 				return nil, err
 			}

@@ -36,6 +36,9 @@ const (
 	// background remap thread in addition to the NI's SBUS DMA time.
 	loadCost   = 450 * sim.Microsecond
 	unloadCost = 450 * sim.Microsecond
+	// remapScanDelay models the background thread servicing requests
+	// periodically rather than instantly.
+	remapScanDelay = 150 * sim.Microsecond
 	// notifyCost is the kernel path that posts a communication event and
 	// wakes a blocked thread (§3.3).
 	notifyCost = 30 * sim.Microsecond
@@ -44,11 +47,8 @@ const (
 	pageInCost = 6 * sim.Millisecond
 )
 
-// Config holds the host OS settings that experiments and tests vary.
+// Config holds the host OS settings that experiments vary.
 type Config struct {
-	// RemapScanDelay models the background thread servicing requests
-	// periodically rather than instantly.
-	RemapScanDelay sim.Duration
 	// Quantum is the local scheduler's time slice for Compute.
 	Quantum sim.Duration
 	// Policy selects the frame replacement policy.
@@ -62,8 +62,7 @@ type Config struct {
 // DefaultConfig returns the calibrated host OS model.
 func DefaultConfig() Config {
 	return Config{
-		RemapScanDelay: 150 * sim.Microsecond,
-		Quantum:        10 * sim.Millisecond,
-		Policy:         ReplaceRandom,
+		Quantum: 10 * sim.Millisecond,
+		Policy:  ReplaceRandom,
 	}
 }

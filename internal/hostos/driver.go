@@ -555,9 +555,7 @@ func (d *Driver) remapLoop(p *sim.Proc) {
 // eviction if all frames are occupied, then the upload. It re-checks freed
 // after every blocking step (the free/remap race of §4.3).
 func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
-	if d.cfg.RemapScanDelay > 0 {
-		p.Sleep(d.cfg.RemapScanDelay)
-	}
+	p.Sleep(remapScanDelay)
 	if seg.freed || seg.migrating {
 		return
 	}

@@ -454,9 +454,6 @@ func TestFreeUnblocksDisabledHostRWFaulter(t *testing.T) {
 	// must be released if the endpoint is freed by another thread.
 	c := newTestCluster(t, 2, func(cc *ClusterConfig) {
 		cc.OS.DisableHostRW = true
-		// Make the remap thread unable to proceed: occupy all frames with
-		// quiescing... simpler: just free quickly before remap completes.
-		cc.OS.RemapScanDelay = 5 * sim.Millisecond
 	})
 	drv := c.Nodes[0].Driver
 	seg := drv.CreateEndpoint(1)
@@ -466,12 +463,16 @@ func TestFreeUnblocksDisabledHostRWFaulter(t *testing.T) {
 		faultReturned = true
 	})
 	c.Nodes[0].Spawn("freer", func(p *sim.Proc) {
-		p.Sleep(500 * sim.Microsecond) // while the faulter blocks
+		// Past the faulter's trap, inside the remap thread's scan delay:
+		// the faulter is blocked and its remap has not begun.
+		p.Sleep(faultCost + remapScanDelay/2)
 		drv.Free(p, seg)
 	})
-	c.RunFor(200 * sim.Millisecond)
+	// The free, not a completed remap, releases it: no remap begins before
+	// the scan delay has passed.
+	c.RunFor(faultCost + remapScanDelay)
 	if !faultReturned {
-		t.Fatal("blocked faulter never released after free")
+		t.Fatal("blocked faulter not released by the free")
 	}
 }
 

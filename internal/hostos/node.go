@@ -170,7 +170,7 @@ func NewCluster(seed int64, n int, cfg ClusterConfig) *Cluster {
 // exchange. Shard 0 keeps the master seed, so one shard draws the PRNG
 // stream sim.NewEngine(seed) would.
 func NewShardedCluster(seed int64, n, shards int, cfg ClusterConfig) *Cluster {
-	coord := sim.NewCoordinator(seed, shards, netsim.Lookahead(cfg.Net))
+	coord := sim.NewCoordinator(seed, shards, netsim.Lookahead)
 	fab := netsim.NewFabric(coord, cfg.Net, n)
 	c := &Cluster{Coord: coord, Fab: fab}
 	for i := 0; i < n; i++ {

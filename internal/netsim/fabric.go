@@ -27,7 +27,7 @@
 // The lookahead contract: a cross-shard path has at least 4 links (shards
 // are leaf-aligned, so a cross-shard pair is at least leaf-to-leaf), and
 // the posted timestamp is the full-path completion time, at least
-// 4*SwitchLatency past the send — hence Lookahead(cfg) = 4*SwitchLatency.
+// 4*switchLatency past the send — hence Lookahead = 4*switchLatency.
 package netsim
 
 import (
@@ -37,12 +37,9 @@ import (
 	"virtnet/internal/sim"
 )
 
-// Lookahead returns the conservative synchronization window for a sharded
-// fabric with this config: the minimum virtual latency of any cross-shard
-// packet. SwitchLatency must be positive for sharded operation.
-func Lookahead(cfg Config) sim.Duration {
-	return 4 * cfg.SwitchLatency
-}
+// Lookahead is the conservative synchronization window for a sharded
+// fabric: the minimum virtual latency of any cross-shard packet.
+const Lookahead = 4 * switchLatency
 
 // Fabric is a set of per-shard Network replicas over one topology.
 type Fabric struct {
@@ -229,7 +226,7 @@ func (n *Network) sendCross(pkt *Packet, route int, dstShard int) {
 	*x = xfer{
 		src: pkt.Src, dst: pkt.Dst, size: pkt.Size, payload: pkt.Payload,
 		control: pkt.Control, corrupt: corrupt, route: route,
-		headAt: t0.Add(sim.Duration(half) * n.cfg.SwitchLatency),
+		headAt: t0.Add(sim.Duration(half) * switchLatency),
 	}
 	if fl := pkt.Flight; fl != nil && !fl.Done() {
 		// occupy recorded the source half of the cut-through schedule; now

@@ -26,7 +26,7 @@ func fabricLog(t testing.TB, seed int64, shards, hosts, sends int) []string {
 // on where the boundary falls.
 func fabricRun(t testing.TB, seed int64, shards, hosts, sends int) (log, links []string) {
 	cfg := DefaultConfig()
-	coord := sim.NewCoordinator(seed, shards, Lookahead(cfg))
+	coord := sim.NewCoordinator(seed, shards, Lookahead)
 	defer coord.Shutdown()
 	fab := NewFabric(coord, cfg, hosts)
 	var mu sync.Mutex
@@ -126,7 +126,7 @@ func TestShardRunByteIdentity(t *testing.T) {
 // source replica and Delivered at the destination replica.
 func TestCrossShardCountersConserve(t *testing.T) {
 	cfg := DefaultConfig()
-	coord := sim.NewCoordinator(1, 4, Lookahead(cfg))
+	coord := sim.NewCoordinator(1, 4, Lookahead)
 	defer coord.Shutdown()
 	fab := NewFabric(coord, cfg, 40)
 	var mu sync.Mutex
@@ -196,7 +196,7 @@ func TestCrossShardLossChargedOnce(t *testing.T) {
 		for _, shards := range []int{1, 2} {
 			cfg := DefaultConfig()
 			cfg.DropProb = tc.drop
-			coord := sim.NewCoordinator(1, shards, Lookahead(cfg))
+			coord := sim.NewCoordinator(1, shards, Lookahead)
 			fab := NewFabric(coord, cfg, 20)
 			for s := 0; s < shards; s++ {
 				tc.breakL(fab.Shard(s))

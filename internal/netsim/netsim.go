@@ -4,7 +4,7 @@
 //
 // The model is packet-granular. A packet traversing a path reserves every
 // directed link on it in a pipelined cut-through schedule: the head arrives
-// at hop i one SwitchLatency after hop i-1, and each link is occupied for
+// at hop i one switchLatency after hop i-1, and each link is occupied for
 // the packet's full transmission time. A busy link stalls the packet (and
 // delays its occupancy of downstream links), which is how congestion at a
 // hot receiver spreads back toward senders — the property §2 of the paper
@@ -92,11 +92,11 @@ const (
 	nsPerByte       = 1e9 / linkBytesPerSec
 )
 
+// switchLatency is the cut-through latency per switch hop.
+const switchLatency sim.Duration = 300 // ns
+
 // Config describes the physical network.
 type Config struct {
-	// SwitchLatency is the cut-through latency per switch hop
-	// (default 300 ns).
-	SwitchLatency sim.Duration
 	// HostsPerLeaf and Spines shape the two-level fat tree. The default
 	// (5 hosts/leaf, 5 spines) realizes the paper's 100-host, 25-switch
 	// network: 20 leaves + 5 spines, 100 host links + 100 uplinks.
@@ -121,9 +121,8 @@ type Config struct {
 // DefaultConfig returns the paper's cluster network parameters.
 func DefaultConfig() Config {
 	return Config{
-		SwitchLatency: 300, // ns
-		HostsPerLeaf:  5,
-		Spines:        5,
+		HostsPerLeaf: 5,
+		Spines:       5,
 	}
 }
 
@@ -502,7 +501,7 @@ func (n *Network) inject(pkt *Packet, route int) {
 		return
 	}
 	if pkt.Src == pkt.Dst {
-		n.newTransit(pkt).timer.Reset(n.cfg.SwitchLatency)
+		n.newTransit(pkt).timer.Reset(switchLatency)
 		return
 	}
 	links := n.path(pkt.Src, pkt.Dst, route)
@@ -592,7 +591,7 @@ func (n *Network) flips(pkt *Packet) bool {
 // links before it, already free, are needed.
 func (n *Network) reserve(links []*link, from sim.Time) sim.Time {
 	for i, L := range links {
-		if arr := from.Add(sim.Duration(i) * n.cfg.SwitchLatency); L.freeAt > arr {
+		if arr := from.Add(sim.Duration(i) * switchLatency); L.freeAt > arr {
 			from = from.Add(L.freeAt.Sub(arr))
 		}
 	}
@@ -606,7 +605,7 @@ func (n *Network) reserve(links []*link, from sim.Time) sim.Time {
 // charges. Returns when the tail clears the last link.
 func (n *Network) occupy(links []*link, own int, t0 sim.Time, pkt *Packet) sim.Time {
 	tx := n.TxTime(pkt.Size)
-	hop := n.cfg.SwitchLatency
+	hop := switchLatency
 	for i, L := range links {
 		start := t0.Add(sim.Duration(i) * hop)
 		L.freeAt = start.Add(tx)

@@ -274,7 +274,7 @@ func TestLoopbackDelivery(t *testing.T) {
 	if got == nil {
 		t.Fatal("loopback packet not delivered")
 	}
-	if e.Now() != sim.Time(DefaultConfig().SwitchLatency) {
+	if e.Now() != sim.Time(switchLatency) {
 		t.Fatalf("loopback latency = %d", e.Now())
 	}
 }

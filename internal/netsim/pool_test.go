@@ -92,7 +92,7 @@ func TestPacketPoolNoAliasing(t *testing.T) {
 // rides the records the first stream left on the far side.
 func TestCrossingsRecycleUnderACap(t *testing.T) {
 	cfg := DefaultConfig()
-	coord := sim.NewCoordinator(1, 2, Lookahead(cfg))
+	coord := sim.NewCoordinator(1, 2, Lookahead)
 	defer coord.Shutdown()
 	fab := NewFabric(coord, cfg, 20)
 	delivered := make([]int, 20)

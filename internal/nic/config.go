@@ -7,7 +7,9 @@ import "virtnet/internal/sim"
 // virtual-network firmware, calibrated so that the LogP microbenchmarks
 // (Fig. 3) and transfer bandwidths (Fig. 4) land near the paper's
 // measurements. All experiments share one calibration: the values below are
-// constants, and Config holds only what experiments and tests vary.
+// constants, and Config holds only settings that take two values outside
+// tests, plus the few a test shrinks to reach a protocol path in bounded
+// virtual time (the configSeams of TestEveryConfigFieldIsSet).
 const (
 	// Endpoint frames and queues.
 	FrameBytes = 8192 // bytes per endpoint frame image staged over the SBUS
@@ -21,6 +23,9 @@ const (
 
 	// piggyAckCost is the NI cost to process one piggybacked ack.
 	piggyAckCost = sim.Duration(0.8 * 1000)
+	// ackDelay bounds how long a piggybacked acknowledgment may wait for
+	// a data packet to carry it.
+	ackDelay = 40 * sim.Microsecond
 
 	// Firmware CPU costs on the message latency path (see Config for the
 	// "post" costs, which the sensitivity row varies).
@@ -54,10 +59,12 @@ const (
 	PollHost     = sim.Duration(0.3 * 1000) // host CPU to poll a non-resident endpoint (cacheable host memory)
 )
 
-// Config holds the parts of the NI cost model that an experiment or a test
-// varies: frame and queue counts, the transport's timers, the §8 switches,
-// the service discipline, and the firmware and host overheads the
-// sensitivity row sweeps.
+// Config holds the parts of the NI cost model that experiments vary: frame
+// and queue counts, the transport's timers, the §8 switches, the service
+// discipline, and the firmware and host overheads the sensitivity row
+// sweeps. InboundPool, MaxRetries, MinRTO, RetransMax and
+// ReturnToSenderAfter take one value outside tests; tests shrink them to
+// reach overrun, unbinding, the RTO clamp and return to sender.
 type Config struct {
 	// Endpoint frames.
 	Frames int // resident endpoint frames (8 on LANai 4.3, 96 on newer boards)
@@ -85,9 +92,6 @@ type Config struct {
 	// standalone acks are delayed briefly and batched, reducing network
 	// occupancy.
 	PiggybackAcks bool
-	// AckDelay bounds how long an acknowledgment may wait for a data
-	// packet to carry it.
-	AckDelay sim.Duration
 
 	// InboundPool bounds the NI-memory staging pool for arriving data
 	// packets. When it is full a packet is NACKed at arrival (the link
@@ -123,8 +127,7 @@ func DefaultConfig() Config {
 		MaxRetries:          6,
 		ReturnToSenderAfter: 200 * sim.Millisecond,
 
-		MinRTO:   300 * sim.Microsecond,
-		AckDelay: 40 * sim.Microsecond,
+		MinRTO: 300 * sim.Microsecond,
 
 		InboundPool: 32,
 

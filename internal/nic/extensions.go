@@ -111,7 +111,7 @@ func (n *NIC) queueAck(data *wirePkt) {
 	if len(p.acks) == 1 {
 		// First pending ack for this peer: bound its wait.
 		peer := peer
-		n.e.AfterFunc(n.cfg.AckDelay, func() {
+		n.e.AfterFunc(ackDelay, func() {
 			n.work.Push(workItem{kind: workFlushAcks, peer: peer})
 			n.wake()
 		})
@@ -138,7 +138,7 @@ func (n *NIC) takeAcks(p *peer, max int) []piggyAck {
 }
 
 // flushAcks sends any still-pending acks for peer as one batched control
-// packet (the AckDelay expired with no data packet to carry them), once the
+// packet (the ackDelay expired with no data packet to carry them), once the
 // cost of generating it is paid (emitAcks). A flush armed before a Crash
 // finds no record.
 func (n *NIC) flushAcks(peer netsim.NodeID) {

@@ -121,10 +121,9 @@ func TestPiggybackAcksReduceControlPackets(t *testing.T) {
 
 func TestPiggybackAckDelayBound(t *testing.T) {
 	// With no reverse traffic, a queued ack must still be flushed within
-	// AckDelay so the sender's channel frees promptly.
+	// ackDelay so the sender's channel frees promptly.
 	r := newRig(t, 2, 9, func(c *Config) {
 		c.PiggybackAcks = true
-		c.AckDelay = 40 * sim.Microsecond
 	}, nil)
 	defer r.shutdown()
 	src := r.newEP(t, 0, 1, 1, 0)
@@ -213,7 +212,7 @@ func TestPiggyAckCost(t *testing.T) {
 		}
 		return m.Arrive.Sub(sent), r.nics[0].C.Get("rx.ack.piggy") - acks
 	}
-	// The request's ack waits at node 1 for AckDelay (40 us); a reply
+	// The request's ack waits at node 1 for ackDelay (40 us); a reply
 	// posted within it carries the ack.
 	r.send(0, a, &SendDesc{DstNI: 1, DstEP: 2, Key: 2, Handler: 1})
 	r.e.RunFor(20 * sim.Microsecond)

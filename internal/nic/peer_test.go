@@ -164,7 +164,7 @@ func TestEpochResetDuringDepositIsNotRecorded(t *testing.T) {
 		epoch  uint32
 	}
 	var got []answer
-	r.tap(0, func(_ *netsim.Packet, w *wirePkt) {
+	r.tap(0, 0, func(_ *netsim.Packet, w *wirePkt) {
 		got = append(got, answer{w.Kind, w.Reason, w.Seq, w.Epoch})
 	})
 	const oldEpoch, newEpoch = 3, 7

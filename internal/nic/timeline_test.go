@@ -297,7 +297,7 @@ var timelineSchedules = []struct {
 			tl.post(0, a, b, i, 2048*int(i%3), false)
 		}
 		// Node 1 answers every request with a reply, which carries the
-		// request's ack when it leaves within AckDelay.
+		// request's ack when it leaves within ackDelay.
 		echo := func(ep *EndpointImage, m *RecvMsg) {
 			if ep == b {
 				tl.post(1, b, a, 1000+m.Args[0], 0, true)

@@ -13,11 +13,22 @@ import (
 // they pin what a copy on the wire must keep saying once the sender has
 // moved on, and whose flight a delivery completes.
 
-// tap interposes on host h's delivery callback.
-func (r *rig) tap(h int, see func(p *netsim.Packet, w *wirePkt)) {
+// tap interposes on host h's delivery callback. A nonzero wire lengthens
+// the path into h: each packet reaches the tap and h's NI that long after
+// the fabric delivers it, held as the fabric holds a packet in flight.
+func (r *rig) tap(h int, wire sim.Duration, see func(p *netsim.Packet, w *wirePkt)) {
 	r.net.Attach(netsim.NodeID(h), func(p *netsim.Packet) {
-		see(p, p.Payload.(*wirePkt))
-		r.nics[h].fromNetwork(p)
+		if wire == 0 {
+			see(p, p.Payload.(*wirePkt))
+			r.nics[h].fromNetwork(p)
+			return
+		}
+		p.Retain()
+		r.e.AfterFunc(wire, func() {
+			see(p, p.Payload.(*wirePkt))
+			r.nics[h].fromNetwork(p)
+			p.Release()
+		})
 	})
 }
 
@@ -32,15 +43,16 @@ func (r *rig) tap(h int, see func(p *netsim.Packet, w *wirePkt)) {
 func TestLateDuplicateKeepsItsOwnSeq(t *testing.T) {
 	r := newRig(t, 2, 1, func(c *Config) {
 		c.Channels = 1
-		c.RetransBase = 50 * sim.Microsecond // fires at 50–75 µs; the round trip is ≈ 90 µs
-	}, func(nc *netsim.Config) { nc.SwitchLatency = 20 * sim.Microsecond })
+		c.RetransBase = 20 * sim.Microsecond // fires at 20–30 µs; the round trip is ≈ 50 µs
+	}, nil)
 	defer r.shutdown()
 	src := r.newEP(t, 0, 1, 1, 0)
 	dst := r.newEP(t, 1, 2, 2, 0)
 
 	chanSeq := func() uint64 { return r.nics[0].chanFor(1, 0).seq }
 	late, copies := 0, 0
-	r.tap(1, func(_ *netsim.Packet, w *wirePkt) {
+	// The wire into the receiver adds 40 µs to the ≈ 10 µs round trip.
+	r.tap(1, 40*sim.Microsecond, func(_ *netsim.Packet, w *wirePkt) {
 		if w.Kind != pktData {
 			return
 		}
@@ -54,7 +66,7 @@ func TestLateDuplicateKeepsItsOwnSeq(t *testing.T) {
 		}
 	})
 	staleAcks := 0
-	r.tap(0, func(_ *netsim.Packet, w *wirePkt) {
+	r.tap(0, 0, func(_ *netsim.Packet, w *wirePkt) {
 		if w.Kind != pktAck {
 			t.Errorf("sender received kind %d, want only ACKs", w.Kind)
 		}
@@ -107,7 +119,7 @@ func TestDeliveryCompletesTheFlightOfItsOwnCopy(t *testing.T) {
 
 	var arrivals []sim.Time
 	var seqs []uint64
-	r.tap(1, func(p *netsim.Packet, w *wirePkt) {
+	r.tap(1, 0, func(p *netsim.Packet, w *wirePkt) {
 		if w.Kind != pktData {
 			return
 		}

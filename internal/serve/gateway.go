@@ -17,31 +17,36 @@ const (
 	ProcBackend = 1 // backend-facing: one model-shard evaluation
 )
 
-// BackendConfig shapes one inference backend.
-type BackendConfig struct {
-	// Service is the compute per evaluation. A straggler backend gets this
-	// inflated by the scenario.
-	Service sim.Duration
-	// RespSize is the result payload size.
-	RespSize int
-	Opts     rpc.Options
-}
+// The inference tier's fixed costs.
+const (
+	// BackendService is a backend's compute per evaluation.
+	BackendService = sim.Millisecond
+	// backendRespSize is the bytes of one evaluation's result.
+	backendRespSize = 1024
+	// gatewayService is gateway-side compute per request (merge/route
+	// cost).
+	gatewayService = 20 * sim.Microsecond
+	// gatewayHedgeAfter is how long a branch may straggle before the
+	// gateway launches a duplicate of it. Hedges spend the HedgeBudget —
+	// reliab's token bucket keeps the extra load bounded when everything
+	// is slow, exactly the retry-storm argument applied to tail-cutting.
+	gatewayHedgeAfter = 4 * sim.Millisecond
+)
 
 // Backend is one model shard: an rpc.Server evaluating requests with a
 // fixed compute cost.
 type Backend struct {
 	S    *rpc.Server
 	node *hostos.Node
-	cfg  BackendConfig
 }
 
 // NewBackend builds one inference backend on node.
-func NewBackend(node *hostos.Node, key core.Key, cfg BackendConfig) (*Backend, error) {
-	s, err := rpc.NewServerOpts(node, key, cfg.Opts)
+func NewBackend(node *hostos.Node, key core.Key, opts rpc.Options) (*Backend, error) {
+	s, err := rpc.NewServerOpts(node, key, opts)
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{S: s, node: node, cfg: cfg}
+	b := &Backend{S: s, node: node}
 	s.Register(ProcBackend, b.eval)
 	return b, nil
 }
@@ -53,8 +58,8 @@ func (b *Backend) Addr() Addr { return Addr{Name: b.S.Name(), Key: b.S.Key()} }
 func (b *Backend) Serve(p *sim.Proc, stop func() bool) { b.S.Serve(p, stop) }
 
 func (b *Backend) eval(p *sim.Proc, args []byte) ([]byte, error) {
-	b.node.Compute(p, b.cfg.Service)
-	out := make([]byte, b.cfg.RespSize)
+	b.node.Compute(p, BackendService)
+	out := make([]byte, backendRespSize)
 	for i := range out {
 		out[i] = byte(i * 17)
 	}
@@ -69,21 +74,15 @@ type GatewayConfig struct {
 	// Workers is the gateway's concurrency: procs draining the admission
 	// queue. Each worker handles one request's full fan-in at a time.
 	Workers int
-	// HedgeAfter launches a duplicate of a straggling branch after this
-	// long (0 disables hedging). Hedges spend the HedgeBudget — reliab's
-	// token bucket keeps the extra load bounded when everything is slow,
-	// exactly the retry-storm argument applied to tail-cutting.
-	HedgeAfter  sim.Duration
+	// HedgeBudget bounds the hedges gatewayHedgeAfter launches.
 	HedgeBudget reliab.BudgetConfig
-	// Service is gateway-side compute per request (merge/route cost).
-	Service sim.Duration
-	Opts    rpc.Options
+	Opts        rpc.Options
 }
 
 // Gateway is the fan-out/fan-in tier: each inference request fans out to
 // FanOut backends (rotating round-robin over the pool), inherits the
-// caller's deadline on every branch, optionally hedges straggling
-// branches, and answers once every branch is in.
+// caller's deadline on every branch, hedges straggling branches, and
+// answers once every branch is in.
 type Gateway struct {
 	S    *rpc.Server
 	node *hostos.Node
@@ -162,7 +161,7 @@ type branch struct {
 // inherited ctx bounds every branch — when the caller's deadline passes,
 // branches shed server-side and the fan-in aborts.
 func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error) {
-	g.node.Compute(p, g.cfg.Service)
+	g.node.Compute(p, gatewayService)
 	n := g.cfg.FanOut
 	branches := make([]branch, n)
 	start := g.rr
@@ -237,7 +236,7 @@ func (g *Gateway) infer(p *sim.Proc, ctx reliab.Ctx, args []byte) ([]byte, error
 					}
 					b.hedged = false
 				}
-			} else if g.cfg.HedgeAfter > 0 && now.Sub(issued) >= g.cfg.HedgeAfter && g.hb.Allow(now) {
+			} else if now.Sub(issued) >= gatewayHedgeAfter && g.hb.Allow(now) {
 				// Straggling branch: duplicate it to the next backend over.
 				alt := (start + i + n) % g.pool.Targets()
 				if pc, err := g.pool.GoCtx(p, alt, ProcBackend, args, ctx); err == nil {

@@ -90,10 +90,6 @@ func NewKVServer(node *hostos.Node, key core.Key, cfg KVServerConfig) (*KVServer
 // Addr returns the shard's pool address.
 func (kv *KVServer) Addr() Addr { return Addr{Name: kv.S.Name(), Key: kv.S.Key()} }
 
-// SetService changes the per-op compute — the straggler scenario uses it
-// to slow one shard down.
-func (kv *KVServer) SetService(d sim.Duration) { kv.cfg.Service = d }
-
 func (kv *KVServer) get(p *sim.Proc, args []byte) ([]byte, error) {
 	kv.Gets++
 	k := binary.LittleEndian.Uint64(args)

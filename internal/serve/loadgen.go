@@ -54,7 +54,6 @@ type ClientConfig struct {
 	Arr      Arrival
 	Deadline sim.Duration // per-request SLO deadline (0 = none)
 	MaxOut   int          // inflight cap; arrivals beyond it are Capped
-	Start    sim.Time     // first arrival is scheduled from here
 	Stop     sim.Time     // no arrivals at or after this time
 	// Measurement window by issue time: only arrivals in [MeasureFrom,
 	// MeasureTo) count toward the SLO. Warmup traffic outside the window
@@ -103,7 +102,7 @@ func RunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 	}
 	var inflight []inflightReq
 	var seq uint64
-	next := cfg.Start.Add(cfg.Arr.Gap(cfg.Start))
+	next := sim.Time(0).Add(cfg.Arr.Gap(0))
 
 	classify := func(r *inflightReq, now sim.Time, err error) {
 		cls := "failed"

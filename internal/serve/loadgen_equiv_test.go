@@ -25,7 +25,7 @@ func literalRunClient(p *sim.Proc, w Workload, cfg ClientConfig, slo *SLO) {
 	}
 	var inflight []inflightReq
 	var seq uint64
-	next := cfg.Start.Add(cfg.Arr.Gap(cfg.Start))
+	next := sim.Time(0).Add(cfg.Arr.Gap(0))
 
 	classify := func(r *inflightReq, now sim.Time, err error) {
 		if r.fl != nil {
@@ -231,7 +231,7 @@ func runEquiv(t *testing.T, seed int64, faults, elephants bool, run func(*sim.Pr
 		fault.RandomPlan(DeriveRNG(seed, 0xFA177), fault.ChaosConfig{
 			Events: 10, Horizon: warmup + window, MaxOutage: 4 * sim.Millisecond,
 			Nodes: 10, Leaves: c.ShardNet(0).Leaves(), Spines: c.ShardNet(0).TotalSpines(),
-			Crash: true, NoCrashBelow: nServers,
+			NoCrashBelow: nServers,
 		}).Apply(c)
 	}
 	ring := NewRing(nServers, 16)

@@ -18,16 +18,17 @@ const (
 	ProcPSPush = 2
 )
 
-// PSServerConfig shapes one parameter-server shard.
-type PSServerConfig struct {
-	// Dim is the number of float64 parameters this shard owns.
-	Dim int
-	// Service is the fixed compute per request; PerValue adds per-element
-	// cost, so big batched pushes cost more than small pulls.
-	Service  sim.Duration
-	PerValue sim.Duration
-	Opts     rpc.Options
-}
+// The parameter-server shape. Every shard owns psDim float64 parameters, and
+// a pull fetches psPullWindow of them. A request costs psService plus
+// psPerValue per element, so big batched pushes cost more than small pulls.
+const (
+	psDim        = 4096
+	psPullWindow = 32
+	psService    = 500 * sim.Microsecond
+	psPerValue   = 10 * sim.Microsecond
+	// PSPullCost is the compute of one pull.
+	PSPullCost = psService + psPullWindow*psPerValue
+)
 
 // PSServer holds a contiguous block of model parameters. Workers pull
 // blocks and push batched gradient updates; pushes accumulate (+=), the
@@ -35,17 +36,16 @@ type PSServerConfig struct {
 type PSServer struct {
 	S      *rpc.Server
 	node   *hostos.Node
-	cfg    PSServerConfig
 	params []float64
 }
 
 // NewPSServer builds one parameter shard on node.
-func NewPSServer(node *hostos.Node, key core.Key, cfg PSServerConfig) (*PSServer, error) {
-	s, err := rpc.NewServerOpts(node, key, cfg.Opts)
+func NewPSServer(node *hostos.Node, key core.Key, opts rpc.Options) (*PSServer, error) {
+	s, err := rpc.NewServerOpts(node, key, opts)
 	if err != nil {
 		return nil, err
 	}
-	ps := &PSServer{S: s, node: node, cfg: cfg, params: make([]float64, cfg.Dim)}
+	ps := &PSServer{S: s, node: node, params: make([]float64, psDim)}
 	s.Register(ProcPSPull, ps.pull)
 	s.Register(ProcPSPush, ps.push)
 	return ps, nil
@@ -64,7 +64,7 @@ func (ps *PSServer) pull(p *sim.Proc, args []byte) ([]byte, error) {
 	if start < 0 || count < 0 || start+count > len(ps.params) {
 		return nil, fmt.Errorf("ps: pull [%d,%d) outside dim %d", start, start+count, len(ps.params))
 	}
-	ps.node.Compute(p, ps.cfg.Service+sim.Duration(count)*ps.cfg.PerValue)
+	ps.node.Compute(p, psService+sim.Duration(count)*psPerValue)
 	out := make([]byte, count*8)
 	for i := 0; i < count; i++ {
 		binary.LittleEndian.PutUint64(out[i*8:], uint64(int64(ps.params[start+i]*1e6)))
@@ -77,7 +77,7 @@ func (ps *PSServer) pull(p *sim.Proc, args []byte) ([]byte, error) {
 // integer and bit-stable.
 func (ps *PSServer) push(p *sim.Proc, args []byte) ([]byte, error) {
 	n := len(args) / 8
-	ps.node.Compute(p, ps.cfg.Service+sim.Duration(n)*ps.cfg.PerValue)
+	ps.node.Compute(p, psService+sim.Duration(n)*psPerValue)
 	for i := 0; i < n; i++ {
 		idx := int(binary.LittleEndian.Uint32(args[i*8 : i*8+4]))
 		delta := int32(binary.LittleEndian.Uint32(args[i*8+4 : i*8+8]))
@@ -91,10 +91,6 @@ func (ps *PSServer) push(p *sim.Proc, args []byte) ([]byte, error) {
 // PSWorkloadConfig shapes the worker side of the parameter-server
 // workload.
 type PSWorkloadConfig struct {
-	// Dim is each shard's parameter count; shards is the server count.
-	Dim int
-	// PullWindow is how many params a pull fetches.
-	PullWindow int
 	// PushEvery batches: every PushEvery-th arrival flushes the
 	// accumulated deltas as one push (1 = push every arrival, unbatched).
 	PushEvery int
@@ -145,7 +141,7 @@ func (w *PSWorkload) Issue(p *sim.Proc, seq uint64, ctx reliab.Ctx) (Req, error)
 	// Accumulate this step's contribution.
 	for i := 0; i < w.cfg.BatchSize; i++ {
 		var rec [8]byte
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(w.rng.Intn(w.cfg.Dim)))
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(w.rng.Intn(psDim)))
 		binary.LittleEndian.PutUint32(rec[4:8], uint32(int32(w.rng.Intn(2001)-1000)))
 		w.pending = append(w.pending, rec[:]...)
 	}
@@ -158,13 +154,9 @@ func (w *PSWorkload) Issue(p *sim.Proc, seq uint64, ctx reliab.Ctx) (Req, error)
 		}
 		return poolReq{pc}, nil
 	}
-	start := 0
-	if w.cfg.Dim > w.cfg.PullWindow {
-		start = w.rng.Intn(w.cfg.Dim - w.cfg.PullWindow)
-	}
 	var args [8]byte
-	binary.LittleEndian.PutUint32(args[0:4], uint32(start))
-	binary.LittleEndian.PutUint32(args[4:8], uint32(w.cfg.PullWindow))
+	binary.LittleEndian.PutUint32(args[0:4], uint32(w.rng.Intn(psDim-psPullWindow)))
+	binary.LittleEndian.PutUint32(args[4:8], psPullWindow)
 	pc, err := w.pool.GoCtx(p, tgt, ProcPSPull, args[:], ctx)
 	if err != nil {
 		return nil, err

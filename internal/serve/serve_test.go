@@ -60,7 +60,6 @@ func runKV(t *testing.T, seed int64) (string, *SLO) {
 				Arr:         NewPoisson(lambda, DeriveRNG(seed, uint64(100+ci))),
 				Deadline:    20 * sim.Millisecond,
 				MaxOut:      64,
-				Start:       0,
 				Stop:        sim.Time(50*sim.Millisecond) + sim.Time(measure),
 				MeasureFrom: sim.Time(50 * sim.Millisecond),
 				MeasureTo:   sim.Time(50*sim.Millisecond) + sim.Time(measure),
@@ -117,14 +116,12 @@ func TestParameterServerPushPull(t *testing.T) {
 	c := hostos.NewCluster(seed, 3, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
 	stop := false
-	cfg := PSServerConfig{Dim: 1024, Service: 20 * sim.Microsecond, PerValue: 50 * sim.Nanosecond,
-		Opts: rpc.Options{Queue: 64}}
 	var addrs []Addr
 	// The shards' calls, counted as they arrive: pushes carry updates,
 	// (index, delta) pairs.
 	var pulls, pushes, updates int64
 	for i := 0; i < 2; i++ {
-		ps, err := NewPSServer(c.Nodes[i], core100+coreKey(i), cfg)
+		ps, err := NewPSServer(c.Nodes[i], core100+coreKey(i), rpc.Options{Queue: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +140,7 @@ func TestParameterServerPushPull(t *testing.T) {
 	slo := NewSLO()
 	c.Nodes[2].Spawn("ps-worker", func(p *sim.Proc) {
 		w, err := NewPSWorkload(c.Nodes[2], addrs, PSWorkloadConfig{
-			Dim: 1024, PullWindow: 32, PushEvery: 4, BatchSize: 8,
+			PushEvery: 4, BatchSize: 8,
 		}, rpc.Options{}, DeriveRNG(seed, 1))
 		if err != nil {
 			t.Errorf("workload: %v", err)
@@ -175,22 +172,25 @@ func TestParameterServerPushPull(t *testing.T) {
 	}
 }
 
-// Hedged requests must rescue a straggling backend: with one backend 25×
+// Hedged requests must rescue a straggling backend: with one backend 8×
 // slower, hedging keeps goodput high and actually fires.
 func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	const seed = 21
 	c := hostos.NewCluster(seed, 5, hostos.DefaultClusterConfig())
 	defer c.Shutdown()
 	stop := false
-	bcfg := BackendConfig{Service: 100 * sim.Microsecond, RespSize: 256, Opts: rpc.Options{Queue: 64}}
 	var baddrs []Addr
 	for i := 0; i < 3; i++ {
-		if i == 2 {
-			bcfg.Service = 2500 * sim.Microsecond // the straggler
-		}
-		b, err := NewBackend(c.Nodes[i], core100+coreKey(i), bcfg)
+		b, err := NewBackend(c.Nodes[i], core100+coreKey(i), rpc.Options{Queue: 64})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 2 {
+			// The straggler computes 7 more service times per evaluation.
+			b.S.Register(ProcBackend, func(p *sim.Proc, args []byte) ([]byte, error) {
+				b.node.Compute(p, 7*BackendService)
+				return b.eval(p, args)
+			})
 		}
 		baddrs = append(baddrs, b.Addr())
 		b.node.Spawn("backend", func(p *sim.Proc) { b.Serve(p, func() bool { return stop }) })
@@ -198,9 +198,7 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	gw, err := NewGateway(c.Nodes[3], 200, baddrs, GatewayConfig{
 		FanOut:      2,
 		Workers:     8,
-		HedgeAfter:  600 * sim.Microsecond,
 		HedgeBudget: reliab.BudgetConfig{Capacity: 50, Refill: sim.Millisecond},
-		Service:     10 * sim.Microsecond,
 		Opts:        rpc.Options{Queue: 256},
 	})
 	if err != nil {
@@ -215,7 +213,7 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 			return
 		}
 		RunClient(p, w, ClientConfig{
-			Arr:       NewPoisson(800, DeriveRNG(seed, 60)),
+			Arr:       NewPoisson(400, DeriveRNG(seed, 60)),
 			Deadline:  20 * sim.Millisecond,
 			MaxOut:    32,
 			Stop:      sim.Time(200 * sim.Millisecond),
@@ -226,7 +224,7 @@ func TestGatewayHedgingRescuesStraggler(t *testing.T) {
 	stop = true
 	c.RunFor(50 * sim.Millisecond)
 	if gw.Hedges == 0 || gw.HedgeWins == 0 {
-		t.Fatalf("hedges=%d wins=%d: straggler at 25× service should trigger hedging", gw.Hedges, gw.HedgeWins)
+		t.Fatalf("hedges=%d wins=%d: straggler at 8× service should trigger hedging", gw.Hedges, gw.HedgeWins)
 	}
 	if slo.GoodputFrac() < 0.9 {
 		t.Fatalf("goodput %.2f%% with hedging on, want ≥90%%", 100*slo.GoodputFrac())
