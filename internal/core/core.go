@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"virtnet/internal/container"
 	"virtnet/internal/hostos"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
@@ -172,13 +173,53 @@ func (b *Bundle) SetResolver(r Resolver) { b.resolver = r }
 // translation is one slot of an endpoint's translation table. Beyond the
 // paper's (name, key) pair it caches the name's current location binding:
 // node is where messages are physically routed. It refreshes when a send
-// bounces off a migrated endpoint's forwarding entry (NackMoved).
+// bounces off a migrated endpoint's forwarding entry (NackMoved). credits
+// never exceeds the receive queue depth, so it shares a word with valid: a
+// slot is 40 B.
 type translation struct {
 	valid   bool
+	credits int32
 	name    EndpointName
 	key     Key
-	credits int
 	node    netsim.NodeID
+}
+
+// table is an endpoint's translation table: size slots of namespace, with
+// storage only for the slots Map has written. Slot 0 is held inline and
+// slots 1, 2, … in chunks of 1, 2, 4, … that never move, so a *translation
+// taken before a yield stays valid after it, even if Map has made a higher
+// slot since. An endpoint that maps only slot 0 stores one translation
+// whatever its size.
+type table struct {
+	size int
+	t0   translation
+	rest container.Chunks[translation]
+}
+
+// get returns slot idx if it is mapped, else nil (idx outside the table
+// included). It makes nothing.
+func (t *table) get(idx int) *translation {
+	var s *translation
+	switch {
+	case idx < 0 || idx >= t.size:
+		return nil
+	case idx == 0:
+		s = &t.t0
+	default:
+		s = t.rest.Get(idx)
+	}
+	if s == nil || !s.valid {
+		return nil
+	}
+	return s
+}
+
+// at returns slot idx, 0 ≤ idx < size, making its storage if needed.
+func (t *table) at(idx int) *translation {
+	if idx == 0 {
+		return &t.t0
+	}
+	return t.rest.At(idx)
 }
 
 // Stats counts per-endpoint API activity.
@@ -234,7 +275,12 @@ type Endpoint struct {
 	// the operation's error — the hook that lets a message-passing layer
 	// abort ranks blocked against a crashed peer instead of spinning forever.
 	waitAbort func() error
-	trans     []translation
+	// trans is the translation table. An endpoint made by NewEndpoint owns
+	// it (&own); one made by Install shares its source's, so a credit handed
+	// back or a slot mapped through the frozen handle reaches the migrated
+	// state, as it does the reverse index and the sequences.
+	trans *table
+	own   table
 	// msgSeq assigns the end-to-end message id per destination endpoint id
 	// (exactly-once dedup across channel rebinds). Keyed by the globally
 	// unique endpoint id, not the name, so the sequence survives the
@@ -249,7 +295,10 @@ type Endpoint struct {
 }
 
 // NewEndpoint creates an endpoint with the given protection key and a
-// translation table of tableSize slots.
+// translation table of tableSize slots. tableSize is a capacity — Map
+// accepts indices [0, tableSize) — and not storage: a slot takes memory
+// once it is mapped, and the endpoint's state grows with the highest slot
+// in use.
 func (b *Bundle) NewEndpoint(key Key, tableSize int) (*Endpoint, error) {
 	if b.closed {
 		return nil, ErrClosed
@@ -259,10 +308,11 @@ func (b *Bundle) NewEndpoint(key Key, tableSize int) (*Endpoint, error) {
 		b:       b,
 		seg:     seg,
 		name:    EndpointName{node: b.Node.ID, ep: seg.EP.ID},
-		trans:   make([]translation, tableSize),
+		own:     table{size: tableSize},
 		reverse: make(map[int]int),
 		msgSeq:  make(map[int]uint64),
 	}
+	ep.trans = &ep.own
 	// Communication events funnel to the bundle condition so one thread
 	// can wait on many endpoints.
 	seg.OnEvent = func() { b.cond.Broadcast() }
@@ -330,7 +380,7 @@ func (ep *Endpoint) SetWaitAbort(f func() error) { ep.waitAbort = f }
 // addressability to that endpoint with an initial credit window equal to
 // the destination's request receive queue depth.
 func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
-	if idx < 0 || idx >= len(ep.trans) {
+	if idx < 0 || idx >= ep.trans.size {
 		return ErrBadIndex
 	}
 	// The initial location binding comes from the name service when one is
@@ -342,9 +392,9 @@ func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
 			node = n2
 		}
 	}
-	ep.trans[idx] = translation{
+	*ep.trans.at(idx) = translation{
 		valid: true, name: name, key: key,
-		credits: ep.b.cfg.RecvQDepth,
+		credits: int32(ep.b.cfg.RecvQDepth),
 		node:    node,
 	}
 	ep.reverse[name.ep] = idx
@@ -352,24 +402,36 @@ func (ep *Endpoint) Map(idx int, name EndpointName, key Key) error {
 	return nil
 }
 
-// Credits reports the available request credits for translation idx.
-func (ep *Endpoint) Credits(idx int) int { return ep.trans[idx].credits }
+// Credits reports the available request credits for translation idx (0 if
+// the slot is unmapped).
+func (ep *Endpoint) Credits(idx int) int {
+	if t := ep.trans.get(idx); t != nil {
+		return int(t.credits)
+	}
+	return 0
+}
+
+// SlotOf returns the translation index at which the endpoint named dst was
+// last mapped, and whether it is mapped at all. It reads the reverse index,
+// so it costs the same whatever the table's size.
+func (ep *Endpoint) SlotOf(dst EndpointName) (int, bool) {
+	idx, ok := ep.reverse[dst.ep]
+	return idx, ok
+}
 
 // Key returns the endpoint's protection key.
 func (ep *Endpoint) Key() Key { return ep.seg.EP.Key }
 
 // TranslationValid reports whether translation slot idx is mapped.
-func (ep *Endpoint) TranslationValid(idx int) bool {
-	return idx >= 0 && idx < len(ep.trans) && ep.trans[idx].valid
-}
+func (ep *Endpoint) TranslationValid(idx int) bool { return ep.trans.get(idx) != nil }
 
 // TranslationName returns the name mapped at slot idx (zero value if the
 // slot is invalid or unmapped).
 func (ep *Endpoint) TranslationName(idx int) EndpointName {
-	if !ep.TranslationValid(idx) {
-		return EndpointName{}
+	if t := ep.trans.get(idx); t != nil {
+		return t.name
 	}
-	return ep.trans[idx].name
+	return EndpointName{}
 }
 
 // SetEventMask arms (or disarms) arrival events for this endpoint (§3.3).
@@ -429,7 +491,8 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	if ep.moved {
 		return ErrMoved
 	}
-	if idx < 0 || idx >= len(ep.trans) || !ep.trans[idx].valid {
+	t := ep.trans.get(idx)
+	if t == nil {
 		return ErrBadIndex
 	}
 	if len(payload) > nic.MTU {
@@ -439,11 +502,11 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	// Credit-based flow control: block while the window is closed,
 	// polling so replies (which restore credits) are consumed. The probe
 	// interval backs off while nothing arrives so long waits stay cheap.
-	if ep.trans[idx].credits == 0 && ep.b.creditStall != nil {
+	if t.credits == 0 && ep.b.creditStall != nil {
 		ep.b.creditStall.Inc()
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
-	for ep.trans[idx].credits == 0 {
+	for t.credits == 0 {
 		if ep.moved {
 			// Frozen for migration while waiting; outstanding credits are
 			// settled by the state transfer.
@@ -456,8 +519,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 		}
 		ep.PollBackoff(p, &wait)
 	}
-	ep.trans[idx].credits--
-	t := &ep.trans[idx]
+	t.credits--
 	ep.msgSeq[t.name.ep]++
 	err := ep.post(p, t.node, t.name.ep, t.key, ep.msgSeq[t.name.ep], h, args, payload, false)
 	if err != nil {
@@ -690,7 +752,7 @@ func (ep *Endpoint) dispatch(p *sim.Proc, m *nic.RecvMsg) {
 		if idx, ok := ep.reverse[src.ep]; ok {
 			dstIdx = idx
 			if !m.IsReply {
-				ep.trans[idx].credits++
+				ep.trans.at(idx).credits++
 			}
 		}
 		if ep.onReturn != nil {
@@ -701,7 +763,7 @@ func (ep *Endpoint) dispatch(p *sim.Proc, m *nic.RecvMsg) {
 	if m.IsReply {
 		// A reply closes the request's credit.
 		if idx, ok := ep.reverse[src.ep]; ok {
-			ep.trans[idx].credits++
+			ep.trans.at(idx).credits++
 		}
 	}
 	ep.Stats.Delivered++
@@ -757,7 +819,7 @@ func (ep *Endpoint) redirect(p *sim.Proc, m *nic.RecvMsg) bool {
 		return false
 	}
 	if idx, mapped := ep.reverse[m.SrcEP]; mapped {
-		t := &ep.trans[idx]
+		t := ep.trans.at(idx)
 		if t.node != node {
 			ep.Stats.Refreshes++
 		}
@@ -858,7 +920,7 @@ type MigrationState struct {
 	mode     Mode
 	handlers [NumHandlers]Handler
 	onReturn ReturnHandler
-	trans    []translation
+	trans    *table
 	msgSeq   map[int]uint64
 	reverse  map[int]int
 	stats    Stats
@@ -869,7 +931,7 @@ type MigrationState struct {
 // library tables above it.
 func (s *MigrationState) Bytes() int {
 	n := nic.FrameBytes
-	n += 24 * len(s.trans)   // (name, key, credits, node, ver) slots
+	n += 24 * s.trans.size   // (name, key, credits, node, ver) slots, the whole capacity
 	n += 16 * len(s.msgSeq)  // per-peer sequence counters
 	n += 16 * len(s.reverse) // reverse index
 	return n

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 
+	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
 	"virtnet/internal/sim"
@@ -120,9 +121,12 @@ type Driver struct {
 	segs   map[int]*Segment
 	nextID int
 
-	remapQ    []*Segment
+	remapQ    container.Deque[*Segment]
 	remapCond *sim.Cond
 	proc      *sim.Proc
+	// victims is pickVictim's scratch list of eviction candidates; only the
+	// remap thread evicts, so one list serves every eviction.
+	victims []*Segment
 
 	// lamport is the driver's logical clock (§4.3).
 	lamport uint64
@@ -182,7 +186,7 @@ func (d *Driver) Crash() {
 		seg.Cond.Broadcast()
 	}
 	d.segs = make(map[int]*Segment)
-	d.remapQ = nil
+	d.remapQ.Reset()
 	d.C.Inc("node.crash")
 }
 
@@ -410,7 +414,7 @@ func (d *Driver) queueRemap(seg *Segment) {
 		return
 	}
 	seg.remapQueued = true
-	d.remapQ = append(d.remapQ, seg)
+	d.remapQ.Push(seg)
 	d.remapCond.Signal()
 }
 
@@ -491,7 +495,7 @@ func (d *Driver) freeFrame() int {
 // Quiescing endpoints (mid-unload) are skipped.
 func (d *Driver) pickVictim() *Segment {
 	cfg := d.nic.Config()
-	var candidates []*Segment
+	candidates := d.victims[:0]
 	for i := 0; i < cfg.Frames; i++ {
 		ep := d.nic.FrameOccupant(i)
 		if ep == nil || ep.State != nic.EPResident {
@@ -501,6 +505,7 @@ func (d *Driver) pickVictim() *Segment {
 			candidates = append(candidates, seg)
 		}
 	}
+	d.victims = candidates
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -531,14 +536,13 @@ func (d *Driver) pickVictim() *Segment {
 // an NI frame, and updates the segment state (§4.2).
 func (d *Driver) remapLoop(p *sim.Proc) {
 	for !d.stopped {
-		for len(d.remapQ) == 0 {
+		for d.remapQ.Len() == 0 {
 			d.remapCond.Wait(p)
 			if d.stopped {
 				return
 			}
 		}
-		seg := d.remapQ[0]
-		d.remapQ = d.remapQ[1:]
+		seg, _ := d.remapQ.Pop()
 		if seg.freed || seg.migrating || seg.Resident() {
 			seg.remapQueued = false
 			continue

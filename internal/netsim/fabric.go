@@ -256,10 +256,9 @@ func (n *Network) applyCross(x *xfer) {
 	}
 	if !pkt.Control {
 		if adm := n.admission[pkt.Dst]; adm != nil {
-			if len(n.waitq[pkt.Dst]) > 0 || !adm() {
+			if q := &n.waitq[pkt.Dst]; q.Len() > 0 || !adm() {
 				pkt.Parked = true
-				n.waitq[pkt.Dst] = append(n.waitq[pkt.Dst],
-					waiting{pkt: pkt, route: x.route, remote: true, headAt: x.headAt})
+				q.Push(waiting{pkt: pkt, route: x.route, remote: true, headAt: x.headAt})
 				return
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"virtnet/internal/container"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
 )
@@ -211,7 +212,7 @@ type Network struct {
 	// destination FIFO) instead of traversing the final link, exactly the
 	// blocking flow control §2 ascribes to Myrinet.
 	admission []func() bool
-	waitq     [][]waiting
+	waitq     []container.Deque[waiting]
 	// corrupt is the per-packet probability that a delivered packet's bits
 	// are flipped in flight (fault injection; see SetCorruptProb).
 	corrupt float64
@@ -271,7 +272,7 @@ func New(e *sim.Engine, cfg Config, nhosts int) *Network {
 		ncores:    ncores,
 		deliver:   make([]func(*Packet), nhosts),
 		admission: make([]func() bool, nhosts),
-		waitq:     make([][]waiting, nhosts),
+		waitq:     make([]container.Deque[waiting], nhosts),
 	}
 	n.hostUp = make([]*link, nhosts)
 	n.hostDown = make([]*link, nhosts)
@@ -443,9 +444,9 @@ func (n *Network) SetAdmission(id NodeID, ok func() bool) {
 // Admit drains host id's back-pressure queue while its gate accepts.
 func (n *Network) Admit(id NodeID) {
 	adm := n.admission[id]
-	for len(n.waitq[id]) > 0 && (adm == nil || adm()) {
-		w := n.waitq[id][0]
-		n.waitq[id] = n.waitq[id][1:]
+	q := &n.waitq[id]
+	for q.Len() > 0 && (adm == nil || adm()) {
+		w, _ := q.Pop()
 		w.pkt.Parked = false
 		if w.remote {
 			n.injectTail(w.pkt, w.route, w.headAt)
@@ -456,7 +457,7 @@ func (n *Network) Admit(id NodeID) {
 }
 
 // Blocked reports packets currently held by back pressure for host id.
-func (n *Network) Blocked(id NodeID) int { return len(n.waitq[id]) }
+func (n *Network) Blocked(id NodeID) int { return n.waitq[id].Len() }
 
 // Send injects a packet. route selects among alternative spine paths (the
 // NI binds each logical channel to a fixed route, giving FIFO order per
@@ -481,9 +482,9 @@ func (n *Network) Send(pkt *Packet, route int) {
 	pkt.Retain()
 	if !pkt.Control && pkt.Src != pkt.Dst {
 		if adm := n.admission[pkt.Dst]; adm != nil {
-			if len(n.waitq[pkt.Dst]) > 0 || !adm() {
+			if q := &n.waitq[pkt.Dst]; q.Len() > 0 || !adm() {
 				pkt.Parked = true
-				n.waitq[pkt.Dst] = append(n.waitq[pkt.Dst], waiting{pkt: pkt, route: route})
+				q.Push(waiting{pkt: pkt, route: route})
 				return
 			}
 		}

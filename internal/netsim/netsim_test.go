@@ -440,6 +440,48 @@ func TestGatePreservesFIFO(t *testing.T) {
 	}
 }
 
+// TestParkAdmitCyclesAllocNothing: a destination's wait queue keeps its
+// storage as it drains, so once warm, packets that park behind a closed gate
+// and are admitted when it opens cost no allocation — pooled packets and
+// transit records included — and still leave in FIFO order.
+func TestParkAdmitCyclesAllocNothing(t *testing.T) {
+	e, n := build(t, 10)
+	defer e.Shutdown()
+	open := false
+	var order []int
+	n.SetAdmission(1, func() bool { return open })
+	n.Attach(1, func(p *Packet) { order = append(order, p.Payload.(int)) })
+	const parked = 5
+	cycle := func() {
+		order = order[:0]
+		open = false
+		for i := 0; i < parked; i++ {
+			p := n.AllocPacket()
+			p.Src, p.Dst, p.Size, p.Payload = 0, 1, 100, i
+			n.Send(p, 0)
+			p.Release() // the sender's handle; the network holds the transit one
+		}
+		if n.Blocked(1) != parked {
+			t.Fatalf("blocked = %d, want %d", n.Blocked(1), parked)
+		}
+		open = true
+		n.Admit(1)
+		e.Run()
+	}
+	cycle() // warm: packet and transit pools, the queue's storage
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("a park/admit cycle allocates %.1f times, want 0", avg)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("parked packets released out of order: %v", order)
+		}
+	}
+	if len(order) != parked || n.Blocked(1) != 0 {
+		t.Fatalf("delivered %d of %d, %d still parked", len(order), parked, n.Blocked(1))
+	}
+}
+
 func TestLocalityAPI(t *testing.T) {
 	// Consecutive-host leaf (and pod) mapping at every scale the generator
 	// supports.

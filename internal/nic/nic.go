@@ -19,6 +19,7 @@ import (
 	"maps"
 	"slices"
 
+	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
@@ -207,11 +208,11 @@ type NIC struct {
 	// inboundCtl holds arriving ACK/NACK packets; they are tiny, carry no
 	// payload, and are processed ahead of data so a deep data backlog
 	// cannot delay channel turnaround past the retransmission timers.
-	inboundCtl deque[*wirePkt]
+	inboundCtl container.Deque[*wirePkt]
 	// inbound holds arriving data packets, bounded by Config.InboundPool.
-	inbound deque[*wirePkt]
-	work    deque[workItem]
-	cmds    deque[*DriverCmd]
+	inbound container.Deque[*wirePkt]
+	work    container.Deque[workItem]
+	cmds    container.Deque[*DriverCmd]
 
 	// wakeFn is the pre-bound wake method value, so scheduling a wakeup does
 	// not allocate a fresh bound-method closure each time.

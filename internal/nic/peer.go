@@ -1,8 +1,7 @@
 package nic
 
 import (
-	"math/bits"
-
+	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 )
 
@@ -19,37 +18,13 @@ import (
 type peer struct {
 	ch0 channel
 	rx0 rxState
-	chs chunks[channel] // channels 1, 2, …
-	rxs chunks[rxState] // receive states 1, 2, …
-	rtt rttEst          // AdaptiveTimeout extension
+	chs container.Chunks[channel] // channels 1, 2, …
+	rxs container.Chunks[rxState] // receive states 1, 2, …
+	rtt rttEst                    // AdaptiveTimeout extension
 	// acks holds acknowledgments awaiting a carrier (PiggybackAcks
 	// extension). takeAcks hands out its backing array, so it is dropped,
 	// never resliced to empty, once it is taken in full.
 	acks []piggyAck
-}
-
-// chunks holds a record's per-channel state past index 0: chunk c holds
-// indices [2^c, 2^(c+1)) and is made the first time one of them is used.
-// An element never moves — a *channel stays valid for as long as its record
-// does — and memory grows with the highest index in use.
-type chunks[T any] [][]T
-
-// at returns element i ≥ 1, making its chunk (and any before it) if needed.
-func (s *chunks[T]) at(i int) *T {
-	c := bits.Len(uint(i)) - 1
-	for len(*s) <= c {
-		*s = append(*s, make([]T, 1<<len(*s)))
-	}
-	return &(*s)[c][i-1<<c]
-}
-
-// get returns element i ≥ 1, or nil if its chunk was never made.
-func (s chunks[T]) get(i int) *T {
-	c := bits.Len(uint(i)) - 1
-	if c >= len(s) {
-		return nil
-	}
-	return &s[c][i-1<<c]
 }
 
 // channels yields the record's channels whose storage exists, in index
@@ -58,9 +33,9 @@ func (p *peer) channels(yield func(*channel) bool) {
 	if !yield(&p.ch0) {
 		return
 	}
-	for _, chunk := range p.chs {
-		for i := range chunk {
-			if !yield(&chunk[i]) {
+	for _, c := range p.chs {
+		for i := range c {
+			if !yield(&c[i]) {
 				return
 			}
 		}
@@ -85,7 +60,7 @@ func (n *NIC) freeChannel(dst netsim.NodeID) *channel {
 	for i := 0; i < n.cfg.Channels; i++ {
 		ch := &p.ch0
 		if i > 0 {
-			ch = p.chs.at(i)
+			ch = p.chs.At(i)
 		}
 		if ch.inflight == nil {
 			if ch.p == nil {
@@ -107,7 +82,7 @@ func (n *NIC) chanFor(id netsim.NodeID, idx int) *channel {
 	case idx == 0:
 		return &p.ch0
 	}
-	return p.chs.get(idx)
+	return p.chs.Get(idx)
 }
 
 // rxFor returns the receive state of the data packet's (source NI, channel),
@@ -118,7 +93,7 @@ func (n *NIC) rxFor(pkt *wirePkt) *rxState {
 	p := n.peerFor(pkt.SrcNI)
 	st := &p.rx0
 	if pkt.Chan > 0 {
-		st = p.rxs.at(pkt.Chan)
+		st = p.rxs.At(pkt.Chan)
 	}
 	if st.epoch != pkt.Epoch {
 		st.reset(pkt.Epoch)

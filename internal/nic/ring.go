@@ -60,71 +60,3 @@ func (r *ring[T]) Pop() T {
 	r.n--
 	return v
 }
-
-// deque is a growable FIFO for the NI's unbounded software queues (arrival
-// staging, deferred work, driver commands). Unlike append/reslice on a plain
-// slice — which reallocates every time the consumed head catches up with
-// capacity — the circular buffer is reused indefinitely once warm, so
-// steady-state queue traffic allocates nothing. The zero value is an empty
-// deque.
-type deque[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (d *deque[T]) Len() int { return d.n }
-
-func (d *deque[T]) grow() {
-	c := len(d.buf) * 2
-	if c == 0 {
-		c = 8
-	}
-	nb := make([]T, c)
-	for i := 0; i < d.n; i++ {
-		nb[i] = d.buf[(d.head+i)%len(d.buf)]
-	}
-	d.buf, d.head = nb, 0
-}
-
-// Push appends v at the tail.
-func (d *deque[T]) Push(v T) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.buf[(d.head+d.n)%len(d.buf)] = v
-	d.n++
-}
-
-// PushFront prepends v (used to requeue an interrupted driver command).
-func (d *deque[T]) PushFront(v T) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = v
-	d.n++
-}
-
-// Pop removes and returns the head element, zeroing its slot so the deque
-// does not pin popped values.
-func (d *deque[T]) Pop() (T, bool) {
-	var zero T
-	if d.n == 0 {
-		return zero, false
-	}
-	v := d.buf[d.head]
-	d.buf[d.head] = zero
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
-	return v, true
-}
-
-// Reset discards all queued elements, keeping the buffer for reuse.
-func (d *deque[T]) Reset() {
-	var zero T
-	for i := 0; i < d.n; i++ {
-		d.buf[(d.head+i)%len(d.buf)] = zero
-	}
-	d.head, d.n = 0, 0
-}

@@ -91,8 +91,9 @@ type Pool struct {
 }
 
 // NewPool creates a pool client on node with room for maxTargets servers.
-// Targets are added with Add; the endpoint's translation table is sized to
-// maxTargets up front because the table is frame-resident state.
+// Targets are added with Add, each into the next translation slot; the
+// endpoint's table has maxTargets slots of capacity and stores only those
+// Add has mapped.
 func NewPool(node *hostos.Node, maxTargets int, opts Options) (*Pool, error) {
 	if maxTargets <= 0 {
 		return nil, fmt.Errorf("rpc: pool needs at least one target slot")

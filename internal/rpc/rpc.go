@@ -61,6 +61,10 @@ const (
 	hResult = 3 // result fragment, client side
 )
 
+// serverSlots is a server endpoint's translation-table capacity: the
+// clients it can answer, one slot each, mapped as they first call.
+const serverSlots = 512
+
 // Result status codes on the wire.
 const (
 	stOK       = 0
@@ -138,6 +142,9 @@ type Server struct {
 	// result lives in their own assembly buffer, until the client has
 	// acknowledged every result fragment; both are linked through next.
 	free, acking *callBuf
+	// slots counts the translation slots mapped to clients, which are
+	// [0, slots): the next new client gets slot slots.
+	slots int
 
 	lastSweep sim.Time
 
@@ -188,7 +195,7 @@ func NewServer(node *hostos.Node, key core.Key) (*Server, error) {
 // NewServerOpts creates an RPC server with explicit reliability options.
 func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, error) {
 	b := core.Attach(node)
-	ep, err := b.NewEndpoint(key, 512)
+	ep, err := b.NewEndpoint(key, serverSlots)
 	if err != nil {
 		return nil, err
 	}
@@ -376,17 +383,18 @@ func (s *Server) Outstanding() (calls, reissues, queued, deferred int) {
 	return len(s.calls), reissues, queued, deferred
 }
 
-// nextSlot finds or creates a translation slot for a client endpoint.
+// nextSlot finds or creates a translation slot for a client endpoint: the
+// client's slot if it has called before, else the lowest unmapped one.
 func (s *Server) nextSlot(name core.EndpointName, key core.Key) (int, error) {
-	for i := 0; i < 512; i++ {
-		if s.ep.TranslationName(i) == name {
-			return i, nil
-		}
-		if !s.ep.TranslationValid(i) {
-			return i, s.ep.Map(i, name, key)
-		}
+	if idx, ok := s.ep.SlotOf(name); ok {
+		return idx, nil
 	}
-	return 0, fmt.Errorf("rpc: translation table full")
+	if s.slots == serverSlots {
+		return 0, fmt.Errorf("rpc: translation table full")
+	}
+	idx := s.slots
+	s.slots++
+	return idx, s.ep.Map(idx, name, key)
 }
 
 // onCall assembles call fragments; a completed call runs through the

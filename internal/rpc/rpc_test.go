@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
 )
@@ -197,6 +198,53 @@ func TestManyClients(t *testing.T) {
 	}
 	if s.Served != 20 {
 		t.Fatalf("served = %d, want 20", s.Served)
+	}
+}
+
+// TestClientsGetSlotsInFirstCallOrder: a server maps each new client into
+// the lowest unmapped translation slot when it first calls, and a client
+// that calls again keeps its slot.
+func TestClientsGetSlotsInFirstCallOrder(t *testing.T) {
+	c := newCluster(t, 4)
+	s, stop := echoServer(t, c, 0)
+	first := []int{2, 0, 1} // clients by the order of their first call
+	names := make([]core.EndpointName, 3)
+	done := 0
+	for turn, i := range first {
+		node := c.Nodes[i+1]
+		cl, err := NewClient(node, s.Name(), 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names[i] = cl.pl.ep.Name()
+		node.Spawn("client", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(turn) * 10 * sim.Millisecond)
+			calls := 1
+			if turn == 0 {
+				calls = 2 // the first caller calls again after the others
+			}
+			for k := 0; k < calls; k++ {
+				if _, err := cl.Call(p, 1, []byte{byte(i)}, 0); err != nil {
+					t.Errorf("client %d: %v", i, err)
+				}
+				p.Sleep(50 * sim.Millisecond)
+			}
+			if done++; done == len(first) {
+				*stop = true
+			}
+		})
+	}
+	c.RunFor(sim.Second)
+	if done != len(first) || s.Served != 4 {
+		t.Fatalf("%d clients done, %d calls served; want 3 and 4", done, s.Served)
+	}
+	for slot, i := range first {
+		if got := s.ep.TranslationName(slot); got != names[i] {
+			t.Fatalf("slot %d maps %v, want client %d (%v)", slot, got, i, names[i])
+		}
+	}
+	if s.slots != 3 || s.ep.TranslationValid(3) {
+		t.Fatalf("%d slots mapped, want 3: a repeat caller keeps its slot", s.slots)
 	}
 }
 
