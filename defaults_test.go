@@ -28,10 +28,10 @@ func defaultManager(c *hostos.Cluster) *vnet.Manager { return vnet.NewManager(c,
 // TestPolicyDefaults pins the retry, breaker, failure-detection and tenancy
 // values every layer above the transport runs with: the backoff schedule,
 // the breaker's threshold and cooldowns, the per-key retry cap, an rpc
-// peer's retry budget, the monitor's silence threshold and flap probation,
-// and a tenant's default quota, share and translation-table size. The
-// goldens never reach a breaker cooldown or a flap probation, so this is
-// where a change to one of these values shows.
+// peer's retry budget, the monitor's silence threshold, and a tenant's
+// default quota, share and translation-table size. The goldens never reach
+// a breaker cooldown, so this is where a change to one of these values
+// shows.
 func TestPolicyDefaults(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -42,7 +42,6 @@ func TestPolicyDefaults(t *testing.T) {
 		{"a retrier denies a key's 4th bounce", pinRetryCap},
 		{"an rpc peer's budget denies the 4th bounce inside 250ms", pinRPCBudget},
 		{"the monitor declares death after 50-60ms of silence", pinSilence},
-		{"flap probation runs 100ms doubling to 5s", pinProbation},
 		{"a tenant without quota or share gets 16 and 1", pinTenantDefaults},
 		{"a vnet endpoint refuses peer index 64", pinTableSize},
 	} {
@@ -179,41 +178,6 @@ func pinSilence(t *testing.T) {
 	}
 	if silence := c.Now().Sub(lastBeat); silence < 50*sim.Millisecond || silence > 60*sim.Millisecond {
 		t.Fatalf("declared dead after %v of silence, want 50-60ms", silence)
-	}
-}
-
-// pinProbation flaps node 2: partition until declared dead, heal, reinstate,
-// wait out any probation, and partition again 10 ms after it is republished.
-func pinProbation(t *testing.T) {
-	c := hostos.NewCluster(1, 3, hostos.DefaultClusterConfig())
-	defer c.Shutdown()
-	mon, err := defaultMonitor(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(20 * sim.Millisecond)
-	var got []sim.Duration
-	for i := 0; i < 9; i++ {
-		c.ShardNet(0).SetHostLinkDown(2, true)
-		for !mon.Dead(2) {
-			c.RunFor(sim.Millisecond)
-		}
-		got = append(got, mon.Probation(2))
-		c.ShardNet(0).SetHostLinkDown(2, false)
-		if err := mon.Reinstate(2); err != nil {
-			t.Fatal(err)
-		}
-		for mon.Dead(2) {
-			c.RunFor(sim.Millisecond)
-		}
-		c.RunFor(10 * sim.Millisecond)
-	}
-	want := []sim.Duration{0, 100, 200, 400, 800, 1600, 3200, 5000, 5000}
-	for i := range want {
-		want[i] *= sim.Millisecond
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("probation after each death = %v, want %v", got, want)
 	}
 }
 

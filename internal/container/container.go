@@ -15,9 +15,14 @@ import "math/bits"
 // holds nothing.
 type Chunks[T any] [][]T
 
-// At returns element i ≥ 1, making its chunk (and any before it) if needed.
-func (s *Chunks[T]) At(i int) *T {
+// At returns element i, 1 ≤ i < n, making its chunk (and any before it) if
+// needed. n is the owner's bound on its indices: the first At reserves the
+// outer slice for every chunk below n, so it is allocated once.
+func (s *Chunks[T]) At(i, n int) *T {
 	c := bits.Len(uint(i)) - 1
+	if *s == nil {
+		*s = make([][]T, 0, bits.Len(uint(n-1)))
+	}
 	for len(*s) <= c {
 		*s = append(*s, make([]T, 1<<len(*s)))
 	}

@@ -15,7 +15,7 @@ func TestChunksNeverMove(t *testing.T) {
 	}
 	held := make([]*int, 100)
 	for i := 1; i < len(held); i++ {
-		held[i] = s.At(i)
+		held[i] = s.At(i, len(held))
 		*held[i] = i
 	}
 	if len(s) != 7 { // chunk 6 holds [64, 128)
@@ -28,6 +28,33 @@ func TestChunksNeverMove(t *testing.T) {
 		if s.Get(i) != held[i] || *held[i] != i {
 			t.Fatalf("element %d moved or changed", i)
 		}
+	}
+}
+
+// TestChunksReserveTheOuterSliceOnce: filling indices 1–31 of a 32-index
+// owner costs its five chunks and one outer slice, not one outer slice per
+// growth; an owner that never calls At allocates nothing; and an index past
+// the bound still works, growing the outer slice as append does.
+func TestChunksReserveTheOuterSliceOnce(t *testing.T) {
+	if avg := testing.AllocsPerRun(20, func() {
+		var s Chunks[[3]int64]
+		for i := 1; i < 32; i++ {
+			s.At(i, 32)[0] = int64(i)
+		}
+		if len(s) != 5 || cap(s) != 5 {
+			t.Fatalf("%d chunks, outer capacity %d; want 5 and 5", len(s), cap(s))
+		}
+	}); avg != 6 {
+		t.Fatalf("indices 1–31 of 32 cost %.1f allocations, want 6 (5 chunks + 1 outer)", avg)
+	}
+	var s Chunks[int]
+	if s.Get(1) != nil || s != nil {
+		t.Fatal("an unused Chunks holds storage")
+	}
+	*s.At(1, 2) = 1
+	*s.At(40, 2) = 40
+	if len(s) != 6 || *s.Get(1) != 1 || *s.Get(40) != 40 {
+		t.Fatalf("%d chunks after indices 1 and 40 of a 2-bound owner", len(s))
 	}
 }
 

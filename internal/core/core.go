@@ -143,8 +143,6 @@ type Bundle struct {
 	// keeps every per-message hook a plain nil check.
 	tracer *obs.Tracer
 	C      *trace.Counters
-	// creditStall and sendqStall are C's stall counters, resolved once.
-	creditStall, sendqStall *trace.Counter
 }
 
 // Attach opens a bundle on node.
@@ -153,7 +151,6 @@ func Attach(node *hostos.Node) *Bundle {
 	if o := node.Obs; o != nil {
 		b.tracer = o.T
 		b.C = trace.NewCounters()
-		b.creditStall, b.sendqStall = b.C.Counter("credit_stall"), b.C.Counter("sendq_stall")
 		o.R.AddCounters(fmt.Sprintf("core.n%d", int(node.ID)), b.C)
 	}
 	return b
@@ -219,7 +216,7 @@ func (t *table) at(idx int) *translation {
 	if idx == 0 {
 		return &t.t0
 	}
-	return t.rest.At(idx)
+	return t.rest.At(idx, t.size)
 }
 
 // Stats counts per-endpoint API activity.
@@ -502,8 +499,8 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	// Credit-based flow control: block while the window is closed,
 	// polling so replies (which restore credits) are consumed. The probe
 	// interval backs off while nothing arrives so long waits stay cheap.
-	if t.credits == 0 && ep.b.creditStall != nil {
-		ep.b.creditStall.Inc()
+	if t.credits == 0 && ep.b.C != nil {
+		ep.b.C.Inc("credit_stall")
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for t.credits == 0 {
@@ -600,8 +597,8 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	if isReply {
 		sq = ep.seg.EP.RepSendQ
 	}
-	if sq.Full() && ep.b.sendqStall != nil {
-		ep.b.sendqStall.Inc()
+	if sq.Full() && ep.b.C != nil {
+		ep.b.C.Inc("sendq_stall")
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
 	for sq.Full() {

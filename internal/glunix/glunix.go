@@ -224,19 +224,6 @@ func (s *Scheduler) requeue(j *Job) {
 	s.queue = append([]*Job{j}, s.queue...)
 }
 
-// NodeRecovered returns a previously dead node to the schedulable pool
-// (after a restart and reinstatement by the monitor).
-func (s *Scheduler) NodeRecovered(id int) {
-	if !s.dead[id] {
-		return
-	}
-	delete(s.dead, id)
-	if !s.busy[id] {
-		s.free[id] = true
-	}
-	s.dispatch()
-}
-
 // Drain advances the cluster until all submitted jobs finish or maxTime
 // passes; it reports whether everything completed.
 func (s *Scheduler) Drain(maxTime sim.Duration) bool {

@@ -26,22 +26,11 @@ type NameService interface {
 // beats in a row (50 ms of silence, an order of magnitude past the default
 // firmware-reboot outage) declare it dead. The silence threshold must exceed
 // benign outages or the monitor false-positives. beatKey protects the
-// heartbeat endpoints' virtual network.
-//
-// Flap damping. A node that dies again within flapWindow of its last
-// reinstatement is flapping; each such death doubles the probation its next
-// Reinstate must sit out (probationBase growing to probationMax) before the
-// node is republished to the scheduler and name service. Without damping a
-// flapping node makes the whole cluster churn: every death requeues its gang
-// jobs and every reinstate re-places them, at the flap frequency.
+// heartbeat endpoints' virtual network. A node declared dead stays dead.
 const (
 	beatInterval          = 10 * sim.Millisecond
 	beatMisses            = 5
 	beatKey      core.Key = 0x68656274 // "hebt"
-
-	flapWindow    = 500 * sim.Millisecond
-	probationBase = 100 * sim.Millisecond
-	probationMax  = 5 * sim.Second
 
 	home = 0 // the master's node
 )
@@ -56,21 +45,13 @@ const (
 // respawn or rebalance replicas.
 type Monitor struct {
 	c     *hostos.Cluster
-	e     *sim.Engine // the home node's: the master's clock and timers
 	sched *Scheduler
 	names NameService
 
 	master   *core.Endpoint
 	lastBeat []sim.Time
 	deadN    []bool
-	beatGen  []int // per-node beater generation; stale beaters retire themselves
 	onDead   []func(p *sim.Proc, node int)
-
-	// Flap damping state (see flapWindow).
-	lastReinst []sim.Time     // when each node was last reinstated (0: never)
-	probation  []sim.Duration // current probation before the next reinstate
-	reinstGen  []int          // cancels a pending delayed reinstate on re-death
-	pending    []bool         // a delayed reinstate is scheduled
 
 	// Deaths counts nodes declared dead.
 	Deaths int
@@ -88,19 +69,13 @@ func NewMonitor(c *hostos.Cluster, sched *Scheduler, names NameService) (*Monito
 		return nil, err
 	}
 	m := &Monitor{
-		c:          c,
-		e:          c.Nodes[home].E,
-		sched:      sched,
-		names:      names,
-		lastBeat:   make([]sim.Time, len(c.Nodes)),
-		deadN:      make([]bool, len(c.Nodes)),
-		beatGen:    make([]int, len(c.Nodes)),
-		lastReinst: make([]sim.Time, len(c.Nodes)),
-		probation:  make([]sim.Duration, len(c.Nodes)),
-		reinstGen:  make([]int, len(c.Nodes)),
-		pending:    make([]bool, len(c.Nodes)),
+		c:        c,
+		sched:    sched,
+		names:    names,
+		lastBeat: make([]sim.Time, len(c.Nodes)),
+		deadN:    make([]bool, len(c.Nodes)),
 	}
-	now := m.e.Now()
+	now := c.Nodes[home].E.Now()
 	for i := range m.lastBeat {
 		m.lastBeat[i] = now
 	}
@@ -166,23 +141,15 @@ func (m *Monitor) startBeater(i int) error {
 	if err := ep.Map(0, m.master.Name(), beatKey); err != nil {
 		return err
 	}
-	// Generation guard: a node declared dead across a network partition (as
-	// opposed to a crash) still has its original beater running, so a
-	// Reinstate would otherwise double it up — duplicate beats and a leaked
-	// endpoint per reinstate cycle. A stale beater notices the bumped
-	// generation, frees its endpoint, and exits.
-	m.beatGen[i]++
-	gen := m.beatGen[i]
 	node.Spawn("beater", func(p *sim.Proc) {
-		for m.beatGen[i] == gen {
+		for {
 			_ = ep.Request(p, 0, hBeat, [4]uint64{uint64(i)})
 			next := p.Now().Add(beatInterval)
-			for p.Now() < next && m.beatGen[i] == gen {
+			for p.Now() < next {
 				ep.Poll(p)
 				p.Sleep(beatInterval / 4)
 			}
 		}
-		bun.Close(p)
 	})
 	return nil
 }
@@ -191,24 +158,6 @@ func (m *Monitor) startBeater(i int) error {
 func (m *Monitor) declareDead(n int) {
 	m.deadN[n] = true
 	m.Deaths++
-	m.reinstGen[n]++ // cancel any pending delayed reinstate
-	m.pending[n] = false
-	now := m.e.Now()
-	if m.lastReinst[n] > 0 && now.Sub(m.lastReinst[n]) <= flapWindow {
-		// Died again right after coming back: flapping. Double the probation
-		// its next reinstatement must wait out.
-		if m.probation[n] < probationBase {
-			m.probation[n] = probationBase
-		} else if m.probation[n] < probationMax {
-			m.probation[n] *= 2
-			if m.probation[n] > probationMax {
-				m.probation[n] = probationMax
-			}
-		}
-	} else {
-		// A death after a stable stretch is a fresh incident, not a flap.
-		m.probation[n] = 0
-	}
 	if m.sched != nil {
 		m.sched.NodeDead(n)
 	}
@@ -230,47 +179,3 @@ func (m *Monitor) OnDead(h func(p *sim.Proc, node int)) {
 
 // Dead reports whether node n is currently declared dead.
 func (m *Monitor) Dead(n int) bool { return m.deadN[n] }
-
-// Reinstate returns a restarted node to service: it is no longer considered
-// dead, the scheduler may allocate it again, and a fresh beater is started.
-// A crash killed the old beater with the node; after a partition-declared
-// death the old beater survives, and starting its successor bumps the
-// generation so the survivor retires instead of beating in duplicate.
-//
-// A node on flap probation is not republished immediately: the reinstate is
-// scheduled after the probation elapses (and silently cancelled if the node
-// is declared dead yet again first). Calling Reinstate while one is already
-// scheduled is a no-op.
-func (m *Monitor) Reinstate(n int) error {
-	if !m.deadN[n] || m.pending[n] {
-		return nil
-	}
-	if prob := m.probation[n]; prob > 0 {
-		m.pending[n] = true
-		gen := m.reinstGen[n]
-		m.e.AfterFunc(prob, func() {
-			if m.reinstGen[n] != gen || !m.pending[n] {
-				return // superseded by a re-death
-			}
-			m.pending[n] = false
-			_ = m.reinstateNow(n)
-		})
-		return nil
-	}
-	return m.reinstateNow(n)
-}
-
-// reinstateNow performs the actual republish.
-func (m *Monitor) reinstateNow(n int) error {
-	m.deadN[n] = false
-	now := m.e.Now()
-	m.lastBeat[n] = now
-	m.lastReinst[n] = now
-	if m.sched != nil {
-		m.sched.NodeRecovered(n)
-	}
-	return m.startBeater(n)
-}
-
-// Probation reports node n's current flap probation (0: none).
-func (m *Monitor) Probation(n int) sim.Duration { return m.probation[n] }

@@ -201,11 +201,6 @@ func (d *Driver) Restart() {
 	d.C.Inc("node.restart")
 }
 
-// NumEndpoints reports the endpoint segments currently allocated on this
-// node. Admission-control layers compare it against the NI's frame capacity
-// to bound overcommit.
-func (d *Driver) NumEndpoints() int { return len(d.segs) }
-
 func (d *Driver) tick(remote uint64) uint64 {
 	if remote > d.lamport {
 		d.lamport = remote

@@ -45,7 +45,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 		sh := c.Fab.ShardOf(n.ID)
 		o := c.shardObs[sh]
 		n.Obs = o
-		o.R.AddCounters(fmt.Sprintf("nic.n%d", int(n.ID)), n.NIC.C)
+		o.R.AddCounters(fmt.Sprintf("nic.n%d", int(n.ID)), &n.NIC.C)
 		o.R.AddCounters(fmt.Sprintf("drv.n%d", int(n.ID)), n.Driver.C)
 		nic := n.NIC
 		id := n.ID

@@ -1,8 +1,53 @@
 package nic
 
-// The NI's protocol counters, by handle: the firmware increments
-// n.ctr[ctrX] and never hashes a name. NIC.C is the same counters by name
-// (trace.NewCountersOver), for everything that reads them.
+import (
+	"math/bits"
+	"slices"
+
+	"virtnet/internal/trace"
+)
+
+// Counters is the NI's protocol counters, one int64 per ctr* constant,
+// held inline in the NIC. Only the firmware writes them, on its shard's
+// goroutine, and everything else reads them by name at a barrier or after a
+// run, so nothing locks. touched has a bit per counter the firmware has
+// added to, zero adds included: that, not a nonzero value, is what puts a
+// counter in Snapshot.
+type Counters struct {
+	v       [numCtrs]int64
+	touched uint64
+}
+
+// touched has a bit per counter: this fails to compile past 64 counters.
+const _ = uint(64 - numCtrs)
+
+// add adds n to counter i.
+func (c *Counters) add(i int, n int64) {
+	c.v[i] += n
+	c.touched |= 1 << i
+}
+
+// Get returns counter name's value (zero if the NI has no such counter or
+// never touched it).
+func (c *Counters) Get(name string) int64 {
+	if i := slices.Index(ctrNames[:], name); i >= 0 {
+		return c.v[i]
+	}
+	return 0
+}
+
+// Snapshot returns every touched counter, in ctr* order.
+func (c *Counters) Snapshot() []trace.CounterKV {
+	out := make([]trace.CounterKV, 0, bits.OnesCount64(c.touched))
+	for i, v := range c.v {
+		if c.touched&(1<<i) != 0 {
+			out = append(out, trace.CounterKV{Name: ctrNames[i], Value: v})
+		}
+	}
+	return out
+}
+
+// The counters' indices; ctrNames holds their names.
 const (
 	ctrTxData = iota
 	ctrTxBytes

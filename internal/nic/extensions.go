@@ -107,7 +107,7 @@ func (n *NIC) queueAck(data *wirePkt) {
 	p.acks = append(p.acks, piggyAck{
 		Chan: data.Chan, Seq: data.Seq, Epoch: data.Epoch, Stamp: data.Stamp,
 	})
-	n.ctr[ctrTxAckQueued].Inc()
+	n.C.add(ctrTxAckQueued, 1)
 	if len(p.acks) == 1 {
 		// First pending ack for this peer: bound its wait.
 		peer := peer
@@ -153,7 +153,7 @@ func (n *NIC) flushAcks(peer netsim.NodeID) {
 func (n *NIC) emitAcks() {
 	peer := n.cur.peer
 	acks := n.takeAcks(n.peers[peer], 1<<30)
-	n.ctr[ctrTxAckFlush].Inc()
+	n.C.add(ctrTxAckFlush, 1)
 	ctl := n.allocHdr()
 	ctl.Kind = pktAck
 	ctl.SrcNI = n.id
@@ -180,9 +180,9 @@ func (n *NIC) takePiggy() {
 	pkt := n.pkt
 	a := pkt.Piggy[n.piggy]
 	n.piggy++
-	n.ctr[ctrRxAckPiggy].Inc()
+	n.C.add(ctrRxAckPiggy, 1)
 	if ch := n.chanFor(pkt.SrcNI, a.Chan); ch == nil || ch.inflight == nil || ch.inflight.Seq != a.Seq || a.Epoch != n.epoch {
-		n.ctr[ctrRxAckStale].Inc()
+		n.C.add(ctrRxAckStale, 1)
 	} else {
 		n.observeRTT(ch, a.Stamp)
 		n.freeDesc(n.resolveChannel(ch))

@@ -23,7 +23,6 @@ import (
 	"virtnet/internal/netsim"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // DriverPort is the upcall interface from the NI to the host OS driver
@@ -271,12 +270,9 @@ type NIC struct {
 
 	stopped bool
 
-	// C exposes protocol counters: data/ack/nack packets, retransmissions,
-	// returns to sender, loads/unloads. ctr holds the same counters as
-	// handles, indexed by the ctr* constants, for the firmware's own
-	// increments.
-	C   *trace.Counters
-	ctr [numCtrs]trace.Counter
+	// C holds the protocol counters: data/ack/nack packets,
+	// retransmissions, returns to sender, loads/unloads.
+	C Counters
 }
 
 // New creates an NI for host id attached to net.
@@ -293,7 +289,6 @@ func New(e *sim.Engine, net *netsim.Network, id netsim.NodeID, cfg Config) *NIC 
 		requested: make(map[int]bool),
 		moved:     make(map[int]bool),
 	}
-	n.C = trace.NewCountersOver(ctrNames[:], n.ctr[:])
 	n.wakeFn = n.wake
 	net.Attach(id, n.fromNetwork)
 	if cfg.InboundPool > 0 {
@@ -396,7 +391,7 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 	if n.crashed || n.e.Now() < n.rebootUntil {
 		// The interface is dark (crashed host or rebooting firmware):
 		// arrivals die here and the senders' transport masks the loss.
-		n.ctr[ctrRxDarkDrop].Inc()
+		n.C.add(ctrRxDarkDrop, 1)
 		if w, ok := p.Payload.(*wirePkt); ok {
 			if w.Kind == pktData {
 				n.noteRxLoss(p.Flight, "rx-dark-drop")
@@ -410,7 +405,7 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		// The CRC computed over the DMA'd packet fails. A corrupted header
 		// cannot be trusted to NACK, so the packet is discarded silently and
 		// the sender's retransmission recovers (§5.1).
-		n.ctr[ctrRxCRCDrop].Inc()
+		n.C.add(ctrRxCRCDrop, 1)
 		if pkt.Kind == pktData {
 			n.noteRxLoss(p.Flight, "rx-crc-drop")
 		}
@@ -435,7 +430,7 @@ func (n *NIC) fromNetwork(p *netsim.Packet) {
 		// the rejection for in-progress ones. No wake: with data staged the
 		// loop is not parked.
 		st := n.rxFor(pkt)
-		n.ctr[ctrRxPoolOverrun].Inc()
+		n.C.add(ctrRxPoolOverrun, 1)
 		switch {
 		case pkt.Seq == st.lastSeen:
 			n.work.Push(workItem{kind: workSendControl, pkt: pkt, res: st.lastResult, reason: st.lastReason})
@@ -668,7 +663,7 @@ func (n *NIC) loiter() {
 		n.e.Now().Sub(n.loiterStart) >= n.cfg.LoiterTime*sim.Duration(w) {
 		// Loiter budget exhausted with traffic still pending:
 		// the fairness mechanism (not idleness) forced the move.
-		n.ctr[ctrWRRLoiterExpiry].Inc()
+		n.C.add(ctrWRRLoiterExpiry, 1)
 		n.advanceWRR()
 	} else if q, _ := n.sendable(ep); q == nil {
 		n.advanceWRR()
@@ -681,7 +676,7 @@ func (n *NIC) advanceWRR() {
 	}
 	n.loiterCount = 0
 	if n.wrr == 0 {
-		n.ctr[ctrWRRRounds].Inc()
+		n.C.add(ctrWRRRounds, 1)
 	}
 }
 
@@ -748,8 +743,8 @@ func (n *NIC) injectSend() {
 	d.Flight.Mark(obs.StageNISend, n.e.Now())
 	n.injectData(ch)
 	n.armTimer(ch)
-	n.ctr[ctrTxData].Inc()
-	n.ctr[ctrTxBytes].Add(int64(len(d.Payload)))
+	n.C.add(ctrTxData, 1)
+	n.C.add(ctrTxBytes, int64(len(d.Payload)))
 	n.charge(n.cfg.SendPost, stageSent)
 }
 
@@ -822,7 +817,7 @@ func (n *NIC) retransmit(ch *channel, seq uint64) {
 		// is exerting flow control, not failing).
 		pkt.desc.FirstSend = 0
 		n.armTimer(ch)
-		n.ctr[ctrTxRetransHeld].Inc()
+		n.C.add(ctrTxRetransHeld, 1)
 		return
 	}
 	d := pkt.desc
@@ -832,7 +827,7 @@ func (n *NIC) retransmit(ch *channel, seq uint64) {
 		// condition; return the message to its sender (§3.2, §5.1).
 		n.resolveChannel(ch)
 		n.returnToSender(d, NackNone)
-		n.ctr[ctrTxTimeoutReturn].Inc()
+		n.C.add(ctrTxTimeoutReturn, 1)
 		return
 	}
 	if ch.retries >= n.cfg.MaxRetries {
@@ -844,7 +839,7 @@ func (n *NIC) retransmit(ch *channel, seq uint64) {
 		if !n.requeue(d) {
 			n.returnToSender(d, NackOverrun)
 		}
-		n.ctr[ctrTxUnbind].Inc()
+		n.C.add(ctrTxUnbind, 1)
 		return
 	}
 	ch.retries++
@@ -862,7 +857,7 @@ func (n *NIC) reinject() {
 	ch := n.cur.ch
 	n.injectData(ch)
 	n.armTimer(ch)
-	n.ctr[ctrTxRetrans].Inc()
+	n.C.add(ctrTxRetrans, 1)
 }
 
 // resolveChannel frees ch, performs quiesce accounting for the source
@@ -923,7 +918,7 @@ func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
 	d.Flight.Drop(obs.StageWire, returnedNote[reason], n.e.Now())
 	ep, ok := n.eps[d.SrcEP]
 	if !ok {
-		n.ctr[ctrRtsDropped].Inc()
+		n.C.add(ctrRtsDropped, 1)
 		n.freeDesc(d)
 		return
 	}
@@ -945,9 +940,9 @@ func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
 		// endpoint is frozen for migration). Spill to the host-memory
 		// overflow list rather than dropping the undeliverable event.
 		ep.retOverflow = append(ep.retOverflow, msg)
-		n.ctr[ctrRtsOverflow].Inc()
+		n.C.add(ctrRtsOverflow, 1)
 	}
-	n.ctr[ctrRtsDelivered].Inc()
+	n.C.add(ctrRtsDelivered, 1)
 	if ep.OnDeliver != nil {
 		ep.OnDeliver(msg)
 	}
@@ -978,11 +973,11 @@ func (n *NIC) handlePkt(pkt *wirePkt) {
 // it with a NACK.
 func (n *NIC) handleData() {
 	pkt := n.pkt
-	n.ctr[ctrRxData].Inc()
+	n.C.add(ctrRxData, 1)
 	st := n.rxFor(pkt)
 	if pkt.Seq <= st.lastSeen {
 		// Duplicate of an attempt we already answered: repeat the answer.
-		n.ctr[ctrRxDup].Inc()
+		n.C.add(ctrRxDup, 1)
 		if pkt.Seq == st.lastSeen {
 			n.sendControl(pkt, st.lastResult, st.lastReason)
 		} else {
@@ -993,7 +988,7 @@ func (n *NIC) handleData() {
 	if pkt.Seq == st.rejectedSeq {
 		// A copy of this attempt was already refused at arrival; answer
 		// identically so the sender's single resolution stands.
-		n.ctr[ctrRxRejectedDup].Inc()
+		n.C.add(ctrRxRejectedDup, 1)
 		n.sendControl(pkt, pktNack, NackOverrun)
 		return
 	}
@@ -1018,7 +1013,7 @@ func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 	ep, ok := n.eps[pkt.DstEP]
 	if !ok {
 		if n.moved[pkt.DstEP] {
-			n.ctr[ctrRxMoved].Inc()
+			n.C.add(ctrRxMoved, 1)
 			return nil, pktNack, NackMoved
 		}
 		return nil, pktNack, NackNoEndpoint
@@ -1029,7 +1024,7 @@ func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 		// yet. The new location is published before adoption, so bouncing
 		// with NackMoved (rather than depositing into a queue another NI now
 		// services) resolves to a fresher binding.
-		n.ctr[ctrRxMoved].Inc()
+		n.C.add(ctrRxMoved, 1)
 		return nil, pktNack, NackMoved
 	}
 	if ep.Key != pkt.Key {
@@ -1049,7 +1044,7 @@ func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 		// End-to-end duplicate: an earlier attempt (possibly on another
 		// channel, after an unbind/rebind) was already delivered.
 		// Acknowledge so the sender resolves, but do not redeposit.
-		n.ctr[ctrRxE2EDup].Inc()
+		n.C.add(ctrRxE2EDup, 1)
 		return nil, pktAck, NackNone
 	}
 	q := ep.RecvQ
@@ -1092,8 +1087,8 @@ func (n *NIC) deposit() {
 		ep.MarkMsg(pkt.SrcEP, pkt.MsgID)
 	}
 	ep.LastActive = n.e.Now()
-	n.ctr[ctrRxDelivered].Inc()
-	n.ctr[ctrRxBytes].Add(int64(len(pkt.Payload)))
+	n.C.add(ctrRxDelivered, 1)
+	n.C.add(ctrRxBytes, int64(len(pkt.Payload)))
 	if ep.OnDeliver != nil {
 		ep.OnDeliver(msg)
 	}
@@ -1138,9 +1133,9 @@ func (n *NIC) emitControl() {
 	c := n.ctl
 	n.ctl = workItem{}
 	if c.res == pktAck {
-		n.ctr[ctrTxAck].Inc()
+		n.C.add(ctrTxAck, 1)
 	} else {
-		n.ctr[ctrTxNack+int(c.reason)].Inc()
+		n.C.add(ctrTxNack+int(c.reason), 1)
 	}
 	data := c.pkt
 	ctl := n.allocHdr()
@@ -1162,7 +1157,7 @@ func (n *NIC) emitControl() {
 // the match is a new attempt that the answer does not acknowledge.
 func (n *NIC) handleAck() {
 	pkt := n.pkt
-	n.ctr[ctrRxAck].Inc()
+	n.C.add(ctrRxAck, 1)
 	if len(pkt.Piggy) > 0 {
 		// Batched acknowledgments (piggyback extension flush path).
 		n.piggy = 0
@@ -1171,7 +1166,7 @@ func (n *NIC) handleAck() {
 	}
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq || pkt.Epoch != n.epoch {
-		n.ctr[ctrRxAckStale].Inc()
+		n.C.add(ctrRxAckStale, 1)
 		return
 	}
 	n.observeRTT(ch, pkt.Stamp)
@@ -1182,10 +1177,10 @@ func (n *NIC) handleAck() {
 // epoch is stale.
 func (n *NIC) handleNack() {
 	pkt := n.pkt
-	n.ctr[ctrRxNack+int(pkt.Reason)].Inc()
+	n.C.add(ctrRxNack+int(pkt.Reason), 1)
 	ch := n.chanFor(pkt.SrcNI, pkt.Chan)
 	if ch == nil || ch.inflight == nil || ch.inflight.Seq != pkt.Seq || pkt.Epoch != n.epoch {
-		n.ctr[ctrRxNackStale].Inc()
+		n.C.add(ctrRxNackStale, 1)
 		return
 	}
 	d := n.resolveChannel(ch)
@@ -1264,7 +1259,7 @@ func (n *NIC) finishLoad() {
 	ep.State = EPResident
 	ep.LoadedAt = n.e.Now()
 	delete(n.requested, ep.ID)
-	n.ctr[ctrDrvLoad].Inc()
+	n.C.add(ctrDrvLoad, 1)
 	if cmd.Done != nil {
 		cmd.Done()
 	}
@@ -1283,7 +1278,7 @@ func (n *NIC) handleUnload(cmd *DriverCmd) {
 		// Transient state: stop new sends, keep retransmitting in-flight
 		// packets until all copies are accounted for (§5.3).
 		ep.State = EPQuiescing
-		n.ctr[ctrDrvQuiesce].Inc()
+		n.C.add(ctrDrvQuiesce, 1)
 		return
 	}
 	n.completeUnload(cmd)
@@ -1318,7 +1313,7 @@ func (n *NIC) finishUnload() {
 	// resident, §4.3's ordering race); clear the dedup flag so the next
 	// arrival re-requests residency.
 	delete(n.requested, ep.ID)
-	n.ctr[ctrDrvUnload].Inc()
+	n.C.add(ctrDrvUnload, 1)
 	if cmd.Done != nil {
 		cmd.Done()
 	}
@@ -1365,7 +1360,7 @@ func (n *NIC) Reboot(outage sim.Duration) {
 	if n.crashed || n.stopped {
 		return
 	}
-	n.ctr[ctrNICReboot].Inc()
+	n.C.add(ctrNICReboot, 1)
 	n.incarnation++
 	n.rebootUntil = n.e.Now().Add(outage)
 	n.halt()
@@ -1442,7 +1437,7 @@ func (n *NIC) Crash() {
 	}
 	n.crashed = true
 	n.incarnation++
-	n.ctr[ctrNICCrash].Inc()
+	n.C.add(ctrNICCrash, 1)
 	n.halt()
 	n.net.SetHostLinkDown(n.id, true)
 	// Stop channel timers so no stale retransmission closure survives into
@@ -1485,5 +1480,5 @@ func (n *NIC) Restart() {
 	n.epoch = uint32(n.e.Rand().Int63()) | 1
 	n.net.SetHostLinkDown(n.id, false)
 	n.step.Reset(0)
-	n.ctr[ctrNICRestart].Inc()
+	n.C.add(ctrNICRestart, 1)
 }

@@ -95,55 +95,6 @@ func TestDirectlyBuiltObjectsAreNeverPooled(t *testing.T) {
 	}
 }
 
-// TestCounterHandlesAreTheNamedCounters: every handle has a name, no two
-// share one, and the firmware's increments are what NIC.C reports by name —
-// including an increment made by name, which must land in the handle.
-func TestCounterHandlesAreTheNamedCounters(t *testing.T) {
-	seen := map[string]int{}
-	for i, name := range ctrNames {
-		if name == "" {
-			t.Fatalf("counter %d has no name", i)
-		}
-		if j, dup := seen[name]; dup {
-			t.Fatalf("counters %d and %d are both %q", j, i, name)
-		}
-		seen[name] = i
-	}
-	for r := NackNone; r <= NackMoved; r++ {
-		if ctrNames[ctrTxNack+int(r)] != "tx.nack."+r.String() || ctrNames[ctrRxNack+int(r)] != "rx.nack."+r.String() {
-			t.Fatalf("reason %v counts as %q / %q", r, ctrNames[ctrTxNack+int(r)], ctrNames[ctrRxNack+int(r)])
-		}
-		if nackNote[r] != "nack:"+r.String() || returnedNote[r] != "returned:"+r.String() {
-			t.Fatalf("reason %v notes %q / %q", r, nackNote[r], returnedNote[r])
-		}
-	}
-
-	r := newRig(t, 2, 1, nil, nil)
-	defer r.shutdown()
-	n := r.nics[0]
-	if kv := n.C.Snapshot(); len(kv) != 0 {
-		t.Fatalf("an idle NI already reports %v", kv)
-	}
-	n.ctr[ctrTxData].Inc()
-	n.C.Inc("tx.data")
-	n.ctr[ctrTxBytes].Add(0)
-	n.C.Inc("test.other")
-	n.ctr[ctrRxNack+int(NackMoved)].Inc()
-	if n.C.Get("tx.data") != 2 || n.C.Get("rx.nack.moved") != 1 {
-		t.Fatalf("tx.data=%d rx.nack.moved=%d", n.C.Get("tx.data"), n.C.Get("rx.nack.moved"))
-	}
-	want := []string{"tx.data", "tx.bytes", "test.other", "rx.nack.moved"}
-	got := n.C.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("names %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i].Name != want[i] {
-			t.Fatalf("names %v, want %v (first-touch order, a zero Add included)", got, want)
-		}
-	}
-}
-
 // oracleWindow is msgWindow.mark as it was before the in-order fast path: the
 // map allocated with the window, every id inserted, looked up and deleted.
 // Kept only here.

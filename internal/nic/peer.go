@@ -60,7 +60,7 @@ func (n *NIC) freeChannel(dst netsim.NodeID) *channel {
 	for i := 0; i < n.cfg.Channels; i++ {
 		ch := &p.ch0
 		if i > 0 {
-			ch = p.chs.At(i)
+			ch = p.chs.At(i, n.cfg.Channels)
 		}
 		if ch.inflight == nil {
 			if ch.p == nil {
@@ -93,7 +93,7 @@ func (n *NIC) rxFor(pkt *wirePkt) *rxState {
 	p := n.peerFor(pkt.SrcNI)
 	st := &p.rx0
 	if pkt.Chan > 0 {
-		st = p.rxs.At(pkt.Chan)
+		st = p.rxs.At(pkt.Chan, n.cfg.Channels)
 	}
 	if st.epoch != pkt.Epoch {
 		st.reset(pkt.Epoch)

@@ -72,11 +72,11 @@ func (r *Registry) uniquify(name string) string {
 	return name
 }
 
-// AddCounters registers a counter set under prefix; each counter appears as
-// "prefix.name" in first-touch order (the order the code first incremented
-// them, which is deterministic per seed).
-func (r *Registry) AddCounters(prefix string, c *trace.Counters) {
-	if r == nil || c == nil {
+// AddCounters registers a counter set under prefix: a trace.Counters or a
+// layer's own (nic.Counters). Each counter appears as "prefix.name" in the
+// order the set's Snapshot lists it, which is deterministic per seed.
+func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []trace.CounterKV }) {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()

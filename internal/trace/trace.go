@@ -1,11 +1,14 @@
 // Package trace provides lightweight instrumentation for the simulated
-// cluster: named counters, duration histograms (used to show the bimodal
-// client latencies of §6.4.1), and per-interval timelines.
+// cluster: name-keyed counter sets, duration histograms (used to show the
+// bimodal client latencies of §6.4.1), and per-interval timelines. The NI
+// keeps its own counters as plain integers (nic.Counters) and shares only
+// CounterKV, the shape every counter snapshot takes.
 package trace
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,112 +16,35 @@ import (
 	"virtnet/internal/sim"
 )
 
-// Counters is a set of named monotonic counters. The simulation itself is
-// single-threaded, but observers (metric snapshots, daemon status queries)
-// may read from other goroutines, so access is mutex-guarded.
-//
-// A counter's value lives in its handle, and the set has one store: a map
-// from name to handle, plus (for NewCountersOver) a block of handles the
-// caller laid out itself. Inc/Add by name resolve the handle and go through
-// it, so a name and a handle never count apart.
+// Counters is a set of named monotonic counters, kept by name. The
+// simulation itself is single-threaded per shard, but observers (metric
+// snapshots, daemon status queries) may read from other goroutines, so
+// access is mutex-guarded. A layer whose counters only its own shard's
+// goroutine writes keeps them as plain integers instead (nic.Counters).
 type Counters struct {
 	mu sync.Mutex
-	// m holds the handles made by name; order lists every touched handle,
-	// from m or from fixed, in first-touch order.
-	m     map[string]*Counter
-	order []*Counter
-	// fixed is caller-owned storage for handles that never enter m.
-	fixed []Counter
-}
-
-// Counter is a handle on one counter of a set: a hot path resolves it once
-// and increments without hashing the name. A handle enters Names and
-// Snapshot at its first Inc or Add (of any amount, zero included), exactly
-// as a name does, so resolving handles up front adds no keys.
-type Counter struct {
-	set  *Counters
-	name string
-	n    int64
-	live bool
+	// kv holds every touched counter in first-touch order; m maps a name
+	// to its index in kv.
+	kv []CounterKV
+	m  map[string]int
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
-	return &Counters{m: make(map[string]*Counter)}
+	return &Counters{m: make(map[string]int)}
 }
 
-// NewCountersOver returns a counter set whose counters names[i] are the
-// handles[i] — storage the caller owns, typically an array inside the struct
-// that increments them, so a thousand such structs resolve their handles
-// without one allocation each. Any other name is made on demand as in
-// NewCounters. order is reserved for every fixed handle, so first touching
-// them during a run grows no slice.
-func NewCountersOver(names []string, handles []Counter) *Counters {
-	if len(names) != len(handles) {
-		panic("trace: NewCountersOver with mismatched names and handles")
-	}
-	c := NewCounters()
-	c.fixed = handles
-	c.order = make([]*Counter, 0, len(handles))
-	for i := range handles {
-		handles[i] = Counter{set: c, name: names[i]}
-	}
-	return c
-}
-
-// find returns the handle for name, or nil if none exists. Caller holds mu.
-func (c *Counters) find(name string) *Counter {
-	if h := c.m[name]; h != nil {
-		return h
-	}
-	for i := range c.fixed {
-		if c.fixed[i].name == name {
-			return &c.fixed[i]
-		}
-	}
-	return nil
-}
-
-// resolve is find, making the handle if needed. Caller holds mu.
-func (c *Counters) resolve(name string) *Counter {
-	h := c.find(name)
-	if h == nil {
-		h = &Counter{set: c, name: name}
-		c.m[name] = h
-	}
-	return h
-}
-
-// Counter returns the handle for name, creating it untouched if needed.
-func (c *Counters) Counter(name string) *Counter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resolve(name)
-}
-
-// add is Add with the set's lock held.
-func (h *Counter) add(n int64) {
-	if !h.live {
-		h.live = true
-		h.set.order = append(h.set.order, h)
-	}
-	h.n += n
-}
-
-// Add increments the counter by n.
-func (h *Counter) Add(n int64) {
-	h.set.mu.Lock()
-	h.add(n)
-	h.set.mu.Unlock()
-}
-
-// Inc increments the counter by one.
-func (h *Counter) Inc() { h.Add(1) }
-
-// Add increments counter name by n.
+// Add increments counter name by n. A counter enters Snapshot at its first
+// Add, of any amount, zero included.
 func (c *Counters) Add(name string, n int64) {
 	c.mu.Lock()
-	c.resolve(name).add(n)
+	i, ok := c.m[name]
+	if !ok {
+		i = len(c.kv)
+		c.m[name] = i
+		c.kv = append(c.kv, CounterKV{Name: name})
+	}
+	c.kv[i].Value += n
 	c.mu.Unlock()
 }
 
@@ -129,8 +55,8 @@ func (c *Counters) Inc(name string) { c.Add(name, 1) }
 func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if h := c.find(name); h != nil {
-		return h.n
+	if i, ok := c.m[name]; ok {
+		return c.kv[i].Value
 	}
 	return 0
 }
@@ -147,11 +73,7 @@ type CounterKV struct {
 func (c *Counters) Snapshot() []CounterKV {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CounterKV, 0, len(c.order))
-	for _, h := range c.order {
-		out = append(out, CounterKV{Name: h.name, Value: h.n})
-	}
-	return out
+	return slices.Clone(c.kv)
 }
 
 // Hist is a histogram over sim.Duration samples. It keeps every raw sample
