@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"virtnet/internal/container"
 	"virtnet/internal/core"
 	"virtnet/internal/fault"
 	"virtnet/internal/glunix"
@@ -132,7 +133,7 @@ func faultsRow(w io.Writer, p Params) error {
 		next                       uint64
 		replies                    map[uint64]int
 		pending                    map[uint64]sim.Time // unanswered serials and their last send time
-		retry                      []uint64
+		retry                      container.Deque[uint64]
 		inRetry                    map[uint64]bool
 		answered, returns, resends int
 		done                       bool
@@ -164,7 +165,7 @@ func faultsRow(w io.Writer, p Params) error {
 			cs.returns++
 			if cs.replies[s] == 0 && !cs.inRetry[s] {
 				cs.inRetry[s] = true
-				cs.retry = append(cs.retry, s)
+				cs.retry.Push(s)
 			}
 		})
 		ri := registry[cs.replica]
@@ -180,7 +181,7 @@ func faultsRow(w io.Writer, p Params) error {
 					for s := uint64(1); s < cs.next; s++ {
 						if cs.replies[s] == 0 && !cs.inRetry[s] {
 							cs.inRetry[s] = true
-							cs.retry = append(cs.retry, s)
+							cs.retry.Push(s)
 						}
 					}
 				}
@@ -196,13 +197,12 @@ func faultsRow(w io.Writer, p Params) error {
 				sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 				for _, s := range stale {
 					cs.inRetry[s] = true
-					cs.retry = append(cs.retry, s)
+					cs.retry.Push(s)
 				}
-				outstanding := int(cs.next-1) - cs.answered - len(cs.retry)
+				outstanding := int(cs.next-1) - cs.answered - cs.retry.Len()
 				switch {
-				case len(cs.retry) > 0:
-					s := cs.retry[0]
-					cs.retry = cs.retry[1:]
+				case cs.retry.Len() > 0:
+					s, _ := cs.retry.Pop()
 					delete(cs.inRetry, s)
 					if cs.replies[s] == 0 {
 						cs.resends++

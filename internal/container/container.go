@@ -1,8 +1,9 @@
-// Package container holds the two growable stores the stack shares: Chunks,
+// Package container holds the two stores the stack shares: Chunks,
 // per-index state made on first use whose elements never move, and Deque,
-// a FIFO whose storage is reused once warm. Both exist so that state is
-// sized by what is used rather than by a capacity, and so that steady-state
-// traffic allocates nothing.
+// the one FIFO type, whose storage is reused once warm. Chunks sizes state
+// by what is used rather than by a capacity; a Deque grows on demand or is
+// reserved once at a depth its owner bounds (the NI's endpoint queues). Both
+// exist so that steady-state traffic allocates nothing.
 package container
 
 import "math/bits"
@@ -41,7 +42,9 @@ func (s Chunks[T]) Get(i int) *T {
 // Deque is a growable FIFO. Unlike append/reslice on a plain slice — which
 // reallocates every time the consumed head catches up with capacity — the
 // circular buffer is reused indefinitely once warm, so steady-state queue
-// traffic allocates nothing. The zero value is an empty deque.
+// traffic allocates nothing. The zero value is an empty deque. A Deque has
+// no bound of its own: an owner with a protocol depth checks Len against it
+// before pushing.
 type Deque[T any] struct {
 	buf  []T
 	head int
@@ -51,12 +54,13 @@ type Deque[T any] struct {
 // Len returns the number of queued elements.
 func (d *Deque[T]) Len() int { return d.n }
 
-func (d *Deque[T]) grow() {
-	c := len(d.buf) * 2
-	if c == 0 {
-		c = 8
+// Reserve makes room for n elements, so that the deque holds up to n
+// without allocating again. It never shrinks the buffer.
+func (d *Deque[T]) Reserve(n int) {
+	if n <= len(d.buf) {
+		return
 	}
-	nb := make([]T, c)
+	nb := make([]T, n)
 	for i := 0; i < d.n; i++ {
 		nb[i] = d.buf[(d.head+i)%len(d.buf)]
 	}
@@ -66,7 +70,7 @@ func (d *Deque[T]) grow() {
 // Push appends v at the tail.
 func (d *Deque[T]) Push(v T) {
 	if d.n == len(d.buf) {
-		d.grow()
+		d.Reserve(max(8, 2*d.n))
 	}
 	d.buf[(d.head+d.n)%len(d.buf)] = v
 	d.n++
@@ -75,11 +79,20 @@ func (d *Deque[T]) Push(v T) {
 // PushFront prepends v, so a requeued element keeps its place in FIFO order.
 func (d *Deque[T]) PushFront(v T) {
 	if d.n == len(d.buf) {
-		d.grow()
+		d.Reserve(max(8, 2*d.n))
 	}
 	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
 	d.buf[d.head] = v
 	d.n++
+}
+
+// Peek returns the head element without removing it.
+func (d *Deque[T]) Peek() (T, bool) {
+	if d.n == 0 {
+		var zero T
+		return zero, false
+	}
+	return d.buf[d.head], true
 }
 
 // Pop removes and returns the head element, zeroing its slot so the deque

@@ -3,6 +3,7 @@ package container
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // TestChunksNeverMove: At makes the chunks up to the one holding its index
@@ -104,5 +105,109 @@ func TestDequeIsFIFO(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("a warm deque allocates %.1f times per cycle, want 0", avg)
+	}
+}
+
+// TestDequeBasics walks one reserved deque through Push, Peek, Pop and
+// PushFront, past its reservation, and pops the zero value when empty.
+func TestDequeBasics(t *testing.T) {
+	var d Deque[int]
+	d.Reserve(3)
+	if _, ok := d.Peek(); ok || d.Len() != 0 {
+		t.Fatal("a reserved deque is not empty")
+	}
+	for i := 1; i <= 4; i++ { // the fourth outgrows the reservation
+		d.Push(i)
+	}
+	if v, ok := d.Peek(); !ok || v != 1 || d.Len() != 4 {
+		t.Fatalf("peek = %d, %v with %d queued; want 1 of 4", v, ok, d.Len())
+	}
+	if v, _ := d.Pop(); v != 1 {
+		t.Fatalf("pop = %d, want 1", v)
+	}
+	d.PushFront(0)
+	for _, w := range []int{0, 2, 3, 4} {
+		if v, _ := d.Pop(); v != w {
+			t.Fatalf("pop = %d, want %d", v, w)
+		}
+	}
+	if v, ok := d.Pop(); ok || v != 0 || d.Len() != 0 {
+		t.Fatalf("pop from empty = %d, %v; want the zero value and false", v, ok)
+	}
+}
+
+// TestDequeProperty: a deque reserved at 8 behaves like a slice model under
+// any mix of Push, PushFront, Pop and Peek, within the reservation and past
+// it.
+func TestDequeProperty(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var d Deque[int]
+		d.Reserve(8)
+		var model []int
+		for next, op := range ops {
+			switch op % 4 {
+			case 0:
+				d.Push(next)
+				model = append(model, next)
+			case 1:
+				d.PushFront(next)
+				model = append([]int{next}, model...)
+			case 2:
+				v, ok := d.Pop()
+				if ok != (len(model) > 0) || ok && v != model[0] {
+					return false
+				}
+				if ok {
+					model = model[1:]
+				}
+			case 3:
+				v, ok := d.Peek()
+				if ok != (len(model) > 0) || ok && v != model[0] {
+					return false
+				}
+			}
+			if d.Len() != len(model) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReservedDequeAllocatesOnce: Reserve(n) is one allocation, after which
+// push/pop cycles of up to n elements, from either end, allocate nothing.
+func TestReservedDequeAllocatesOnce(t *testing.T) {
+	const n = 64
+	if avg := testing.AllocsPerRun(20, func() {
+		var d Deque[*int]
+		d.Reserve(n)
+	}); avg != 1 {
+		t.Fatalf("Reserve(%d) costs %.1f allocations, want 1", n, avg)
+	}
+	var d Deque[*int]
+	d.Reserve(n)
+	v := new(int)
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < n; i++ {
+			if i%3 == 0 {
+				d.PushFront(v)
+			} else {
+				d.Push(v)
+			}
+		}
+		for i := 0; i < n/2; i++ {
+			d.Pop()
+		}
+		for i := 0; i < n/2; i++ {
+			d.Push(v)
+		}
+		for d.Len() > 0 {
+			d.Pop()
+		}
+	}); avg != 0 {
+		t.Fatalf("cycles up to the reservation allocate %.1f times, want 0", avg)
 	}
 }

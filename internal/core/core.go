@@ -593,15 +593,15 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	}
 	ep.b.Node.Compute(p, sim.Duration(os))
 	ep.touchForWrite(p)
-	sq := ep.seg.EP.SendQ
+	sq := &ep.seg.EP.SendQ
 	if isReply {
-		sq = ep.seg.EP.RepSendQ
+		sq = &ep.seg.EP.RepSendQ
 	}
-	if sq.Full() && ep.b.C != nil {
+	if sq.Len() >= nic.SendQDepth && ep.b.C != nil {
 		ep.b.C.Inc("sendq_stall")
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
-	for sq.Full() {
+	for sq.Len() >= nic.SendQDepth {
 		if ep.moved && !isReply {
 			fl.Drop(obs.StageHostPost, "abort:moved", p.Now())
 			return ErrMoved

@@ -6,6 +6,7 @@ import (
 
 	"virtnet/internal/hostos"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
 )
 
@@ -186,6 +187,44 @@ func TestCreditWindowBlocks(t *testing.T) {
 	c.RunFor(sim.Second)
 	if sent != window+10 {
 		t.Fatalf("sent = %d, want %d (deadlocked on credits?)", sent, window+10)
+	}
+}
+
+// TestPostWaitsAtSendQDepth: a send queue holds nic.SendQDepth descriptors.
+// Behind a head whose destination host is dead and whose channels are all
+// taken, the post after the queue fills waits, counted once as a send-queue
+// stall, and the queue never passes its depth.
+func TestPostWaitsAtSendQDepth(t *testing.T) {
+	const dead = 2
+	c := newCluster(t, 3, nil)
+	c.EnableObs(obs.Options{})
+	c.NetFor(dead).SetHostLinkDown(dead, true)
+	b := Attach(c.Nodes[0])
+	w, err := b.NewEndpoint(10, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := c.Nodes[0].NIC.Config().RecvQDepth
+	for i := 0; i < 3; i++ { // three credit windows: more than the queue holds
+		w.Map(i, EndpointName{node: dead, ep: 9_000 + i}, 1)
+	}
+	sq := &w.Segment().EP.SendQ
+	posted, deepest := 0, 0
+	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
+		for i := 0; w.Request(p, i/window, 1, [4]uint64{}) == nil; i++ {
+			posted++
+			deepest = max(deepest, sq.Len())
+		}
+	})
+	// Well before the first retransmission timeout could unbind a message.
+	c.RunFor(5 * sim.Millisecond)
+	inflight := c.Nodes[0].NIC.Config().Channels
+	if posted != inflight+nic.SendQDepth || sq.Len() != nic.SendQDepth || deepest != nic.SendQDepth {
+		t.Fatalf("posted %d, queue %d (deepest %d); want %d posted and the queue at its depth %d",
+			posted, sq.Len(), deepest, inflight+nic.SendQDepth, nic.SendQDepth)
+	}
+	if got := b.C.Get("sendq_stall"); got != 1 {
+		t.Fatalf("sendq_stall = %d, want 1", got)
 	}
 }
 

@@ -530,22 +530,23 @@ func runBackoffWaits(p *sim.Proc, w *Endpoint, pl idlePlan, literal bool, tr *id
 	case waitSendQ:
 		// The dead host's head blocks the queue once its channels are taken;
 		// everything behind it piles up.
-		sq := w.Segment().EP.SendQ
+		sq := &w.Segment().EP.SendQ
+		full := func() bool { return sq.Len() >= nic.SendQDepth }
 		for _, idx := range []int{4, 0, 1} {
-			for !sq.Full() && w.Credits(idx) > 0 {
+			for !full() && w.Credits(idx) > 0 {
 				if send(idx) != nil {
 					return
 				}
 			}
 		}
-		if !sq.Full() {
+		if !full() {
 			return
 		}
 		if pl.sqDelay > 0 {
 			p.Sleep(pl.sqDelay)
 		}
 		tr.sqFrom = p.Now()
-		if wait(nic.PollHost, stallPollCap, func() bool { return !sq.Full() }) != nil {
+		if wait(nic.PollHost, stallPollCap, func() bool { return !full() }) != nil {
 			return
 		}
 		send(2)

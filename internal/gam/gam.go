@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 
+	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // NumHandlers is the handler table size per node.
@@ -74,17 +74,14 @@ type Node struct {
 	w        *World
 	id       int
 	handlers [NumHandlers]Handler
-	sendq    []*msg
-	recvq    []*msg
-	inbound  []*msg
+	sendq    container.Deque[*msg]
+	recvq    container.Deque[*msg]
+	inbound  container.Deque[*msg]
 	credits  []int
 	idle     *sim.Cond
 	stopped  bool
 	// pendingDeposit counts messages scheduled for visibility.
 	pendingDeposit int
-
-	// C counts messages.
-	C *trace.Counters
 }
 
 // World is a GAM parallel program instance spanning all hosts of a network.
@@ -104,7 +101,6 @@ func New(e *sim.Engine, net *netsim.Network) *World {
 			id:      i,
 			credits: make([]int, n),
 			idle:    new(sim.Cond),
-			C:       trace.NewCounters(),
 		}
 		for j := range nd.credits {
 			nd.credits[j] = credits
@@ -162,9 +158,8 @@ func (n *Node) send(p *sim.Proc, dst, h int, args [4]uint64, payload []byte, isR
 		cost = osBulk
 	}
 	p.Sleep(cost)
-	n.sendq = append(n.sendq, &msg{src: n.id, dst: dst, handler: h, isReply: isReply, args: args, payload: payload})
+	n.sendq.Push(&msg{src: n.id, dst: dst, handler: h, isReply: isReply, args: args, payload: payload})
 	n.idle.Signal()
-	n.C.Inc("tx")
 	return nil
 }
 
@@ -197,9 +192,11 @@ func (t *Token) replyImpl(p *sim.Proc, h int, args [4]uint64, payload []byte) er
 func (n *Node) Poll(p *sim.Proc) int {
 	p.Sleep(pollCost)
 	k := 0
-	for len(n.recvq) > 0 {
-		m := n.recvq[0]
-		n.recvq = n.recvq[1:]
+	for {
+		m, ok := n.recvq.Pop()
+		if !ok {
+			return k
+		}
 		k++
 		cost := orShort
 		if m.isReply {
@@ -216,13 +213,11 @@ func (n *Node) Poll(p *sim.Proc) int {
 			tok := &Token{n: n, src: m.src, replied: m.isReply}
 			h(p, tok, m.args, m.payload)
 		}
-		n.C.Inc("rx")
 	}
-	return k
 }
 
 func (n *Node) fromNetwork(pkt *netsim.Packet) {
-	n.inbound = append(n.inbound, pkt.Payload.(*msg))
+	n.inbound.Push(pkt.Payload.(*msg))
 	n.idle.Signal()
 }
 
@@ -231,28 +226,24 @@ func (n *Node) fromNetwork(pkt *netsim.Packet) {
 func (n *Node) loop(p *sim.Proc) {
 	for !n.stopped {
 		switch {
-		case len(n.inbound) > 0:
-			m := n.inbound[0]
-			n.inbound = n.inbound[1:]
+		case n.inbound.Len() > 0:
+			m, _ := n.inbound.Pop()
 			p.Sleep(recvCritical)
 			if len(m.payload) > 0 {
 				p.Sleep(recvExtra + dmaSetup + dmaTime(len(m.payload), sbusWriteBps))
 			}
-			if len(n.recvq)+n.pendingDeposit < queueDepth {
+			// GAM assumes the programmer's credits prevent overruns; a
+			// queue overflow silently drops.
+			if n.recvq.Len()+n.pendingDeposit < queueDepth {
 				n.pendingDeposit++
 				n.w.e.AfterFunc(deliverLatency, func() {
 					n.pendingDeposit--
-					n.recvq = append(n.recvq, m)
+					n.recvq.Push(m)
 				})
-			} else {
-				// GAM assumes the programmer's credits prevent overruns; a
-				// queue overflow silently drops (and is counted).
-				n.C.Inc("rx.overflow_drop")
 			}
 			p.Sleep(recvPost)
-		case len(n.sendq) > 0:
-			m := n.sendq[0]
-			n.sendq = n.sendq[1:]
+		case n.sendq.Len() > 0:
+			m, _ := n.sendq.Pop()
 			if len(m.payload) > 0 {
 				p.Sleep(dmaSetup + dmaTime(len(m.payload), sbusReadBps))
 			}

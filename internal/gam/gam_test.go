@@ -197,7 +197,7 @@ func TestGAMManyNodes(t *testing.T) {
 					w.Node(i).Request(p, j, 1, [4]uint64{})
 				}
 			}
-			for len(w.Node(i).recvq) > 0 || served[i] < 7 {
+			for w.Node(i).recvq.Len() > 0 || served[i] < 7 {
 				w.Node(i).Poll(p)
 				p.Sleep(2 * sim.Microsecond)
 			}
@@ -250,7 +250,7 @@ func TestGAMShortReplyPostIsFree(t *testing.T) {
 // visibleAt spins in 1 ns steps until node n holds more than k undelivered
 // messages and returns that instant: when the k+1-th message became visible.
 func visibleAt(p *sim.Proc, n *Node, k int) sim.Time {
-	for len(n.recvq) <= k {
+	for n.recvq.Len() <= k {
 		p.Sleep(1)
 	}
 	return p.Now()
@@ -344,16 +344,28 @@ func TestGAMBulkAndOccupancyTimeline(t *testing.T) {
 // that never polls: 80 go out, 64 queue, 16 drop.
 func TestGAMCreditsAndQueueDepth(t *testing.T) {
 	e, w := newWorld(t, 6)
+	sent := 0
 	for c := 1; c <= 5; c++ {
 		e.Spawn("client", func(p *sim.Proc) {
 			for i := 0; i < 17; i++ {
-				w.Node(c).Request(p, 0, 1, [4]uint64{})
+				if w.Node(c).Request(p, 0, 1, [4]uint64{}) == nil {
+					sent++
+				}
 			}
 		})
 	}
 	e.RunFor(10 * sim.Millisecond)
-	queued, dropped := len(w.Node(0).recvq), w.Node(0).C.Get("rx.overflow_drop")
-	if queued != 64 || dropped != 16 {
-		t.Fatalf("queued %d, dropped %d; want 64 and 16", queued, dropped)
+	for c := 1; c <= 5; c++ {
+		if n := w.Node(c); n.sendq.Len() > 0 {
+			t.Fatalf("client %d still holds %d sends", c, n.sendq.Len())
+		}
+	}
+	n := w.Node(0)
+	if n.inbound.Len() > 0 || n.pendingDeposit > 0 {
+		t.Fatalf("%d arrivals unhandled, %d deposits pending", n.inbound.Len(), n.pendingDeposit)
+	}
+	queued := n.recvq.Len()
+	if sent != 80 || queued != 64 {
+		t.Fatalf("sent %d, queued %d; want 80 and 64 (16 dropped)", sent, queued)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"virtnet/internal/container"
 	"virtnet/internal/hostos"
 	"virtnet/internal/sim"
 )
@@ -40,7 +41,7 @@ type Scheduler struct {
 	cluster *hostos.Cluster
 	e       *sim.Engine // the master's clock and job wake-ups
 	free    map[int]bool
-	queue   []*Job
+	queue   container.Deque[*Job]
 	nextID  int
 
 	// busy marks nodes currently allocated to a running job.
@@ -112,7 +113,7 @@ func (s *Scheduler) Submit(width int, fn JobFn) error {
 		Width: width,
 		fn:    fn,
 	}
-	s.queue = append(s.queue, j)
+	s.queue.Push(j)
 	s.dispatch()
 	return nil
 }
@@ -120,12 +121,12 @@ func (s *Scheduler) Submit(width int, fn JobFn) error {
 // dispatch launches queued jobs in FIFO order while partitions fit. FIFO
 // (no backfilling) keeps wide jobs from starving.
 func (s *Scheduler) dispatch() {
-	for len(s.queue) > 0 {
-		j := s.queue[0]
-		if len(s.free) < j.Width {
+	for {
+		j, ok := s.queue.Peek()
+		if !ok || len(s.free) < j.Width {
 			return
 		}
-		s.queue = s.queue[1:]
+		s.queue.Pop()
 		s.launch(j)
 	}
 }
@@ -221,13 +222,13 @@ func (s *Scheduler) requeue(j *Job) {
 	j.partition = nil
 	j.remaining = 0
 	s.Requeued++
-	s.queue = append([]*Job{j}, s.queue...)
+	s.queue.PushFront(j)
 }
 
 // Drain advances the cluster until all submitted jobs finish or maxTime
 // passes; it reports whether everything completed.
 func (s *Scheduler) Drain(maxTime sim.Duration) bool {
 	return s.cluster.RunUntilDone(sim.Millisecond, s.cluster.Now().Add(maxTime), func() bool {
-		return len(s.queue) == 0 && s.allocated == 0
+		return s.queue.Len() == 0 && s.allocated == 0
 	})
 }

@@ -73,7 +73,7 @@ func TestFIFOQueueingWhenFull(t *testing.T) {
 	}
 	s.Submit(2, timedJob(5*sim.Millisecond, &s2, &e2))
 	s.Submit(2, sleepJob(5*sim.Millisecond))
-	if len(s.queue) != 2 {
+	if s.queue.Len() != 2 {
 		t.Fatal("jobs not queued while cluster is full")
 	}
 	if !s.Drain(sim.Second) {

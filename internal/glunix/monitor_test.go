@@ -46,7 +46,7 @@ func TestMonitorDeclaresDeathAndRequeuesJobs(t *testing.T) {
 	c.Nodes[2].E.AfterFunc(20*sim.Millisecond, func() { c.Nodes[2].Crash() })
 
 	if !s.Drain(2 * sim.Second) {
-		t.Fatalf("jobs did not drain: queued=%d allocated=%d", len(s.queue), s.allocated)
+		t.Fatalf("jobs did not drain: queued=%d allocated=%d", s.queue.Len(), s.allocated)
 	}
 	if !mon.Dead(2) || !s.dead[2] {
 		t.Fatal("node 2 not declared dead")

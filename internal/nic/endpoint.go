@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
@@ -161,13 +162,19 @@ type EndpointImage struct {
 
 	// SendQ holds outgoing requests; RepSendQ holds outgoing replies.
 	// Keeping them separate preserves Active Messages' deadlock-freedom
-	// argument: reply progress never waits behind a stalled request.
-	SendQ    *ring[*SendDesc]
-	RepSendQ *ring[*SendDesc]
+	// argument: reply progress never waits behind a stalled request. Each
+	// holds at most SendQDepth descriptors: a host post waits while its
+	// queue is full, and the firmware's requeue refuses at the depth.
+	SendQ    container.Deque[*SendDesc]
+	RepSendQ container.Deque[*SendDesc]
 	// RecvQ holds incoming requests; RepQ holds replies and returned
 	// messages. The request queue depth is what user-level credits guard.
-	RecvQ *ring[*RecvMsg]
-	RepQ  *ring[*RecvMsg]
+	// Each holds at most recvDepth messages: the firmware NACKs a data
+	// packet for a full queue, and spills a return to retOverflow.
+	RecvQ container.Deque[*RecvMsg]
+	RepQ  container.Deque[*RecvMsg]
+	// recvDepth bounds RecvQ and RepQ.
+	recvDepth int
 
 	// EventArmed marks that a host thread wants a wakeup on arrival
 	// (endpoint event mask, §3.3). The NI calls DriverPort.Notify.
@@ -214,7 +221,7 @@ type EndpointImage struct {
 	// lose the §3.2 undeliverable event and leak the request's credit. The
 	// list empties whenever the host polls (it is part of the image, so it
 	// travels across residency transitions and migrations).
-	retOverflow []*RecvMsg
+	retOverflow container.Deque[*RecvMsg]
 
 	// seen tracks delivered MsgIDs per source endpoint for end-to-end
 	// duplicate suppression. It is part of the endpoint image (it moves
@@ -300,17 +307,17 @@ func (w *msgWindow) mark(id uint64) {
 }
 
 // NewEndpointImage allocates an endpoint image with SendQDepth-deep send
-// queues and recvDepth-deep receive queues.
+// queues and recvDepth-deep receive queues. Each queue is reserved at its
+// depth, exactly as the LANai endpoint frames held fixed arrays of message
+// descriptors, so a queue never allocates once made and never holds more
+// than its depth.
 func NewEndpointImage(id int, node netsim.NodeID, recvDepth int) *EndpointImage {
-	return &EndpointImage{
-		ID:       id,
-		Node:     node,
-		Frame:    -1,
-		SendQ:    newRing[*SendDesc](SendQDepth),
-		RepSendQ: newRing[*SendDesc](SendQDepth),
-		RecvQ:    newRing[*RecvMsg](recvDepth),
-		RepQ:     newRing[*RecvMsg](recvDepth),
-	}
+	ep := &EndpointImage{ID: id, Node: node, Frame: -1, recvDepth: recvDepth}
+	ep.SendQ.Reserve(SendQDepth)
+	ep.RepSendQ.Reserve(SendQDepth)
+	ep.RecvQ.Reserve(recvDepth)
+	ep.RepQ.Reserve(recvDepth)
+	return ep
 }
 
 // Resident reports whether the NI can service the endpoint.
@@ -324,16 +331,25 @@ func (ep *EndpointImage) Inflight() int { return ep.inflight }
 func (ep *EndpointImage) PendingSends() int { return ep.SendQ.Len() + ep.RepSendQ.Len() }
 
 // sendQueueFor returns the queue a descriptor belongs to.
-func (ep *EndpointImage) sendQueueFor(d *SendDesc) *ring[*SendDesc] {
+func (ep *EndpointImage) sendQueueFor(d *SendDesc) *container.Deque[*SendDesc] {
 	if d.IsReply {
-		return ep.RepSendQ
+		return &ep.RepSendQ
 	}
-	return ep.SendQ
+	return &ep.SendQ
+}
+
+// recvQueueFor returns the queue an incoming message of the given kind is
+// deposited in.
+func (ep *EndpointImage) recvQueueFor(isReply bool) *container.Deque[*RecvMsg] {
+	if isReply {
+		return &ep.RepQ
+	}
+	return &ep.RecvQ
 }
 
 // PendingRecvs reports queued incoming requests plus replies.
 func (ep *EndpointImage) PendingRecvs() int {
-	return ep.RecvQ.Len() + ep.RepQ.Len() + len(ep.retOverflow)
+	return ep.RecvQ.Len() + ep.RepQ.Len() + ep.retOverflow.Len()
 }
 
 // NextVisible reports the earliest time at which PopRecv would return a
@@ -343,8 +359,8 @@ func (ep *EndpointImage) NextVisible() (t sim.Time, ok bool) {
 	if m, has := ep.RepQ.Peek(); has {
 		t, ok = m.Visible, true
 	}
-	if len(ep.retOverflow) > 0 && (!ok || ep.retOverflow[0].Visible < t) {
-		t, ok = ep.retOverflow[0].Visible, true
+	if m, has := ep.retOverflow.Peek(); has && (!ok || m.Visible < t) {
+		t, ok = m.Visible, true
 	}
 	if m, has := ep.RecvQ.Peek(); has && (!ok || m.Visible < t) {
 		t, ok = m.Visible, true
@@ -360,9 +376,8 @@ func (ep *EndpointImage) PopRecv(now sim.Time) (*RecvMsg, bool) {
 		ep.RepQ.Pop()
 		return m, true
 	}
-	if len(ep.retOverflow) > 0 && ep.retOverflow[0].Visible <= now {
-		m := ep.retOverflow[0]
-		ep.retOverflow = ep.retOverflow[1:]
+	if m, ok := ep.retOverflow.Peek(); ok && m.Visible <= now {
+		ep.retOverflow.Pop()
 		return m, true
 	}
 	if m, ok := ep.RecvQ.Peek(); ok && m.Visible <= now {

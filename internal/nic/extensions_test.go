@@ -52,7 +52,7 @@ func TestAdaptiveTimeoutAvoidsSpuriousRetransmissions(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			r.e.RunFor(sim.Millisecond)
 			for {
-				if dst.RecvQ.Pop() == nil {
+				if _, ok := dst.RecvQ.Pop(); !ok {
 					break
 				}
 			}
@@ -88,7 +88,7 @@ func TestPiggybackAcksReduceControlPackets(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			r.e.RunFor(sim.Millisecond)
 			for {
-				m := b.RecvQ.Pop()
+				m, _ := b.RecvQ.Pop()
 				if m == nil {
 					break
 				}
@@ -98,7 +98,7 @@ func TestPiggybackAcksReduceControlPackets(t *testing.T) {
 				r.nics[1].PostSend()
 			}
 			for {
-				if a.RepQ.Pop() == nil {
+				if _, ok := a.RepQ.Pop(); !ok {
 					break
 				}
 				delivered++
@@ -175,7 +175,7 @@ func TestExtensionsExactlyOnceUnderDrops(t *testing.T) {
 	for step := 0; step < 4000 && len(got) < N; step++ {
 		e.RunFor(sim.Millisecond)
 		for {
-			m := dst.RecvQ.Pop()
+			m, _ := dst.RecvQ.Pop()
 			if m == nil {
 				break
 			}
@@ -206,7 +206,7 @@ func TestPiggyAckCost(t *testing.T) {
 		sent := r.e.Now()
 		r.send(1, b, &SendDesc{DstNI: 0, DstEP: 1, Key: 1, Handler: 2, IsReply: true})
 		r.e.RunFor(sim.Millisecond)
-		m := a.RepQ.Pop()
+		m, _ := a.RepQ.Pop()
 		if m == nil {
 			t.Fatal("reply not delivered")
 		}
@@ -216,7 +216,7 @@ func TestPiggyAckCost(t *testing.T) {
 	// posted within it carries the ack.
 	r.send(0, a, &SendDesc{DstNI: 1, DstEP: 2, Key: 2, Handler: 1})
 	r.e.RunFor(20 * sim.Microsecond)
-	if b.RecvQ.Pop() == nil {
+	if _, ok := b.RecvQ.Pop(); !ok {
 		t.Fatal("request not delivered within 20us")
 	}
 	carrying, n1 := reply()

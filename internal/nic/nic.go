@@ -605,11 +605,11 @@ func (n *NIC) runWork(w workItem) {
 // sendable returns the queue whose head descriptor can be serviced now
 // (replies preferred) and the free channel it would go on, or nil. If a head
 // is in backoff, a wakeup is scheduled for when it becomes ready.
-func (n *NIC) sendable(ep *EndpointImage) (*ring[*SendDesc], *channel) {
+func (n *NIC) sendable(ep *EndpointImage) (*container.Deque[*SendDesc], *channel) {
 	if ep.State != EPResident {
 		return nil, nil
 	}
-	for _, q := range [2]*ring[*SendDesc]{ep.RepSendQ, ep.SendQ} {
+	for _, q := range [2]*container.Deque[*SendDesc]{&ep.RepSendQ, &ep.SendQ} {
 		d, ok := q.Peek()
 		if !ok {
 			continue
@@ -684,9 +684,9 @@ func (n *NIC) advanceWRR() {
 // channel sendable found for it (nothing in between takes or frees a
 // channel: OnSendSpace runs no firmware): the descriptor is staging until
 // injectSend puts it on the wire.
-func (n *NIC) sendOne(ep *EndpointImage, q *ring[*SendDesc], ch *channel) {
-	full := q.Full()
-	d := q.Pop()
+func (n *NIC) sendOne(ep *EndpointImage, q *container.Deque[*SendDesc], ch *channel) {
+	full := q.Len() >= SendQDepth
+	d, _ := q.Pop()
 	if full && ep.OnSendSpace != nil {
 		ep.OnSendSpace()
 	}
@@ -900,9 +900,11 @@ func (n *NIC) requeue(d *SendDesc) bool {
 	if d.NextTry > n.e.Now() {
 		n.e.AfterFuncAt(d.NextTry, n.wakeFn)
 	}
-	if !ep.sendQueueFor(d).PushFront(d) {
+	q := ep.sendQueueFor(d)
+	if q.Len() >= SendQDepth {
 		return false
 	}
+	q.PushFront(d)
 	if ep.State == EPHost && n.driver != nil && !n.requested[ep.ID] {
 		n.requested[ep.ID] = true
 		n.clock++
@@ -935,11 +937,13 @@ func (n *NIC) returnToSender(d *SendDesc, reason NackReason) {
 	msg.Key = d.Key
 	msg.Arrive = n.e.Now()
 	msg.Visible = n.e.Now()
-	if !ep.RepQ.Push(msg) {
-		// The reply ring is full (the host is not polling — e.g. the
+	if ep.RepQ.Len() < ep.recvDepth {
+		ep.RepQ.Push(msg)
+	} else {
+		// The reply queue is full (the host is not polling — e.g. the
 		// endpoint is frozen for migration). Spill to the host-memory
 		// overflow list rather than dropping the undeliverable event.
-		ep.retOverflow = append(ep.retOverflow, msg)
+		ep.retOverflow.Push(msg)
 		n.C.add(ctrRtsOverflow, 1)
 	}
 	n.C.add(ctrRtsDelivered, 1)
@@ -1047,24 +1051,19 @@ func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 		n.C.add(ctrRxE2EDup, 1)
 		return nil, pktAck, NackNone
 	}
-	q := ep.RecvQ
-	if pkt.IsReply {
-		q = ep.RepQ
-	}
-	if q.Full() {
+	if ep.recvQueueFor(pkt.IsReply).Len() >= ep.recvDepth {
 		return nil, pktNack, NackOverrun
 	}
 	return ep, pktAck, NackNone
 }
 
 // deposit puts the data packet in hand into its endpoint's receive queue
-// and acknowledges it.
+// and acknowledges it. accept found room in that queue, and it still has
+// room: only firmware actions (deposit, returnToSender) push to a receive
+// queue, and none runs between accept and here, since the payload DMA holds
+// the firmware and a reboot or crash halts the action instead.
 func (n *NIC) deposit() {
 	pkt, ep := n.pkt, n.rxEP
-	q := ep.RecvQ
-	if pkt.IsReply {
-		q = ep.RepQ
-	}
 	msg := n.allocMsg()
 	msg.SrcNI = pkt.SrcNI
 	msg.SrcEP = pkt.SrcEP
@@ -1082,7 +1081,7 @@ func (n *NIC) deposit() {
 		fl.Mark(obs.StageRemoteNI, n.e.Now())
 		msg.Flight = fl
 	}
-	q.Push(msg)
+	ep.recvQueueFor(pkt.IsReply).Push(msg)
 	if pkt.MsgID != 0 {
 		ep.MarkMsg(pkt.SrcEP, pkt.MsgID)
 	}

@@ -37,7 +37,7 @@ func TestNackRequeueRedeliverAllocFree(t *testing.T) {
 	cycle := func() {
 		send()
 		r.e.RunFor(50 * sim.Microsecond)
-		m := dst.RecvQ.Pop()
+		m, _ := dst.RecvQ.Pop()
 		if m == nil || m.Args[0] != popped+1 {
 			t.Fatalf("popped %+v, want message %d", m, popped+1)
 		}

@@ -32,7 +32,7 @@ func TestFirstContactAllocatesOneRecord(t *testing.T) {
 		r.e.RunFor(sim.Millisecond)
 	}
 	deliver := func(k int) {
-		m := dsts[k].RecvQ.Pop()
+		m, _ := dsts[k].RecvQ.Pop()
 		if m == nil {
 			t.Fatalf("NI %d: no delivery", k)
 		}

@@ -30,7 +30,7 @@ func TestInboundPoolOverrunNacks(t *testing.T) {
 	for step := 0; step < 3000 && len(got) < 3*per; step++ {
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m := dst.RecvQ.Pop()
+			m, _ := dst.RecvQ.Pop()
 			if m == nil {
 				break
 			}
@@ -139,7 +139,7 @@ func TestReconfigurationMaskedByChannelRebind(t *testing.T) {
 		}
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m := dst.RecvQ.Pop()
+			m, _ := dst.RecvQ.Pop()
 			if m == nil {
 				break
 			}
@@ -203,7 +203,7 @@ func TestExactlyOnceUnderPoolPressureProperty(t *testing.T) {
 		for step := 0; step < 4000 && len(got) < 4*per; step++ {
 			e.RunFor(sim.Millisecond)
 			for {
-				m := dst.RecvQ.Pop()
+				m, _ := dst.RecvQ.Pop()
 				if m == nil {
 					break
 				}
@@ -269,7 +269,7 @@ func TestPiggybackWithPoolOverrun(t *testing.T) {
 	for step := 0; step < 2000 && len(got) < 2*per; step++ {
 		r.e.RunFor(sim.Millisecond)
 		for {
-			m := dst.RecvQ.Pop()
+			m, _ := dst.RecvQ.Pop()
 			if m == nil {
 				break
 			}
@@ -312,7 +312,7 @@ func TestAdaptiveTimeoutSurvivesSpineFlap(t *testing.T) {
 		}
 		r.e.RunFor(sim.Millisecond)
 		for {
-			if dst.RecvQ.Pop() == nil {
+			if _, ok := dst.RecvQ.Pop(); !ok {
 				break
 			}
 			got++

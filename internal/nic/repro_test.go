@@ -42,7 +42,7 @@ func TestExactlyOnceAfterReturn(t *testing.T) {
 	for step := 0; step < 4000 && len(got) < n; step++ {
 		e.RunFor(sim.Millisecond)
 		for {
-			m := dst.RecvQ.Pop()
+			m, _ := dst.RecvQ.Pop()
 			if m == nil {
 				break
 			}

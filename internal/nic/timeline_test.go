@@ -128,9 +128,11 @@ func (tl *timeline) post(host int, src, dst *EndpointImage, a uint64, size int, 
 
 func (tl *timeline) postDesc(host int, src *EndpointImage, d *SendDesc) {
 	d.SrcEP = src.ID
-	if !src.sendQueueFor(d).Push(d) {
+	q := src.sendQueueFor(d)
+	if q.Len() >= SendQDepth {
 		panic("send queue full in timeline")
 	}
+	q.Push(d)
 	tl.nics[host].PostSend()
 }
 

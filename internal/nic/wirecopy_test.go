@@ -82,7 +82,7 @@ func TestLateDuplicateKeepsItsOwnSeq(t *testing.T) {
 	r.e.RunFor(5 * sim.Millisecond)
 
 	for i := 1; i <= N; i++ {
-		m := dst.RecvQ.Pop()
+		m, _ := dst.RecvQ.Pop()
 		if m == nil || m.Args[0] != uint64(i) {
 			t.Fatalf("message %d: got %+v, want each once and in order", i, m)
 		}
@@ -140,7 +140,7 @@ func TestDeliveryCompletesTheFlightOfItsOwnCopy(t *testing.T) {
 	if len(arrivals) != 2 || seqs[0] != seqs[1] {
 		t.Fatalf("arrivals %v seqs %v: want the corrupted copy and one retransmission of the same attempt", arrivals, seqs)
 	}
-	m := dst.RecvQ.Pop()
+	m, _ := dst.RecvQ.Pop()
 	if m == nil || dst.RecvQ.Len() != 0 {
 		t.Fatalf("delivered %v extra=%d, want exactly one", m != nil, dst.RecvQ.Len())
 	}

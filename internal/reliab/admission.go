@@ -1,6 +1,9 @@
 package reliab
 
-import "virtnet/internal/sim"
+import (
+	"virtnet/internal/container"
+	"virtnet/internal/sim"
+)
 
 // AdmitItem is one queued unit of work awaiting execution.
 type AdmitItem struct {
@@ -16,7 +19,7 @@ type AdmitItem struct {
 // the staleness of everything the server executes — finite under overload.
 type AdmitQueue struct {
 	max   int
-	items []AdmitItem
+	items container.Deque[AdmitItem]
 	m     *Metrics
 }
 
@@ -33,37 +36,30 @@ func NewAdmitQueue(max int, m *Metrics) *AdmitQueue {
 // evicted to make room (the caller NACKs their clients) and whether the
 // arrival itself was admitted; ok=false is the overload signal.
 func (q *AdmitQueue) Admit(now sim.Time, ctx Ctx, v interface{}) (evicted []AdmitItem, ok bool) {
-	if len(q.items) >= q.max {
-		kept := q.items[:0]
-		for _, it := range q.items {
+	if q.items.Len() >= q.max {
+		// One pass around the queue: expired entries leave, the rest go
+		// back to the tail in arrival order.
+		for range q.items.Len() {
+			it, _ := q.items.Pop()
 			if it.Ctx.Expired(now) {
 				q.m.Inc("shed")
 				evicted = append(evicted, it)
 				continue
 			}
-			kept = append(kept, it)
+			q.items.Push(it)
 		}
-		q.items = kept
 	}
-	if len(q.items) >= q.max {
+	if q.items.Len() >= q.max {
 		return evicted, false
 	}
-	q.items = append(q.items, AdmitItem{Ctx: ctx, V: v})
+	q.items.Push(AdmitItem{Ctx: ctx, V: v})
 	return evicted, true
 }
 
 // Pop removes and returns the oldest queued item. The caller re-checks the
 // item's deadline at execution time — admission keeps the queue short, it
 // does not promise freshness.
-func (q *AdmitQueue) Pop() (AdmitItem, bool) {
-	if len(q.items) == 0 {
-		return AdmitItem{}, false
-	}
-	it := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	return it, true
-}
+func (q *AdmitQueue) Pop() (AdmitItem, bool) { return q.items.Pop() }
 
 // Len reports the queue depth.
-func (q *AdmitQueue) Len() int { return len(q.items) }
+func (q *AdmitQueue) Len() int { return q.items.Len() }

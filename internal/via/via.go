@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 
+	"virtnet/internal/container"
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/nic"
@@ -66,7 +67,7 @@ func (n *NIC) RegisterMemory(buf []byte) MemHandle {
 // CQ is a completion queue; several VIs may direct completions to one CQ,
 // giving a central place to poll (§7).
 type CQ struct {
-	entries []Completion
+	entries container.Deque[Completion]
 }
 
 // Completion describes one finished descriptor.
@@ -79,14 +80,7 @@ type Completion struct {
 func NewCQ() *CQ { return &CQ{} }
 
 // Poll removes and returns the oldest completion, if any.
-func (cq *CQ) Poll() (Completion, bool) {
-	if len(cq.entries) == 0 {
-		return Completion{}, false
-	}
-	c := cq.entries[0]
-	cq.entries = cq.entries[1:]
-	return c, true
-}
+func (cq *CQ) Poll() (Completion, bool) { return cq.entries.Pop() }
 
 // VI is one endpoint of a point-to-point virtual interface.
 type VI struct {
@@ -95,7 +89,7 @@ type VI struct {
 	connected bool
 	sendCQ    *CQ
 	recvCQ    *CQ
-	recvQ     [][]byte // posted receive buffers, oldest first
+	recvQ     container.Deque[[]byte] // posted receive buffers, oldest first
 
 	// Bounced sends (§3.2 return-to-sender) are retried on a budget-gated
 	// exponential-backoff schedule; once it is exhausted the descriptor
@@ -138,7 +132,7 @@ func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [
 	if vi.retry.Bounce(p.Now(), mh, reason, vi.budget, send) == reliab.Parked {
 		return
 	}
-	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{Length: -1})
+	vi.sendCQ.entries.Push(Completion{Length: -1})
 }
 
 // Addr returns the VI's connection address.
@@ -161,7 +155,7 @@ func (vi *VI) PostRecv(h MemHandle) error {
 	if !ok {
 		return ErrNotReg
 	}
-	vi.recvQ = append(vi.recvQ, buf)
+	vi.recvQ.Push(buf)
 	return nil
 }
 
@@ -185,20 +179,19 @@ func (vi *VI) PostSend(p *sim.Proc, h MemHandle, length int) error {
 // posted descriptor is dropped with an error completion, as the VIA
 // specifies (its reliability classes push that problem to the application).
 func (vi *VI) onRecv(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-	if len(vi.recvQ) == 0 {
-		vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{IsRecv: true, Length: -1})
+	buf, ok := vi.recvQ.Pop()
+	if !ok {
+		vi.recvCQ.entries.Push(Completion{IsRecv: true, Length: -1})
 		tok.Reply(p, hAck, [4]uint64{args[0]})
 		return
 	}
-	n := copy(vi.recvQ[0], payload)
-	vi.recvQ = vi.recvQ[1:]
-	vi.recvCQ.entries = append(vi.recvCQ.entries, Completion{IsRecv: true, Length: n})
+	vi.recvCQ.entries.Push(Completion{IsRecv: true, Length: copy(buf, payload)})
 	tok.Reply(p, hAck, [4]uint64{args[0]})
 }
 
 func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
 	vi.retry.Forget(MemHandle(args[0]))
-	vi.sendCQ.entries = append(vi.sendCQ.entries, Completion{})
+	vi.sendCQ.entries.Push(Completion{})
 }
 
 // Poll services the VI's backing endpoint so handlers (and therefore

@@ -35,7 +35,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 	done := false
 	c.Nodes[1].Spawn("recv", func(p *sim.Proc) {
 		vb.PostRecv(dst)
-		for len(cqBr.entries) == 0 {
+		for cqBr.entries.Len() == 0 {
 			vb.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -49,7 +49,7 @@ func TestSendRecvThroughVI(t *testing.T) {
 		if err := va.PostSend(p, src, 12); err != nil {
 			t.Errorf("send: %v", err)
 		}
-		for len(cqA.entries) == 0 {
+		for cqA.entries.Len() == 0 {
 			va.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -97,7 +97,7 @@ func TestRecvWithoutDescriptorIsErrorCompletion(t *testing.T) {
 	var comp Completion
 	got := false
 	c.Nodes[1].Spawn("recv", func(p *sim.Proc) {
-		for len(cqBr.entries) == 0 {
+		for cqBr.entries.Len() == 0 {
 			vb.Poll(p)
 			p.Sleep(5 * sim.Microsecond)
 		}
@@ -161,7 +161,7 @@ func TestSharedCompletionQueue(t *testing.T) {
 		c.Nodes[i+1].Spawn("peer", func(p *sim.Proc) {
 			h := prov.RegisterMemory([]byte("hello-from-peer"))
 			v.PostSend(p, h, 15)
-			for len(v.sendCQ.entries) == 0 {
+			for v.sendCQ.entries.Len() == 0 {
 				v.Poll(p)
 				p.Sleep(5 * sim.Microsecond)
 			}
@@ -272,7 +272,7 @@ func TestBouncedSendCompletesInError(t *testing.T) {
 			t.Errorf("send: %v", err)
 			return
 		}
-		for len(cqA.entries) == 0 {
+		for cqA.entries.Len() == 0 {
 			va.Poll(p)
 			p.Sleep(50 * sim.Microsecond)
 		}
