@@ -135,7 +135,6 @@ type Driver struct {
 	C *trace.Counters
 
 	crashed bool
-	stopped bool
 }
 
 // NewDriver creates the segment driver for node id and wires it to n.
@@ -155,12 +154,6 @@ func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver 
 	n.SetDriver(d)
 	d.proc = e.Spawn(fmt.Sprintf("segdrv%d", id), d.remapLoop)
 	return d
-}
-
-// Stop halts the background thread (tests).
-func (d *Driver) Stop() {
-	d.stopped = true
-	d.remapCond.Broadcast()
 }
 
 // Crash drops the driver's entire state with its host. Every segment is
@@ -419,12 +412,12 @@ func (d *Driver) queueRemap(seg *Segment) {
 // operation — a software-initiated page fault — which funnels into the same
 // remap mechanism. Runs in NI context; it must only enqueue.
 func (d *Driver) RequestResident(ep *nic.EndpointImage, stamp uint64) {
-	now := d.tick(stamp)
+	d.tick(stamp)
 	seg, ok := d.segs[ep.ID]
 	if !ok || seg.freed || seg.migrating {
-		// The free "happened before" this request resolved (or raced it);
-		// the logical clock lets us discard it deterministically (§4.3).
-		_ = now
+		// The free "happened before" this request resolved (or raced it),
+		// and the freed and migrating flags discard it (§4.3); the stamp
+		// only advances the driver's logical clock.
 		d.C.Inc("remap.stale_request")
 		return
 	}
@@ -530,12 +523,9 @@ func (d *Driver) pickVictim() *Segment {
 // requests: it evicts a victim if necessary, uploads the endpoint image to
 // an NI frame, and updates the segment state (§4.2).
 func (d *Driver) remapLoop(p *sim.Proc) {
-	for !d.stopped {
+	for {
 		for d.remapQ.Len() == 0 {
 			d.remapCond.Wait(p)
-			if d.stopped {
-				return
-			}
 		}
 		seg, _ := d.remapQ.Pop()
 		if seg.freed || seg.migrating || seg.Resident() {

@@ -244,7 +244,6 @@ func (c *Cluster) NetTotals() (sent, delivered, dropped, corrupted int64) {
 func (c *Cluster) Shutdown() {
 	for _, n := range c.Nodes {
 		n.NIC.Stop()
-		n.Driver.Stop()
 	}
 	c.Coord.Shutdown()
 }

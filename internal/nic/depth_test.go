@@ -66,6 +66,42 @@ func TestFullReplyQueueSpillsReturns(t *testing.T) {
 	}
 }
 
+// TestSpilledReturnsPopBeforeLaterOnes: once the host pops from a full
+// reply queue, a later return lands in the queue behind returns that
+// spilled earlier, and the host still pops every return in the order they
+// became visible.
+func TestSpilledReturnsPopBeforeLaterOnes(t *testing.T) {
+	r := newRig(t, 2, 1, nil, nil)
+	defer r.shutdown()
+	src := r.newShallowEP(t, 0, 100, 7, 2)
+	ret := func(i int) { // endpoint 555 does not exist: the message returns
+		r.send(0, src, &SendDesc{DstNI: 1, DstEP: 555, Key: 9, Handler: 2, Args: [4]uint64{uint64(i)}})
+		r.e.RunFor(20 * sim.Millisecond)
+	}
+	pop := func(want int) {
+		t.Helper()
+		next, ok := src.NextVisible()
+		m, _ := src.PopRecv(r.e.Now())
+		if !ok || m == nil || m.Visible != next || !m.IsReturn || m.Args[0] != uint64(want) {
+			t.Fatalf("pop: %+v (next visible %v, %v), want the return of %d", m, next, ok, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		ret(i)
+	}
+	if src.RepQ.Len() != 2 || src.retOverflow.Len() != 1 {
+		t.Fatalf("reply queue %d, overflow %d; want 2 and 1", src.RepQ.Len(), src.retOverflow.Len())
+	}
+	pop(0)
+	ret(3)
+	for _, want := range []int{1, 2, 3} {
+		pop(want)
+	}
+	if m, ok := src.PopRecv(r.e.Now()); ok {
+		t.Fatalf("a fifth message: %+v", m)
+	}
+}
+
 // TestRequeueRefusesAtSendQDepth: a NACKed message whose send queue filled
 // while it was on the wire cannot go back to the head of the queue; it
 // returns to its sender and the queue stays at its depth.

@@ -370,14 +370,17 @@ func (ep *EndpointImage) NextVisible() (t sim.Time, ok bool) {
 
 // PopRecv dequeues the next received message visible at time now,
 // preferring replies (they carry completion credits and handlers expect
-// them promptly).
+// them promptly). Of the reply queue and the returns spilled past it, the
+// head that became visible first goes first, as in NextVisible.
 func (ep *EndpointImage) PopRecv(now sim.Time) (*RecvMsg, bool) {
-	if m, ok := ep.RepQ.Peek(); ok && m.Visible <= now {
-		ep.RepQ.Pop()
-		return m, true
+	rep := &ep.RepQ
+	if m, ok := ep.retOverflow.Peek(); ok {
+		if r, has := rep.Peek(); !has || m.Visible < r.Visible {
+			rep = &ep.retOverflow
+		}
 	}
-	if m, ok := ep.retOverflow.Peek(); ok && m.Visible <= now {
-		ep.retOverflow.Pop()
+	if m, ok := rep.Peek(); ok && m.Visible <= now {
+		rep.Pop()
 		return m, true
 	}
 	if m, ok := ep.RecvQ.Peek(); ok && m.Visible <= now {

@@ -229,9 +229,33 @@ func TestCoordinatorWindowStretching(t *testing.T) {
 	}
 }
 
-// TestNextEventBound pins the exactness contract: exact for level-0 and
-// heap events, a safe lower bound (never past the true head) for higher
-// wheel levels.
+// TestCoordinatorCrossesFarIdleGaps checks that an idle gap of seconds to
+// days costs a handful of barriers: a window ends one lookahead past the
+// frame start NextEventBound gives, inside the event's slot, so the clock
+// reaching it moves the event at least one wheel level down, and no gap
+// takes more than one barrier per level plus the one that fires it.
+func TestCoordinatorCrossesFarIdleGaps(t *testing.T) {
+	const W = 100
+	for _, at := range []Time{1<<32 + 777, 1<<40 + 12_345, 1<<50 + 98_765} {
+		c := NewCoordinator(1, 2, W)
+		var fired []Time
+		e := c.Engine(1)
+		e.AfterFuncAt(at, func() { fired = append(fired, e.Now()) })
+		c.RunUntil(at)
+		barriers, _ := c.ExchangeStats()
+		c.Shutdown()
+		if len(fired) != 1 || fired[0] != at {
+			t.Fatalf("event at %d fired at %v", at, fired)
+		}
+		if barriers > wheelLevels+1 {
+			t.Fatalf("event at %d took %d barriers, want at most %d", at, barriers, wheelLevels+1)
+		}
+	}
+}
+
+// TestNextEventBound pins the exactness contract: exact for level-0 events,
+// a safe lower bound (never before the clock, never past the true head) for
+// events on higher wheel levels, however far out.
 func TestNextEventBound(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -243,12 +267,11 @@ func TestNextEventBound(t *testing.T) {
 		t.Fatalf("level-0 bound = %d ok=%v, want exact 37", b, ok)
 	}
 	e.RunUntil(37)
-	// A far event (beyond the wheel horizon) sits in the overflow heap:
-	// exact again.
+	// A far event sits on level 5: the bound is its slot's frame start.
 	far := e.Now().Add(1 << 40)
 	e.AfterFuncAt(far, func() {})
-	if b, ok := e.NextEventBound(); !ok || b != far {
-		t.Fatalf("heap bound = %d ok=%v, want exact %d", b, ok, far)
+	if b, ok := e.NextEventBound(); !ok || b > far || b < e.Now() {
+		t.Fatalf("far bound = %d ok=%v, want now <= b <= %d", b, ok, far)
 	}
 	e.RunUntil(far)
 	// A mid-range event lands on a higher wheel level: the bound may

@@ -9,17 +9,16 @@
 // simulated state needs no locking and every run is bit-reproducible for a
 // given seed.
 //
-// Events are kept in a hierarchical timer wheel (four levels of 256 slots,
-// 8 bits of virtual time each) with an overflow min-heap for events beyond
-// the wheel horizon (~4.3 virtual seconds out). Event structs are recycled
-// through a free list; a generation counter makes stale Timer handles inert.
+// Events are kept in a hierarchical timer wheel (eight levels of 256 slots,
+// 8 bits of virtual time each, which together span every Time). Event
+// structs are recycled through a free list; a generation counter makes stale
+// Timer handles inert.
 // The engine fires events in strict (time, seq) order — seq is a monotonic
 // schedule counter, so ties at one instant resolve in FIFO schedule order —
 // and that ordering contract is what makes runs bit-reproducible.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -70,19 +69,12 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Timer wheel geometry: wheelLevels levels of wheelSlots slots, each level
 // covering wheelBits more bits of virtual time than the one below. Level 0
 // slots are single nanoseconds within the current 256 ns frame; level k
-// slots cover 256^k ns. Events beyond the level-3 frame live in the
-// overflow heap until the clock enters their frame.
+// slots cover 256^k ns, so the eight levels cover all 64 bits of a Time.
 const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-)
-
-// Where an event currently lives (event.level).
-const (
-	levelFree int8 = -1 // free list / being fired
-	levelHeap int8 = -2 // overflow heap
+	wheelLevels = 8
 )
 
 // event is a queued callback. Events are engine-owned and recycled through a
@@ -94,9 +86,8 @@ type event struct {
 	seq   uint64
 	fn    func()
 	gen   uint32
-	level int8  // wheel level, levelHeap, or levelFree
-	slot  uint8 // wheel slot when level >= 0
-	idx   int32 // heap index when level == levelHeap
+	level int8  // wheel level while queued
+	slot  uint8 // wheel slot while queued
 	prev  *event
 	next  *event // list link in wheel slots; free-list link when free
 }
@@ -107,35 +98,6 @@ type event struct {
 // ordered as they cascade down.
 type slotList struct {
 	head, tail *event
-}
-
-type overHeap []*event
-
-func (h overHeap) Len() int { return len(h) }
-func (h overHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h overHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = int32(i)
-	h[j].idx = int32(j)
-}
-func (h *overHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = int32(len(*h))
-	*h = append(*h, ev)
-}
-func (h *overHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // Timer is a reusable, cancellable callback: NewTimer returns it unarmed and
@@ -220,7 +182,6 @@ type Engine struct {
 	wheel     [wheelLevels][wheelSlots]slotList
 	occ       [wheelLevels][wheelSlots / 64]uint64 // slot occupancy bitmaps
 	wheelLive int
-	over      overHeap
 	free      *event // event pool
 	stats     Stats
 
@@ -256,7 +217,7 @@ func (e *Engine) alloc() *event {
 		return ev
 	}
 	e.stats.PoolMisses++
-	return &event{level: levelFree, idx: -1}
+	return &event{}
 }
 
 // release returns a no-longer-queued event to the pool, bumping its
@@ -264,7 +225,6 @@ func (e *Engine) alloc() *event {
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	ev.level = levelFree
 	ev.prev = nil
 	ev.next = e.free
 	e.free = ev
@@ -277,33 +237,19 @@ func (e *Engine) armEvent(at Time, fn func()) *event {
 	ev.t, ev.seq, ev.fn = at, e.seq, fn
 	e.insert(ev)
 	e.stats.Scheduled++
-	if n := e.wheelLive + len(e.over); n > e.stats.MaxPending {
-		e.stats.MaxPending = n
+	if e.wheelLive > e.stats.MaxPending {
+		e.stats.MaxPending = e.wheelLive
 	}
 	return ev
 }
 
 // insert places ev in the wheel level whose frame the clock currently shares
-// with ev.t, or in the overflow heap when ev.t is beyond the wheel horizon.
+// with ev.t: the level of the highest bit in which ev.t and the clock differ
+// (level 0 when they differ in none).
 func (e *Engine) insert(ev *event) {
-	t := ev.t
-	switch {
-	case t>>wheelBits == e.now>>wheelBits:
-		e.insertWheel(ev, 0, uint8(t&wheelMask))
-	case t>>(2*wheelBits) == e.now>>(2*wheelBits):
-		e.insertWheel(ev, 1, uint8((t>>wheelBits)&wheelMask))
-	case t>>(3*wheelBits) == e.now>>(3*wheelBits):
-		e.insertWheel(ev, 2, uint8((t>>(2*wheelBits))&wheelMask))
-	case t>>(4*wheelBits) == e.now>>(4*wheelBits):
-		e.insertWheel(ev, 3, uint8((t>>(3*wheelBits))&wheelMask))
-	default:
-		ev.level = levelHeap
-		heap.Push(&e.over, ev)
-	}
-}
-
-func (e *Engine) insertWheel(ev *event, level int8, slot uint8) {
-	ev.level, ev.slot = level, slot
+	level := uint(bits.Len64(uint64(ev.t^e.now)|1)-1) / wheelBits
+	slot := uint8(ev.t >> (level * wheelBits))
+	ev.level, ev.slot = int8(level), slot
 	l := &e.wheel[level][slot]
 	switch {
 	case l.tail == nil:
@@ -317,8 +263,8 @@ func (e *Engine) insertWheel(ev *event, level int8, slot uint8) {
 		l.tail.next = ev
 		l.tail = ev
 	default:
-		// Out-of-seq-order level-0 insert (only from cascades and heap
-		// transfers): walk back to keep the list seq-sorted.
+		// Out-of-seq-order level-0 insert (only from cascades): walk back
+		// to keep the list seq-sorted.
 		at := l.tail
 		for at.prev != nil && at.prev.seq > ev.seq {
 			at = at.prev
@@ -334,8 +280,8 @@ func (e *Engine) insertWheel(ev *event, level int8, slot uint8) {
 	e.wheelLive++
 }
 
-// unlinkWheel removes ev from its slot list (O(1)).
-func (e *Engine) unlinkWheel(ev *event) {
+// unlink removes ev from its slot list (O(1)).
+func (e *Engine) unlink(ev *event) {
 	l := &e.wheel[ev.level][ev.slot]
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -354,13 +300,9 @@ func (e *Engine) unlinkWheel(ev *event) {
 	e.wheelLive--
 }
 
-// remove unlinks a queued event from wherever it lives and releases it.
+// remove unlinks a queued event and releases it.
 func (e *Engine) remove(ev *event) {
-	if ev.level == levelHeap {
-		heap.Remove(&e.over, int(ev.idx))
-	} else {
-		e.unlinkWheel(ev)
-	}
+	e.unlink(ev)
 	e.release(ev)
 }
 
@@ -408,62 +350,40 @@ func (e *Engine) PostRemote(dst int, at Time, fn func()) {
 
 // NextEventBound returns a conservative lower bound on the earliest
 // pending event's time — exact when the earliest event sits in wheel level
-// 0 or the overflow heap, the frame start of its slot otherwise. ok is
-// false when nothing is pending. Coordinators use it to stretch barrier
-// windows across idle gaps.
+// 0, the frame start of its slot otherwise. ok is false when nothing is
+// pending. Coordinators use it to stretch barrier windows across idle gaps.
 func (e *Engine) NextEventBound() (Time, bool) {
-	if e.wheelLive == 0 && len(e.over) == 0 {
+	if e.wheelLive == 0 {
 		return 0, false
 	}
-	if e.wheelLive > 0 {
-		if s := e.lowestSlot(0); s >= 0 {
-			// Level-0 slot heads are the global minimum (see stepBounded).
-			return e.wheel[0][s].head.t, true
-		}
-		// The lowest occupied level holds the earliest events: level-k
-		// events share now's level-(k+1) frame, which everything at higher
-		// levels lies beyond. The slot's frame start bounds them from below.
-		for level := 1; level < wheelLevels; level++ {
-			s := e.lowestSlot(level)
-			if s < 0 {
-				continue
-			}
-			shift := uint(level) * wheelBits
-			fs := (e.now &^ (Time(1)<<(shift+wheelBits) - 1)) | Time(s)<<shift
-			if fs < e.now {
-				fs = e.now
-			}
-			return fs, true
-		}
+	if s := e.lowestSlot(0); s >= 0 {
+		// Level-0 slot heads are the global minimum (see stepBounded).
+		return e.wheel[0][s].head.t, true
 	}
-	return e.over[0].t, true
+	// The lowest occupied level holds the earliest events: level-k events
+	// share now's level-(k+1) frame, which everything at higher levels lies
+	// beyond. The slot's frame start bounds them from below.
+	for level := 1; ; level++ {
+		s := e.lowestSlot(level)
+		if s < 0 {
+			continue
+		}
+		shift := uint(level) * wheelBits
+		fs := (e.now &^ (Time(1)<<(shift+wheelBits) - 1)) | Time(s)<<shift
+		if fs < e.now {
+			fs = e.now
+		}
+		return fs, true
+	}
 }
 
 // stepBounded fires the single earliest event if its time is <= bound,
 // advancing the clock to it. It reports whether an event fired. Along the
-// way it normalizes the queue: overflow events whose frame the clock has
-// entered move into the wheel, and higher-level slots cascade down — both
-// are relocations, not firings, and only ever advance the clock to frame
-// starts at or below the earliest event's time.
+// way it cascades higher-level slots down — relocations, not firings, which
+// only ever advance the clock to frame starts at or below the earliest
+// event's time.
 func (e *Engine) stepBounded(bound Time) bool {
-	for {
-		if e.wheelLive == 0 {
-			if len(e.over) == 0 {
-				return false
-			}
-			top := e.over[0]
-			if top.t > bound {
-				return false
-			}
-			// Enter the heap top's top-level frame and pull in everything
-			// that shares it. (Monotonic: the frame start can trail now
-			// when the clock was advanced into the frame by RunUntil.)
-			if fs := top.t &^ (1<<(4*wheelBits) - 1); fs > e.now {
-				e.now = fs
-			}
-			e.pullOverflow()
-			continue
-		}
+	for e.wheelLive > 0 {
 		if s := e.lowestSlot(0); s >= 0 {
 			// Every event in a level-0 slot shares one absolute time, and
 			// the list is seq-sorted, so the head is the global minimum.
@@ -471,7 +391,7 @@ func (e *Engine) stepBounded(bound Time) bool {
 			if ev.t > bound {
 				return false
 			}
-			e.unlinkWheel(ev)
+			e.unlink(ev)
 			e.now = ev.t
 			e.stats.Fired++
 			fn := ev.fn
@@ -505,6 +425,7 @@ func (e *Engine) stepBounded(bound Time) bool {
 			break
 		}
 	}
+	return false
 }
 
 // relevel empties wheel slot s of level and reinserts each of its events
@@ -523,14 +444,6 @@ func (e *Engine) relevel(level int, s uint8) {
 	}
 }
 
-// pullOverflow moves every overflow event whose top-level frame the clock
-// has entered into the wheel, earliest first.
-func (e *Engine) pullOverflow() {
-	for len(e.over) > 0 && e.over[0].t>>(4*wheelBits) == e.now>>(4*wheelBits) {
-		e.insert(heap.Pop(&e.over).(*event))
-	}
-}
-
 // Run processes events until none remain. Procs blocked with no pending
 // wakeup are left parked (use Shutdown to release their coroutines).
 func (e *Engine) Run() {
@@ -541,9 +454,8 @@ func (e *Engine) Run() {
 // advanceTo moves the clock forward to t without firing anything. The caller
 // has drained everything at or before t, so every queued event is later — but
 // wheel levels were assigned relative to the old clock. Any slot whose frame
-// the clock just entered must re-level (and overflow events whose top-level
-// frame the clock entered must join the wheel), or a later cascade of a lower
-// level would step past them and they would never fire.
+// the clock just entered must re-level, or a later cascade of a lower level
+// would step past them and they would never fire.
 func (e *Engine) advanceTo(t Time) {
 	if t <= e.now {
 		return
@@ -556,7 +468,6 @@ func (e *Engine) advanceTo(t Time) {
 			e.relevel(level, s)
 		}
 	}
-	e.pullOverflow()
 }
 
 // RunUntil processes events with time <= t, then advances the clock to t.
