@@ -6,8 +6,8 @@ import (
 
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // loiterResult measures what the WRR loiter bound (§5.2) protects: a
@@ -62,7 +62,7 @@ func runLoiterAblation(noLoiter bool, seed int64) loiterResult {
 	echo.SetHandler(1, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 		tok.Reply(p, 2, a)
 	})
-	hist := trace.NewHist()
+	hist := obs.NewHist()
 	pong := 0
 	ping.SetHandler(2, func(p *sim.Proc, tok *core.Token, a [4]uint64, _ []byte) {
 		hist.Observe(p.Now().Sub(sim.Time(a[0])))

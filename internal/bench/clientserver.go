@@ -14,8 +14,8 @@ import (
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // serverMode is the §6.4 server configuration.
@@ -72,7 +72,7 @@ type csResult struct {
 	// RemapTimeline is the per-decile remap rate across the window,
 	// showing the steady state the paper reports (200-300/s sustained).
 	RemapTimeline []float64
-	RTT           *trace.Hist
+	RTT           *obs.Hist
 }
 
 // runClientServer executes one §6.4 configuration and returns its steady
@@ -131,7 +131,7 @@ func runClientServer(cfg csConfig) csResult {
 	startAt := sim.Time(csWarmup)
 	endAt := startAt.Add(csWindow)
 	counts := make([]int64, cfg.Clients)
-	rtt := trace.NewHist()
+	rtt := obs.NewHist()
 
 	// Server handlers: count the request (attributed to its client) and
 	// reply immediately.
@@ -210,7 +210,7 @@ func runClientServer(cfg csConfig) csResult {
 	remapsBefore := int64(0)
 	cl.RunUntil(startAt)
 	remapsBefore = server.Driver.Remaps()
-	tl := trace.NewTimeline(startAt, csWindow/10)
+	tl := obs.NewTimeline(startAt, csWindow/10)
 	prev := remapsBefore
 	for i := 0; i < 10; i++ {
 		cl.RunUntil(startAt.Add(csWindow * sim.Duration(i+1) / 10))

@@ -15,8 +15,8 @@ import (
 	"virtnet/internal/migrate"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // faultsRow is the cluster-wide fault-injection and automated-recovery
@@ -124,7 +124,7 @@ func faultsRow(w io.Writer, p Params) error {
 	// served, which are bounded by the outstanding window and can never be
 	// answered by anyone else (the transport's end-to-end dedup makes the
 	// sweep duplicate-free).
-	tl := trace.NewTimeline(0, window)
+	tl := obs.NewTimeline(0, window)
 	type fclient struct {
 		idx                        int
 		replica                    int

@@ -28,7 +28,6 @@ import (
 	"virtnet/internal/nic"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // NumHandlers is the size of each endpoint's handler table.
@@ -138,11 +137,13 @@ type Bundle struct {
 	// cfg caches the node's NI configuration (immutable after NI creation)
 	// so per-message cost lookups don't copy the whole struct each time.
 	cfg nic.Config
-	// tracer and C come from the node's observability layer when one was
-	// enabled before this bundle attached; both stay nil otherwise, which
+	// tracer comes from the node's observability layer when one was
+	// enabled before this bundle attached; it stays nil otherwise, which
 	// keeps every per-message hook a plain nil check.
 	tracer *obs.Tracer
-	C      *trace.Counters
+	// C counts credit and send-queue stalls; the registry lists it only
+	// when the node's observability layer is on.
+	C obs.Counters
 }
 
 // Attach opens a bundle on node.
@@ -150,8 +151,7 @@ func Attach(node *hostos.Node) *Bundle {
 	b := &Bundle{Node: node, cond: new(sim.Cond), cfg: node.NIC.Config()}
 	if o := node.Obs; o != nil {
 		b.tracer = o.T
-		b.C = trace.NewCounters()
-		o.R.AddCounters(fmt.Sprintf("core.n%d", int(node.ID)), b.C)
+		o.R.AddCounters(fmt.Sprintf("core.n%d", int(node.ID)), &b.C)
 	}
 	return b
 }
@@ -499,7 +499,7 @@ func (ep *Endpoint) request(p *sim.Proc, idx, h int, args [4]uint64, payload []b
 	// Credit-based flow control: block while the window is closed,
 	// polling so replies (which restore credits) are consumed. The probe
 	// interval backs off while nothing arrives so long waits stay cheap.
-	if t.credits == 0 && ep.b.C != nil {
+	if t.credits == 0 {
 		ep.b.C.Inc("credit_stall")
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}
@@ -597,7 +597,7 @@ func (ep *Endpoint) post(p *sim.Proc, dstNode netsim.NodeID, dstEP int, key Key,
 	if isReply {
 		sq = &ep.seg.EP.RepSendQ
 	}
-	if sq.Len() >= nic.SendQDepth && ep.b.C != nil {
+	if sq.Len() >= nic.SendQDepth {
 		ep.b.C.Inc("sendq_stall")
 	}
 	wait := Backoff{Base: nic.PollHost, Cap: stallPollCap}

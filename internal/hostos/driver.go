@@ -22,8 +22,8 @@ import (
 	"virtnet/internal/container"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // SegState is the OS view of an endpoint segment (Fig. 2).
@@ -132,7 +132,7 @@ type Driver struct {
 	lamport uint64
 
 	// C counts faults, remaps, victim evictions, notifies.
-	C *trace.Counters
+	C obs.Counters
 
 	crashed bool
 }
@@ -146,7 +146,6 @@ func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver 
 		cfg:       cfg,
 		segs:      make(map[int]*Segment),
 		remapCond: new(sim.Cond),
-		C:         trace.NewCounters(),
 	}
 	// Endpoint IDs are globally unique across the cluster so a wire packet's
 	// DstEP is unambiguous; partition the space by node.

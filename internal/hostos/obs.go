@@ -46,7 +46,7 @@ func (c *Cluster) EnableObs(opt obs.Options) *obs.Obs {
 		o := c.shardObs[sh]
 		n.Obs = o
 		o.R.AddCounters(fmt.Sprintf("nic.n%d", int(n.ID)), &n.NIC.C)
-		o.R.AddCounters(fmt.Sprintf("drv.n%d", int(n.ID)), n.Driver.C)
+		o.R.AddCounters(fmt.Sprintf("drv.n%d", int(n.ID)), &n.Driver.C)
 		nic := n.NIC
 		id := n.ID
 		net := c.ShardNet(sh)

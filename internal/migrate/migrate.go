@@ -45,8 +45,8 @@ import (
 	"virtnet/internal/hostos"
 	"virtnet/internal/netsim"
 	"virtnet/internal/nic"
+	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // Agent endpoint handler indices.
@@ -65,7 +65,7 @@ const agentKey = 0x6d696772 // "migr"
 type Directory struct {
 	entries map[int]*dirEntry
 	// C counts resolves and publishes.
-	C *trace.Counters
+	C obs.Counters
 }
 
 type dirEntry struct {
@@ -75,7 +75,7 @@ type dirEntry struct {
 
 // NewDirectory creates an empty name service.
 func NewDirectory() *Directory {
-	return &Directory{entries: make(map[int]*dirEntry), C: trace.NewCounters()}
+	return &Directory{entries: make(map[int]*dirEntry)}
 }
 
 // Resolve implements core.Resolver.

@@ -4,7 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
-	"virtnet/internal/trace"
+	"virtnet/internal/obs"
 )
 
 // Counters is the NI's protocol counters, one int64 per ctr* constant,
@@ -37,11 +37,11 @@ func (c *Counters) Get(name string) int64 {
 }
 
 // Snapshot returns every touched counter, in ctr* order.
-func (c *Counters) Snapshot() []trace.CounterKV {
-	out := make([]trace.CounterKV, 0, bits.OnesCount64(c.touched))
+func (c *Counters) Snapshot() []obs.CounterKV {
+	out := make([]obs.CounterKV, 0, bits.OnesCount64(c.touched))
 	for i, v := range c.v {
 		if c.touched&(1<<i) != 0 {
-			out = append(out, trace.CounterKV{Name: ctrNames[i], Value: v})
+			out = append(out, obs.CounterKV{Name: ctrNames[i], Value: v})
 		}
 	}
 	return out

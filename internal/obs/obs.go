@@ -1,7 +1,9 @@
-// Package obs is the cluster-wide observability layer: a deterministic
-// message flight recorder, a unified metrics registry, and exporters for
-// Chrome trace-event JSON (Perfetto-compatible) and per-stage latency
-// decompositions.
+// Package obs is the cluster-wide observability layer: the metric types
+// every layer keeps (named counter sets, duration histograms such as the
+// bimodal client latencies of §6.4.1, per-interval timelines), a
+// deterministic message flight recorder, a unified metrics registry, and
+// exporters for Chrome trace-event JSON (Perfetto-compatible) and per-stage
+// latency decompositions.
 //
 // The flight recorder carries a trace context on sampled messages through
 // the whole stack — library post, NI weighted-round-robin dispatch, per-hop

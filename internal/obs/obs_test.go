@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 func newTestTracer(seed int64, sampleEvery, ringCap int) *Tracer {
@@ -208,13 +207,13 @@ func TestSweepOpenFinalizesEverything(t *testing.T) {
 func TestRegistrySectionsAndDashboard(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := NewRegistry(e)
-	c := trace.NewCounters()
+	var c Counters
 	c.Add("x", 3)
-	r.AddCounters("nic", c)
-	r.AddCounters("nic", c) // duplicate prefix must be disambiguated
+	r.AddCounters("nic", &c)
+	r.AddCounters("nic", &c) // duplicate prefix must be disambiguated
 	g := 7.5
 	r.AddGauge("depth", func() float64 { return g })
-	h := trace.NewHist()
+	h := NewHist()
 	h.Observe(2 * sim.Microsecond)
 	r.AddHist("lat", h)
 	r.AddFunc("link", func() []KV { return []KV{{Name: "a.sent", Value: 1}} })

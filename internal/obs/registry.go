@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // KV is one named metric value in a snapshot.
@@ -72,10 +71,10 @@ func (r *Registry) uniquify(name string) string {
 	return name
 }
 
-// AddCounters registers a counter set under prefix: a trace.Counters or a
+// AddCounters registers a counter set under prefix: a *Counters or a
 // layer's own (nic.Counters). Each counter appears as "prefix.name" in the
 // order the set's Snapshot lists it, which is deterministic per seed.
-func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []trace.CounterKV }) {
+func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []CounterKV }) {
 	if r == nil {
 		return
 	}
@@ -105,7 +104,7 @@ func (r *Registry) AddGauge(name string, fn func() float64) {
 }
 
 // AddHist registers a histogram; snapshots expose its count and mean (µs).
-func (r *Registry) AddHist(name string, h *trace.Hist) {
+func (r *Registry) AddHist(name string, h *Hist) {
 	if r == nil || h == nil {
 		return
 	}

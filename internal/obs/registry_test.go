@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // TestRegistryConcurrentSnapshot hammers the registry from many goroutines
@@ -20,8 +19,8 @@ import (
 func TestRegistryConcurrentSnapshot(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := NewRegistry(e)
-	c := trace.NewCounters()
-	r.AddCounters("base", c)
+	var c Counters
+	r.AddCounters("base", &c)
 	r.AddGauge("g", func() float64 { return 42 })
 	r.StartSampling(sim.Millisecond)
 	c.Inc("seeded")
@@ -37,14 +36,14 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cc := trace.NewCounters()
+			var cc Counters
 			for i := 0; i < iters; i++ {
 				c.Inc(fmt.Sprintf("k%d", i%8))
 				c.Add("bytes", 64)
 				cc.Inc("own")
 				if i%500 == 0 {
 					// Late registration racing the snapshot walk.
-					r.AddCounters(fmt.Sprintf("w%d.%d", w, i), cc)
+					r.AddCounters(fmt.Sprintf("w%d.%d", w, i), &cc)
 					r.AddGauge(fmt.Sprintf("w%d.g%d", w, i), func() float64 { return float64(i) })
 				}
 			}
@@ -94,11 +93,11 @@ func TestMergeSnapsKeepsCollidingShardSections(t *testing.T) {
 	mkShard := func(seed, sent int64, lat sim.Duration, run sim.Duration) Snap {
 		e := sim.NewEngine(seed)
 		r := NewRegistry(e)
-		c := trace.NewCounters()
+		var c Counters
 		c.Add("sent", sent)
-		h := trace.NewHist()
+		h := NewHist()
 		h.Observe(lat)
-		r.AddCounters("reliab", c)
+		r.AddCounters("reliab", &c)
 		r.AddHist("lat", h)
 		e.RunFor(run)
 		return r.Snapshot()

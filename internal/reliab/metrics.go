@@ -3,7 +3,6 @@ package reliab
 import (
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // Metrics aggregates the reliability layer's counters and its retry-
@@ -17,13 +16,13 @@ import (
 // breaker_halfopen, breaker_close, breaker_fastfail, idem_hits, idem_dup,
 // stale_reclaimed.
 type Metrics struct {
-	C       *trace.Counters
-	Backoff *trace.Hist
+	C       obs.Counters
+	Backoff *obs.Hist
 }
 
 // NewMetrics returns an empty metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{C: trace.NewCounters(), Backoff: trace.NewHist()}
+	return &Metrics{Backoff: obs.NewHist()}
 }
 
 // Inc increments counter name by one; nil-safe.
@@ -62,6 +61,6 @@ func (m *Metrics) Register(r *obs.Registry) {
 	if m == nil || r == nil {
 		return
 	}
-	r.AddCounters("reliab", m.C)
+	r.AddCounters("reliab", &m.C)
 	r.AddHist("reliab.backoff", m.Backoff)
 }

@@ -5,7 +5,6 @@ import (
 
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // SLO accumulates one client's (or one merged run's) service-level
@@ -24,11 +23,11 @@ type SLO struct {
 	Failed  int64 // transport failure / unreachable / abandoned at window end
 	Shed    int64 // rejected by server admission (overload NACK)
 
-	Lat *trace.Hist // end-to-end latency of Good responses
+	Lat *obs.Hist // end-to-end latency of Good responses
 }
 
 // NewSLO returns an empty SLO accumulator.
-func NewSLO() *SLO { return &SLO{Lat: trace.NewHist()} }
+func NewSLO() *SLO { return &SLO{Lat: obs.NewHist()} }
 
 // RecordGood counts a response that completed within its deadline.
 func (s *SLO) RecordGood(lat sim.Duration) {

@@ -35,7 +35,6 @@ import (
 	"virtnet/internal/nic"
 	"virtnet/internal/obs"
 	"virtnet/internal/sim"
-	"virtnet/internal/trace"
 )
 
 // Typed errors. IsolationError is a concrete type so callers can assert on
@@ -109,7 +108,7 @@ type Manager struct {
 	nextKey core.Key
 
 	// C counts admissions, rejections, isolation denials, fault injections.
-	C *trace.Counters
+	C obs.Counters
 }
 
 // NewManager builds the tenancy layer over c, admitting at most
@@ -125,10 +124,9 @@ func NewManager(c *hostos.Cluster, overcommit int) *Manager {
 		tenants:    make(map[string]*Tenant),
 		perNode:    make([]int, len(c.Nodes)),
 		nextKey:    0x766e6574 << 16, // "vnet" tag; low bits count networks
-		C:          trace.NewCounters(),
 	}
 	if o := c.Obs(); o != nil {
-		o.R.AddCounters("vnet", m.C)
+		o.R.AddCounters("vnet", &m.C)
 		o.R.AddFunc("vnet.tenant", m.meterKVs)
 	}
 	return m
