@@ -12,9 +12,9 @@
 //   - Ring: the bandwidth-optimal reduce-scatter + allgather ring. Each rank
 //     moves 2·(n-1)/n of the vector regardless of cluster size, with chunked
 //     pipelining (≥2 chunks in flight per step) so the wire transfer of one
-//     chunk overlaps the reduction of the previous one. When the transport
-//     exposes physical topology, the ring is laid out leaf-by-leaf so most
-//     ring edges stay under one leaf switch and never cross a spine.
+//     chunk overlaps the reduction of the previous one. The ring is laid out
+//     leaf-by-leaf from the transport's placement of ranks, so most ring
+//     edges stay under one leaf switch and never cross a spine.
 //   - Rabenseifner: recursive-halving reduce-scatter followed by
 //     recursive-doubling allgather — the same 2·len bytes as the ring but in
 //     2·log2(n) steps instead of 2·(n-1), which wins in the latency/medium
@@ -47,18 +47,14 @@ import (
 // Transport is the tagged point-to-point layer a collective runs over.
 // Send must be safe to call before the matching Recv is posted (buffered,
 // eager semantics) and messages between one (src, dst, tag) pair must not
-// overtake each other — exactly internal/mpi's contract.
+// overtake each other — exactly internal/mpi's contract. LeafOfRank returns
+// the leaf-switch index of the node hosting rank r (netsim's locality API
+// surfaced per rank).
 type Transport interface {
 	Rank() int
 	Size() int
 	Send(p *sim.Proc, dst, tag int, data []byte) error
 	Recv(p *sim.Proc, src, tag int) ([]byte, error)
-}
-
-// Topology is optionally implemented by transports that know the physical
-// placement of ranks (netsim's locality API surfaced per rank). LeafOfRank
-// returns the leaf-switch index of the node hosting rank r.
-type Topology interface {
 	LeafOfRank(r int) int
 }
 
@@ -79,7 +75,7 @@ const (
 	// the baseline the paper-era MPI layer used.
 	Binomial
 	// Ring is the bandwidth-optimal chunk-pipelined ring, laid out
-	// leaf-by-leaf when topology is known.
+	// leaf-by-leaf.
 	Ring
 	// RingFlat is Ring with topology ordering disabled (rank-order ring),
 	// kept distinct so experiments can isolate the locality benefit.
@@ -87,8 +83,8 @@ const (
 	// Rabenseifner is recursive-halving reduce-scatter + recursive-doubling
 	// allgather.
 	Rabenseifner
-	// Hierarchical is the two-level leaf-local/cross-spine schedule. It
-	// requires topology; without one it degrades to Ring.
+	// Hierarchical is the two-level leaf-local/cross-spine schedule. On
+	// ranks that share one leaf switch it is Ring.
 	Hierarchical
 )
 
@@ -229,20 +225,11 @@ func blockBounds(i, n, length int) (lo, hi int) {
 	return lo, hi
 }
 
-func hasTopology(t Transport) bool {
-	_, ok := t.(Topology)
-	return ok
-}
-
 // spansLeaves reports whether the ranks occupy more than one leaf switch.
 func spansLeaves(t Transport) bool {
-	topo, ok := t.(Topology)
-	if !ok {
-		return false
-	}
-	first := topo.LeafOfRank(0)
+	first := t.LeafOfRank(0)
 	for r := 1; r < t.Size(); r++ {
-		if topo.LeafOfRank(r) != first {
+		if t.LeafOfRank(r) != first {
 			return true
 		}
 	}
@@ -250,10 +237,10 @@ func spansLeaves(t Transport) bool {
 }
 
 // ringOrder returns the ring layout: a permutation of ranks such that
-// consecutive positions are ring neighbors. With topology (and useTopo),
-// ranks are ordered leaf-by-leaf so all but one ring edge per leaf stay
-// under a single leaf switch; otherwise the ring is rank order. Every rank
-// computes the same permutation (it depends only on shared placement data).
+// consecutive positions are ring neighbors. With useTopo, ranks are ordered
+// leaf-by-leaf so all but one ring edge per leaf stay under a single leaf
+// switch; otherwise the ring is rank order. Every rank computes the same
+// permutation (it depends only on shared placement data).
 func ringOrder(t Transport, useTopo bool) []int {
 	n := t.Size()
 	perm := make([]int, n)
@@ -263,12 +250,8 @@ func ringOrder(t Transport, useTopo bool) []int {
 	if !useTopo {
 		return perm
 	}
-	topo, ok := t.(Topology)
-	if !ok {
-		return perm
-	}
 	sort.SliceStable(perm, func(a, b int) bool {
-		la, lb := topo.LeafOfRank(perm[a]), topo.LeafOfRank(perm[b])
+		la, lb := t.LeafOfRank(perm[a]), t.LeafOfRank(perm[b])
 		if la != lb {
 			return la < lb
 		}

@@ -7,7 +7,7 @@ import (
 	"virtnet/internal/sim"
 )
 
-// Hierarchical two-level schedule, driven by the transport's Topology: each
+// Hierarchical two-level schedule, driven by the transport's LeafOfRank: each
 // leaf switch's ranks first reduce onto a per-leaf leader (binomial, all
 // traffic under one leaf switch), the leaders run a ring allreduce among
 // themselves (the only phase that crosses the spines), and finally each
@@ -54,20 +54,16 @@ func (st *subTransport) Recv(p *sim.Proc, src, tag int) ([]byte, error) {
 // itself laid out leaf-by-leaf (a no-op ordering here, since leaders are
 // one-per-leaf, but it keeps the sub-ring deterministic and topology-aware).
 func (st *subTransport) LeafOfRank(r int) int {
-	if topo, ok := st.t.(Topology); ok {
-		return topo.LeafOfRank(st.members[r])
-	}
-	return 0
+	return st.t.LeafOfRank(st.members[r])
 }
 
 // leafGroups partitions ranks by leaf index. Groups (and the ranks inside
 // each) are sorted, so every rank derives the identical grouping. The leader
 // of each group is its first (lowest) rank.
 func leafGroups(t Transport) [][]int {
-	topo := t.(Topology)
 	byLeaf := map[int][]int{}
 	for r := 0; r < t.Size(); r++ {
-		l := topo.LeafOfRank(r)
+		l := t.LeafOfRank(r)
 		byLeaf[l] = append(byLeaf[l], r)
 	}
 	leaves := make([]int, 0, len(byLeaf))
@@ -100,7 +96,7 @@ func ownGroup(t Transport) (group, leaders []int) {
 }
 
 func hierAllreduce(p *sim.Proc, t Transport, vec []float64, op Op) ([]float64, error) {
-	if !hasTopology(t) || !spansLeaves(t) {
+	if !spansLeaves(t) {
 		return ringAllreduce(p, t, vec, op, ringOrder(t, true))
 	}
 	group, leaders := ownGroup(t)

@@ -173,6 +173,13 @@ func (s *Scheduler) launch(j *Job) {
 
 // finish releases the partition and dispatches waiting jobs.
 func (s *Scheduler) finish(j *Job) {
+	s.release(j)
+	s.Completed++
+	s.dispatch()
+}
+
+// release hands j's partition back: its live nodes become free again.
+func (s *Scheduler) release(j *Job) {
 	j.procs = nil
 	s.account()
 	s.allocated -= j.Width
@@ -183,8 +190,6 @@ func (s *Scheduler) finish(j *Job) {
 			s.free[id] = true
 		}
 	}
-	s.Completed++
-	s.dispatch()
 }
 
 // NodeDead removes a failed node from scheduling. A batch job cannot survive
@@ -209,16 +214,7 @@ func (s *Scheduler) requeue(j *Job) {
 	for _, pr := range j.procs {
 		pr.Kill() // ranks on the dead node are already gone; no-op there
 	}
-	j.procs = nil
-	s.account()
-	s.allocated -= j.Width
-	for _, id := range j.partition {
-		delete(s.busy, id)
-		delete(s.jobsOn, id)
-		if !s.dead[id] {
-			s.free[id] = true
-		}
-	}
+	s.release(j)
 	j.partition = nil
 	j.remaining = 0
 	s.Requeued++

@@ -81,7 +81,6 @@ type Segment struct {
 	// it are discarded (arrivals keep getting transient NACKs until the
 	// forwarding entry takes over).
 	migrating bool
-	freeStamp uint64
 	// notified is what Driver.Notify schedules, built once per segment so a
 	// communication event allocates nothing.
 	notified func()
@@ -127,9 +126,6 @@ type Driver struct {
 	// victims is pickVictim's scratch list of eviction candidates; only the
 	// remap thread evicts, so one list serves every eviction.
 	victims []*Segment
-
-	// lamport is the driver's logical clock (§4.3).
-	lamport uint64
 
 	// C counts faults, remaps, victim evictions, notifies.
 	C obs.Counters
@@ -193,14 +189,6 @@ func (d *Driver) Restart() {
 	d.C.Inc("node.restart")
 }
 
-func (d *Driver) tick(remote uint64) uint64 {
-	if remote > d.lamport {
-		d.lamport = remote
-	}
-	d.lamport++
-	return d.lamport
-}
-
 // CreateEndpoint allocates an endpoint segment (segment creation = endpoint
 // allocation + queue initialization, §4.2). The endpoint starts on-host r/o
 // and non-resident.
@@ -221,14 +209,13 @@ func (d *Driver) CreateEndpoint(key uint64) *Segment {
 // It blocks the calling thread until the endpoint is quiesced and unloaded.
 func (d *Driver) Free(p *sim.Proc, seg *Segment) {
 	seg.freed = true
-	seg.freeStamp = d.tick(0)
 	// Synchronize with an in-flight remap: the background thread may have
 	// already committed to loading this endpoint.
 	for seg.remapping {
 		seg.Cond.Wait(p)
 	}
 	if seg.EP.State != nic.EPHost {
-		d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpUnload, EP: seg.EP, Stamp: seg.freeStamp})
+		d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpUnload, EP: seg.EP})
 	}
 	d.nic.Deregister(seg.EP.ID)
 	delete(d.segs, seg.EP.ID)
@@ -410,13 +397,14 @@ func (d *Driver) queueRemap(seg *Segment) {
 // paper's segment driver spawns a kernel thread to perform a proxy
 // operation — a software-initiated page fault — which funnels into the same
 // remap mechanism. Runs in NI context; it must only enqueue.
-func (d *Driver) RequestResident(ep *nic.EndpointImage, stamp uint64) {
-	d.tick(stamp)
+func (d *Driver) RequestResident(ep *nic.EndpointImage) {
 	seg, ok := d.segs[ep.ID]
 	if !ok || seg.freed || seg.migrating {
 		// The free "happened before" this request resolved (or raced it),
-		// and the freed and migrating flags discard it (§4.3); the stamp
-		// only advances the driver's logical clock.
+		// and the freed and migrating flags discard it (§4.3). The driver
+		// and the NI fire on one engine in one total order, so the flags
+		// and the NI's FIFO command queue order the two sides without a
+		// logical clock.
 		d.C.Inc("remap.stale_request")
 		return
 	}
@@ -444,8 +432,8 @@ func (d *Driver) Notify(ep *nic.EndpointImage) {
 	d.e.AfterFunc(notifyCost, seg.notified)
 }
 
-// submitAndWait issues a driver/NI command and blocks the proc until the NI
-// completes it.
+// submitAndWait issues a driver/NI command and parks the proc until the NI
+// completes it: the command's Done arms the proc's own wakeup.
 func (d *Driver) submitAndWait(p *sim.Proc, cmd *nic.DriverCmd) {
 	if d.crashed {
 		// The NI is dark and will never complete the command; callers
@@ -453,17 +441,17 @@ func (d *Driver) submitAndWait(p *sim.Proc, cmd *nic.DriverCmd) {
 		return
 	}
 	done := false
-	c := new(sim.Cond)
 	cmd.Done = func() {
 		done = true
-		c.Broadcast()
-	}
-	if cmd.Stamp == 0 {
-		cmd.Stamp = d.tick(0)
+		// A waiter killed meanwhile (glunix aborting its job, say) is
+		// not woken.
+		if !p.Done() {
+			p.WakeAt(d.e.Now())
+		}
 	}
 	d.nic.SubmitCmd(cmd)
 	for !done {
-		c.Wait(p)
+		p.Park()
 	}
 }
 

@@ -280,6 +280,43 @@ func TestNotifyAllocFree(t *testing.T) {
 	}
 }
 
+// A forced remap cycle on a full 8-frame NI — a residency request for the
+// one non-resident endpoint, the victim's unload and the load — allocates
+// only its two driver commands, each with its completion closure and flag
+// (six objects): the remap thread parks on its own wakeup, not on a
+// condition built per command.
+func TestRemapCycleAllocs(t *testing.T) {
+	c := newTestCluster(t, 1, nil)
+	drv := c.Nodes[0].Driver
+	frames := c.Nodes[0].NIC.Config().Frames
+	if frames != 8 {
+		t.Fatalf("NI has %d frames, want 8", frames)
+	}
+	segs := make([]*Segment, frames+1)
+	for i := range segs {
+		segs[i] = drv.CreateEndpoint(uint64(i))
+	}
+	cycle := func() {
+		for _, s := range segs {
+			if !s.Resident() {
+				drv.RequestResident(s.EP)
+				break
+			}
+		}
+		c.RunFor(5 * sim.Millisecond)
+	}
+	for range segs {
+		cycle()
+	}
+	evicts := drv.C.Get("remap.evict")
+	if avg := testing.AllocsPerRun(50, cycle); avg > 6 {
+		t.Errorf("evict + load cycle allocates %.2f times, want <= 6", avg)
+	}
+	if got := drv.C.Get("remap.evict") - evicts; got != 51 {
+		t.Errorf("%d evictions in 51 cycles", got)
+	}
+}
+
 func TestComputeTimeSlicing(t *testing.T) {
 	c := newTestCluster(t, 1, func(cc *ClusterConfig) { cc.OS.Quantum = 1 * sim.Millisecond })
 	node := c.Nodes[0]

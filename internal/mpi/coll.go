@@ -58,16 +58,13 @@ func (c *Comm) endColl()   { c.inColl-- }
 
 // LeafOfRank reports the leaf-switch index of the node hosting rank r —
 // netsim's locality API surfaced per rank, which is what lets the collective
-// engine lay rings out leaf-by-leaf. It implements coll.Topology.
+// engine lay rings out leaf-by-leaf.
 func (c *Comm) LeafOfRank(r int) int {
 	return c.w.Cluster.ShardNet(0).LeafOf(c.w.comms[r].node.ID)
 }
 
-// Statically assert Comm satisfies the collective engine's contracts.
-var (
-	_ coll.Transport = (*Comm)(nil)
-	_ coll.Topology  = (*Comm)(nil)
-)
+// Statically assert Comm satisfies the collective engine's contract.
+var _ coll.Transport = (*Comm)(nil)
 
 // AllreduceAlg is Allreduce with an explicit algorithm choice (coll.Auto
 // picks by message size and cluster size).

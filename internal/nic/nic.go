@@ -30,9 +30,8 @@ import (
 type DriverPort interface {
 	// RequestResident asks the driver to bind the endpoint to a frame; the
 	// NI issues it when a message arrives for a non-resident endpoint
-	// (the proxy-fault path of §4.2). stamp is the NI's Lamport clock so
-	// the driver can order the request against concurrent frees.
-	RequestResident(ep *EndpointImage, stamp uint64)
+	// (the proxy-fault path of §4.2).
+	RequestResident(ep *EndpointImage)
 	// Notify signals a communication event for an endpoint whose event
 	// mask is armed, waking any thread blocked on it (§3.3).
 	Notify(ep *EndpointImage)
@@ -63,7 +62,6 @@ type DriverCmd struct {
 	Op    CmdOp
 	EP    *EndpointImage
 	Frame int
-	Stamp uint64 // Lamport stamp assigned by the driver
 	Done  func()
 }
 
@@ -245,11 +243,6 @@ type NIC struct {
 	// them are NACKed NackMoved so the sender's library re-resolves the name
 	// through the cluster name service and re-issues toward the new node.
 	moved map[int]bool
-
-	// clock is the NI's Lamport logical clock for driver/NI protocol
-	// messages (§4.3: a variant of logical clocks resolves the ordering of
-	// events each agent initiates in the other).
-	clock uint64
 
 	// staging is the send descriptor popped from its queue but not yet
 	// bound to a channel (mid-DMA into NI memory). A firmware reboot must
@@ -566,7 +559,7 @@ func (n *NIC) dispatch() {
 			n.phase = phaseServe
 			if cmd, ok := n.cmds.Pop(); ok {
 				n.curCmd, n.phase = cmd, phaseCmdDone
-				n.handleCmd(cmd)
+				n.charge(driverOpCost, stageCmd)
 			}
 		case phaseCmdDone:
 			n.curCmd = nil
@@ -907,8 +900,7 @@ func (n *NIC) requeue(d *SendDesc) bool {
 	q.PushFront(d)
 	if ep.State == EPHost && n.driver != nil && !n.requested[ep.ID] {
 		n.requested[ep.ID] = true
-		n.clock++
-		n.driver.RequestResident(ep, n.clock)
+		n.driver.RequestResident(ep)
 	}
 	return true
 }
@@ -1039,8 +1031,7 @@ func (n *NIC) accept(pkt *wirePkt) (*EndpointImage, pktKind, NackReason) {
 		// NACK so the sender retransmits later (§4.2, §6.4.1).
 		if !n.requested[ep.ID] && n.driver != nil {
 			n.requested[ep.ID] = true
-			n.clock++
-			n.driver.RequestResident(ep, n.clock)
+			n.driver.RequestResident(ep)
 		}
 		return nil, pktNack, NackNotResident
 	}
@@ -1212,16 +1203,6 @@ func (d *SendDesc) nackBackoff(n *NIC) {
 }
 
 // ---- Driver command processing ----
-
-// handleCmd starts a driver command: the NI's Lamport clock moves past the
-// driver's stamp, and the command costs driverOpCost before runCmd.
-func (n *NIC) handleCmd(cmd *DriverCmd) {
-	if cmd.Stamp > n.clock {
-		n.clock = cmd.Stamp
-	}
-	n.clock++
-	n.charge(driverOpCost, stageCmd)
-}
 
 // runCmd carries out the command in hand past driverOpCost.
 func (n *NIC) runCmd() {

@@ -17,7 +17,7 @@ type fakeDriver struct {
 	nextFrame int
 }
 
-func (d *fakeDriver) RequestResident(ep *EndpointImage, stamp uint64) {
+func (d *fakeDriver) RequestResident(ep *EndpointImage) {
 	d.requests = append(d.requests, ep)
 	if d.autoLoad {
 		d.n.SubmitCmd(&DriverCmd{Op: OpLoad, EP: ep, Frame: d.nextFrame})
@@ -488,8 +488,8 @@ func TestStaleEpochAnswersIgnored(t *testing.T) {
 	}
 }
 
-// A firmware reboot during handleCmd's driverOpCost sleep interrupts the
-// driver command in progress. The command queue lives in host memory, so the
+// A firmware reboot during a driver command's driverOpCost charge interrupts
+// the command in progress. The command queue lives in host memory, so the
 // new incarnation re-reads the interrupted command from the front: it
 // completes exactly once, ahead of the command queued behind it.
 func TestRebootRequeuesInterruptedCommand(t *testing.T) {

@@ -41,8 +41,8 @@ type tlDriver struct {
 	autoLoad bool
 }
 
-func (d *tlDriver) RequestResident(ep *EndpointImage, stamp uint64) {
-	d.tl.logf("n%d request ep%d stamp=%d", d.host, ep.ID, stamp)
+func (d *tlDriver) RequestResident(ep *EndpointImage) {
+	d.tl.logf("n%d request ep%d", d.host, ep.ID)
 	if !d.autoLoad {
 		return
 	}

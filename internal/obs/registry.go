@@ -49,10 +49,16 @@ const maxSnaps = 4096
 type Registry struct {
 	e        *sim.Engine
 	mu       sync.Mutex
-	sections []func(out []KV) []KV
+	sections []section
 	prefixes map[string]bool
 	snaps    []Snap
 	sampling bool
+}
+
+// section is one registration: its unique name and what it emits.
+type section struct {
+	name string
+	emit func(name string, out []KV) []KV
 }
 
 // NewRegistry builds an empty registry bound to the engine's virtual clock.
@@ -71,17 +77,22 @@ func (r *Registry) uniquify(name string) string {
 	return name
 }
 
-// AddCounters registers a counter set under prefix: a *Counters or a
-// layer's own (nic.Counters). Each counter appears as "prefix.name" in the
-// order the set's Snapshot lists it, which is deterministic per seed.
-func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []CounterKV }) {
+// add registers one section under name, made unique first; emit appends
+// the section's values, given that final name. A nil registry ignores it.
+func (r *Registry) add(name string, emit func(name string, out []KV) []KV) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	prefix = r.uniquify(prefix)
-	r.sections = append(r.sections, func(out []KV) []KV {
+	r.sections = append(r.sections, section{r.uniquify(name), emit})
+}
+
+// AddCounters registers a counter set under prefix: a *Counters or a
+// layer's own (nic.Counters). Each counter appears as "prefix.name" in the
+// order the set's Snapshot lists it, which is deterministic per seed.
+func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []CounterKV }) {
+	r.add(prefix, func(prefix string, out []KV) []KV {
 		for _, kv := range c.Snapshot() {
 			out = append(out, KV{Name: prefix + "." + kv.Name, Value: float64(kv.Value)})
 		}
@@ -92,26 +103,20 @@ func (r *Registry) AddCounters(prefix string, c interface{ Snapshot() []CounterK
 // AddGauge registers a single instantaneous value read by fn at snapshot
 // time (queue depths, free frames, blocked senders).
 func (r *Registry) AddGauge(name string, fn func() float64) {
-	if r == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name = r.uniquify(name)
-	r.sections = append(r.sections, func(out []KV) []KV {
+	r.add(name, func(name string, out []KV) []KV {
 		return append(out, KV{Name: name, Value: fn()})
 	})
 }
 
 // AddHist registers a histogram; snapshots expose its count and mean (µs).
 func (r *Registry) AddHist(name string, h *Hist) {
-	if r == nil || h == nil {
+	if h == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name = r.uniquify(name)
-	r.sections = append(r.sections, func(out []KV) []KV {
+	r.add(name, func(name string, out []KV) []KV {
 		out = append(out, KV{Name: name + ".count", Value: float64(h.Count())})
 		return append(out, KV{Name: name + ".mean_us", Value: h.Mean().Seconds() * 1e6})
 	})
@@ -120,13 +125,10 @@ func (r *Registry) AddHist(name string, h *Hist) {
 // AddFunc registers a section that emits an arbitrary (but deterministic)
 // list of values, e.g. per-link counters from the network.
 func (r *Registry) AddFunc(prefix string, fn func() []KV) {
-	if r == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prefix = r.uniquify(prefix)
-	r.sections = append(r.sections, func(out []KV) []KV {
+	r.add(prefix, func(prefix string, out []KV) []KV {
 		for _, kv := range fn() {
 			out = append(out, KV{Name: prefix + "." + kv.Name, Value: kv.Value})
 		}
@@ -142,11 +144,11 @@ func (r *Registry) Snapshot() Snap {
 		return Snap{}
 	}
 	r.mu.Lock()
-	sections := append([]func(out []KV) []KV(nil), r.sections...)
+	sections := append([]section(nil), r.sections...)
 	r.mu.Unlock()
 	s := Snap{At: r.e.Now()}
-	for _, fn := range sections {
-		s.Vals = fn(s.Vals)
+	for _, sec := range sections {
+		s.Vals = sec.emit(sec.name, s.Vals)
 	}
 	return s
 }

@@ -283,16 +283,11 @@ const gatewayReqSize = 128
 
 // NewGatewayWorkload builds a client over the given gateways.
 func NewGatewayWorkload(node *hostos.Node, gateways []Addr, opts rpc.Options) (*GatewayWorkload, error) {
-	pl, err := rpc.NewPool(node, len(gateways), opts)
+	pl, err := newPooled(node, gateways, opts)
 	if err != nil {
 		return nil, err
 	}
-	for _, gw := range gateways {
-		if err := pl.Add(gw.Name, gw.Key); err != nil {
-			return nil, err
-		}
-	}
-	return &GatewayWorkload{pooled: pooled{pl}}, nil
+	return &GatewayWorkload{pooled: pl}, nil
 }
 
 // Issue sends one inference request to the next gateway.

@@ -156,14 +156,9 @@ type KVWorkload struct {
 // NewKVWorkload builds the client workload on node against the given
 // shard servers. rng drives op-type choices and must be a derived stream.
 func NewKVWorkload(node *hostos.Node, servers []Addr, cfg KVWorkloadConfig, opts rpc.Options, rng *rand.Rand) (*KVWorkload, error) {
-	pl, err := rpc.NewPool(node, len(servers), opts)
+	pl, err := newPooled(node, servers, opts)
 	if err != nil {
 		return nil, err
-	}
-	for _, sv := range servers {
-		if err := pl.Add(sv.Name, sv.Key); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
@@ -172,7 +167,7 @@ func NewKVWorkload(node *hostos.Node, servers []Addr, cfg KVWorkloadConfig, opts
 	for i := range val {
 		val[i] = byte(i * 31)
 	}
-	w := &KVWorkload{pooled: pooled{pl}, cfg: cfg, rng: rng, val: val}
+	w := &KVWorkload{pooled: pl, cfg: cfg, rng: rng, val: val}
 	if cfg.BigEvery > 0 && cfg.BigSize > 0 {
 		w.big = make([]byte, cfg.BigSize)
 		for i := range w.big {

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 
+	"virtnet/internal/hostos"
 	"virtnet/internal/obs"
 	"virtnet/internal/reliab"
 	"virtnet/internal/rpc"
@@ -40,6 +41,20 @@ type IdlePoller interface {
 // pooled is a workload's transport when that is one rpc.Pool: the KV,
 // parameter-server and gateway workloads embed it.
 type pooled struct{ pool *rpc.Pool }
+
+// newPooled opens node's rpc pool and adds every server as a target.
+func newPooled(node *hostos.Node, servers []Addr, opts rpc.Options) (pooled, error) {
+	pl, err := rpc.NewPool(node, len(servers), opts)
+	if err != nil {
+		return pooled{}, err
+	}
+	for _, sv := range servers {
+		if err := pl.Add(sv.Name, sv.Key); err != nil {
+			return pooled{}, err
+		}
+	}
+	return pooled{pl}, nil
+}
 
 // Poll and IdlePoll service the pool (Workload, IdlePoller); Pool exposes it
 // for invariant checks.

@@ -115,14 +115,9 @@ type PSWorkload struct {
 
 // NewPSWorkload builds one worker on node against the given shards.
 func NewPSWorkload(node *hostos.Node, servers []Addr, cfg PSWorkloadConfig, opts rpc.Options, rng *rand.Rand) (*PSWorkload, error) {
-	pl, err := rpc.NewPool(node, len(servers), opts)
+	pl, err := newPooled(node, servers, opts)
 	if err != nil {
 		return nil, err
-	}
-	for _, sv := range servers {
-		if err := pl.Add(sv.Name, sv.Key); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.PushEvery < 1 {
 		cfg.PushEvery = 1
@@ -130,7 +125,7 @@ func NewPSWorkload(node *hostos.Node, servers []Addr, cfg PSWorkloadConfig, opts
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 1
 	}
-	return &PSWorkload{pooled: pooled{pl}, cfg: cfg, rng: rng, servers: len(servers)}, nil
+	return &PSWorkload{pooled: pl, cfg: cfg, rng: rng, servers: len(servers)}, nil
 }
 
 // Issue models one training step: accumulate this step's deltas, then
