@@ -33,7 +33,7 @@ const (
 	faultCost = 25 * sim.Microsecond
 	// loadCost / unloadCost are the driver-side CPU costs of a residency
 	// transition (translation updates, driver/NI protocol), charged on the
-	// background remap thread in addition to the NI's SBUS DMA time.
+	// remap machine in addition to the NI's SBUS DMA time.
 	loadCost   = 450 * sim.Microsecond
 	unloadCost = 450 * sim.Microsecond
 	// remapScanDelay models the background thread servicing requests

@@ -11,6 +11,9 @@
 // read/write state: a write fault on a non-resident endpoint returns
 // immediately after scheduling a remap with the background kernel thread, so
 // application threads are never suspended for the duration of an upload.
+// That thread is modelled as a stage machine on one timer per driver (run,
+// onStep): each of its delays is a timer arm and each NI command's
+// completion re-arms the timer, so it costs no simulated thread.
 // §6.4.1 shows single-threaded servers collapse without it; the
 // DisableHostRW ablation removes it.
 package hostos
@@ -68,12 +71,13 @@ type Segment struct {
 	// completed or the endpoint was evicted). Polling an endpoint costs
 	// PollResident or PollHost depending on where it lives, so a thread that
 	// has worked out its poll schedule in advance re-derives it here. Runs in
-	// the remap thread's context; it must not block.
+	// event context, from the remap machine's timer callbacks; it must not
+	// block.
 	OnResidency func()
 
 	remapQueued bool
-	// remapping is set while the background thread is actively working on
-	// this segment; Free must synchronize with it.
+	// remapping is set while the remap machine is actively working on this
+	// segment; Free must synchronize with it.
 	remapping bool
 	freed     bool
 	// migrating is set while the endpoint is being moved to another node:
@@ -109,8 +113,8 @@ func (s *Segment) setState(st SegState) {
 	}
 }
 
-// Driver is the per-node endpoint segment driver plus its background remap
-// kernel thread.
+// Driver is the per-node endpoint segment driver plus the stage machine that
+// models its background remap kernel thread.
 type Driver struct {
 	e    *sim.Engine
 	node netsim.NodeID
@@ -120,11 +124,25 @@ type Driver struct {
 	segs   map[int]*Segment
 	nextID int
 
-	remapQ    container.Deque[*Segment]
-	remapCond *sim.Cond
-	proc      *sim.Proc
+	remapQ container.Deque[*Segment]
+	// The remap machine. step is its one timer: a delay arms it, and so does
+	// the completion of cmd, the one NI command it reuses for every load and
+	// unload; its callback (onStep) runs the rest of the remap in hand from
+	// stage, then the loop (run). seg is the segment in hand, victim the
+	// segment it evicts for it and frame the frame it loads into. busy is
+	// false while the machine is parked with its queue empty, waiting for
+	// queueRemap to kick it. gen names the incarnation whose arms step obeys:
+	// Crash moves it on.
+	step   sim.Timer
+	gen    uint32
+	stage  remapStage
+	busy   bool
+	seg    *Segment
+	victim *Segment
+	frame  int
+	cmd    nic.DriverCmd
 	// victims is pickVictim's scratch list of eviction candidates; only the
-	// remap thread evicts, so one list serves every eviction.
+	// remap machine evicts, so one list serves every eviction.
 	victims []*Segment
 
 	// C counts faults, remaps, victim evictions, notifies.
@@ -136,19 +154,35 @@ type Driver struct {
 // NewDriver creates the segment driver for node id and wires it to n.
 func NewDriver(e *sim.Engine, id netsim.NodeID, n *nic.NIC, cfg Config) *Driver {
 	d := &Driver{
-		e:         e,
-		node:      id,
-		nic:       n,
-		cfg:       cfg,
-		segs:      make(map[int]*Segment),
-		remapCond: new(sim.Cond),
+		e:    e,
+		node: id,
+		nic:  n,
+		cfg:  cfg,
+		segs: make(map[int]*Segment),
 	}
 	// Endpoint IDs are globally unique across the cluster so a wire packet's
 	// DstEP is unambiguous; partition the space by node.
 	d.nextID = int(id) * 1_000_000
 	n.SetDriver(d)
-	d.proc = e.Spawn(fmt.Sprintf("segdrv%d", id), d.remapLoop)
+	d.initStep()
+	// The NI runs Done in its own context once the command completes; the
+	// machine goes on in a zero-delay event, the slot a thread parked on the
+	// command would wake in. A crash drops the NI's command queue with the
+	// driver's machine, so no Done outlives the incarnation that submitted it.
+	d.cmd.Done = func() { d.step.ResetAt(d.e.Now()) }
 	return d
+}
+
+// initStep gives the remap machine a fresh step timer. The timer it replaces
+// may still hold an arm of the machine Crash just dropped: that arm fires
+// when it was due, finds the incarnation moved on, and does nothing.
+func (d *Driver) initStep() {
+	gen := d.gen
+	d.e.InitTimer(&d.step, func() {
+		if d.gen == gen {
+			d.onStep()
+		}
+	})
 }
 
 // Crash drops the driver's entire state with its host. Every segment is
@@ -160,7 +194,9 @@ func (d *Driver) Crash() {
 		return
 	}
 	d.crashed = true
-	d.proc.Kill()
+	d.gen++
+	d.initStep()
+	d.stage, d.busy, d.seg, d.victim = remapNone, false, nil, nil
 	ids := make([]int, 0, len(d.segs))
 	for id := range d.segs {
 		ids = append(ids, id)
@@ -178,14 +214,13 @@ func (d *Driver) Crash() {
 	d.C.Inc("node.crash")
 }
 
-// Restart brings the driver back with no segments and a fresh background
-// remap thread.
+// Restart brings the driver back with no segments and its remap machine
+// parked, as Crash left it.
 func (d *Driver) Restart() {
 	if !d.crashed {
 		return
 	}
 	d.crashed = false
-	d.proc = d.e.Spawn(fmt.Sprintf("segdrv%d", d.node), d.remapLoop)
 	d.C.Inc("node.restart")
 }
 
@@ -209,7 +244,7 @@ func (d *Driver) CreateEndpoint(key uint64) *Segment {
 // It blocks the calling thread until the endpoint is quiesced and unloaded.
 func (d *Driver) Free(p *sim.Proc, seg *Segment) {
 	seg.freed = true
-	// Synchronize with an in-flight remap: the background thread may have
+	// Synchronize with an in-flight remap: the remap machine may have
 	// already committed to loading this endpoint.
 	for seg.remapping {
 		seg.Cond.Wait(p)
@@ -336,7 +371,7 @@ func (d *Driver) WriteFault(p *sim.Proc, seg *Segment) {
 		return
 	}
 	p.Sleep(faultCost)
-	// Re-validate after the trap: the background thread may have completed
+	// Re-validate after the trap: the remap machine may have completed
 	// the binding while this fault was being handled (the handler finds the
 	// translation already valid and simply returns).
 	if seg.Resident() || seg.freed {
@@ -370,7 +405,7 @@ func (d *Driver) PageOut(seg *Segment) error {
 	return nil
 }
 
-// queueRemap schedules seg for residency with the background thread.
+// queueRemap schedules seg for residency with the remap machine.
 func (d *Driver) queueRemap(seg *Segment) {
 	if d.crashed {
 		return
@@ -389,7 +424,13 @@ func (d *Driver) queueRemap(seg *Segment) {
 	}
 	seg.remapQueued = true
 	d.remapQ.Push(seg)
-	d.remapCond.Signal()
+	if !d.busy {
+		// Kick the parked machine in a zero-delay event: the slot a thread
+		// waiting on a Cond takes when it is signalled. A busy machine takes
+		// the segment when the remap in hand ends.
+		d.busy = true
+		d.step.Reset(0)
+	}
 }
 
 // RequestResident implements nic.DriverPort: a message arrived for a
@@ -411,7 +452,7 @@ func (d *Driver) RequestResident(ep *nic.EndpointImage) {
 	d.C.Inc("remap.ni_request")
 	if seg.State == OnDisk {
 		// The proxy fault must also page the image back in; the remap
-		// thread charges the cost.
+		// machine charges the cost.
 		d.C.Inc("fault.proxy_pagein")
 	}
 	if seg.State == OnHostRO {
@@ -506,75 +547,154 @@ func (d *Driver) pickVictim() *Segment {
 	}
 }
 
-// remapLoop is the background kernel thread that services re-mapping
-// requests: it evicts a victim if necessary, uploads the endpoint image to
-// an NI frame, and updates the segment state (§4.2).
-func (d *Driver) remapLoop(p *sim.Proc) {
-	for {
-		for d.remapQ.Len() == 0 {
-			d.remapCond.Wait(p)
+// remapStage names what is left of the remap in hand once the delay or the
+// NI command it waits on is over: the continuation onStep runs.
+type remapStage int8
+
+const (
+	remapNone    remapStage = iota // no remap in hand: take the next queued segment
+	remapScanned                   // remapScanDelay paid: page in, or find a frame
+	remapPagedIn                   // pageInCost paid: find a frame
+	remapUnload                    // unloadCost paid: unload the victim
+	remapEvicted                   // the victim's unload is done
+	remapLoad                      // loadCost paid: load the segment
+	remapLoaded                    // the load is done
+)
+
+// wait parks the machine for dur, after which onStep runs s.
+func (d *Driver) wait(dur sim.Duration, s remapStage) {
+	d.stage = s
+	d.step.Reset(dur)
+}
+
+// submit hands the NI the machine's command; its Done runs s.
+func (d *Driver) submit(op nic.CmdOp, ep *nic.EndpointImage, s remapStage) {
+	d.cmd.Op, d.cmd.EP, d.cmd.Frame = op, ep, d.frame
+	d.stage = s
+	d.nic.SubmitCmd(&d.cmd)
+}
+
+// onStep runs when a delay is paid or a command is done, or when queueRemap
+// kicks the parked machine: the rest of the remap in hand, then the loop,
+// which returns at once if the remap waits again.
+func (d *Driver) onStep() {
+	s := d.stage
+	d.stage = remapNone
+	switch s {
+	case remapScanned:
+		d.scanned()
+	case remapPagedIn:
+		d.seg.State = OnHostRW
+		d.place()
+	case remapUnload:
+		d.submit(nic.OpUnload, d.victim.EP, remapEvicted)
+	case remapEvicted:
+		d.evicted()
+	case remapLoad:
+		if d.seg.freed || d.seg.migrating {
+			d.finish()
+		} else {
+			d.submit(nic.OpLoad, d.seg.EP, remapLoaded)
 		}
-		seg, _ := d.remapQ.Pop()
+	case remapLoaded:
+		d.seg.setState(OnNIC)
+		d.C.Inc("remap.load")
+		d.finish()
+	}
+	d.run()
+}
+
+// run is the background kernel thread's loop that services re-mapping
+// requests (§4.2): it takes queued segments until one starts a remap, which
+// waits on its first delay, or the queue runs dry and the machine parks
+// until queueRemap kicks it.
+func (d *Driver) run() {
+	for d.stage == remapNone {
+		seg, ok := d.remapQ.Pop()
+		if !ok {
+			d.busy = false
+			return
+		}
 		if seg.freed || seg.migrating || seg.Resident() {
 			seg.remapQueued = false
 			continue
 		}
 		seg.remapping = true
-		d.remapOne(p, seg)
-		seg.remapping = false
-		seg.remapQueued = false
-		seg.Cond.Broadcast()
+		d.seg = seg
+		d.wait(remapScanDelay, remapScanned)
 	}
 }
 
-// remapOne performs one residency transition: page-in if needed, victim
-// eviction if all frames are occupied, then the upload. It re-checks freed
-// after every blocking step (the free/remap race of §4.3).
-func (d *Driver) remapOne(p *sim.Proc, seg *Segment) {
-	p.Sleep(remapScanDelay)
+// scanned starts the remap in hand once the scan delay is paid. A remap
+// performs one residency transition: page-in if needed, victim eviction if
+// all frames are occupied, then the upload. It re-checks freed after every
+// delay and command (the free/remap race of §4.3).
+func (d *Driver) scanned() {
+	seg := d.seg
 	if seg.freed || seg.migrating {
+		d.finish()
 		return
 	}
 	if seg.State == OnDisk {
-		p.Sleep(pageInCost)
-		seg.State = OnHostRW
-	}
-	frame := d.freeFrame()
-	if frame < 0 {
-		victim := d.pickVictim()
-		if victim == nil {
-			// All frames quiescing; retry shortly.
-			d.queueRemapLater(seg)
-			return
-		}
-		p.Sleep(unloadCost)
-		d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpUnload, EP: victim.EP})
-		victim.setState(OnHostRO)
-		victim.Cond.Broadcast()
-		d.C.Inc("remap.evict")
-		// §4.2: the background thread activates non-empty endpoints. An
-		// evicted endpoint with queued work goes back on the remap queue so
-		// its communication is not stranded.
-		if victim.EP.PendingSends() > 0 || victim.EP.PendingRecvs() > 0 {
-			victim.State = OnHostRW
-			d.queueRemap(victim)
-		}
-		frame = d.freeFrame()
-		if frame < 0 {
-			d.queueRemapLater(seg)
-			return
-		}
-	}
-	if seg.freed || seg.migrating {
+		d.wait(pageInCost, remapPagedIn)
 		return
 	}
-	p.Sleep(loadCost)
-	if seg.freed || seg.migrating {
+	d.place()
+}
+
+// place finds the remap a frame, evicting a victim if every frame is taken.
+func (d *Driver) place() {
+	if d.frame = d.freeFrame(); d.frame >= 0 {
+		d.load()
 		return
 	}
-	d.submitAndWait(p, &nic.DriverCmd{Op: nic.OpLoad, EP: seg.EP, Frame: frame})
-	seg.setState(OnNIC)
-	d.C.Inc("remap.load")
+	if d.victim = d.pickVictim(); d.victim == nil {
+		// All frames quiescing; retry shortly.
+		d.queueRemapLater(d.seg)
+		d.finish()
+		return
+	}
+	d.wait(unloadCost, remapUnload)
+}
+
+// evicted finishes the victim's eviction and loads into the frame it freed.
+func (d *Driver) evicted() {
+	victim := d.victim
+	d.victim = nil
+	victim.setState(OnHostRO)
+	victim.Cond.Broadcast()
+	d.C.Inc("remap.evict")
+	// §4.2: the background thread activates non-empty endpoints. An evicted
+	// endpoint with queued work goes back on the remap queue so its
+	// communication is not stranded.
+	if victim.EP.PendingSends() > 0 || victim.EP.PendingRecvs() > 0 {
+		victim.State = OnHostRW
+		d.queueRemap(victim)
+	}
+	if d.frame = d.freeFrame(); d.frame < 0 {
+		d.queueRemapLater(d.seg)
+		d.finish()
+		return
+	}
+	d.load()
+}
+
+// load charges the load's driver cost, unless the segment went meanwhile.
+func (d *Driver) load() {
+	if d.seg.freed || d.seg.migrating {
+		d.finish()
+		return
+	}
+	d.wait(loadCost, remapLoad)
+}
+
+// finish ends the remap in hand and wakes threads synchronizing with it.
+func (d *Driver) finish() {
+	seg := d.seg
+	d.seg = nil
+	seg.remapping = false
+	seg.remapQueued = false
+	seg.Cond.Broadcast()
 }
 
 // queueRemapLater re-queues a remap after a short delay (frames were all

@@ -282,9 +282,8 @@ func TestNotifyAllocFree(t *testing.T) {
 
 // A forced remap cycle on a full 8-frame NI — a residency request for the
 // one non-resident endpoint, the victim's unload and the load — allocates
-// only its two driver commands, each with its completion closure and flag
-// (six objects): the remap thread parks on its own wakeup, not on a
-// condition built per command.
+// nothing: the remap machine reuses its one timer and its one driver
+// command, whose completion was bound once.
 func TestRemapCycleAllocs(t *testing.T) {
 	c := newTestCluster(t, 1, nil)
 	drv := c.Nodes[0].Driver
@@ -309,8 +308,8 @@ func TestRemapCycleAllocs(t *testing.T) {
 		cycle()
 	}
 	evicts := drv.C.Get("remap.evict")
-	if avg := testing.AllocsPerRun(50, cycle); avg > 6 {
-		t.Errorf("evict + load cycle allocates %.2f times, want <= 6", avg)
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Errorf("evict + load cycle allocates %.2f times, want 0", avg)
 	}
 	if got := drv.C.Get("remap.evict") - evicts; got != 51 {
 		t.Errorf("%d evictions in 51 cycles", got)

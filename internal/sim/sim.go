@@ -118,7 +118,8 @@ func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{e: e, fn: fn} }
 
 // InitTimer is NewTimer for a Timer that lives inside the caller's own
 // struct: it makes *t an unarmed timer that runs fn, and allocates no Timer.
-// t must not be armed.
+// If t is armed, that arm is orphaned, not cancelled: it still fires when
+// due and runs the fn it was armed with, and no Stop reaches it any more.
 func (e *Engine) InitTimer(t *Timer, fn func()) { *t = Timer{e: e, fn: fn} }
 
 // Stop cancels the timer if it is armed and has not yet fired, counting it
