@@ -37,7 +37,7 @@ var configSeams = map[string]configSeam{
 	"nic.Config.InboundPool":          {test: "nic.TestInboundPoolOverrunNacks", why: "a 4-packet pool overruns under a 3-sender burst, so arrivals are NACKed; TestFirmwareTimeline's transcript pins 3"},
 	"nic.Config.MaxRetries":           {test: "nic.TestChannelUnbindAfterBoundedRetries", why: "2 retries unbind the channel within 20 ms on a dead fabric; TestFirmwareTimeline's transcript pins 3"},
 	"nic.Config.MinRTO":               {test: "nic.timelineSchedules", why: "TestFirmwareTimeline's transcript pins the adaptive timeout's clamp at 150 µs"},
-	"nic.Config.RetransMax":           {test: "rpc.newBounceWorld", why: "an 80 µs backoff cap lands each return to sender within a few hundred µs, so the retry tests reach their returns in bounded virtual time"},
+	"nic.Config.RetransMax":           {test: "rpc.newBounceWorld", why: "an 80 µs backoff cap lands each return to sender within a few hundred µs, so the return tests reach their returns in bounded virtual time"},
 	"nic.Config.ReturnToSenderAfter":  {test: "nic.TestProlongedAbsenceReturnsToSender", why: "5 ms returns a message to its sender within 100 ms on a dead fabric; TestFirmwareTimeline's transcript pins 20 ms and 4 ms"},
 	"serve.ClientConfig.Deadline":     {vnperf: true, why: "benchmarks/vnperf's serve-kv sets its own kvDeadline, which today equals the serve row's 20 ms"},
 	"serve.KVWorkloadConfig.IdemPuts": {vnperf: true, why: "benchmarks/vnperf's serve-kv sets it true, as the serve row does"},

@@ -2,60 +2,45 @@ package virtnet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
 	"virtnet/internal/ctlplane"
 	"virtnet/internal/glunix"
 	"virtnet/internal/hostos"
-	"virtnet/internal/nic"
 	"virtnet/internal/reliab"
 	"virtnet/internal/rpc"
 	"virtnet/internal/sim"
 	"virtnet/internal/vnet"
 )
 
-// The retry and control-plane policy values, built the one way callers get
+// The breaker and control-plane policy values, built the one way callers get
 // them. The rows below exercise them only through public behaviour.
-func defaultBackoff(attempt int) sim.Duration { return reliab.Delay(attempt, nil) }
-func defaultBreaker() *reliab.Breaker         { return reliab.NewBreaker(nil) }
-func defaultRetrier() *reliab.Retrier[int]    { return reliab.NewRetrier[int](nil) }
+func defaultBreaker() *reliab.Breaker { return reliab.NewBreaker(nil) }
 func defaultMonitor(c *hostos.Cluster) (*glunix.Monitor, error) {
 	return glunix.NewMonitor(c, nil, nil)
 }
 func defaultManager(c *hostos.Cluster) *vnet.Manager { return vnet.NewManager(c, 4) }
 
-// TestPolicyDefaults pins the retry, breaker, failure-detection and tenancy
-// values every layer above the transport runs with: the backoff schedule,
-// the breaker's threshold and cooldowns, the per-key retry cap, an rpc
-// peer's retry budget, the monitor's silence threshold, and a tenant's
-// default quota, share and translation-table size. The goldens never reach
-// a breaker cooldown, so this is where a change to one of these values
-// shows.
+// TestPolicyDefaults pins the return, breaker, failure-detection and
+// tenancy policy every layer above the transport runs with: the breaker's
+// threshold and cooldowns, an rpc call's fate when its fragment comes back,
+// the monitor's silence threshold, and a tenant's default quota, share and
+// translation-table size. The goldens never reach a breaker cooldown, so
+// this is where a change to one of these values shows.
 func TestPolicyDefaults(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"backoff doubles from 100us to a 20ms cap", pinBackoff},
 		{"breaker opens on the 4th failure and probes after 25ms doubling to 1s", pinBreaker},
-		{"a retrier denies a key's 4th bounce", pinRetryCap},
-		{"an rpc peer's budget denies the 4th bounce inside 250ms", pinRPCBudget},
+		{"a returned rpc fragment fails its call at once, and the 4th opens the breaker", pinRPCReturn},
 		{"the monitor declares death after 50-60ms of silence", pinSilence},
 		{"a tenant without quota or share gets 16 and 1", pinTenantDefaults},
 		{"a vnet endpoint refuses peer index 64", pinTableSize},
 	} {
 		t.Run(row.name, row.run)
-	}
-}
-
-func pinBackoff(t *testing.T) {
-	// Without a PRNG the delay is the midpoint of [nominal/2, nominal].
-	want := []sim.Duration{75, 150, 300, 600, 1200, 2400, 4800, 9600, 15000, 15000}
-	for attempt, us := range want {
-		if got := defaultBackoff(attempt); got != us*sim.Microsecond {
-			t.Errorf("attempt %d: delay %v, want %v", attempt, got, us*sim.Microsecond)
-		}
 	}
 }
 
@@ -84,24 +69,12 @@ func pinBreaker(t *testing.T) {
 	}
 }
 
-func pinRetryCap(t *testing.T) {
-	r := defaultRetrier()
-	budget := reliab.NewBudget(reliab.BudgetConfig{Capacity: 100})
-	send := reliab.Send{DstIdx: 0, H: 1}
-	for i, want := range []reliab.Verdict{reliab.Parked, reliab.Parked, reliab.Parked, reliab.Denied} {
-		if got := r.Bounce(0, 1, nic.NackNotResident, budget, send); got != want {
-			t.Fatalf("bounce %d: verdict %v, want %v", i+1, got, want)
-		}
-	}
-	if got := r.NextDue(); got != sim.Time(75*sim.Microsecond) {
-		t.Fatalf("first re-send due at %v, want the 75us midpoint", got)
-	}
-}
-
-// pinRPCBudget calls a server whose host link is down, so every call
-// fragment comes back to the client as a transient return and each bounce
-// asks the client's budget for that server for a token.
-func pinRPCBudget(t *testing.T) {
+// pinRPCReturn calls a server whose host link is down, so every call
+// fragment comes back to the client as a transient return. The NI has
+// already retried it, so nothing re-sends it: each return fails its call
+// with ErrUnreachable in the poll that finds it, and the fourth failure opens
+// the target's breaker.
+func pinRPCReturn(t *testing.T) {
 	cfg := hostos.DefaultClusterConfig()
 	// Returns must land within a few hundred µs of the send.
 	cfg.NIC.RetransBase = 40 * sim.Microsecond
@@ -115,10 +88,13 @@ func pinRPCBudget(t *testing.T) {
 	}
 	c.ShardNet(0).SetHostLinkDown(c.Nodes[1].ID, true)
 	m := reliab.NewMetrics()
-	var retries []int64
+	ni := c.Nodes[0].NIC
+	var errs []error
+	var returns []int64 // messages returned to the client's NI at each failure
+	var fifth error
 	c.Nodes[0].Spawn("client", func(p *sim.Proc) {
 		// A one-target pool: an rpc.Client without the wrapper.
-		cl, err := rpc.NewPool(c.Nodes[0], 1, rpc.Options{Metrics: m, NoBreaker: true})
+		cl, err := rpc.NewPool(c.Nodes[0], 1, rpc.Options{Metrics: m})
 		if err == nil {
 			err = cl.Add(s.Name(), 77)
 		}
@@ -126,32 +102,49 @@ func pinRPCBudget(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Four calls bounce at once: three tokens, so the fourth is denied.
-		// After 300 ms one token has come back, and one more call gets it.
-		for _, calls := range []int{4, 1} {
-			for i := 0; i < calls; i++ {
-				if _, err := cl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{}); err != nil {
-					t.Error(err)
-					return
-				}
+		pcs := make([]rpc.PoolPending, 4)
+		for i := range pcs {
+			if pcs[i], err = cl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{}); err != nil {
+				t.Error(err)
+				return
 			}
-			// The loop rpc.Pool.IdlePoll is documented to equal: poll, and
-			// sleep a tick after a poll that finds nothing.
-			for end := p.Now().Add(20 * sim.Millisecond); p.Now() < end; {
-				if cl.Poll(p) == 0 {
-					p.Sleep(5 * sim.Microsecond)
-				}
-			}
-			retries = append(retries, m.Get("retries"))
-			p.Sleep(280 * sim.Millisecond)
 		}
+		// The loop rpc.Pool.IdlePoll is documented to equal — poll, and
+		// sleep a tick after a poll that finds nothing — harvesting after
+		// every poll.
+		settled := make([]bool, len(pcs))
+		for end := p.Now().Add(20 * sim.Millisecond); p.Now() < end; {
+			n := cl.Poll(p)
+			for i := range pcs {
+				if settled[i] {
+					continue
+				}
+				if _, done, err := pcs[i].TryWait(p); done {
+					settled[i] = true
+					errs = append(errs, err)
+					returns = append(returns, ni.C.Get("rts.delivered"))
+				}
+			}
+			if n == 0 {
+				p.Sleep(5 * sim.Microsecond)
+			}
+		}
+		_, fifth = cl.GoCtx(p, 0, 1, []byte{4}, reliab.Ctx{})
 	})
 	c.RunFor(sim.Second)
-	if fmt.Sprint(retries) != "[3 4]" {
-		t.Fatalf("retries granted after each round = %v, want [3 4]", retries)
+	if len(errs) != 4 {
+		t.Fatalf("%d of 4 calls settled", len(errs))
 	}
-	if got := m.Get("retry_denied"); got != 5 {
-		t.Fatalf("retry_denied = %d, want 5 (one per call)", got)
+	for i, err := range errs {
+		if !errors.Is(err, rpc.ErrUnreachable) {
+			t.Fatalf("call %d: %v, want %v", i, err, rpc.ErrUnreachable)
+		}
+	}
+	if fmt.Sprint(returns) != "[1 2 3 4]" || ni.C.Get("rts.delivered") != 4 {
+		t.Fatalf("returns at each failure = %v, %d in all; want [1 2 3 4], 4 in all", returns, ni.C.Get("rts.delivered"))
+	}
+	if m.Get("breaker_open") != 1 || !errors.Is(fifth, rpc.ErrCircuitOpen) {
+		t.Fatalf("breaker opened %d times, fifth call %v; want 1 and %v", m.Get("breaker_open"), fifth, rpc.ErrCircuitOpen)
 	}
 }
 

@@ -21,19 +21,18 @@ type seam struct{ paper, why string }
 // testSeams lists every exported name under internal/ and cmd/ that only
 // tests use. A name gains a non-test user, or goes, or is listed here.
 var testSeams = map[string]seam{
-	"glunix.Monitor.Dead":     {why: "TestPolicyDefaults sees the monitor declare a silent node dead"},
-	"nic.NIC.Endpoint":        {why: "hostos's tests see a freed endpoint leave the NI"},
-	"nic.NIC.PoolStats":       {why: "core's pool test sees every descriptor and header back in the NI's pools"},
-	"obs.Tracer.Finalized":    {why: "the external obs_test package reads the finished flights"},
-	"obs.Tracer.OpenCount":    {why: "obs_test and reliab's retrier test see every span closed"},
-	"reliab.Breaker.State":    {why: "TestPolicyDefaults and rpc's tests see a breaker open and half-open"},
-	"reliab.Retrier.Attempts": {why: "rpc's retry test counts how often a server parked a key"},
-	"hostos.Driver.PageOut":   {paper: "on-disk", why: "the only way into Fig. 2's on-disk state"},
-	"mpi.Comm.Bcast":          {paper: "bcast", why: "no row broadcasts on its own; TestCollectiveInstants pins it"},
-	"mpi.Comm.Gather":         {paper: "gather", why: "no row gathers"},
-	"mpi.Comm.Reduce":         {paper: "reduce", why: "no row reduces to one root; TestCollectiveInstants pins it"},
-	"splitc.Rank.Get":         {paper: "get", why: "no row reads remote memory by itself"},
-	"splitc.Rank.Put":         {paper: "put", why: "no row writes remote memory by itself"},
+	"glunix.Monitor.Dead":   {why: "TestPolicyDefaults sees the monitor declare a silent node dead"},
+	"nic.NIC.Endpoint":      {why: "hostos's tests see a freed endpoint leave the NI"},
+	"nic.NIC.PoolStats":     {why: "core's pool test sees every descriptor and header back in the NI's pools"},
+	"obs.Tracer.Finalized":  {why: "the external obs_test package reads the finished flights"},
+	"obs.Tracer.OpenCount":  {why: "the external obs_test package sees every flight closed"},
+	"reliab.Breaker.State":  {why: "TestPolicyDefaults and rpc's tests see a breaker open and half-open"},
+	"hostos.Driver.PageOut": {paper: "on-disk", why: "the only way into Fig. 2's on-disk state"},
+	"mpi.Comm.Bcast":        {paper: "bcast", why: "no row broadcasts on its own; TestCollectiveInstants pins it"},
+	"mpi.Comm.Gather":       {paper: "gather", why: "no row gathers"},
+	"mpi.Comm.Reduce":       {paper: "reduce", why: "no row reduces to one root; TestCollectiveInstants pins it"},
+	"splitc.Rank.Get":       {paper: "get", why: "no row reads remote memory by itself"},
+	"splitc.Rank.Put":       {paper: "put", why: "no row writes remote memory by itself"},
 }
 
 // TestEveryExportedNameIsUsed fails on an exported name declared in a

@@ -237,8 +237,7 @@ func tally(ledger map[uint64]int) (keys, surplus int) {
 }
 
 // serversDrained is the servers' half of the zero-leak invariant: every
-// server's call, re-issue, admission-queue and deferred-send bookkeeping is
-// empty.
+// server's call and admission-queue bookkeeping is empty.
 func serversDrained(servers []*rpc.Server) error {
 	for si, s := range servers {
 		if calls, reissues, queued, deferred := s.Outstanding(); calls+reissues+queued+deferred != 0 {
@@ -249,9 +248,8 @@ func serversDrained(servers []*rpc.Server) error {
 	return nil
 }
 
-// clientsDrained is the clients' half: the result, re-issue and
-// deferred-retry bookkeeping of every client that finished (the others died
-// with their nodes) is empty.
+// clientsDrained is the clients' half: the calls of every client that
+// finished (the others died with their nodes) are all settled.
 func clientsDrained[C interface{ Outstanding() (int, int, int) }](clients []C, finished []bool) error {
 	for ci, c := range clients {
 		if !finished[ci] {

@@ -45,8 +45,8 @@ type serveConfig struct {
 	Ablate bool
 	// TraceSample, when > 0, enables the flight recorder at 1-in-N sampling:
 	// each client's measured arrivals become request trace trees (root,
-	// per-fragment wire spans, server op spans, retry/backoff spans), merged
-	// across shards after the run into Flights/Attr. 0 leaves tracing off.
+	// per-fragment wire spans, server op spans), merged across shards after
+	// the run into Flights/Attr. 0 leaves tracing off.
 	TraceSample int
 }
 
@@ -180,10 +180,9 @@ func runServePoint(cfg serveConfig) (serveResult, error) {
 		for g := 0; g < nGW; g++ {
 			node := c.Nodes[nBack+g]
 			gw, err := serve.NewGateway(node, core.Key(6000+g), baddrs, serve.GatewayConfig{
-				FanOut:      fanOut,
-				Workers:     8,
-				HedgeBudget: reliab.BudgetConfig{Capacity: 64, Refill: sim.Millisecond},
-				Opts:        newSrvOpts(),
+				FanOut:  fanOut,
+				Workers: 8,
+				Opts:    newSrvOpts(),
 			})
 			if err != nil {
 				return res, err

@@ -24,8 +24,7 @@ import (
 //     and every client-observed success executed exactly once, across
 //     crashes, retries, and duplicate deliveries,
 //   - zero leaks: client and server reliability bookkeeping (call buffers,
-//     re-issue records, admission queues, deferred retries) drains to zero
-//     on every surviving node,
+//     admission queues) drains to zero on every surviving node,
 //   - trace integrity: every finalized obs flight's per-stage durations
 //     sum exactly to its end-to-end total.
 //
@@ -126,7 +125,7 @@ func chaosSoak(w io.Writer, p SoakParams) error {
 				p.Sleep(sim.Duration(rng.Intn(400)+100) * sim.Microsecond)
 			}
 			// Drain: let stale results land and be acknowledged so both
-			// sides retire their re-issue bookkeeping.
+			// sides retire their call bookkeeping.
 			until := p.Now().Add(2 * staleAfter)
 			for p.Now() < until {
 				if c.Poll(p) == 0 {

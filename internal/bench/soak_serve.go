@@ -147,8 +147,8 @@ func serveSoak(w io.Writer, p SoakParams) error {
 				ccfg.TraceNode = int(node.ID)
 			}
 			serve.RunClient(p, wl, ccfg, slos[ci])
-			// Poll the pool until its re-issue bookkeeping drains (late
-			// returns from fault outages can still be in flight).
+			// Poll the pool until its calls drain (late results and returns
+			// from fault outages can still be in flight).
 			until := p.Now().Add(2 * staleAfter)
 			for p.Now() < until {
 				wl.Poll(p)
@@ -178,10 +178,8 @@ func serveSoak(w io.Writer, p SoakParams) error {
 		return fmt.Errorf("INVARIANT VIOLATION: serve client %d hung (no-hang)", ci)
 	}
 	// Run past the stale-sweep horizon so servers reclaim partial calls
-	// from crashed clients. A reply bouncing off a crashed client re-arms
-	// its reissue record's stale clock on every return-to-sender cycle, so
-	// the last record can still be inside its stale window when the first
-	// horizon passes — keep serving until every server drains (bounded).
+	// from crashed clients, then keep serving until every server drains
+	// (bounded).
 	cl.RunFor(2 * staleAfter)
 	cl.RunUntilDone(2*staleAfter, cl.Now().Add(4*staleAfter), func() bool { return serversDrained(rpcServers) == nil })
 	stop = true

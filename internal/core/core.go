@@ -422,15 +422,6 @@ func (ep *Endpoint) Key() Key { return ep.seg.EP.Key }
 // TranslationValid reports whether translation slot idx is mapped.
 func (ep *Endpoint) TranslationValid(idx int) bool { return ep.trans.get(idx) != nil }
 
-// TranslationName returns the name mapped at slot idx (zero value if the
-// slot is invalid or unmapped).
-func (ep *Endpoint) TranslationName(idx int) EndpointName {
-	if t := ep.trans.get(idx); t != nil {
-		return t.name
-	}
-	return EndpointName{}
-}
-
 // SetEventMask arms (or disarms) arrival events for this endpoint (§3.3).
 func (ep *Endpoint) SetEventMask(armed bool) { ep.seg.EP.EventArmed = armed }
 

@@ -38,7 +38,7 @@ func TestSlotZeroIsInline(t *testing.T) {
 	if len(ep.trans.rest) != 0 {
 		t.Fatalf("%d chunks made for a table that maps only slot 0", len(ep.trans.rest))
 	}
-	if !ep.TranslationValid(0) || ep.TranslationName(0) != peer.Name() || ep.Credits(0) == 0 {
+	if !ep.TranslationValid(0) || ep.trans.at(0).name != peer.Name() || ep.Credits(0) == 0 {
 		t.Fatal("slot 0 not mapped with a full window")
 	}
 }
@@ -54,11 +54,11 @@ func TestChunksStopAtTheHighestMappedSlot(t *testing.T) {
 	if got, want := len(ep.trans.rest), bits.Len(300); got != want {
 		t.Fatalf("%d chunks after Map(300), want %d (slots 1 to 511)", got, want)
 	}
-	if !ep.TranslationValid(300) || ep.TranslationName(300) != peer.Name() {
+	if !ep.TranslationValid(300) || ep.trans.at(300).name != peer.Name() {
 		t.Fatal("slot 300 not mapped")
 	}
 	for _, idx := range []int{0, 1, 299, 301, 511, 512, -1} {
-		if ep.TranslationValid(idx) || ep.TranslationName(idx) != (EndpointName{}) || ep.Credits(idx) != 0 {
+		if ep.TranslationValid(idx) || ep.Credits(idx) != 0 {
 			t.Fatalf("slot %d reads as mapped", idx)
 		}
 	}

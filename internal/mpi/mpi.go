@@ -217,11 +217,11 @@ func (c *Comm) install() {
 		if c.w.dead[dstIdx] {
 			return // already declared dead; drop
 		}
-		switch reason {
-		case nic.NackNoEndpoint, nic.NackBadKey:
+		switch {
+		case reason.Permanent(dstIdx):
 			c.w.markDead(dstIdx)
 			return
-		case nic.NackNone: // the NI's full retry schedule came up empty
+		case reason == nic.NackNone: // the NI's full retry schedule came up empty
 			c.nacks[dstIdx]++
 			if c.nacks[dstIdx] > maxReissues {
 				c.w.markDead(dstIdx)

@@ -69,7 +69,8 @@ const (
 	// StageRPCWait: request issued → first branch (replica / backend call)
 	// completed. This is the in-flight RPC time the client spends waiting.
 	StageRPCWait
-	// StageBackoff: a bounced fragment's deterministic re-issue delay.
+	// StageBackoff: time the request's fragments spent in NI retransmission
+	// recovery, which foldTree charges here; no span is marked with it.
 	StageBackoff
 	// StageFanIn: first branch completed → last branch completed; fan-in
 	// queueing at the client is what stretches this under incast.

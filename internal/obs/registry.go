@@ -111,17 +111,6 @@ func (r *Registry) AddGauge(name string, fn func() float64) {
 	})
 }
 
-// AddHist registers a histogram; snapshots expose its count and mean (µs).
-func (r *Registry) AddHist(name string, h *Hist) {
-	if h == nil {
-		return
-	}
-	r.add(name, func(name string, out []KV) []KV {
-		out = append(out, KV{Name: name + ".count", Value: float64(h.Count())})
-		return append(out, KV{Name: name + ".mean_us", Value: h.Mean().Seconds() * 1e6})
-	})
-}
-
 // AddFunc registers a section that emits an arbitrary (but deterministic)
 // list of values, e.g. per-link counters from the network.
 func (r *Registry) AddFunc(prefix string, fn func() []KV) {

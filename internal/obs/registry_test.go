@@ -84,7 +84,7 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 
 // TestMergeSnapsKeepsCollidingShardSections pins the cross-shard merge
 // semantics: every shard's registry registers the same section names
-// (each shard wires its own "reliab" counters and "lat" histogram), and
+// (each shard wires its own "reliab" counters and "lat_us" gauge), and
 // MergeSnaps must concatenate the colliding entries in shard order —
 // never sum, dedupe, or shadow them — while the merged timestamp is the
 // furthest shard clock. A registry only uniquifies names within itself,
@@ -95,10 +95,8 @@ func TestMergeSnapsKeepsCollidingShardSections(t *testing.T) {
 		r := NewRegistry(e)
 		var c Counters
 		c.Add("sent", sent)
-		h := NewHist()
-		h.Observe(lat)
 		r.AddCounters("reliab", &c)
-		r.AddHist("lat", h)
+		r.AddGauge("lat_us", func() float64 { return lat.Seconds() * 1e6 })
 		e.RunFor(run)
 		return r.Snapshot()
 	}
@@ -111,11 +109,9 @@ func TestMergeSnapsKeepsCollidingShardSections(t *testing.T) {
 	}
 	want := []KV{
 		{Name: "reliab.sent", Value: 3},
-		{Name: "lat.count", Value: 1},
-		{Name: "lat.mean_us", Value: 100},
+		{Name: "lat_us", Value: 100},
 		{Name: "reliab.sent", Value: 5},
-		{Name: "lat.count", Value: 1},
-		{Name: "lat.mean_us", Value: 250},
+		{Name: "lat_us", Value: 250},
 	}
 	if len(m.Vals) != len(want) {
 		t.Fatalf("merged %d values, want %d: %+v", len(m.Vals), len(want), m.Vals)

@@ -87,8 +87,6 @@ func (c *Counters) Snapshot() []CounterKV {
 type Hist struct {
 	samples []sim.Duration
 	sorted  bool
-
-	sum int64 // of samples
 }
 
 // NewHist returns an empty histogram that retains every sample.
@@ -96,7 +94,6 @@ func NewHist() *Hist { return &Hist{} }
 
 // Observe records one sample.
 func (h *Hist) Observe(d sim.Duration) {
-	h.sum += int64(d)
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
@@ -140,14 +137,6 @@ func (h *Hist) Quantile(q float64) sim.Duration {
 	}
 	lo, hi := h.samples[i], h.samples[i+1]
 	return lo + sim.Duration(frac*float64(hi-lo)+0.5)
-}
-
-// Mean returns the mean sample value.
-func (h *Hist) Mean() sim.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return sim.Duration(h.sum / int64(len(h.samples)))
 }
 
 // BimodalSplit splits samples around threshold and returns the fraction and

@@ -2,54 +2,33 @@ package reliab
 
 import "virtnet/internal/sim"
 
-// BudgetConfig sizes a retry token bucket.
-type BudgetConfig struct {
-	// Capacity is the bucket size: the burst of retries allowed back to
-	// back before the peer must refill (default 3 — the reissue bound the
-	// pre-budget code used per fragment, now shared per peer).
-	Capacity int
-	// Refill returns one token every Refill of virtual time (default
-	// 250 ms), bounding the long-run retry rate at 1/Refill.
-	Refill sim.Duration
-}
-
-func (c BudgetConfig) withDefaults() BudgetConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = 3
-	}
-	if c.Refill <= 0 {
-		c.Refill = 250 * sim.Millisecond
-	}
-	return c
-}
-
-// Budget is a per-peer token-bucket retry budget: each retry spends a
-// token, tokens return at a fixed rate, and an empty bucket denies the
-// retry. Retry storms are impossible by construction — no matter how many
-// sends bounce, the sustained retry rate toward one peer cannot exceed
-// 1/Refill.
+// Budget is a token bucket: each use spends a token, tokens return at a
+// fixed rate, and an empty bucket denies. Whatever it gates — the serving
+// gateway's hedges — stays within a burst of capacity and a sustained rate
+// of one per refill, no matter how slow everything gets.
 type Budget struct {
-	cfg    BudgetConfig
-	tokens int
-	last   sim.Time // time refill accrues from while below capacity
+	capacity int
+	period   sim.Duration
+	tokens   int
+	last     sim.Time // time refill accrues from while below capacity
 }
 
-// NewBudget returns a full bucket.
-func NewBudget(cfg BudgetConfig) *Budget {
-	cfg = cfg.withDefaults()
-	return &Budget{cfg: cfg, tokens: cfg.Capacity}
+// NewBudget returns a full bucket of capacity tokens that regains one every
+// refill of virtual time.
+func NewBudget(capacity int, refill sim.Duration) *Budget {
+	return &Budget{capacity: capacity, period: refill, tokens: capacity}
 }
 
 func (b *Budget) refill(now sim.Time) {
-	if b.tokens >= b.cfg.Capacity {
+	if b.tokens >= b.capacity {
 		b.last = now
 		return
 	}
-	for b.last.Add(b.cfg.Refill) <= now && b.tokens < b.cfg.Capacity {
-		b.last = b.last.Add(b.cfg.Refill)
+	for b.last.Add(b.period) <= now && b.tokens < b.capacity {
+		b.last = b.last.Add(b.period)
 		b.tokens++
 	}
-	if b.tokens >= b.cfg.Capacity {
+	if b.tokens >= b.capacity {
 		b.last = now
 	}
 }
@@ -63,14 +42,3 @@ func (b *Budget) Allow(now sim.Time) bool {
 	b.tokens--
 	return true
 }
-
-// Tokens reports the tokens available at virtual time now.
-func (b *Budget) Tokens(now sim.Time) int {
-	b.refill(now)
-	return b.tokens
-}
-
-// Full reports whether the bucket is back at capacity at virtual time now.
-// A full bucket is indistinguishable from a new one, so an owner keeping one
-// per peer may drop it.
-func (b *Budget) Full(now sim.Time) bool { return b.Tokens(now) >= b.cfg.Capacity }

@@ -1,29 +1,21 @@
 package reliab
 
-import (
-	"virtnet/internal/obs"
-	"virtnet/internal/sim"
-)
+import "virtnet/internal/obs"
 
-// Metrics aggregates the reliability layer's counters and its retry-
-// backoff histogram. One Metrics is typically shared by every client and
-// server in an experiment so the dashboard shows cluster-wide totals. A
-// nil *Metrics is valid and records nothing, which lets the layers thread
-// it through unconditionally.
+// Metrics aggregates the reliability layer's counters. One Metrics is
+// typically shared by every client and server in an experiment so the
+// dashboard shows cluster-wide totals. A nil *Metrics is valid and records
+// nothing, which lets the layers thread it through unconditionally.
 //
 // Counter names (all under the "reliab" registry prefix): shed,
-// deadline_exceeded, overload_nacks, retries, retry_denied, breaker_open,
-// breaker_halfopen, breaker_close, breaker_fastfail, idem_hits, idem_dup,
-// stale_reclaimed.
+// deadline_exceeded, overload_nacks, breaker_open, breaker_halfopen,
+// breaker_close, breaker_fastfail, idem_hits, idem_dup, stale_reclaimed.
 type Metrics struct {
-	C       obs.Counters
-	Backoff *obs.Hist
+	C obs.Counters
 }
 
 // NewMetrics returns an empty metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{Backoff: obs.NewHist()}
-}
+func NewMetrics() *Metrics { return &Metrics{} }
 
 // Inc increments counter name by one; nil-safe.
 func (m *Metrics) Inc(name string) {
@@ -47,20 +39,11 @@ func (m *Metrics) Get(name string) int64 {
 	return m.C.Get(name)
 }
 
-// ObserveBackoff records one retry-backoff delay; nil-safe.
-func (m *Metrics) ObserveBackoff(d sim.Duration) {
-	if m != nil {
-		m.Backoff.Observe(d)
-	}
-}
-
-// Register publishes the counters and the backoff histogram in the
-// unified metrics registry under the "reliab" prefix, where they appear in
-// the dashboard's reliability section.
+// Register publishes the counters in the unified metrics registry under the
+// "reliab" prefix, where they appear in the dashboard's reliability section.
 func (m *Metrics) Register(r *obs.Registry) {
 	if m == nil || r == nil {
 		return
 	}
 	r.AddCounters("reliab", &m.C)
-	r.AddHist("reliab.backoff", m.Backoff)
 }

@@ -1,20 +1,28 @@
 // Package reliab is the reliability layer threaded through the RPC and
-// VIA stacks: deadline propagation with deadline-aware load
-// shedding, per-peer token-bucket retry budgets with deterministic
-// exponential backoff, per-peer circuit breakers, bounded admission
-// queues, and an idempotency cache for exactly-once effects under retry.
+// serving stacks: deadline propagation with deadline-aware load shedding,
+// per-peer circuit breakers, bounded admission queues, an idempotency cache
+// for exactly-once effects under retry, and the token bucket that bounds the
+// serving gateway's hedges.
+//
+// Re-sending is not this layer's job. The transport delivers a message
+// exactly once or returns it to its sender (§3.2), and the NI has already
+// retried it (§5.1) before it comes back: a NACKed send requeues with
+// backoff, a channel retransmits and unbinds after bounded retries. So a
+// return handler above the transport settles a return on the spot — a
+// permanent one (nic.NackReason.Permanent) marks the peer dead, any other
+// fails what the message carried — and keeps no attempt record, parked
+// copy or retry budget.
 //
 // The paper's §5 argument is that a virtual network must stay well-behaved
 // when demand exceeds physical resources; the fabric layers reproduce that
 // with endpoint overcommit and NI frame scheduling, and this package is
 // the application-level counterpart: under overload, work that can no
-// longer meet its deadline is dropped before it wastes capacity, retries
-// are rate-limited by construction, and unreachable peers fail fast
-// instead of accumulating blocked callers.
+// longer meet its deadline is dropped before it wastes capacity, hedges are
+// rate-limited by construction, and unreachable peers fail fast instead of
+// accumulating blocked callers.
 //
-// Determinism: every random draw (backoff jitter) comes from a caller-
-// supplied PRNG — in practice the engine's seeded one — and all clocks are
-// virtual, so a soak under this layer replays byte-identically per seed.
+// Determinism: all clocks are virtual and nothing here draws randomness, so
+// a soak under this layer replays byte-identically per seed.
 package reliab
 
 import (

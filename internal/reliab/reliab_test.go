@@ -1,7 +1,6 @@
 package reliab
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -31,13 +30,13 @@ func TestCtxWireRoundTrip(t *testing.T) {
 }
 
 func TestBudgetRefill(t *testing.T) {
-	b := NewBudget(BudgetConfig{Capacity: 2, Refill: 100 * sim.Millisecond})
+	b := NewBudget(2, 100*sim.Millisecond)
 	now := sim.Time(0)
 	if !b.Allow(now) || !b.Allow(now) {
 		t.Fatal("initial burst denied")
 	}
 	if b.Allow(now) {
-		t.Fatal("empty bucket allowed a retry")
+		t.Fatal("empty bucket allowed a use")
 	}
 	now = now.Add(100 * sim.Millisecond)
 	if !b.Allow(now) {
@@ -48,38 +47,12 @@ func TestBudgetRefill(t *testing.T) {
 	}
 	// Long idle refills back to capacity, not beyond.
 	now = now.Add(10 * sim.Second)
-	if got := b.Tokens(now); got != 2 {
+	got := 0
+	for b.Allow(now) {
+		got++
+	}
+	if got != 2 {
 		t.Fatalf("tokens after idle = %d, want capacity 2", got)
-	}
-}
-
-func TestBackoffGrowsAndStaysBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prev := sim.Duration(0)
-	for attempt := 0; attempt < 10; attempt++ {
-		d := Delay(attempt, rng)
-		nominal := backoffBase
-		for i := 0; i < attempt && nominal < backoffCap; i++ {
-			nominal *= 2
-		}
-		if nominal > backoffCap {
-			nominal = backoffCap
-		}
-		if d < nominal/2 || d > nominal {
-			t.Fatalf("attempt %d: delay %v outside [%v,%v]", attempt, d, nominal/2, nominal)
-		}
-		if attempt < 3 && d <= prev/4 {
-			t.Fatalf("attempt %d: delay %v did not grow from %v", attempt, d, prev)
-		}
-		prev = d
-	}
-	// Same seed, same schedule: the determinism contract.
-	a := rand.New(rand.NewSource(42))
-	b := rand.New(rand.NewSource(42))
-	for i := 0; i < 20; i++ {
-		if Delay(i, a) != Delay(i, b) {
-			t.Fatal("backoff not deterministic per seed")
-		}
 	}
 }
 
@@ -212,8 +185,8 @@ func TestIdemCacheSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestReliabilityDashboardSection is the snapshot test for the dashboard's
-// reliability section: counters and the backoff histogram registered under
-// the "reliab" prefix render there, and nothing else leaks in.
+// reliability section: counters registered under the "reliab" prefix
+// render there, and nothing else leaks in.
 func TestReliabilityDashboardSection(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := obs.NewRegistry(e)
@@ -222,20 +195,16 @@ func TestReliabilityDashboardSection(t *testing.T) {
 	r.AddGauge("other.gauge", func() float64 { return 9 })
 
 	m.Inc("shed")
-	m.Add("retries", 3)
+	m.Add("stale_reclaimed", 3)
 	m.Inc("breaker_open")
 	m.Inc("deadline_exceeded")
-	m.ObserveBackoff(200 * sim.Microsecond)
-	m.ObserveBackoff(400 * sim.Microsecond)
 
 	got := r.DashboardSection("reliab")
 	want := "== reliab @ 0ns ==\n" +
-		"reliab.backoff.count                                  2\n" +
-		"reliab.backoff.mean_us                              300\n" +
 		"reliab.breaker_open                                   1\n" +
 		"reliab.deadline_exceeded                              1\n" +
-		"reliab.retries                                        3\n" +
-		"reliab.shed                                           1\n"
+		"reliab.shed                                           1\n" +
+		"reliab.stale_reclaimed                                3\n"
 	if got != want {
 		t.Fatalf("dashboard section snapshot mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}

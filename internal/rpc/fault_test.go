@@ -8,8 +8,7 @@ import (
 )
 
 // A server node that crashes mid-service must surface as a typed
-// ErrUnreachable on the blocked call — after the bounded reissue rounds —
-// never as a hang.
+// ErrUnreachable on the blocked call, never as a hang.
 func TestCallAgainstCrashedServerReturnsUnreachable(t *testing.T) {
 	c := newCluster(t, 3)
 	s, _ := echoServer(t, c, 1)

@@ -8,10 +8,12 @@ package rpc
 // the paper's point about endpoint virtualization: the *translation
 // table*, not the endpoint count, scales with the peer set.
 //
-// Reliability state is per target — retry budget, circuit breaker, dead
-// marker — so one crashed shard fails fast without poisoning calls to its
-// neighbors, while the transport bookkeeping (result assembly, parked
-// re-issues) is shared.
+// Reliability state is per target — circuit breaker, dead marker — so one
+// crashed shard fails fast without poisoning calls to its neighbors, while
+// the transport bookkeeping (result assembly) is shared. A returned call
+// fragment is settled where it lands and never re-sent: the NI has already
+// retried it (§5.1) before giving it back (§3.2), so a permanent return
+// marks its target dead and any other fails that one call.
 //
 // Pool is the only client implementation: Client is a Pool with exactly one
 // target.
@@ -30,9 +32,8 @@ import (
 
 // poolTarget is one server reachable through the pool.
 type poolTarget struct {
-	budget *reliab.Budget
-	brk    *reliab.Breaker
-	dead   bool // permanent nack: endpoint gone or key revoked
+	brk  *reliab.Breaker
+	dead bool // permanent nack: endpoint gone or key revoked
 }
 
 // resultBuf is one call's record: the wire image of its call, and the
@@ -47,9 +48,8 @@ type resultBuf struct {
 	total  int
 	status uint64
 	done   bool
-	failed bool   // call fragments kept bouncing: server unreachable
-	trace  uint64 // trace id of the sampled request (0 = untraced)
-	tgt    int    // the target called, so completion feeds the right breaker
+	failed bool // a call fragment came back: server unreachable
+	tgt    int  // the target called, so completion feeds the right breaker
 	next   *resultBuf
 }
 
@@ -85,9 +85,6 @@ type Pool struct {
 	nextID  uint64
 	results map[uint64]*resultBuf
 	free    *resultBuf // harvested records, LIFO
-	// retry re-issues bounced call fragments, capped per call and paced by
-	// the called target's budget.
-	retry *reliab.Retrier[uint64]
 }
 
 // NewPool creates a pool client on node with room for maxTargets servers.
@@ -104,23 +101,19 @@ func NewPool(node *hostos.Node, maxTargets int, opts Options) (*Pool, error) {
 		return nil, err
 	}
 	pl := &Pool{node: node, ep: ep, opts: opts, m: opts.Metrics, tr: b.Tracer(),
-		results: make(map[uint64]*resultBuf),
-		retry:   reliab.NewRetrier[uint64](node.E.Rand())}
-	pl.retry.Metrics, pl.retry.Tracer, pl.retry.Node = opts.Metrics, pl.tr, int(node.ID)
+		results: make(map[uint64]*resultBuf)}
+	// A server's hCallOK replies only return credit, so they have no handler.
 	ep.SetHandler(hResult, pl.onResult)
-	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		pl.retry.Forget(args[0])
-	})
 	ep.SetReturnHandler(pl.onReturn)
 	return pl, nil
 }
 
-// onReturn re-issues call fragments bounced by transient transport
-// conditions, paced by the target's retry budget and deterministic backoff.
-// A permanent failure (no such endpoint / bad key) marks the target dead;
-// an exhausted cap or budget fails just that call with ErrUnreachable — a
-// typed error the caller can retry against a replica, not a hang.
-func (pl *Pool) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
+// onReturn settles a returned message at once. A permanent failure (no such
+// endpoint / bad key) marks the target dead; any other return fails just the
+// call its fragment carried with ErrUnreachable — a typed error the caller
+// can retry against a replica, not a hang — and its waiter charges the
+// target's breaker.
+func (pl *Pool) onReturn(_ *sim.Proc, reason nic.NackReason, dstIdx, _ int, args [4]uint64, _ []byte) {
 	if reason.Permanent(dstIdx) {
 		// A bounced reply (the hCallOK ack of a result) names no slot: which
 		// target it was for is unambiguous only with exactly one target.
@@ -132,14 +125,7 @@ func (pl *Pool) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args
 		}
 		return
 	}
-	id := args[0]
-	rb := pl.results[id]
-	if rb == nil {
-		pl.retry.Forget(id) // bounced fragment of an abandoned call
-		return
-	}
-	send := reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload, Trace: rb.trace}
-	if pl.retry.Bounce(p.Now(), id, reason, pl.targets[dstIdx].budget, send) == reliab.Denied {
+	if rb := pl.results[args[0]]; rb != nil { // else: an abandoned call's
 		rb.failed = true
 	}
 }
@@ -149,7 +135,7 @@ func (pl *Pool) Add(server core.EndpointName, serverKey core.Key) error {
 	if err := pl.ep.Map(len(pl.targets), server, serverKey); err != nil {
 		return err
 	}
-	t := poolTarget{budget: reliab.NewBudget(reliab.BudgetConfig{})}
+	var t poolTarget
 	if !pl.opts.NoBreaker {
 		t.brk = reliab.NewBreaker(pl.opts.Metrics)
 	}
@@ -162,45 +148,28 @@ func (pl *Pool) Targets() int { return len(pl.targets) }
 
 func (pl *Pool) onResult(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
 	// Acknowledge even stale results: the ack is what lets the server
-	// retire its reissue bookkeeping for this call.
+	// recycle a result that lives in its call record.
 	defer tok.Reply(p, hCallOK, [4]uint64{args[0]})
 	if rb, ok := pl.results[args[0]]; ok { // else: stale result for an abandoned call
 		rb.add(args, payload)
 	}
 }
 
-// live reports whether a parked fragment's call is still awaited; the
-// fragments of abandoned calls are dropped, not re-sent.
-func (pl *Pool) live(s reliab.Send) bool { return pl.results[s.Args[0]] != nil }
-
-// Poll services the pool's endpoint and flushes due re-issues; open-loop
-// callers (many pending calls per pool) drive it from their main loop.
-func (pl *Pool) Poll(p *sim.Proc) int {
-	n := pl.ep.Poll(p)
-	pl.retry.Flush(p, pl.ep, pl.live)
-	return n
-}
+// Poll services the pool's endpoint; open-loop callers (many pending calls
+// per pool) drive it from their main loop.
+func (pl *Pool) Poll(p *sim.Proc) int { return pl.ep.Poll(p) }
 
 // IdlePoll repeats Poll every tick until one dispatches something or starts
 // at or after until, and returns that poll's count and start time — with the
-// polls that provably find nothing elided (core.Endpoint.IdlePoll). It also
-// returns, with 0, at the poll where a parked re-issue falls due: the flush
-// runs once the poll has been charged, so a poll starting more than
-// MaxPollCost before the earliest due time cannot reach it.
+// polls that provably find nothing elided (core.Endpoint.IdlePoll).
 func (pl *Pool) IdlePoll(p *sim.Proc, tick sim.Duration, until sim.Time) (int, sim.Time) {
-	if due := pl.retry.NextDue(); due != sim.Never {
-		until = min(until, due.Add(-pl.ep.MaxPollCost()))
-	}
-	n, start := pl.ep.IdlePoll(p, tick, until)
-	pl.retry.Flush(p, pl.ep, pl.live)
-	return n, start
+	return pl.ep.IdlePoll(p, tick, until)
 }
 
-// Outstanding reports in-flight calls plus retry bookkeeping sizes, for
-// leak invariants.
+// Outstanding reports in-flight calls, for leak invariants. A pool keeps no
+// re-issue or deferred-send state, so reissues and deferred are always 0.
 func (pl *Pool) Outstanding() (results, reissues, deferred int) {
-	reissues, deferred = pl.retry.Outstanding()
-	return len(pl.results), reissues, deferred
+	return len(pl.results), 0, 0
 }
 
 // send runs the client-side reliability gauntlet (deadline check, breaker)
@@ -239,7 +208,7 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (P
 	}
 	id := pl.nextID
 	pl.nextID++
-	rb := pl.record(id, trace, tgt, reliab.HeaderLen+len(args))
+	rb := pl.record(id, tgt, reliab.HeaderLen+len(args))
 	wire := rb.wire
 	ctx.Encode(wire)
 	copy(wire[reliab.HeaderLen:], args)
@@ -270,7 +239,7 @@ func (pl *Pool) send(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx) (P
 
 // record takes a call record from the free list, or makes one, with a
 // wire buffer of n bytes.
-func (pl *Pool) record(id, trace uint64, tgt, n int) *resultBuf {
+func (pl *Pool) record(id uint64, tgt, n int) *resultBuf {
 	rb := pl.free
 	if rb == nil {
 		rb = &resultBuf{}
@@ -281,7 +250,7 @@ func (pl *Pool) record(id, trace uint64, tgt, n int) *resultBuf {
 	if cap(wire) < n {
 		wire = make([]byte, n)
 	}
-	*rb = resultBuf{id: id, wire: wire[:n], trace: trace, tgt: tgt}
+	*rb = resultBuf{id: id, wire: wire[:n], tgt: tgt}
 	return rb
 }
 
@@ -352,7 +321,7 @@ func (pl *Pool) CallCtx(p *sim.Proc, tgt, proc int, args []byte, ctx reliab.Ctx)
 func (pc *PoolPending) live() bool { return pc.rb != nil && pc.rb.id == pc.id }
 
 // unreachable reports whether the transport has given up on the call: its
-// target is dead, or its fragments ran out of retries.
+// target is dead, or one of its fragments came back.
 func (pc *PoolPending) unreachable() bool {
 	return pc.pl.targets[pc.rb.tgt].dead || pc.rb.failed
 }
@@ -374,8 +343,7 @@ func (pc *PoolPending) WaitTimeout(p *sim.Proc, timeout sim.Duration) ([]byte, e
 	if timeout > 0 {
 		deadline = p.Now().Add(timeout)
 	}
-	// Every turn is poll, flush due re-issues, sleep a waitTick if nothing
-	// arrived; IdlePoll runs on through the turns that would find nothing and
+	// Every turn is poll, sleep a waitTick if nothing arrived; IdlePoll runs on through the turns that would find nothing and
 	// end before the deadline, and returns before the tick that follows its
 	// last poll, so that tick is paid here.
 	until := sim.Never
@@ -422,7 +390,6 @@ func (pc *PoolPending) harvest() ([]byte, error) {
 	pl, rb := pc.pl, pc.rb
 	result, err := pl.finish(rb)
 	delete(pl.results, pc.id)
-	pl.retry.Forget(pc.id)
 	*rb = resultBuf{id: noCall, wire: rb.wire, next: pl.free}
 	pl.free = rb
 	return result, err
@@ -438,7 +405,6 @@ func (pc *PoolPending) Abandon() {
 		return
 	}
 	delete(pc.pl.results, pc.id)
-	pc.pl.retry.Forget(pc.id)
 	pc.rb.id = noCall
 }
 

@@ -3,7 +3,6 @@ package rpc
 import (
 	"testing"
 
-	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/nic"
 	"virtnet/internal/reliab"
@@ -12,14 +11,12 @@ import (
 
 // bounceWorld is one server and n one-call clients; the procedure takes its
 // caller's host link down, so every result fragment comes back to the server
-// as a transient return. Every client's call has id 0: ids
-// are per-client counters.
+// as a transient return. Every client's call has id 0: ids are per-client
+// counters.
 type bounceWorld struct {
-	c     *hostos.Cluster
-	s     *Server
-	m     *reliab.Metrics
-	res   [][]byte // per client: the result, once it arrived
-	names []core.EndpointName
+	c   *hostos.Cluster
+	s   *Server
+	res [][]byte // per client: the result, once it arrived
 }
 
 func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
@@ -29,10 +26,8 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 	cfg.NIC.RetransBase = 40 * sim.Microsecond
 	cfg.NIC.RetransMax = 80 * sim.Microsecond
 	cfg.NIC.ReturnToSenderAfter = 250 * sim.Microsecond
-	w := &bounceWorld{c: hostos.NewCluster(1, n+1, cfg), m: reliab.NewMetrics(),
-		res: make([][]byte, n), names: make([]core.EndpointName, n)}
+	w := &bounceWorld{c: hostos.NewCluster(1, n+1, cfg), res: make([][]byte, n)}
 	t.Cleanup(w.c.Shutdown)
-	sopts.Metrics = w.m
 	s, err := NewServerOpts(w.c.Nodes[0], 77, sopts)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +52,6 @@ func newBounceWorld(t *testing.T, n int, sopts Options) *bounceWorld {
 				t.Error(err)
 				return
 			}
-			w.names[i] = cl.pl.ep.Name()
 			pc, err := cl.pl.GoCtx(p, 0, 1, []byte{byte(i)}, reliab.Ctx{})
 			if err != nil || pc.id != 0 {
 				t.Errorf("client %d: go: id %d, err %v", i, pc.id, err)
@@ -83,52 +77,74 @@ func (w *bounceWorld) runUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// acking lists the server's records awaiting a result acknowledgment.
+func (w *bounceWorld) acking() []*callBuf {
+	var cbs []*callBuf
+	for cb := w.s.acking; cb != nil; cb = cb.next {
+		cbs = append(cbs, cb)
+	}
+	return cbs
+}
+
 // TestServerRetryStateIsPerClient: two clients whose results bounce under
-// the same call id must not share an attempt counter, and one client's
-// acknowledgment must not retire the other's record. (They did both when
-// the server keyed its records by bare call id.)
+// the same call id each leave their own record awaiting acknowledgment, and
+// one client's acknowledgment must not retire the other's record. (A record
+// keyed by bare call id would be shared by both.)
 func TestServerRetryStateIsPerClient(t *testing.T) {
-	w := newBounceWorld(t, 2, Options{})
-	records := func() int {
-		_, reissues, _, _ := w.s.Outstanding()
-		return reissues
+	w := newBounceWorld(t, 2, Options{StaleAfter: 20 * sim.Millisecond})
+	w.runUntil(t, "a record per client for call 0", func() bool { return len(w.acking()) == 2 })
+	recs := w.acking()
+	if recs[0].id != 0 || recs[1].id != 0 || recs[0].clientEP == recs[1].clientEP {
+		t.Fatalf("records (%v, %d) and (%v, %d), want call 0 of two clients",
+			recs[0].clientEP, recs[0].id, recs[1].clientEP, recs[1].id)
 	}
-	w.runUntil(t, "a record per client for call 0", func() bool { return records() == 2 })
-	dark := callKey{client: w.names[1], id: 0}
-	before := w.s.retry.Attempts(dark)
-	// Client 0 comes back: its result is delivered and acknowledged.
-	w.c.ShardNet(0).SetHostLinkDown(w.c.Nodes[1].ID, false)
-	w.runUntil(t, "client 0's result", func() bool { return w.res[0] != nil })
-	w.runUntil(t, "client 0's record retired", func() bool { return records() == 1 })
-	if after := w.s.retry.Attempts(dark); after < before || after == 0 {
-		t.Fatalf("client 1's attempts went %d -> %d across client 0's acknowledgment", before, after)
+	// Acknowledge the later record, so a search by bare id would stop at the
+	// other one first.
+	dark, acked := recs[0].clientEP, recs[1].clientEP
+	w.s.acked(callKey{client: acked, id: 0})
+	if left := w.acking(); len(left) != 1 || left[0].clientEP != dark || left[0].acks != 1 {
+		t.Fatalf("after %v's acknowledgment, records = %d, want only %v's, still unacknowledged", acked, len(left), dark)
 	}
-	w.c.ShardNet(0).SetHostLinkDown(w.c.Nodes[2].ID, false)
-	w.runUntil(t, "client 1's result", func() bool { return w.res[1] != nil })
-	w.c.RunFor(30 * sim.Millisecond) // the longest backoff still parked
-	if calls, reissues, queued, deferred := w.s.Outstanding(); calls+reissues+queued+deferred != 0 {
-		t.Fatalf("server leaked: calls=%d reissues=%d queued=%d deferred=%d", calls, reissues, queued, deferred)
+	// The sweep runs every StaleAfter/4 and reclaims the other record.
+	w.c.RunFor(50 * sim.Millisecond)
+	if calls, reissues, queued, deferred := w.s.Outstanding(); calls+reissues+queued+deferred != 0 || w.s.acking != nil {
+		t.Fatalf("server leaked: calls=%d reissues=%d queued=%d deferred=%d acking=%d",
+			calls, reissues, queued, deferred, len(w.acking()))
 	}
 }
 
-// TestServerBudgetsAreReclaimed: every peer that bounces a result gets a
-// retry budget; once the peer is gone and the bucket has refilled, the sweep
-// must let go of it, or the map grows with every client that ever bounced.
-func TestServerBudgetsAreReclaimed(t *testing.T) {
-	const n = 5
+// TestBouncedResultsLeaveNoServerState: a result fragment that comes back
+// to the server is dropped where it lands — the client owns recovery — so it
+// leaves no re-issue or deferred send behind, and once the clients have given
+// up and Sweep has run, no call and no record awaiting an acknowledgment
+// either.
+func TestBouncedResultsLeaveNoServerState(t *testing.T) {
+	const n = 3
 	w := newBounceWorld(t, n, Options{StaleAfter: 20 * sim.Millisecond})
-	w.runUntil(t, "every client's result given up", func() bool { return w.m.Get("retry_denied") >= n })
-	if len(w.s.budgets) != n {
-		t.Fatalf("budgets while the peers bounce = %d, want %d", len(w.s.budgets), n)
+	ni := w.c.Nodes[0].NIC
+	w.runUntil(t, "every result returned to the server", func() bool { return ni.C.Get("rts.delivered") >= n })
+	// Each result echoes its args, so its record waits for an acknowledgment
+	// that cannot come.
+	if got := len(w.acking()); got != n {
+		t.Fatalf("records awaiting acknowledgment = %d, want %d", got, n)
 	}
-	// The clients give up after 10 ms, three tokens refill in 750 ms, and
-	// the sweep runs every StaleAfter/4.
-	w.c.RunFor(800 * sim.Millisecond)
-	if len(w.s.budgets) != 0 {
-		t.Fatalf("budgets after the peers went silent = %d, want 0", len(w.s.budgets))
+	// The clients give up after 10 ms, and the sweep runs every StaleAfter/4.
+	w.c.RunFor(50 * sim.Millisecond)
+	if got := len(w.acking()); got != 0 {
+		t.Fatalf("records awaiting acknowledgment after the sweep = %d, want 0", got)
 	}
 	if calls, reissues, queued, deferred := w.s.Outstanding(); calls+reissues+queued+deferred != 0 {
 		t.Fatalf("server leaked: calls=%d reissues=%d queued=%d deferred=%d", calls, reissues, queued, deferred)
+	}
+	// Each client's call acknowledgment and its result come back once each:
+	// nothing was re-sent.
+	if got := ni.C.Get("rts.delivered"); got != 2*n {
+		t.Fatalf("messages returned to the server = %d, want %d", got, 2*n)
+	}
+	for i, r := range w.res {
+		if r != nil {
+			t.Fatalf("client %d got a result through a dark link", i)
+		}
 	}
 }
 

@@ -11,9 +11,10 @@
 // absolute virtual-time deadline and an optional idempotency key in a
 // 16-byte wire header, servers shed already-expired work (and, with an
 // admission queue configured, NACK overload instead of queueing without
-// bound), bounced fragments are re-issued under a per-peer token-bucket
-// retry budget with deterministic exponential backoff, and clients carry a
-// per-server circuit breaker that fails fast once the peer looks dead.
+// bound), and clients carry a per-server circuit breaker that fails fast
+// once the peer looks dead. Nothing here re-sends a returned fragment: the
+// NI retried it before returning it, so a client fails the call it carried
+// and a server, whose client owns recovery, lets it go.
 //
 // # Payload ownership
 //
@@ -86,12 +87,11 @@ var (
 )
 
 // Options tunes the reliability layer for one client or server. The zero
-// value gives the defaults: transport retry budget and backoff on both
-// sides, a circuit breaker on clients, inline execution (no admission
-// queue) and no idempotency cache on servers.
+// value gives the defaults: a circuit breaker on clients, inline execution
+// (no admission queue) and no idempotency cache on servers.
 type Options struct {
-	// Metrics receives the reliab counters and backoff histogram; one
-	// Metrics is typically shared cluster-wide. nil records nothing.
+	// Metrics receives the reliab counters; one Metrics is typically shared
+	// cluster-wide. nil records nothing.
 	Metrics *reliab.Metrics
 	// Queue > 0 bounds the server's admission queue: completed calls wait
 	// there for Step/Serve to execute them, a full queue sheds expired
@@ -104,8 +104,9 @@ type Options struct {
 	NoBreaker bool
 	// IdemCap sizes the server's idempotency result cache (0 = off).
 	IdemCap int
-	// StaleAfter bounds how long the server keeps assembly/reissue state
-	// for a call whose client went silent (default 1 s).
+	// StaleAfter bounds how long the server keeps assembly state, or a
+	// result awaiting its acknowledgment, for a call whose client went
+	// silent (default 1 s).
 	StaleAfter sim.Duration
 }
 
@@ -128,11 +129,6 @@ type Server struct {
 	tr     *obs.Tracer
 
 	calls map[callKey]*callBuf
-	// retry re-issues bounced result fragments, capped per (client, call) —
-	// call ids are per-client counters, so the id alone would let two clients
-	// share one attempt count — and paced by a token budget per client.
-	retry   *reliab.Retrier[callKey]
-	budgets map[core.EndpointName]*reliab.Budget
 
 	queue    *reliab.AdmitQueue
 	idem     *reliab.IdemCache[idemResult]
@@ -204,10 +200,7 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 	}
 	s := &Server{node: node, bundle: b, ep: ep, procs: make(map[int]CtxProc),
 		opts: opts, m: opts.Metrics, tr: b.Tracer(),
-		calls:   make(map[callKey]*callBuf),
-		retry:   reliab.NewRetrier[callKey](node.E.Rand()),
-		budgets: make(map[core.EndpointName]*reliab.Budget)}
-	s.retry.Metrics = opts.Metrics
+		calls: make(map[callKey]*callBuf)}
 	if opts.Queue > 0 {
 		s.queue = reliab.NewAdmitQueue(opts.Queue, opts.Metrics)
 	}
@@ -216,36 +209,17 @@ func NewServerOpts(node *hostos.Node, key core.Key, opts Options) (*Server, erro
 		s.inflight = make(map[reliab.IdemKey]bool)
 	}
 	ep.SetHandler(hCall, s.onCall)
-	// Result-fragment acknowledgments retire the retry bookkeeping, and the
-	// last one a call record whose result lives in its buffer. The
-	// acknowledging endpoint is the one the call named as its client (an
-	// endpoint that migrated since answers from elsewhere; Sweep reclaims
-	// its records).
+	// The last result-fragment acknowledgment retires a call record whose
+	// result lives in its buffer. The acknowledging endpoint is the one the
+	// call named as its client (an endpoint that migrated since answers from
+	// elsewhere; Sweep reclaims its records). A server installs no return
+	// handler: a result fragment that comes back is dropped, since the
+	// client owns call recovery and the server must not hang on a dead
+	// peer; Sweep reclaims a record whose acknowledgment never comes.
 	ep.SetHandler(hCallOK, func(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-		k := callKey{client: tok.Source(), id: args[0]}
-		s.retry.Forget(k)
-		s.acked(k)
-	})
-	// Result fragments bounced by a transient transport condition are
-	// re-issued under the per-client retry budget with backoff; permanently
-	// undeliverable ones (client gone, key revoked) and budget-exhausted
-	// ones are dropped, so no verdict needs acting on — the client owns call
-	// recovery, the server must not hang on a dead peer.
-	ep.SetReturnHandler(func(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
-		client := s.ep.TranslationName(dstIdx)
-		s.retry.Bounce(p.Now(), callKey{client: client, id: args[0]}, reason, s.budgetFor(client),
-			reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload})
+		s.acked(callKey{client: tok.Source(), id: args[0]})
 	})
 	return s, nil
-}
-
-func (s *Server) budgetFor(peer core.EndpointName) *reliab.Budget {
-	bg := s.budgets[peer]
-	if bg == nil {
-		bg = reliab.NewBudget(reliab.BudgetConfig{})
-		s.budgets[peer] = bg
-	}
-	return bg
 }
 
 // Name returns the server's endpoint name.
@@ -279,12 +253,8 @@ func (s *Server) maybeSweep(now sim.Time) {
 }
 
 // Sweep reclaims server-side state for calls whose client went silent:
-// partially assembled callBufs that stopped receiving fragments and
-// reissue entries whose acknowledgment never arrived, counting them as
-// stale_reclaimed. It also lets go of the retry budgets that have
-// refilled — a full bucket is what the next bounce would create anyway —
-// so the budget map tracks the peers that bounced lately, not all that ever
-// did.
+// partially assembled callBufs that stopped receiving fragments, counted as
+// stale_reclaimed, and results whose acknowledgment never arrived.
 func (s *Server) Sweep(now sim.Time) {
 	dropped := 0
 	for k, cb := range s.calls {
@@ -302,24 +272,17 @@ func (s *Server) Sweep(now sim.Time) {
 			link = &cb.next
 		}
 	}
-	dropped += s.retry.Expire(now, s.opts.StaleAfter)
 	if dropped > 0 {
 		s.m.Add("stale_reclaimed", int64(dropped))
 	}
-	for peer, bg := range s.budgets {
-		if bg.Full(now) {
-			delete(s.budgets, peer)
-		}
-	}
 }
 
-// Poll services incoming calls, flushes due re-issues, and periodically
-// sweeps stale call state; servers embed it in their main loop, or use
-// Serve for a dedicated thread. With an admission queue configured,
-// completed calls only queue up here — Step executes them.
+// Poll services incoming calls and periodically sweeps stale call state;
+// servers embed it in their main loop, or use Serve for a dedicated thread.
+// With an admission queue configured, completed calls only queue up here —
+// Step executes them.
 func (s *Server) Poll(p *sim.Proc) int {
 	n := s.ep.Poll(p)
-	s.retry.Flush(p, s.ep, nil)
 	s.maybeSweep(p.Now())
 	return n
 }
@@ -356,15 +319,14 @@ func (s *Server) Step(p *sim.Proc) bool {
 func (s *Server) Serve(p *sim.Proc, stop func() bool) {
 	s.ep.SetEventMask(true)
 	for !stop() {
-		s.retry.Flush(p, s.ep, nil)
 		if s.Step(p) {
 			s.ep.Poll(p)
 			continue
 		}
 		if !s.bundle.WaitTimeout(p, 10*sim.Millisecond) {
 			// Idle tick: no event arrived, but the stale sweep must still
-			// run — a crashed client's final reply bounce otherwise parks
-			// a reissue record forever on a server nobody talks to.
+			// run — a crashed client's unacknowledged result otherwise pins
+			// its record forever on a server nobody talks to.
 			s.maybeSweep(p.Now())
 			continue
 		}
@@ -372,15 +334,15 @@ func (s *Server) Serve(p *sim.Proc, stop func() bool) {
 	}
 }
 
-// Outstanding reports the server's bookkeeping sizes — assembly buffers,
-// unacknowledged result re-issues, queued calls, deferred sends — for the
-// leak invariants of the chaos soak and the regression tests.
+// Outstanding reports the server's bookkeeping sizes — assembly buffers
+// and queued calls — for the leak invariants of the chaos soak and the
+// regression tests. A server re-issues and defers nothing, so reissues and
+// deferred are always 0.
 func (s *Server) Outstanding() (calls, reissues, queued, deferred int) {
 	if s.queue != nil {
 		queued = s.queue.Len()
 	}
-	reissues, deferred = s.retry.Outstanding()
-	return len(s.calls), reissues, queued, deferred
+	return len(s.calls), 0, queued, 0
 }
 
 // nextSlot finds or creates a translation slot for a client endpoint: the
@@ -570,9 +532,9 @@ func (s *Server) release(cb *callBuf) {
 
 // reply sends cb's result and retires cb. A result outside cb's buffers
 // (none, the procedure's own, a cached one) frees it at once. A result
-// inside them — an echo of its args — is read by the result fragments and
-// any re-issue of them until the client has acknowledged each one, so the
-// record waits in acking for that, entered before the first fragment goes
+// inside them — an echo of its args — is read by the result fragments until
+// the client has acknowledged each one, so the record waits in acking for
+// that, entered before the first fragment goes
 // out; and one the idempotency cache keeps pins it for good.
 func (s *Server) reply(p *sim.Proc, cb *callBuf, status uint64, result []byte, cached bool) {
 	pinned := aliases(cb.data, result)

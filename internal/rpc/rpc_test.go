@@ -239,7 +239,7 @@ func TestClientsGetSlotsInFirstCallOrder(t *testing.T) {
 		t.Fatalf("%d clients done, %d calls served; want 3 and 4", done, s.Served)
 	}
 	for slot, i := range first {
-		if got := s.ep.TranslationName(slot); got != names[i] {
+		if got, ok := s.ep.SlotOf(names[i]); !ok || got != slot {
 			t.Fatalf("slot %d maps %v, want client %d (%v)", slot, got, i, names[i])
 		}
 	}

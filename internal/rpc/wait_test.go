@@ -11,7 +11,7 @@ import (
 )
 
 // The blocking wait as it was before it became a client of
-// core.Endpoint.IdlePoll: poll, flush, sleep 5 µs, every turn. Kept here as
+// core.Endpoint.IdlePoll: poll, sleep 5 µs, every turn. Kept here as
 // the reference the converted wait must match to the nanosecond, through
 // every entry point (Client is a one-target Pool, so one reference serves
 // all three). tops logs the virtual time of every loop-top check.
@@ -37,7 +37,7 @@ func literalWait(p *sim.Proc, pc *PoolPending, deadline sim.Time, tops *[]sim.Ti
 type waitWorld struct {
 	name     string
 	service  sim.Duration // procedure run time
-	linkDown bool         // server unreachable: call fragments time out and bounce
+	linkDown bool         // server unreachable: a call fragment times out and comes back
 	badKey   bool         // client holds the wrong key: permanent nack, client dead
 }
 
@@ -47,8 +47,6 @@ type waitOutcome struct {
 	Out      []byte
 	At       sim.Time // when the wait returned
 	Served   int64
-	Retries  int64
-	Denied   int64
 	Breaker  reliab.BreakerState
 	Leftover [3]int
 
@@ -181,7 +179,6 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 	})
 	c.RunFor(20 * sim.Millisecond)
 	out.Served = s.Served
-	out.Retries, out.Denied = m.Get("retries"), m.Get("retry_denied")
 	out.fired = c.EngineStats().Fired
 	return out
 }
@@ -190,16 +187,15 @@ func runWait(t *testing.T, w waitWorld, api int, timeout sim.Duration, literal b
 // PoolPending.WaitTimeout return the same result or error at the same
 // virtual nanosecond as the poll-every-5-µs loops they replaced — for
 // deadlines exactly on a loop-top instant, one ns either side and well off
-// it, with the result arriving, with bounced fragments parked for re-issue
-// (the pump's due time must end the elided stretch), and with the client
-// marked dead by a permanent nack.
+// it, with the result arriving, with the call failed by its first returned
+// fragment, and with the client marked dead by a permanent nack.
 func TestWaitsMatchLiteralLoops(t *testing.T) {
 	worlds := []waitWorld{
 		{name: "answers", service: 150 * sim.Microsecond},
 		{name: "unreachable", linkDown: true},
 		{name: "bad-key", badKey: true},
 	}
-	var timeouts, onTop, unreachable, reissued, answered int
+	var timeouts, onTop, unreachable, answered int
 	for _, w := range worlds {
 		for api := 0; api < numAPIs; api++ {
 			// The undisturbed wait tells where the loop-top instants are.
@@ -236,9 +232,6 @@ func TestWaitsMatchLiteralLoops(t *testing.T) {
 				switch {
 				case lit.Err == ErrTimeout.Error():
 					timeouts++
-					if lit.Retries > 0 {
-						reissued++
-					}
 				case lit.Err == ErrUnreachable.Error():
 					unreachable++
 				case lit.Err == "<nil>":
@@ -247,8 +240,8 @@ func TestWaitsMatchLiteralLoops(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d timeouts (%d exactly on a loop top, %d with re-issues under way), %d unreachable, %d answered", timeouts, onTop, reissued, unreachable, answered)
-	if onTop == 0 || reissued == 0 || unreachable == 0 || answered == 0 {
+	t.Logf("%d timeouts (%d exactly on a loop top), %d unreachable, %d answered", timeouts, onTop, unreachable, answered)
+	if onTop == 0 || unreachable == 0 || answered == 0 {
 		t.Fatal("the sweep missed a case")
 	}
 }

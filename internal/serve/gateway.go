@@ -27,10 +27,13 @@ const (
 	// cost).
 	gatewayService = 20 * sim.Microsecond
 	// gatewayHedgeAfter is how long a branch may straggle before the
-	// gateway launches a duplicate of it. Hedges spend the HedgeBudget —
-	// reliab's token bucket keeps the extra load bounded when everything
-	// is slow, exactly the retry-storm argument applied to tail-cutting.
-	gatewayHedgeAfter = 4 * sim.Millisecond
+	// gateway launches a duplicate of it. Hedges spend a token bucket of
+	// gatewayHedgeBurst tokens that regains one every gatewayHedgeRefill —
+	// it keeps the extra load bounded when everything is slow, exactly the
+	// retry-storm argument applied to tail-cutting.
+	gatewayHedgeAfter  = 4 * sim.Millisecond
+	gatewayHedgeBurst  = 64
+	gatewayHedgeRefill = sim.Millisecond
 )
 
 // Backend is one model shard: an rpc.Server evaluating requests with a
@@ -74,9 +77,7 @@ type GatewayConfig struct {
 	// Workers is the gateway's concurrency: procs draining the admission
 	// queue. Each worker handles one request's full fan-in at a time.
 	Workers int
-	// HedgeBudget bounds the hedges gatewayHedgeAfter launches.
-	HedgeBudget reliab.BudgetConfig
-	Opts        rpc.Options
+	Opts    rpc.Options
 }
 
 // Gateway is the fan-out/fan-in tier: each inference request fans out to
@@ -122,7 +123,7 @@ func NewGateway(node *hostos.Node, key core.Key, backends []Addr, cfg GatewayCon
 		cfg.Workers = 1
 	}
 	g := &Gateway{S: s, node: node, cfg: cfg, pool: pl,
-		hb: reliab.NewBudget(cfg.HedgeBudget)}
+		hb: reliab.NewBudget(gatewayHedgeBurst, gatewayHedgeRefill)}
 	if node.Obs != nil {
 		g.tr = node.Obs.T
 	}

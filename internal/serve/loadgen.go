@@ -81,7 +81,7 @@ type ClientConfig struct {
 	// Tracer samples request-level trace trees: each measured arrival makes
 	// the tracer's 1-in-N sampling decision, and a sampled arrival becomes a
 	// KindReq root flight whose trace id rides the request's Ctx so every
-	// rpc fragment, retry backoff, and server op beneath it joins the tree.
+	// rpc fragment and server op beneath it joins the tree.
 	// nil leaves request tracing off.
 	Tracer *obs.Tracer
 	// TraceNode is the node id recorded on sampled root flights.

@@ -49,9 +49,6 @@ func TestHistQuantiles(t *testing.T) {
 	if med < 45 || med > 55 {
 		t.Fatalf("median = %d", med)
 	}
-	if h.Mean() != 50 {
-		t.Fatalf("mean = %d", h.Mean())
-	}
 	if h.Quantile(0) != 1 || h.Quantile(1) != 100 {
 		t.Fatalf("min/max = %d/%d", h.Quantile(0), h.Quantile(1))
 	}
@@ -59,7 +56,7 @@ func TestHistQuantiles(t *testing.T) {
 
 func TestHistEmpty(t *testing.T) {
 	h := obs.NewHist()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty hist should return zeros")
 	}
 	if !strings.Contains(h.Buckets(5), "no samples") {
@@ -171,9 +168,6 @@ func TestHistUnboundedStillExact(t *testing.T) {
 	if h.Count() != 4 || len(h.Samples()) != 4 {
 		t.Fatalf("count/retained = %d/%d", h.Count(), len(h.Samples()))
 	}
-	if h.Mean() != 4 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
 	if h.Quantile(0) != 1 || h.Quantile(1) != 9 {
 		t.Fatalf("quantiles broken: %v %v", h.Quantile(0), h.Quantile(1))
 	}
@@ -190,9 +184,9 @@ func TestSummaryZeroSafe(t *testing.T) {
 	h.Observe(30)
 	// Interpolated quantiles: p50 of {10,30} is the midpoint, p99 sits
 	// 98% of the way between them (10 + 0.98*20 = 29.6, rounded to 30).
-	got := []sim.Duration{h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Quantile(0), h.Quantile(1)}
-	if want := []sim.Duration{20, 20, 30, 30, 10, 30}; !slices.Equal(got, want) {
-		t.Fatalf("mean, p50, p99, p999, min, max = %v, want %v", got, want)
+	got := []sim.Duration{h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Quantile(0), h.Quantile(1)}
+	if want := []sim.Duration{20, 30, 30, 10, 30}; !slices.Equal(got, want) {
+		t.Fatalf("p50, p99, p999, min, max = %v, want %v", got, want)
 	}
 	if h.Quantile(-0.5) != 10 || h.Quantile(2.0) != 30 {
 		t.Fatalf("out-of-range quantiles not clamped: %v %v", h.Quantile(-0.5), h.Quantile(2.0))

@@ -21,7 +21,6 @@ import (
 	"virtnet/internal/core"
 	"virtnet/internal/hostos"
 	"virtnet/internal/nic"
-	"virtnet/internal/reliab"
 	"virtnet/internal/sim"
 )
 
@@ -90,14 +89,6 @@ type VI struct {
 	sendCQ    *CQ
 	recvCQ    *CQ
 	recvQ     container.Deque[[]byte] // posted receive buffers, oldest first
-
-	// Bounced sends (§3.2 return-to-sender) are retried on a budget-gated
-	// exponential-backoff schedule; once it is exhausted the descriptor
-	// completes in error (Length == -1) on the send CQ, matching the VIA's
-	// stance that reliability problems surface to the application. Poll
-	// re-sends the parked ones.
-	retry  *reliab.Retrier[MemHandle]
-	budget *reliab.Budget
 }
 
 // CreateVI builds a VI whose completions go to the given queues (which may
@@ -109,9 +100,7 @@ func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
 	if err != nil {
 		return nil, err
 	}
-	vi := &VI{nic: n, ep: ep, sendCQ: sendCQ, recvCQ: recvCQ,
-		retry:  reliab.NewRetrier[MemHandle](n.node.E.Rand()),
-		budget: reliab.NewBudget(reliab.BudgetConfig{})}
+	vi := &VI{nic: n, ep: ep, sendCQ: sendCQ, recvCQ: recvCQ}
 	ep.SetHandler(hSend, vi.onRecv)
 	ep.SetHandler(hAck, vi.onAck)
 	ep.SetReturnHandler(vi.onReturn)
@@ -119,20 +108,14 @@ func (n *NIC) CreateVI(sendCQ, recvCQ *CQ) (*VI, error) {
 	return vi, nil
 }
 
-// onReturn handles a send the fabric bounced back. Transient nacks retry on
-// the backoff schedule while budget lasts; permanent nacks and exhausted
-// retries complete the descriptor in error so the application learns the
-// send was lost (previously it vanished and Pending leaked forever).
-func (vi *VI) onReturn(p *sim.Proc, reason nic.NackReason, dstIdx, h int, args [4]uint64, payload []byte) {
-	if h != hSend {
-		return
+// onReturn handles a send the fabric bounced back (§3.2 return-to-sender):
+// the NI has already retried it, so the descriptor completes in error
+// (Length == -1) on the send CQ, matching the VIA's stance that reliability
+// problems surface to the application.
+func (vi *VI) onReturn(_ *sim.Proc, _ nic.NackReason, _, h int, _ [4]uint64, _ []byte) {
+	if h == hSend {
+		vi.sendCQ.entries.Push(Completion{Length: -1})
 	}
-	mh := MemHandle(args[0])
-	send := reliab.Send{DstIdx: dstIdx, H: h, Args: args, Payload: payload}
-	if vi.retry.Bounce(p.Now(), mh, reason, vi.budget, send) == reliab.Parked {
-		return
-	}
-	vi.sendCQ.entries.Push(Completion{Length: -1})
 }
 
 // Addr returns the VI's connection address.
@@ -172,31 +155,28 @@ func (vi *VI) PostSend(p *sim.Proc, h MemHandle, length int) error {
 	if length > len(buf) {
 		return fmt.Errorf("via: length %d beyond registration %d", length, len(buf))
 	}
-	return vi.ep.RequestBulk(p, 0, hSend, buf[:length], [4]uint64{uint64(h)})
+	return vi.ep.RequestBulk(p, 0, hSend, buf[:length], [4]uint64{})
 }
 
 // onRecv consumes a posted receive descriptor; a message arriving with no
 // posted descriptor is dropped with an error completion, as the VIA
 // specifies (its reliability classes push that problem to the application).
-func (vi *VI) onRecv(p *sim.Proc, tok *core.Token, args [4]uint64, payload []byte) {
-	buf, ok := vi.recvQ.Pop()
-	if !ok {
-		vi.recvCQ.entries.Push(Completion{IsRecv: true, Length: -1})
-		tok.Reply(p, hAck, [4]uint64{args[0]})
-		return
+func (vi *VI) onRecv(p *sim.Proc, tok *core.Token, _ [4]uint64, payload []byte) {
+	c := Completion{IsRecv: true, Length: -1}
+	if buf, ok := vi.recvQ.Pop(); ok {
+		c.Length = copy(buf, payload)
 	}
-	vi.recvCQ.entries.Push(Completion{IsRecv: true, Length: copy(buf, payload)})
-	tok.Reply(p, hAck, [4]uint64{args[0]})
+	vi.recvCQ.entries.Push(c)
+	tok.Reply(p, hAck, [4]uint64{})
 }
 
-func (vi *VI) onAck(p *sim.Proc, tok *core.Token, args [4]uint64, _ []byte) {
-	vi.retry.Forget(MemHandle(args[0]))
+func (vi *VI) onAck(_ *sim.Proc, _ *core.Token, _ [4]uint64, _ []byte) {
 	vi.sendCQ.entries.Push(Completion{})
 }
 
 // Poll services the VI's backing endpoint so handlers (and therefore
-// completions) run, and flushes any backoff-deferred re-sends that are due.
-func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) + vi.retry.Flush(p, vi.ep, nil) }
+// completions) run.
+func (vi *VI) Poll(p *sim.Proc) int { return vi.ep.Poll(p) }
 
 // FullMesh connects a VI between every pair of the given providers
 // (the n^2 provisioning §7 criticizes) and returns vis[i][j] = the VI at
