@@ -242,9 +242,9 @@ var claims = []claim{
 			return min(replied[0]/(pairs[0]*msgs[0]), replied[1]/(pairs[1]*msgs[1]))
 		}},
 	{"simperf", "ext.", "engine events per message at 16 nodes: 30.7 (EXPERIMENTS), within 10%", band{27.6, 33.8}, nil,
-		func(d *doc) float64 { return d.nums(`\(([\d.]+)/msg\)`, "")[0] }},
+		func(d *doc) float64 { return d.nums(`fired=\d+ \(([\d.]+)/msg\)`, "")[0] }},
 	{"simperf", "ext.", "engine events per message at 1,024 hosts: 180.5, within 10%", band{162, 199}, nil,
-		func(d *doc) float64 { return d.nums(`\(([\d.]+)/msg\)`, "")[1] }},
+		func(d *doc) float64 { return d.nums(`fired=\d+ \(([\d.]+)/msg\)`, "")[1] }},
 	{"allreduce", "ext.", "results verified elementwise on every rank", band{1, 1}, nil,
 		func(d *doc) float64 { return d.flag(`verified elementwise on every rank: (\w+)`) }},
 	{"allreduce", "ext.", "auto picks the best algorithm at every size above its 4 KB binomial cutoff", band{1, 1}, nil,

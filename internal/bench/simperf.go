@@ -131,8 +131,8 @@ func simPerfSection(w io.Writer, cfg simPerfConfig) error {
 	if s.PoolHits+s.PoolMisses > 0 {
 		hitRate = float64(s.PoolHits) / float64(s.PoolHits+s.PoolMisses)
 	}
-	fmt.Fprintf(w, "events: fired=%d (%.1f/msg), max pending=%d, pool hit rate=%.3f\n",
-		s.Fired, float64(s.Fired)/msgs, s.MaxPending, hitRate)
+	fmt.Fprintf(w, "events: fired=%d (%.1f/msg), cascaded=%d (%.1f/msg), max pending=%d, pool hit rate=%.3f\n",
+		s.Fired, float64(s.Fired)/msgs, s.Cascaded, float64(s.Cascaded)/msgs, s.MaxPending, hitRate)
 	return nil
 }
 

@@ -13,6 +13,36 @@ func BenchmarkScheduleFire(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleFireSpread measures the schedule-then-fire cycle with the
+// arm mix the vnperf workloads show: 64 events in flight, each re-armed as it
+// fires at a seeded delay of 256 ns to 8 µs (an octave of 256–512, …,
+// 4,096–8,192 ns picked uniformly, then a uniform delay within it). One op
+// is one fire and one arm. ScheduleFire's lone 1 µs event always lands on
+// one wheel level and does not show where arms go.
+func BenchmarkScheduleFireSpread(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	var delays [1024]Duration
+	for i := range delays {
+		lo := Duration(256) << e.Rand().Intn(5)
+		delays[i] = lo + Duration(e.Rand().Int63n(int64(lo)))
+	}
+	n, left := 0, b.N
+	var fire func()
+	fire = func() {
+		if left > 0 {
+			left--
+			e.AfterFunc(delays[n%len(delays)], fire)
+			n++
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.AfterFunc(delays[len(delays)-1-i], fire)
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkScheduleFireFanout measures bursts: 64 events scheduled across a
 // spread of delays, then drained.
 func BenchmarkScheduleFireFanout(b *testing.B) {

@@ -87,6 +87,21 @@ func (m *refModel) popMin(bound Time) (refEvent, bool) {
 	return ev, true
 }
 
+// wantBound is NextEventBound's contract, the 256 ns frame rule, for an
+// earliest event at head with the clock at now: head itself when both share
+// a 256 ns frame; otherwise the start of head's frame at the widest 256^k
+// ns granularity where the two still differ, and never before now.
+func wantBound(head, now Time) Time {
+	if head>>8 == now>>8 {
+		return head
+	}
+	span := Time(256)
+	for (head^now)>>8 >= span {
+		span <<= 8
+	}
+	return max(head/span*span, now)
+}
+
 type fire struct {
 	id int
 	at Time
@@ -111,9 +126,9 @@ func armed(tm *Timer) bool { return tm.ev != nil && tm.ev.gen == tm.gen }
 // driveProperty feeds one operation stream (arbitrary bytes) to both
 // schedulers and compares every observable: fire order, fire times, whether
 // Stop and Reset cancel an arm, and after each run step the Pending count, the
-// Scheduled/Cancelled/Fired/MaxPending counters, and NextEventBound — never
-// before the clock or after the earliest queued event, and exactly that
-// event's time when it sits in wheel level 0.
+// Scheduled/Cancelled/Fired/MaxPending counters, and NextEventBound, which
+// must equal the 256 ns frame rule applied to the reference's earliest event
+// and the clock (wantBound).
 func driveProperty(t *testing.T, data []byte) {
 	t.Helper()
 	e := NewEngine(0)
@@ -187,12 +202,12 @@ func driveProperty(t *testing.T, data []byte) {
 		}
 		nb, ok := e.NextEventBound()
 		head, live := model.head()
-		exact := e.lowestSlot(0) >= 0
 		switch {
 		case ok != live:
 			t.Fatalf("after run to %d: NextEventBound ok=%v, reference has %d live events", bound, ok, len(model.evs))
-		case ok && (nb < e.Now() || nb > head || exact && nb != head):
-			t.Fatalf("after run to %d: NextEventBound %d, clock %d, earliest event %d (exact=%v)", bound, nb, e.Now(), head, exact)
+		case ok && nb != wantBound(head, e.Now()):
+			t.Fatalf("after run to %d: NextEventBound %d, clock %d, earliest event %d, want %d",
+				bound, nb, e.Now(), head, wantBound(head, e.Now()))
 		}
 	}
 
@@ -307,6 +322,20 @@ func FuzzWheelVsReference(f *testing.F) {
 	// Arms on levels 5, 6 and 7 (2^42, 2^50, 2^57 ns out), a chain with a
 	// 2^58 ns stride, a Reset to 2^59 ns, a Stop and two advances.
 	f.Add([]byte{0, 42, 7, 0, 50, 9, 2, 57, 1, 6, 3, 58, 3, 44, 5, 7, 33, 0, 4, 0, 59, 0, 3, 1, 7, 39, 255})
+	// Arms at 255, 256, 2,303 and 4,096 ns, advances to 2,303 and 3,582,
+	// arms at 4,095, 4,096 and 3,583 there, and steps the clock one
+	// nanosecond at a time across the 4,096 ns frame (level 0's) and the
+	// 256 ns one (the bound's), then arms at +255 and +256 from 4,096.
+	f.Add([]byte{0, 7, 127, 0, 8, 0, 0, 12, 0, 2, 11, 255, 7, 11, 255, 7, 10, 255,
+		0, 9, 1, 0, 9, 2, 0, 0, 0, 7, 0, 0, 7, 8, 255, 7, 0, 0, 7, 0, 0,
+		0, 7, 127, 0, 8, 0, 7, 7, 127, 7, 0, 0})
+	// Arms on each side of the level boundaries: 4,096 (level 1) and 2,303
+	// (level 0), 2^20 (level 2) and 2^19+255 (level 1), 2^28 (level 3) and
+	// 2^27+255 (level 2); a chain of 2^59 ns strides whose later arms sit on
+	// level 7 (bit 60 and up); then advances of 2^12, 2^20, 2^28+1 and
+	// 2^11+255 ns, each of which cascades a boundary slot.
+	f.Add([]byte{0, 12, 0, 0, 11, 255, 0, 20, 0, 0, 19, 255, 0, 28, 0, 0, 27, 255,
+		6, 4, 59, 0, 59, 0, 7, 12, 0, 7, 20, 0, 7, 28, 1, 7, 11, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8192 {
 			data = data[:8192]

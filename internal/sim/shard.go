@@ -352,6 +352,7 @@ func (c *Coordinator) Stats() Stats {
 		out.PoolMisses += s.PoolMisses
 		out.MaxPending += s.MaxPending
 		out.Handoffs += s.Handoffs
+		out.Cascaded += s.Cascaded
 	}
 	return out
 }

@@ -231,12 +231,17 @@ func TestCoordinatorWindowStretching(t *testing.T) {
 
 // TestCoordinatorCrossesFarIdleGaps checks that an idle gap of seconds to
 // days costs a handful of barriers: a window ends one lookahead past the
-// frame start NextEventBound gives, inside the event's slot, so the clock
-// reaching it moves the event at least one wheel level down, and no gap
-// takes more than one barrier per level plus the one that fires it.
+// frame start NextEventBound gives, inside the event's 256^k ns frame, so
+// each barrier narrows the frame by at least 8 bits. The counts are pinned:
+// they follow from the 256 ns frame rule alone, whatever the wheel's
+// geometry.
 func TestCoordinatorCrossesFarIdleGaps(t *testing.T) {
 	const W = 100
-	for _, at := range []Time{1<<32 + 777, 1<<40 + 12_345, 1<<50 + 98_765} {
+	for _, tc := range []struct {
+		at       Time
+		barriers uint64
+	}{{1<<32 + 777, 2}, {1<<40 + 12_345, 2}, {1<<50 + 98_765, 4}} {
+		at := tc.at
 		c := NewCoordinator(1, 2, W)
 		var fired []Time
 		e := c.Engine(1)
@@ -247,15 +252,15 @@ func TestCoordinatorCrossesFarIdleGaps(t *testing.T) {
 		if len(fired) != 1 || fired[0] != at {
 			t.Fatalf("event at %d fired at %v", at, fired)
 		}
-		if barriers > wheelLevels+1 {
-			t.Fatalf("event at %d took %d barriers, want at most %d", at, barriers, wheelLevels+1)
+		if barriers != tc.barriers {
+			t.Fatalf("event at %d took %d barriers, want %d", at, barriers, tc.barriers)
 		}
 	}
 }
 
-// TestNextEventBound pins the exactness contract: exact for level-0 events,
-// a safe lower bound (never before the clock, never past the true head) for
-// events on higher wheel levels, however far out.
+// TestNextEventBound pins the 256 ns frame rule: exact for an event in the
+// clock's 256 ns frame, its frame start otherwise (never before the clock,
+// never past the true head), however far out.
 func TestNextEventBound(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -267,19 +272,19 @@ func TestNextEventBound(t *testing.T) {
 		t.Fatalf("level-0 bound = %d ok=%v, want exact 37", b, ok)
 	}
 	e.RunUntil(37)
-	// A far event sits on level 5: the bound is its slot's frame start.
+	// A far event sits on a high wheel level: the bound is a frame start.
 	far := e.Now().Add(1 << 40)
 	e.AfterFuncAt(far, func() {})
 	if b, ok := e.NextEventBound(); !ok || b > far || b < e.Now() {
 		t.Fatalf("far bound = %d ok=%v, want now <= b <= %d", b, ok, far)
 	}
 	e.RunUntil(far)
-	// A mid-range event lands on a higher wheel level: the bound may
-	// undershoot but must never overshoot, and must be >= now.
+	// An event 5,000 ns out leaves the clock's 256 ns frame but not its
+	// 65,536 ns one: the bound is the start of its 256 ns frame.
 	at := e.Now().Add(5000)
 	e.AfterFuncAt(at, func() {})
-	if b, ok := e.NextEventBound(); !ok || b > at || b < e.Now() {
-		t.Fatalf("level>0 bound = %d ok=%v, want now <= b <= %d", b, ok, at)
+	if b, ok := e.NextEventBound(); !ok || b != at&^255 {
+		t.Fatalf("5,000 ns bound = %d ok=%v, want %d (now %d, event %d)", b, ok, at&^255, e.Now(), at)
 	}
 }
 

@@ -9,10 +9,12 @@
 // simulated state needs no locking and every run is bit-reproducible for a
 // given seed.
 //
-// Events are kept in a hierarchical timer wheel (eight levels of 256 slots,
-// 8 bits of virtual time each, which together span every Time). Event
-// structs are recycled through a free list; a generation counter makes stale
-// Timer handles inert.
+// Events are kept in a hierarchical timer wheel: level 0 has 4,096
+// one-nanosecond slots for the clock's current 4,096 ns frame, where most
+// arms land, and seven levels of 256 slots above it cover 8 more bits of
+// virtual time each, so together they span every Time. Event structs are
+// recycled through a free list; a generation counter makes stale Timer
+// handles inert.
 // The engine fires events in strict (time, seq) order — seq is a monotonic
 // schedule counter, so ties at one instant resolve in FIFO schedule order —
 // and that ordering contract is what makes runs bit-reproducible.
@@ -66,16 +68,34 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Timer wheel geometry: wheelLevels levels of wheelSlots slots, each level
-// covering wheelBits more bits of virtual time than the one below. Level 0
-// slots are single nanoseconds within the current 256 ns frame; level k
-// slots cover 256^k ns, so the eight levels cover all 64 bits of a Time.
+// Timer wheel geometry. Level 0 has l0Slots slots of one nanosecond each,
+// within the clock's current 4,096 ns frame; its occupancy is a bitmap of
+// l0Slots/64 words plus a summary word with one bit per bitmap word. Levels
+// 1 to wheelLevels-1 have wheelSlots slots each, covering wheelBits more
+// bits of virtual time per level: a level-k slot spans 2^(12+8(k-1)) ns, so
+// the eight levels cover 12+7·8 = 68 ≥ 64 bits, every Time.
 const (
+	l0Bits      = 12
+	l0Slots     = 1 << l0Bits
+	l0Mask      = l0Slots - 1
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 8
 )
+
+// The level-0 summary word must cover every bitmap word: a wider level 0
+// fails to compile here (the constant overflows uint) instead of indexing
+// past the summary at run time.
+const _ uint = 64 - l0Slots/64
+
+// levelShift is the bit at which level >= 1's slot index starts.
+func levelShift(level int) uint { return l0Bits + uint(level-1)*wheelBits }
+
+// boundBits is NextEventBound's frame: the bound is exact within the clock's
+// 2^boundBits ns frame, and a frame start beyond it. It is part of the
+// contract coordinators rely on, not of the wheel's geometry.
+const boundBits = 8
 
 // event is a queued callback. Events are engine-owned and recycled through a
 // free list: gen increments every time one is released, so a Timer handle
@@ -86,18 +106,22 @@ type event struct {
 	seq   uint64
 	fn    func()
 	gen   uint32
-	level int8  // wheel level while queued
-	slot  uint8 // wheel slot while queued
+	level int8   // wheel level while queued
+	slot  uint16 // slot within that level while queued
 	prev  *event
 	next  *event // list link in wheel slots; free-list link when free
 }
 
-// slotList is a doubly-linked list of events hanging off one wheel slot.
-// Level-0 lists are seq-sorted (every entry shares one absolute time, so
-// seq order is firing order); higher levels are unsorted appends and get
-// ordered as they cascade down.
-type slotList struct {
-	head, tail *event
+// Each wheel slot holds the head of a circular doubly-linked list of events
+// (nil when empty): head.prev is the tail, so a slot costs one pointer and
+// appends in O(1). Level-0 lists are seq-sorted (every entry shares one
+// absolute time, so seq order is firing order); higher levels are unsorted
+// appends and get ordered as they cascade down. linkBefore puts ev into such
+// a list just before at.
+func linkBefore(ev, at *event) {
+	ev.prev, ev.next = at.prev, at
+	at.prev.next = ev
+	at.prev = ev
 }
 
 // Timer is a reusable, cancellable callback: NewTimer returns it unarmed and
@@ -161,7 +185,10 @@ func (t *Timer) ResetAt(at Time) {
 // and cancelled, event-pool reuse (hit rate = PoolHits/(PoolHits+PoolMisses))
 // and the high-water mark of live queued events. Handoffs counts proc
 // resumes, each one coroutine round trip: a switch into the proc and, when
-// it next suspends or exits, a switch back.
+// it next suspends or exits, a switch back. Cascaded counts re-levellings:
+// an event armed beyond the clock's 4,096 ns frame moves to a lower wheel
+// level each time the clock enters its slot's frame, until it reaches
+// level 0, and each move counts once.
 type Stats struct {
 	Fired      uint64
 	Scheduled  uint64
@@ -170,6 +197,7 @@ type Stats struct {
 	PoolMisses uint64
 	MaxPending int
 	Handoffs   uint64
+	Cascaded   uint64
 }
 
 // Engine is a discrete-event simulation engine.
@@ -180,8 +208,11 @@ type Engine struct {
 	cur   *Proc
 	procs []*Proc // live procs: spawned, body not yet returned, not killed
 
-	wheel     [wheelLevels][wheelSlots]slotList
-	occ       [wheelLevels][wheelSlots / 64]uint64 // slot occupancy bitmaps
+	l0        [l0Slots]*event                          // level-0 slot heads
+	l0occ     [l0Slots / 64]uint64                     // level-0 slot occupancy
+	l0sum     uint64                                   // bit w set when l0occ[w] != 0
+	wheel     [wheelLevels - 1][wheelSlots]*event      // level k's heads at k-1
+	occ       [wheelLevels - 1][wheelSlots / 64]uint64 // their occupancy
 	wheelLive int
 	free      *event // event pool
 	stats     Stats
@@ -237,6 +268,7 @@ func (e *Engine) armEvent(at Time, fn func()) *event {
 	ev := e.alloc()
 	ev.t, ev.seq, ev.fn = at, e.seq, fn
 	e.insert(ev)
+	e.wheelLive++
 	e.stats.Scheduled++
 	if e.wheelLive > e.stats.MaxPending {
 		e.stats.MaxPending = e.wheelLive
@@ -245,60 +277,73 @@ func (e *Engine) armEvent(at Time, fn func()) *event {
 }
 
 // insert places ev in the wheel level whose frame the clock currently shares
-// with ev.t: the level of the highest bit in which ev.t and the clock differ
-// (level 0 when they differ in none).
+// with ev.t: level 0 when they share the 4,096 ns frame, else the level of the
+// highest bit in which they differ.
 func (e *Engine) insert(ev *event) {
-	level := uint(bits.Len64(uint64(ev.t^e.now)|1)-1) / wheelBits
-	slot := uint8(ev.t >> (level * wheelBits))
-	ev.level, ev.slot = int8(level), slot
-	l := &e.wheel[level][slot]
+	var h **event
+	if x := uint64(ev.t ^ e.now); x < l0Slots {
+		s := uint16(ev.t) & l0Mask
+		ev.level, ev.slot = 0, s
+		h = &e.l0[s]
+		if *h == nil {
+			e.l0occ[s>>6] |= 1 << (s & 63)
+			e.l0sum |= 1 << (s >> 6)
+		}
+	} else {
+		level := (bits.Len64(x)-1-l0Bits)/wheelBits + 1
+		s := uint8(ev.t >> levelShift(level))
+		ev.level, ev.slot = int8(level), uint16(s)
+		h = &e.wheel[level-1][s]
+		if *h == nil {
+			e.occ[level-1][s>>6] |= 1 << (s & 63)
+		}
+	}
+	head := *h
 	switch {
-	case l.tail == nil:
-		l.head, l.tail = ev, ev
-		ev.prev, ev.next = nil, nil
-		e.occ[level][slot>>6] |= 1 << (slot & 63)
-	case level > 0 || l.tail.seq < ev.seq:
+	case head == nil:
+		*h = ev
+		ev.prev, ev.next = ev, ev
+	case ev.level > 0 || head.prev.seq < ev.seq:
 		// Append: higher levels are unsorted; level 0 appends whenever the
 		// new event has the largest seq, which is every fresh schedule.
-		ev.prev, ev.next = l.tail, nil
-		l.tail.next = ev
-		l.tail = ev
+		linkBefore(ev, head)
 	default:
 		// Out-of-seq-order level-0 insert (only from cascades): walk back
-		// to keep the list seq-sorted.
-		at := l.tail
-		for at.prev != nil && at.prev.seq > ev.seq {
+		// from the tail to keep the list seq-sorted. Reaching the head means
+		// the head's seq is larger too, so ev becomes the head.
+		at := head.prev
+		for at != head && at.prev.seq > ev.seq {
 			at = at.prev
 		}
-		ev.prev, ev.next = at.prev, at
-		if at.prev != nil {
-			at.prev.next = ev
-		} else {
-			l.head = ev
+		linkBefore(ev, at)
+		if at == head {
+			*h = ev
 		}
-		at.prev = ev
 	}
-	e.wheelLive++
 }
 
 // unlink removes ev from its slot list (O(1)).
 func (e *Engine) unlink(ev *event) {
-	l := &e.wheel[ev.level][ev.slot]
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		l.head = ev.next
+	s := ev.slot
+	h := &e.l0[s]
+	if ev.level > 0 {
+		h = &e.wheel[ev.level-1][s]
 	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	} else {
-		l.tail = ev.prev
-	}
-	if l.head == nil {
-		e.occ[ev.level][ev.slot>>6] &^= 1 << (ev.slot & 63)
-	}
-	ev.prev, ev.next = nil, nil
 	e.wheelLive--
+	if ev.next != ev {
+		ev.prev.next = ev.next
+		ev.next.prev = ev.prev
+		if *h == ev {
+			*h = ev.next
+		}
+		return
+	}
+	*h = nil
+	if ev.level > 0 {
+		e.occ[ev.level-1][s>>6] &^= 1 << (s & 63)
+	} else if e.l0occ[s>>6] &^= 1 << (s & 63); e.l0occ[s>>6] == 0 {
+		e.l0sum &^= 1 << (s >> 6)
+	}
 }
 
 // remove unlinks a queued event and releases it.
@@ -307,14 +352,28 @@ func (e *Engine) remove(ev *event) {
 	e.release(ev)
 }
 
-// lowestSlot returns the lowest occupied slot at level, or -1.
-func (e *Engine) lowestSlot(level int) int {
-	for w := range e.occ[level] {
-		if b := e.occ[level][w]; b != 0 {
-			return w*64 + bits.TrailingZeros64(b)
+// lowest0 returns the lowest occupied level-0 slot, or -1.
+func (e *Engine) lowest0() int {
+	if e.l0sum == 0 {
+		return -1
+	}
+	w := bits.TrailingZeros64(e.l0sum)
+	return w<<6 | bits.TrailingZeros64(e.l0occ[w])
+}
+
+// lowestAbove returns the lowest occupied slot of the lowest occupied level
+// above 0, or (0, -1) when every one is empty. When level 0 is empty, that
+// slot holds the earliest events: level-k events share the clock's
+// level-(k+1) frame, which everything on higher levels lies beyond.
+func (e *Engine) lowestAbove() (level, slot int) {
+	for level := 1; level < wheelLevels; level++ {
+		for w, b := range e.occ[level-1] {
+			if b != 0 {
+				return level, w<<6 | bits.TrailingZeros64(b)
+			}
 		}
 	}
-	return -1
+	return 0, -1
 }
 
 // AfterFunc arranges for fn to run at Now()+d with no cancellation handle;
@@ -349,46 +408,49 @@ func (e *Engine) PostRemote(dst int, at Time, fn func()) {
 	e.coord.post(e.shard, dst, at, fn)
 }
 
-// NextEventBound returns a conservative lower bound on the earliest
-// pending event's time — exact when the earliest event sits in wheel level
-// 0, the frame start of its slot otherwise. ok is false when nothing is
-// pending. Coordinators use it to stretch barrier windows across idle gaps.
+// NextEventBound returns a lower bound on the earliest pending event's time
+// t, by the 256 ns frame rule: t itself when t shares the clock's 256 ns
+// frame, otherwise the start of t's 256^k ns frame, where 256^k is the
+// widest such frame the clock is not in (never before the clock). ok is
+// false when nothing is pending. Coordinators stretch barrier windows to
+// this bound, so it fixes which barrier each cross-shard event is flushed at
+// and with it that event's seq; the rule is independent of the wheel's
+// geometry.
 func (e *Engine) NextEventBound() (Time, bool) {
 	if e.wheelLive == 0 {
 		return 0, false
 	}
-	if s := e.lowestSlot(0); s >= 0 {
+	var t Time
+	if s := e.lowest0(); s >= 0 {
 		// Level-0 slot heads are the global minimum (see stepBounded).
-		return e.wheel[0][s].head.t, true
-	}
-	// The lowest occupied level holds the earliest events: level-k events
-	// share now's level-(k+1) frame, which everything at higher levels lies
-	// beyond. The slot's frame start bounds them from below.
-	for level := 1; ; level++ {
-		s := e.lowestSlot(level)
-		if s < 0 {
-			continue
+		t = e.l0[s].t
+	} else {
+		level, s := e.lowestAbove()
+		head := e.wheel[level-1][s]
+		t = head.t
+		for ev := head.next; ev != head; ev = ev.next {
+			t = min(t, ev.t)
 		}
-		shift := uint(level) * wheelBits
-		fs := (e.now &^ (Time(1)<<(shift+wheelBits) - 1)) | Time(s)<<shift
-		if fs < e.now {
-			fs = e.now
-		}
-		return fs, true
 	}
+	x := uint64(t ^ e.now)
+	if x>>boundBits == 0 {
+		return t, true
+	}
+	k := uint(bits.Len64(x)-1) / boundBits * boundBits
+	return max(t&^(Time(1)<<k-1), e.now), true
 }
 
 // stepBounded fires the single earliest event if its time is <= bound,
 // advancing the clock to it. It reports whether an event fired. Along the
 // way it cascades higher-level slots down — relocations, not firings, which
-// only ever advance the clock to frame starts at or below the earliest
-// event's time.
+// only ever advance the clock to frame starts at or below bound and the
+// earliest event's time.
 func (e *Engine) stepBounded(bound Time) bool {
 	for e.wheelLive > 0 {
-		if s := e.lowestSlot(0); s >= 0 {
+		if s := e.lowest0(); s >= 0 {
 			// Every event in a level-0 slot shares one absolute time, and
 			// the list is seq-sorted, so the head is the global minimum.
-			ev := e.wheel[0][s].head
+			ev := e.l0[s]
 			if ev.t > bound {
 				return false
 			}
@@ -400,47 +462,37 @@ func (e *Engine) stepBounded(bound Time) bool {
 			fn()
 			return true
 		}
-		// Cascade the lowest occupied level one step down. All events in a
-		// level-k slot share the t>>(k*8) prefix, so after advancing the
-		// clock to that frame start they all reinsert at level k-1 or below.
-		for level := 1; level < wheelLevels; level++ {
-			s := e.lowestSlot(level)
-			if s < 0 {
-				continue
-			}
-			l := &e.wheel[level][s]
-			min := l.head
-			for ev := min.next; ev != nil; ev = ev.next {
-				if ev.t < min.t || (ev.t == min.t && ev.seq < min.seq) {
-					min = ev
-				}
-			}
-			if min.t > bound {
-				return false
-			}
-			shift := uint(level) * wheelBits
-			if fs := min.t &^ (1<<shift - 1); fs > e.now {
-				e.now = fs
-			}
-			e.relevel(level, uint8(s))
-			break
+		// Cascade the lowest occupied slot one step down. Its events are the
+		// earliest queued and share its frame start, so no scan is needed:
+		// past the bound, nothing fires; otherwise advance the clock to the
+		// frame start and re-level them all onto lower levels, where level 0
+		// applies the bound.
+		level, s := e.lowestAbove()
+		fs := e.wheel[level-1][s].t &^ (Time(1)<<levelShift(level) - 1)
+		if fs > bound {
+			return false
 		}
+		if fs > e.now {
+			e.now = fs
+		}
+		e.relevel(level, s)
 	}
 	return false
 }
 
-// relevel empties wheel slot s of level and reinserts each of its events
+// relevel empties slot s of level (>= 1) and reinserts each of its events
 // relative to the current clock, in list order.
-func (e *Engine) relevel(level int, s uint8) {
-	l := &e.wheel[level][s]
-	head := l.head
-	l.head, l.tail = nil, nil
-	e.occ[level][s>>6] &^= 1 << (s & 63)
-	for ev := head; ev != nil; {
+func (e *Engine) relevel(level, s int) {
+	head := e.wheel[level-1][s]
+	e.wheel[level-1][s] = nil
+	e.occ[level-1][s>>6] &^= 1 << (s & 63)
+	for ev, tail := head, head.prev; ; {
 		next := ev.next
-		ev.prev, ev.next = nil, nil
-		e.wheelLive--
+		e.stats.Cascaded++
 		e.insert(ev)
+		if ev == tail {
+			return
+		}
 		ev = next
 	}
 }
@@ -463,9 +515,9 @@ func (e *Engine) advanceTo(t Time) {
 	}
 	e.now = t
 	for level := wheelLevels - 1; level >= 1; level-- {
-		shift := uint(level) * wheelBits
-		s := uint8((t >> shift) & wheelMask)
-		if l := &e.wheel[level][s]; l.head != nil && l.head.t>>shift == t>>shift {
+		shift := levelShift(level)
+		s := int(t>>shift) & wheelMask
+		if head := e.wheel[level-1][s]; head != nil && head.t>>shift == t>>shift {
 			e.relevel(level, s)
 		}
 	}
